@@ -289,6 +289,62 @@ fn bench_recovery(c: &mut Criterion) {
     g.finish();
 }
 
+/// The durable tier's write path. Its cost must not depend on how long
+/// the log already is: the two `append_barrier` benches differ only in
+/// the number of sealed segments behind them (and so in manifest and
+/// file-table size) and must read the same.
+fn bench_store(c: &mut Criterion) {
+    use prism_core::crc::crc32_combine;
+    use prism_store::{Record, SegmentStore, SimDisk};
+    use std::sync::Arc;
+
+    // ~14 records per segment, as PRISM-KV's 560 B installs fill its
+    // 8 KB segments, but small so a 32768-segment log stays ~32 MB.
+    const LIMIT: usize = 1024;
+    let rec = Record {
+        epoch: 1,
+        inc: 1,
+        key: 7,
+        payload: vec![0xA5; 44],
+    };
+    let grown = |limit: usize, segments: usize| {
+        let store = SegmentStore::with_limit(Arc::new(SimDisk::new()), "b", limit);
+        while store.sealed().len() < segments {
+            for _ in 0..64 {
+                store.append(&rec);
+            }
+        }
+        store
+    };
+
+    let mut g = c.benchmark_group("store");
+    for segments in [256usize, 32768] {
+        let store = grown(LIMIT, segments);
+        g.bench_function(&format!("append_barrier@{segments}seg"), |b| {
+            b.iter(|| {
+                store.append(std::hint::black_box(&rec));
+                store.barrier();
+            });
+        });
+    }
+    // Every append passes this limit, so each iteration is one seal:
+    // segment sync, manifest entry, next segment's header.
+    let store = grown(64, 32768);
+    g.bench_function("manifest_seal", |b| {
+        b.iter(|| store.append(std::hint::black_box(&rec)));
+    });
+    g.bench_function("crc32_combine_1MiB", |b| {
+        b.iter(|| {
+            std::hint::black_box(crc32_combine(
+                std::hint::black_box(0xDEAD_BEEF),
+                0x1234_5678,
+                1 << 20,
+            ))
+        });
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_des,
@@ -297,6 +353,7 @@ criterion_group!(
     bench_workload,
     bench_memory,
     bench_verbs,
-    bench_recovery
+    bench_recovery,
+    bench_store
 );
 criterion_main!(benches);

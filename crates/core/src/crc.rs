@@ -98,6 +98,56 @@ fn crc32_seeded(state: u32, data: &[u8]) -> u32 {
     c
 }
 
+/// `a(x) · b(x) mod P` over GF(2), in the reflected bit order the CRC
+/// register uses (bit 31 is `x^0`).
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut m = 1u32 << 31;
+    let mut p = 0u32;
+    loop {
+        if a & m != 0 {
+            p ^= b;
+            if a & (m - 1) == 0 {
+                return p;
+            }
+        }
+        m >>= 1;
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+    }
+}
+
+/// `X2N[k] = x^(2^k) mod P`. Thirty-two entries close the cycle: the
+/// multiplicative order of `x` divides `2^32 - 1`, so `x^(2^32) = x`.
+const X2N: [u32; 32] = {
+    let mut t = [0u32; 32];
+    let mut p = 1u32 << 30; // x^1
+    let mut k = 0;
+    while k < 32 {
+        t[k] = p;
+        p = multmodp(p, p);
+        k += 1;
+    }
+    t
+};
+
+/// CRC-32 of `a || b` from `crc32(a)`, `crc32(b)` and `b.len()`, without
+/// touching the bytes again: `crc(a||b) = crc(a) · x^(8·len_b) ⊕ crc(b)`
+/// (zlib's `crc32_combine`), O(log len_b) by square-and-multiply over
+/// [`X2N`]. This is what lets a checksummed table grow, or have its
+/// prefix rewritten, at constant cost.
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    let mut shift = 1u32 << 31; // x^0
+    let mut n = len_b;
+    let mut k = 3; // bytes to bits: start at x^(2^3)
+    while n != 0 {
+        if n & 1 != 0 {
+            shift = multmodp(X2N[k & 31], shift);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    multmodp(shift, crc_a) ^ crc_b
+}
+
 /// Incremental CRC-32 over multiple fragments, so layouts can checksum
 /// `header || key || value` without concatenating into a scratch
 /// buffer.
@@ -181,6 +231,49 @@ mod tests {
         let mut inc = Crc32::new();
         inc.update(b"header|").update(b"key|").update(b"value");
         assert_eq!(inc.finish(), whole);
+    }
+
+    #[test]
+    fn combine_matches_one_shot_over_random_splits() {
+        // SplitMix64 steps: lengths and split points vary run to run of
+        // the loop, not of the test.
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = s;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for case in 0..512 {
+            let len = (next() % 5000) as usize;
+            let data: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            // Both empty halves, then random interior splits.
+            let split = match case % 4 {
+                0 => 0,
+                1 => len,
+                _ => (next() % (len as u64 + 1)) as usize,
+            };
+            let (a, b) = data.split_at(split);
+            assert_eq!(
+                crc32_combine(crc32(a), crc32(b), b.len() as u64),
+                crc32(&data),
+                "len {len} split {split}"
+            );
+        }
+        // A 2^29-byte suffix is 2^32 bits: the one step that wraps X2N.
+        // Appending it at once must equal appending its two halves,
+        // which never leave the table.
+        let mut z = crc32(&[0u8; 1 << 10]);
+        let mut len = 1u64 << 10;
+        while len < 1 << 28 {
+            z = crc32_combine(z, z, len);
+            len *= 2;
+        }
+        let a = crc32(b"prefix");
+        let halves = crc32_combine(crc32_combine(a, z, len), z, len);
+        let z29 = crc32_combine(z, z, len);
+        assert_eq!(crc32_combine(a, z29, 2 * len), halves);
     }
 
     #[test]

@@ -181,10 +181,14 @@ mod tests {
     use prism_rdma::region::AccessFlags;
 
     fn live() -> (LiveServer, u64, u32) {
+        live_with(4)
+    }
+
+    fn live_with(workers: usize) -> (LiveServer, u64, u32) {
         let server = Arc::new(PrismServer::new(1 << 20));
         let (addr, rkey) = server.carve_region(4096, 64, AccessFlags::FULL);
         server.set_rpc_handler(Arc::new(|req: &[u8]| req.to_vec()));
-        (LiveServer::spawn(server, 4), addr, rkey.0)
+        (LiveServer::spawn(server, workers), addr, rkey.0)
     }
 
     #[test]
@@ -251,7 +255,9 @@ mod tests {
 
     #[test]
     fn shutdown_drains_queued_work() {
-        let (srv, addr, rkey) = live();
+        // One worker: with several, the writes land in dequeue-race
+        // order and "the last one queued" need not be the last applied.
+        let (srv, addr, rkey) = live_with(1);
         let client = srv.client();
         for i in 0..100u64 {
             client.cast(Request::Chain(vec![ops::write(

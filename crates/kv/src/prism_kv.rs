@@ -36,7 +36,7 @@ use prism_core::value::CasMode;
 use prism_core::{ChainObserver, OpResult, OpStatus, PrismOp, PrismServer};
 use prism_rdma::region::{AccessFlags, Rkey};
 use prism_rdma::RdmaError;
-use prism_store::{DurableStats, Record, SegmentStore, SimDisk};
+use prism_store::{DurableStats, SegmentStore, SimDisk};
 
 use crate::entry;
 use crate::hash::HashScheme;
@@ -175,30 +175,39 @@ impl ChainObserver for KvDurableTap {
             // (a relocated entry would change the slot word with no
             // writer, and a resolving PUT would misread that as a racing
             // write that displaced it).
-            let Ok(slot) = server.arena().read(*target, SLOT) else {
+            //
+            // The frame is built in the segment's own tail: the slot word
+            // goes through the stack and the entry image is read from the
+            // arena straight into the log, one copy and no allocation.
+            let arena = server.arena();
+            let mut slot = [0u8; SLOT as usize];
+            if arena.read_into(*target, &mut slot).is_err() {
                 continue;
-            };
+            }
             let ptr = u64::from_le_bytes(slot[..8].try_into().expect("8 bytes"));
             let bound = u64::from_le_bytes(slot[8..16].try_into().expect("8 bytes"));
-            let payload = if ptr == 0 {
-                Vec::new()
+            let payload_len = if ptr == 0 {
+                0
             } else {
-                match server.arena().read(ptr, bound.min(self.max_entry_len)) {
-                    Ok(bytes) => {
-                        let mut p = Vec::with_capacity(SLOT as usize + bytes.len());
-                        p.extend_from_slice(&slot);
-                        p.extend_from_slice(&bytes);
-                        p
-                    }
-                    Err(_) => continue,
-                }
+                slot.len() + bound.min(self.max_entry_len) as usize
             };
-            self.store.append(&Record {
-                epoch: server.current_epoch(),
-                inc: server.regions().current_incarnation(),
-                key: (*target - self.table_addr) / SLOT,
-                payload,
-            });
+            let logged = self.store.append_with(
+                server.current_epoch(),
+                server.regions().current_incarnation(),
+                (*target - self.table_addr) / SLOT,
+                payload_len,
+                |payload| {
+                    if payload.is_empty() {
+                        return true;
+                    }
+                    let (word, image) = payload.split_at_mut(slot.len());
+                    word.copy_from_slice(&slot);
+                    arena.read_into(ptr, image).is_ok()
+                },
+            );
+            if !logged {
+                continue;
+            }
             self.store.barrier();
         }
     }

@@ -172,22 +172,27 @@ impl ChainObserver for RsDurableTap {
             // freshly installed buffer. Log the buffer image — it is
             // self-verifying ([tag | crc | pad | value]), so replay can
             // re-check it independently of the segment framing.
-            let Ok(meta) = server.arena().read(*target, META) else {
+            // The image is read from the arena straight into the
+            // segment's tail: one copy, no allocation.
+            let arena = server.arena();
+            let mut meta = [0u8; META as usize];
+            if arena.read_into(*target, &mut meta).is_err() {
                 continue;
-            };
+            }
             let addr = u64::from_le_bytes(meta[8..16].try_into().expect("8 bytes"));
             if addr == 0 {
                 continue; // fences are logged explicitly by the migrator
             }
-            let Ok(buf) = server.arena().read(addr, self.buf_len) else {
+            let logged = self.store.append_with(
+                server.current_epoch(),
+                server.regions().current_incarnation(),
+                (*target - self.meta_addr) / META,
+                self.buf_len as usize,
+                |image| arena.read_into(addr, image).is_ok(),
+            );
+            if !logged {
                 continue;
-            };
-            self.store.append(&Record {
-                epoch: server.current_epoch(),
-                inc: server.regions().current_incarnation(),
-                key: (*target - self.meta_addr) / META,
-                payload: buf,
-            });
+            }
             let n = self.appended.fetch_add(1, Ordering::Relaxed) + 1;
             if n.is_multiple_of(RS_BARRIER_EVERY) {
                 self.store.barrier();

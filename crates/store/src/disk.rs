@@ -10,7 +10,8 @@
 //! bit-identically.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::ops::Bound;
+use std::sync::{Mutex, MutexGuard};
 
 use prism_simnet::rng::SimRng;
 
@@ -21,12 +22,64 @@ struct DiskFile {
     synced: usize,
 }
 
+impl DiskFile {
+    fn sync(&mut self) {
+        self.synced = self.bytes.len();
+    }
+
+    fn truncate(&mut self, len: usize) {
+        self.bytes.truncate(len);
+        self.synced = self.synced.min(len);
+    }
+}
+
+/// An open file of a [`SimDisk`]: what a name resolves to, so a writer
+/// that keeps appending to one file pays the name lookup once. A handle
+/// dies with [`SimDisk::remove`]; operations through a dead handle are
+/// no-ops, exactly like operations on a missing name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FileId(usize);
+
+#[derive(Default)]
+struct Files {
+    /// File bodies by [`FileId`]. A removed file leaves `None` and its
+    /// index is never reused, so a stale handle cannot alias a newer
+    /// file.
+    slab: Vec<Option<DiskFile>>,
+    /// Name to slab index. Everything that visits "every file" walks
+    /// this map, which is what keeps list, tear and rot in name order.
+    by_name: BTreeMap<String, usize>,
+    bytes_written: u64,
+}
+
+impl Files {
+    fn at(&mut self, id: FileId) -> Option<&mut DiskFile> {
+        self.slab.get_mut(id.0)?.as_mut()
+    }
+
+    fn named(&mut self, name: &str) -> Option<&mut DiskFile> {
+        let id = *self.by_name.get(name)?;
+        self.slab[id].as_mut()
+    }
+
+    /// Resolves `name`, creating the file empty if needed.
+    fn open(&mut self, name: &str) -> FileId {
+        if let Some(&id) = self.by_name.get(name) {
+            return FileId(id);
+        }
+        let id = self.slab.len();
+        self.slab.push(Some(DiskFile::default()));
+        self.by_name.insert(name.to_string(), id);
+        FileId(id)
+    }
+}
+
 /// A named-file in-memory disk. All operations are `&self`; a single
 /// mutex guards the file table (the simulation is single-threaded, the
 /// lock only satisfies `Sync`).
 #[derive(Default)]
 pub struct SimDisk {
-    files: Mutex<BTreeMap<String, DiskFile>>,
+    files: Mutex<Files>,
 }
 
 impl SimDisk {
@@ -34,73 +87,165 @@ impl SimDisk {
         SimDisk::default()
     }
 
+    fn lock(&self) -> MutexGuard<'_, Files> {
+        self.files
+            .lock()
+            .expect("a closure panicked under the disk lock")
+    }
+
     /// Appends `data` to `name`, creating the file if needed. The new
     /// bytes are *not* durable until [`sync`](SimDisk::sync).
     pub fn append(&self, name: &str, data: &[u8]) {
-        let mut files = self.files.lock().unwrap();
-        files
-            .entry(name.to_string())
-            .or_default()
-            .bytes
-            .extend_from_slice(data);
+        let mut files = self.lock();
+        let id = files.open(name);
+        let f = files.at(id).expect("just opened");
+        f.bytes.extend_from_slice(data);
+        files.bytes_written += data.len() as u64;
+    }
+
+    /// Appends `len` bytes to the open file `id` in place: `fill` gets
+    /// the new (zeroed) tail to write into, so a caller can build a
+    /// frame straight from its source with no staging buffer. Returning
+    /// `false` from `fill` abandons the append and leaves the file as it
+    /// was. Not durable until synced. `fill` runs under the disk lock
+    /// and must not call back into this disk.
+    pub fn append_with(
+        &self,
+        id: FileId,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]) -> bool,
+    ) -> bool {
+        let mut files = self.lock();
+        let Some(f) = files.at(id) else {
+            return false;
+        };
+        let old = f.bytes.len();
+        f.bytes.resize(old + len, 0);
+        if !fill(&mut f.bytes[old..]) {
+            f.bytes.truncate(old);
+            return false;
+        }
+        files.bytes_written += len as u64;
+        true
     }
 
     /// Makes every byte of `name` crash-durable.
     pub fn sync(&self, name: &str) {
-        let mut files = self.files.lock().unwrap();
-        if let Some(f) = files.get_mut(name) {
-            f.synced = f.bytes.len();
+        if let Some(f) = self.lock().named(name) {
+            f.sync();
+        }
+    }
+
+    /// [`sync`](SimDisk::sync) through a handle.
+    pub fn sync_file(&self, id: FileId) {
+        if let Some(f) = self.lock().at(id) {
+            f.sync();
         }
     }
 
     /// Atomically replaces `name` with `data`, already durable — the
-    /// write-temp-then-rename idiom collapsed to one step.
-    pub fn write_sync(&self, name: &str, data: &[u8]) {
-        let mut files = self.files.lock().unwrap();
-        let f = files.entry(name.to_string()).or_default();
-        f.bytes = data.to_vec();
-        f.synced = f.bytes.len();
+    /// write-temp-then-rename idiom collapsed to one step. Returns the
+    /// file's handle (unchanged if the name already existed).
+    pub fn write_sync(&self, name: &str, data: &[u8]) -> FileId {
+        let mut files = self.lock();
+        let id = files.open(name);
+        let f = files.at(id).expect("just opened");
+        f.bytes.clear();
+        f.bytes.extend_from_slice(data);
+        f.sync();
+        files.bytes_written += data.len() as u64;
+        id
+    }
+
+    /// Overwrites `data.len()` bytes of the open file at offset `off`
+    /// (growing the file if the write runs past its end) and fsyncs it:
+    /// pwrite + fsync. Unlike [`write_sync`](SimDisk::write_sync) this is
+    /// not atomic as a whole — a file patched by several of these
+    /// passes through states its reader must be able to reject.
+    pub fn pwrite_sync(&self, id: FileId, off: usize, data: &[u8]) {
+        let mut files = self.lock();
+        let Some(f) = files.at(id) else {
+            return;
+        };
+        let end = off + data.len();
+        if f.bytes.len() < end {
+            f.bytes.resize(end, 0);
+        }
+        f.bytes[off..end].copy_from_slice(data);
+        f.sync();
+        files.bytes_written += data.len() as u64;
     }
 
     pub fn read(&self, name: &str) -> Option<Vec<u8>> {
-        self.files
-            .lock()
-            .unwrap()
-            .get(name)
-            .map(|f| f.bytes.clone())
+        self.lock().named(name).map(|f| f.bytes.clone())
+    }
+
+    /// Runs `f` over the bytes of the open file without copying them.
+    /// `f` runs under the disk lock and must not call back into this
+    /// disk.
+    pub fn with_bytes<R>(&self, id: FileId, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        self.lock().at(id).map(|file| f(&file.bytes))
     }
 
     pub fn len(&self, name: &str) -> Option<usize> {
-        self.files.lock().unwrap().get(name).map(|f| f.bytes.len())
+        self.lock().named(name).map(|f| f.bytes.len())
+    }
+
+    /// Length of the crash-durable prefix of `name`.
+    pub fn synced(&self, name: &str) -> Option<usize> {
+        self.lock().named(name).map(|f| f.synced)
     }
 
     pub fn is_empty(&self) -> bool {
-        self.files.lock().unwrap().is_empty()
+        self.lock().by_name.is_empty()
+    }
+
+    /// Total bytes ever handed to this disk by appends and (p)writes —
+    /// the write traffic, as opposed to the bytes still on it.
+    pub fn bytes_written(&self) -> u64 {
+        self.lock().bytes_written
     }
 
     /// Truncates `name` to `len` bytes (used by replay to cut a torn or
     /// corrupt tail). The synced watermark is clamped alongside.
     pub fn truncate(&self, name: &str, len: usize) {
-        let mut files = self.files.lock().unwrap();
-        if let Some(f) = files.get_mut(name) {
-            f.bytes.truncate(len);
-            f.synced = f.synced.min(len);
+        if let Some(f) = self.lock().named(name) {
+            f.truncate(len);
+        }
+    }
+
+    /// [`truncate`](SimDisk::truncate) through a handle.
+    pub fn truncate_file(&self, id: FileId, len: usize) {
+        if let Some(f) = self.lock().at(id) {
+            f.truncate(len);
         }
     }
 
     pub fn remove(&self, name: &str) {
-        self.files.lock().unwrap().remove(name);
+        let mut files = self.lock();
+        if let Some(id) = files.by_name.remove(name) {
+            files.slab[id] = None;
+        }
     }
 
     /// Names of all files starting with `prefix`, in sorted order.
     pub fn list(&self, prefix: &str) -> Vec<String> {
-        self.files
-            .lock()
-            .unwrap()
-            .keys()
-            .filter(|k| k.starts_with(prefix))
-            .cloned()
-            .collect()
+        let mut names = Vec::new();
+        self.visit(prefix, |name, _| names.push(name.to_string()));
+        names
+    }
+
+    /// Calls `f` with the name and handle of every file starting with
+    /// `prefix`, in name order, without copying the names.
+    pub fn visit(&self, prefix: &str, mut f: impl FnMut(&str, FileId)) {
+        let files = self.lock();
+        let from = (Bound::Included(prefix), Bound::Unbounded);
+        for (name, &id) in files.by_name.range::<str, _>(from) {
+            if !name.starts_with(prefix) {
+                break;
+            }
+            f(name, FileId(id));
+        }
     }
 
     /// Crash tear: for every file with an unsynced tail, drop a seeded
@@ -108,9 +253,11 @@ impl SimDisk {
     /// untouched. Returns the total bytes dropped. Files are visited in
     /// name order, so a given RNG stream tears deterministically.
     pub fn tear_tail(&self, rng: &mut SimRng) -> u64 {
-        let mut files = self.files.lock().unwrap();
+        let mut files = self.lock();
+        let Files { slab, by_name, .. } = &mut *files;
         let mut dropped = 0u64;
-        for f in files.values_mut() {
+        for &id in by_name.values() {
+            let f = slab[id].as_mut().expect("named files are live");
             let unsynced = f.bytes.len() - f.synced;
             if unsynced == 0 {
                 continue;
@@ -129,8 +276,9 @@ impl SimDisk {
     /// (sync offers no protection against media decay). Returns the
     /// number of flips applied (0 if the disk is empty).
     pub fn rot(&self, rng: &mut SimRng, bits: u32) -> u32 {
-        let mut files = self.files.lock().unwrap();
-        let total: usize = files.values().map(|f| f.bytes.len()).sum();
+        let mut files = self.lock();
+        let Files { slab, by_name, .. } = &mut *files;
+        let total: usize = slab.iter().flatten().map(|f| f.bytes.len()).sum();
         if total == 0 {
             return 0;
         }
@@ -138,7 +286,8 @@ impl SimDisk {
         for _ in 0..bits {
             let mut at = rng.gen_range(total as u64) as usize;
             let bit = rng.gen_range(8) as u8;
-            for f in files.values_mut() {
+            for &id in by_name.values() {
+                let f = slab[id].as_mut().expect("named files are live");
                 if at < f.bytes.len() {
                     f.bytes[at] ^= 1 << bit;
                     applied += 1;
@@ -188,6 +337,43 @@ mod tests {
         assert_eq!(disk.rot(&mut rng, 3), 3);
         let ones: u32 = disk.read("f").unwrap().iter().map(|b| b.count_ones()).sum();
         assert!((1..=3).contains(&ones)); // flips may collide
+    }
+
+    #[test]
+    fn handle_writes_land_in_the_named_file() {
+        let disk = SimDisk::new();
+        let id = disk.write_sync("f", b"head");
+        assert!(disk.append_with(id, 4, |tail| {
+            tail.copy_from_slice(b"tail");
+            true
+        }));
+        assert_eq!(disk.read("f").unwrap(), b"headtail");
+        assert_eq!(disk.synced("f"), Some(4), "appended bytes are unsynced");
+        // An abandoned append leaves neither bytes nor write traffic.
+        let before = disk.bytes_written();
+        assert!(!disk.append_with(id, 9, |_| false));
+        assert_eq!(disk.len("f"), Some(8));
+        assert_eq!(disk.bytes_written(), before);
+        // pwrite overwrites in place, may grow the file, and syncs it.
+        disk.pwrite_sync(id, 6, b"LONG");
+        assert_eq!(disk.read("f").unwrap(), b"headtaLONG");
+        assert_eq!(disk.synced("f"), Some(10));
+        assert_eq!(disk.bytes_written(), before + 4);
+        // The handle dies with the file; a re-created name is a new file.
+        disk.remove("f");
+        assert!(!disk.append_with(id, 1, |_| true));
+        assert_ne!(disk.write_sync("f", b"x"), id);
+        assert_eq!(disk.read("f").unwrap(), b"x");
+    }
+
+    #[test]
+    fn visit_walks_a_prefix_in_name_order() {
+        let disk = SimDisk::new();
+        for name in ["b/2", "a/1", "b/1", "c/1", "b0"] {
+            disk.append(name, b".");
+        }
+        assert_eq!(disk.list("b/"), ["b/1", "b/2"]);
+        assert_eq!(disk.list(""), ["a/1", "b/1", "b/2", "b0", "c/1"]);
     }
 
     #[test]

@@ -29,6 +29,6 @@ pub mod disk;
 pub mod segment;
 pub mod store;
 
-pub use disk::SimDisk;
+pub use disk::{FileId, SimDisk};
 pub use segment::{Manifest, Record, SealedSeg, StoreError};
 pub use store::{DurableStats, Replay, SegmentStore};

@@ -26,8 +26,15 @@
 //! table. Manifests written before the checkpoint field existed are
 //! exactly four bytes shorter; decode accepts both lengths, reading
 //! the legacy form as checkpoint 0 (nothing covered).
+//!
+//! [`encode_manifest`] is the one definition of that layout. Sealing a
+//! segment does not re-encode the file: [`manifest_push`] computes the
+//! 28 bytes that differ (count word, then `entry | checkpoint | crc`
+//! over the old tail) at a cost independent of the table's length, and
+//! the patched file equals `encode_manifest` of the grown table byte
+//! for byte.
 
-use prism_core::crc::crc32;
+use prism_core::crc::{crc32, crc32_combine, Crc32};
 
 /// Magic tag opening every segment file.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"PRSMSEG1";
@@ -121,6 +128,19 @@ pub struct SealedSeg {
     pub records: u32,
 }
 
+/// Bytes one [`SealedSeg`] takes in the manifest's entry table.
+const MANIFEST_ENTRY_LEN: usize = 16;
+
+impl SealedSeg {
+    fn encode(&self) -> [u8; MANIFEST_ENTRY_LEN] {
+        let mut e = [0u8; MANIFEST_ENTRY_LEN];
+        e[0..4].copy_from_slice(&self.seq.to_le_bytes());
+        e[4..12].copy_from_slice(&self.len.to_le_bytes());
+        e[12..16].copy_from_slice(&self.records.to_le_bytes());
+        e
+    }
+}
+
 /// Decoded manifest contents: the sealed-segment table plus the
 /// checkpoint watermark.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -168,16 +188,40 @@ pub fn decode_header(bytes: &[u8], magic: &[u8; 8]) -> Result<(), StoreError> {
     Ok(())
 }
 
+/// Builds one record frame in place — the single definition of the
+/// frame layout. `frame` must be exactly [`FRAME_OVERHEAD`] plus the
+/// payload length; `fill` writes the payload into its slot, so a caller
+/// holding the payload elsewhere (an arena, a [`Record`]) copies it once,
+/// straight to where it will live. `fill` returning `false` abandons the
+/// frame (the caller discards the bytes).
+pub fn encode_record_in(
+    frame: &mut [u8],
+    epoch: u64,
+    inc: u64,
+    key: u64,
+    fill: impl FnOnce(&mut [u8]) -> bool,
+) -> bool {
+    let body = frame.len() - 4;
+    frame[0..4].copy_from_slice(&((body - 28) as u32).to_le_bytes());
+    frame[4..12].copy_from_slice(&epoch.to_le_bytes());
+    frame[12..20].copy_from_slice(&inc.to_le_bytes());
+    frame[20..28].copy_from_slice(&key.to_le_bytes());
+    if !fill(&mut frame[28..body]) {
+        return false;
+    }
+    let crc = crc32(&frame[..body]);
+    frame[body..].copy_from_slice(&crc.to_le_bytes());
+    true
+}
+
 /// Appends one record frame to `out`.
 pub fn encode_record_into(rec: &Record, out: &mut Vec<u8>) {
     let start = out.len();
-    out.extend_from_slice(&(rec.payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&rec.epoch.to_le_bytes());
-    out.extend_from_slice(&rec.inc.to_le_bytes());
-    out.extend_from_slice(&rec.key.to_le_bytes());
-    out.extend_from_slice(&rec.payload);
-    let crc = crc32(&out[start..]);
-    out.extend_from_slice(&crc.to_le_bytes());
+    out.resize(start + FRAME_OVERHEAD + rec.payload.len(), 0);
+    encode_record_in(&mut out[start..], rec.epoch, rec.inc, rec.key, |p| {
+        p.copy_from_slice(&rec.payload);
+        true
+    });
 }
 
 /// Decodes one record frame from the front of `bytes`, returning the
@@ -219,14 +263,67 @@ pub fn encode_manifest(sealed: &[SealedSeg], checkpoint: u32) -> Vec<u8> {
     let table_start = out.len();
     out.extend_from_slice(&(sealed.len() as u32).to_le_bytes());
     for s in sealed {
-        out.extend_from_slice(&s.seq.to_le_bytes());
-        out.extend_from_slice(&s.len.to_le_bytes());
-        out.extend_from_slice(&s.records.to_le_bytes());
+        out.extend_from_slice(&s.encode());
     }
     out.extend_from_slice(&checkpoint.to_le_bytes());
     let crc = crc32(&out[table_start..]);
     out.extend_from_slice(&crc.to_le_bytes());
     out
+}
+
+/// Running CRC over the entry table of an encoded manifest: the state
+/// [`manifest_push`] continues from.
+pub fn manifest_table_crc(manifest: &[u8]) -> Crc32 {
+    let mut crc = Crc32::new();
+    crc.update(&manifest[HEADER_LEN + 4..manifest.len() - 8]);
+    crc
+}
+
+/// The in-place edit that appends one entry to an encoded manifest.
+pub struct ManifestPatch {
+    count: [u8; 4],
+    tail_at: usize,
+    tail: [u8; MANIFEST_ENTRY_LEN + 8],
+}
+
+impl ManifestPatch {
+    /// The `(offset, bytes)` overwrites, in the order to apply them:
+    /// the count word, then `entry | checkpoint | crc` over the old
+    /// `checkpoint | crc` tail (growing the file by one entry).
+    pub fn writes(&self) -> [(usize, &[u8]); 2] {
+        [(HEADER_LEN, &self.count), (self.tail_at, &self.tail)]
+    }
+}
+
+/// Computes the patch that turns `encode_manifest(sealed, checkpoint)`
+/// into `encode_manifest(sealed + [entry], checkpoint)` at a cost
+/// independent of the table's length. `count` is the entry count
+/// *after* the push and `table_crc` the running CRC of the entries
+/// before it (advanced here). The manifest CRC covers
+/// `count | entries | checkpoint` and the count word leads, so the
+/// checksum is reassembled with [`crc32_combine`] rather than re-read.
+pub fn manifest_push(
+    table_crc: &mut Crc32,
+    count: u32,
+    entry: &SealedSeg,
+    checkpoint: u32,
+) -> ManifestPatch {
+    const E: usize = MANIFEST_ENTRY_LEN;
+    let table_len = count as usize * E;
+    let mut tail = [0u8; E + 8];
+    tail[..E].copy_from_slice(&entry.encode());
+    tail[E..E + 4].copy_from_slice(&checkpoint.to_le_bytes());
+    table_crc.update(&tail[..E]);
+    let mut rest = *table_crc;
+    rest.update(&tail[E..E + 4]);
+    let count = count.to_le_bytes();
+    let crc = crc32_combine(crc32(&count), rest.finish(), table_len as u64 + 4);
+    tail[E + 4..].copy_from_slice(&crc.to_le_bytes());
+    ManifestPatch {
+        count,
+        tail_at: HEADER_LEN + 4 + table_len - E,
+        tail,
+    }
 }
 
 /// Decodes a full manifest file. Accepts both the current layout

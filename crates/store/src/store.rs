@@ -3,10 +3,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::disk::SimDisk;
+use prism_core::crc::Crc32;
+
+use crate::disk::{FileId, SimDisk};
 use crate::segment::{
     decode_header, decode_manifest, decode_record, encode_header, encode_manifest,
-    encode_record_into, Manifest, Record, SealedSeg, HEADER_LEN, SEGMENT_MAGIC,
+    encode_record_in, encode_record_into, manifest_push, manifest_table_crc, Manifest, Record,
+    SealedSeg, FRAME_OVERHEAD, HEADER_LEN, SEGMENT_MAGIC,
 };
 
 /// Default segment size ceiling; an append past it seals the active
@@ -80,12 +83,57 @@ pub struct Replay {
 
 struct Inner {
     active_seq: u32,
+    /// Open handle of the active segment, so the per-record path never
+    /// formats or looks up its name.
+    active: FileId,
     active_len: usize,
     active_records: u32,
     sealed: Vec<SealedSeg>,
+    manifest: FileId,
+    /// Running CRC of the manifest's entry table as it stands on disk;
+    /// a seal continues from it instead of re-reading the table.
+    table_crc: Crc32,
     /// Segments below this sequence are covered by a checkpoint fold
     /// (see [`SegmentStore::checkpoint`]); replay skips decoding them.
     checkpoint: u32,
+}
+
+fn segment_name(prefix: &str, seq: u32) -> String {
+    format!("{prefix}/seg-{seq:06}.log")
+}
+
+fn manifest_name(prefix: &str) -> String {
+    format!("{prefix}/manifest")
+}
+
+fn create_segment(disk: &SimDisk, prefix: &str, seq: u32) -> FileId {
+    // The header is written and synced up front, so a tear can only
+    // cost record frames, never the file's identity.
+    disk.write_sync(&segment_name(prefix, seq), &encode_header(SEGMENT_MAGIC))
+}
+
+impl Inner {
+    /// An empty store on `disk`: segment 0 and an empty manifest.
+    fn open_empty(disk: &SimDisk, prefix: &str) -> Inner {
+        Inner {
+            active_seq: 0,
+            active: create_segment(disk, prefix, 0),
+            active_len: HEADER_LEN,
+            active_records: 0,
+            sealed: Vec::new(),
+            manifest: disk.write_sync(&manifest_name(prefix), &encode_manifest(&[], 0)),
+            table_crc: Crc32::new(),
+            checkpoint: 0,
+        }
+    }
+
+    /// Writes the whole manifest from `sealed` and `checkpoint`. Only
+    /// replay and checkpoint do this; a seal patches it in place.
+    fn write_manifest(&mut self, disk: &SimDisk, prefix: &str) {
+        let bytes = encode_manifest(&self.sealed, self.checkpoint);
+        self.manifest = disk.write_sync(&manifest_name(prefix), &bytes);
+        self.table_crc = manifest_table_crc(&bytes);
+    }
 }
 
 /// Append-only log of CRC-framed segments for one server, on a shared
@@ -106,78 +154,92 @@ impl SegmentStore {
     }
 
     pub fn with_limit(disk: Arc<SimDisk>, prefix: &str, limit: usize) -> Self {
-        let store = SegmentStore {
+        let inner = Inner::open_empty(&disk, prefix);
+        SegmentStore {
             disk,
             prefix: prefix.to_string(),
             limit,
-            inner: Mutex::new(Inner {
-                active_seq: 0,
-                active_len: HEADER_LEN,
-                active_records: 0,
-                sealed: Vec::new(),
-                checkpoint: 0,
-            }),
-        };
-        store.create_segment(0);
-        store
-            .disk
-            .write_sync(&store.manifest_name(), &encode_manifest(&[], 0));
-        store
+            inner: Mutex::new(inner),
+        }
     }
 
     pub fn disk(&self) -> &Arc<SimDisk> {
         &self.disk
     }
 
-    fn segment_name(&self, seq: u32) -> String {
-        format!("{}/seg-{seq:06}.log", self.prefix)
-    }
-
-    fn manifest_name(&self) -> String {
-        format!("{}/manifest", self.prefix)
-    }
-
-    fn create_segment(&self, seq: u32) {
-        // The header is written and synced up front, so a tear can only
-        // cost record frames, never the file's identity.
-        self.disk
-            .write_sync(&self.segment_name(seq), &encode_header(SEGMENT_MAGIC));
-    }
-
     /// Appends one record to the active segment (not yet durable; see
     /// [`barrier`](SegmentStore::barrier)). Seals the segment and opens
     /// the next when the size limit is passed.
     pub fn append(&self, rec: &Record) {
+        self.append_with(rec.epoch, rec.inc, rec.key, rec.payload.len(), |p| {
+            p.copy_from_slice(&rec.payload);
+            true
+        });
+    }
+
+    /// [`append`](SegmentStore::append) without a staged [`Record`]: the
+    /// frame is built in the segment's own tail and `fill` writes the
+    /// `payload_len` payload bytes straight into it (from an arena, say).
+    /// `fill` returning `false` abandons the record — nothing is logged.
+    /// `fill` must not call back into this store or its disk.
+    pub fn append_with(
+        &self,
+        epoch: u64,
+        inc: u64,
+        key: u64,
+        payload_len: usize,
+        fill: impl FnOnce(&mut [u8]) -> bool,
+    ) -> bool {
         let mut inner = self.inner.lock().unwrap();
-        let mut frame = Vec::with_capacity(crate::segment::FRAME_OVERHEAD + rec.payload.len());
-        encode_record_into(rec, &mut frame);
-        let name = self.segment_name(inner.active_seq);
-        self.disk.append(&name, &frame);
-        inner.active_len += frame.len();
+        let frame_len = FRAME_OVERHEAD + payload_len;
+        let logged = self.disk.append_with(inner.active, frame_len, |frame| {
+            encode_record_in(frame, epoch, inc, key, fill)
+        });
+        if !logged {
+            return false;
+        }
+        inner.active_len += frame_len;
         inner.active_records += 1;
         if inner.active_len >= self.limit {
-            self.disk.sync(&name);
-            let sealed = SealedSeg {
-                seq: inner.active_seq,
-                len: inner.active_len as u64,
-                records: inner.active_records,
-            };
-            inner.sealed.push(sealed);
-            self.disk.write_sync(
-                &self.manifest_name(),
-                &encode_manifest(&inner.sealed, inner.checkpoint),
-            );
-            inner.active_seq += 1;
-            inner.active_len = HEADER_LEN;
-            inner.active_records = 0;
-            self.create_segment(inner.active_seq);
+            self.seal(&mut inner);
         }
+        true
+    }
+
+    /// Seals the active segment (sync, manifest entry) and opens the
+    /// next. The manifest is patched in place — count word, then the new
+    /// entry over the old tail — so a seal costs the same however long
+    /// the log is, and the file still equals `encode_manifest` of the
+    /// table byte for byte. Between the two writes the manifest fails
+    /// its CRC, which replay treats as "no manifest": the segment files
+    /// are the truth and a full scan rebuilds it.
+    fn seal(&self, inner: &mut Inner) {
+        self.disk.sync_file(inner.active);
+        let entry = SealedSeg {
+            seq: inner.active_seq,
+            len: inner.active_len as u64,
+            records: inner.active_records,
+        };
+        inner.sealed.push(entry);
+        let patch = manifest_push(
+            &mut inner.table_crc,
+            inner.sealed.len() as u32,
+            &entry,
+            inner.checkpoint,
+        );
+        for (off, bytes) in patch.writes() {
+            self.disk.pwrite_sync(inner.manifest, off, bytes);
+        }
+        inner.active_seq += 1;
+        inner.active_len = HEADER_LEN;
+        inner.active_records = 0;
+        inner.active = create_segment(&self.disk, &self.prefix, inner.active_seq);
     }
 
     /// Fsync barrier: every record appended so far survives crash tears.
     pub fn barrier(&self) {
         let inner = self.inner.lock().unwrap();
-        self.disk.sync(&self.segment_name(inner.active_seq));
+        self.disk.sync_file(inner.active);
     }
 
     /// Replays the log from disk after an amnesia restart.
@@ -195,8 +257,8 @@ impl SegmentStore {
         let mut inner = self.inner.lock().unwrap();
         let manifest: Option<Manifest> = self
             .disk
-            .read(&self.manifest_name())
-            .and_then(|b| decode_manifest(&b).ok());
+            .with_bytes(inner.manifest, |b| decode_manifest(b).ok())
+            .flatten();
         let mut out = Replay {
             manifest_ok: manifest.is_some(),
             ..Replay::default()
@@ -206,62 +268,71 @@ impl SegmentStore {
         // (the fold supersedes covered records under last-wins anyway,
         // so a full scan is slower, never wrong).
         let manifest = manifest.unwrap_or_default();
+        // Sequence order is the parsed number's, not the name's: past
+        // six digits `seg-1000000` sorts before `seg-999999`, and
+        // last-record-wins would replay stale data over fresh.
         let seg_prefix = format!("{}/seg-", self.prefix);
-        let names = self.disk.list(&seg_prefix);
-        let mut survivors: Vec<SealedSeg> = Vec::new();
-        for (i, name) in names.iter().enumerate() {
-            let seq = name
-                .strip_prefix(&seg_prefix)
-                .and_then(|s| s.strip_suffix(".log"))
+        let mut segments: Vec<(u32, FileId)> = Vec::new();
+        self.disk.visit(&seg_prefix, |name, id| {
+            let seq = name[seg_prefix.len()..]
+                .strip_suffix(".log")
                 .and_then(|s| s.parse::<u32>().ok())
-                .unwrap_or(i as u32);
+                .unwrap_or(segments.len() as u32);
+            segments.push((seq, id));
+        });
+        segments.sort_by_key(|&(seq, _)| seq);
+        let mut survivors: Vec<SealedSeg> = Vec::new();
+        for &(seq, id) in &segments {
             if seq < manifest.checkpoint {
-                if let Some(e) = manifest.sealed.iter().find(|e| e.seq == seq) {
+                // The manifest lists segments in sequence order.
+                if let Ok(i) = manifest.sealed.binary_search_by_key(&seq, |e| e.seq) {
                     // Covered by the checkpoint fold: skip decoding.
                     out.segments_skipped += 1;
-                    survivors.push(*e);
+                    survivors.push(manifest.sealed[i]);
                     continue;
                 }
                 // A covered segment the manifest does not list (it
                 // should): fall through to the full scan.
             }
-            let bytes = self.disk.read(name).unwrap_or_default();
-            if let Err(_e) = decode_header(&bytes, SEGMENT_MAGIC) {
+            // Decode under the disk's borrow; what the scan found is
+            // acted on (truncate, reset) once the borrow is released.
+            let scan = self.disk.with_bytes(id, |bytes| {
+                decode_header(bytes, SEGMENT_MAGIC).ok()?;
+                let mut off = HEADER_LEN;
+                let mut records = 0u32;
+                while off < bytes.len() {
+                    match decode_record(&bytes[off..]) {
+                        Ok((rec, used)) => {
+                            out.records.push(rec);
+                            off += used;
+                            records += 1;
+                        }
+                        Err(_e) => return Some((off, records, true)),
+                    }
+                }
+                Some((off, records, false))
+            });
+            let Some(Some((len, records, torn))) = scan else {
                 // Unreadable identity: nothing in this segment can be
                 // trusted. Reset it to an empty, well-formed segment.
                 out.segments_truncated += 1;
                 out.corrupt_frames += 1;
-                self.create_segment(seq);
+                create_segment(&self.disk, &self.prefix, seq);
                 survivors.push(SealedSeg {
                     seq,
                     len: HEADER_LEN as u64,
                     records: 0,
                 });
                 continue;
+            };
+            if torn {
+                // First bad frame: cut the tail, keep the prefix.
+                // Anything lost here is healed from replicas by the
+                // delta resync.
+                out.corrupt_frames += 1;
+                out.segments_truncated += 1;
+                self.disk.truncate_file(id, len);
             }
-            let mut off = HEADER_LEN;
-            let mut records = 0u32;
-            let mut torn = false;
-            while off < bytes.len() {
-                match decode_record(&bytes[off..]) {
-                    Ok((rec, used)) => {
-                        out.records.push(rec);
-                        off += used;
-                        records += 1;
-                    }
-                    Err(_e) => {
-                        // First bad frame: cut the tail, keep the
-                        // prefix. Anything lost here is healed from
-                        // replicas by the delta resync.
-                        out.corrupt_frames += 1;
-                        out.segments_truncated += 1;
-                        self.disk.truncate(name, off);
-                        torn = true;
-                        break;
-                    }
-                }
-            }
-            let len = if torn { off } else { bytes.len() };
             survivors.push(SealedSeg {
                 seq,
                 len: len as u64,
@@ -270,27 +341,24 @@ impl SegmentStore {
         }
         // Rebuild bookkeeping from the survivors: all but the last are
         // sealed, the last becomes the active segment again.
+        for &(_, id) in &segments {
+            self.disk.sync_file(id);
+        }
         let active = survivors.pop().unwrap_or(SealedSeg {
             seq: 0,
             len: HEADER_LEN as u64,
             records: 0,
         });
-        if names.is_empty() {
-            self.create_segment(active.seq);
-        }
-        for s in &survivors {
-            self.disk.sync(&self.segment_name(s.seq));
-        }
-        self.disk.sync(&self.segment_name(active.seq));
-        self.disk.write_sync(
-            &self.manifest_name(),
-            &encode_manifest(&survivors, manifest.checkpoint),
-        );
+        inner.active = match segments.last() {
+            Some(&(_, id)) => id,
+            None => create_segment(&self.disk, &self.prefix, active.seq),
+        };
         inner.active_seq = active.seq;
         inner.active_len = active.len as usize;
         inner.active_records = active.records;
         inner.sealed = survivors;
         inner.checkpoint = manifest.checkpoint;
+        inner.write_manifest(&self.disk, &self.prefix);
         out
     }
 
@@ -309,30 +377,27 @@ impl SegmentStore {
     pub fn checkpoint(&self, fold: &[Record]) {
         let mut inner = self.inner.lock().unwrap();
         // Seal the active segment as-is.
-        let name = self.segment_name(inner.active_seq);
-        self.disk.sync(&name);
+        self.disk.sync_file(inner.active);
         let sealed = SealedSeg {
             seq: inner.active_seq,
             len: inner.active_len as u64,
             records: inner.active_records,
         };
         inner.sealed.push(sealed);
-        // Write the fold into the next segment and make it durable.
+        // Write the fold into the next segment, durable in one step.
         let seq = inner.active_seq + 1;
-        self.create_segment(seq);
-        let name = self.segment_name(seq);
-        let mut bytes = Vec::new();
+        let mut bytes = encode_header(SEGMENT_MAGIC).to_vec();
         for rec in fold {
             encode_record_into(rec, &mut bytes);
         }
-        self.disk.append(&name, &bytes);
-        self.disk.sync(&name);
+        inner.active = self
+            .disk
+            .write_sync(&segment_name(&self.prefix, seq), &bytes);
         inner.active_seq = seq;
-        inner.active_len = HEADER_LEN + bytes.len();
+        inner.active_len = bytes.len();
         inner.active_records = fold.len() as u32;
         inner.checkpoint = seq;
-        self.disk
-            .write_sync(&self.manifest_name(), &encode_manifest(&inner.sealed, seq));
+        inner.write_manifest(&self.disk, &self.prefix);
     }
 
     /// Drops every file of this store and reopens it empty — the
@@ -342,14 +407,7 @@ impl SegmentStore {
         for name in self.disk.list(&format!("{}/", self.prefix)) {
             self.disk.remove(&name);
         }
-        inner.active_seq = 0;
-        inner.active_len = HEADER_LEN;
-        inner.active_records = 0;
-        inner.sealed.clear();
-        inner.checkpoint = 0;
-        self.create_segment(0);
-        self.disk
-            .write_sync(&self.manifest_name(), &encode_manifest(&[], 0));
+        *inner = Inner::open_empty(&self.disk, &self.prefix);
     }
 
     /// Sealed-segment manifest as currently tracked (for tests).
@@ -518,6 +576,37 @@ mod tests {
             "full history rescanned ({} records)",
             r.records.len()
         );
+    }
+
+    #[test]
+    fn replay_orders_segments_by_sequence_not_by_name() {
+        // Past six digits the names stop sorting numerically:
+        // "seg-1000000.log" < "seg-999999.log". Hand-place both with
+        // conflicting records for one key; last-record-wins must land
+        // on the higher sequence.
+        let s = store();
+        let disk = Arc::clone(s.disk());
+        disk.remove("s0/seg-000000.log");
+        for (seq, fill) in [(999_999u32, 1u8), (1_000_000, 2)] {
+            let mut bytes = encode_header(SEGMENT_MAGIC).to_vec();
+            encode_record_into(&rec(7, fill), &mut bytes);
+            disk.write_sync(&format!("s0/seg-{seq:06}.log"), &bytes);
+        }
+        assert_eq!(
+            disk.list("s0/seg-"),
+            ["s0/seg-1000000.log", "s0/seg-999999.log"],
+            "the name order really is the wrong order"
+        );
+        let replay = s.replay();
+        let fills: Vec<u8> = replay.records.iter().map(|r| r.payload[0]).collect();
+        assert_eq!(fills, [1, 2], "older sequence first, newer wins");
+        // Bookkeeping follows: 999999 is sealed, 1000000 takes appends.
+        assert_eq!(s.sealed().len(), 1);
+        assert_eq!(s.sealed()[0].seq, 999_999);
+        s.append(&rec(7, 3));
+        s.barrier();
+        let fills: Vec<u8> = s.replay().records.iter().map(|r| r.payload[0]).collect();
+        assert_eq!(fills, [1, 2, 3]);
     }
 
     #[test]
