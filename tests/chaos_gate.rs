@@ -28,75 +28,14 @@ use prism_simnet::time::{SimDuration, SimTime};
 use prism_tx::prism_tx::{TxCluster, TxConfig};
 use prism_workload::{KeyDist, TxnGen};
 
-/// Per-test chaos seed; `PRISM_TEST_SEED=<n>` perturbs all three (each
-/// keeps a distinct XOR base) so CI exercises the gate — including its
-/// bit-exact-replay assertions — at more than one point.
-fn seed_or(base: u64) -> u64 {
-    std::env::var("PRISM_TEST_SEED")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .map(|s| s ^ base)
-        .unwrap_or(base)
-}
+mod support;
+use support::{fault_line, metrics_key, seed_or};
 
 const WARMUP: SimDuration = SimDuration::from_nanos(400_000);
 const MEASURE: SimDuration = SimDuration::from_nanos(2_400_000);
 const HORIZON: SimDuration = SimDuration::from_nanos(2_800_000);
 const BLOCKS: u64 = 8;
 const VALUE: usize = 64;
-
-fn fault_line(system: &str, r: &RunResult) {
-    // The full fault-counter surface, giveups alongside the rest.
-    println!(
-        "{system}-chaos: tput={:.0}ops/s failed={} drops={} dups={} timeouts={} \
-         retries={} giveups={} fenced={} crash_drops={} restarts={} client_restarts={} \
-         corrupt={}/{}det rep={} abort={} replayed={} delta={} trunc={} tears={}",
-        r.tput_ops,
-        r.failed,
-        r.drops,
-        r.dups,
-        r.timeouts,
-        r.retries,
-        r.giveups,
-        r.fenced,
-        r.crash_drops,
-        r.restarts,
-        r.client_restarts,
-        r.corruptions_injected,
-        r.corruptions_detected,
-        r.corruptions_repaired,
-        r.aborted_corrupt,
-        r.replayed,
-        r.delta_resynced,
-        r.segments_truncated,
-        r.disk_tears,
-    );
-}
-
-fn metrics_key(r: &RunResult) -> [u64; 20] {
-    [
-        r.tput_ops as u64,
-        r.failed,
-        r.drops,
-        r.dups,
-        r.timeouts,
-        r.retries,
-        r.giveups,
-        r.fenced,
-        r.epoch_fenced,
-        r.stale_harvested,
-        r.restarts,
-        r.client_restarts,
-        r.corruptions_injected,
-        r.corruptions_detected,
-        r.corruptions_repaired,
-        r.aborted_corrupt,
-        r.replayed,
-        r.delta_resynced,
-        r.segments_truncated,
-        r.disk_tears,
-    ]
-}
 
 // ---------------------------------------------------------------------
 // PRISM-RS: amnesia crashes with quorum rejoin
@@ -195,7 +134,7 @@ fn rs_chaos(seed: u64) -> (RunResult, Vec<HistOp>, u64, u64) {
 fn rs_amnesia_chaos_stays_linearizable_and_rejoins() {
     let seed = seed_or(0xC4A0_0001);
     let (r, history, rejoins, resyncs) = rs_chaos(seed);
-    fault_line("rs", &r);
+    fault_line("rs-chaos", &r);
     assert!(r.tput_ops > 0.0, "no progress under chaos: {r:?}");
     assert!(r.restarts > 0, "no amnesia window fired: {r:?}");
     assert!(
@@ -344,7 +283,7 @@ fn rs_sharded_chaos(seed: u64) -> (RunResult, Vec<HistOp>, u64, u64) {
 fn rs_sharded_amnesia_chaos_stays_linearizable_and_rejoins() {
     let seed = seed_or(0xC4A0_0004);
     let (r, history, rejoins, resyncs) = rs_sharded_chaos(seed);
-    fault_line("rs-sharded", &r);
+    fault_line("rs-sharded-chaos", &r);
     assert!(r.tput_ops > 0.0, "no progress under sharded chaos: {r:?}");
     assert!(r.restarts > 0, "no amnesia window fired: {r:?}");
     assert!(
@@ -551,7 +490,7 @@ fn rs_migration_chaos(seed: u64) -> (RunResult, Vec<HistOp>, u64, u64, Option<(u
 fn rs_migration_chaos_stays_linearizable_through_live_reshard() {
     let seed = seed_or(0xC4A0_0006);
     let (r, history, rejoins, resyncs, migration) = rs_migration_chaos(seed);
-    fault_line("rs-migration", &r);
+    fault_line("rs-migration-chaos", &r);
     let (epoch, moved) = migration.expect("the control-plane migration must have run");
     println!(
         "rs-migration: epoch={epoch} moved={moved} epoch_fenced={}",
@@ -680,7 +619,7 @@ fn kv_chaos(seed: u64) -> (RunResult, Vec<HistOp>) {
 fn kv_chaos_stays_linearizable_per_key() {
     let seed = seed_or(0xC4A0_0002);
     let (r, history) = kv_chaos(seed);
-    fault_line("kv", &r);
+    fault_line("kv-chaos", &r);
     assert!(r.tput_ops > 0.0, "no progress under chaos: {r:?}");
     assert!(r.crash_drops > 0, "the crash window never bit: {r:?}");
     assert!(r.restarts > 0, "no amnesia window fired: {r:?}");
@@ -809,7 +748,7 @@ fn kv_sharded_chaos(seed: u64) -> (RunResult, Vec<HistOp>) {
 fn kv_sharded_chaos_stays_linearizable_per_key() {
     let seed = seed_or(0xC4A0_0005);
     let (r, history) = kv_sharded_chaos(seed);
-    fault_line("kv-sharded", &r);
+    fault_line("kv-sharded-chaos", &r);
     assert!(r.tput_ops > 0.0, "no progress under sharded chaos: {r:?}");
     assert!(r.crash_drops > 0, "the crash window never bit: {r:?}");
     assert!(r.restarts > 0, "no amnesia window fired: {r:?}");
@@ -921,7 +860,7 @@ fn tx_chaos(seed: u64) -> (RunResult, u64, u64) {
 fn tx_client_crash_chaos_reclaims_every_dangling_prepare() {
     let seed = seed_or(0xC4A0_0003);
     let (r, reclaims, stuck) = tx_chaos(seed);
-    fault_line("tx", &r);
+    fault_line("tx-chaos", &r);
     assert!(r.tput_ops > 0.0, "no progress under chaos: {r:?}");
     assert!(r.client_restarts > 0, "no client crash fired: {r:?}");
     assert!(

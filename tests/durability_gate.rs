@@ -16,16 +16,8 @@ use prism_rs::prism_rs::{drive, RsCluster, RsConfig};
 use prism_rs::RsOutcome;
 use prism_simnet::rng::SimRng;
 
-/// Per-test seed; `PRISM_TEST_SEED=<n>` perturbs every scenario (each
-/// keeps a distinct XOR base) so CI exercises the gate — including its
-/// bit-exact-replay assertions — at more than one point.
-fn seed_or(base: u64) -> u64 {
-    std::env::var("PRISM_TEST_SEED")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .map(|s| s ^ base)
-        .unwrap_or(base)
-}
+mod support;
+use support::seed_or;
 
 /// 12 blocks with the default barrier cadence of 8 leaves a 4-record
 /// unsynced tail on every replica — enough sealed history to replay and

@@ -18,15 +18,12 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
-use prism_core::builder::ops;
 use prism_core::integrity::IntegrityStats;
-use prism_core::msg::{Reply, Request};
 use prism_core::PrismServer;
 use prism_harness::chaos::{check_history, ChaosKvAdapter, ChaosRsAdapter, HistOp};
 use prism_harness::cluster::{KvCluster, RsShards};
 use prism_harness::netsim::{
-    run_closed_loop, run_closed_loop_with, AdapterStep, Outbound, ProtoAdapter, RecoveryHooks,
-    RunResult, VerbPath,
+    run_closed_loop, run_closed_loop_with, ProtoAdapter, RecoveryHooks, RunResult, VerbPath,
 };
 use prism_harness::openloop::{run_open_loop, AdapterFactory, OpenLoopConfig, OpenLoopResult};
 use prism_kv::prism_kv::PrismKvConfig;
@@ -34,73 +31,17 @@ use prism_rdma::region::AccessFlags;
 use prism_rs::prism_rs::RsConfig;
 use prism_simnet::fault::{ChaosSpec, FaultPlan, TailPolicy};
 use prism_simnet::latency::CostModel;
-use prism_simnet::rng::SimRng;
 use prism_simnet::time::{SimDuration, SimTime};
 use prism_workload::ArrivalSpec;
 
-/// Per-test seed; `PRISM_TEST_SEED=<n>` perturbs every scenario (each
-/// keeps a distinct XOR base) so CI exercises the gate — including its
-/// bit-exact-replay assertions — at more than one point.
-fn seed_or(base: u64) -> u64 {
-    std::env::var("PRISM_TEST_SEED")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .map(|s| s ^ base)
-        .unwrap_or(base)
-}
+mod support;
+use support::{fault_line, metrics_key, open_loop_key, seed_or, RetryingRead};
 
 const WARMUP: SimDuration = SimDuration::from_nanos(400_000);
 const MEASURE: SimDuration = SimDuration::from_nanos(2_400_000);
 const HORIZON: SimDuration = SimDuration::from_nanos(2_800_000);
 const BLOCKS: u64 = 8;
 const VALUE: usize = 64;
-
-fn gray_line(system: &str, r: &RunResult) {
-    println!(
-        "{system}-gray: tput={:.0}ops/s p99={:.1}us failed={} drops={} timeouts={} \
-         retries={} restarts={} slowdowns={} hedges={} wins={} shed={} busy={} stale={}",
-        r.tput_ops,
-        r.p99_us,
-        r.failed,
-        r.drops,
-        r.timeouts,
-        r.retries,
-        r.restarts,
-        r.slowdown_windows,
-        r.hedges,
-        r.hedge_wins,
-        r.shed,
-        r.busy_nacks,
-        r.stale_harvested,
-    );
-}
-
-/// The replay fingerprint: every fault counter, the gray/tail counters
-/// included, plus throughput.
-fn metrics_key(r: &RunResult) -> [u64; 20] {
-    [
-        r.tput_ops as u64,
-        r.failed,
-        r.drops,
-        r.dups,
-        r.timeouts,
-        r.retries,
-        r.giveups,
-        r.fenced,
-        r.epoch_fenced,
-        r.stale_harvested,
-        r.restarts,
-        r.client_restarts,
-        r.crash_drops,
-        r.slowdown_windows,
-        r.hedges,
-        r.hedge_wins,
-        r.shed,
-        r.busy_nacks,
-        r.replayed,
-        r.delta_resynced,
-    ]
-}
 
 /// The shared gray fault mix: seeded straggler windows, one reply-leg
 /// partition, one flapping link, a crash with amnesia, plus background
@@ -198,7 +139,7 @@ fn kv_gray_chaos(seed: u64) -> (RunResult, Vec<HistOp>) {
 fn kv_sharded_gray_chaos_stays_linearizable() {
     let seed = seed_or(0x64A9_0001);
     let (r, history) = kv_gray_chaos(seed);
-    gray_line("kv", &r);
+    fault_line("kv-gray", &r);
     assert!(r.tput_ops > 0.0, "no progress under the gray mix: {r:?}");
     assert!(
         r.slowdown_windows > 0,
@@ -296,7 +237,7 @@ fn rs_gray_chaos(seed: u64) -> (RunResult, Vec<HistOp>, u64, u64) {
 fn rs_sharded_gray_chaos_stays_linearizable_with_hedging() {
     let seed = seed_or(0x64A9_0002);
     let (r, history, rejoins, _resyncs) = rs_gray_chaos(seed);
-    gray_line("rs", &r);
+    fault_line("rs-gray", &r);
     assert!(r.tput_ops > 0.0, "no progress under the gray mix: {r:?}");
     assert!(
         r.slowdown_windows > 0,
@@ -393,9 +334,9 @@ fn hedged_p99_under_one_straggling_shard_stays_bounded() {
     let (healthy, _) = tail_run(seed, false, policy.clone());
     let (unhedged, _) = tail_run(seed, true, TailPolicy::default());
     let (hedged, hist) = tail_run(seed, true, policy.clone());
-    gray_line("tail-healthy", &healthy);
-    gray_line("tail-unhedged", &unhedged);
-    gray_line("tail-hedged", &hedged);
+    fault_line("tail-healthy", &healthy);
+    fault_line("tail-unhedged", &unhedged);
+    fault_line("tail-hedged", &hedged);
     assert!(healthy.p99_us > 0.0 && hedged.p99_us > 0.0 && unhedged.p99_us > 0.0);
     assert!(
         hedged.slowdown_windows > 0,
@@ -429,6 +370,35 @@ fn hedged_p99_under_one_straggling_shard_stays_bounded() {
         "losing hedge copies must be harvested: {hedged:?}"
     );
     check_history(&hist).expect("hedged straggler history must be linearizable");
+    // Golden row (default seed only), captured on the commit before the
+    // two client actors were folded into one transport: the hedged
+    // closed-loop schedule — hedge issue, races, harvests, adaptive
+    // timeouts — pinned to the bit.
+    if seed == 0x64A9_0003 {
+        assert_eq!(
+            [
+                hedged.tput_ops.to_bits(),
+                hedged.mean_us.to_bits(),
+                hedged.p99_us.to_bits(),
+                hedged.hedges,
+                hedged.hedge_wins,
+                hedged.stale_harvested,
+                hedged.timeouts,
+                hedged.retries,
+            ],
+            [
+                0x4103_7afa_aaaa_aaaa,
+                0x4039_0cbf_4839_b526,
+                0x404e_d916_872b_020c,
+                43,
+                36,
+                3,
+                3,
+                3,
+            ],
+            "the hedged closed-loop run diverged from the pre-transport golden schedule"
+        );
+    }
 
     let (hedged2, hist2) = tail_run(seed, true, policy);
     assert_eq!(
@@ -442,43 +412,6 @@ fn hedged_p99_under_one_straggling_shard_stays_bounded() {
 // ---------------------------------------------------------------------
 // Overload shedding: goodput holds at twice the knee
 // ---------------------------------------------------------------------
-
-/// One chain READ per operation, retried on any error until it lands —
-/// the minimal open-loop workload with a real service-center footprint.
-struct RetryingRead {
-    addr: u64,
-    rkey: u32,
-}
-
-impl ProtoAdapter for RetryingRead {
-    fn start(&mut self, _rng: &mut SimRng) -> Vec<Outbound> {
-        self.resume()
-    }
-
-    fn resume(&mut self) -> Vec<Outbound> {
-        vec![Outbound {
-            server: 0,
-            tag: 0,
-            req: Request::Chain(vec![ops::read(self.addr, 512, self.rkey)]),
-            background: false,
-            epoch: 0,
-        }]
-    }
-
-    fn on_reply(&mut self, _tag: u64, reply: Reply) -> AdapterStep {
-        match reply {
-            Reply::Chain(_) => AdapterStep::Done {
-                sends: Vec::new(),
-                client_compute: SimDuration::ZERO,
-                failed: false,
-            },
-            _ => AdapterStep::Retry {
-                sends: Vec::new(),
-                wait: SimDuration::micros(5),
-            },
-        }
-    }
-}
 
 /// Two dispatch cores at 500 ns per chain op put the saturation knee at
 /// 4M ops/s — low enough to drive past within a 2 ms window.
@@ -576,6 +509,35 @@ fn admission_and_shedding_hold_goodput_past_the_knee() {
     // NACKs, quantile state and all — replays bit-exactly.
     let again = knee_run(seed, 2.0 * KNEE_RATE, protection);
     assert_eq!(prot_2x, again, "replay must be bit-exact");
+    // Golden row (default seed only), captured on the commit before the
+    // two client actors were folded into one transport: the protected
+    // open-loop overload run, every result field.
+    if seed == 0x64A9_0004 {
+        assert_eq!(
+            open_loop_key(&prot_2x),
+            [
+                4,
+                256,
+                7926,
+                0x414e_3c3c_0000_0000,
+                0x4081_f043_24fc_89c1,
+                0x4081_cac0_8312_6e98,
+                0x4090_8312_6e97_8d50,
+                0x4092_0c49_ba5e_353f,
+                0x4093_5471_a9fb_e76d,
+                558,
+                200,
+                3215,
+                0,
+                0,
+                16149,
+                199,
+                558,
+                3539,
+            ],
+            "the protected open-loop run diverged from the pre-transport golden schedule"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -13,20 +13,18 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use prism_core::builder::ops;
-use prism_core::msg::{Reply, Request};
 use prism_core::PrismServer;
 use prism_harness::kv_exp::{self, KvExpConfig};
-use prism_harness::netsim::{
-    run_closed_loop, AdapterStep, Outbound, ProtoAdapter, RecoveryHooks, VerbPath,
-};
+use prism_harness::netsim::{run_closed_loop, ProtoAdapter, RecoveryHooks, VerbPath};
 use prism_harness::openloop::{run_open_loop, AdapterFactory, OpenLoopConfig, OpenLoopKnobs};
 use prism_rdma::region::AccessFlags;
 use prism_simnet::fault::{CrashMode, CrashWindow, FaultPlan};
 use prism_simnet::latency::CostModel;
-use prism_simnet::rng::SimRng;
 use prism_simnet::time::{SimDuration, SimTime};
 use prism_workload::ArrivalSpec;
+
+mod support;
+use support::{open_loop_key, RetryingRead};
 
 /// CI seed override, as in the fault matrix and chaos gate.
 fn seed() -> u64 {
@@ -34,44 +32,6 @@ fn seed() -> u64 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(42)
-}
-
-/// One chain READ per operation, retrying on any error until it lands —
-/// so an operation that spans a server stall completes *after* it and
-/// carries the stall in its latency, under both drivers.
-struct RetryingRead {
-    addr: u64,
-    rkey: u32,
-}
-
-impl ProtoAdapter for RetryingRead {
-    fn start(&mut self, _rng: &mut SimRng) -> Vec<Outbound> {
-        self.resume()
-    }
-
-    fn resume(&mut self) -> Vec<Outbound> {
-        vec![Outbound {
-            server: 0,
-            tag: 0,
-            req: Request::Chain(vec![ops::read(self.addr, 512, self.rkey)]),
-            background: false,
-            epoch: 0,
-        }]
-    }
-
-    fn on_reply(&mut self, _tag: u64, reply: Reply) -> AdapterStep {
-        match reply {
-            Reply::Chain(_) => AdapterStep::Done {
-                sends: Vec::new(),
-                client_compute: SimDuration::ZERO,
-                failed: false,
-            },
-            _ => AdapterStep::Retry {
-                sends: Vec::new(),
-                wait: SimDuration::micros(5),
-            },
-        }
-    }
 }
 
 fn stall_server() -> (Arc<PrismServer>, u64, u32) {
@@ -188,6 +148,35 @@ fn kv_open_loop_sweep_replays_bit_exactly() {
     assert_eq!(a, b, "same seed must replay the sweep bit-exactly");
     for (rate, r) in &a {
         assert!(r.completed > 0, "no completions at {rate} ops/s");
+    }
+    // Golden row (default seed only), captured on the commit before the
+    // two client actors were folded into one transport: the pristine-
+    // fabric 500 kops/s point, every result field.
+    if seed() == 42 {
+        assert_eq!(
+            open_loop_key(&a[1].1),
+            [
+                4,
+                4096,
+                934,
+                0x411c_80e0_0000_0000,
+                0x4016_2c5d_3c03_c580,
+                0x4016_24dd_2f1a_9fbe,
+                0x4016_a7ef_9db2_2d0e,
+                0x4016_e978_d4fd_f3b6,
+                0x4017_0312_6e97_8d50,
+                0,
+                0,
+                0,
+                0,
+                0,
+                0,
+                0,
+                0,
+                0,
+            ],
+            "the pristine open-loop sweep point diverged from the pre-transport golden schedule"
+        );
     }
 }
 

@@ -1,0 +1,159 @@
+//! Helpers shared by the gate suites (`chaos_gate`, `gray_gate`,
+//! `durability_gate`, `openloop_smoke`): the seed override, the replay
+//! fingerprints, the one-line counter dump, and the minimal retrying
+//! read adapter. Each suite is its own crate and uses a subset.
+#![allow(dead_code)]
+
+use prism_core::builder::ops;
+use prism_core::msg::{Reply, Request};
+use prism_harness::netsim::{AdapterStep, Outbound, ProtoAdapter, RunResult};
+use prism_harness::openloop::OpenLoopResult;
+use prism_simnet::rng::SimRng;
+use prism_simnet::time::SimDuration;
+
+/// Per-test seed; `PRISM_TEST_SEED=<n>` perturbs every scenario (each
+/// keeps a distinct XOR base) so CI exercises the gates — including
+/// their bit-exact-replay assertions — at more than one point.
+pub fn seed_or(base: u64) -> u64 {
+    std::env::var("PRISM_TEST_SEED")
+        .ok()
+        .and_then(|s| s.parse::<u64>().ok())
+        .map(|s| s ^ base)
+        .unwrap_or(base)
+}
+
+/// The closed-loop replay fingerprint: every field of [`RunResult`],
+/// floats by bit pattern.
+pub fn metrics_key(r: &RunResult) -> [u64; 30] {
+    [
+        r.clients as u64,
+        r.tput_ops.to_bits(),
+        r.mean_us.to_bits(),
+        r.p99_us.to_bits(),
+        r.failed,
+        r.backoffs,
+        r.drops,
+        r.dups,
+        r.timeouts,
+        r.retries,
+        r.crash_drops,
+        r.giveups,
+        r.fenced,
+        r.epoch_fenced,
+        r.stale_harvested,
+        r.restarts,
+        r.client_restarts,
+        r.corruptions_injected,
+        r.corruptions_detected,
+        r.corruptions_repaired,
+        r.aborted_corrupt,
+        r.replayed,
+        r.delta_resynced,
+        r.segments_truncated,
+        r.disk_tears,
+        r.hedges,
+        r.hedge_wins,
+        r.shed,
+        r.busy_nacks,
+        r.slowdown_windows,
+    ]
+}
+
+/// The open-loop replay fingerprint: every field of [`OpenLoopResult`],
+/// floats by bit pattern.
+pub fn open_loop_key(r: &OpenLoopResult) -> [u64; 18] {
+    [
+        r.actors as u64,
+        r.logical_clients as u64,
+        r.completed,
+        r.tput_ops.to_bits(),
+        r.mean_us.to_bits(),
+        r.p50_us.to_bits(),
+        r.p99_us.to_bits(),
+        r.p999_us.to_bits(),
+        r.max_us.to_bits(),
+        r.failed,
+        r.timeouts,
+        r.retries,
+        r.backoffs,
+        r.giveups,
+        r.backlogged,
+        r.drops,
+        r.shed,
+        r.busy_nacks,
+    ]
+}
+
+/// The full fault-counter surface of one run on one line.
+pub fn fault_line(label: &str, r: &RunResult) {
+    println!(
+        "{label}: tput={:.0}ops/s p99={:.1}us failed={} drops={} dups={} timeouts={} \
+         retries={} giveups={} fenced={} crash_drops={} restarts={} client_restarts={} \
+         corrupt={}/{}det rep={} abort={} replayed={} delta={} trunc={} tears={} \
+         slowdowns={} hedges={} wins={} shed={} busy={} stale={}",
+        r.tput_ops,
+        r.p99_us,
+        r.failed,
+        r.drops,
+        r.dups,
+        r.timeouts,
+        r.retries,
+        r.giveups,
+        r.fenced,
+        r.crash_drops,
+        r.restarts,
+        r.client_restarts,
+        r.corruptions_injected,
+        r.corruptions_detected,
+        r.corruptions_repaired,
+        r.aborted_corrupt,
+        r.replayed,
+        r.delta_resynced,
+        r.segments_truncated,
+        r.disk_tears,
+        r.slowdown_windows,
+        r.hedges,
+        r.hedge_wins,
+        r.shed,
+        r.busy_nacks,
+        r.stale_harvested,
+    );
+}
+
+/// One chain READ per operation, retried on any error until it lands:
+/// the minimal workload with a real service-center footprint, and one
+/// whose operations span (and so record) a server stall under both the
+/// closed- and open-loop drivers.
+pub struct RetryingRead {
+    pub addr: u64,
+    pub rkey: u32,
+}
+
+impl ProtoAdapter for RetryingRead {
+    fn start(&mut self, _rng: &mut SimRng) -> Vec<Outbound> {
+        self.resume()
+    }
+
+    fn resume(&mut self) -> Vec<Outbound> {
+        vec![Outbound::new(
+            0,
+            0,
+            Request::Chain(vec![ops::read(self.addr, 512, self.rkey)]),
+            false,
+        )]
+    }
+
+    fn on_reply(&mut self, _tag: u64, reply: Reply) -> AdapterStep {
+        match reply {
+            Reply::Chain(_) => AdapterStep::Done {
+                sends: Vec::new(),
+                client_compute: SimDuration::ZERO,
+                failed: false,
+            },
+            _ => AdapterStep::Retry {
+                sends: Vec::new(),
+                wait: SimDuration::micros(5),
+            },
+        }
+    }
+}
