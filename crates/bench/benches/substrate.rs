@@ -5,8 +5,8 @@ use prism_bench::runner::Criterion;
 use prism_bench::{criterion_group, criterion_main};
 
 use prism_core::builder::ops;
+use prism_core::crc::crc32;
 use prism_core::msg::Request;
-use prism_kv::crc::crc32;
 use prism_rdma::arena::MemoryArena;
 use prism_simnet::engine::{Actor, Context, QueueKind, Simulation};
 use prism_simnet::rng::SimRng;

@@ -7,9 +7,13 @@
 //! [`prism_simnet::latency`] attaching time to each message and each
 //! server resource (link serialization, dispatch cores, PCIe).
 //!
-//! * [`netsim`] — the simulation glue: one [`netsim::ServerActor`] per
-//!   host (owning its link shapers and 16-core service pool), one
-//!   [`netsim::ClientActor`] per closed-loop client.
+//! * [`netsim`] — the simulation glue, one file per layer: the
+//!   messages and the [`netsim::ProtoAdapter`] interface; one
+//!   [`netsim::ServerActor`] per host (owning its link shapers and
+//!   16-core service pool); the one client transport (timeouts, dedup,
+//!   fencing, the request-leg fault gauntlet, hedging, the operation
+//!   lifecycle) that both arrival policies drive; one
+//!   [`netsim::ClientActor`] per closed-loop client; and the runner.
 //! * [`adapters`] — per-system adapters turning each protocol client
 //!   into the common [`netsim::ProtoAdapter`] interface.
 //! * [`cluster`] — the scale-out layer: seeded rendezvous shard maps
@@ -20,9 +24,10 @@
 //! * [`kv_exp`], [`rs_exp`], [`tx_exp`] — the application experiments
 //!   (Figures 3–4, 6–7, 9–10).
 //! * [`vsize_exp`] — an extension sweep (GET cost vs value size).
-//! * [`openloop`] — the open-loop load engine: aggregate actors
-//!   multiplexing up to 10⁶ logical clients with Poisson or trace
-//!   arrivals, recording coordinated-omission-free latency.
+//! * [`openloop`] — the open-loop arrival policy over the same
+//!   transport: aggregate actors multiplexing up to 10⁶ logical
+//!   clients with Poisson or trace arrivals, recording
+//!   coordinated-omission-free latency.
 //! * [`chaos`] — history-recording adapters and the Wing–Gong
 //!   linearizability checker behind the chaos gate.
 //! * [`table`] — plain-text table output shared by the `fig_*` binaries.

@@ -27,12 +27,14 @@
 //!
 //! Protocol adapters are reused verbatim: a slot drives the same
 //! [`ProtoAdapter`] state machines the closed-loop drivers use, against
-//! unmodified [`ServerActor`]s, and the full fault fabric (timeouts,
-//! drops, partitions, jitter, in-flight corruption, server crash
-//! windows) applies per send exactly as in [`ClientActor::dispatch`].
-//! The one exclusion is *client* crash windows: a logical client has no
-//! process of its own inside an aggregate, so plans with client
-//! restart windows are rejected up front.
+//! unmodified server actors, through the same client transport
+//! (`netsim::transport`) — so the full fault fabric (timeouts, drops,
+//! partitions, jitter, in-flight corruption, server crash windows) and
+//! the tail policy (adaptive timeouts, hedged reads, shedding) apply
+//! per send exactly as for a closed-loop client. The one exclusion is
+//! *client* crash windows: a logical client has no process of its own
+//! inside an aggregate, so plans with client restart windows are
+//! rejected up front.
 //!
 //! Adapters tag replies with tags of their own choosing, unique only
 //! within one adapter (and they use the full 64-bit space), so the
@@ -47,20 +49,20 @@ use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use prism_core::msg::{Reply, Request};
+use prism_core::msg::Reply;
 use prism_core::PrismServer;
-use prism_rdma::RdmaError;
 use prism_simnet::engine::{Actor, ActorId, Context, Simulation};
-use prism_simnet::estimator::RttEstimator;
 use prism_simnet::fault::FaultPlan;
 use prism_simnet::latency::CostModel;
 use prism_simnet::rng::SimRng;
 use prism_simnet::time::{SimDuration, SimTime};
 use prism_workload::openloop::{ArrivalSpec, Arrivals};
 
-use crate::netsim::{
-    pre_delay, AdapterStep, Outbound, ProtoAdapter, RecoveryHooks, ServerActor, SimMsg, VerbPath,
+use crate::netsim::run::{spawn_servers, warm_then_measure};
+use crate::netsim::transport::{
+    timeout_reply, OpState, ReplyVerdict, Settled, TimerVerdict, Transport,
 };
+use crate::netsim::{Outbound, ProtoAdapter, RecoveryHooks, SimMsg, VerbPath};
 
 /// Shared lazily-invoked adapter factory: slot `i` (globally numbered
 /// across aggregates) gets `factory(i)` the first time it is needed.
@@ -165,24 +167,55 @@ pub struct OpenLoopResult {
 /// One multiplexed logical client currently (or lately) in flight.
 struct Slot {
     adapter: Box<dyn ProtoAdapter>,
-    /// Intended arrival instant of the operation in flight — the
-    /// latency clock's origin, which predates the operation's actual
-    /// start whenever the arrival had to queue.
-    intended: SimTime,
-    /// When the operation actually started (slot acquired). The
-    /// deadline-aware retry budget clocks from here, not from
-    /// `intended`: backlog queueing is the load's fault, not the op's,
-    /// and must not trigger sheds by itself.
-    started: SimTime,
-    /// See [`ClientActor`]'s field of the same name.
-    corrupt_op: bool,
-    /// Consecutive transport retries of the op in flight, driving the
-    /// adaptive backoff schedule.
-    op_retries: u32,
+    /// The operation in flight, clocked from its *intended* arrival.
+    op: OpState,
+}
+
+/// Wire-tag multiplexing. Adapters tag sends with tags of their own
+/// choosing, unique only within one adapter and using the full 64-bit
+/// space, so the aggregate cannot namespace them: it names every send
+/// with a fresh per-actor wire tag and routes replies back.
+#[derive(Default)]
+struct WireTags {
+    next: u64,
+    /// Wire tag → (slot, adapter tag), until the reply (real or
+    /// synthesized) that settles the send consumes it.
+    routes: HashMap<u64, (u32, u64)>,
+    /// Routes parked when the transport stops waiting for a copy of a
+    /// send that may still be answered — the copy timed out, or the
+    /// other copy won their hedge race — so the straggler, if it lands,
+    /// can still be harvested by the adapter that sent the request.
+    /// Entries for requests the fault plan dropped outright are never
+    /// consumed; growth is bounded by the timeout and hedge counts.
+    orphans: HashMap<u64, (u32, u64)>,
+}
+
+impl WireTags {
+    /// Names one of `slot`'s sends on the wire, recording the route
+    /// home for sends that expect a reply.
+    fn issue(&mut self, slot: u32, out: &Outbound) -> u64 {
+        let tag = self.next;
+        self.next += 1;
+        if !out.background {
+            self.routes.insert(tag, (slot, out.tag));
+        }
+        tag
+    }
+
+    /// Keeps `tag`'s route for a straggler still in flight.
+    fn park(&mut self, tag: u64) {
+        if let Some(&route) = self.routes.get(&tag) {
+            self.orphans.insert(tag, route);
+        }
+    }
 }
 
 /// An aggregate open-loop actor: owns this partition's arrival stream
-/// and a pool of logical-client slots.
+/// and a pool of logical-client slots. Everything between a slot's
+/// adapter and the wire is the shared transport (so the full fault
+/// fabric and tail policy — hedging included — apply per send exactly
+/// as for a closed-loop client); what this actor adds is arrivals, the
+/// slot pool, the backlog, and wire-tag multiplexing.
 pub struct OpenLoopActor {
     arrivals: Arrivals,
     factory: AdapterFactory,
@@ -197,46 +230,12 @@ pub struct OpenLoopActor {
     slot_base: usize,
     /// Intended arrival instants waiting for a slot, oldest first.
     backlog: VecDeque<SimTime>,
-    servers: Vec<ActorId>,
-    model: CostModel,
     rng: SimRng,
-    /// Aggregate index — the identity fault-plan partitions refer to.
-    index: usize,
-    faults: FaultPlan,
-    fault_rng: SimRng,
-    corrupt_rng: SimRng,
-    /// Wire tag → (slot, adapter tag). Adapters use the full 64-bit tag
-    /// space each, so the aggregate cannot namespace their tags; it
-    /// issues fresh wire tags per send and routes replies back.
-    routes: HashMap<u64, (u32, u64)>,
-    /// Wire tags awaiting a reply under a fault plan, stamped with
-    /// their send attempt (see [`ClientActor::outstanding`]).
-    outstanding: HashMap<u64, u64>,
-    /// Consumed `(wire tag, attempt)` pairs (see
-    /// [`ClientActor::last_done`]): dedups fault-plan stragglers so each
-    /// stale reply reaches [`ProtoAdapter::on_stale_reply`] exactly
-    /// once. Never cleared.
-    last_done: HashMap<u64, u64>,
-    /// Routes parked by a timeout: wire tag → `(slot, adapter tag)`,
-    /// kept so the real reply, if it straggles in later, can still be
-    /// harvested by the adapter that sent the request. Entries for
-    /// requests the fault plan dropped outright are never consumed;
-    /// like `last_done`, growth is bounded by the timeout count.
-    orphans: HashMap<u64, (u32, u64)>,
-    next_tag: u64,
-    attempt_ctr: u64,
-    /// Highest incarnation seen per server (pre-crash stragglers are
-    /// fenced, as in the closed-loop client).
-    seen_inc: Vec<u64>,
-    /// Windowed-quantile RTT tracker shared by this aggregate's slots,
-    /// feeding the adaptive timeout and backoff when the plan's tail
-    /// policy arms them. (Hedging is a closed-loop client policy; the
-    /// aggregate's overload story is admission control + shedding.)
-    estimator: RttEstimator,
-    /// Send instant per `(wire tag, attempt)` while the adaptive policy
-    /// is active; live completions become RTT samples, timed-out
-    /// attempts never do (Karn's rule).
-    sent_at: HashMap<(u64, u64), SimTime>,
+    /// One transport for the whole aggregate: its slots share the
+    /// aggregate's fault-plan identity, attempt counter, and RTT
+    /// estimator.
+    transport: Transport,
+    tags: WireTags,
 }
 
 impl OpenLoopActor {
@@ -255,9 +254,6 @@ impl OpenLoopActor {
         index: usize,
         faults: FaultPlan,
     ) -> Self {
-        let fault_rng = SimRng::new(faults.seed ^ 0xC0FF_EE00 ^ ((index as u64 + 1) << 16));
-        let corrupt_rng = SimRng::new(faults.seed ^ 0xB17F_C11E ^ ((index as u64 + 1) << 16));
-        let seen_inc = vec![0; servers.len()];
         OpenLoopActor {
             arrivals,
             factory,
@@ -266,33 +262,10 @@ impl OpenLoopActor {
             max_slots,
             slot_base,
             backlog: VecDeque::new(),
-            servers,
-            model,
             rng,
-            index,
-            faults,
-            fault_rng,
-            corrupt_rng,
-            routes: HashMap::new(),
-            outstanding: HashMap::new(),
-            last_done: HashMap::new(),
-            orphans: HashMap::new(),
-            next_tag: 0,
-            attempt_ctr: 0,
-            seen_inc,
-            estimator: RttEstimator::p99(),
-            sent_at: HashMap::new(),
+            transport: Transport::new(servers, &model, index, faults),
+            tags: WireTags::default(),
         }
-    }
-
-    /// The per-request timeout (see `ClientActor::effective_timeout`).
-    fn effective_timeout(&self) -> SimDuration {
-        if !self.faults.tail.adaptive_timeout {
-            return self.faults.timeout;
-        }
-        let rt = pre_delay(&self.model) + crate::netsim::post_delay(&self.model);
-        self.estimator
-            .timeout(4, rt * 2, self.faults.timeout * 8, self.faults.timeout)
     }
 
     fn schedule_next_arrival(&mut self, ctx: &mut Context<'_, SimMsg>) {
@@ -310,28 +283,27 @@ impl OpenLoopActor {
         if self.slots.len() < self.max_slots {
             let id = self.slots.len();
             let adapter = (self.factory.borrow_mut())(self.slot_base + id);
-            self.slots.push(Slot {
-                adapter,
-                intended: SimTime::ZERO,
-                started: SimTime::ZERO,
-                corrupt_op: false,
-                op_retries: 0,
-            });
+            let op = OpState::begin(SimTime::ZERO, SimTime::ZERO);
+            self.slots.push(Slot { adapter, op });
             return Some(id as u32);
         }
         None
     }
 
-    /// Starts one logical operation on `slot`, clocked from `intended`.
-    fn start_op(&mut self, slot: u32, intended: SimTime, ctx: &mut Context<'_, SimMsg>) {
+    /// Starts (`intended` given) or resumes the operation on `slot`. A
+    /// started op's latency clock runs from `intended`.
+    fn drive(&mut self, slot: u32, intended: Option<SimTime>, ctx: &mut Context<'_, SimMsg>) {
         let s = &mut self.slots[slot as usize];
-        s.intended = intended;
-        s.started = ctx.now();
-        s.corrupt_op = false;
-        s.op_retries = 0;
-        s.adapter.note_time(ctx.now());
-        let sends = self.slots[slot as usize].adapter.start(&mut self.rng);
-        self.dispatch(slot, sends, ctx);
+        if let Some(intended) = intended {
+            s.op = OpState::begin(intended, ctx.now());
+        }
+        let tags = &mut self.tags;
+        self.transport.drive(
+            &mut *s.adapter,
+            intended.map(|_| &mut self.rng),
+            &mut |out: &Outbound| tags.issue(slot, out),
+            ctx,
+        );
     }
 
     /// The operation on `slot` is over: recycle the slot, draining the
@@ -340,205 +312,35 @@ impl OpenLoopActor {
     /// coordination-free.
     fn release_slot(&mut self, slot: u32, ctx: &mut Context<'_, SimMsg>) {
         match self.backlog.pop_front() {
-            Some(intended) => self.start_op(slot, intended, ctx),
+            Some(intended) => self.drive(slot, Some(intended), ctx),
             None => self.free.push(slot),
         }
     }
 
-    /// Sends one slot's outbound traffic, applying the same fault legs
-    /// as [`ClientActor::dispatch`], with wire-tag translation.
-    fn dispatch(&mut self, slot: u32, sends: Vec<Outbound>, ctx: &mut Context<'_, SimMsg>) {
-        let me = ctx.self_id();
-        let armed = !self.faults.is_noop();
-        for out in sends {
-            let dst = self.servers[out.server];
-            let mut pre = pre_delay(&self.model);
-            let mut attempt = 0;
-            let mut corrupt = false;
-            let wire_tag = self.next_tag;
-            self.next_tag += 1;
-            if !out.background {
-                self.routes.insert(wire_tag, (slot, out.tag));
-            }
-            if armed {
-                // Arm the timeout before deciding the request's fate: a
-                // dropped or partitioned request must still time out.
-                if !out.background {
-                    self.attempt_ctr += 1;
-                    attempt = self.attempt_ctr;
-                    self.outstanding.insert(wire_tag, attempt);
-                    ctx.send_in(
-                        me,
-                        pre + self.effective_timeout(),
-                        SimMsg::Timeout {
-                            tag: wire_tag,
-                            attempt,
-                        },
-                    );
-                    if self.faults.tail.adaptive_timeout {
-                        self.sent_at.insert((wire_tag, attempt), ctx.now());
-                    }
-                }
-                if self.faults.partitioned(self.index, out.server, ctx.now()) {
-                    ctx.metrics().add("fault_drops", 1);
-                    continue;
-                }
-                if self.faults.drop_prob > 0.0 && self.fault_rng.gen_bool(self.faults.drop_prob) {
-                    ctx.metrics().add("fault_drops", 1);
-                    continue;
-                }
-                if self.faults.jitter_ns > 0 {
-                    pre += SimDuration::from_nanos(self.fault_rng.gen_range(self.faults.jitter_ns));
-                }
-                if self.faults.flip_req_prob > 0.0
-                    && self.corrupt_rng.gen_bool(self.faults.flip_req_prob)
-                {
-                    // In-flight request corruption, same construction
-                    // as the closed-loop leg: flip one seeded bit of
-                    // the real encoded frame, verify the CRCs catch it.
-                    ctx.metrics().add("fault_corrupt_injected", 1);
-                    ctx.metrics().add("fault_corrupt_detected", 1);
-                    if let Ok(mut bytes) = out.req.encode_epoch(out.epoch) {
-                        let pos = self.corrupt_rng.gen_range(bytes.len() as u64 * 8);
-                        bytes[(pos / 8) as usize] ^= 1 << (pos % 8);
-                        debug_assert!(
-                            Request::decode_epoch(&bytes).is_err(),
-                            "a single-bit flip must not survive the frame CRCs"
-                        );
-                    }
-                    corrupt = true;
-                }
-            }
-            ctx.send_in(
-                dst,
-                pre,
-                SimMsg::Req {
-                    from: me,
-                    tag: wire_tag,
-                    attempt,
-                    req: out.req,
-                    respond: !out.background,
-                    corrupt,
-                    epoch: out.epoch,
-                },
-            );
-        }
-    }
-
     /// Routes a reply (real or synthesized) to its slot's adapter and
-    /// acts on the verdict.
-    fn feed_reply(&mut self, wire_tag: u64, reply: Reply, ctx: &mut Context<'_, SimMsg>) {
-        let Some((slot, inner)) = self.routes.remove(&wire_tag) else {
-            // Unarmed runs deliver every reply exactly once, so a
-            // missing route only happens for fault-plan duplicates that
-            // slipped past the attempt dedup (never, by construction).
+    /// schedules what the lifecycle says comes next.
+    fn feed(&mut self, wire_tag: u64, reply: Reply, ctx: &mut Context<'_, SimMsg>) {
+        let Some((slot, inner)) = self.tags.routes.remove(&wire_tag) else {
+            // Every live reply is fed exactly once, so its route is
+            // always here.
             return;
         };
-        let me = ctx.self_id();
         let s = &mut self.slots[slot as usize];
-        if matches!(reply, Reply::Verb(Err(RdmaError::Corrupt))) {
-            s.corrupt_op = true;
-        }
-        s.adapter.note_time(ctx.now());
-        let step = s.adapter.on_reply(inner, reply);
-        match step {
-            AdapterStep::Wait(sends) => self.dispatch(slot, sends, ctx),
-            AdapterStep::Done {
-                sends,
-                client_compute,
-                failed,
-            } => {
-                self.dispatch(slot, sends, ctx);
-                let s = &mut self.slots[slot as usize];
-                if s.corrupt_op {
-                    s.corrupt_op = false;
-                    ctx.metrics().add(
-                        if failed {
-                            "fault_corrupt_aborted"
-                        } else {
-                            "fault_corrupt_repaired"
-                        },
-                        1,
-                    );
-                }
-                let end = ctx.now() + client_compute;
-                if failed {
-                    ctx.metrics().add("failed", 1);
-                } else {
-                    // The open-loop latency: completion minus *intended*
-                    // arrival, so queueing behind a full slot pool (or a
-                    // stalled server) is charged to the sample.
-                    let latency = end.since(self.slots[slot as usize].intended);
-                    ctx.metrics().record("lat", latency);
-                    ctx.metrics().add("ops", 1);
-                }
-                if client_compute == SimDuration::ZERO {
-                    self.release_slot(slot, ctx);
-                } else {
-                    ctx.send_at(
-                        me,
-                        end,
-                        SimMsg::OlKick {
-                            slot,
-                            resume: false,
-                        },
-                    );
-                }
-            }
-            AdapterStep::Backoff { sends, wait } => {
-                self.dispatch(slot, sends, ctx);
-                ctx.metrics().add("backoffs", 1);
-                ctx.send_in(me, wait, SimMsg::OlKick { slot, resume: true });
-            }
-            AdapterStep::Retry { sends, mut wait } => {
-                self.dispatch(slot, sends, ctx);
-                // Deadline-aware load shedding, clocked from the op's
-                // *actual* start (`started`, not `intended`): an open
-                // rate pushing the backlog out does not make ops exceed
-                // their retry budget before they even begin.
-                let deadline = self.faults.tail.retry_deadline;
-                if deadline > SimDuration::ZERO
-                    && ctx.now().since(self.slots[slot as usize].started) >= deadline
-                {
-                    let sends = self.slots[slot as usize].adapter.abandon();
-                    self.dispatch(slot, sends, ctx);
-                    let s = &mut self.slots[slot as usize];
-                    if s.corrupt_op {
-                        s.corrupt_op = false;
-                        ctx.metrics().add("fault_corrupt_aborted", 1);
-                    }
-                    ctx.metrics().add("shed", 1);
-                    ctx.metrics().add("failed", 1);
-                    self.release_slot(slot, ctx);
-                    return;
-                }
-                ctx.metrics().add("retries", 1);
-                self.slots[slot as usize].op_retries += 1;
-                if self.faults.tail.adaptive_timeout {
-                    wait = self
-                        .estimator
-                        .backoff(self.slots[slot as usize].op_retries, wait);
-                }
-                if !self.faults.is_noop() {
-                    // Seeded retry jitter, same stream discipline as
-                    // the closed-loop client.
-                    let span = wait.as_nanos().max(2) / 2;
-                    wait += SimDuration::from_nanos(self.fault_rng.gen_range(span));
-                }
-                ctx.send_in(me, wait, SimMsg::OlKick { slot, resume: true });
-            }
-            AdapterStep::GiveUp { sends } => {
-                self.dispatch(slot, sends, ctx);
-                let s = &mut self.slots[slot as usize];
-                if s.corrupt_op {
-                    s.corrupt_op = false;
-                    ctx.metrics().add("fault_corrupt_aborted", 1);
-                }
-                ctx.metrics().add("giveups", 1);
-                ctx.metrics().add("failed", 1);
-                self.release_slot(slot, ctx);
-            }
-        }
+        let tags = &mut self.tags;
+        let mut wire = |out: &Outbound| tags.issue(slot, out);
+        let adapter = &mut *s.adapter;
+        let settled = self
+            .transport
+            .feed_reply(&mut s.op, adapter, inner, reply, &mut wire, ctx);
+        let (at, resume) = match settled {
+            Settled::Continue => return,
+            Settled::ResumeAfter(wait) => (ctx.now() + wait, true),
+            Settled::Ended(at) if at == ctx.now() => return self.release_slot(slot, ctx),
+            // Trailing client compute: the slot stays busy until then.
+            Settled::Ended(at) => (at, false),
+        };
+        let me = ctx.self_id();
+        ctx.send_at(me, at, SimMsg::OlKick { slot, resume });
     }
 }
 
@@ -552,7 +354,7 @@ impl Actor<SimMsg> for OpenLoopActor {
             SimMsg::Arrival => {
                 let now = ctx.now();
                 match self.acquire_slot() {
-                    Some(slot) => self.start_op(slot, now, ctx),
+                    Some(slot) => self.drive(slot, Some(now), ctx),
                     None => {
                         // Every logical client is in flight: queue the
                         // intended instant. The eventual operation's
@@ -564,96 +366,78 @@ impl Actor<SimMsg> for OpenLoopActor {
                 }
                 self.schedule_next_arrival(ctx);
             }
-            SimMsg::OlKick { slot, resume } => {
-                if resume {
-                    let s = &mut self.slots[slot as usize];
-                    s.adapter.note_time(ctx.now());
-                    let sends = self.slots[slot as usize].adapter.resume();
-                    self.dispatch(slot, sends, ctx);
-                } else {
-                    // Trailing client compute finished; the latency was
-                    // recorded when the adapter reported Done.
-                    self.release_slot(slot, ctx);
-                }
-            }
+            SimMsg::OlKick { slot, resume: true } => self.drive(slot, None, ctx),
+            // Trailing client compute finished; the latency was
+            // recorded when the adapter reported Done.
+            SimMsg::OlKick {
+                slot,
+                resume: false,
+            } => self.release_slot(slot, ctx),
             SimMsg::Reply {
                 tag,
                 attempt,
                 server,
                 inc,
                 reply,
-            } => {
-                if !self.faults.is_noop() {
-                    // Asymmetric (reply-leg) partition: the request got
-                    // through but the answer cannot. Checked before
-                    // fencing/dedup so the dropped reply leaves no trace.
-                    if self.faults.injects_gray()
-                        && self.faults.reply_partitioned(self.index, server, ctx.now())
-                    {
-                        ctx.metrics().add("fault_drops", 1);
-                        return;
+            } => match self.transport.classify_reply(
+                tag,
+                attempt,
+                server,
+                inc,
+                ctx.now(),
+                ctx.metrics(),
+            ) {
+                ReplyVerdict::Live { straggler } => {
+                    if straggler {
+                        // The slower copy of a hedge race will need the
+                        // route this reply is about to consume.
+                        self.tags.park(tag);
                     }
-                    if inc < self.seen_inc[server] {
-                        ctx.metrics().add("fault_fenced", 1);
-                        return;
-                    }
-                    self.seen_inc[server] = inc;
-                    if self.outstanding.get(&tag) != Some(&attempt) {
-                        // A straggler whose timeout already fired. Hand
-                        // it to the adapter that sent it, exactly once,
-                        // so server-side resources named in the reply
-                        // (an orphaned spare buffer, a displaced block)
-                        // can be reclaimed instead of leaking.
-                        if self.last_done.get(&tag) == Some(&attempt) {
-                            return;
-                        }
-                        self.last_done.insert(tag, attempt);
-                        if let Some((slot, inner)) = self.orphans.remove(&tag) {
-                            ctx.metrics().add("stale_harvested", 1);
-                            let s = &mut self.slots[slot as usize];
-                            s.adapter.note_time(ctx.now());
-                            let sends = s.adapter.on_stale_reply(inner, server, reply);
-                            self.dispatch(slot, sends, ctx);
-                        }
-                        return;
-                    }
-                    self.outstanding.remove(&tag);
-                    self.last_done.insert(tag, attempt);
-                    // Only live completions feed the estimator (Karn's
-                    // rule): timed-out attempts had their sample dropped.
-                    if self.faults.tail.adaptive_timeout {
-                        if let Some(sent) = self.sent_at.remove(&(tag, attempt)) {
-                            self.estimator.observe(ctx.now().since(sent));
-                        }
+                    self.feed(tag, reply, ctx);
+                }
+                ReplyVerdict::Stale => {
+                    // Hand the straggler to the adapter that sent it —
+                    // if its route was parked — so server-side
+                    // resources named in the reply (an orphaned spare
+                    // buffer, a displaced block) can be reclaimed
+                    // instead of leaking.
+                    if let Some((slot, inner)) = self.tags.orphans.remove(&tag) {
+                        let s = &mut self.slots[slot as usize];
+                        s.adapter.note_time(ctx.now());
+                        let tags = &mut self.tags;
+                        let mut wire = |out: &Outbound| tags.issue(slot, out);
+                        let adapter = &mut *s.adapter;
+                        self.transport
+                            .harvest(adapter, inner, server, reply, &mut wire, ctx);
                     }
                 }
-                self.feed_reply(tag, reply, ctx);
-            }
+                ReplyVerdict::Duplicate | ReplyVerdict::Fenced | ReplyVerdict::Dropped => {}
+            },
             SimMsg::Timeout { tag, attempt } => {
-                if self.outstanding.get(&tag) != Some(&attempt) {
-                    return;
+                let verdict = self.transport.classify_timer(tag, attempt, ctx.metrics());
+                if verdict != TimerVerdict::StaleTimer {
+                    // Whichever copy just timed out may still straggle
+                    // in: park the route (`feed` consumes it) so that
+                    // reply, if it eventually lands, is harvested.
+                    self.tags.park(tag);
                 }
-                self.outstanding.remove(&tag);
-                self.sent_at.remove(&(tag, attempt));
-                ctx.metrics().add("timeouts", 1);
-                // Park the route (feed_reply consumes it) so the real
-                // reply, if it eventually lands, is harvested above.
-                if let Some(&route) = self.routes.get(&tag) {
-                    self.orphans.insert(tag, route);
+                if verdict == TimerVerdict::Expired {
+                    self.feed(tag, timeout_reply(), ctx);
                 }
-                self.feed_reply(tag, Reply::Verb(Err(RdmaError::ReceiverNotReady)), ctx);
             }
-            SimMsg::Kick { .. }
-            | SimMsg::Restart
-            | SimMsg::Req { .. }
-            | SimMsg::Sweep
-            | SimMsg::Control
-            | SimMsg::Rot(_)
-            | SimMsg::DiskRot(_)
-            | SimMsg::Hedge { .. } => {
-                unreachable!("open-loop aggregates receive only replies and their own timers")
-            }
+            SimMsg::Hedge { tag, attempt } => self.transport.on_hedge_timer(tag, attempt, ctx),
+            _ => unreachable!("open-loop aggregates receive only replies and their own timers"),
         }
+    }
+}
+
+/// Slots that can actually be live at once: the logical-client
+/// population clamped by the in-flight cap (`0` = no extra cap).
+fn live_slots(logical_clients: usize, max_inflight: usize) -> usize {
+    if max_inflight == 0 {
+        logical_clients
+    } else {
+        logical_clients.min(max_inflight)
     }
 }
 
@@ -689,26 +473,8 @@ pub fn run_open_loop(
         );
     }
     let mut sim: Simulation<SimMsg> = Simulation::new(cfg.seed);
-    let server_ids: Vec<ActorId> = servers
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            sim.add_actor(Box::new(ServerActor::new(
-                Arc::clone(s),
-                model.clone(),
-                verb_path,
-                i,
-                cfg.faults.clone(),
-                hooks.clone(),
-            )))
-        })
-        .collect();
-    let inflight = if cfg.max_inflight == 0 {
-        cfg.logical_clients
-    } else {
-        cfg.logical_clients.min(cfg.max_inflight)
-    }
-    .max(cfg.actors);
+    let server_ids = spawn_servers(&mut sim, servers, model, verb_path, &cfg.faults, hooks);
+    let inflight = live_slots(cfg.logical_clients, cfg.max_inflight).max(cfg.actors);
     let per = inflight / cfg.actors;
     let extra = inflight % cfg.actors;
     let mut slot_base = 0;
@@ -729,15 +495,7 @@ pub fn run_open_loop(
         )));
         slot_base += max_slots;
     }
-    sim.run_for(cfg.warmup);
-    sim.metrics_mut().reset();
-    if let Some(integrity) = &hooks.integrity {
-        integrity.reset();
-    }
-    if let Some(durable) = &hooks.durable {
-        durable.reset();
-    }
-    sim.run_for(cfg.measure);
+    warm_then_measure(&mut sim, cfg.warmup, cfg.measure, hooks);
     let metrics = sim.metrics();
     let ops = metrics.counter("ops");
     let (mean, p50, p99, p999, max) = metrics
@@ -821,11 +579,7 @@ impl OpenLoopKnobs {
     /// server-side spare provisioning (and thus adapter connections)
     /// from this, not from the population.
     pub fn live_slots(&self) -> usize {
-        if self.max_inflight == 0 {
-            self.logical_clients
-        } else {
-            self.logical_clients.min(self.max_inflight)
-        }
+        live_slots(self.logical_clients, self.max_inflight)
     }
 
     /// Reduced sweep for smoke tests.
@@ -903,61 +657,105 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prism_core::builder::ops;
-    use prism_rdma::region::AccessFlags;
-
-    /// An adapter issuing one plain chain READ per op.
-    struct ReadAdapter {
-        addr: u64,
-        rkey: u32,
-    }
-
-    impl ProtoAdapter for ReadAdapter {
-        fn start(&mut self, _rng: &mut SimRng) -> Vec<Outbound> {
-            vec![Outbound {
-                server: 0,
-                tag: u64::MAX - 1, // full-width tags must round-trip
-                req: Request::Chain(vec![ops::read(self.addr, 512, self.rkey)]),
-                background: false,
-                epoch: 0,
-            }]
-        }
-
-        fn resume(&mut self) -> Vec<Outbound> {
-            unreachable!()
-        }
-
-        fn on_reply(&mut self, tag: u64, reply: Reply) -> AdapterStep {
-            assert_eq!(tag, u64::MAX - 1);
-            match reply {
-                Reply::Chain(r) => assert_eq!(r[0].data.len(), 512),
-                Reply::Verb(Err(_)) => {
-                    return AdapterStep::Done {
-                        sends: Vec::new(),
-                        client_compute: SimDuration::ZERO,
-                        failed: true,
-                    }
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-            AdapterStep::Done {
-                sends: Vec::new(),
-                client_compute: SimDuration::ZERO,
-                failed: false,
-            }
-        }
-    }
-
-    fn test_server() -> (Arc<PrismServer>, u64, u32) {
-        let s = Arc::new(PrismServer::new(1 << 20));
-        let (addr, rkey) = s.carve_region(4096, 64, AccessFlags::FULL);
-        (s, addr, rkey.0)
-    }
+    use crate::netsim::test_support::{read_adapter, test_server};
 
     fn read_factory(addr: u64, rkey: u32) -> AdapterFactory {
         Rc::new(RefCell::new(move |_i: usize| {
-            Box::new(ReadAdapter { addr, rkey }) as Box<dyn ProtoAdapter>
+            // Full-width tags must round-trip.
+            read_adapter(addr, rkey, true, u64::MAX - 1)
         }))
+    }
+
+    /// Lets a test keep hold of an aggregate the simulation owns.
+    struct Shared(Rc<RefCell<OpenLoopActor>>);
+
+    impl Actor<SimMsg> for Shared {
+        fn on_start(&mut self, ctx: &mut Context<'_, SimMsg>) {
+            self.0.borrow_mut().on_start(ctx);
+        }
+        fn on_message(&mut self, msg: SimMsg, ctx: &mut Context<'_, SimMsg>) {
+            self.0.borrow_mut().on_message(msg, ctx);
+        }
+    }
+
+    #[test]
+    fn open_loop_reads_hedge_under_a_straggler_and_harvest_the_losers() {
+        use crate::netsim::test_support::faulty_read;
+        use prism_simnet::fault::TailPolicy;
+        const ARRIVALS: usize = 2_000;
+        let model = CostModel::testbed();
+        // The server turns into an 8x straggler 2 ms in, after the RTT
+        // window has learned the healthy p99, so from then on reads
+        // outlive their hedge delay. Jitter lets a primary that will
+        // arrive still lose to its copy; light loss gives copies races
+        // to win outright.
+        let faults = FaultPlan::seeded(17)
+            .with_loss(0.02, 0.0)
+            .with_jitter(8_000)
+            .with_timeout(SimDuration::micros(60))
+            .with_slowdown(
+                0,
+                SimTime::from_nanos(2_000_000),
+                SimTime::from_nanos(u64::MAX),
+                8,
+            )
+            .with_tail_policy(TailPolicy {
+                hedge: true,
+                adaptive_timeout: true,
+                ..TailPolicy::default()
+            });
+        let run = || {
+            let (s, addr, rkey) = test_server();
+            let mut sim: Simulation<SimMsg> = Simulation::new(17);
+            let hooks = RecoveryHooks::default();
+            let ids = spawn_servers(&mut sim, &[s], &model, VerbPath::Nic, &faults, &hooks);
+            let spec = ArrivalSpec::Trace {
+                gaps: vec![5_000; ARRIVALS],
+            };
+            let factory: AdapterFactory = Rc::new(RefCell::new(move |_i: usize| {
+                faulty_read(addr, rkey, 2, true)
+            }));
+            let actor = Rc::new(RefCell::new(OpenLoopActor::new(
+                spec.build(0, 1, 17),
+                factory,
+                64,
+                0,
+                ids,
+                model.clone(),
+                SimRng::new(17),
+                0,
+                faults.clone(),
+            )));
+            sim.add_actor(Box::new(Shared(Rc::clone(&actor))));
+            sim.run();
+            // Quiescence: every arrival became an op that ended, every
+            // slot went back to the free list, and no route is left
+            // waiting for a reply.
+            let a = actor.borrow();
+            assert_eq!(a.free.len(), a.slots.len(), "a slot never came back");
+            assert!(a.backlog.is_empty() && a.tags.routes.is_empty());
+            drop(a);
+            let counters: Vec<(String, u64)> = sim
+                .metrics()
+                .counters()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect();
+            (counters, sim.into_metrics())
+        };
+        let (counters, m) = run();
+        assert_eq!(
+            m.counter("ops") + m.counter("failed"),
+            ARRIVALS as u64,
+            "every arrival must end exactly once"
+        );
+        assert!(m.counter("fault_slowdown_hits") > 0);
+        assert!(m.counter("hedges") > 0, "no hedge fired: {counters:?}");
+        assert!(m.counter("hedge_wins") > 0, "no copy won: {counters:?}");
+        assert!(
+            m.counter("stale_harvested") > 0,
+            "losing copies must be harvested through their parked routes: {counters:?}"
+        );
+        assert_eq!(counters, run().0, "same seed must replay bit-exactly");
     }
 
     #[test]

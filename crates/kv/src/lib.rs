@@ -61,7 +61,6 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod crc;
 pub mod entry;
 pub mod hash;
 pub mod pilaf;

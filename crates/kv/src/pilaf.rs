@@ -16,13 +16,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use prism_core::crc::crc32;
 use prism_core::integrity::IntegrityStats;
 use prism_core::msg::{Reply, Request, Verb};
 use prism_core::PrismServer;
 use prism_rdma::region::AccessFlags;
 use prism_rdma::sync::Mutex;
 
-use crate::crc::crc32;
 use crate::entry;
 use crate::hash::HashScheme;
 use crate::{KvOutcome, KvStep};
