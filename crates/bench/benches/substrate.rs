@@ -1,12 +1,15 @@
 //! Substrate costs: the DES kernel's event throughput (which bounds how
-//! fast figures regenerate), workload generators, and Pilaf's CRC.
+//! fast figures regenerate), workload generators, the frame codec, and
+//! the CRC under every checksum in the workspace.
 
 use prism_bench::runner::Criterion;
 use prism_bench::{criterion_group, criterion_main};
 
 use prism_core::builder::ops;
-use prism_core::crc::crc32;
-use prism_core::msg::Request;
+use prism_core::msg::{Reply, Request};
+use prism_core::op::{full_mask, DataArg, FreeListId, Redirect};
+use prism_core::value::CasMode;
+use prism_core::{OpResult, OpStatus};
 use prism_rdma::arena::MemoryArena;
 use prism_simnet::engine::{Actor, Context, QueueKind, Simulation};
 use prism_simnet::rng::SimRng;
@@ -143,6 +146,70 @@ fn bench_wire(c: &mut Criterion) {
     g.bench_function("chain4_decode", |b| {
         b.iter(|| Request::decode(&bytes).unwrap());
     });
+    // The two frames that carry a value in PRISM-KV: a PUT's install
+    // chain with the 530 B entry inline, and a GET's reply returning it.
+    let scratch = Redirect {
+        addr: 0x7000_0040,
+        rkey: 11,
+    };
+    let put = Request::Chain(vec![
+        ops::write(scratch.addr + 8, 530u64.to_le_bytes().to_vec(), 11),
+        ops::allocate(FreeListId(2), vec![0xA5; 530]).redirect(scratch),
+        ops::cas_args(
+            CasMode::Eq,
+            0x1_0000,
+            5,
+            DataArg::Inline(vec![7; 16]),
+            DataArg::Remote {
+                addr: scratch.addr,
+                rkey: scratch.rkey,
+            },
+            16,
+            full_mask(16),
+            full_mask(16),
+        )
+        .conditional(),
+        ops::read(scratch.addr, 8, 11),
+    ]);
+    g.bench_function("encode_epoch_put_530", |b| {
+        b.iter(|| std::hint::black_box(&put).encode_epoch(7).unwrap());
+    });
+    let get_reply = Reply::Chain(vec![OpResult {
+        status: OpStatus::Ok,
+        data: vec![0xA5; 530],
+    }]);
+    g.bench_function("reply_encode_get_530", |b| {
+        b.iter(|| std::hint::black_box(&get_reply).encode().unwrap());
+    });
+    g.finish();
+}
+
+/// `prism_core::crc`'s source compiled into this binary, so that its
+/// crate-private paths — the folding kernel and the slice-by-16 tables —
+/// can be timed side by side. The library exposes no way to pick one
+/// (the CPU decides), and a bench is not a reason to add one.
+#[allow(dead_code, unused_imports)]
+#[path = "../../core/src/crc.rs"]
+mod crc_paths;
+
+/// Both CRC implementations at the sizes the stack checksums: a frame
+/// header (8 B), an RS block (64 B), a KV entry (530 B), a page (4 KiB).
+/// On a CPU without PCLMULQDQ only the table rows appear.
+fn bench_crc(c: &mut Criterion) {
+    const INIT: u32 = 0xFFFF_FFFF;
+    let mut g = c.benchmark_group("crc32");
+    for len in [8usize, 64, 530, 4096] {
+        let payload: Vec<u8> = (0..len).map(|i| (i * 131 + 7) as u8).collect();
+        #[cfg(target_arch = "x86_64")]
+        if crc_paths::crc32_clmul(INIT, &payload).is_some() {
+            g.bench_function(&format!("{len}/kernel"), |b| {
+                b.iter(|| crc_paths::crc32_clmul(INIT, std::hint::black_box(&payload)))
+            });
+        }
+        g.bench_function(&format!("{len}/table"), |b| {
+            b.iter(|| crc_paths::crc32_table(INIT, std::hint::black_box(&payload)))
+        });
+    }
     g.finish();
 }
 
@@ -190,10 +257,6 @@ fn bench_memory(c: &mut Criterion) {
                 .atomic(base + 4096, 16, |bytes| bytes[0] = bytes[0].wrapping_add(1))
                 .unwrap()
         });
-    });
-    let payload = vec![3u8; 512];
-    g.bench_function("crc32_512", |b| {
-        b.iter(|| crc32(std::hint::black_box(&payload)))
     });
     g.finish();
 }
@@ -350,6 +413,7 @@ criterion_group!(
     bench_des,
     bench_deep_queue,
     bench_wire,
+    bench_crc,
     bench_workload,
     bench_memory,
     bench_verbs,

@@ -59,7 +59,7 @@
 //! assert_eq!(server.arena().read(ptr, 8).unwrap(), b"value-v1");
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod buf;

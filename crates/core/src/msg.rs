@@ -249,7 +249,7 @@ const REPLY_ERR: u8 = 0;
 const REPLY_OK: u8 = 1;
 
 use crate::buf::{Buf, BufMut};
-use crate::crc;
+use crate::crc::Crc32;
 use crate::wire::WireError;
 
 /// Bytes of the CRC frame trailer every encoded message carries:
@@ -263,16 +263,40 @@ pub const FRAME_TRAILER: usize = 8;
 /// Body prefix covered by the header checksum.
 const FRAME_HDR: usize = 8;
 
-/// Seals the frame that starts at `start` in `buf` — the append-style
-/// encoders frame messages in place at the tail of a caller-owned
-/// buffer, so the checksums must cover only the bytes written since
-/// `start`, not whatever the caller had accumulated before.
-fn seal_frame_at(buf: &mut Vec<u8>, start: usize) {
-    let body = &buf[start..];
-    let hdr = crc::crc32(&body[..body.len().min(FRAME_HDR)]);
-    let whole = crc::crc32(body);
+/// Header and whole-body checksums of `body` in one pass: the running
+/// CRC is read off after the first [`FRAME_HDR`] bytes and carried on
+/// over the rest, so no byte is checksummed twice.
+fn frame_crcs(body: &[u8]) -> (u32, u32) {
+    let (head, rest) = body.split_at(body.len().min(FRAME_HDR));
+    let mut c = Crc32::new();
+    let hdr = c.update(head).finish();
+    (hdr, c.update(rest).finish())
+}
+
+/// Appends one frame to `buf`: the optional routing-epoch word, the
+/// body `fill` writes, and the CRC trailer. `body_len` is what `fill`
+/// will write; the whole frame is reserved before its first byte, so
+/// an empty `buf` is allocated exactly once and a reused one not at
+/// all. The checksums cover only the bytes written here, not whatever
+/// the caller had accumulated before.
+fn put_frame(
+    buf: &mut Vec<u8>,
+    epoch: Option<u64>,
+    body_len: usize,
+    fill: impl FnOnce(&mut Vec<u8>) -> Result<(), WireError>,
+) -> Result<(), WireError> {
+    let start = buf.len();
+    let epoch_len = if epoch.is_some() { 8 } else { 0 };
+    buf.reserve(epoch_len + body_len + FRAME_TRAILER);
+    if let Some(epoch) = epoch {
+        buf.put_u64_le(epoch);
+    }
+    fill(buf)?;
+    debug_assert_eq!(buf.len() - start, epoch_len + body_len, "body_len drifted");
+    let (hdr, whole) = frame_crcs(&buf[start..]);
     buf.put_u32_le(hdr);
     buf.put_u32_le(whole);
+    Ok(())
 }
 
 fn open_frame(buf: &[u8]) -> Result<&[u8], WireError> {
@@ -282,10 +306,15 @@ fn open_frame(buf: &[u8]) -> Result<&[u8], WireError> {
     let (body, trailer) = buf.split_at(buf.len() - FRAME_TRAILER);
     let hdr = u32::from_le_bytes(trailer[0..4].try_into().expect("4-byte slice"));
     let whole = u32::from_le_bytes(trailer[4..8].try_into().expect("4-byte slice"));
-    if hdr != crc::crc32(&body[..body.len().min(FRAME_HDR)]) || whole != crc::crc32(body) {
+    if (hdr, whole) != frame_crcs(body) {
         return Err(WireError::CORRUPT);
     }
     Ok(body)
+}
+
+/// Encoded size of a length-prefixed byte section (see [`put_bytes`]).
+fn bytes_len(data: &[u8]) -> Result<usize, WireError> {
+    Ok(4 + wire::u32_len(data.len())? as usize)
 }
 
 fn put_bytes(buf: &mut Vec<u8>, data: &[u8]) -> Result<(), WireError> {
@@ -336,10 +365,27 @@ impl Request {
     /// [`Request::encode`], but reusing the caller's buffer so hot send
     /// paths can encode without allocating in steady state.
     pub fn encode_into(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
-        let start = buf.len();
-        self.encode_body(buf, false)?;
-        seal_frame_at(buf, start);
-        Ok(())
+        put_frame(buf, None, self.body_len()?, |b| self.encode_body(b, false))
+    }
+
+    /// Bytes [`Request::encode_body`] writes, computed arithmetically so
+    /// a frame can be reserved before it is built; the encoders assert
+    /// the two agree.
+    fn body_len(&self) -> Result<usize, WireError> {
+        Ok(1 + match self {
+            Request::Chain(chain) => 4 + wire::chain_wire_len(chain)? as usize,
+            Request::Verb(Verb::Read { .. }) => 17,
+            Request::Verb(Verb::Write { data, .. }) => 13 + bytes_len(data)?,
+            Request::Verb(Verb::Cas64 { .. }) => 29,
+            Request::Rpc(bytes) => bytes_len(bytes)?,
+            Request::Batch(reqs) => {
+                let mut n = 2;
+                for r in reqs {
+                    n += r.body_len()?;
+                }
+                n
+            }
+        })
     }
 
     fn encode_body(&self, buf: &mut Vec<u8>, in_batch: bool) -> Result<(), WireError> {
@@ -419,10 +465,9 @@ impl Request {
     /// encoded form only; [`Request::wire_len`] is unchanged.
     pub fn encode_epoch(&self, epoch: u64) -> Result<Vec<u8>, WireError> {
         let mut buf = Vec::new();
-        let start = buf.len();
-        buf.extend_from_slice(&epoch.to_le_bytes());
-        self.encode_body(&mut buf, false)?;
-        seal_frame_at(&mut buf, start);
+        put_frame(&mut buf, Some(epoch), self.body_len()?, |b| {
+            self.encode_body(b, false)
+        })?;
         Ok(buf)
     }
 
@@ -520,10 +565,24 @@ impl Reply {
     /// [`Reply::encode`], but reusing the caller's buffer (see
     /// [`Request::encode_into`]).
     pub fn encode_into(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
-        let start = buf.len();
-        self.encode_body(buf, false)?;
-        seal_frame_at(buf, start);
-        Ok(())
+        put_frame(buf, None, self.body_len()?, |b| self.encode_body(b, false))
+    }
+
+    /// Bytes [`Reply::encode_body`] writes (see [`Request::body_len`]).
+    fn body_len(&self) -> Result<usize, WireError> {
+        Ok(1 + match self {
+            Reply::Chain(results) => 4 + wire::response_wire_len(results)? as usize,
+            Reply::Verb(Ok(data)) => 1 + bytes_len(data)?,
+            Reply::Verb(Err(_)) => 1 + prism_rdma::error::ERROR_WIRE_LEN,
+            Reply::Rpc(bytes) => bytes_len(bytes)?,
+            Reply::Batch(replies) => {
+                let mut n = 2;
+                for r in replies {
+                    n += r.body_len()?;
+                }
+                n
+            }
+        })
     }
 
     fn encode_body(&self, buf: &mut Vec<u8>, in_batch: bool) -> Result<(), WireError> {

@@ -137,7 +137,7 @@ fn get_redirect(buf: &mut &[u8]) -> Result<Redirect, WireError> {
 /// more than [`MAX_COUNT`] ops or an inline payload exceeds
 /// [`MAX_INLINE_LEN`] bytes.
 pub fn encode_chain(chain: &[PrismOp]) -> Result<Vec<u8>, WireError> {
-    let mut buf = Vec::with_capacity(64 * chain.len());
+    let mut buf = Vec::with_capacity(chain_wire_len(chain)? as usize);
     encode_chain_into(chain, &mut buf)?;
     Ok(buf)
 }
@@ -397,7 +397,7 @@ const ST_ERROR: u8 = 3;
 /// more than [`MAX_COUNT`] results or a result payload exceeds
 /// [`MAX_INLINE_LEN`] bytes.
 pub fn encode_response(results: &[OpResult]) -> Result<Vec<u8>, WireError> {
-    let mut buf = Vec::new();
+    let mut buf = Vec::with_capacity(response_wire_len(results)? as usize);
     encode_response_into(results, &mut buf)?;
     Ok(buf)
 }

@@ -324,3 +324,32 @@ fn crc32_of_the_pinned_buffers_is_unchanged() {
     }
     assert_eq!(got, GOLDEN_CRCS, "crc32 changed for a pinned buffer");
 }
+
+/// Every owned encoder reserves the frame's exact size before its first
+/// byte, so the buffer it returns was allocated once and never regrown:
+/// its capacity is its length. (A `Vec` that had to grow on the way ends
+/// with amortized slack — at the latest when the trailer lands.)
+#[test]
+fn owned_encoders_allocate_exactly_once() {
+    fn assert_exact(what: &str, name: &str, buf: Vec<u8>) {
+        assert_eq!(buf.capacity(), buf.len(), "{name}: {what} regrew");
+    }
+    for (name, req) in golden_requests() {
+        assert_exact("Request::encode", name, req.encode().expect("encode"));
+        for epoch in [0, 7] {
+            let framed = req.encode_epoch(epoch).expect("encode_epoch");
+            assert_exact("Request::encode_epoch", name, framed);
+        }
+        if let Request::Chain(chain) = &req {
+            let body = wire::encode_chain(chain).expect("encode_chain");
+            assert_exact("wire::encode_chain", name, body);
+        }
+    }
+    for (name, reply) in golden_replies() {
+        assert_exact("Reply::encode", name, reply.encode().expect("encode"));
+        if let Reply::Chain(results) = &reply {
+            let body = wire::encode_response(results).expect("encode_response");
+            assert_exact("wire::encode_response", name, body);
+        }
+    }
+}

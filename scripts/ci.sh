@@ -7,6 +7,11 @@
 # Steps (each prints its wall seconds, so what a step costs — the
 # second-seed pass in particular — is a number, not a feeling):
 #   1. hermeticity check  — all deps are path-only (scripts/check_hermetic.sh)
+#      unsafe audit       — `unsafe {` occurs exactly once under crates/,
+#                           at the CRC kernel's dispatch call in
+#                           crates/core/src/crc.rs (DESIGN.md §5.6); a
+#                           second block anywhere is a design decision,
+#                           not a drive-by
 #   2. offline release build
 #   3. offline test run   — every unit, integration, and property suite
 #                           at the default seed. That includes the gate
@@ -39,7 +44,9 @@
 #                           schedule
 #   7. bench smoke        — substrate benches at 50 ms/bench, so a perf
 #                           regression that breaks the bench harness (or
-#                           an arena change that deadlocks it) fails CI
+#                           an arena change that deadlocks it) fails CI;
+#                           includes crc32/{8,64,530,4096}/{kernel,table}
+#                           and the wire/*_530 frame encoders
 #   8. cargo fmt --check  — skipped with a notice if rustfmt is absent
 #   9. cargo clippy       — -D warnings; skipped with a notice if
 #                           clippy is not installed
@@ -59,12 +66,26 @@ step() {
     echo "-- $title: $((SECONDS - start)) s"
 }
 
+# The workspace's whole budget of unsafe code is one block: the call
+# into the PCLMULQDQ CRC kernel after run-time feature detection.
+unsafe_audit() {
+    local want=crates/core/src/crc.rs hits
+    hits=$(grep -rn --include='*.rs' 'unsafe {' crates || true)
+    if [[ $(grep -c . <<<"$hits") != 1 || $hits != "$want":* ]]; then
+        echo "unsafe audit: want exactly one 'unsafe {' under crates/, in $want; found:"
+        echo "${hits:-  (none)}"
+        return 1
+    fi
+    echo "unsafe audit: ok ($hits)"
+}
+
 MIGRATION_GATE=rs_migration_chaos_stays_linearizable_through_live_reshard
 GATES=(--test fault_matrix --test chaos_gate --test corruption_matrix
     --test durability_gate --test store_properties
     --test openloop_smoke --test gray_gate)
 
 step "hermeticity" ./scripts/check_hermetic.sh
+step "unsafe audit" unsafe_audit
 step "build (release, offline)" cargo build --release --offline
 step "test (offline, default seed, all suites)" cargo test -q --offline
 step "migration gate (live 2->4 reshard under chaos)" \
