@@ -1,6 +1,7 @@
 //! Substrate costs: the DES kernel's event throughput (which bounds how
-//! fast figures regenerate), workload generators, the frame codec, and
-//! the CRC under every checksum in the workspace.
+//! fast figures regenerate), workload generators, the frame codec, the
+//! CRC under every checksum in the workspace, and the PRISM-TX client
+//! path without a simulator around it.
 
 use prism_bench::runner::Criterion;
 use prism_bench::{criterion_group, criterion_main};
@@ -14,6 +15,7 @@ use prism_rdma::arena::MemoryArena;
 use prism_simnet::engine::{Actor, Context, QueueKind, Simulation};
 use prism_simnet::rng::SimRng;
 use prism_simnet::time::{SimDuration, SimTime};
+use prism_tx::prism_tx::{drive, TxCluster, TxConfig, TxOutcome};
 use prism_workload::dist::ZipfGen;
 use prism_workload::PoissonGen;
 
@@ -223,6 +225,44 @@ fn bench_workload(c: &mut Criterion) {
     g.bench_function("poisson_next_arrival", |b| {
         b.iter(|| poisson.next_arrival())
     });
+    // Building a generator over `sim_tx_closed`'s pair: a miss sums
+    // 262 144 `powf` terms, a hit looks the constants up in the
+    // process-wide table. Stepping theta one ulp per iteration makes
+    // every construction a pair the table has never held (and its bound
+    // keeps the walk from growing it).
+    let mut theta = 0.8f64;
+    g.bench_function("zipf_new_262144/miss", |b| {
+        b.iter(|| {
+            theta = f64::from_bits(theta.to_bits() + 1);
+            ZipfGen::new(262_144, theta)
+        })
+    });
+    ZipfGen::new(262_144, 0.8);
+    g.bench_function("zipf_new_262144/hit", |b| {
+        b.iter(|| ZipfGen::new(262_144, std::hint::black_box(0.8)))
+    });
+    g.finish();
+}
+
+/// The PRISM-TX client path with no simulator around it: one single-key
+/// read-modify-write, begun and driven to commit against a local
+/// one-shard cluster (execute, prepare, commit: three chains). The
+/// per-transaction cost `sim_tx_closed` pays in its adapters, plus the
+/// server side of the three chains.
+fn bench_tx(c: &mut Criterion) {
+    let mut g = c.benchmark_group("tx");
+    let cluster = TxCluster::new(1, &TxConfig::paper(1024, 512));
+    let mut client = cluster.open_client();
+    let mut key = 0u64;
+    g.bench_function("rmw_txn_local", |b| {
+        b.iter(|| {
+            key = (key + 7) % 1024;
+            let (op, step) = client.begin(vec![key], vec![(key, vec![1u8; 512])]);
+            let outcome = drive(&cluster, &mut client, op, step);
+            assert!(matches!(outcome, TxOutcome::Committed(_)));
+            outcome
+        })
+    });
     g.finish();
 }
 
@@ -415,6 +455,7 @@ criterion_group!(
     bench_wire,
     bench_crc,
     bench_workload,
+    bench_tx,
     bench_memory,
     bench_verbs,
     bench_recovery,

@@ -13,6 +13,7 @@ use prism_core::OpStatus;
 use prism_kv::pilaf::{PilafClient, PilafGetOp};
 use prism_kv::prism_kv::{GetOp, PrismKvClient, PutOp};
 use prism_kv::{hash::key_bytes, KvOutcome, KvStep};
+use prism_rdma::hash::IntMap;
 use prism_rs::abdlock::{AbdLockClient, AbdLockOp, AbdStep};
 use prism_rs::prism_rs::{RsClient, RsOp, RsStep};
 use prism_simnet::rng::SimRng;
@@ -76,8 +77,9 @@ impl FreeBatcher {
                 let pending = self.pending.entry(server).or_default();
                 pending.push(addr);
                 if pending.len() >= Self::CAP {
-                    let addrs = std::mem::take(pending);
-                    return Some((server, Self::batch_request(&addrs)));
+                    let req = Self::batch_request(pending);
+                    pending.clear();
+                    return Some((server, req));
                 }
                 return None;
             }
@@ -591,7 +593,7 @@ pub struct PrismRsAdapter {
     current: Option<RsOp>,
     /// Completed-but-outstanding machines by seq; the reply tag's flat
     /// index names their group, so no group needs to be stored here.
-    lingering: HashMap<u64, (RsOp, usize)>,
+    lingering: IntMap<u64, (RsOp, usize)>,
     outstanding: usize,
     /// The in-flight logical op (block, PUT value or `None` for GET),
     /// kept so a quorum failure can retry the whole operation under a
@@ -647,7 +649,7 @@ impl PrismRsAdapter {
             write_fraction,
             seq: 0,
             current: None,
-            lingering: HashMap::new(),
+            lingering: IntMap::default(),
             outstanding: 0,
             op: None,
             retries: 0,
@@ -689,7 +691,7 @@ impl PrismRsAdapter {
             write_fraction,
             seq: 0,
             current: None,
-            lingering: HashMap::new(),
+            lingering: IntMap::default(),
             outstanding: 0,
             op: None,
             retries: 0,
@@ -1000,7 +1002,7 @@ pub struct AbdLockAdapter {
     write_fraction: f64,
     seq: u64,
     current: Option<AbdLockOp>,
-    lingering: HashMap<u64, AbdLockOp>,
+    lingering: IntMap<u64, AbdLockOp>,
 }
 
 impl AbdLockAdapter {
@@ -1018,7 +1020,7 @@ impl AbdLockAdapter {
             write_fraction,
             seq: 0,
             current: None,
-            lingering: HashMap::new(),
+            lingering: IntMap::default(),
         }
     }
 
@@ -1156,7 +1158,7 @@ pub struct PrismTxAdapter {
     seq: u64,
     keys: Vec<u64>,
     current: Option<TxOp>,
-    lingering: HashMap<u64, (TxOp, usize)>,
+    lingering: IntMap<u64, (TxOp, usize)>,
     outstanding: usize,
     aborts: u64,
     consecutive_aborts: u32,
@@ -1174,7 +1176,7 @@ impl PrismTxAdapter {
             seq: 0,
             keys: Vec::new(),
             current: None,
-            lingering: HashMap::new(),
+            lingering: IntMap::default(),
             outstanding: 0,
             aborts: 0,
             consecutive_aborts: 0,
@@ -1188,10 +1190,12 @@ impl PrismTxAdapter {
         self.aborts
     }
 
+    /// Begins an attempt over `self.keys`. The attempt owns the key list
+    /// while it runs; an abort takes it back for the retry.
     fn begin_attempt(&mut self) -> Vec<Outbound> {
         self.seq += 1;
         self.outstanding = 0;
-        let keys = self.keys.clone();
+        let keys = std::mem::take(&mut self.keys);
         let writes: Vec<(u64, Vec<u8>)> =
             keys.iter().map(|&k| (k, self.gen.value_for(k))).collect();
         let (op, step) = self.client.begin(keys, writes);
@@ -1201,7 +1205,10 @@ impl PrismTxAdapter {
     }
 
     fn absorb_tx(&mut self, step: TxStep) -> (Vec<Outbound>, Option<TxOutcome>) {
-        let mut sends = Vec::new();
+        // Sized for the replies-expected sends; frees mostly vanish into
+        // the batcher, and what it lets through (a flush, an abort's
+        // C-bumps) is the rare push past this.
+        let mut sends = Vec::with_capacity(step.send.len());
         for (shard, phase, idx, req) in step.send {
             self.outstanding += 1;
             sends.push(Outbound {
@@ -1283,6 +1290,7 @@ impl ProtoAdapter for PrismTxAdapter {
             Some(TxOutcome::Aborted) => {
                 self.aborts += 1;
                 self.consecutive_aborts += 1;
+                self.keys = op.take_read_keys();
                 self.park(op);
                 // Flush reclamation traffic, back off, then retry the
                 // same transaction with fresh reads; latency keeps
@@ -1365,9 +1373,11 @@ impl FarmAdapter {
         self.aborts
     }
 
+    /// Begins an attempt over `self.keys`. The attempt owns the key list
+    /// while it runs; an abort takes it back for the retry.
     fn begin_attempt(&mut self) -> Vec<Outbound> {
         self.seq += 1;
-        let keys = self.keys.clone();
+        let keys = std::mem::take(&mut self.keys);
         let writes: Vec<(u64, Vec<u8>)> =
             keys.iter().map(|&k| (k, self.gen.value_for(k))).collect();
         let (op, step) = self.client.begin(keys, writes);
@@ -1420,6 +1430,9 @@ impl ProtoAdapter for FarmAdapter {
             Some(FarmOutcome::Aborted) => {
                 self.aborts += 1;
                 self.consecutive_aborts += 1;
+                if let Some(op) = &mut self.current {
+                    self.keys = op.take_read_keys();
+                }
                 debug_assert!(sends.is_empty(), "FaRM aborts send nothing");
                 AdapterStep::Backoff {
                     sends,

@@ -23,9 +23,8 @@
 //! armed, and every send is stamped attempt 0: a pristine run's
 //! schedule is bit-identical to a build without the fault layer.
 
-use std::collections::HashMap;
-
 use prism_core::msg::{Reply, Request};
+use prism_rdma::hash::IntMap;
 use prism_rdma::RdmaError;
 use prism_simnet::engine::{ActorId, Context};
 use prism_simnet::estimator::RttEstimator;
@@ -166,7 +165,7 @@ pub(crate) struct Transport {
     /// fault plan every reply must pass through this map: a tag absent
     /// from it (duplicate delivery, or a reply racing its own timeout)
     /// never reaches `on_reply`.
-    outstanding: HashMap<u64, u64>,
+    outstanding: IntMap<u64, u64>,
     /// The last attempt per tag whose reply was consumed — fed to the
     /// adapter, or offered to [`ProtoAdapter::on_stale_reply`]. The
     /// attempt counter is monotonic, so `(tag, attempt)` names one send
@@ -175,7 +174,7 @@ pub(crate) struct Transport {
     /// sees exactly once. Never cleared (client restarts included): a
     /// pre-restart attempt harvested twice could double-free the buffer
     /// its reply carries.
-    last_done: HashMap<u64, u64>,
+    last_done: IntMap<u64, u64>,
     attempt_ctr: u64,
     /// Highest incarnation stamp seen per server.
     seen_inc: Vec<u64>,
@@ -187,14 +186,14 @@ pub(crate) struct Transport {
     estimator: RttEstimator,
     /// Send instant per `(tag, attempt)`, kept while the tail policy is
     /// active so completions can be turned into RTT samples.
-    sent_at: HashMap<(u64, u64), SimTime>,
+    sent_at: IntMap<(u64, u64), SimTime>,
     /// The hedge copy in flight per tag (its attempt stamp). At most
     /// one hedge per primary: two copies of an idempotent read are a
     /// tail fix, N copies are an outage amplifier.
-    hedged: HashMap<u64, u64>,
+    hedged: IntMap<u64, u64>,
     /// The send behind each hedge-eligible outstanding tag, so the
     /// hedge timer can re-issue a byte-identical copy.
-    hedge_req: HashMap<u64, Outbound>,
+    hedge_req: IntMap<u64, Outbound>,
 }
 
 impl Transport {
@@ -218,13 +217,13 @@ impl Transport {
             faults,
             fault_rng,
             corrupt_rng,
-            outstanding: HashMap::new(),
-            last_done: HashMap::new(),
+            outstanding: IntMap::default(),
+            last_done: IntMap::default(),
             attempt_ctr: 0,
             estimator: RttEstimator::p99(),
-            sent_at: HashMap::new(),
-            hedged: HashMap::new(),
-            hedge_req: HashMap::new(),
+            sent_at: IntMap::default(),
+            hedged: IntMap::default(),
+            hedge_req: IntMap::default(),
         }
     }
 

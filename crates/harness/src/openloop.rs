@@ -45,12 +45,13 @@
 //! [`OpenLoopResult`].
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
 
 use prism_core::msg::Reply;
 use prism_core::PrismServer;
+use prism_rdma::hash::IntMap;
 use prism_simnet::engine::{Actor, ActorId, Context, Simulation};
 use prism_simnet::fault::FaultPlan;
 use prism_simnet::latency::CostModel;
@@ -180,14 +181,14 @@ struct WireTags {
     next: u64,
     /// Wire tag → (slot, adapter tag), until the reply (real or
     /// synthesized) that settles the send consumes it.
-    routes: HashMap<u64, (u32, u64)>,
+    routes: IntMap<u64, (u32, u64)>,
     /// Routes parked when the transport stops waiting for a copy of a
     /// send that may still be answered — the copy timed out, or the
     /// other copy won their hedge race — so the straggler, if it lands,
     /// can still be harvested by the adapter that sent the request.
     /// Entries for requests the fault plan dropped outright are never
     /// consumed; growth is bounded by the timeout and hedge counts.
-    orphans: HashMap<u64, (u32, u64)>,
+    orphans: IntMap<u64, (u32, u64)>,
 }
 
 impl WireTags {

@@ -8,45 +8,16 @@
 //! "using buffers sized as powers of two guarantees a maximum space
 //! overhead of 2x").
 
-use std::collections::{HashSet, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 
 use crate::error::RdmaError;
+use crate::hash::IntSet;
 use crate::sync::Mutex;
-
-/// Hasher for buffer addresses: a 64-bit finalizer (splitmix-style
-/// avalanche) instead of the default SipHash. Addresses are
-/// server-internal values, not attacker-controlled keys, so the
-/// DoS-resistance SipHash buys is wasted on the ALLOCATE hot path —
-/// the membership probe runs on every pop and post.
-#[derive(Default)]
-pub struct AddrHasher(u64);
-
-impl Hasher for AddrHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        let mut x = v.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        self.0 = x ^ (x >> 31);
-    }
-}
-
-type AddrSet = HashSet<u64, BuildHasherDefault<AddrHasher>>;
 
 #[derive(Debug, Default)]
 struct Inner {
     fifo: VecDeque<u64>,
-    members: AddrSet,
+    members: IntSet<u64>,
     posted_total: u64,
 }
 
@@ -126,7 +97,7 @@ impl BufferQueue {
     pub fn reset_in_place(&self, addrs: impl IntoIterator<Item = u64>) {
         let mut q = self.bufs.lock();
         q.fifo.clear();
-        q.members = AddrSet::default();
+        q.members = IntSet::default();
         q.posted_total = 0;
         for a in addrs {
             if q.members.insert(a) {

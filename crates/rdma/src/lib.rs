@@ -17,6 +17,8 @@
 //! * [`bufqueue`] — registered buffer queues (the paper's free lists,
 //!   "represented as a RDMA queue pair", §3.2).
 //! * [`error`] — NACK-style error codes.
+//! * [`hash`] — the hasher for program-generated integer keys (buffer
+//!   addresses, request tags) shared by every crate in the workspace.
 //! * [`sync`] — std-only locks and the bounded MPMC channel shared by
 //!   every crate in the workspace (no registry dependencies).
 
@@ -26,6 +28,7 @@
 pub mod arena;
 pub mod bufqueue;
 pub mod error;
+pub mod hash;
 pub mod region;
 pub mod sync;
 pub mod verbs;

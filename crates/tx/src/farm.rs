@@ -27,6 +27,7 @@ use std::sync::Arc;
 
 use prism_core::msg::{Reply, Request, Verb};
 use prism_core::PrismServer;
+use prism_rdma::hash::IntMap;
 use prism_rdma::region::AccessFlags;
 
 /// Object header: version + lock.
@@ -83,7 +84,7 @@ pub struct FarmServer {
     view: FarmView,
     /// Lease state for [`FarmServer::sweep_locks`]: local key index →
     /// the lock token seen held at the last sweep.
-    lease: std::sync::Mutex<HashMap<u64, u64>>,
+    lease: std::sync::Mutex<IntMap<u64, u64>>,
 }
 
 impl FarmServer {
@@ -128,7 +129,7 @@ impl FarmServer {
         FarmServer {
             server,
             view,
-            lease: std::sync::Mutex::new(HashMap::new()),
+            lease: std::sync::Mutex::new(IntMap::default()),
         }
     }
 
@@ -423,10 +424,25 @@ enum Phase {
     Done,
 }
 
-#[derive(Debug, Clone)]
+/// One outstanding request: its shard and, for the per-key READ phases
+/// (index, object, validate), the key it reads. The per-shard RPC
+/// phases leave `key` unread.
+#[derive(Debug, Clone, Copy)]
 struct PendingReq {
     shard: usize,
-    keys: Vec<u64>,
+    key: u64,
+}
+
+/// A lock or unlock RPC: `[op | token | n | local index × n]`.
+fn key_list_rpc(op: u8, token: u64, indices: impl ExactSizeIterator<Item = u64>) -> Vec<u8> {
+    let mut msg = Vec::with_capacity(10 + indices.len() * 8);
+    msg.push(op);
+    msg.extend_from_slice(&token.to_le_bytes());
+    msg.push(indices.len() as u8);
+    for i in indices {
+        msg.extend_from_slice(&i.to_le_bytes());
+    }
+    msg
 }
 
 /// A FaRM transaction attempt in flight.
@@ -438,8 +454,8 @@ pub struct FarmOp {
     phase: Phase,
     reqs: Vec<PendingReq>,
     outstanding: usize,
-    ptrs: HashMap<u64, u64>,
-    versions: HashMap<u64, u64>,
+    ptrs: IntMap<u64, u64>,
+    versions: IntMap<u64, u64>,
     values: HashMap<u64, Vec<u8>>,
     retries: u32,
     locked_shards: Vec<usize>,
@@ -486,8 +502,8 @@ impl FarmClient {
             phase: Phase::IndexReads,
             reqs: Vec::new(),
             outstanding: 0,
-            ptrs: HashMap::new(),
-            versions: HashMap::new(),
+            ptrs: IntMap::default(),
+            versions: IntMap::default(),
             values: HashMap::new(),
             retries: 0,
             locked_shards: Vec::new(),
@@ -520,9 +536,20 @@ impl FarmClient {
 }
 
 impl FarmOp {
-    /// Values read during execution (keyed by global key).
+    /// Values read during execution (keyed by global key). A commit
+    /// moves them into [`FarmOutcome::Committed`], so the map is empty
+    /// once the attempt is done.
     pub fn values(&self) -> &HashMap<u64, Vec<u8>> {
         &self.values
+    }
+
+    /// Takes the read-key list back out of an attempt that is done, so
+    /// that a retry can begin over the same keys without copying them.
+    /// An attempt still in flight needs its keys: call this only after
+    /// [`FarmStep::done`] was set.
+    pub fn take_read_keys(&mut self) -> Vec<u64> {
+        debug_assert_eq!(self.phase, Phase::Done, "attempt still in flight");
+        std::mem::take(&mut self.read_keys)
     }
 
     /// Continues a [`FarmClient::begin_rmw`] transaction into its
@@ -546,30 +573,36 @@ impl FarmOp {
         self.lock_sends(c)
     }
 
-    fn index_sends(&mut self, c: &FarmClient) -> FarmStep {
-        if self.read_keys.is_empty() {
-            return self.lock_sends(c);
-        }
-        self.phase = Phase::IndexReads;
+    /// One one-sided READ per read key, `len` bytes at the address
+    /// `addr_of` names — the shape of the index, object and validate
+    /// phases.
+    fn read_sends(
+        &mut self,
+        c: &FarmClient,
+        phase: u32,
+        len: impl Fn(&FarmView) -> u32,
+        addr_of: impl Fn(&Self, &FarmView, u64) -> u64,
+    ) -> FarmStep {
         self.reqs.clear();
         self.outstanding = 0;
-        let mut step = FarmStep::default();
-        for &k in &self.read_keys.clone() {
-            let shard = c.shard_of(k);
+        let mut step = FarmStep {
+            send: Vec::with_capacity(self.read_keys.len()),
+            ..Default::default()
+        };
+        for i in 0..self.read_keys.len() {
+            let key = self.read_keys[i];
+            let shard = c.shard_of(key);
             let v = &c.views[shard];
             let idx = self.reqs.len() as u32;
-            self.reqs.push(PendingReq {
-                shard,
-                keys: vec![k],
-            });
+            self.reqs.push(PendingReq { shard, key });
             self.outstanding += 1;
             step.send.push((
                 shard,
-                PH_IDX,
+                phase,
                 idx,
                 Request::Verb(Verb::Read {
-                    addr: v.index_slot(c.index_of(k)),
-                    len: 8,
+                    addr: addr_of(self, v, key),
+                    len: len(v),
                     rkey: v.rkey,
                 }),
             ));
@@ -577,32 +610,17 @@ impl FarmOp {
         step
     }
 
-    fn object_sends(&mut self, c: &FarmClient, keys: &[u64]) -> FarmStep {
-        self.phase = Phase::ObjectReads;
-        self.reqs.clear();
-        self.outstanding = 0;
-        let mut step = FarmStep::default();
-        for &k in keys {
-            let shard = c.shard_of(k);
-            let v = &c.views[shard];
-            let idx = self.reqs.len() as u32;
-            self.reqs.push(PendingReq {
-                shard,
-                keys: vec![k],
-            });
-            self.outstanding += 1;
-            step.send.push((
-                shard,
-                PH_OBJ,
-                idx,
-                Request::Verb(Verb::Read {
-                    addr: self.ptrs[&k],
-                    len: v.obj_len() as u32,
-                    rkey: v.rkey,
-                }),
-            ));
+    fn index_sends(&mut self, c: &FarmClient) -> FarmStep {
+        if self.read_keys.is_empty() {
+            return self.lock_sends(c);
         }
-        step
+        self.phase = Phase::IndexReads;
+        self.read_sends(c, PH_IDX, |_| 8, |_, v, k| v.index_slot(c.index_of(k)))
+    }
+
+    fn object_sends(&mut self, c: &FarmClient) -> FarmStep {
+        self.phase = Phase::ObjectReads;
+        self.read_sends(c, PH_OBJ, |v| v.obj_len() as u32, |op, _, k| op.ptrs[&k])
     }
 
     fn lock_sends(&mut self, c: &FarmClient) -> FarmStep {
@@ -614,22 +632,24 @@ impl FarmOp {
         self.outstanding = 0;
         self.locked_shards.clear();
         self.lock_failed = false;
-        let mut by_shard: HashMap<usize, Vec<u64>> = HashMap::new();
-        for (k, _) in &self.writes {
-            by_shard.entry(c.shard_of(*k)).or_default().push(*k);
-        }
+        // Sorted by (shard, key): one request per shard in ascending
+        // shard order, each listing its keys in the canonical lock order.
+        let mut keys: Vec<(usize, u64)> = self
+            .writes
+            .iter()
+            .map(|(k, _)| (c.shard_of(*k), *k))
+            .collect();
+        keys.sort_unstable();
         let mut step = FarmStep::default();
-        for (shard, mut keys) in by_shard {
-            keys.sort_unstable(); // canonical lock order
-            let mut msg = Vec::with_capacity(10 + keys.len() * 8);
-            msg.push(RPC_LOCK);
-            msg.extend_from_slice(&self.token.to_le_bytes());
-            msg.push(keys.len() as u8);
-            for &k in &keys {
-                msg.extend_from_slice(&c.index_of(k).to_le_bytes());
-            }
+        for run in keys.chunk_by(|a, b| a.0 == b.0) {
+            let (shard, key) = run[0];
+            let msg = key_list_rpc(
+                RPC_LOCK,
+                self.token,
+                run.iter().map(|&(_, k)| c.index_of(k)),
+            );
             let idx = self.reqs.len() as u32;
-            self.reqs.push(PendingReq { shard, keys });
+            self.reqs.push(PendingReq { shard, key });
             self.outstanding += 1;
             step.send.push((shard, PH_LOCK, idx, Request::Rpc(msg)));
         }
@@ -641,66 +661,49 @@ impl FarmOp {
             return self.update_sends(c);
         }
         self.phase = Phase::Validate;
-        self.reqs.clear();
-        self.outstanding = 0;
         self.valid = true;
-        let mut step = FarmStep::default();
-        for &k in &self.read_keys.clone() {
-            let shard = c.shard_of(k);
-            let v = &c.views[shard];
-            let idx = self.reqs.len() as u32;
-            self.reqs.push(PendingReq {
-                shard,
-                keys: vec![k],
-            });
-            self.outstanding += 1;
-            step.send.push((
-                shard,
-                PH_VAL,
-                idx,
-                Request::Verb(Verb::Read {
-                    addr: self.ptrs[&k],
-                    len: OBJ_HEADER as u32,
-                    rkey: v.rkey,
-                }),
-            ));
+        self.read_sends(c, PH_VAL, |_| OBJ_HEADER as u32, |op, _, k| op.ptrs[&k])
+    }
+
+    /// Ends the attempt committed. The read set moves into the outcome:
+    /// nothing reads [`FarmOp::values`] once the attempt is done.
+    fn commit(&mut self) -> FarmStep {
+        self.phase = Phase::Done;
+        FarmStep {
+            done: Some(FarmOutcome::Committed(std::mem::take(&mut self.values))),
+            ..Default::default()
         }
-        step
     }
 
     fn update_sends(&mut self, c: &FarmClient) -> FarmStep {
         if self.writes.is_empty() {
-            self.phase = Phase::Done;
-            return FarmStep {
-                done: Some(FarmOutcome::Committed(self.values.clone())),
-                ..Default::default()
-            };
+            return self.commit();
         }
         self.phase = Phase::Update;
         self.reqs.clear();
         self.outstanding = 0;
-        let mut by_shard: HashMap<usize, Vec<(u64, Vec<u8>)>> = HashMap::new();
-        for (k, v) in &self.writes {
-            by_shard
-                .entry(c.shard_of(*k))
-                .or_default()
-                .push((*k, v.clone()));
-        }
+        // Nothing after this phase reads the write set (unlock runs
+        // only on the abort paths before it), so its values leave the
+        // attempt here: grouped by shard in place (stably, so keys on
+        // one shard keep the caller's order), copied into the RPCs,
+        // dropped.
+        let mut writes = std::mem::take(&mut self.writes);
+        writes.sort_by_key(|(k, _)| c.shard_of(*k));
         let mut step = FarmStep::default();
-        for (shard, keys) in by_shard {
-            let mut msg = Vec::new();
+        for run in writes.chunk_by(|a, b| c.shard_of(a.0) == c.shard_of(b.0)) {
+            let key = run[0].0;
+            let shard = c.shard_of(key);
+            let value_len = c.views[shard].value_len as usize;
+            let mut msg = Vec::with_capacity(10 + run.len() * (8 + value_len));
             msg.push(RPC_UPDATE);
             msg.extend_from_slice(&self.token.to_le_bytes());
-            msg.push(keys.len() as u8);
-            for (k, val) in &keys {
+            msg.push(run.len() as u8);
+            for (k, val) in run {
                 msg.extend_from_slice(&c.index_of(*k).to_le_bytes());
                 msg.extend_from_slice(val);
             }
             let idx = self.reqs.len() as u32;
-            self.reqs.push(PendingReq {
-                shard,
-                keys: keys.iter().map(|(k, _)| *k).collect(),
-            });
+            self.reqs.push(PendingReq { shard, key });
             self.outstanding += 1;
             step.send.push((shard, PH_UPD, idx, Request::Rpc(msg)));
         }
@@ -727,15 +730,12 @@ impl FarmOp {
                 .map(|(k, _)| *k)
                 .filter(|&k| c.shard_of(k) == shard)
                 .collect();
-            let mut msg = Vec::new();
-            msg.push(RPC_UNLOCK);
-            msg.extend_from_slice(&self.token.to_le_bytes());
-            msg.push(keys.len() as u8);
-            for &k in &keys {
-                msg.extend_from_slice(&c.index_of(k).to_le_bytes());
-            }
+            let msg = key_list_rpc(RPC_UNLOCK, self.token, keys.iter().map(|&k| c.index_of(k)));
             let idx = self.reqs.len() as u32;
-            self.reqs.push(PendingReq { shard, keys });
+            self.reqs.push(PendingReq {
+                shard,
+                key: keys[0],
+            });
             self.outstanding += 1;
             step.send.push((shard, PH_UNLOCK, idx, Request::Rpc(msg)));
         }
@@ -758,27 +758,26 @@ impl FarmOp {
         if phase != current {
             return FarmStep::default();
         }
-        let req = self.reqs[req_idx as usize].clone();
+        let req = self.reqs[req_idx as usize];
         match self.phase {
             Phase::IndexReads => {
                 match reply.into_verb() {
                     Ok(d) if d.len() == 8 => {
                         self.ptrs
-                            .insert(req.keys[0], u64::from_le_bytes(d.try_into().expect("8B")));
+                            .insert(req.key, u64::from_le_bytes(d.try_into().expect("8B")));
                     }
                     _ => return self.fail("index read error"),
                 }
                 self.outstanding -= 1;
                 if self.outstanding == 0 {
-                    let keys = self.read_keys.clone();
-                    return self.object_sends(c, &keys);
+                    return self.object_sends(c);
                 }
                 FarmStep::default()
             }
             Phase::ObjectReads => {
-                let k = req.keys[0];
+                let k = req.key;
                 match reply.into_verb() {
-                    Ok(d) if d.len() >= OBJ_HEADER as usize + 8 => {
+                    Ok(mut d) if d.len() >= OBJ_HEADER as usize + 8 => {
                         let version = u64::from_le_bytes(d[0..8].try_into().expect("8B"));
                         let lock = u64::from_le_bytes(d[8..16].try_into().expect("8B"));
                         if lock != 0 {
@@ -812,7 +811,11 @@ impl FarmOp {
                             };
                         }
                         self.versions.insert(k, version);
-                        self.values.insert(k, d[OBJ_HEADER as usize + 8..].to_vec());
+                        // The reply's buffer becomes the value: header
+                        // and key are cut off in place rather than the
+                        // value copied out.
+                        d.drain(..OBJ_HEADER as usize + 8);
+                        self.values.insert(k, d);
                     }
                     _ => return self.fail("object read error"),
                 }
@@ -843,7 +846,7 @@ impl FarmOp {
                 FarmStep::default()
             }
             Phase::Validate => {
-                let k = req.keys[0];
+                let k = req.key;
                 match reply.into_verb() {
                     Ok(d) if d.len() == OBJ_HEADER as usize => {
                         let version = u64::from_le_bytes(d[0..8].try_into().expect("8B"));
@@ -870,11 +873,7 @@ impl FarmOp {
                 }
                 self.outstanding -= 1;
                 if self.outstanding == 0 {
-                    self.phase = Phase::Done;
-                    return FarmStep {
-                        done: Some(FarmOutcome::Committed(self.values.clone())),
-                        ..Default::default()
-                    };
+                    return self.commit();
                 }
                 FarmStep::default()
             }

@@ -54,6 +54,7 @@ use prism_core::msg::{Reply, Request};
 use prism_core::op::{field_mask, full_mask, DataArg, FreeListId, Redirect};
 use prism_core::value::CasMode;
 use prism_core::{OpStatus, PrismServer};
+use prism_rdma::hash::IntMap;
 use prism_rdma::region::AccessFlags;
 
 use crate::ts::{Ts, TxClock};
@@ -90,6 +91,31 @@ pub fn version_crc_ok(buf: &[u8]) -> bool {
     let mut crc = Crc32::new();
     crc.update(&buf[..16]).update(&buf[VER_HDR as usize..]);
     crc.finish() == stored
+}
+
+/// A 16-byte CAS operand — two slot words — in one exactly-sized
+/// allocation.
+fn operand(first: [u8; 8], second: [u8; 8]) -> Vec<u8> {
+    let mut v = Vec::with_capacity(16);
+    v.extend_from_slice(&first);
+    v.extend_from_slice(&second);
+    v
+}
+
+/// The maximal runs of equal shard in a shard-sorted list, as
+/// `(shard, start, end)` in ascending shard order.
+fn shard_runs<'a, T>(
+    items: &'a [T],
+    shard_of: impl Fn(&T) -> usize + Copy + 'a,
+) -> impl Iterator<Item = (usize, usize, usize)> + 'a {
+    let mut start = 0;
+    items
+        .chunk_by(move |a, b| shard_of(a) == shard_of(b))
+        .map(move |run| {
+            let at = start;
+            start += run.len();
+            (shard_of(&run[0]), at, start)
+        })
 }
 
 /// Write keys per commit chain (limited by the 64-byte connection
@@ -157,7 +183,7 @@ pub struct TxServer {
     /// Cooperative-termination lease state: local key index → the
     /// prepared-writer timestamp seen dangling (`PW > C`) at the last
     /// sweep. See [`TxServer::sweep_prepares`].
-    lease: std::sync::Mutex<HashMap<u64, Ts>>,
+    lease: std::sync::Mutex<IntMap<u64, Ts>>,
 }
 
 impl TxServer {
@@ -245,7 +271,7 @@ impl TxServer {
             },
             pool_base,
             pool_len,
-            lease: std::sync::Mutex::new(HashMap::new()),
+            lease: std::sync::Mutex::new(IntMap::default()),
         }
     }
 
@@ -306,8 +332,7 @@ impl TxServer {
             }
             match lease.get(&i) {
                 Some(&seen) if seen == pw => {
-                    let mut cmp = pw.to_bytes().to_vec();
-                    cmp.extend_from_slice(&[0u8; 8]);
+                    let cmp = operand(pw.to_bytes(), [0; 8]);
                     let req = Request::Chain(vec![ops::cas(
                         CasMode::Lt, // C < PW, as in the abort path
                         slot + 16,
@@ -443,6 +468,7 @@ impl TxCluster {
                 .collect(),
             clock: TxClock::new(id, 0),
             integrity: Arc::new(IntegrityStats::new()),
+            spare: WorkLists::default(),
         }
     }
 }
@@ -454,6 +480,11 @@ pub struct TxClient {
     scratch: Vec<(u64, u32)>,
     clock: TxClock,
     integrity: Arc<IntegrityStats>,
+    /// The working lists of the last attempt that finished, emptied but
+    /// with their storage kept, for the next [`TxClient::begin`] to
+    /// reuse: a client running one transaction after another allocates
+    /// them once.
+    spare: WorkLists,
 }
 
 /// Outcome of a transaction attempt.
@@ -497,11 +528,20 @@ enum Phase {
     Done,
 }
 
+/// One key read in execution: its shard and, once the read's reply has
+/// arrived, the `RC` the prepare phase will claim for it.
+#[derive(Debug, Clone, Copy)]
+struct ReadKey {
+    shard: usize,
+    key: u64,
+    rc: Ts,
+}
+
 /// One op of a prepare chain, in chain order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PrepOp {
-    /// Read validation for a key.
-    Rv(u64),
+    /// Read validation for a key, claiming the `RC` execution observed.
+    Rv { key: u64, rc: Ts },
     /// Write validation, conditional on the immediately preceding read
     /// validation (read-modify-write keys).
     WvCond(u64),
@@ -509,13 +549,32 @@ enum PrepOp {
     Wv(u64),
 }
 
-/// Keys covered by one outstanding request, in op order.
-#[derive(Debug, Clone)]
+/// One outstanding request: its shard and the run `start..end` it covers
+/// of the phase's shard-grouped list — [`WorkLists::reads`] in execution,
+/// [`WorkLists::prep`] in prepare, the grouped write set in commit.
+#[derive(Debug, Clone, Copy)]
 struct PendingReq {
     shard: usize,
-    read_keys: Vec<u64>,
-    write_keys: Vec<u64>,
-    prep: Vec<PrepOp>,
+    start: usize,
+    end: usize,
+}
+
+/// An attempt's working lists. Each phase groups its keys by shard by
+/// sorting a flat list (stably, so keys on one shard keep the caller's
+/// order): requests go out in ascending shard order — a function of the
+/// transaction alone — and a reply finds its keys by index, copying
+/// nothing.
+#[derive(Debug, Clone, Default)]
+struct WorkLists {
+    /// The read set, grouped by shard.
+    reads: Vec<ReadKey>,
+    /// The prepare chains' ops with their shards, grouped by shard.
+    prep: Vec<(usize, PrepOp)>,
+    /// The current phase's requests, indexed by request index.
+    reqs: Vec<PendingReq>,
+    /// Keys whose conditional write validation succeeded: the abort
+    /// path's `C`-bump set.
+    write_checked: Vec<u64>,
 }
 
 /// A transaction attempt in flight.
@@ -524,13 +583,11 @@ pub struct TxOp {
     read_keys: Vec<u64>,
     writes: Vec<(u64, Vec<u8>)>,
     phase: Phase,
-    reqs: Vec<PendingReq>,
+    work: WorkLists,
     outstanding: usize,
     ts: Ts,
-    rc: HashMap<u64, Ts>,
     values: HashMap<u64, Vec<u8>>,
     valid: bool,
-    write_checked: Vec<u64>,
     deferred: bool,
 }
 
@@ -587,13 +644,11 @@ impl TxClient {
             read_keys,
             writes,
             phase: Phase::Execute,
-            reqs: Vec::new(),
+            work: std::mem::take(&mut self.spare),
             outstanding: 0,
             ts: Ts::ZERO,
-            rc: HashMap::new(),
             values: HashMap::new(),
             valid: true,
-            write_checked: Vec::new(),
             deferred: false,
         };
         let step = op.exec_sends(self);
@@ -634,9 +689,20 @@ impl TxOp {
         self.ts
     }
 
-    /// Values read during execution (keyed by global key).
+    /// Values read during execution (keyed by global key). A commit
+    /// moves them into [`TxOutcome::Committed`], so the map is empty
+    /// once the attempt is done.
     pub fn values(&self) -> &HashMap<u64, Vec<u8>> {
         &self.values
+    }
+
+    /// Takes the read-key list back out of an attempt that is done, so
+    /// that a retry can begin over the same keys without copying them.
+    /// An attempt still in flight needs its keys: call this only after
+    /// [`TxStep::done`] was set.
+    pub fn take_read_keys(&mut self) -> Vec<u64> {
+        debug_assert_eq!(self.phase, Phase::Done, "attempt still in flight");
+        std::mem::take(&mut self.read_keys)
     }
 
     /// Continues a [`TxClient::begin_rmw`] transaction: installs the
@@ -662,15 +728,18 @@ impl TxOp {
             // Blind-write transaction: go straight to prepare.
             return self.prepare_sends(c);
         }
-        let mut by_shard: HashMap<usize, Vec<u64>> = HashMap::new();
-        for &k in &self.read_keys {
-            by_shard.entry(c.shard_of(k)).or_default().push(k);
-        }
+        let read_key = |&key: &u64| ReadKey {
+            shard: c.shard_of(key),
+            key,
+            rc: Ts::ZERO,
+        };
+        self.work.reads.extend(self.read_keys.iter().map(read_key));
+        self.work.reads.sort_by_key(|r| r.shard);
         let mut step = TxStep::default();
-        for (shard, keys) in by_shard {
+        for (shard, start, end) in shard_runs(&self.work.reads, |r| r.shard) {
             let v = &c.views[shard];
-            let mut chain = Vec::with_capacity(keys.len() * 2);
-            for &k in &keys {
+            let mut chain = Vec::with_capacity((end - start) * 2);
+            for r in &self.work.reads[start..end] {
                 // Two reads per key: the slot's (C | addr) word, then an
                 // indirect READ through the addr word at slot+24. RC is
                 // the larger of the two C values: the slot's C advances
@@ -678,20 +747,16 @@ impl TxOp {
                 // between the two reads the buffer's C is higher — in
                 // which case the value *is* exactly that version, so
                 // claiming it as RC is consistent either way.
-                chain.push(ops::read(v.slot(c.index_of(k)) + 16, 16, v.data_rkey));
+                let slot = v.slot(c.index_of(r.key));
+                chain.push(ops::read(slot + 16, 16, v.data_rkey));
                 chain.push(ops::read_indirect(
-                    v.slot(c.index_of(k)) + 24,
+                    slot + 24,
                     v.buf_len() as u32,
                     v.data_rkey,
                 ));
             }
-            let idx = self.reqs.len() as u32;
-            self.reqs.push(PendingReq {
-                shard,
-                read_keys: keys,
-                write_keys: Vec::new(),
-                prep: Vec::new(),
-            });
+            let idx = self.work.reqs.len() as u32;
+            self.work.reqs.push(PendingReq { shard, start, end });
             self.outstanding += 1;
             step.send.push((shard, PH_EXEC, idx, Request::Chain(chain)));
         }
@@ -700,61 +765,58 @@ impl TxOp {
 
     fn prepare_sends(&mut self, c: &mut TxClient) -> TxStep {
         self.phase = Phase::Prepare;
-        self.reqs.clear();
+        self.work.reqs.clear();
         self.outstanding = 0;
-        let max_rc = self.rc.values().copied().max().unwrap_or(Ts::ZERO);
+        let max_rc = self
+            .work
+            .reads
+            .iter()
+            .map(|r| r.rc)
+            .max()
+            .unwrap_or(Ts::ZERO);
         self.ts = c.clock.timestamp_for(max_rc);
 
-        let mut by_shard: HashMap<usize, (Vec<u64>, Vec<u64>)> = HashMap::new();
-        for &k in &self.read_keys {
-            by_shard.entry(c.shard_of(k)).or_default().0.push(k);
+        // Chain layout: read-only keys validate alone; read-modify-
+        // write keys pair their read validation with a *conditional*
+        // write validation, so a transaction whose read of a key is
+        // stale never bumps that key's PW. This matters: an aborted
+        // transaction's PW bump is only safe to neutralize with the
+        // abort-path C-bump (§8.2) when no concurrently-validated,
+        // not-yet-installed writer can sit below it — which holding
+        // a valid read guarantees. Blind writes validate
+        // unconditionally but are excluded from the C-bump. The stable
+        // sort keeps each shard's read keys ahead of its blind writes.
+        for r in &self.work.reads {
+            let (key, rc) = (r.key, r.rc);
+            self.work.prep.push((r.shard, PrepOp::Rv { key, rc }));
+            if self.writes.iter().any(|(k, _)| *k == key) {
+                self.work.prep.push((r.shard, PrepOp::WvCond(key)));
+            }
         }
         for (k, _) in &self.writes {
-            by_shard.entry(c.shard_of(*k)).or_default().1.push(*k);
+            if !self.read_keys.contains(k) {
+                self.work.prep.push((c.shard_of(*k), PrepOp::Wv(*k)));
+            }
         }
+        self.work.prep.sort_by_key(|&(shard, _)| shard);
+
+        let ts = self.ts.to_bytes();
         let mut step = TxStep::default();
-        for (shard, (rkeys, wkeys)) in by_shard {
+        for (shard, start, end) in shard_runs(&self.work.prep, |&(shard, _)| shard) {
             let v = &c.views[shard];
-            // Chain layout: read-only keys validate alone; read-modify-
-            // write keys pair their read validation with a *conditional*
-            // write validation, so a transaction whose read of a key is
-            // stale never bumps that key's PW. This matters: an aborted
-            // transaction's PW bump is only safe to neutralize with the
-            // abort-path C-bump (§8.2) when no concurrently-validated,
-            // not-yet-installed writer can sit below it — which holding
-            // a valid read guarantees. Blind writes validate
-            // unconditionally but are excluded from the C-bump.
-            let mut prep = Vec::new();
-            for &k in &rkeys {
-                prep.push(PrepOp::Rv(k));
-                if wkeys.contains(&k) {
-                    prep.push(PrepOp::WvCond(k));
-                }
-            }
-            for &k in &wkeys {
-                if !rkeys.contains(&k) {
-                    prep.push(PrepOp::Wv(k));
-                }
-            }
-            let mut chain = Vec::with_capacity(prep.len());
-            for op in &prep {
-                match *op {
-                    PrepOp::Rv(k) => {
+            let mut chain = Vec::with_capacity(end - start);
+            for &(_, op) in &self.work.prep[start..end] {
+                match op {
+                    PrepOp::Rv { key, rc } => {
                         // Read validation (§8.2): single CAS comparing
                         // RC|TS against PW|PR, updating PR on success.
-                        let rc = self.rc[&k];
-                        let mut cmp = Vec::with_capacity(16);
-                        cmp.extend_from_slice(&rc.to_bytes());
-                        cmp.extend_from_slice(&self.ts.to_bytes());
-                        let mut swap = vec![0u8; 8];
-                        swap.extend_from_slice(&self.ts.to_bytes());
                         chain.push(ops::cas(
                             // Success iff (PW|PR) <= (RC|TS).
                             CasMode::Le,
-                            v.slot(c.index_of(k)),
+                            v.slot(c.index_of(key)),
                             v.data_rkey,
-                            cmp,
-                            swap,
+                            operand(rc.to_bytes(), ts),
+                            operand([0; 8], ts),
                             16,
                             full_mask(16),
                             field_mask(8, 8),
@@ -764,17 +826,13 @@ impl TxOp {
                         // Write validation (§8.2): TS > PW check-and-
                         // update in one CAS; TS > PR checked from the
                         // returned old value.
-                        let mut cmp = self.ts.to_bytes().to_vec();
-                        cmp.extend_from_slice(&[0u8; 8]);
-                        let mut swap = self.ts.to_bytes().to_vec();
-                        swap.extend_from_slice(&[0u8; 8]);
                         let mut cas = ops::cas(
                             // Success iff PW < TS.
                             CasMode::Lt,
                             v.slot(c.index_of(k)),
                             v.data_rkey,
-                            cmp,
-                            swap,
+                            operand(ts, [0; 8]),
+                            operand(ts, [0; 8]),
                             16,
                             field_mask(0, 8),
                             field_mask(0, 8),
@@ -786,13 +844,8 @@ impl TxOp {
                     }
                 }
             }
-            let idx = self.reqs.len() as u32;
-            self.reqs.push(PendingReq {
-                shard,
-                read_keys: rkeys,
-                write_keys: wkeys,
-                prep,
-            });
+            let idx = self.work.reqs.len() as u32;
+            self.work.reqs.push(PendingReq { shard, start, end });
             self.outstanding += 1;
             step.send
                 .push((shard, PH_PREPARE, idx, Request::Chain(chain)));
@@ -800,34 +853,28 @@ impl TxOp {
         step
     }
 
-    fn commit_sends(&mut self, c: &TxClient) -> TxStep {
+    fn commit_sends(&mut self, c: &mut TxClient) -> TxStep {
         self.phase = Phase::Commit;
-        self.reqs.clear();
+        self.work.reqs.clear();
         self.outstanding = 0;
         if self.writes.is_empty() {
-            self.phase = Phase::Done;
-            return TxStep {
-                done: Some(TxOutcome::Committed(self.values.clone())),
-                ..Default::default()
-            };
+            return self.commit(c);
         }
-        let mut by_shard: HashMap<usize, Vec<(u64, Vec<u8>)>> = HashMap::new();
-        for (k, val) in &self.writes {
-            by_shard
-                .entry(c.shard_of(*k))
-                .or_default()
-                .push((*k, val.clone()));
-        }
+        // Nothing after this phase reads the write set, so its values
+        // leave the attempt here: grouped in place, encoded, dropped.
+        let mut writes = std::mem::take(&mut self.writes);
+        writes.sort_by_key(|(k, _)| c.shard_of(*k));
+        let ts = self.ts.to_bytes();
         let mut step = TxStep::default();
-        for (shard, keys) in by_shard {
+        for (shard, start, end) in shard_runs(&writes, |(k, _)| c.shard_of(*k)) {
             let v = &c.views[shard];
             let (scratch_addr, scratch_rkey) = c.scratch[shard];
-            for chunk in keys.chunks(KEYS_PER_COMMIT_CHAIN) {
-                let mut chain = Vec::new();
+            for (n, chunk) in writes[start..end].chunks(KEYS_PER_COMMIT_CHAIN).enumerate() {
+                let mut chain = Vec::with_capacity(chunk.len() * 4);
                 for (j, (k, val)) in chunk.iter().enumerate() {
                     let stage = scratch_addr + (j as u64) * 16;
                     let payload = encode_version(self.ts, *k, val);
-                    chain.push(ops::write(stage, self.ts.to_bytes().to_vec(), scratch_rkey));
+                    chain.push(ops::write(stage, ts.to_vec(), scratch_rkey));
                     chain.push(ops::allocate(v.freelist, payload).redirect(Redirect {
                         addr: stage + 8,
                         rkey: scratch_rkey,
@@ -854,12 +901,12 @@ impl TxOp {
                     );
                     chain.push(ops::read(stage + 8, 8, scratch_rkey));
                 }
-                let idx = self.reqs.len() as u32;
-                self.reqs.push(PendingReq {
+                let at = start + n * KEYS_PER_COMMIT_CHAIN;
+                let idx = self.work.reqs.len() as u32;
+                self.work.reqs.push(PendingReq {
                     shard,
-                    read_keys: Vec::new(),
-                    write_keys: chunk.iter().map(|(k, _)| *k).collect(),
-                    prep: Vec::new(),
+                    start: at,
+                    end: at + chunk.len(),
                 });
                 self.outstanding += 1;
                 step.send
@@ -871,26 +918,22 @@ impl TxOp {
 
     /// Builds the abort-path background traffic: bump `C := TS` for keys
     /// whose write check succeeded (§8.2).
-    fn abort_cleanup(&self, c: &TxClient) -> Vec<(usize, Request)> {
-        let mut by_shard: HashMap<usize, Vec<u64>> = HashMap::new();
-        for &k in &self.write_checked {
-            by_shard.entry(c.shard_of(k)).or_default().push(k);
-        }
-        by_shard
-            .into_iter()
-            .map(|(shard, keys)| {
+    fn abort_cleanup(&mut self, c: &TxClient) -> Vec<(usize, Request)> {
+        let checked = &mut self.work.write_checked;
+        checked.sort_by_key(|&k| c.shard_of(k));
+        let ts = self.ts.to_bytes();
+        shard_runs(checked, |&k| c.shard_of(k))
+            .map(|(shard, start, end)| {
                 let v = &c.views[shard];
-                let chain: Vec<_> = keys
+                let chain = checked[start..end]
                     .iter()
                     .map(|&k| {
-                        let mut cmp = self.ts.to_bytes().to_vec();
-                        cmp.extend_from_slice(&[0u8; 8]);
                         ops::cas(
                             CasMode::Lt, // C < TS
                             v.slot(c.index_of(k)) + 16,
                             v.data_rkey,
-                            cmp.clone(),
-                            cmp,
+                            operand(ts, [0; 8]),
+                            operand(ts, [0; 8]),
                             16,
                             field_mask(0, 8),
                             field_mask(0, 8),
@@ -900,6 +943,39 @@ impl TxOp {
                 (shard, Request::Chain(chain))
             })
             .collect()
+    }
+
+    /// Ends the attempt with `outcome`. The working lists go back to the
+    /// client, emptied, for its next attempt to reuse.
+    fn finish(&mut self, c: &mut TxClient, outcome: TxOutcome) -> TxStep {
+        self.phase = Phase::Done;
+        let mut work = std::mem::take(&mut self.work);
+        work.reads.clear();
+        work.prep.clear();
+        work.reqs.clear();
+        work.write_checked.clear();
+        c.spare = work;
+        TxStep {
+            done: Some(outcome),
+            ..Default::default()
+        }
+    }
+
+    /// Ends the attempt committed. The read set moves into the outcome:
+    /// nothing reads [`TxOp::values`] once the attempt is done.
+    fn commit(&mut self, c: &mut TxClient) -> TxStep {
+        let values = std::mem::take(&mut self.values);
+        self.finish(c, TxOutcome::Committed(values))
+    }
+
+    /// Ends the attempt aborted after prepares went out, with the abort
+    /// path's cleanup traffic.
+    fn abort_prepared(&mut self, c: &mut TxClient) -> TxStep {
+        let background = self.abort_cleanup(c);
+        TxStep {
+            background,
+            ..self.finish(c, TxOutcome::Aborted)
+        }
     }
 
     /// Terminates the attempt after a lost or synthesized reply.
@@ -913,28 +989,9 @@ impl TxOp {
     /// than a retryable abort.
     fn lost_reply(&mut self, c: &mut TxClient) -> TxStep {
         match self.phase {
-            Phase::Execute => {
-                self.phase = Phase::Done;
-                TxStep {
-                    done: Some(TxOutcome::Aborted),
-                    ..Default::default()
-                }
-            }
-            Phase::Prepare => {
-                self.phase = Phase::Done;
-                TxStep {
-                    background: self.abort_cleanup(c),
-                    done: Some(TxOutcome::Aborted),
-                    ..Default::default()
-                }
-            }
-            Phase::Commit => {
-                self.phase = Phase::Done;
-                TxStep {
-                    done: Some(TxOutcome::Failed("commit reply lost")),
-                    ..Default::default()
-                }
-            }
+            Phase::Execute => self.finish(c, TxOutcome::Aborted),
+            Phase::Prepare => self.abort_prepared(c),
+            Phase::Commit => self.finish(c, TxOutcome::Failed("commit reply lost")),
             Phase::Done => TxStep::default(),
         }
     }
@@ -954,55 +1011,44 @@ impl TxOp {
         // layer's timeout stand-in) is a lost round trip, never a
         // panic: execute/prepare losses abort and retry; a commit loss
         // is genuinely indeterminate and surfaces as a counted failure.
-        let Some(req) = self.reqs.get(req_idx as usize).cloned() else {
+        let Some(&req) = self.work.reqs.get(req_idx as usize) else {
             return self.lost_reply(c);
         };
-        let Some(results) = reply.chain_results() else {
+        let Some(mut results) = reply.chain_results() else {
             return self.lost_reply(c);
         };
         match self.phase {
             Phase::Execute => {
-                for (i, &k) in req.read_keys.iter().enumerate() {
+                for (i, at) in (req.start..req.end).enumerate() {
+                    let k = self.work.reads[at].key;
                     let slot_c = match results.get(2 * i).map(|r| r.expect_data()) {
                         Some(Ok(d)) if d.len() == 16 => Ts::from_bytes(&d[..8]),
-                        _ => {
-                            self.phase = Phase::Done;
-                            return TxStep {
-                                done: Some(TxOutcome::Failed("execution slot read error")),
-                                ..Default::default()
-                            };
-                        }
+                        _ => return self.finish(c, TxOutcome::Failed("execution slot read error")),
                     };
-                    match results.get(2 * i + 1).map(|r| r.expect_data()) {
-                        Some(Ok(d)) if d.len() >= VER_HDR as usize => {
-                            let embedded = u64::from_le_bytes(d[8..16].try_into().expect("8B"));
-                            if !version_crc_ok(d) || embedded != k {
-                                // The committed version failed its
-                                // self-check (torn install or at-rest
-                                // rot): abort cleanly before computing
-                                // on garbage. The attempt is retryable
-                                // — a concurrent writer's fresh install
-                                // heals the key by overwrite.
-                                c.integrity.note_detected();
-                                c.integrity.note_aborted();
-                                self.phase = Phase::Done;
-                                return TxStep {
-                                    done: Some(TxOutcome::Aborted),
-                                    ..Default::default()
-                                };
-                            }
-                            let version = Ts::from_bytes(&d[..8]);
-                            self.rc.insert(k, version.max(slot_c));
-                            self.values.insert(k, d[VER_HDR as usize..].to_vec());
+                    let version = match results.get_mut(2 * i + 1) {
+                        Some(r) if r.expect_data().is_ok_and(|d| d.len() >= VER_HDR as usize) => {
+                            &mut r.data
                         }
-                        _ => {
-                            self.phase = Phase::Done;
-                            return TxStep {
-                                done: Some(TxOutcome::Failed("execution read error")),
-                                ..Default::default()
-                            };
-                        }
+                        _ => return self.finish(c, TxOutcome::Failed("execution read error")),
+                    };
+                    let embedded = u64::from_le_bytes(version[8..16].try_into().expect("8B"));
+                    if !version_crc_ok(version) || embedded != k {
+                        // The committed version failed its self-check
+                        // (torn install or at-rest rot): abort cleanly
+                        // before computing on garbage. The attempt is
+                        // retryable — a concurrent writer's fresh
+                        // install heals the key by overwrite.
+                        c.integrity.note_detected();
+                        c.integrity.note_aborted();
+                        return self.finish(c, TxOutcome::Aborted);
                     }
+                    self.work.reads[at].rc = Ts::from_bytes(&version[..8]).max(slot_c);
+                    // The reply's buffer becomes the value: its header
+                    // is cut off in place rather than the value copied
+                    // out.
+                    let mut value = std::mem::take(version);
+                    value.drain(..VER_HDR as usize);
+                    self.values.insert(k, value);
                 }
                 self.outstanding -= 1;
                 if self.outstanding == 0 {
@@ -1017,12 +1063,12 @@ impl TxOp {
                 TxStep::default()
             }
             Phase::Prepare => {
-                for (i, op) in req.prep.iter().enumerate() {
+                for (i, at) in (req.start..req.end).enumerate() {
                     let Some(result) = results.get(i) else {
                         return self.lost_reply(c);
                     };
-                    match *op {
-                        PrepOp::Rv(k) => match &result.status {
+                    match self.work.prep[at].1 {
+                        PrepOp::Rv { rc, .. } => match &result.status {
                             OpStatus::Ok => {}
                             OpStatus::CasFailed if result.data.len() >= 16 => {
                                 let old = &result.data;
@@ -1033,19 +1079,13 @@ impl TxOp {
                                 // Valid iff the read is still current (PW
                                 // unchanged since we read RC); the CAS
                                 // only failed because PR >= TS already.
-                                if pw != self.rc[&k] {
+                                if pw != rc {
                                     self.valid = false;
                                 }
                             }
-                            _ => {
-                                self.phase = Phase::Done;
-                                return TxStep {
-                                    done: Some(TxOutcome::Failed("read validation error")),
-                                    ..Default::default()
-                                };
-                            }
+                            _ => return self.finish(c, TxOutcome::Failed("read validation error")),
                         },
-                        PrepOp::WvCond(k) | PrepOp::Wv(k) => match &result.status {
+                        op @ (PrepOp::WvCond(k) | PrepOp::Wv(k)) => match &result.status {
                             OpStatus::Ok if result.data.len() >= 16 => {
                                 let old = &result.data;
                                 let pr = Ts::from_bytes(&old[8..16]);
@@ -1054,7 +1094,7 @@ impl TxOp {
                                 // blind writes are excluded (see
                                 // `prepare_sends`).
                                 if matches!(op, PrepOp::WvCond(_)) {
-                                    self.write_checked.push(k);
+                                    self.work.write_checked.push(k);
                                 }
                                 // Timestamps are unique, so PR == TS can
                                 // only be this transaction's own read
@@ -1076,11 +1116,7 @@ impl TxOp {
                             // by design, it has not poisoned PW.
                             OpStatus::Skipped => self.valid = false,
                             _ => {
-                                self.phase = Phase::Done;
-                                return TxStep {
-                                    done: Some(TxOutcome::Failed("write validation error")),
-                                    ..Default::default()
-                                };
+                                return self.finish(c, TxOutcome::Failed("write validation error"))
                             }
                         },
                     }
@@ -1088,20 +1124,15 @@ impl TxOp {
                 self.outstanding -= 1;
                 if self.outstanding == 0 {
                     if !self.valid {
-                        self.phase = Phase::Done;
-                        return TxStep {
-                            background: self.abort_cleanup(c),
-                            done: Some(TxOutcome::Aborted),
-                            ..Default::default()
-                        };
+                        return self.abort_prepared(c);
                     }
                     return self.commit_sends(c);
                 }
                 TxStep::default()
             }
             Phase::Commit => {
-                let mut background = Vec::new();
-                for (j, _k) in req.write_keys.iter().enumerate() {
+                let mut background = Vec::with_capacity(req.end - req.start);
+                for j in 0..req.end - req.start {
                     let (Some(cas), Some(readback)) =
                         (results.get(j * 4 + 2), results.get(j * 4 + 3))
                     else {
@@ -1129,22 +1160,18 @@ impl TxOp {
                             }
                         }
                         _ => {
-                            self.phase = Phase::Done;
                             return TxStep {
                                 background,
-                                done: Some(TxOutcome::Failed("commit install error")),
-                                ..Default::default()
+                                ..self.finish(c, TxOutcome::Failed("commit install error"))
                             };
                         }
                     }
                 }
                 self.outstanding -= 1;
                 if self.outstanding == 0 {
-                    self.phase = Phase::Done;
                     return TxStep {
                         background,
-                        done: Some(TxOutcome::Committed(self.values.clone())),
-                        ..Default::default()
+                        ..self.commit(c)
                     };
                 }
                 TxStep {
@@ -1554,21 +1581,40 @@ mod tests {
         assert_eq!(a + b, 200, "money was created or destroyed");
     }
 
+    /// Executes the sends of `step` and feeds the replies back until
+    /// `stop` accepts a step the machine returns (which is handed back
+    /// undriven) or nothing is left to send.
+    fn drive_until(
+        cl: &TxCluster,
+        c: &mut TxClient,
+        op: &mut TxOp,
+        step: TxStep,
+        stop: impl Fn(&TxStep) -> bool,
+    ) -> Option<TxStep> {
+        let mut queue = step.send;
+        while let Some((shard, phase, idx, req)) = queue.pop() {
+            let reply = prism_core::msg::execute_local(cl.shard(shard).server(), &req);
+            let s = op.on_reply(c, phase, idx, reply);
+            if stop(&s) {
+                return Some(s);
+            }
+            queue.extend(s.send);
+        }
+        None
+    }
+
+    fn sends_phase(phase: u32) -> impl Fn(&TxStep) -> bool {
+        move |s| s.send.iter().any(|(_, p, _, _)| *p == phase)
+    }
+
     /// Drives a write transaction up to (not including) its commit
     /// phase, leaving `PW > C` planted on the key's shard, and returns
     /// the op plus the withheld commit step.
     fn park_before_commit(cl: &TxCluster, c: &mut TxClient, k: u64) -> (TxOp, TxStep) {
         let (mut op, step) = c.begin(vec![k], vec![(k, vec![0xAB; 32])]);
-        let mut queue = step.send;
-        while let Some((shard, phase, idx, req)) = queue.pop() {
-            let reply = prism_core::msg::execute_local(cl.shard(shard).server(), &req);
-            let s = op.on_reply(c, phase, idx, reply);
-            if s.send.iter().any(|(_, p, _, _)| *p == PH_COMMIT) {
-                return (op, s);
-            }
-            queue.extend(s.send);
-        }
-        panic!("transaction never reached commit");
+        let commit = drive_until(cl, c, &mut op, step, sends_phase(PH_COMMIT))
+            .expect("transaction never reached commit");
+        (op, commit)
     }
 
     #[test]
@@ -1692,5 +1738,240 @@ mod tests {
                 "write {i} failed: {o:?} (buffer leak?)"
             );
         }
+    }
+
+    #[test]
+    fn committed_outcome_carries_exactly_the_read_set() {
+        let cl = cluster(3, 8);
+        let mut c = cl.open_client();
+        for k in [0u64, 1, 2, 10, 5] {
+            assert!(matches!(
+                commit_write(&cl, &mut c, k, vec![k as u8 + 1; 32]),
+                TxOutcome::Committed(_)
+            ));
+        }
+        // Reads 0, 1, 2, 10; rewrites 0 and 2; blind-writes 5. The
+        // outcome holds the four values *read* — no header bytes, not
+        // the new values, not the blind-written key.
+        let (op, step) = c.begin(
+            vec![0, 1, 2, 10],
+            vec![
+                (0, vec![0xA0; 32]),
+                (2, vec![0xA2; 32]),
+                (5, vec![0xA5; 32]),
+            ],
+        );
+        let want: HashMap<u64, Vec<u8>> = [0u64, 1, 2, 10]
+            .into_iter()
+            .map(|k| (k, vec![k as u8 + 1; 32]))
+            .collect();
+        assert_eq!(drive(&cl, &mut c, op, step), TxOutcome::Committed(want));
+        let now = read_keys(&cl, &mut c, &[0, 1, 2, 5, 10]);
+        assert_eq!(now[&0], vec![0xA0; 32]);
+        assert_eq!(now[&1], vec![2; 32]);
+        assert_eq!(now[&2], vec![0xA2; 32]);
+        assert_eq!(now[&5], vec![0xA5; 32]);
+        assert_eq!(now[&10], vec![11; 32]);
+    }
+
+    #[test]
+    fn deferred_values_stay_intact_until_the_attempt_is_done() {
+        let cl = cluster(2, 8);
+        let mut c = cl.open_client();
+        commit_write(&cl, &mut c, 3, vec![3; 32]);
+        commit_write(&cl, &mut c, 4, vec![4; 32]);
+        let want: HashMap<u64, Vec<u8>> = [(3u64, vec![3u8; 32]), (4, vec![4; 32])]
+            .into_iter()
+            .collect();
+
+        let (mut op, step) = c.begin_rmw(vec![3, 4]);
+        let paused = drive_until(&cl, &mut c, &mut op, step, |s| s.awaiting_writes);
+        assert!(paused.is_some(), "execution must pause for the writes");
+        assert_eq!(op.values(), &want, "after execution");
+
+        let writes = vec![(3, vec![0x33; 32]), (4, vec![0x44; 32])];
+        let prepare = op.supply_writes(&mut c, writes);
+        assert!(sends_phase(PH_PREPARE)(&prepare));
+        assert_eq!(op.values(), &want, "prepare sent");
+
+        let commit =
+            drive_until(&cl, &mut c, &mut op, prepare, sends_phase(PH_COMMIT)).expect("validated");
+        assert_eq!(op.values(), &want, "commit sent");
+
+        let done =
+            drive_until(&cl, &mut c, &mut op, commit, |s| s.done.is_some()).expect("committed");
+        assert_eq!(done.done, Some(TxOutcome::Committed(want)));
+        assert!(op.values().is_empty(), "the outcome took the read set");
+        assert_eq!(op.take_read_keys(), vec![3, 4]);
+        assert_eq!(read_keys(&cl, &mut c, &[3, 4])[&4], vec![0x44; 32]);
+    }
+
+    #[test]
+    fn each_phase_sends_in_ascending_shard_order_keeping_key_order_within_a_shard() {
+        let cl = cluster(4, 8);
+        let mut c = cl.open_client();
+        // Shards (k % 4): 7→3, 2→2, 6→2, 1→1, 9→1, 4→0; blind 3→3, 8→0.
+        let reads = vec![7u64, 2, 6, 1, 9, 4];
+        let mut writes: Vec<(u64, Vec<u8>)> = reads.iter().map(|&k| (k, vec![1; 32])).collect();
+        writes.push((3, vec![1; 32]));
+        writes.push((8, vec![1; 32]));
+        let (mut op, step) = c.begin(reads, writes);
+
+        let slots = |chain: &[prism_core::op::PrismOp], shard: usize| -> Vec<u64> {
+            let v = cl.shard(shard).view();
+            let mut out = Vec::new();
+            for op in chain {
+                let addr = match op {
+                    prism_core::op::PrismOp::Read { addr, .. } => *addr,
+                    prism_core::op::PrismOp::Cas { target, .. } => *target,
+                    _ => continue,
+                };
+                if addr >= v.slot_addr && addr < v.slot_addr + v.capacity * SLOT {
+                    let key = (addr - v.slot_addr) / SLOT * 4 + shard as u64;
+                    if out.last() != Some(&key) {
+                        out.push(key);
+                    }
+                }
+            }
+            out
+        };
+        let layout = |step: &TxStep| -> Vec<(usize, Vec<u64>)> {
+            step.send
+                .iter()
+                .map(|(shard, _, _, req)| match req {
+                    Request::Chain(chain) => (*shard, slots(chain, *shard)),
+                    other => panic!("{other:?}"),
+                })
+                .collect()
+        };
+
+        assert_eq!(
+            layout(&step),
+            vec![(0, vec![4]), (1, vec![1, 9]), (2, vec![2, 6]), (3, vec![7])],
+            "execute"
+        );
+        let prepare = drive_until(&cl, &mut c, &mut op, step, sends_phase(PH_PREPARE)).unwrap();
+        assert_eq!(
+            layout(&prepare),
+            vec![
+                (0, vec![4, 8]),
+                (1, vec![1, 9]),
+                (2, vec![2, 6]),
+                (3, vec![7, 3])
+            ],
+            "prepare: a shard's read keys, then its blind writes"
+        );
+        let commit = drive_until(&cl, &mut c, &mut op, prepare, sends_phase(PH_COMMIT)).unwrap();
+        assert_eq!(
+            layout(&commit),
+            vec![
+                (0, vec![4, 8]),
+                (1, vec![1, 9]),
+                (2, vec![2, 6]),
+                (3, vec![7, 3])
+            ],
+            "commit: the write set in the caller's order"
+        );
+        let done = drive_until(&cl, &mut c, &mut op, commit, |s| s.done.is_some()).unwrap();
+        assert!(matches!(done.done, Some(TxOutcome::Committed(_))));
+    }
+
+    #[test]
+    fn stray_replies_are_lost_round_trips_or_no_ops_never_panics() {
+        use prism_core::msg::execute_local;
+        let cl = cluster(2, 8);
+        // A chain reply of `n` successful, empty results.
+        let chain_of = |n: usize| {
+            let ok = || prism_core::OpResult {
+                status: OpStatus::Ok,
+                data: Vec::new(),
+            };
+            Reply::Chain((0..n).map(|_| ok()).collect())
+        };
+
+        // Execute: a reply tagged with another phase is ignored, and the
+        // attempt carries on; an unknown request index is a lost round
+        // trip (retryable abort); once done, every reply is a no-op.
+        let mut c = cl.open_client();
+        let (mut op, step) = c.begin(vec![0, 1], vec![(0, vec![1; 32])]);
+        assert_eq!(step.send.len(), 2);
+        for phase in [PH_PREPARE, PH_COMMIT, 9] {
+            let s = op.on_reply(&mut c, phase, 0, chain_of(2));
+            assert!(s.done.is_none() && s.send.is_empty() && s.background.is_empty());
+        }
+        let (shard, phase, idx, req) = step.send[0].clone();
+        let s = op.on_reply(
+            &mut c,
+            phase,
+            idx,
+            execute_local(cl.shard(shard).server(), &req),
+        );
+        assert!(s.done.is_none(), "first of two execution replies");
+        assert_eq!(op.values().len(), 1);
+        let s = op.on_reply(&mut c, PH_EXEC, 2, chain_of(2));
+        assert_eq!(s.done, Some(TxOutcome::Aborted), "index past the requests");
+        for (phase, idx) in [(PH_EXEC, 0), (PH_EXEC, 1), (PH_PREPARE, 0), (PH_COMMIT, 7)] {
+            let s = op.on_reply(&mut c, phase, idx, chain_of(2));
+            assert!(s.done.is_none() && s.send.is_empty() && s.background.is_empty());
+        }
+
+        // Execute: a chain reply missing its results is a failure.
+        let (mut op, step) = c.begin(vec![2], vec![]);
+        let s = op.on_reply(&mut c, PH_EXEC, step.send[0].2, chain_of(0));
+        assert_eq!(s.done, Some(TxOutcome::Failed("execution slot read error")));
+
+        // Prepare: a truncated chain reply aborts with the cleanup of
+        // whatever was already validated; commit: an unknown index and a
+        // truncated reply are both indeterminate.
+        let (mut op, step) = c.begin(vec![3], vec![(3, vec![2; 32])]);
+        let prepare = drive_until(&cl, &mut c, &mut op, step, sends_phase(PH_PREPARE)).unwrap();
+        let s = op.on_reply(&mut c, PH_PREPARE, prepare.send[0].2, chain_of(1));
+        assert_eq!(s.done, Some(TxOutcome::Aborted));
+
+        // (Each case on its own key: the attempt it abandons leaves that
+        // key's prepare dangling.)
+        for (garbled_index, key) in [(true, 4), (false, 6)] {
+            let (mut op, step) = c.begin(vec![key], vec![(key, vec![3; 32])]);
+            let commit = drive_until(&cl, &mut c, &mut op, step, sends_phase(PH_COMMIT)).unwrap();
+            let s = if garbled_index {
+                op.on_reply(&mut c, PH_COMMIT, u32::MAX, chain_of(4))
+            } else {
+                op.on_reply(&mut c, PH_COMMIT, commit.send[0].2, chain_of(2))
+            };
+            assert_eq!(s.done, Some(TxOutcome::Failed("commit reply lost")));
+        }
+    }
+
+    #[test]
+    fn finished_attempts_hand_their_lists_back_to_the_client() {
+        let cl = cluster(2, 8);
+        let mut c = cl.open_client();
+        assert_eq!(c.spare.reqs.capacity(), 0);
+        commit_write(&cl, &mut c, 1, vec![1; 32]);
+        let lists = |w: &WorkLists| {
+            (
+                w.reads.len() + w.prep.len() + w.reqs.len() + w.write_checked.len(),
+                [
+                    w.reads.capacity(),
+                    w.prep.capacity(),
+                    w.reqs.capacity(),
+                    w.write_checked.capacity(),
+                ],
+            )
+        };
+        let (len, caps) = lists(&c.spare);
+        assert_eq!(len, 0, "handed back empty");
+        assert!(caps.iter().all(|&cap| cap > 0), "with storage: {caps:?}");
+
+        // The next attempt runs on that storage, and an abort (here a
+        // lost execution reply) hands it back like a commit does.
+        let (mut op, step) = c.begin(vec![0, 1], vec![(1, vec![2; 32])]);
+        assert_eq!(lists(&c.spare), (0, [0; 4]), "taken by the attempt");
+        assert_eq!(lists(&op.work).1[1..], caps[1..]);
+        let timeout = Reply::Verb(Err(prism_rdma::RdmaError::ReceiverNotReady));
+        let s = op.on_reply(&mut c, PH_EXEC, step.send[0].2, timeout);
+        assert_eq!(s.done, Some(TxOutcome::Aborted));
+        assert_eq!(lists(&c.spare).0, 0);
+        assert!(c.spare.reads.capacity() >= 2);
     }
 }

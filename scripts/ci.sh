@@ -45,8 +45,10 @@
 #   7. bench smoke        — substrate benches at 50 ms/bench, so a perf
 #                           regression that breaks the bench harness (or
 #                           an arena change that deadlocks it) fails CI;
-#                           includes crc32/{8,64,530,4096}/{kernel,table}
-#                           and the wire/*_530 frame encoders
+#                           includes crc32/{8,64,530,4096}/{kernel,table},
+#                           the wire/*_530 frame encoders,
+#                           workload/zipf_new_262144/{miss,hit} and
+#                           tx/rmw_txn_local
 #   8. cargo fmt --check  — skipped with a notice if rustfmt is absent
 #   9. cargo clippy       — -D warnings; skipped with a notice if
 #                           clippy is not installed

@@ -1,0 +1,130 @@
+//! Same-seed replay of the transaction systems where a transaction
+//! spans shards: four shards, four keys per transaction, sixteen
+//! closed-loop clients over a skewed key space (so attempts abort, back
+//! off and retry). Each phase of an attempt sends one request per shard
+//! it touches; the order of those sends decides the order of simulated
+//! events, so it must be a function of the transaction — never of a
+//! hash map's per-process iteration order. Two runs in one process must
+//! agree on every field of [`RunResult`], floats by bit pattern — on a
+//! pristine fabric, and on a lossy, jittery one, where every send draws
+//! from its client's fault stream in send order, so that two sends
+//! swapped within one instant change which of them is dropped.
+
+use std::sync::Arc;
+
+use prism_harness::adapters::{FarmAdapter, PrismTxAdapter};
+use prism_harness::netsim::{run_closed_loop, ProtoAdapter, RunResult, VerbPath};
+use prism_simnet::fault::FaultPlan;
+use prism_simnet::latency::CostModel;
+use prism_simnet::rng::SimRng;
+use prism_simnet::time::SimDuration;
+use prism_tx::farm::{FarmCluster, FarmConfig};
+use prism_tx::prism_tx::{TxCluster, TxConfig};
+use prism_workload::{KeyDist, TxnGen};
+
+mod support;
+use support::{metrics_key, seed_or};
+
+const SHARDS: usize = 4;
+const KEYS: u64 = 4_096;
+const VALUE: usize = 64;
+const KEYS_PER_TXN: usize = 4;
+const CLIENTS: usize = 16;
+const WARMUP: SimDuration = SimDuration::from_nanos(200_000);
+const MEASURE: SimDuration = SimDuration::from_nanos(2_000_000);
+
+fn txn_gen(seed: u64, client: usize) -> TxnGen {
+    TxnGen::new(
+        KeyDist::zipf(KEYS, 0.9),
+        KEYS_PER_TXN,
+        VALUE,
+        SimRng::new(seed ^ ((client as u64 + 1) * 31)),
+    )
+}
+
+/// The two fabrics every replay is checked on.
+fn fabrics(seed: u64) -> [FaultPlan; 2] {
+    [
+        FaultPlan::default(),
+        FaultPlan::seeded(seed)
+            .with_timeout(SimDuration::micros(60))
+            .with_loss(0.02, 0.01)
+            .with_jitter(500),
+    ]
+}
+
+fn run(
+    servers: &[Arc<prism_core::PrismServer>],
+    seed: u64,
+    faults: &FaultPlan,
+    mk_adapter: &mut dyn FnMut(usize) -> Box<dyn ProtoAdapter>,
+) -> RunResult {
+    let r = run_closed_loop(
+        servers,
+        &CostModel::testbed(),
+        VerbPath::Nic,
+        CLIENTS,
+        mk_adapter,
+        WARMUP,
+        MEASURE,
+        seed,
+        faults,
+    );
+    assert!(r.tput_ops > 0.0, "run made no progress: {r:?}");
+    assert!(r.backoffs > 0, "skew must make attempts abort: {r:?}");
+    r
+}
+
+fn prism_tx_run(seed: u64, faults: &FaultPlan) -> RunResult {
+    let mut config = TxConfig::paper(KEYS / SHARDS as u64, VALUE as u64);
+    config.spare_buffers += 4_096;
+    let cluster = TxCluster::new(SHARDS, &config);
+    let servers: Vec<_> = (0..SHARDS)
+        .map(|s| Arc::clone(cluster.shard(s).server()))
+        .collect();
+    run(&servers, seed, faults, &mut |i| {
+        Box::new(PrismTxAdapter::new(cluster.open_client(), txn_gen(seed, i)))
+    })
+}
+
+fn farm_run(seed: u64, faults: &FaultPlan) -> RunResult {
+    let cluster = FarmCluster::new(
+        SHARDS,
+        &FarmConfig {
+            keys_per_shard: KEYS / SHARDS as u64,
+            value_len: VALUE as u64,
+        },
+    );
+    let servers: Vec<_> = (0..SHARDS)
+        .map(|s| Arc::clone(cluster.shard(s).server()))
+        .collect();
+    run(&servers, seed, faults, &mut |i| {
+        Box::new(FarmAdapter::new(cluster.open_client(), txn_gen(seed, i)))
+    })
+}
+
+#[test]
+fn multi_shard_prism_tx_replays_bit_exactly() {
+    let seed = seed_or(0x7A_17);
+    for faults in &fabrics(seed) {
+        assert_eq!(
+            metrics_key(&prism_tx_run(seed, faults)),
+            metrics_key(&prism_tx_run(seed, faults)),
+            "same seed, same process, different PRISM-TX run (lossy: {})",
+            !faults.is_noop()
+        );
+    }
+}
+
+/// The FaRM baseline has no loss handling (a timed-out RPC panics its
+/// state machine), so it replays on the pristine fabric only.
+#[test]
+fn multi_shard_farm_replays_bit_exactly() {
+    let seed = seed_or(0x7A_18);
+    let faults = FaultPlan::default();
+    assert_eq!(
+        metrics_key(&farm_run(seed, &faults)),
+        metrics_key(&farm_run(seed, &faults)),
+        "same seed, same process, different FaRM run"
+    );
+}
