@@ -17,7 +17,7 @@ use prism_rs::RsOutcome;
 use prism_simnet::rng::SimRng;
 
 mod support;
-use support::seed_or;
+use support::{replay_records, seed_or};
 
 /// 12 blocks with the default barrier cadence of 8 leaves a 4-record
 /// unsynced tail on every replica — enough sealed history to replay and
@@ -246,17 +246,17 @@ fn replay_cost(seed: u64, rounds: u64, checkpointed: bool) -> (usize, u64) {
             store.checkpoint(&fold);
         }
     }
-    let r = store.replay();
+    let (r, records) = replay_records(&store);
     // Replay must land on the same last-wins state either way.
     let mut folded: BTreeMap<u64, &Record> = BTreeMap::new();
-    for rec in &r.records {
+    for rec in &records {
         folded.insert(rec.key, rec);
     }
     assert_eq!(folded.len(), latest.len(), "replay state must match");
     for (k, want) in &latest {
         assert_eq!(folded[k].payload, want.payload, "key {k} diverged");
     }
-    (r.records.len(), r.segments_skipped)
+    (records.len(), r.segments_skipped)
 }
 
 #[test]

@@ -17,6 +17,9 @@ use prism_store::segment::{
 use prism_store::{Record, SealedSeg, SegmentStore, SimDisk};
 use prism_testkit::{for_all, gens, Config, Gen};
 
+mod support;
+use support::{disk_image_fingerprint, replay_records};
+
 /// An arbitrary record, biased toward small payloads (empty included —
 /// that is the DELETE / fence shape the servers actually log).
 fn arb_record() -> Gen<Record> {
@@ -201,9 +204,9 @@ fn replay_of_vandalized_logs_never_yields_foreign_records() {
                     break;
                 }
             }
-            let replay = store.replay();
+            let (_, survivors) = replay_records(&store);
             let mut it = recs.iter();
-            for got in &replay.records {
+            for got in &survivors {
                 // Every survivor matches the next appended record: no
                 // reordering, no invention, no tail past a bad frame.
                 assert!(
@@ -273,7 +276,10 @@ fn manifest_on_disk_equals_its_encoding_after_every_step() {
                     }
                     Step::TearReplay(seed) => {
                         disk.tear_tail(&mut SimRng::new(*seed));
-                        assert!(store.replay().manifest_ok, "step {i}: manifest lost");
+                        assert!(
+                            replay_records(&store).0.manifest_ok,
+                            "step {i}: manifest lost"
+                        );
                     }
                     Step::Wipe => {
                         store.wipe();
@@ -328,26 +334,6 @@ fn write_traffic_is_linear_in_log_bytes() {
     }
 }
 
-/// FNV-1a over every file's name, length, synced watermark and bytes,
-/// in name order: the whole observable state of a [`SimDisk`].
-fn disk_image_fingerprint(disk: &SimDisk) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    for name in disk.list("") {
-        let bytes = disk.read(&name).expect("listed file reads");
-        let synced = disk.synced(&name).expect("listed file has a watermark");
-        eat(name.as_bytes());
-        eat(&(bytes.len() as u64).to_le_bytes());
-        eat(&(synced as u64).to_le_bytes());
-        eat(&bytes);
-    }
-    h
-}
-
 /// Golden disk image: a fixed seeded script (seals, one checkpoint, one
 /// torn replay, an unsynced tail at the end) must leave every file on
 /// the disk byte for byte what the whole-manifest-rewrite store left.
@@ -375,14 +361,14 @@ fn golden_disk_image_is_byte_identical() {
     append(60);
     store.barrier();
     let mut latest = std::collections::BTreeMap::new();
-    for r in store.replay().records {
+    for r in replay_records(&store).1 {
         latest.insert(r.key, r);
     }
     let fold: Vec<Record> = latest.into_values().collect();
     store.checkpoint(&fold);
     append(33);
     assert!(disk.tear_tail(&mut SimRng::new(9)) > 0, "the script tears");
-    let torn = store.replay();
+    let (torn, _) = replay_records(&store);
     assert!(torn.segments_truncated > 0 && torn.segments_skipped > 0);
     append(27);
     assert!(store.sealed().len() > 10, "the script seals");

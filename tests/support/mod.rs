@@ -1,7 +1,9 @@
 //! Helpers shared by the gate suites (`chaos_gate`, `gray_gate`,
-//! `durability_gate`, `openloop_smoke`): the seed override, the replay
-//! fingerprints, the one-line counter dump, and the minimal retrying
-//! read adapter. Each suite is its own crate and uses a subset.
+//! `durability_gate`, `openloop_smoke`, `store_properties`,
+//! `golden_recovery`): the seed override, the replay fingerprints, the
+//! one-line counter dump, the minimal retrying read adapter, and the
+//! durable tier's record collector and disk fingerprint. Each suite is
+//! its own crate and uses a subset.
 #![allow(dead_code)]
 
 use prism_core::builder::ops;
@@ -10,6 +12,7 @@ use prism_harness::netsim::{AdapterStep, Outbound, ProtoAdapter, RunResult};
 use prism_harness::openloop::OpenLoopResult;
 use prism_simnet::rng::SimRng;
 use prism_simnet::time::SimDuration;
+use prism_store::{Record, Replay, SegmentStore, SimDisk};
 
 /// Per-test seed; `PRISM_TEST_SEED=<n>` perturbs every scenario (each
 /// keeps a distinct XOR base) so CI exercises the gates — including
@@ -20,6 +23,35 @@ pub fn seed_or(base: u64) -> u64 {
         .and_then(|s| s.parse::<u64>().ok())
         .map(|s| s ^ base)
         .unwrap_or(base)
+}
+
+/// Replays `store` and copies out every record it yields, in order —
+/// for tests that check what a log holds. (The servers fold the records
+/// where they lie; only tests keep them.)
+pub fn replay_records(store: &SegmentStore) -> (Replay, Vec<Record>) {
+    let mut replay = store.replay();
+    let records = std::mem::take(&mut replay.records);
+    (replay, records)
+}
+
+/// FNV-1a over every file's name, length, synced watermark and bytes,
+/// in name order: the whole observable state of a [`SimDisk`].
+pub fn disk_image_fingerprint(disk: &SimDisk) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    for name in disk.list("") {
+        let bytes = disk.read(&name).expect("listed file reads");
+        let synced = disk.synced(&name).expect("listed file has a watermark");
+        eat(name.as_bytes());
+        eat(&(bytes.len() as u64).to_le_bytes());
+        eat(&(synced as u64).to_le_bytes());
+        eat(&bytes);
+    }
+    h
 }
 
 /// The closed-loop replay fingerprint: every field of [`RunResult`],
