@@ -403,10 +403,7 @@ impl PrismEngine {
     fn freelists_repush(&self, id: crate::op::FreeListId, addr: u64) {
         // Engine-internal undo path; bypasses the write gate on purpose
         // (we are the in-flight NIC operation).
-        if let Some(len) = self.freelists.buf_len(id) {
-            let _ = len;
-            self.freelists.repush_internal(id, addr);
-        }
+        self.freelists.repush_internal(id, addr);
     }
 
     #[allow(clippy::too_many_arguments)]

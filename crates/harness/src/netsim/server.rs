@@ -186,13 +186,13 @@ impl ServerActor {
                 VerbPath::Cpu => {
                     // Executed like a 1-op chain on a dispatch core.
                     let occ = m.prism_chain_occupancy(1);
-                    (m.host_dma, Some(occ), sw_latency(m, 1) - occ)
+                    (m.host_dma, Some(occ), sw_latency(1) - occ)
                 }
             },
             Request::Chain(c) => {
                 let n = c.len().max(1) as u64;
                 let occ = m.prism_chain_occupancy(n);
-                (m.host_dma, Some(occ), sw_latency(m, n) - occ)
+                (m.host_dma, Some(occ), sw_latency(n) - occ)
             }
             Request::Rpc(_) => (m.host_dma, Some(m.rpc_core_occupancy), m.rpc_dispatch),
             Request::Batch(reqs) => {
@@ -253,28 +253,25 @@ impl ServerActor {
 }
 
 /// Total software execution latency of an `n`-op chain: the calibrated
-/// single-primitive cost (≈2.5 µs, §4.3) plus [`sw_per_op`] for each
+/// single-primitive cost (≈2.5 µs, §4.3) plus [`SW_PER_OP`] for each
 /// additional op.
-fn sw_latency(m: &CostModel, n: u64) -> SimDuration {
-    sw_dispatch(m) + sw_per_op(m) * n
+fn sw_latency(n: u64) -> SimDuration {
+    sw_dispatch() + SW_PER_OP * n
 }
 
 /// Dispatch overhead of the software data plane; together with one
-/// [`sw_per_op`] this equals the calibrated single-primitive execution
+/// [`SW_PER_OP`] this equals the calibrated single-primitive execution
 /// cost (≈2.5 µs, §4.3).
-fn sw_dispatch(m: &CostModel) -> SimDuration {
+fn sw_dispatch() -> SimDuration {
     let single = SimDuration::from_nanos(2_500);
-    single - sw_per_op(m)
+    single - SW_PER_OP
 }
 
 /// Marginal cost of each additional chained primitive: small, because a
 /// chain shares one dispatch through the software data plane — the bulk
 /// of the 2.5 us single-primitive cost (§4.3) is per-request, not
 /// per-op.
-fn sw_per_op(m: &CostModel) -> SimDuration {
-    let _ = m;
-    SimDuration::from_nanos(150)
-}
+const SW_PER_OP: SimDuration = SimDuration::from_nanos(150);
 
 impl Actor<SimMsg> for ServerActor {
     fn on_start(&mut self, ctx: &mut Context<'_, SimMsg>) {

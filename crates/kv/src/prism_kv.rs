@@ -36,7 +36,7 @@ use prism_core::value::CasMode;
 use prism_core::{ChainObserver, OpResult, OpStatus, PrismOp, PrismServer};
 use prism_rdma::region::{AccessFlags, Rkey};
 use prism_rdma::RdmaError;
-use prism_store::{DurableStats, SegmentStore, SimDisk};
+use prism_store::{DurableStats, PayloadRef, SegmentStore, SimDisk};
 
 use crate::entry;
 use crate::hash::HashScheme;
@@ -211,6 +211,15 @@ impl ChainObserver for KvDurableTap {
             self.store.barrier();
         }
     }
+}
+
+/// Reads an install record's payload as [`KvDurableTap`] wrote it: the
+/// buffer address, the raw slot word it leads, and the entry image.
+/// The payload must be longer than a slot word.
+fn split_install(payload: &[u8]) -> (u64, &[u8], &[u8]) {
+    let (word, image) = payload.split_at(SLOT as usize);
+    let ptr = u64::from_le_bytes(word[..8].try_into().expect("8 bytes"));
+    (ptr, word, image)
 }
 
 /// The PRISM-KV server: a [`PrismServer`] with the store's layout,
@@ -495,35 +504,50 @@ impl PrismKvServer {
     pub fn amnesia_restart(&self) -> u64 {
         let inc = self.server.amnesia_restart();
 
-        // Replay the log, folding last-record-wins per slot: an empty
-        // payload is a DELETE (the slot stays null — this is also what
-        // keeps keys fenced by a `migrate_grow` from resurrecting), and
-        // an install record is the slot word plus the entry image. The
-        // entry carries its own checksum; a payload the segment CRC
-        // passed but the entry check rejects (e.g. rot landed between
-        // the two on a real disk) is dropped, not installed.
-        let replay = self.store.replay();
+        // Replay the log, folding last-record-wins per slot into one
+        // handle per slot — the records stay where they lie on disk and
+        // are never copied. An empty payload is a DELETE (the slot stays
+        // null — this is also what keeps keys fenced by a `migrate_grow`
+        // from resurrecting), one too short to hold a slot word is
+        // malformed, and an install record is the slot word plus the
+        // entry image.
+        let mut last: Vec<Option<PayloadRef>> = vec![None; self.view.capacity as usize];
+        let replay = self.store.replay(|rec, at| {
+            let slot = usize::try_from(rec.key).ok().and_then(|k| last.get_mut(k));
+            if let Some(slot) = slot {
+                *slot = (rec.payload.len() > SLOT as usize).then_some(at);
+            }
+        });
         self.durable
             .add_segments_truncated(replay.segments_truncated);
-        let mut last: std::collections::BTreeMap<u64, &[u8]> = std::collections::BTreeMap::new();
-        for rec in &replay.records {
-            if rec.key < self.view.capacity {
-                last.insert(rec.key, &rec.payload);
+
+        // Validate each slot's winner. The entry carries its own
+        // checksum; a payload the segment CRC passed but the entry check
+        // rejects (e.g. rot landed between the two on a real disk) is
+        // dropped, not installed. What survives is every buffer address
+        // still occupied and, for the few entries that had been
+        // installed in carved-extent space, their image lengths.
+        let pools_end = self.pools.0 + self.pools.1;
+        let mut live_ptrs: Vec<u64> = Vec::new();
+        let mut carved: Vec<(u64, u64)> = Vec::new();
+        for slot in last.iter_mut() {
+            let Some(at) = *slot else { continue };
+            let valid = self.store.with_payload(at, |payload| {
+                let (ptr, _, image) = split_install(payload);
+                (ptr != 0 && entry::decode_verified(image).is_ok())
+                    .then_some((ptr, image.len() as u64))
+            });
+            match valid.flatten() {
+                Some((ptr, image_len)) => {
+                    live_ptrs.push(ptr);
+                    if ptr >= pools_end {
+                        carved.push((ptr, image_len));
+                    }
+                }
+                None => *slot = None,
             }
         }
-        let mut live: Vec<(u64, u64, u64, &[u8])> = Vec::new();
-        for (&slot, payload) in &last {
-            if payload.len() <= SLOT as usize {
-                continue; // deleted (empty) or malformed (short)
-            }
-            let ptr = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-            let bound = u64::from_le_bytes(payload[8..16].try_into().expect("8 bytes"));
-            let image = &payload[SLOT as usize..];
-            if ptr == 0 || entry::decode_verified(image).is_err() {
-                continue;
-            }
-            live.push((slot, ptr, bound, image));
-        }
+        live_ptrs.sort_unstable();
 
         // Allocator reset, minus the replayed buffers: the initial class
         // pools go back on their free lists except addresses live
@@ -533,8 +557,6 @@ impl PrismKvServer {
         // carve over it. The pre-crash queue contents described
         // ownership that no longer exists.
         {
-            let live_ptrs: std::collections::HashSet<u64> =
-                live.iter().map(|&(_, p, _, _)| p).collect();
             let mut ranges = self.ranges.lock();
             ranges.truncate(self.view.classes.len());
             for r in ranges.iter() {
@@ -542,36 +564,38 @@ impl PrismKvServer {
                     r.id,
                     (0..r.count)
                         .map(|j| r.base + j * r.stride)
-                        .filter(|a| !live_ptrs.contains(a)),
+                        .filter(|a| live_ptrs.binary_search(a).is_err()),
                 );
             }
             let mut hr = self.headroom.lock();
-            hr.0 = self.pools.0 + self.pools.1;
-            for &(_, p, _, image) in &live {
-                if p >= hr.0 {
-                    let stride = self
-                        .view
-                        .class_for(image.len() as u64)
-                        .and_then(|id| ranges.iter().find(|r| r.id == id).map(|r| r.stride))
-                        .unwrap_or(image.len() as u64);
-                    hr.0 = hr.0.max((p + stride).next_multiple_of(64));
-                }
+            hr.0 = pools_end;
+            for &(p, image_len) in &carved {
+                let stride = self
+                    .view
+                    .class_for(image_len)
+                    .and_then(|id| ranges.iter().find(|r| r.id == id).map(|r| r.stride))
+                    .unwrap_or(image_len);
+                hr.0 = hr.0.max((p + stride).next_multiple_of(64));
             }
         }
 
+        // Install the survivors in slot order, straight from the log's
+        // bytes to the address each was acknowledged at.
         let mut replayed = 0u64;
         let arena = self.server.arena();
-        for (slot, ptr, bound, image) in live {
-            if arena.write(ptr, image).is_err() {
-                continue; // pointer outside the arena: damage, not data
-            }
-            let mut sw = Vec::with_capacity(SLOT as usize);
-            sw.extend_from_slice(&ptr.to_le_bytes());
-            sw.extend_from_slice(&bound.to_le_bytes());
-            arena
-                .write(self.view.slot_addr(slot), &sw)
-                .expect("slot in arena");
-            replayed += 1;
+        for (slot, at) in last.iter().enumerate() {
+            let Some(at) = *at else { continue };
+            let installed = self.store.with_payload(at, |payload| {
+                let (ptr, word, image) = split_install(payload);
+                if arena.write(ptr, image).is_err() {
+                    return false; // pointer outside the arena: damage, not data
+                }
+                arena
+                    .write(self.view.slot_addr(slot as u64), word)
+                    .expect("slot in arena");
+                true
+            });
+            replayed += u64::from(installed == Some(true));
         }
         self.durable.add_replayed(replayed);
         // Recovery is control-plane: everything it rewrote is synced.

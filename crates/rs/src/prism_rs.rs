@@ -42,7 +42,7 @@ use prism_core::server::ChainObserver;
 use prism_core::value::CasMode;
 use prism_core::{OpResult, OpStatus, PrismOp, PrismServer};
 use prism_rdma::region::AccessFlags;
-use prism_store::{DurableStats, Record, SegmentStore, SimDisk};
+use prism_store::{DurableStats, PayloadRef, Record, SegmentStore, SimDisk};
 
 use crate::tag::Tag;
 
@@ -485,43 +485,68 @@ impl RsCluster {
         // and folds the survivors last-tag-wins per block. A corrupt
         // frame is *never* applied — whatever it covered is healed from
         // peers below.
-        let replay = r.store.replay();
-        self.durable
-            .add_segments_truncated(replay.segments_truncated);
+        //
+        // The fold runs inside replay's visitor over records lent from
+        // the disk, and keeps per block the highest tag seen and where
+        // its image lies: `Seed` for the fresh-boot version, `Fence` for
+        // a migration fence (empty-payload record: the block's home
+        // moved, nothing may resurrect it).
+        #[derive(Clone, Copy)]
+        enum Won {
+            Seed,
+            Fence,
+            Image(PayloadRef),
+        }
         let nb = r.view.n_blocks as usize;
-        // Per-block recovered state: `(tag, Some(value))`, or
-        // `(Tag::MAX, None)` for a migration fence (empty-payload
-        // record: the block's home moved, nothing may resurrect it).
-        let mut local: Vec<(Tag, Option<Vec<u8>>)> =
-            vec![(Tag::ZERO, Some(vec![0u8; r.view.block_size as usize])); nb];
+        let mut fold = vec![(Tag::ZERO, Won::Seed); nb];
         let mut replayed = 0u64;
-        for rec in &replay.records {
-            let Some(slot) = local.get_mut(rec.key as usize) else {
-                continue;
+        let replay = r.store.replay(|rec, at| {
+            let block = usize::try_from(rec.key).ok();
+            let Some(slot) = block.and_then(|b| fold.get_mut(b)) else {
+                return;
             };
             if rec.payload.is_empty() {
                 // Fence record from a migrate_grow: permanently wins.
                 // Anything logged for this block before (or after, at a
                 // stale epoch) cannot beat Tag::MAX, so fenced data
                 // never resurrects through replay.
-                *slot = (Tag::MAX, None);
+                *slot = (Tag::MAX, Won::Fence);
                 replayed += 1;
-                continue;
+                return;
             }
             // The block image carries its own tag-bound checksum; a
             // payload the segment CRC passed but the image check
             // rejects (e.g. rot landed between the two on a real disk)
             // is dropped, not installed.
-            if !block_crc_ok(&rec.payload) {
-                continue;
+            if !block_crc_ok(rec.payload) {
+                return;
             }
             let tag = Tag::from_bytes(&rec.payload[..8]);
             if tag > slot.0 {
-                *slot = (tag, Some(rec.payload[BUF_HDR as usize..].to_vec()));
+                *slot = (tag, Won::Image(at));
                 replayed += 1;
             }
-        }
+        });
+        self.durable
+            .add_segments_truncated(replay.segments_truncated);
         self.durable.add_replayed(replayed);
+        // Only each block's winning image is copied out of the log —
+        // all of them before phase 2 appends to it.
+        let local: Vec<(Tag, Option<Vec<u8>>)> = fold
+            .into_iter()
+            .map(|(tag, won)| {
+                let value = match won {
+                    Won::Seed => Some(vec![0u8; r.view.block_size as usize]),
+                    Won::Fence => None,
+                    Won::Image(at) => Some(
+                        r.store
+                            .with_payload(at, |image| image[BUF_HDR as usize..].to_vec())
+                            .expect("the log is untouched since replay lent this record"),
+                    ),
+                };
+                (tag, value)
+            })
+            .collect();
 
         // Phase 2 — delta resync. Probe every peer's 16-byte metadata
         // entry (cheap tag traffic), but fetch the full buffer only for
@@ -529,8 +554,8 @@ impl RsCluster {
         // mark. With an intact log this is the handful of writes that
         // landed after the last barrier — orders of magnitude less
         // traffic than the old full resync, which fetched every block.
-        for b in 0..nb as u64 {
-            let (mut best_tag, mut best_val) = local[b as usize].clone();
+        for (b, (mut best_tag, mut best_val)) in local.into_iter().enumerate() {
+            let b = b as u64;
             let mut from_peer = false;
             for (j, peer) in self.replicas.iter().enumerate() {
                 if j == i {

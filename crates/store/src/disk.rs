@@ -36,9 +36,17 @@ impl DiskFile {
 /// An open file of a [`SimDisk`]: what a name resolves to, so a writer
 /// that keeps appending to one file pays the name lookup once. A handle
 /// dies with [`SimDisk::remove`]; operations through a dead handle are
-/// no-ops, exactly like operations on a missing name.
+/// no-ops, exactly like operations on a missing name. Four bytes wide,
+/// so a record's position on disk (file, offset, length) packs into
+/// sixteen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FileId(usize);
+pub struct FileId(u32);
+
+impl FileId {
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 #[derive(Default)]
 struct Files {
@@ -46,31 +54,31 @@ struct Files {
     /// index is never reused, so a stale handle cannot alias a newer
     /// file.
     slab: Vec<Option<DiskFile>>,
-    /// Name to slab index. Everything that visits "every file" walks
-    /// this map, which is what keeps list, tear and rot in name order.
-    by_name: BTreeMap<String, usize>,
+    /// Name to handle. Everything that visits "every file" walks this
+    /// map, which is what keeps list, tear and rot in name order.
+    by_name: BTreeMap<String, FileId>,
     bytes_written: u64,
 }
 
 impl Files {
     fn at(&mut self, id: FileId) -> Option<&mut DiskFile> {
-        self.slab.get_mut(id.0)?.as_mut()
+        self.slab.get_mut(id.index())?.as_mut()
     }
 
     fn named(&mut self, name: &str) -> Option<&mut DiskFile> {
         let id = *self.by_name.get(name)?;
-        self.slab[id].as_mut()
+        self.at(id)
     }
 
     /// Resolves `name`, creating the file empty if needed.
     fn open(&mut self, name: &str) -> FileId {
         if let Some(&id) = self.by_name.get(name) {
-            return FileId(id);
+            return id;
         }
-        let id = self.slab.len();
+        let id = FileId(u32::try_from(self.slab.len()).expect("fewer than 2^32 files ever"));
         self.slab.push(Some(DiskFile::default()));
         self.by_name.insert(name.to_string(), id);
-        FileId(id)
+        id
     }
 }
 
@@ -224,7 +232,7 @@ impl SimDisk {
     pub fn remove(&self, name: &str) {
         let mut files = self.lock();
         if let Some(id) = files.by_name.remove(name) {
-            files.slab[id] = None;
+            files.slab[id.index()] = None;
         }
     }
 
@@ -244,7 +252,7 @@ impl SimDisk {
             if !name.starts_with(prefix) {
                 break;
             }
-            f(name, FileId(id));
+            f(name, id);
         }
     }
 
@@ -257,7 +265,7 @@ impl SimDisk {
         let Files { slab, by_name, .. } = &mut *files;
         let mut dropped = 0u64;
         for &id in by_name.values() {
-            let f = slab[id].as_mut().expect("named files are live");
+            let f = slab[id.index()].as_mut().expect("named files are live");
             let unsynced = f.bytes.len() - f.synced;
             if unsynced == 0 {
                 continue;
@@ -287,7 +295,7 @@ impl SimDisk {
             let mut at = rng.gen_range(total as u64) as usize;
             let bit = rng.gen_range(8) as u8;
             for &id in by_name.values() {
-                let f = slab[id].as_mut().expect("named files are live");
+                let f = slab[id.index()].as_mut().expect("named files are live");
                 if at < f.bytes.len() {
                     f.bytes[at] ^= 1 << bit;
                     applied += 1;

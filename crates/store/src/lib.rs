@@ -16,9 +16,11 @@
 //!   manifest listing sealed segments. Every decode failure is a typed
 //!   [`StoreError`]; no input panics or silently passes.
 //! * [`SegmentStore`] — append / barrier / replay over a set of
-//!   segment files. Replay stops at the first torn or corrupt frame of
-//!   each segment, truncates that tail, and rebuilds the manifest from
-//!   what actually survived.
+//!   segment files. Replay streams every valid record to a visitor as
+//!   a [`RecordView`] borrowed from the disk's own bytes (plus a
+//!   [`PayloadRef`] to find the payload again), stops at the first torn
+//!   or corrupt frame of each segment, truncates that tail, and
+//!   rebuilds the manifest from what actually survived.
 //! * [`DurableStats`] — shared counters (`replayed`, `delta_resynced`,
 //!   `segments_truncated`) the harness folds into `RunResult` to prove
 //!   the recovery-traffic cut.
@@ -30,5 +32,5 @@ pub mod segment;
 pub mod store;
 
 pub use disk::{FileId, SimDisk};
-pub use segment::{Manifest, Record, SealedSeg, StoreError};
-pub use store::{DurableStats, Replay, SegmentStore};
+pub use segment::{Manifest, Record, RecordView, SealedSeg, StoreError};
+pub use store::{DurableStats, PayloadRef, Replay, SegmentStore};

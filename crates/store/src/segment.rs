@@ -44,8 +44,10 @@ pub const MANIFEST_MAGIC: &[u8; 8] = b"PRSMMAN1";
 pub const VERSION: u16 = 1;
 /// Fixed header length (magic + version + flags + reserved + CRC).
 pub const HEADER_LEN: usize = 20;
-/// Record frame overhead: len + epoch + inc + key prefix plus the CRC.
-pub const FRAME_OVERHEAD: usize = 4 + 8 + 8 + 8 + 4;
+/// Bytes of a record frame ahead of its payload: len + epoch + inc + key.
+pub const PAYLOAD_OFFSET: usize = 4 + 8 + 8 + 8;
+/// Record frame overhead: the prefix ahead of the payload plus the CRC.
+pub const FRAME_OVERHEAD: usize = PAYLOAD_OFFSET + 4;
 /// Ceiling on a record payload; a corrupted length field past this is
 /// rejected as [`StoreError::RecordOverrun`] instead of driving a huge
 /// allocation.
@@ -118,6 +120,30 @@ pub struct Record {
     /// Application payload (self-verifying entry or block image; empty
     /// payloads are tombstones/fences by caller convention).
     pub payload: Vec<u8>,
+}
+
+/// One valid record frame read where it lies: the header fields by
+/// value, the payload borrowed from the bytes the frame was decoded
+/// from. What replay hands its visitor — a server folds and installs
+/// from this without owning a copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordView<'a> {
+    pub epoch: u64,
+    pub inc: u64,
+    pub key: u64,
+    pub payload: &'a [u8],
+}
+
+impl RecordView<'_> {
+    /// Copies the payload out into an owned [`Record`].
+    pub fn to_record(&self) -> Record {
+        Record {
+            epoch: self.epoch,
+            inc: self.inc,
+            key: self.key,
+            payload: self.payload.to_vec(),
+        }
+    }
 }
 
 /// Manifest entry for one sealed (immutable, fully synced) segment.
@@ -202,11 +228,11 @@ pub fn encode_record_in(
     fill: impl FnOnce(&mut [u8]) -> bool,
 ) -> bool {
     let body = frame.len() - 4;
-    frame[0..4].copy_from_slice(&((body - 28) as u32).to_le_bytes());
+    frame[0..4].copy_from_slice(&((body - PAYLOAD_OFFSET) as u32).to_le_bytes());
     frame[4..12].copy_from_slice(&epoch.to_le_bytes());
     frame[12..20].copy_from_slice(&inc.to_le_bytes());
     frame[20..28].copy_from_slice(&key.to_le_bytes());
-    if !fill(&mut frame[28..body]) {
+    if !fill(&mut frame[PAYLOAD_OFFSET..body]) {
         return false;
     }
     let crc = crc32(&frame[..body]);
@@ -224,9 +250,12 @@ pub fn encode_record_into(rec: &Record, out: &mut Vec<u8>) {
     });
 }
 
-/// Decodes one record frame from the front of `bytes`, returning the
-/// record and the number of bytes consumed.
-pub fn decode_record(bytes: &[u8]) -> Result<(Record, usize), StoreError> {
+/// Validates the record frame at the front of `bytes` — length within
+/// bounds, whole frame present, CRC over everything ahead of it — and
+/// reads it in place, returning the view and the number of bytes the
+/// frame occupies. The single definition of "a valid frame": replay and
+/// [`decode_record`] both accept exactly what this accepts.
+pub fn view_record(bytes: &[u8]) -> Result<(RecordView<'_>, usize), StoreError> {
     if bytes.len() < FRAME_OVERHEAD {
         return Err(StoreError::RecordTruncated);
     }
@@ -245,14 +274,20 @@ pub fn decode_record(bytes: &[u8]) -> Result<(Record, usize), StoreError> {
         return Err(StoreError::RecordCorrupt { seen, want });
     }
     Ok((
-        Record {
+        RecordView {
             epoch: u64::from_le_bytes(bytes[4..12].try_into().unwrap()),
             inc: u64::from_le_bytes(bytes[12..20].try_into().unwrap()),
             key: u64::from_le_bytes(bytes[20..28].try_into().unwrap()),
-            payload: bytes[28..body].to_vec(),
+            payload: &bytes[PAYLOAD_OFFSET..body],
         },
         total,
     ))
+}
+
+/// Decodes one record frame from the front of `bytes` into an owned
+/// [`Record`], returning it and the number of bytes consumed.
+pub fn decode_record(bytes: &[u8]) -> Result<(Record, usize), StoreError> {
+    view_record(bytes).map(|(view, used)| (view.to_record(), used))
 }
 
 /// Encodes the full manifest file (header + entry table + checkpoint +

@@ -1,5 +1,6 @@
 //! The per-server segment store: append, barrier, replay.
 
+use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -7,9 +8,9 @@ use prism_core::crc::Crc32;
 
 use crate::disk::{FileId, SimDisk};
 use crate::segment::{
-    decode_header, decode_manifest, decode_record, encode_header, encode_manifest,
-    encode_record_in, encode_record_into, manifest_push, manifest_table_crc, Manifest, Record,
-    SealedSeg, FRAME_OVERHEAD, HEADER_LEN, SEGMENT_MAGIC,
+    decode_header, decode_manifest, encode_header, encode_manifest, encode_record_in,
+    encode_record_into, manifest_push, manifest_table_crc, view_record, Manifest, Record,
+    RecordView, SealedSeg, FRAME_OVERHEAD, HEADER_LEN, PAYLOAD_OFFSET, SEGMENT_MAGIC,
 };
 
 /// Default segment size ceiling; an append past it seals the active
@@ -61,12 +62,23 @@ impl DurableStats {
     }
 }
 
-/// What a [`SegmentStore::replay`] recovered from the local disk.
+/// Where the payload of a record that [`SegmentStore::replay`] visited
+/// lies on disk: what a fold keeps per key in place of the bytes (16
+/// bytes, and `Option` of it no more), and what
+/// [`SegmentStore::with_payload`] turns back into them. Valid until the
+/// store is next appended to, truncated, checkpointed or wiped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PayloadRef {
+    file: FileId,
+    len: u32,
+    /// Never zero: a payload lies past its segment's header.
+    off: NonZeroU64,
+}
+
+/// What a [`SegmentStore::replay`] found on the local disk, beside the
+/// records it handed its visitor.
 #[derive(Debug, Default)]
 pub struct Replay {
-    /// Valid records, in append order. Later records for the same key
-    /// supersede earlier ones (last-wins fold is the caller's).
-    pub records: Vec<Record>,
     /// Segments whose tail was cut (or whose header was unreadable) —
     /// at least one frame was torn or corrupt.
     pub segments_truncated: u64,
@@ -242,7 +254,17 @@ impl SegmentStore {
         self.disk.sync_file(inner.active);
     }
 
-    /// Replays the log from disk after an amnesia restart.
+    /// Replays the log from disk after an amnesia restart, streaming
+    /// every valid record to `visit` in append order. Later records for
+    /// the same key supersede earlier ones; the last-wins fold is the
+    /// visitor's.
+    ///
+    /// The record's payload is lent from the disk's own bytes — nothing
+    /// is copied — and comes with a [`PayloadRef`], so a fold can keep
+    /// sixteen bytes per key and read the winners back through
+    /// [`with_payload`](SegmentStore::with_payload) once the scan is
+    /// over. `visit` runs under the store's and the disk's locks and
+    /// must not call back into either.
     ///
     /// Segments are scanned in sequence order. Within each, decoding
     /// stops at the first torn or corrupt frame and the tail past the
@@ -253,7 +275,7 @@ impl SegmentStore {
     /// and is rebuilt afterwards to match what actually survived, so
     /// the next replay starts clean. Appends continue in the last
     /// surviving segment.
-    pub fn replay(&self) -> Replay {
+    pub fn replay(&self, mut visit: impl FnMut(RecordView<'_>, PayloadRef)) -> Replay {
         let mut inner = self.inner.lock().unwrap();
         let manifest: Option<Manifest> = self
             .disk
@@ -301,9 +323,15 @@ impl SegmentStore {
                 let mut off = HEADER_LEN;
                 let mut records = 0u32;
                 while off < bytes.len() {
-                    match decode_record(&bytes[off..]) {
+                    match view_record(&bytes[off..]) {
                         Ok((rec, used)) => {
-                            out.records.push(rec);
+                            let at = PayloadRef {
+                                file: id,
+                                len: rec.payload.len() as u32, // <= MAX_PAYLOAD
+                                off: NonZeroU64::new((off + PAYLOAD_OFFSET) as u64)
+                                    .expect("past the header"),
+                            };
+                            visit(rec, at);
                             off += used;
                             records += 1;
                         }
@@ -360,6 +388,20 @@ impl SegmentStore {
         inner.checkpoint = manifest.checkpoint;
         inner.write_manifest(&self.disk, &self.prefix);
         out
+    }
+
+    /// Lends `f` the payload `at` refers to, in place on the disk.
+    /// `None` when the bytes are no longer there (the handle outlived
+    /// its validity and the file shrank or went away). `f` runs under
+    /// the disk lock and must not call back into the store or the disk.
+    pub fn with_payload<R>(&self, at: PayloadRef, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        self.disk
+            .with_bytes(at.file, |bytes| {
+                let start = usize::try_from(at.off.get()).ok()?;
+                let end = start.checked_add(at.len as usize)?;
+                bytes.get(start..end).map(f)
+            })
+            .flatten()
     }
 
     /// Takes a checkpoint: seals the active segment, writes `fold` —
@@ -434,6 +476,13 @@ mod tests {
         SegmentStore::with_limit(Arc::new(SimDisk::new()), "s0", 512)
     }
 
+    /// Replays `s` and copies out every record it yields, in order.
+    fn collect(s: &SegmentStore) -> (Replay, Vec<Record>) {
+        let mut records = Vec::new();
+        let replay = s.replay(|rec, _| records.push(rec.to_record()));
+        (replay, records)
+    }
+
     #[test]
     fn append_replay_roundtrips_across_seals() {
         let s = store();
@@ -442,11 +491,11 @@ mod tests {
         }
         s.barrier();
         assert!(!s.sealed().is_empty(), "limit 512 must force seals");
-        let replay = s.replay();
-        assert_eq!(replay.records.len(), 40);
+        let (replay, records) = collect(&s);
+        assert_eq!(records.len(), 40);
         assert_eq!(replay.segments_truncated, 0);
         assert!(replay.manifest_ok);
-        for (i, r) in replay.records.iter().enumerate() {
+        for (i, r) in records.iter().enumerate() {
             assert_eq!(r.key, i as u64);
         }
     }
@@ -465,15 +514,16 @@ mod tests {
         // No barrier: records 4..7 ride in the unsynced tail.
         let mut rng = SimRng::new(3);
         assert!(s.disk().tear_tail(&mut rng) > 0);
-        let replay = s.replay();
-        assert!(replay.records.len() >= 4, "synced records must survive");
-        assert!(replay.records.len() < 7, "the tear must cost something");
-        for (i, r) in replay.records.iter().enumerate() {
+        let (replay, records) = collect(&s);
+        assert!(replay.segments_truncated > 0, "the tear is noticed");
+        assert!(records.len() >= 4, "synced records must survive");
+        assert!(records.len() < 7, "the tear must cost something");
+        for (i, r) in records.iter().enumerate() {
             assert_eq!(r.key, i as u64, "surviving prefix is in order");
         }
         // A second replay of the truncated log is clean and identical.
-        let again = s.replay();
-        assert_eq!(again.records, replay.records);
+        let (again, same) = collect(&s);
+        assert_eq!(same, records);
         assert_eq!(again.segments_truncated, 0);
     }
 
@@ -486,13 +536,42 @@ mod tests {
         s.barrier();
         let mut rng = SimRng::new(11);
         s.disk().rot(&mut rng, 4);
-        let replay = s.replay();
+        let (_, records) = collect(&s);
         // Whatever survives decodes exactly as written (CRC passed);
         // damaged frames only ever shorten the result.
-        for r in &replay.records {
+        for r in &records {
             assert_eq!(r.payload, vec![9u8; 48]);
         }
-        assert!(replay.records.len() <= 10);
+        assert!(records.len() <= 10);
+    }
+
+    #[test]
+    fn payload_refs_lead_back_to_the_visited_bytes() {
+        let s = store();
+        for i in 0..40 {
+            s.append(&rec(i, i as u8));
+        }
+        s.append(&Record {
+            payload: Vec::new(),
+            ..rec(40, 0)
+        });
+        s.barrier();
+        assert_eq!(
+            std::mem::size_of::<Option<PayloadRef>>(),
+            16,
+            "a fold keeps one of these per key"
+        );
+        let mut seen: Vec<(Vec<u8>, PayloadRef)> = Vec::new();
+        s.replay(|rec, at| seen.push((rec.payload.to_vec(), at)));
+        assert_eq!(seen.len(), 41);
+        for (payload, at) in &seen {
+            assert_eq!(s.with_payload(*at, |p| p.to_vec()).as_ref(), Some(payload));
+        }
+        // Once the bytes are gone the handle says so instead of lending
+        // whatever took their place.
+        s.wipe();
+        let (_, last) = seen[39];
+        assert_eq!(s.with_payload(last, |p| p.len()), None);
     }
 
     #[test]
@@ -502,13 +581,12 @@ mod tests {
             s.append(&rec(i, 1));
         }
         s.barrier();
-        s.replay();
+        s.replay(|_, _| {});
         for i in 5..10 {
             s.append(&rec(i, 2));
         }
         s.barrier();
-        let replay = s.replay();
-        assert_eq!(replay.records.len(), 10);
+        assert_eq!(collect(&s).1.len(), 10);
     }
 
     #[test]
@@ -518,39 +596,39 @@ mod tests {
             s.append(&rec(i % 8, i as u8));
         }
         s.barrier();
-        let full = s.replay();
-        assert_eq!(full.records.len(), 40);
+        let (full, full_records) = collect(&s);
+        assert_eq!(full_records.len(), 40);
         assert_eq!(full.segments_skipped, 0);
         // Fold: latest record per key (what a caller would checkpoint).
         let mut latest: std::collections::BTreeMap<u64, Record> = Default::default();
-        for r in &full.records {
+        for r in &full_records {
             latest.insert(r.key, r.clone());
         }
         let fold: Vec<Record> = latest.into_values().collect();
         s.checkpoint(&fold);
-        let after = s.replay();
+        let (after, after_records) = collect(&s);
         assert!(
             after.segments_skipped > 0,
             "covered segments must be skipped"
         );
         assert_eq!(
-            after.records.len(),
+            after_records.len(),
             fold.len(),
             "replay decodes only the fold, not the covered history"
         );
         // The fold carries the same final state the full log did.
         let mut from_fold: std::collections::BTreeMap<u64, &Record> = Default::default();
-        for r in &after.records {
+        for r in &after_records {
             from_fold.insert(r.key, r);
         }
-        for r in &full.records {
+        for r in &full_records {
             assert_eq!(from_fold[&r.key].payload.len(), r.payload.len());
         }
         // Appends continue past the checkpoint and replay picks them up.
         s.append(&rec(100, 5));
         s.barrier();
-        let more = s.replay();
-        assert_eq!(more.records.len(), fold.len() + 1);
+        let (more, more_records) = collect(&s);
+        assert_eq!(more_records.len(), fold.len() + 1);
         assert!(more.segments_skipped >= after.segments_skipped);
     }
 
@@ -561,20 +639,20 @@ mod tests {
             s.append(&rec(i, 1));
         }
         s.barrier();
-        let fold: Vec<Record> = s.replay().records;
+        let fold = collect(&s).1;
         s.checkpoint(&fold);
         // Destroy the manifest: the checkpoint watermark is gone, so
         // replay rescans everything — slower, but the last-wins fold
         // still lands on the same state because the fold segment sorts
         // after every covered segment.
         s.disk().remove(&format!("{}/manifest", "s0"));
-        let r = s.replay();
+        let (r, records) = collect(&s);
         assert!(!r.manifest_ok);
         assert_eq!(r.segments_skipped, 0, "no manifest, no skipping");
         assert!(
-            r.records.len() >= 2 * fold.len(),
+            records.len() >= 2 * fold.len(),
             "full history rescanned ({} records)",
-            r.records.len()
+            records.len()
         );
     }
 
@@ -597,16 +675,15 @@ mod tests {
             ["s0/seg-1000000.log", "s0/seg-999999.log"],
             "the name order really is the wrong order"
         );
-        let replay = s.replay();
-        let fills: Vec<u8> = replay.records.iter().map(|r| r.payload[0]).collect();
-        assert_eq!(fills, [1, 2], "older sequence first, newer wins");
+        let fills =
+            |s: &SegmentStore| -> Vec<u8> { collect(s).1.iter().map(|r| r.payload[0]).collect() };
+        assert_eq!(fills(&s), [1, 2], "older sequence first, newer wins");
         // Bookkeeping follows: 999999 is sealed, 1000000 takes appends.
         assert_eq!(s.sealed().len(), 1);
         assert_eq!(s.sealed()[0].seq, 999_999);
         s.append(&rec(7, 3));
         s.barrier();
-        let fills: Vec<u8> = s.replay().records.iter().map(|r| r.payload[0]).collect();
-        assert_eq!(fills, [1, 2, 3]);
+        assert_eq!(fills(&s), [1, 2, 3]);
     }
 
     #[test]
@@ -617,11 +694,11 @@ mod tests {
         }
         s.barrier();
         s.wipe();
-        let replay = s.replay();
-        assert!(replay.records.is_empty());
+        let (replay, records) = collect(&s);
+        assert!(records.is_empty());
         assert_eq!(replay.segments_truncated, 0);
         s.append(&rec(0, 4));
         s.barrier();
-        assert_eq!(s.replay().records.len(), 1);
+        assert_eq!(collect(&s).1.len(), 1);
     }
 }

@@ -29,8 +29,8 @@ pub fn seed_or(base: u64) -> u64 {
 /// for tests that check what a log holds. (The servers fold the records
 /// where they lie; only tests keep them.)
 pub fn replay_records(store: &SegmentStore) -> (Replay, Vec<Record>) {
-    let mut replay = store.replay();
-    let records = std::mem::take(&mut replay.records);
+    let mut records = Vec::new();
+    let replay = store.replay(|rec, _| records.push(rec.to_record()));
     (replay, records)
 }
 
