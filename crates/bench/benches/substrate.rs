@@ -194,13 +194,15 @@ fn bench_wire(c: &mut Criterion) {
 #[path = "../../core/src/crc.rs"]
 mod crc_paths;
 
-/// Both CRC implementations at the sizes the stack checksums: a frame
-/// header (8 B), an RS block (64 B), a KV entry (530 B), a page (4 KiB).
+/// Both CRC implementations at the sizes the stack checksums: header
+/// fields and the tails a 16-byte lane leaves (4, 8, 12, 15 B — below
+/// one lane the kernel rows are the dispatch check plus the table's
+/// word steps), an RS block (64 B), a KV entry (530 B), a page (4 KiB).
 /// On a CPU without PCLMULQDQ only the table rows appear.
 fn bench_crc(c: &mut Criterion) {
     const INIT: u32 = 0xFFFF_FFFF;
     let mut g = c.benchmark_group("crc32");
-    for len in [8usize, 64, 530, 4096] {
+    for len in [4usize, 8, 12, 15, 64, 530, 4096] {
         let payload: Vec<u8> = (0..len).map(|i| (i * 131 + 7) as u8).collect();
         #[cfg(target_arch = "x86_64")]
         if crc_paths::crc32_clmul(INIT, &payload).is_some() {

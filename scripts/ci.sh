@@ -45,7 +45,7 @@
 #   7. bench smoke        — substrate benches at 50 ms/bench, so a perf
 #                           regression that breaks the bench harness (or
 #                           an arena change that deadlocks it) fails CI;
-#                           includes crc32/{8,64,530,4096}/{kernel,table},
+#                           includes crc32/{4,8,12,15,64,530,4096}/{kernel,table},
 #                           the wire/*_530 frame encoders,
 #                           workload/zipf_new_262144/{miss,hit} and
 #                           tx/rmw_txn_local
