@@ -17,8 +17,36 @@ use crate::sync::Mutex;
 #[derive(Debug, Default)]
 struct Inner {
     fifo: VecDeque<u64>,
+    /// The addresses in `fifo`, for the idempotence check. Its table
+    /// follows the set's size down as well as up (see [`Inner::take`]).
     members: IntSet<u64>,
     posted_total: u64,
+}
+
+impl Inner {
+    fn put(&mut self, addr: u64) {
+        if self.members.insert(addr) {
+            self.fifo.push_back(addr);
+            self.posted_total += 1;
+        }
+    }
+
+    /// Pops the first free buffer. A pool posts every buffer it owns at
+    /// set-up and then runs with a fraction of them free, so a table
+    /// that only ever grows stays sized for the whole pool — megabytes,
+    /// probed at random on every pop, post and `contains`, a cache miss
+    /// each. Once the set is under an eighth of what its table holds,
+    /// the table is rebuilt for twice the set: the set must halve again
+    /// before the next rebuild, so a rehash is paid once per that many
+    /// pops.
+    fn take(&mut self) -> Option<u64> {
+        let addr = self.fifo.pop_front()?;
+        self.members.remove(&addr);
+        if self.members.capacity() > 8 * self.members.len().max(8) {
+            self.members.shrink_to(2 * self.members.len());
+        }
+        Some(addr)
+    }
 }
 
 /// A FIFO of equally-sized free buffers registered for ALLOCATE.
@@ -58,35 +86,21 @@ impl BufferQueue {
     /// posting gate so that buffers are only recycled once concurrent NIC
     /// operations have completed (§3.2).
     pub fn post(&self, addr: u64) {
-        let mut q = self.bufs.lock();
-        if q.members.insert(addr) {
-            q.fifo.push_back(addr);
-            q.posted_total += 1;
-        }
+        self.bufs.lock().put(addr);
     }
 
     /// Posts many buffers at once (duplicates skipped).
     pub fn post_many(&self, addrs: impl IntoIterator<Item = u64>) {
         let mut q = self.bufs.lock();
         for a in addrs {
-            if q.members.insert(a) {
-                q.fifo.push_back(a);
-                q.posted_total += 1;
-            }
+            q.put(a);
         }
     }
 
     /// Pops the first free buffer, or fails with Receiver-Not-Ready if the
     /// queue is empty (the NIC's standard flow-control answer, §4.2).
     pub fn pop(&self) -> Result<u64, RdmaError> {
-        let mut q = self.bufs.lock();
-        match q.fifo.pop_front() {
-            Some(addr) => {
-                q.members.remove(&addr);
-                Ok(addr)
-            }
-            None => Err(RdmaError::ReceiverNotReady),
-        }
+        self.bufs.lock().take().ok_or(RdmaError::ReceiverNotReady)
     }
 
     /// Replaces the queue's contents with exactly `addrs`, restarting
@@ -100,10 +114,7 @@ impl BufferQueue {
         q.members = IntSet::default();
         q.posted_total = 0;
         for a in addrs {
-            if q.members.insert(a) {
-                q.fifo.push_back(a);
-                q.posted_total += 1;
-            }
+            q.put(a);
         }
     }
 
@@ -195,6 +206,29 @@ mod tests {
         assert_eq!(q.posted_total(), 2, "reset restarts the posted counter");
         assert!(!q.contains(2), "pre-reset members are gone");
         assert_eq!(q.pop().unwrap(), 0x9000);
+    }
+
+    #[test]
+    fn membership_table_follows_the_set_down() {
+        let q = BufferQueue::new(64);
+        let addr = |i: u64| 0x1_0000 + i * 576;
+        q.post_many((0..100_000).map(addr));
+        let grown = q.bufs.lock().members.capacity();
+        for i in 0..99_000 {
+            assert_eq!(q.pop().unwrap(), addr(i), "FIFO order across rebuilds");
+        }
+        let shrunk = q.bufs.lock().members.capacity();
+        assert!(
+            grown >= 100_000 && shrunk <= 8 * 1_000,
+            "{grown} -> {shrunk}"
+        );
+        // The rebuilt table answers as the grown one did.
+        assert!(q.contains(addr(99_000)) && !q.contains(addr(98_999)));
+        q.post(addr(99_000));
+        assert_eq!(q.available(), 1_000, "duplicate post still ignored");
+        q.post(addr(5));
+        assert_eq!(q.available(), 1_001);
+        assert_eq!(q.posted_total(), 100_001);
     }
 
     #[test]
