@@ -4,6 +4,11 @@
 # the path-only [workspace.dependencies] table). Registry or git deps
 # break `cargo build --offline` — the repo's only supported build.
 #
+# `.cargo/config.toml` sets build options for both workspaces; a
+# [source], [registries], [registry] or [net] table in it could point
+# cargo back at a registry without touching any manifest, so those are
+# rejected too.
+#
 # Mirrored by the Rust test tests/hermeticity.rs (run via prism-harness)
 # so CI catches violations even when this script isn't invoked.
 set -euo pipefail
@@ -32,8 +37,17 @@ for manifest in Cargo.toml crates/*/Cargo.toml; do
     fi
 done
 
+if [ -f .cargo/config.toml ]; then
+    bad=$(grep -nE '^[[:space:]]*\[+[[:space:]]*(source|registries|registry|net)([].[:space:]]|$)' \
+        .cargo/config.toml || true)
+    if [ -n "$bad" ]; then
+        echo ".cargo/config.toml: $bad"
+        fail=1
+    fi
+fi
+
 if [ "$fail" -ne 0 ]; then
-    echo "error: non-path dependencies found; the workspace must build with 'cargo build --offline'" >&2
+    echo "error: non-path dependencies (or a registry/network table in .cargo/config.toml) found; the workspace must build with 'cargo build --offline'" >&2
     exit 1
 fi
 echo "hermeticity check passed: all dependencies are path-only"

@@ -6,13 +6,17 @@
 #
 # Steps (each prints its wall seconds, so what a step costs — the
 # second-seed pass in particular — is a number, not a feeling):
-#   1. hermeticity check  — all deps are path-only (scripts/check_hermetic.sh)
+#   1. hermeticity check  — all deps are path-only and .cargo/config.toml
+#                           names no source, registry or network table
+#                           (scripts/check_hermetic.sh)
 #      unsafe audit       — `unsafe {` occurs exactly once under crates/,
 #                           at the CRC kernel's dispatch call in
 #                           crates/core/src/crc.rs (DESIGN.md §5.6); a
 #                           second block anywhere is a design decision,
 #                           not a drive-by
-#   2. offline release build
+#   2. offline release build — fat LTO, one codegen unit
+#                           (.cargo/config.toml; the bench smoke of step
+#                           7 builds the same way)
 #   3. offline test run   — every unit, integration, and property suite
 #                           at the default seed. That includes the gate
 #                           suites: fault matrix (loss / crash / both),
@@ -22,6 +26,9 @@
 #                           detected or repaired, counters conserved),
 #                           durability gate + store properties (replay
 #                           vs delta resync, torn tails, format fuzz),
+#                           golden recovery images and the recovery
+#                           footprint test (a restart may not grow the
+#                           peak resident set by half the log),
 #                           open-loop smoke (coordinated-omission
 #                           regression, bit-exact sweeps), and the gray
 #                           gate (stragglers, hedging, shedding, golden

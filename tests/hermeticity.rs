@@ -4,6 +4,11 @@
 //! `workspace = true`, resolving to a path) dependency. A registry dep
 //! reappearing here is the failure mode this test exists to catch.
 //!
+//! `.cargo/config.toml` (build options shared by the root workspace and
+//! `perf/`) is scanned as well: a `[source]`, `[registries]`,
+//! `[registry]` or `[net]` table there could send cargo to a registry
+//! without any manifest changing.
+//!
 //! The check is a plain-text manifest scan rather than `cargo metadata`
 //! so it runs without invoking cargo and keeps working even when the
 //! resolver itself is what broke. `scripts/check_hermetic.sh` wraps the
@@ -117,6 +122,52 @@ fn workspace_table_is_path_only() {
     }
 }
 
+/// The table headers of a cargo config that could redirect or enable
+/// fetching: `[source]`, `[registries]`, `[registry]`, `[net]`, their
+/// dotted sub-tables and array-of-table forms.
+fn fetching_tables(config: &str) -> Vec<String> {
+    let mut bad = Vec::new();
+    for raw in config.lines() {
+        let line = raw.split('#').next().unwrap_or("").trim();
+        let Some(header) = line.strip_prefix('[') else {
+            continue;
+        };
+        let name = header.trim_start_matches('[').trim_start();
+        let table = name
+            .split(|c: char| c == '.' || c == ']' || c.is_whitespace())
+            .next()
+            .unwrap_or("");
+        if ["source", "registries", "registry", "net"].contains(&table) {
+            bad.push(raw.trim().to_string());
+        }
+    }
+    bad
+}
+
+/// `.cargo/config.toml` may tune the build, never where crates come
+/// from or whether the network is used.
+#[test]
+fn cargo_config_sets_no_source_or_network_table() {
+    assert_eq!(
+        fetching_tables("[profile.release]\nlto = \"fat\"\n[build]\n# [net]\n[sources]"),
+        Vec::<String>::new()
+    );
+    assert_eq!(
+        fetching_tables("[source.crates-io]\n [net]\n[[registries]]\n[registry]\n[ source ]").len(),
+        5
+    );
+    let config = workspace_root().join(".cargo/config.toml");
+    if let Ok(text) = fs::read_to_string(&config) {
+        let bad = fetching_tables(&text);
+        assert!(
+            bad.is_empty(),
+            "{} must not configure sources, registries or the network:\n{}",
+            config.display(),
+            bad.join("\n")
+        );
+    }
+}
+
 /// The hermeticity shell check stays in sync with this test: the
 /// script must exist, be executable, and encode the same rule.
 #[test]
@@ -126,6 +177,10 @@ fn check_hermetic_script_present() {
     assert!(
         text.contains("path") && text.contains("dependencies"),
         "check_hermetic.sh no longer checks dependency paths"
+    );
+    assert!(
+        text.contains(".cargo/config.toml") && text.contains("registries"),
+        "check_hermetic.sh no longer checks .cargo/config.toml"
     );
     #[cfg(unix)]
     {
