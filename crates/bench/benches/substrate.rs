@@ -1,7 +1,8 @@
 //! Substrate costs: the DES kernel's event throughput (which bounds how
 //! fast figures regenerate), workload generators, the frame codec, the
-//! CRC under every checksum in the workspace, and the PRISM-TX client
-//! path without a simulator around it.
+//! CRC under every checksum in the workspace, the PRISM-TX client
+//! path without a simulator around it, and the cache-cold indirect GET
+//! with and without the simulator's lookahead hint.
 
 use prism_bench::runner::Criterion;
 use prism_bench::{criterion_group, criterion_main};
@@ -53,6 +54,109 @@ fn bench_des(c: &mut Criterion) {
             sim.post(a, 0);
             sim.run();
             sim.now()
+        });
+    });
+    g.bench_function("send_with_lookahead", |b| {
+        // What `Actor::lookahead` adds to a send to another actor that
+        // keeps the default and ignores it: the actor-table lookup and
+        // the dynamic call, 100k of them — one per event of the
+        // ping-pong row above, against which this row is read. (A
+        // self-send, which is every event of the timer rows below,
+        // skips both.)
+        let mut actors: Vec<Box<dyn Actor<u32>>> = (0..2)
+            .map(|_| {
+                Box::new(PingPong {
+                    peer_offset: 0,
+                    remaining: 0,
+                }) as Box<dyn Actor<u32>>
+            })
+            .collect();
+        b.iter(|| {
+            for i in 0..100_000u32 {
+                let dst = std::hint::black_box(i as usize & 1);
+                if let Some(actor) = actors.get_mut(dst) {
+                    actor.lookahead(std::hint::black_box(&i));
+                }
+            }
+        });
+    });
+    g.finish();
+}
+
+/// The GET of §6.1 — one bounded indirect READ of a slot — over a store
+/// too big for the private caches: 2 MiB of `(ptr, bound)` slots over
+/// 72 MiB of 576-byte entries in scattered order, slots drawn uniformly,
+/// so nearly every op is two dependent misses (slot word, then entry)
+/// plus their page walks. `unhinted` executes each GET as it comes;
+/// `hinted` does what `ServerActor` does with the simulator's lookahead
+/// — stage one for the GET that is `AHEAD` ops away, stage two for the
+/// one hinted just before it — and then executes the same GET stream.
+/// Read against `verbs/read_512_into`, the same copy with everything
+/// resident.
+fn bench_chain_cold(c: &mut Criterion) {
+    use prism_core::PrismServer;
+    use prism_rdma::region::AccessFlags;
+    use std::cell::LazyCell;
+
+    const SLOTS: u64 = 1 << 17;
+    const ENTRY: u64 = 576;
+    /// Sends between a request's hint and its execution in
+    /// `sim_kv_open_1m` at 8 Mops: about a wire delay's worth.
+    const AHEAD: usize = 8;
+
+    // Built on first use, so a filtered run that selects neither row
+    // does not pay for the store.
+    let store = LazyCell::new(|| {
+        let server = PrismServer::new(SLOTS * (16 + ENTRY) + (1 << 20));
+        let (table, rkey) = server.carve_region(SLOTS * (16 + ENTRY), 64, AccessFlags::FULL);
+        let entries = table + SLOTS * 16;
+        for i in 0..SLOTS {
+            // An odd multiplier permutes the slots' entries.
+            let entry = entries + (i.wrapping_mul(0x9E37_79B9) % SLOTS) * ENTRY;
+            server
+                .arena()
+                .write(entry, &[i as u8; ENTRY as usize])
+                .unwrap();
+            server.arena().write_u64(table + 16 * i, entry).unwrap();
+            server.arena().write_u64(table + 16 * i + 8, ENTRY).unwrap();
+        }
+        (server, table, rkey.0)
+    });
+    let get = |rng: &mut SimRng, table: u64, rkey: u32| {
+        let slot = table + 16 * (rng.next_u64() % SLOTS);
+        [ops::read_indirect_bounded(slot, ENTRY as u32, rkey)]
+    };
+
+    let mut g = c.benchmark_group("chain");
+    g.bench_function("get_indirect_cold/unhinted", |b| {
+        let (server, table, rkey) = &*store;
+        let mut rng = SimRng::new(7);
+        let mut results = Vec::new();
+        b.iter(|| {
+            let chain = get(&mut rng, *table, *rkey);
+            server.execute_chain_into(&chain, &mut results);
+            assert_eq!(results[0].data.len(), ENTRY as usize);
+        });
+    });
+    g.bench_function("get_indirect_cold/hinted", |b| {
+        let (server, table, rkey) = &*store;
+        let engine = server.engine();
+        let mut rng = SimRng::new(7);
+        let mut results = Vec::new();
+        // The GETs already "sent": hinted, not yet executed.
+        let mut ring: [_; AHEAD] = std::array::from_fn(|_| get(&mut rng, *table, *rkey));
+        let mut pending = None;
+        let mut next = 0;
+        b.iter(|| {
+            let sent = get(&mut rng, *table, *rkey);
+            if let Some(p) = pending.take() {
+                engine.hint_target(p);
+            }
+            pending = engine.hint_chain(&sent);
+            let chain = std::mem::replace(&mut ring[next], sent);
+            next = (next + 1) % AHEAD;
+            server.execute_chain_into(&chain, &mut results);
+            assert_eq!(results[0].data.len(), ENTRY as usize);
         });
     });
     g.finish();
@@ -454,6 +558,7 @@ criterion_group!(
     benches,
     bench_des,
     bench_deep_queue,
+    bench_chain_cold,
     bench_wire,
     bench_crc,
     bench_workload,

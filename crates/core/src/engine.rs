@@ -81,6 +81,20 @@ impl OpResult {
     }
 }
 
+/// What [`PrismEngine::hint_chain`] leaves for
+/// [`PrismEngine::hint_target`]: where the first indirect op of a
+/// hinted chain keeps its pointer, and how much it asked for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PendingHint {
+    /// Address of the pointer word (and of the bound word after it,
+    /// when `bounded`).
+    ptr_addr: u64,
+    /// Bytes the op requested of the target.
+    len: u64,
+    /// Whether the pointer is a `(ptr, bound)` pair clamping `len`.
+    bounded: bool,
+}
+
 /// The engine: executes chains against one host's memory.
 #[derive(Clone)]
 pub struct PrismEngine {
@@ -148,6 +162,79 @@ impl PrismEngine {
             slot.status = status;
             slot.data = data;
         }
+    }
+
+    /// Stage one of a hint for a chain that will execute later (the
+    /// simulator's lookahead, DESIGN.md §8): prefetches every span the
+    /// chain names outright — a direct READ/WRITE/CAS target, or the
+    /// pointer location of an indirect one — and returns the first
+    /// indirect op's pointer location for [`PrismEngine::hint_target`]
+    /// to follow once that line has had time to arrive. Redirect
+    /// targets and remote operands are connection scratch, which is hot
+    /// by construction, and ALLOCATE names no address; none is hinted.
+    ///
+    /// Both stages only ask the CPU for cache lines. They check arena
+    /// bounds and nothing else (no rkey, no alignment, no conditional
+    /// flag), take neither a stripe nor the free-list gate, never wait,
+    /// and cannot fail: what a hint gets wrong costs a wasted prefetch,
+    /// and what executes later validates everything as it always did.
+    pub fn hint_chain(&self, chain: &[PrismOp]) -> Option<PendingHint> {
+        let mut first = None;
+        for op in chain {
+            let (addr, len, indirect, bounded) = match op {
+                PrismOp::Read {
+                    addr,
+                    len,
+                    indirect,
+                    bounded,
+                    ..
+                } => (*addr, *len, *indirect, *bounded),
+                PrismOp::Write {
+                    addr,
+                    len,
+                    addr_indirect,
+                    addr_bounded,
+                    ..
+                } => (*addr, *len, *addr_indirect, *addr_bounded),
+                PrismOp::Cas {
+                    target,
+                    len,
+                    target_indirect,
+                    ..
+                } => (*target, *len, *target_indirect, false),
+                PrismOp::Allocate { .. } => continue,
+            };
+            if indirect {
+                self.arena.prefetch(addr, if bounded { 16 } else { 8 });
+                first.get_or_insert(PendingHint {
+                    ptr_addr: addr,
+                    len: len as u64,
+                    bounded,
+                });
+            } else {
+                self.arena.prefetch(addr, len as u64);
+            }
+        }
+        first
+    }
+
+    /// Stage two of a hint: reads the pointer word stage one asked for
+    /// (and the bound beside it), and prefetches the span it points at.
+    /// The same rules as [`PrismEngine::hint_chain`] hold: a null,
+    /// misaligned or out-of-range pointer is ignored.
+    pub fn hint_target(&self, pending: PendingHint) {
+        let Some(ptr) = self.arena.peek_u64(pending.ptr_addr) else {
+            return;
+        };
+        let len = if pending.bounded {
+            let Some(bound) = self.arena.peek_u64(pending.ptr_addr.wrapping_add(8)) else {
+                return;
+            };
+            pending.len.min(bound)
+        } else {
+            pending.len
+        };
+        self.arena.prefetch(ptr, len);
     }
 
     /// Executes a single op unconditionally (used by tests; chains should
@@ -568,6 +655,39 @@ mod tests {
             r.engine
                 .execute_chain(&[ops::read_indirect_bounded(r.data_addr, 2, r.data_rkey)]);
         assert_eq!(res[0].expect_data().unwrap(), b"01");
+    }
+
+    #[test]
+    fn hint_names_the_first_indirect_op_and_executes_nothing() {
+        let r = rig();
+        let obj = r.data_addr + 256;
+        r.arena.write(obj, b"0123456789").unwrap();
+        r.arena.write_u64(r.data_addr, obj).unwrap();
+        r.arena.write_u64(r.data_addr + 8, 4).unwrap();
+        let chain = [
+            ops::read(r.data_addr + 512, 64, r.data_rkey),
+            ops::allocate(FreeListId(0), b"x".to_vec()),
+            ops::read_indirect_bounded(r.data_addr, 512, r.data_rkey),
+            ops::write_indirect(r.data_addr + 64, b"y".to_vec(), r.data_rkey),
+        ];
+        let seqs = r.arena.stripe_sequences();
+        let available = r.freelists.available(FreeListId(0));
+        let pending = r.engine.hint_chain(&chain);
+        assert_eq!(
+            pending,
+            Some(PendingHint {
+                ptr_addr: r.data_addr,
+                len: 512,
+                bounded: true
+            })
+        );
+        r.engine.hint_target(pending.unwrap());
+        assert_eq!(r.engine.hint_chain(&chain[..2]), None, "nothing indirect");
+        assert_eq!(r.arena.stripe_sequences(), seqs, "a hint took a stripe");
+        assert_eq!(r.freelists.available(FreeListId(0)), available);
+        // The hinted chain then executes as if never hinted.
+        let res = r.engine.execute_chain(&chain[2..3]);
+        assert_eq!(res[0].expect_data().unwrap(), b"0123");
     }
 
     #[test]

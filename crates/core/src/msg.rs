@@ -8,7 +8,7 @@
 //! request is either a PRISM chain, a classic one-sided verb, or a
 //! two-sided RPC — the three kinds of traffic in the paper's systems.
 
-use crate::engine::{OpResult, OpStatus};
+use crate::engine::{OpResult, OpStatus, PendingHint};
 use crate::op::PrismOp;
 use crate::wire;
 use prism_rdma::RdmaError;
@@ -708,6 +708,33 @@ pub fn execute_local(server: &crate::server::PrismServer, req: &Request) -> Repl
         Request::Batch(reqs) => {
             Reply::Batch(reqs.iter().map(|r| execute_local(server, r)).collect())
         }
+    }
+}
+
+/// Hints a request that [`execute_local`] will run later: prefetches
+/// what it names, member by member as `execute_local` would walk it
+/// (chains through [`crate::engine::PrismEngine::hint_chain`], verbs by
+/// their target span, nothing for an RPC), and returns the first
+/// indirect op's pointer location for
+/// [`crate::engine::PrismEngine::hint_target`]. A hint executes and
+/// validates nothing; see `hint_chain` for what it may not do.
+pub fn hint_local(server: &crate::server::PrismServer, req: &Request) -> Option<PendingHint> {
+    match req {
+        Request::Chain(chain) => server.engine().hint_chain(chain),
+        Request::Verb(v) => {
+            let (addr, len) = match v {
+                Verb::Read { addr, len, .. } => (*addr, *len as u64),
+                Verb::Write { addr, data, .. } => (*addr, data.len() as u64),
+                Verb::Cas64 { addr, .. } => (*addr, 8),
+            };
+            server.arena().prefetch(addr, len);
+            None
+        }
+        Request::Rpc(_) => None,
+        // Every member is hinted; only the first pending pointer is kept.
+        Request::Batch(reqs) => reqs
+            .iter()
+            .fold(None, |first, r| first.or(hint_local(server, r))),
     }
 }
 

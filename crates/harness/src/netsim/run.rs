@@ -5,9 +5,10 @@
 use std::sync::Arc;
 
 use prism_core::PrismServer;
-use prism_simnet::engine::{ActorId, Simulation};
+use prism_simnet::engine::{Actor, ActorId, Simulation};
 use prism_simnet::fault::FaultPlan;
 use prism_simnet::latency::CostModel;
+use prism_simnet::metrics::Metrics;
 use prism_simnet::rng::SimRng;
 use prism_simnet::time::SimDuration;
 
@@ -96,6 +97,16 @@ pub struct RunResult {
     pub slowdown_windows: u64,
 }
 
+/// How a runner hands a server actor to the simulation. The public
+/// runners pass [`boxed`]; the tests that prove lookahead is host-only
+/// pass a wrapper that withholds [`Actor::lookahead`] and compare.
+pub(crate) type BoxServer = fn(ServerActor) -> Box<dyn Actor<SimMsg>>;
+
+/// The server actor as it is.
+pub(crate) fn boxed(server: ServerActor) -> Box<dyn Actor<SimMsg>> {
+    Box::new(server)
+}
+
 /// Registers one [`ServerActor`] per server, in index order, ahead of
 /// any client (actor registration order is part of the schedule).
 pub(crate) fn spawn_servers(
@@ -105,12 +116,13 @@ pub(crate) fn spawn_servers(
     verb_path: VerbPath,
     faults: &FaultPlan,
     hooks: &RecoveryHooks,
+    box_server: BoxServer,
 ) -> Vec<ActorId> {
     servers
         .iter()
         .enumerate()
         .map(|(i, s)| {
-            sim.add_actor(Box::new(ServerActor::new(
+            sim.add_actor(box_server(ServerActor::new(
                 Arc::clone(s),
                 model.clone(),
                 verb_path,
@@ -188,11 +200,35 @@ pub fn run_closed_loop_with(
     faults: &FaultPlan,
     hooks: &RecoveryHooks,
 ) -> RunResult {
+    closed_loop(
+        servers, model, verb_path, n_clients, mk_adapter, warmup, measure, seed, faults, hooks,
+        boxed,
+    )
+    .0
+}
+
+/// [`run_closed_loop_with`], also returning everything the run counted.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn closed_loop(
+    servers: &[Arc<PrismServer>],
+    model: &CostModel,
+    verb_path: VerbPath,
+    n_clients: usize,
+    mk_adapter: &mut dyn FnMut(usize) -> Box<dyn ProtoAdapter>,
+    warmup: SimDuration,
+    measure: SimDuration,
+    seed: u64,
+    faults: &FaultPlan,
+    hooks: &RecoveryHooks,
+    box_server: BoxServer,
+) -> (RunResult, Metrics) {
     // Reject plans naming hosts outside the run's topology before any
     // virtual time elapses.
     faults.validate(servers.len(), n_clients);
     let mut sim: Simulation<SimMsg> = Simulation::new(seed);
-    let server_ids = spawn_servers(&mut sim, servers, model, verb_path, faults, hooks);
+    let server_ids = spawn_servers(
+        &mut sim, servers, model, verb_path, faults, hooks, box_server,
+    );
     for i in 0..n_clients {
         let adapter = mk_adapter(i);
         let rng = SimRng::new(seed ^ ((i as u64 + 1) << 20));
@@ -222,7 +258,7 @@ pub fn run_closed_loop_with(
         .histogram("lat")
         .map(|h| (h.mean_micros(), h.quantile_micros(0.99)))
         .unwrap_or((0.0, 0.0));
-    RunResult {
+    let result = RunResult {
         clients: n_clients,
         tput_ops: ops as f64 / measure.as_micros_f64() * 1e6,
         mean_us: mean,
@@ -253,14 +289,110 @@ pub fn run_closed_loop_with(
         shed: metrics.counter("shed"),
         busy_nacks: metrics.counter("busy_nacks"),
         slowdown_windows: metrics.counter("fault_slowdown_hits"),
-    }
+    };
+    (result, sim.into_metrics())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netsim::test_support::{faulty_read, read_adapter, test_server};
+    use crate::netsim::test_support::{faulty_read, read_adapter, test_server, unhinted};
     use prism_simnet::time::SimTime;
+
+    #[test]
+    fn kv_chaos_run_is_bit_identical_without_lookahead() {
+        // Lookahead is host-only: the same PRISM-KV GET/PUT run under a
+        // chaos plan with an amnesia window (loss, flips, torn writes, a
+        // log replay) must count, time and record exactly the same with
+        // the server actors shown every request at send time as with
+        // the hook withheld. Each side builds its own store, since a
+        // run mutates it.
+        use crate::chaos::ChaosKvAdapter;
+        use prism_kv::prism_kv::{PrismKvConfig, PrismKvServer};
+        use prism_simnet::fault::{ChaosSpec, TailPolicy};
+        use std::sync::Mutex;
+        const KEYS: u64 = 8;
+        const VALUE: usize = 64;
+        let spec = ChaosSpec {
+            servers: 1,
+            clients: 4,
+            horizon: SimDuration::from_nanos(2_800_000),
+            server_crashes: 1,
+            amnesia_fraction: 1.0,
+            client_crashes: 1,
+            partitions: 1,
+            drop_prob: 0.01,
+            dup_prob: 0.005,
+            jitter_ns: 1_000,
+            flip_req_prob: 0.01,
+            flip_reply_prob: 0.01,
+            torn_write_prob: 0.05,
+            disk_torn_prob: 0.9,
+            disk_rot_events: 0,
+            slowdowns: 0,
+            slowdown_factor: 0,
+            reply_partitions: 0,
+            flaps: 0,
+            tail: TailPolicy::default(),
+        };
+        let mut plan = FaultPlan::chaos(0xC4A0_0002, &spec);
+        plan.timeout = SimDuration::micros(60);
+        let run = |box_server: BoxServer| {
+            let kv = Arc::new(PrismKvServer::new(&PrismKvConfig::paper(KEYS, VALUE)));
+            let history = Arc::new(Mutex::new(Vec::new()));
+            let hooks = RecoveryHooks {
+                on_restart: Some({
+                    let kv = Arc::clone(&kv);
+                    Arc::new(move |_i| {
+                        kv.amnesia_restart();
+                    })
+                }),
+                durable: Some(Arc::clone(kv.durable_stats())),
+                ..RecoveryHooks::default()
+            };
+            let (result, metrics) = closed_loop(
+                &[Arc::clone(kv.server())],
+                &CostModel::testbed(),
+                VerbPath::Nic,
+                spec.clients,
+                &mut |i| {
+                    Box::new(ChaosKvAdapter::new(
+                        kv.open_client(),
+                        i,
+                        KEYS,
+                        VALUE,
+                        0.5,
+                        Arc::clone(&history),
+                    ))
+                },
+                SimDuration::from_nanos(400_000),
+                SimDuration::from_nanos(2_400_000),
+                0xC4A0_0002,
+                &plan,
+                &hooks,
+                box_server,
+            );
+            let history = history.lock().expect("history lock").clone();
+            (result, metrics, history)
+        };
+        let (hinted, hinted_metrics, hinted_history) = run(boxed);
+        let (plain, plain_metrics, plain_history) = run(unhinted);
+        assert!(hinted.restarts > 0, "no amnesia window fired: {hinted:?}");
+        assert!(hinted.replayed > 0, "the restart replayed no log");
+        assert!(hinted.tput_ops > 0.0 && !hinted_history.is_empty());
+        // Debug prints every field, and an f64 in the shortest form
+        // that reads back to the same bits.
+        assert_eq!(format!("{hinted:?}"), format!("{plain:?}"));
+        for (a, b) in [
+            (hinted.tput_ops, plain.tput_ops),
+            (hinted.mean_us, plain.mean_us),
+            (hinted.p99_us, plain.p99_us),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        assert_eq!(hinted_metrics, plain_metrics);
+        assert_eq!(hinted_history, plain_history);
+    }
 
     #[test]
     fn unloaded_verb_latency_matches_closed_form() {

@@ -5,6 +5,7 @@
 
 use std::sync::Arc;
 
+use prism_core::engine::PendingHint;
 use prism_core::integrity::IntegrityStats;
 use prism_core::msg::{self, Reply, Request};
 use prism_core::op::{DataArg, PrismOp};
@@ -127,6 +128,11 @@ pub struct ServerActor {
     /// memory-level corruption of an existing plan lands.
     disk_rng: SimRng,
     hooks: RecoveryHooks,
+    /// Stage two of the lookahead hint for the request shown last,
+    /// owed until the next request is shown or delivered — by then the
+    /// pointer line stage one asked for has had time to arrive. Host
+    /// cache state only: nothing simulated reads it.
+    pending_hint: Option<PendingHint>,
 }
 
 impl ServerActor {
@@ -159,6 +165,14 @@ impl ServerActor {
             corrupt_rng,
             disk_rng,
             hooks,
+            pending_hint: None,
+        }
+    }
+
+    /// Follows the pointer of the request hinted last, if one is owed.
+    fn resolve_hint(&mut self) {
+        if let Some(pending) = self.pending_hint.take() {
+            self.server.engine().hint_target(pending);
         }
     }
 
@@ -398,6 +412,8 @@ impl Actor<SimMsg> for ServerActor {
             }
             _ => unreachable!("servers only receive requests"),
         };
+        // A sender gone quiet must not leave its last hint half done.
+        self.resolve_hint();
         let now = ctx.now();
         // Crash windows gate request execution *before* the
         // linearization point: a crashed server neither executes nor
@@ -584,6 +600,26 @@ impl Actor<SimMsg> for ServerActor {
                     reply,
                 },
             );
+        }
+    }
+
+    /// The request is still a wire delay away, which is tens of host
+    /// events: start its cache misses now, so execution finds memory
+    /// the way a server finds it after a NIC's DMA or a dispatcher's
+    /// poll-ahead (DESIGN.md §8). Depth one — stage one for this
+    /// request, stage two for the one shown before it — because the
+    /// pointer word must arrive before it can be followed, and one
+    /// send's worth of host time is enough for that. A frame that will
+    /// fail its CRC is never executed, so it is not hinted.
+    fn lookahead(&mut self, msg: &SimMsg) {
+        if let SimMsg::Req {
+            req,
+            corrupt: false,
+            ..
+        } = msg
+        {
+            self.resolve_hint();
+            self.pending_hint = msg::hint_local(&self.server, req);
         }
     }
 }

@@ -7,10 +7,11 @@ use prism_core::builder::ops;
 use prism_core::msg::{Reply, Request, Verb};
 use prism_core::PrismServer;
 use prism_rdma::region::AccessFlags;
+use prism_simnet::engine::{Actor, Context};
 use prism_simnet::rng::SimRng;
 use prism_simnet::time::SimDuration;
 
-use super::{AdapterStep, Outbound, ProtoAdapter};
+use super::{AdapterStep, Outbound, ProtoAdapter, ServerActor, SimMsg};
 
 /// A 1 MiB server with one 4 KiB region: `(server, addr, rkey)`.
 pub(crate) fn test_server() -> (Arc<PrismServer>, u64, u32) {
@@ -132,4 +133,25 @@ pub(crate) fn faulty_read(addr: u64, rkey: u32, budget: u32, hedge: bool) -> Box
         hedge,
         attempts: 0,
     })
+}
+
+/// A server actor that is never shown a message before delivery: every
+/// callback is forwarded except [`Actor::lookahead`], which keeps the
+/// trait's no-op. A run behind this wrapper executes exactly what a
+/// build without lookahead would.
+struct Unhinted(ServerActor);
+
+impl Actor<SimMsg> for Unhinted {
+    fn on_start(&mut self, ctx: &mut Context<'_, SimMsg>) {
+        self.0.on_start(ctx);
+    }
+
+    fn on_message(&mut self, msg: SimMsg, ctx: &mut Context<'_, SimMsg>) {
+        self.0.on_message(msg, ctx);
+    }
+}
+
+/// Boxes `server` behind [`Unhinted`] (a [`super::run::BoxServer`]).
+pub(crate) fn unhinted(server: ServerActor) -> Box<dyn Actor<SimMsg>> {
+    Box::new(Unhinted(server))
 }

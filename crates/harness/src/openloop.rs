@@ -55,11 +55,12 @@ use prism_rdma::hash::IntMap;
 use prism_simnet::engine::{Actor, ActorId, Context, Simulation};
 use prism_simnet::fault::FaultPlan;
 use prism_simnet::latency::CostModel;
+use prism_simnet::metrics::Metrics;
 use prism_simnet::rng::SimRng;
 use prism_simnet::time::{SimDuration, SimTime};
 use prism_workload::openloop::{ArrivalSpec, Arrivals};
 
-use crate::netsim::run::{spawn_servers, warm_then_measure};
+use crate::netsim::run::{boxed, spawn_servers, warm_then_measure, BoxServer};
 use crate::netsim::transport::{
     timeout_reply, OpState, ReplyVerdict, Settled, TimerVerdict, Transport,
 };
@@ -459,6 +460,19 @@ pub fn run_open_loop(
     factory: AdapterFactory,
     hooks: &RecoveryHooks,
 ) -> OpenLoopResult {
+    open_loop(servers, model, verb_path, cfg, factory, hooks, boxed).0
+}
+
+/// [`run_open_loop`], also returning everything the run counted.
+fn open_loop(
+    servers: &[Arc<PrismServer>],
+    model: &CostModel,
+    verb_path: VerbPath,
+    cfg: &OpenLoopConfig,
+    factory: AdapterFactory,
+    hooks: &RecoveryHooks,
+    box_server: BoxServer,
+) -> (OpenLoopResult, Metrics) {
     assert!(cfg.actors > 0, "open-loop run needs at least one aggregate");
     assert!(
         cfg.logical_clients >= cfg.actors,
@@ -474,7 +488,15 @@ pub fn run_open_loop(
         );
     }
     let mut sim: Simulation<SimMsg> = Simulation::new(cfg.seed);
-    let server_ids = spawn_servers(&mut sim, servers, model, verb_path, &cfg.faults, hooks);
+    let server_ids = spawn_servers(
+        &mut sim,
+        servers,
+        model,
+        verb_path,
+        &cfg.faults,
+        hooks,
+        box_server,
+    );
     let inflight = live_slots(cfg.logical_clients, cfg.max_inflight).max(cfg.actors);
     let per = inflight / cfg.actors;
     let extra = inflight % cfg.actors;
@@ -511,7 +533,7 @@ pub fn run_open_loop(
             )
         })
         .unwrap_or((0.0, 0.0, 0.0, 0.0, 0.0));
-    OpenLoopResult {
+    let result = OpenLoopResult {
         actors: cfg.actors,
         logical_clients: cfg.logical_clients,
         completed: ops,
@@ -530,7 +552,8 @@ pub fn run_open_loop(
         drops: metrics.counter("fault_drops"),
         shed: metrics.counter("shed"),
         busy_nacks: metrics.counter("busy_nacks"),
-    }
+    };
+    (result, sim.into_metrics())
 }
 
 /// Per-server connection budget the experiment sweeps respect when
@@ -680,6 +703,72 @@ mod tests {
     }
 
     #[test]
+    fn open_loop_point_is_bit_identical_without_lookahead() {
+        // The open-loop half of the proof that lookahead is host-only
+        // (the closed-loop half is in `netsim::run`): one Poisson point
+        // of uniform PRISM-KV GETs and PUTs past the knee, so arrivals
+        // backlog, run with the server actor as it is and with the hook
+        // withheld.
+        use crate::adapters::PrismKvAdapter;
+        use crate::kv_exp::preload_prism;
+        use crate::netsim::test_support::unhinted;
+        use prism_kv::prism_kv::{PrismKvConfig, PrismKvServer};
+        use prism_workload::ycsb::YcsbConfig;
+        use prism_workload::KeyDist;
+        const KEYS: u64 = 256;
+        const VALUE: usize = 128;
+        let cfg = OpenLoopConfig::smoke(30e6, 23);
+        let run = |box_server: BoxServer| {
+            let mut kv_cfg = PrismKvConfig::paper(KEYS, VALUE);
+            for class in &mut kv_cfg.classes {
+                class.count += 32 * (cfg.logical_clients as u64 + 16);
+            }
+            let kv = Rc::new(PrismKvServer::new(&kv_cfg));
+            preload_prism(&kv, KEYS, VALUE);
+            let servers = [Arc::clone(kv.server())];
+            let ycsb = YcsbConfig {
+                dist: KeyDist::uniform(KEYS),
+                read_fraction: 0.9,
+                value_len: VALUE,
+            };
+            let factory: AdapterFactory = Rc::new(RefCell::new(move |i: usize| {
+                Box::new(PrismKvAdapter::new(
+                    kv.open_client(),
+                    ycsb.clone(),
+                    SimRng::new(23 ^ ((i as u64 + 1) * 7919)),
+                )) as Box<dyn ProtoAdapter>
+            }));
+            open_loop(
+                &servers,
+                &CostModel::testbed(),
+                VerbPath::Nic,
+                &cfg,
+                factory,
+                &RecoveryHooks::default(),
+                box_server,
+            )
+        };
+        let (hinted, hinted_metrics) = run(boxed);
+        let (plain, plain_metrics) = run(unhinted);
+        assert!(hinted.completed > 1_000, "{hinted:?}");
+        assert!(hinted.backlogged > 0, "the point must sit past the knee");
+        // Debug prints every field, and an f64 in the shortest form
+        // that reads back to the same bits.
+        assert_eq!(format!("{hinted:?}"), format!("{plain:?}"));
+        for (a, b) in [
+            (hinted.tput_ops, plain.tput_ops),
+            (hinted.mean_us, plain.mean_us),
+            (hinted.p50_us, plain.p50_us),
+            (hinted.p99_us, plain.p99_us),
+            (hinted.p999_us, plain.p999_us),
+            (hinted.max_us, plain.max_us),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        assert_eq!(hinted_metrics, plain_metrics);
+    }
+
+    #[test]
     fn open_loop_reads_hedge_under_a_straggler_and_harvest_the_losers() {
         use crate::netsim::test_support::faulty_read;
         use prism_simnet::fault::TailPolicy;
@@ -709,7 +798,15 @@ mod tests {
             let (s, addr, rkey) = test_server();
             let mut sim: Simulation<SimMsg> = Simulation::new(17);
             let hooks = RecoveryHooks::default();
-            let ids = spawn_servers(&mut sim, &[s], &model, VerbPath::Nic, &faults, &hooks);
+            let ids = spawn_servers(
+                &mut sim,
+                &[s],
+                &model,
+                VerbPath::Nic,
+                &faults,
+                &hooks,
+                boxed,
+            );
             let spec = ArrivalSpec::Trace {
                 gaps: vec![5_000; ARRIVALS],
             };

@@ -64,6 +64,12 @@ pub const GROUP: usize = 8 * LINE;
 /// Upper bound on the seqlock stripe table (16 KB of `AtomicU32`s).
 const MAX_STRIPES: usize = 4096;
 
+/// The most one [`MemoryArena::prefetch`] asks for: 1 KiB, which covers
+/// every value the protocols store (a PRISM-KV entry is 576 bytes) and
+/// keeps a hint for a huge in-bounds span bounded work. The hardware's
+/// own streamer follows on from there.
+const PREFETCH_MAX: usize = 16 * LINE;
+
 /// Byte-addressable simulated host memory.
 ///
 /// Cloneable handles are obtained by wrapping in `Arc`; all methods take
@@ -135,6 +141,19 @@ impl MemoryArena {
             return Err(RdmaError::OutOfBounds { addr, len });
         }
         Ok(())
+    }
+
+    /// A snapshot of every stripe's seqlock sequence. A sequence moves
+    /// exactly when a write or an atomic takes its stripe, so equal
+    /// snapshots on either side of a call show that it took none —
+    /// how the property tests hold hints ([`MemoryArena::prefetch`],
+    /// [`MemoryArena::peek_u64`]) and the zero-skipping
+    /// [`MemoryArena::wipe`] to their word.
+    pub fn stripe_sequences(&self) -> Vec<u32> {
+        self.seqs
+            .iter()
+            .map(|s| s.load(Ordering::Relaxed))
+            .collect()
     }
 
     #[inline]
@@ -368,16 +387,52 @@ impl MemoryArena {
     /// Zeroes the whole arena — an amnesia restart losing all host
     /// memory. Group-by-group under the seqlocks (tearing at group
     /// boundaries is fine: the server is not serving while it recovers,
-    /// and any straggling reader sees zeros, not garbage).
+    /// and any straggling reader sees zeros, not garbage). A group that
+    /// already reads all-zero is left alone: storing zeros over pages
+    /// nothing ever touched (free-list headroom, unused carve space)
+    /// would make them resident for the first time, and that was most
+    /// of what a restart added to the peak resident set.
     pub fn wipe(&self) {
-        const ZEROS: [u8; GROUP] = [0u8; GROUP];
-        let mut addr = Self::BASE;
-        while addr < self.end() {
-            let n = (self.end() - addr).min(GROUP as u64);
-            self.write(addr, &ZEROS[..n as usize])
-                .expect("wipe stays in bounds");
-            addr += n;
+        for (group, words) in self.words.chunks(GROUP / 8).enumerate() {
+            if words.iter().all(|w| w.load(Ordering::Relaxed) == 0) {
+                continue;
+            }
+            let seq = self.seq_for(group);
+            let s = Self::lock(seq);
+            for w in words {
+                w.store(0, Ordering::Relaxed);
+            }
+            Self::unlock(seq, s);
         }
+    }
+
+    /// Asks the CPU to start loading the cache lines under
+    /// `[addr, addr + len)` — a hint for a caller that knows an access
+    /// is coming (the simulator's lookahead, DESIGN.md §8). Only the
+    /// first 1 KiB of a longer span is asked for. It reads and writes
+    /// nothing, takes no stripe and cannot fail: a span that is empty
+    /// or not wholly inside the arena is ignored, and on a target
+    /// without a prefetch instruction so is every span.
+    pub fn prefetch(&self, addr: u64, len: u64) {
+        if len == 0 || self.check(addr, len).is_err() {
+            return;
+        }
+        let off = (addr - Self::BASE) as usize;
+        let end = off + (len as usize).min(PREFETCH_MAX);
+        prefetch_words(&self.words[off / 8..end.div_ceil(8)]);
+    }
+
+    /// The aligned little-endian u64 at `addr`, by one relaxed load
+    /// outside the seqlock protocol — for hints only. It never waits on
+    /// a writer, so it may return a word of a multi-word update that is
+    /// still in flight (never a torn word). `None` when `addr` is not
+    /// 8-byte aligned or the word is not inside the arena.
+    pub fn peek_u64(&self, addr: u64) -> Option<u64> {
+        if !addr.is_multiple_of(8) || self.check(addr, 8).is_err() {
+            return None;
+        }
+        let off = (addr - Self::BASE) as usize;
+        Some(self.words[off / 8].load(Ordering::Relaxed))
     }
 
     /// Flips one bit of the byte at `addr` — the fault fabric's bit-rot
@@ -403,6 +458,39 @@ impl MemoryArena {
         self.write(addr, &v.to_le_bytes())
     }
 }
+
+/// Issues one PREFETCHT0 per cache line under `words`. The buffer is
+/// word-aligned, not line-aligned, so the probes step a line's worth of
+/// words from the first and the last word gets its own: no hardware
+/// line under the span is skipped whatever the allocation's offset.
+#[cfg(all(target_arch = "x86_64", target_feature = "sse"))]
+#[target_feature(enable = "sse")]
+fn prefetch_words_sse(words: &[AtomicU64]) {
+    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+    for w in words.iter().step_by(WORDS_PER_LINE).chain(words.last()) {
+        _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(w).cast());
+    }
+}
+
+#[cfg(all(target_arch = "x86_64", target_feature = "sse"))]
+#[inline]
+fn prefetch_words(words: &[AtomicU64]) {
+    // SAFETY: `prefetch_words_sse` is a safe function whose only
+    // requirement beyond safe Rust's is that the CPU executes SSE, and
+    // the `cfg` on this function compiles it only where the target
+    // guarantees that (SSE is baseline on x86-64). PREFETCH is a hint
+    // that cannot fault whatever address it is given, and every pointer
+    // it is given here comes from a live `&AtomicU64` of the slice.
+    #[allow(unsafe_code)]
+    unsafe {
+        prefetch_words_sse(words);
+    }
+}
+
+/// No prefetch instruction this crate can reach: the hint is nothing.
+#[cfg(not(all(target_arch = "x86_64", target_feature = "sse")))]
+#[inline]
+fn prefetch_words(_words: &[AtomicU64]) {}
 
 impl std::fmt::Debug for MemoryArena {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -625,6 +713,32 @@ mod tests {
             a.read(MemoryArena::BASE, a.len()).unwrap(),
             vec![0u8; a.len() as usize]
         );
+    }
+
+    #[test]
+    fn wipe_leaves_zero_groups_alone() {
+        // Four whole groups and a short tail; only groups 1 and 4 (the
+        // tail) hold data, so only their stripes may move — storing
+        // zeros over never-touched pages is what used to make them
+        // resident.
+        let a = MemoryArena::new(4 * GROUP as u64 + 128);
+        a.write(MemoryArena::BASE + GROUP as u64 + 500, &[1])
+            .unwrap();
+        a.write(a.end() - 1, &[2]).unwrap();
+        let before = a.stripe_sequences();
+        a.wipe();
+        let after = a.stripe_sequences();
+        let moved: Vec<usize> = (0..before.len())
+            .filter(|&i| before[i] != after[i])
+            .collect();
+        assert_eq!(moved, [1, 4]);
+        assert_eq!(
+            a.read(MemoryArena::BASE, a.len()).unwrap(),
+            vec![0u8; a.len() as usize]
+        );
+        // A second wipe finds nothing to do.
+        a.wipe();
+        assert_eq!(a.stripe_sequences(), after);
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! * [`sync`] — std-only locks and the bounded MPMC channel shared by
 //!   every crate in the workspace (no registry dependencies).
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: `arena::prefetch_words` allows itself the
+// crate's one block, the entry into the SSE prefetch (DESIGN.md §5.6).
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arena;

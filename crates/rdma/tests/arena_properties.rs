@@ -154,3 +154,100 @@ fn region_validation_is_exact() {
         },
     );
 }
+
+/// Addresses and lengths a hint may be handed: anything at all, with
+/// the arena's edges, zero and `u64::MAX` drawn often.
+fn arb_hint_span() -> Gen<(u64, u64)> {
+    let base = MemoryArena::BASE;
+    let addr = gens::one_of(vec![
+        gens::u64s(),
+        gens::range_u64(base - 64..base + LEN + 64),
+        gens::choice(vec![
+            0,
+            base - 1,
+            base,
+            base + LEN - 1,
+            base + LEN,
+            u64::MAX - 7,
+            u64::MAX,
+        ]),
+    ]);
+    let len = gens::one_of(vec![
+        gens::u64s(),
+        gens::range_u64(0..2 * LEN),
+        gens::choice(vec![0, 1, 8, 16, LEN, LEN + 1, u64::MAX]),
+    ]);
+    gens::t2(addr, len)
+}
+
+/// A hint is not an access: `prefetch` takes any span and `peek_u64`
+/// any address without panicking, neither moves a byte or a stripe
+/// sequence, and a peek answers exactly for aligned in-bounds words.
+#[test]
+fn hints_accept_anything_and_change_nothing() {
+    for_all(
+        "hints_accept_anything_and_change_nothing",
+        &Config::with_cases(128),
+        &gens::vec(arb_hint_span(), 1..64),
+        |spans| {
+            let arena = MemoryArena::new(LEN);
+            let base = MemoryArena::BASE;
+            let model: Vec<u8> = (0..LEN).map(|i| (i * 31 % 251) as u8).collect();
+            arena.write(base, &model).expect("fill");
+            let seqs = arena.stripe_sequences();
+            for &(addr, len) in spans {
+                arena.prefetch(addr, len);
+                let peeked = arena.peek_u64(addr);
+                let word_inside =
+                    addr >= base && addr.checked_add(8).is_some_and(|e| e <= base + LEN);
+                if addr % 8 == 0 && word_inside {
+                    let off = (addr - base) as usize;
+                    let word = u64::from_le_bytes(model[off..off + 8].try_into().expect("8 bytes"));
+                    assert_eq!(peeked, Some(word), "addr {addr:#x}");
+                } else {
+                    assert_eq!(peeked, None, "addr {addr:#x}");
+                }
+            }
+            assert_eq!(arena.stripe_sequences(), seqs);
+            assert_eq!(arena.read(base, LEN).expect("whole arena"), model);
+        },
+    );
+}
+
+/// `wipe` zeroes every byte whatever was written, and takes exactly the
+/// stripes of the groups that held a non-zero byte.
+#[test]
+fn wipe_zeroes_all_and_touches_only_dirty_groups() {
+    let gen = gens::vec(
+        gens::t2(gens::range_u64(0..LEN), gens::vec(gens::u8s(), 1..128)),
+        0..16,
+    );
+    for_all(
+        "wipe_zeroes_all_and_touches_only_dirty_groups",
+        &Config::with_cases(128),
+        &gen,
+        |writes| {
+            let arena = MemoryArena::new(LEN);
+            let base = MemoryArena::BASE;
+            let mut model = vec![0u8; LEN as usize];
+            for (off, data) in writes {
+                if off + data.len() as u64 <= LEN {
+                    arena.write(base + off, data).expect("in bounds");
+                    model[*off as usize..*off as usize + data.len()].copy_from_slice(data);
+                }
+            }
+            let before = arena.stripe_sequences();
+            arena.wipe();
+            let after = arena.stripe_sequences();
+            // LEN / GROUP groups, one stripe each at this size.
+            for (g, group) in model.chunks(prism_rdma::arena::GROUP).enumerate() {
+                let dirty = group.iter().any(|&b| b != 0);
+                assert_eq!(before[g] != after[g], dirty, "group {g}");
+            }
+            assert_eq!(
+                arena.read(base, LEN).expect("whole arena"),
+                vec![0u8; LEN as usize]
+            );
+        },
+    );
+}

@@ -62,6 +62,20 @@ pub trait Actor<M> {
 
     /// Called for every message delivered to this actor.
     fn on_message(&mut self, msg: M, ctx: &mut Context<'_, M>);
+
+    /// Shown each message another actor sends to this one, when it is
+    /// sent — before it is queued, so at least its delay ahead of the
+    /// [`Actor::on_message`] that delivers it, and in send order. This
+    /// is the lookahead a NIC or a polling dispatcher has while a frame
+    /// is still on the wire: the actor may warm host state the message
+    /// names (caches, translations) and nothing else. The hook gets no
+    /// [`Context`], so it cannot schedule, read the clock, draw
+    /// randomness or count; an implementation must leave every
+    /// simulated result exactly as the default no-op would. Messages an
+    /// actor sends to itself and [`Simulation::post`] are not shown.
+    fn lookahead(&mut self, msg: &M) {
+        let _ = msg;
+    }
 }
 
 /// Selects the event-queue implementation backing a [`Simulation`].
@@ -425,6 +439,9 @@ impl<M> Kernel<M> {
 /// numbers, and recording metrics.
 pub struct Context<'a, M> {
     kernel: &'a mut Kernel<M>,
+    /// The actor table, for [`Actor::lookahead`]. The running actor's
+    /// own entry holds [`Inert`] for the length of its callback.
+    actors: &'a mut [Box<dyn Actor<M>>],
     self_id: ActorId,
 }
 
@@ -448,7 +465,7 @@ impl<M> Context<'_, M> {
     /// site, not later inside the event loop.
     pub fn send_in(&mut self, dst: ActorId, delay: SimDuration, msg: M) {
         let at = self.kernel.now + delay;
-        self.kernel.push(at, dst, msg);
+        self.push(at, dst, msg);
     }
 
     /// Delivers `msg` to `dst` at absolute time `at`.
@@ -459,6 +476,20 @@ impl<M> Context<'_, M> {
     /// if `dst` was never registered.
     pub fn send_at(&mut self, dst: ActorId, at: SimTime, msg: M) {
         assert!(at >= self.kernel.now, "Context::send_at: time in the past");
+        self.push(at, dst, msg);
+    }
+
+    /// Shows `msg` to its destination ([`Actor::lookahead`]), then
+    /// queues it. A self-send hints nobody (the sender's entry holds
+    /// [`Inert`] anyway; timers are most of a run's sends, so they skip
+    /// the call); an unregistered `dst` is left for [`Kernel::push`] to
+    /// reject by name.
+    fn push(&mut self, at: SimTime, dst: ActorId, msg: M) {
+        if dst != self.self_id {
+            if let Some(actor) = self.actors.get_mut(dst.0) {
+                actor.lookahead(&msg);
+            }
+        }
         self.kernel.push(at, dst, msg);
     }
 
@@ -571,6 +602,7 @@ impl<M> Simulation<M> {
             let mut actor = std::mem::replace(&mut self.actors[idx], Box::new(Inert));
             actor.on_start(&mut Context {
                 kernel: &mut self.kernel,
+                actors: &mut self.actors,
                 self_id: id,
             });
             self.actors[idx] = actor;
@@ -614,6 +646,7 @@ impl<M> Simulation<M> {
                     msg,
                     &mut Context {
                         kernel: &mut self.kernel,
+                        actors: &mut self.actors,
                         self_id: dst,
                     },
                 );
@@ -880,6 +913,75 @@ mod tests {
         }
         assert_eq!(run(11), run(11));
         assert_ne!(run(11), run(12));
+    }
+
+    #[test]
+    fn lookahead_shows_each_cross_actor_send_once_before_delivery() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        #[derive(Debug, PartialEq)]
+        enum Seen {
+            Shown(u32),
+            Got(u32),
+        }
+        type Log = Rc<RefCell<Vec<Seen>>>;
+
+        /// Logs what it is shown and what it is delivered; on message
+        /// 10 it also sends to itself, which must not be shown.
+        struct Watcher(Log);
+        impl Actor<u32> for Watcher {
+            fn on_message(&mut self, msg: u32, ctx: &mut Context<'_, u32>) {
+                self.0.borrow_mut().push(Seen::Got(msg));
+                if msg == 10 {
+                    let me = ctx.self_id();
+                    ctx.send_in(me, SimDuration::from_nanos(1), 99);
+                    ctx.send_at(me, ctx.now(), 98);
+                }
+            }
+            fn lookahead(&mut self, msg: &u32) {
+                self.0.borrow_mut().push(Seen::Shown(*msg));
+            }
+        }
+        /// Sends so that delivery order (10, 30, 20) differs from send
+        /// order (20, 10, 30), through both send methods.
+        struct Driver;
+        impl Actor<u32> for Driver {
+            fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+                let dst = ActorId(1);
+                ctx.send_in(dst, SimDuration::micros(3), 20);
+                ctx.send_at(dst, SimTime::from_nanos(1_000), 10);
+                ctx.send_in(dst, SimDuration::micros(2), 30);
+            }
+            fn on_message(&mut self, _: u32, _: &mut Context<'_, u32>) {}
+        }
+        use Seen::{Got, Shown};
+        for kind in [QueueKind::Wheel, QueueKind::Heap] {
+            let log: Log = Rc::default();
+            let mut sim = Simulation::with_queue(0, kind);
+            sim.add_actor(Box::new(Driver));
+            let w = sim.add_actor(Box::new(Watcher(Rc::clone(&log))));
+            sim.post(w, 7);
+            sim.run();
+            assert_eq!(
+                *log.borrow(),
+                [
+                    // on_start runs before any delivery: all three
+                    // sends are shown, in send order, ahead of the
+                    // posted message that is delivered first.
+                    Shown(20),
+                    Shown(10),
+                    Shown(30),
+                    Got(7),
+                    Got(10),
+                    Got(98),
+                    Got(99),
+                    Got(30),
+                    Got(20),
+                ],
+                "{kind:?}"
+            );
+        }
     }
 
     /// Delivers `script` hops, each re-armed from the previous one, and

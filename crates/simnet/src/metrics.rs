@@ -14,7 +14,7 @@ const SUB_BUCKETS: u64 = 64;
 const SUB_BITS: u32 = 6;
 
 /// A log-bucketed histogram of durations in nanoseconds.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     buckets: BTreeMap<u64, u64>,
     count: u64,
@@ -127,7 +127,7 @@ impl Histogram {
 }
 
 /// Named counters and histograms for one simulation run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Metrics {
     counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,

@@ -4,6 +4,7 @@
 //! harness; failures print a `PRISM_TEST_SEED` for exact replay.
 
 use prism_core::builder::ops;
+use prism_core::msg::{self, Request, Verb};
 use prism_core::op::{DataArg, FreeListId, PrismOp, Redirect, MAX_CAS_LEN};
 use prism_core::server::PrismServer;
 use prism_core::value::{cas_compare, cas_swap, CasMode};
@@ -324,6 +325,135 @@ fn allocator_integrity() {
                     server.repost(fl, [addr]).unwrap();
                 }
             }
+        },
+    );
+}
+
+/// Where a hinted op may point: anywhere (`None` keeps the arbitrary
+/// address `arb_op` drew), one of the planted pointer slots of
+/// `hints_execute_nothing`, or the arena's edges.
+fn arb_hint_target() -> Gen<Option<u64>> {
+    gens::one_of(vec![
+        gens::constant(None),
+        gens::range_u64(0..8 * 16).map(Some), // a slot, any alignment
+        gens::range_u64(0..1 << 16).map(Some),
+        gens::choice(vec![Some(u64::MAX), Some(u64::MAX - 7)]),
+    ])
+}
+
+/// Lookahead hints (DESIGN.md §8) cannot hurt: whatever chain they are
+/// given — bad rkeys, null, misaligned and out-of-range pointers, a
+/// bound of 0 or `u64::MAX`, the RS fence word, a wiped arena, a
+/// pending hint carried across an amnesia restart — neither stage
+/// panics, moves a byte of the arena or a stripe sequence, touches a
+/// free list or the incarnation.
+#[test]
+fn hints_execute_nothing() {
+    let gen = gens::t4(
+        gens::vec(
+            gens::t3(
+                arb_op(),
+                arb_hint_target(),
+                gens::option(gens::choice(vec![0u32, 8, 64, 576, u32::MAX])),
+            ),
+            0..8,
+        ),
+        gens::bools(),
+        gens::bools(),
+        gens::bools(),
+    );
+    for_all(
+        "hints_execute_nothing",
+        &Config::with_cases(256),
+        &gen,
+        |(steered, batch, wiped, restart_between)| {
+            let server = PrismServer::new(1 << 16);
+            let arena = server.arena();
+            let (data, _rkey) = server.carve_region(8192, 64, AccessFlags::FULL);
+            let fl = FreeListId(0);
+            server.setup_freelist(fl, 128, 8);
+            // Pointer slots, `(ptr, bound)` each: a good pointer, null,
+            // one past the end with bound 0, the RS fence word
+            // `[Tag::MAX | addr 0]` (garbage whose second half is a null
+            // pointer), a span that crosses `end()`, and `BASE - 1`.
+            let slots: [(u64, u64); 6] = [
+                (data + 1024, 64),
+                (0, u64::MAX),
+                (arena.end(), 0),
+                (u64::MAX, 0),
+                (arena.end() - 4, 576),
+                (prism_rdma::arena::MemoryArena::BASE - 1, 8),
+            ];
+            for (i, (ptr, bound)) in slots.iter().enumerate() {
+                arena.write_u64(data + 16 * i as u64, *ptr).unwrap();
+                arena.write_u64(data + 16 * i as u64 + 8, *bound).unwrap();
+            }
+            arena.write(data + 1024, &[0x5A; 576]).unwrap();
+            if *wiped {
+                arena.wipe();
+            }
+            let chain: Vec<PrismOp> = steered
+                .iter()
+                .cloned()
+                .map(|(mut op, target, op_len)| {
+                    if let PrismOp::Read { addr, len, .. }
+                    | PrismOp::Write { addr, len, .. }
+                    | PrismOp::Cas {
+                        target: addr, len, ..
+                    } = &mut op
+                    {
+                        if let Some(t) = target {
+                            // Small values are offsets into the data
+                            // region; the rest are taken as they are.
+                            *addr = if t < 1 << 16 { data + t } else { t };
+                        }
+                        if let Some(l) = op_len {
+                            *len = l;
+                        }
+                    }
+                    op
+                })
+                .collect();
+            let req = if *batch {
+                Request::Batch(vec![
+                    Request::Verb(Verb::Read {
+                        addr: data + 1024,
+                        len: 576,
+                        rkey: 0,
+                    }),
+                    Request::Rpc(vec![1, 2, 3]),
+                    Request::Chain(chain),
+                    Request::Verb(Verb::Cas64 {
+                        addr: u64::MAX,
+                        compare: 0,
+                        swap: 1,
+                        rkey: 7,
+                    }),
+                ])
+            } else {
+                Request::Chain(chain)
+            };
+            let state = || {
+                (
+                    arena
+                        .read(prism_rdma::arena::MemoryArena::BASE, arena.len())
+                        .unwrap(),
+                    arena.stripe_sequences(),
+                    server.freelists().snapshot(fl),
+                    server.regions().current_incarnation(),
+                )
+            };
+            let before = state();
+            let pending = msg::hint_local(&server, &req);
+            assert_eq!(state(), before, "stage one changed something");
+            if *restart_between {
+                server.amnesia_restart();
+            }
+            let before = state();
+            if let Some(pending) = pending {
+                server.engine().hint_target(pending);
+            }
+            assert_eq!(state(), before, "stage two changed something");
         },
     );
 }

@@ -1,10 +1,16 @@
 //! Footprint regression for recovery: an amnesia restart must not need
-//! the segment log a second time in RAM. Replay folds and installs from
-//! the log's own bytes, so what a restart adds to the process's peak
-//! resident set is the fold (16 bytes a slot) and the arena pages the
-//! wipe touches for the first time — a small fraction of the log. A
-//! replay that materialises the records first holds a full owned copy
-//! and grows the peak by more than the log's size.
+//! the segment log a second time in RAM, nor touch memory the store
+//! never used. Replay folds and installs from the log's own bytes, and
+//! the wipe skips groups that are already zero, so what a restart adds
+//! to the process's peak resident set is the fold (16 bytes a slot) and
+//! little else — about 1 % of the log. A replay that materialises the
+//! records first holds a full owned copy and grows the peak by more
+//! than the log's size; a wipe that stores zeros over the never-reached
+//! free-list headroom makes those pages resident for the first time
+//! (here 74 % of the log). That second failure shows in an optimised
+//! build only (`cargo test --release`): there the arena's zero-fill is
+//! folded into a zeroed allocation and untouched pages stay unmapped,
+//! while a debug build writes every word at creation.
 //!
 //! One test in its own binary, so the process's high-water mark is this
 //! scenario's and nothing else's.
@@ -25,7 +31,14 @@ fn peak_rss() -> Option<u64> {
 
 #[test]
 fn amnesia_restart_grows_the_peak_by_a_fraction_of_the_log() {
-    let s = PrismKvServer::new(&PrismKvConfig::paper(KEYS, VALUE));
+    // Free-list headroom the run below never reaches: its 3 × KEYS
+    // allocations come off the head of a FIFO whose untouched buffers
+    // are all ahead of the recycled ones.
+    let mut config = PrismKvConfig::paper(KEYS, VALUE);
+    for class in &mut config.classes {
+        class.count += 3 * KEYS;
+    }
+    let s = PrismKvServer::new(&config);
     // The load, then every key overwritten twice: two thirds of the log
     // is history the fold discards.
     for _ in 0..3 {
@@ -53,9 +66,11 @@ fn amnesia_restart_grows_the_peak_by_a_fraction_of_the_log() {
         "log {log_bytes} B, peak {before} -> {after} B: grew {grew} B = {:.0} % of the log",
         grew as f64 * 100.0 / log_bytes as f64
     );
+    // Reads 0.54 MB in a debug build and 0.58 MB in a release one,
+    // 1.0 % of the log; the bound is 2.5 %.
     assert!(
-        grew < log_bytes as u64 / 2,
+        grew < log_bytes as u64 / 40,
         "the restart grew the peak resident set by {grew} B against a {log_bytes} B log: \
-         recovery is holding a copy of the log"
+         recovery is holding a copy of the log, or the wipe is touching unused memory"
     );
 }
