@@ -29,7 +29,7 @@ use prism_tx::prism_tx::{TxCluster, TxConfig};
 use prism_workload::{KeyDist, TxnGen};
 
 mod support;
-use support::{fault_line, metrics_key, seed_or};
+use support::{assert_golden, fault_line, history_key, metrics_key, run_key, seed_or};
 
 const WARMUP: SimDuration = SimDuration::from_nanos(400_000);
 const MEASURE: SimDuration = SimDuration::from_nanos(2_400_000);
@@ -159,6 +159,16 @@ fn rs_amnesia_chaos_stays_linearizable_and_rejoins() {
         "injected bit flips must be detected by the frame CRCs: {r:?}"
     );
     check_history(&history).expect("RS history must be linearizable");
+    // Golden row (default seed only), captured on the commit before the
+    // history-recording adapters became the figure adapters' drivers:
+    // every counter and every recorded operation.
+    if seed == 0xC4A0_0001 {
+        assert_golden(
+            "rs_chaos",
+            &[run_key(&r), history_key(&history), rejoins, resyncs],
+            &[0x6734_7dba_fb2f_340e, 0xdcb1_b132_b55b_ab60, 2, 13],
+        );
+    }
 
     // Same seed, fresh cluster: bit-exact replay, history included.
     let (r2, history2, rejoins2, resyncs2) = rs_chaos(seed);
@@ -297,6 +307,14 @@ fn rs_sharded_amnesia_chaos_stays_linearizable_and_rejoins() {
     );
     assert!(!history.is_empty(), "history must be recorded");
     check_history(&history).expect("sharded RS history must be linearizable");
+    // Golden row (default seed only), as for `rs_chaos`.
+    if seed == 0xC4A0_0004 {
+        assert_golden(
+            "rs_sharded_chaos",
+            &[run_key(&r), history_key(&history), rejoins, resyncs],
+            &[0x242d_b2cb_94c8_7513, 0x8b64_4785_2e37_fdd5, 2, 4],
+        );
+    }
 
     let (r2, history2, rejoins2, resyncs2) = rs_sharded_chaos(seed);
     assert_eq!(
@@ -514,6 +532,15 @@ fn rs_migration_chaos_stays_linearizable_through_live_reshard() {
     );
     assert!(!history.is_empty(), "history must be recorded");
     check_history(&history).expect("history must stay linearizable through the live reshard");
+    // Golden row (default seed only), as for `rs_chaos`; the history
+    // includes the post-migration audit reads.
+    if seed == 0xC4A0_0006 {
+        assert_golden(
+            "rs_migration_chaos",
+            &[run_key(&r), history_key(&history), rejoins, resyncs, moved],
+            &[0x87b1_a1c2_ce50_e7ed, 0x57cd_83d0_1ccf_56a5, 2, 1, 4],
+        );
+    }
 
     let (r2, history2, rejoins2, resyncs2, migration2) = rs_migration_chaos(seed);
     assert_eq!(
@@ -642,6 +669,14 @@ fn kv_chaos_stays_linearizable_per_key() {
         "injected bit flips must be detected by the frame CRCs: {r:?}"
     );
     check_history(&history).expect("KV history must be linearizable per key");
+    // Golden row (default seed only), as for `rs_chaos`.
+    if seed == 0xC4A0_0002 {
+        assert_golden(
+            "kv_chaos",
+            &[run_key(&r), history_key(&history)],
+            &[0x58fe_a468_2ed1_3c57, 0x59d8_ae14_68a8_4e5f],
+        );
+    }
 
     let (r2, history2) = kv_chaos(seed);
     assert_eq!(
@@ -763,6 +798,14 @@ fn kv_sharded_chaos_stays_linearizable_per_key() {
     );
     assert!(!history.is_empty(), "history must be recorded");
     check_history(&history).expect("sharded KV history must be linearizable per key");
+    // Golden row (default seed only), as for `rs_chaos`.
+    if seed == 0xC4A0_0005 {
+        assert_golden(
+            "kv_sharded_chaos",
+            &[run_key(&r), history_key(&history)],
+            &[0xaf9e_4d24_bf3c_099a, 0x4717_ef3a_b79d_bd54],
+        );
+    }
 
     let (r2, history2) = kv_sharded_chaos(seed);
     assert_eq!(

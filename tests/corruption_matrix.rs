@@ -26,6 +26,9 @@ use prism_simnet::time::{SimDuration, SimTime};
 use prism_tx::prism_tx::{TxCluster, TxConfig};
 use prism_workload::{KeyDist, TxnGen, YcsbConfig};
 
+mod support;
+use support::{assert_golden, run_key};
+
 const SEED: u64 = 0xC0_880B;
 const KEYS: u64 = 32;
 const VALUE: usize = 64;
@@ -160,6 +163,10 @@ fn kv_flip_cell_detects_and_settles_every_flip() {
     let (r, (_, corrupt)) = kv_run(&plan, 0.5, false);
     assert_flip_conservation("kv", &r);
     assert_eq!(corrupt, 0, "flips never touch memory; scrub must be clean");
+    // Golden row, captured on the commit before the PRISM-KV and
+    // PRISM-RS adapters and their history-recording twins were folded
+    // into one driver each: every field of the result.
+    assert_golden("kv/flip", &[run_key(&r)], &[0x27ea_1dc6_6428_103a]);
 
     let (r2, _) = kv_run(&plan, 0.5, false);
     assert_eq!(key(&r), key(&r2), "same-seed replay must be bit-exact");
@@ -182,6 +189,8 @@ fn kv_torn_cell_orphans_every_torn_entry() {
         corrupt, 0,
         "torn entries must be orphaned, never visible: {r:?}"
     );
+    // Golden row, as in the flip cell.
+    assert_golden("kv/torn", &[run_key(&r)], &[0x2f89_aa85_bafb_eebe]);
 }
 
 #[test]
@@ -205,6 +214,8 @@ fn kv_rot_cell_rot_is_detected_and_aborts_cleanly() {
         corrupt > 0,
         "kv/rot: unhealed damage must stay detectable to the scrub: {r:?}"
     );
+    // Golden row, as in the flip cell.
+    assert_golden("kv/rot", &[run_key(&r)], &[0xa5a3_13ca_15d6_8603]);
 
     let (r2, _) = kv_run(&plan, 1.0, true);
     assert_eq!(key(&r), key(&r2), "same-seed replay must be bit-exact");
@@ -372,6 +383,8 @@ fn rs_flip_cell_detects_and_settles_every_flip() {
     let plan = base_plan(SEED ^ 7).with_flips(0.02, 0.02);
     let (r, _) = rs_run(&plan, 0.5);
     assert_flip_conservation("rs", &r);
+    // Golden row, as in the KV flip cell.
+    assert_golden("rs/flip", &[run_key(&r)], &[0xf09a_f4d7_6022_2840]);
 
     let (r2, _) = rs_run(&plan, 0.5);
     assert_eq!(key(&r), key(&r2), "same-seed replay must be bit-exact");
@@ -399,6 +412,8 @@ fn rs_torn_cell_orphans_every_torn_block_image() {
             "rs/torn: replica {i} must hold only intact published blocks: {r:?}"
         );
     }
+    // Golden row, as in the KV flip cell.
+    assert_golden("rs/torn", &[run_key(&r)], &[0xf700_b99a_5ad2_d6bb]);
 }
 
 #[test]
@@ -436,6 +451,8 @@ fn rs_rot_cell_masks_then_heals_by_quorum_read_repair() {
         "rs/rot: a second scrub finds nothing left to repair"
     );
     assert!(cluster.scrub_repairs() > 0);
+    // Golden row, as in the KV flip cell.
+    assert_golden("rs/rot", &[run_key(&r)], &[0x13ff_43a8_9ff8_80e1]);
 
     let (r2, _) = rs_run(&plan, 0.0);
     assert_eq!(key(&r), key(&r2), "same-seed replay must be bit-exact");

@@ -22,13 +22,19 @@ use prism_simnet::time::{SimDuration, SimTime};
 use prism_tx::prism_tx::{TxCluster, TxConfig};
 use prism_workload::{KeyDist, TxnGen, YcsbConfig};
 
+mod support;
+use support::{assert_golden, run_key};
+
 /// Default matrix seed; `PRISM_TEST_SEED=<n>` overrides it so CI can
-/// check the determinism claims at more than one point.
+/// check the determinism claims at more than one point. The golden rows
+/// hold at the default only.
+const DEFAULT_SEED: u64 = 0x5A0_7E57;
+
 fn seed() -> u64 {
     std::env::var("PRISM_TEST_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(0x5A0_7E57)
+        .unwrap_or(DEFAULT_SEED)
 }
 const KEYS: u64 = 256;
 const VALUE: usize = 64;
@@ -137,6 +143,7 @@ fn check(system: &str, mix: Mix, r: &RunResult) {
 #[test]
 fn kv_survives_the_fault_matrix() {
     let seed = seed();
+    let mut rows = Vec::new();
     for mix in MATRIX {
         let mut config = PrismKvConfig::paper(KEYS, VALUE);
         // Lost replies leak buffers until their frees are resent; give
@@ -167,12 +174,31 @@ fn kv_survives_the_fault_matrix() {
             &plan(mix, 0, 0, seed),
         );
         check("kv", mix, &r);
+        rows.push(run_key(&r));
+    }
+    // Golden rows (default seed only), one per cell in matrix order,
+    // captured on the commit before the PRISM-KV and PRISM-RS adapters
+    // and their history-recording twins were folded into one driver
+    // each: every field of each result.
+    if seed == DEFAULT_SEED {
+        assert_golden(
+            "the KV cells",
+            &rows,
+            &[
+                0x7ad2_0aa0_f5f5_c87c,
+                0x64e7_3b14_b1c5_c9b4,
+                0x8bfb_3d6f_4f10_850a,
+                0xd32a_fe09_dc65_f4b4,
+                0x9067_1dee_8076_a194,
+            ],
+        );
     }
 }
 
 #[test]
 fn rs_survives_the_fault_matrix() {
     let seed = seed();
+    let mut rows = Vec::new();
     for mix in MATRIX {
         let mut config = RsConfig::paper(8, VALUE as u64);
         config.spare_buffers += 4_096;
@@ -199,6 +225,21 @@ fn rs_survives_the_fault_matrix() {
             &plan(mix, 1, 2, seed),
         );
         check("rs", mix, &r);
+        rows.push(run_key(&r));
+    }
+    // Golden rows (default seed only), as for the KV cells.
+    if seed == DEFAULT_SEED {
+        assert_golden(
+            "the RS cells",
+            &rows,
+            &[
+                0x8a36_7a52_e68e_6f3d,
+                0x74b4_9561_15f6_ec0f,
+                0x2ec1_1d68_1f05_e7b1,
+                0xbdb7_3237_2abc_8b58,
+                0x0c08_2298_6645_3b09,
+            ],
+        );
     }
 }
 
@@ -242,6 +283,15 @@ fn rs_pool_exhaustion_fails_clean_under_heavy_loss() {
         r.failed > 0 && r.giveups > 0,
         "exhaustion must surface as clean failures/giveups: {r:?}"
     );
+    // Golden row (default seed only), as for the matrix cells: the
+    // give-up and pool-exhausted paths.
+    if seed == DEFAULT_SEED {
+        assert_golden(
+            "rs pool exhaustion",
+            &[run_key(&r)],
+            &[0xaf8a_a2a7_42fb_becb],
+        );
+    }
 }
 
 /// Regression for the loss-driven buffer spiral: under sustained reply
@@ -313,6 +363,15 @@ fn kv_long_loss_leak_is_bounded_and_gc_sweep_restores_the_pool() {
         count - live,
         "after gc every buffer is either live in a slot or free"
     );
+    // Golden row (default seed only), as for the matrix cells, plus
+    // what the run left in the pool.
+    if seed == DEFAULT_SEED {
+        assert_golden(
+            "kv long loss",
+            &[run_key(&r), live, leaked],
+            &[0x2b85_b0e6_2467_7220, 256, 64],
+        );
+    }
 }
 
 #[test]

@@ -35,7 +35,10 @@ use prism_simnet::time::{SimDuration, SimTime};
 use prism_workload::ArrivalSpec;
 
 mod support;
-use support::{fault_line, metrics_key, open_loop_key, seed_or, RetryingRead};
+use support::{
+    assert_golden, fault_line, history_key, metrics_key, open_loop_key, run_key, seed_or,
+    RetryingRead,
+};
 
 const WARMUP: SimDuration = SimDuration::from_nanos(400_000);
 const MEASURE: SimDuration = SimDuration::from_nanos(2_400_000);
@@ -154,6 +157,16 @@ fn kv_sharded_gray_chaos_stays_linearizable() {
     assert_eq!(r.shed, 0, "policy off: nothing may shed");
     assert!(!history.is_empty(), "history must be recorded");
     check_history(&history).expect("gray KV history must be linearizable per key");
+    // Golden row (default seed only), captured on the commit before the
+    // history-recording adapters became the figure adapters' drivers:
+    // every counter and every recorded operation.
+    if seed == 0x64A9_0001 {
+        assert_golden(
+            "kv_gray_chaos",
+            &[run_key(&r), history_key(&history)],
+            &[0x06c4_9202_7aad_b8d5, 0x54bb_e4a3_1a28_9278],
+        );
+    }
 
     let (r2, history2) = kv_gray_chaos(seed);
     assert_eq!(
@@ -236,7 +249,7 @@ fn rs_gray_chaos(seed: u64) -> (RunResult, Vec<HistOp>, u64, u64) {
 #[test]
 fn rs_sharded_gray_chaos_stays_linearizable_with_hedging() {
     let seed = seed_or(0x64A9_0002);
-    let (r, history, rejoins, _resyncs) = rs_gray_chaos(seed);
+    let (r, history, rejoins, resyncs) = rs_gray_chaos(seed);
     fault_line("rs-gray", &r);
     assert!(r.tput_ops > 0.0, "no progress under the gray mix: {r:?}");
     assert!(
@@ -254,6 +267,14 @@ fn rs_sharded_gray_chaos_stays_linearizable_with_hedging() {
     );
     assert!(!history.is_empty(), "history must be recorded");
     check_history(&history).expect("hedged gray RS history must be linearizable");
+    // Golden row (default seed only), as for `kv_gray_chaos`.
+    if seed == 0x64A9_0002 {
+        assert_golden(
+            "rs_gray_chaos",
+            &[run_key(&r), history_key(&history), rejoins, resyncs],
+            &[0x98f7_3765_367f_bc3a, 0x1207_30ba_e22d_518d, 2, 6],
+        );
+    }
 
     let (r2, history2, rejoins2, _) = rs_gray_chaos(seed);
     assert_eq!(

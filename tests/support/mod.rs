@@ -1,17 +1,19 @@
 //! Helpers shared by the gate suites (`chaos_gate`, `gray_gate`,
-//! `durability_gate`, `openloop_smoke`, `store_properties`,
-//! `golden_recovery`): the seed override, the replay fingerprints, the
-//! one-line counter dump, the minimal retrying read adapter, and the
-//! durable tier's record collector and disk fingerprint. Each suite is
-//! its own crate and uses a subset.
+//! `fault_matrix`, `corruption_matrix`, `durability_gate`,
+//! `openloop_smoke`, `store_properties`, `golden_recovery`): the seed
+//! override, the replay fingerprints and their one-word folds for golden
+//! rows, the one-line counter dump, the minimal retrying read adapter,
+//! and the durable tier's record collector and disk fingerprint. Each
+//! suite is its own crate and uses a subset.
 #![allow(dead_code)]
 
 use prism_core::builder::ops;
 use prism_core::msg::{Reply, Request};
+use prism_harness::chaos::{HistKind, HistOp};
 use prism_harness::netsim::{AdapterStep, Outbound, ProtoAdapter, RunResult};
 use prism_harness::openloop::OpenLoopResult;
 use prism_simnet::rng::SimRng;
-use prism_simnet::time::SimDuration;
+use prism_simnet::time::{SimDuration, SimTime};
 use prism_store::{Record, Replay, SegmentStore, SimDisk};
 
 /// Per-test seed; `PRISM_TEST_SEED=<n>` perturbs every scenario (each
@@ -89,6 +91,56 @@ pub fn metrics_key(r: &RunResult) -> [u64; 30] {
         r.busy_nacks,
         r.slowdown_windows,
     ]
+}
+
+/// FNV-1a over the little-endian bytes of `words`, continuing from `h`.
+fn fold_words(mut h: u64, words: &[u64]) -> u64 {
+    for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// The FNV-1a offset basis.
+const FOLD_SEED: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// [`metrics_key`] folded to one word, for golden rows.
+pub fn run_key(r: &RunResult) -> u64 {
+    fold_words(FOLD_SEED, &metrics_key(r))
+}
+
+/// Every field of every recorded operation folded to one word (the fold
+/// `perf/src/calls.rs::fold_history` feeds the benchmark's
+/// `sim.fingerprint`), for golden rows.
+pub fn history_key(history: &[HistOp]) -> u64 {
+    history.iter().fold(FOLD_SEED, |h, op| {
+        let (kind, nonce) = match op.kind {
+            HistKind::Get { nonce } => (0, nonce),
+            HistKind::Put { nonce } => (1, nonce),
+        };
+        fold_words(
+            h,
+            &[
+                op.client as u64,
+                op.key,
+                op.invoke.as_nanos(),
+                op.complete.map_or(u64::MAX, SimTime::as_nanos),
+                kind,
+                nonce,
+            ],
+        )
+    })
+}
+
+/// Checks a golden row. A mismatch prints the row this build produces
+/// in the form the source holds it, ready to paste — after finding out
+/// why it moved.
+#[track_caller]
+pub fn assert_golden(what: &str, got: &[u64], want: &[u64]) {
+    assert_eq!(
+        got, want,
+        "{what}: not the golden row; this build produces {got:#x?}"
+    );
 }
 
 /// The open-loop replay fingerprint: every field of [`OpenLoopResult`],
