@@ -1,5 +1,21 @@
-//! Per-system adapters: each wraps a protocol client and its workload
-//! generator behind the closed-loop [`ProtoAdapter`] interface.
+//! Per-system adapters: each wraps a protocol client behind the
+//! closed-loop [`ProtoAdapter`] interface.
+//!
+//! PRISM-KV and PRISM-RS each have one *driver* ([`KvDriver`],
+//! [`RsDriver`]) holding the whole reply-handling state machine: fence
+//! handling, the retry budget, rerouting, straggler parking. What varies
+//! between the runs that use a driver is supplied from outside it:
+//!
+//! * where the next logical operation comes from — an [`OpSource`];
+//! * who hears how each operation ended — an [`OpObserver`] (`()` hears
+//!   nothing; [`crate::chaos::Recorder`] writes a history);
+//! * whether reclamation traffic is coalesced — [`Coalesced`] wraps any
+//!   adapter and batches the frees it emits.
+//!
+//! The figure adapters ([`PrismKvAdapter`], [`PrismRsAdapter`]) and the
+//! gates' history-recording ones ([`crate::chaos::ChaosKvAdapter`],
+//! [`crate::chaos::ChaosRsAdapter`]) are aliases over the same drivers,
+//! so a gate verdict is a verdict on the code that draws the figures.
 //!
 //! Tags route replies back to the right state machine:
 //! `tag = seq << 32 | phase << 16 | index`, where `seq` identifies the
@@ -16,8 +32,9 @@ use prism_kv::{hash::key_bytes, KvOutcome, KvStep};
 use prism_rdma::hash::IntMap;
 use prism_rs::abdlock::{AbdLockClient, AbdLockOp, AbdStep};
 use prism_rs::prism_rs::{RsClient, RsOp, RsStep};
+use prism_rs::RsOutcome;
 use prism_simnet::rng::SimRng;
-use prism_simnet::time::SimDuration;
+use prism_simnet::time::{SimDuration, SimTime};
 use prism_tx::farm::{FarmClient, FarmOp, FarmOutcome, FarmStep};
 use prism_tx::prism_tx::{TxClient, TxOp, TxOutcome, TxStep};
 use prism_workload::{KeyDist, KvOp, TxnGen, YcsbConfig, YcsbGen};
@@ -29,25 +46,65 @@ fn tag(seq: u64, phase: u32, idx: u32) -> u64 {
     (seq << 32) | ((phase as u64) << 16) | idx as u64
 }
 
-/// Transport-retry policy shared by the single-server KV adapters: a
-/// synthesized timeout reply ([`Reply::Verb`]`(Err(..))` from the fault
-/// layer) reissues the operation after a deterministic capped
-/// exponential backoff, up to this many attempts, then surfaces as a
-/// failed op. Quorum systems (RS) retry at the operation level instead,
-/// and the transaction systems fold transport loss into their existing
-/// abort paths.
+fn untag(t: u64) -> (u64, u32, u32) {
+    (t >> 32, ((t >> 16) & 0xFFFF) as u32, (t & 0xFFFF) as u32)
+}
+
+/// Transport-retry policy shared by the KV and RS adapters: a lost
+/// round trip (a synthesized timeout reply, [`Reply::Verb`]`(Err(..))`
+/// from the fault layer; for RS, a failed quorum) reissues the
+/// operation after a deterministic capped exponential backoff, up to
+/// this many attempts, then gives it up. The transaction systems fold
+/// transport loss into their existing abort paths.
 const TRANSPORT_RETRY_BUDGET: u32 = 6;
 const TRANSPORT_RETRY_BASE_NS: u64 = 8_000;
 const TRANSPORT_RETRY_CAP_NS: u64 = 64_000;
 
-fn transport_backoff(retry: u32) -> SimDuration {
-    let exp = retry.saturating_sub(1).min(6);
-    SimDuration::from_nanos((TRANSPORT_RETRY_BASE_NS << exp).min(TRANSPORT_RETRY_CAP_NS))
+/// The retry-budget verdict: one more attempt after a backoff, or — the
+/// budget spent — the operation given up. `sends` rides either way.
+fn retry_or_give_up(retries: &mut u32, sends: Vec<Outbound>) -> AdapterStep {
+    if *retries >= TRANSPORT_RETRY_BUDGET {
+        return AdapterStep::GiveUp { sends };
+    }
+    *retries += 1;
+    let exp = (*retries - 1).min(6);
+    let wait = (TRANSPORT_RETRY_BASE_NS << exp).min(TRANSPORT_RETRY_CAP_NS);
+    AdapterStep::Retry {
+        sends,
+        wait: SimDuration::from_nanos(wait),
+    }
 }
 
-fn untag(t: u64) -> (u64, u32, u32) {
-    (t >> 32, ((t >> 16) & 0xFFFF) as u32, (t & 0xFFFF) as u32)
+/// One logical operation: the key (or block) and, for a write, the
+/// value. A driver owns it from `start` until the operation ends, so
+/// every reissue and reroute of a write carries the same bytes.
+pub type LogicalOp = (u64, Option<Vec<u8>>);
+
+/// Where a driver's next logical operation comes from.
+pub trait OpSource {
+    /// Draws the next operation. `rng` is the client actor's stream; a
+    /// source with a stream of its own ignores it.
+    fn draw(&mut self, rng: &mut SimRng) -> LogicalOp;
 }
+
+/// Who hears how a driver's operations end. Every method defaults to
+/// nothing, and `()` is the observer that hears nothing.
+pub trait OpObserver {
+    /// The virtual clock, just before the call that reports an event.
+    fn note_time(&mut self, _now: SimTime) {}
+    /// `op` was invoked. An operation still open at this point was cut
+    /// short by a client crash.
+    fn invoked(&mut self, _op: &LogicalOp) {}
+    /// The open operation completed; `read` is what a read returned
+    /// (empty for an absent key), `None` for a write.
+    fn completed(&mut self, _read: Option<&[u8]>) {}
+    /// The open operation ended without an answer — given up, shed, or
+    /// failed by the protocol: a write among these may or may not have
+    /// taken effect.
+    fn unresolved(&mut self) {}
+}
+
+impl OpObserver for () {}
 
 /// Client-side reclamation batching (§3.2: "batching can be employed at
 /// both client and server sides to minimize overhead"): single-buffer
@@ -67,24 +124,27 @@ impl FreeBatcher {
         }
     }
 
-    /// Absorbs one background request. Single-free messages
-    /// (`[0x01, addr u64]`) are coalesced; anything else passes through.
-    /// Returns a request to send now, if any.
-    fn absorb(&mut self, server: usize, req: Request) -> Option<(usize, Request)> {
-        if let Request::Rpc(bytes) = &req {
-            if bytes.len() == 9 && bytes[0] == 0x01 {
-                let addr = u64::from_le_bytes(bytes[1..9].try_into().expect("8 bytes"));
-                let pending = self.pending.entry(server).or_default();
-                pending.push(addr);
-                if pending.len() >= Self::CAP {
-                    let req = Self::batch_request(pending);
-                    pending.clear();
-                    return Some((server, req));
-                }
-                return None;
-            }
+    /// Offers one background request bound for `server` and returns
+    /// whether to send it now. A single-free message (`[0x01, addr
+    /// u64]`) is held back until its server has [`FreeBatcher::CAP`] of
+    /// them, when `req` is rewritten into the batch; anything else
+    /// passes untouched.
+    fn absorb(&mut self, server: usize, req: &mut Request) -> bool {
+        let Request::Rpc(bytes) = &*req else {
+            return true;
+        };
+        if bytes.len() != 9 || bytes[0] != 0x01 {
+            return true;
         }
-        Some((server, req))
+        let addr = u64::from_le_bytes(bytes[1..9].try_into().expect("8 bytes"));
+        let pending = self.pending.entry(server).or_default();
+        pending.push(addr);
+        if pending.len() < Self::CAP {
+            return false;
+        }
+        *req = Self::batch_request(pending);
+        pending.clear();
+        true
     }
 
     fn batch_request(addrs: &[u64]) -> Request {
@@ -98,6 +158,90 @@ impl FreeBatcher {
     }
 }
 
+/// An adapter with its reclamation traffic coalesced: every background
+/// send the inner adapter emits passes through a [`FreeBatcher`] in
+/// order (foreground sends and their order are untouched, and a flush
+/// takes the place of the free that filled the batch). Frees harvested
+/// from stale replies stay unbatched: they are rare, and the pool-level
+/// regressions want them on the wire at once.
+pub struct Coalesced<A> {
+    inner: A,
+    frees: FreeBatcher,
+}
+
+impl<A> Coalesced<A> {
+    fn wrap(inner: A) -> Self {
+        Coalesced {
+            inner,
+            frees: FreeBatcher::new(),
+        }
+    }
+
+    fn coalesce(&mut self, sends: &mut Vec<Outbound>) {
+        sends.retain_mut(|o| !o.background || self.frees.absorb(o.server, &mut o.req));
+    }
+}
+
+impl<A: ProtoAdapter> ProtoAdapter for Coalesced<A> {
+    fn start(&mut self, rng: &mut SimRng) -> Vec<Outbound> {
+        let mut sends = self.inner.start(rng);
+        self.coalesce(&mut sends);
+        sends
+    }
+
+    fn resume(&mut self) -> Vec<Outbound> {
+        let mut sends = self.inner.resume();
+        self.coalesce(&mut sends);
+        sends
+    }
+
+    fn on_reply(&mut self, tag: u64, reply: Reply) -> AdapterStep {
+        let mut step = self.inner.on_reply(tag, reply);
+        let (AdapterStep::Wait(sends)
+        | AdapterStep::Done { sends, .. }
+        | AdapterStep::Backoff { sends, .. }
+        | AdapterStep::Retry { sends, .. }
+        | AdapterStep::GiveUp { sends }) = &mut step;
+        self.coalesce(sends);
+        step
+    }
+
+    fn note_time(&mut self, now: SimTime) {
+        self.inner.note_time(now);
+    }
+
+    fn on_stale_reply(&mut self, tag: u64, server: usize, reply: Reply) -> Vec<Outbound> {
+        self.inner.on_stale_reply(tag, server, reply)
+    }
+
+    fn hedge_eligible(&self, tag: u64) -> bool {
+        self.inner.hedge_eligible(tag)
+    }
+
+    fn abandon(&mut self) -> Vec<Outbound> {
+        let mut sends = self.inner.abandon();
+        self.coalesce(&mut sends);
+        sends
+    }
+}
+
+/// The single-free message the servers' RPC handlers take: `[0x01,
+/// addr u64]`.
+fn free_request(addr: u64) -> Request {
+    let mut msg = Vec::with_capacity(9);
+    msg.push(0x01);
+    msg.extend_from_slice(&addr.to_le_bytes());
+    Request::Rpc(msg)
+}
+
+/// The unbatched free of `addr` a harvest emits (0 = nothing to free).
+fn harvested_free(server: usize, addr: u64) -> Vec<Outbound> {
+    if addr == 0 {
+        return Vec::new();
+    }
+    vec![Outbound::new(server, 0, free_request(addr), true)]
+}
+
 // ---------------------------------------------------------------------
 // PRISM-KV (Figures 3-4)
 // ---------------------------------------------------------------------
@@ -107,173 +251,118 @@ enum KvMachine {
     Put(PutOp),
 }
 
-/// Closed-loop YCSB client over PRISM-KV, optionally sharded.
+/// Closed-loop client over PRISM-KV, optionally sharded: the one
+/// PRISM-KV reply-handling state machine.
 ///
-/// With one client and [`ShardMap::single`] this is the original
-/// single-server adapter. With N clients, every operation is routed to
-/// its key's home shard before the state machine starts; the machine
-/// itself is untouched (sharding is pure client-side routing), and the
-/// free batcher already coalesces reclamation per shard.
-pub struct PrismKvAdapter {
+/// With one client and [`ShardMap::single`] this is the single-server
+/// adapter. With N clients, every operation is routed to its key's home
+/// shard before the state machine starts; the machine itself is
+/// untouched (sharding is pure client-side routing).
+pub struct KvDriver<W, O> {
     clients: Vec<PrismKvClient>,
+    /// The map operations are routed by, and the cell a stale-epoch
+    /// fence refetches it from.
     map: ShardMap,
-    /// Live shard-map source, when the cluster can reshard mid-run: a
-    /// stale-epoch fence refetches the snapshot from here and reroutes.
-    handle: Option<MapHandle>,
+    handle: MapHandle,
     /// Home shard of the in-flight op (routing is per-operation; a
     /// PRISM-KV op's whole chain stays on one shard).
     shard: usize,
-    gen: YcsbGen,
+    source: W,
+    observer: O,
     current: Option<KvMachine>,
-    /// The in-flight workload op, kept so a transport timeout can
-    /// reissue it from scratch.
-    op: Option<KvOp>,
+    /// The in-flight logical op, kept so a reroute can restart it from
+    /// scratch with the value it was invoked with.
+    op: Option<LogicalOp>,
     retries: u32,
-    frees: FreeBatcher,
 }
 
-impl PrismKvAdapter {
-    /// Creates the single-server adapter.
-    pub fn new(client: PrismKvClient, config: YcsbConfig, rng: SimRng) -> Self {
-        Self::sharded(vec![client], ShardMap::single(), config, rng)
-    }
-
-    /// Creates a routed adapter over one client per shard.
+impl<W: OpSource, O: OpObserver> KvDriver<W, O> {
+    /// Creates a driver over one client per shard, in flat shard order.
+    /// `route` is a fixed [`ShardMap`], or the cluster's [`MapHandle`]
+    /// when the map can change under the run: then a request fenced with
+    /// [`prism_rdma::RdmaError::StaleEpoch`] refetches the map and
+    /// restarts at the key's new home, and `clients` must cover every
+    /// shard the map can grow into (standby shards included).
     ///
     /// # Panics
     ///
-    /// Panics if the client count does not match the map's shard count.
-    pub fn sharded(
+    /// Panics if the map routes to more shards than there are clients.
+    pub fn routed(
         clients: Vec<PrismKvClient>,
-        map: ShardMap,
-        config: YcsbConfig,
-        rng: SimRng,
+        route: impl Into<MapHandle>,
+        source: W,
+        observer: O,
     ) -> Self {
-        assert_eq!(
-            clients.len(),
-            map.shards(),
-            "one client per shard in shard order"
-        );
-        PrismKvAdapter {
-            clients,
-            map,
-            handle: None,
-            shard: 0,
-            gen: YcsbGen::new(config, rng),
-            current: None,
-            op: None,
-            retries: 0,
-            frees: FreeBatcher::new(),
-        }
-    }
-
-    /// Creates a routed adapter whose map can change under it: the
-    /// cluster's [`MapHandle`] is refetched whenever a server fences a
-    /// request with [`prism_rdma::RdmaError::StaleEpoch`]. Clients must
-    /// cover every shard the map can grow into (standby shards
-    /// included), in flat shard order.
-    pub fn sharded_live(
-        clients: Vec<PrismKvClient>,
-        handle: MapHandle,
-        config: YcsbConfig,
-        rng: SimRng,
-    ) -> Self {
+        let handle = route.into();
         let map = handle.snapshot();
         assert!(
             clients.len() >= map.shards(),
-            "clients must cover every shard the map can grow into"
+            "one client per shard the map can route to, in shard order"
         );
-        PrismKvAdapter {
+        KvDriver {
             clients,
             map,
-            handle: Some(handle),
+            handle,
             shard: 0,
-            gen: YcsbGen::new(config, rng),
+            source,
+            observer,
             current: None,
             op: None,
             retries: 0,
-            frees: FreeBatcher::new(),
         }
     }
 
-    fn issue(&mut self, op: KvOp) -> Vec<Outbound> {
-        let key = key_bytes(op.key());
-        self.shard = self.map.shard_of(&key);
-        let client = &self.clients[self.shard];
-        let (machine, req) = match op {
-            KvOp::Get(_) => {
-                let (m, r) = client.get(&key);
-                (KvMachine::Get(m), r)
-            }
-            KvOp::Put(k) => {
-                let value = self.gen.value_for(k);
-                let (m, r) = client.put(&key, &value);
-                (KvMachine::Put(m), r)
-            }
-        };
-        self.current = Some(machine);
-        vec![Outbound {
+    fn foreground(&self, req: Request) -> Outbound {
+        Outbound {
             server: self.shard,
             tag: 0,
             req,
             background: false,
             epoch: self.map.epoch(),
-        }]
-    }
-
-    fn bg_sends(&mut self, background: Option<prism_core::msg::Request>) -> Vec<Outbound> {
-        background
-            .and_then(|b| self.frees.absorb(self.shard, b))
-            .map(|(server, req)| {
-                vec![Outbound {
-                    server,
-                    tag: 0,
-                    req,
-                    background: true,
-                    epoch: 0,
-                }]
-            })
-            .unwrap_or_default()
-    }
-
-    fn step_to_adapter(&mut self, step: KvStep) -> AdapterStep {
-        match step {
-            KvStep::Send {
-                request,
-                background,
-            } => {
-                let mut sends = vec![Outbound {
-                    server: self.shard,
-                    tag: 0,
-                    req: request,
-                    background: false,
-                    epoch: self.map.epoch(),
-                }];
-                sends.extend(self.bg_sends(background));
-                AdapterStep::Wait(sends)
-            }
-            KvStep::Done {
-                outcome,
-                background,
-            } => {
-                self.current = None;
-                let sends = self.bg_sends(background);
-                AdapterStep::Done {
-                    sends,
-                    client_compute: SimDuration::ZERO,
-                    failed: matches!(outcome, KvOutcome::Failed(_)),
-                }
-            }
         }
+    }
+
+    /// Routes the logical op through the current map and starts a fresh
+    /// machine for it at its home shard.
+    fn issue(&mut self) -> Vec<Outbound> {
+        let (key, value) = self.op.as_ref().expect("op set");
+        let key = key_bytes(*key);
+        self.shard = self.map.shard_of(&key);
+        let client = &self.clients[self.shard];
+        let (machine, req) = match value {
+            None => {
+                let (m, r) = client.get(&key);
+                (KvMachine::Get(m), r)
+            }
+            Some(value) => {
+                let (m, r) = client.put(&key, value);
+                (KvMachine::Put(m), r)
+            }
+        };
+        self.current = Some(machine);
+        vec![self.foreground(req)]
+    }
+
+    /// A lost or fenced round trip: retry within the budget, else drop
+    /// the operation.
+    fn retry(&mut self) -> AdapterStep {
+        let step = retry_or_give_up(&mut self.retries, Vec::new());
+        if matches!(step, AdapterStep::GiveUp { .. }) {
+            self.current = None;
+            self.op = None;
+            self.observer.unresolved();
+        }
+        step
     }
 }
 
-impl ProtoAdapter for PrismKvAdapter {
-    fn start(&mut self, _rng: &mut SimRng) -> Vec<Outbound> {
-        let op = self.gen.next_op();
+impl<W: OpSource, O: OpObserver> ProtoAdapter for KvDriver<W, O> {
+    fn start(&mut self, rng: &mut SimRng) -> Vec<Outbound> {
+        let op = self.source.draw(rng);
+        self.observer.invoked(&op);
         self.op = Some(op);
         self.retries = 0;
-        self.issue(op)
+        self.issue()
     }
 
     fn resume(&mut self) -> Vec<Outbound> {
@@ -286,15 +375,13 @@ impl ProtoAdapter for PrismKvAdapter {
         let req = match self.current.as_mut() {
             Some(KvMachine::Get(m)) => m.reissue(client),
             Some(KvMachine::Put(m)) => m.reissue(client),
-            None => return self.issue(self.op.expect("op pending retry")),
+            None => return self.issue(),
         };
-        vec![Outbound {
-            server: self.shard,
-            tag: 0,
-            req,
-            background: false,
-            epoch: self.map.epoch(),
-        }]
+        vec![self.foreground(req)]
+    }
+
+    fn note_time(&mut self, now: SimTime) {
+        self.observer.note_time(now);
     }
 
     fn on_reply(&mut self, _tag: u64, reply: Reply) -> AdapterStep {
@@ -305,70 +392,66 @@ impl ProtoAdapter for PrismKvAdapter {
             // and re-arm the same machine — the fenced request never
             // executed.
             self.clients[self.shard].refence(inc);
-            if self.retries >= TRANSPORT_RETRY_BUDGET {
-                self.current = None;
-                self.op = None;
-                return AdapterStep::GiveUp { sends: Vec::new() };
-            }
-            self.retries += 1;
-            return AdapterStep::Retry {
-                sends: Vec::new(),
-                wait: transport_backoff(self.retries),
-            };
+            return self.retry();
         }
-        if let Some(current) = reply.stale_epoch() {
+        if let Some(epoch) = reply.stale_epoch() {
             // The server fenced our request under a newer shard-map
             // epoch, so it never executed: refetch the map, reroute the
-            // key, and restart the machine from a clean probe at the
-            // key's (possibly new) home shard.
-            if let Some(h) = &self.handle {
-                let m = h.snapshot();
-                if m.epoch() > self.map.epoch() {
-                    self.map = m;
-                }
-            }
-            let op = self.op.expect("op in flight");
-            if self.map.epoch() >= current {
-                self.current = None;
-                return AdapterStep::Wait(self.issue(op));
-            }
-            // The fencing epoch is ahead of anything we can fetch (no
-            // live handle, or the publish has not landed yet): treat it
-            // as a transport failure and retry with backoff.
+            // key, and restart from a clean probe at the key's
+            // (possibly new) home shard — the same logical operation,
+            // the same value. If the fencing epoch is ahead of anything
+            // we can fetch (a fixed map, or the publish has not landed
+            // yet), treat it as a transport failure instead.
+            self.handle.refresh(&mut self.map);
             self.current = None;
-            if self.retries >= TRANSPORT_RETRY_BUDGET {
-                self.op = None;
-                return AdapterStep::GiveUp { sends: Vec::new() };
+            if self.map.epoch() >= epoch {
+                return AdapterStep::Wait(self.issue());
             }
-            self.retries += 1;
-            return AdapterStep::Retry {
-                sends: Vec::new(),
-                wait: transport_backoff(self.retries),
-            };
+            return self.retry();
         }
         if matches!(reply, Reply::Verb(Err(_))) {
             // Synthesized timeout from the fault layer (PRISM-KV chains
             // never produce verb errors on their own). The machine is
             // kept: resume() re-arms it in place.
-            if self.retries >= TRANSPORT_RETRY_BUDGET {
-                self.current = None;
-                self.op = None;
-                return AdapterStep::GiveUp { sends: Vec::new() };
-            }
-            self.retries += 1;
-            return AdapterStep::Retry {
-                sends: Vec::new(),
-                wait: transport_backoff(self.retries),
-            };
+            return self.retry();
         }
-        let mut machine = self.current.take().expect("op in flight");
         let client = &self.clients[self.shard];
-        let step = match &mut machine {
+        let step = match self.current.as_mut().expect("op in flight") {
             KvMachine::Get(m) => m.on_reply(client, reply),
             KvMachine::Put(m) => m.on_reply(client, reply),
         };
-        self.current = Some(machine);
-        self.step_to_adapter(step)
+        match step {
+            KvStep::Send {
+                request,
+                background,
+            } => {
+                let mut sends = vec![self.foreground(request)];
+                sends.extend(background.map(|b| Outbound::new(self.shard, 0, b, true)));
+                AdapterStep::Wait(sends)
+            }
+            KvStep::Done {
+                outcome,
+                background,
+            } => {
+                self.current = None;
+                match &outcome {
+                    KvOutcome::Value(v) => {
+                        self.observer.completed(Some(v.as_deref().unwrap_or(&[])))
+                    }
+                    KvOutcome::Written => self.observer.completed(None),
+                    // Pool exhausted, retry budget spent: a failed
+                    // PUT's chain may have partially executed.
+                    KvOutcome::Failed(_) => self.observer.unresolved(),
+                }
+                AdapterStep::Done {
+                    sends: background
+                        .map(|b| vec![Outbound::new(self.shard, 0, b, true)])
+                        .unwrap_or_default(),
+                    client_compute: SimDuration::ZERO,
+                    failed: matches!(outcome, KvOutcome::Failed(_)),
+                }
+            }
+        }
     }
 
     fn on_stale_reply(&mut self, _tag: u64, server: usize, reply: Reply) -> Vec<Outbound> {
@@ -386,11 +469,47 @@ impl ProtoAdapter for PrismKvAdapter {
     fn abandon(&mut self) -> Vec<Outbound> {
         // Deadline shed: drop the op on the floor. KV machines hold at
         // most one request in flight and harvesting of raced replies is
-        // stateless (`kv_harvest`), so there is nothing to park.
+        // stateless (`kv_harvest`), so there is nothing to park. A shed
+        // PUT may have executed.
         self.current = None;
         self.op = None;
         self.retries = 0;
+        self.observer.unresolved();
         Vec::new()
+    }
+}
+
+impl OpSource for YcsbGen {
+    /// The generator's own stream: the operation, then (for a PUT) the
+    /// value's nonce.
+    fn draw(&mut self, _rng: &mut SimRng) -> LogicalOp {
+        match self.next_op() {
+            KvOp::Get(k) => (k, None),
+            KvOp::Put(k) => (k, Some(self.value_for(k))),
+        }
+    }
+}
+
+/// Closed-loop YCSB client over PRISM-KV (Figures 3–4), reclamation
+/// coalesced per shard.
+pub type PrismKvAdapter = Coalesced<KvDriver<YcsbGen, ()>>;
+
+impl PrismKvAdapter {
+    /// Creates the single-server adapter.
+    pub fn new(client: PrismKvClient, config: YcsbConfig, rng: SimRng) -> Self {
+        Self::sharded(vec![client], ShardMap::single(), config, rng)
+    }
+
+    /// Creates a routed adapter over one client per shard; `route` is a
+    /// fixed map or a live handle (see [`KvDriver::routed`]).
+    pub fn sharded(
+        clients: Vec<PrismKvClient>,
+        route: impl Into<MapHandle>,
+        config: YcsbConfig,
+        rng: SimRng,
+    ) -> Self {
+        let gen = YcsbGen::new(config, rng);
+        Coalesced::wrap(KvDriver::routed(clients, route, gen, ()))
     }
 }
 
@@ -398,37 +517,22 @@ impl ProtoAdapter for PrismKvAdapter {
 /// install chain is `[write, allocate, CAS, read-back]`, and when the
 /// CAS lost, the read-back leg names the freshly allocated entry whose
 /// only reference died with this reply — the machine reissued through
-/// its resolve path and can never learn the address. Free it directly
-/// (unbatched: harvests are rare and the pool-level regressions want
-/// the free on the wire immediately). A won CAS leaves the buffer live
-/// in the slot, and probe/resolve chains allocate nothing.
-pub(crate) fn kv_harvest(server: usize, reply: Reply) -> Vec<Outbound> {
+/// its resolve path and can never learn the address. Free it directly.
+/// A won CAS leaves the buffer live in the slot, and probe/resolve
+/// chains allocate nothing.
+fn kv_harvest(server: usize, reply: Reply) -> Vec<Outbound> {
     let Some(results) = reply.chain_results() else {
         return Vec::new();
     };
     if results.len() != 4 || !matches!(results[2].status, OpStatus::CasFailed) {
         return Vec::new();
     }
-    let Ok(d) = results[3].expect_data() else {
-        return Vec::new();
-    };
-    if d.len() != 8 {
-        return Vec::new();
+    match results[3].expect_data() {
+        Ok(d) if d.len() == 8 => {
+            harvested_free(server, u64::from_le_bytes(d.try_into().expect("8 bytes")))
+        }
+        _ => Vec::new(),
     }
-    let new_ptr = u64::from_le_bytes(d.try_into().expect("8 bytes"));
-    if new_ptr == 0 {
-        return Vec::new();
-    }
-    let mut msg = Vec::with_capacity(9);
-    msg.push(0x01);
-    msg.extend_from_slice(&new_ptr.to_le_bytes());
-    vec![Outbound {
-        server,
-        tag: 0,
-        req: Request::Rpc(msg),
-        background: true,
-        epoch: 0,
-    }]
 }
 
 // ---------------------------------------------------------------------
@@ -509,15 +613,11 @@ impl ProtoAdapter for PilafAdapter {
             // PUT RPCs reissued after a lost reply overwrite with the
             // same value.
             self.current = None;
-            if self.retries >= TRANSPORT_RETRY_BUDGET {
+            let step = retry_or_give_up(&mut self.retries, Vec::new());
+            if matches!(step, AdapterStep::GiveUp { .. }) {
                 self.op = None;
-                return AdapterStep::GiveUp { sends: Vec::new() };
             }
-            self.retries += 1;
-            return AdapterStep::Retry {
-                sends: Vec::new(),
-                wait: transport_backoff(self.retries),
-            };
+            return step;
         }
         match self.current.take().expect("op in flight") {
             PilafMachine::Put => {
@@ -566,139 +666,89 @@ impl ProtoAdapter for PilafAdapter {
 // PRISM-RS (Figures 6-7)
 // ---------------------------------------------------------------------
 
-/// Closed-loop block-store client over PRISM-RS: 50 % reads / 50 %
-/// writes (§7.4), optionally sharded across replica groups.
+/// Closed-loop block-store client over PRISM-RS, optionally sharded
+/// across replica groups: the one PRISM-RS reply-handling state machine.
 ///
-/// With one client and [`ShardMap::single`] this is the original
-/// 3-replica adapter. With S clients, each block routes to its home
-/// *group* and the quorum protocol runs inside that group unchanged.
-/// Flat server indices are group-major (`group * replicas + replica`,
-/// the [`crate::cluster::RsShards`] layout) and reply tags carry the
-/// flat index, so a straggler of a completed op still resolves its
-/// group after the client has moved on to a block elsewhere.
-pub struct PrismRsAdapter {
+/// With one client and [`ShardMap::single`] this is the 3-replica
+/// adapter. With S clients, each block routes to its home *group* and
+/// the quorum protocol runs inside that group unchanged. Flat server
+/// indices are group-major (`group * replicas + replica`, the
+/// [`crate::cluster::RsShards`] layout) and reply tags carry the flat
+/// index, so a straggler of a completed op still resolves its group
+/// after the client has moved on to a block elsewhere.
+pub struct RsDriver<W, O> {
     clients: Vec<RsClient>,
+    /// The map blocks are routed by, and the cell a stale-epoch fence
+    /// refetches it from.
     map: ShardMap,
-    /// Live shard-map source, when the cluster can reshard mid-run: a
-    /// stale-epoch fence refetches the snapshot from here and reroutes.
-    handle: Option<MapHandle>,
+    handle: MapHandle,
     /// Replicas per group (flat index stride).
     replicas: usize,
     /// Home group of the in-flight op.
     group: usize,
-    dist: KeyDist,
-    block_size: usize,
-    write_fraction: f64,
+    source: W,
+    observer: O,
     seq: u64,
     current: Option<RsOp>,
-    /// Completed-but-outstanding machines by seq; the reply tag's flat
-    /// index names their group, so no group needs to be stored here.
+    /// Completed-but-outstanding machines by seq, each with the replies
+    /// it is still owed; the reply tag's flat index names their group,
+    /// so no group needs to be stored here.
     lingering: IntMap<u64, (RsOp, usize)>,
     outstanding: usize,
-    /// The in-flight logical op (block, PUT value or `None` for GET),
-    /// kept so a quorum failure can retry the whole operation under a
-    /// fresh sequence number.
-    op: Option<(u64, Option<Vec<u8>>)>,
+    /// The in-flight logical op, kept so a quorum failure can retry the
+    /// whole operation under a fresh sequence number.
+    op: Option<LogicalOp>,
     retries: u32,
-    frees: FreeBatcher,
 }
 
-impl PrismRsAdapter {
-    /// Creates the single-group adapter.
-    pub fn new(client: RsClient, dist: KeyDist, block_size: usize, write_fraction: f64) -> Self {
-        Self::sharded(
-            vec![client],
-            ShardMap::single(),
-            dist,
-            block_size,
-            write_fraction,
-        )
-    }
-
-    /// Creates a routed adapter over one client per replica group.
+impl<W: OpSource, O: OpObserver> RsDriver<W, O> {
+    /// Creates a driver over one client per replica group, in group
+    /// order. `route` is a fixed [`ShardMap`], or the cluster's
+    /// [`MapHandle`] when the map can change under the run: then an
+    /// attempt fenced with [`prism_rdma::RdmaError::StaleEpoch`]
+    /// refetches the map and is reissued against the block's new home
+    /// group, and `clients` must cover every group the map can grow
+    /// into (standby groups included).
     ///
     /// # Panics
     ///
-    /// Panics if the client count does not match the map's shard count
+    /// Panics if the map routes to more groups than there are clients,
     /// or the groups disagree on replica count.
-    pub fn sharded(
+    pub fn routed(
         clients: Vec<RsClient>,
-        map: ShardMap,
-        dist: KeyDist,
-        block_size: usize,
-        write_fraction: f64,
+        route: impl Into<MapHandle>,
+        source: W,
+        observer: O,
     ) -> Self {
-        assert_eq!(
-            clients.len(),
-            map.shards(),
-            "one client per replica group in group order"
-        );
-        let replicas = clients[0].n();
-        assert!(
-            clients.iter().all(|c| c.n() == replicas),
-            "uniform replica count across groups"
-        );
-        PrismRsAdapter {
-            clients,
-            map,
-            handle: None,
-            replicas,
-            group: 0,
-            dist,
-            block_size,
-            write_fraction,
-            seq: 0,
-            current: None,
-            lingering: IntMap::default(),
-            outstanding: 0,
-            op: None,
-            retries: 0,
-            frees: FreeBatcher::new(),
-        }
-    }
-
-    /// Creates a routed adapter whose map can change under it: the
-    /// cluster's [`MapHandle`] is refetched whenever a replica fences a
-    /// request with [`prism_rdma::RdmaError::StaleEpoch`], and the
-    /// in-flight operation is reissued against the block's new home
-    /// group. Clients must cover every group the map can grow into
-    /// (standby groups included), in group order.
-    pub fn sharded_live(
-        clients: Vec<RsClient>,
-        handle: MapHandle,
-        dist: KeyDist,
-        block_size: usize,
-        write_fraction: f64,
-    ) -> Self {
+        let handle = route.into();
         let map = handle.snapshot();
         assert!(
             clients.len() >= map.shards(),
-            "clients must cover every group the map can grow into"
+            "one client per replica group the map can route to, in group order"
         );
         let replicas = clients[0].n();
         assert!(
             clients.iter().all(|c| c.n() == replicas),
             "uniform replica count across groups"
         );
-        PrismRsAdapter {
+        RsDriver {
             clients,
             map,
-            handle: Some(handle),
+            handle,
             replicas,
             group: 0,
-            dist,
-            block_size,
-            write_fraction,
+            source,
+            observer,
             seq: 0,
             current: None,
             lingering: IntMap::default(),
             outstanding: 0,
             op: None,
             retries: 0,
-            frees: FreeBatcher::new(),
         }
     }
 
+    /// Starts a fresh machine for the logical op at its home group.
     fn issue(&mut self) -> Vec<Outbound> {
         self.seq += 1;
         self.outstanding = 0;
@@ -709,11 +759,56 @@ impl PrismRsAdapter {
             None => self.clients[self.group].get(block),
         };
         self.current = Some(op);
-        let (sends, _) = self.absorb(step);
-        sends
+        self.absorb(step).0
     }
 
-    fn absorb(&mut self, step: RsStep) -> (Vec<Outbound>, Option<bool>) {
+    /// Reissues `op` — same block and (for PUTs) same value, fresh
+    /// sequence number, but the *same* machine: a PUT whose write phase
+    /// already chose its tag must retry under that tag (see
+    /// [`RsOp::reissue`]), or the retry could resurrect its value over
+    /// a later write readers already observed. Stragglers of the
+    /// abandoned attempt are parked under the old seq so their
+    /// reclamation still lands. The block is routed afresh: a no-op
+    /// unless a stale-epoch fence refreshed the map since the attempt
+    /// started.
+    fn reissue(&mut self, mut op: RsOp) -> Vec<Outbound> {
+        if self.outstanding > 0 {
+            self.lingering
+                .insert(self.seq, (op.clone(), self.outstanding));
+        }
+        self.seq += 1;
+        self.outstanding = 0;
+        let block = self.op.as_ref().expect("op set").0;
+        self.group = self.map.shard_of_id(block);
+        let step = op.reissue(&self.clients[self.group]);
+        self.current = Some(op);
+        self.absorb(step).0
+    }
+
+    /// Parks a machine the client is done with while replies to it are
+    /// still owed: they resolve against it and their reclamation lands.
+    fn park(&mut self, op: RsOp) {
+        if self.outstanding > 0 {
+            self.lingering.insert(self.seq, (op, self.outstanding));
+        }
+    }
+
+    /// A failed attempt (quorum lost, or fenced past any map we can
+    /// fetch): within the budget the machine is kept for the reissue
+    /// and meanwhile absorbs this attempt's stragglers; past it the
+    /// operation is given up.
+    fn retry(&mut self, op: RsOp, sends: Vec<Outbound>) -> AdapterStep {
+        let step = retry_or_give_up(&mut self.retries, sends);
+        if matches!(step, AdapterStep::GiveUp { .. }) {
+            self.park(op);
+            self.observer.unresolved();
+        } else {
+            self.current = Some(op);
+        }
+        step
+    }
+
+    fn absorb(&mut self, step: RsStep) -> (Vec<Outbound>, Option<RsOutcome>) {
         let base = self.group * self.replicas;
         let mut sends = Vec::new();
         for (replica, phase, req) in step.send {
@@ -727,69 +822,31 @@ impl PrismRsAdapter {
             });
         }
         for (replica, req) in step.background {
-            if let Some((server, req)) = self.frees.absorb(base + replica, req) {
-                sends.push(Outbound {
-                    server,
-                    tag: 0,
-                    req,
-                    background: true,
-                    epoch: 0,
-                });
-            }
+            sends.push(Outbound::new(base + replica, 0, req, true));
         }
-        let done = step.done.map(|o| {
-            if std::env::var("PRISM_DEBUG_FAULTS").is_ok() {
-                if let prism_rs::RsOutcome::Failed(why) = &o {
-                    eprintln!("rs seq {} failed: {why}", self.seq);
-                }
-            }
-            matches!(o, prism_rs::RsOutcome::Failed(_))
-        });
-        (sends, done)
+        (sends, step.done)
     }
 }
 
-impl ProtoAdapter for PrismRsAdapter {
+impl<W: OpSource, O: OpObserver> ProtoAdapter for RsDriver<W, O> {
     fn start(&mut self, rng: &mut SimRng) -> Vec<Outbound> {
-        let block = self.dist.sample(rng);
-        let value = if rng.gen_bool(self.write_fraction) {
-            let mut value = vec![0u8; self.block_size];
-            let nonce = rng.next_u64().to_le_bytes();
-            value[..8].copy_from_slice(&nonce);
-            Some(value)
-        } else {
-            None
-        };
-        self.op = Some((block, value));
+        let op = self.source.draw(rng);
+        self.observer.invoked(&op);
+        self.op = Some(op);
         self.retries = 0;
         self.issue()
     }
 
     fn resume(&mut self) -> Vec<Outbound> {
-        // Operation-level retry: same block and (for PUTs) same value,
-        // fresh sequence number, but the *same* machine — a PUT whose
-        // write phase already chose its tag must retry under that tag
-        // (see RsOp::reissue), or the retry could resurrect its value
-        // over a later write readers already observed. Stragglers of
-        // the abandoned attempt are parked under the old seq so their
-        // reclamation still lands.
-        let Some(mut op) = self.current.take() else {
-            return self.issue();
-        };
-        if self.outstanding > 0 {
-            self.lingering
-                .insert(self.seq, (op.clone(), self.outstanding));
+        // Operation-level retry, on the machine the failed attempt left.
+        match self.current.take() {
+            Some(op) => self.reissue(op),
+            None => self.issue(),
         }
-        self.seq += 1;
-        self.outstanding = 0;
-        // Re-route through the current map: a no-op unless a stale-epoch
-        // fence refreshed it since the attempt started.
-        let (block, _) = self.op.clone().expect("op set");
-        self.group = self.map.shard_of_id(block);
-        let step = op.reissue(&self.clients[self.group]);
-        self.current = Some(op);
-        let (sends, _) = self.absorb(step);
-        sends
+    }
+
+    fn note_time(&mut self, now: SimTime) {
+        self.observer.note_time(now);
     }
 
     fn on_reply(&mut self, t: u64, reply: Reply) -> AdapterStep {
@@ -805,79 +862,20 @@ impl ProtoAdapter for PrismRsAdapter {
             // the client only needs fresh capabilities).
             self.clients[group].refence(replica, inc);
         }
-        if let Some(current_epoch) = reply.stale_epoch() {
-            if seq == self.seq && self.current.is_some() {
-                // A replica fenced this attempt under a newer shard-map
-                // epoch: refetch the map and reissue the same machine
-                // against the block's new home group. The fenced leg
-                // never executed; stragglers of this attempt park under
-                // the old seq, exactly as in resume(). A PUT that
-                // already chose its tag keeps it (RsOp::reissue), so
-                // the cross-group retry cannot resurrect its value over
-                // a later write the new group accepted.
-                if let Some(h) = &self.handle {
-                    let m = h.snapshot();
-                    if m.epoch() > self.map.epoch() {
-                        self.map = m;
-                    }
-                }
-                self.outstanding -= 1;
-                let mut op = self.current.take().expect("op in flight");
-                if self.map.epoch() >= current_epoch {
-                    if self.outstanding > 0 {
-                        self.lingering
-                            .insert(self.seq, (op.clone(), self.outstanding));
-                    }
-                    self.seq += 1;
-                    self.outstanding = 0;
-                    let (block, _) = self.op.clone().expect("op set");
-                    self.group = self.map.shard_of_id(block);
-                    let step = op.reissue(&self.clients[self.group]);
-                    self.current = Some(op);
-                    let (sends, _) = self.absorb(step);
-                    return AdapterStep::Wait(sends);
-                }
-                // The fencing epoch is ahead of anything we can fetch:
-                // fall back to an op-level retry with backoff.
-                if self.retries >= TRANSPORT_RETRY_BUDGET {
-                    if self.outstanding > 0 {
-                        self.lingering.insert(self.seq, (op, self.outstanding));
-                    }
-                    return AdapterStep::GiveUp { sends: Vec::new() };
-                }
-                self.current = Some(op);
-                self.retries += 1;
-                return AdapterStep::Retry {
-                    sends: Vec::new(),
-                    wait: transport_backoff(self.retries),
-                };
-            }
-            // A fence NACK trailing an abandoned attempt falls through
-            // to the straggler path: the machine counts it as a failed
-            // leg, keeping the lingering bookkeeping exact.
-        }
         if seq != self.seq || self.current.is_none() {
-            // Straggler for a completed op: feed it for reclamation.
-            let mut finished = false;
+            // A reply to an attempt the client has moved on from (a
+            // fence NACK among them: the machine counts it as a failed
+            // leg): feed its parked machine for reclamation.
             let mut sends = Vec::new();
-            let mut raw = Vec::new();
+            let mut finished = false;
             if let Some((op, remaining)) = self.lingering.get_mut(&seq) {
                 let step = op.on_reply(&self.clients[group], phase, replica, reply);
-                raw = step.background;
+                let base = group * self.replicas;
+                for (r, req) in step.background {
+                    sends.push(Outbound::new(base + r, 0, req, true));
+                }
                 *remaining -= 1;
                 finished = *remaining == 0;
-            }
-            let base = group * self.replicas;
-            for (r, req) in raw {
-                if let Some((server, req)) = self.frees.absorb(base + r, req) {
-                    sends.push(Outbound {
-                        server,
-                        tag: 0,
-                        req,
-                        background: true,
-                        epoch: 0,
-                    });
-                }
             }
             if finished {
                 self.lingering.remove(&seq);
@@ -886,37 +884,40 @@ impl ProtoAdapter for PrismRsAdapter {
         }
         let mut op = self.current.take().expect("op in flight");
         self.outstanding -= 1;
+        if let Some(epoch) = reply.stale_epoch() {
+            // A replica fenced this attempt under a newer shard-map
+            // epoch: the fenced leg never executed. Refetch the map and
+            // reissue the same machine against the block's new home
+            // group; a PUT that already chose its tag keeps it, so the
+            // cross-group retry cannot resurrect its value over a later
+            // write the new group accepted. If the fencing epoch is
+            // ahead of anything we can fetch, fall back to an op-level
+            // retry with backoff.
+            self.handle.refresh(&mut self.map);
+            if self.map.epoch() >= epoch {
+                return AdapterStep::Wait(self.reissue(op));
+            }
+            return self.retry(op, Vec::new());
+        }
         let step = op.on_reply(&self.clients[self.group], phase, replica, reply);
         let (sends, done) = self.absorb(step);
         match done {
-            Some(failed) => {
-                if failed && self.retries < TRANSPORT_RETRY_BUDGET {
-                    // Keep the machine for the reissue; until then it
-                    // continues absorbing this attempt's stragglers.
-                    self.current = Some(op);
-                    self.retries += 1;
-                    return AdapterStep::Retry {
-                        sends,
-                        wait: transport_backoff(self.retries),
-                    };
-                }
-                if self.outstanding > 0 {
-                    self.lingering.insert(self.seq, (op, self.outstanding));
-                } else {
-                    drop(op);
-                }
-                if failed {
-                    return AdapterStep::GiveUp { sends };
-                }
-                AdapterStep::Done {
-                    sends,
-                    client_compute: SimDuration::ZERO,
-                    failed,
-                }
-            }
             None => {
                 self.current = Some(op);
                 AdapterStep::Wait(sends)
+            }
+            Some(RsOutcome::Failed(_)) => self.retry(op, sends),
+            Some(outcome) => {
+                self.park(op);
+                self.observer.completed(match &outcome {
+                    RsOutcome::Value(v) => Some(v.as_slice()),
+                    _ => None,
+                });
+                AdapterStep::Done {
+                    sends,
+                    client_compute: SimDuration::ZERO,
+                    failed: false,
+                }
             }
         }
     }
@@ -938,16 +939,73 @@ impl ProtoAdapter for PrismRsAdapter {
     fn abandon(&mut self) -> Vec<Outbound> {
         // Deadline shed mid-quorum: park the machine exactly as a
         // reissue would, so stragglers of the abandoned attempt still
-        // resolve against it and their reclamation traffic lands.
+        // resolve against it and their reclamation traffic lands. A
+        // shed PUT may have partially executed.
         if let Some(op) = self.current.take() {
-            if self.outstanding > 0 {
-                self.lingering.insert(self.seq, (op, self.outstanding));
-            }
+            self.park(op);
         }
         self.outstanding = 0;
         self.op = None;
         self.retries = 0;
+        self.observer.unresolved();
         Vec::new()
+    }
+}
+
+/// The PRISM-RS and ABDLOCK figure workload (§7.4): a block from `dist`,
+/// a write with probability `write_fraction`, its value stamped with a
+/// fresh 64-bit nonce — three draws on the client actor's stream.
+pub struct BlockMix {
+    dist: KeyDist,
+    block_size: usize,
+    write_fraction: f64,
+}
+
+impl OpSource for BlockMix {
+    fn draw(&mut self, rng: &mut SimRng) -> LogicalOp {
+        let block = self.dist.sample(rng);
+        let value = rng.gen_bool(self.write_fraction).then(|| {
+            let mut value = vec![0u8; self.block_size];
+            value[..8].copy_from_slice(&rng.next_u64().to_le_bytes());
+            value
+        });
+        (block, value)
+    }
+}
+
+/// Closed-loop block-store client over PRISM-RS (Figures 6–7): 50 %
+/// reads / 50 % writes in the paper's runs, reclamation coalesced per
+/// replica.
+pub type PrismRsAdapter = Coalesced<RsDriver<BlockMix, ()>>;
+
+impl PrismRsAdapter {
+    /// Creates the single-group adapter.
+    pub fn new(client: RsClient, dist: KeyDist, block_size: usize, write_fraction: f64) -> Self {
+        Self::sharded(
+            vec![client],
+            ShardMap::single(),
+            dist,
+            block_size,
+            write_fraction,
+        )
+    }
+
+    /// Creates a routed adapter over one client per replica group;
+    /// `route` is a fixed map or a live handle (see
+    /// [`RsDriver::routed`]).
+    pub fn sharded(
+        clients: Vec<RsClient>,
+        route: impl Into<MapHandle>,
+        dist: KeyDist,
+        block_size: usize,
+        write_fraction: f64,
+    ) -> Self {
+        let mix = BlockMix {
+            dist,
+            block_size,
+            write_fraction,
+        };
+        Coalesced::wrap(RsDriver::routed(clients, route, mix, ()))
     }
 }
 
@@ -958,7 +1016,7 @@ impl ProtoAdapter for PrismRsAdapter {
 /// CAS orphans the freshly allocated buffer; a won CAS displaces the
 /// buffer previously installed in the metadata entry. Read-phase chains
 /// allocate nothing.
-pub(crate) fn rs_harvest(server: usize, reply: Reply) -> Vec<Outbound> {
+fn rs_harvest(server: usize, reply: Reply) -> Vec<Outbound> {
     let Some(results) = reply.chain_results() else {
         return Vec::new();
     };
@@ -975,19 +1033,7 @@ pub(crate) fn rs_harvest(server: usize, reply: Reply) -> Vec<Outbound> {
         },
         _ => 0,
     };
-    if addr == 0 {
-        return Vec::new();
-    }
-    let mut msg = Vec::with_capacity(9);
-    msg.push(0x01);
-    msg.extend_from_slice(&addr.to_le_bytes());
-    vec![Outbound {
-        server,
-        tag: 0,
-        req: Request::Rpc(msg),
-        background: true,
-        epoch: 0,
-    }]
+    harvested_free(server, addr)
 }
 
 // ---------------------------------------------------------------------
@@ -997,9 +1043,7 @@ pub(crate) fn rs_harvest(server: usize, reply: Reply) -> Vec<Outbound> {
 /// Closed-loop block-store client over the lock-based ABD baseline.
 pub struct AbdLockAdapter {
     client: AbdLockClient,
-    dist: KeyDist,
-    block_size: usize,
-    write_fraction: f64,
+    mix: BlockMix,
     seq: u64,
     current: Option<AbdLockOp>,
     lingering: IntMap<u64, AbdLockOp>,
@@ -1015,9 +1059,11 @@ impl AbdLockAdapter {
     ) -> Self {
         AbdLockAdapter {
             client,
-            dist,
-            block_size,
-            write_fraction,
+            mix: BlockMix {
+                dist,
+                block_size,
+                write_fraction,
+            },
             seq: 0,
             current: None,
             lingering: IntMap::default(),
@@ -1079,13 +1125,9 @@ impl AbdLockAdapter {
 impl ProtoAdapter for AbdLockAdapter {
     fn start(&mut self, rng: &mut SimRng) -> Vec<Outbound> {
         self.seq += 1;
-        let block = self.dist.sample(rng);
-        let (op, step) = if rng.gen_bool(self.write_fraction) {
-            let mut value = vec![0u8; self.block_size];
-            value[..8].copy_from_slice(&rng.next_u64().to_le_bytes());
-            self.client.put(block, value)
-        } else {
-            self.client.get(block)
+        let (op, step) = match self.mix.draw(rng) {
+            (block, Some(value)) => self.client.put(block, value),
+            (block, None) => self.client.get(block),
         };
         self.current = Some(op);
         let (sends, _, _) = self.absorb(step);
@@ -1219,15 +1261,9 @@ impl PrismTxAdapter {
                 epoch: 0,
             });
         }
-        for (shard, req) in step.background {
-            if let Some((server, req)) = self.frees.absorb(shard, req) {
-                sends.push(Outbound {
-                    server,
-                    tag: 0,
-                    req,
-                    background: true,
-                    epoch: 0,
-                });
+        for (shard, mut req) in step.background {
+            if self.frees.absorb(shard, &mut req) {
+                sends.push(Outbound::new(shard, 0, req, true));
             }
         }
         (sends, step.done)
@@ -1258,15 +1294,9 @@ impl ProtoAdapter for PrismTxAdapter {
                 *remaining -= 1;
                 finished = *remaining == 0;
             }
-            for (s, req) in raw {
-                if let Some((server, req)) = self.frees.absorb(s, req) {
-                    sends.push(Outbound {
-                        server,
-                        tag: 0,
-                        req,
-                        background: true,
-                        epoch: 0,
-                    });
+            for (s, mut req) in raw {
+                if self.frees.absorb(s, &mut req) {
+                    sends.push(Outbound::new(s, 0, req, true));
                 }
             }
             if finished {
@@ -1446,5 +1476,838 @@ impl ProtoAdapter for FarmAdapter {
             },
             None => AdapterStep::Wait(sends),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Scripted replies over real stores, no `Simulation`: each test
+    //! plays the server actor by hand ([`serve`]: the epoch fence, then
+    //! `execute_local`) and checks the steps a driver answers with and
+    //! the records a [`Recorder`] is left holding.
+
+    use std::collections::VecDeque;
+    use std::sync::{Arc, Mutex};
+
+    use prism_core::msg::execute_local;
+    use prism_core::{DataArg, PrismOp, PrismServer};
+    use prism_kv::entry;
+    use prism_kv::prism_kv::{PrismKvConfig, PrismKvServer};
+    use prism_rdma::RdmaError;
+    use prism_rs::prism_rs::RsConfig;
+
+    use super::*;
+    use crate::chaos::{stamp, HistKind, HistOp, History, Recorder};
+    use crate::cluster::{KvCluster, RsShards};
+    use crate::netsim::transport::timeout_reply;
+
+    const KEYS: u64 = 8;
+    const VALUE: usize = 64;
+    const MAP_SEED: u64 = 0x5EED;
+    /// The backoff before each of the six retries the budget allows.
+    const BACKOFFS_US: [u64; 6] = [8, 16, 32, 64, 64, 64];
+
+    /// An [`OpSource`] that plays a fixed list.
+    struct Script(VecDeque<LogicalOp>);
+
+    impl OpSource for Script {
+        fn draw(&mut self, _rng: &mut SimRng) -> LogicalOp {
+            self.0.pop_front().expect("the script ran out")
+        }
+    }
+
+    /// A value carrying `nonce` where the recorder reads it.
+    fn value(nonce: u64) -> Vec<u8> {
+        stamp(VALUE, nonce)
+    }
+
+    /// What a server actor does with `out`: the epoch fence, then the
+    /// execution.
+    fn serve(servers: &[Arc<PrismServer>], out: &Outbound) -> Reply {
+        let server = &servers[out.server];
+        let current = server.current_epoch();
+        if out.epoch != 0 && out.epoch < current {
+            return Reply::Verb(Err(RdmaError::StaleEpoch {
+                seen: out.epoch,
+                current,
+            }));
+        }
+        execute_local(server, &out.req)
+    }
+
+    /// A fence from an epoch no map the driver can fetch has reached.
+    fn epoch_from_the_future() -> Reply {
+        Reply::Verb(Err(RdmaError::StaleEpoch {
+            seen: 1,
+            current: 9,
+        }))
+    }
+
+    fn is_single_free(out: &Outbound) -> bool {
+        out.background && matches!(&out.req, Request::Rpc(m) if m.len() == 9 && m[0] == 0x01)
+    }
+
+    fn assert_retry(what: &str, step: &AdapterStep, backoff_us: u64) {
+        match step {
+            AdapterStep::Retry { sends, wait } => {
+                assert!(sends.is_empty(), "{what}");
+                assert_eq!(*wait, SimDuration::micros(backoff_us), "{what}");
+            }
+            other => panic!("{what}: expected a retry, got {other:?}"),
+        }
+    }
+
+    fn wait_sends(what: &str, step: AdapterStep) -> Vec<Outbound> {
+        match step {
+            AdapterStep::Wait(sends) => sends,
+            other => panic!("{what}: expected a wait, got {other:?}"),
+        }
+    }
+
+    fn at(nanos: u64) -> Option<SimTime> {
+        Some(SimTime::from_nanos(nanos))
+    }
+
+    // -----------------------------------------------------------------
+    // PRISM-KV
+    // -----------------------------------------------------------------
+
+    /// Four provisioned shards, two active, and one recorded driver
+    /// playing `script`. Every call into the driver is preceded by a
+    /// `note_time` one microsecond later than the last.
+    struct Kv {
+        cluster: KvCluster,
+        servers: Vec<Arc<PrismServer>>,
+        driver: KvDriver<Script, Recorder>,
+        history: History,
+        clock: u64,
+    }
+
+    fn kv_cluster() -> KvCluster {
+        KvCluster::with_active(4, 2, &PrismKvConfig::paper(KEYS, VALUE), MAP_SEED)
+    }
+
+    /// A key a 2→4 grow moves, with its old and new homes.
+    fn kv_moved_key(cluster: &KvCluster) -> (u64, usize, usize) {
+        let (old, new) = (cluster.map(), cluster.map().grow(4));
+        (0..KEYS)
+            .map(|k| (k, old.shard_of(&key_bytes(k)), new.shard_of(&key_bytes(k))))
+            .find(|(_, from, to)| from != to)
+            .expect("the grow moves a key")
+    }
+
+    impl Kv {
+        fn new(cluster: KvCluster, route: MapHandle, script: Vec<LogicalOp>) -> Self {
+            let history: History = Arc::new(Mutex::new(Vec::new()));
+            let driver = KvDriver::routed(
+                cluster.open_clients(),
+                route,
+                Script(script.into()),
+                Recorder::new(0, Arc::clone(&history)),
+            );
+            Kv {
+                servers: cluster.servers(),
+                cluster,
+                driver,
+                history,
+                clock: 0,
+            }
+        }
+
+        fn fixed(script: Vec<LogicalOp>) -> Self {
+            let cluster = kv_cluster();
+            let route = cluster.map().into();
+            Kv::new(cluster, route, script)
+        }
+
+        fn tick(&mut self) {
+            self.clock += 1_000;
+            self.driver.note_time(SimTime::from_nanos(self.clock));
+        }
+
+        fn start(&mut self) -> Vec<Outbound> {
+            self.tick();
+            self.driver.start(&mut SimRng::new(1))
+        }
+
+        fn resume(&mut self) -> Vec<Outbound> {
+            self.tick();
+            self.driver.resume()
+        }
+
+        fn reply(&mut self, reply: Reply) -> AdapterStep {
+            self.tick();
+            self.driver.on_reply(0, reply)
+        }
+
+        /// Serves `sends` (one foreground request, any frees) and feeds
+        /// the reply.
+        fn round_trip(&mut self, sends: &[Outbound]) -> AdapterStep {
+            let mut reply = None;
+            for out in sends {
+                let r = serve(&self.servers, out);
+                if !out.background {
+                    assert!(reply.replace(r).is_none(), "one request in flight");
+                }
+            }
+            self.reply(reply.expect("a foreground request"))
+        }
+
+        /// Round trips until the driver stops waiting.
+        fn finish(&mut self, mut sends: Vec<Outbound>) -> AdapterStep {
+            loop {
+                match self.round_trip(&sends) {
+                    AdapterStep::Wait(next) => sends = next,
+                    step => return step,
+                }
+            }
+        }
+
+        fn records(&self) -> Vec<HistOp> {
+            self.history.lock().expect("history lock").clone()
+        }
+    }
+
+    fn assert_done(what: &str, step: &AdapterStep, want_failed: bool) {
+        match step {
+            AdapterStep::Done { failed, .. } => assert_eq!(*failed, want_failed, "{what}"),
+            other => panic!("{what}: expected completion, got {other:?}"),
+        }
+    }
+
+    /// The value inside the entry an install chain allocates.
+    fn allocated_value(req: &Request) -> Vec<u8> {
+        let Request::Chain(chain) = req else {
+            panic!("an install is a chain: {req:?}");
+        };
+        let entry = chain
+            .iter()
+            .find_map(|op| match op {
+                PrismOp::Allocate { data, .. } => Some(data),
+                _ => None,
+            })
+            .expect("an install chain allocates its entry");
+        let (_, value, _) = entry::decode_verified(entry).expect("a well-formed entry");
+        value.to_vec()
+    }
+
+    /// One logical PUT installs one value, however often the driver has
+    /// to start it over: the value is drawn once, at `start`, not in
+    /// `issue`, which an epoch fence re-enters. (A restart is a fresh
+    /// machine, so the entry's version differs by design; the value
+    /// inside the allocated entry is what is compared.) Drawing at
+    /// `start` moves no pinned run: `issue` is re-entered only on the
+    /// epoch-fence paths, which no simulated run of `PrismKvAdapter`
+    /// reaches today (fixed-map clusters never bump a server epoch), and
+    /// `next_op` → `value_for` keep their order on the generator's own
+    /// stream.
+    #[test]
+    fn kv_put_keeps_its_value_across_an_epoch_fence() {
+        let store = PrismKvServer::new(&PrismKvConfig::paper(KEYS, VALUE));
+        let all_puts = YcsbConfig {
+            dist: KeyDist::uniform(KEYS),
+            read_fraction: 0.0,
+            value_len: VALUE,
+        };
+        let mut adapter = PrismKvAdapter::new(store.open_client(), all_puts, SimRng::new(7));
+        // Answers the probe and returns the value the install carries.
+        let install = |adapter: &mut PrismKvAdapter, probe: Vec<Outbound>| {
+            let reply = execute_local(store.server(), &probe[0].req);
+            let sends = wait_sends("probe answered", adapter.on_reply(0, reply));
+            allocated_value(&sends[0].req)
+        };
+        let probe = adapter.start(&mut SimRng::new(1));
+        let first = install(&mut adapter, probe);
+        // A fence naming the epoch the map is already at: reroute now.
+        let fence = Reply::Verb(Err(RdmaError::StaleEpoch {
+            seen: 0,
+            current: ShardMap::single().epoch(),
+        }));
+        let probe = wait_sends("fenced install", adapter.on_reply(0, fence));
+        let second = install(&mut adapter, probe);
+        assert_eq!(first, second, "the restarted PUT carries another value");
+    }
+
+    /// The server `out` is bound for loses its memory and restarts, so
+    /// it fences the request: the rkeys are from its last incarnation.
+    fn restarted_under(kv: &mut Kv, out: &Outbound) -> Reply {
+        kv.cluster.amnesia_restart(out.server);
+        let reply = serve(&kv.servers, out);
+        assert!(reply.stale_incarnation().is_some(), "{reply:?}");
+        reply
+    }
+
+    /// Branches: the three lost-round-trip arms of `KvDriver::on_reply`
+    /// and the give-up at the end of each; whether the machine survives
+    /// (a fence past any fetchable map drops it, the others re-arm it).
+    #[test]
+    fn kv_lost_round_trips_retry_six_times_then_give_up() {
+        type Lose = fn(&mut Kv, &Outbound) -> Reply;
+        let cases: [(&str, Lose, bool); 3] = [
+            ("stale incarnation", restarted_under, true),
+            (
+                "epoch from the future",
+                |_, _| epoch_from_the_future(),
+                false,
+            ),
+            ("timeout", |_, _| timeout_reply(), true),
+        ];
+        for (what, lose, keeps_machine) in cases {
+            let mut kv = Kv::fixed(vec![(3, Some(value(1))), (3, None)]);
+            let probe = kv.start();
+            // Lose the install leg, where a kept machine matters.
+            let mut sends = wait_sends(what, kv.round_trip(&probe));
+            for backoff_us in BACKOFFS_US {
+                assert_eq!(sends.len(), 1, "{what}");
+                let lost = lose(&mut kv, &sends[0]);
+                assert_retry(what, &kv.reply(lost), backoff_us);
+                assert_eq!(kv.driver.current.is_some(), keeps_machine, "{what}");
+                sends = kv.resume();
+            }
+            let lost = lose(&mut kv, &sends[0]);
+            let step = kv.reply(lost);
+            assert!(
+                matches!(&step, AdapterStep::GiveUp { sends } if sends.is_empty()),
+                "{what}: {step:?}"
+            );
+            assert!(kv.driver.current.is_none() && kv.driver.op.is_none());
+            // The recorder: one record, opened at the start, left open.
+            let records = kv.records();
+            assert_eq!(records.len(), 1, "{what}");
+            assert_eq!(
+                (records[0].invoke.as_nanos(), records[0].complete),
+                (1_000, None)
+            );
+            assert_eq!(records[0].kind, HistKind::Put { nonce: 1 });
+            // And the driver is ready for the next operation.
+            let probe = kv.start();
+            assert_done(what, &kv.finish(probe), false);
+            assert_eq!(kv.records().len(), 2, "{what}");
+        }
+    }
+
+    /// Branch: the stale-incarnation arm restamps the client's rkeys, so
+    /// the re-armed request differs from the fenced one only there, and
+    /// the restarted server accepts it.
+    #[test]
+    fn kv_stale_incarnation_restamps_the_rkeys() {
+        let mut kv = Kv::fixed(vec![(3, None)]);
+        let fenced = kv.start();
+        let nack = restarted_under(&mut kv, &fenced[0]);
+        assert_retry("fenced", &kv.reply(nack), 8);
+        let rearmed = kv.resume();
+        let target = |sends: &[Outbound]| match &sends[0].req {
+            Request::Chain(chain) => match &chain[0] {
+                PrismOp::Read { addr, rkey, .. } => (*addr, *rkey),
+                op => panic!("a probe reads: {op:?}"),
+            },
+            req => panic!("a probe is a chain: {req:?}"),
+        };
+        assert_eq!(target(&fenced).0, target(&rearmed).0, "same slot");
+        assert_ne!(target(&fenced).1, target(&rearmed).1, "new incarnation");
+        assert_done("re-armed GET", &kv.finish(rearmed), false);
+    }
+
+    /// Branches: the stale-epoch arm of `KvDriver::on_reply` with a live
+    /// handle — behind the fence it backs off, caught up it restarts the
+    /// same logical op at the key's new home under the new epoch.
+    #[test]
+    fn kv_epoch_fence_reroutes_once_the_handle_has_caught_up() {
+        let cluster = kv_cluster();
+        let (key, from, to) = kv_moved_key(&cluster);
+        let route = cluster.map_handle();
+        let mut kv = Kv::new(cluster, route, vec![(key, Some(value(1))), (key, None)]);
+        let probe = kv.start();
+        assert_eq!((probe[0].server, probe[0].epoch), (from, 1));
+        // The servers flip before the map is published: fenced, and
+        // nothing newer to fetch.
+        for s in &kv.servers {
+            s.install_epoch(2);
+        }
+        assert_retry("handle behind", &kv.round_trip(&probe), 8);
+        // The migration lands. The retry still routes by the old map,
+        // is fenced again, and this time the refetch reaches the epoch.
+        let keys: Vec<[u8; 8]> = (0..KEYS).map(key_bytes).collect();
+        let (map, _) = kv.cluster.migrate_grow(4, keys.iter().map(|k| &k[..]));
+        assert_eq!(map.epoch(), 2);
+        let probe = kv.resume();
+        assert_eq!((probe[0].server, probe[0].epoch), (from, 1));
+        let probe = wait_sends("caught up", kv.round_trip(&probe));
+        assert_eq!((probe[0].server, probe[0].epoch), (to, 2));
+        assert_done("rerouted PUT", &kv.finish(probe), false);
+        // One logical op, one record, however it was routed; and the
+        // value it was invoked with is what the new home serves.
+        let read = kv.start();
+        assert_eq!(read[0].server, to);
+        assert_done("GET at the new home", &kv.finish(read), false);
+        let records = kv.records();
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[0].kind, HistKind::Put { nonce: 1 });
+        assert!(records[0].complete.is_some());
+        assert_eq!(records[1].kind, HistKind::Get { nonce: 1 });
+    }
+
+    /// Branch: the timeout arm keeps the machine and `resume` re-arms
+    /// it. The install executed and only its reply was lost; a kept
+    /// machine resolves that with one read of the slot, where a fresh
+    /// one would probe and install a second time.
+    #[test]
+    fn kv_timeout_keeps_the_machine_and_resume_rearms_it() {
+        let mut kv = Kv::fixed(vec![(5, Some(value(7))), (5, None)]);
+        let probe = kv.start();
+        let install = wait_sends("probe answered", kv.round_trip(&probe));
+        serve(&kv.servers, &install[0]);
+        assert_retry("install reply lost", &kv.reply(timeout_reply()), 8);
+        let resolve = kv.resume();
+        assert_done("resolved as landed", &kv.round_trip(&resolve), false);
+        let read = kv.start();
+        assert_done("GET", &kv.finish(read), false);
+        assert_eq!(kv.records()[1].kind, HistKind::Get { nonce: 7 });
+    }
+
+    /// Branch: `hedge_eligible` — every leg of a GET, no leg of a PUT,
+    /// nothing once the op is over.
+    #[test]
+    fn kv_hedges_get_legs_only() {
+        let mut kv = Kv::fixed(vec![(2, Some(value(1))), (2, None)]);
+        let probe = kv.start();
+        assert!(!kv.driver.hedge_eligible(0), "a PUT's probe");
+        let install = wait_sends("probe answered", kv.round_trip(&probe));
+        assert!(!kv.driver.hedge_eligible(0), "a PUT's install");
+        assert_done("PUT", &kv.finish(install), false);
+        let probe = kv.start();
+        assert!(kv.driver.hedge_eligible(0), "a GET's probe");
+        assert_done("GET", &kv.finish(probe), false);
+        assert!(!kv.driver.hedge_eligible(0), "nothing in flight");
+    }
+
+    /// The recorder's laws over PRISM-KV: each `start` opens exactly one
+    /// record at the noted time; a completion closes it, a GET with the
+    /// nonce it read (absent key = 0); a protocol failure, an abandon
+    /// and a `start` over an open record (client crash) leave it open.
+    #[test]
+    fn kv_records_open_at_start_and_close_only_on_completion() {
+        let oversized = vec![0xAB; 4 * VALUE];
+        let mut kv = Kv::fixed(vec![
+            (0, None),
+            (1, Some(oversized)),
+            (2, Some(value(2))),
+            (2, Some(value(3))),
+            (2, Some(value(4))),
+            (2, None),
+        ]);
+        // 1 µs: GET of an absent key completes at 2 µs with nonce 0.
+        let probe = kv.start();
+        assert_done("absent GET", &kv.finish(probe), false);
+        // 3 µs: a PUT no size class fits fails after its probe.
+        let probe = kv.start();
+        assert_done("oversized PUT", &kv.finish(probe), true);
+        // 5 µs: a PUT abandoned mid-flight (deadline shed).
+        kv.start();
+        kv.tick();
+        assert!(kv.driver.abandon().is_empty());
+        // 7 µs: a PUT cut short by a client crash — the next start (8 µs)
+        // simply opens a new record, which completes.
+        kv.start();
+        let probe = kv.start();
+        assert_done("PUT", &kv.finish(probe), false);
+        let probe = kv.start();
+        assert_done("GET", &kv.finish(probe), false);
+        let rows: Vec<_> = kv
+            .records()
+            .iter()
+            .map(|r| (r.key, r.invoke.as_nanos(), r.complete, r.kind))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                (0, 1_000, at(2_000), HistKind::Get { nonce: 0 }),
+                (
+                    1,
+                    3_000,
+                    None,
+                    HistKind::Put {
+                        nonce: 0xABAB_ABAB_ABAB_ABAB
+                    }
+                ),
+                (2, 5_000, None, HistKind::Put { nonce: 2 }),
+                (2, 7_000, None, HistKind::Put { nonce: 3 }),
+                (2, 8_000, at(10_000), HistKind::Put { nonce: 4 }),
+                (2, 11_000, at(12_000), HistKind::Get { nonce: 4 }),
+            ]
+        );
+    }
+
+    // -----------------------------------------------------------------
+    // PRISM-RS
+    // -----------------------------------------------------------------
+
+    /// Four provisioned 3-replica groups, two active, and one recorded
+    /// driver playing `script`; the clock as in [`Kv`].
+    struct Rs {
+        shards: RsShards,
+        servers: Vec<Arc<PrismServer>>,
+        driver: RsDriver<Script, Recorder>,
+        history: History,
+        clock: u64,
+    }
+
+    impl Rs {
+        fn new(script: Vec<LogicalOp>) -> Self {
+            let shards =
+                RsShards::with_active(4, 2, 3, &RsConfig::paper(KEYS, VALUE as u64), MAP_SEED);
+            let history: History = Arc::new(Mutex::new(Vec::new()));
+            let driver = RsDriver::routed(
+                shards.open_clients(),
+                shards.map_handle(),
+                Script(script.into()),
+                Recorder::new(0, Arc::clone(&history)),
+            );
+            Rs {
+                servers: shards.servers(),
+                shards,
+                driver,
+                history,
+                clock: 0,
+            }
+        }
+
+        fn tick(&mut self) {
+            self.clock += 1_000;
+            self.driver.note_time(SimTime::from_nanos(self.clock));
+        }
+
+        fn start(&mut self) -> Vec<Outbound> {
+            self.tick();
+            self.driver.start(&mut SimRng::new(1))
+        }
+
+        fn resume(&mut self) -> Vec<Outbound> {
+            self.tick();
+            self.driver.resume()
+        }
+
+        fn reply(&mut self, tag: u64, reply: Reply) -> AdapterStep {
+            self.tick();
+            self.driver.on_reply(tag, reply)
+        }
+
+        /// Serves one leg and feeds its reply.
+        fn leg(&mut self, out: &Outbound) -> AdapterStep {
+            let reply = serve(&self.servers, out);
+            self.reply(out.tag, reply)
+        }
+
+        /// Serves every leg of an attempt in order, feeding each reply,
+        /// and returns the steps.
+        fn legs(&mut self, sends: &[Outbound]) -> Vec<AdapterStep> {
+            sends.iter().map(|out| self.leg(out)).collect()
+        }
+
+        fn owed(&self, seq: u64) -> Option<usize> {
+            self.driver.lingering.get(&seq).map(|(_, owed)| *owed)
+        }
+
+        fn records(&self) -> Vec<HistOp> {
+            self.history.lock().expect("history lock").clone()
+        }
+    }
+
+    fn seq_and_phase(out: &Outbound) -> (u64, u32) {
+        let (seq, phase, _) = untag(out.tag);
+        (seq, phase)
+    }
+
+    /// Branches: a failed quorum under `RsDriver::on_reply` retries the
+    /// whole operation six times, then gives it up; the legs that trail
+    /// each verdict are absorbed (live machine) or drained (parked one),
+    /// so nothing lingers.
+    #[test]
+    fn rs_failed_quorums_retry_six_times_then_give_up() {
+        let mut rs = Rs::new(vec![(1, None)]);
+        let mut sends = rs.start();
+        for (attempt, backoff_us) in BACKOFFS_US.into_iter().enumerate() {
+            assert_eq!(sends.len(), 3);
+            assert!(sends
+                .iter()
+                .all(|o| seq_and_phase(o) == (attempt as u64 + 1, 0)));
+            wait_sends("one leg lost", rs.reply(sends[0].tag, timeout_reply()));
+            assert_retry(
+                "quorum lost",
+                &rs.reply(sends[1].tag, timeout_reply()),
+                backoff_us,
+            );
+            wait_sends("trailing leg", rs.reply(sends[2].tag, timeout_reply()));
+            sends = rs.resume();
+        }
+        wait_sends("one leg lost", rs.reply(sends[0].tag, timeout_reply()));
+        let step = rs.reply(sends[1].tag, timeout_reply());
+        assert!(matches!(step, AdapterStep::GiveUp { .. }), "{step:?}");
+        assert_eq!(rs.owed(7), Some(1), "the third leg is still owed");
+        wait_sends("trailing leg", rs.reply(sends[2].tag, timeout_reply()));
+        assert!(rs.driver.lingering.is_empty());
+        let records = rs.records();
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].complete, None, "a given-up op stays uncertain");
+    }
+
+    /// Branches: the stale-epoch arm of `RsDriver::on_reply` — behind
+    /// the fence the attempt backs off on its machine; caught up it is
+    /// reissued at the block's new home group under `seq + 1`, with the
+    /// fenced attempt parked; fence NACKs trailing a parked attempt take
+    /// the straggler path.
+    #[test]
+    fn rs_epoch_fence_reissues_at_the_new_home_under_the_next_seq() {
+        let probe = Rs::new(Vec::new());
+        let (old, new) = (probe.shards.map(), probe.shards.map().grow(4));
+        let block = (0..KEYS)
+            .find(|b| old.shard_of_id(*b) != new.shard_of_id(*b))
+            .expect("the grow moves a block");
+        let (from, to) = (old.shard_of_id(block), new.shard_of_id(block));
+        let mut rs = Rs::new(vec![(block, Some(value(1)))]);
+        let first = rs.start();
+        assert!(first.iter().all(|o| o.server / 3 == from && o.epoch == 1));
+        // Servers flip before the map is published.
+        for s in &rs.servers {
+            s.install_epoch(2);
+        }
+        assert_retry("handle behind", &rs.leg(&first[0]), 8);
+        assert!(
+            rs.driver.current.is_some(),
+            "the machine waits for the retry"
+        );
+        let second = rs.resume();
+        assert!(second
+            .iter()
+            .all(|o| o.server / 3 == from && seq_and_phase(o) == (2, 0)));
+        assert_eq!(rs.owed(1), Some(2), "the fenced attempt is parked");
+        for out in &first[1..] {
+            assert!(wait_sends("trailing fence", rs.leg(out)).is_empty());
+        }
+        assert_eq!(rs.owed(1), None);
+        // The migration lands; the next fenced leg refetches and moves.
+        let (map, moved) = rs.shards.migrate_grow(4);
+        assert!(map.epoch() == 2 && moved > 0);
+        let third = wait_sends("caught up", rs.leg(&second[0]));
+        assert!(third
+            .iter()
+            .all(|o| o.server / 3 == to && o.epoch == 2 && seq_and_phase(o) == (3, 0)));
+        assert_eq!(rs.owed(2), Some(2));
+        assert_eq!(rs.records().len(), 1, "a reroute opens no record");
+    }
+
+    /// The tag the write phase's first chain op stages.
+    fn staged_tag(out: &Outbound) -> Vec<u8> {
+        match &out.req {
+            Request::Chain(chain) => match &chain[0] {
+                PrismOp::Write {
+                    data: DataArg::Inline(tag),
+                    ..
+                } => tag.clone(),
+                op => panic!("a write phase stages its tag first: {op:?}"),
+            },
+            req => panic!("a write phase is a chain: {req:?}"),
+        }
+    }
+
+    /// Branch: a PUT fenced in its write phase keeps its tag across the
+    /// reissue (`RsOp::reissue` re-pushes, it does not re-read), which
+    /// is what keeps a rerouted retry from resurrecting its value over a
+    /// later write.
+    #[test]
+    fn rs_put_fenced_in_its_write_phase_keeps_its_tag() {
+        let mut rs = Rs::new(vec![(2, Some(value(1))), (2, None)]);
+        let reads = rs.start();
+        let mut steps = rs.legs(&reads[..2]);
+        let writes = wait_sends("read quorum", steps.pop().expect("two steps"));
+        assert!(writes.iter().all(|o| seq_and_phase(o) == (1, 1)));
+        // A new epoch over the same homes.
+        for s in &rs.servers {
+            s.install_epoch(2);
+        }
+        rs.shards.map_handle().install(rs.shards.map().grow(2));
+        let again = wait_sends("fenced write leg", rs.leg(&writes[0]));
+        assert!(again
+            .iter()
+            .all(|o| seq_and_phase(o) == (2, 1) && o.epoch == 2));
+        assert_eq!(staged_tag(&again[0]), staged_tag(&writes[0]));
+        let steps = rs.legs(&again);
+        assert!(matches!(steps[1], AdapterStep::Done { failed: false, .. }));
+        // What was written is what a read returns (an ABD read: a read
+        // quorum, then the write-back).
+        let reads = rs.start();
+        let mut steps = rs.legs(&reads[..2]);
+        let write_back = wait_sends("read quorum", steps.pop().expect("two steps"));
+        let steps = rs.legs(&write_back[..2]);
+        assert!(matches!(steps[1], AdapterStep::Done { failed: false, .. }));
+        assert_eq!(rs.records()[1].kind, HistKind::Get { nonce: 1 });
+    }
+
+    /// Branches: completion at quorum parks the machine under its seq
+    /// with the replies it is still owed; each trailing reply is fed to
+    /// it — a write leg's reply frees the buffer it displaced — and the
+    /// last one drains `lingering`.
+    #[test]
+    fn rs_quorum_completion_parks_the_machine_and_stragglers_drain_it() {
+        let mut rs = Rs::new(vec![(4, Some(value(9)))]);
+        let reads = rs.start();
+        let mut steps = rs.legs(&reads[..2]);
+        let writes = wait_sends("read quorum", steps.pop().expect("two steps"));
+        assert_eq!(writes.len(), 3);
+        let steps = rs.legs(&writes[..2]);
+        match &steps[1] {
+            AdapterStep::Done { sends, failed, .. } => {
+                assert!(!failed);
+                assert!(sends.iter().all(is_single_free));
+            }
+            other => panic!("write quorum completes the op: {other:?}"),
+        }
+        assert!(rs.driver.current.is_none());
+        assert_eq!(rs.owed(1), Some(2), "one read leg, one write leg");
+        assert_eq!(rs.records()[0].complete, at(5_000), "closed at the quorum");
+        assert!(wait_sends("late read leg", rs.leg(&reads[2])).is_empty());
+        assert_eq!(rs.owed(1), Some(1));
+        let frees = wait_sends("late write leg", rs.leg(&writes[2]));
+        assert_eq!(frees.len(), 1);
+        assert!(is_single_free(&frees[0]) && frees[0].server == writes[2].server);
+        assert!(rs.driver.lingering.is_empty());
+    }
+
+    /// Branch: `abandon` mid-quorum parks exactly as a reissue does —
+    /// the attempt's machine under its seq, owed what was outstanding —
+    /// and the trailing replies drain it either way.
+    #[test]
+    fn rs_abandon_parks_as_a_reissue_does() {
+        type Park = fn(&mut Rs) -> Vec<Outbound>;
+        let cases: [(&str, Park); 2] = [
+            ("abandon", |rs| {
+                rs.tick();
+                rs.driver.abandon()
+            }),
+            ("reissue", Rs::resume),
+        ];
+        for (what, park) in cases {
+            let mut rs = Rs::new(vec![(6, None)]);
+            let sends = rs.start();
+            wait_sends(what, rs.leg(&sends[0]));
+            let next = park(&mut rs);
+            assert_eq!(rs.owed(1), Some(2), "{what}");
+            assert_eq!(rs.driver.outstanding, next.len(), "{what}");
+            for out in &sends[1..] {
+                assert!(wait_sends(what, rs.leg(out)).is_empty(), "{what}");
+            }
+            assert_eq!(rs.owed(1), None, "{what}");
+        }
+        // Abandoned: nothing in flight, the record left open.
+        let mut rs = Rs::new(vec![(6, Some(value(1)))]);
+        rs.start();
+        rs.tick();
+        rs.driver.abandon();
+        assert!(rs.driver.current.is_none() && rs.driver.op.is_none());
+        assert_eq!(rs.records()[0].complete, None);
+    }
+
+    /// Branch: `hedge_eligible` — the legs of a GET's live attempt, no
+    /// leg of a PUT, no tag of an attempt the driver has moved on from.
+    #[test]
+    fn rs_hedges_get_legs_of_the_live_attempt_only() {
+        let mut rs = Rs::new(vec![(3, Some(value(1))), (3, None)]);
+        let reads = rs.start();
+        assert!(
+            reads.iter().all(|o| !rs.driver.hedge_eligible(o.tag)),
+            "a PUT's reads"
+        );
+        let mut steps = rs.legs(&reads);
+        steps.truncate(2);
+        let writes = wait_sends("read quorum", steps.pop().expect("two steps"));
+        assert!(
+            writes.iter().all(|o| !rs.driver.hedge_eligible(o.tag)),
+            "a PUT's writes"
+        );
+        rs.legs(&writes);
+        let first = rs.start();
+        assert!(
+            first.iter().all(|o| rs.driver.hedge_eligible(o.tag)),
+            "a GET's reads"
+        );
+        let second = rs.resume();
+        assert!(
+            first.iter().all(|o| !rs.driver.hedge_eligible(o.tag)),
+            "a straggler's tag"
+        );
+        assert!(second.iter().all(|o| rs.driver.hedge_eligible(o.tag)));
+        rs.tick();
+        rs.driver.abandon();
+        assert!(
+            second.iter().all(|o| !rs.driver.hedge_eligible(o.tag)),
+            "nothing in flight"
+        );
+    }
+
+    // -----------------------------------------------------------------
+    // Coalescing
+    // -----------------------------------------------------------------
+
+    /// Emits, per reply: a foreground send, a free of the next address
+    /// on server 1, and a background request that is not a free.
+    struct Frees(u64);
+
+    impl ProtoAdapter for Frees {
+        fn start(&mut self, _rng: &mut SimRng) -> Vec<Outbound> {
+            Vec::new()
+        }
+
+        fn resume(&mut self) -> Vec<Outbound> {
+            Vec::new()
+        }
+
+        fn on_reply(&mut self, _tag: u64, _reply: Reply) -> AdapterStep {
+            self.0 += 1;
+            AdapterStep::Wait(vec![
+                Outbound::new(0, 5, Request::Rpc(vec![0x09]), false),
+                Outbound::new(1, 0, free_request(self.0), true),
+                Outbound::new(1, 0, Request::Rpc(vec![0x02]), true),
+            ])
+        }
+
+        fn on_stale_reply(&mut self, _tag: u64, server: usize, _reply: Reply) -> Vec<Outbound> {
+            harvested_free(server, 0xF00)
+        }
+    }
+
+    /// The stage [`Coalesced`] applies: frees held back per server until
+    /// the sixteenth, whose place the batch takes; everything else, and
+    /// the order, untouched; harvested frees raw.
+    #[test]
+    fn coalesced_batches_frees_in_place_and_leaves_the_rest() {
+        let mut adapter = Coalesced::wrap(Frees(0));
+        let shape = |sends: &[Outbound]| -> Vec<(usize, bool, u8)> {
+            sends
+                .iter()
+                .map(|o| match &o.req {
+                    Request::Rpc(m) => (o.server, o.background, m[0]),
+                    req => panic!("{req:?}"),
+                })
+                .collect()
+        };
+        for _ in 1..FreeBatcher::CAP {
+            let sends = wait_sends("held back", adapter.on_reply(0, Reply::Rpc(Vec::new())));
+            assert_eq!(shape(&sends), [(0, false, 0x09), (1, true, 0x02)]);
+        }
+        let sends = wait_sends("flush", adapter.on_reply(0, Reply::Rpc(Vec::new())));
+        assert_eq!(
+            shape(&sends),
+            [(0, false, 0x09), (1, true, 0x04), (1, true, 0x02)]
+        );
+        let Request::Rpc(batch) = &sends[1].req else {
+            unreachable!("shape checked");
+        };
+        let mut want = vec![0x04, 16, 0];
+        for addr in 1..=16u64 {
+            want.extend_from_slice(&addr.to_le_bytes());
+        }
+        assert_eq!(batch, &want);
+        let harvest = adapter.on_stale_reply(0, 1, Reply::Rpc(Vec::new()));
+        assert!(harvest.len() == 1 && is_single_free(&harvest[0]));
     }
 }

@@ -1,57 +1,35 @@
-//! Chaos linearizability gate: history-recording adapters and a
-//! bounded Wing–Gong checker.
+//! Chaos linearizability gate: the history recorder, the gates'
+//! workload, and a bounded Wing–Gong checker.
 //!
 //! A chaos run (seeded crash/partition/loss schedule, see
 //! [`prism_simnet::fault::FaultPlan::chaos`]) drives the real protocol
-//! stacks through the DES while every operation's invocation time,
-//! completion time, and observed/written value is appended to a shared
-//! history. Afterwards [`check_history`] verifies the history is
+//! stacks through the DES — the same [`KvDriver`] and [`RsDriver`] the
+//! figures run — while a [`Recorder`] appends every operation's
+//! invocation time, completion time, and observed/written value to a
+//! shared history. Afterwards [`check_history`] verifies the history is
 //! linearizable per register: there exists a total order of operations,
 //! consistent with real-time precedence, under which every read
 //! returns the latest written value.
 //!
 //! Values are reduced to 64-bit nonces: each write stamps a globally
-//! unique nonce into the first eight bytes of its value, so a read's
-//! observation identifies exactly one write (nonce 0 is the initial,
-//! never-written state). Operations cut short by client crashes,
-//! give-ups, or the end of the run are *uncertain*: an unfinished read
-//! observed nothing and is discarded, while an unfinished write may or
-//! may not have taken effect, so the checker is free to place it
-//! anywhere after its invocation — or nowhere at all.
+//! unique nonce into the first eight bytes of its value ([`NonceOps`]),
+//! so a read's observation identifies exactly one write (nonce 0 is the
+//! initial, never-written state). Operations cut short by client
+//! crashes, give-ups, or the end of the run are *uncertain*: an
+//! unfinished read observed nothing and is discarded, while an
+//! unfinished write may or may not have taken effect, so the checker is
+//! free to place it anywhere after its invocation — or nowhere at all.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::{Arc, Mutex};
 
-use prism_core::msg::Reply;
-use prism_kv::hash::key_bytes;
-use prism_kv::prism_kv::{GetOp, PrismKvClient, PutOp};
-use prism_kv::{KvOutcome, KvStep};
-use prism_rs::prism_rs::{RsClient, RsOp};
-use prism_rs::RsOutcome;
+use prism_kv::prism_kv::PrismKvClient;
+use prism_rs::prism_rs::RsClient;
 use prism_simnet::rng::SimRng;
-use prism_simnet::time::{SimDuration, SimTime};
+use prism_simnet::time::SimTime;
 
-use crate::adapters::{kv_harvest, rs_harvest};
+use crate::adapters::{KvDriver, LogicalOp, OpObserver, OpSource, RsDriver};
 use crate::cluster::{MapHandle, ShardMap};
-use crate::netsim::{AdapterStep, Outbound, ProtoAdapter};
-
-/// Transport-retry policy of the chaos adapters (mirrors the
-/// experiment adapters): reissue after a capped exponential backoff,
-/// then give the operation up.
-const RETRY_BUDGET: u32 = 6;
-
-fn backoff(retry: u32) -> SimDuration {
-    let exp = retry.saturating_sub(1).min(6);
-    SimDuration::from_nanos((8_000u64 << exp).min(64_000))
-}
-
-fn tag(seq: u64, phase: u32, idx: u32) -> u64 {
-    (seq << 32) | ((phase as u64) << 16) | idx as u64
-}
-
-fn untag(t: u64) -> (u64, u32, u32) {
-    (t >> 32, ((t >> 16) & 0xFFFF) as u32, (t & 0xFFFF) as u32)
-}
 
 /// What one recorded operation did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,7 +63,7 @@ pub struct HistOp {
     pub kind: HistKind,
 }
 
-/// Shared sink the chaos adapters append to.
+/// Shared sink the recorders append to.
 pub type History = Arc<Mutex<Vec<HistOp>>>;
 
 /// A unique write nonce: client in the high bits, a per-client counter
@@ -94,7 +72,8 @@ fn nonce(client: usize, ctr: u64) -> u64 {
     ((client as u64 + 1) << 40) | ctr
 }
 
-fn stamp(len: usize, nonce: u64) -> Vec<u8> {
+/// A value of `len` bytes (at least eight) carrying `nonce` up front.
+pub(crate) fn stamp(len: usize, nonce: u64) -> Vec<u8> {
     let mut v = vec![0u8; len.max(8)];
     v[..8].copy_from_slice(&nonce.to_le_bytes());
     v
@@ -107,43 +86,117 @@ fn read_nonce(value: &[u8]) -> u64 {
     u64::from_le_bytes(b)
 }
 
-// ---------------------------------------------------------------------
-// History-recording adapters
-// ---------------------------------------------------------------------
-
-/// Closed-loop PRISM-RS client that records a linearizability history.
-///
-/// Structurally a [`crate::adapters::PrismRsAdapter`]: quorum machines
-/// outlive their completion point (stragglers feed reclamation), a
-/// quorum failure retries the whole operation under a fresh sequence
-/// number, and an exhausted retry budget gives the operation up. On top
-/// of that it stamps every write with a unique nonce and appends
-/// invoke/complete records to the shared history.
-pub struct ChaosRsAdapter {
-    clients: Vec<RsClient>,
-    map: ShardMap,
-    /// Live map source; `None` for a fixed-topology run.
-    handle: Option<MapHandle>,
-    /// Replicas per group (flat-index stride, see
-    /// [`crate::cluster::RsShards`]).
-    replicas: usize,
-    /// Home group of the in-flight op.
-    group: usize,
-    id: usize,
-    n_blocks: u64,
-    block_size: usize,
+/// The gates' workload: a uniform register, a write with probability
+/// `write_fraction` — two draws on the client actor's stream — and each
+/// write's value stamped with the client's next nonce (a counter, not a
+/// draw).
+pub struct NonceOps {
+    client: usize,
+    registers: u64,
+    value_len: usize,
     write_fraction: f64,
-    seq: u64,
-    nonce_ctr: u64,
+    writes: u64,
+}
+
+impl NonceOps {
+    /// The workload of client `client` over `registers` keys or blocks.
+    pub fn new(client: usize, registers: u64, value_len: usize, write_fraction: f64) -> Self {
+        NonceOps {
+            client,
+            registers,
+            value_len,
+            write_fraction,
+            writes: 0,
+        }
+    }
+}
+
+impl OpSource for NonceOps {
+    fn draw(&mut self, rng: &mut SimRng) -> LogicalOp {
+        let key = rng.gen_range(self.registers);
+        let value = rng.gen_bool(self.write_fraction).then(|| {
+            self.writes += 1;
+            stamp(self.value_len, nonce(self.client, self.writes))
+        });
+        (key, value)
+    }
+}
+
+/// Appends one client's operations to a shared [`History`], stamped
+/// with the time the driver last noted.
+///
+/// Each invocation opens a record; a completion closes it (a read with
+/// the nonce it observed — an absent key reads as nonce 0, so the store
+/// needs no preload). A record is left open, `complete == None`, when
+/// its operation ends any other way: given up or shed, failed by the
+/// protocol, or cut short by a client crash — the next invocation simply
+/// opens a new record over it. The checker discards such a read and
+/// treats such a write as uncertain. A reissue or a reroute opens
+/// nothing: it is the same logical operation, and the checker sees it as
+/// ordinary concurrency.
+pub struct Recorder {
+    client: usize,
     now: SimTime,
-    current: Option<RsOp>,
-    lingering: HashMap<u64, (RsOp, usize)>,
-    outstanding: usize,
-    op: Option<(u64, Option<Vec<u8>>)>,
-    retries: u32,
-    rec: Option<usize>,
+    open: Option<usize>,
     history: History,
 }
+
+impl Recorder {
+    /// A recorder for client `client`, appending to `history`.
+    pub fn new(client: usize, history: History) -> Self {
+        Recorder {
+            client,
+            now: SimTime::ZERO,
+            open: None,
+            history,
+        }
+    }
+}
+
+impl OpObserver for Recorder {
+    fn note_time(&mut self, now: SimTime) {
+        self.now = now;
+    }
+
+    fn invoked(&mut self, (key, value): &LogicalOp) {
+        let kind = match value {
+            Some(v) => HistKind::Put {
+                nonce: read_nonce(v),
+            },
+            None => HistKind::Get { nonce: 0 },
+        };
+        let mut h = self.history.lock().expect("history lock");
+        h.push(HistOp {
+            client: self.client,
+            key: *key,
+            invoke: self.now,
+            complete: None,
+            kind,
+        });
+        self.open = Some(h.len() - 1);
+    }
+
+    fn completed(&mut self, read: Option<&[u8]>) {
+        if let Some(i) = self.open.take() {
+            let mut h = self.history.lock().expect("history lock");
+            h[i].complete = Some(self.now);
+            if let Some(v) = read {
+                h[i].kind = HistKind::Get {
+                    nonce: read_nonce(v),
+                };
+            }
+        }
+    }
+
+    fn unresolved(&mut self) {
+        self.open = None;
+    }
+}
+
+/// Closed-loop PRISM-RS client that records a linearizability history:
+/// the figures' [`RsDriver`] fed by [`NonceOps`] and heard by a
+/// [`Recorder`], reclamation sent raw.
+pub type ChaosRsAdapter = RsDriver<NonceOps, Recorder>;
 
 impl ChaosRsAdapter {
     /// Creates the single-group adapter for client `id`.
@@ -166,416 +219,27 @@ impl ChaosRsAdapter {
         )
     }
 
-    /// Creates a routed adapter over one client per replica group:
-    /// every block's quorum protocol runs inside its home group, and
-    /// the recorded history spans the whole cluster.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the client count does not match the map's shard count
-    /// or the groups disagree on replica count.
-    #[allow(clippy::too_many_arguments)]
+    /// Creates a routed adapter over one client per replica group; the
+    /// recorded history spans the whole cluster. `route` is a fixed map
+    /// or a live handle (see [`RsDriver::routed`]).
     pub fn sharded(
         clients: Vec<RsClient>,
-        map: ShardMap,
+        route: impl Into<MapHandle>,
         id: usize,
         n_blocks: u64,
         block_size: usize,
         write_fraction: f64,
         history: History,
     ) -> Self {
-        assert_eq!(
-            clients.len(),
-            map.shards(),
-            "one client per replica group in group order"
-        );
-        let replicas = clients[0].n();
-        assert!(
-            clients.iter().all(|c| c.n() == replicas),
-            "uniform replica count across groups"
-        );
-        ChaosRsAdapter {
-            clients,
-            map,
-            handle: None,
-            replicas,
-            group: 0,
-            id,
-            n_blocks,
-            block_size,
-            write_fraction,
-            seq: 0,
-            nonce_ctr: 0,
-            now: SimTime::ZERO,
-            current: None,
-            lingering: HashMap::new(),
-            outstanding: 0,
-            op: None,
-            retries: 0,
-            rec: None,
-            history,
-        }
-    }
-
-    /// Creates a routed adapter whose map can change under it: the
-    /// cluster's [`MapHandle`] is refetched whenever a replica fences a
-    /// request with [`prism_rdma::RdmaError::StaleEpoch`], and the
-    /// in-flight operation is reissued against the block's new home
-    /// group — with its history record still open, so the checker sees
-    /// the reroute as ordinary concurrency. Clients must cover every
-    /// group the map can grow into (standby groups included), in group
-    /// order.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sharded_live(
-        clients: Vec<RsClient>,
-        handle: MapHandle,
-        id: usize,
-        n_blocks: u64,
-        block_size: usize,
-        write_fraction: f64,
-        history: History,
-    ) -> Self {
-        let map = handle.snapshot();
-        assert!(
-            clients.len() >= map.shards(),
-            "clients must cover every group the map can grow into"
-        );
-        let replicas = clients[0].n();
-        assert!(
-            clients.iter().all(|c| c.n() == replicas),
-            "uniform replica count across groups"
-        );
-        ChaosRsAdapter {
-            clients,
-            map,
-            handle: Some(handle),
-            replicas,
-            group: 0,
-            id,
-            n_blocks,
-            block_size,
-            write_fraction,
-            seq: 0,
-            nonce_ctr: 0,
-            now: SimTime::ZERO,
-            current: None,
-            lingering: HashMap::new(),
-            outstanding: 0,
-            op: None,
-            retries: 0,
-            rec: None,
-            history,
-        }
-    }
-
-    fn record(&mut self, key: u64, kind: HistKind) {
-        let mut h = self.history.lock().expect("history lock");
-        h.push(HistOp {
-            client: self.id,
-            key,
-            invoke: self.now,
-            complete: None,
-            kind,
-        });
-        self.rec = Some(h.len() - 1);
-    }
-
-    fn close(&mut self, kind: Option<HistKind>) {
-        if let Some(i) = self.rec.take() {
-            let mut h = self.history.lock().expect("history lock");
-            h[i].complete = Some(self.now);
-            if let Some(kind) = kind {
-                h[i].kind = kind;
-            }
-        }
-    }
-
-    fn issue(&mut self) -> Vec<Outbound> {
-        self.seq += 1;
-        self.outstanding = 0;
-        let (block, value) = self.op.clone().expect("op set");
-        self.group = self.map.shard_of_id(block);
-        let (op, step) = match value {
-            Some(v) => self.clients[self.group].put(block, v),
-            None => self.clients[self.group].get(block),
-        };
-        self.current = Some(op);
-        self.absorb(step).0
-    }
-
-    fn absorb(&mut self, step: prism_rs::prism_rs::RsStep) -> (Vec<Outbound>, Option<RsOutcome>) {
-        let base = self.group * self.replicas;
-        let mut sends = Vec::new();
-        for (replica, phase, req) in step.send {
-            self.outstanding += 1;
-            sends.push(Outbound {
-                server: base + replica,
-                tag: tag(self.seq, phase, (base + replica) as u32),
-                req,
-                background: false,
-                epoch: self.map.epoch(),
-            });
-        }
-        for (replica, req) in step.background {
-            sends.push(Outbound {
-                server: base + replica,
-                tag: 0,
-                req,
-                background: true,
-                epoch: 0,
-            });
-        }
-        (sends, step.done)
+        let ops = NonceOps::new(id, n_blocks, block_size, write_fraction);
+        RsDriver::routed(clients, route, ops, Recorder::new(id, history))
     }
 }
 
-impl ProtoAdapter for ChaosRsAdapter {
-    fn start(&mut self, rng: &mut SimRng) -> Vec<Outbound> {
-        // A record still open here was cut short by a client crash: its
-        // `complete` stays `None` (unfinished read → discarded,
-        // unfinished write → uncertain).
-        self.rec = None;
-        let block = rng.gen_range(self.n_blocks);
-        let value = if rng.gen_bool(self.write_fraction) {
-            self.nonce_ctr += 1;
-            let n = nonce(self.id, self.nonce_ctr);
-            self.record(block, HistKind::Put { nonce: n });
-            Some(stamp(self.block_size, n))
-        } else {
-            self.record(block, HistKind::Get { nonce: 0 });
-            None
-        };
-        self.op = Some((block, value));
-        self.retries = 0;
-        self.issue()
-    }
-
-    fn resume(&mut self) -> Vec<Outbound> {
-        // Operation-level retry: same block, same value (and nonce),
-        // fresh sequence number, but the *same* machine — a PUT whose
-        // write phase already chose its tag must retry under that tag
-        // (see RsOp::reissue), or the retry could resurrect its value
-        // over a later write readers already observed. Stragglers of
-        // the abandoned attempt are parked under the old seq so their
-        // reclamation still lands.
-        let Some(mut op) = self.current.take() else {
-            return self.issue();
-        };
-        if self.outstanding > 0 {
-            self.lingering
-                .insert(self.seq, (op.clone(), self.outstanding));
-        }
-        self.seq += 1;
-        self.outstanding = 0;
-        // Re-route through the current map: a no-op unless a stale-epoch
-        // fence refreshed it since the attempt started.
-        let (block, _) = self.op.clone().expect("op set");
-        self.group = self.map.shard_of_id(block);
-        let step = op.reissue(&self.clients[self.group]);
-        self.current = Some(op);
-        self.absorb(step).0
-    }
-
-    fn note_time(&mut self, now: SimTime) {
-        self.now = now;
-    }
-
-    fn on_reply(&mut self, t: u64, reply: Reply) -> AdapterStep {
-        let (seq, phase, idx) = untag(t);
-        // The tag carries the flat server index; decompose it so a
-        // straggler from a previous op still lands in its own group.
-        let group = idx as usize / self.replicas;
-        let replica = idx as usize % self.replicas;
-        if let Some(inc) = reply.stale_incarnation() {
-            // An amnesia-restarted replica fenced our pre-crash rkeys:
-            // restamp them so the operation-level retry reaches it.
-            self.clients[group].refence(replica, inc);
-        }
-        if let Some(current_epoch) = reply.stale_epoch() {
-            if seq == self.seq && self.current.is_some() {
-                // A replica fenced this attempt under a newer shard-map
-                // epoch: refetch the map and reissue the same machine
-                // (same nonce, same history record — the reroute looks
-                // like ordinary concurrency to the checker) against the
-                // block's new home group. The fenced leg never executed;
-                // stragglers park under the old seq as in resume().
-                if let Some(h) = &self.handle {
-                    let m = h.snapshot();
-                    if m.epoch() > self.map.epoch() {
-                        self.map = m;
-                    }
-                }
-                self.outstanding -= 1;
-                let mut op = self.current.take().expect("op in flight");
-                if self.map.epoch() >= current_epoch {
-                    if self.outstanding > 0 {
-                        self.lingering
-                            .insert(self.seq, (op.clone(), self.outstanding));
-                    }
-                    self.seq += 1;
-                    self.outstanding = 0;
-                    let (block, _) = self.op.clone().expect("op set");
-                    self.group = self.map.shard_of_id(block);
-                    let step = op.reissue(&self.clients[self.group]);
-                    self.current = Some(op);
-                    let (sends, _) = self.absorb(step);
-                    return AdapterStep::Wait(sends);
-                }
-                // The fencing epoch is ahead of anything we can fetch:
-                // fall back to an op-level retry with backoff.
-                if self.retries >= RETRY_BUDGET {
-                    if self.outstanding > 0 {
-                        self.lingering.insert(self.seq, (op, self.outstanding));
-                    }
-                    self.rec = None; // abandoned → uncertain
-                    return AdapterStep::GiveUp { sends: Vec::new() };
-                }
-                self.current = Some(op);
-                self.retries += 1;
-                return AdapterStep::Retry {
-                    sends: Vec::new(),
-                    wait: backoff(self.retries),
-                };
-            }
-            // A fence NACK trailing an abandoned attempt falls through
-            // to the straggler path: the machine counts it as a failed
-            // leg, keeping the lingering bookkeeping exact.
-        }
-        if seq != self.seq || self.current.is_none() {
-            // Straggler for a completed op: feed it for reclamation.
-            let mut sends = Vec::new();
-            let mut finished = false;
-            let base = group * self.replicas;
-            if let Some((op, remaining)) = self.lingering.get_mut(&seq) {
-                let step = op.on_reply(&self.clients[group], phase, replica, reply);
-                for (r, req) in step.background {
-                    sends.push(Outbound {
-                        server: base + r,
-                        tag: 0,
-                        req,
-                        background: true,
-                        epoch: 0,
-                    });
-                }
-                *remaining -= 1;
-                finished = *remaining == 0;
-            }
-            if finished {
-                self.lingering.remove(&seq);
-            }
-            return AdapterStep::Wait(sends);
-        }
-        let mut op = self.current.take().expect("op in flight");
-        self.outstanding -= 1;
-        let step = op.on_reply(&self.clients[self.group], phase, replica, reply);
-        let (sends, done) = self.absorb(step);
-        match done {
-            Some(outcome) => {
-                if matches!(outcome, RsOutcome::Failed(_)) && self.retries < RETRY_BUDGET {
-                    // Keep the machine for the reissue; until then it
-                    // continues absorbing this attempt's stragglers.
-                    self.current = Some(op);
-                    self.retries += 1;
-                    return AdapterStep::Retry {
-                        sends,
-                        wait: backoff(self.retries),
-                    };
-                }
-                if self.outstanding > 0 {
-                    self.lingering.insert(self.seq, (op, self.outstanding));
-                }
-                match outcome {
-                    RsOutcome::Failed(_) => {
-                        // Abandoned: the record stays open (uncertain).
-                        self.rec = None;
-                        AdapterStep::GiveUp { sends }
-                    }
-                    RsOutcome::Value(v) => {
-                        self.close(Some(HistKind::Get {
-                            nonce: read_nonce(&v),
-                        }));
-                        AdapterStep::Done {
-                            sends,
-                            client_compute: SimDuration::ZERO,
-                            failed: false,
-                        }
-                    }
-                    RsOutcome::Written => {
-                        self.close(None);
-                        AdapterStep::Done {
-                            sends,
-                            client_compute: SimDuration::ZERO,
-                            failed: false,
-                        }
-                    }
-                }
-            }
-            None => {
-                self.current = Some(op);
-                AdapterStep::Wait(sends)
-            }
-        }
-    }
-
-    fn on_stale_reply(&mut self, _tag: u64, server: usize, reply: Reply) -> Vec<Outbound> {
-        rs_harvest(server, reply)
-    }
-
-    fn hedge_eligible(&self, t: u64) -> bool {
-        // Quorum-read legs only (see PrismRsAdapter::hedge_eligible):
-        // all GET phases are idempotent reads, so the race's loser is
-        // just one more straggler.
-        untag(t).0 == self.seq && self.current.is_some() && matches!(self.op, Some((_, None)))
-    }
-
-    fn abandon(&mut self) -> Vec<Outbound> {
-        // Deadline shed mid-quorum: park the machine exactly as a
-        // reissue would (stragglers still resolve and reclaim), and
-        // leave the history record open — a shed PUT may have partially
-        // executed, so the checker must treat it as uncertain.
-        if let Some(op) = self.current.take() {
-            if self.outstanding > 0 {
-                self.lingering.insert(self.seq, (op, self.outstanding));
-            }
-        }
-        self.outstanding = 0;
-        self.op = None;
-        self.retries = 0;
-        self.rec = None;
-        Vec::new()
-    }
-}
-
-enum KvMachine {
-    Get(GetOp),
-    Put(PutOp),
-}
-
-/// Closed-loop PRISM-KV client that records a linearizability history.
-///
-/// Mirrors [`crate::adapters::PrismKvAdapter`]'s transport-retry policy
-/// (a synthesized timeout reissues the op, an exhausted budget gives it
-/// up) while stamping writes with unique nonces and recording history.
-/// An absent key reads as nonce 0, so the store needs no preload.
-pub struct ChaosKvAdapter {
-    clients: Vec<PrismKvClient>,
-    map: ShardMap,
-    /// Live map source; `None` for a fixed-topology run.
-    handle: Option<MapHandle>,
-    /// Home shard of the in-flight op.
-    shard: usize,
-    id: usize,
-    n_keys: u64,
-    value_len: usize,
-    write_fraction: f64,
-    nonce_ctr: u64,
-    now: SimTime,
-    current: Option<KvMachine>,
-    op: Option<(u64, Option<Vec<u8>>)>,
-    retries: u32,
-    rec: Option<usize>,
-    history: History,
-}
+/// Closed-loop PRISM-KV client that records a linearizability history:
+/// the figures' [`KvDriver`] fed by [`NonceOps`] and heard by a
+/// [`Recorder`], reclamation sent raw.
+pub type ChaosKvAdapter = KvDriver<NonceOps, Recorder>;
 
 impl ChaosKvAdapter {
     /// Creates the single-server adapter for client `id`.
@@ -598,338 +262,20 @@ impl ChaosKvAdapter {
         )
     }
 
-    /// Creates a routed adapter over one client per shard: operations
-    /// run against each key's home shard while the recorded history
-    /// spans the whole cluster.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the client count does not match the map's shard count.
-    #[allow(clippy::too_many_arguments)]
+    /// Creates a routed adapter over one client per shard; the recorded
+    /// history spans the whole cluster. `route` is a fixed map or a
+    /// live handle (see [`KvDriver::routed`]).
     pub fn sharded(
         clients: Vec<PrismKvClient>,
-        map: ShardMap,
+        route: impl Into<MapHandle>,
         id: usize,
         n_keys: u64,
         value_len: usize,
         write_fraction: f64,
         history: History,
     ) -> Self {
-        assert_eq!(
-            clients.len(),
-            map.shards(),
-            "one client per shard in shard order"
-        );
-        ChaosKvAdapter {
-            clients,
-            map,
-            handle: None,
-            shard: 0,
-            id,
-            n_keys,
-            value_len,
-            write_fraction,
-            nonce_ctr: 0,
-            now: SimTime::ZERO,
-            current: None,
-            op: None,
-            retries: 0,
-            rec: None,
-            history,
-        }
-    }
-
-    /// Creates a routed adapter whose map can change under it: the
-    /// cluster's [`MapHandle`] is refetched whenever a server fences a
-    /// request with [`prism_rdma::RdmaError::StaleEpoch`], and the
-    /// in-flight operation restarts against the key's new home shard —
-    /// with its history record still open, so the checker sees the
-    /// reroute as ordinary concurrency. Clients must cover every shard
-    /// the map can grow into (standby shards included), in shard order.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sharded_live(
-        clients: Vec<PrismKvClient>,
-        handle: MapHandle,
-        id: usize,
-        n_keys: u64,
-        value_len: usize,
-        write_fraction: f64,
-        history: History,
-    ) -> Self {
-        let map = handle.snapshot();
-        assert!(
-            clients.len() >= map.shards(),
-            "clients must cover every shard the map can grow into"
-        );
-        ChaosKvAdapter {
-            clients,
-            map,
-            handle: Some(handle),
-            shard: 0,
-            id,
-            n_keys,
-            value_len,
-            write_fraction,
-            nonce_ctr: 0,
-            now: SimTime::ZERO,
-            current: None,
-            op: None,
-            retries: 0,
-            rec: None,
-            history,
-        }
-    }
-
-    fn record(&mut self, key: u64, kind: HistKind) {
-        let mut h = self.history.lock().expect("history lock");
-        h.push(HistOp {
-            client: self.id,
-            key,
-            invoke: self.now,
-            complete: None,
-            kind,
-        });
-        self.rec = Some(h.len() - 1);
-    }
-
-    fn close(&mut self, kind: Option<HistKind>) {
-        if let Some(i) = self.rec.take() {
-            let mut h = self.history.lock().expect("history lock");
-            h[i].complete = Some(self.now);
-            if let Some(kind) = kind {
-                h[i].kind = kind;
-            }
-        }
-    }
-
-    fn issue(&mut self) -> Vec<Outbound> {
-        let (key, value) = self.op.clone().expect("op set");
-        let kb = key_bytes(key);
-        self.shard = self.map.shard_of(&kb);
-        let client = &self.clients[self.shard];
-        let (machine, req) = match value {
-            Some(v) => {
-                let (m, r) = client.put(&kb, &v);
-                (KvMachine::Put(m), r)
-            }
-            None => {
-                let (m, r) = client.get(&kb);
-                (KvMachine::Get(m), r)
-            }
-        };
-        self.current = Some(machine);
-        vec![Outbound {
-            server: self.shard,
-            tag: 0,
-            req,
-            background: false,
-            epoch: self.map.epoch(),
-        }]
-    }
-}
-
-impl ProtoAdapter for ChaosKvAdapter {
-    fn start(&mut self, rng: &mut SimRng) -> Vec<Outbound> {
-        // See ChaosRsAdapter::start: an open record here was cut short
-        // by a client crash and stays uncertain.
-        self.rec = None;
-        let key = rng.gen_range(self.n_keys);
-        let value = if rng.gen_bool(self.write_fraction) {
-            self.nonce_ctr += 1;
-            let n = nonce(self.id, self.nonce_ctr);
-            self.record(key, HistKind::Put { nonce: n });
-            Some(stamp(self.value_len, n))
-        } else {
-            self.record(key, HistKind::Get { nonce: 0 });
-            None
-        };
-        self.op = Some((key, value));
-        self.retries = 0;
-        self.issue()
-    }
-
-    fn resume(&mut self) -> Vec<Outbound> {
-        // Transport retry: re-arm the *same* machine (same nonce, same
-        // entry version). A PUT whose install chain went unanswered may
-        // already have published; re-running it blindly would resurrect
-        // its nonce over a newer racing write — exactly the violation
-        // the checker below exists to catch — so the machine's reissue
-        // path re-reads the slot and decides.
-        let client = &self.clients[self.shard];
-        let req = match self.current.as_mut() {
-            Some(KvMachine::Get(m)) => m.reissue(client),
-            Some(KvMachine::Put(m)) => m.reissue(client),
-            None => return self.issue(),
-        };
-        vec![Outbound {
-            server: self.shard,
-            tag: 0,
-            req,
-            background: false,
-            epoch: self.map.epoch(),
-        }]
-    }
-
-    fn note_time(&mut self, now: SimTime) {
-        self.now = now;
-    }
-
-    fn on_reply(&mut self, _tag: u64, reply: Reply) -> AdapterStep {
-        if let Some(inc) = reply.stale_incarnation() {
-            // An amnesia-restarted shard fenced our pre-crash rkeys:
-            // restamp them with its new incarnation (the rejoin replay
-            // is server-side; the client only needs fresh capabilities)
-            // and re-arm the same machine via resume() — the fenced
-            // request never executed, and the history record stays open.
-            self.clients[self.shard].refence(inc);
-            if self.retries >= RETRY_BUDGET {
-                self.current = None;
-                self.op = None;
-                self.rec = None; // abandoned → uncertain
-                return AdapterStep::GiveUp { sends: Vec::new() };
-            }
-            self.retries += 1;
-            return AdapterStep::Retry {
-                sends: Vec::new(),
-                wait: backoff(self.retries),
-            };
-        }
-        if let Some(current) = reply.stale_epoch() {
-            // The server fenced our request under a newer shard-map
-            // epoch, so it never executed: refetch the map, reroute the
-            // key, and restart the machine from a clean probe at the
-            // key's (possibly new) home shard. The history record stays
-            // open — same logical operation, same nonce.
-            if let Some(h) = &self.handle {
-                let m = h.snapshot();
-                if m.epoch() > self.map.epoch() {
-                    self.map = m;
-                }
-            }
-            if self.map.epoch() >= current {
-                self.current = None;
-                return AdapterStep::Wait(self.issue());
-            }
-            // The fencing epoch is ahead of anything we can fetch: fall
-            // back to a transport retry with backoff.
-            self.current = None;
-            if self.retries >= RETRY_BUDGET {
-                self.op = None;
-                self.rec = None; // abandoned → uncertain
-                return AdapterStep::GiveUp { sends: Vec::new() };
-            }
-            self.retries += 1;
-            return AdapterStep::Retry {
-                sends: Vec::new(),
-                wait: backoff(self.retries),
-            };
-        }
-        if matches!(reply, Reply::Verb(Err(_))) {
-            // Synthesized timeout from the fault layer. The machine is
-            // kept: resume() re-arms it in place.
-            if self.retries >= RETRY_BUDGET {
-                self.current = None;
-                self.op = None;
-                self.rec = None; // abandoned → uncertain
-                return AdapterStep::GiveUp { sends: Vec::new() };
-            }
-            self.retries += 1;
-            return AdapterStep::Retry {
-                sends: Vec::new(),
-                wait: backoff(self.retries),
-            };
-        }
-        let mut machine = self.current.take().expect("op in flight");
-        let client = &self.clients[self.shard];
-        let step = match &mut machine {
-            KvMachine::Get(m) => m.on_reply(client, reply),
-            KvMachine::Put(m) => m.on_reply(client, reply),
-        };
-        self.current = Some(machine);
-        match step {
-            KvStep::Send {
-                request,
-                background,
-            } => {
-                let mut sends = vec![Outbound {
-                    server: self.shard,
-                    tag: 0,
-                    req: request,
-                    background: false,
-                    epoch: self.map.epoch(),
-                }];
-                sends.extend(background.map(|req| Outbound {
-                    server: self.shard,
-                    tag: 0,
-                    req,
-                    background: true,
-                    epoch: 0,
-                }));
-                AdapterStep::Wait(sends)
-            }
-            KvStep::Done {
-                outcome,
-                background,
-            } => {
-                self.current = None;
-                let sends: Vec<Outbound> = background
-                    .map(|req| {
-                        vec![Outbound {
-                            server: self.shard,
-                            tag: 0,
-                            req,
-                            background: true,
-                            epoch: 0,
-                        }]
-                    })
-                    .unwrap_or_default();
-                let failed = match outcome {
-                    KvOutcome::Value(v) => {
-                        self.close(Some(HistKind::Get {
-                            nonce: v.as_deref().map_or(0, read_nonce),
-                        }));
-                        false
-                    }
-                    KvOutcome::Written => {
-                        self.close(None);
-                        false
-                    }
-                    // A protocol-level failure (pool exhausted, retry
-                    // budget spent): the record stays open — a failed
-                    // PUT's chain may have partially executed.
-                    KvOutcome::Failed(_) => {
-                        self.rec = None;
-                        true
-                    }
-                };
-                AdapterStep::Done {
-                    sends,
-                    client_compute: SimDuration::ZERO,
-                    failed,
-                }
-            }
-        }
-    }
-
-    fn on_stale_reply(&mut self, _tag: u64, server: usize, reply: Reply) -> Vec<Outbound> {
-        kv_harvest(server, reply)
-    }
-
-    fn hedge_eligible(&self, _tag: u64) -> bool {
-        // GET machines only (see PrismKvAdapter::hedge_eligible): every
-        // GET leg is an idempotent read; PUT chains allocate and CAS.
-        matches!(self.current, Some(KvMachine::Get(_)))
-    }
-
-    fn abandon(&mut self) -> Vec<Outbound> {
-        // Deadline shed: drop the machine (KV holds one request in
-        // flight; raced-reply harvesting is stateless) and leave the
-        // history record open — a shed PUT is uncertain.
-        self.current = None;
-        self.op = None;
-        self.retries = 0;
-        self.rec = None;
-        Vec::new()
+        let ops = NonceOps::new(id, n_keys, value_len, write_fraction);
+        KvDriver::routed(clients, route, ops, Recorder::new(id, history))
     }
 }
 

@@ -182,6 +182,23 @@ impl MapHandle {
             *cur = map;
         }
     }
+
+    /// Brings a client's copy up to date: `map` becomes the published
+    /// map if that one is newer.
+    pub fn refresh(&self, map: &mut ShardMap) {
+        let cur = self.0.lock();
+        if cur.epoch() > map.epoch() {
+            *map = cur.clone();
+        }
+    }
+}
+
+/// A fixed map is a cell nobody else publishes to: a routed client takes
+/// either, and "live" is a property of the handle it was given.
+impl From<ShardMap> for MapHandle {
+    fn from(map: ShardMap) -> Self {
+        MapHandle::new(map)
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -15,7 +15,11 @@
 //!   lifecycle) that both arrival policies drive; one
 //!   [`netsim::ClientActor`] per closed-loop client; and the runner.
 //! * [`adapters`] — per-system adapters turning each protocol client
-//!   into the common [`netsim::ProtoAdapter`] interface.
+//!   into the common [`netsim::ProtoAdapter`] interface. PRISM-KV and
+//!   PRISM-RS have one driver each ([`adapters::KvDriver`],
+//!   [`adapters::RsDriver`]); workload, reclamation coalescing and
+//!   observers are supplied from outside it, so the figures and the
+//!   gates run the same reply handling.
 //! * [`cluster`] — the scale-out layer: seeded rendezvous shard maps
 //!   (with epochs in the incarnation-fencing shape) and N-server
 //!   KV/RS topologies the sharded sweeps run against.
@@ -28,8 +32,9 @@
 //!   transport: aggregate actors multiplexing up to 10⁶ logical
 //!   clients with Poisson or trace arrivals, recording
 //!   coordinated-omission-free latency.
-//! * [`chaos`] — history-recording adapters and the Wing–Gong
-//!   linearizability checker behind the chaos gate.
+//! * [`chaos`] — what the linearizability gates add to those drivers
+//!   (the nonce-stamping workload, the history recorder) and the
+//!   Wing–Gong checker.
 //! * [`table`] — plain-text table output shared by the `fig_*` binaries.
 //! * [`smoke`] — env-tunable scale for the smoke-test configurations.
 

@@ -62,6 +62,10 @@
 #   8. cargo fmt --check  — skipped with a notice if rustfmt is absent
 #   9. cargo clippy       — -D warnings; skipped with a notice if
 #                           clippy is not installed
+#  10. size ledger        — informational, never fails: lines of code
+#                           and of test per file of crates/harness/src
+#                           (scripts/loc.sh), so a PR that claims to
+#                           shrink something quotes a command's output
 #
 # The property suites print a PRISM_TEST_SEED on failure; re-run the
 # named test with that env var to reproduce the exact failing input.
@@ -128,5 +132,8 @@ if command -v cargo-clippy >/dev/null 2>&1; then
 else
     echo "== clippy skipped (clippy not installed) =="
 fi
+
+step "size ledger (crates/harness/src; informational)" \
+    ./scripts/loc.sh crates/harness/src || true
 
 echo "ci.sh: all checks passed"

@@ -434,7 +434,7 @@ fn rs_migration_chaos(seed: u64) -> (RunResult, Vec<HistOp>, u64, u64, Option<(u
         VerbPath::Nic,
         spec.clients,
         &mut |i| {
-            Box::new(ChaosRsAdapter::sharded_live(
+            Box::new(ChaosRsAdapter::sharded(
                 shards
                     .open_clients()
                     .into_iter()

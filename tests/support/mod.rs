@@ -36,15 +36,26 @@ pub fn replay_records(store: &SegmentStore) -> (Replay, Vec<Record>) {
     (replay, records)
 }
 
+/// The FNV-1a offset basis.
+const FNV_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// FNV-1a over `bytes`, continuing from `h`.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// FNV-1a over the little-endian bytes of `words`, continuing from `h`.
+fn fold_words(h: u64, words: &[u64]) -> u64 {
+    words.iter().fold(h, |h, w| fnv1a(h, &w.to_le_bytes()))
+}
+
 /// FNV-1a over every file's name, length, synced watermark and bytes,
 /// in name order: the whole observable state of a [`SimDisk`].
 pub fn disk_image_fingerprint(disk: &SimDisk) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
+    let mut h = FNV_BASIS;
+    let mut eat = |bytes: &[u8]| h = fnv1a(h, bytes);
     for name in disk.list("") {
         let bytes = disk.read(&name).expect("listed file reads");
         let synced = disk.synced(&name).expect("listed file has a watermark");
@@ -93,27 +104,16 @@ pub fn metrics_key(r: &RunResult) -> [u64; 30] {
     ]
 }
 
-/// FNV-1a over the little-endian bytes of `words`, continuing from `h`.
-fn fold_words(mut h: u64, words: &[u64]) -> u64 {
-    for b in words.iter().flat_map(|w| w.to_le_bytes()) {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// The FNV-1a offset basis.
-const FOLD_SEED: u64 = 0xCBF2_9CE4_8422_2325;
-
 /// [`metrics_key`] folded to one word, for golden rows.
 pub fn run_key(r: &RunResult) -> u64 {
-    fold_words(FOLD_SEED, &metrics_key(r))
+    fold_words(FNV_BASIS, &metrics_key(r))
 }
 
 /// Every field of every recorded operation folded to one word (the fold
 /// `perf/src/calls.rs::fold_history` feeds the benchmark's
 /// `sim.fingerprint`), for golden rows.
 pub fn history_key(history: &[HistOp]) -> u64 {
-    history.iter().fold(FOLD_SEED, |h, op| {
+    history.iter().fold(FNV_BASIS, |h, op| {
         let (kind, nonce) = match op.kind {
             HistKind::Get { nonce } => (0, nonce),
             HistKind::Put { nonce } => (1, nonce),
