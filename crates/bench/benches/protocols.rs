@@ -9,7 +9,7 @@ use prism_bench::{criterion_group, criterion_main};
 use prism_core::msg::execute_local;
 use prism_kv::hash::key_bytes;
 use prism_kv::pilaf::{PilafConfig, PilafServer};
-use prism_kv::prism_kv::{PrismKvConfig, PrismKvServer};
+use prism_kv::prism_kv::{drive as kv_drive, PrismKvConfig, PrismKvServer};
 use prism_kv::KvStep;
 use prism_rs::prism_rs::{drive as rs_drive, RsCluster, RsConfig};
 use prism_tx::farm::{self, FarmCluster, FarmConfig};
@@ -23,26 +23,7 @@ fn bench_kv(c: &mut Criterion) {
     let val = vec![9u8; 512];
     let put = |value: &[u8]| {
         let (mut op, req) = pc.put(&key_bytes(7), value);
-        let mut reply = execute_local(prism.server(), &req);
-        loop {
-            match op.on_reply(&pc, reply) {
-                KvStep::Send {
-                    request,
-                    background,
-                } => {
-                    if let Some(b) = background {
-                        execute_local(prism.server(), &b);
-                    }
-                    reply = execute_local(prism.server(), &request);
-                }
-                KvStep::Done { background, .. } => {
-                    if let Some(b) = background {
-                        execute_local(prism.server(), &b);
-                    }
-                    break;
-                }
-            }
-        }
+        kv_drive(prism.server(), req, |r| op.on_reply(&pc, r));
     };
     put(&val);
 

@@ -1498,7 +1498,7 @@ mod tests {
 
     use super::*;
     use crate::chaos::{stamp, HistKind, HistOp, History, Recorder};
-    use crate::cluster::{KvCluster, RsShards};
+    use crate::cluster::{KvCluster, RsShards, System};
     use crate::netsim::transport::timeout_reply;
 
     const KEYS: u64 = 8;
@@ -1827,8 +1827,7 @@ mod tests {
         assert_retry("handle behind", &kv.round_trip(&probe), 8);
         // The migration lands. The retry still routes by the old map,
         // is fenced again, and this time the refetch reaches the epoch.
-        let keys: Vec<[u8; 8]> = (0..KEYS).map(key_bytes).collect();
-        let (map, _) = kv.cluster.migrate_grow(4, keys.iter().map(|k| &k[..]));
+        let (map, _) = kv.cluster.migrate_grow(4, KEYS).expect("migration");
         assert_eq!(map.epoch(), 2);
         let probe = kv.resume();
         assert_eq!((probe[0].server, probe[0].epoch), (from, 1));
@@ -2086,7 +2085,7 @@ mod tests {
         }
         assert_eq!(rs.owed(1), None);
         // The migration lands; the next fenced leg refetches and moves.
-        let (map, moved) = rs.shards.migrate_grow(4);
+        let (map, moved) = rs.shards.migrate_grow(4, KEYS).expect("migration");
         assert!(map.epoch() == 2 && moved > 0);
         let third = wait_sends("caught up", rs.leg(&second[0]));
         assert!(third

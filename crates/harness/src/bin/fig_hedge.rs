@@ -14,66 +14,13 @@
 //! [--quick] [--seed <n>]`
 //!
 //! Each point prints a machine-readable `hedge ...` line for results
-//! assembly (results/BENCH_06.json).
+//! assembly (results/BENCH_06.json). The run is
+//! [`Scenario::straggler`], the one `tests/gray_gate.rs` pins a golden
+//! row on at `--quick` scale.
 
-use std::sync::{Arc, Mutex};
-
-use prism_harness::chaos::ChaosKvAdapter;
-use prism_harness::cluster::KvCluster;
-use prism_harness::netsim::{run_closed_loop, RunResult, VerbPath};
-use prism_kv::prism_kv::PrismKvConfig;
-use prism_simnet::fault::{FaultPlan, TailPolicy};
-use prism_simnet::latency::CostModel;
-use prism_simnet::time::{SimDuration, SimTime};
-
-const BLOCKS: u64 = 8;
-const VALUE: usize = 64;
-
-fn tail_run(
-    seed: u64,
-    factor: u32,
-    tail: TailPolicy,
-    warmup: SimDuration,
-    measure: SimDuration,
-) -> RunResult {
-    let config = PrismKvConfig::paper(BLOCKS, VALUE);
-    let cluster = Arc::new(KvCluster::new(2, &config, seed));
-    let servers = cluster.servers();
-    let history = Arc::new(Mutex::new(Vec::new()));
-    let horizon = warmup + measure + SimDuration::micros(400);
-    // Loss gives hedging its opening (a dropped leg otherwise waits out
-    // the fixed timeout); jitter keeps some live primaries past the
-    // tracked p99 so hedge races — and loser harvesting — are real.
-    let mut plan = FaultPlan::seeded(seed)
-        .with_loss(0.05, 0.0)
-        .with_jitter(8_000)
-        .with_tail_policy(tail);
-    if factor >= 2 {
-        plan = plan.with_slowdown(1, SimTime::ZERO, SimTime::ZERO + horizon, factor);
-    }
-    plan.timeout = SimDuration::micros(60);
-    run_closed_loop(
-        &servers,
-        &CostModel::testbed(),
-        VerbPath::Nic,
-        4,
-        &mut |i| {
-            Box::new(ChaosKvAdapter::sharded(
-                (0..2).map(|s| cluster.shard(s).open_client()).collect(),
-                cluster.map().clone(),
-                i,
-                BLOCKS,
-                VALUE,
-                0.0,
-                Arc::clone(&history),
-            ))
-        },
-        warmup,
-        measure,
-        seed,
-        &plan,
-    )
-}
+use prism_harness::chaos::Scenario;
+use prism_simnet::fault::TailPolicy;
+use prism_simnet::time::SimDuration;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -104,7 +51,9 @@ fn main() {
             ("unhedged", TailPolicy::default()),
             ("hedged", hedged_policy.clone()),
         ] {
-            let r = tail_run(seed, factor, tail, warmup, measure);
+            let r = Scenario::straggler(seed, factor, tail, warmup, measure)
+                .run(seed)
+                .result;
             println!(
                 "hedge factor={factor} mode={mode} tput_ops={:.0} mean_us={:.2} \
                  p99_us={:.2} timeouts={} retries={} hedges={} wins={} stale={}",

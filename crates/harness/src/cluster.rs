@@ -25,7 +25,16 @@
 //! grow the map, stream moved keys to their new homes via the normal
 //! chained-READ / CAS-install client machinery, fence the old owners
 //! per moved key, install the new epoch on every server, then publish
-//! the new map through the cluster's shared [`MapHandle`].
+//! the new map through the cluster's shared [`MapHandle`]. A step that
+//! fails stops the migration there, as a [`MigrateError`], before the
+//! failing register's old home is fenced.
+//!
+//! "A system under test" has one shape here — N stores behind a shard
+//! map, each with a disk and a restart procedure — and [`System`] is
+//! that shape: both topologies implement it, [`RecoveryHooks::over`]
+//! builds a run's restart / disk-tear / disk-rot hooks from it, and the
+//! flat server index → (group, replica) arithmetic lives only in those
+//! impls. [`crate::chaos::Scenario`] is the caller.
 //!
 //! Cross-shard **doorbell batching** lives in
 //! [`prism_kv::batch::prism_kv_get_many_sharded`]: one logical
@@ -34,17 +43,20 @@
 
 use std::sync::Arc;
 
-use prism_core::msg::{execute_local, Reply, Request};
+use prism_core::integrity::IntegrityStats;
+use prism_core::msg::execute_local;
 use prism_core::PrismServer;
 use prism_kv::batch::prism_kv_get_many_sharded;
 use prism_kv::hash::key_bytes;
-use prism_kv::prism_kv::{GetOp, PrismKvClient, PrismKvConfig, PrismKvServer, PutOp};
-use prism_kv::{KvOutcome, KvStep};
+use prism_kv::prism_kv::{drive as kv_drive, PrismKvClient, PrismKvConfig, PrismKvServer};
+use prism_kv::KvOutcome;
 use prism_rdma::sync::Mutex;
 use prism_rs::prism_rs::{drive as rs_drive, RsClient, RsCluster, RsConfig, RsOutcome};
 use prism_rs::tag::Tag;
-use prism_store::DurableStats;
+use prism_store::{DurableStats, SimDisk};
 use prism_workload::ycsb::value_bytes;
+
+use crate::netsim::RecoveryHooks;
 
 /// 64-bit finalizer (splitmix-style avalanche): turns the raw key hash
 /// XOR shard salt into the rendezvous weight.
@@ -202,6 +214,121 @@ impl From<ShardMap> for MapHandle {
 }
 
 // ---------------------------------------------------------------------
+// The system under test
+// ---------------------------------------------------------------------
+
+/// Which step of moving one register a live migration stopped at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MigrateStep {
+    /// Reading the register out of its old home.
+    Read,
+    /// Installing it at its new home.
+    Install,
+    /// Fencing the old home after the install.
+    Fence,
+}
+
+/// A live migration that stopped. It stops where it failed: the failing
+/// register is not fenced at its old home, no epoch is installed and the
+/// map is not published, so clients keep routing by the old map.
+/// Registers moved before the failure stay at their new homes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MigrateError {
+    /// The key or block id being moved.
+    pub register: u64,
+    /// The step that failed.
+    pub step: MigrateStep,
+    /// The protocol's reason.
+    pub reason: String,
+}
+
+impl MigrateError {
+    fn new(register: u64, step: MigrateStep, reason: impl std::fmt::Debug) -> Self {
+        MigrateError {
+            register,
+            step,
+            reason: format!("{reason:?}"),
+        }
+    }
+}
+
+impl std::fmt::Display for MigrateError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "migration of register {} stopped at {:?}: {}",
+            self.register, self.step, self.reason
+        )
+    }
+}
+
+impl std::error::Error for MigrateError {}
+
+/// A system under test as a run sees it: N stores behind a shard map,
+/// each with a disk and a restart procedure, addressed by the flat
+/// server index the simulation's actors and the fault plan use.
+/// [`KvCluster`] and [`RsShards`] are the two there are; what maps a
+/// flat index to a shard, or to a group and a replica, is written once,
+/// in their impls.
+pub trait System: Send + Sync {
+    /// Every provisioned server, in flat order: shard order, or
+    /// group-major (`group * replicas + replica`) — what the
+    /// simulation's per-host actors bind to.
+    fn servers(&self) -> Vec<Arc<PrismServer>>;
+    /// Amnesia-restarts server `i` and runs its recovery (log replay,
+    /// and for a replica its group's rejoin). Returns the new
+    /// incarnation.
+    fn amnesia_restart(&self, i: usize) -> u64;
+    /// Server `i`'s disk.
+    fn disk(&self, i: usize) -> &Arc<SimDisk>;
+    /// The durable-recovery counters every server shares.
+    fn durable_stats(&self) -> &Arc<DurableStats>;
+    /// The published shard map (a client clones it for local routing;
+    /// under live resharding it holds the `map_handle` instead and
+    /// refetches on a stale-epoch fence).
+    fn map(&self) -> ShardMap;
+    /// Live reshard of registers `0..registers` onto the first `to`
+    /// homes: `(new map, registers moved)`, or the step that failed.
+    fn migrate_grow(&self, to: usize, registers: u64) -> Result<(ShardMap, u64), MigrateError>;
+    /// Reads `register` at shard or group `home` on the control-plane
+    /// path (no epoch stamp, so a fenced old owner is asked too):
+    /// the value, `None` for a key that is absent, or why nothing could
+    /// be read.
+    fn read_direct(&self, home: usize, register: u64) -> Result<Option<Vec<u8>>, String>;
+    /// `(rejoins, quorum resyncs)` so far; a single-copy store has
+    /// neither.
+    fn recoveries(&self) -> (u64, u64) {
+        (0, 0)
+    }
+}
+
+impl RecoveryHooks {
+    /// Every hook `system` can supply — restart, disk tear, disk rot,
+    /// durable counters — plus the run's `integrity` sink. A plan that
+    /// schedules none of those faults never reaches them; `sweep` and
+    /// `control` are the caller's.
+    pub fn over(system: Arc<dyn System>, integrity: Arc<IntegrityStats>) -> Self {
+        let durable = Arc::clone(system.durable_stats());
+        let (restart, tear, rot) = (Arc::clone(&system), Arc::clone(&system), system);
+        RecoveryHooks {
+            on_restart: Some(Arc::new(move |i| {
+                restart.amnesia_restart(i);
+            })),
+            disk_tear: Some(Arc::new(move |i, rng| {
+                tear.disk(i).tear_tail(rng);
+            })),
+            disk_rot: Some(Arc::new(move |i, rng, bits| {
+                rot.disk(i).rot(rng, bits);
+            })),
+            integrity: Some(integrity),
+            durable: Some(durable),
+            sweep: None,
+            control: None,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // PRISM-KV cluster
 // ---------------------------------------------------------------------
 
@@ -248,25 +375,6 @@ impl KvCluster {
         }
     }
 
-    /// The cluster's durable-recovery counters (shared by every shard;
-    /// the harness folds these into `RunResult`).
-    pub fn durable_stats(&self) -> &Arc<DurableStats> {
-        &self.durable
-    }
-
-    /// Amnesia-restarts shard `i` and replays its segment log (the
-    /// chaos gate's restart hook). Returns the shard's new incarnation.
-    pub fn amnesia_restart(&self, i: usize) -> u64 {
-        self.shards[i].amnesia_restart()
-    }
-
-    /// The current shard map (clients clone it for local routing; under
-    /// live resharding, hold the [`KvCluster::map_handle`] instead and
-    /// refetch on a stale-epoch fence).
-    pub fn map(&self) -> ShardMap {
-        self.handle.snapshot()
-    }
-
     /// The shared current-map cell.
     pub fn map_handle(&self) -> MapHandle {
         self.handle.clone()
@@ -275,12 +383,6 @@ impl KvCluster {
     /// One shard's store.
     pub fn shard(&self, i: usize) -> &PrismKvServer {
         &self.shards[i]
-    }
-
-    /// The flat server list in shard order (what the simulation's
-    /// per-host actors bind to).
-    pub fn servers(&self) -> Vec<Arc<PrismServer>> {
-        self.shards.iter().map(|s| Arc::clone(s.server())).collect()
     }
 
     /// One client per shard, in shard order — a routed adapter holds
@@ -298,63 +400,29 @@ impl KvCluster {
             let key = key_bytes(k);
             let home = map.shard_of(&key);
             let value = value_bytes(k, 0, value_len);
-            let (op, req) = clients[home].put(&key, &value);
-            drive_kv(self.shards[home].server(), &clients[home], op, req);
+            self.write_at(home, &clients[home], &key, Some(&value));
         }
     }
 
-    /// Live 2→N resharding: grows the map over the first `to` shards,
-    /// streams every moved key from its old home to its new one (chained
-    /// PRISM READ out, CAS install in — the ordinary client machinery),
-    /// fences the old owner per moved key with a routed DELETE, installs
-    /// the new epoch on **every** server, and only then publishes the
-    /// new map. Returns `(new_map, moved_keys)`.
-    ///
-    /// Run from the simulation's control plane this whole sequence is
-    /// atomic at one instant, so in-flight requests stamped with the old
-    /// epoch arrive after the flip and are fenced with
-    /// [`prism_rdma::RdmaError::StaleEpoch`]; their clients refetch the
-    /// map through the [`MapHandle`] and reroute.
-    pub fn migrate_grow<'k>(
+    /// One GET at shard `s` on the control-plane path (no epoch stamp).
+    fn read_at(&self, s: usize, client: &PrismKvClient, key: &[u8]) -> KvOutcome {
+        let (mut op, req) = client.get(key);
+        kv_drive(self.shards[s].server(), req, |r| op.on_reply(client, r)).0
+    }
+
+    /// One PUT (or, with no value, DELETE) at shard `s`, likewise.
+    fn write_at(
         &self,
-        to: usize,
-        keys: impl IntoIterator<Item = &'k [u8]>,
-    ) -> (ShardMap, u64) {
-        assert!(to <= self.shards.len(), "grow beyond provisioned shards");
-        let old = self.map();
-        let new = old.grow(to);
-        let clients = self.open_clients();
-        let mut moved = 0u64;
-        for key in keys {
-            let (from, dest) = (old.shard_of(key), new.shard_of(key));
-            if from == dest {
-                continue;
-            }
-            // Chained READ out of the old home.
-            let (op, req) = clients[from].get(key);
-            let out = drive_kv(self.shards[from].server(), &clients[from], op, req);
-            let value = match out {
-                KvOutcome::Value(Some(v)) => v,
-                KvOutcome::Value(None) => continue, // never written: nothing to move
-                KvOutcome::Failed(why) => panic!("migration read of moved key failed: {why}"),
-                KvOutcome::Written => unreachable!("GET cannot return Written"),
-            };
-            // CAS install into the new home.
-            let (op, req) = clients[dest].put(key, &value);
-            drive_kv(self.shards[dest].server(), &clients[dest], op, req);
-            // Fence the old owner: the key's index slot is cleared, so
-            // even a raw access that bypassed the epoch fence reads
-            // "absent" rather than a stale value; the displaced buffer
-            // is reclaimed through the normal delete path.
-            let (op, req) = clients[from].delete(key);
-            drive_kv(self.shards[from].server(), &clients[from], op, req);
-            moved += 1;
-        }
-        for s in &self.shards {
-            s.server().install_epoch(new.epoch());
-        }
-        self.handle.install(new.clone());
-        (new, moved)
+        s: usize,
+        client: &PrismKvClient,
+        key: &[u8],
+        value: Option<&[u8]>,
+    ) -> KvOutcome {
+        let (mut op, req) = match value {
+            Some(v) => client.put(key, v),
+            None => client.delete(key),
+        };
+        kv_drive(self.shards[s].server(), req, |r| op.on_reply(client, r)).0
     }
 
     /// Cross-shard doorbell-batched multi-GET: one logical batch fans
@@ -374,54 +442,87 @@ impl KvCluster {
     }
 }
 
-/// Driver glue: the GET and PUT machines share an `on_reply` shape but
-/// no trait in `prism_kv`; this local trait lets one loop drive both.
-trait KvMachine {
-    fn feed(&mut self, c: &PrismKvClient, reply: Reply) -> KvStep;
-}
-
-impl KvMachine for GetOp {
-    fn feed(&mut self, c: &PrismKvClient, reply: Reply) -> KvStep {
-        self.on_reply(c, reply)
+impl System for KvCluster {
+    fn servers(&self) -> Vec<Arc<PrismServer>> {
+        self.shards.iter().map(|s| Arc::clone(s.server())).collect()
     }
-}
 
-impl KvMachine for PutOp {
-    fn feed(&mut self, c: &PrismKvClient, reply: Reply) -> KvStep {
-        self.on_reply(c, reply)
+    fn amnesia_restart(&self, i: usize) -> u64 {
+        self.shards[i].amnesia_restart()
     }
-}
 
-/// Drives one KV op machine to completion against a local server,
-/// executing background frees as they surface (the control-plane analog
-/// of [`prism_rs::prism_rs::drive`]).
-fn drive_kv(
-    server: &Arc<PrismServer>,
-    client: &PrismKvClient,
-    mut op: impl KvMachine,
-    first: Request,
-) -> KvOutcome {
-    let mut reply = execute_local(server, &first);
-    loop {
-        match op.feed(client, reply) {
-            KvStep::Send {
-                request,
-                background,
-            } => {
-                if let Some(b) = background {
-                    execute_local(server, &b);
-                }
-                reply = execute_local(server, &request);
+    fn disk(&self, i: usize) -> &Arc<SimDisk> {
+        self.shards[i].disk()
+    }
+
+    fn durable_stats(&self) -> &Arc<DurableStats> {
+        &self.durable
+    }
+
+    fn map(&self) -> ShardMap {
+        self.handle.snapshot()
+    }
+
+    /// Live 2→N resharding of keys `key_bytes(0..n_keys)`: grows the map
+    /// over the first `to` shards, streams every moved key from its old
+    /// home to its new one (chained PRISM READ out, CAS install in — the
+    /// ordinary client machinery), fences the old owner per moved key
+    /// with a routed DELETE, installs the new epoch on **every** server,
+    /// and only then publishes the new map. Returns `(new_map,
+    /// moved_keys)`, or the first step that failed — see
+    /// [`MigrateError`] for what a stopped migration leaves behind.
+    ///
+    /// Run from the simulation's control plane this whole sequence is
+    /// atomic at one instant, so in-flight requests stamped with the old
+    /// epoch arrive after the flip and are fenced with
+    /// [`prism_rdma::RdmaError::StaleEpoch`]; their clients refetch the
+    /// map through the [`MapHandle`] and reroute.
+    fn migrate_grow(&self, to: usize, n_keys: u64) -> Result<(ShardMap, u64), MigrateError> {
+        assert!(to <= self.shards.len(), "grow beyond provisioned shards");
+        let old = self.map();
+        let new = old.grow(to);
+        let clients = self.open_clients();
+        let mut moved = 0u64;
+        for k in 0..n_keys {
+            let key = key_bytes(k);
+            let (from, dest) = (old.shard_of(&key), new.shard_of(&key));
+            if from == dest {
+                continue;
             }
-            KvStep::Done {
-                outcome,
-                background,
-            } => {
-                if let Some(b) = background {
-                    execute_local(server, &b);
-                }
-                return outcome;
+            // Chained READ out of the old home.
+            let value = match self.read_at(from, &clients[from], &key) {
+                KvOutcome::Value(Some(v)) => v,
+                KvOutcome::Value(None) => continue, // never written: nothing to move
+                KvOutcome::Failed(why) => return Err(MigrateError::new(k, MigrateStep::Read, why)),
+                KvOutcome::Written => unreachable!("GET cannot return Written"),
+            };
+            // CAS install into the new home. Only a key that landed
+            // there may be fenced at the old one.
+            if let KvOutcome::Failed(why) = self.write_at(dest, &clients[dest], &key, Some(&value))
+            {
+                return Err(MigrateError::new(k, MigrateStep::Install, why));
             }
+            // Fence the old owner: the key's index slot is cleared, so
+            // even a raw access that bypassed the epoch fence reads
+            // "absent" rather than a stale value; the displaced buffer
+            // is reclaimed through the normal delete path.
+            if let KvOutcome::Failed(why) = self.write_at(from, &clients[from], &key, None) {
+                return Err(MigrateError::new(k, MigrateStep::Fence, why));
+            }
+            moved += 1;
+        }
+        for s in &self.shards {
+            s.server().install_epoch(new.epoch());
+        }
+        self.handle.install(new.clone());
+        Ok((new, moved))
+    }
+
+    fn read_direct(&self, home: usize, register: u64) -> Result<Option<Vec<u8>>, String> {
+        let client = self.shards[home].open_client();
+        match self.read_at(home, &client, &key_bytes(register)) {
+            KvOutcome::Value(v) => Ok(v),
+            other => Err(format!("{other:?}")),
         }
     }
 }
@@ -485,29 +586,56 @@ impl RsShards {
         }
     }
 
-    /// The shard set's durable-recovery counters (shared by every
-    /// group; the harness folds these into `RunResult`).
-    pub fn durable_stats(&self) -> &Arc<DurableStats> {
-        &self.durable
-    }
-
-    /// The current group-level shard map.
-    pub fn map(&self) -> ShardMap {
-        self.handle.snapshot()
-    }
-
     /// The shared current-map cell.
     pub fn map_handle(&self) -> MapHandle {
         self.handle.clone()
     }
 
-    /// Live resharding for replicated groups: grows the map over the
-    /// first `to` groups, streams every moved block through the normal
+    /// One group.
+    pub fn group(&self, g: usize) -> &RsCluster {
+        &self.groups[g]
+    }
+
+    /// One client per group, in group order.
+    pub fn open_clients(&self) -> Vec<RsClient> {
+        self.groups.iter().map(|c| c.open_client()).collect()
+    }
+}
+
+impl System for RsShards {
+    fn servers(&self) -> Vec<Arc<PrismServer>> {
+        self.groups
+            .iter()
+            .flat_map(|c| (0..self.replicas).map(|r| Arc::clone(c.replica(r).server())))
+            .collect()
+    }
+
+    fn amnesia_restart(&self, i: usize) -> u64 {
+        self.groups[i / self.replicas].amnesia_restart(i % self.replicas)
+    }
+
+    fn disk(&self, i: usize) -> &Arc<SimDisk> {
+        self.groups[i / self.replicas]
+            .replica(i % self.replicas)
+            .disk()
+    }
+
+    fn durable_stats(&self) -> &Arc<DurableStats> {
+        &self.durable
+    }
+
+    fn map(&self) -> ShardMap {
+        self.handle.snapshot()
+    }
+
+    /// Live resharding of blocks `0..n_blocks` for replicated groups:
+    /// grows the map over the first `to` groups, streams every moved block through the normal
     /// quorum machinery (chained-READ quorum read from the old group,
     /// CAS install into the new group), fences the old owners per moved
     /// block, installs the new epoch on **every** replica of every
     /// group, then publishes the new map. Returns `(new_map,
-    /// moved_blocks)`.
+    /// moved_blocks)`, or the first step that failed — see
+    /// [`MigrateError`] for what a stopped migration leaves behind.
     ///
     /// The per-block fence writes `[Tag::MAX | null addr]` into each
     /// old-group replica's metadata entry: a straggling writer's
@@ -517,13 +645,12 @@ impl RsShards {
     /// stale value — defense in depth behind the epoch fence. The
     /// displaced buffers become unreachable and are reclaimed by each
     /// old replica's [`prism_rs::prism_rs::PrismRsServer::gc_sweep`].
-    pub fn migrate_grow(&self, to: usize) -> (ShardMap, u64) {
+    fn migrate_grow(&self, to: usize, n_blocks: u64) -> Result<(ShardMap, u64), MigrateError> {
         assert!(to <= self.groups.len(), "grow beyond provisioned groups");
         let old = self.map();
         let new = old.grow(to);
         let clients: Vec<RsClient> = self.open_clients();
         let healthy = vec![false; self.replicas];
-        let n_blocks = self.groups[0].replica(0).view().n_blocks;
         let fence = {
             let mut m = Vec::with_capacity(16);
             m.extend_from_slice(&Tag::MAX.to_bytes());
@@ -541,13 +668,14 @@ impl RsShards {
             let (op, step) = clients[from].get(b);
             let value = match rs_drive(&self.groups[from], &clients[from], op, step, &healthy) {
                 RsOutcome::Value(v) => v,
-                other => panic!("migration read of moved block {b} failed: {other:?}"),
+                other => return Err(MigrateError::new(b, MigrateStep::Read, other)),
             };
-            // CAS install into every replica of the new group.
+            // CAS install into every replica of the new group. Only a
+            // block that landed there may be fenced at the old one.
             let (op, step) = clients[dest].put(b, value);
             match rs_drive(&self.groups[dest], &clients[dest], op, step, &healthy) {
                 RsOutcome::Written => {}
-                other => panic!("migration install of moved block {b} failed: {other:?}"),
+                other => return Err(MigrateError::new(b, MigrateStep::Install, other)),
             }
             // Fence the old owners — in memory and in the log. The
             // arena write is a direct control-plane poke the chain
@@ -561,7 +689,7 @@ impl RsShards {
                     .server()
                     .arena()
                     .write(replica.view().meta(b), &fence)
-                    .expect("metadata in arena");
+                    .map_err(|e| MigrateError::new(b, MigrateStep::Fence, e))?;
                 replica.log_fence(b, new.epoch());
             }
             if !fenced_groups.contains(&from) {
@@ -581,52 +709,29 @@ impl RsShards {
             }
         }
         self.handle.install(new.clone());
-        (new, moved)
+        Ok((new, moved))
     }
 
-    /// Replicas per group.
-    pub fn replicas(&self) -> usize {
-        self.replicas
+    fn read_direct(&self, home: usize, register: u64) -> Result<Option<Vec<u8>>, String> {
+        let client = self.groups[home].open_client();
+        let (op, step) = client.get(register);
+        let healthy = vec![false; self.replicas];
+        match rs_drive(&self.groups[home], &client, op, step, &healthy) {
+            RsOutcome::Value(v) => Ok(Some(v)),
+            other => Err(format!("{other:?}")),
+        }
     }
 
-    /// One group.
-    pub fn group(&self, g: usize) -> &RsCluster {
-        &self.groups[g]
-    }
-
-    /// Flat server list, group-major (`g * replicas + r`).
-    pub fn servers(&self) -> Vec<Arc<PrismServer>> {
-        self.groups
-            .iter()
-            .flat_map(|c| (0..self.replicas).map(|r| Arc::clone(c.replica(r).server())))
-            .collect()
-    }
-
-    /// One client per group, in group order.
-    pub fn open_clients(&self) -> Vec<RsClient> {
-        self.groups.iter().map(|c| c.open_client()).collect()
-    }
-
-    /// Amnesia-restarts the replica at flat server index `i` and runs
-    /// its group's rejoin protocol (the chaos gate's restart hook).
-    pub fn amnesia_restart(&self, i: usize) -> u64 {
-        self.groups[i / self.replicas].amnesia_restart(i % self.replicas)
-    }
-
-    /// Total rejoins across groups.
-    pub fn rejoins(&self) -> u64 {
-        self.groups.iter().map(|c| c.rejoins()).sum()
-    }
-
-    /// Total quorum resyncs across groups.
-    pub fn resyncs(&self) -> u64 {
-        self.groups.iter().map(|c| c.resyncs()).sum()
+    fn recoveries(&self) -> (u64, u64) {
+        let sum = |count: fn(&RsCluster) -> u64| self.groups.iter().map(count).sum();
+        (sum(RsCluster::rejoins), sum(RsCluster::resyncs))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prism_simnet::rng::SimRng;
     use std::collections::HashMap;
 
     /// CI seed override, as in the fault matrix and chaos gate: the
@@ -773,11 +878,11 @@ mod tests {
         let shards = RsShards::new(2, 3, &config, seed());
         assert_eq!(shards.servers().len(), 6);
         // Amnesia-restart via a flat index lands in the right group.
-        assert_eq!(shards.rejoins(), 0);
+        assert_eq!(shards.recoveries().0, 0);
         shards.amnesia_restart(4); // group 1, replica 1
         assert_eq!(shards.group(1).rejoins(), 1);
         assert_eq!(shards.group(0).rejoins(), 0);
-        assert_eq!(shards.rejoins(), 1);
+        assert_eq!(shards.recoveries().0, 1);
     }
 
     /// Satellite property test: growing the map under replica groups
@@ -828,8 +933,9 @@ mod tests {
 
         let old = cluster.map();
         assert_eq!(old.shards(), 2);
-        let keys: Vec<[u8; 8]> = (0..n_keys).map(key_bytes).collect();
-        let (new, moved) = cluster.migrate_grow(4, keys.iter().map(|k| k.as_slice()));
+        let (new, moved) = cluster
+            .migrate_grow(4, n_keys)
+            .expect("every moved key fits its new home");
         assert_eq!(new.shards(), 4);
         assert_eq!(new.epoch(), old.epoch() + 1);
         assert!(moved > 0, "a 2->4 grow must move some keys");
@@ -844,29 +950,165 @@ mod tests {
         for k in 0..n_keys {
             let key = key_bytes(k);
             let home = new.shard_of(&key);
-            let (op, req) = clients[home].get(&key);
-            let out = drive_kv(cluster.shard(home).server(), &clients[home], op, req);
             assert_eq!(
-                out,
+                cluster.read_at(home, &clients[home], &key),
                 KvOutcome::Value(Some(value_bytes(k, 0, 64))),
                 "key {k} must survive the migration at its new home"
             );
             let old_home = old.shard_of(&key);
             if old_home != home {
-                let (op, req) = clients[old_home].get(&key);
-                let out = drive_kv(
-                    cluster.shard(old_home).server(),
-                    &clients[old_home],
-                    op,
-                    req,
-                );
                 assert_eq!(
-                    out,
+                    cluster.read_at(old_home, &clients[old_home], &key),
                     KvOutcome::Value(None),
                     "moved key {k} must be fenced (absent) at its old home"
                 );
             }
         }
+    }
+
+    /// A destination that cannot take a key must stop the migration
+    /// before that key's old home is fenced: at the parent the install's
+    /// outcome was dropped and the DELETE that followed lost the key.
+    #[test]
+    fn kv_migrate_grow_stops_at_a_failed_install_without_fencing() {
+        use prism_kv::hash::HashScheme;
+        let n_keys = 128u64;
+        let mut config = PrismKvConfig::paper(1024, 64);
+        config.scheme = HashScheme::Fnv;
+        config.classes[0].count = 96;
+        let cluster = KvCluster::with_active(4, 2, &config, seed());
+        cluster.preload(n_keys, 64);
+        // Drain both standby shards' value pools, each through its own
+        // client, with keys the workload never names.
+        for standby in 2..4 {
+            let client = cluster.shard(standby).open_client();
+            let filled = (0..=96u64).find(|&j| {
+                let filler = key_bytes(1_000_000 + j);
+                cluster.write_at(standby, &client, &filler, Some(&[7u8; 64]))
+                    == KvOutcome::Failed("allocation failed")
+            });
+            assert_eq!(filled, Some(96), "96 buffers, then none");
+        }
+
+        let old = cluster.map();
+        let err = cluster
+            .migrate_grow(4, n_keys)
+            .expect_err("no standby shard has a buffer to install into");
+        assert_eq!(err.step, MigrateStep::Install);
+        assert!(err.reason.contains("allocation failed"), "{err}");
+        let key = key_bytes(err.register);
+        let home = old.shard_of(&key);
+        assert_eq!(
+            cluster.read_direct(home, err.register),
+            Ok(Some(value_bytes(err.register, 0, 64))),
+            "the key that could not move must still be served by its old home"
+        );
+        assert_eq!(
+            cluster.map_handle().epoch(),
+            old.epoch(),
+            "nothing published"
+        );
+        assert_eq!(cluster.map(), old);
+        for s in cluster.servers() {
+            assert_eq!(s.current_epoch(), old.epoch(), "no epoch installed");
+        }
+    }
+
+    /// What one server looks like to the routing tests below: its disk,
+    /// byte for byte with sync watermarks, and its incarnation.
+    type Observed = (Vec<(String, Vec<u8>, usize)>, u64);
+    type Hook<'a> = &'a dyn Fn(usize, &mut SimRng);
+
+    fn observe(server: &PrismServer, disk: &SimDisk) -> Observed {
+        let image = disk
+            .list("")
+            .into_iter()
+            .map(|name| {
+                let bytes = disk.read(&name).expect("listed file reads");
+                let synced = disk.synced(&name).expect("listed file has a watermark");
+                (name, bytes, synced)
+            })
+            .collect();
+        (image, server.regions().current_incarnation())
+    }
+
+    /// Fires each hook of `RecoveryHooks::over(system)` at every flat
+    /// index and demands that exactly that server changed: `look(j)`
+    /// observes server `j` by a path that does not go through `System`.
+    fn assert_hooks_reach_exactly_the_named_server(
+        system: Arc<dyn System>,
+        n: usize,
+        look: &dyn Fn(usize) -> Observed,
+    ) {
+        let hooks = RecoveryHooks::over(system, Arc::new(IntegrityStats::new()));
+        let mut rng = SimRng::new(seed());
+        let fire: [(&str, Hook<'_>); 3] = [
+            ("tear", &|i, rng| {
+                (hooks.disk_tear.as_ref().expect("tear hook"))(i, rng)
+            }),
+            ("rot", &|i, rng| {
+                (hooks.disk_rot.as_ref().expect("rot hook"))(i, rng, 3)
+            }),
+            ("restart", &|i, _| {
+                (hooks.on_restart.as_ref().expect("restart hook"))(i)
+            }),
+        ];
+        for (what, hook) in fire {
+            for i in 0..n {
+                let before: Vec<_> = (0..n).map(look).collect();
+                hook(i, &mut rng);
+                for (j, was) in before.into_iter().enumerate() {
+                    let now = look(j);
+                    // (`assert!`, not `assert_eq!`: a mismatch would
+                    // print two whole disk images.)
+                    if j != i {
+                        assert!(now == was, "{what}({i}) touched server {j}");
+                    } else if what == "restart" {
+                        assert_eq!(now.1, was.1 + 1, "restart({i}) must bump {i}");
+                    } else {
+                        assert!(now.0 != was.0, "{what}({i}) must damage disk {i}");
+                        assert_eq!(now.1, was.1);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hooks_over_rs_shards_route_flat_indices_to_group_and_replica() {
+        let shards = Arc::new(RsShards::new(2, 3, &RsConfig::paper(8, 64), seed()));
+        for g in 0..2 {
+            for r in 0..3 {
+                // An unsynced tail for the tear to cut and bytes to rot.
+                let disk = shards.group(g).replica(r).disk();
+                disk.append("scratch", &[0xA5; 256]);
+            }
+        }
+        let look = {
+            let shards = Arc::clone(&shards);
+            move |j: usize| {
+                let replica = shards.group(j / 3).replica(j % 3);
+                observe(replica.server(), replica.disk())
+            }
+        };
+        assert_hooks_reach_exactly_the_named_server(shards, 6, &look);
+    }
+
+    #[test]
+    fn hooks_over_kv_cluster_leave_standby_shards_untouched() {
+        let config = PrismKvConfig::paper(8, 64);
+        let cluster = Arc::new(KvCluster::with_active(4, 2, &config, seed()));
+        cluster.preload(8, 64);
+        for s in 0..4 {
+            cluster.shard(s).disk().append("scratch", &[0xA5; 256]);
+        }
+        let look = {
+            let cluster = Arc::clone(&cluster);
+            move |j: usize| observe(cluster.shard(j).server(), cluster.shard(j).disk())
+        };
+        // All four are reachable by index, and an event on an active
+        // shard (0, 1) never lands on a standby one (2, 3) or back.
+        assert_hooks_reach_exactly_the_named_server(cluster, 4, &look);
     }
 
     #[test]
@@ -893,7 +1135,9 @@ mod tests {
             );
         }
 
-        let (new, moved) = shards.migrate_grow(4);
+        let (new, moved) = shards
+            .migrate_grow(4, n_blocks)
+            .expect("every moved block installs");
         assert!(moved > 0, "a 2->4 grow must move some blocks");
         assert_eq!(shards.map(), new);
         for g in 0..4 {

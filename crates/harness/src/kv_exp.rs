@@ -14,8 +14,7 @@ use std::sync::Arc;
 use prism_core::msg::execute_local;
 use prism_kv::hash::key_bytes;
 use prism_kv::pilaf::{PilafConfig, PilafServer};
-use prism_kv::prism_kv::{PrismKvConfig, PrismKvServer};
-use prism_kv::KvStep;
+use prism_kv::prism_kv::{drive, PrismKvConfig, PrismKvServer};
 use prism_simnet::fault::FaultPlan;
 use prism_simnet::latency::CostModel;
 use prism_simnet::rng::SimRng;
@@ -24,9 +23,9 @@ use prism_workload::ycsb::{value_bytes, YcsbConfig};
 use prism_workload::KeyDist;
 
 use crate::adapters::{PilafAdapter, PrismKvAdapter};
-use crate::cluster::KvCluster;
+use crate::cluster::{KvCluster, System};
 use crate::netsim::{run_closed_loop, ProtoAdapter, RunResult, VerbPath};
-use crate::openloop::{sweep_rates, AdapterFactory, OpenLoopKnobs, OpenLoopResult};
+use crate::openloop::{rate_table, sweep_rates, AdapterFactory, OpenLoopKnobs, OpenLoopResult};
 use crate::table::{f2, mops, Table};
 
 /// Experiment parameters (defaults mirror §6.2 at reduced key count;
@@ -88,26 +87,7 @@ pub fn preload_prism(server: &PrismKvServer, n_keys: u64, value_len: usize) {
         let key = key_bytes(k);
         let value = value_bytes(k, 0, value_len);
         let (mut op, req) = client.put(&key, &value);
-        let mut reply = execute_local(server.server(), &req);
-        loop {
-            match op.on_reply(&client, reply) {
-                KvStep::Send {
-                    request,
-                    background,
-                } => {
-                    if let Some(b) = background {
-                        execute_local(server.server(), &b);
-                    }
-                    reply = execute_local(server.server(), &request);
-                }
-                KvStep::Done { background, .. } => {
-                    if let Some(b) = background {
-                        execute_local(server.server(), &b);
-                    }
-                    break;
-                }
-            }
-        }
+        drive(server.server(), req, |r| op.on_reply(&client, r));
     }
 }
 
@@ -285,35 +265,13 @@ pub fn open_loop(cfg: &KvExpConfig, knobs: &OpenLoopKnobs) -> (Table, Vec<(f64, 
             })) as AdapterFactory
         },
     );
-    let mut t = Table::new(
-        &format!(
-            "Open-loop PRISM-KV latency under load ({} logical clients on {} aggregates, {:.0}% reads)",
-            knobs.logical_clients,
-            knobs.actors,
-            cfg.read_fraction * 100.0
-        ),
-        &[
-            "rate_Mops",
-            "tput_Mops",
-            "mean_us",
-            "p50_us",
-            "p99_us",
-            "p999_us",
-            "backlogged",
-        ],
+    let title = format!(
+        "Open-loop PRISM-KV latency under load ({} logical clients on {} aggregates, {:.0}% reads)",
+        knobs.logical_clients,
+        knobs.actors,
+        cfg.read_fraction * 100.0
     );
-    for (rate, r) in &results {
-        t.row(&[
-            mops(*rate),
-            mops(r.tput_ops),
-            f2(r.mean_us),
-            f2(r.p50_us),
-            f2(r.p99_us),
-            f2(r.p999_us),
-            r.backlogged.to_string(),
-        ]);
-    }
-    (t, results)
+    (rate_table(&title, "ops", &results), results)
 }
 
 /// Sharded open-loop sweep: the same offered-load question asked of an
@@ -371,36 +329,14 @@ pub fn open_loop_sharded(
             })) as AdapterFactory
         },
     );
-    let mut t = Table::new(
-        &format!(
-            "Open-loop PRISM-KV latency under load ({} shards, {} logical clients on {} aggregates, {:.0}% reads)",
-            shards,
-            knobs.logical_clients,
-            knobs.actors,
-            cfg.read_fraction * 100.0
-        ),
-        &[
-            "rate_Mops",
-            "tput_Mops",
-            "mean_us",
-            "p50_us",
-            "p99_us",
-            "p999_us",
-            "backlogged",
-        ],
+    let title = format!(
+        "Open-loop PRISM-KV latency under load ({} shards, {} logical clients on {} aggregates, {:.0}% reads)",
+        shards,
+        knobs.logical_clients,
+        knobs.actors,
+        cfg.read_fraction * 100.0
     );
-    for (rate, r) in &results {
-        t.row(&[
-            mops(*rate),
-            mops(r.tput_ops),
-            f2(r.mean_us),
-            f2(r.p50_us),
-            f2(r.p99_us),
-            f2(r.p999_us),
-            r.backlogged.to_string(),
-        ]);
-    }
-    (t, results)
+    (rate_table(&title, "ops", &results), results)
 }
 
 #[cfg(test)]

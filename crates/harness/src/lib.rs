@@ -21,8 +21,10 @@
 //!   observers are supplied from outside it, so the figures and the
 //!   gates run the same reply handling.
 //! * [`cluster`] — the scale-out layer: seeded rendezvous shard maps
-//!   (with epochs in the incarnation-fencing shape) and N-server
-//!   KV/RS topologies the sharded sweeps run against.
+//!   (with epochs in the incarnation-fencing shape), the N-server
+//!   KV/RS topologies the sharded sweeps run against, and
+//!   [`cluster::System`], what a run needs of either (its recovery
+//!   hooks come from it).
 //! * [`micro`] — Figures 1 and 2 plus the §2.1 numbers (closed-form
 //!   from the cost model).
 //! * [`kv_exp`], [`rs_exp`], [`tx_exp`] — the application experiments
@@ -32,9 +34,10 @@
 //!   transport: aggregate actors multiplexing up to 10⁶ logical
 //!   clients with Poisson or trace arrivals, recording
 //!   coordinated-omission-free latency.
-//! * [`chaos`] — what the linearizability gates add to those drivers
-//!   (the nonce-stamping workload, the history recorder) and the
-//!   Wing–Gong checker.
+//! * [`chaos`] — what a history-recording run is
+//!   ([`chaos::Scenario`]), what the gates add to those drivers (the
+//!   nonce-stamping workload, the history recorder), and the
+//!   invariants: the Wing–Gong checker and the owner audit.
 //! * [`table`] — plain-text table output shared by the `fig_*` binaries.
 //! * [`smoke`] — env-tunable scale for the smoke-test configurations.
 

@@ -65,6 +65,7 @@ use crate::netsim::transport::{
     timeout_reply, OpState, ReplyVerdict, Settled, TimerVerdict, Transport,
 };
 use crate::netsim::{Outbound, ProtoAdapter, RecoveryHooks, SimMsg, VerbPath};
+use crate::table::{f2, mops, Table};
 
 /// Shared lazily-invoked adapter factory: slot `i` (globally numbered
 /// across aggregates) gets `factory(i)` the first time it is needed.
@@ -676,6 +677,37 @@ where
             (rate, point)
         })
         .collect()
+}
+
+/// The latency-under-load table every open-loop sweep prints: one row
+/// per offered rate, throughput and the rate in millions of `unit`
+/// (`"ops"`, `"txn"`) per second.
+pub fn rate_table(title: &str, unit: &str, results: &[(f64, OpenLoopResult)]) -> Table {
+    let (rate, tput) = (format!("rate_M{unit}"), format!("tput_M{unit}"));
+    let mut t = Table::new(
+        title,
+        &[
+            &rate,
+            &tput,
+            "mean_us",
+            "p50_us",
+            "p99_us",
+            "p999_us",
+            "backlogged",
+        ],
+    );
+    for (rate, r) in results {
+        t.row(&[
+            mops(*rate),
+            mops(r.tput_ops),
+            f2(r.mean_us),
+            f2(r.p50_us),
+            f2(r.p99_us),
+            f2(r.p999_us),
+            r.backlogged.to_string(),
+        ]);
+    }
+    t
 }
 
 #[cfg(test)]

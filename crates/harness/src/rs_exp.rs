@@ -17,9 +17,8 @@ use prism_simnet::time::SimDuration;
 use prism_workload::KeyDist;
 
 use crate::adapters::{AbdLockAdapter, PrismRsAdapter};
-use crate::cluster::RsShards;
 use crate::netsim::{run_closed_loop, ProtoAdapter, VerbPath};
-use crate::openloop::{sweep_rates, AdapterFactory, OpenLoopKnobs, OpenLoopResult};
+use crate::openloop::{rate_table, sweep_rates, AdapterFactory, OpenLoopKnobs, OpenLoopResult};
 use crate::table::{f2, mops, Table};
 
 /// Experiment parameters (§7.4 at reduced block count).
@@ -320,110 +319,13 @@ pub fn open_loop(cfg: &RsExpConfig, knobs: &OpenLoopKnobs) -> (Table, Vec<(f64, 
             })) as AdapterFactory
         },
     );
-    let mut t = Table::new(
-        &format!(
-            "Open-loop PRISM-RS latency under load ({} logical clients on {} aggregates, {:.0}% writes, 3 replicas)",
-            knobs.logical_clients,
-            knobs.actors,
-            cfg.write_fraction * 100.0
-        ),
-        &[
-            "rate_Mops",
-            "tput_Mops",
-            "mean_us",
-            "p50_us",
-            "p99_us",
-            "p999_us",
-            "backlogged",
-        ],
+    let title = format!(
+        "Open-loop PRISM-RS latency under load ({} logical clients on {} aggregates, {:.0}% writes, 3 replicas)",
+        knobs.logical_clients,
+        knobs.actors,
+        cfg.write_fraction * 100.0
     );
-    for (rate, r) in &results {
-        t.row(&[
-            mops(*rate),
-            mops(r.tput_ops),
-            f2(r.mean_us),
-            f2(r.p50_us),
-            f2(r.p99_us),
-            f2(r.p999_us),
-            r.backlogged.to_string(),
-        ]);
-    }
-    (t, results)
-}
-
-/// Sharded open-loop sweep: S independent 3-replica groups behind one
-/// seeded shard map ([`crate::cluster::RsShards`]). Each block's
-/// quorum protocol runs entirely inside its home group; the sweep
-/// measures how the replicated store's knee scales with group count
-/// when routing is pure client-side.
-pub fn open_loop_sharded(
-    cfg: &RsExpConfig,
-    knobs: &OpenLoopKnobs,
-    groups: usize,
-) -> (Table, Vec<(f64, OpenLoopResult)>) {
-    let mut rs_config = RsConfig::paper(cfg.n_blocks, cfg.block_size);
-    // Same spare sizing rationale as the KV open-loop sweep: provision
-    // for the live slots, not the logical population.
-    rs_config.spare_buffers += 32 * (knobs.live_slots() as u64 + 16);
-    let seed = cfg.seed;
-    let n_blocks = cfg.n_blocks;
-    let block_size = cfg.block_size as usize;
-    let write_fraction = cfg.write_fraction;
-    // One sharded cluster for the whole sweep; points reopen recycled
-    // connection slots (see `sweep_rates`).
-    let shards = Rc::new(RsShards::new(groups, 3, &rs_config, seed));
-    let servers = shards.servers();
-    let results = sweep_rates(
-        &servers,
-        &CostModel::testbed(),
-        VerbPath::Nic,
-        knobs,
-        cfg.seed,
-        &cfg.faults,
-        || {
-            let shards = Rc::clone(&shards);
-            let map = shards.map();
-            Rc::new(RefCell::new(move |_i: usize| {
-                Box::new(PrismRsAdapter::sharded(
-                    shards.open_clients(),
-                    map.clone(),
-                    KeyDist::uniform(n_blocks),
-                    block_size,
-                    write_fraction,
-                )) as Box<dyn ProtoAdapter>
-            })) as AdapterFactory
-        },
-    );
-    let mut t = Table::new(
-        &format!(
-            "Open-loop PRISM-RS latency under load ({} groups x 3 replicas, {} logical clients on {} aggregates, {:.0}% writes)",
-            groups,
-            knobs.logical_clients,
-            knobs.actors,
-            cfg.write_fraction * 100.0
-        ),
-        &[
-            "rate_Mops",
-            "tput_Mops",
-            "mean_us",
-            "p50_us",
-            "p99_us",
-            "p999_us",
-            "backlogged",
-        ],
-    );
-    for (rate, r) in &results {
-        t.row(&[
-            mops(*rate),
-            mops(r.tput_ops),
-            f2(r.mean_us),
-            f2(r.p50_us),
-            f2(r.p99_us),
-            f2(r.p999_us),
-            r.backlogged.to_string(),
-        ]);
-    }
-    (t, results)
+    (rate_table(&title, "ops", &results), results)
 }
 
 #[cfg(test)]

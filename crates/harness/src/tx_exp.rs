@@ -20,7 +20,7 @@ use prism_workload::{KeyDist, TxnGen};
 
 use crate::adapters::{FarmAdapter, PrismTxAdapter};
 use crate::netsim::{run_closed_loop, ProtoAdapter, VerbPath};
-use crate::openloop::{sweep_rates, AdapterFactory, OpenLoopKnobs, OpenLoopResult};
+use crate::openloop::{rate_table, sweep_rates, AdapterFactory, OpenLoopKnobs, OpenLoopResult};
 use crate::table::{f2, mops, Table};
 
 /// Experiment parameters (§8.3 at reduced key count).
@@ -357,33 +357,11 @@ pub fn open_loop(cfg: &TxExpConfig, knobs: &OpenLoopKnobs) -> (Table, Vec<(f64, 
             })) as AdapterFactory
         },
     );
-    let mut t = Table::new(
-        &format!(
-            "Open-loop PRISM-TX latency under load ({} logical clients on {} aggregates, {} keys/txn)",
-            knobs.logical_clients, knobs.actors, cfg.keys_per_txn
-        ),
-        &[
-            "rate_Mtxn",
-            "tput_Mtxn",
-            "mean_us",
-            "p50_us",
-            "p99_us",
-            "p999_us",
-            "backlogged",
-        ],
+    let title = format!(
+        "Open-loop PRISM-TX latency under load ({} logical clients on {} aggregates, {} keys/txn)",
+        knobs.logical_clients, knobs.actors, cfg.keys_per_txn
     );
-    for (rate, r) in &results {
-        t.row(&[
-            mops(*rate),
-            mops(r.tput_ops),
-            f2(r.mean_us),
-            f2(r.p50_us),
-            f2(r.p99_us),
-            f2(r.p999_us),
-            r.backlogged.to_string(),
-        ]);
-    }
-    (t, results)
+    (rate_table(&title, "txn", &results), results)
 }
 
 #[cfg(test)]

@@ -22,29 +22,17 @@
 //!
 //! ```
 //! use prism_core::msg::execute_local;
-//! use prism_kv::prism_kv::{PrismKvConfig, PrismKvServer};
+//! use prism_kv::prism_kv::{drive, PrismKvConfig, PrismKvServer};
 //! use prism_kv::{KvOutcome, KvStep};
 //!
 //! let server = PrismKvServer::new(&PrismKvConfig::paper(64, 32));
 //! let client = server.open_client();
 //!
-//! // PUT: probe round trip, then the chained install round trip.
+//! // PUT: probe round trip, then the chained install round trip —
+//! // `drive` feeds each reply back until the machine is done.
 //! let (mut op, request) = client.put(&prism_kv::hash::key_bytes(5), &[9u8; 32]);
-//! let mut reply = execute_local(server.server(), &request);
-//! loop {
-//!     match op.on_reply(&client, reply) {
-//!         KvStep::Send { request, background } => {
-//!             if let Some(b) = background {
-//!                 execute_local(server.server(), &b);
-//!             }
-//!             reply = execute_local(server.server(), &request);
-//!         }
-//!         KvStep::Done { outcome, .. } => {
-//!             assert_eq!(outcome, KvOutcome::Written);
-//!             break;
-//!         }
-//!     }
-//! }
+//! let (outcome, round_trips) = drive(server.server(), request, |r| op.on_reply(&client, r));
+//! assert_eq!((outcome, round_trips), (KvOutcome::Written, 2));
 //!
 //! // GET: a single bounded indirect READ.
 //! let (mut op, request) = client.get(&prism_kv::hash::key_bytes(5));

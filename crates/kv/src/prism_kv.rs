@@ -1254,71 +1254,62 @@ fn attach_background(step: KvStep, extra: Request) -> KvStep {
     }
 }
 
+/// Drives a GET, PUT or DELETE machine to completion against a local
+/// server (control plane, live mode, tests): `first` is the machine's
+/// opening request and `on_reply` its reply handler. Background frees are
+/// executed as they surface, fire-and-forget. Returns the outcome and the
+/// number of round trips.
+pub fn drive(
+    server: &PrismServer,
+    first: Request,
+    mut on_reply: impl FnMut(Reply) -> KvStep,
+) -> (KvOutcome, u32) {
+    use prism_core::msg::execute_local;
+    let mut round_trips = 1;
+    let mut reply = execute_local(server, &first);
+    loop {
+        match on_reply(reply) {
+            KvStep::Send {
+                request,
+                background,
+            } => {
+                if let Some(free) = background {
+                    execute_local(server, &free);
+                }
+                round_trips += 1;
+                reply = execute_local(server, &request);
+            }
+            KvStep::Done {
+                outcome,
+                background,
+            } => {
+                if let Some(free) = background {
+                    execute_local(server, &free);
+                }
+                return (outcome, round_trips);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use prism_core::msg::execute_local;
 
-    /// Drives a machine to completion against a local server, sending
-    /// background requests fire-and-forget. Returns the outcome and the
-    /// number of round trips.
-    pub(crate) fn drive_get(
-        server: &PrismKvServer,
-        c: &PrismKvClient,
-        key: &[u8],
-    ) -> (KvOutcome, u32) {
+    fn drive_get(server: &PrismKvServer, c: &PrismKvClient, key: &[u8]) -> (KvOutcome, u32) {
         let (mut op, req) = c.get(key);
-        let mut rtts = 1;
-        let mut reply = execute_local(server.server(), &req);
-        loop {
-            match op.on_reply(c, reply) {
-                KvStep::Send {
-                    request,
-                    background,
-                } => {
-                    send_bg(server, background);
-                    rtts += 1;
-                    reply = execute_local(server.server(), &request);
-                }
-                KvStep::Done {
-                    outcome,
-                    background,
-                } => {
-                    send_bg(server, background);
-                    return (outcome, rtts);
-                }
-            }
-        }
+        drive(server.server(), req, |r| op.on_reply(c, r))
     }
 
-    pub(crate) fn drive_put(
+    fn drive_put(
         server: &PrismKvServer,
         c: &PrismKvClient,
         key: &[u8],
         value: &[u8],
     ) -> (KvOutcome, u32) {
         let (mut op, req) = c.put(key, value);
-        let mut rtts = 1;
-        let mut reply = execute_local(server.server(), &req);
-        loop {
-            match op.on_reply(c, reply) {
-                KvStep::Send {
-                    request,
-                    background,
-                } => {
-                    send_bg(server, background);
-                    rtts += 1;
-                    reply = execute_local(server.server(), &request);
-                }
-                KvStep::Done {
-                    outcome,
-                    background,
-                } => {
-                    send_bg(server, background);
-                    return (outcome, rtts);
-                }
-            }
-        }
+        drive(server.server(), req, |r| op.on_reply(c, r))
     }
 
     fn send_bg(server: &PrismKvServer, bg: Option<Request>) {
@@ -1773,22 +1764,7 @@ mod tests {
         assert_eq!(drive_put(&s, &c, &key2, &[0xAA; 32]).0, KvOutcome::Written);
         let key5 = crate::hash::key_bytes(5);
         let (mut op, req) = c.delete(&key5);
-        let mut reply = execute_local(s.server(), &req);
-        loop {
-            match op.on_reply(&c, reply) {
-                KvStep::Send {
-                    request,
-                    background,
-                } => {
-                    send_bg(&s, background);
-                    reply = execute_local(s.server(), &request);
-                }
-                KvStep::Done { background, .. } => {
-                    send_bg(&s, background);
-                    break;
-                }
-            }
-        }
+        drive(s.server(), req, |r| op.on_reply(&c, r));
 
         let inc = s.amnesia_restart();
         assert_eq!(inc, 1);

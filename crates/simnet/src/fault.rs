@@ -894,6 +894,36 @@ pub struct ChaosSpec {
     pub tail: TailPolicy,
 }
 
+impl ChaosSpec {
+    /// The schedule with nothing in it: every count and probability
+    /// zero, the tail policy off. A scenario names only the faults it
+    /// wants (`ChaosSpec { server_crashes: 2, ..ChaosSpec::quiet(..) }`).
+    pub fn quiet(servers: usize, clients: usize, horizon: SimDuration) -> Self {
+        ChaosSpec {
+            servers,
+            clients,
+            horizon,
+            server_crashes: 0,
+            amnesia_fraction: 0.0,
+            client_crashes: 0,
+            partitions: 0,
+            drop_prob: 0.0,
+            dup_prob: 0.0,
+            jitter_ns: 0,
+            flip_req_prob: 0.0,
+            flip_reply_prob: 0.0,
+            torn_write_prob: 0.0,
+            disk_torn_prob: 0.0,
+            disk_rot_events: 0,
+            slowdowns: 0,
+            slowdown_factor: 0,
+            reply_partitions: 0,
+            flaps: 0,
+            tail: TailPolicy::default(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,55 +9,18 @@
 
 use std::sync::Arc;
 
-use prism_core::msg::{execute_local, Request};
 use prism_kv::hash::HashScheme;
-use prism_kv::prism_kv::{PrismKvClient, PrismKvConfig, PrismKvServer, SizeClass};
-use prism_kv::{KvOutcome, KvStep};
-
-/// Drives one KV state machine to completion against a local server,
-/// counting round trips (in a real deployment each send is a network
-/// round trip; here it is a direct call).
-fn drive(
-    server: &PrismKvServer,
-    _client: &PrismKvClient,
-    mut on_reply: impl FnMut(prism_core::msg::Reply) -> KvStep,
-    first: Request,
-) -> (KvOutcome, u32) {
-    let mut rtts = 1;
-    let mut reply = execute_local(server.server(), &first);
-    loop {
-        match on_reply(reply) {
-            KvStep::Send {
-                request,
-                background,
-            } => {
-                if let Some(b) = background {
-                    execute_local(server.server(), &b);
-                }
-                rtts += 1;
-                reply = execute_local(server.server(), &request);
-            }
-            KvStep::Done {
-                outcome,
-                background,
-            } => {
-                if let Some(b) = background {
-                    execute_local(server.server(), &b);
-                }
-                return (outcome, rtts);
-            }
-        }
-    }
-}
+use prism_kv::prism_kv::{drive, PrismKvClient, PrismKvConfig, PrismKvServer, SizeClass};
+use prism_kv::KvOutcome;
 
 fn get(server: &PrismKvServer, client: &PrismKvClient, key: &[u8]) -> (KvOutcome, u32) {
     let (mut op, req) = client.get(key);
-    drive(server, client, |r| op.on_reply(client, r), req)
+    drive(server.server(), req, |r| op.on_reply(client, r))
 }
 
 fn put(server: &PrismKvServer, client: &PrismKvClient, key: &[u8], val: &[u8]) -> (KvOutcome, u32) {
     let (mut op, req) = client.put(key, val);
-    drive(server, client, |r| op.on_reply(client, r), req)
+    drive(server.server(), req, |r| op.on_reply(client, r))
 }
 
 fn main() {
@@ -107,7 +70,7 @@ fn main() {
 
     // Expire the session.
     let (mut op, req) = client.delete(b"session:alice");
-    let (o, _) = drive(&server, &client, |r| op.on_reply(&client, r), req);
+    let (o, _) = drive(server.server(), req, |r| op.on_reply(&client, r));
     println!("DELETE             -> {o:?}");
     let (o, _) = get(&server, &client, b"session:alice");
     println!("GET after delete   -> {o:?}");

@@ -34,22 +34,28 @@
 #                           regression, bit-exact sweeps), and the gray
 #                           gate (stragglers, hedging, shedding, golden
 #                           schedules).
-#   4. migration gate     — live 2→4 reshard fired mid-chaos-run by a
-#                           control event: linearizable through the
-#                           move, zero lost / duplicate blocks, replay
-#                           bit-exact (run explicitly, by name, so a
-#                           filter change in the chaos suite can't
-#                           silently drop it)
+#   4. migration gates    — live 2→4 reshard fired mid-chaos-run by a
+#                           control event, over PRISM-RS groups and over
+#                           PRISM-KV shards: linearizable through the
+#                           move, zero lost / duplicate registers,
+#                           replay bit-exact (run explicitly, by exact
+#                           name, and counted: a rename or a filter
+#                           change in the chaos suite fails the step
+#                           instead of silently running nothing)
 #   5. perf/ tests        — perf/ is its own workspace, so a harness
 #                           signature change compiles green everywhere
 #                           above and would only explode in the
 #                           benchmark pipeline; its tests (smoke scale,
 #                           including traced-equals-untraced
 #                           bit-identity) build it against this tree
-#   6. second-seed pass   — the gate suites (and the migration gate)
+#   6. second-seed pass   — the gate suites, then both migration gates,
 #                           again under a different PRISM_TEST_SEED, so
 #                           the gates don't ossify around one lucky
-#                           schedule
+#                           schedule. One background process that runs
+#                           alongside step 7 (the test binaries exist
+#                           by now and the benches build into another
+#                           profile); its output and wall seconds are
+#                           printed when it is waited on, before step 8
 #   7. bench smoke        — substrate benches at 50 ms/bench, so a perf
 #                           regression that breaks the bench harness (or
 #                           an arena change that deadlocks it) fails CI;
@@ -63,9 +69,10 @@
 #   9. cargo clippy       — -D warnings; skipped with a notice if
 #                           clippy is not installed
 #  10. size ledger        — informational, never fails: lines of code
-#                           and of test per file of crates/harness/src
-#                           (scripts/loc.sh), so a PR that claims to
-#                           shrink something quotes a command's output
+#                           and of test per file of crates/, tests/ and
+#                           examples/ (scripts/loc.sh), so a PR that
+#                           claims to shrink something quotes a
+#                           command's output
 #
 # The property suites print a PRISM_TEST_SEED on failure; re-run the
 # named test with that env var to reproduce the exact failing input.
@@ -100,26 +107,55 @@ unsafe_audit() {
     echo "$hits"
 }
 
-MIGRATION_GATE=rs_migration_chaos_stays_linearizable_through_live_reshard
+MIGRATION_GATE=(rs_migration_chaos_stays_linearizable_through_live_reshard
+    kv_migration_chaos_stays_linearizable_through_live_reshard)
 GATES=(--test fault_matrix --test chaos_gate --test corruption_matrix
     --test durability_gate --test store_properties
     --test openloop_smoke --test gray_gate)
+SECOND_SEED=1806242025
+
+# Both reshard gates, by exact name; fails unless exactly those ran.
+migration_gates() {
+    local out
+    out=$(cargo test -q --offline -p prism-harness --test chaos_gate -- \
+        --exact "${MIGRATION_GATE[@]}" 2>&1) || {
+        echo "$out"
+        return 1
+    }
+    echo "$out"
+    grep -q "test result: ok. ${#MIGRATION_GATE[@]} passed" <<<"$out" || {
+        echo "migration gates: want ${#MIGRATION_GATE[@]} tests run: ${MIGRATION_GATE[*]}"
+        return 1
+    }
+}
+
+second_seed() {
+    export PRISM_TEST_SEED=$SECOND_SEED
+    cargo test -q --offline -p prism-harness "${GATES[@]}"
+    migration_gates
+}
 
 step "hermeticity" ./scripts/check_hermetic.sh
 step "unsafe audit" unsafe_audit
 step "build (release, offline)" cargo build --release --offline
 step "test (offline, default seed, all suites)" cargo test -q --offline
-step "migration gate (live 2->4 reshard under chaos)" \
-    cargo test -q --offline -p prism-harness --test chaos_gate "$MIGRATION_GATE"
+step "migration gates (live 2->4 reshard under chaos, RS and KV)" migration_gates
 step "perf/ tests (the benchmark's view of the harness)" \
     cargo test -q --offline --manifest-path perf/Cargo.toml
-step "second-seed pass (gate suites)" \
-    env PRISM_TEST_SEED=1806242025 cargo test -q --offline -p prism-harness "${GATES[@]}"
-step "migration gate, second seed" \
-    env PRISM_TEST_SEED=1806242025 \
-    cargo test -q --offline -p prism-harness --test chaos_gate "$MIGRATION_GATE"
+
+second_seed_log=target/ci-second-seed.log
+(step "second-seed pass (gate suites, then both migration gates)" second_seed) \
+    >"$second_seed_log" 2>&1 &
+second_seed_pid=$!
+trap 'kill "$second_seed_pid" 2>/dev/null || true' EXIT
 step "bench smoke (substrate, 50 ms/bench)" \
     env PRISM_BENCH_MS=50 cargo bench -q --offline -p prism-bench --bench substrate
+wait "$second_seed_pid" && second_seed_rc=0 || second_seed_rc=$?
+cat "$second_seed_log"
+if [[ $second_seed_rc -ne 0 ]]; then
+    echo "second-seed pass failed (exit $second_seed_rc)"
+    exit 1
+fi
 
 if command -v rustfmt >/dev/null 2>&1; then
     step "fmt" cargo fmt --check
@@ -133,7 +169,7 @@ else
     echo "== clippy skipped (clippy not installed) =="
 fi
 
-step "size ledger (crates/harness/src; informational)" \
-    ./scripts/loc.sh crates/harness/src || true
+step "size ledger (crates tests examples; informational)" \
+    ./scripts/loc.sh crates tests examples || true
 
 echo "ci.sh: all checks passed"

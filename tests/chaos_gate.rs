@@ -11,17 +11,13 @@
 //! surface as wrong answers, nothing may stay stuck, and the same seed
 //! must reproduce bit-identical results.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use prism_core::integrity::IntegrityStats;
 use prism_harness::adapters::PrismTxAdapter;
-use prism_harness::chaos::{check_history, ChaosKvAdapter, ChaosRsAdapter, HistKind, HistOp};
-use prism_harness::cluster::{KvCluster, RsShards};
+use prism_harness::chaos::{chaos_plan, check_history, Outcome, Scenario, Topology, REGISTERS};
 use prism_harness::netsim::{run_closed_loop_with, RecoveryHooks, RunResult, VerbPath};
-use prism_kv::prism_kv::{PrismKvConfig, PrismKvServer};
-use prism_rs::prism_rs::{drive as rs_drive, RsCluster, RsConfig};
-use prism_rs::RsOutcome;
-use prism_simnet::fault::{ChaosSpec, FaultPlan, TailPolicy};
+use prism_simnet::fault::ChaosSpec;
 use prism_simnet::latency::CostModel;
 use prism_simnet::rng::SimRng;
 use prism_simnet::time::{SimDuration, SimTime};
@@ -34,58 +30,33 @@ use support::{assert_golden, fault_line, history_key, metrics_key, run_key, seed
 const WARMUP: SimDuration = SimDuration::from_nanos(400_000);
 const MEASURE: SimDuration = SimDuration::from_nanos(2_400_000);
 const HORIZON: SimDuration = SimDuration::from_nanos(2_800_000);
-const BLOCKS: u64 = 8;
 const VALUE: usize = 64;
 
-// ---------------------------------------------------------------------
-// PRISM-RS: amnesia crashes with quorum rejoin
-// ---------------------------------------------------------------------
-
-fn rs_chaos(seed: u64) -> (RunResult, Vec<HistOp>, u64, u64) {
-    // No extra spare-buffer provisioning: replies lost on the return leg
-    // are harvested for their orphaned allocations when they finally
-    // straggle in (`on_stale_reply`), so the paper's pool sizing holds
-    // even under sustained loss.
-    let config = RsConfig::paper(BLOCKS, VALUE as u64);
-    let cluster = Arc::new(RsCluster::new(3, &config));
-    let servers: Vec<_> = (0..3)
-        .map(|i| Arc::clone(cluster.replica(i).server()))
-        .collect();
-    let history = Arc::new(Mutex::new(Vec::new()));
-    let integrity = Arc::new(IntegrityStats::new());
-    let hooks = RecoveryHooks {
-        on_restart: Some({
-            let cluster = Arc::clone(&cluster);
-            Arc::new(move |i| {
-                cluster.amnesia_restart(i);
-            })
-        }),
-        sweep: None,
-        integrity: Some(Arc::clone(&integrity)),
-        control: None,
-        // Durable-tier faults: crash-window tears cut the unsynced log
-        // tail right before the rejoin replays it, and scheduled rot
-        // flips bits in sealed segments at rest. Replay must detect
-        // both by CRC and heal the difference from peers.
-        disk_tear: Some({
-            let cluster = Arc::clone(&cluster);
-            Arc::new(move |i, rng| {
-                cluster.replica(i).disk().tear_tail(rng);
-            })
-        }),
-        disk_rot: Some({
-            let cluster = Arc::clone(&cluster);
-            Arc::new(move |i, rng, bits| {
-                cluster.replica(i).disk().rot(rng, bits);
-            })
-        }),
-        durable: Some(Arc::clone(cluster.durable_stats())),
+/// The KV/RS gates' scenario over `topology`: amnesia crashes, a client
+/// crash, a partition, loss, duplication, jitter, flips on both legs,
+/// torn writes into crash windows and disk tears at the restarts, half
+/// the operations writes. No pool carries extra headroom: a reply lost
+/// on the return leg is harvested for its orphaned allocation when it
+/// straggles in (`on_stale_reply`), so the paper's sizing holds under
+/// sustained loss.
+///
+/// RS runs six clients through two crashes and two at-rest rot events:
+/// replay must catch the damage by CRC and heal the difference from
+/// peers. Single-copy KV runs four clients through one crash and no rot
+/// — it has no replica to heal a rotted acknowledged record from. Its
+/// amnesia is survivable all the same: every acknowledged write sat
+/// behind a synced segment append (the durable tap runs inside the
+/// execute path, before the ack), so a wiped shard replays its own log,
+/// and clients observe the bumped rkey incarnation, refence, and retry.
+/// Disk tears are provably harmless there — nothing unsynced exists to
+/// tear — which the KV gates assert via `segments_truncated == 0`.
+fn chaos_scenario(seed: u64, topology: Topology) -> Scenario {
+    let (clients, server_crashes, disk_rot_events) = match topology {
+        Topology::Kv { .. } => (4, 1, 0),
+        Topology::Rs { .. } => (6, 2, 2),
     };
     let spec = ChaosSpec {
-        servers: 3,
-        clients: 6,
-        horizon: HORIZON,
-        server_crashes: 2,
+        server_crashes,
         amnesia_fraction: 1.0,
         client_crashes: 1,
         partitions: 1,
@@ -96,44 +67,54 @@ fn rs_chaos(seed: u64) -> (RunResult, Vec<HistOp>, u64, u64) {
         flip_reply_prob: 0.01,
         torn_write_prob: 0.05,
         disk_torn_prob: 0.9,
-        disk_rot_events: 2,
-        slowdowns: 0,
-        slowdown_factor: 0,
-        reply_partitions: 0,
-        flaps: 0,
-        tail: TailPolicy::default(),
+        disk_rot_events,
+        ..ChaosSpec::quiet(topology.servers(), clients, HORIZON)
     };
-    let mut plan = FaultPlan::chaos(seed, &spec);
-    plan.timeout = SimDuration::micros(60);
-    let r = run_closed_loop_with(
-        &servers,
-        &CostModel::testbed(),
-        VerbPath::Nic,
-        spec.clients,
-        &mut |i| {
-            Box::new(ChaosRsAdapter::new(
-                cluster.open_client().with_integrity(Arc::clone(&integrity)),
-                i,
-                BLOCKS,
-                VALUE,
-                0.5,
-                Arc::clone(&history),
-            ))
-        },
-        WARMUP,
-        MEASURE,
-        seed,
-        &plan,
-        &hooks,
-    );
-    let h = history.lock().expect("history lock").clone();
-    (r, h, cluster.rejoins(), cluster.resyncs())
+    Scenario {
+        topology,
+        clients,
+        write_fraction: 0.5,
+        plan: chaos_plan(seed, &spec),
+        warmup: WARMUP,
+        measure: MEASURE,
+        grow: None,
+    }
+}
+
+/// `chaos_scenario` with a live grow to four homes fired
+/// mid-measurement — stream the moved registers, fence the old owners,
+/// flip the epoch, publish the map, atomically at one instant, while
+/// amnesia crashes and loss keep firing around it — then the owner
+/// audit, whose final reads join the history.
+fn reshard_chaos(seed: u64, topology: Topology) -> Outcome {
+    let mut out = Scenario {
+        grow: Some((SimTime::from_nanos(1_600_000), 4)),
+        ..chaos_scenario(seed, topology)
+    }
+    .run(seed);
+    out.audit_owners()
+        .expect("no register lost, none with two owners");
+    out
+}
+
+// ---------------------------------------------------------------------
+// PRISM-RS: amnesia crashes with quorum rejoin
+// ---------------------------------------------------------------------
+
+fn rs_chaos(seed: u64) -> Outcome {
+    let one_group = Topology::Rs {
+        provisioned: 1,
+        active: 1,
+        replicas: 3,
+    };
+    chaos_scenario(seed, one_group).run(seed)
 }
 
 #[test]
 fn rs_amnesia_chaos_stays_linearizable_and_rejoins() {
     let seed = seed_or(0xC4A0_0001);
-    let (r, history, rejoins, resyncs) = rs_chaos(seed);
+    let out = rs_chaos(seed);
+    let (r, history, rejoins, resyncs) = (out.result, out.history, out.rejoins, out.resyncs);
     fault_line("rs-chaos", &r);
     assert!(r.tput_ops > 0.0, "no progress under chaos: {r:?}");
     assert!(r.restarts > 0, "no amnesia window fired: {r:?}");
@@ -171,115 +152,31 @@ fn rs_amnesia_chaos_stays_linearizable_and_rejoins() {
     }
 
     // Same seed, fresh cluster: bit-exact replay, history included.
-    let (r2, history2, rejoins2, resyncs2) = rs_chaos(seed);
+    let again = rs_chaos(seed);
     assert_eq!(
         metrics_key(&r),
-        metrics_key(&r2),
+        metrics_key(&again.result),
         "replay must be bit-exact"
     );
-    assert_eq!(history, history2, "recorded histories must be bit-exact");
-    assert_eq!((rejoins, resyncs), (rejoins2, resyncs2));
+    assert_eq!(
+        history, again.history,
+        "recorded histories must be bit-exact"
+    );
+    assert_eq!((rejoins, resyncs), (again.rejoins, again.resyncs));
 }
 
 // ---------------------------------------------------------------------
 // PRISM-RS sharded: amnesia on one shard of a 2-group cluster
 // ---------------------------------------------------------------------
 
-fn rs_sharded_chaos(seed: u64) -> (RunResult, Vec<HistOp>, u64, u64) {
-    let config = RsConfig::paper(BLOCKS, VALUE as u64);
+fn rs_sharded_chaos(seed: u64) -> Outcome {
     // Two 3-replica groups behind a seeded shard map: 6 servers flat.
-    let shards = Arc::new(RsShards::new(2, 3, &config, seed));
-    let servers = shards.servers();
-    let history = Arc::new(Mutex::new(Vec::new()));
-    let integrity = Arc::new(IntegrityStats::new());
-    let hooks = RecoveryHooks {
-        on_restart: Some({
-            let shards = Arc::clone(&shards);
-            Arc::new(move |i| {
-                shards.amnesia_restart(i);
-            })
-        }),
-        sweep: None,
-        integrity: Some(Arc::clone(&integrity)),
-        control: None,
-        // Flat-index disk faults: server `i` is replica `i % replicas`
-        // of group `i / replicas`, same routing as the restart hook.
-        disk_tear: Some({
-            let shards = Arc::clone(&shards);
-            Arc::new(move |i, rng| {
-                let reps = shards.replicas();
-                shards
-                    .group(i / reps)
-                    .replica(i % reps)
-                    .disk()
-                    .tear_tail(rng);
-            })
-        }),
-        disk_rot: Some({
-            let shards = Arc::clone(&shards);
-            Arc::new(move |i, rng, bits| {
-                let reps = shards.replicas();
-                shards
-                    .group(i / reps)
-                    .replica(i % reps)
-                    .disk()
-                    .rot(rng, bits);
-            })
-        }),
-        durable: Some(Arc::clone(shards.durable_stats())),
+    let two_groups = Topology::Rs {
+        provisioned: 2,
+        active: 2,
+        replicas: 3,
     };
-    let spec = ChaosSpec {
-        servers: 6,
-        clients: 6,
-        horizon: HORIZON,
-        server_crashes: 2,
-        amnesia_fraction: 1.0,
-        client_crashes: 1,
-        partitions: 1,
-        drop_prob: 0.01,
-        dup_prob: 0.005,
-        jitter_ns: 1_000,
-        flip_req_prob: 0.01,
-        flip_reply_prob: 0.01,
-        torn_write_prob: 0.05,
-        disk_torn_prob: 0.9,
-        disk_rot_events: 2,
-        slowdowns: 0,
-        slowdown_factor: 0,
-        reply_partitions: 0,
-        flaps: 0,
-        tail: TailPolicy::default(),
-    };
-    let mut plan = FaultPlan::chaos(seed, &spec);
-    plan.timeout = SimDuration::micros(60);
-    let r = run_closed_loop_with(
-        &servers,
-        &CostModel::testbed(),
-        VerbPath::Nic,
-        spec.clients,
-        &mut |i| {
-            Box::new(ChaosRsAdapter::sharded(
-                shards
-                    .open_clients()
-                    .into_iter()
-                    .map(|c| c.with_integrity(Arc::clone(&integrity)))
-                    .collect(),
-                shards.map().clone(),
-                i,
-                BLOCKS,
-                VALUE,
-                0.5,
-                Arc::clone(&history),
-            ))
-        },
-        WARMUP,
-        MEASURE,
-        seed,
-        &plan,
-        &hooks,
-    );
-    let h = history.lock().expect("history lock").clone();
-    (r, h, shards.rejoins(), shards.resyncs())
+    chaos_scenario(seed, two_groups).run(seed)
 }
 
 /// The sharded-topology amnesia gate: a 2-group PRISM-RS cluster takes
@@ -292,7 +189,8 @@ fn rs_sharded_chaos(seed: u64) -> (RunResult, Vec<HistOp>, u64, u64) {
 #[test]
 fn rs_sharded_amnesia_chaos_stays_linearizable_and_rejoins() {
     let seed = seed_or(0xC4A0_0004);
-    let (r, history, rejoins, resyncs) = rs_sharded_chaos(seed);
+    let out = rs_sharded_chaos(seed);
+    let (r, history, rejoins, resyncs) = (out.result, out.history, out.rejoins, out.resyncs);
     fault_line("rs-sharded-chaos", &r);
     assert!(r.tput_ops > 0.0, "no progress under sharded chaos: {r:?}");
     assert!(r.restarts > 0, "no amnesia window fired: {r:?}");
@@ -316,183 +214,35 @@ fn rs_sharded_amnesia_chaos_stays_linearizable_and_rejoins() {
         );
     }
 
-    let (r2, history2, rejoins2, resyncs2) = rs_sharded_chaos(seed);
+    let again = rs_sharded_chaos(seed);
     assert_eq!(
         metrics_key(&r),
-        metrics_key(&r2),
+        metrics_key(&again.result),
         "replay must be bit-exact"
     );
-    assert_eq!(history, history2, "recorded histories must be bit-exact");
-    assert_eq!((rejoins, resyncs), (rejoins2, resyncs2));
+    assert_eq!(
+        history, again.history,
+        "recorded histories must be bit-exact"
+    );
+    assert_eq!((rejoins, resyncs), (again.rejoins, again.resyncs));
 }
 
 // ---------------------------------------------------------------------
 // PRISM-RS live resharding: a 2→4 grow lands mid-chaos
 // ---------------------------------------------------------------------
 
-/// Post-run direct reads (control-plane path, epoch-unstamped) used for
-/// the lost/duplicate-key audit after a live migration.
-fn rs_read_direct(
-    shards: &RsShards,
-    clients: &[prism_rs::RsClient],
-    g: usize,
-    b: u64,
-) -> RsOutcome {
-    let healthy = vec![false; shards.replicas()];
-    let (op, step) = clients[g].get(b);
-    rs_drive(shards.group(g), &clients[g], op, step, &healthy)
-}
-
-#[allow(clippy::type_complexity)]
-fn rs_migration_chaos(seed: u64) -> (RunResult, Vec<HistOp>, u64, u64, Option<(u64, u64)>) {
-    let config = RsConfig::paper(BLOCKS, VALUE as u64);
+fn rs_migration_chaos(seed: u64) -> Outcome {
     // Four provisioned 3-replica groups, two active: 12 servers flat.
-    // Mid-run the control plane grows the map over all four.
-    let shards = Arc::new(RsShards::with_active(4, 2, 3, &config, seed));
-    let servers = shards.servers();
-    let history = Arc::new(Mutex::new(Vec::new()));
-    let integrity = Arc::new(IntegrityStats::new());
-    // `(new epoch, moved blocks)` once the migration has run.
-    let migration: Arc<Mutex<Option<(u64, u64)>>> = Arc::new(Mutex::new(None));
-    let hooks = RecoveryHooks {
-        on_restart: Some({
-            let shards = Arc::clone(&shards);
-            Arc::new(move |i| {
-                shards.amnesia_restart(i);
-            })
-        }),
-        sweep: None,
-        integrity: Some(Arc::clone(&integrity)),
-        // Fire the live 2→4 grow mid-measurement: stream moved blocks,
-        // fence old owners, flip the epoch, publish the map — atomically
-        // at one instant, while amnesia crashes and loss keep firing
-        // around it.
-        control: Some((SimTime::from_nanos(1_600_000), {
-            let shards = Arc::clone(&shards);
-            let migration = Arc::clone(&migration);
-            Arc::new(move || {
-                let (new_map, moved) = shards.migrate_grow(4);
-                *migration.lock().expect("migration lock") = Some((new_map.epoch(), moved));
-            })
-        })),
-        // Same flat-index disk faults as the sharded gate. Replay after
-        // a post-migration amnesia crash is the regression of record
-        // for fence durability: a moved block's tombstone must outlive
-        // the restart, or the old group would resurrect it from its log
-        // and serve behind the epoch fence.
-        disk_tear: Some({
-            let shards = Arc::clone(&shards);
-            Arc::new(move |i, rng| {
-                let reps = shards.replicas();
-                shards
-                    .group(i / reps)
-                    .replica(i % reps)
-                    .disk()
-                    .tear_tail(rng);
-            })
-        }),
-        disk_rot: Some({
-            let shards = Arc::clone(&shards);
-            Arc::new(move |i, rng, bits| {
-                let reps = shards.replicas();
-                shards
-                    .group(i / reps)
-                    .replica(i % reps)
-                    .disk()
-                    .rot(rng, bits);
-            })
-        }),
-        durable: Some(Arc::clone(shards.durable_stats())),
+    // Replay after a post-migration amnesia crash is the regression of
+    // record for fence durability: a moved block's tombstone must
+    // outlive the restart, or the old group would resurrect it from its
+    // log and serve behind the epoch fence.
+    let two_of_four = Topology::Rs {
+        provisioned: 4,
+        active: 2,
+        replicas: 3,
     };
-    let spec = ChaosSpec {
-        servers: 12,
-        clients: 6,
-        horizon: HORIZON,
-        server_crashes: 2,
-        amnesia_fraction: 1.0,
-        client_crashes: 1,
-        partitions: 1,
-        drop_prob: 0.01,
-        dup_prob: 0.005,
-        jitter_ns: 1_000,
-        flip_req_prob: 0.01,
-        flip_reply_prob: 0.01,
-        torn_write_prob: 0.05,
-        disk_torn_prob: 0.9,
-        disk_rot_events: 2,
-        slowdowns: 0,
-        slowdown_factor: 0,
-        reply_partitions: 0,
-        flaps: 0,
-        tail: TailPolicy::default(),
-    };
-    let mut plan = FaultPlan::chaos(seed, &spec);
-    plan.timeout = SimDuration::micros(60);
-    let r = run_closed_loop_with(
-        &servers,
-        &CostModel::testbed(),
-        VerbPath::Nic,
-        spec.clients,
-        &mut |i| {
-            Box::new(ChaosRsAdapter::sharded(
-                shards
-                    .open_clients()
-                    .into_iter()
-                    .map(|c| c.with_integrity(Arc::clone(&integrity)))
-                    .collect(),
-                shards.map_handle(),
-                i,
-                BLOCKS,
-                VALUE,
-                0.5,
-                Arc::clone(&history),
-            ))
-        },
-        WARMUP,
-        MEASURE,
-        seed,
-        &plan,
-        &hooks,
-    );
-    // Lost/duplicate-key audit, folded into the recorded history so the
-    // Wing–Gong checker vouches for the final values too. Every block
-    // must be readable at its post-migration home (nothing lost), and a
-    // moved block's old group must refuse to serve it (no duplicate
-    // owner behind the epoch fence).
-    let old_map = prism_harness::cluster::ShardMap::new(2, seed);
-    let new_map = shards.map();
-    let clients = shards.open_clients();
-    {
-        let mut h = history.lock().expect("history lock");
-        for b in 0..BLOCKS {
-            let home = new_map.shard_of_id(b);
-            match rs_read_direct(&shards, &clients, home, b) {
-                RsOutcome::Value(v) => h.push(HistOp {
-                    client: 999,
-                    key: b,
-                    invoke: SimTime::from_nanos(3_000_000 + b),
-                    complete: Some(SimTime::from_nanos(3_100_000 + b)),
-                    kind: HistKind::Get {
-                        nonce: u64::from_le_bytes(v[..8].try_into().expect("8 bytes")),
-                    },
-                }),
-                other => panic!("block {b} lost after migration: {other:?}"),
-            }
-            let old_home = old_map.shard_of_id(b);
-            if old_home != home {
-                assert!(
-                    !matches!(
-                        rs_read_direct(&shards, &clients, old_home, b),
-                        RsOutcome::Value(_)
-                    ),
-                    "moved block {b} still served by its fenced old group {old_home}"
-                );
-            }
-        }
-    }
-    let h = history.lock().expect("history lock").clone();
-    let m = *migration.lock().expect("migration lock");
-    (r, h, shards.rejoins(), shards.resyncs(), m)
+    reshard_chaos(seed, two_of_four)
 }
 
 /// The tentpole gate: linearizability through a live 2→4 reshard. Mid-
@@ -507,16 +257,25 @@ fn rs_migration_chaos(seed: u64) -> (RunResult, Vec<HistOp>, u64, u64, Option<(u
 #[test]
 fn rs_migration_chaos_stays_linearizable_through_live_reshard() {
     let seed = seed_or(0xC4A0_0006);
-    let (r, history, rejoins, resyncs, migration) = rs_migration_chaos(seed);
+    let out = rs_migration_chaos(seed);
+    let (r, history, rejoins, resyncs) = (out.result, out.history, out.rejoins, out.resyncs);
     fault_line("rs-migration-chaos", &r);
-    let (epoch, moved) = migration.expect("the control-plane migration must have run");
+    let (new_map, moved) = out
+        .migration
+        .clone()
+        .expect("the control-plane migration must have run")
+        .expect("every moved block must install at its new group");
+    let epoch = new_map.epoch();
     println!(
         "rs-migration: epoch={epoch} moved={moved} epoch_fenced={}",
         r.epoch_fenced
     );
     assert!(r.tput_ops > 0.0, "no progress under migration chaos: {r:?}");
     assert_eq!(epoch, 2, "one grow bumps the seed map's epoch 1 → 2");
-    assert!(moved > 0, "a 2→4 grow over {BLOCKS} blocks must move some");
+    assert!(
+        moved > 0,
+        "a 2→4 grow over {REGISTERS} blocks must move some"
+    );
     assert!(
         r.epoch_fenced > 0,
         "stale-routed requests must be fenced by the epoch check: {r:?}"
@@ -542,110 +301,38 @@ fn rs_migration_chaos_stays_linearizable_through_live_reshard() {
         );
     }
 
-    let (r2, history2, rejoins2, resyncs2, migration2) = rs_migration_chaos(seed);
+    let again = rs_migration_chaos(seed);
     assert_eq!(
         metrics_key(&r),
-        metrics_key(&r2),
+        metrics_key(&again.result),
         "replay must be bit-exact"
     );
-    assert_eq!(history, history2, "recorded histories must be bit-exact");
-    assert_eq!((rejoins, resyncs), (rejoins2, resyncs2));
-    assert_eq!(migration, migration2);
+    assert_eq!(
+        history, again.history,
+        "recorded histories must be bit-exact"
+    );
+    assert_eq!((rejoins, resyncs), (again.rejoins, again.resyncs));
+    assert_eq!(out.migration, again.migration);
 }
 
 // ---------------------------------------------------------------------
 // PRISM-KV: recover crashes, client crashes, partitions
 // ---------------------------------------------------------------------
 
-fn kv_chaos(seed: u64) -> (RunResult, Vec<HistOp>) {
-    // No extra buffer headroom: a reply lost on the return leg is
-    // harvested for its orphaned allocation when it straggles in
-    // (`on_stale_reply`), so lost replies no longer leak buffers.
-    let config = PrismKvConfig::paper(BLOCKS, VALUE);
-    let server = Arc::new(PrismKvServer::new(&config));
-    let servers = vec![Arc::clone(server.server())];
-    let history = Arc::new(Mutex::new(Vec::new()));
-    let integrity = Arc::new(IntegrityStats::new());
-    // Amnesia is now survivable for single-copy KV: every acknowledged
-    // write sat behind a synced segment append (the durable tap runs
-    // inside the execute path, before the ack), so a wiped server
-    // replays its own log instead of needing peers. Clients observe the
-    // bumped rkey incarnation, refence, and retry. Crash-window disk
-    // tears are provably harmless here — nothing unsynced exists to
-    // tear — which the gate asserts via `segments_truncated == 0`.
-    let hooks = RecoveryHooks {
-        on_restart: Some({
-            let server = Arc::clone(&server);
-            Arc::new(move |_i| {
-                server.amnesia_restart();
-            })
-        }),
-        disk_tear: Some({
-            let server = Arc::clone(&server);
-            Arc::new(move |_i, rng| {
-                server.disk().tear_tail(rng);
-            })
-        }),
-        durable: Some(Arc::clone(server.durable_stats())),
-        integrity: Some(Arc::clone(&integrity)),
-        ..RecoveryHooks::default()
+fn kv_chaos(seed: u64) -> Outcome {
+    let one_shard = Topology::Kv {
+        provisioned: 1,
+        active: 1,
     };
-    // No at-rest rot: a single-copy store has no replica to heal a
-    // rotted acknowledged record from, so that fault class belongs to
-    // RS (see the gates above). Tears are fair game — see the hook.
-    let spec = ChaosSpec {
-        servers: 1,
-        clients: 4,
-        horizon: HORIZON,
-        server_crashes: 1,
-        amnesia_fraction: 1.0,
-        client_crashes: 1,
-        partitions: 1,
-        drop_prob: 0.01,
-        dup_prob: 0.005,
-        jitter_ns: 1_000,
-        flip_req_prob: 0.01,
-        flip_reply_prob: 0.01,
-        torn_write_prob: 0.05,
-        disk_torn_prob: 0.9,
-        disk_rot_events: 0,
-        slowdowns: 0,
-        slowdown_factor: 0,
-        reply_partitions: 0,
-        flaps: 0,
-        tail: TailPolicy::default(),
-    };
-    let mut plan = FaultPlan::chaos(seed, &spec);
-    plan.timeout = SimDuration::micros(60);
-    let r = run_closed_loop_with(
-        &servers,
-        &CostModel::testbed(),
-        VerbPath::Nic,
-        spec.clients,
-        &mut |i| {
-            Box::new(ChaosKvAdapter::new(
-                server.open_client().with_integrity(Arc::clone(&integrity)),
-                i,
-                BLOCKS,
-                VALUE,
-                0.5,
-                Arc::clone(&history),
-            ))
-        },
-        WARMUP,
-        MEASURE,
-        seed,
-        &plan,
-        &hooks,
-    );
-    let h = history.lock().expect("history lock").clone();
-    (r, h)
+    chaos_scenario(seed, one_shard).run(seed)
 }
 
 #[test]
 fn kv_chaos_stays_linearizable_per_key() {
     let seed = seed_or(0xC4A0_0002);
-    let (r, history) = kv_chaos(seed);
+    let Outcome {
+        result: r, history, ..
+    } = kv_chaos(seed);
     fault_line("kv-chaos", &r);
     assert!(r.tput_ops > 0.0, "no progress under chaos: {r:?}");
     assert!(r.crash_drops > 0, "the crash window never bit: {r:?}");
@@ -678,101 +365,30 @@ fn kv_chaos_stays_linearizable_per_key() {
         );
     }
 
-    let (r2, history2) = kv_chaos(seed);
+    let again = kv_chaos(seed);
     assert_eq!(
         metrics_key(&r),
-        metrics_key(&r2),
+        metrics_key(&again.result),
         "replay must be bit-exact"
     );
-    assert_eq!(history, history2, "recorded histories must be bit-exact");
+    assert_eq!(
+        history, again.history,
+        "recorded histories must be bit-exact"
+    );
 }
 
 // ---------------------------------------------------------------------
 // PRISM-KV sharded: recover crashes across a 2-shard cluster
 // ---------------------------------------------------------------------
 
-fn kv_sharded_chaos(seed: u64) -> (RunResult, Vec<HistOp>) {
-    let config = PrismKvConfig::paper(BLOCKS, VALUE);
-    let cluster = Arc::new(KvCluster::new(2, &config, seed));
-    let servers = cluster.servers();
-    let history = Arc::new(Mutex::new(Vec::new()));
-    let integrity = Arc::new(IntegrityStats::new());
-    // Amnesia crashes land on whichever shard the schedule picks; each
-    // wiped shard replays its own segment log (single-copy KV needs no
-    // peers — acknowledged writes are write-through to the synced log),
-    // and routed clients refence against the bumped incarnation.
-    let hooks = RecoveryHooks {
-        on_restart: Some({
-            let cluster = Arc::clone(&cluster);
-            Arc::new(move |i| {
-                cluster.amnesia_restart(i);
-            })
-        }),
-        disk_tear: Some({
-            let cluster = Arc::clone(&cluster);
-            Arc::new(move |i, rng| {
-                cluster.shard(i).disk().tear_tail(rng);
-            })
-        }),
-        durable: Some(Arc::clone(cluster.durable_stats())),
-        integrity: Some(Arc::clone(&integrity)),
-        ..RecoveryHooks::default()
+fn kv_sharded_chaos(seed: u64) -> Outcome {
+    // Amnesia crashes land on whichever shard the schedule picks, and
+    // routed clients refence against the bumped incarnation.
+    let two_shards = Topology::Kv {
+        provisioned: 2,
+        active: 2,
     };
-    let spec = ChaosSpec {
-        servers: 2,
-        clients: 4,
-        horizon: HORIZON,
-        server_crashes: 1,
-        amnesia_fraction: 1.0,
-        client_crashes: 1,
-        partitions: 1,
-        drop_prob: 0.01,
-        dup_prob: 0.005,
-        jitter_ns: 1_000,
-        flip_req_prob: 0.01,
-        flip_reply_prob: 0.01,
-        torn_write_prob: 0.05,
-        disk_torn_prob: 0.9,
-        disk_rot_events: 0,
-        slowdowns: 0,
-        slowdown_factor: 0,
-        reply_partitions: 0,
-        flaps: 0,
-        tail: TailPolicy::default(),
-    };
-    let mut plan = FaultPlan::chaos(seed, &spec);
-    plan.timeout = SimDuration::micros(60);
-    let r = run_closed_loop_with(
-        &servers,
-        &CostModel::testbed(),
-        VerbPath::Nic,
-        spec.clients,
-        &mut |i| {
-            Box::new(ChaosKvAdapter::sharded(
-                (0..2)
-                    .map(|s| {
-                        cluster
-                            .shard(s)
-                            .open_client()
-                            .with_integrity(Arc::clone(&integrity))
-                    })
-                    .collect(),
-                cluster.map().clone(),
-                i,
-                BLOCKS,
-                VALUE,
-                0.5,
-                Arc::clone(&history),
-            ))
-        },
-        WARMUP,
-        MEASURE,
-        seed,
-        &plan,
-        &hooks,
-    );
-    let h = history.lock().expect("history lock").clone();
-    (r, h)
+    chaos_scenario(seed, two_shards).run(seed)
 }
 
 /// Per-key linearizability must survive sharding: operations route to
@@ -782,7 +398,9 @@ fn kv_sharded_chaos(seed: u64) -> (RunResult, Vec<HistOp>) {
 #[test]
 fn kv_sharded_chaos_stays_linearizable_per_key() {
     let seed = seed_or(0xC4A0_0005);
-    let (r, history) = kv_sharded_chaos(seed);
+    let Outcome {
+        result: r, history, ..
+    } = kv_sharded_chaos(seed);
     fault_line("kv-sharded-chaos", &r);
     assert!(r.tput_ops > 0.0, "no progress under sharded chaos: {r:?}");
     assert!(r.crash_drops > 0, "the crash window never bit: {r:?}");
@@ -807,13 +425,90 @@ fn kv_sharded_chaos_stays_linearizable_per_key() {
         );
     }
 
-    let (r2, history2) = kv_sharded_chaos(seed);
+    let again = kv_sharded_chaos(seed);
     assert_eq!(
         metrics_key(&r),
-        metrics_key(&r2),
+        metrics_key(&again.result),
         "replay must be bit-exact"
     );
-    assert_eq!(history, history2, "recorded histories must be bit-exact");
+    assert_eq!(
+        history, again.history,
+        "recorded histories must be bit-exact"
+    );
+}
+
+// ---------------------------------------------------------------------
+// PRISM-KV live resharding: the same 2→4 grow over single-copy shards
+// ---------------------------------------------------------------------
+
+fn kv_migration_chaos(seed: u64) -> Outcome {
+    // Four provisioned shards, two active; `kv_sharded_chaos`'s mix.
+    let two_of_four = Topology::Kv {
+        provisioned: 4,
+        active: 2,
+    };
+    reshard_chaos(seed, two_of_four)
+}
+
+/// The live reshard is a capability of the scenario, not of PRISM-RS:
+/// the same control event over single-copy KV shards. Moved keys are
+/// read out of their old shard, CAS-installed at the new one and
+/// DELETEd behind them; a PUT fenced mid-flight restarts at the key's
+/// new home with the value it was invoked with. The cross-epoch history
+/// (the audit's final reads included) must pass Wing–Gong, no key may
+/// be lost or keep a second owner, and the same seed replays
+/// bit-exactly.
+#[test]
+fn kv_migration_chaos_stays_linearizable_through_live_reshard() {
+    let seed = seed_or(0xC4A0_0007);
+    let out = kv_migration_chaos(seed);
+    let (r, history) = (out.result, out.history);
+    fault_line("kv-migration-chaos", &r);
+    let (new_map, moved) = out
+        .migration
+        .clone()
+        .expect("the control-plane migration must have run")
+        .expect("every moved key must install at its new shard");
+    println!(
+        "kv-migration: epoch={} moved={moved} epoch_fenced={}",
+        new_map.epoch(),
+        r.epoch_fenced
+    );
+    assert!(r.tput_ops > 0.0, "no progress under migration chaos: {r:?}");
+    assert_eq!((new_map.epoch(), new_map.shards()), (2, 4));
+    assert!(moved > 0, "a 2→4 grow over {REGISTERS} keys must move some");
+    assert!(
+        r.epoch_fenced > 0,
+        "stale-routed requests must be fenced by the epoch check: {r:?}"
+    );
+    assert_eq!(
+        r.segments_truncated, 0,
+        "KV syncs every acknowledged append, so crash-window tears must \
+         find nothing to cut: {r:?}"
+    );
+    assert!(!history.is_empty(), "history must be recorded");
+    check_history(&history).expect("history must stay linearizable through the live reshard");
+    // Golden row (default seed only): the run, the history with the
+    // audit's reads, and how many keys moved.
+    if seed == 0xC4A0_0007 {
+        assert_golden(
+            "kv_migration_chaos",
+            &[run_key(&r), history_key(&history), moved],
+            &[0x1c68_51c7_1947_44e4, 0xa33e_bf8a_b094_f9dd, 5],
+        );
+    }
+
+    let again = kv_migration_chaos(seed);
+    assert_eq!(
+        metrics_key(&r),
+        metrics_key(&again.result),
+        "replay must be bit-exact"
+    );
+    assert_eq!(
+        history, again.history,
+        "recorded histories must be bit-exact"
+    );
+    assert_eq!(out.migration, again.migration);
 }
 
 // ---------------------------------------------------------------------
@@ -831,7 +526,6 @@ fn tx_chaos(seed: u64) -> (RunResult, u64, u64) {
     let servers = vec![Arc::clone(cluster.shard(0).server())];
     let integrity = Arc::new(IntegrityStats::new());
     let hooks = RecoveryHooks {
-        on_restart: None,
         sweep: Some((SimDuration::micros(150), {
             let cluster = Arc::clone(&cluster);
             Arc::new(move |i| {
@@ -839,36 +533,21 @@ fn tx_chaos(seed: u64) -> (RunResult, u64, u64) {
             })
         })),
         integrity: Some(Arc::clone(&integrity)),
-        control: None,
         ..RecoveryHooks::default()
     };
     // No server crash windows, so torn writes cannot be scheduled here;
     // both frame legs still see flips. TX keeps no durable tier yet, so
     // both disk fault classes stay off.
     let spec = ChaosSpec {
-        servers: 1,
-        clients: 6,
-        horizon: HORIZON,
-        server_crashes: 0,
-        amnesia_fraction: 0.0,
         client_crashes: 3,
         partitions: 1,
         drop_prob: 0.01,
-        dup_prob: 0.0,
         jitter_ns: 1_000,
         flip_req_prob: 0.01,
         flip_reply_prob: 0.01,
-        torn_write_prob: 0.0,
-        disk_torn_prob: 0.0,
-        disk_rot_events: 0,
-        slowdowns: 0,
-        slowdown_factor: 0,
-        reply_partitions: 0,
-        flaps: 0,
-        tail: TailPolicy::default(),
+        ..ChaosSpec::quiet(1, 6, HORIZON)
     };
-    let mut plan = FaultPlan::chaos(seed, &spec);
-    plan.timeout = SimDuration::micros(60);
+    let plan = chaos_plan(seed, &spec);
     let r = run_closed_loop_with(
         &servers,
         &CostModel::testbed(),

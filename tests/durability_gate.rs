@@ -10,8 +10,8 @@
 use std::sync::Arc;
 
 use prism_kv::hash::key_bytes;
-use prism_kv::prism_kv::{PrismKvConfig, PrismKvServer};
-use prism_kv::{KvOutcome, KvStep};
+use prism_kv::prism_kv::{drive as kv_drive, PrismKvConfig, PrismKvServer};
+use prism_kv::KvOutcome;
 use prism_rs::prism_rs::{drive, RsCluster, RsConfig};
 use prism_rs::RsOutcome;
 use prism_simnet::rng::SimRng;
@@ -304,32 +304,9 @@ fn checkpointed_replay_cost_stops_growing_with_log_length() {
 // ---------------------------------------------------------------------
 
 fn drive_put(s: &PrismKvServer, key: &[u8], value: &[u8]) -> KvOutcome {
-    use prism_core::msg::execute_local;
     let c = s.open_client();
     let (mut op, req) = c.put(key, value);
-    let mut reply = execute_local(s.server(), &req);
-    loop {
-        match op.on_reply(&c, reply) {
-            KvStep::Send {
-                request,
-                background,
-            } => {
-                if let Some(bg) = background {
-                    let _ = execute_local(s.server(), &bg);
-                }
-                reply = execute_local(s.server(), &request);
-            }
-            KvStep::Done {
-                outcome,
-                background,
-            } => {
-                if let Some(bg) = background {
-                    let _ = execute_local(s.server(), &bg);
-                }
-                return outcome;
-            }
-        }
-    }
+    kv_drive(s.server(), req, |r| op.on_reply(&c, r)).0
 }
 
 #[test]
@@ -366,20 +343,11 @@ fn kv_write_ahead_log_leaves_nothing_for_a_tear_to_take() {
         "every key must rebuild from the log"
     );
     // Full read-back through a refenced client: zero lost records.
-    use prism_core::msg::execute_local;
     let mut c = s.open_client();
     c.refence(inc);
     for (k, v) in vals.iter().enumerate() {
         let (mut op, req) = c.get(&key_bytes(k as u64));
-        let mut reply = execute_local(s.server(), &req);
-        let outcome = loop {
-            match op.on_reply(&c, reply) {
-                KvStep::Send { request, .. } => {
-                    reply = execute_local(s.server(), &request);
-                }
-                KvStep::Done { outcome, .. } => break outcome,
-            }
-        };
+        let (outcome, _) = kv_drive(s.server(), req, |r| op.on_reply(&c, r));
         assert_eq!(
             outcome,
             KvOutcome::Value(Some(v.clone())),

@@ -73,7 +73,9 @@ const DELETES: u64 = 200;
 const LEAKED: u64 = 500;
 
 /// Drives a PUT or DELETE to completion; `frees` says whether the
-/// background reclaim requests reach the server.
+/// background reclaim requests reach the server. Withholding them is the
+/// point (the leaked buffers force a refill), which is why this loop is
+/// not `prism_kv::prism_kv::drive`: that one always delivers them.
 fn kv_write(s: &PrismKvServer, c: &PrismKvClient, key: u64, value: Option<&[u8]>, frees: bool) {
     let key = key_bytes(key);
     let (mut op, req) = match value {

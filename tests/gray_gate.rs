@@ -16,22 +16,16 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use prism_core::integrity::IntegrityStats;
 use prism_core::PrismServer;
-use prism_harness::chaos::{check_history, ChaosKvAdapter, ChaosRsAdapter, HistOp};
-use prism_harness::cluster::{KvCluster, RsShards};
-use prism_harness::netsim::{
-    run_closed_loop, run_closed_loop_with, ProtoAdapter, RecoveryHooks, RunResult, VerbPath,
-};
+use prism_harness::chaos::{chaos_plan, check_history, Outcome, Scenario, Topology};
+use prism_harness::netsim::{run_closed_loop, ProtoAdapter, RecoveryHooks, VerbPath};
 use prism_harness::openloop::{run_open_loop, AdapterFactory, OpenLoopConfig, OpenLoopResult};
-use prism_kv::prism_kv::PrismKvConfig;
 use prism_rdma::region::AccessFlags;
-use prism_rs::prism_rs::RsConfig;
 use prism_simnet::fault::{ChaosSpec, FaultPlan, TailPolicy};
 use prism_simnet::latency::CostModel;
-use prism_simnet::time::{SimDuration, SimTime};
+use prism_simnet::time::SimDuration;
 use prism_workload::ArrivalSpec;
 
 mod support;
@@ -43,18 +37,20 @@ use support::{
 const WARMUP: SimDuration = SimDuration::from_nanos(400_000);
 const MEASURE: SimDuration = SimDuration::from_nanos(2_400_000);
 const HORIZON: SimDuration = SimDuration::from_nanos(2_800_000);
-const BLOCKS: u64 = 8;
-const VALUE: usize = 64;
 
-/// The shared gray fault mix: seeded straggler windows, one reply-leg
-/// partition, one flapping link, a crash with amnesia, plus background
-/// loss/dup/jitter. Corruption and disk faults stay off — they have
-/// their own gates — so every anomaly here is a gray one.
-fn gray_spec(servers: usize, clients: usize, crashes: usize, tail: TailPolicy) -> ChaosSpec {
-    ChaosSpec {
-        servers,
-        clients,
-        horizon: HORIZON,
+/// The shared gray scenario over `topology`: seeded straggler windows,
+/// one reply-leg partition, one flapping link, crashes with amnesia,
+/// plus background loss/dup/jitter, half the operations writes.
+/// Corruption and disk faults stay off — they have their own gates — so
+/// every anomaly here is a gray one.
+fn gray_scenario(
+    seed: u64,
+    topology: Topology,
+    clients: usize,
+    crashes: usize,
+    tail: TailPolicy,
+) -> Scenario {
+    let spec = ChaosSpec {
         server_crashes: crashes,
         amnesia_fraction: 1.0,
         client_crashes: 1,
@@ -62,16 +58,21 @@ fn gray_spec(servers: usize, clients: usize, crashes: usize, tail: TailPolicy) -
         drop_prob: 0.01,
         dup_prob: 0.005,
         jitter_ns: 1_000,
-        flip_req_prob: 0.0,
-        flip_reply_prob: 0.0,
-        torn_write_prob: 0.0,
-        disk_torn_prob: 0.0,
-        disk_rot_events: 0,
         slowdowns: 2,
         slowdown_factor: 4,
         reply_partitions: 1,
         flaps: 1,
         tail,
+        ..ChaosSpec::quiet(topology.servers(), clients, HORIZON)
+    };
+    Scenario {
+        topology,
+        clients,
+        write_fraction: 0.5,
+        plan: chaos_plan(seed, &spec),
+        warmup: WARMUP,
+        measure: MEASURE,
+        grow: None,
     }
 }
 
@@ -79,57 +80,12 @@ fn gray_spec(servers: usize, clients: usize, crashes: usize, tail: TailPolicy) -
 // Sharded PRISM-KV under the gray mix — hedging disabled
 // ---------------------------------------------------------------------
 
-fn kv_gray_chaos(seed: u64) -> (RunResult, Vec<HistOp>) {
-    let config = PrismKvConfig::paper(BLOCKS, VALUE);
-    let cluster = Arc::new(KvCluster::new(2, &config, seed));
-    let servers = cluster.servers();
-    let history = Arc::new(Mutex::new(Vec::new()));
-    let integrity = Arc::new(IntegrityStats::new());
-    let hooks = RecoveryHooks {
-        on_restart: Some({
-            let cluster = Arc::clone(&cluster);
-            Arc::new(move |i| {
-                cluster.amnesia_restart(i);
-            })
-        }),
-        durable: Some(Arc::clone(cluster.durable_stats())),
-        integrity: Some(Arc::clone(&integrity)),
-        ..RecoveryHooks::default()
+fn kv_gray_chaos(seed: u64) -> Outcome {
+    let two_shards = Topology::Kv {
+        provisioned: 2,
+        active: 2,
     };
-    let spec = gray_spec(2, 4, 1, TailPolicy::default());
-    let mut plan = FaultPlan::chaos(seed, &spec);
-    plan.timeout = SimDuration::micros(60);
-    let r = run_closed_loop_with(
-        &servers,
-        &CostModel::testbed(),
-        VerbPath::Nic,
-        spec.clients,
-        &mut |i| {
-            Box::new(ChaosKvAdapter::sharded(
-                (0..2)
-                    .map(|s| {
-                        cluster
-                            .shard(s)
-                            .open_client()
-                            .with_integrity(Arc::clone(&integrity))
-                    })
-                    .collect(),
-                cluster.map().clone(),
-                i,
-                BLOCKS,
-                VALUE,
-                0.5,
-                Arc::clone(&history),
-            ))
-        },
-        WARMUP,
-        MEASURE,
-        seed,
-        &plan,
-        &hooks,
-    );
-    let h = history.lock().expect("history lock").clone();
-    (r, h)
+    gray_scenario(seed, two_shards, 4, 1, TailPolicy::default()).run(seed)
 }
 
 /// Correctness first, policy off: stragglers, a reply-leg partition, a
@@ -141,7 +97,8 @@ fn kv_gray_chaos(seed: u64) -> (RunResult, Vec<HistOp>) {
 #[test]
 fn kv_sharded_gray_chaos_stays_linearizable() {
     let seed = seed_or(0x64A9_0001);
-    let (r, history) = kv_gray_chaos(seed);
+    let out = kv_gray_chaos(seed);
+    let (r, history) = (out.result, out.history);
     fault_line("kv-gray", &r);
     assert!(r.tput_ops > 0.0, "no progress under the gray mix: {r:?}");
     assert!(
@@ -168,35 +125,27 @@ fn kv_sharded_gray_chaos_stays_linearizable() {
         );
     }
 
-    let (r2, history2) = kv_gray_chaos(seed);
+    let again = kv_gray_chaos(seed);
     assert_eq!(
         metrics_key(&r),
-        metrics_key(&r2),
+        metrics_key(&again.result),
         "replay must be bit-exact"
     );
-    assert_eq!(history, history2, "recorded histories must be bit-exact");
+    assert_eq!(
+        history, again.history,
+        "recorded histories must be bit-exact"
+    );
 }
 
 // ---------------------------------------------------------------------
 // Sharded PRISM-RS under the gray mix — full tail policy armed
 // ---------------------------------------------------------------------
 
-fn rs_gray_chaos(seed: u64) -> (RunResult, Vec<HistOp>, u64, u64) {
-    let config = RsConfig::paper(BLOCKS, VALUE as u64);
-    let shards = Arc::new(RsShards::new(2, 3, &config, seed));
-    let servers = shards.servers();
-    let history = Arc::new(Mutex::new(Vec::new()));
-    let integrity = Arc::new(IntegrityStats::new());
-    let hooks = RecoveryHooks {
-        on_restart: Some({
-            let shards = Arc::clone(&shards);
-            Arc::new(move |i| {
-                shards.amnesia_restart(i);
-            })
-        }),
-        durable: Some(Arc::clone(shards.durable_stats())),
-        integrity: Some(Arc::clone(&integrity)),
-        ..RecoveryHooks::default()
+fn rs_gray_chaos(seed: u64) -> Outcome {
+    let two_groups = Topology::Rs {
+        provisioned: 2,
+        active: 2,
+        replicas: 3,
     };
     // Hedging + adaptive timeouts armed on top of the same gray mix:
     // quorum GETs hedge after the tracked p99, losers are harvested for
@@ -208,37 +157,7 @@ fn rs_gray_chaos(seed: u64) -> (RunResult, Vec<HistOp>, u64, u64) {
         admission_ns: 0,
         retry_deadline: SimDuration::ZERO,
     };
-    let spec = gray_spec(6, 6, 2, tail);
-    let mut plan = FaultPlan::chaos(seed, &spec);
-    plan.timeout = SimDuration::micros(60);
-    let r = run_closed_loop_with(
-        &servers,
-        &CostModel::testbed(),
-        VerbPath::Nic,
-        spec.clients,
-        &mut |i| {
-            Box::new(ChaosRsAdapter::sharded(
-                shards
-                    .open_clients()
-                    .into_iter()
-                    .map(|c| c.with_integrity(Arc::clone(&integrity)))
-                    .collect(),
-                shards.map().clone(),
-                i,
-                BLOCKS,
-                VALUE,
-                0.5,
-                Arc::clone(&history),
-            ))
-        },
-        WARMUP,
-        MEASURE,
-        seed,
-        &plan,
-        &hooks,
-    );
-    let h = history.lock().expect("history lock").clone();
-    (r, h, shards.rejoins(), shards.resyncs())
+    gray_scenario(seed, two_groups, 6, 2, tail).run(seed)
 }
 
 /// The hedged-correctness gate: the same gray mix over a 2-group RS
@@ -249,7 +168,8 @@ fn rs_gray_chaos(seed: u64) -> (RunResult, Vec<HistOp>, u64, u64) {
 #[test]
 fn rs_sharded_gray_chaos_stays_linearizable_with_hedging() {
     let seed = seed_or(0x64A9_0002);
-    let (r, history, rejoins, resyncs) = rs_gray_chaos(seed);
+    let out = rs_gray_chaos(seed);
+    let (r, history, rejoins, resyncs) = (out.result, out.history, out.rejoins, out.resyncs);
     fault_line("rs-gray", &r);
     assert!(r.tput_ops > 0.0, "no progress under the gray mix: {r:?}");
     assert!(
@@ -276,65 +196,32 @@ fn rs_sharded_gray_chaos_stays_linearizable_with_hedging() {
         );
     }
 
-    let (r2, history2, rejoins2, _) = rs_gray_chaos(seed);
+    let again = rs_gray_chaos(seed);
     assert_eq!(
         metrics_key(&r),
-        metrics_key(&r2),
+        metrics_key(&again.result),
         "replay must be bit-exact"
     );
-    assert_eq!(history, history2, "recorded histories must be bit-exact");
-    assert_eq!(rejoins, rejoins2);
+    assert_eq!(
+        history, again.history,
+        "recorded histories must be bit-exact"
+    );
+    assert_eq!(rejoins, again.rejoins);
 }
 
 // ---------------------------------------------------------------------
 // Hedged tail under one straggling shard
 // ---------------------------------------------------------------------
 
-/// One run of the two-shard KV tail experiment. `slow` stretches shard
-/// 1's processing by 4x for the whole horizon; `tail` arms the client
-/// policy. Background loss is what gives hedging its opening: a GET
-/// whose request or reply vanished toward the slow shard either waits
-/// out the full fixed timeout (unhedged) or is covered by a copy issued
-/// after the tracked p99 (hedged).
-fn tail_run(seed: u64, slow: bool, tail: TailPolicy) -> (RunResult, Vec<HistOp>) {
-    let config = PrismKvConfig::paper(BLOCKS, VALUE);
-    let cluster = Arc::new(KvCluster::new(2, &config, seed));
-    let servers = cluster.servers();
-    let history = Arc::new(Mutex::new(Vec::new()));
-    // Jitter matters: without it a primary that will arrive always
-    // beats the hedge delay, so hedges would only ever cover drops and
-    // no losing copy would ever straggle home to be harvested.
-    let mut plan = FaultPlan::seeded(seed)
-        .with_loss(0.05, 0.0)
-        .with_jitter(8_000)
-        .with_tail_policy(tail);
-    if slow {
-        plan = plan.with_slowdown(1, SimTime::ZERO, SimTime::ZERO + HORIZON, 4);
-    }
-    plan.timeout = SimDuration::micros(60);
-    let r = run_closed_loop(
-        &servers,
-        &CostModel::testbed(),
-        VerbPath::Nic,
-        4,
-        &mut |i| {
-            Box::new(ChaosKvAdapter::sharded(
-                (0..2).map(|s| cluster.shard(s).open_client()).collect(),
-                cluster.map().clone(),
-                i,
-                BLOCKS,
-                VALUE,
-                0.0,
-                Arc::clone(&history),
-            ))
-        },
-        WARMUP,
-        MEASURE,
-        seed,
-        &plan,
-    );
-    let h = history.lock().expect("history lock").clone();
-    (r, h)
+/// One run of the two-shard KV tail experiment, the scenario
+/// `fig_hedge` draws BENCH_06 from: `slow` stretches shard 1's
+/// processing by 4x for the whole run; `tail` arms the client policy. A
+/// GET whose request or reply vanished toward the slow shard either
+/// waits out the full fixed timeout (unhedged) or is covered by a copy
+/// issued after the tracked p99 (hedged).
+fn tail_run(seed: u64, slow: bool, tail: TailPolicy) -> Outcome {
+    let factor = if slow { 4 } else { 1 };
+    Scenario::straggler(seed, factor, tail, WARMUP, MEASURE).run(seed)
 }
 
 /// The tail-tolerance regression of record: with one shard straggling
@@ -352,9 +239,13 @@ fn hedged_p99_under_one_straggling_shard_stays_bounded() {
         admission_ns: 0,
         retry_deadline: SimDuration::ZERO,
     };
-    let (healthy, _) = tail_run(seed, false, policy.clone());
-    let (unhedged, _) = tail_run(seed, true, TailPolicy::default());
-    let (hedged, hist) = tail_run(seed, true, policy.clone());
+    let healthy = tail_run(seed, false, policy.clone()).result;
+    let unhedged = tail_run(seed, true, TailPolicy::default()).result;
+    let Outcome {
+        result: hedged,
+        history: hist,
+        ..
+    } = tail_run(seed, true, policy.clone());
     fault_line("tail-healthy", &healthy);
     fault_line("tail-unhedged", &unhedged);
     fault_line("tail-hedged", &hedged);
@@ -421,13 +312,13 @@ fn hedged_p99_under_one_straggling_shard_stays_bounded() {
         );
     }
 
-    let (hedged2, hist2) = tail_run(seed, true, policy);
+    let again = tail_run(seed, true, policy);
     assert_eq!(
         metrics_key(&hedged),
-        metrics_key(&hedged2),
+        metrics_key(&again.result),
         "replay must be bit-exact"
     );
-    assert_eq!(hist, hist2, "recorded histories must be bit-exact");
+    assert_eq!(hist, again.history, "recorded histories must be bit-exact");
 }
 
 // ---------------------------------------------------------------------

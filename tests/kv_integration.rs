@@ -4,11 +4,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use prism_core::msg::{execute_local, Reply, Request};
+use prism_core::msg::execute_local;
 use prism_kv::hash::{key_bytes, HashScheme};
 use prism_kv::pilaf::{PilafClient, PilafConfig, PilafServer};
-use prism_kv::prism_kv::{PrismKvClient, PrismKvConfig, PrismKvServer, SizeClass};
-use prism_kv::{KvOutcome, KvStep};
+use prism_kv::prism_kv::{drive, PrismKvClient, PrismKvConfig, PrismKvServer, SizeClass};
+use prism_kv::KvOutcome;
 use prism_simnet::rng::SimRng;
 use prism_workload::ycsb::value_bytes;
 
@@ -30,49 +30,19 @@ fn assert_untorn(key: u64, v: &[u8]) {
     }
 }
 
-fn drive_kv(
-    server: &Arc<prism_core::PrismServer>,
-    first: Request,
-    mut step_fn: impl FnMut(Reply) -> KvStep,
-) -> KvOutcome {
-    let mut reply = execute_local(server, &first);
-    loop {
-        match step_fn(reply) {
-            KvStep::Send {
-                request,
-                background,
-            } => {
-                if let Some(b) = background {
-                    execute_local(server, &b);
-                }
-                reply = execute_local(server, &request);
-            }
-            KvStep::Done {
-                outcome,
-                background,
-            } => {
-                if let Some(b) = background {
-                    execute_local(server, &b);
-                }
-                return outcome;
-            }
-        }
-    }
-}
-
 fn prism_get(s: &PrismKvServer, c: &PrismKvClient, key: &[u8]) -> KvOutcome {
     let (mut op, req) = c.get(key);
-    drive_kv(s.server(), req, |r| op.on_reply(c, r))
+    drive(s.server(), req, |r| op.on_reply(c, r)).0
 }
 
 fn prism_put(s: &PrismKvServer, c: &PrismKvClient, key: &[u8], val: &[u8]) -> KvOutcome {
     let (mut op, req) = c.put(key, val);
-    drive_kv(s.server(), req, |r| op.on_reply(c, r))
+    drive(s.server(), req, |r| op.on_reply(c, r)).0
 }
 
 fn pilaf_get(s: &PilafServer, c: &PilafClient, key: &[u8]) -> KvOutcome {
     let (mut op, req) = c.get(key);
-    drive_kv(s.server(), req, |r| op.on_reply(c, r))
+    drive(s.server(), req, |r| op.on_reply(c, r)).0
 }
 
 fn pilaf_put(s: &PilafServer, c: &PilafClient, key: &[u8], val: &[u8]) -> KvOutcome {
@@ -130,7 +100,7 @@ fn prism_kv_reclaims_every_buffer() {
     }
     for k in 0..32u64 {
         let (mut op, req) = c.delete(&key_bytes(k));
-        let o = drive_kv(s.server(), req, |r| op.on_reply(&c, r));
+        let o = drive(s.server(), req, |r| op.on_reply(&c, r)).0;
         assert_eq!(o, KvOutcome::Written);
     }
     assert_eq!(
