@@ -594,6 +594,16 @@ fn tx_client_crash_chaos_reclaims_every_dangling_prepare() {
         "corruption modes were enabled but never fired or went undetected: {r:?}"
     );
     assert_eq!(stuck, 0, "no key may stay stuck after the final sweeps");
+    // Golden row (default seed only), captured on the commit before the
+    // PRISM-TX and FaRM adapters were folded into one driver: every
+    // counter, and how many prepares the sweeps reclaimed.
+    if seed == 0xC4A0_0003 {
+        assert_golden(
+            "tx_chaos",
+            &[run_key(&r), reclaims],
+            &[0x9f8a_5efa_d7a7_217e, 38],
+        );
+    }
 
     let (r2, _, stuck2) = tx_chaos(seed);
     assert_eq!(

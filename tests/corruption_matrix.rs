@@ -27,7 +27,7 @@ use prism_tx::prism_tx::{TxCluster, TxConfig};
 use prism_workload::{KeyDist, TxnGen, YcsbConfig};
 
 mod support;
-use support::{assert_golden, run_key};
+use support::{assert_golden, metrics_key, run_key};
 
 const SEED: u64 = 0xC0_880B;
 const KEYS: u64 = 32;
@@ -60,25 +60,6 @@ fn torn_windows(mut plan: FaultPlan, server: usize) -> FaultPlan {
         );
     }
     plan.with_torn_writes(0.5)
-}
-
-/// The replay identity of a run: throughput plus every fault and
-/// corruption counter.
-fn key(r: &RunResult) -> [u64; 12] {
-    [
-        r.tput_ops as u64,
-        r.failed,
-        r.drops,
-        r.timeouts,
-        r.retries,
-        r.giveups,
-        r.crash_drops,
-        r.restarts,
-        r.corruptions_injected,
-        r.corruptions_detected,
-        r.corruptions_repaired,
-        r.aborted_corrupt,
-    ]
 }
 
 /// Flip-cell conservation: the frame CRCs catch every single-bit flip
@@ -169,7 +150,11 @@ fn kv_flip_cell_detects_and_settles_every_flip() {
     assert_golden("kv/flip", &[run_key(&r)], &[0x27ea_1dc6_6428_103a]);
 
     let (r2, _) = kv_run(&plan, 0.5, false);
-    assert_eq!(key(&r), key(&r2), "same-seed replay must be bit-exact");
+    assert_eq!(
+        metrics_key(&r),
+        metrics_key(&r2),
+        "same-seed replay must be bit-exact"
+    );
 }
 
 #[test]
@@ -218,7 +203,11 @@ fn kv_rot_cell_rot_is_detected_and_aborts_cleanly() {
     assert_golden("kv/rot", &[run_key(&r)], &[0xa5a3_13ca_15d6_8603]);
 
     let (r2, _) = kv_run(&plan, 1.0, true);
-    assert_eq!(key(&r), key(&r2), "same-seed replay must be bit-exact");
+    assert_eq!(
+        metrics_key(&r),
+        metrics_key(&r2),
+        "same-seed replay must be bit-exact"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -294,7 +283,11 @@ fn pilaf_flip_cell_detects_and_settles_every_flip() {
     assert_eq!(corrupt, 0, "flips never touch memory; scrub must be clean");
 
     let (r2, _) = pilaf_run(&plan, 1.0, false);
-    assert_eq!(key(&r), key(&r2), "same-seed replay must be bit-exact");
+    assert_eq!(
+        metrics_key(&r),
+        metrics_key(&r2),
+        "same-seed replay must be bit-exact"
+    );
 }
 
 #[test]
@@ -335,7 +328,11 @@ fn pilaf_rot_cell_rot_is_detected_and_aborts_cleanly() {
     );
 
     let (r2, _) = pilaf_run(&plan, 1.0, true);
-    assert_eq!(key(&r), key(&r2), "same-seed replay must be bit-exact");
+    assert_eq!(
+        metrics_key(&r),
+        metrics_key(&r2),
+        "same-seed replay must be bit-exact"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -387,7 +384,11 @@ fn rs_flip_cell_detects_and_settles_every_flip() {
     assert_golden("rs/flip", &[run_key(&r)], &[0xf09a_f4d7_6022_2840]);
 
     let (r2, _) = rs_run(&plan, 0.5);
-    assert_eq!(key(&r), key(&r2), "same-seed replay must be bit-exact");
+    assert_eq!(
+        metrics_key(&r),
+        metrics_key(&r2),
+        "same-seed replay must be bit-exact"
+    );
 }
 
 #[test]
@@ -455,7 +456,11 @@ fn rs_rot_cell_masks_then_heals_by_quorum_read_repair() {
     assert_golden("rs/rot", &[run_key(&r)], &[0x13ff_43a8_9ff8_80e1]);
 
     let (r2, _) = rs_run(&plan, 0.0);
-    assert_eq!(key(&r), key(&r2), "same-seed replay must be bit-exact");
+    assert_eq!(
+        metrics_key(&r),
+        metrics_key(&r2),
+        "same-seed replay must be bit-exact"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -512,9 +517,16 @@ fn tx_flip_cell_detects_and_settles_every_flip() {
     let plan = base_plan(SEED ^ 10).with_flips(0.02, 0.02);
     let (r, _) = tx_run(&plan);
     assert_flip_conservation("tx", &r);
+    // Golden row, captured on the commit before the PRISM-TX and FaRM
+    // adapters were folded into one driver: every field of the result.
+    assert_golden("tx/flip", &[run_key(&r)], &[0xec98_6777_1c4e_e2ba]);
 
     let (r2, _) = tx_run(&plan);
-    assert_eq!(key(&r), key(&r2), "same-seed replay must be bit-exact");
+    assert_eq!(
+        metrics_key(&r),
+        metrics_key(&r2),
+        "same-seed replay must be bit-exact"
+    );
 }
 
 #[test]
@@ -534,6 +546,8 @@ fn tx_torn_cell_orphans_every_torn_version() {
         corrupt, 0,
         "tx/torn: torn versions must be orphaned, never visible: {r:?}"
     );
+    // Golden row, as in the TX flip cell.
+    assert_golden("tx/torn", &[run_key(&r)], &[0xce10_daa6_c3b3_90ec]);
 }
 
 #[test]
@@ -574,9 +588,15 @@ fn tx_rot_cell_rot_aborts_transactions_cleanly() {
         corrupt > 0,
         "tx/rot: unhealed damage must stay detectable to the scrub: {r:?}"
     );
+    // Golden row, as in the TX flip cell.
+    assert_golden("tx/rot", &[run_key(&r)], &[0x1f94_1182_9c9f_c0ce]);
 
     let (r2, _) = tx_run(&plan);
-    assert_eq!(key(&r), key(&r2), "same-seed replay must be bit-exact");
+    assert_eq!(
+        metrics_key(&r),
+        metrics_key(&r2),
+        "same-seed replay must be bit-exact"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -596,8 +616,8 @@ fn zeroed_corruption_knobs_do_not_perturb_a_faulted_run() {
     let (a, _) = kv_run(&bare, 0.5, false);
     let (b, _) = kv_run(&zeroed, 0.5, false);
     assert_eq!(
-        key(&a),
-        key(&b),
+        metrics_key(&a),
+        metrics_key(&b),
         "zeroed corruption knobs must be bit-identical to absent ones"
     );
     assert_eq!(a.corruptions_injected, 0);

@@ -377,6 +377,7 @@ fn kv_long_loss_leak_is_bounded_and_gc_sweep_restores_the_pool() {
 #[test]
 fn tx_survives_the_fault_matrix() {
     let seed = seed();
+    let mut rows = Vec::new();
     for mix in MATRIX {
         let mut config = TxConfig::paper(KEYS, VALUE as u64);
         config.spare_buffers += 4_096;
@@ -404,5 +405,21 @@ fn tx_survives_the_fault_matrix() {
             &plan(mix, 0, 0, seed),
         );
         check("tx", mix, &r);
+        rows.push(run_key(&r));
+    }
+    // Golden rows (default seed only), captured on the commit before the
+    // PRISM-TX and FaRM adapters were folded into one driver.
+    if seed == DEFAULT_SEED {
+        assert_golden(
+            "the TX cells",
+            &rows,
+            &[
+                0x9a55_d0c4_9323_e696,
+                0x152e_8cd8_a16c_3dc5,
+                0xaa4c_b144_5cb7_694f,
+                0x39d9_458e_8630_2307,
+                0x5db7_c696_f4aa_741e,
+            ],
+        );
     }
 }
