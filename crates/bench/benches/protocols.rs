@@ -12,8 +12,9 @@ use prism_kv::pilaf::{PilafConfig, PilafServer};
 use prism_kv::prism_kv::{drive as kv_drive, PrismKvConfig, PrismKvServer};
 use prism_kv::KvStep;
 use prism_rs::prism_rs::{drive as rs_drive, RsCluster, RsConfig};
-use prism_tx::farm::{self, FarmCluster, FarmConfig};
-use prism_tx::prism_tx::{drive as tx_drive, TxCluster, TxConfig};
+use prism_tx::farm::{FarmCluster, FarmConfig};
+use prism_tx::prism_tx::{TxCluster, TxConfig};
+use prism_tx::{drive as tx_drive, TxProtocol};
 
 fn bench_kv(c: &mut Criterion) {
     let mut g = c.benchmark_group("kv");
@@ -95,7 +96,7 @@ fn bench_tx(c: &mut Criterion) {
         let mut client = fcluster.open_client();
         b.iter(|| {
             let (op, step) = client.begin(vec![7], vec![(7, vec![1u8; 512])]);
-            farm::drive(&fcluster, &client, op, step)
+            tx_drive(&fcluster, &mut client, op, step)
         });
     });
     g.finish();

@@ -16,7 +16,8 @@ use prism_rdma::arena::MemoryArena;
 use prism_simnet::engine::{Actor, Context, QueueKind, Simulation};
 use prism_simnet::rng::SimRng;
 use prism_simnet::time::{SimDuration, SimTime};
-use prism_tx::prism_tx::{drive, TxCluster, TxConfig, TxOutcome};
+use prism_tx::prism_tx::{TxCluster, TxConfig};
+use prism_tx::{drive, TxOutcome, TxProtocol};
 use prism_workload::dist::ZipfGen;
 use prism_workload::PoissonGen;
 

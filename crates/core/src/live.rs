@@ -200,9 +200,9 @@ mod tests {
             b"live!".to_vec(),
             rkey,
         )]));
-        assert!(w.into_chain()[0].succeeded());
+        assert!(w.into_chain().unwrap()[0].succeeded());
         let r = client.call(Request::Chain(vec![ops::read(addr, 5, rkey)]));
-        assert_eq!(r.into_chain()[0].data, b"live!");
+        assert_eq!(r.into_chain().unwrap()[0].data, b"live!");
         assert_eq!(srv.stats().chains.load(Ordering::Relaxed), 2);
         srv.shutdown();
     }

@@ -135,57 +135,50 @@ impl Reply {
         }
     }
 
-    /// The chain results, panicking on a type mismatch (protocol bugs,
-    /// not runtime conditions).
-    pub fn into_chain(self) -> Vec<OpResult> {
+    /// The error a reply of the wrong kind stands for (see
+    /// [`Reply::into_chain`]).
+    fn mismatch<T>(self) -> Result<T, RdmaError> {
         match self {
-            Reply::Chain(r) => r,
-            other => panic!("expected chain reply, got {other:?}"),
+            Reply::Verb(Err(e)) => Err(e),
+            _ => Err(RdmaError::BadResponse),
         }
     }
 
-    /// The RPC payload, panicking on a type mismatch.
-    pub fn into_rpc(self) -> Vec<u8> {
+    /// The chain results. A reply of another kind is an error, never a
+    /// panic: the fault layer answers a timed-out request of any kind
+    /// with a synthesized [`Reply::Verb`]`(Err(e))`, which yields `e`,
+    /// and any other mismatch yields [`RdmaError::BadResponse`]. Either
+    /// way the caller has lost a round trip.
+    pub fn into_chain(self) -> Result<Vec<OpResult>, RdmaError> {
         match self {
-            Reply::Rpc(b) => b,
-            other => panic!("expected RPC reply, got {other:?}"),
+            Reply::Chain(r) => Ok(r),
+            other => other.mismatch(),
         }
     }
 
-    /// The verb outcome, panicking on a type mismatch.
+    /// The RPC payload (errors as for [`Reply::into_chain`]).
+    pub fn into_rpc(self) -> Result<Vec<u8>, RdmaError> {
+        match self {
+            Reply::Rpc(b) => Ok(b),
+            other => other.mismatch(),
+        }
+    }
+
+    /// The verb outcome: its own error, or [`RdmaError::BadResponse`]
+    /// for a reply of another kind.
     pub fn into_verb(self) -> Result<Vec<u8>, RdmaError> {
         match self {
             Reply::Verb(r) => r,
-            other => panic!("expected verb reply, got {other:?}"),
+            other => other.mismatch(),
         }
     }
 
-    /// The per-request batch replies, panicking on a type mismatch.
-    pub fn into_batch(self) -> Vec<Reply> {
+    /// The per-request batch replies (errors as for
+    /// [`Reply::into_chain`]).
+    pub fn into_batch(self) -> Result<Vec<Reply>, RdmaError> {
         match self {
-            Reply::Batch(r) => r,
-            other => panic!("expected batch reply, got {other:?}"),
-        }
-    }
-
-    /// The chain results, or `None` on a type mismatch. Protocol
-    /// machines use this instead of [`Reply::into_chain`] once replies
-    /// can be synthesized by the fault layer (a request timeout
-    /// delivers a [`Reply::Verb`] transport error in place of whatever
-    /// reply shape the request would have produced).
-    pub fn chain_results(self) -> Option<Vec<OpResult>> {
-        match self {
-            Reply::Chain(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The verb outcome, or `None` on a type mismatch (see
-    /// [`Reply::chain_results`]).
-    pub fn verb_result(self) -> Option<Result<Vec<u8>, RdmaError>> {
-        match self {
-            Reply::Verb(r) => Some(r),
-            _ => None,
+            Reply::Batch(r) => Ok(r),
+            other => other.mismatch(),
         }
     }
 
@@ -786,7 +779,7 @@ mod tests {
         );
         assert!(w.into_verb().is_ok());
         let r = execute_local(&s, &Request::Chain(vec![ops::read(addr, 8, rkey.0)]));
-        assert_eq!(r.into_chain()[0].data, b"12345678");
+        assert_eq!(r.into_chain().unwrap()[0].data, b"12345678");
 
         // Classic CAS through the same memory.
         s.arena().write_u64(addr, 5).unwrap();
@@ -803,7 +796,31 @@ mod tests {
 
         // RPC echo.
         let rpc = execute_local(&s, &Request::Rpc(b"ping".to_vec()));
-        assert_eq!(rpc.into_rpc(), b"ping");
+        assert_eq!(rpc.into_rpc().unwrap(), b"ping");
+    }
+
+    #[test]
+    fn reply_accessors_return_typed_errors_never_panic() {
+        use prism_rdma::RdmaError::{BadResponse, ReceiverNotReady};
+        let timeout = || Reply::Verb(Err(ReceiverNotReady));
+        assert_eq!(timeout().into_chain().unwrap_err(), ReceiverNotReady);
+        assert_eq!(timeout().into_rpc().unwrap_err(), ReceiverNotReady);
+        assert_eq!(timeout().into_verb().unwrap_err(), ReceiverNotReady);
+        assert_eq!(timeout().into_batch().unwrap_err(), ReceiverNotReady);
+        assert_eq!(Reply::Rpc(vec![0]).into_chain().unwrap_err(), BadResponse);
+        assert_eq!(
+            Reply::Chain(Vec::new()).into_rpc().unwrap_err(),
+            BadResponse
+        );
+        assert_eq!(
+            Reply::Batch(Vec::new()).into_verb().unwrap_err(),
+            BadResponse
+        );
+        assert_eq!(
+            Reply::Verb(Ok(vec![1])).into_batch().unwrap_err(),
+            BadResponse
+        );
+        assert_eq!(Reply::Verb(Ok(vec![1])).into_verb(), Ok(vec![1]));
     }
 
     #[test]
@@ -832,10 +849,13 @@ mod tests {
         );
         assert_eq!(batch.chain_ops(), 1);
 
-        let replies = execute_local(&s, &batch).into_batch();
+        let replies = execute_local(&s, &batch).into_batch().unwrap();
         assert_eq!(replies.len(), 2);
         assert!(matches!(&replies[0], Reply::Verb(Ok(_))));
-        assert_eq!(replies[1].clone().into_chain()[0].data, b"batched!");
+        assert_eq!(
+            replies[1].clone().into_chain().unwrap()[0].data,
+            b"batched!"
+        );
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //!
 //! PRISM-KV and PRISM-RS each have one *driver* ([`KvDriver`],
 //! [`RsDriver`]) holding the whole reply-handling state machine: fence
-//! handling, the retry budget, rerouting, straggler parking. What varies
-//! between the runs that use a driver is supplied from outside it:
+//! handling, the retry budget, rerouting, straggler parking. The two
+//! transaction protocols share one, [`TxDriver`], over the
+//! [`TxProtocol`] contract. What varies between the runs that use a
+//! KV or RS driver is supplied from outside it:
 //!
 //! * where the next logical operation comes from — an [`OpSource`];
 //! * who hears how each operation ended — an [`OpObserver`] (`()` hears
@@ -35,8 +37,8 @@ use prism_rs::prism_rs::{RsClient, RsOp, RsStep};
 use prism_rs::RsOutcome;
 use prism_simnet::rng::SimRng;
 use prism_simnet::time::{SimDuration, SimTime};
-use prism_tx::farm::{FarmClient, FarmOp, FarmOutcome, FarmStep};
-use prism_tx::prism_tx::{TxClient, TxOp, TxOutcome, TxStep};
+use prism_tx::farm::FarmClient;
+use prism_tx::{TxClient, TxOutcome, TxProtocol, TxStep};
 use prism_workload::{KeyDist, KvOp, TxnGen, YcsbConfig, YcsbGen};
 
 use crate::cluster::{MapHandle, ShardMap};
@@ -521,7 +523,7 @@ impl PrismKvAdapter {
 /// A won CAS leaves the buffer live in the slot, and probe/resolve
 /// chains allocate nothing.
 fn kv_harvest(server: usize, reply: Reply) -> Vec<Outbound> {
-    let Some(results) = reply.chain_results() else {
+    let Ok(results) = reply.into_chain() else {
         return Vec::new();
     };
     if results.len() != 4 || !matches!(results[2].status, OpStatus::CasFailed) {
@@ -1017,7 +1019,7 @@ impl PrismRsAdapter {
 /// buffer previously installed in the metadata entry. Read-phase chains
 /// allocate nothing.
 fn rs_harvest(server: usize, reply: Reply) -> Vec<Outbound> {
-    let Some(results) = reply.chain_results() else {
+    let Ok(results) = reply.into_chain() else {
         return Vec::new();
     };
     if results.len() != 4 {
@@ -1170,7 +1172,7 @@ impl ProtoAdapter for AbdLockAdapter {
 }
 
 // ---------------------------------------------------------------------
-// PRISM-TX (Figures 9-10)
+// PRISM-TX and FaRM (Figures 9-10)
 // ---------------------------------------------------------------------
 
 /// Abort backoff: base wait, doubled per consecutive abort (capped).
@@ -1191,16 +1193,24 @@ fn tx_backoff(consecutive_aborts: u32, rng: &mut SimRng) -> SimDuration {
     SimDuration::from_nanos(base + rng.gen_range(base))
 }
 
-/// Closed-loop YCSB-T client over PRISM-TX: each operation is a short
-/// read-modify-write transaction retried (with backoff) until it
-/// commits (§8.3).
-pub struct PrismTxAdapter {
-    client: TxClient,
+/// Closed-loop YCSB-T client over a transaction protocol: each operation
+/// is a short read-modify-write transaction retried (with backoff) until
+/// it commits or fails (§8.3) — the one reply-handling loop for every
+/// [`TxProtocol`].
+///
+/// An attempt that ends while replies to it are still owed (an abort or
+/// a failure after a lost round trip) is parked under its `seq` until
+/// those stragglers have arrived; a finished attempt of either protocol
+/// answers them with nothing. Background traffic (PRISM-TX's buffer
+/// frees and abort `C`-bumps; FaRM sends none) passes through the free
+/// batcher, which coalesces single frees per shard.
+pub struct TxDriver<P: TxProtocol> {
+    client: P,
     gen: TxnGen,
     seq: u64,
     keys: Vec<u64>,
-    current: Option<TxOp>,
-    lingering: IntMap<u64, (TxOp, usize)>,
+    current: Option<P::Op>,
+    lingering: IntMap<u64, (P::Op, usize)>,
     outstanding: usize,
     aborts: u64,
     consecutive_aborts: u32,
@@ -1208,11 +1218,10 @@ pub struct PrismTxAdapter {
     frees: FreeBatcher,
 }
 
-impl PrismTxAdapter {
-    /// Creates the adapter.
-    pub fn new(client: TxClient, gen: TxnGen) -> Self {
-        let seed = (client.cid() as u64) << 17 | 0x5A5A;
-        PrismTxAdapter {
+impl<P: TxProtocol> TxDriver<P> {
+    /// A driver whose abort backoff draws its jitter from `backoff_seed`.
+    fn with_backoff_seed(client: P, gen: TxnGen, backoff_seed: u64) -> Self {
+        TxDriver {
             client,
             gen,
             seq: 0,
@@ -1222,7 +1231,7 @@ impl PrismTxAdapter {
             outstanding: 0,
             aborts: 0,
             consecutive_aborts: 0,
-            rng: SimRng::new(seed),
+            rng: SimRng::new(backoff_seed),
             frees: FreeBatcher::new(),
         }
     }
@@ -1242,11 +1251,12 @@ impl PrismTxAdapter {
             keys.iter().map(|&k| (k, self.gen.value_for(k))).collect();
         let (op, step) = self.client.begin(keys, writes);
         self.current = Some(op);
-        let (sends, _) = self.absorb_tx(step);
-        sends
+        self.absorb(step).0
     }
 
-    fn absorb_tx(&mut self, step: TxStep) -> (Vec<Outbound>, Option<TxOutcome>) {
+    /// Tags and counts the step's requests and passes its background
+    /// traffic through the free batcher.
+    fn absorb(&mut self, step: TxStep) -> (Vec<Outbound>, Option<TxOutcome>) {
         // Sized for the replies-expected sends; frees mostly vanish into
         // the batcher, and what it lets through (a flush, an abort's
         // C-bumps) is the rare push past this.
@@ -1261,16 +1271,28 @@ impl PrismTxAdapter {
                 epoch: 0,
             });
         }
-        for (shard, mut req) in step.background {
+        self.background(step.background, &mut sends);
+        (sends, step.done)
+    }
+
+    fn background(&mut self, reqs: Vec<(usize, Request)>, sends: &mut Vec<Outbound>) {
+        for (shard, mut req) in reqs {
             if self.frees.absorb(shard, &mut req) {
                 sends.push(Outbound::new(shard, 0, req, true));
             }
         }
-        (sends, step.done)
+    }
+
+    /// Parks an attempt the client is done with while replies to it are
+    /// still owed.
+    fn park(&mut self, op: P::Op) {
+        if self.outstanding > 0 {
+            self.lingering.insert(self.seq, (op, self.outstanding));
+        }
     }
 }
 
-impl ProtoAdapter for PrismTxAdapter {
+impl<P: TxProtocol> ProtoAdapter for TxDriver<P> {
     fn start(&mut self, _rng: &mut SimRng) -> Vec<Outbound> {
         self.keys = self.gen.next_txn().keys;
         self.consecutive_aborts = 0;
@@ -1285,70 +1307,54 @@ impl ProtoAdapter for PrismTxAdapter {
     fn on_reply(&mut self, t: u64, reply: Reply) -> AdapterStep {
         let (seq, phase, idx) = untag(t);
         if seq != self.seq || self.current.is_none() {
-            let mut finished = false;
             let mut sends = Vec::new();
-            let mut raw = Vec::new();
             if let Some((op, remaining)) = self.lingering.get_mut(&seq) {
-                let step = op.on_reply(&mut self.client, phase, idx, reply);
-                raw = step.background;
+                let step = self.client.on_reply(op, phase, idx, reply);
                 *remaining -= 1;
-                finished = *remaining == 0;
-            }
-            for (s, mut req) in raw {
-                if self.frees.absorb(s, &mut req) {
-                    sends.push(Outbound::new(s, 0, req, true));
+                if *remaining == 0 {
+                    self.lingering.remove(&seq);
                 }
-            }
-            if finished {
-                self.lingering.remove(&seq);
+                self.background(step.background, &mut sends);
             }
             return AdapterStep::Wait(sends);
         }
         let mut op = self.current.take().expect("txn in flight");
         self.outstanding -= 1;
-        let step = op.on_reply(&mut self.client, phase, idx, reply);
-        let (sends, done) = self.absorb_tx(step);
-        match done {
-            Some(TxOutcome::Committed(_)) => {
-                self.park(op);
-                AdapterStep::Done {
-                    sends,
-                    client_compute: SimDuration::ZERO,
-                    failed: false,
-                }
+        let step = self.client.on_reply(&mut op, phase, idx, reply);
+        let (sends, done) = self.absorb(step);
+        let failed = match done {
+            None => {
+                self.current = Some(op);
+                return AdapterStep::Wait(sends);
             }
             Some(TxOutcome::Aborted) => {
                 self.aborts += 1;
                 self.consecutive_aborts += 1;
-                self.keys = op.take_read_keys();
+                self.keys = P::take_read_keys(&mut op);
                 self.park(op);
                 // Flush reclamation traffic, back off, then retry the
                 // same transaction with fresh reads; latency keeps
                 // accumulating on the same closed-loop op.
                 debug_assert!(sends.iter().all(|o| o.background));
-                AdapterStep::Backoff {
+                return AdapterStep::Backoff {
                     sends,
                     wait: tx_backoff(self.consecutive_aborts, &mut self.rng),
-                }
+                };
             }
-            Some(TxOutcome::Failed(_)) => {
-                self.park(op);
-                AdapterStep::Done {
-                    sends,
-                    client_compute: SimDuration::ZERO,
-                    failed: true,
-                }
-            }
-            None => {
-                self.current = Some(op);
-                AdapterStep::Wait(sends)
-            }
+            Some(TxOutcome::Committed(_)) => false,
+            Some(TxOutcome::Failed(_)) => true,
+        };
+        self.park(op);
+        AdapterStep::Done {
+            sends,
+            client_compute: SimDuration::ZERO,
+            failed,
         }
     }
 
     fn abandon(&mut self) -> Vec<Outbound> {
-        // PRISM-TX retries aborts through Backoff (never Retry), so the
-        // deadline shed cannot fire today; parking keeps the straggler
+        // Aborts retry through Backoff (never Retry), so the deadline
+        // shed cannot fire today; parking keeps the straggler
         // bookkeeping exact if that ever changes.
         if let Some(op) = self.current.take() {
             self.park(op);
@@ -1359,123 +1365,25 @@ impl ProtoAdapter for PrismTxAdapter {
     }
 }
 
+/// Closed-loop YCSB-T client over PRISM-TX (Figures 9–10).
+pub type PrismTxAdapter = TxDriver<TxClient>;
+
 impl PrismTxAdapter {
-    fn park(&mut self, op: TxOp) {
-        if self.outstanding > 0 {
-            self.lingering.insert(self.seq, (op, self.outstanding));
-        }
+    /// Creates the adapter; its backoff jitter is seeded by client id.
+    pub fn new(client: TxClient, gen: TxnGen) -> Self {
+        let seed = (client.cid() as u64) << 17 | 0x5A5A;
+        Self::with_backoff_seed(client, gen, seed)
     }
 }
 
-// ---------------------------------------------------------------------
-// FaRM (Figures 9-10 baseline)
-// ---------------------------------------------------------------------
-
-/// Closed-loop YCSB-T client over FaRM.
-pub struct FarmAdapter {
-    client: FarmClient,
-    gen: TxnGen,
-    seq: u64,
-    keys: Vec<u64>,
-    current: Option<FarmOp>,
-    aborts: u64,
-    consecutive_aborts: u32,
-    rng: SimRng,
-}
+/// Closed-loop YCSB-T client over the FaRM baseline (Figures 9–10).
+pub type FarmAdapter = TxDriver<FarmClient>;
 
 impl FarmAdapter {
-    /// Creates the adapter.
+    /// Creates the adapter. Every FaRM client draws its backoff jitter
+    /// from the same seed.
     pub fn new(client: FarmClient, gen: TxnGen) -> Self {
-        FarmAdapter {
-            client,
-            gen,
-            seq: 0,
-            keys: Vec::new(),
-            current: None,
-            aborts: 0,
-            consecutive_aborts: 0,
-            rng: SimRng::new(0xFA12),
-        }
-    }
-
-    /// Total aborted attempts (diagnostics).
-    pub fn aborts(&self) -> u64 {
-        self.aborts
-    }
-
-    /// Begins an attempt over `self.keys`. The attempt owns the key list
-    /// while it runs; an abort takes it back for the retry.
-    fn begin_attempt(&mut self) -> Vec<Outbound> {
-        self.seq += 1;
-        let keys = std::mem::take(&mut self.keys);
-        let writes: Vec<(u64, Vec<u8>)> =
-            keys.iter().map(|&k| (k, self.gen.value_for(k))).collect();
-        let (op, step) = self.client.begin(keys, writes);
-        self.current = Some(op);
-        self.absorb_farm(step).0
-    }
-
-    fn absorb_farm(&mut self, step: FarmStep) -> (Vec<Outbound>, Option<FarmOutcome>) {
-        let sends = step
-            .send
-            .into_iter()
-            .map(|(shard, phase, idx, req)| Outbound {
-                server: shard,
-                tag: tag(self.seq, phase, idx),
-                req,
-                background: false,
-                epoch: 0,
-            })
-            .collect();
-        (sends, step.done)
-    }
-}
-
-impl ProtoAdapter for FarmAdapter {
-    fn start(&mut self, _rng: &mut SimRng) -> Vec<Outbound> {
-        self.keys = self.gen.next_txn().keys;
-        self.consecutive_aborts = 0;
-        self.begin_attempt()
-    }
-
-    fn resume(&mut self) -> Vec<Outbound> {
-        self.begin_attempt()
-    }
-
-    fn on_reply(&mut self, t: u64, reply: Reply) -> AdapterStep {
-        let (seq, phase, idx) = untag(t);
-        if seq != self.seq {
-            return AdapterStep::Wait(Vec::new());
-        }
-        let mut op = self.current.take().expect("txn in flight");
-        let step = op.on_reply(&self.client, phase, idx, reply);
-        self.current = Some(op);
-        let (sends, done) = self.absorb_farm(step);
-        match done {
-            Some(FarmOutcome::Committed(_)) => AdapterStep::Done {
-                sends,
-                client_compute: SimDuration::ZERO,
-                failed: false,
-            },
-            Some(FarmOutcome::Aborted) => {
-                self.aborts += 1;
-                self.consecutive_aborts += 1;
-                if let Some(op) = &mut self.current {
-                    self.keys = op.take_read_keys();
-                }
-                debug_assert!(sends.is_empty(), "FaRM aborts send nothing");
-                AdapterStep::Backoff {
-                    sends,
-                    wait: tx_backoff(self.consecutive_aborts, &mut self.rng),
-                }
-            }
-            Some(FarmOutcome::Failed(_)) => AdapterStep::Done {
-                sends,
-                client_compute: SimDuration::ZERO,
-                failed: true,
-            },
-            None => AdapterStep::Wait(sends),
-        }
+        Self::with_backoff_seed(client, gen, 0xFA12)
     }
 }
 
@@ -1495,6 +1403,8 @@ mod tests {
     use prism_kv::prism_kv::{PrismKvConfig, PrismKvServer};
     use prism_rdma::RdmaError;
     use prism_rs::prism_rs::RsConfig;
+    use prism_tx::farm::{FarmCluster, FarmConfig};
+    use prism_tx::prism_tx::{TxCluster, TxConfig};
 
     use super::*;
     use crate::chaos::{stamp, HistKind, HistOp, History, Recorder};
@@ -2241,6 +2151,234 @@ mod tests {
             second.iter().all(|o| !rs.driver.hedge_eligible(o.tag)),
             "nothing in flight"
         );
+    }
+
+    // -----------------------------------------------------------------
+    // PRISM-TX and FaRM
+    // -----------------------------------------------------------------
+
+    /// One TX driver over `shards` shards of `KEYS` keys each, its
+    /// transactions `keys_per_txn` keys drawn from the first
+    /// `keys_per_txn` keys (so a transaction of `shards` keys touches
+    /// every shard), and the hosts to serve its requests on.
+    struct Tx<P: TxProtocol> {
+        driver: TxDriver<P>,
+        servers: Vec<Arc<PrismServer>>,
+    }
+
+    fn txn_gen(keys_per_txn: usize) -> TxnGen {
+        let keys = if keys_per_txn == 1 {
+            KEYS
+        } else {
+            keys_per_txn as u64
+        };
+        TxnGen::new(KeyDist::uniform(keys), keys_per_txn, VALUE, SimRng::new(3))
+    }
+
+    fn prism_tx(shards: usize, keys_per_txn: usize) -> Tx<TxClient> {
+        let cluster = TxCluster::new(shards, &TxConfig::paper(KEYS, VALUE as u64));
+        Tx {
+            driver: PrismTxAdapter::new(cluster.open_client(), txn_gen(keys_per_txn)),
+            servers: (0..shards)
+                .map(|s| Arc::clone(cluster.shard(s).server()))
+                .collect(),
+        }
+    }
+
+    fn farm(shards: usize, keys_per_txn: usize) -> (FarmCluster, Tx<FarmClient>) {
+        let cluster = FarmCluster::new(
+            shards,
+            &FarmConfig {
+                keys_per_shard: KEYS,
+                value_len: VALUE as u64,
+            },
+        );
+        let tx = Tx {
+            driver: FarmAdapter::new(cluster.open_client(), txn_gen(keys_per_txn)),
+            servers: (0..shards)
+                .map(|s| Arc::clone(cluster.shard(s).server()))
+                .collect(),
+        };
+        (cluster, tx)
+    }
+
+    fn phase_of(out: &Outbound) -> u32 {
+        untag(out.tag).1
+    }
+
+    impl<P: TxProtocol> Tx<P> {
+        /// Serves one request and feeds its reply.
+        fn leg(&mut self, out: &Outbound) -> AdapterStep {
+            let reply = serve(&self.servers, out);
+            self.driver.on_reply(out.tag, reply)
+        }
+
+        /// Serves `sends` a phase at a time — background requests as
+        /// they come, each reply fed in send order — until the driver
+        /// sends a request of `phase`; returns that phase's sends.
+        fn run_to(&mut self, mut sends: Vec<Outbound>, phase: u32) -> Vec<Outbound> {
+            loop {
+                if sends.iter().any(|o| !o.background && phase_of(o) == phase) {
+                    return sends;
+                }
+                let mut next = Vec::new();
+                for out in &sends {
+                    if out.background {
+                        serve(&self.servers, out);
+                    } else {
+                        next.extend(wait_sends("mid-attempt", self.leg(out)));
+                    }
+                }
+                sends = next;
+            }
+        }
+
+        /// Runs `sends` until the driver stops waiting.
+        fn finish(&mut self, mut sends: Vec<Outbound>) -> AdapterStep {
+            loop {
+                let mut next = Vec::new();
+                for out in &sends {
+                    if out.background {
+                        serve(&self.servers, out);
+                        continue;
+                    }
+                    match self.leg(out) {
+                        AdapterStep::Wait(more) => next.extend(more),
+                        step => return step,
+                    }
+                }
+                sends = next;
+            }
+        }
+
+        fn start(&mut self) -> Vec<Outbound> {
+            self.driver.start(&mut SimRng::new(1))
+        }
+    }
+
+    /// The requests of `sends`, without their tags.
+    fn requests(sends: &[Outbound]) -> Vec<(usize, Request)> {
+        sends.iter().map(|o| (o.server, o.req.clone())).collect()
+    }
+
+    const PH_TX_COMMIT: u32 = 2;
+    const PH_FARM_LOCK: u32 = 2;
+    const PH_FARM_UPDATE: u32 = 4;
+
+    /// Branch: `Committed` — the operation completes, nothing lingers,
+    /// and PRISM-TX's free of the displaced version is held back by the
+    /// batcher rather than sent.
+    #[test]
+    fn tx_commit_completes_the_operation() {
+        fn check<P: TxProtocol>(what: &str, mut tx: Tx<P>) {
+            for round in 0..3 {
+                let sends = tx.start();
+                match tx.finish(sends) {
+                    AdapterStep::Done { sends, failed, .. } => {
+                        assert!(!failed && sends.is_empty(), "{what}");
+                    }
+                    other => panic!("{what}: expected completion, got {other:?}"),
+                }
+                assert!(tx.driver.current.is_none() && tx.driver.lingering.is_empty());
+                assert_eq!(tx.driver.seq, round + 1, "{what}: one attempt each");
+            }
+            assert_eq!(tx.driver.aborts(), 0, "{what}");
+        }
+        check("PRISM-TX", prism_tx(1, 1));
+        check("FaRM", farm(1, 1).1);
+    }
+
+    fn assert_backoff(what: &str, step: &AdapterStep, want: SimDuration) {
+        match step {
+            AdapterStep::Backoff { sends, wait } => {
+                assert!(sends.is_empty(), "{what}: {sends:?}");
+                assert_eq!(*wait, want, "{what}");
+            }
+            other => panic!("{what}: expected a backoff, got {other:?}"),
+        }
+    }
+
+    /// Branch: `Aborted` — the driver backs off with its protocol's
+    /// jitter (PRISM-TX seeds it by client id, every FaRM client with
+    /// one constant) and `resume` retries the same keys. PRISM-TX loses
+    /// an execution reply; FaRM loses a lock reply, so the lock it may
+    /// hold is in doubt and the abort's unlock releases it.
+    #[test]
+    fn tx_abort_backs_off_and_retries_the_same_keys_with_the_protocols_jitter() {
+        let keys = txn_gen(1).next_txn().keys;
+
+        let mut tx = prism_tx(1, 1);
+        let seed = (tx.driver.client.cid() as u64) << 17 | 0x5A5A;
+        let first = tx.start();
+        let step = tx.driver.on_reply(first[0].tag, timeout_reply());
+        let want = tx_backoff(1, &mut SimRng::new(seed));
+        assert_backoff("PRISM-TX", &step, want);
+        assert_eq!(tx.driver.keys, keys);
+        assert_eq!(requests(&tx.driver.resume()), requests(&first));
+        assert_eq!((tx.driver.aborts(), tx.driver.seq), (1, 2));
+
+        let (cluster, mut tx) = farm(1, 1);
+        let first = tx.start();
+        let lock = tx.run_to(first.clone(), PH_FARM_LOCK);
+        serve(&tx.servers, &lock[0]);
+        assert_eq!(cluster.held_locks(), 1, "the lock landed");
+        let unlock = wait_sends(
+            "lock in doubt",
+            tx.driver.on_reply(lock[0].tag, timeout_reply()),
+        );
+        assert_eq!(unlock.len(), 1);
+        let step = tx.leg(&unlock[0]);
+        assert_backoff("FaRM", &step, tx_backoff(1, &mut SimRng::new(0xFA12)));
+        assert_eq!(cluster.held_locks(), 0, "the abort released it");
+        assert_eq!(tx.driver.keys, keys);
+        assert_eq!(requests(&tx.driver.resume()), requests(&first));
+        assert_eq!((tx.driver.aborts(), tx.driver.seq), (1, 2));
+    }
+
+    /// Branch: `Failed` — a lost commit (PRISM-TX) or update (FaRM)
+    /// reply is indeterminate: the operation ends failed, nothing
+    /// lingers, and the next operation starts clean.
+    #[test]
+    fn tx_lost_commit_reply_ends_the_operation_failed() {
+        fn check<P: TxProtocol>(what: &str, mut tx: Tx<P>, last_phase: u32) {
+            let sends = tx.start();
+            let last = tx.run_to(sends, last_phase);
+            serve(&tx.servers, &last[0]);
+            let step = tx.driver.on_reply(last[0].tag, timeout_reply());
+            assert_done(what, &step, true);
+            assert!(tx.driver.current.is_none() && tx.driver.lingering.is_empty());
+            let sends = tx.start();
+            assert_done(what, &tx.finish(sends), false);
+        }
+        check("PRISM-TX", prism_tx(1, 1), PH_TX_COMMIT);
+        check("FaRM", farm(1, 1).1, PH_FARM_UPDATE);
+    }
+
+    /// Branches: an attempt that ends while replies are owed is parked
+    /// under its seq, and the late replies drain it without emitting
+    /// anything. A three-shard transaction's last phase: the first reply
+    /// lands (PRISM-TX's free of the displaced version goes to the
+    /// batcher, not the wire), the second is lost (the attempt fails),
+    /// the third straggles in.
+    #[test]
+    fn tx_parked_attempt_is_drained_by_its_late_replies() {
+        fn check<P: TxProtocol>(what: &str, mut tx: Tx<P>, last_phase: u32) -> Tx<P> {
+            let sends = tx.start();
+            let last = tx.run_to(sends, last_phase);
+            assert_eq!(last.len(), 3, "{what}: one request per shard");
+            assert!(wait_sends(what, tx.leg(&last[0])).is_empty(), "{what}");
+            let step = tx.driver.on_reply(last[1].tag, timeout_reply());
+            assert_done(what, &step, true);
+            assert_eq!(tx.driver.lingering.get(&1).map(|(_, owed)| *owed), Some(1));
+            assert!(wait_sends(what, tx.leg(&last[2])).is_empty(), "{what}");
+            assert!(tx.driver.lingering.is_empty(), "{what}");
+            tx
+        }
+        let tx = check("PRISM-TX", prism_tx(3, 3), PH_TX_COMMIT);
+        let held: usize = tx.driver.frees.pending.values().map(Vec::len).sum();
+        assert_eq!(held, 1, "the first commit reply's free, coalesced");
+        let tx = check("FaRM", farm(3, 3).1, PH_FARM_UPDATE);
+        assert!(tx.driver.frees.pending.is_empty(), "FaRM frees nothing");
     }
 
     // -----------------------------------------------------------------

@@ -46,8 +46,6 @@ pub struct KvExpConfig {
     pub measure: SimDuration,
     /// Run seed.
     pub seed: u64,
-    /// Fault plan applied to every sweep point (default: none).
-    pub faults: FaultPlan,
 }
 
 impl KvExpConfig {
@@ -61,7 +59,6 @@ impl KvExpConfig {
             warmup: SimDuration::millis(2),
             measure: SimDuration::millis(20),
             seed: 42,
-            faults: FaultPlan::default(),
         }
     }
 
@@ -75,7 +72,6 @@ impl KvExpConfig {
             warmup: SimDuration::micros(500),
             measure: crate::smoke::measure_window(4_000),
             seed: 42,
-            faults: FaultPlan::default(),
         }
     }
 }
@@ -121,7 +117,7 @@ fn sweep(
             cfg.warmup,
             cfg.measure,
             cfg.seed ^ n as u64,
-            &cfg.faults,
+            &FaultPlan::default(),
         );
         t.row(&[
             label.to_string(),
@@ -252,7 +248,7 @@ pub fn open_loop(cfg: &KvExpConfig, knobs: &OpenLoopKnobs) -> (Table, Vec<(f64, 
         VerbPath::Nic,
         knobs,
         cfg.seed,
-        &cfg.faults,
+        &FaultPlan::default(),
         || {
             let prism = Rc::clone(&prism);
             let ycsb = ycsb.clone();
@@ -314,7 +310,7 @@ pub fn open_loop_sharded(
         VerbPath::Nic,
         knobs,
         cfg.seed,
-        &cfg.faults,
+        &FaultPlan::default(),
         || {
             let cluster = Rc::clone(&cluster);
             let map = cluster.map();

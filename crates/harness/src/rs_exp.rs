@@ -42,8 +42,6 @@ pub struct RsExpConfig {
     pub measure: SimDuration,
     /// Run seed.
     pub seed: u64,
-    /// Fault plan applied to every sweep point (default: none).
-    pub faults: FaultPlan,
 }
 
 impl RsExpConfig {
@@ -59,7 +57,6 @@ impl RsExpConfig {
             warmup: SimDuration::millis(2),
             measure: SimDuration::millis(20),
             seed: 43,
-            faults: FaultPlan::default(),
         }
     }
 
@@ -77,7 +74,6 @@ impl RsExpConfig {
             warmup: SimDuration::micros(500),
             measure: crate::smoke::measure_window(4_000),
             seed: 43,
-            faults: FaultPlan::default(),
         }
     }
 }
@@ -156,7 +152,7 @@ pub fn figure6(cfg: &RsExpConfig) -> (Table, [f64; 3]) {
             cfg.warmup,
             cfg.measure,
             cfg.seed ^ n as u64,
-            &cfg.faults,
+            &FaultPlan::default(),
         );
         t.row(&[
             "PRISM-RS".into(),
@@ -197,7 +193,7 @@ pub fn figure6(cfg: &RsExpConfig) -> (Table, [f64; 3]) {
                 cfg.warmup,
                 cfg.measure,
                 seed,
-                &cfg.faults,
+                &FaultPlan::default(),
             );
             t.row(&[
                 label.into(),
@@ -240,7 +236,7 @@ pub fn figure7(cfg: &RsExpConfig) -> Table {
             cfg.warmup,
             cfg.measure,
             cfg.seed ^ (z * 100.0) as u64,
-            &cfg.faults,
+            &FaultPlan::default(),
         );
         t.row(&[
             "PRISM-RS".into(),
@@ -269,7 +265,7 @@ pub fn figure7(cfg: &RsExpConfig) -> Table {
             cfg.warmup,
             cfg.measure,
             seed,
-            &cfg.faults,
+            &FaultPlan::default(),
         );
         t.row(&[
             "ABDLOCK".into(),
@@ -306,7 +302,7 @@ pub fn open_loop(cfg: &RsExpConfig, knobs: &OpenLoopKnobs) -> (Table, Vec<(f64, 
         VerbPath::Nic,
         knobs,
         cfg.seed,
-        &cfg.faults,
+        &FaultPlan::default(),
         || {
             let cluster = Rc::clone(&cluster);
             Rc::new(RefCell::new(move |_i: usize| {

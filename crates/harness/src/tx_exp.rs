@@ -10,6 +10,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
+use prism_core::PrismServer;
 use prism_simnet::fault::FaultPlan;
 use prism_simnet::latency::CostModel;
 use prism_simnet::rng::SimRng;
@@ -23,20 +24,17 @@ use crate::netsim::{run_closed_loop, ProtoAdapter, VerbPath};
 use crate::openloop::{rate_table, sweep_rates, AdapterFactory, OpenLoopKnobs, OpenLoopResult};
 use crate::table::{f2, mops, Table};
 
-/// Experiment parameters (§8.3 at reduced key count).
+/// Experiment parameters (§8.3 at reduced key count). One shard, like
+/// the paper's testbed, and one key per transaction: YCSB-T wraps single
+/// YCSB operations in transactions, so the paper's "short
+/// read-modify-write transactions" touch one key (multi-key, multi-shard
+/// transactions are exercised by the integration tests).
 #[derive(Debug, Clone)]
 pub struct TxExpConfig {
     /// Keys (the paper uses 8 M 512-byte objects).
     pub n_keys: u64,
     /// Value size.
     pub value_len: u64,
-    /// Distinct keys per transaction. YCSB-T wraps single YCSB
-    /// operations in transactions, so the paper's "short read-modify-
-    /// write transactions" touch one key; multi-key transactions are
-    /// fully supported and exercised by the integration tests.
-    pub keys_per_txn: usize,
-    /// Shards (1 in the paper's testbed).
-    pub n_shards: usize,
     /// Client counts for Figure 9.
     pub clients: Vec<usize>,
     /// Zipf coefficients for Figure 10.
@@ -49,8 +47,6 @@ pub struct TxExpConfig {
     pub measure: SimDuration,
     /// Run seed.
     pub seed: u64,
-    /// Fault plan applied to every sweep point (default: none).
-    pub faults: FaultPlan,
 }
 
 impl TxExpConfig {
@@ -59,15 +55,12 @@ impl TxExpConfig {
         TxExpConfig {
             n_keys: 262_144,
             value_len: 512,
-            keys_per_txn: 1,
-            n_shards: 1,
             clients: vec![1, 2, 4, 8, 16, 32, 64, 96, 128, 192, 256],
             zipf: vec![0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 0.99, 1.2, 1.4, 1.6],
             zipf_clients: 128,
             warmup: SimDuration::millis(2),
             measure: SimDuration::millis(20),
             seed: 44,
-            faults: FaultPlan::default(),
         }
     }
 
@@ -79,29 +72,18 @@ impl TxExpConfig {
         TxExpConfig {
             n_keys: 32_768,
             value_len: 512,
-            keys_per_txn: 1,
-            n_shards: 1,
             clients: vec![1, 16, 64],
             zipf: vec![0.0, 0.99],
             zipf_clients: 32,
             warmup: SimDuration::micros(500),
             measure: crate::smoke::measure_window(4_000),
             seed: 44,
-            faults: FaultPlan::default(),
         }
     }
-
-    fn keys_per_shard(&self) -> u64 {
-        self.n_keys / self.n_shards as u64
-    }
 }
 
-struct Systems {
-    prism: TxCluster,
-    farm: FarmCluster,
-}
-
-fn build(cfg: &TxExpConfig) -> Systems {
+/// The two systems' stores, one shard each.
+fn build(cfg: &TxExpConfig) -> (TxCluster, FarmCluster) {
     // Spares must cover client-side free batching.
     let max_clients = cfg
         .clients
@@ -110,113 +92,124 @@ fn build(cfg: &TxExpConfig) -> Systems {
         .max()
         .unwrap_or(0)
         .max(cfg.zipf_clients) as u64;
-    let mut tx_config = TxConfig::paper(cfg.keys_per_shard(), cfg.value_len);
+    let mut tx_config = TxConfig::paper(cfg.n_keys, cfg.value_len);
     tx_config.spare_buffers += 32 * (max_clients + 16);
-    Systems {
-        prism: TxCluster::new(cfg.n_shards, &tx_config),
-        farm: FarmCluster::new(
-            cfg.n_shards,
-            &FarmConfig {
-                keys_per_shard: cfg.keys_per_shard(),
-                value_len: cfg.value_len,
-            },
-        ),
-    }
-}
-
-fn prism_servers(s: &Systems, n: usize) -> Vec<Arc<prism_core::PrismServer>> {
-    (0..n)
-        .map(|i| Arc::clone(s.prism.shard(i).server()))
-        .collect()
-}
-
-fn farm_servers(s: &Systems, n: usize) -> Vec<Arc<prism_core::PrismServer>> {
-    (0..n)
-        .map(|i| Arc::clone(s.farm.shard(i).server()))
-        .collect()
+    let farm = FarmConfig {
+        keys_per_shard: cfg.n_keys,
+        value_len: cfg.value_len,
+    };
+    (TxCluster::new(1, &tx_config), FarmCluster::new(1, &farm))
 }
 
 fn txn_gen(cfg: &TxExpConfig, zipf: f64, seed: u64) -> TxnGen {
     let dist = KeyDist::zipf(cfg.n_keys, zipf);
-    TxnGen::new(
-        dist,
-        cfg.keys_per_txn,
-        cfg.value_len as usize,
-        SimRng::new(seed),
-    )
+    TxnGen::new(dist, 1, cfg.value_len as usize, SimRng::new(seed))
 }
 
-/// Figure 9: throughput-latency sweep, uniform access.
+/// One system a figure sweeps: the row label, where classic verbs
+/// execute, its shard, client `i`'s adapter at Zipf coefficient `z`,
+/// the set-up before every point (FaRM clears locks a frozen run left
+/// held), and each point's run seed from `(clients, z)`.
+struct Row<'a> {
+    label: &'static str,
+    path: VerbPath,
+    servers: Vec<Arc<PrismServer>>,
+    adapter: Box<dyn Fn(usize, f64) -> Box<dyn ProtoAdapter> + 'a>,
+    setup: Box<dyn Fn() + 'a>,
+    seed: Box<dyn Fn(usize, f64) -> u64 + 'a>,
+}
+
+/// PRISM-TX's row; client `i` draws its transactions from
+/// `seed ^ (i+1)*31`.
+fn prism_row<'a>(
+    prism: &'a TxCluster,
+    cfg: &'a TxExpConfig,
+    seed: impl Fn(usize, f64) -> u64 + 'a,
+) -> Row<'a> {
+    Row {
+        label: "PRISM-TX",
+        path: VerbPath::Nic,
+        servers: vec![Arc::clone(prism.shard(0).server())],
+        adapter: Box::new(move |i, z| {
+            Box::new(PrismTxAdapter::new(
+                prism.open_client(),
+                txn_gen(cfg, z, cfg.seed ^ ((i as u64 + 1) * 31)),
+            ))
+        }),
+        setup: Box::new(|| {}),
+        seed: Box::new(seed),
+    }
+}
+
+/// A FaRM row; client `i` draws its transactions from `seed ^ (i+1)*37`.
+fn farm_row<'a>(
+    farm: &'a FarmCluster,
+    cfg: &'a TxExpConfig,
+    (label, path): (&'static str, VerbPath),
+    seed: impl Fn(usize, f64) -> u64 + 'a,
+) -> Row<'a> {
+    Row {
+        label,
+        path,
+        servers: vec![Arc::clone(farm.shard(0).server())],
+        adapter: Box::new(move |i, z| {
+            Box::new(FarmAdapter::new(
+                farm.open_client(),
+                txn_gen(cfg, z, cfg.seed ^ ((i as u64 + 1) * 37)),
+            ))
+        }),
+        setup: Box::new(|| farm.reset_locks()),
+        seed: Box::new(seed),
+    }
+}
+
+/// Figure 9: throughput-latency sweep, uniform access. Returns the
+/// table and each row's peak throughput (PRISM-TX, FaRM, FaRM on
+/// software RDMA).
 pub fn figure9(cfg: &TxExpConfig) -> (Table, [f64; 3]) {
     let model = CostModel::testbed();
     let mut t = Table::new(
         &format!(
-            "Figure 9: PRISM-TX vs FaRM, YCSB-T uniform ({} keys x {} B, {} keys/txn)",
-            cfg.n_keys, cfg.value_len, cfg.keys_per_txn
+            "Figure 9: PRISM-TX vs FaRM, YCSB-T uniform ({} keys x {} B, 1 keys/txn)",
+            cfg.n_keys, cfg.value_len
         ),
         &["system", "clients", "tput_Mtxn", "mean_us", "p99_us"],
     );
-    let sys = build(cfg);
+    let (prism, farm) = build(cfg);
+    let farm_seed = |n: usize, _| cfg.seed ^ ((n as u64) << 9);
+    let rows = [
+        prism_row(&prism, cfg, |n, _| cfg.seed ^ n as u64),
+        farm_row(&farm, cfg, ("FaRM", VerbPath::Nic), farm_seed),
+        farm_row(
+            &farm,
+            cfg,
+            ("FaRM (software RDMA)", VerbPath::Cpu),
+            farm_seed,
+        ),
+    ];
     let mut peaks = [0.0f64; 3];
-    for &n in &cfg.clients {
-        let r = run_closed_loop(
-            &prism_servers(&sys, cfg.n_shards),
-            &model,
-            VerbPath::Nic,
-            n,
-            &mut |i| {
-                Box::new(PrismTxAdapter::new(
-                    sys.prism.open_client(),
-                    txn_gen(cfg, 0.0, cfg.seed ^ ((i as u64 + 1) * 31)),
-                ))
-            },
-            cfg.warmup,
-            cfg.measure,
-            cfg.seed ^ n as u64,
-            &cfg.faults,
-        );
-        t.row(&[
-            "PRISM-TX".into(),
-            n.to_string(),
-            mops(r.tput_ops),
-            f2(r.mean_us),
-            f2(r.p99_us),
-        ]);
-        peaks[0] = peaks[0].max(r.tput_ops);
-    }
-    for (slot, (label, path)) in [
-        ("FaRM", VerbPath::Nic),
-        ("FaRM (software RDMA)", VerbPath::Cpu),
-    ]
-    .into_iter()
-    .enumerate()
-    {
+    for (row, peak) in rows.iter().zip(&mut peaks) {
         for &n in &cfg.clients {
-            sys.farm.reset_locks();
+            (row.setup)();
             let r = run_closed_loop(
-                &farm_servers(&sys, cfg.n_shards),
+                &row.servers,
                 &model,
-                path,
+                row.path,
                 n,
-                &mut |i| {
-                    Box::new(FarmAdapter::new(
-                        sys.farm.open_client(),
-                        txn_gen(cfg, 0.0, cfg.seed ^ ((i as u64 + 1) * 37)),
-                    ))
-                },
+                &mut |i| (row.adapter)(i, 0.0),
                 cfg.warmup,
                 cfg.measure,
-                cfg.seed ^ ((n as u64) << 9),
-                &cfg.faults,
+                (row.seed)(n, 0.0),
+                &FaultPlan::default(),
             );
             t.row(&[
-                label.into(),
+                row.label.into(),
                 n.to_string(),
                 mops(r.tput_ops),
                 f2(r.mean_us),
                 f2(r.p99_us),
             ]);
-            peaks[slot + 1] = peaks[slot + 1].max(r.tput_ops);
+            *peak = peak.max(r.tput_ops);
         }
     }
     (t, peaks)
@@ -244,81 +237,51 @@ pub fn figure10(cfg: &TxExpConfig) -> Table {
             "clients_at_peak",
         ],
     );
-    let sys = build(cfg);
+    let (prism, farm) = build(cfg);
     let mut sweep: Vec<usize> = Vec::new();
     let mut n = cfg.zipf_clients;
     while n >= 8 {
         sweep.push(n);
         n /= 4;
     }
-    for &z in &cfg.zipf {
-        let mut best: Option<(f64, f64, f64, usize)> = None;
-        for &n in &sweep {
-            let r = run_closed_loop(
-                &prism_servers(&sys, cfg.n_shards),
-                &model,
-                VerbPath::Nic,
-                n,
-                &mut |i| {
-                    Box::new(PrismTxAdapter::new(
-                        sys.prism.open_client(),
-                        txn_gen(cfg, z, cfg.seed ^ ((i as u64 + 1) * 31)),
-                    ))
-                },
-                cfg.warmup,
-                cfg.measure,
-                cfg.seed ^ (z * 100.0) as u64 ^ ((n as u64) << 16),
-                &cfg.faults,
-            );
-            if best.is_none() || r.tput_ops > best.expect("some").0 {
-                let commits = (r.tput_ops * cfg.measure.as_micros_f64() / 1e6).max(1.0);
-                best = Some((r.tput_ops, r.mean_us, r.backoffs as f64 / commits, n));
+    let point = |n: usize, z: f64| (z * 100.0) as u64 ^ ((n as u64) << 16);
+    let rows = [
+        prism_row(&prism, cfg, |n, z| cfg.seed ^ point(n, z)),
+        farm_row(&farm, cfg, ("FaRM", VerbPath::Nic), |n, z| {
+            cfg.seed ^ 0x9000 ^ point(n, z)
+        }),
+    ];
+    for row in &rows {
+        for &z in &cfg.zipf {
+            let mut best: Option<(f64, f64, f64, usize)> = None;
+            for &n in &sweep {
+                (row.setup)();
+                let r = run_closed_loop(
+                    &row.servers,
+                    &model,
+                    row.path,
+                    n,
+                    &mut |i| (row.adapter)(i, z),
+                    cfg.warmup,
+                    cfg.measure,
+                    (row.seed)(n, z),
+                    &FaultPlan::default(),
+                );
+                if best.is_none() || r.tput_ops > best.expect("some").0 {
+                    let commits = (r.tput_ops * cfg.measure.as_micros_f64() / 1e6).max(1.0);
+                    best = Some((r.tput_ops, r.mean_us, r.backoffs as f64 / commits, n));
+                }
             }
+            let (tput, mean, apc, n) = best.expect("sweep nonempty");
+            t.row(&[
+                row.label.into(),
+                format!("{z:.2}"),
+                mops(tput),
+                f2(mean),
+                f2(apc),
+                n.to_string(),
+            ]);
         }
-        let (tput, mean, apc, n) = best.expect("sweep nonempty");
-        t.row(&[
-            "PRISM-TX".into(),
-            format!("{z:.2}"),
-            mops(tput),
-            f2(mean),
-            f2(apc),
-            n.to_string(),
-        ]);
-    }
-    for &z in &cfg.zipf {
-        let mut best: Option<(f64, f64, f64, usize)> = None;
-        for &n in &sweep {
-            sys.farm.reset_locks();
-            let r = run_closed_loop(
-                &farm_servers(&sys, cfg.n_shards),
-                &model,
-                VerbPath::Nic,
-                n,
-                &mut |i| {
-                    Box::new(FarmAdapter::new(
-                        sys.farm.open_client(),
-                        txn_gen(cfg, z, cfg.seed ^ ((i as u64 + 1) * 37)),
-                    ))
-                },
-                cfg.warmup,
-                cfg.measure,
-                cfg.seed ^ 0x9000 ^ (z * 100.0) as u64 ^ ((n as u64) << 16),
-                &cfg.faults,
-            );
-            if best.is_none() || r.tput_ops > best.expect("some").0 {
-                let commits = (r.tput_ops * cfg.measure.as_micros_f64() / 1e6).max(1.0);
-                best = Some((r.tput_ops, r.mean_us, r.backoffs as f64 / commits, n));
-            }
-        }
-        let (tput, mean, apc, n) = best.expect("sweep nonempty");
-        t.row(&[
-            "FaRM".into(),
-            format!("{z:.2}"),
-            mops(tput),
-            f2(mean),
-            f2(apc),
-            n.to_string(),
-        ]);
     }
     t
 }
@@ -327,25 +290,21 @@ pub fn figure10(cfg: &TxExpConfig) -> Table {
 /// transactions): the transactional counterpart of
 /// [`crate::kv_exp::open_loop`].
 pub fn open_loop(cfg: &TxExpConfig, knobs: &OpenLoopKnobs) -> (Table, Vec<(f64, OpenLoopResult)>) {
-    let mut tx_config = TxConfig::paper(cfg.keys_per_shard(), cfg.value_len);
+    let mut tx_config = TxConfig::paper(cfg.n_keys, cfg.value_len);
     // Same spare sizing rationale as the KV open-loop sweep: provision
     // for the live slots, not the logical population.
     tx_config.spare_buffers += 32 * (knobs.live_slots() as u64 + 16);
-    let n_shards = cfg.n_shards;
-    // One sharded cluster for the whole sweep: each point's adapters
-    // reopen connections from the recycled slot pool (see
-    // `sweep_rates`).
-    let cluster = Rc::new(TxCluster::new(n_shards, &tx_config));
-    let servers: Vec<Arc<prism_core::PrismServer>> = (0..n_shards)
-        .map(|i| Arc::clone(cluster.shard(i).server()))
-        .collect();
+    // One cluster for the whole sweep: each point's adapters reopen
+    // connections from the recycled slot pool (see `sweep_rates`).
+    let cluster = Rc::new(TxCluster::new(1, &tx_config));
+    let servers = vec![Arc::clone(cluster.shard(0).server())];
     let results = sweep_rates(
         &servers,
         &CostModel::testbed(),
         VerbPath::Nic,
         knobs,
         cfg.seed,
-        &cfg.faults,
+        &FaultPlan::default(),
         || {
             let cluster = Rc::clone(&cluster);
             let cfg_for_gen = cfg.clone();
@@ -358,8 +317,8 @@ pub fn open_loop(cfg: &TxExpConfig, knobs: &OpenLoopKnobs) -> (Table, Vec<(f64, 
         },
     );
     let title = format!(
-        "Open-loop PRISM-TX latency under load ({} logical clients on {} aggregates, {} keys/txn)",
-        knobs.logical_clients, knobs.actors, cfg.keys_per_txn
+        "Open-loop PRISM-TX latency under load ({} logical clients on {} aggregates, 1 keys/txn)",
+        knobs.logical_clients, knobs.actors
     );
     (rate_table(&title, "txn", &results), results)
 }

@@ -39,8 +39,6 @@ pub struct VsizeConfig {
     pub measure: SimDuration,
     /// Run seed.
     pub seed: u64,
-    /// Fault plan applied to every sweep point (default: none).
-    pub faults: FaultPlan,
 }
 
 impl VsizeConfig {
@@ -53,7 +51,6 @@ impl VsizeConfig {
             warmup: SimDuration::millis(1),
             measure: SimDuration::millis(10),
             seed: 45,
-            faults: FaultPlan::default(),
         }
     }
 
@@ -66,7 +63,6 @@ impl VsizeConfig {
             warmup: SimDuration::micros(500),
             measure: crate::smoke::measure_window(3_000),
             seed: 45,
-            faults: FaultPlan::default(),
         }
     }
 }
@@ -114,7 +110,7 @@ pub fn run(cfg: &VsizeConfig) -> Table {
                     cfg.warmup,
                     cfg.measure,
                     cfg.seed ^ size as u64 ^ ((clients as u64) << 20),
-                    &cfg.faults,
+                    &FaultPlan::default(),
                 )
             };
 

@@ -20,6 +20,15 @@ use crate::pilaf::{PilafClient, PilafGetOp};
 use crate::prism_kv::{GetOp, PrismKvClient};
 use crate::{KvOutcome, KvStep};
 
+/// The per-request replies of a doorbell. A doorbell whose reply was
+/// lost (or is not a batch) loses every request on it: each member's
+/// machine sees that error in place of its reply.
+fn lost_as_each(reply: Reply, n: usize) -> Vec<Reply> {
+    reply
+        .into_batch()
+        .unwrap_or_else(|e| vec![Reply::Verb(Err(e)); n])
+}
+
 /// Drives a set of state machines to completion over a batching
 /// transport. `exec` submits one request (here: always a
 /// [`Request::Batch`]) and returns its reply. Returns the per-key
@@ -43,7 +52,7 @@ fn drive_batched<M>(
         rounds += 1;
         // Ring the doorbell once for every outstanding request.
         let (order, reqs): (Vec<usize>, Vec<Request>) = pending.drain(..).unzip();
-        let replies = exec(Request::Batch(reqs)).into_batch();
+        let replies = lost_as_each(exec(Request::Batch(reqs)), order.len());
         assert_eq!(
             replies.len(),
             order.len(),
@@ -164,7 +173,7 @@ pub fn prism_kv_get_many_sharded(
             }
             // One doorbell for this shard's slice of the logical batch.
             doorbells += 1;
-            let replies = exec(shard, Request::Batch(reqs)).into_batch();
+            let replies = lost_as_each(exec(shard, Request::Batch(reqs)), order.len());
             assert_eq!(
                 replies.len(),
                 order.len(),

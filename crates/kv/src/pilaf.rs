@@ -405,7 +405,10 @@ impl PilafClient {
 
     /// Interprets a PUT RPC reply.
     pub fn put_outcome(&self, reply: Reply) -> KvOutcome {
-        match reply.into_rpc().first() {
+        let Ok(bytes) = reply.into_rpc() else {
+            return KvOutcome::Failed("PUT reply lost");
+        };
+        match bytes.first() {
             Some(0) => KvOutcome::Written,
             Some(0xFE) => KvOutcome::Failed("hash table full along probe path"),
             Some(0xFD) => KvOutcome::Failed("out of extents"),

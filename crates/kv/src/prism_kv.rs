@@ -828,7 +828,9 @@ impl GetOp {
 
     /// Feeds the probe reply; returns the next step.
     pub fn on_reply(&mut self, c: &PrismKvClient, reply: Reply) -> KvStep {
-        let results = reply.into_chain();
+        let Ok(results) = reply.into_chain() else {
+            return KvStep::done(KvOutcome::Failed("GET reply lost"));
+        };
         let r = &results[0];
         match &r.status {
             OpStatus::Ok => match entry::decode_verified(&r.data) {
@@ -1018,7 +1020,9 @@ impl PutOp {
     }
 
     fn advance(&mut self, c: &PrismKvClient, reply: Reply) -> KvStep {
-        let results = reply.into_chain();
+        let Ok(results) = reply.into_chain() else {
+            return KvStep::done(KvOutcome::Failed("PUT reply lost"));
+        };
         match self.state.clone() {
             PutState::Probe => {
                 let slot_word = match results[0].expect_data() {

@@ -99,6 +99,11 @@ pub enum RdmaError {
         /// The queueing delay this request would have seen, in ns.
         wait_ns: u64,
     },
+    /// The reply is not of the kind the request asked for — a real
+    /// NIC's bad-response completion (`IBV_WC_BAD_RESP_ERR`). No server
+    /// produces it: a client reply accessor reports it, and the client
+    /// treats the round trip as lost.
+    BadResponse,
 }
 
 impl fmt::Display for RdmaError {
@@ -148,6 +153,7 @@ impl fmt::Display for RdmaError {
                     "admission refused (queueing delay would be {wait_ns} ns)"
                 )
             }
+            RdmaError::BadResponse => write!(f, "reply of the wrong kind for the request"),
         }
     }
 }
@@ -177,6 +183,7 @@ impl RdmaError {
             RdmaError::Corrupt => (11, 0, 0, 0),
             RdmaError::StaleEpoch { seen, current } => (12, seen, current, 0),
             RdmaError::Busy { wait_ns } => (13, wait_ns, 0, 0),
+            RdmaError::BadResponse => (14, 0, 0, 0),
         };
         let mut out = [0u8; ERROR_WIRE_LEN];
         out[0] = code;
@@ -219,6 +226,7 @@ impl RdmaError {
                 current: b,
             },
             13 => RdmaError::Busy { wait_ns: a },
+            14 => RdmaError::BadResponse,
             _ => return None,
         })
     }
@@ -278,6 +286,7 @@ mod tests {
                 current: 3,
             },
             RdmaError::Busy { wait_ns: 12_345 },
+            RdmaError::BadResponse,
         ];
         for e in all {
             assert_eq!(RdmaError::from_wire(&e.to_wire()), Some(e));

@@ -453,8 +453,8 @@ impl AbdLockOp {
 
     fn on_lock_reply(&mut self, c: &mut AbdLockClient, replica: usize, reply: Reply) -> AbdStep {
         self.lock_replies += 1;
-        match reply.verb_result() {
-            Some(Ok(old)) if old.len() == 8 => {
+        match reply.into_verb() {
+            Ok(old) if old.len() == 8 => {
                 let prev = u64::from_le_bytes(old.try_into().expect("8 bytes"));
                 if prev == 0 {
                     self.locked[replica] = true;
@@ -539,8 +539,8 @@ impl AbdLockOp {
     }
 
     fn on_read_reply(&mut self, c: &mut AbdLockClient, _replica: usize, reply: Reply) -> AbdStep {
-        match reply.verb_result() {
-            Some(Ok(data)) if data.len() >= 8 => {
+        match reply.into_verb() {
+            Ok(data) if data.len() >= 8 => {
                 let tag = Tag::from_bytes(&data[..8]);
                 if tag >= self.max_tag || self.max_value.is_none() {
                     self.max_tag = tag;
@@ -598,7 +598,7 @@ impl AbdLockOp {
     }
 
     fn on_write_reply(&mut self, c: &mut AbdLockClient, _replica: usize, reply: Reply) -> AbdStep {
-        if matches!(reply.verb_result(), Some(Ok(_))) {
+        if reply.into_verb().is_ok() {
             self.write_acks += 1;
         } else {
             self.write_errs += 1;

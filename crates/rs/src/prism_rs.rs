@@ -1098,7 +1098,7 @@ impl RsOp {
         // A non-chain reply (e.g. the fault layer's synthesized timeout
         // error) or an empty chain counts as a failed replica, never a
         // panic: ABD only needs `f + 1` useful answers.
-        let results = reply.chain_results().unwrap_or_default();
+        let results = reply.into_chain().unwrap_or_default();
         let first_status = results.first().map(|r| r.status.clone());
         match (&self.kind, first_status) {
             (OpKind::Get, Some(OpStatus::Ok)) => {
@@ -1174,7 +1174,7 @@ impl RsOp {
     fn on_write_reply(&mut self, c: &RsClient, replica: usize, reply: Reply) -> RsStep {
         // Same defence as the read phase: a synthesized error reply or a
         // short chain is a failed replica, not a panic.
-        let results = reply.chain_results().unwrap_or_default();
+        let results = reply.into_chain().unwrap_or_default();
         let mut background = Vec::new();
         // [write, allocate, cas, read-back]
         let acked = match results.get(2).map(|r| r.status.clone()) {

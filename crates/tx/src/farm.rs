@@ -30,6 +30,8 @@ use prism_core::PrismServer;
 use prism_rdma::hash::IntMap;
 use prism_rdma::region::AccessFlags;
 
+use crate::driver::{TxOutcome, TxProtocol, TxStep};
+
 /// Object header: version + lock.
 pub const OBJ_HEADER: u64 = 16;
 
@@ -382,30 +384,6 @@ pub struct FarmClient {
     seq: u64,
 }
 
-/// Outcome of a FaRM transaction attempt.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FarmOutcome {
-    /// Committed; carries the values read during execution.
-    Committed(HashMap<u64, Vec<u8>>),
-    /// Lock conflict or validation failure.
-    Aborted,
-    /// Infrastructure failure.
-    Failed(&'static str),
-}
-
-/// What the driver should do next.
-#[derive(Debug, Clone, Default)]
-pub struct FarmStep {
-    /// `(shard, phase, request-index, request)` to send.
-    pub send: Vec<(usize, u32, u32, Request)>,
-    /// A deferred-write transaction finished its execution reads; call
-    /// [`FarmOp::supply_writes`] with writes computed from
-    /// [`FarmOp::values`].
-    pub awaiting_writes: bool,
-    /// Set when the attempt completes.
-    pub done: Option<FarmOutcome>,
-}
-
 const PH_IDX: u32 = 0;
 const PH_OBJ: u32 = 1;
 const PH_LOCK: u32 = 2;
@@ -461,7 +439,7 @@ pub struct FarmOp {
     locked_shards: Vec<usize>,
     lock_failed: bool,
     valid: bool,
-    pending_outcome: Option<FarmOutcome>,
+    pending_outcome: Option<TxOutcome>,
     deferred: bool,
 }
 
@@ -476,103 +454,20 @@ impl FarmClient {
         k / self.views.len() as u64
     }
 
-    /// Starts a transaction.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range keys or wrong-sized values.
-    pub fn begin(
-        &mut self,
-        read_keys: Vec<u64>,
-        writes: Vec<(u64, Vec<u8>)>,
-    ) -> (FarmOp, FarmStep) {
-        for (k, v) in &writes {
+    /// Panics unless every write's key is in range and its value
+    /// `value_len` bytes long.
+    fn check_writes(&self, writes: &[(u64, Vec<u8>)]) {
+        for (k, v) in writes {
             assert_eq!(v.len() as u64, self.views[0].value_len);
             assert!(
                 self.index_of(*k) < self.views[0].capacity,
                 "key {k} out of range"
             );
         }
-        self.seq += 1;
-        let token = (self.client_id << 24) | (self.seq & 0xFF_FFFF);
-        let mut op = FarmOp {
-            read_keys,
-            writes,
-            token,
-            phase: Phase::IndexReads,
-            reqs: Vec::new(),
-            outstanding: 0,
-            ptrs: IntMap::default(),
-            versions: IntMap::default(),
-            values: HashMap::new(),
-            retries: 0,
-            locked_shards: Vec::new(),
-            lock_failed: false,
-            valid: true,
-            pending_outcome: None,
-            deferred: false,
-        };
-        let step = op.index_sends(self);
-        (op, step)
-    }
-
-    /// Starts a read-modify-write transaction that pauses after its
-    /// execution reads so the write set can be computed from the values
-    /// actually read (see [`FarmOp::supply_writes`]).
-    pub fn begin_rmw(&mut self, read_keys: Vec<u64>) -> (FarmOp, FarmStep) {
-        let (mut op, step) = self.begin(read_keys, vec![]);
-        op.deferred = true;
-        if step.send.is_empty() {
-            return (
-                op,
-                FarmStep {
-                    awaiting_writes: true,
-                    ..Default::default()
-                },
-            );
-        }
-        (op, step)
     }
 }
 
 impl FarmOp {
-    /// Values read during execution (keyed by global key). A commit
-    /// moves them into [`FarmOutcome::Committed`], so the map is empty
-    /// once the attempt is done.
-    pub fn values(&self) -> &HashMap<u64, Vec<u8>> {
-        &self.values
-    }
-
-    /// Takes the read-key list back out of an attempt that is done, so
-    /// that a retry can begin over the same keys without copying them.
-    /// An attempt still in flight needs its keys: call this only after
-    /// [`FarmStep::done`] was set.
-    pub fn take_read_keys(&mut self) -> Vec<u64> {
-        debug_assert_eq!(self.phase, Phase::Done, "attempt still in flight");
-        std::mem::take(&mut self.read_keys)
-    }
-
-    /// Continues a [`FarmClient::begin_rmw`] transaction into its
-    /// commit protocol with the supplied write set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the transaction is not deferred or not paused after
-    /// its execution reads.
-    pub fn supply_writes(&mut self, c: &FarmClient, writes: Vec<(u64, Vec<u8>)>) -> FarmStep {
-        assert!(self.deferred, "supply_writes on a non-deferred transaction");
-        assert!(
-            matches!(self.phase, Phase::ObjectReads | Phase::IndexReads),
-            "writes already supplied"
-        );
-        for (k, v) in &writes {
-            assert_eq!(v.len() as u64, c.views[0].value_len);
-            assert!(c.index_of(*k) < c.views[0].capacity, "key {k} out of range");
-        }
-        self.writes = writes;
-        self.lock_sends(c)
-    }
-
     /// One one-sided READ per read key, `len` bytes at the address
     /// `addr_of` names — the shape of the index, object and validate
     /// phases.
@@ -582,10 +477,10 @@ impl FarmOp {
         phase: u32,
         len: impl Fn(&FarmView) -> u32,
         addr_of: impl Fn(&Self, &FarmView, u64) -> u64,
-    ) -> FarmStep {
+    ) -> TxStep {
         self.reqs.clear();
         self.outstanding = 0;
-        let mut step = FarmStep {
+        let mut step = TxStep {
             send: Vec::with_capacity(self.read_keys.len()),
             ..Default::default()
         };
@@ -610,7 +505,7 @@ impl FarmOp {
         step
     }
 
-    fn index_sends(&mut self, c: &FarmClient) -> FarmStep {
+    fn index_sends(&mut self, c: &FarmClient) -> TxStep {
         if self.read_keys.is_empty() {
             return self.lock_sends(c);
         }
@@ -618,12 +513,12 @@ impl FarmOp {
         self.read_sends(c, PH_IDX, |_| 8, |_, v, k| v.index_slot(c.index_of(k)))
     }
 
-    fn object_sends(&mut self, c: &FarmClient) -> FarmStep {
+    fn object_sends(&mut self, c: &FarmClient) -> TxStep {
         self.phase = Phase::ObjectReads;
         self.read_sends(c, PH_OBJ, |v| v.obj_len() as u32, |op, _, k| op.ptrs[&k])
     }
 
-    fn lock_sends(&mut self, c: &FarmClient) -> FarmStep {
+    fn lock_sends(&mut self, c: &FarmClient) -> TxStep {
         if self.writes.is_empty() {
             return self.validate_sends(c);
         }
@@ -640,7 +535,7 @@ impl FarmOp {
             .map(|(k, _)| (c.shard_of(*k), *k))
             .collect();
         keys.sort_unstable();
-        let mut step = FarmStep::default();
+        let mut step = TxStep::default();
         for run in keys.chunk_by(|a, b| a.0 == b.0) {
             let (shard, key) = run[0];
             let msg = key_list_rpc(
@@ -656,7 +551,7 @@ impl FarmOp {
         step
     }
 
-    fn validate_sends(&mut self, c: &FarmClient) -> FarmStep {
+    fn validate_sends(&mut self, c: &FarmClient) -> TxStep {
         if self.read_keys.is_empty() {
             return self.update_sends(c);
         }
@@ -665,17 +560,20 @@ impl FarmOp {
         self.read_sends(c, PH_VAL, |_| OBJ_HEADER as u32, |op, _, k| op.ptrs[&k])
     }
 
-    /// Ends the attempt committed. The read set moves into the outcome:
-    /// nothing reads [`FarmOp::values`] once the attempt is done.
-    fn commit(&mut self) -> FarmStep {
+    /// Ends the attempt with `outcome`.
+    fn finish(&mut self, outcome: TxOutcome) -> TxStep {
         self.phase = Phase::Done;
-        FarmStep {
-            done: Some(FarmOutcome::Committed(std::mem::take(&mut self.values))),
-            ..Default::default()
-        }
+        TxStep::finished(outcome)
     }
 
-    fn update_sends(&mut self, c: &FarmClient) -> FarmStep {
+    /// Ends the attempt committed. The read set moves into the outcome:
+    /// nothing reads the values once the attempt is done.
+    fn commit(&mut self) -> TxStep {
+        let values = std::mem::take(&mut self.values);
+        self.finish(TxOutcome::Committed(values))
+    }
+
+    fn update_sends(&mut self, c: &FarmClient) -> TxStep {
         if self.writes.is_empty() {
             return self.commit();
         }
@@ -689,7 +587,7 @@ impl FarmOp {
         // dropped.
         let mut writes = std::mem::take(&mut self.writes);
         writes.sort_by_key(|(k, _)| c.shard_of(*k));
-        let mut step = FarmStep::default();
+        let mut step = TxStep::default();
         for run in writes.chunk_by(|a, b| c.shard_of(a.0) == c.shard_of(b.0)) {
             let key = run[0].0;
             let shard = c.shard_of(key);
@@ -710,18 +608,14 @@ impl FarmOp {
         step
     }
 
-    fn unlock_sends(&mut self, c: &FarmClient, then: FarmOutcome) -> FarmStep {
+    fn unlock_sends(&mut self, c: &FarmClient, then: TxOutcome) -> TxStep {
         if self.locked_shards.is_empty() {
-            self.phase = Phase::Done;
-            return FarmStep {
-                done: Some(then),
-                ..Default::default()
-            };
+            return self.finish(then);
         }
         self.phase = Phase::Unlock;
         self.reqs.clear();
         self.outstanding = 0;
-        let mut step = FarmStep::default();
+        let mut step = TxStep::default();
         let shards = std::mem::take(&mut self.locked_shards);
         for shard in shards {
             let keys: Vec<u64> = self
@@ -743,36 +637,81 @@ impl FarmOp {
         self.pending_outcome = Some(then);
         step
     }
+}
 
-    /// Feeds one reply.
-    pub fn on_reply(&mut self, c: &FarmClient, phase: u32, req_idx: u32, reply: Reply) -> FarmStep {
-        let current = match self.phase {
+impl TxProtocol for FarmClient {
+    type Cluster = FarmCluster;
+    type Op = FarmOp;
+
+    fn server(cluster: &FarmCluster, shard: usize) -> &PrismServer {
+        cluster.shard(shard).server()
+    }
+
+    fn begin(&mut self, read_keys: Vec<u64>, writes: Vec<(u64, Vec<u8>)>) -> (FarmOp, TxStep) {
+        self.check_writes(&writes);
+        self.seq += 1;
+        let token = (self.client_id << 24) | (self.seq & 0xFF_FFFF);
+        let mut op = FarmOp {
+            read_keys,
+            writes,
+            token,
+            phase: Phase::IndexReads,
+            reqs: Vec::new(),
+            outstanding: 0,
+            ptrs: IntMap::default(),
+            versions: IntMap::default(),
+            values: HashMap::new(),
+            retries: 0,
+            locked_shards: Vec::new(),
+            lock_failed: false,
+            valid: true,
+            pending_outcome: None,
+            deferred: false,
+        };
+        let step = op.index_sends(self);
+        (op, step)
+    }
+
+    /// The write set is computed from the values actually read (see
+    /// [`TxProtocol::supply_writes`]).
+    fn begin_rmw(&mut self, read_keys: Vec<u64>) -> (FarmOp, TxStep) {
+        let (mut op, step) = self.begin(read_keys, vec![]);
+        op.deferred = true;
+        if step.send.is_empty() {
+            return (op, TxStep::paused());
+        }
+        (op, step)
+    }
+
+    fn on_reply(&mut self, op: &mut FarmOp, phase: u32, req_idx: u32, reply: Reply) -> TxStep {
+        let c = &*self;
+        let current = match op.phase {
             Phase::IndexReads => PH_IDX,
             Phase::ObjectReads => PH_OBJ,
             Phase::Lock => PH_LOCK,
             Phase::Validate => PH_VAL,
             Phase::Update => PH_UPD,
             Phase::Unlock => PH_UNLOCK,
-            Phase::Done => return FarmStep::default(),
+            Phase::Done => return TxStep::default(),
         };
         if phase != current {
-            return FarmStep::default();
+            return TxStep::default();
         }
-        let req = self.reqs[req_idx as usize];
-        match self.phase {
+        let req = op.reqs[req_idx as usize];
+        match op.phase {
             Phase::IndexReads => {
                 match reply.into_verb() {
                     Ok(d) if d.len() == 8 => {
-                        self.ptrs
+                        op.ptrs
                             .insert(req.key, u64::from_le_bytes(d.try_into().expect("8B")));
                     }
-                    _ => return self.fail("index read error"),
+                    _ => return op.finish(TxOutcome::Failed("index read error")),
                 }
-                self.outstanding -= 1;
-                if self.outstanding == 0 {
-                    return self.object_sends(c);
+                op.outstanding -= 1;
+                if op.outstanding == 0 {
+                    return op.object_sends(c);
                 }
-                FarmStep::default()
+                TxStep::default()
             }
             Phase::ObjectReads => {
                 let k = req.key;
@@ -782,27 +721,23 @@ impl FarmOp {
                         let lock = u64::from_le_bytes(d[8..16].try_into().expect("8B"));
                         if lock != 0 {
                             // In-progress writer: retry this object read.
-                            self.retries += 1;
-                            if self.retries > MAX_READ_RETRIES {
+                            op.retries += 1;
+                            if op.retries > MAX_READ_RETRIES {
                                 // Persistent contention: abort the whole
                                 // attempt so the caller retries with
                                 // backoff (a closed-loop client must not
                                 // abandon the transaction).
-                                self.phase = Phase::Done;
-                                return FarmStep {
-                                    done: Some(FarmOutcome::Aborted),
-                                    ..Default::default()
-                                };
+                                return op.finish(TxOutcome::Aborted);
                             }
                             let shard = c.shard_of(k);
                             let v = &c.views[shard];
-                            return FarmStep {
+                            return TxStep {
                                 send: vec![(
                                     shard,
                                     PH_OBJ,
                                     req_idx,
                                     Request::Verb(Verb::Read {
-                                        addr: self.ptrs[&k],
+                                        addr: op.ptrs[&k],
                                         len: v.obj_len() as u32,
                                         rkey: v.rkey,
                                     }),
@@ -810,40 +745,44 @@ impl FarmOp {
                                 ..Default::default()
                             };
                         }
-                        self.versions.insert(k, version);
+                        op.versions.insert(k, version);
                         // The reply's buffer becomes the value: header
                         // and key are cut off in place rather than the
                         // value copied out.
                         d.drain(..OBJ_HEADER as usize + 8);
-                        self.values.insert(k, d);
+                        op.values.insert(k, d);
                     }
-                    _ => return self.fail("object read error"),
+                    _ => return op.finish(TxOutcome::Failed("object read error")),
                 }
-                self.outstanding -= 1;
-                if self.outstanding == 0 {
-                    if self.deferred {
-                        return FarmStep {
-                            awaiting_writes: true,
-                            ..Default::default()
-                        };
+                op.outstanding -= 1;
+                if op.outstanding == 0 {
+                    if op.deferred {
+                        return TxStep::paused();
                     }
-                    return self.lock_sends(c);
+                    return op.lock_sends(c);
                 }
-                FarmStep::default()
+                TxStep::default()
             }
             Phase::Lock => {
-                match reply.into_rpc().first() {
-                    Some(0) => self.locked_shards.push(req.shard),
-                    _ => self.lock_failed = true,
-                }
-                self.outstanding -= 1;
-                if self.outstanding == 0 {
-                    if self.lock_failed {
-                        return self.unlock_sends(c, FarmOutcome::Aborted);
+                match reply.into_rpc() {
+                    Ok(b) if b.first() == Some(&0) => op.locked_shards.push(req.shard),
+                    Ok(_) => op.lock_failed = true,
+                    // A lost reply leaves the lock in doubt: the attempt
+                    // aborts, and its unlock (token-checked, so harmless
+                    // if the lock never landed) covers this shard too.
+                    Err(_) => {
+                        op.locked_shards.push(req.shard);
+                        op.lock_failed = true;
                     }
-                    return self.validate_sends(c);
                 }
-                FarmStep::default()
+                op.outstanding -= 1;
+                if op.outstanding == 0 {
+                    if op.lock_failed {
+                        return op.unlock_sends(c, TxOutcome::Aborted);
+                    }
+                    return op.validate_sends(c);
+                }
+                TxStep::default()
             }
             Phase::Validate => {
                 let k = req.key;
@@ -851,129 +790,73 @@ impl FarmOp {
                     Ok(d) if d.len() == OBJ_HEADER as usize => {
                         let version = u64::from_le_bytes(d[0..8].try_into().expect("8B"));
                         let lock = u64::from_le_bytes(d[8..16].try_into().expect("8B"));
-                        let lock_ok = lock == 0 || lock == self.token;
-                        if version != self.versions[&k] || !lock_ok {
-                            self.valid = false;
+                        let lock_ok = lock == 0 || lock == op.token;
+                        if version != op.versions[&k] || !lock_ok {
+                            op.valid = false;
                         }
                     }
-                    _ => return self.fail("validation read error"),
+                    _ => return op.finish(TxOutcome::Failed("validation read error")),
                 }
-                self.outstanding -= 1;
-                if self.outstanding == 0 {
-                    if !self.valid {
-                        return self.unlock_sends(c, FarmOutcome::Aborted);
+                op.outstanding -= 1;
+                if op.outstanding == 0 {
+                    if !op.valid {
+                        return op.unlock_sends(c, TxOutcome::Aborted);
                     }
-                    return self.update_sends(c);
+                    return op.update_sends(c);
                 }
-                FarmStep::default()
+                TxStep::default()
             }
             Phase::Update => {
-                if reply.into_rpc().first() != Some(&0) {
-                    return self.fail("update rejected");
+                match reply.into_rpc() {
+                    Ok(b) if b.first() == Some(&0) => {}
+                    Ok(_) => return op.finish(TxOutcome::Failed("update rejected")),
+                    // The update may or may not have installed: as
+                    // indeterminate as PRISM-TX's lost commit.
+                    Err(_) => return op.finish(TxOutcome::Failed("update reply lost")),
                 }
-                self.outstanding -= 1;
-                if self.outstanding == 0 {
-                    return self.commit();
+                op.outstanding -= 1;
+                if op.outstanding == 0 {
+                    return op.commit();
                 }
-                FarmStep::default()
+                TxStep::default()
             }
             Phase::Unlock => {
-                self.outstanding -= 1;
-                if self.outstanding == 0 {
-                    self.phase = Phase::Done;
-                    return FarmStep {
-                        done: Some(self.pending_outcome.take().unwrap_or(FarmOutcome::Aborted)),
-                        ..Default::default()
-                    };
+                op.outstanding -= 1;
+                if op.outstanding == 0 {
+                    let outcome = op.pending_outcome.take().unwrap_or(TxOutcome::Aborted);
+                    return op.finish(outcome);
                 }
-                FarmStep::default()
+                TxStep::default()
             }
-            Phase::Done => FarmStep::default(),
+            Phase::Done => TxStep::default(),
         }
     }
 
-    fn fail(&mut self, why: &'static str) -> FarmStep {
-        self.phase = Phase::Done;
-        FarmStep {
-            done: Some(FarmOutcome::Failed(why)),
-            ..Default::default()
-        }
+    fn supply_writes(&mut self, op: &mut FarmOp, writes: Vec<(u64, Vec<u8>)>) -> TxStep {
+        assert!(op.deferred, "supply_writes on a non-deferred transaction");
+        assert!(
+            matches!(op.phase, Phase::ObjectReads | Phase::IndexReads),
+            "writes already supplied"
+        );
+        self.check_writes(&writes);
+        op.writes = writes;
+        op.lock_sends(self)
     }
-}
 
-/// Drives a transaction attempt to completion against local shards.
-pub fn drive(
-    cluster: &FarmCluster,
-    client: &FarmClient,
-    mut op: FarmOp,
-    first: FarmStep,
-) -> FarmOutcome {
-    use prism_core::msg::execute_local;
-    let mut queue = first.send;
-    let mut outcome = first.done;
-    while let Some((shard, phase, idx, req)) = queue.pop() {
-        let reply = execute_local(cluster.shard(shard).server(), &req);
-        let step = op.on_reply(client, phase, idx, reply);
-        queue.extend(step.send);
-        if outcome.is_none() {
-            outcome = step.done;
-        }
+    fn values(op: &FarmOp) -> &HashMap<u64, Vec<u8>> {
+        &op.values
     }
-    outcome.unwrap_or(FarmOutcome::Failed("drive finished without outcome"))
-}
 
-/// Read-modify-write with retries: one deferred transaction whose
-/// writes are computed from the execution reads it then validates
-/// (mirrors `prism_tx::run_rmw`).
-pub fn run_rmw(
-    cluster: &FarmCluster,
-    client: &mut FarmClient,
-    keys: &[u64],
-    mk_value: impl Fn(u64, &HashMap<u64, Vec<u8>>) -> Vec<u8>,
-    max_attempts: u32,
-) -> (FarmOutcome, u32) {
-    use prism_core::msg::execute_local;
-    for attempt in 1..=max_attempts {
-        let (mut op, step) = client.begin_rmw(keys.to_vec());
-        let mut queue = step.send;
-        let mut awaiting = step.awaiting_writes;
-        let mut failed = None;
-        while !awaiting {
-            let Some((shard, phase, idx, req)) = queue.pop() else {
-                return (FarmOutcome::Failed("execution stalled"), attempt);
-            };
-            let reply = execute_local(cluster.shard(shard).server(), &req);
-            let s = op.on_reply(client, phase, idx, reply);
-            if let Some(o) = s.done {
-                failed = Some(o);
-                break;
-            }
-            queue.extend(s.send);
-            awaiting = s.awaiting_writes;
-        }
-        if let Some(o) = failed {
-            match o {
-                FarmOutcome::Aborted => continue,
-                other => return (other, attempt),
-            }
-        }
-        let writes: Vec<_> = keys
-            .iter()
-            .map(|&k| (k, mk_value(k, op.values())))
-            .collect();
-        let step = op.supply_writes(client, writes);
-        match drive(cluster, client, op, step) {
-            FarmOutcome::Committed(v) => return (FarmOutcome::Committed(v), attempt),
-            FarmOutcome::Aborted => continue,
-            f => return (f, attempt),
-        }
+    fn take_read_keys(op: &mut FarmOp) -> Vec<u64> {
+        debug_assert_eq!(op.phase, Phase::Done, "attempt still in flight");
+        std::mem::take(&mut op.read_keys)
     }
-    (FarmOutcome::Aborted, max_attempts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{drive, run_rmw};
 
     fn cluster(shards: usize, keys: u64) -> FarmCluster {
         FarmCluster::new(
@@ -988,12 +871,12 @@ mod tests {
     fn read_all(cl: &FarmCluster, c: &mut FarmClient, keys: &[u64]) -> HashMap<u64, Vec<u8>> {
         let (op, step) = c.begin(keys.to_vec(), vec![]);
         match drive(cl, c, op, step) {
-            FarmOutcome::Committed(v) => v,
+            TxOutcome::Committed(v) => v,
             o => panic!("read-only txn must commit: {o:?}"),
         }
     }
 
-    fn write_one(cl: &FarmCluster, c: &mut FarmClient, k: u64, v: Vec<u8>) -> FarmOutcome {
+    fn write_one(cl: &FarmCluster, c: &mut FarmClient, k: u64, v: Vec<u8>) -> TxOutcome {
         let (op, step) = c.begin(vec![k], vec![(k, v)]);
         drive(cl, c, op, step)
     }
@@ -1011,7 +894,7 @@ mod tests {
         let mut c = cl.open_client();
         assert!(matches!(
             write_one(&cl, &mut c, 3, vec![7u8; 32]),
-            FarmOutcome::Committed(_)
+            TxOutcome::Committed(_)
         ));
         assert_eq!(read_all(&cl, &mut c, &[3])[&3], vec![7u8; 32]);
     }
@@ -1042,7 +925,7 @@ mod tests {
         let mut lock_step = None;
         while let Some((shard, phase, idx, req)) = queue.pop() {
             let reply = prism_core::msg::execute_local(cl.shard(shard).server(), &req);
-            let s = op.on_reply(&c1, phase, idx, reply);
+            let s = c1.on_reply(&mut op, phase, idx, reply);
             if s.send.iter().any(|(_, p, _, _)| *p == PH_LOCK) {
                 lock_step = Some(s);
                 break;
@@ -1053,10 +936,10 @@ mod tests {
         // c2 commits a conflicting write (bumping the version).
         assert!(matches!(
             write_one(&cl, &mut c2, 0, vec![5u8; 32]),
-            FarmOutcome::Committed(_)
+            TxOutcome::Committed(_)
         ));
         // c1's validation must now fail.
-        assert_eq!(drive(&cl, &c1, op, lock_step), FarmOutcome::Aborted);
+        assert_eq!(drive(&cl, &mut c1, op, lock_step), TxOutcome::Aborted);
         assert_eq!(read_all(&cl, &mut c2, &[0])[&0], vec![5u8; 32]);
     }
 
@@ -1071,7 +954,7 @@ mod tests {
         let mut val_step = None;
         while let Some((shard, phase, idx, req)) = queue.pop() {
             let reply = prism_core::msg::execute_local(cl.shard(shard).server(), &req);
-            let s = op.on_reply(&c1, phase, idx, reply);
+            let s = c1.on_reply(&mut op, phase, idx, reply);
             if s.send.iter().any(|(_, p, _, _)| *p == PH_VAL) {
                 val_step = Some(s);
                 break;
@@ -1083,11 +966,11 @@ mod tests {
         // reading transaction would already stall at the execution read,
         // which retries while the object is locked.)
         let (op2, step2) = c2.begin(vec![], vec![(0, vec![2u8; 32])]);
-        assert_eq!(drive(&cl, &c2, op2, step2), FarmOutcome::Aborted);
+        assert_eq!(drive(&cl, &mut c2, op2, step2), TxOutcome::Aborted);
         // c1 proceeds to commit.
         assert!(matches!(
-            drive(&cl, &c1, op, val_step),
-            FarmOutcome::Committed(_)
+            drive(&cl, &mut c1, op, val_step),
+            TxOutcome::Committed(_)
         ));
         let mut c3 = cl.open_client();
         assert_eq!(read_all(&cl, &mut c3, &[0])[&0], vec![1u8; 32]);
@@ -1096,12 +979,12 @@ mod tests {
     /// Drives a write transaction to just past its lock phase, leaving
     /// the key's lock word held, and returns the op plus the withheld
     /// validate step.
-    fn park_after_lock(cl: &FarmCluster, c: &mut FarmClient, k: u64) -> (FarmOp, FarmStep) {
+    fn park_after_lock(cl: &FarmCluster, c: &mut FarmClient, k: u64) -> (FarmOp, TxStep) {
         let (mut op, step) = c.begin(vec![k], vec![(k, vec![0xCD; 32])]);
         let mut queue = step.send;
         while let Some((shard, phase, idx, req)) = queue.pop() {
             let reply = prism_core::msg::execute_local(cl.shard(shard).server(), &req);
-            let s = op.on_reply(c, phase, idx, reply);
+            let s = c.on_reply(&mut op, phase, idx, reply);
             if s.send.iter().any(|(_, p, _, _)| *p == PH_VAL) {
                 return (op, s);
             }
@@ -1129,7 +1012,7 @@ mod tests {
         let mut c2 = cl.open_client();
         assert!(matches!(
             write_one(&cl, &mut c2, 2, vec![4u8; 32]),
-            FarmOutcome::Committed(_)
+            TxOutcome::Committed(_)
         ));
         assert_eq!(read_all(&cl, &mut c2, &[2])[&2], vec![4u8; 32]);
     }
@@ -1143,7 +1026,10 @@ mod tests {
         assert_eq!(cl.sweep_shard(0), 0);
         assert_eq!(cl.held_locks(), 1);
         // The slow-but-live client finishes and unlocks on its own.
-        assert!(matches!(drive(&cl, &c, op, val), FarmOutcome::Committed(_)));
+        assert!(matches!(
+            drive(&cl, &mut c, op, val),
+            TxOutcome::Committed(_)
+        ));
         assert_eq!(cl.held_locks(), 0);
         assert_eq!(cl.sweep_shard(0), 0, "lease entry just expires");
         assert_eq!(cl.lock_reclaims(), 0);
@@ -1163,7 +1049,7 @@ mod tests {
                     let mut committed = 0;
                     while committed < 25 {
                         let (o, _) = run_rmw(
-                            &cl,
+                            &*cl,
                             &mut c,
                             &[3],
                             |_, vals| {
@@ -1174,7 +1060,7 @@ mod tests {
                             },
                             10_000,
                         );
-                        if matches!(o, FarmOutcome::Committed(_)) {
+                        if matches!(o, TxOutcome::Committed(_)) {
                             committed += 1;
                         }
                     }
@@ -1198,8 +1084,8 @@ mod tests {
             vec![(0, vec![1; 32]), (1, vec![2; 32]), (2, vec![3; 32])],
         );
         assert!(matches!(
-            drive(&cl, &c, op, step),
-            FarmOutcome::Committed(_)
+            drive(&cl, &mut c, op, step),
+            TxOutcome::Committed(_)
         ));
         let vals = read_all(&cl, &mut c, &[0, 1, 2]);
         assert_eq!(vals[&1], vec![2; 32]);

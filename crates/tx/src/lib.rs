@@ -3,6 +3,10 @@
 //! commit all performed by remote operations — plus the FaRM baseline
 //! it is evaluated against.
 //!
+//! * [`driver`] — the client contract both protocols implement
+//!   ([`TxProtocol`]: begin, feed replies, supply deferred writes), the
+//!   one [`TxOutcome`] and [`TxStep`] they share, and the local
+//!   [`drive`] / [`run_rmw`] over any of them.
 //! * [`prism_tx`] — Meerkat-style timestamp OCC with per-key `PW/PR/C`
 //!   metadata validated by single enhanced-CAS operations; commits
 //!   install out-of-place version buffers. Two round trips to commit.
@@ -14,23 +18,20 @@
 //! # Examples
 //!
 //! ```
-//! use prism_tx::prism_tx::{drive, run_rmw, TxCluster, TxConfig, TxOutcome};
+//! use prism_tx::farm::{FarmCluster, FarmConfig};
+//! use prism_tx::prism_tx::{TxCluster, TxConfig};
+//! use prism_tx::{drive, run_rmw, TxOutcome, TxProtocol};
 //!
 //! let cluster = TxCluster::new(2, &TxConfig::paper(32, 16));
 //! let mut client = cluster.open_client();
 //!
 //! // A serializable read-modify-write across two shards.
-//! let (outcome, attempts) = run_rmw(
-//!     &cluster,
-//!     &mut client,
-//!     &[1, 2],
-//!     |key, values| {
-//!         let mut v = values[&key].clone();
-//!         v[0] += 1;
-//!         v
-//!     },
-//!     16,
-//! );
+//! let bump = |key, values: &std::collections::HashMap<u64, Vec<u8>>| {
+//!     let mut v: Vec<u8> = values[&key].clone();
+//!     v[0] += 1;
+//!     v
+//! };
+//! let (outcome, attempts) = run_rmw(&cluster, &mut client, &[1, 2], bump, 16);
 //! assert!(matches!(outcome, TxOutcome::Committed(_)));
 //! assert_eq!(attempts, 1);
 //!
@@ -43,14 +44,22 @@
 //!     }
 //!     other => panic!("{other:?}"),
 //! }
+//!
+//! // The same driver runs the FaRM baseline.
+//! let farm = FarmCluster::new(2, &FarmConfig { keys_per_shard: 32, value_len: 16 });
+//! let mut client = farm.open_client();
+//! let (outcome, _) = run_rmw(&farm, &mut client, &[1, 2], bump, 16);
+//! assert!(matches!(outcome, TxOutcome::Committed(_)));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod driver;
 pub mod farm;
 pub mod prism_tx;
 pub mod ts;
 
-pub use prism_tx::{TxClient, TxCluster, TxConfig, TxOp, TxOutcome, TxServer, TxStep};
+pub use driver::{drive, run_rmw, TxOutcome, TxProtocol, TxStep};
+pub use prism_tx::{TxClient, TxCluster, TxConfig, TxOp, TxServer};
 pub use ts::{Ts, TxClock};

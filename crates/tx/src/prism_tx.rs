@@ -57,6 +57,7 @@ use prism_core::{OpStatus, PrismServer};
 use prism_rdma::hash::IntMap;
 use prism_rdma::region::AccessFlags;
 
+use crate::driver::{TxOutcome, TxProtocol, TxStep};
 use crate::ts::{Ts, TxClock};
 
 /// Per-key slot size.
@@ -446,11 +447,6 @@ impl TxCluster {
         &self.shards[i]
     }
 
-    /// Total keys across shards.
-    pub fn n_keys(&self) -> u64 {
-        self.shards.iter().map(|s| s.view.capacity).sum()
-    }
-
     /// Opens a client with a fresh id and per-shard scratch.
     pub fn open_client(&self) -> TxClient {
         let id = self
@@ -481,39 +477,10 @@ pub struct TxClient {
     clock: TxClock,
     integrity: Arc<IntegrityStats>,
     /// The working lists of the last attempt that finished, emptied but
-    /// with their storage kept, for the next [`TxClient::begin`] to
+    /// with their storage kept, for the next [`TxProtocol::begin`] to
     /// reuse: a client running one transaction after another allocates
     /// them once.
     spare: WorkLists,
-}
-
-/// Outcome of a transaction attempt.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TxOutcome {
-    /// Validated and (for non-read-only transactions) installed; carries
-    /// the values read during execution.
-    Committed(HashMap<u64, Vec<u8>>),
-    /// A validation check failed; the caller may retry with fresh reads.
-    Aborted,
-    /// Infrastructure failure (e.g. buffer pool exhausted mid-commit).
-    Failed(&'static str),
-}
-
-/// What the driver should do next. `done` is set exactly once.
-#[derive(Debug, Clone, Default)]
-pub struct TxStep {
-    /// `(shard, phase, request-index, request)` to send.
-    pub send: Vec<(usize, u32, u32, Request)>,
-    /// Fire-and-forget requests (buffer frees, abort C-bumps).
-    pub background: Vec<(usize, Request)>,
-    /// A deferred-write transaction finished its execution phase: the
-    /// caller must compute its writes from [`TxOp::values`] and call
-    /// [`TxOp::supply_writes`] to continue (the read-modify-write shape
-    /// — computing writes from a *separate* earlier transaction's reads
-    /// would reintroduce the lost-update window OCC exists to prevent).
-    pub awaiting_writes: bool,
-    /// Set when the transaction attempt completes.
-    pub done: Option<TxOutcome>,
 }
 
 const PH_EXEC: u32 = 0;
@@ -618,61 +585,18 @@ impl TxClient {
         k / self.views.len() as u64
     }
 
-    /// Starts a transaction that reads `read_keys` and then writes
-    /// `writes` (write keys need not be read first — blind writes are
-    /// validated against `PR`/`PW` only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a write value has the wrong length or a key is out of
-    /// range.
-    pub fn begin(&mut self, read_keys: Vec<u64>, writes: Vec<(u64, Vec<u8>)>) -> (TxOp, TxStep) {
-        for (k, v) in &writes {
+    /// Panics unless every key is in range and every value
+    /// `value_len` bytes long.
+    fn check(&self, keys: &[u64], writes: &[(u64, Vec<u8>)]) {
+        for (_, v) in writes {
             assert_eq!(v.len() as u64, self.views[0].value_len, "bad value len");
+        }
+        for k in keys.iter().chain(writes.iter().map(|(k, _)| k)) {
             assert!(
                 self.index_of(*k) < self.views[0].capacity,
                 "key {k} out of range"
             );
         }
-        for k in &read_keys {
-            assert!(
-                self.index_of(*k) < self.views[0].capacity,
-                "key {k} out of range"
-            );
-        }
-        let mut op = TxOp {
-            read_keys,
-            writes,
-            phase: Phase::Execute,
-            work: std::mem::take(&mut self.spare),
-            outstanding: 0,
-            ts: Ts::ZERO,
-            values: HashMap::new(),
-            valid: true,
-            deferred: false,
-        };
-        let step = op.exec_sends(self);
-        (op, step)
-    }
-
-    /// Starts a read-modify-write transaction: executes the reads, then
-    /// pauses (`TxStep::awaiting_writes`) so the caller can compute the
-    /// write set from the values actually read — see
-    /// [`TxOp::supply_writes`].
-    pub fn begin_rmw(&mut self, read_keys: Vec<u64>) -> (TxOp, TxStep) {
-        let (mut op, step) = self.begin(read_keys, vec![]);
-        op.deferred = true;
-        if step.send.is_empty() {
-            // No reads at all: hand control back immediately.
-            return (
-                op,
-                TxStep {
-                    awaiting_writes: true,
-                    ..Default::default()
-                },
-            );
-        }
-        (op, step)
     }
 
     fn free_request(addr: u64) -> Request {
@@ -684,45 +608,6 @@ impl TxClient {
 }
 
 impl TxOp {
-    /// The timestamp chosen at prepare (for tests/diagnostics).
-    pub fn timestamp(&self) -> Ts {
-        self.ts
-    }
-
-    /// Values read during execution (keyed by global key). A commit
-    /// moves them into [`TxOutcome::Committed`], so the map is empty
-    /// once the attempt is done.
-    pub fn values(&self) -> &HashMap<u64, Vec<u8>> {
-        &self.values
-    }
-
-    /// Takes the read-key list back out of an attempt that is done, so
-    /// that a retry can begin over the same keys without copying them.
-    /// An attempt still in flight needs its keys: call this only after
-    /// [`TxStep::done`] was set.
-    pub fn take_read_keys(&mut self) -> Vec<u64> {
-        debug_assert_eq!(self.phase, Phase::Done, "attempt still in flight");
-        std::mem::take(&mut self.read_keys)
-    }
-
-    /// Continues a [`TxClient::begin_rmw`] transaction: installs the
-    /// write set and starts the prepare phase.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the transaction is not a deferred one paused after its
-    /// execution phase.
-    pub fn supply_writes(&mut self, c: &mut TxClient, writes: Vec<(u64, Vec<u8>)>) -> TxStep {
-        assert!(self.deferred, "supply_writes on a non-deferred transaction");
-        assert_eq!(self.phase, Phase::Execute, "writes already supplied");
-        for (k, v) in &writes {
-            assert_eq!(v.len() as u64, c.views[0].value_len, "bad value len");
-            assert!(c.index_of(*k) < c.views[0].capacity, "key {k} out of range");
-        }
-        self.writes = writes;
-        self.prepare_sends(c)
-    }
-
     fn exec_sends(&mut self, c: &mut TxClient) -> TxStep {
         if self.read_keys.is_empty() {
             // Blind-write transaction: go straight to prepare.
@@ -955,14 +840,11 @@ impl TxOp {
         work.reqs.clear();
         work.write_checked.clear();
         c.spare = work;
-        TxStep {
-            done: Some(outcome),
-            ..Default::default()
-        }
+        TxStep::finished(outcome)
     }
 
     /// Ends the attempt committed. The read set moves into the outcome:
-    /// nothing reads [`TxOp::values`] once the attempt is done.
+    /// nothing reads [`TxProtocol::values`] once the attempt is done.
     fn commit(&mut self, c: &mut TxClient) -> TxStep {
         let values = std::mem::take(&mut self.values);
         self.finish(c, TxOutcome::Committed(values))
@@ -995,10 +877,48 @@ impl TxOp {
             Phase::Done => TxStep::default(),
         }
     }
+}
 
-    /// Feeds one reply.
-    pub fn on_reply(&mut self, c: &mut TxClient, phase: u32, req_idx: u32, reply: Reply) -> TxStep {
-        let current = match self.phase {
+impl TxProtocol for TxClient {
+    type Cluster = TxCluster;
+    type Op = TxOp;
+
+    fn server(cluster: &TxCluster, shard: usize) -> &PrismServer {
+        cluster.shard(shard).server()
+    }
+
+    /// Blind writes (write keys not read first) are validated against
+    /// `PR`/`PW` only.
+    fn begin(&mut self, read_keys: Vec<u64>, writes: Vec<(u64, Vec<u8>)>) -> (TxOp, TxStep) {
+        self.check(&read_keys, &writes);
+        let mut op = TxOp {
+            read_keys,
+            writes,
+            phase: Phase::Execute,
+            work: std::mem::take(&mut self.spare),
+            outstanding: 0,
+            ts: Ts::ZERO,
+            values: HashMap::new(),
+            valid: true,
+            deferred: false,
+        };
+        let step = op.exec_sends(self);
+        (op, step)
+    }
+
+    fn begin_rmw(&mut self, read_keys: Vec<u64>) -> (TxOp, TxStep) {
+        let (mut op, step) = self.begin(read_keys, vec![]);
+        op.deferred = true;
+        if step.send.is_empty() {
+            // No reads at all: hand control back immediately.
+            return (op, TxStep::paused());
+        }
+        (op, step)
+    }
+
+    fn on_reply(&mut self, op: &mut TxOp, phase: u32, req_idx: u32, reply: Reply) -> TxStep {
+        let c = self;
+        let current = match op.phase {
             Phase::Execute => PH_EXEC,
             Phase::Prepare => PH_PREPARE,
             Phase::Commit => PH_COMMIT,
@@ -1011,25 +931,25 @@ impl TxOp {
         // layer's timeout stand-in) is a lost round trip, never a
         // panic: execute/prepare losses abort and retry; a commit loss
         // is genuinely indeterminate and surfaces as a counted failure.
-        let Some(&req) = self.work.reqs.get(req_idx as usize) else {
-            return self.lost_reply(c);
+        let Some(&req) = op.work.reqs.get(req_idx as usize) else {
+            return op.lost_reply(c);
         };
-        let Some(mut results) = reply.chain_results() else {
-            return self.lost_reply(c);
+        let Ok(mut results) = reply.into_chain() else {
+            return op.lost_reply(c);
         };
-        match self.phase {
+        match op.phase {
             Phase::Execute => {
                 for (i, at) in (req.start..req.end).enumerate() {
-                    let k = self.work.reads[at].key;
+                    let k = op.work.reads[at].key;
                     let slot_c = match results.get(2 * i).map(|r| r.expect_data()) {
                         Some(Ok(d)) if d.len() == 16 => Ts::from_bytes(&d[..8]),
-                        _ => return self.finish(c, TxOutcome::Failed("execution slot read error")),
+                        _ => return op.finish(c, TxOutcome::Failed("execution slot read error")),
                     };
                     let version = match results.get_mut(2 * i + 1) {
                         Some(r) if r.expect_data().is_ok_and(|d| d.len() >= VER_HDR as usize) => {
                             &mut r.data
                         }
-                        _ => return self.finish(c, TxOutcome::Failed("execution read error")),
+                        _ => return op.finish(c, TxOutcome::Failed("execution read error")),
                     };
                     let embedded = u64::from_le_bytes(version[8..16].try_into().expect("8B"));
                     if !version_crc_ok(version) || embedded != k {
@@ -1040,34 +960,31 @@ impl TxOp {
                         // install heals the key by overwrite.
                         c.integrity.note_detected();
                         c.integrity.note_aborted();
-                        return self.finish(c, TxOutcome::Aborted);
+                        return op.finish(c, TxOutcome::Aborted);
                     }
-                    self.work.reads[at].rc = Ts::from_bytes(&version[..8]).max(slot_c);
+                    op.work.reads[at].rc = Ts::from_bytes(&version[..8]).max(slot_c);
                     // The reply's buffer becomes the value: its header
                     // is cut off in place rather than the value copied
                     // out.
                     let mut value = std::mem::take(version);
                     value.drain(..VER_HDR as usize);
-                    self.values.insert(k, value);
+                    op.values.insert(k, value);
                 }
-                self.outstanding -= 1;
-                if self.outstanding == 0 {
-                    if self.deferred {
-                        return TxStep {
-                            awaiting_writes: true,
-                            ..Default::default()
-                        };
+                op.outstanding -= 1;
+                if op.outstanding == 0 {
+                    if op.deferred {
+                        return TxStep::paused();
                     }
-                    return self.prepare_sends(c);
+                    return op.prepare_sends(c);
                 }
                 TxStep::default()
             }
             Phase::Prepare => {
                 for (i, at) in (req.start..req.end).enumerate() {
                     let Some(result) = results.get(i) else {
-                        return self.lost_reply(c);
+                        return op.lost_reply(c);
                     };
-                    match self.work.prep[at].1 {
+                    match op.work.prep[at].1 {
                         PrepOp::Rv { rc, .. } => match &result.status {
                             OpStatus::Ok => {}
                             OpStatus::CasFailed if result.data.len() >= 16 => {
@@ -1080,12 +997,12 @@ impl TxOp {
                                 // unchanged since we read RC); the CAS
                                 // only failed because PR >= TS already.
                                 if pw != rc {
-                                    self.valid = false;
+                                    op.valid = false;
                                 }
                             }
-                            _ => return self.finish(c, TxOutcome::Failed("read validation error")),
+                            _ => return op.finish(c, TxOutcome::Failed("read validation error")),
                         },
-                        op @ (PrepOp::WvCond(k) | PrepOp::Wv(k)) => match &result.status {
+                        prep @ (PrepOp::WvCond(k) | PrepOp::Wv(k)) => match &result.status {
                             OpStatus::Ok if result.data.len() >= 16 => {
                                 let old = &result.data;
                                 let pr = Ts::from_bytes(&old[8..16]);
@@ -1093,40 +1010,38 @@ impl TxOp {
                                 // eligible for the abort-path C-bump;
                                 // blind writes are excluded (see
                                 // `prepare_sends`).
-                                if matches!(op, PrepOp::WvCond(_)) {
-                                    self.work.write_checked.push(k);
+                                if matches!(prep, PrepOp::WvCond(_)) {
+                                    op.work.write_checked.push(k);
                                 }
                                 // Timestamps are unique, so PR == TS can
                                 // only be this transaction's own read
                                 // validation (earlier in this chain) —
                                 // not a conflict. Abort only on a
                                 // strictly later prepared reader.
-                                if pr > self.ts {
+                                if pr > op.ts {
                                     c.clock.observe(pr);
-                                    self.valid = false;
+                                    op.valid = false;
                                 }
                             }
                             OpStatus::CasFailed if result.data.len() >= 8 => {
                                 let old = &result.data;
                                 c.clock.observe(Ts::from_bytes(&old[0..8]));
-                                self.valid = false;
+                                op.valid = false;
                             }
                             // Skipped: the paired read validation did not
                             // swap, so this transaction must abort — and,
                             // by design, it has not poisoned PW.
-                            OpStatus::Skipped => self.valid = false,
-                            _ => {
-                                return self.finish(c, TxOutcome::Failed("write validation error"))
-                            }
+                            OpStatus::Skipped => op.valid = false,
+                            _ => return op.finish(c, TxOutcome::Failed("write validation error")),
                         },
                     }
                 }
-                self.outstanding -= 1;
-                if self.outstanding == 0 {
-                    if !self.valid {
-                        return self.abort_prepared(c);
+                op.outstanding -= 1;
+                if op.outstanding == 0 {
+                    if !op.valid {
+                        return op.abort_prepared(c);
                     }
-                    return self.commit_sends(c);
+                    return op.commit_sends(c);
                 }
                 TxStep::default()
             }
@@ -1136,7 +1051,7 @@ impl TxOp {
                     let (Some(cas), Some(readback)) =
                         (results.get(j * 4 + 2), results.get(j * 4 + 3))
                     else {
-                        return self.lost_reply(c);
+                        return op.lost_reply(c);
                     };
                     match &cas.status {
                         OpStatus::Ok => {
@@ -1162,16 +1077,16 @@ impl TxOp {
                         _ => {
                             return TxStep {
                                 background,
-                                ..self.finish(c, TxOutcome::Failed("commit install error"))
+                                ..op.finish(c, TxOutcome::Failed("commit install error"))
                             };
                         }
                     }
                 }
-                self.outstanding -= 1;
-                if self.outstanding == 0 {
+                op.outstanding -= 1;
+                if op.outstanding == 0 {
                     return TxStep {
                         background,
-                        ..self.commit(c)
+                        ..op.commit(c)
                     };
                 }
                 TxStep {
@@ -1182,80 +1097,30 @@ impl TxOp {
             Phase::Done => TxStep::default(),
         }
     }
-}
 
-/// Drives a transaction attempt to completion against local shards
-/// (live mode / tests).
-pub fn drive(cluster: &TxCluster, client: &mut TxClient, mut op: TxOp, first: TxStep) -> TxOutcome {
-    use prism_core::msg::execute_local;
-    let mut queue = first.send;
-    let mut bg = first.background;
-    let mut outcome = first.done;
-    while let Some((shard, phase, idx, req)) = queue.pop() {
-        for (s, breq) in bg.drain(..) {
-            execute_local(cluster.shard(s).server(), &breq);
-        }
-        let reply = execute_local(cluster.shard(shard).server(), &req);
-        let step = op.on_reply(client, phase, idx, reply);
-        queue.extend(step.send);
-        bg.extend(step.background);
-        if outcome.is_none() {
-            outcome = step.done;
-        }
+    /// Installs the write set and starts the prepare phase.
+    fn supply_writes(&mut self, op: &mut TxOp, writes: Vec<(u64, Vec<u8>)>) -> TxStep {
+        assert!(op.deferred, "supply_writes on a non-deferred transaction");
+        assert_eq!(op.phase, Phase::Execute, "writes already supplied");
+        self.check(&[], &writes);
+        op.writes = writes;
+        op.prepare_sends(self)
     }
-    for (s, breq) in bg.drain(..) {
-        execute_local(cluster.shard(s).server(), &breq);
-    }
-    outcome.unwrap_or(TxOutcome::Failed("drive finished without outcome"))
-}
 
-/// Convenience: run a read-modify-write transaction with retries until
-/// it commits or the budget is spent. The writes are computed from the
-/// same execution reads the transaction validates (a single deferred
-/// transaction, not read-then-write-again). Returns
-/// `(outcome, attempts)`.
-pub fn run_rmw(
-    cluster: &TxCluster,
-    client: &mut TxClient,
-    keys: &[u64],
-    mk_value: impl Fn(u64, &HashMap<u64, Vec<u8>>) -> Vec<u8>,
-    max_attempts: u32,
-) -> (TxOutcome, u32) {
-    use prism_core::msg::execute_local;
-    for attempt in 1..=max_attempts {
-        let (mut op, step) = client.begin_rmw(keys.to_vec());
-        // Drive the execution phase until the machine asks for writes.
-        let mut queue = step.send;
-        let mut awaiting = step.awaiting_writes;
-        while !awaiting {
-            let Some((shard, phase, idx, req)) = queue.pop() else {
-                return (TxOutcome::Failed("execution stalled"), attempt);
-            };
-            let reply = execute_local(cluster.shard(shard).server(), &req);
-            let s = op.on_reply(client, phase, idx, reply);
-            if let Some(done) = s.done {
-                return (done, attempt);
-            }
-            queue.extend(s.send);
-            awaiting = s.awaiting_writes;
-        }
-        let writes: Vec<_> = keys
-            .iter()
-            .map(|&k| (k, mk_value(k, op.values())))
-            .collect();
-        let step = op.supply_writes(client, writes);
-        match drive(cluster, client, op, step) {
-            TxOutcome::Committed(v) => return (TxOutcome::Committed(v), attempt),
-            TxOutcome::Aborted => continue,
-            f => return (f, attempt),
-        }
+    fn values(op: &TxOp) -> &HashMap<u64, Vec<u8>> {
+        &op.values
     }
-    (TxOutcome::Aborted, max_attempts)
+
+    fn take_read_keys(op: &mut TxOp) -> Vec<u64> {
+        debug_assert_eq!(op.phase, Phase::Done, "attempt still in flight");
+        std::mem::take(&mut op.read_keys)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{drive, run_rmw};
 
     fn cluster(shards: usize, keys_per_shard: u64) -> TxCluster {
         TxCluster::new(shards, &TxConfig::paper(keys_per_shard, 32))
@@ -1304,7 +1169,7 @@ mod tests {
         let mut c = cl.open_client();
         let (mut op, step) = c.begin(vec![0], vec![(0, vec![1u8; 32])]);
         let (shard, phase, idx, _req) = step.send[0].clone();
-        let s = op.on_reply(&mut c, phase, idx, timeout_reply());
+        let s = c.on_reply(&mut op, phase, idx, timeout_reply());
         assert_eq!(s.done, Some(TxOutcome::Aborted));
         let _ = shard;
 
@@ -1320,10 +1185,10 @@ mod tests {
                 continue;
             }
             let reply = prism_core::msg::execute_local(cl.shard(shard).server(), &req);
-            queue.extend(op.on_reply(&mut c, phase, idx, reply).send);
+            queue.extend(c.on_reply(&mut op, phase, idx, reply).send);
         }
         let (_, phase, idx) = prepare.expect("reached prepare");
-        let s = op.on_reply(&mut c, phase, u32::MAX, timeout_reply());
+        let s = c.on_reply(&mut op, phase, u32::MAX, timeout_reply());
         assert_eq!(s.done, Some(TxOutcome::Aborted));
         let _ = idx;
 
@@ -1338,10 +1203,10 @@ mod tests {
                 continue;
             }
             let reply = prism_core::msg::execute_local(cl.shard(shard).server(), &req);
-            queue.extend(op.on_reply(&mut c, phase, idx, reply).send);
+            queue.extend(c.on_reply(&mut op, phase, idx, reply).send);
         }
         let (_, phase, idx) = commit.expect("reached commit");
-        let s = op.on_reply(&mut c, phase, idx, timeout_reply());
+        let s = c.on_reply(&mut op, phase, idx, timeout_reply());
         assert!(matches!(s.done, Some(TxOutcome::Failed(_))));
     }
 
@@ -1392,7 +1257,7 @@ mod tests {
         let mut prepare_step = None;
         while let Some((shard, phase, idx, req)) = queue.pop() {
             let reply = prism_core::msg::execute_local(cl.shard(shard).server(), &req);
-            let s = op.on_reply(&mut c1, phase, idx, reply);
+            let s = c1.on_reply(&mut op, phase, idx, reply);
             if s.send.iter().any(|(_, p, _, _)| *p == PH_PREPARE) {
                 prepare_step = Some(s);
                 break;
@@ -1426,7 +1291,7 @@ mod tests {
         let mut commit_step = None;
         while let Some((shard, phase, idx, req)) = queue.pop() {
             let reply = prism_core::msg::execute_local(cl.shard(shard).server(), &req);
-            let s = op.on_reply(&mut c2, phase, idx, reply);
+            let s = c2.on_reply(&mut op, phase, idx, reply);
             if s.send.iter().any(|(_, p, _, _)| *p == PH_COMMIT) {
                 commit_step = Some(s);
                 break;
@@ -1491,7 +1356,7 @@ mod tests {
                     let mut committed = 0;
                     while committed < per_thread {
                         let (o, _) = run_rmw(
-                            &cl,
+                            &*cl,
                             &mut c,
                             &[3],
                             |_, vals| {
@@ -1546,7 +1411,7 @@ mod tests {
                     while done < 20 {
                         let amount = (t + 1) as u32;
                         let (o, _) = run_rmw(
-                            &cl,
+                            &*cl,
                             &mut c,
                             &[0, 1],
                             move |k, vals| {
@@ -1594,7 +1459,7 @@ mod tests {
         let mut queue = step.send;
         while let Some((shard, phase, idx, req)) = queue.pop() {
             let reply = prism_core::msg::execute_local(cl.shard(shard).server(), &req);
-            let s = op.on_reply(c, phase, idx, reply);
+            let s = c.on_reply(op, phase, idx, reply);
             if stop(&s) {
                 return Some(s);
             }
@@ -1787,22 +1652,25 @@ mod tests {
         let (mut op, step) = c.begin_rmw(vec![3, 4]);
         let paused = drive_until(&cl, &mut c, &mut op, step, |s| s.awaiting_writes);
         assert!(paused.is_some(), "execution must pause for the writes");
-        assert_eq!(op.values(), &want, "after execution");
+        assert_eq!(TxClient::values(&op), &want, "after execution");
 
         let writes = vec![(3, vec![0x33; 32]), (4, vec![0x44; 32])];
-        let prepare = op.supply_writes(&mut c, writes);
+        let prepare = c.supply_writes(&mut op, writes);
         assert!(sends_phase(PH_PREPARE)(&prepare));
-        assert_eq!(op.values(), &want, "prepare sent");
+        assert_eq!(TxClient::values(&op), &want, "prepare sent");
 
         let commit =
             drive_until(&cl, &mut c, &mut op, prepare, sends_phase(PH_COMMIT)).expect("validated");
-        assert_eq!(op.values(), &want, "commit sent");
+        assert_eq!(TxClient::values(&op), &want, "commit sent");
 
         let done =
             drive_until(&cl, &mut c, &mut op, commit, |s| s.done.is_some()).expect("committed");
         assert_eq!(done.done, Some(TxOutcome::Committed(want)));
-        assert!(op.values().is_empty(), "the outcome took the read set");
-        assert_eq!(op.take_read_keys(), vec![3, 4]);
+        assert!(
+            TxClient::values(&op).is_empty(),
+            "the outcome took the read set"
+        );
+        assert_eq!(TxClient::take_read_keys(&mut op), vec![3, 4]);
         assert_eq!(read_keys(&cl, &mut c, &[3, 4])[&4], vec![0x44; 32]);
     }
 
@@ -1896,28 +1764,28 @@ mod tests {
         let (mut op, step) = c.begin(vec![0, 1], vec![(0, vec![1; 32])]);
         assert_eq!(step.send.len(), 2);
         for phase in [PH_PREPARE, PH_COMMIT, 9] {
-            let s = op.on_reply(&mut c, phase, 0, chain_of(2));
+            let s = c.on_reply(&mut op, phase, 0, chain_of(2));
             assert!(s.done.is_none() && s.send.is_empty() && s.background.is_empty());
         }
         let (shard, phase, idx, req) = step.send[0].clone();
-        let s = op.on_reply(
-            &mut c,
+        let s = c.on_reply(
+            &mut op,
             phase,
             idx,
             execute_local(cl.shard(shard).server(), &req),
         );
         assert!(s.done.is_none(), "first of two execution replies");
-        assert_eq!(op.values().len(), 1);
-        let s = op.on_reply(&mut c, PH_EXEC, 2, chain_of(2));
+        assert_eq!(TxClient::values(&op).len(), 1);
+        let s = c.on_reply(&mut op, PH_EXEC, 2, chain_of(2));
         assert_eq!(s.done, Some(TxOutcome::Aborted), "index past the requests");
         for (phase, idx) in [(PH_EXEC, 0), (PH_EXEC, 1), (PH_PREPARE, 0), (PH_COMMIT, 7)] {
-            let s = op.on_reply(&mut c, phase, idx, chain_of(2));
+            let s = c.on_reply(&mut op, phase, idx, chain_of(2));
             assert!(s.done.is_none() && s.send.is_empty() && s.background.is_empty());
         }
 
         // Execute: a chain reply missing its results is a failure.
         let (mut op, step) = c.begin(vec![2], vec![]);
-        let s = op.on_reply(&mut c, PH_EXEC, step.send[0].2, chain_of(0));
+        let s = c.on_reply(&mut op, PH_EXEC, step.send[0].2, chain_of(0));
         assert_eq!(s.done, Some(TxOutcome::Failed("execution slot read error")));
 
         // Prepare: a truncated chain reply aborts with the cleanup of
@@ -1925,7 +1793,7 @@ mod tests {
         // truncated reply are both indeterminate.
         let (mut op, step) = c.begin(vec![3], vec![(3, vec![2; 32])]);
         let prepare = drive_until(&cl, &mut c, &mut op, step, sends_phase(PH_PREPARE)).unwrap();
-        let s = op.on_reply(&mut c, PH_PREPARE, prepare.send[0].2, chain_of(1));
+        let s = c.on_reply(&mut op, PH_PREPARE, prepare.send[0].2, chain_of(1));
         assert_eq!(s.done, Some(TxOutcome::Aborted));
 
         // (Each case on its own key: the attempt it abandons leaves that
@@ -1934,9 +1802,9 @@ mod tests {
             let (mut op, step) = c.begin(vec![key], vec![(key, vec![3; 32])]);
             let commit = drive_until(&cl, &mut c, &mut op, step, sends_phase(PH_COMMIT)).unwrap();
             let s = if garbled_index {
-                op.on_reply(&mut c, PH_COMMIT, u32::MAX, chain_of(4))
+                c.on_reply(&mut op, PH_COMMIT, u32::MAX, chain_of(4))
             } else {
-                op.on_reply(&mut c, PH_COMMIT, commit.send[0].2, chain_of(2))
+                c.on_reply(&mut op, PH_COMMIT, commit.send[0].2, chain_of(2))
             };
             assert_eq!(s.done, Some(TxOutcome::Failed("commit reply lost")));
         }
@@ -1969,7 +1837,7 @@ mod tests {
         assert_eq!(lists(&c.spare), (0, [0; 4]), "taken by the attempt");
         assert_eq!(lists(&op.work).1[1..], caps[1..]);
         let timeout = Reply::Verb(Err(prism_rdma::RdmaError::ReceiverNotReady));
-        let s = op.on_reply(&mut c, PH_EXEC, step.send[0].2, timeout);
+        let s = c.on_reply(&mut op, PH_EXEC, step.send[0].2, timeout);
         assert_eq!(s.done, Some(TxOutcome::Aborted));
         assert_eq!(lists(&c.spare).0, 0);
         assert!(c.spare.reads.capacity() >= 2);

@@ -11,7 +11,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use prism_tx::prism_tx::{drive, run_rmw, TxCluster, TxConfig, TxOutcome};
+use prism_tx::prism_tx::{TxCluster, TxConfig};
+use prism_tx::{drive, run_rmw, TxOutcome, TxProtocol};
 
 const VALUE: u64 = 64;
 const ACCOUNTS: u64 = 64;
@@ -50,7 +51,7 @@ fn main() {
         for k in 0..ACCOUNTS {
             let (op, step) = client.begin(vec![], vec![(k, encode_balance(1000))]);
             assert!(matches!(
-                drive(&cluster, &mut client, op, step),
+                drive(&*cluster, &mut client, op, step),
                 TxOutcome::Committed(_)
             ));
         }
@@ -84,7 +85,7 @@ fn main() {
                     let amount = 1 + rand() % 10;
                     let keys = if from < to { [from, to] } else { [to, from] };
                     let (o, tries) = run_rmw(
-                        &cluster,
+                        &*cluster,
                         &mut client,
                         &keys,
                         move |k, vals| {

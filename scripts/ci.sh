@@ -48,9 +48,11 @@
 #                           benchmark pipeline; its tests (smoke scale,
 #                           including traced-equals-untraced
 #                           bit-identity) build it against this tree
-#   6. second-seed pass   — the gate suites, then both migration gates,
-#                           again under a different PRISM_TEST_SEED, so
-#                           the gates don't ossify around one lucky
+#   6. second-seed pass   — the gate suites and the transaction replay
+#                           (PRISM-TX and FaRM, pristine and lossy
+#                           fabrics), then both migration gates, again
+#                           under a different PRISM_TEST_SEED, so the
+#                           gates don't ossify around one lucky
 #                           schedule. One background process that runs
 #                           alongside step 7 (the test binaries exist
 #                           by now and the benches build into another
@@ -111,7 +113,7 @@ MIGRATION_GATE=(rs_migration_chaos_stays_linearizable_through_live_reshard
     kv_migration_chaos_stays_linearizable_through_live_reshard)
 GATES=(--test fault_matrix --test chaos_gate --test corruption_matrix
     --test durability_gate --test store_properties
-    --test openloop_smoke --test gray_gate)
+    --test openloop_smoke --test gray_gate --test tx_replay)
 SECOND_SEED=1806242025
 
 # Both reshard gates, by exact name; fails unless exactly those ran.

@@ -5,7 +5,11 @@
 use std::sync::{Arc, Mutex};
 
 use prism_tx::farm;
-use prism_tx::prism_tx::{drive, run_rmw, TxCluster, TxConfig, TxOutcome};
+use prism_tx::prism_tx::{TxCluster, TxConfig};
+use prism_tx::{drive, run_rmw, TxOutcome, TxProtocol};
+
+mod support;
+use support::metrics_key;
 
 const VALUE: u64 = 32;
 
@@ -23,19 +27,22 @@ fn dec(v: &[u8]) -> u64 {
 /// read and the value it wrote (read + 1). If the final counter equals
 /// the number of committed increments and every read value was some
 /// previous write, the history serializes as a simple chain.
-#[test]
-fn prism_tx_counter_chain_is_gapless() {
-    let cluster = Arc::new(TxCluster::new(2, &TxConfig::paper(8, VALUE)));
+fn counter_chain_is_gapless<P>(cluster: P::Cluster, open: fn(&P::Cluster) -> P)
+where
+    P: TxProtocol + 'static,
+    P::Cluster: Send + Sync + 'static,
+{
+    let cluster = Arc::new(cluster);
     let observations: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
     let threads: Vec<_> = (0..4)
         .map(|_| {
             let cluster = Arc::clone(&cluster);
             let observations = Arc::clone(&observations);
             std::thread::spawn(move || {
-                let mut client = cluster.open_client();
+                let mut client = open(&cluster);
                 for _ in 0..50 {
                     let (o, _) = run_rmw(
-                        &cluster,
+                        &*cluster,
                         &mut client,
                         &[5],
                         |_, vals| enc(dec(&vals[&5]) + 1),
@@ -62,12 +69,33 @@ fn prism_tx_counter_chain_is_gapless() {
     let expected: Vec<u64> = (0..200).collect();
     assert_eq!(obs, expected, "increment chain has gaps or duplicates");
     // And the final value is 200.
-    let mut client = cluster.open_client();
+    let mut client = open(&cluster);
     let (op, step) = client.begin(vec![5], vec![]);
-    match drive(&cluster, &mut client, op, step) {
+    match drive(&*cluster, &mut client, op, step) {
         TxOutcome::Committed(vals) => assert_eq!(dec(&vals[&5]), 200),
         o => panic!("{o:?}"),
     }
+}
+
+#[test]
+fn prism_tx_counter_chain_is_gapless() {
+    let cluster = TxCluster::new(2, &TxConfig::paper(8, VALUE));
+    counter_chain_is_gapless(cluster, TxCluster::open_client);
+}
+
+/// The same gapless-counter property must hold for the FaRM baseline —
+/// if it doesn't, figure comparisons would be comparing against a
+/// broken implementation.
+#[test]
+fn farm_counter_chain_is_gapless() {
+    let config = farm::FarmConfig {
+        keys_per_shard: 8,
+        value_len: VALUE,
+    };
+    counter_chain_is_gapless(
+        farm::FarmCluster::new(2, &config),
+        farm::FarmCluster::open_client,
+    );
 }
 
 /// Snapshot consistency across keys: writers keep `a + b` constant;
@@ -80,7 +108,7 @@ fn prism_tx_readers_see_consistent_snapshots() {
         for (k, v) in [(0u64, 500u64), (1, 500)] {
             let (op, step) = c.begin(vec![], vec![(k, enc(v))]);
             assert!(matches!(
-                drive(&cluster, &mut c, op, step),
+                drive(&*cluster, &mut c, op, step),
                 TxOutcome::Committed(_)
             ));
         }
@@ -96,7 +124,7 @@ fn prism_tx_readers_see_consistent_snapshots() {
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                     let delta = 1 + (i + t) % 7;
                     let _ = run_rmw(
-                        &cluster,
+                        &*cluster,
                         &mut client,
                         &[0, 1],
                         move |k, vals| {
@@ -120,7 +148,7 @@ fn prism_tx_readers_see_consistent_snapshots() {
     let mut checked = 0;
     while checked < 300 {
         let (op, step) = client.begin(vec![0, 1], vec![]);
-        match drive(&cluster, &mut client, op, step) {
+        match drive(&*cluster, &mut client, op, step) {
             TxOutcome::Committed(vals) => {
                 let total = dec(&vals[&0]) + dec(&vals[&1]);
                 assert_eq!(total, 1000, "reader saw a torn snapshot");
@@ -134,51 +162,6 @@ fn prism_tx_readers_see_consistent_snapshots() {
     for t in writers {
         t.join().unwrap();
     }
-}
-
-/// The same gapless-counter property must hold for the FaRM baseline —
-/// if it doesn't, figure comparisons would be comparing against a
-/// broken implementation.
-#[test]
-fn farm_counter_chain_is_gapless() {
-    let cluster = Arc::new(farm::FarmCluster::new(
-        2,
-        &farm::FarmConfig {
-            keys_per_shard: 8,
-            value_len: VALUE,
-        },
-    ));
-    let observations: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let threads: Vec<_> = (0..4)
-        .map(|_| {
-            let cluster = Arc::clone(&cluster);
-            let observations = Arc::clone(&observations);
-            std::thread::spawn(move || {
-                let mut client = cluster.open_client();
-                for _ in 0..50 {
-                    let (o, _) = farm::run_rmw(
-                        &cluster,
-                        &mut client,
-                        &[5],
-                        |_, vals| enc(dec(&vals[&5]) + 1),
-                        100_000,
-                    );
-                    match o {
-                        farm::FarmOutcome::Committed(vals) => {
-                            observations.lock().unwrap().push(dec(&vals[&5]));
-                        }
-                        other => panic!("{other:?}"),
-                    }
-                }
-            })
-        })
-        .collect();
-    for t in threads {
-        t.join().unwrap();
-    }
-    let mut obs = observations.lock().unwrap().clone();
-    obs.sort_unstable();
-    assert_eq!(obs, (0..200).collect::<Vec<u64>>());
 }
 
 /// Write-skew shape: two transactions each read both keys and write one.
@@ -199,7 +182,7 @@ fn prism_tx_prevents_write_skew() {
                 let my_key = t; // 0 or 1
                 for _ in 0..50 {
                     let _ = run_rmw(
-                        &cluster,
+                        &*cluster,
                         &mut client,
                         &[0, 1],
                         move |k, vals| {
@@ -223,7 +206,7 @@ fn prism_tx_prevents_write_skew() {
     }
     let mut client = cluster.open_client();
     let (op, step) = client.begin(vec![0, 1], vec![]);
-    match drive(&cluster, &mut client, op, step) {
+    match drive(&*cluster, &mut client, op, step) {
         TxOutcome::Committed(vals) => {
             let total = dec(&vals[&0]) + dec(&vals[&1]);
             assert!(total <= 10, "write skew: a + b = {total}");
@@ -301,28 +284,9 @@ fn faulted_tx_runs_complete_and_metrics_are_deterministic() {
         a.drops > 0 && a.timeouts > 0 && a.crash_drops > 0,
         "fault plan did not bite: {a:?}"
     );
-    assert_eq!(a.tput_ops.to_bits(), b.tput_ops.to_bits());
-    assert_eq!(a.mean_us.to_bits(), b.mean_us.to_bits());
-    assert_eq!(a.p99_us.to_bits(), b.p99_us.to_bits());
     assert_eq!(
-        (
-            a.failed,
-            a.backoffs,
-            a.drops,
-            a.dups,
-            a.timeouts,
-            a.retries,
-            a.crash_drops
-        ),
-        (
-            b.failed,
-            b.backoffs,
-            b.drops,
-            b.dups,
-            b.timeouts,
-            b.retries,
-            b.crash_drops
-        ),
+        metrics_key(&a),
+        metrics_key(&b),
         "same seed must reproduce identical fault metrics"
     );
 }
