@@ -1,8 +1,9 @@
 //! Helpers shared by the gate suites (`chaos_gate`, `gray_gate`,
 //! `fault_matrix`, `corruption_matrix`, `durability_gate`,
-//! `openloop_smoke`, `store_properties`, `golden_recovery`): the seed
-//! override, the replay fingerprints and their one-word folds for golden
-//! rows, the one-line counter dump, the minimal retrying read adapter,
+//! `openloop_smoke`, `store_properties`, `golden_recovery`) and
+//! `figures_smoke`: the seed override, the replay fingerprints and their
+//! one-word folds for golden rows (a figure table's included), the
+//! one-line counter dump, the minimal retrying read adapter,
 //! and the durable tier's record collector and disk fingerprint. Each
 //! suite is its own crate and uses a subset.
 #![allow(dead_code)]
@@ -12,6 +13,7 @@ use prism_core::msg::{Reply, Request};
 use prism_harness::chaos::{HistKind, HistOp};
 use prism_harness::netsim::{AdapterStep, Outbound, ProtoAdapter, RunResult};
 use prism_harness::openloop::OpenLoopResult;
+use prism_harness::table::Table;
 use prism_simnet::rng::SimRng;
 use prism_simnet::time::{SimDuration, SimTime};
 use prism_store::{Record, Replay, SegmentStore, SimDisk};
@@ -107,6 +109,13 @@ pub fn metrics_key(r: &RunResult) -> [u64; 30] {
 /// [`metrics_key`] folded to one word, for golden rows.
 pub fn run_key(r: &RunResult) -> u64 {
     fold_words(FNV_BASIS, &metrics_key(r))
+}
+
+/// A figure table's CSV and its peaks' bit patterns folded to one word,
+/// for golden rows.
+pub fn table_key(t: &Table, peaks: &[f64]) -> u64 {
+    let bits: Vec<u64> = peaks.iter().map(|p| p.to_bits()).collect();
+    fold_words(fnv1a(FNV_BASIS, t.to_csv().as_bytes()), &bits)
 }
 
 /// Every field of every recorded operation folded to one word (the fold
