@@ -12,7 +12,8 @@
 //! * who hears how each operation ended — an [`OpObserver`] (`()` hears
 //!   nothing; [`crate::chaos::Recorder`] writes a history);
 //! * whether reclamation traffic is coalesced — [`Coalesced`] wraps any
-//!   adapter and batches the frees it emits.
+//!   adapter and batches the frees it emits (PRISM-TX's too: it is the
+//!   one reclamation batcher).
 //!
 //! The figure adapters ([`PrismKvAdapter`], [`PrismRsAdapter`]) and the
 //! gates' history-recording ones ([`crate::chaos::ChaosKvAdapter`],
@@ -1193,6 +1194,12 @@ fn tx_backoff(consecutive_aborts: u32, rng: &mut SimRng) -> SimDuration {
     SimDuration::from_nanos(base + rng.gen_range(base))
 }
 
+/// A transaction step's background requests, as sends owed no reply.
+fn background(reqs: Vec<(usize, Request)>) -> impl Iterator<Item = Outbound> {
+    reqs.into_iter()
+        .map(|(shard, req)| Outbound::new(shard, 0, req, true))
+}
+
 /// Closed-loop YCSB-T client over a transaction protocol: each operation
 /// is a short read-modify-write transaction retried (with backoff) until
 /// it commits or fails (§8.3) — the one reply-handling loop for every
@@ -1202,8 +1209,8 @@ fn tx_backoff(consecutive_aborts: u32, rng: &mut SimRng) -> SimDuration {
 /// a failure after a lost round trip) is parked under its `seq` until
 /// those stragglers have arrived; a finished attempt of either protocol
 /// answers them with nothing. Background traffic (PRISM-TX's buffer
-/// frees and abort `C`-bumps; FaRM sends none) passes through the free
-/// batcher, which coalesces single frees per shard.
+/// frees and abort `C`-bumps; FaRM sends none) is emitted as is:
+/// [`PrismTxAdapter`] coalesces it through [`Coalesced`].
 pub struct TxDriver<P: TxProtocol> {
     client: P,
     gen: TxnGen,
@@ -1215,7 +1222,6 @@ pub struct TxDriver<P: TxProtocol> {
     aborts: u64,
     consecutive_aborts: u32,
     rng: SimRng,
-    frees: FreeBatcher,
 }
 
 impl<P: TxProtocol> TxDriver<P> {
@@ -1232,7 +1238,6 @@ impl<P: TxProtocol> TxDriver<P> {
             aborts: 0,
             consecutive_aborts: 0,
             rng: SimRng::new(backoff_seed),
-            frees: FreeBatcher::new(),
         }
     }
 
@@ -1254,33 +1259,16 @@ impl<P: TxProtocol> TxDriver<P> {
         self.absorb(step).0
     }
 
-    /// Tags and counts the step's requests and passes its background
-    /// traffic through the free batcher.
+    /// Tags and counts the step's requests, then appends its background
+    /// traffic.
     fn absorb(&mut self, step: TxStep) -> (Vec<Outbound>, Option<TxOutcome>) {
-        // Sized for the replies-expected sends; frees mostly vanish into
-        // the batcher, and what it lets through (a flush, an abort's
-        // C-bumps) is the rare push past this.
-        let mut sends = Vec::with_capacity(step.send.len());
+        let mut sends = Vec::with_capacity(step.send.len() + step.background.len());
         for (shard, phase, idx, req) in step.send {
             self.outstanding += 1;
-            sends.push(Outbound {
-                server: shard,
-                tag: tag(self.seq, phase, idx),
-                req,
-                background: false,
-                epoch: 0,
-            });
+            sends.push(Outbound::new(shard, tag(self.seq, phase, idx), req, false));
         }
-        self.background(step.background, &mut sends);
+        sends.extend(background(step.background));
         (sends, step.done)
-    }
-
-    fn background(&mut self, reqs: Vec<(usize, Request)>, sends: &mut Vec<Outbound>) {
-        for (shard, mut req) in reqs {
-            if self.frees.absorb(shard, &mut req) {
-                sends.push(Outbound::new(shard, 0, req, true));
-            }
-        }
     }
 
     /// Parks an attempt the client is done with while replies to it are
@@ -1314,7 +1302,7 @@ impl<P: TxProtocol> ProtoAdapter for TxDriver<P> {
                 if *remaining == 0 {
                     self.lingering.remove(&seq);
                 }
-                self.background(step.background, &mut sends);
+                sends.extend(background(step.background));
             }
             return AdapterStep::Wait(sends);
         }
@@ -1365,18 +1353,20 @@ impl<P: TxProtocol> ProtoAdapter for TxDriver<P> {
     }
 }
 
-/// Closed-loop YCSB-T client over PRISM-TX (Figures 9–10).
-pub type PrismTxAdapter = TxDriver<TxClient>;
+/// Closed-loop YCSB-T client over PRISM-TX (Figures 9–10), its buffer
+/// frees coalesced.
+pub type PrismTxAdapter = Coalesced<TxDriver<TxClient>>;
 
 impl PrismTxAdapter {
     /// Creates the adapter; its backoff jitter is seeded by client id.
     pub fn new(client: TxClient, gen: TxnGen) -> Self {
         let seed = (client.cid() as u64) << 17 | 0x5A5A;
-        Self::with_backoff_seed(client, gen, seed)
+        Coalesced::wrap(TxDriver::with_backoff_seed(client, gen, seed))
     }
 }
 
-/// Closed-loop YCSB-T client over the FaRM baseline (Figures 9–10).
+/// Closed-loop YCSB-T client over the FaRM baseline (Figures 9–10). FaRM
+/// sends no frees, so nothing is coalesced.
 pub type FarmAdapter = TxDriver<FarmClient>;
 
 impl FarmAdapter {
@@ -2160,9 +2150,11 @@ mod tests {
     /// One TX driver over `shards` shards of `KEYS` keys each, its
     /// transactions `keys_per_txn` keys drawn from the first
     /// `keys_per_txn` keys (so a transaction of `shards` keys touches
-    /// every shard), and the hosts to serve its requests on.
+    /// every shard), and the hosts to serve its requests on. Both
+    /// protocols' drivers run coalesced, as PRISM-TX's adapter does;
+    /// FaRM's has nothing to coalesce.
     struct Tx<P: TxProtocol> {
-        driver: TxDriver<P>,
+        adapter: Coalesced<TxDriver<P>>,
         servers: Vec<Arc<PrismServer>>,
     }
 
@@ -2178,7 +2170,7 @@ mod tests {
     fn prism_tx(shards: usize, keys_per_txn: usize) -> Tx<TxClient> {
         let cluster = TxCluster::new(shards, &TxConfig::paper(KEYS, VALUE as u64));
         Tx {
-            driver: PrismTxAdapter::new(cluster.open_client(), txn_gen(keys_per_txn)),
+            adapter: PrismTxAdapter::new(cluster.open_client(), txn_gen(keys_per_txn)),
             servers: (0..shards)
                 .map(|s| Arc::clone(cluster.shard(s).server()))
                 .collect(),
@@ -2194,7 +2186,10 @@ mod tests {
             },
         );
         let tx = Tx {
-            driver: FarmAdapter::new(cluster.open_client(), txn_gen(keys_per_txn)),
+            adapter: Coalesced::wrap(FarmAdapter::new(
+                cluster.open_client(),
+                txn_gen(keys_per_txn),
+            )),
             servers: (0..shards)
                 .map(|s| Arc::clone(cluster.shard(s).server()))
                 .collect(),
@@ -2207,10 +2202,14 @@ mod tests {
     }
 
     impl<P: TxProtocol> Tx<P> {
+        fn driver(&self) -> &TxDriver<P> {
+            &self.adapter.inner
+        }
+
         /// Serves one request and feeds its reply.
         fn leg(&mut self, out: &Outbound) -> AdapterStep {
             let reply = serve(&self.servers, out);
-            self.driver.on_reply(out.tag, reply)
+            self.adapter.on_reply(out.tag, reply)
         }
 
         /// Serves `sends` a phase at a time — background requests as
@@ -2252,7 +2251,7 @@ mod tests {
         }
 
         fn start(&mut self) -> Vec<Outbound> {
-            self.driver.start(&mut SimRng::new(1))
+            self.adapter.start(&mut SimRng::new(1))
         }
     }
 
@@ -2279,10 +2278,10 @@ mod tests {
                     }
                     other => panic!("{what}: expected completion, got {other:?}"),
                 }
-                assert!(tx.driver.current.is_none() && tx.driver.lingering.is_empty());
-                assert_eq!(tx.driver.seq, round + 1, "{what}: one attempt each");
+                assert!(tx.driver().current.is_none() && tx.driver().lingering.is_empty());
+                assert_eq!(tx.driver().seq, round + 1, "{what}: one attempt each");
             }
-            assert_eq!(tx.driver.aborts(), 0, "{what}");
+            assert_eq!(tx.driver().aborts(), 0, "{what}");
         }
         check("PRISM-TX", prism_tx(1, 1));
         check("FaRM", farm(1, 1).1);
@@ -2308,14 +2307,14 @@ mod tests {
         let keys = txn_gen(1).next_txn().keys;
 
         let mut tx = prism_tx(1, 1);
-        let seed = (tx.driver.client.cid() as u64) << 17 | 0x5A5A;
+        let seed = (tx.driver().client.cid() as u64) << 17 | 0x5A5A;
         let first = tx.start();
-        let step = tx.driver.on_reply(first[0].tag, timeout_reply());
+        let step = tx.adapter.on_reply(first[0].tag, timeout_reply());
         let want = tx_backoff(1, &mut SimRng::new(seed));
         assert_backoff("PRISM-TX", &step, want);
-        assert_eq!(tx.driver.keys, keys);
-        assert_eq!(requests(&tx.driver.resume()), requests(&first));
-        assert_eq!((tx.driver.aborts(), tx.driver.seq), (1, 2));
+        assert_eq!(tx.driver().keys, keys);
+        assert_eq!(requests(&tx.adapter.resume()), requests(&first));
+        assert_eq!((tx.driver().aborts(), tx.driver().seq), (1, 2));
 
         let (cluster, mut tx) = farm(1, 1);
         let first = tx.start();
@@ -2324,15 +2323,15 @@ mod tests {
         assert_eq!(cluster.held_locks(), 1, "the lock landed");
         let unlock = wait_sends(
             "lock in doubt",
-            tx.driver.on_reply(lock[0].tag, timeout_reply()),
+            tx.adapter.on_reply(lock[0].tag, timeout_reply()),
         );
         assert_eq!(unlock.len(), 1);
         let step = tx.leg(&unlock[0]);
         assert_backoff("FaRM", &step, tx_backoff(1, &mut SimRng::new(0xFA12)));
         assert_eq!(cluster.held_locks(), 0, "the abort released it");
-        assert_eq!(tx.driver.keys, keys);
-        assert_eq!(requests(&tx.driver.resume()), requests(&first));
-        assert_eq!((tx.driver.aborts(), tx.driver.seq), (1, 2));
+        assert_eq!(tx.driver().keys, keys);
+        assert_eq!(requests(&tx.adapter.resume()), requests(&first));
+        assert_eq!((tx.driver().aborts(), tx.driver().seq), (1, 2));
     }
 
     /// Branch: `Failed` — a lost commit (PRISM-TX) or update (FaRM)
@@ -2344,9 +2343,9 @@ mod tests {
             let sends = tx.start();
             let last = tx.run_to(sends, last_phase);
             serve(&tx.servers, &last[0]);
-            let step = tx.driver.on_reply(last[0].tag, timeout_reply());
+            let step = tx.adapter.on_reply(last[0].tag, timeout_reply());
             assert_done(what, &step, true);
-            assert!(tx.driver.current.is_none() && tx.driver.lingering.is_empty());
+            assert!(tx.driver().current.is_none() && tx.driver().lingering.is_empty());
             let sends = tx.start();
             assert_done(what, &tx.finish(sends), false);
         }
@@ -2367,18 +2366,21 @@ mod tests {
             let last = tx.run_to(sends, last_phase);
             assert_eq!(last.len(), 3, "{what}: one request per shard");
             assert!(wait_sends(what, tx.leg(&last[0])).is_empty(), "{what}");
-            let step = tx.driver.on_reply(last[1].tag, timeout_reply());
+            let step = tx.adapter.on_reply(last[1].tag, timeout_reply());
             assert_done(what, &step, true);
-            assert_eq!(tx.driver.lingering.get(&1).map(|(_, owed)| *owed), Some(1));
+            assert_eq!(
+                tx.driver().lingering.get(&1).map(|(_, owed)| *owed),
+                Some(1)
+            );
             assert!(wait_sends(what, tx.leg(&last[2])).is_empty(), "{what}");
-            assert!(tx.driver.lingering.is_empty(), "{what}");
+            assert!(tx.driver().lingering.is_empty(), "{what}");
             tx
         }
         let tx = check("PRISM-TX", prism_tx(3, 3), PH_TX_COMMIT);
-        let held: usize = tx.driver.frees.pending.values().map(Vec::len).sum();
+        let held: usize = tx.adapter.frees.pending.values().map(Vec::len).sum();
         assert_eq!(held, 1, "the first commit reply's free, coalesced");
         let tx = check("FaRM", farm(3, 3).1, PH_FARM_UPDATE);
-        assert!(tx.driver.frees.pending.is_empty(), "FaRM frees nothing");
+        assert!(tx.adapter.frees.pending.is_empty(), "FaRM frees nothing");
     }
 
     // -----------------------------------------------------------------

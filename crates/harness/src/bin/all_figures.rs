@@ -4,14 +4,19 @@
 //!
 //! Output is the EXPERIMENTS.md measurement section.
 
-use prism_harness::{kv_exp, micro, rs_exp, tx_exp};
+use prism_harness::figure::{emit, Flags};
+use prism_harness::kv_exp::{self, KvExpConfig};
+use prism_harness::micro;
+use prism_harness::rs_exp::{self, RsExpConfig};
+use prism_harness::tx_exp::{self, TxExpConfig};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let flags = Flags::parse();
     println!(
         "# PRISM reproduction: all figures ({} scale)\n",
-        if quick { "quick" } else { "paper" }
+        if flags.quick { "quick" } else { "paper" }
     );
+    let print = |t| emit(&t, false);
 
     for t in [
         micro::figure1(),
@@ -19,34 +24,15 @@ fn main() {
         micro::section2(),
         micro::chaining_ablation(),
     ] {
-        println!("{}", t.render());
+        print(t);
     }
-
     for f in [1.0, 0.5] {
-        let cfg = if quick {
-            kv_exp::KvExpConfig::quick(f)
-        } else {
-            kv_exp::KvExpConfig::paper(f)
-        };
-        let (t, _) = kv_exp::run(&cfg);
-        println!("{}", t.render());
+        print(kv_exp::run(&flags.scale(|| KvExpConfig::quick(f), || KvExpConfig::paper(f))).0);
     }
-
-    let cfg = if quick {
-        rs_exp::RsExpConfig::quick()
-    } else {
-        rs_exp::RsExpConfig::paper()
-    };
-    let (t6, _) = rs_exp::figure6(&cfg);
-    println!("{}", t6.render());
-    println!("{}", rs_exp::figure7(&cfg).render());
-
-    let cfg = if quick {
-        tx_exp::TxExpConfig::quick()
-    } else {
-        tx_exp::TxExpConfig::paper()
-    };
-    let (t9, _) = tx_exp::figure9(&cfg);
-    println!("{}", t9.render());
-    println!("{}", tx_exp::figure10(&cfg).render());
+    let cfg = flags.scale(RsExpConfig::quick, RsExpConfig::paper);
+    print(rs_exp::figure6(&cfg).0);
+    print(rs_exp::figure7(&cfg));
+    let cfg = flags.scale(TxExpConfig::quick, TxExpConfig::paper);
+    print(tx_exp::figure9(&cfg).0);
+    print(tx_exp::figure10(&cfg));
 }

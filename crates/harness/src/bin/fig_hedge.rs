@@ -19,23 +19,17 @@
 //! row on at `--quick` scale.
 
 use prism_harness::chaos::Scenario;
+use prism_harness::figure::Flags;
 use prism_simnet::fault::TailPolicy;
 use prism_simnet::time::SimDuration;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0x64A9_0003u64);
-    let (warmup, measure) = if quick {
-        (SimDuration::micros(400), SimDuration::micros(2_400))
-    } else {
-        (SimDuration::millis(1), SimDuration::millis(10))
-    };
+    let flags = Flags::parse();
+    let seed = flags.value("--seed").unwrap_or(0x64A9_0003u64);
+    let (warmup, measure) = flags.scale(
+        || (SimDuration::micros(400), SimDuration::micros(2_400)),
+        || (SimDuration::millis(1), SimDuration::millis(10)),
+    );
     let hedged_policy = TailPolicy {
         adaptive_timeout: true,
         hedge: true,

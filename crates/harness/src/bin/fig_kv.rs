@@ -2,39 +2,19 @@
 //!
 //! Usage: `cargo run --release -p prism-harness --bin fig_kv [--quick] [--csv] [--reads 100|50]`
 
+use prism_harness::figure::{emit, eprint_peaks, Flags};
 use prism_harness::kv_exp::{self, KvExpConfig};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let csv = args.iter().any(|a| a == "--csv");
-    let reads: Option<f64> = args
-        .iter()
-        .position(|a| a == "--reads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<f64>().ok())
-        .map(|p| p / 100.0);
-    let fractions = match reads {
-        Some(f) => vec![f],
+    let flags = Flags::parse();
+    let fractions = match flags.value::<f64>("--reads") {
+        Some(p) => vec![p / 100.0],
         None => vec![1.0, 0.5], // Figure 3 then Figure 4
     };
     for f in fractions {
-        let cfg = if quick {
-            KvExpConfig::quick(f)
-        } else {
-            KvExpConfig::paper(f)
-        };
+        let cfg = flags.scale(|| KvExpConfig::quick(f), || KvExpConfig::paper(f));
         let (t, peaks) = kv_exp::run(&cfg);
-        if csv {
-            println!("{}", t.to_csv());
-        } else {
-            println!("{}", t.render());
-        }
-        eprintln!(
-            "peaks (Mops): PRISM-KV {:.3}  Pilaf {:.3}  Pilaf-sw {:.3}",
-            peaks[0] / 1e6,
-            peaks[1] / 1e6,
-            peaks[2] / 1e6
-        );
+        emit(&t, flags.csv);
+        eprint_peaks("ops", &["PRISM-KV", "Pilaf", "Pilaf-sw"], &peaks);
     }
 }

@@ -2,20 +2,17 @@
 //!
 //! Usage: `cargo run --release -p prism-harness --bin fig_micro [--csv]`
 
+use prism_harness::figure::{emit, Flags};
 use prism_harness::micro;
 
 fn main() {
-    let csv = std::env::args().any(|a| a == "--csv");
+    let flags = Flags::parse();
     for t in [
         micro::figure1(),
         micro::figure2(),
         micro::section2(),
         micro::chaining_ablation(),
     ] {
-        if csv {
-            println!("{}", t.to_csv());
-        } else {
-            println!("{}", t.render());
-        }
+        emit(&t, flags.csv);
     }
 }

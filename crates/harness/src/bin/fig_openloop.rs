@@ -15,49 +15,32 @@
 //! with the shard count so the knee stays in frame, and each point
 //! prints a machine-readable `scaling ...` line for results assembly.
 
+use prism_harness::figure::{emit, rate_table, Flags};
 use prism_harness::kv_exp::{self, KvExpConfig};
-use prism_harness::openloop::{OpenLoopKnobs, CONNECTION_BUDGET};
+use prism_harness::openloop::OpenLoopKnobs;
 use prism_harness::rs_exp::{self, RsExpConfig};
-use prism_harness::table::Table;
 use prism_harness::tx_exp::{self, TxExpConfig};
 use prism_simnet::time::SimDuration;
 
-fn emit(t: &Table, csv: bool) {
-    if csv {
-        println!("{}", t.to_csv());
-    } else {
-        println!("{}", t.render());
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let csv = args.iter().any(|a| a == "--csv");
-    let system = args
-        .iter()
-        .position(|a| a == "--system")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    if args.iter().any(|a| a == "--million") {
+    let flags = Flags::parse();
+    let kv_cfg = || flags.scale(|| KvExpConfig::quick(1.0), || KvExpConfig::paper(1.0));
+    if flags.has("--million") {
         // One sustained point with a 10⁶-logical-client population
         // multiplexed over the on-NIC connection budget, offered below
         // the ~8.2 Mops single-server knee so the run is stable. The
         // window is sized so the population's aggregate stream
         // delivers over a million measured arrivals.
-        let cfg = KvExpConfig::paper(1.0);
         let knobs = OpenLoopKnobs {
             rates_per_sec: vec![6e6],
             logical_clients: 1_000_000,
-            max_inflight: CONNECTION_BUDGET,
-            actors: 16,
-            warmup: SimDuration::millis(1),
             measure: SimDuration::millis(200),
+            ..OpenLoopKnobs::paper()
         };
         let t0 = std::time::Instant::now();
-        let (t, results) = kv_exp::open_loop(&cfg, &knobs);
+        let (t, results) = kv_exp::open_loop_sharded(&KvExpConfig::paper(1.0), &knobs, 1);
         let wall = t0.elapsed();
-        emit(&t, csv);
+        emit(&t, flags.csv);
         let r = &results[0].1;
         println!(
             "million_clients completed={} backlogged={} wall_s={:.2} sim_ops_per_wall_sec={:.0}",
@@ -68,33 +51,33 @@ fn main() {
         );
         return;
     }
-    if args.iter().any(|a| a == "--scaling") {
+    let knobs = flags.scale(OpenLoopKnobs::quick, OpenLoopKnobs::paper);
+    if flags.has("--scaling") {
         // Shard-count scaling sweep at 10⁵ logical clients. The
         // per-server connection budget is respected at every shard
         // count (each live slot opens one connection per shard, so a
         // server's table never exceeds the live-slot cap); the offered
         // grid brackets the expected knee at ~8.2 Mops per shard.
-        let cfg = if quick {
-            KvExpConfig::quick(1.0)
-        } else {
-            KvExpConfig::paper(1.0)
-        };
+        let cfg = kv_cfg();
         for shards in [1usize, 2, 4, 8] {
-            let mut knobs = if quick {
-                OpenLoopKnobs::quick()
-            } else {
-                OpenLoopKnobs::paper()
-            };
-            if !quick {
+            let mut knobs = knobs.clone();
+            if !flags.quick {
                 knobs.rates_per_sec = [2e6, 4e6, 6e6, 8e6, 10e6, 12e6]
                     .iter()
                     .map(|r| r * shards as f64)
                     .collect();
             }
             let t0 = std::time::Instant::now();
-            let (t, results) = kv_exp::open_loop_sharded(&cfg, &knobs, shards);
+            let (_, results) = kv_exp::open_loop_sharded(&cfg, &knobs, shards);
             let wall = t0.elapsed();
-            emit(&t, csv);
+            // `open_loop_sharded` titles one shard as the single-server
+            // sweep; the scaling curve names its shard count at every
+            // point.
+            let title = format!(
+                "Open-loop PRISM-KV latency under load ({shards} shards, {} logical clients on {} aggregates, 100% reads)",
+                knobs.logical_clients, knobs.actors
+            );
+            emit(&rate_table(&title, "ops", &results), flags.csv);
             for (rate, r) in &results {
                 println!(
                     "scaling shards={} rate_mops={:.2} tput_mops={:.3} mean_us={:.2} \
@@ -114,43 +97,23 @@ fn main() {
         }
         return;
     }
-    let knobs = if quick {
-        OpenLoopKnobs::quick()
-    } else {
-        OpenLoopKnobs::paper()
-    };
+    // Replicated writes and commit protocols saturate earlier than KV
+    // reads; RS and TX sweep a quarter of the rates so the knee stays in
+    // frame.
+    let mut quarter = knobs.clone();
+    quarter.rates_per_sec = knobs.rates_per_sec.iter().map(|r| r / 4.0).collect();
+    let system = flags.value::<String>("--system");
     let want = |s: &str| system.as_deref().is_none_or(|w| w == s);
     if want("kv") {
-        let cfg = if quick {
-            KvExpConfig::quick(1.0)
-        } else {
-            KvExpConfig::paper(1.0)
-        };
-        let (t, _) = kv_exp::open_loop(&cfg, &knobs);
-        emit(&t, csv);
+        let (t, _) = kv_exp::open_loop_sharded(&kv_cfg(), &knobs, 1);
+        emit(&t, flags.csv);
     }
     if want("rs") {
-        let cfg = if quick {
-            RsExpConfig::quick()
-        } else {
-            RsExpConfig::paper()
-        };
-        // Replicated writes saturate earlier than KV reads; sweep a
-        // proportionally lower rate range so the knee stays in frame.
-        let mut k = knobs.clone();
-        k.rates_per_sec = k.rates_per_sec.iter().map(|r| r / 4.0).collect();
-        let (t, _) = rs_exp::open_loop(&cfg, &k);
-        emit(&t, csv);
+        let cfg = flags.scale(RsExpConfig::quick, RsExpConfig::paper);
+        emit(&rs_exp::open_loop(&cfg, &quarter).0, flags.csv);
     }
     if want("tx") {
-        let cfg = if quick {
-            TxExpConfig::quick()
-        } else {
-            TxExpConfig::paper()
-        };
-        let mut k = knobs.clone();
-        k.rates_per_sec = k.rates_per_sec.iter().map(|r| r / 4.0).collect();
-        let (t, _) = tx_exp::open_loop(&cfg, &k);
-        emit(&t, csv);
+        let cfg = flags.scale(TxExpConfig::quick, TxExpConfig::paper);
+        emit(&tx_exp::open_loop(&cfg, &quarter).0, flags.csv);
     }
 }

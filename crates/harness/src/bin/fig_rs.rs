@@ -2,34 +2,16 @@
 //!
 //! Usage: `cargo run --release -p prism-harness --bin fig_rs [--quick] [--csv] [--zipf-sweep]`
 
+use prism_harness::figure::{emit, eprint_peaks, Flags};
 use prism_harness::rs_exp::{self, RsExpConfig};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let csv = args.iter().any(|a| a == "--csv");
-    let only_zipf = args.iter().any(|a| a == "--zipf-sweep");
-    let cfg = if quick {
-        RsExpConfig::quick()
-    } else {
-        RsExpConfig::paper()
-    };
-    let print = |t: &prism_harness::table::Table| {
-        if csv {
-            println!("{}", t.to_csv());
-        } else {
-            println!("{}", t.render());
-        }
-    };
-    if !only_zipf {
+    let flags = Flags::parse();
+    let cfg = flags.scale(RsExpConfig::quick, RsExpConfig::paper);
+    if !flags.has("--zipf-sweep") {
         let (t, peaks) = rs_exp::figure6(&cfg);
-        print(&t);
-        eprintln!(
-            "peaks (Mops): PRISM-RS {:.3}  ABDLOCK {:.3}  ABDLOCK-sw {:.3}",
-            peaks[0] / 1e6,
-            peaks[1] / 1e6,
-            peaks[2] / 1e6
-        );
+        emit(&t, flags.csv);
+        eprint_peaks("ops", &["PRISM-RS", "ABDLOCK", "ABDLOCK-sw"], &peaks);
     }
-    print(&rs_exp::figure7(&cfg));
+    emit(&rs_exp::figure7(&cfg), flags.csv);
 }

@@ -2,34 +2,16 @@
 //!
 //! Usage: `cargo run --release -p prism-harness --bin fig_tx [--quick] [--csv] [--zipf-sweep]`
 
+use prism_harness::figure::{emit, eprint_peaks, Flags};
 use prism_harness::tx_exp::{self, TxExpConfig};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let csv = args.iter().any(|a| a == "--csv");
-    let only_zipf = args.iter().any(|a| a == "--zipf-sweep");
-    let cfg = if quick {
-        TxExpConfig::quick()
-    } else {
-        TxExpConfig::paper()
-    };
-    let print = |t: &prism_harness::table::Table| {
-        if csv {
-            println!("{}", t.to_csv());
-        } else {
-            println!("{}", t.render());
-        }
-    };
-    if !only_zipf {
+    let flags = Flags::parse();
+    let cfg = flags.scale(TxExpConfig::quick, TxExpConfig::paper);
+    if !flags.has("--zipf-sweep") {
         let (t, peaks) = tx_exp::figure9(&cfg);
-        print(&t);
-        eprintln!(
-            "peaks (Mtxn): PRISM-TX {:.3}  FaRM {:.3}  FaRM-sw {:.3}",
-            peaks[0] / 1e6,
-            peaks[1] / 1e6,
-            peaks[2] / 1e6
-        );
+        emit(&t, flags.csv);
+        eprint_peaks("txn", &["PRISM-TX", "FaRM", "FaRM-sw"], &peaks);
     }
-    print(&tx_exp::figure10(&cfg));
+    emit(&tx_exp::figure10(&cfg), flags.csv);
 }

@@ -3,19 +3,11 @@
 //!
 //! Usage: `cargo run --release -p prism-harness --bin fig_vsize [--quick] [--csv]`
 
+use prism_harness::figure::{emit, Flags};
 use prism_harness::vsize_exp::{self, VsizeConfig};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let cfg = if args.iter().any(|a| a == "--quick") {
-        VsizeConfig::quick()
-    } else {
-        VsizeConfig::paper()
-    };
-    let t = vsize_exp::run(&cfg);
-    if args.iter().any(|a| a == "--csv") {
-        println!("{}", t.to_csv());
-    } else {
-        println!("{}", t.render());
-    }
+    let flags = Flags::parse();
+    let cfg = flags.scale(VsizeConfig::quick, VsizeConfig::paper);
+    emit(&vsize_exp::run(&cfg), flags.csv);
 }

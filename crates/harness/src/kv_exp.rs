@@ -7,16 +7,12 @@
 //! on the NIC, PUT RPCs on the CPU), and Pilaf over software RDMA
 //! (READs also executed by dispatch cores).
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use prism_core::msg::execute_local;
 use prism_kv::hash::key_bytes;
 use prism_kv::pilaf::{PilafConfig, PilafServer};
 use prism_kv::prism_kv::{drive, PrismKvConfig, PrismKvServer};
-use prism_simnet::fault::FaultPlan;
-use prism_simnet::latency::CostModel;
 use prism_simnet::rng::SimRng;
 use prism_simnet::time::SimDuration;
 use prism_workload::ycsb::{value_bytes, YcsbConfig};
@@ -24,9 +20,13 @@ use prism_workload::KeyDist;
 
 use crate::adapters::{PilafAdapter, PrismKvAdapter};
 use crate::cluster::{KvCluster, System};
-use crate::netsim::{run_closed_loop, ProtoAdapter, RunResult, VerbPath};
-use crate::openloop::{rate_table, sweep_rates, AdapterFactory, OpenLoopKnobs, OpenLoopResult};
-use crate::table::{f2, mops, Table};
+use crate::figure::{self, Axis, Row};
+use crate::netsim::VerbPath;
+use crate::openloop::{OpenLoopKnobs, OpenLoopResult};
+use crate::table::Table;
+
+/// Value bytes (512 in the paper).
+pub const VALUE_LEN: usize = 512;
 
 /// Experiment parameters (defaults mirror §6.2 at reduced key count;
 /// see EXPERIMENTS.md for the scaling note).
@@ -34,8 +34,6 @@ use crate::table::{f2, mops, Table};
 pub struct KvExpConfig {
     /// Key count (the paper uses 8 M; we default lower to fit RAM).
     pub n_keys: u64,
-    /// Value bytes (512 in the paper).
-    pub value_len: usize,
     /// Fraction of GETs (1.0 = YCSB-C, 0.5 = YCSB-A).
     pub read_fraction: f64,
     /// Closed-loop client counts to sweep.
@@ -53,7 +51,6 @@ impl KvExpConfig {
     pub fn paper(read_fraction: f64) -> Self {
         KvExpConfig {
             n_keys: 262_144,
-            value_len: 512,
             read_fraction,
             clients: vec![1, 2, 4, 8, 16, 32, 64, 96, 128, 192, 256],
             warmup: SimDuration::millis(2),
@@ -66,12 +63,20 @@ impl KvExpConfig {
     pub fn quick(read_fraction: f64) -> Self {
         KvExpConfig {
             n_keys: 1_024,
-            value_len: 512,
             read_fraction,
             clients: vec![1, 16, 64],
             warmup: SimDuration::micros(500),
             measure: crate::smoke::measure_window(4_000),
             seed: 42,
+        }
+    }
+
+    /// The YCSB mix over uniform keys.
+    fn ycsb(&self) -> YcsbConfig {
+        YcsbConfig {
+            dist: KeyDist::uniform(self.n_keys),
+            read_fraction: self.read_fraction,
+            value_len: VALUE_LEN,
         }
     }
 }
@@ -96,243 +101,126 @@ pub fn preload_pilaf(server: &PilafServer, n_keys: u64, value_len: usize) {
     }
 }
 
-/// One system's sweep.
-fn sweep(
-    label: &str,
-    cfg: &KvExpConfig,
-    servers: &[Arc<prism_core::PrismServer>],
-    verb_path: VerbPath,
-    mk: &mut dyn FnMut(usize) -> Box<dyn crate::netsim::ProtoAdapter>,
-    t: &mut Table,
-) -> Vec<RunResult> {
-    let model = CostModel::testbed();
-    let mut out = Vec::new();
-    for &n in &cfg.clients {
-        let r = run_closed_loop(
-            servers,
-            &model,
-            verb_path,
-            n,
-            mk,
-            cfg.warmup,
-            cfg.measure,
-            cfg.seed ^ n as u64,
-            &FaultPlan::default(),
-        );
-        t.row(&[
-            label.to_string(),
-            n.to_string(),
-            mops(r.tput_ops),
-            f2(r.mean_us),
-            f2(r.p99_us),
-        ]);
-        out.push(r);
-    }
-    out
+/// PRISM-KV's row: client `i` draws `ycsb` operations from
+/// `rng ^ (i+1)*stride`.
+pub(crate) fn prism_row<'a>(
+    prism: &'a PrismKvServer,
+    ycsb: YcsbConfig,
+    (rng, stride): (u64, u64),
+    seed: impl Fn(usize, f64) -> u64 + 'a,
+) -> Row<'a> {
+    let servers = vec![Arc::clone(prism.server())];
+    Row::new("PRISM-KV", VerbPath::Nic, servers, seed, move |i, _, _| {
+        let rng = SimRng::new(rng ^ ((i as u64 + 1) * stride));
+        Box::new(PrismKvAdapter::new(prism.open_client(), ycsb.clone(), rng))
+    })
+}
+
+/// A Pilaf row: client `i` draws `ycsb` operations from
+/// `rng ^ (i+1)*stride`.
+pub(crate) fn pilaf_row<'a>(
+    pilaf: &'a PilafServer,
+    (label, path): (&'static str, VerbPath),
+    ycsb: YcsbConfig,
+    (rng, stride): (u64, u64),
+    seed: impl Fn(usize, f64) -> u64 + 'a,
+) -> Row<'a> {
+    let servers = vec![Arc::clone(pilaf.server())];
+    Row::new(label, path, servers, seed, move |i, _, _| {
+        let rng = SimRng::new(rng ^ ((i as u64 + 1) * stride));
+        Box::new(PilafAdapter::new(pilaf.open_client(), ycsb.clone(), rng))
+    })
 }
 
 /// Runs the full experiment; returns the results table and the peak
 /// throughput per system (PRISM-KV, Pilaf, Pilaf-sw).
-pub fn run(cfg: &KvExpConfig) -> (Table, [f64; 3]) {
+pub fn run(cfg: &KvExpConfig) -> (Table, Vec<f64>) {
     let title = format!(
-        "Figure {}: PRISM-KV vs Pilaf, {:.0}% reads, uniform ({} keys x {} B)",
+        "Figure {}: PRISM-KV vs Pilaf, {:.0}% reads, uniform ({} keys x {VALUE_LEN} B)",
         if cfg.read_fraction >= 1.0 { "3" } else { "4" },
         cfg.read_fraction * 100.0,
         cfg.n_keys,
-        cfg.value_len
     );
-    let mut t = Table::new(
-        &title,
-        &["system", "clients", "tput_Mops", "mean_us", "p99_us"],
-    );
-
-    let ycsb = YcsbConfig {
-        dist: KeyDist::uniform(cfg.n_keys),
-        read_fraction: cfg.read_fraction,
-        value_len: cfg.value_len,
-    };
-
     // PRISM-KV. Spares must cover client-side free batching (each
     // client may hold a batch of reclaimed buffers before flushing).
     let max_clients = cfg.clients.iter().copied().max().unwrap_or(0) as u64;
-    let mut prism_cfg = PrismKvConfig::paper(cfg.n_keys, cfg.value_len);
+    let mut prism_cfg = PrismKvConfig::paper(cfg.n_keys, VALUE_LEN);
     for class in &mut prism_cfg.classes {
         class.count += 32 * (max_clients + 16);
     }
     let prism = PrismKvServer::new(&prism_cfg);
-    preload_prism(&prism, cfg.n_keys, cfg.value_len);
-    let prism_servers = vec![Arc::clone(prism.server())];
-    let ycsb_p = ycsb.clone();
-    let seed = cfg.seed;
-    let prism_res = sweep(
-        "PRISM-KV",
-        cfg,
-        &prism_servers,
-        VerbPath::Nic,
-        &mut |i| {
-            Box::new(PrismKvAdapter::new(
-                prism.open_client(),
-                ycsb_p.clone(),
-                SimRng::new(seed ^ ((i as u64 + 1) * 7919)),
-            ))
-        },
-        &mut t,
-    );
-
+    preload_prism(&prism, cfg.n_keys, VALUE_LEN);
     // Pilaf over hardware RDMA and software RDMA.
-    let pilaf = PilafServer::new(&PilafConfig::paper(cfg.n_keys, cfg.value_len));
-    preload_pilaf(&pilaf, cfg.n_keys, cfg.value_len);
-    let pilaf_servers = vec![Arc::clone(pilaf.server())];
-    let mut peaks = [0.0f64; 3];
-    peaks[0] = prism_res.iter().map(|r| r.tput_ops).fold(0.0, f64::max);
-    for (slot, (label, path)) in [
-        ("Pilaf", VerbPath::Nic),
-        ("Pilaf (software RDMA)", VerbPath::Cpu),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let ycsb_c = ycsb.clone();
-        let res = sweep(
-            label,
-            cfg,
-            &pilaf_servers,
-            path,
-            &mut |i| {
-                Box::new(PilafAdapter::new(
-                    pilaf.open_client(),
-                    ycsb_c.clone(),
-                    SimRng::new(seed ^ ((i as u64 + 1) * 104_729)),
-                ))
-            },
-            &mut t,
-        );
-        peaks[slot + 1] = res.iter().map(|r| r.tput_ops).fold(0.0, f64::max);
-    }
-    (t, peaks)
+    let pilaf = PilafServer::new(&PilafConfig::paper(cfg.n_keys, VALUE_LEN));
+    preload_pilaf(&pilaf, cfg.n_keys, VALUE_LEN);
+
+    let seed = |n: usize, _| cfg.seed ^ n as u64;
+    let on_pilaf = |system| pilaf_row(&pilaf, system, cfg.ycsb(), (cfg.seed, 104_729), seed);
+    let rows = [
+        prism_row(&prism, cfg.ycsb(), (cfg.seed, 7919), seed),
+        on_pilaf(("Pilaf", VerbPath::Nic)),
+        on_pilaf(("Pilaf (software RDMA)", VerbPath::Cpu)),
+    ];
+    let x = Axis::Clients(&cfg.clients);
+    figure::curves(&title, "ops", x, &rows, cfg.warmup, cfg.measure)
 }
 
-/// Open-loop latency-under-load sweep for PRISM-KV: Poisson arrivals at
-/// each offered rate over `knobs.logical_clients` multiplexed logical
-/// clients, recording the coordinated-omission-free latency
-/// distribution. Complements the closed-loop throughput-latency curves
-/// of Figures 3–4 with the question they cannot answer: what latency
-/// does a *fixed offered load* observe as it approaches and passes the
-/// saturation point?
-pub fn open_loop(cfg: &KvExpConfig, knobs: &OpenLoopKnobs) -> (Table, Vec<(f64, OpenLoopResult)>) {
-    let mut prism_cfg = PrismKvConfig::paper(cfg.n_keys, cfg.value_len);
-    // Spares cover client-side free batching for the slots that can be
-    // concurrently live — bounded by the in-flight cap, not the logical
-    // population, so a 10⁵-logical-client run does not preallocate for
-    // clients that are only ever backlogged.
-    for class in &mut prism_cfg.classes {
-        class.count += 32 * (knobs.live_slots() as u64 + 16);
-    }
-    let seed = cfg.seed;
-    let n_keys = cfg.n_keys;
-    let value_len = cfg.value_len;
-    let read_fraction = cfg.read_fraction;
-    // One store for the whole sweep: each point's adapters reopen
-    // connections from the recycled slot pool (see `sweep_rates`).
-    let prism = Rc::new(PrismKvServer::new(&prism_cfg));
-    preload_prism(&prism, n_keys, value_len);
-    let servers = vec![Arc::clone(prism.server())];
-    let ycsb = YcsbConfig {
-        dist: KeyDist::uniform(n_keys),
-        read_fraction,
-        value_len,
-    };
-    let results = sweep_rates(
-        &servers,
-        &CostModel::testbed(),
-        VerbPath::Nic,
-        knobs,
-        cfg.seed,
-        &FaultPlan::default(),
-        || {
-            let prism = Rc::clone(&prism);
-            let ycsb = ycsb.clone();
-            Rc::new(RefCell::new(move |i: usize| {
-                Box::new(PrismKvAdapter::new(
-                    prism.open_client(),
-                    ycsb.clone(),
-                    SimRng::new(seed ^ ((i as u64 + 1) * 7919)),
-                )) as Box<dyn ProtoAdapter>
-            })) as AdapterFactory
-        },
-    );
-    let title = format!(
-        "Open-loop PRISM-KV latency under load ({} logical clients on {} aggregates, {:.0}% reads)",
-        knobs.logical_clients,
-        knobs.actors,
-        cfg.read_fraction * 100.0
-    );
-    (rate_table(&title, "ops", &results), results)
-}
-
-/// Sharded open-loop sweep: the same offered-load question asked of an
-/// N-shard [`KvCluster`] instead of one server. Every adapter slot
-/// routes per-key through the cluster's seeded shard map, so each
-/// logical client's stream spreads across all N links and dispatch
-/// pools; per-server connection tables still see at most
+/// Open-loop latency-under-load sweep for PRISM-KV over an N-shard
+/// [`KvCluster`]: Poisson arrivals at each offered rate over
+/// `knobs.logical_clients` multiplexed logical clients, recording the
+/// coordinated-omission-free latency distribution. Complements the
+/// closed-loop throughput-latency curves of Figures 3–4 with the
+/// question they cannot answer: what latency does a *fixed offered
+/// load* observe as it approaches and passes the saturation point?
+///
+/// Every adapter slot routes per-key through the cluster's seeded shard
+/// map, so each logical client's stream spreads across all N links and
+/// dispatch pools; per-server connection tables still see at most
 /// `knobs.live_slots()` connections (each live slot opens one
-/// connection per shard), so the on-NIC budget holds at any shard
-/// count without touching the knobs.
+/// connection per shard), so the on-NIC budget holds at any shard count
+/// without touching the knobs. One shard is the single-server sweep,
+/// and its title says so.
 pub fn open_loop_sharded(
     cfg: &KvExpConfig,
     knobs: &OpenLoopKnobs,
     shards: usize,
 ) -> (Table, Vec<(f64, OpenLoopResult)>) {
-    let mut prism_cfg = PrismKvConfig::paper(cfg.n_keys, cfg.value_len);
-    // Same spare sizing as the single-server sweep: free batching is
-    // per (live slot, shard), so each shard provisions for every slot.
+    let mut prism_cfg = PrismKvConfig::paper(cfg.n_keys, VALUE_LEN);
+    // Spares cover client-side free batching for the slots that can be
+    // concurrently live — bounded by the in-flight cap, not the logical
+    // population, so a 10⁵-logical-client run does not preallocate for
+    // clients that are only ever backlogged. Free batching is per (live
+    // slot, shard), so each shard provisions for every slot.
     for class in &mut prism_cfg.classes {
         class.count += 32 * (knobs.live_slots() as u64 + 16);
     }
-    let seed = cfg.seed;
-    let n_keys = cfg.n_keys;
-    let value_len = cfg.value_len;
-    let read_fraction = cfg.read_fraction;
     // One cluster for the whole sweep, preloaded with each key on its
     // home shard only; points reopen recycled connection slots (see
     // `sweep_rates`).
-    let cluster = Rc::new(KvCluster::new(shards, &prism_cfg, seed));
-    cluster.preload(n_keys, value_len);
+    let cluster = KvCluster::new(shards, &prism_cfg, cfg.seed);
+    cluster.preload(cfg.n_keys, VALUE_LEN);
     let servers = cluster.servers();
-    let ycsb = YcsbConfig {
-        dist: KeyDist::uniform(n_keys),
-        read_fraction,
-        value_len,
+    let map = cluster.map();
+    let (ycsb, seed) = (cfg.ycsb(), cfg.seed);
+    let on = if shards == 1 {
+        String::new()
+    } else {
+        format!("{shards} shards, ")
     };
-    let results = sweep_rates(
-        &servers,
-        &CostModel::testbed(),
-        VerbPath::Nic,
-        knobs,
-        cfg.seed,
-        &FaultPlan::default(),
-        || {
-            let cluster = Rc::clone(&cluster);
-            let map = cluster.map();
-            let ycsb = ycsb.clone();
-            Rc::new(RefCell::new(move |i: usize| {
-                Box::new(PrismKvAdapter::sharded(
-                    cluster.open_clients(),
-                    map.clone(),
-                    ycsb.clone(),
-                    SimRng::new(seed ^ ((i as u64 + 1) * 7919)),
-                )) as Box<dyn ProtoAdapter>
-            })) as AdapterFactory
-        },
-    );
     let title = format!(
-        "Open-loop PRISM-KV latency under load ({} shards, {} logical clients on {} aggregates, {:.0}% reads)",
-        shards,
+        "Open-loop PRISM-KV latency under load ({on}{} logical clients on {} aggregates, {:.0}% reads)",
         knobs.logical_clients,
         knobs.actors,
         cfg.read_fraction * 100.0
     );
-    (rate_table(&title, "ops", &results), results)
+    figure::open_loop(&title, "ops", &servers, knobs, seed, move |i| {
+        Box::new(PrismKvAdapter::sharded(
+            cluster.open_clients(),
+            map.clone(),
+            ycsb.clone(),
+            SimRng::new(seed ^ ((i as u64 + 1) * 7919)),
+        ))
+    })
 }
 
 #[cfg(test)]
@@ -382,7 +270,7 @@ mod tests {
     fn open_loop_kv_tracks_offered_load_when_unsaturated() {
         let cfg = KvExpConfig::quick(1.0);
         let knobs = OpenLoopKnobs::quick();
-        let (_t, results) = open_loop(&cfg, &knobs);
+        let (_t, results) = open_loop_sharded(&cfg, &knobs, 1);
         assert_eq!(results.len(), knobs.rates_per_sec.len());
         for (rate, r) in &results {
             assert!(r.completed > 0, "no completions at {rate} ops/s");

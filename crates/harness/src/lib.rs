@@ -27,8 +27,12 @@
 //!   hooks come from it).
 //! * [`micro`] — Figures 1 and 2 plus the §2.1 numbers (closed-form
 //!   from the cost model).
+//! * [`figure`] — the one figure driver: a figure is a table of rows
+//!   (one system each) swept over points through one closed-loop call,
+//!   or one open-loop rate sweep; plus the `fig_*` binaries' shared
+//!   command line and output.
 //! * [`kv_exp`], [`rs_exp`], [`tx_exp`] — the application experiments
-//!   (Figures 3–4, 6–7, 9–10).
+//!   (Figures 3–4, 6–7, 9–10), each a table of rows.
 //! * [`vsize_exp`] — an extension sweep (GET cost vs value size).
 //! * [`openloop`] — the open-loop arrival policy over the same
 //!   transport: aggregate actors multiplexing up to 10⁶ logical
@@ -47,6 +51,7 @@
 pub mod adapters;
 pub mod chaos;
 pub mod cluster;
+pub mod figure;
 pub mod kv_exp;
 pub mod micro;
 pub mod netsim;

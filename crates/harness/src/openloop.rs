@@ -65,7 +65,6 @@ use crate::netsim::transport::{
     timeout_reply, OpState, ReplyVerdict, Settled, TimerVerdict, Transport,
 };
 use crate::netsim::{Outbound, ProtoAdapter, RecoveryHooks, SimMsg, VerbPath};
-use crate::table::{f2, mops, Table};
 
 /// Shared lazily-invoked adapter factory: slot `i` (globally numbered
 /// across aggregates) gets `factory(i)` the first time it is needed.
@@ -621,38 +620,32 @@ impl OpenLoopKnobs {
 }
 
 /// Sweeps `run_open_loop` over the knobs' arrival rates against ONE
-/// server set, one [`OpenLoopResult`] per rate, reseeding each point
-/// from the base seed and the rate index.
+/// server set, on the testbed model and a pristine fabric: one
+/// [`OpenLoopResult`] per rate, reseeding each point from the base seed
+/// and the rate index.
 ///
 /// The whole sweep reuses the caller's system: each point can lazily
 /// open up to the in-flight cap's worth of connections, and the on-NIC
 /// connection table recycles slots on close, so between points the
 /// sweep simply hangs up every connection
 /// ([`PrismServer::close_all_connections`]) and the next point's
-/// adapters (a fresh factory per point, from `make_factory`) reopen
-/// from the recycled pool. Generation tags fence any reply still
-/// addressed to a hung-up connection. Before slot recycling this
-/// required a cold-started system per point — a six-point sweep at the
-/// 3 500-connection cap would otherwise exhaust the 4096-slot scratch
-/// region mid-sweep.
-pub fn sweep_rates<F>(
+/// adapters (from the same `factory`) reopen from the recycled pool.
+/// Generation tags fence any reply still addressed to a hung-up
+/// connection. Before slot recycling this required a cold-started
+/// system per point — a six-point sweep at the 3 500-connection cap
+/// would otherwise exhaust the 4096-slot scratch region mid-sweep.
+pub fn sweep_rates(
     servers: &[Arc<PrismServer>],
-    model: &CostModel,
-    verb_path: VerbPath,
     knobs: &OpenLoopKnobs,
     seed: u64,
-    faults: &FaultPlan,
-    mut make_factory: F,
-) -> Vec<(f64, OpenLoopResult)>
-where
-    F: FnMut() -> AdapterFactory,
-{
+    factory: AdapterFactory,
+) -> Vec<(f64, OpenLoopResult)> {
+    let model = CostModel::testbed();
     knobs
         .rates_per_sec
         .iter()
         .enumerate()
         .map(|(k, &rate)| {
-            let factory = make_factory();
             let cfg = OpenLoopConfig {
                 arrivals: ArrivalSpec::Poisson { rate_per_sec: rate },
                 logical_clients: knobs.logical_clients,
@@ -661,14 +654,14 @@ where
                 warmup: knobs.warmup,
                 measure: knobs.measure,
                 seed: seed ^ ((k as u64 + 1) << 40),
-                faults: faults.clone(),
+                faults: FaultPlan::default(),
             };
             let point = run_open_loop(
                 servers,
-                model,
-                verb_path,
+                &model,
+                VerbPath::Nic,
                 &cfg,
-                factory,
+                Rc::clone(&factory),
                 &RecoveryHooks::default(),
             );
             for s in servers {
@@ -677,37 +670,6 @@ where
             (rate, point)
         })
         .collect()
-}
-
-/// The latency-under-load table every open-loop sweep prints: one row
-/// per offered rate, throughput and the rate in millions of `unit`
-/// (`"ops"`, `"txn"`) per second.
-pub fn rate_table(title: &str, unit: &str, results: &[(f64, OpenLoopResult)]) -> Table {
-    let (rate, tput) = (format!("rate_M{unit}"), format!("tput_M{unit}"));
-    let mut t = Table::new(
-        title,
-        &[
-            &rate,
-            &tput,
-            "mean_us",
-            "p50_us",
-            "p99_us",
-            "p999_us",
-            "backlogged",
-        ],
-    );
-    for (rate, r) in results {
-        t.row(&[
-            mops(*rate),
-            mops(r.tput_ops),
-            f2(r.mean_us),
-            f2(r.p50_us),
-            f2(r.p99_us),
-            f2(r.p999_us),
-            r.backlogged.to_string(),
-        ]);
-    }
-    t
 }
 
 #[cfg(test)]

@@ -5,31 +5,30 @@
 //! Zipf coefficient: PRISM-RS stays flat while ABDLOCK's lock
 //! contention sends latency off the chart.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 
+use prism_core::PrismServer;
 use prism_rs::abdlock::{AbdLockCluster, AbdLockConfig};
 use prism_rs::prism_rs::{RsCluster, RsConfig};
-use prism_simnet::fault::FaultPlan;
-use prism_simnet::latency::CostModel;
 use prism_simnet::time::SimDuration;
 use prism_workload::KeyDist;
 
 use crate::adapters::{AbdLockAdapter, PrismRsAdapter};
-use crate::netsim::{run_closed_loop, ProtoAdapter, VerbPath};
-use crate::openloop::{rate_table, sweep_rates, AdapterFactory, OpenLoopKnobs, OpenLoopResult};
-use crate::table::{f2, mops, Table};
+use crate::figure::{self, Axis, Row};
+use crate::netsim::VerbPath;
+use crate::openloop::{OpenLoopKnobs, OpenLoopResult};
+use crate::table::Table;
+
+/// Block value size (512 in the paper).
+pub const BLOCK_SIZE: u64 = 512;
+/// Write fraction (0.5 in §7.4).
+pub const WRITE_FRACTION: f64 = 0.5;
 
 /// Experiment parameters (§7.4 at reduced block count).
 #[derive(Debug, Clone)]
 pub struct RsExpConfig {
     /// Number of blocks per replica.
     pub n_blocks: u64,
-    /// Block value size (512 in the paper).
-    pub block_size: u64,
-    /// Write fraction (0.5 in §7.4).
-    pub write_fraction: f64,
     /// Client counts for the throughput sweep (Figure 6).
     pub clients: Vec<usize>,
     /// Zipf coefficients for the contention sweep (Figure 7).
@@ -49,8 +48,6 @@ impl RsExpConfig {
     pub fn paper() -> Self {
         RsExpConfig {
             n_blocks: 65_536,
-            block_size: 512,
-            write_fraction: 0.5,
             clients: vec![1, 2, 4, 8, 16, 32, 64, 96, 128, 192, 256, 384],
             zipf: vec![0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 0.99, 1.1, 1.2],
             zipf_clients: 100,
@@ -66,8 +63,6 @@ impl RsExpConfig {
     pub fn quick() -> Self {
         RsExpConfig {
             n_blocks: 512,
-            block_size: 512,
-            write_fraction: 0.5,
             clients: vec![1, 16, 192],
             zipf: vec![0.0, 0.99],
             zipf_clients: 24,
@@ -78,250 +73,135 @@ impl RsExpConfig {
     }
 }
 
-struct Systems {
-    prism: RsCluster,
-    abd: AbdLockCluster,
-}
-
-fn build(cfg: &RsExpConfig) -> Systems {
+/// The two systems' 3-replica clusters.
+fn build(cfg: &RsExpConfig) -> (RsCluster, AbdLockCluster) {
     // Spare buffers must cover client-side free batching: every client
     // may hold up to a batch of reclaimed buffers per replica before
     // flushing.
-    let max_clients = cfg
-        .clients
-        .iter()
-        .copied()
-        .max()
-        .unwrap_or(0)
-        .max(cfg.zipf_clients) as u64;
-    let mut rs_config = RsConfig::paper(cfg.n_blocks, cfg.block_size);
+    let max_clients = cfg.clients.iter().fold(cfg.zipf_clients, |m, &n| m.max(n)) as u64;
+    let mut rs_config = RsConfig::paper(cfg.n_blocks, BLOCK_SIZE);
     rs_config.spare_buffers += 32 * (max_clients + 16);
-    Systems {
-        prism: RsCluster::new(3, &rs_config),
-        abd: AbdLockCluster::new(
-            3,
-            &AbdLockConfig {
-                n_blocks: cfg.n_blocks,
-                block_size: cfg.block_size,
-            },
-        ),
-    }
+    let abd = AbdLockConfig {
+        n_blocks: cfg.n_blocks,
+        block_size: BLOCK_SIZE,
+    };
+    (RsCluster::new(3, &rs_config), AbdLockCluster::new(3, &abd))
 }
 
-fn prism_servers(s: &Systems) -> Vec<Arc<prism_core::PrismServer>> {
-    (0..3)
-        .map(|i| Arc::clone(s.prism.replica(i).server()))
-        .collect()
+/// The three replicas' hosts.
+fn replicas<'a>(server: impl Fn(usize) -> &'a Arc<PrismServer>) -> Vec<Arc<PrismServer>> {
+    (0..3).map(|i| Arc::clone(server(i))).collect()
 }
 
-fn abd_servers(s: &Systems) -> Vec<Arc<prism_core::PrismServer>> {
-    (0..3)
-        .map(|i| Arc::clone(s.abd.replica(i).server()))
-        .collect()
+/// PRISM-RS's row over `n_blocks` blocks, Zipf-distributed at each
+/// point's coefficient.
+fn prism_row<'a>(
+    prism: &'a RsCluster,
+    n_blocks: u64,
+    seed: impl Fn(usize, f64) -> u64 + 'a,
+) -> Row<'a> {
+    let servers = replicas(|i| prism.replica(i).server());
+    Row::new("PRISM-RS", VerbPath::Nic, servers, seed, move |_, z, _| {
+        Box::new(PrismRsAdapter::new(
+            prism.open_client(),
+            KeyDist::zipf(n_blocks, z),
+            BLOCK_SIZE as usize,
+            WRITE_FRACTION,
+        ))
+    })
+}
+
+/// An ABDLOCK row: client `i` is seeded `seed ^ i` from its point's run
+/// seed, and a measurement window's end abandons in-flight operations,
+/// so their leaked locks are cleared before the next point (lock-lease
+/// recovery, §7.2).
+fn abd_row<'a>(
+    abd: &'a AbdLockCluster,
+    n_blocks: u64,
+    (label, path): (&'static str, VerbPath),
+    seed: impl Fn(usize, f64) -> u64 + 'a,
+) -> Row<'a> {
+    let servers = replicas(|i| abd.replica(i).server());
+    Row::new(label, path, servers, seed, move |i, z, seed| {
+        Box::new(AbdLockAdapter::new(
+            abd.open_client(seed ^ i as u64),
+            KeyDist::zipf(n_blocks, z),
+            BLOCK_SIZE as usize,
+            WRITE_FRACTION,
+        ))
+    })
+    .with_setup(|| abd.reset_locks())
 }
 
 /// Figure 6: throughput-latency sweep, uniform keys.
-pub fn figure6(cfg: &RsExpConfig) -> (Table, [f64; 3]) {
-    let model = CostModel::testbed();
-    let mut t = Table::new(
-        &format!(
-            "Figure 6: PRISM-RS vs ABDLOCK, {:.0}% writes, uniform ({} blocks x {} B, 3 replicas)",
-            cfg.write_fraction * 100.0,
-            cfg.n_blocks,
-            cfg.block_size
-        ),
-        &["system", "clients", "tput_Mops", "mean_us", "p99_us"],
+pub fn figure6(cfg: &RsExpConfig) -> (Table, Vec<f64>) {
+    let title = format!(
+        "Figure 6: PRISM-RS vs ABDLOCK, {:.0}% writes, uniform ({} blocks x {BLOCK_SIZE} B, 3 replicas)",
+        WRITE_FRACTION * 100.0,
+        cfg.n_blocks,
     );
-    let sys = build(cfg);
-    let mut peaks = [0.0f64; 3];
-
-    for &n in &cfg.clients {
-        let r = run_closed_loop(
-            &prism_servers(&sys),
-            &model,
-            VerbPath::Nic,
-            n,
-            &mut |_| {
-                Box::new(PrismRsAdapter::new(
-                    sys.prism.open_client(),
-                    KeyDist::uniform(cfg.n_blocks),
-                    cfg.block_size as usize,
-                    cfg.write_fraction,
-                ))
-            },
-            cfg.warmup,
-            cfg.measure,
-            cfg.seed ^ n as u64,
-            &FaultPlan::default(),
-        );
-        t.row(&[
-            "PRISM-RS".into(),
-            n.to_string(),
-            mops(r.tput_ops),
-            f2(r.mean_us),
-            f2(r.p99_us),
-        ]);
-        peaks[0] = peaks[0].max(r.tput_ops);
-    }
-
-    for (slot, (label, path)) in [
-        ("ABDLOCK", VerbPath::Nic),
-        ("ABDLOCK (software RDMA)", VerbPath::Cpu),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        for &n in &cfg.clients {
-            // A measurement window's end abandons in-flight operations;
-            // clear their leaked locks before the next point (lock-lease
-            // recovery, §7.2).
-            sys.abd.reset_locks();
-            let seed = cfg.seed ^ (n as u64) << 8;
-            let r = run_closed_loop(
-                &abd_servers(&sys),
-                &model,
-                path,
-                n,
-                &mut |i| {
-                    Box::new(AbdLockAdapter::new(
-                        sys.abd.open_client(seed ^ i as u64),
-                        KeyDist::uniform(cfg.n_blocks),
-                        cfg.block_size as usize,
-                        cfg.write_fraction,
-                    ))
-                },
-                cfg.warmup,
-                cfg.measure,
-                seed,
-                &FaultPlan::default(),
-            );
-            t.row(&[
-                label.into(),
-                n.to_string(),
-                mops(r.tput_ops),
-                f2(r.mean_us),
-                f2(r.p99_us),
-            ]);
-            peaks[slot + 1] = peaks[slot + 1].max(r.tput_ops);
-        }
-    }
-    (t, peaks)
+    let (prism, abd) = build(cfg);
+    let abd_seed = |n: usize, _| cfg.seed ^ ((n as u64) << 8);
+    let rows = [
+        prism_row(&prism, cfg.n_blocks, |n, _| cfg.seed ^ n as u64),
+        abd_row(&abd, cfg.n_blocks, ("ABDLOCK", VerbPath::Nic), abd_seed),
+        abd_row(
+            &abd,
+            cfg.n_blocks,
+            ("ABDLOCK (software RDMA)", VerbPath::Cpu),
+            abd_seed,
+        ),
+    ];
+    let x = Axis::Clients(&cfg.clients);
+    figure::curves(&title, "ops", x, &rows, cfg.warmup, cfg.measure)
 }
 
 /// Figure 7: mean latency vs Zipf coefficient at fixed client count.
 pub fn figure7(cfg: &RsExpConfig) -> Table {
-    let model = CostModel::testbed();
-    let mut t = Table::new(
-        &format!(
-            "Figure 7: latency vs contention, {} closed-loop clients",
-            cfg.zipf_clients
-        ),
-        &["system", "zipf", "tput_Mops", "mean_us", "p99_us"],
+    let title = format!(
+        "Figure 7: latency vs contention, {} closed-loop clients",
+        cfg.zipf_clients
     );
-    let sys = build(cfg);
-    for &z in &cfg.zipf {
-        let r = run_closed_loop(
-            &prism_servers(&sys),
-            &model,
-            VerbPath::Nic,
-            cfg.zipf_clients,
-            &mut |_| {
-                Box::new(PrismRsAdapter::new(
-                    sys.prism.open_client(),
-                    KeyDist::zipf(cfg.n_blocks, z),
-                    cfg.block_size as usize,
-                    cfg.write_fraction,
-                ))
-            },
-            cfg.warmup,
-            cfg.measure,
-            cfg.seed ^ (z * 100.0) as u64,
-            &FaultPlan::default(),
-        );
-        t.row(&[
-            "PRISM-RS".into(),
-            format!("{z:.2}"),
-            mops(r.tput_ops),
-            f2(r.mean_us),
-            f2(r.p99_us),
-        ]);
-    }
-    for &z in &cfg.zipf {
-        sys.abd.reset_locks();
-        let seed = cfg.seed ^ 0x5000 ^ (z * 100.0) as u64;
-        let r = run_closed_loop(
-            &abd_servers(&sys),
-            &model,
-            VerbPath::Nic,
-            cfg.zipf_clients,
-            &mut |i| {
-                Box::new(AbdLockAdapter::new(
-                    sys.abd.open_client(seed ^ i as u64),
-                    KeyDist::zipf(cfg.n_blocks, z),
-                    cfg.block_size as usize,
-                    cfg.write_fraction,
-                ))
-            },
-            cfg.warmup,
-            cfg.measure,
-            seed,
-            &FaultPlan::default(),
-        );
-        t.row(&[
-            "ABDLOCK".into(),
-            format!("{z:.2}"),
-            mops(r.tput_ops),
-            f2(r.mean_us),
-            f2(r.p99_us),
-        ]);
-    }
-    t
+    let (prism, abd) = build(cfg);
+    let z100 = |z: f64| (z * 100.0) as u64;
+    let rows = [
+        prism_row(&prism, cfg.n_blocks, |_, z| cfg.seed ^ z100(z)),
+        abd_row(&abd, cfg.n_blocks, ("ABDLOCK", VerbPath::Nic), |_, z| {
+            cfg.seed ^ 0x5000 ^ z100(z)
+        }),
+    ];
+    let x = Axis::Zipf(cfg.zipf_clients, &cfg.zipf);
+    figure::curves(&title, "ops", x, &rows, cfg.warmup, cfg.measure).0
 }
 
 /// Open-loop latency-under-load sweep for PRISM-RS (uniform keys,
-/// `cfg.write_fraction` writes, 3 replicas): the replicated-store
-/// counterpart of [`crate::kv_exp::open_loop`].
+/// [`WRITE_FRACTION`] writes, 3 replicas): the replicated-store
+/// counterpart of [`crate::kv_exp::open_loop_sharded`].
 pub fn open_loop(cfg: &RsExpConfig, knobs: &OpenLoopKnobs) -> (Table, Vec<(f64, OpenLoopResult)>) {
-    let mut rs_config = RsConfig::paper(cfg.n_blocks, cfg.block_size);
+    let mut rs_config = RsConfig::paper(cfg.n_blocks, BLOCK_SIZE);
     // Same spare sizing rationale as the KV open-loop sweep: provision
     // for the live slots, not the logical population.
     rs_config.spare_buffers += 32 * (knobs.live_slots() as u64 + 16);
-    let n_blocks = cfg.n_blocks;
-    let block_size = cfg.block_size as usize;
-    let write_fraction = cfg.write_fraction;
     // One 3-replica cluster for the whole sweep: each point's adapters
     // reopen connections from the recycled slot pool (see
     // `sweep_rates`).
-    let cluster = Rc::new(RsCluster::new(3, &rs_config));
-    let servers: Vec<Arc<prism_core::PrismServer>> = (0..3)
-        .map(|i| Arc::clone(cluster.replica(i).server()))
-        .collect();
-    let results = sweep_rates(
-        &servers,
-        &CostModel::testbed(),
-        VerbPath::Nic,
-        knobs,
-        cfg.seed,
-        &FaultPlan::default(),
-        || {
-            let cluster = Rc::clone(&cluster);
-            Rc::new(RefCell::new(move |_i: usize| {
-                Box::new(PrismRsAdapter::new(
-                    cluster.open_client(),
-                    KeyDist::uniform(n_blocks),
-                    block_size,
-                    write_fraction,
-                )) as Box<dyn ProtoAdapter>
-            })) as AdapterFactory
-        },
-    );
+    let cluster = RsCluster::new(3, &rs_config);
+    let servers = replicas(|i| cluster.replica(i).server());
+    let n_blocks = cfg.n_blocks;
     let title = format!(
         "Open-loop PRISM-RS latency under load ({} logical clients on {} aggregates, {:.0}% writes, 3 replicas)",
         knobs.logical_clients,
         knobs.actors,
-        cfg.write_fraction * 100.0
+        WRITE_FRACTION * 100.0
     );
-    (rate_table(&title, "ops", &results), results)
+    figure::open_loop(&title, "ops", &servers, knobs, cfg.seed, move |_| {
+        Box::new(PrismRsAdapter::new(
+            cluster.open_client(),
+            KeyDist::uniform(n_blocks),
+            BLOCK_SIZE as usize,
+            WRITE_FRACTION,
+        ))
+    })
 }
 
 #[cfg(test)]

@@ -6,13 +6,8 @@
 //! uniform access; Figure 10 sweeps the Zipf coefficient and reports
 //! peak committed-transaction throughput.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 
-use prism_core::PrismServer;
-use prism_simnet::fault::FaultPlan;
-use prism_simnet::latency::CostModel;
 use prism_simnet::rng::SimRng;
 use prism_simnet::time::SimDuration;
 use prism_tx::farm::{FarmCluster, FarmConfig};
@@ -20,9 +15,13 @@ use prism_tx::prism_tx::{TxCluster, TxConfig};
 use prism_workload::{KeyDist, TxnGen};
 
 use crate::adapters::{FarmAdapter, PrismTxAdapter};
-use crate::netsim::{run_closed_loop, ProtoAdapter, VerbPath};
-use crate::openloop::{rate_table, sweep_rates, AdapterFactory, OpenLoopKnobs, OpenLoopResult};
+use crate::figure::{self, Axis, Row};
+use crate::netsim::VerbPath;
+use crate::openloop::{OpenLoopKnobs, OpenLoopResult};
 use crate::table::{f2, mops, Table};
+
+/// Value size (512-byte objects in the paper).
+pub const VALUE_LEN: u64 = 512;
 
 /// Experiment parameters (§8.3 at reduced key count). One shard, like
 /// the paper's testbed, and one key per transaction: YCSB-T wraps single
@@ -33,8 +32,6 @@ use crate::table::{f2, mops, Table};
 pub struct TxExpConfig {
     /// Keys (the paper uses 8 M 512-byte objects).
     pub n_keys: u64,
-    /// Value size.
-    pub value_len: u64,
     /// Client counts for Figure 9.
     pub clients: Vec<usize>,
     /// Zipf coefficients for Figure 10.
@@ -54,7 +51,6 @@ impl TxExpConfig {
     pub fn paper() -> Self {
         TxExpConfig {
             n_keys: 262_144,
-            value_len: 512,
             clients: vec![1, 2, 4, 8, 16, 32, 64, 96, 128, 192, 256],
             zipf: vec![0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 0.99, 1.2, 1.4, 1.6],
             zipf_clients: 128,
@@ -71,7 +67,6 @@ impl TxExpConfig {
     pub fn quick() -> Self {
         TxExpConfig {
             n_keys: 32_768,
-            value_len: 512,
             clients: vec![1, 16, 64],
             zipf: vec![0.0, 0.99],
             zipf_clients: 32,
@@ -85,38 +80,19 @@ impl TxExpConfig {
 /// The two systems' stores, one shard each.
 fn build(cfg: &TxExpConfig) -> (TxCluster, FarmCluster) {
     // Spares must cover client-side free batching.
-    let max_clients = cfg
-        .clients
-        .iter()
-        .copied()
-        .max()
-        .unwrap_or(0)
-        .max(cfg.zipf_clients) as u64;
-    let mut tx_config = TxConfig::paper(cfg.n_keys, cfg.value_len);
+    let max_clients = cfg.clients.iter().fold(cfg.zipf_clients, |m, &n| m.max(n)) as u64;
+    let mut tx_config = TxConfig::paper(cfg.n_keys, VALUE_LEN);
     tx_config.spare_buffers += 32 * (max_clients + 16);
     let farm = FarmConfig {
         keys_per_shard: cfg.n_keys,
-        value_len: cfg.value_len,
+        value_len: VALUE_LEN,
     };
     (TxCluster::new(1, &tx_config), FarmCluster::new(1, &farm))
 }
 
-fn txn_gen(cfg: &TxExpConfig, zipf: f64, seed: u64) -> TxnGen {
-    let dist = KeyDist::zipf(cfg.n_keys, zipf);
-    TxnGen::new(dist, 1, cfg.value_len as usize, SimRng::new(seed))
-}
-
-/// One system a figure sweeps: the row label, where classic verbs
-/// execute, its shard, client `i`'s adapter at Zipf coefficient `z`,
-/// the set-up before every point (FaRM clears locks a frozen run left
-/// held), and each point's run seed from `(clients, z)`.
-struct Row<'a> {
-    label: &'static str,
-    path: VerbPath,
-    servers: Vec<Arc<PrismServer>>,
-    adapter: Box<dyn Fn(usize, f64) -> Box<dyn ProtoAdapter> + 'a>,
-    setup: Box<dyn Fn() + 'a>,
-    seed: Box<dyn Fn(usize, f64) -> u64 + 'a>,
+fn txn_gen(n_keys: u64, zipf: f64, seed: u64) -> TxnGen {
+    let dist = KeyDist::zipf(n_keys, zipf);
+    TxnGen::new(dist, 1, VALUE_LEN as usize, SimRng::new(seed))
 }
 
 /// PRISM-TX's row; client `i` draws its transactions from
@@ -126,54 +102,36 @@ fn prism_row<'a>(
     cfg: &'a TxExpConfig,
     seed: impl Fn(usize, f64) -> u64 + 'a,
 ) -> Row<'a> {
-    Row {
-        label: "PRISM-TX",
-        path: VerbPath::Nic,
-        servers: vec![Arc::clone(prism.shard(0).server())],
-        adapter: Box::new(move |i, z| {
-            Box::new(PrismTxAdapter::new(
-                prism.open_client(),
-                txn_gen(cfg, z, cfg.seed ^ ((i as u64 + 1) * 31)),
-            ))
-        }),
-        setup: Box::new(|| {}),
-        seed: Box::new(seed),
-    }
+    let servers = vec![Arc::clone(prism.shard(0).server())];
+    Row::new("PRISM-TX", VerbPath::Nic, servers, seed, move |i, z, _| {
+        let gen = txn_gen(cfg.n_keys, z, cfg.seed ^ ((i as u64 + 1) * 31));
+        Box::new(PrismTxAdapter::new(prism.open_client(), gen))
+    })
 }
 
-/// A FaRM row; client `i` draws its transactions from `seed ^ (i+1)*37`.
+/// A FaRM row; client `i` draws its transactions from `seed ^ (i+1)*37`,
+/// and each point starts by clearing the locks a frozen run left held.
 fn farm_row<'a>(
     farm: &'a FarmCluster,
     cfg: &'a TxExpConfig,
     (label, path): (&'static str, VerbPath),
     seed: impl Fn(usize, f64) -> u64 + 'a,
 ) -> Row<'a> {
-    Row {
-        label,
-        path,
-        servers: vec![Arc::clone(farm.shard(0).server())],
-        adapter: Box::new(move |i, z| {
-            Box::new(FarmAdapter::new(
-                farm.open_client(),
-                txn_gen(cfg, z, cfg.seed ^ ((i as u64 + 1) * 37)),
-            ))
-        }),
-        setup: Box::new(|| farm.reset_locks()),
-        seed: Box::new(seed),
-    }
+    let servers = vec![Arc::clone(farm.shard(0).server())];
+    Row::new(label, path, servers, seed, move |i, z, _| {
+        let gen = txn_gen(cfg.n_keys, z, cfg.seed ^ ((i as u64 + 1) * 37));
+        Box::new(FarmAdapter::new(farm.open_client(), gen))
+    })
+    .with_setup(|| farm.reset_locks())
 }
 
 /// Figure 9: throughput-latency sweep, uniform access. Returns the
 /// table and each row's peak throughput (PRISM-TX, FaRM, FaRM on
 /// software RDMA).
-pub fn figure9(cfg: &TxExpConfig) -> (Table, [f64; 3]) {
-    let model = CostModel::testbed();
-    let mut t = Table::new(
-        &format!(
-            "Figure 9: PRISM-TX vs FaRM, YCSB-T uniform ({} keys x {} B, 1 keys/txn)",
-            cfg.n_keys, cfg.value_len
-        ),
-        &["system", "clients", "tput_Mtxn", "mean_us", "p99_us"],
+pub fn figure9(cfg: &TxExpConfig) -> (Table, Vec<f64>) {
+    let title = format!(
+        "Figure 9: PRISM-TX vs FaRM, YCSB-T uniform ({} keys x {VALUE_LEN} B, 1 keys/txn)",
+        cfg.n_keys
     );
     let (prism, farm) = build(cfg);
     let farm_seed = |n: usize, _| cfg.seed ^ ((n as u64) << 9);
@@ -187,32 +145,8 @@ pub fn figure9(cfg: &TxExpConfig) -> (Table, [f64; 3]) {
             farm_seed,
         ),
     ];
-    let mut peaks = [0.0f64; 3];
-    for (row, peak) in rows.iter().zip(&mut peaks) {
-        for &n in &cfg.clients {
-            (row.setup)();
-            let r = run_closed_loop(
-                &row.servers,
-                &model,
-                row.path,
-                n,
-                &mut |i| (row.adapter)(i, 0.0),
-                cfg.warmup,
-                cfg.measure,
-                (row.seed)(n, 0.0),
-                &FaultPlan::default(),
-            );
-            t.row(&[
-                row.label.into(),
-                n.to_string(),
-                mops(r.tput_ops),
-                f2(r.mean_us),
-                f2(r.p99_us),
-            ]);
-            *peak = peak.max(r.tput_ops);
-        }
-    }
-    (t, peaks)
+    let x = Axis::Clients(&cfg.clients);
+    figure::curves(&title, "txn", x, &rows, cfg.warmup, cfg.measure)
 }
 
 /// Figure 10: peak committed throughput vs Zipf coefficient.
@@ -222,7 +156,6 @@ pub fn figure9(cfg: &TxExpConfig) -> (Table, [f64; 3]) {
 /// clients only add conflict), so each point reports the best of a
 /// small client sweep.
 pub fn figure10(cfg: &TxExpConfig) -> Table {
-    let model = CostModel::testbed();
     let mut t = Table::new(
         &format!(
             "Figure 10: peak throughput vs contention (best of <= {} clients)",
@@ -238,12 +171,9 @@ pub fn figure10(cfg: &TxExpConfig) -> Table {
         ],
     );
     let (prism, farm) = build(cfg);
-    let mut sweep: Vec<usize> = Vec::new();
-    let mut n = cfg.zipf_clients;
-    while n >= 8 {
-        sweep.push(n);
-        n /= 4;
-    }
+    let clients: Vec<usize> = std::iter::successors(Some(cfg.zipf_clients), |n| Some(n / 4))
+        .take_while(|&n| n >= 8)
+        .collect();
     let point = |n: usize, z: f64| (z * 100.0) as u64 ^ ((n as u64) << 16);
     let rows = [
         prism_row(&prism, cfg, |n, z| cfg.seed ^ point(n, z)),
@@ -251,34 +181,27 @@ pub fn figure10(cfg: &TxExpConfig) -> Table {
             cfg.seed ^ 0x9000 ^ point(n, z)
         }),
     ];
-    for row in &rows {
-        for &z in &cfg.zipf {
-            let mut best: Option<(f64, f64, f64, usize)> = None;
-            for &n in &sweep {
-                (row.setup)();
-                let r = run_closed_loop(
-                    &row.servers,
-                    &model,
-                    row.path,
-                    n,
-                    &mut |i| (row.adapter)(i, z),
-                    cfg.warmup,
-                    cfg.measure,
-                    (row.seed)(n, z),
-                    &FaultPlan::default(),
-                );
-                if best.is_none() || r.tput_ops > best.expect("some").0 {
-                    let commits = (r.tput_ops * cfg.measure.as_micros_f64() / 1e6).max(1.0);
-                    best = Some((r.tput_ops, r.mean_us, r.backoffs as f64 / commits, n));
-                }
-            }
-            let (tput, mean, apc, n) = best.expect("sweep nonempty");
+    let points: Vec<_> = cfg
+        .zipf
+        .iter()
+        .flat_map(|&z| clients.iter().map(move |&n| (n, z)))
+        .collect();
+    let runs = figure::sweep(&rows, &points, cfg.warmup, cfg.measure);
+    for (row, runs) in rows.iter().zip(runs) {
+        for (&z, runs) in cfg.zipf.iter().zip(runs.chunks(clients.len())) {
+            // The best throughput; on a tie, the first client count.
+            let (n, r) = clients
+                .iter()
+                .zip(runs)
+                .min_by(|a, b| b.1.tput_ops.total_cmp(&a.1.tput_ops))
+                .expect("sweep nonempty");
+            let commits = (r.tput_ops * cfg.measure.as_micros_f64() / 1e6).max(1.0);
             t.row(&[
-                row.label.into(),
+                row.label().into(),
                 format!("{z:.2}"),
-                mops(tput),
-                f2(mean),
-                f2(apc),
+                mops(r.tput_ops),
+                f2(r.mean_us),
+                f2(r.backoffs as f64 / commits),
                 n.to_string(),
             ]);
         }
@@ -288,39 +211,25 @@ pub fn figure10(cfg: &TxExpConfig) -> Table {
 
 /// Open-loop latency-under-load sweep for PRISM-TX (uniform YCSB-T
 /// transactions): the transactional counterpart of
-/// [`crate::kv_exp::open_loop`].
+/// [`crate::kv_exp::open_loop_sharded`].
 pub fn open_loop(cfg: &TxExpConfig, knobs: &OpenLoopKnobs) -> (Table, Vec<(f64, OpenLoopResult)>) {
-    let mut tx_config = TxConfig::paper(cfg.n_keys, cfg.value_len);
+    let mut tx_config = TxConfig::paper(cfg.n_keys, VALUE_LEN);
     // Same spare sizing rationale as the KV open-loop sweep: provision
     // for the live slots, not the logical population.
     tx_config.spare_buffers += 32 * (knobs.live_slots() as u64 + 16);
     // One cluster for the whole sweep: each point's adapters reopen
     // connections from the recycled slot pool (see `sweep_rates`).
-    let cluster = Rc::new(TxCluster::new(1, &tx_config));
+    let cluster = TxCluster::new(1, &tx_config);
     let servers = vec![Arc::clone(cluster.shard(0).server())];
-    let results = sweep_rates(
-        &servers,
-        &CostModel::testbed(),
-        VerbPath::Nic,
-        knobs,
-        cfg.seed,
-        &FaultPlan::default(),
-        || {
-            let cluster = Rc::clone(&cluster);
-            let cfg_for_gen = cfg.clone();
-            Rc::new(RefCell::new(move |i: usize| {
-                Box::new(PrismTxAdapter::new(
-                    cluster.open_client(),
-                    txn_gen(&cfg_for_gen, 0.0, cfg_for_gen.seed ^ ((i as u64 + 1) * 31)),
-                )) as Box<dyn ProtoAdapter>
-            })) as AdapterFactory
-        },
-    );
+    let (n_keys, seed) = (cfg.n_keys, cfg.seed);
     let title = format!(
         "Open-loop PRISM-TX latency under load ({} logical clients on {} aggregates, 1 keys/txn)",
         knobs.logical_clients, knobs.actors
     );
-    (rate_table(&title, "txn", &results), results)
+    figure::open_loop(&title, "txn", &servers, knobs, seed, move |i| {
+        let gen = txn_gen(n_keys, 0.0, seed ^ ((i as u64 + 1) * 31));
+        Box::new(PrismTxAdapter::new(cluster.open_client(), gen))
+    })
 }
 
 #[cfg(test)]

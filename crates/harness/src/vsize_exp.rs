@@ -8,20 +8,15 @@
 //! payload because Pilaf's extra round trip and checksums scale while
 //! PRISM's single reply only adds serialization.
 
-use std::sync::Arc;
-
 use prism_kv::pilaf::{PilafConfig, PilafServer};
 use prism_kv::prism_kv::{PrismKvConfig, PrismKvServer};
-use prism_simnet::fault::FaultPlan;
-use prism_simnet::latency::CostModel;
-use prism_simnet::rng::SimRng;
 use prism_simnet::time::SimDuration;
 use prism_workload::ycsb::YcsbConfig;
 use prism_workload::KeyDist;
 
-use crate::adapters::{PilafAdapter, PrismKvAdapter};
-use crate::kv_exp;
-use crate::netsim::{run_closed_loop, VerbPath};
+use crate::figure;
+use crate::kv_exp::{self, pilaf_row, prism_row};
+use crate::netsim::VerbPath;
 use crate::table::{f2, mops, Table};
 
 /// Parameters for the value-size sweep.
@@ -70,7 +65,6 @@ impl VsizeConfig {
 /// Runs the sweep: for each value size, unloaded GET latency and
 /// saturated GET throughput for PRISM-KV and Pilaf.
 pub fn run(cfg: &VsizeConfig) -> Table {
-    let model = CostModel::testbed();
     let mut t = Table::new(
         "Extension: GET cost vs value size (100% reads, uniform)",
         &[
@@ -87,73 +81,35 @@ pub fn run(cfg: &VsizeConfig) -> Table {
             read_fraction: 1.0,
             value_len: size,
         };
-
         let prism = PrismKvServer::new(&PrismKvConfig::paper(cfg.n_keys, size));
         kv_exp::preload_prism(&prism, cfg.n_keys, size);
-        let prism_servers = vec![Arc::clone(prism.server())];
-
         let pilaf = PilafServer::new(&PilafConfig::paper(cfg.n_keys, size));
         kv_exp::preload_pilaf(&pilaf, cfg.n_keys, size);
-        let pilaf_servers = vec![Arc::clone(pilaf.server())];
 
-        let point =
-            |servers: &[Arc<prism_core::PrismServer>],
-             path: VerbPath,
-             clients: usize,
-             mk: &mut dyn FnMut(usize) -> Box<dyn crate::netsim::ProtoAdapter>| {
-                run_closed_loop(
-                    servers,
-                    &model,
-                    path,
-                    clients,
-                    mk,
-                    cfg.warmup,
-                    cfg.measure,
-                    cfg.seed ^ size as u64 ^ ((clients as u64) << 20),
-                    &FaultPlan::default(),
-                )
-            };
-
-        let seed = cfg.seed;
-        let ycsb_p = ycsb.clone();
-        let prism_lat = point(&prism_servers, VerbPath::Nic, 1, &mut |i| {
-            Box::new(PrismKvAdapter::new(
-                prism.open_client(),
-                ycsb_p.clone(),
-                SimRng::new(seed ^ (i as u64 + 1)),
-            ))
-        });
-        let ycsb_p = ycsb.clone();
-        let prism_sat = point(&prism_servers, VerbPath::Nic, cfg.sat_clients, &mut |i| {
-            Box::new(PrismKvAdapter::new(
-                prism.open_client(),
-                ycsb_p.clone(),
-                SimRng::new(seed ^ ((i as u64 + 1) * 31)),
-            ))
-        });
-        let ycsb_l = ycsb.clone();
-        let pilaf_lat = point(&pilaf_servers, VerbPath::Nic, 1, &mut |i| {
-            Box::new(PilafAdapter::new(
-                pilaf.open_client(),
-                ycsb_l.clone(),
-                SimRng::new(seed ^ ((i as u64 + 1) * 7)),
-            ))
-        });
-        let ycsb_l = ycsb.clone();
-        let pilaf_sat = point(&pilaf_servers, VerbPath::Nic, cfg.sat_clients, &mut |i| {
-            Box::new(PilafAdapter::new(
-                pilaf.open_client(),
-                ycsb_l.clone(),
-                SimRng::new(seed ^ ((i as u64 + 1) * 37)),
-            ))
-        });
-
+        // One client for the unloaded latency, `sat_clients` for the
+        // saturated throughput; each run's clients on streams of their own.
+        let seed = |n: usize, _| cfg.seed ^ size as u64 ^ ((n as u64) << 20);
+        let run = |n, (prism_stride, pilaf_stride)| {
+            let rows = [
+                prism_row(&prism, ycsb.clone(), (cfg.seed, prism_stride), seed),
+                pilaf_row(
+                    &pilaf,
+                    ("Pilaf", VerbPath::Nic),
+                    ycsb.clone(),
+                    (cfg.seed, pilaf_stride),
+                    seed,
+                ),
+            ];
+            figure::sweep(&rows, &[(n, 0.0)], cfg.warmup, cfg.measure)
+        };
+        let lat = run(1, (1, 7));
+        let sat = run(cfg.sat_clients, (31, 37));
         t.row(&[
             size.to_string(),
-            f2(prism_lat.mean_us),
-            f2(pilaf_lat.mean_us),
-            mops(prism_sat.tput_ops),
-            mops(pilaf_sat.tput_ops),
+            f2(lat[0][0].mean_us),
+            f2(lat[1][0].mean_us),
+            mops(sat[0][0].tput_ops),
+            mops(sat[1][0].tput_ops),
         ]);
     }
     t

@@ -30,9 +30,7 @@
 # its hedged-vs-unhedged curves from `cargo run --release -p
 # prism-harness --bin fig_hedge` (straggler factors 1/2/4/8, same-seed
 # policy on/off pairs) and its overload row from the gray_gate knee
-# test's printed counters. The quick smoke below keeps that figure
-# runnable: it must finish, hedge at least once, and beat the unhedged
-# p99 at the 4x severity.
+# test's printed counters. scripts/ci.sh runs its quick smoke.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -44,19 +42,5 @@ rm -f "$OUT"
 echo "== bench (PRISM_BENCH_MS=${PRISM_BENCH_MS:-200}, JSON -> $OUT) =="
 PRISM_BENCH_MS="${PRISM_BENCH_MS:-200}" PRISM_BENCH_JSON="$OUT" \
     cargo bench -q --offline -p prism-bench
-
-echo "== hedging smoke (fig_hedge --quick: hedged p99 < unhedged at 4x) =="
-cargo run -q --release --offline -p prism-harness --bin fig_hedge -- --quick \
-    | tee -a /dev/stderr \
-    | awk '
-        /^hedge factor=4 mode=unhedged/ { for (i=1;i<=NF;i++) if ($i ~ /^p99_us=/) { sub("p99_us=","",$i); un=$i } }
-        /^hedge factor=4 mode=hedged/   { for (i=1;i<=NF;i++) { if ($i ~ /^p99_us=/) { sub("p99_us=","",$i); he=$i }
-                                                                if ($i ~ /^hedges=/) { sub("hedges=","",$i); n=$i } } }
-        END {
-            if (un == "" || he == "") { print "hedging smoke: missing curve points" > "/dev/stderr"; exit 1 }
-            if (n + 0 == 0)           { print "hedging smoke: no hedge ever fired" > "/dev/stderr"; exit 1 }
-            if (he + 0 >= un + 0)     { printf "hedging smoke: hedged p99 %s did not beat unhedged %s\n", he, un > "/dev/stderr"; exit 1 }
-            printf "hedging smoke: ok (4x straggler: hedged p99 %sus < unhedged %sus, %s hedges)\n", he, un, n
-        }'
 
 echo "bench.sh: wrote $(wc -l < "$OUT") results to $OUT"

@@ -18,6 +18,10 @@
 #   2. offline release build — fat LTO, one codegen unit
 #                           (.cargo/config.toml; the bench smoke of step
 #                           7 builds the same way)
+#      hedging smoke      — the BENCH_06 figure at quick scale
+#                           (fig_hedge --quick) must finish, hedge at
+#                           least once, and beat the unhedged p99 at the
+#                           4x straggler severity
 #   3. offline test run   — every unit, integration, and property suite
 #                           at the default seed. That includes the gate
 #                           suites: fault matrix (loss / crash / both),
@@ -109,6 +113,23 @@ unsafe_audit() {
     echo "$hits"
 }
 
+# fig_hedge --quick's 4x straggler pair: the hedged p99 must beat the
+# unhedged one, with at least one hedge fired.
+hedging_smoke() {
+    cargo run -q --release --offline -p prism-harness --bin fig_hedge -- --quick \
+        | tee -a /dev/stderr \
+        | awk '
+        /^hedge factor=4 mode=unhedged/ { for (i=1;i<=NF;i++) if ($i ~ /^p99_us=/) { sub("p99_us=","",$i); un=$i } }
+        /^hedge factor=4 mode=hedged/   { for (i=1;i<=NF;i++) { if ($i ~ /^p99_us=/) { sub("p99_us=","",$i); he=$i }
+                                                                if ($i ~ /^hedges=/) { sub("hedges=","",$i); n=$i } } }
+        END {
+            if (un == "" || he == "") { print "hedging smoke: missing curve points" > "/dev/stderr"; exit 1 }
+            if (n + 0 == 0)           { print "hedging smoke: no hedge ever fired" > "/dev/stderr"; exit 1 }
+            if (he + 0 >= un + 0)     { printf "hedging smoke: hedged p99 %s did not beat unhedged %s\n", he, un > "/dev/stderr"; exit 1 }
+            printf "hedging smoke: ok (4x straggler: hedged p99 %sus < unhedged %sus, %s hedges)\n", he, un, n
+        }'
+}
+
 MIGRATION_GATE=(rs_migration_chaos_stays_linearizable_through_live_reshard
     kv_migration_chaos_stays_linearizable_through_live_reshard)
 GATES=(--test fault_matrix --test chaos_gate --test corruption_matrix
@@ -140,6 +161,7 @@ second_seed() {
 step "hermeticity" ./scripts/check_hermetic.sh
 step "unsafe audit" unsafe_audit
 step "build (release, offline)" cargo build --release --offline
+step "hedging smoke (fig_hedge --quick: hedged p99 < unhedged at 4x)" hedging_smoke
 step "test (offline, default seed, all suites)" cargo test -q --offline
 step "migration gates (live 2->4 reshard under chaos, RS and KV)" migration_gates
 step "perf/ tests (the benchmark's view of the harness)" \
