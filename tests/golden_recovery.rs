@@ -14,11 +14,18 @@
 //! hand-appended records reach each rejection branch; a tear and eight
 //! rotted bits land on the log), so a change to how replay reads, folds
 //! or installs that moves one byte fails here rather than as a drifted
-//! fingerprint in a chaos gate. To re-pin after a deliberate change run
-//! with `--nocapture`: a mismatch prints the whole table.
+//! fingerprint in a chaos gate. A mismatch prints the row this build
+//! produces (`support::assert_golden`).
+//!
+//! The reclaim rows pin the other way buffers come back: a write run's
+//! withheld frees delivered over the wire (singly, batched, and in a
+//! batch a bad address cuts short; on RS and TX also a repeat, an
+//! out-of-range and a misaligned free), then a GC sweep, each folded as
+//! the free lists it leaves.
 
-use prism_core::msg::execute_local;
+use prism_core::msg::{execute_local, Request};
 use prism_core::op::FreeListId;
+use prism_core::PrismServer;
 use prism_harness::kv_exp::preload_prism;
 use prism_kv::hash::key_bytes;
 use prism_kv::prism_kv::{PrismKvClient, PrismKvConfig, PrismKvServer};
@@ -27,9 +34,10 @@ use prism_rs::prism_rs::{drive, RsCluster, RsConfig};
 use prism_rs::RsOutcome;
 use prism_simnet::rng::SimRng;
 use prism_store::Record;
+use prism_tx::{TxCluster, TxConfig, TxProtocol};
 
 mod support;
-use support::{disk_image_fingerprint, replay_records};
+use support::{assert_golden, disk_image_fingerprint, replay_records};
 
 struct Fnv(u64);
 
@@ -47,12 +55,6 @@ impl Fnv {
     fn eat_u64(&mut self, v: u64) {
         self.eat(&v.to_le_bytes());
     }
-}
-
-/// One table row as source text.
-fn row(seed: u64, image: &[u64]) -> String {
-    let cells: Vec<String> = image.iter().map(|v| format!("{v:#X}")).collect();
-    format!("    ({seed:#X}, [{}]),", cells.join(", "))
 }
 
 fn seeded_bytes(rng: &mut SimRng, len: usize) -> Vec<u8> {
@@ -73,16 +75,24 @@ const DELETES: u64 = 200;
 const LEAKED: u64 = 500;
 
 /// Drives a PUT or DELETE to completion; `frees` says whether the
-/// background reclaim requests reach the server. Withholding them is the
-/// point (the leaked buffers force a refill), which is why this loop is
-/// not `prism_kv::prism_kv::drive`: that one always delivers them.
-fn kv_write(s: &PrismKvServer, c: &PrismKvClient, key: u64, value: Option<&[u8]>, frees: bool) {
+/// background reclaim requests reach the server, and the ones that do
+/// not are returned. Withholding them is the point (the leaked buffers
+/// force a refill), which is why this loop is not
+/// `prism_kv::prism_kv::drive`: that one always delivers them.
+fn kv_write(
+    s: &PrismKvServer,
+    c: &PrismKvClient,
+    key: u64,
+    value: Option<&[u8]>,
+    frees: bool,
+) -> Vec<Request> {
     let key = key_bytes(key);
     let (mut op, req) = match value {
         Some(v) => c.put(&key, v),
         None => c.delete(&key),
     };
     let mut reply = execute_local(s.server(), &req);
+    let mut withheld = Vec::new();
     loop {
         let (next, background) = match op.on_reply(c, reply) {
             KvStep::Send {
@@ -91,12 +101,14 @@ fn kv_write(s: &PrismKvServer, c: &PrismKvClient, key: u64, value: Option<&[u8]>
             } => (Some(request), background),
             KvStep::Done { background, .. } => (None, background),
         };
-        if let (Some(bg), true) = (background, frees) {
-            execute_local(s.server(), &bg);
+        match background {
+            Some(bg) if frees => _ = execute_local(s.server(), &bg),
+            Some(bg) => withheld.push(bg),
+            None => {}
         }
         match next {
             Some(request) => reply = execute_local(s.server(), &request),
-            None => return,
+            None => return withheld,
         }
     }
 }
@@ -255,12 +267,8 @@ const KV_GOLDEN: [(u64, [u64; 12]); 2] = [
 
 #[test]
 fn kv_recovery_image_matches_the_pinned_values() {
-    let got: Vec<[u64; 12]> = KV_GOLDEN.iter().map(|&(seed, _)| kv_image(seed)).collect();
-    if KV_GOLDEN.iter().zip(&got).any(|(&(_, want), g)| want != *g) {
-        for (&(seed, _), g) in KV_GOLDEN.iter().zip(&got) {
-            println!("{}", row(seed, g));
-        }
-        panic!("golden KV recovery image moved (table above is what this build produces)");
+    for (seed, want) in KV_GOLDEN {
+        assert_golden(&format!("KV recovery {seed:#x}"), &kv_image(seed), &want);
     }
 }
 
@@ -347,11 +355,147 @@ const RS_GOLDEN: [(u64, [u64; 9]); 2] = [
 
 #[test]
 fn rs_recovery_image_matches_the_pinned_values() {
-    let got: Vec<[u64; 9]> = RS_GOLDEN.iter().map(|&(seed, _)| rs_image(seed)).collect();
-    if RS_GOLDEN.iter().zip(&got).any(|(&(_, want), g)| want != *g) {
-        for (&(seed, _), g) in RS_GOLDEN.iter().zip(&got) {
-            println!("{}", row(seed, g));
+    for (seed, want) in RS_GOLDEN {
+        assert_golden(&format!("RS recovery {seed:#x}"), &rs_image(seed), &want);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Reclamation
+// ---------------------------------------------------------------------
+
+/// The buffer a single free, `[0x01, addr u64]`, returns.
+fn freed(req: &Request) -> Option<u64> {
+    let Request::Rpc(m) = req else { return None };
+    let addr = m.strip_prefix(&[0x01])?;
+    Some(u64::from_le_bytes(addr.try_into().ok()?))
+}
+
+/// Free buffers and the snapshot fold of free list 0, the one list each
+/// system here has.
+fn list_image(server: &PrismServer) -> [u64; 2] {
+    let (lists, mut fold) = (server.freelists(), Fnv::new());
+    for a in lists.snapshot(FreeListId(0)) {
+        fold.eat_u64(a);
+    }
+    [lists.available(FreeListId(0)) as u64, fold.0]
+}
+
+/// Delivers withheld `frees` to `server` over the wire — the first third
+/// one at a time (`[0x01, addr]`), the next in batches of 16 (`[0x04, n
+/// u16, addrs]`), the rest as one batch that `odd[0]` in its middle cuts
+/// short — then each of `odd[1..]` alone, and returns [`list_image`].
+fn deliver(server: &PrismServer, frees: &[u64], odd: &[u64]) -> [u64; 2] {
+    let rpc = |op: u8, head: &[u8], addrs: &[u64]| {
+        let addrs = addrs.iter().flat_map(|a| a.to_le_bytes());
+        Request::Rpc([op].iter().chain(head).copied().chain(addrs).collect())
+    };
+    let batch = |addrs: &[u64]| rpc(0x04, &(addrs.len() as u16).to_le_bytes(), addrs);
+    let (one_by_one, rest) = frees.split_at(frees.len() / 3);
+    let (batched, cut) = rest.split_at(rest.len() / 2);
+    let mut cut = cut.to_vec();
+    cut.insert(cut.len() / 2, odd[0]);
+    let mut reqs: Vec<Request> = one_by_one.iter().map(|&a| rpc(0x01, &[], &[a])).collect();
+    reqs.extend(batched.chunks(16).map(batch));
+    reqs.push(batch(&cut));
+    reqs.extend(odd[1..].iter().map(|&a| rpc(0x01, &[], &[a])));
+    reqs.iter().for_each(|req| _ = execute_local(server, req));
+    list_image(server)
+}
+
+/// A small KV shard whose overwrites land on 16 hot keys with their frees
+/// withheld, so the refills they force carve buffers the run also frees.
+/// Its one bad address is a misaligned batch member.
+fn kv_reclaim(seed: u64) -> Vec<u64> {
+    let s = PrismKvServer::new(&PrismKvConfig::paper(256, 64));
+    preload_prism(&s, 256, 64);
+    let c = s.open_client();
+    let mut rng = SimRng::new(seed);
+    let (mut frees, mut refilled) = (Vec::new(), 0);
+    for _ in 0..160 {
+        refilled += s.maybe_refill();
+        let value = seeded_bytes(&mut rng, 64);
+        let withheld = kv_write(&s, &c, rng.gen_range(16), Some(&value), false);
+        frees.extend(withheld.iter().filter_map(freed));
+    }
+    let delivered = deliver(s.server(), &frees, &[frees[0] + 8]);
+    let gc = s.gc_sweep() as u64;
+    [&[refilled][..], &delivered, &[gc], &list_image(s.server())].concat()
+}
+
+/// One RS replica that misses the frees of 48 writes, then gets them back
+/// with a repeat, an out-of-range and a misaligned free after them.
+fn rs_reclaim(seed: u64) -> Vec<u64> {
+    let cl = RsCluster::new(3, &RsConfig::paper(BLOCKS, BLOCK as u64));
+    let c = cl.open_client();
+    let mut rng = SimRng::new(seed);
+    let mut frees = Vec::new();
+    for _ in 0..48 {
+        let (mut op, step) = c.put(rng.gen_range(BLOCKS), seeded_bytes(&mut rng, BLOCK));
+        let (mut queue, mut bg) = (step.send, step.background);
+        while let Some((r, phase, req)) = queue.pop() {
+            let s = op.on_reply(&c, phase, r, execute_local(cl.replica(r).server(), &req));
+            queue.extend(s.send);
+            bg.extend(s.background);
         }
-        panic!("golden RS recovery image moved (table above is what this build produces)");
+        for (r, req) in bg {
+            match freed(&req) {
+                Some(a) if r == VICTIM => frees.push(a),
+                _ => _ = execute_local(cl.replica(r).server(), &req),
+            }
+        }
+    }
+    let (victim, (pool, len)) = (cl.replica(VICTIM), cl.replica(VICTIM).pool_range());
+    let odd = [pool + len, frees[0], victim.view().meta(0), frees[1] + 8];
+    let delivered = deliver(victim.server(), &frees, &odd);
+    let gc = victim.gc_sweep() as u64;
+    [&delivered[..], &[gc], &list_image(victim.server())].concat()
+}
+
+/// One TX shard whose 48 blind writes have their frees withheld, then
+/// delivered as RS's are.
+fn tx_reclaim(seed: u64) -> Vec<u64> {
+    let cl = TxCluster::new(1, &TxConfig::paper(32, 64));
+    let (shard, mut c) = (cl.shard(0), cl.open_client());
+    let mut rng = SimRng::new(seed);
+    let mut frees = Vec::new();
+    for _ in 0..48 {
+        let write = (rng.gen_range(32), seeded_bytes(&mut rng, 64));
+        let (mut op, step) = c.begin(Vec::new(), vec![write]);
+        let (mut queue, mut bg) = (step.send, step.background);
+        while let Some((_, phase, idx, req)) = queue.pop() {
+            let s = c.on_reply(&mut op, phase, idx, execute_local(shard.server(), &req));
+            queue.extend(s.send);
+            bg.extend(s.background);
+        }
+        frees.extend(bg.iter().filter_map(|(_, req)| freed(req)));
+    }
+    let (pool, len) = shard.pool_range();
+    let odd = [pool + len, frees[0], shard.view().slot(0), frees[1] + 8];
+    deliver(shard.server(), &frees, &odd).to_vec()
+}
+
+/// `(system, seed, [buffers refilled (KV only), free buffers after
+/// delivery, their fold, buffers the GC sweep reposted (KV and RS), free
+/// buffers after it, their fold])`.
+#[rustfmt::skip]
+const RECLAIM_GOLDEN: [(&str, u64, &[u64]); 6] = [
+    ("KV", 0x4B56_0001, &[0x80, 0xA5, 0x71A3EF85A7EC0947, 0x1B, 0xC0, 0x16650088059BE8CB]),
+    ("KV", 0x4B56_0002, &[0x80, 0xA5, 0x85B5A4249590CA, 0x1B, 0xC0, 0x4F8FE8CC6B76E99C]),
+    ("RS", 0x5253_0001, &[0x38, 0xECE89898B1AF2535, 0x8, 0x40, 0x7C777424A52AA887]),
+    ("RS", 0x5253_0002, &[0x38, 0x3AF45C8C03F58765, 0x8, 0x40, 0xCC6AD0D8CCF40E59]),
+    ("TX", 0x5458_0001, &[0x38, 0x321CC8FF449B4B6]),
+    ("TX", 0x5458_0002, &[0x38, 0x2A7F996474636B08]),
+];
+
+#[test]
+fn reclaim_leaves_the_pinned_free_lists() {
+    for (system, seed, want) in RECLAIM_GOLDEN {
+        let got = match system {
+            "KV" => kv_reclaim(seed),
+            "RS" => rs_reclaim(seed),
+            _ => tx_reclaim(seed),
+        };
+        assert_golden(&format!("{system} reclaim {seed:#x}"), &got, want);
     }
 }
