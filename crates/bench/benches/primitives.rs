@@ -98,7 +98,7 @@ fn bench_primitives(c: &mut Criterion) {
                     .server
                     .execute_chain(&[ops::allocate(FreeListId(0), vec![9u8; 512])]);
                 let addr = u64::from_le_bytes(res[0].data.as_slice().try_into().unwrap());
-                r.server.repost(FreeListId(0), [addr]).unwrap();
+                r.server.freelists().post(FreeListId(0), [addr]).unwrap();
             },
             BatchSize::SmallInput,
         );
@@ -136,7 +136,7 @@ fn bench_primitives(c: &mut Criterion) {
             if let Ok(d) = res[2].expect_data() {
                 let old_ptr = u64::from_le_bytes(d[8..16].try_into().unwrap());
                 if old_ptr != 0 {
-                    r.server.repost(FreeListId(0), [old_ptr]).unwrap();
+                    r.server.freelists().post(FreeListId(0), [old_ptr]).unwrap();
                 }
             }
             res

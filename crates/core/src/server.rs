@@ -5,9 +5,11 @@
 //! the shared arena with both data planes — classic verbs
 //! ([`prism_rdma::RdmaNic`]) and the PRISM engine — so RDMA atomics and
 //! PRISM CAS are atomic with respect to each other, exactly as they would
-//! be on one NIC. The RPC hook carries the baselines' two-sided traffic
-//! (Pilaf PUTs, FaRM commit phases) and the applications' buffer-reclaim
-//! notifications (§3.2).
+//! be on one NIC. The RPC hook serves the reclaim RPC that returns
+//! ALLOCATE's buffers (§3.2; [`crate::freelist`] owns its format, its
+//! checks and the GC sweep) until an application installs a handler of
+//! its own, as the baselines do for their two-sided traffic (Pilaf PUTs,
+//! FaRM commit phases).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -64,7 +66,7 @@ pub struct PrismServer {
     nic: RdmaNic,
     carver: Mutex<Carver>,
     conns: ConnectionTable,
-    rpc: Mutex<Option<Arc<dyn RpcHandler>>>,
+    rpc: Mutex<Arc<dyn RpcHandler>>,
     observer: Mutex<Option<Arc<dyn ChainObserver>>>,
     /// Shard-map epoch this server believes is current. 0 = unsharded
     /// (no map installed); requests stamped 0 are never epoch-fenced.
@@ -90,6 +92,7 @@ impl PrismServer {
         let scratch_base = carver.carve(ONNIC_SCRATCH, 64);
         let scratch_rkey = regions.register(scratch_base, ONNIC_SCRATCH, AccessFlags::FULL);
         let conns = ConnectionTable::new(scratch_base, ONNIC_SCRATCH, scratch_rkey);
+        let reclaim: Arc<dyn RpcHandler> = Arc::clone(&freelists) as _;
         PrismServer {
             arena,
             regions,
@@ -98,7 +101,7 @@ impl PrismServer {
             nic,
             carver: Mutex::new(carver),
             conns,
-            rpc: Mutex::new(None),
+            rpc: Mutex::new(reclaim),
             observer: Mutex::new(None),
             epoch: AtomicU64::new(0),
         }
@@ -142,26 +145,12 @@ impl PrismServer {
     }
 
     /// Registers a free list of `count` buffers of `buf_len` bytes each,
-    /// carved from the arena (64-byte aligned so buffers start on line
-    /// boundaries). Returns the base address of the pool.
+    /// carved from the arena ([`FreeLists::register_pool`]), all of them
+    /// free. Returns the base address of the pool.
     pub fn setup_freelist(&self, id: FreeListId, buf_len: u64, count: u64) -> u64 {
-        let stride = buf_len.next_multiple_of(64);
-        let base = self.carve(stride * count, 64);
-        self.freelists.register(id, buf_len);
-        self.freelists
-            .post(id, (0..count).map(|i| base + i * stride))
-            .expect("freshly registered free list accepts posts");
+        let base = self.carve(buf_len.next_multiple_of(64) * count, 64);
+        self.freelists.register_pool(id, buf_len, base, count, 0);
         base
-    }
-
-    /// Reposts reclaimed buffers (the CPU-side path that takes the
-    /// posting gate).
-    pub fn repost(
-        &self,
-        id: FreeListId,
-        addrs: impl IntoIterator<Item = u64>,
-    ) -> Result<(), RdmaError> {
-        self.freelists.post(id, addrs)
     }
 
     /// Opens a client connection with its scratch slot.
@@ -257,23 +246,15 @@ impl PrismServer {
         self.regions.bump_incarnation()
     }
 
-    /// Installs the application's RPC handler.
+    /// Installs the application's RPC handler in place of the reclaim
+    /// RPC every server starts with.
     pub fn set_rpc_handler(&self, handler: Arc<dyn RpcHandler>) {
-        *self.rpc.lock() = Some(handler);
+        *self.rpc.lock() = handler;
     }
 
     /// Dispatches a two-sided RPC to the installed handler.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no handler is installed — servers that receive RPCs must
-    /// install one at setup.
     pub fn handle_rpc(&self, request: &[u8]) -> Vec<u8> {
-        let handler = self
-            .rpc
-            .lock()
-            .clone()
-            .expect("no RPC handler installed on this server");
+        let handler = Arc::clone(&self.rpc.lock());
         handler.handle(request)
     }
 }
@@ -292,6 +273,8 @@ impl std::fmt::Debug for PrismServer {
 mod tests {
     use super::*;
     use crate::builder::ops;
+    use crate::freelist::free_request;
+    use crate::msg::{execute_local, Reply};
 
     #[test]
     fn setup_and_one_sided_read() {
@@ -388,10 +371,17 @@ mod tests {
         assert_eq!(s.handle_rpc(b"abc"), b"cba");
     }
 
+    /// With no application handler, a server serves the reclaim RPC and
+    /// refuses anything else.
     #[test]
-    #[should_panic(expected = "no RPC handler")]
-    fn rpc_without_handler_panics() {
+    fn rpc_without_handler_serves_reclaim_and_refuses_the_rest() {
         let s = PrismServer::new(1 << 20);
-        s.handle_rpc(b"x");
+        let id = FreeListId(1);
+        s.setup_freelist(id, 512, 2);
+        let (addr, _) = s.freelists().pop(id).unwrap();
+        assert_eq!(execute_local(&s, &free_request(addr)), Reply::Rpc(vec![0]));
+        assert_eq!(s.freelists().available(id), 2);
+        assert_eq!(s.handle_rpc(b"x"), [0xFF]);
+        assert_eq!(s.handle_rpc(&[]), [0xFF]);
     }
 }

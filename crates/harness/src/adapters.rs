@@ -27,6 +27,7 @@
 
 use std::collections::HashMap;
 
+use prism_core::freelist::{free_batch_request, free_request, single_free};
 use prism_core::msg::{Reply, Request};
 use prism_core::OpStatus;
 use prism_kv::pilaf::{PilafClient, PilafGetOp};
@@ -128,36 +129,21 @@ impl FreeBatcher {
     }
 
     /// Offers one background request bound for `server` and returns
-    /// whether to send it now. A single-free message (`[0x01, addr
-    /// u64]`) is held back until its server has [`FreeBatcher::CAP`] of
-    /// them, when `req` is rewritten into the batch; anything else
-    /// passes untouched.
+    /// whether to send it now. A single free ([`single_free`]) is held
+    /// back until its server has [`FreeBatcher::CAP`] of them, when `req`
+    /// is rewritten into the batch; anything else passes untouched.
     fn absorb(&mut self, server: usize, req: &mut Request) -> bool {
-        let Request::Rpc(bytes) = &*req else {
+        let Some(addr) = single_free(req) else {
             return true;
         };
-        if bytes.len() != 9 || bytes[0] != 0x01 {
-            return true;
-        }
-        let addr = u64::from_le_bytes(bytes[1..9].try_into().expect("8 bytes"));
         let pending = self.pending.entry(server).or_default();
         pending.push(addr);
         if pending.len() < Self::CAP {
             return false;
         }
-        *req = Self::batch_request(pending);
+        *req = free_batch_request(pending);
         pending.clear();
         true
-    }
-
-    fn batch_request(addrs: &[u64]) -> Request {
-        let mut msg = Vec::with_capacity(3 + addrs.len() * 8);
-        msg.push(0x04);
-        msg.extend_from_slice(&(addrs.len() as u16).to_le_bytes());
-        for a in addrs {
-            msg.extend_from_slice(&a.to_le_bytes());
-        }
-        Request::Rpc(msg)
     }
 }
 
@@ -226,15 +212,6 @@ impl<A: ProtoAdapter> ProtoAdapter for Coalesced<A> {
         self.coalesce(&mut sends);
         sends
     }
-}
-
-/// The single-free message the servers' RPC handlers take: `[0x01,
-/// addr u64]`.
-fn free_request(addr: u64) -> Request {
-    let mut msg = Vec::with_capacity(9);
-    msg.push(0x01);
-    msg.extend_from_slice(&addr.to_le_bytes());
-    Request::Rpc(msg)
 }
 
 /// The unbatched free of `addr` a harvest emits (0 = nothing to free).
@@ -1444,7 +1421,7 @@ mod tests {
     }
 
     fn is_single_free(out: &Outbound) -> bool {
-        out.background && matches!(&out.req, Request::Rpc(m) if m.len() == 9 && m[0] == 0x01)
+        out.background && single_free(&out.req).is_some()
     }
 
     fn assert_retry(what: &str, step: &AdapterStep, backoff_us: u64) {

@@ -35,6 +35,7 @@ use std::sync::Arc;
 
 use prism_core::builder::ops;
 use prism_core::crc::Crc32;
+use prism_core::freelist::free_request;
 use prism_core::integrity::IntegrityStats;
 use prism_core::msg::{Reply, Request};
 use prism_core::op::{field_mask, full_mask, DataArg, FreeListId, Redirect};
@@ -79,9 +80,6 @@ pub fn block_crc_ok(buf: &[u8]) -> bool {
     crc.update(&buf[..8]).update(&buf[BUF_HDR as usize..]);
     crc.finish() == stored
 }
-
-const RPC_FREE: u8 = 0x01;
-const RPC_FREE_BATCH: u8 = 0x04;
 
 /// Per-replica store configuration.
 #[derive(Debug, Clone)]
@@ -213,8 +211,9 @@ pub struct PrismRsServer {
 }
 
 impl PrismRsServer {
-    /// Builds a replica: metadata array, buffer pool, initial version
-    /// (tag 0, zeroed value) for every block, and the reclaim RPC.
+    /// Builds a replica: metadata array, buffer pool (registered as its
+    /// free list's extent), and the initial version (tag 0, zeroed value)
+    /// of every block.
     pub fn new(config: &RsConfig) -> Self {
         let meta_len = (config.n_blocks * META).next_multiple_of(64);
         let buf_len = BUF_HDR + config.block_size;
@@ -228,16 +227,11 @@ impl PrismRsServer {
         let pool_base = data_base + meta_len;
 
         let freelist = FreeListId(0);
-        server.freelists().register(freelist, buf_len);
         // Buffers [0, n_blocks) seed the initial block versions; the rest
         // go on the free list.
         server
             .freelists()
-            .post(
-                freelist,
-                (config.n_blocks..count).map(|j| pool_base + j * stride),
-            )
-            .expect("fresh free list accepts posts");
+            .register_pool(freelist, buf_len, pool_base, count, config.n_blocks);
         let seed_image = encode_block(Tag::ZERO, &vec![0u8; config.block_size as usize]);
         for b in 0..config.n_blocks {
             let buf = pool_base + b * stride;
@@ -256,42 +250,6 @@ impl PrismRsServer {
                 .write(meta_addr + b * META, &meta)
                 .expect("metadata in arena");
         }
-
-        // Reclaim RPC (same shape as PRISM-KV's).
-        let freelists = Arc::clone(server.freelists());
-        let pool_end = pool_base + pool_len;
-        server.set_rpc_handler(Arc::new(move |req: &[u8]| {
-            let free_one = |addr: u64| -> bool {
-                if addr >= pool_base && addr < pool_end && (addr - pool_base).is_multiple_of(stride)
-                {
-                    freelists
-                        .post(freelist, [addr])
-                        .expect("freelist registered");
-                    true
-                } else {
-                    false
-                }
-            };
-            if req.len() == 9 && req[0] == RPC_FREE {
-                let addr = u64::from_le_bytes(req[1..9].try_into().expect("9 bytes"));
-                if free_one(addr) {
-                    return vec![0];
-                }
-            } else if req.len() >= 3 && req[0] == RPC_FREE_BATCH {
-                // Batched reclamation (§3.2).
-                let n = u16::from_le_bytes(req[1..3].try_into().expect("2 bytes")) as usize;
-                if req.len() == 3 + n * 8 {
-                    let ok = (0..n).all(|i| {
-                        let off = 3 + i * 8;
-                        free_one(u64::from_le_bytes(
-                            req[off..off + 8].try_into().expect("8 bytes"),
-                        ))
-                    });
-                    return vec![if ok { 0 } else { 0xFF }];
-                }
-            }
-            vec![0xFF]
-        }));
 
         // Durable tier: a private simulated disk holding the replica's
         // segment log, fed by a chain observer at the install CAS.
@@ -322,43 +280,22 @@ impl PrismRsServer {
         }
     }
 
-    /// Server-side garbage collection (§3.2's alternative to
-    /// client-driven reclamation): scans the metadata array for
-    /// reachable buffers and reposts every pool buffer that is neither
-    /// reachable nor already free. Runs under the posting gate's
-    /// exclusive side, so no chain is mid-allocation while it scans;
-    /// chains allocate and install within a single chain, so any
-    /// unreachable buffer at that point is genuinely leaked (e.g. its
-    /// client died before sending the free notification). Returns the
+    /// Server-side garbage collection
+    /// ([`prism_core::freelist::FreeLists::gc_sweep`]): every pool buffer
+    /// no metadata entry points at and not already free is reposted (e.g.
+    /// its client died before sending the free notification). Returns the
     /// number of buffers reclaimed.
     pub fn gc_sweep(&self) -> usize {
-        let _exclusive = self.server.freelists().gate_write();
-        let mut reachable = std::collections::HashSet::new();
-        for b in 0..self.view.n_blocks {
-            let addr = self
-                .server
-                .arena()
-                .read_u64(self.view.meta(b) + 8)
-                .expect("metadata in arena");
-            reachable.insert(addr);
-        }
-        let free: std::collections::HashSet<u64> = self
-            .server
-            .freelists()
-            .snapshot(self.view.freelist)
-            .into_iter()
-            .collect();
-        let mut reclaimed = 0;
-        for i in 0..self.count {
-            let buf = self.pool_base + i * self.stride;
-            if !reachable.contains(&buf) && !free.contains(&buf) {
-                // Safe under the exclusive gate (the repost path's own
-                // locking is bypassed deliberately: we *are* the holder).
-                self.server.freelists().repush_gc(self.view.freelist, buf);
-                reclaimed += 1;
-            }
-        }
-        reclaimed
+        let arena = self.server.arena();
+        self.server.freelists().gc_sweep(|| {
+            (0..self.view.n_blocks)
+                .map(|b| {
+                    arena
+                        .read_u64(self.view.meta(b) + 8)
+                        .expect("metadata in arena")
+                })
+                .collect()
+        })
     }
 
     /// The underlying host.
@@ -474,10 +411,8 @@ impl RsCluster {
         // Fresh-boot layout: block b seeds pool slot b, spares go back
         // on the free list. The pre-crash queue contents described
         // ownership that no longer exists.
-        r.server.freelists().reset(
-            r.view.freelist,
-            (r.view.n_blocks..r.count).map(|j| r.pool_base + j * r.stride),
-        );
+        let seeds_end = r.pool_base + r.view.n_blocks * r.stride;
+        r.server.freelists().reset_to_extents(1, |a| a < seeds_end);
 
         // Phase 1 — local replay. The segment log survives the crash
         // (minus whatever a disk tear or rot took); replay validates
@@ -936,13 +871,6 @@ impl RsClient {
         let step = op.read_phase_sends(self);
         (op, step)
     }
-
-    fn free_request(addr: u64) -> Request {
-        let mut msg = Vec::with_capacity(9);
-        msg.push(RPC_FREE);
-        msg.extend_from_slice(&addr.to_le_bytes());
-        Request::Rpc(msg)
-    }
 }
 
 impl RsOp {
@@ -1184,7 +1112,7 @@ impl RsOp {
                 if old.len() == META as usize {
                     let old_addr = u64::from_le_bytes(old[8..16].try_into().expect("8 bytes"));
                     if old_addr != 0 {
-                        background.push((replica, RsClient::free_request(old_addr)));
+                        background.push((replica, free_request(old_addr)));
                     }
                 }
                 true
@@ -1195,7 +1123,7 @@ impl RsOp {
                 if let Some(Ok(d)) = results.get(3).map(|r| r.expect_data()) {
                     if d.len() == 8 {
                         let new_addr = u64::from_le_bytes(d.try_into().expect("8 bytes"));
-                        background.push((replica, RsClient::free_request(new_addr)));
+                        background.push((replica, free_request(new_addr)));
                     }
                 }
                 true

@@ -49,6 +49,7 @@ use std::sync::Arc;
 
 use prism_core::builder::ops;
 use prism_core::crc::Crc32;
+use prism_core::freelist::free_request;
 use prism_core::integrity::IntegrityStats;
 use prism_core::msg::{Reply, Request};
 use prism_core::op::{field_mask, full_mask, DataArg, FreeListId, Redirect};
@@ -123,9 +124,6 @@ fn shard_runs<'a, T>(
 /// scratch slot: 16 staging bytes per key).
 pub const KEYS_PER_COMMIT_CHAIN: usize = 4;
 
-const RPC_FREE: u8 = 0x01;
-const RPC_FREE_BATCH: u8 = 0x04;
-
 /// Per-shard store configuration.
 #[derive(Debug, Clone)]
 pub struct TxConfig {
@@ -188,8 +186,9 @@ pub struct TxServer {
 }
 
 impl TxServer {
-    /// Builds a shard: slot array, buffer pool, initial version
-    /// (timestamp 0, zeroed value) for every key, reclaim RPC.
+    /// Builds a shard: slot array, buffer pool (registered as its free
+    /// list's extent), and the initial version (timestamp 0, zeroed
+    /// value) of every key.
     pub fn new(config: &TxConfig, shard: u64, n_shards: u64) -> Self {
         let slots_len = (config.keys_per_shard * SLOT).next_multiple_of(64);
         let buf_len = VER_HDR + config.value_len;
@@ -202,15 +201,11 @@ impl TxServer {
         let slot_addr = data_base;
         let pool_base = data_base + slots_len;
 
-        let freelist = FreeListId(0);
-        server.freelists().register(freelist, buf_len);
+        // Key i's initial version lives in buffer i; the rest are free.
+        let (freelist, seeds) = (FreeListId(0), config.keys_per_shard);
         server
             .freelists()
-            .post(
-                freelist,
-                (config.keys_per_shard..count).map(|j| pool_base + j * stride),
-            )
-            .expect("fresh free list accepts posts");
+            .register_pool(freelist, buf_len, pool_base, count, seeds);
         for i in 0..config.keys_per_shard {
             let buf = pool_base + i * stride;
             let global_key = i * n_shards + shard;
@@ -225,41 +220,6 @@ impl TxServer {
                 .write(slot_addr + i * SLOT, &slot)
                 .expect("slot in arena");
         }
-
-        let freelists = Arc::clone(server.freelists());
-        let pool_end = pool_base + pool_len;
-        server.set_rpc_handler(Arc::new(move |req: &[u8]| {
-            let free_one = |addr: u64| -> bool {
-                if addr >= pool_base && addr < pool_end && (addr - pool_base).is_multiple_of(stride)
-                {
-                    freelists
-                        .post(freelist, [addr])
-                        .expect("freelist registered");
-                    true
-                } else {
-                    false
-                }
-            };
-            if req.len() == 9 && req[0] == RPC_FREE {
-                let addr = u64::from_le_bytes(req[1..9].try_into().expect("9 bytes"));
-                if free_one(addr) {
-                    return vec![0];
-                }
-            } else if req.len() >= 3 && req[0] == RPC_FREE_BATCH {
-                // Batched reclamation (§3.2).
-                let n = u16::from_le_bytes(req[1..3].try_into().expect("2 bytes")) as usize;
-                if req.len() == 3 + n * 8 {
-                    let ok = (0..n).all(|i| {
-                        let off = 3 + i * 8;
-                        free_one(u64::from_le_bytes(
-                            req[off..off + 8].try_into().expect("8 bytes"),
-                        ))
-                    });
-                    return vec![if ok { 0 } else { 0xFF }];
-                }
-            }
-            vec![0xFF]
-        }));
 
         TxServer {
             server,
@@ -597,13 +557,6 @@ impl TxClient {
                 "key {k} out of range"
             );
         }
-    }
-
-    fn free_request(addr: u64) -> Request {
-        let mut msg = Vec::with_capacity(9);
-        msg.push(RPC_FREE);
-        msg.extend_from_slice(&addr.to_le_bytes());
-        Request::Rpc(msg)
     }
 }
 
@@ -1060,7 +1013,7 @@ impl TxProtocol for TxClient {
                                 let old_addr =
                                     u64::from_le_bytes(old[8..16].try_into().expect("8 bytes"));
                                 if old_addr != 0 {
-                                    background.push((req.shard, TxClient::free_request(old_addr)));
+                                    background.push((req.shard, free_request(old_addr)));
                                 }
                             }
                         }
@@ -1070,7 +1023,7 @@ impl TxProtocol for TxClient {
                             if let Ok(d) = readback.expect_data() {
                                 if d.len() == 8 {
                                     let new_addr = u64::from_le_bytes(d.try_into().expect("8B"));
-                                    background.push((req.shard, TxClient::free_request(new_addr)));
+                                    background.push((req.shard, free_request(new_addr)));
                                 }
                             }
                         }

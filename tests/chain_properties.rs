@@ -322,7 +322,7 @@ fn allocator_integrity() {
                         other => panic!("unexpected {other:?}"),
                     }
                 } else if let Some(addr) = live.pop() {
-                    server.repost(fl, [addr]).unwrap();
+                    server.freelists().free(addr).unwrap();
                 }
             }
         },
