@@ -1,21 +1,30 @@
-//! Substrate costs: the DES kernel's event throughput (which bounds how
-//! fast figures regenerate), workload generators, the frame codec, the
-//! CRC under every checksum in the workspace, the PRISM-TX client
-//! path without a simulator around it, and the cache-cold indirect GET
-//! with and without the simulator's lookahead hint.
+//! The workspace's one bench binary. Real CPU cost, layer by layer: each
+//! PRISM primitive on the software data plane (the per-op execution
+//! component of Figure 1; the transport is modelled), the frame codec,
+//! the CRC under every checksum in the workspace, whole KV/RS/TX
+//! operations and their baselines executed directly against their
+//! servers, the DES kernel's event throughput (which bounds how fast
+//! figures regenerate), workload generators, and the cache-cold
+//! indirect GET with and without the simulator's lookahead hint.
 
-use prism_bench::runner::Criterion;
+use prism_bench::runner::{BatchSize, Criterion};
 use prism_bench::{criterion_group, criterion_main};
 
 use prism_core::builder::ops;
-use prism_core::msg::{Reply, Request};
-use prism_core::op::{full_mask, DataArg, FreeListId, Redirect};
+use prism_core::msg::{execute_local, Reply, Request};
+use prism_core::op::{field_mask, full_mask, DataArg, FreeListId, Redirect};
 use prism_core::value::CasMode;
-use prism_core::{OpResult, OpStatus};
+use prism_core::{wire, OpResult, OpStatus, PrismServer};
+use prism_kv::hash::key_bytes;
+use prism_kv::pilaf::{PilafConfig, PilafServer};
+use prism_kv::prism_kv::{drive as kv_drive, PrismKvConfig, PrismKvServer};
+use prism_kv::KvStep;
 use prism_rdma::arena::MemoryArena;
-use prism_simnet::engine::{Actor, Context, QueueKind, Simulation};
+use prism_rdma::region::AccessFlags;
+use prism_simnet::engine::{Actor, Context, Simulation};
 use prism_simnet::rng::SimRng;
 use prism_simnet::time::{SimDuration, SimTime};
+use prism_tx::farm::{FarmCluster, FarmConfig};
 use prism_tx::prism_tx::{TxCluster, TxConfig};
 use prism_tx::{drive, TxOutcome, TxProtocol};
 use prism_workload::dist::ZipfGen;
@@ -84,6 +93,143 @@ fn bench_des(c: &mut Criterion) {
     g.finish();
 }
 
+/// A host with a 1 MiB region, one 576-byte free list, and a pointer at
+/// the region's base to a 512-byte object, for the indirect paths.
+struct Rig {
+    server: PrismServer,
+    data: u64,
+    rkey: u32,
+    scratch: u64,
+    scratch_rkey: u32,
+}
+
+fn rig() -> Rig {
+    let server = PrismServer::new(1 << 22);
+    let (data, rkey) = server.carve_region(1 << 20, 64, AccessFlags::FULL);
+    server.setup_freelist(FreeListId(0), 576, 1024);
+    let conn = server.open_connection();
+    server.arena().write(data + 4096, &[7u8; 512]).unwrap();
+    server.arena().write_u64(data, data + 4096).unwrap();
+    server.arena().write_u64(data + 8, 512).unwrap();
+    Rig {
+        server,
+        data,
+        rkey: rkey.0,
+        scratch: conn.scratch_addr,
+        scratch_rkey: conn.scratch_rkey.0,
+    }
+}
+
+/// Each PRISM primitive executed as a one-op chain, and the §3.5
+/// out-of-place update as one four-op chain.
+fn bench_primitives(c: &mut Criterion) {
+    let r = rig();
+    let mut g = c.benchmark_group("primitive");
+
+    g.bench_function("read_512", |b| {
+        let op = [ops::read(r.data + 4096, 512, r.rkey)];
+        b.iter(|| r.server.execute_chain(std::hint::black_box(&op)));
+    });
+
+    g.bench_function("write_512", |b| {
+        let op = [ops::write(r.data + 8192, vec![1u8; 512], r.rkey)];
+        b.iter(|| r.server.execute_chain(std::hint::black_box(&op)));
+    });
+
+    g.bench_function("read_512_into", |b| {
+        // Zero-alloc chain path: the results vector (and its data
+        // buffers) are reused across executions.
+        let op = [ops::read(r.data + 4096, 512, r.rkey)];
+        let mut results = Vec::new();
+        b.iter(|| {
+            r.server
+                .execute_chain_into(std::hint::black_box(&op), &mut results);
+            results[0].data.len()
+        });
+    });
+
+    g.bench_function("indirect_read_512", |b| {
+        let op = [ops::read_indirect_bounded(r.data, 512, r.rkey)];
+        b.iter(|| r.server.execute_chain(std::hint::black_box(&op)));
+    });
+
+    g.bench_function("enhanced_cas_16", |b| {
+        // Version-install CAS that always succeeds (version grows).
+        let mut version = 0u64;
+        b.iter(|| {
+            version += 1;
+            let mut word = version.to_be_bytes().to_vec();
+            word.extend_from_slice(&[0u8; 8]);
+            let op = [ops::cas(
+                CasMode::Lt,
+                r.data + 16384,
+                r.rkey,
+                word.clone(),
+                word,
+                16,
+                field_mask(0, 8),
+                full_mask(16),
+            )];
+            r.server.execute_chain(&op)
+        });
+    });
+
+    g.bench_function("allocate_free_512", |b| {
+        b.iter_batched(
+            || (),
+            |()| {
+                let res = r
+                    .server
+                    .execute_chain(&[ops::allocate(FreeListId(0), vec![9u8; 512])]);
+                let addr = u64::from_le_bytes(res[0].data.as_slice().try_into().unwrap());
+                r.server.freelists().post(FreeListId(0), [addr]).unwrap();
+            },
+            BatchSize::SmallInput,
+        );
+    });
+
+    g.bench_function("out_of_place_update_chain", |b| {
+        // The §3.5 composite: WRITE + ALLOCATE(redirect) + CAS + READ.
+        let slot = r.data + 32768;
+        b.iter(|| {
+            let old = r.server.arena().read(slot, 16).unwrap();
+            let chain = vec![
+                ops::write(r.scratch + 8, 576u64.to_le_bytes().to_vec(), r.scratch_rkey),
+                ops::allocate(FreeListId(0), vec![3u8; 512]).redirect(Redirect {
+                    addr: r.scratch,
+                    rkey: r.scratch_rkey,
+                }),
+                ops::cas_args(
+                    CasMode::Eq,
+                    slot,
+                    r.rkey,
+                    DataArg::Inline(old),
+                    DataArg::Remote {
+                        addr: r.scratch,
+                        rkey: r.scratch_rkey,
+                    },
+                    16,
+                    full_mask(16),
+                    full_mask(16),
+                )
+                .conditional(),
+                ops::read(r.scratch, 8, r.scratch_rkey),
+            ];
+            let res = r.server.execute_chain(&chain);
+            // Reclaim the previous buffer to keep the pool stable.
+            if let Ok(d) = res[2].expect_data() {
+                let old_ptr = u64::from_le_bytes(d[8..16].try_into().unwrap());
+                if old_ptr != 0 {
+                    r.server.freelists().post(FreeListId(0), [old_ptr]).unwrap();
+                }
+            }
+            res
+        });
+    });
+
+    g.finish();
+}
+
 /// The GET of §6.1 — one bounded indirect READ of a slot — over a store
 /// too big for the private caches: 2 MiB of `(ptr, bound)` slots over
 /// 72 MiB of 576-byte entries in scattered order, slots drawn uniformly,
@@ -95,8 +241,6 @@ fn bench_des(c: &mut Criterion) {
 /// Read against `verbs/read_512_into`, the same copy with everything
 /// resident.
 fn bench_chain_cold(c: &mut Criterion) {
-    use prism_core::PrismServer;
-    use prism_rdma::region::AccessFlags;
     use std::cell::LazyCell;
 
     const SLOTS: u64 = 1 << 17;
@@ -167,7 +311,7 @@ fn bench_chain_cold(c: &mut Criterion) {
 /// while every delivered event re-arms one at a pseudo-random offset —
 /// the access pattern of open-loop load generation, where each of 10⁵+
 /// logical clients keeps a timeout or arrival timer outstanding. At
-/// this depth the O(log n) heap pays its worst constant per event; the
+/// this depth a binary heap would pay its worst constant per event; the
 /// timer wheel stays O(1).
 struct DeepChurn {
     pending: u32,
@@ -203,8 +347,8 @@ impl Actor<u8> for DeepChurn {
     }
 }
 
-fn run_deep_churn(kind: QueueKind) -> SimTime {
-    let mut sim: Simulation<u8> = Simulation::with_queue(9, kind);
+fn run_deep_churn() -> SimTime {
+    let mut sim: Simulation<u8> = Simulation::new(9);
     sim.add_actor(Box::new(DeepChurn {
         pending: 16_384,
         remaining: 65_536,
@@ -215,15 +359,11 @@ fn run_deep_churn(kind: QueueKind) -> SimTime {
 }
 
 /// Event-queue throughput at open-loop depth: 64 k events dispatched
-/// through a standing population of 16 k pending timers, wheel vs the
-/// reference heap (results/BENCH_03.json tracks the ratio).
+/// through a standing population of 16 k pending timers.
 fn bench_deep_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("des");
     g.bench_function("64k_events_16k_timers_wheel", |b| {
-        b.iter(|| run_deep_churn(QueueKind::Wheel));
-    });
-    g.bench_function("64k_events_16k_timers_heap", |b| {
-        b.iter(|| run_deep_churn(QueueKind::Heap));
+        b.iter(run_deep_churn);
     });
     g.finish();
 }
@@ -287,6 +427,29 @@ fn bench_wire(c: &mut Criterion) {
     }]);
     g.bench_function("reply_encode_get_530", |b| {
         b.iter(|| std::hint::black_box(&get_reply).encode().unwrap());
+    });
+    // A mixed chain body: bounded indirect READ, redirected ALLOCATE,
+    // 16-byte CAS.
+    let chain = vec![
+        ops::read_indirect_bounded(0x1000, 512, 1),
+        ops::allocate(FreeListId(0), vec![0u8; 512]).redirect(Redirect {
+            addr: 0x2000,
+            rkey: 2,
+        }),
+        ops::cas(
+            CasMode::Lt,
+            0x3000,
+            1,
+            vec![0u8; 16],
+            vec![1u8; 16],
+            16,
+            full_mask(16),
+            full_mask(16),
+        ),
+    ];
+    let bytes = wire::encode_chain(&chain).unwrap();
+    g.bench_function("decode_3op_chain", |b| {
+        b.iter(|| wire::decode_chain(std::hint::black_box(&bytes)).unwrap());
     });
     g.finish();
 }
@@ -370,6 +533,86 @@ fn bench_tx(c: &mut Criterion) {
             outcome
         })
     });
+    // The same transaction on FaRM: two execution READs, then lock and
+    // update RPCs that the server CPU runs.
+    let farm = FarmCluster::new(
+        1,
+        &FarmConfig {
+            keys_per_shard: 1024,
+            value_len: 512,
+        },
+    );
+    g.bench_function("farm_rmw_commit", |b| {
+        let mut client = farm.open_client();
+        b.iter(|| {
+            let (op, step) = client.begin(vec![7], vec![(7, vec![1u8; 512])]);
+            drive(&farm, &mut client, op, step)
+        });
+    });
+    g.finish();
+}
+
+/// Whole KV operations executed directly against the server: PRISM-KV's
+/// one-chain GET and PUT, and Pilaf's two-READ GET and its PUT RPC.
+fn bench_kv(c: &mut Criterion) {
+    let mut g = c.benchmark_group("kv");
+    let prism = PrismKvServer::new(&PrismKvConfig::paper(1024, 512));
+    let pc = prism.open_client();
+    let val = vec![9u8; 512];
+    let put = |value: &[u8]| {
+        let (mut op, req) = pc.put(&key_bytes(7), value);
+        kv_drive(prism.server(), req, |r| op.on_reply(&pc, r));
+    };
+    put(&val);
+
+    g.bench_function("prism_kv_get_512", |b| {
+        b.iter(|| {
+            let (mut op, req) = pc.get(&key_bytes(7));
+            let reply = execute_local(prism.server(), &req);
+            op.on_reply(&pc, reply)
+        });
+    });
+    g.bench_function("prism_kv_put_512", |b| b.iter(|| put(&val)));
+
+    let pilaf = PilafServer::new(&PilafConfig::paper(1024, 512));
+    let lc = pilaf.open_client();
+    execute_local(pilaf.server(), &lc.put_request(&key_bytes(7), &val));
+    g.bench_function("pilaf_get_512", |b| {
+        b.iter(|| {
+            let (mut op, req) = lc.get(&key_bytes(7));
+            let mut reply = execute_local(pilaf.server(), &req);
+            while let KvStep::Send { request, .. } = op.on_reply(&lc, reply) {
+                reply = execute_local(pilaf.server(), &request);
+            }
+        });
+    });
+    g.bench_function("pilaf_put_rpc_512", |b| {
+        let req = lc.put_request(&key_bytes(7), &val);
+        b.iter(|| execute_local(pilaf.server(), &req));
+    });
+    g.finish();
+}
+
+/// A PRISM-RS write and read of one 512-byte block over three replicas,
+/// every replica answering.
+fn bench_rs(c: &mut Criterion) {
+    use prism_rs::prism_rs::{drive, RsCluster, RsConfig};
+
+    let mut g = c.benchmark_group("rs");
+    let cluster = RsCluster::new(3, &RsConfig::paper(64, 512));
+    let client = cluster.open_client();
+    g.bench_function("prism_rs_put_512_3replicas", |b| {
+        b.iter(|| {
+            let (op, step) = client.put(3, vec![5u8; 512]);
+            drive(&cluster, &client, op, step, &[false; 3])
+        });
+    });
+    g.bench_function("prism_rs_get_512_3replicas", |b| {
+        b.iter(|| {
+            let (op, step) = client.get(3);
+            drive(&cluster, &client, op, step, &[false; 3])
+        });
+    });
     g.finish();
 }
 
@@ -409,7 +652,6 @@ fn bench_memory(c: &mut Criterion) {
 }
 
 fn bench_verbs(c: &mut Criterion) {
-    use prism_rdma::region::AccessFlags;
     use prism_rdma::RdmaNic;
 
     let mut g = c.benchmark_group("verbs");
@@ -557,12 +799,15 @@ fn bench_store(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_primitives,
     bench_des,
     bench_deep_queue,
     bench_chain_cold,
     bench_wire,
     bench_crc,
     bench_workload,
+    bench_kv,
+    bench_rs,
     bench_tx,
     bench_memory,
     bench_verbs,

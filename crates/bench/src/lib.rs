@@ -3,10 +3,9 @@
 //! `std::time::Instant` harness with a Criterion-compatible surface, so
 //! the workspace builds with zero registry dependencies.
 //!
-//! * `primitives` — per-op CPU cost of the PRISM software data plane.
-//! * `protocols` — full application operations (KV GET/PUT, ABD rounds,
-//!   transaction commits) in live mode.
-//! * `substrate` — the simulator itself: event throughput, Zipf
-//!   sampling, wire codec, CRC.
+//! One binary, `substrate`, holds every row: per-op CPU cost of the
+//! PRISM software data plane (`primitive/*`), the wire codec, CRC, whole
+//! KV/RS/TX operations executed directly against their servers, the
+//! simulator's event throughput, and the workload generators.
 
 pub mod runner;

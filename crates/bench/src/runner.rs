@@ -15,7 +15,7 @@
 //! of measurement).
 //!
 //! CLI: a single positional argument filters benchmarks by substring
-//! (`cargo bench -p prism-bench --bench primitives -- read`); flags
+//! (`cargo bench -p prism-bench --bench substrate -- read`); flags
 //! cargo passes through (`--bench`) are ignored.
 
 use std::hint::black_box;

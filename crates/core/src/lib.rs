@@ -70,7 +70,6 @@ pub mod engine;
 pub mod freelist;
 pub mod integrity;
 pub mod layout;
-pub mod live;
 pub mod msg;
 pub mod op;
 pub mod server;

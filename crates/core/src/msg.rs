@@ -800,6 +800,43 @@ mod tests {
     }
 
     #[test]
+    fn many_threads_share_one_server() {
+        let s = std::sync::Arc::new(PrismServer::new(1 << 20));
+        let (addr, rkey) = s.carve_region(4096, 64, AccessFlags::FULL);
+        let rkey = rkey.0;
+        let threads: Vec<_> = (0..8u64)
+            .map(|t| {
+                let s = std::sync::Arc::clone(&s);
+                std::thread::spawn(move || {
+                    for i in 0..200u64 {
+                        // Each thread owns an 8-byte cell; verbs and
+                        // chains interleave on the same host.
+                        let cell = addr + t * 8;
+                        let v = (t << 32 | i).to_le_bytes().to_vec();
+                        let w = execute_local(&s, &Request::Chain(vec![ops::write(cell, v, rkey)]));
+                        assert!(w.into_chain().unwrap()[0].succeeded());
+                        let r = execute_local(
+                            &s,
+                            &Request::Verb(Verb::Read {
+                                addr: cell,
+                                len: 8,
+                                rkey,
+                            }),
+                        );
+                        let got = u64::from_le_bytes(r.into_verb().unwrap().try_into().unwrap());
+                        // Our own write is the only writer of this cell,
+                        // so it must read back.
+                        assert_eq!(got, t << 32 | i);
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+    }
+
+    #[test]
     fn reply_accessors_return_typed_errors_never_panic() {
         use prism_rdma::RdmaError::{BadResponse, ReceiverNotReady};
         let timeout = || Reply::Verb(Err(ReceiverNotReady));

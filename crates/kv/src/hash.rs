@@ -34,7 +34,8 @@ impl HashScheme {
     ///
     /// Panics in `Collisionless` mode if the key is not exactly 8 bytes
     /// or indexes outside the table — that mode is only for generated
-    /// workloads whose key space matches the table.
+    /// workloads whose key space matches the table. A server handed a
+    /// key by the network checks `HashScheme::places` first.
     pub fn slot(self, key: &[u8], attempt: u64, capacity: u64) -> u64 {
         debug_assert!(capacity > 0);
         match self {
@@ -46,6 +47,18 @@ impl HashScheme {
                 );
                 assert!(k < capacity, "key {k} outside collisionless table");
                 (k + attempt) % capacity
+            }
+        }
+    }
+
+    /// Whether [`HashScheme::slot`] can place `key` in a table of
+    /// `capacity` slots: any key under `Fnv`, an 8-byte key below
+    /// `capacity` under `Collisionless`.
+    pub(crate) fn places(self, key: &[u8], capacity: u64) -> bool {
+        match self {
+            HashScheme::Fnv => true,
+            HashScheme::Collisionless => {
+                <[u8; 8]>::try_from(key).is_ok_and(|k| u64::from_le_bytes(k) < capacity)
             }
         }
     }

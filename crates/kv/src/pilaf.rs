@@ -254,6 +254,9 @@ fn entry_crc_ok(e: &[u8; 32]) -> bool {
     crc32(&copy[0..24]) == stored
 }
 
+/// Serves PUT (`[0x02 | entry]`) and DELETE (`[0x03 | key]`). A request
+/// that does not parse, or whose key the hash scheme cannot place, is
+/// answered `[0xFF]` before the index is touched.
 fn handle_rpc(
     server: &PrismServer,
     view: &PilafView,
@@ -263,9 +266,10 @@ fn handle_rpc(
     if req.is_empty() {
         return vec![0xFF];
     }
+    let placed = |key: &[u8]| view.scheme.places(key, view.capacity);
     match req[0] {
         RPC_PUT => {
-            let Some((key, value)) = entry::decode(&req[1..]) else {
+            let Some((key, value)) = entry::decode(&req[1..]).filter(|(key, _)| placed(key)) else {
                 return vec![0xFF];
             };
             let payload = entry::encode(key, value);
@@ -296,6 +300,9 @@ fn handle_rpc(
         }
         RPC_DELETE => {
             let key = &req[1..];
+            if !placed(key) {
+                return vec![0xFF];
+            }
             let Some((slot_addr, old)) = probe_server_side(server, view, key) else {
                 return vec![0];
             };
@@ -544,7 +551,9 @@ impl PilafGetOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::key_bytes;
     use prism_core::msg::execute_local;
+    use prism_testkit::{for_all, gens, Config, Gen};
 
     fn drive_get(s: &PilafServer, c: &PilafClient, key: &[u8]) -> (KvOutcome, u32) {
         let (mut op, req) = c.get(key);
@@ -733,5 +742,99 @@ mod tests {
         }
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         writer.join().unwrap();
+    }
+
+    /// An 8-key store under `scheme` holding keys 0..4, 32-byte values.
+    fn filled(scheme: HashScheme) -> (PilafServer, PilafClient) {
+        let s = PilafServer::new(&PilafConfig {
+            scheme,
+            ..PilafConfig::paper(8, 32)
+        });
+        let c = s.open_client();
+        for k in 0..4u64 {
+            assert_eq!(
+                put(&s, &c, &key_bytes(k), &[k as u8; 32]),
+                KvOutcome::Written
+            );
+        }
+        (s, c)
+    }
+
+    /// The index's bytes.
+    fn index(s: &PilafServer) -> Vec<u8> {
+        let v = s.view();
+        s.server()
+            .arena()
+            .read(v.table_addr, v.capacity * ENTRY)
+            .unwrap()
+    }
+
+    fn rpc(s: &PilafServer, msg: Vec<u8>) -> Vec<u8> {
+        execute_local(s.server(), &Request::Rpc(msg))
+            .into_rpc()
+            .unwrap()
+    }
+
+    #[test]
+    fn keys_the_collisionless_table_cannot_place_are_refused() {
+        let (s, c) = filled(HashScheme::Collisionless);
+        let before = index(&s);
+        assert_eq!(
+            put(&s, &c, b"short", &[9; 32]),
+            KvOutcome::Failed("PUT rejected")
+        );
+        assert_eq!(rpc(&s, [&[RPC_DELETE][..], &key_bytes(8)].concat()), [0xFF]);
+        assert_eq!(index(&s), before);
+        assert_eq!(
+            drive_get(&s, &c, &key_bytes(3)).0,
+            KvOutcome::Value(Some(vec![3; 32]))
+        );
+    }
+
+    /// Raw bytes, and PUTs and DELETEs of keys the table holds, keys
+    /// past it, and keys of any length, with values that fit an extent
+    /// or do not.
+    fn request_gen() -> Gen<Vec<u8>> {
+        let key = gens::one_of(vec![
+            gens::range_u64(0..10).map(|k| key_bytes(k).to_vec()),
+            gens::vec(gens::u8s(), 0..10),
+        ]);
+        gens::one_of(vec![
+            gens::vec(gens::u8s(), 0..40),
+            gens::t2(key.clone(), gens::range_usize(0..40)).map(|(k, vlen)| {
+                let mut msg = vec![RPC_PUT];
+                msg.extend_from_slice(&entry::encode(&k, &vec![0x5A; vlen]));
+                msg
+            }),
+            key.map(|k| [&[RPC_DELETE][..], &k].concat()),
+        ])
+    }
+
+    /// The handler is total over request bytes under both schemes: it
+    /// never panics, and a refused request leaves the index unchanged.
+    #[test]
+    fn pilaf_handler_is_total_over_request_bytes() {
+        for_all(
+            "pilaf_handler_is_total_over_request_bytes",
+            &Config::with_cases(256),
+            &gens::t2(gens::bools(), request_gen()),
+            |(fnv, req): &(bool, Vec<u8>)| {
+                let scheme = if *fnv {
+                    HashScheme::Fnv
+                } else {
+                    HashScheme::Collisionless
+                };
+                let (s, _) = filled(scheme);
+                let before = index(&s);
+                let reply = rpc(&s, req.clone());
+                assert!(
+                    [[0], [0xFD], [0xFE], [0xFF]].iter().any(|r| reply == r),
+                    "reply {reply:?}"
+                );
+                if reply == [0xFF] {
+                    assert_eq!(index(&s), before);
+                }
+            },
+        );
     }
 }

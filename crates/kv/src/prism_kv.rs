@@ -229,8 +229,8 @@ pub struct PrismKvServer {
     /// `(next, end)` of the registered headroom the refill daemon carves
     /// from.
     headroom: prism_rdma::sync::Mutex<(u64, u64)>,
-    /// `(base, len)` of the initial buffer pools — the live-value
-    /// memory the fault fabric targets with bit rot.
+    /// `(base, len)` of the initial buffer pools; a restart rewinds the
+    /// headroom to their end.
     pools: (u64, u64),
     disk: Arc<SimDisk>,
     store: Arc<SegmentStore>,
@@ -375,14 +375,6 @@ impl PrismKvServer {
         let base = hr.0;
         hr.0 += len;
         Some(base)
-    }
-
-    /// `(base, len)` of the initial buffer pools — the memory where
-    /// live entry bytes reside. The fault fabric's at-rest rot targets
-    /// this range so injected damage lands on data a client can
-    /// actually observe.
-    pub fn value_pool_range(&self) -> (u64, u64) {
-        self.pools
     }
 
     /// The simulated disk backing this shard's segment log (where the

@@ -19,8 +19,8 @@
 //! * [`error`] — NACK-style error codes.
 //! * [`hash`] — the hasher for program-generated integer keys (buffer
 //!   addresses, request tags) shared by every crate in the workspace.
-//! * [`sync`] — std-only locks and the bounded MPMC channel shared by
-//!   every crate in the workspace (no registry dependencies).
+//! * [`sync`] — std-only locks shared by every crate in the workspace
+//!   (no registry dependencies).
 
 // `deny`, not `forbid`: `arena::prefetch_words` allows itself the
 // crate's one block, the entry into the SSE prefetch (DESIGN.md §5.6).

@@ -1,22 +1,17 @@
-//! Std-only synchronization primitives for the whole workspace.
+//! Std-only locks for the whole workspace.
 //!
 //! The repository builds with zero registry dependencies (see
-//! `scripts/check_hermetic.sh`), so the `parking_lot` locks and the
-//! `crossbeam` bounded channel the code originally used are replaced by
-//! thin wrappers over `std::sync`. The wrappers keep `parking_lot`'s
-//! ergonomics — `lock()` / `read()` / `write()` return guards directly —
-//! by treating lock poisoning as recoverable: a panicking holder does
-//! not wedge every later accessor (protocol state is reconstructible,
-//! and tests intentionally drive panics through property harnesses).
-//!
-//! [`bounded`] provides the multi-producer **multi-consumer** channel
-//! that `LiveServer`'s worker pool needs (std's `mpsc` receiver cannot
-//! be cloned), implemented as a `Mutex<VecDeque>` plus two condvars.
+//! `scripts/check_hermetic.sh`), so the `parking_lot` locks the code
+//! originally used are replaced by thin wrappers over `std::sync`. The
+//! wrappers keep `parking_lot`'s ergonomics — `lock()` / `read()` /
+//! `write()` return guards directly — by treating lock poisoning as
+//! recoverable: a panicking holder does not wedge every later accessor
+//! (protocol state is reconstructible, and tests intentionally drive
+//! panics through property harnesses).
 
-use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Mutex as StdMutex;
 use std::sync::PoisonError;
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
 /// Guard returned by [`Mutex::lock`].
 pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
@@ -46,15 +41,6 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Acquires the lock if it is free right now.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
     }
 
     /// Mutable access without locking (requires exclusive ownership).
@@ -109,215 +95,10 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
     }
 }
 
-/// Error returned by [`Sender::send`] when every receiver is gone; the
-/// unsent value is handed back.
-#[derive(PartialEq, Eq)]
-pub struct SendError<T>(pub T);
-
-impl<T> fmt::Debug for SendError<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("SendError(..)")
-    }
-}
-
-/// Error returned by [`Receiver::recv`] when the queue is empty and
-/// every sender is gone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvError;
-
-struct ChannelState<T> {
-    queue: VecDeque<T>,
-    senders: usize,
-    receivers: usize,
-}
-
-struct Channel<T> {
-    state: StdMutex<ChannelState<T>>,
-    capacity: usize,
-    not_empty: Condvar,
-    not_full: Condvar,
-}
-
-/// Creates a bounded multi-producer multi-consumer FIFO channel.
-/// Sends block while the queue holds `capacity` items — the
-/// back-pressure a NIC receive queue applies.
-///
-/// # Panics
-///
-/// Panics if `capacity` is zero (a rendezvous channel is not needed
-/// here; the smallest queue is one slot).
-pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-    assert!(capacity > 0, "bounded: zero capacity");
-    let chan = Arc::new(Channel {
-        state: StdMutex::new(ChannelState {
-            queue: VecDeque::with_capacity(capacity),
-            senders: 1,
-            receivers: 1,
-        }),
-        capacity,
-        not_empty: Condvar::new(),
-        not_full: Condvar::new(),
-    });
-    (
-        Sender {
-            chan: Arc::clone(&chan),
-        },
-        Receiver { chan },
-    )
-}
-
-/// Sending half of a [`bounded`] channel.
-pub struct Sender<T> {
-    chan: Arc<Channel<T>>,
-}
-
-impl<T> Sender<T> {
-    /// Enqueues `value`, blocking while the channel is full. Fails (and
-    /// returns the value) once every receiver has been dropped.
-    pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        let mut state = self
-            .chan
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if state.receivers == 0 {
-                return Err(SendError(value));
-            }
-            if state.queue.len() < self.chan.capacity {
-                state.queue.push_back(value);
-                self.chan.not_empty.notify_one();
-                return Ok(());
-            }
-            state = self
-                .chan
-                .not_full
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-impl<T> Clone for Sender<T> {
-    fn clone(&self) -> Self {
-        self.chan
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .senders += 1;
-        Sender {
-            chan: Arc::clone(&self.chan),
-        }
-    }
-}
-
-impl<T> Drop for Sender<T> {
-    fn drop(&mut self) {
-        let mut state = self
-            .chan
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        state.senders -= 1;
-        if state.senders == 0 {
-            // Wake receivers so they can observe disconnection.
-            self.chan.not_empty.notify_all();
-        }
-    }
-}
-
-impl<T> fmt::Debug for Sender<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Sender").finish_non_exhaustive()
-    }
-}
-
-/// Receiving half of a [`bounded`] channel. Cloneable: multiple workers
-/// may drain one queue.
-pub struct Receiver<T> {
-    chan: Arc<Channel<T>>,
-}
-
-impl<T> Receiver<T> {
-    /// Dequeues the next value, blocking while the channel is empty.
-    /// Fails once the queue is drained and every sender has been
-    /// dropped.
-    pub fn recv(&self) -> Result<T, RecvError> {
-        let mut state = self
-            .chan
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(value) = state.queue.pop_front() {
-                self.chan.not_full.notify_one();
-                return Ok(value);
-            }
-            if state.senders == 0 {
-                return Err(RecvError);
-            }
-            state = self
-                .chan
-                .not_empty
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Dequeues the next value if one is ready right now.
-    pub fn try_recv(&self) -> Option<T> {
-        let mut state = self
-            .chan
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let value = state.queue.pop_front();
-        if value.is_some() {
-            self.chan.not_full.notify_one();
-        }
-        value
-    }
-}
-
-impl<T> Clone for Receiver<T> {
-    fn clone(&self) -> Self {
-        self.chan
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .receivers += 1;
-        Receiver {
-            chan: Arc::clone(&self.chan),
-        }
-    }
-}
-
-impl<T> Drop for Receiver<T> {
-    fn drop(&mut self) {
-        let mut state = self
-            .chan
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        state.receivers -= 1;
-        if state.receivers == 0 {
-            // Wake senders so their blocked sends can fail fast.
-            self.chan.not_full.notify_all();
-        }
-    }
-}
-
-impl<T> fmt::Debug for Receiver<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Receiver").finish_non_exhaustive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Duration;
+    use std::sync::Arc;
 
     #[test]
     fn mutex_and_rwlock_basic() {
@@ -344,68 +125,17 @@ mod tests {
     }
 
     #[test]
-    fn channel_fifo_and_disconnect() {
-        let (tx, rx) = bounded::<u32>(4);
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(rx.recv(), Ok(2));
-        drop(tx);
-        assert_eq!(rx.recv(), Err(RecvError));
-    }
-
-    #[test]
-    fn send_fails_after_receivers_drop() {
-        let (tx, rx) = bounded::<u32>(1);
-        drop(rx);
-        assert_eq!(tx.send(9), Err(SendError(9)));
-    }
-
-    #[test]
-    fn bounded_send_blocks_until_drained() {
-        let (tx, rx) = bounded::<u32>(1);
-        tx.send(1).unwrap();
-        let sent = Arc::new(AtomicUsize::new(0));
-        let t = {
-            let tx = tx.clone();
-            let sent = Arc::clone(&sent);
-            std::thread::spawn(move || {
-                tx.send(2).unwrap();
-                sent.store(1, Ordering::SeqCst);
-            })
-        };
-        std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(sent.load(Ordering::SeqCst), 0, "send must block when full");
-        assert_eq!(rx.recv(), Ok(1));
-        t.join().unwrap();
-        assert_eq!(rx.recv(), Ok(2));
-    }
-
-    #[test]
-    fn mpmc_drains_every_item_exactly_once() {
-        let (tx, rx) = bounded::<u64>(64);
-        let consumers: Vec<_> = (0..4)
-            .map(|_| {
-                let rx = rx.clone();
-                std::thread::spawn(move || {
-                    let mut got = Vec::new();
-                    while let Ok(v) = rx.recv() {
-                        got.push(v);
-                    }
-                    got
-                })
-            })
-            .collect();
-        drop(rx);
-        for i in 0..1000 {
-            tx.send(i).unwrap();
-        }
-        drop(tx);
-        let mut all: Vec<u64> = consumers
-            .into_iter()
-            .flat_map(|t| t.join().unwrap())
-            .collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..1000).collect::<Vec<_>>());
+    fn poisoned_rwlock_recovers() {
+        let rw = Arc::new(RwLock::new(0u32));
+        let rw2 = Arc::clone(&rw);
+        let _ = std::thread::spawn(move || {
+            *rw2.write() = 7;
+            let _g = rw2.write();
+            panic!("poison it");
+        })
+        .join();
+        assert_eq!(*rw.read(), 7);
+        *rw.write() += 1;
+        assert_eq!(Arc::try_unwrap(rw).unwrap().into_inner(), 8);
     }
 }

@@ -8,22 +8,16 @@
 //!
 //! # Event queue
 //!
-//! The kernel dispatches events in `(time, sequence)` order. Two queue
-//! implementations provide that order (selectable via [`QueueKind`]):
-//!
-//! * [`QueueKind::Wheel`] (the default) — a bucketed hierarchical timer
-//!   wheel: ten levels of 64 slots each (6 bits of nanoseconds per level,
-//!   covering 2^60 ns ≈ 36 years of virtual time), a per-level occupancy
-//!   bitmap for O(1) next-slot search, and a far-future overflow heap for
-//!   the rare event beyond the wheel's horizon. Event records live in a
-//!   slab with intrusive free/next links, so steady-state scheduling
-//!   allocates nothing, and all events sharing a timestamp are drained as
-//!   one batch and dispatched in sequence order.
-//! * [`QueueKind::Heap`] — the original binary-heap queue, kept as the
-//!   reference oracle for differential property tests and before/after
-//!   benchmarks. Both implementations are observationally equivalent;
-//!   `crates/simnet/tests/wheel_oracle.rs` holds the property test that
-//!   pins this.
+//! The kernel dispatches events in `(time, sequence)` order from a
+//! bucketed hierarchical timer wheel: ten levels of 64 slots each (6 bits
+//! of nanoseconds per level, covering 2^60 ns ≈ 36 years of virtual
+//! time), a per-level occupancy bitmap for O(1) next-slot search, and a
+//! far-future overflow heap for the rare event beyond the wheel's
+//! horizon. Event records live in a slab with intrusive free/next links,
+//! so steady-state scheduling allocates nothing, and all events sharing
+//! a timestamp are drained as one batch and dispatched in sequence
+//! order. `crates/simnet/tests/wheel_oracle.rs` checks that order against
+//! a `BinaryHeap<(time, seq)>` reference model on random schedules.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -75,47 +69,6 @@ pub trait Actor<M> {
     /// actor sends to itself and [`Simulation::post`] are not shown.
     fn lookahead(&mut self, msg: &M) {
         let _ = msg;
-    }
-}
-
-/// Selects the event-queue implementation backing a [`Simulation`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueKind {
-    /// Hierarchical timer wheel with a far-future overflow heap — the
-    /// default, built for runs with hundreds of thousands of
-    /// outstanding timers (open-loop load generation).
-    Wheel,
-    /// The original `BinaryHeap<(time, seq)>` queue. O(log n) per event
-    /// with a large constant at high occupancy; retained as the
-    /// reference oracle for differential tests and benchmarks.
-    Heap,
-}
-
-/// One scheduled event, as stored by the heap oracle.
-#[derive(Debug)]
-struct Scheduled<M> {
-    at: SimTime,
-    seq: u64,
-    dst: ActorId,
-    msg: M,
-}
-
-// Order by (time, sequence) — `BinaryHeap` is a max-heap, so entries are
-// wrapped in `Reverse` at the call sites.
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Scheduled<M> {}
-impl<M> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
     }
 }
 
@@ -341,71 +294,11 @@ impl<M> TimerWheel<M> {
     }
 }
 
-/// The original binary-heap event queue, retained as the reference
-/// oracle (see [`QueueKind::Heap`]).
-struct HeapQueue<M> {
-    heap: BinaryHeap<Reverse<Scheduled<M>>>,
-}
-
-impl<M> HeapQueue<M> {
-    fn pop_batch(&mut self, limit: u64, out: &mut Vec<BatchEntry<M>>) -> Option<u64> {
-        let at = self.heap.peek()?.0.at;
-        if at.as_nanos() > limit {
-            return None;
-        }
-        while let Some(Reverse(ev)) = self.heap.peek() {
-            if ev.at != at {
-                break;
-            }
-            let Reverse(ev) = self.heap.pop().expect("peeked event vanished");
-            out.push(BatchEntry {
-                seq: ev.seq,
-                dst: ev.dst,
-                msg: Some(ev.msg),
-            });
-        }
-        Some(at.as_nanos())
-    }
-}
-
-/// The kernel's event queue: timer wheel or heap oracle. One queue
-/// exists per engine, so the wheel's inline level arrays (the size gap
-/// clippy flags) cost a few KB once, not per event.
-#[allow(clippy::large_enum_variant)]
-enum EventQueue<M> {
-    Wheel(TimerWheel<M>),
-    Heap(HeapQueue<M>),
-}
-
-impl<M> EventQueue<M> {
-    fn push(&mut self, at: SimTime, seq: u64, dst: ActorId, msg: M) {
-        match self {
-            EventQueue::Wheel(w) => w.push(at, seq, dst, msg),
-            EventQueue::Heap(h) => h.heap.push(Reverse(Scheduled { at, seq, dst, msg })),
-        }
-    }
-
-    fn pop_batch(&mut self, limit: SimTime, out: &mut Vec<BatchEntry<M>>) -> Option<SimTime> {
-        match self {
-            EventQueue::Wheel(w) => w.pop_batch(limit.as_nanos(), out),
-            EventQueue::Heap(h) => h.pop_batch(limit.as_nanos(), out),
-        }
-        .map(SimTime::from_nanos)
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            EventQueue::Wheel(w) => w.len,
-            EventQueue::Heap(h) => h.heap.len(),
-        }
-    }
-}
-
 /// The mutable simulation state shared with actors during a callback.
 struct Kernel<M> {
     now: SimTime,
     seq: u64,
-    queue: EventQueue<M>,
+    queue: TimerWheel<M>,
     /// The same-timestamp batch currently being dispatched, and the
     /// next entry to deliver. Reused across batches: zero allocation in
     /// steady state.
@@ -517,28 +410,14 @@ pub struct Simulation<M> {
 }
 
 impl<M> Simulation<M> {
-    /// Creates an empty simulation with the given random seed, backed
-    /// by the timer-wheel event queue.
+    /// Creates an empty simulation with the given random seed.
     pub fn new(seed: u64) -> Self {
-        Simulation::with_queue(seed, QueueKind::Wheel)
-    }
-
-    /// Creates an empty simulation with an explicit queue
-    /// implementation — [`QueueKind::Heap`] selects the reference
-    /// oracle for differential tests and before/after benchmarks.
-    pub fn with_queue(seed: u64, queue: QueueKind) -> Self {
-        let queue = match queue {
-            QueueKind::Wheel => EventQueue::Wheel(TimerWheel::new()),
-            QueueKind::Heap => EventQueue::Heap(HeapQueue {
-                heap: BinaryHeap::new(),
-            }),
-        };
         Simulation {
             actors: Vec::new(),
             kernel: Kernel {
                 now: SimTime::ZERO,
                 seq: 0,
-                queue,
+                queue: TimerWheel::new(),
                 batch: Vec::new(),
                 batch_pos: 0,
                 rng: SimRng::new(seed),
@@ -557,11 +436,6 @@ impl<M> Simulation<M> {
         self.actors.push(actor);
         self.kernel.actors = self.actors.len();
         id
-    }
-
-    /// Number of registered actors.
-    pub fn actor_count(&self) -> usize {
-        self.actors.len()
     }
 
     /// Enqueues a message for delivery at the current time (time zero before
@@ -658,11 +532,11 @@ impl<M> Simulation<M> {
             match self
                 .kernel
                 .queue
-                .pop_batch(deadline, &mut self.kernel.batch)
+                .pop_batch(deadline.as_nanos(), &mut self.kernel.batch)
             {
-                Some(t) => self.kernel.now = t,
+                Some(t) => self.kernel.now = SimTime::from_nanos(t),
                 None => {
-                    if self.kernel.queue.len() > 0 {
+                    if self.kernel.queue.len > 0 {
                         // Events remain past the deadline: park the
                         // clock there so a later run resumes cleanly.
                         self.kernel.now = deadline;
@@ -801,16 +675,14 @@ mod tests {
                 ctx.send_in(me, SimDuration::micros(1), 0);
             }
         }
-        for kind in [QueueKind::Wheel, QueueKind::Heap] {
-            let mut sim = Simulation::with_queue(0, kind);
-            sim.add_actor(Box::new(SelfPing));
-            sim.run_until(SimTime::from_nanos(10_500));
-            assert_eq!(sim.metrics().counter("ticks"), 10);
-            assert_eq!(sim.now().as_nanos(), 10_500);
-            // Continuing resumes from the deadline without replaying events.
-            sim.run_until(SimTime::from_nanos(20_500));
-            assert_eq!(sim.metrics().counter("ticks"), 20);
-        }
+        let mut sim = Simulation::new(0);
+        sim.add_actor(Box::new(SelfPing));
+        sim.run_until(SimTime::from_nanos(10_500));
+        assert_eq!(sim.metrics().counter("ticks"), 10);
+        assert_eq!(sim.now().as_nanos(), 10_500);
+        // Continuing resumes from the deadline without replaying events.
+        sim.run_until(SimTime::from_nanos(20_500));
+        assert_eq!(sim.metrics().counter("ticks"), 20);
     }
 
     #[test]
@@ -851,13 +723,11 @@ mod tests {
                 ctx.stop();
             }
         }
-        for kind in [QueueKind::Wheel, QueueKind::Heap] {
-            let mut sim = Simulation::with_queue(0, kind);
-            sim.add_actor(Box::new(Stopper));
-            sim.run();
-            assert!(sim.is_stopped());
-            assert_eq!(sim.now().as_nanos(), 1_000);
-        }
+        let mut sim = Simulation::new(0);
+        sim.add_actor(Box::new(Stopper));
+        sim.run();
+        assert!(sim.is_stopped());
+        assert_eq!(sim.now().as_nanos(), 1_000);
     }
 
     #[test]
@@ -956,32 +826,29 @@ mod tests {
             fn on_message(&mut self, _: u32, _: &mut Context<'_, u32>) {}
         }
         use Seen::{Got, Shown};
-        for kind in [QueueKind::Wheel, QueueKind::Heap] {
-            let log: Log = Rc::default();
-            let mut sim = Simulation::with_queue(0, kind);
-            sim.add_actor(Box::new(Driver));
-            let w = sim.add_actor(Box::new(Watcher(Rc::clone(&log))));
-            sim.post(w, 7);
-            sim.run();
-            assert_eq!(
-                *log.borrow(),
-                [
-                    // on_start runs before any delivery: all three
-                    // sends are shown, in send order, ahead of the
-                    // posted message that is delivered first.
-                    Shown(20),
-                    Shown(10),
-                    Shown(30),
-                    Got(7),
-                    Got(10),
-                    Got(98),
-                    Got(99),
-                    Got(30),
-                    Got(20),
-                ],
-                "{kind:?}"
-            );
-        }
+        let log: Log = Rc::default();
+        let mut sim = Simulation::new(0);
+        sim.add_actor(Box::new(Driver));
+        let w = sim.add_actor(Box::new(Watcher(Rc::clone(&log))));
+        sim.post(w, 7);
+        sim.run();
+        assert_eq!(
+            *log.borrow(),
+            [
+                // on_start runs before any delivery: all three sends
+                // are shown, in send order, ahead of the posted message
+                // that is delivered first.
+                Shown(20),
+                Shown(10),
+                Shown(30),
+                Got(7),
+                Got(10),
+                Got(98),
+                Got(99),
+                Got(30),
+                Got(20),
+            ]
+        );
     }
 
     /// Delivers `script` hops, each re-armed from the previous one, and
@@ -1007,8 +874,8 @@ mod tests {
         }
     }
 
-    fn hop_signature(kind: QueueKind, hops: &[u64]) -> (u64, u64, u64) {
-        let mut sim = Simulation::with_queue(0, kind);
+    fn hop_signature(hops: &[u64]) -> (u64, u64, u64) {
+        let mut sim = Simulation::new(0);
         sim.add_actor(Box::new(Hopper {
             hops: hops.to_vec(),
             pos: 0,
@@ -1026,7 +893,9 @@ mod tests {
         // Regression for wheel epoch rollover: each hop lands exactly
         // on or just past a 64^k slot boundary, the carry cases where a
         // naive delta-based wheel files events into already-passed
-        // slots. The heap oracle defines correct behavior.
+        // slots. Correct behaviour is what a heap would do with one
+        // re-armed timer: hop `i` lands at the sum of the first `i + 1`
+        // spans.
         let spans: &[u64] = &[
             63,
             1, // crosses the level-0 window at 64
@@ -1039,9 +908,20 @@ mod tests {
             (1u64 << 36) - 16_775_232,
             1, // crosses a level-6 digit
         ];
+        let arrivals: Vec<u64> = spans
+            .iter()
+            .scan(0, |t, s| {
+                *t += s;
+                Some(*t)
+            })
+            .collect();
         assert_eq!(
-            hop_signature(QueueKind::Wheel, spans),
-            hop_signature(QueueKind::Heap, spans)
+            hop_signature(spans),
+            (
+                arrivals.len() as u64,
+                arrivals.iter().sum(),
+                *arrivals.last().unwrap()
+            )
         );
     }
 

@@ -61,7 +61,7 @@ pub mod resources;
 pub mod rng;
 pub mod time;
 
-pub use engine::{Actor, ActorId, Context, QueueKind, Simulation};
+pub use engine::{Actor, ActorId, Context, Simulation};
 pub use fault::FaultPlan;
 pub use latency::CostModel;
 pub use time::{SimDuration, SimTime};

@@ -212,20 +212,37 @@ fn obj_of(view: &FarmView, local: u64) -> u64 {
 
 /// Server-side commit phases. Lock/unlock/update all run on the server
 /// CPU — the cost PRISM-TX avoids.
+///
+/// A request is `[op | token | n | record × n]`, a record being a local
+/// index, followed for UPDATE by a `value_len`-byte value. The whole
+/// request is parsed before memory is touched: a header, count or
+/// record length that disagrees with the bytes, or an index outside the
+/// object table, is answered `[0xFE]` with nothing changed.
 fn handle_rpc(server: &PrismServer, view: &FarmView, req: &[u8]) -> Vec<u8> {
+    const REFUSED: u8 = 0xFE;
     if req.len() < 10 {
-        return vec![0xFE];
+        return vec![REFUSED];
     }
     let op = req[0];
     let token = u64::from_le_bytes(req[1..9].try_into().expect("8 bytes"));
     let n = req[9] as usize;
-    let mut off = 10;
+    let record_len = match op {
+        RPC_LOCK | RPC_UNLOCK => 8,
+        RPC_UPDATE => 8 + view.value_len as usize,
+        _ => return vec![REFUSED],
+    };
+    let body = &req[10..];
+    let records = body.chunks_exact(record_len).map(|r| {
+        let (local, value) = r.split_at(8);
+        (u64::from_le_bytes(local.try_into().expect("8B")), value)
+    });
+    if body.len() != n * record_len || records.clone().any(|(local, _)| local >= view.capacity) {
+        return vec![REFUSED];
+    }
     match op {
         RPC_LOCK => {
             let mut taken = Vec::new();
-            for _ in 0..n {
-                let local = u64::from_le_bytes(req[off..off + 8].try_into().expect("8B"));
-                off += 8;
+            for (local, _) in records {
                 let obj = obj_of(view, local);
                 let got = server
                     .arena()
@@ -252,9 +269,7 @@ fn handle_rpc(server: &PrismServer, view: &FarmView, req: &[u8]) -> Vec<u8> {
             vec![0]
         }
         RPC_UNLOCK => {
-            for _ in 0..n {
-                let local = u64::from_le_bytes(req[off..off + 8].try_into().expect("8B"));
-                off += 8;
+            for (local, _) in records {
                 let obj = obj_of(view, local);
                 server
                     .arena()
@@ -268,12 +283,7 @@ fn handle_rpc(server: &PrismServer, view: &FarmView, req: &[u8]) -> Vec<u8> {
             vec![0]
         }
         RPC_UPDATE => {
-            let vlen = view.value_len as usize;
-            for _ in 0..n {
-                let local = u64::from_le_bytes(req[off..off + 8].try_into().expect("8B"));
-                off += 8;
-                let value = &req[off..off + vlen];
-                off += vlen;
+            for (local, value) in records {
                 let obj = obj_of(view, local);
                 let lock = server.arena().read_u64(obj + 8).expect("in arena");
                 if lock != token {
@@ -292,7 +302,7 @@ fn handle_rpc(server: &PrismServer, view: &FarmView, req: &[u8]) -> Vec<u8> {
             }
             vec![0]
         }
-        _ => vec![0xFE],
+        _ => vec![REFUSED],
     }
 }
 
@@ -857,6 +867,7 @@ impl TxProtocol for FarmClient {
 mod tests {
     use super::*;
     use crate::driver::{drive, run_rmw};
+    use prism_testkit::{for_all, gens, Config, Gen};
 
     fn cluster(shards: usize, keys: u64) -> FarmCluster {
         FarmCluster::new(
@@ -1089,5 +1100,133 @@ mod tests {
         ));
         let vals = read_all(&cl, &mut c, &[0, 1, 2]);
         assert_eq!(vals[&1], vec![2; 32]);
+    }
+
+    const TOKEN: u64 = 0xABCD;
+
+    /// `[op | token | n]` followed by `body`.
+    fn rpc_bytes(op: u8, token: u64, n: u8, body: &[u8]) -> Vec<u8> {
+        let mut msg = vec![op];
+        msg.extend_from_slice(&token.to_le_bytes());
+        msg.push(n);
+        msg.extend_from_slice(body);
+        msg
+    }
+
+    fn rpc(cl: &FarmCluster, msg: Vec<u8>) -> Vec<u8> {
+        let reply = prism_core::msg::execute_local(cl.shard(0).server(), &Request::Rpc(msg));
+        reply.into_rpc().unwrap()
+    }
+
+    /// Shard 0's object table and the object slot just past it: every
+    /// version, lock word, key and value a request could touch.
+    fn objects(cl: &FarmCluster) -> Vec<u8> {
+        let v = cl.shard(0).view();
+        let len = v.obj_stride * (v.capacity + 1);
+        cl.shard(0).server().arena().read(v.obj_addr, len).unwrap()
+    }
+
+    /// Shard 0 of a 4-key cluster with key 1 locked under [`TOKEN`].
+    fn locked_cluster() -> FarmCluster {
+        let cl = cluster(1, 4);
+        assert_eq!(
+            rpc(&cl, key_list_rpc(RPC_LOCK, TOKEN, [1].into_iter())),
+            [0]
+        );
+        cl
+    }
+
+    #[test]
+    fn lock_whose_count_overstates_its_bytes_is_refused() {
+        let cl = locked_cluster();
+        let before = objects(&cl);
+        let mut msg = key_list_rpc(RPC_LOCK, TOKEN, [0].into_iter());
+        msg[9] = 2;
+        assert_eq!(rpc(&cl, msg), [0xFE]);
+        assert_eq!(objects(&cl), before);
+    }
+
+    #[test]
+    fn unlock_of_an_index_past_the_arena_is_refused() {
+        let cl = locked_cluster();
+        let before = objects(&cl);
+        let msg = key_list_rpc(RPC_UNLOCK, TOKEN, [1, 1 << 40].into_iter());
+        assert_eq!(rpc(&cl, msg), [0xFE]);
+        assert_eq!(objects(&cl), before, "key 1 stays locked");
+    }
+
+    #[test]
+    fn update_with_a_short_value_is_refused() {
+        let cl = locked_cluster();
+        let before = objects(&cl);
+        let mut body = 1u64.to_le_bytes().to_vec();
+        body.extend_from_slice(&[9; 31]);
+        assert_eq!(rpc(&cl, rpc_bytes(RPC_UPDATE, TOKEN, 1, &body)), [0xFE]);
+        assert_eq!(objects(&cl), before);
+    }
+
+    #[test]
+    fn lock_of_index_capacity_is_refused() {
+        let cl = locked_cluster();
+        let before = objects(&cl);
+        let msg = key_list_rpc(RPC_LOCK, TOKEN, [0, 4].into_iter());
+        assert_eq!(rpc(&cl, msg), [0xFE]);
+        assert_eq!(objects(&cl), before, "no lock word past the table");
+    }
+
+    /// Raw bytes, and requests of every op whose count is right or off
+    /// by one, whose indices may fall past the table, and whose last
+    /// UPDATE value may be a byte short.
+    fn request_gen() -> Gen<Vec<u8>> {
+        let index = gens::one_of(vec![gens::range_u64(0..6), gens::u64s()]);
+        gens::one_of(vec![
+            gens::vec(gens::u8s(), 0..48),
+            gens::t5(
+                gens::choice(vec![RPC_LOCK, RPC_UNLOCK, RPC_UPDATE, 0x13]),
+                gens::choice(vec![TOKEN, 0, 7]),
+                gens::vec(index, 0..4),
+                gens::choice(vec![0u8, 1, 255]),
+                gens::bools(),
+            )
+            .map(|(op, token, indices, skew, short)| {
+                let mut body = Vec::new();
+                for i in &indices {
+                    body.extend_from_slice(&i.to_le_bytes());
+                    if op == RPC_UPDATE {
+                        body.extend_from_slice(&[0x5A; 32]);
+                    }
+                }
+                if short {
+                    body.pop();
+                }
+                let n = (indices.len() as u8).wrapping_add(skew);
+                rpc_bytes(op, token, n, &body)
+            }),
+        ])
+    }
+
+    /// The handler is total over request bytes: it never panics, its
+    /// reply is one of the four the protocol defines, and a refused
+    /// request (`[0xFE]`, or a LOCK conflict's `[0xFF]`) leaves every
+    /// object as it was, lock words included.
+    #[test]
+    fn farm_handler_is_total_over_request_bytes() {
+        for_all(
+            "farm_handler_is_total_over_request_bytes",
+            &Config::with_cases(512),
+            &request_gen(),
+            |req: &Vec<u8>| {
+                let cl = locked_cluster();
+                let before = objects(&cl);
+                let reply = rpc(&cl, req.clone());
+                assert!(
+                    [[0], [0xFD], [0xFE], [0xFF]].iter().any(|r| reply == r),
+                    "reply {reply:?}"
+                );
+                if reply == [0xFE] || reply == [0xFF] {
+                    assert_eq!(objects(&cl), before);
+                }
+            },
+        );
     }
 }

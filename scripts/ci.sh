@@ -62,13 +62,16 @@
 #                           by now and the benches build into another
 #                           profile); its output and wall seconds are
 #                           printed when it is waited on, before step 8
-#   7. bench smoke        — substrate benches at 50 ms/bench, so a perf
-#                           regression that breaks the bench harness (or
-#                           an arena change that deadlocks it) fails CI;
-#                           includes crc32/{4,8,12,15,64,530,4096}/{kernel,table},
-#                           the wire/*_530 frame encoders,
+#   7. bench smoke        — every row of the one bench binary (substrate)
+#                           at 50 ms/bench, so a perf regression that
+#                           breaks the bench harness (or an arena change
+#                           that deadlocks it) fails CI; includes the
+#                           primitive/* rows, crc32/{4,8,12,15,64,530,4096}/{kernel,table},
+#                           the wire/*_530 frame encoders and
+#                           wire/decode_3op_chain, kv/{prism_kv,pilaf}_*,
+#                           rs/prism_rs_*_3replicas,
+#                           tx/{rmw_txn_local,farm_rmw_commit},
 #                           workload/zipf_new_262144/{miss,hit},
-#                           tx/rmw_txn_local,
 #                           chain/get_indirect_cold/{unhinted,hinted}
 #                           and des/send_with_lookahead
 #   8. cargo fmt --check  — skipped with a notice if rustfmt is absent
