@@ -8,6 +8,12 @@
 //! may flip any bit on the disk. Both take a caller-owned [`SimRng`] so
 //! fault draws live on dedicated streams and zero-knob plans replay
 //! bit-identically.
+//!
+//! The disk lives in RAM, so a file body's spare capacity is memory
+//! nobody wrote. A writer that is done with a file says so
+//! ([`SimDisk::finish`]) and the body is held at exactly its length from
+//! then on; only files still being appended to carry growth slack
+//! ([`SimDisk::footprint_bytes`] counts both).
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -151,6 +157,18 @@ impl SimDisk {
         }
     }
 
+    /// Finishes the open file: syncs it and gives back the spare
+    /// capacity its growth left, so from here on it is held at exactly
+    /// its length. The bytes, the handle and the name stay as they are;
+    /// the file still rots, truncates and reads like any other, and an
+    /// append to it (none is expected) simply grows it again.
+    pub fn finish(&self, id: FileId) {
+        if let Some(f) = self.lock().at(id) {
+            f.sync();
+            f.bytes.shrink_to_fit();
+        }
+    }
+
     /// Atomically replaces `name` with `data`, already durable — the
     /// write-temp-then-rename idiom collapsed to one step. Returns the
     /// file's handle (unchanged if the name already existed).
@@ -212,6 +230,19 @@ impl SimDisk {
     /// the write traffic, as opposed to the bytes still on it.
     pub fn bytes_written(&self) -> u64 {
         self.lock().bytes_written
+    }
+
+    /// Heap held by the file bodies, spare capacity included: what the
+    /// disk costs in RAM, as opposed to the bytes on it. A
+    /// [`finish`](SimDisk::finish)ed file counts its length and no more.
+    pub fn footprint_bytes(&self) -> u64 {
+        let files = self.lock();
+        files
+            .slab
+            .iter()
+            .flatten()
+            .map(|f| f.bytes.capacity() as u64)
+            .sum()
     }
 
     /// Truncates `name` to `len` bytes (used by replay to cut a torn or
@@ -372,6 +403,44 @@ mod tests {
         assert!(!disk.append_with(id, 1, |_| true));
         assert_ne!(disk.write_sync("f", b"x"), id);
         assert_eq!(disk.read("f").unwrap(), b"x");
+    }
+
+    #[test]
+    fn a_finished_file_is_held_at_its_length_and_stays_a_file() {
+        let disk = SimDisk::new();
+        let id = disk.write_sync("f", b"header");
+        for _ in 0..5 {
+            disk.append("f", b"frame");
+        }
+        let before = disk.read("f").unwrap();
+        assert!(
+            disk.footprint_bytes() > before.len() as u64,
+            "growth left slack"
+        );
+        disk.finish(id);
+        // Bytes, handle and name survive; the frontier covers the file.
+        assert_eq!(disk.read("f").unwrap(), before);
+        assert_eq!(disk.synced("f"), Some(before.len()));
+        assert_eq!(disk.with_bytes(id, <[u8]>::to_vec), Some(before.clone()));
+        assert_eq!(disk.list(""), ["f"]);
+        assert_eq!(disk.footprint_bytes(), before.len() as u64);
+        // Nothing in it is unsynced, so a tear leaves it alone.
+        assert_eq!(disk.tear_tail(&mut SimRng::new(5)), 0);
+        assert_eq!(disk.read("f").unwrap(), before);
+        // It still rots and truncates like any other file, and it still
+        // takes an append.
+        assert_eq!(disk.rot(&mut SimRng::new(6), 1), 1);
+        assert_ne!(disk.read("f").unwrap(), before);
+        disk.truncate_file(id, 6);
+        assert_eq!(disk.read("f").unwrap(), b"header");
+        assert_eq!(disk.synced("f"), Some(6));
+        disk.append("f", b"more");
+        assert_eq!(disk.read("f").unwrap(), b"headermore");
+        // Through a dead handle it is a no-op, like every handle call.
+        disk.remove("f");
+        disk.finish(id);
+        assert_eq!(disk.read("f"), None);
+        assert_eq!(disk.footprint_bytes(), 0);
     }
 
     #[test]

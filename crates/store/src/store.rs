@@ -218,15 +218,16 @@ impl SegmentStore {
         true
     }
 
-    /// Seals the active segment (sync, manifest entry) and opens the
-    /// next. The manifest is patched in place — count word, then the new
-    /// entry over the old tail — so a seal costs the same however long
-    /// the log is, and the file still equals `encode_manifest` of the
-    /// table byte for byte. Between the two writes the manifest fails
-    /// its CRC, which replay treats as "no manifest": the segment files
-    /// are the truth and a full scan rebuilds it.
+    /// Seals the active segment (finished: synced and held at its
+    /// length; manifest entry) and opens the next. The manifest is
+    /// patched in place — count word, then the new entry over the old
+    /// tail — so a seal costs the same however long the log is, and the
+    /// file still equals `encode_manifest` of the table byte for byte.
+    /// Between the two writes the manifest fails its CRC, which replay
+    /// treats as "no manifest": the segment files are the truth and a
+    /// full scan rebuilds it.
     fn seal(&self, inner: &mut Inner) {
-        self.disk.sync_file(inner.active);
+        self.disk.finish(inner.active);
         let entry = SealedSeg {
             seq: inner.active_seq,
             len: inner.active_len as u64,
@@ -368,9 +369,13 @@ impl SegmentStore {
             });
         }
         // Rebuild bookkeeping from the survivors: all but the last are
-        // sealed, the last becomes the active segment again.
-        for &(_, id) in &segments {
-            self.disk.sync_file(id);
+        // sealed (finished, so one cut short is held at its new length),
+        // the last becomes the active segment again.
+        if let Some((&(_, last), sealed)) = segments.split_last() {
+            for &(_, id) in sealed {
+                self.disk.finish(id);
+            }
+            self.disk.sync_file(last);
         }
         let active = survivors.pop().unwrap_or(SealedSeg {
             seq: 0,
@@ -419,7 +424,7 @@ impl SegmentStore {
     pub fn checkpoint(&self, fold: &[Record]) {
         let mut inner = self.inner.lock().unwrap();
         // Seal the active segment as-is.
-        self.disk.sync_file(inner.active);
+        self.disk.finish(inner.active);
         let sealed = SealedSeg {
             seq: inner.active_seq,
             len: inner.active_len as u64,

@@ -18,6 +18,12 @@
 #   2. offline release build — fat LTO, one codegen unit
 #                           (.cargo/config.toml; the bench smoke of step
 #                           7 builds the same way)
+#      recovery footprint — tests/recovery_footprint.rs in release: its
+#      (release)            headroom check (a restart's wipe must not
+#                           touch memory the store never used) can only
+#                           fail in an optimised build, where the
+#                           arena's zero-fill leaves untouched pages
+#                           unmapped; step 3 runs it in debug as well
 #      hedging smoke      — the BENCH_06 figure at quick scale
 #                           (fig_hedge --quick) must finish, hedge at
 #                           least once, and beat the unhedged p99 at the
@@ -164,6 +170,8 @@ second_seed() {
 step "hermeticity" ./scripts/check_hermetic.sh
 step "unsafe audit" unsafe_audit
 step "build (release, offline)" cargo build --release --offline
+step "recovery footprint (release)" \
+    cargo test --release --offline -p prism-harness --test recovery_footprint
 step "hedging smoke (fig_hedge --quick: hedged p99 < unhedged at 4x)" hedging_smoke
 step "test (offline, default seed, all suites)" cargo test -q --offline
 step "migration gates (live 2->4 reshard under chaos, RS and KV)" migration_gates

@@ -12,8 +12,9 @@ use std::sync::Arc;
 use prism_simnet::rng::SimRng;
 use prism_store::segment::{
     decode_header, decode_manifest, decode_record, encode_header, encode_manifest,
-    encode_record_into, HEADER_LEN, MANIFEST_MAGIC, SEGMENT_MAGIC,
+    encode_record_into, FRAME_OVERHEAD, HEADER_LEN, MANIFEST_MAGIC, SEGMENT_MAGIC,
 };
+use prism_store::store::DEFAULT_SEGMENT_LIMIT;
 use prism_store::{Record, SealedSeg, SegmentStore, SimDisk};
 use prism_testkit::{for_all, gens, Config, Gen};
 
@@ -218,10 +219,14 @@ fn replay_of_vandalized_logs_never_yields_foreign_records() {
     );
 }
 
-/// One step of a store's life, as the identity property drives it.
+/// One step of a store's life, as the identity and footprint properties
+/// drive it.
 #[derive(Debug, Clone)]
 enum Step {
     Append(Record),
+    /// A stream of `.0` records whose payloads are all `.1` bytes long,
+    /// as a server's steady writes log them.
+    Run(u32, usize),
     Barrier,
     Checkpoint,
     /// Crash tear (seeded) followed by a replay.
@@ -246,6 +251,32 @@ fn arb_step() -> Gen<Step> {
     ])
 }
 
+/// Drives `store` through one [`Step`]. A checkpoint folds nothing; a
+/// torn replay must find the manifest intact, since a tear never
+/// reaches synced bytes.
+fn apply(store: &SegmentStore, step: &Step) {
+    match step {
+        Step::Append(r) => store.append(r),
+        Step::Run(n, payload) => {
+            for key in 0..u64::from(*n) {
+                store.append(&Record {
+                    epoch: 1,
+                    inc: 1,
+                    key,
+                    payload: vec![key as u8; *payload],
+                });
+            }
+        }
+        Step::Barrier => store.barrier(),
+        Step::Checkpoint => store.checkpoint(&[]),
+        Step::TearReplay(seed) => {
+            store.disk().tear_tail(&mut SimRng::new(*seed));
+            assert!(store.replay(|_, _| {}).manifest_ok, "manifest lost");
+        }
+        Step::Wipe => store.wipe(),
+    }
+}
+
 /// Byte identity of the manifest: whatever sequence of appends (each a
 /// potential in-place seal), barriers, checkpoints, torn replays and
 /// wipes a store goes through, the manifest file on disk is at every
@@ -267,24 +298,13 @@ fn manifest_on_disk_equals_its_encoding_after_every_step() {
             let store = SegmentStore::with_limit(Arc::clone(&disk), "m", *limit);
             let mut checkpoint = 0u32;
             for (i, step) in steps.iter().enumerate() {
+                apply(&store, step);
                 match step {
-                    Step::Append(r) => store.append(r),
-                    Step::Barrier => store.barrier(),
                     Step::Checkpoint => {
-                        store.checkpoint(&[]);
                         checkpoint = store.sealed().last().expect("just sealed").seq + 1;
                     }
-                    Step::TearReplay(seed) => {
-                        disk.tear_tail(&mut SimRng::new(*seed));
-                        assert!(
-                            store.replay(|_, _| {}).manifest_ok,
-                            "step {i}: manifest lost"
-                        );
-                    }
-                    Step::Wipe => {
-                        store.wipe();
-                        checkpoint = 0;
-                    }
+                    Step::Wipe => checkpoint = 0,
+                    _ => {}
                 }
                 let on_disk = disk.read("m/manifest").expect("manifest exists");
                 assert_eq!(
@@ -296,6 +316,56 @@ fn manifest_on_disk_equals_its_encoding_after_every_step() {
                 let m = decode_manifest(&on_disk).expect("manifest decodes");
                 assert_eq!(m.sealed, store.sealed());
                 assert_eq!(m.checkpoint, checkpoint);
+            }
+        },
+    );
+}
+
+/// The disk's RAM is its bytes, not its growth slack: whatever appends,
+/// barriers, checkpoints, torn replays and wipes a store at the default
+/// segment limit goes through, every file but the active segment and
+/// the manifest is held at exactly its length, so the heap the disk
+/// holds is at most the bytes on it plus those two files' capacities.
+/// Each of the two grows by doubling and never shrinks while it lives,
+/// so its capacity is under twice the most it has held: for the active
+/// segment the limit plus one frame, for the manifest (which only grows
+/// until a wipe) its length now. A sealed 8 KiB segment of 584 B frames
+/// grown by doubling is 18 % slack, which a run of a few hundred such
+/// records already puts past this bound.
+#[test]
+fn disk_footprint_is_its_bytes_plus_the_files_still_growing() {
+    const MAX_PAYLOAD: usize = 552; // a 584 B frame, PRISM-KV's install
+    let run = gens::t2(
+        gens::range_u32(1..1_200),
+        gens::choice(vec![0usize, 48, 231, MAX_PAYLOAD]),
+    )
+    .map(|(n, payload)| Step::Run(n, payload));
+    let step = gens::one_of(vec![
+        run.clone(),
+        run.clone(),
+        run,
+        gens::constant(Step::Barrier),
+        gens::constant(Step::Checkpoint),
+        gens::u64s().map(Step::TearReplay),
+        gens::constant(Step::Wipe),
+    ]);
+    for_all(
+        "disk_footprint_is_its_bytes_plus_the_files_still_growing",
+        &Config::with_cases(24),
+        &gens::vec(step, 1..12),
+        |steps| {
+            let disk = Arc::new(SimDisk::new());
+            let store = SegmentStore::new(Arc::clone(&disk), "f");
+            let active_cap = 2 * (DEFAULT_SEGMENT_LIMIT + FRAME_OVERHEAD + MAX_PAYLOAD);
+            for (i, step) in steps.iter().enumerate() {
+                apply(&store, step);
+                let on_disk: usize = disk.list("").iter().filter_map(|n| disk.len(n)).sum();
+                let manifest_cap = 2 * disk.len("f/manifest").expect("manifest exists");
+                let held = disk.footprint_bytes();
+                assert!(
+                    held <= (on_disk + active_cap + manifest_cap) as u64,
+                    "step {i} ({step:?}): the disk holds {held} B for {on_disk} B on it"
+                );
             }
         },
     );
