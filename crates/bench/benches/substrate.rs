@@ -668,32 +668,6 @@ fn bench_verbs(c: &mut Criterion) {
         let mut buf = vec![0u8; 512];
         b.iter(|| nic.read_into(rkey, base, &mut buf).unwrap());
     });
-    g.bench_function("read_512_x16_singly", |b| {
-        // 16 dependent round trips: one verb per doorbell ring.
-        let mut buf = vec![0u8; 512];
-        b.iter(|| {
-            for i in 0..16u64 {
-                let _ = std::hint::black_box(nic.read(rkey, base + i * 512, 512));
-                let _ = &mut buf;
-            }
-        });
-    });
-    g.bench_function("read_512_x16_doorbell", |b| {
-        // The same 16 READs posted as one doorbell batch, draining one
-        // completion queue whose buffers are reused across iterations.
-        let wrs: Vec<prism_rdma::WorkRequest> = (0..16u64)
-            .map(|i| prism_rdma::WorkRequest::Read {
-                rkey,
-                addr: base + i * 512,
-                len: 512,
-            })
-            .collect();
-        let mut cq = Vec::new();
-        b.iter(|| {
-            nic.post_batch_into(&wrs, &mut cq);
-            std::hint::black_box(cq.len())
-        });
-    });
     g.finish();
 }
 

@@ -76,15 +76,7 @@ pub enum Request {
     Verb(Verb),
     /// A two-sided RPC, executed by a server CPU core.
     Rpc(Vec<u8>),
-    /// A doorbell batch: several requests posted in one submission and
-    /// answered with one [`Reply::Batch`]. Mirrors RDMA doorbell
-    /// batching, where a client rings the doorbell once for a list of
-    /// work requests and drains their completions together.
-    Batch(Vec<Request>),
 }
-
-/// Wire overhead of the doorbell-batch header (count + framing).
-const BATCH_HEADER: u64 = 8;
 
 impl Request {
     /// Request size for link-bandwidth accounting.
@@ -93,7 +85,6 @@ impl Request {
             Request::Chain(c) => wire::request_len(c),
             Request::Verb(v) => v.request_len(),
             Request::Rpc(b) => b.len() as u64 + 8,
-            Request::Batch(reqs) => BATCH_HEADER + reqs.iter().map(Request::wire_len).sum::<u64>(),
         }
     }
 
@@ -102,7 +93,6 @@ impl Request {
     pub fn chain_ops(&self) -> u64 {
         match self {
             Request::Chain(c) => c.len() as u64,
-            Request::Batch(reqs) => reqs.iter().map(Request::chain_ops).sum(),
             _ => 0,
         }
     }
@@ -117,8 +107,6 @@ pub enum Reply {
     Verb(Result<Vec<u8>, RdmaError>),
     /// RPC response bytes.
     Rpc(Vec<u8>),
-    /// Per-request replies of a doorbell batch, in submission order.
-    Batch(Vec<Reply>),
 }
 
 impl Reply {
@@ -129,9 +117,6 @@ impl Reply {
             Reply::Verb(Ok(d)) => d.len() as u64 + 8,
             Reply::Verb(Err(_)) => 8,
             Reply::Rpc(b) => b.len() as u64 + 8,
-            Reply::Batch(replies) => {
-                BATCH_HEADER + replies.iter().map(Reply::wire_len).sum::<u64>()
-            }
         }
     }
 
@@ -173,21 +158,11 @@ impl Reply {
         }
     }
 
-    /// The per-request batch replies (errors as for
-    /// [`Reply::into_chain`]).
-    pub fn into_batch(self) -> Result<Vec<Reply>, RdmaError> {
-        match self {
-            Reply::Batch(r) => Ok(r),
-            other => other.mismatch(),
-        }
-    }
-
-    /// If the reply reports a fenced rkey anywhere
-    /// ([`RdmaError::StaleIncarnation`] in a verb error, a chain op
-    /// NACK, or any batch member), the server's current incarnation.
-    /// Clients use this as the re-handshake trigger after an amnesia
-    /// restart: the rkeys they cached belong to a dead incarnation and
-    /// must be restamped before retrying.
+    /// If the reply reports a fenced rkey ([`RdmaError::StaleIncarnation`]
+    /// in a verb error or a chain op NACK), the server's current
+    /// incarnation. Clients use this as the re-handshake trigger after an
+    /// amnesia restart: the rkeys they cached belong to a dead
+    /// incarnation and must be restamped before retrying.
     pub fn stale_incarnation(&self) -> Option<u64> {
         match self {
             Reply::Verb(Err(RdmaError::StaleIncarnation { current, .. })) => Some(*current),
@@ -196,17 +171,16 @@ impl Reply {
                 OpStatus::Error(RdmaError::StaleIncarnation { current, .. }) => Some(current),
                 _ => None,
             }),
-            Reply::Batch(replies) => replies.iter().find_map(Reply::stale_incarnation),
         }
     }
 
-    /// If the reply reports a stale-routed request anywhere
-    /// ([`RdmaError::StaleEpoch`] in a verb error, a chain op NACK, or
-    /// any batch member), the server's current shard-map epoch. The
-    /// routing analog of [`Reply::stale_incarnation`]: clients use it
-    /// as the refetch-and-reroute trigger after a live reshard — the
-    /// shard map they routed with belongs to a dead epoch and the key
-    /// may live on a different server now.
+    /// If the reply reports a stale-routed request
+    /// ([`RdmaError::StaleEpoch`] in a verb error or a chain op NACK),
+    /// the server's current shard-map epoch. The routing analog of
+    /// [`Reply::stale_incarnation`]: clients use it as the
+    /// refetch-and-reroute trigger after a live reshard — the shard map
+    /// they routed with belongs to a dead epoch and the key may live on a
+    /// different server now.
     pub fn stale_epoch(&self) -> Option<u64> {
         match self {
             Reply::Verb(Err(RdmaError::StaleEpoch { current, .. })) => Some(*current),
@@ -215,7 +189,6 @@ impl Reply {
                 OpStatus::Error(RdmaError::StaleEpoch { current, .. }) => Some(current),
                 _ => None,
             }),
-            Reply::Batch(replies) => replies.iter().find_map(Reply::stale_epoch),
         }
     }
 }
@@ -224,15 +197,12 @@ impl Reply {
 // Message-level wire framing.
 //
 // `wire` encodes chain bodies; this layer frames whole requests and
-// replies — including doorbell batches — so they round-trip as bytes.
-// The format is one marker byte, then a kind-specific body; batches are
-// a u16 count (checked, never truncated) of recursively framed members,
-// with nesting rejected (a doorbell is one flat list of work requests).
+// replies so they round-trip as bytes. The format is one marker byte,
+// then a kind-specific body.
 
 const MSG_CHAIN: u8 = 0;
 const MSG_VERB: u8 = 1;
 const MSG_RPC: u8 = 2;
-const MSG_BATCH: u8 = 3;
 
 const VERB_READ: u8 = 0;
 const VERB_WRITE: u8 = 1;
@@ -346,8 +316,7 @@ fn get_slice<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], WireError> {
 impl Request {
     /// Encodes the request into its wire form, CRC-framed (header and
     /// whole-body checksums appended; see [`FRAME_TRAILER`]). Fails on
-    /// counts or payloads that would overflow their length prefixes,
-    /// and on nested batches (a doorbell is one flat submission list).
+    /// counts or payloads that would overflow their length prefixes.
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
         let mut buf = Vec::new();
         self.encode_into(&mut buf)?;
@@ -358,7 +327,7 @@ impl Request {
     /// [`Request::encode`], but reusing the caller's buffer so hot send
     /// paths can encode without allocating in steady state.
     pub fn encode_into(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
-        put_frame(buf, None, self.body_len()?, |b| self.encode_body(b, false))
+        put_frame(buf, None, self.body_len()?, |b| self.encode_body(b))
     }
 
     /// Bytes [`Request::encode_body`] writes, computed arithmetically so
@@ -371,17 +340,10 @@ impl Request {
             Request::Verb(Verb::Write { data, .. }) => 13 + bytes_len(data)?,
             Request::Verb(Verb::Cas64 { .. }) => 29,
             Request::Rpc(bytes) => bytes_len(bytes)?,
-            Request::Batch(reqs) => {
-                let mut n = 2;
-                for r in reqs {
-                    n += r.body_len()?;
-                }
-                n
-            }
         })
     }
 
-    fn encode_body(&self, buf: &mut Vec<u8>, in_batch: bool) -> Result<(), WireError> {
+    fn encode_body(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
         match self {
             Request::Chain(chain) => {
                 buf.put_u8(MSG_CHAIN);
@@ -420,16 +382,6 @@ impl Request {
                 buf.put_u8(MSG_RPC);
                 put_bytes(buf, bytes)?;
             }
-            Request::Batch(reqs) => {
-                if in_batch {
-                    return Err(WireError("nested batch"));
-                }
-                buf.put_u8(MSG_BATCH);
-                buf.put_u16_le(wire::u16_count(reqs.len())?);
-                for r in reqs {
-                    r.encode_body(buf, true)?;
-                }
-            }
         }
         Ok(())
     }
@@ -440,7 +392,7 @@ impl Request {
     /// parsed, rejecting trailing bytes.
     pub fn decode(buf: &[u8]) -> Result<Request, WireError> {
         let mut buf = open_frame(buf)?;
-        let req = Request::decode_from(&mut buf, false)?;
+        let req = Request::decode_from(&mut buf)?;
         if buf.remaining() > 0 {
             return Err(WireError("trailing bytes after request"));
         }
@@ -459,7 +411,7 @@ impl Request {
     pub fn encode_epoch(&self, epoch: u64) -> Result<Vec<u8>, WireError> {
         let mut buf = Vec::new();
         put_frame(&mut buf, Some(epoch), self.body_len()?, |b| {
-            self.encode_body(b, false)
+            self.encode_body(b)
         })?;
         Ok(buf)
     }
@@ -473,14 +425,14 @@ impl Request {
             return Err(WireError("truncated epoch word"));
         }
         let epoch = buf.get_u64_le();
-        let req = Request::decode_from(&mut buf, false)?;
+        let req = Request::decode_from(&mut buf)?;
         if buf.remaining() > 0 {
             return Err(WireError("trailing bytes after request"));
         }
         Ok((epoch, req))
     }
 
-    fn decode_from(buf: &mut &[u8], in_batch: bool) -> Result<Request, WireError> {
+    fn decode_from(buf: &mut &[u8]) -> Result<Request, WireError> {
         if buf.remaining() < 1 {
             return Err(WireError("truncated request marker"));
         }
@@ -526,20 +478,6 @@ impl Request {
                 }
             }
             MSG_RPC => Ok(Request::Rpc(get_slice(buf)?.to_vec())),
-            MSG_BATCH => {
-                if in_batch {
-                    return Err(WireError("nested batch"));
-                }
-                if buf.remaining() < 2 {
-                    return Err(WireError("truncated batch count"));
-                }
-                let count = buf.get_u16_le() as usize;
-                let mut reqs = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    reqs.push(Request::decode_from(buf, true)?);
-                }
-                Ok(Request::Batch(reqs))
-            }
             _ => Err(WireError("unknown request marker")),
         }
     }
@@ -558,7 +496,7 @@ impl Reply {
     /// [`Reply::encode`], but reusing the caller's buffer (see
     /// [`Request::encode_into`]).
     pub fn encode_into(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
-        put_frame(buf, None, self.body_len()?, |b| self.encode_body(b, false))
+        put_frame(buf, None, self.body_len()?, |b| self.encode_body(b))
     }
 
     /// Bytes [`Reply::encode_body`] writes (see [`Request::body_len`]).
@@ -568,17 +506,10 @@ impl Reply {
             Reply::Verb(Ok(data)) => 1 + bytes_len(data)?,
             Reply::Verb(Err(_)) => 1 + prism_rdma::error::ERROR_WIRE_LEN,
             Reply::Rpc(bytes) => bytes_len(bytes)?,
-            Reply::Batch(replies) => {
-                let mut n = 2;
-                for r in replies {
-                    n += r.body_len()?;
-                }
-                n
-            }
         })
     }
 
-    fn encode_body(&self, buf: &mut Vec<u8>, in_batch: bool) -> Result<(), WireError> {
+    fn encode_body(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
         match self {
             Reply::Chain(results) => {
                 buf.put_u8(MSG_CHAIN);
@@ -601,16 +532,6 @@ impl Reply {
                 buf.put_u8(MSG_RPC);
                 put_bytes(buf, bytes)?;
             }
-            Reply::Batch(replies) => {
-                if in_batch {
-                    return Err(WireError("nested batch"));
-                }
-                buf.put_u8(MSG_BATCH);
-                buf.put_u16_le(wire::u16_count(replies.len())?);
-                for r in replies {
-                    r.encode_body(buf, true)?;
-                }
-            }
         }
         Ok(())
     }
@@ -620,14 +541,14 @@ impl Reply {
     /// trailing bytes.
     pub fn decode(buf: &[u8]) -> Result<Reply, WireError> {
         let mut buf = open_frame(buf)?;
-        let reply = Reply::decode_from(&mut buf, false)?;
+        let reply = Reply::decode_from(&mut buf)?;
         if buf.remaining() > 0 {
             return Err(WireError("trailing bytes after reply"));
         }
         Ok(reply)
     }
 
-    fn decode_from(buf: &mut &[u8], in_batch: bool) -> Result<Reply, WireError> {
+    fn decode_from(buf: &mut &[u8]) -> Result<Reply, WireError> {
         if buf.remaining() < 1 {
             return Err(WireError("truncated reply marker"));
         }
@@ -653,20 +574,6 @@ impl Reply {
                 }
             }
             MSG_RPC => Ok(Reply::Rpc(get_slice(buf)?.to_vec())),
-            MSG_BATCH => {
-                if in_batch {
-                    return Err(WireError("nested batch"));
-                }
-                if buf.remaining() < 2 {
-                    return Err(WireError("truncated batch count"));
-                }
-                let count = buf.get_u16_le() as usize;
-                let mut replies = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    replies.push(Reply::decode_from(buf, true)?);
-                }
-                Ok(Reply::Batch(replies))
-            }
             _ => Err(WireError("unknown reply marker")),
         }
     }
@@ -698,19 +605,16 @@ pub fn execute_local(server: &crate::server::PrismServer, req: &Request) -> Repl
                 .map(|old| old.to_le_bytes().to_vec()),
         }),
         Request::Rpc(bytes) => Reply::Rpc(server.handle_rpc(bytes)),
-        Request::Batch(reqs) => {
-            Reply::Batch(reqs.iter().map(|r| execute_local(server, r)).collect())
-        }
     }
 }
 
 /// Hints a request that [`execute_local`] will run later: prefetches
-/// what it names, member by member as `execute_local` would walk it
-/// (chains through [`crate::engine::PrismEngine::hint_chain`], verbs by
-/// their target span, nothing for an RPC), and returns the first
-/// indirect op's pointer location for
-/// [`crate::engine::PrismEngine::hint_target`]. A hint executes and
-/// validates nothing; see `hint_chain` for what it may not do.
+/// what it names (chains through
+/// [`crate::engine::PrismEngine::hint_chain`], verbs by their target
+/// span, nothing for an RPC), and returns the first indirect op's
+/// pointer location for [`crate::engine::PrismEngine::hint_target`]. A
+/// hint executes and validates nothing; see `hint_chain` for what it
+/// may not do.
 pub fn hint_local(server: &crate::server::PrismServer, req: &Request) -> Option<PendingHint> {
     match req {
         Request::Chain(chain) => server.engine().hint_chain(chain),
@@ -724,10 +628,6 @@ pub fn hint_local(server: &crate::server::PrismServer, req: &Request) -> Option<
             None
         }
         Request::Rpc(_) => None,
-        // Every member is hinted; only the first pending pointer is kept.
-        Request::Batch(reqs) => reqs
-            .iter()
-            .fold(None, |first, r| first.or(hint_local(server, r))),
     }
 }
 
@@ -843,56 +743,13 @@ mod tests {
         assert_eq!(timeout().into_chain().unwrap_err(), ReceiverNotReady);
         assert_eq!(timeout().into_rpc().unwrap_err(), ReceiverNotReady);
         assert_eq!(timeout().into_verb().unwrap_err(), ReceiverNotReady);
-        assert_eq!(timeout().into_batch().unwrap_err(), ReceiverNotReady);
         assert_eq!(Reply::Rpc(vec![0]).into_chain().unwrap_err(), BadResponse);
         assert_eq!(
             Reply::Chain(Vec::new()).into_rpc().unwrap_err(),
             BadResponse
         );
-        assert_eq!(
-            Reply::Batch(Vec::new()).into_verb().unwrap_err(),
-            BadResponse
-        );
-        assert_eq!(
-            Reply::Verb(Ok(vec![1])).into_batch().unwrap_err(),
-            BadResponse
-        );
+        assert_eq!(Reply::Rpc(Vec::new()).into_verb().unwrap_err(), BadResponse);
         assert_eq!(Reply::Verb(Ok(vec![1])).into_verb(), Ok(vec![1]));
-    }
-
-    #[test]
-    fn doorbell_batch_executes_in_order() {
-        let s = PrismServer::new(1 << 20);
-        let (addr, rkey) = s.carve_region(64, 64, AccessFlags::FULL);
-        let batch = Request::Batch(vec![
-            Request::Verb(Verb::Write {
-                addr,
-                data: b"batched!".to_vec(),
-                rkey: rkey.0,
-            }),
-            Request::Chain(vec![ops::read(addr, 8, rkey.0)]),
-        ]);
-        // Batch wire accounting: header plus the members' sizes; the
-        // chain-op count sums across members.
-        assert_eq!(
-            batch.wire_len(),
-            8 + Request::Verb(Verb::Write {
-                addr,
-                data: b"batched!".to_vec(),
-                rkey: rkey.0
-            })
-            .wire_len()
-                + Request::Chain(vec![ops::read(addr, 8, rkey.0)]).wire_len()
-        );
-        assert_eq!(batch.chain_ops(), 1);
-
-        let replies = execute_local(&s, &batch).into_batch().unwrap();
-        assert_eq!(replies.len(), 2);
-        assert!(matches!(&replies[0], Reply::Verb(Ok(_))));
-        assert_eq!(
-            replies[1].clone().into_chain().unwrap()[0].data,
-            b"batched!"
-        );
     }
 
     #[test]
@@ -906,14 +763,12 @@ mod tests {
                 rkey: 3,
             }),
             Request::Rpc(vec![1, 2, 3]),
-            Request::Batch(vec![
-                Request::Rpc(vec![]),
-                Request::Verb(Verb::Read {
-                    addr: 0,
-                    len: 64,
-                    rkey: 9,
-                }),
-            ]),
+            Request::Rpc(vec![]),
+            Request::Verb(Verb::Read {
+                addr: 0,
+                len: 64,
+                rkey: 9,
+            }),
         ];
         for r in &reqs {
             assert_eq!(&Request::decode(&r.encode().unwrap()).unwrap(), r);
@@ -926,7 +781,6 @@ mod tests {
             Reply::Verb(Err(prism_rdma::RdmaError::ReceiverNotReady)),
             Reply::Verb(Ok(vec![])),
             Reply::Rpc(vec![0xAB]),
-            Reply::Batch(vec![Reply::Rpc(vec![1]), Reply::Verb(Ok(vec![2]))]),
         ];
         for r in &replies {
             assert_eq!(&Reply::decode(&r.encode().unwrap()).unwrap(), r);
@@ -938,10 +792,7 @@ mod tests {
         // The append-style encoders must frame at the buffer tail:
         // checksums cover only the new frame, the prefix survives, and
         // the appended bytes match the owned encoders exactly.
-        let req = Request::Batch(vec![
-            Request::Chain(vec![ops::read(0x10, 8, 1)]),
-            Request::Rpc(vec![9; 3]),
-        ]);
+        let req = Request::Chain(vec![ops::read(0x10, 8, 1), ops::read(0x20, 8, 1)]);
         let mut buf = b"prefix".to_vec();
         req.encode_into(&mut buf).unwrap();
         assert_eq!(&buf[..6], b"prefix");
@@ -955,14 +806,6 @@ mod tests {
         let mut buf = vec![0xEE; 4];
         reply.encode_into(&mut buf).unwrap();
         assert_eq!(&buf[4..], &reply.encode().unwrap()[..]);
-    }
-
-    #[test]
-    fn nested_batches_are_rejected_on_the_wire() {
-        let nested = Request::Batch(vec![Request::Batch(vec![Request::Rpc(vec![])])]);
-        assert!(nested.encode().is_err());
-        let nested = Reply::Batch(vec![Reply::Batch(vec![Reply::Rpc(vec![])])]);
-        assert!(nested.encode().is_err());
     }
 
     #[test]
@@ -1012,7 +855,7 @@ mod tests {
         let reqs = [
             Request::Chain(vec![ops::read(0x10, 8, 1)]),
             Request::Rpc(vec![1, 2, 3]),
-            Request::Batch(vec![Request::Rpc(vec![]), Request::Rpc(vec![9])]),
+            Request::Rpc(vec![]),
         ];
         for r in &reqs {
             for epoch in [0u64, 1, 7, u64::MAX] {
@@ -1059,10 +902,6 @@ mod tests {
                 },
             ])
             .stale_incarnation(),
-            Some(3)
-        );
-        assert_eq!(
-            Reply::Batch(vec![Reply::Rpc(vec![]), Reply::Verb(Err(stale))]).stale_incarnation(),
             Some(3)
         );
         assert_eq!(

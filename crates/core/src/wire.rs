@@ -23,7 +23,7 @@ pub struct WireError(pub &'static str);
 /// Largest inline payload the `u32` length prefix can carry.
 pub const MAX_INLINE_LEN: usize = u32::MAX as usize;
 
-/// Largest op/result/batch count the `u16` count prefix can carry.
+/// Largest op/result count the `u16` count prefix can carry.
 pub const MAX_COUNT: usize = u16::MAX as usize;
 
 /// Checked `u32` length prefix: payloads beyond [`MAX_INLINE_LEN`] are
@@ -33,7 +33,7 @@ pub fn u32_len(len: usize) -> Result<u32, WireError> {
     u32::try_from(len).map_err(|_| WireError("payload exceeds u32 length prefix"))
 }
 
-/// Checked `u16` count prefix: chains/results/batches beyond
+/// Checked `u16` count prefix: chains/results beyond
 /// [`MAX_COUNT`] entries are rejected instead of silently truncated.
 pub fn u16_count(n: usize) -> Result<u16, WireError> {
     u16::try_from(n).map_err(|_| WireError("count exceeds u16 prefix"))

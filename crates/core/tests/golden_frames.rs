@@ -166,25 +166,6 @@ fn golden_requests() -> Vec<(&'static str, Request)> {
     });
     let rpc = Request::Rpc(rng.bytes(96));
     let empty_rpc = Request::Rpc(Vec::new());
-    let batch = Request::Batch(
-        (0..16u64)
-            .map(|i| match i % 4 {
-                0 => Request::Chain(vec![ops::read(0x3_0000 + 64 * i, 64, 4)]),
-                1 => Request::Verb(Verb::Write {
-                    addr: 0x3_0000 + 64 * i,
-                    data: rng.bytes(64),
-                    rkey: 4,
-                }),
-                2 => Request::Rpc(rng.bytes(i as usize)),
-                _ => Request::Verb(Verb::Cas64 {
-                    addr: 0x3_0000 + 64 * i,
-                    compare: i,
-                    swap: i + 1,
-                    rkey: 4,
-                }),
-            })
-            .collect(),
-    );
     vec![
         ("req.put_stage_530", put),
         ("req.cas_install", cas),
@@ -194,7 +175,6 @@ fn golden_requests() -> Vec<(&'static str, Request)> {
         ("req.verb_cas64", cas64),
         ("req.rpc_96", rpc),
         ("req.rpc_empty", empty_rpc),
-        ("req.batch_16", batch),
     ]
 }
 
@@ -227,16 +207,6 @@ fn golden_replies() -> Vec<(&'static str, Reply)> {
         current: 4,
     }));
     let rpc = Reply::Rpc(rng.bytes(96));
-    let batch = Reply::Batch(
-        (0..16usize)
-            .map(|i| match i % 4 {
-                0 => Reply::Chain(vec![ok(rng.bytes(64))]),
-                1 => Reply::Verb(Ok(Vec::new())),
-                2 => Reply::Rpc(rng.bytes(i)),
-                _ => Reply::Verb(Err(RdmaError::ReceiverNotReady)),
-            })
-            .collect(),
-    );
     vec![
         ("reply.get_530", get),
         ("reply.put_stage", put),
@@ -244,11 +214,10 @@ fn golden_replies() -> Vec<(&'static str, Reply)> {
         ("reply.verb_ok_512", verb_ok),
         ("reply.verb_err", verb_err),
         ("reply.rpc_96", rpc),
-        ("reply.batch_16", batch),
     ]
 }
 
-const GOLDEN_FRAMES: [(&str, u64); 16] = [
+const GOLDEN_FRAMES: [(&str, u64); 14] = [
     ("req.put_stage_530", 0x93F65B2F2548692C),
     ("req.cas_install", 0x9E09A89691C90EBA),
     ("req.get_indirect", 0x89BE95E59416BF33),
@@ -257,14 +226,12 @@ const GOLDEN_FRAMES: [(&str, u64); 16] = [
     ("req.verb_cas64", 0xB11075DB77574905),
     ("req.rpc_96", 0xEDD9701F1EBDE09A),
     ("req.rpc_empty", 0xB30BBFF80CE9685E),
-    ("req.batch_16", 0xEF6E81D49C98427E),
     ("reply.get_530", 0x086FB8025C2C0E8C),
     ("reply.put_stage", 0x4C557CD481306163),
     ("reply.chain_nack", 0x350D134AE63AFD97),
     ("reply.verb_ok_512", 0xEE44AFB267B78C50),
     ("reply.verb_err", 0xE3FC3FA7121E8EBC),
     ("reply.rpc_96", 0x1325FCEC3609CDD4),
-    ("reply.batch_16", 0x711F89C7D8DFC32E),
 ];
 
 #[test]

@@ -35,18 +35,11 @@
 //! builds a run's restart / disk-tear / disk-rot hooks from it, and the
 //! flat server index → (group, replica) arithmetic lives only in those
 //! impls. [`crate::chaos::Scenario`] is the caller.
-//!
-//! Cross-shard **doorbell batching** lives in
-//! [`prism_kv::batch::prism_kv_get_many_sharded`]: one logical
-//! multi-GET fans out as one `Request::Batch` doorbell per home shard
-//! per round, and [`KvCluster::get_many`] demonstrates it end-to-end.
 
 use std::sync::Arc;
 
 use prism_core::integrity::IntegrityStats;
-use prism_core::msg::execute_local;
 use prism_core::PrismServer;
-use prism_kv::batch::prism_kv_get_many_sharded;
 use prism_kv::hash::key_bytes;
 use prism_kv::prism_kv::{drive as kv_drive, PrismKvClient, PrismKvConfig, PrismKvServer};
 use prism_kv::KvOutcome;
@@ -423,22 +416,6 @@ impl KvCluster {
             None => client.delete(key),
         };
         kv_drive(self.shards[s].server(), req, |r| op.on_reply(client, r)).0
-    }
-
-    /// Cross-shard doorbell-batched multi-GET: one logical batch fans
-    /// out as one doorbell per home shard per round, completions merge
-    /// back into key order. Returns the outcomes and the doorbell
-    /// count.
-    pub fn get_many(&self, keys: &[Vec<u8>]) -> (Vec<KvOutcome>, u64) {
-        let clients = self.open_clients();
-        let map = self.map();
-        let (outcomes, doorbells, _rounds) = prism_kv_get_many_sharded(
-            &clients,
-            |k| map.shard_of(k),
-            keys,
-            |shard, req| execute_local(self.shards[shard].server(), &req),
-        );
-        (outcomes, doorbells)
     }
 }
 
@@ -834,7 +811,7 @@ mod tests {
     }
 
     #[test]
-    fn kv_cluster_routes_preload_and_get_many() {
+    fn kv_cluster_routes_preload_to_each_home_shard() {
         let seed = seed();
         let n_keys = 256u64;
         let config = PrismKvConfig::paper(n_keys, 64);
@@ -852,24 +829,17 @@ mod tests {
         assert_eq!(per_shard.values().sum::<u64>(), n_keys);
         assert!(per_shard.len() > 1, "256 keys must touch several shards");
 
-        // A cross-shard multi-GET returns every value and rings one
-        // doorbell per involved shard (single round for PRISM-KV).
-        let keys: Vec<Vec<u8>> = (0..32u64).map(|k| key_bytes(k).to_vec()).collect();
-        let homes: std::collections::HashSet<usize> =
-            keys.iter().map(|k| cluster.map().shard_of(k)).collect();
-        let (outcomes, doorbells) = cluster.get_many(&keys);
-        for (k, o) in outcomes.iter().enumerate() {
+        // Every key reads back its preloaded value at its home shard.
+        let clients = cluster.open_clients();
+        for k in 0..32u64 {
+            let key = key_bytes(k);
+            let home = cluster.map().shard_of(&key);
             assert_eq!(
-                *o,
-                KvOutcome::Value(Some(value_bytes(k as u64, 0, 64))),
+                cluster.read_at(home, &clients[home], &key),
+                KvOutcome::Value(Some(value_bytes(k, 0, 64))),
                 "key {k} must read back its preloaded value"
             );
         }
-        assert_eq!(
-            doorbells,
-            homes.len() as u64,
-            "one doorbell per home shard, not per key"
-        );
     }
 
     #[test]

@@ -168,8 +168,7 @@ pub fn chaining_ablation() -> Table {
     let sw_rtt = |ops: u64, payload: u64| -> f64 {
         let transport = m.rdma_onesided_rtt(payload).as_micros_f64() - m.pcie_rt.as_micros_f64()
             + m.host_dma.as_micros_f64();
-        // Dispatch ~2.35 us + 0.15 us per op (netsim's sw_latency).
-        transport + 2.35 + 0.15 * ops as f64
+        transport + m.sw_chain_latency(ops).as_micros_f64()
     };
     let rows: [(&str, u64, u64); 3] = [
         // PRISM-KV install: WRITE bound + ALLOCATE + CAS + readback (§6.1).

@@ -200,36 +200,15 @@ impl ServerActor {
                 VerbPath::Cpu => {
                     // Executed like a 1-op chain on a dispatch core.
                     let occ = m.prism_chain_occupancy(1);
-                    (m.host_dma, Some(occ), sw_latency(1) - occ)
+                    (m.host_dma, Some(occ), m.sw_chain_latency(1) - occ)
                 }
             },
             Request::Chain(c) => {
                 let n = c.len().max(1) as u64;
                 let occ = m.prism_chain_occupancy(n);
-                (m.host_dma, Some(occ), sw_latency(n) - occ)
+                (m.host_dma, Some(occ), m.sw_chain_latency(n) - occ)
             }
             Request::Rpc(_) => (m.host_dma, Some(m.rpc_core_occupancy), m.rpc_dispatch),
-            Request::Batch(reqs) => {
-                // One doorbell: the submission DMAs once (the slowest
-                // member's pre-admission cost), then members execute
-                // back-to-back, so core occupancy accumulates while the
-                // post-occupancy slack is paid once — this is where
-                // batching beats N separate submissions.
-                let mut dma = SimDuration::ZERO;
-                let mut occ = SimDuration::ZERO;
-                let mut post = SimDuration::ZERO;
-                let mut occupies = false;
-                for r in reqs {
-                    let (d, o, p) = self.processing(r);
-                    dma = dma.max(d);
-                    if let Some(o) = o {
-                        occ += o;
-                        occupies = true;
-                    }
-                    post = post.max(p);
-                }
-                (dma, if occupies { Some(occ) } else { None }, post)
-            }
         }
     }
 
@@ -265,27 +244,6 @@ impl ServerActor {
         );
     }
 }
-
-/// Total software execution latency of an `n`-op chain: the calibrated
-/// single-primitive cost (≈2.5 µs, §4.3) plus [`SW_PER_OP`] for each
-/// additional op.
-fn sw_latency(n: u64) -> SimDuration {
-    sw_dispatch() + SW_PER_OP * n
-}
-
-/// Dispatch overhead of the software data plane; together with one
-/// [`SW_PER_OP`] this equals the calibrated single-primitive execution
-/// cost (≈2.5 µs, §4.3).
-fn sw_dispatch() -> SimDuration {
-    let single = SimDuration::from_nanos(2_500);
-    single - SW_PER_OP
-}
-
-/// Marginal cost of each additional chained primitive: small, because a
-/// chain shares one dispatch through the software data plane — the bulk
-/// of the 2.5 us single-primitive cost (§4.3) is per-request, not
-/// per-op.
-const SW_PER_OP: SimDuration = SimDuration::from_nanos(150);
 
 impl Actor<SimMsg> for ServerActor {
     fn on_start(&mut self, ctx: &mut Context<'_, SimMsg>) {

@@ -39,4 +39,4 @@ pub use arena::MemoryArena;
 pub use bufqueue::BufferQueue;
 pub use error::RdmaError;
 pub use region::{AccessFlags, RegionTable, Rkey};
-pub use verbs::{Completion, RdmaNic, WorkRequest};
+pub use verbs::RdmaNic;

@@ -109,135 +109,6 @@ impl RdmaNic {
         }
         self.regions.validate(rkey, addr, 8, Access::Atomic)
     }
-
-    /// Posts a batch of work requests in one doorbell ring and returns
-    /// their completions (allocating form of
-    /// [`RdmaNic::post_batch_into`]).
-    pub fn post_batch(&self, wrs: &[WorkRequest]) -> Vec<Completion> {
-        let mut cq = Vec::new();
-        self.post_batch_into(wrs, &mut cq);
-        cq
-    }
-
-    /// Posts a batch of work requests in one doorbell ring, draining the
-    /// completions into `cq` (cleared and reused, including each
-    /// completion's data buffer — the zero-alloc steady state).
-    ///
-    /// This models doorbell batching on a real NIC: the driver chains N
-    /// work requests, rings the doorbell once, and polls one completion
-    /// batch — amortizing the per-submission overhead that dominates
-    /// small-op workloads (Storm; "RDMA vs. RPC"). In the simulation the
-    /// saved cost is the per-call bookkeeping; the simnet cost model
-    /// separately charges one dispatch instead of N.
-    ///
-    /// Requests execute in posting order. Completion `i` corresponds to
-    /// request `i` (`wr_id == i`); a faulted request yields an error
-    /// completion and later requests still execute, as on an unsignaled
-    /// queue pair with per-WR completions.
-    pub fn post_batch_into(&self, wrs: &[WorkRequest], cq: &mut Vec<Completion>) {
-        cq.truncate(wrs.len());
-        while cq.len() < wrs.len() {
-            cq.push(Completion::default());
-        }
-        for (i, (wr, c)) in wrs.iter().zip(cq.iter_mut()).enumerate() {
-            c.wr_id = i;
-            c.error = None;
-            let mut data = std::mem::take(&mut c.data);
-            data.clear();
-            let result = match wr {
-                WorkRequest::Read { rkey, addr, len } => {
-                    data.resize(*len as usize, 0);
-                    self.read_into(*rkey, *addr, &mut data)
-                }
-                WorkRequest::Write {
-                    rkey,
-                    addr,
-                    data: payload,
-                } => self.write(*rkey, *addr, payload),
-                WorkRequest::Cas64 {
-                    rkey,
-                    addr,
-                    compare,
-                    swap,
-                } => self.cas64(*rkey, *addr, *compare, *swap).map(|old| {
-                    data.extend_from_slice(&old.to_le_bytes());
-                }),
-                WorkRequest::FetchAdd { rkey, addr, add } => {
-                    self.fetch_add(*rkey, *addr, *add).map(|old| {
-                        data.extend_from_slice(&old.to_le_bytes());
-                    })
-                }
-            };
-            if let Err(e) = result {
-                data.clear();
-                c.error = Some(e);
-            }
-            c.data = data;
-        }
-    }
-}
-
-/// One verb in a doorbell batch (see [`RdmaNic::post_batch_into`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WorkRequest {
-    /// One-sided READ of `len` bytes; the completion carries the data.
-    Read {
-        /// Region key.
-        rkey: Rkey,
-        /// Target address.
-        addr: u64,
-        /// Bytes to read.
-        len: u64,
-    },
-    /// One-sided WRITE of `data`.
-    Write {
-        /// Region key.
-        rkey: Rkey,
-        /// Target address.
-        addr: u64,
-        /// Payload.
-        data: Vec<u8>,
-    },
-    /// Classic 64-bit compare-and-swap; the completion carries the old
-    /// value (8 bytes LE).
-    Cas64 {
-        /// Region key.
-        rkey: Rkey,
-        /// Target address (8-byte aligned).
-        addr: u64,
-        /// Expected value.
-        compare: u64,
-        /// Replacement value.
-        swap: u64,
-    },
-    /// Classic 64-bit fetch-and-add; the completion carries the old
-    /// value (8 bytes LE).
-    FetchAdd {
-        /// Region key.
-        rkey: Rkey,
-        /// Target address (8-byte aligned).
-        addr: u64,
-        /// Addend.
-        add: u64,
-    },
-}
-
-/// Completion of one batched work request.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Completion {
-    /// Index of the work request within its batch.
-    pub wr_id: usize,
-    /// READ data or atomic old value (8 bytes LE); empty for WRITE.
-    pub data: Vec<u8>,
-    /// The NACK, if the verb faulted.
-    pub error: Option<RdmaError>,
-}
-
-impl Completion {
-    /// Whether the work request completed without a NACK.
-    pub fn is_ok(&self) -> bool {
-        self.error.is_none()
-    }
 }
 
 #[cfg(test)]
@@ -324,76 +195,6 @@ mod tests {
             nic.read_into(Rkey(0xbad), addr, &mut buf),
             Err(RdmaError::InvalidRkey(0xbad))
         ));
-    }
-
-    #[test]
-    fn doorbell_batch_executes_in_order_with_per_wr_completions() {
-        let (nic, k) = nic();
-        let a = MemoryArena::BASE;
-        nic.arena().write_u64(a + 64, 10).unwrap();
-        let wrs = vec![
-            WorkRequest::Write {
-                rkey: k,
-                addr: a,
-                data: b"batched!".to_vec(),
-            },
-            WorkRequest::Read {
-                rkey: k,
-                addr: a,
-                len: 8,
-            },
-            WorkRequest::FetchAdd {
-                rkey: k,
-                addr: a + 64,
-                add: 5,
-            },
-            WorkRequest::Cas64 {
-                rkey: k,
-                addr: a + 64,
-                compare: 15,
-                swap: 99,
-            },
-            // A faulted WR must not abort the rest of the batch.
-            WorkRequest::Read {
-                rkey: Rkey(0xdead),
-                addr: a,
-                len: 8,
-            },
-        ];
-        let cq = nic.post_batch(&wrs);
-        assert_eq!(cq.len(), 5);
-        assert!(cq[0].is_ok() && cq[0].data.is_empty());
-        assert_eq!(cq[1].data, b"batched!");
-        assert_eq!(cq[2].data, 10u64.to_le_bytes());
-        assert_eq!(cq[3].data, 15u64.to_le_bytes());
-        assert_eq!(cq[4].error, Some(RdmaError::InvalidRkey(0xdead)));
-        assert_eq!(nic.arena().read_u64(a + 64).unwrap(), 99);
-        assert_eq!(
-            cq.iter().map(|c| c.wr_id).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3, 4]
-        );
-    }
-
-    #[test]
-    fn completion_queue_buffers_are_reused() {
-        let (nic, k) = nic();
-        let a = MemoryArena::BASE;
-        let wrs = vec![WorkRequest::Read {
-            rkey: k,
-            addr: a,
-            len: 512,
-        }];
-        let mut cq = Vec::new();
-        nic.post_batch_into(&wrs, &mut cq);
-        let cap_before = cq[0].data.capacity();
-        let ptr_before = cq[0].data.as_ptr();
-        nic.post_batch_into(&wrs, &mut cq);
-        assert_eq!(cq[0].data.capacity(), cap_before);
-        assert_eq!(
-            cq[0].data.as_ptr(),
-            ptr_before,
-            "data buffer must be reused"
-        );
     }
 
     #[test]

@@ -147,13 +147,16 @@ impl Primitive {
     /// 2.5–2.8 µs over RDMA (§4.3).
     fn sw_exec(self) -> SimDuration {
         match self {
-            Primitive::Read | Primitive::Write => SimDuration::from_nanos(2_500),
-            Primitive::IndirectRead => SimDuration::from_nanos(2_500),
+            Primitive::Read | Primitive::Write | Primitive::IndirectRead => SW_SINGLE_EXEC,
             Primitive::Allocate => SimDuration::from_nanos(2_600),
             Primitive::EnhancedCas => SimDuration::from_nanos(2_800),
         }
     }
 }
+
+/// Software data-plane execution of one plain primitive (READ, WRITE,
+/// indirect READ): the calibrated single-primitive cost of §4.3.
+const SW_SINGLE_EXEC: SimDuration = SimDuration::from_nanos(2_500);
 
 /// Every calibrated constant of the simulated testbed.
 ///
@@ -315,6 +318,16 @@ impl CostModel {
         }
         self.prism_core_occupancy + self.prism_chain_step * (ops - 1)
     }
+
+    /// Execution latency of a chain of `ops` primitives on the software
+    /// data plane, from core dispatch to reply post: one dispatch per
+    /// request plus [`CostModel::prism_chain_step`] per op, so a single
+    /// primitive costs the calibrated 2.5 µs of §4.3 and each chained op
+    /// adds only its step. The dispatch core is held for
+    /// [`CostModel::prism_chain_occupancy`] of it.
+    pub fn sw_chain_latency(&self, ops: u64) -> SimDuration {
+        SW_SINGLE_EXEC - self.prism_chain_step + self.prism_chain_step * ops
+    }
 }
 
 #[cfg(test)]
@@ -425,6 +438,19 @@ mod tests {
             three.as_nanos(),
             one.as_nanos() + 2 * m.prism_chain_step.as_nanos()
         );
+    }
+
+    #[test]
+    fn sw_chain_latency_is_one_dispatch_plus_a_step_per_op() {
+        let m = CostModel::fig1();
+        assert_eq!(m.sw_chain_latency(1), SW_SINGLE_EXEC);
+        assert_eq!(
+            m.sw_chain_latency(4).as_nanos(),
+            SW_SINGLE_EXEC.as_nanos() + 3 * m.prism_chain_step.as_nanos()
+        );
+        for ops in 1..8 {
+            assert!(m.sw_chain_latency(ops) >= m.prism_chain_occupancy(ops));
+        }
     }
 
     #[test]

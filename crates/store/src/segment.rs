@@ -23,9 +23,7 @@
 //! `(seq, len, records)` per sealed segment, a checkpoint sequence
 //! number (segments below it are fully covered by a checkpoint fold
 //! and replay skips decoding them), all closed by a CRC over the entry
-//! table. Manifests written before the checkpoint field existed are
-//! exactly four bytes shorter; decode accepts both lengths, reading
-//! the legacy form as checkpoint 0 (nothing covered).
+//! table.
 //!
 //! [`encode_manifest`] is the one definition of that layout. Sealing a
 //! segment does not re-encode the file: [`manifest_push`] computes the
@@ -361,10 +359,9 @@ pub fn manifest_push(
     }
 }
 
-/// Decodes a full manifest file. Accepts both the current layout
-/// (entry table + checkpoint + CRC) and the pre-checkpoint legacy
-/// layout (entry table + CRC, exactly four bytes shorter), which reads
-/// as checkpoint 0; any other length is a typed truncation error.
+/// Decodes a full manifest file (entry table + checkpoint + CRC). A
+/// file whose length is not the one its entry count implies is a typed
+/// truncation error.
 pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StoreError> {
     decode_header(bytes, MANIFEST_MAGIC)?;
     let rest = &bytes[HEADER_LEN..];
@@ -373,13 +370,11 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StoreError> {
     }
     let count = u32::from_le_bytes(rest[0..4].try_into().unwrap()) as usize;
     let table = 4 + count * 16;
-    let body = if rest.len() == table + 8 {
-        table + 4 // current layout: checkpoint rides inside the CRC
-    } else if rest.len() == table + 4 {
-        table // legacy layout: no checkpoint field
-    } else {
+    // The checkpoint word rides inside the CRC.
+    let body = table + 4;
+    if rest.len() != body + 4 {
         return Err(StoreError::ManifestTruncated);
-    };
+    }
     let want = crc32(&rest[..body]);
     let seen = u32::from_le_bytes(rest[body..body + 4].try_into().unwrap());
     if seen != want {
@@ -394,11 +389,7 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StoreError> {
             records: u32::from_le_bytes(e[12..16].try_into().unwrap()),
         });
     }
-    let checkpoint = if body == table {
-        0
-    } else {
-        u32::from_le_bytes(rest[table..table + 4].try_into().unwrap())
-    };
+    let checkpoint = u32::from_le_bytes(rest[table..body].try_into().unwrap());
     Ok(Manifest { sealed, checkpoint })
 }
 
@@ -449,27 +440,38 @@ mod tests {
     }
 
     #[test]
-    fn legacy_manifest_without_checkpoint_still_decodes() {
-        // A pre-checkpoint manifest: entry table closed directly by the
-        // CRC, no checkpoint word. Current decode must read it as
-        // checkpoint 0 so old disks replay in full.
-        let sealed = [SealedSeg {
-            seq: 3,
-            len: 512,
-            records: 7,
-        }];
-        let mut out = Vec::new();
-        out.extend_from_slice(&encode_header(MANIFEST_MAGIC));
-        let table_start = out.len();
-        out.extend_from_slice(&1u32.to_le_bytes());
-        out.extend_from_slice(&sealed[0].seq.to_le_bytes());
-        out.extend_from_slice(&sealed[0].len.to_le_bytes());
-        out.extend_from_slice(&sealed[0].records.to_le_bytes());
-        let crc = crc32(&out[table_start..]);
-        out.extend_from_slice(&crc.to_le_bytes());
-        let m = decode_manifest(&out).unwrap();
-        assert_eq!(m.sealed, sealed);
-        assert_eq!(m.checkpoint, 0);
+    fn legacy_manifest_without_checkpoint_is_truncated() {
+        // The pre-checkpoint layout: the entry table closed directly by
+        // its CRC, four bytes shorter. Nothing writes it (the manifest
+        // is only ever written whole or patched, both synced), so a file
+        // of that length is a truncated manifest, and replay falls back
+        // to scanning the segments themselves.
+        use crate::disk::SimDisk;
+        use crate::store::SegmentStore;
+        use std::sync::Arc;
+        let s = SegmentStore::with_limit(Arc::new(SimDisk::new()), "s0", 512);
+        for key in 0..20 {
+            s.append(&Record {
+                epoch: 1,
+                inc: 1,
+                key,
+                payload: vec![7; 48],
+            });
+        }
+        s.barrier();
+        let sealed = s.sealed();
+        assert!(!sealed.is_empty(), "limit 512 must force seals");
+        let mut legacy = encode_manifest(&sealed, 0);
+        legacy.truncate(legacy.len() - 8);
+        let crc = crc32(&legacy[HEADER_LEN..]);
+        legacy.extend_from_slice(&crc.to_le_bytes());
+        assert_eq!(decode_manifest(&legacy), Err(StoreError::ManifestTruncated));
+
+        s.disk().write_sync("s0/manifest", &legacy);
+        let mut keys = Vec::new();
+        let replay = s.replay(|rec, _| keys.push(rec.key));
+        assert!(!replay.manifest_ok);
+        assert_eq!(keys, (0..20).collect::<Vec<_>>(), "full scan, nothing lost");
     }
 
     #[test]

@@ -58,9 +58,11 @@
 #                           benchmark pipeline; its tests (smoke scale,
 #                           including traced-equals-untraced
 #                           bit-identity) build it against this tree
-#   6. second-seed pass   — the gate suites and the transaction replay
+#   6. second-seed pass   — the gate suites, the transaction replay
 #                           (PRISM-TX and FaRM, pristine and lossy
-#                           fabrics), then both migration gates, again
+#                           fabrics) and the wire-format properties
+#                           (round trips, mutated frames, decode
+#                           totality), then both migration gates, again
 #                           under a different PRISM_TEST_SEED, so the
 #                           gates don't ossify around one lucky
 #                           schedule. One background process that runs
@@ -143,7 +145,8 @@ MIGRATION_GATE=(rs_migration_chaos_stays_linearizable_through_live_reshard
     kv_migration_chaos_stays_linearizable_through_live_reshard)
 GATES=(--test fault_matrix --test chaos_gate --test corruption_matrix
     --test durability_gate --test store_properties
-    --test openloop_smoke --test gray_gate --test tx_replay)
+    --test openloop_smoke --test gray_gate --test tx_replay
+    --test wire_properties)
 SECOND_SEED=1806242025
 
 # Both reshard gates, by exact name; fails unless exactly those ran.

@@ -366,7 +366,7 @@ fn hints_execute_nothing() {
         "hints_execute_nothing",
         &Config::with_cases(256),
         &gen,
-        |(steered, batch, wiped, restart_between)| {
+        |(steered, mixed, wiped, restart_between)| {
             let server = PrismServer::new(1 << 16);
             let arena = server.arena();
             let (data, _rkey) = server.carve_region(8192, 64, AccessFlags::FULL);
@@ -414,8 +414,10 @@ fn hints_execute_nothing() {
                     op
                 })
                 .collect();
-            let req = if *batch {
-                Request::Batch(vec![
+            // The chain alone, or among a verb and an RPC on each side,
+            // hinted one request at a time as they would be sent.
+            let reqs = if *mixed {
+                vec![
                     Request::Verb(Verb::Read {
                         addr: data + 1024,
                         len: 576,
@@ -429,9 +431,9 @@ fn hints_execute_nothing() {
                         swap: 1,
                         rkey: 7,
                     }),
-                ])
+                ]
             } else {
-                Request::Chain(chain)
+                vec![Request::Chain(chain)]
             };
             let state = || {
                 (
@@ -444,13 +446,16 @@ fn hints_execute_nothing() {
                 )
             };
             let before = state();
-            let pending = msg::hint_local(&server, &req);
+            let pending: Vec<_> = reqs
+                .iter()
+                .filter_map(|req| msg::hint_local(&server, req))
+                .collect();
             assert_eq!(state(), before, "stage one changed something");
             if *restart_between {
                 server.amnesia_restart();
             }
             let before = state();
-            if let Some(pending) = pending {
+            for pending in pending {
                 server.engine().hint_target(pending);
             }
             assert_eq!(state(), before, "stage two changed something");
