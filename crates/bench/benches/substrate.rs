@@ -649,6 +649,22 @@ fn bench_memory(c: &mut Criterion) {
         });
     });
     g.finish();
+
+    // The set-up fault path: a fresh arena of a store's order of size,
+    // one word written per 4 KiB page, then freed — what building a
+    // KV/TX store pays before its first op.
+    let mut g = c.benchmark_group("arena");
+    g.bench_function("first_touch_64MiB", |b| {
+        const LEN: u64 = 64 << 20;
+        b.iter(|| {
+            let arena = MemoryArena::new(LEN);
+            for off in (0..LEN).step_by(4096) {
+                arena.write_u64(base + off, off).unwrap();
+            }
+            arena.len()
+        });
+    });
+    g.finish();
 }
 
 fn bench_verbs(c: &mut Criterion) {

@@ -42,6 +42,12 @@
 //! arenas share stripes (a false conflict costs one retry, never
 //! correctness).
 //!
+//! On Linux the word buffer's whole 2 MiB pages are advised as huge
+//! pages (`madvise(MADV_HUGEPAGE)`) before any word is touched, so a
+//! store of a few hundred MB is mapped by hundreds of TLB entries, not
+//! tens of thousands. An arena too small to hold one such page is left
+//! as allocated.
+//!
 //! Addresses are virtual: the arena starts at [`MemoryArena::BASE`] so
 //! that 0 can serve as a null pointer in application data structures.
 
@@ -99,7 +105,8 @@ impl MemoryArena {
         assert!(len > 0, "MemoryArena::new: zero length");
         let nlines = len.div_ceil(LINE as u64) as usize;
         let nwords = nlines * WORDS_PER_LINE;
-        let words = (0..nwords).map(|_| AtomicU64::new(0)).collect();
+        let words: Vec<AtomicU64> = (0..nwords).map(|_| AtomicU64::new(0)).collect();
+        advise_huge_pages(&words);
         let ngroups = (nlines * LINE).div_ceil(GROUP);
         let stripes = ngroups.next_power_of_two().min(MAX_STRIPES);
         let seqs = (0..stripes).map(|_| AtomicU32::new(0)).collect();
@@ -492,6 +499,70 @@ fn prefetch_words(words: &[AtomicU64]) {
 #[inline]
 fn prefetch_words(_words: &[AtomicU64]) {}
 
+/// A transparent huge page: 2 MiB on x86-64 and on 4 KiB-page AArch64.
+const HUGE_PAGE: usize = 2 << 20;
+
+/// The whole [`HUGE_PAGE`]s inside the byte span `[start, start + len)`,
+/// as `(first page's address, bytes)`; `None` when it holds none.
+fn huge_interior(start: usize, len: usize) -> Option<(usize, usize)> {
+    let first = start.checked_next_multiple_of(HUGE_PAGE)?;
+    let end = start.checked_add(len)? / HUGE_PAGE * HUGE_PAGE;
+    (end > first).then(|| (first, end - first))
+}
+
+/// Asks the kernel to back the whole 2 MiB pages of a freshly zeroed
+/// word buffer with transparent huge pages, before any word is touched:
+/// the arena is read at random on every op, and one TLB entry per 2 MiB
+/// instead of per 4 KiB keeps the page walk off that path (and faults
+/// the buffer in 512× less often while a store is built).
+fn advise_huge_pages(words: &[AtomicU64]) {
+    let base = words.as_ptr().addr();
+    if let Some((start, len)) = huge_interior(base, std::mem::size_of_val(words)) {
+        // Both ends are 2 MiB-aligned, so both are whole words.
+        let first = (start - base) / 8;
+        madvise_huge_pages(&words[first..first + len / 8]);
+    }
+}
+
+/// `madvise(MADV_HUGEPAGE)` over exactly the bytes of `pages`. The
+/// advice is optional — a kernel that refuses it (transparent huge
+/// pages off, a range not page-aligned) keeps the 4 KiB pages — so the
+/// result is not looked at.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+fn madvise_huge_pages(pages: &[AtomicU64]) {
+    use std::ffi::{c_int, c_void};
+    extern "C" {
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+    }
+    /// Linux's value on both targets (`asm-generic/mman-common.h`).
+    const MADV_HUGEPAGE: c_int = 14;
+    // SAFETY: the declaration is POSIX's `int madvise(void *, size_t,
+    // int)`. The range is exactly the bytes of `pages`, a live slice,
+    // so it lies inside an allocation that outlives the call.
+    // MADV_HUGEPAGE changes no byte, mapping or permission — it only
+    // makes the range eligible for huge pages — so no reference into
+    // the allocation can observe it.
+    #[allow(unsafe_code)]
+    unsafe {
+        madvise(
+            pages.as_ptr().cast_mut().cast(),
+            std::mem::size_of_val(pages),
+            MADV_HUGEPAGE,
+        );
+    }
+}
+
+/// No huge-page advice this crate can give: the buffer keeps the
+/// allocator's pages.
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+fn madvise_huge_pages(_pages: &[AtomicU64]) {}
+
 impl std::fmt::Debug for MemoryArena {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemoryArena")
@@ -756,6 +827,84 @@ mod tests {
         assert_eq!(a.read(addr, 1).unwrap(), [0b1010_1010]);
         // Out-of-arena rot is rejected like any access.
         assert!(a.flip_bit(MemoryArena::BASE + 5000, 0).is_err());
+    }
+
+    #[test]
+    fn huge_interior_keeps_only_whole_pages() {
+        const P: usize = HUGE_PAGE;
+        let base = 7 * P;
+        // Nothing to advise: an empty span, one under a page, and a
+        // page's worth that straddles a boundary.
+        assert_eq!(huge_interior(base, 0), None);
+        assert_eq!(huge_interior(base, P - 1), None);
+        assert_eq!(huge_interior(base + 64, P), None);
+        // Exactly one page, aligned.
+        assert_eq!(huge_interior(base, P), Some((base, P)));
+        // One byte short of a page on either side.
+        assert_eq!(huge_interior(base + 1, P - 1), None);
+        assert_eq!(huge_interior(base + 1, 2 * P - 1), Some((base + P, P)));
+        assert_eq!(huge_interior(base - 1, P), None);
+        assert_eq!(huge_interior(base - 1, P + 1), Some((base, P)));
+        // A span of several pages keeps the whole ones in its interior.
+        assert_eq!(huge_interior(base + 16, 5 * P), Some((base + P, 4 * P)));
+        assert_eq!(huge_interior(base, 5 * P + 100), Some((base, 5 * P)));
+        // Spans at the top of the address space do not overflow.
+        assert_eq!(huge_interior(usize::MAX - 8, 16), None);
+        assert_eq!(huge_interior(usize::MAX - P, P), None);
+    }
+
+    #[test]
+    fn accesses_straddling_huge_page_boundaries_are_exact() {
+        // 8 MiB and 100 B: whatever the buffer's offset, it crosses at
+        // least three 2 MiB boundaries. Every access kind is aimed at
+        // each of them — the buffer's own page boundaries and the
+        // arena's 2 MiB offsets — and checked against a byte model.
+        let a = MemoryArena::new((8 << 20) + 100);
+        let len = a.len() as usize;
+        let buf = a.words.as_ptr().addr();
+        let (first, bytes) = huge_interior(buf, len).expect("8 MiB holds whole pages");
+        let page_edges = (0..=bytes / HUGE_PAGE).map(|i| first + i * HUGE_PAGE - buf);
+        let offset_edges = (1..=len / HUGE_PAGE).map(|i| i * HUGE_PAGE);
+        let mut edges: Vec<usize> = page_edges.chain(offset_edges).collect();
+        edges.sort_unstable();
+        edges.dedup();
+        edges.retain(|&e| e >= 512 && e + 512 <= len);
+        assert!(edges.len() >= 3, "edges {edges:?}");
+
+        let mut model = vec![0u8; len];
+        let at = |off: usize| MemoryArena::BASE + off as u64;
+        for (k, &e) in edges.iter().enumerate() {
+            // A 600 B transfer, unaligned, across the edge.
+            let data: Vec<u8> = (0..600).map(|i| (i * 7 + k) as u8 | 1).collect();
+            a.write(at(e - 301), &data).unwrap();
+            model[e - 301..e + 299].copy_from_slice(&data);
+            assert_eq!(a.read(at(e - 301), 600).unwrap(), data);
+            // A 16 B atomic whose halves sit on either side.
+            let old = a
+                .atomic(at(e - 8), 16, |b| {
+                    let old = b.to_vec();
+                    b.iter_mut().for_each(|x| *x = x.wrapping_add(1));
+                    old
+                })
+                .unwrap();
+            assert_eq!(old, model[e - 8..e + 8]);
+            model[e - 8..e + 8]
+                .iter_mut()
+                .for_each(|x| *x = x.wrapping_add(1));
+            // The words on either side, by hint load and by read.
+            for w in [e - 8, e] {
+                let want = u64::from_le_bytes(model[w..w + 8].try_into().unwrap());
+                assert_eq!(a.peek_u64(at(w)), Some(want));
+                assert_eq!(a.read_u64(at(w)).unwrap(), want);
+            }
+            // A prefetch across the edge reads and writes nothing.
+            let seqs = a.stripe_sequences();
+            a.prefetch(at(e - 512), 1024);
+            assert_eq!(a.stripe_sequences(), seqs);
+        }
+        assert!(a.read(MemoryArena::BASE, len as u64).unwrap() == model);
+        a.wipe();
+        assert!(a.read(MemoryArena::BASE, len as u64).unwrap() == vec![0u8; len]);
     }
 
     #[test]

@@ -12,6 +12,12 @@
 //! folded into a zeroed allocation and untouched pages stay unmapped,
 //! while a debug build writes every word at creation.
 //!
+//! The arena may sit on 2 MiB pages (its word buffer is advised with
+//! `madvise(MADV_HUGEPAGE)` on Linux): the first word stored into one
+//! makes all of it resident, so the resident set moves in 2 MiB steps
+//! at the frontier of what the store touched. The headroom beyond that
+//! frontier stays unmapped all the same, and the bound does not move.
+//!
 //! One test in its own binary, so the process's high-water mark is this
 //! scenario's and nothing else's.
 
