@@ -7,8 +7,7 @@
 //! figures regenerate), workload generators, and the cache-cold
 //! indirect GET with and without the simulator's lookahead hint.
 
-use prism_bench::runner::{BatchSize, Criterion};
-use prism_bench::{criterion_group, criterion_main};
+use prism_bench::runner::Runner;
 
 use prism_core::builder::ops;
 use prism_core::msg::{execute_local, Reply, Request};
@@ -48,9 +47,8 @@ impl Actor<u32> for PingPong {
     }
 }
 
-fn bench_des(c: &mut Criterion) {
-    let mut g = c.benchmark_group("des");
-    g.bench_function("100k_events_ping_pong", |b| {
+fn bench_des(run: &mut Runner) {
+    run.bench("des/100k_events_ping_pong", |b| {
         b.iter(|| {
             let mut sim: Simulation<u32> = Simulation::new(1);
             let a = sim.add_actor(Box::new(PingPong {
@@ -66,7 +64,7 @@ fn bench_des(c: &mut Criterion) {
             sim.now()
         });
     });
-    g.bench_function("send_with_lookahead", |b| {
+    run.bench("des/send_with_lookahead", |b| {
         // What `Actor::lookahead` adds to a send to another actor that
         // keeps the default and ignores it: the actor-table lookup and
         // the dynamic call, 100k of them — one per event of the
@@ -90,7 +88,6 @@ fn bench_des(c: &mut Criterion) {
             }
         });
     });
-    g.finish();
 }
 
 /// A host with a 1 MiB region, one 576-byte free list, and a pointer at
@@ -122,21 +119,20 @@ fn rig() -> Rig {
 
 /// Each PRISM primitive executed as a one-op chain, and the §3.5
 /// out-of-place update as one four-op chain.
-fn bench_primitives(c: &mut Criterion) {
+fn bench_primitives(run: &mut Runner) {
     let r = rig();
-    let mut g = c.benchmark_group("primitive");
 
-    g.bench_function("read_512", |b| {
+    run.bench("primitive/read_512", |b| {
         let op = [ops::read(r.data + 4096, 512, r.rkey)];
         b.iter(|| r.server.execute_chain(std::hint::black_box(&op)));
     });
 
-    g.bench_function("write_512", |b| {
+    run.bench("primitive/write_512", |b| {
         let op = [ops::write(r.data + 8192, vec![1u8; 512], r.rkey)];
         b.iter(|| r.server.execute_chain(std::hint::black_box(&op)));
     });
 
-    g.bench_function("read_512_into", |b| {
+    run.bench("primitive/read_512_into", |b| {
         // Zero-alloc chain path: the results vector (and its data
         // buffers) are reused across executions.
         let op = [ops::read(r.data + 4096, 512, r.rkey)];
@@ -148,12 +144,12 @@ fn bench_primitives(c: &mut Criterion) {
         });
     });
 
-    g.bench_function("indirect_read_512", |b| {
+    run.bench("primitive/indirect_read_512", |b| {
         let op = [ops::read_indirect_bounded(r.data, 512, r.rkey)];
         b.iter(|| r.server.execute_chain(std::hint::black_box(&op)));
     });
 
-    g.bench_function("enhanced_cas_16", |b| {
+    run.bench("primitive/enhanced_cas_16", |b| {
         // Version-install CAS that always succeeds (version grows).
         let mut version = 0u64;
         b.iter(|| {
@@ -174,7 +170,7 @@ fn bench_primitives(c: &mut Criterion) {
         });
     });
 
-    g.bench_function("allocate_free_512", |b| {
+    run.bench("primitive/allocate_free_512", |b| {
         b.iter_batched(
             || (),
             |()| {
@@ -184,11 +180,10 @@ fn bench_primitives(c: &mut Criterion) {
                 let addr = u64::from_le_bytes(res[0].data.as_slice().try_into().unwrap());
                 r.server.freelists().post(FreeListId(0), [addr]).unwrap();
             },
-            BatchSize::SmallInput,
         );
     });
 
-    g.bench_function("out_of_place_update_chain", |b| {
+    run.bench("primitive/out_of_place_update_chain", |b| {
         // The §3.5 composite: WRITE + ALLOCATE(redirect) + CAS + READ.
         let slot = r.data + 32768;
         b.iter(|| {
@@ -226,8 +221,6 @@ fn bench_primitives(c: &mut Criterion) {
             res
         });
     });
-
-    g.finish();
 }
 
 /// The GET of §6.1 — one bounded indirect READ of a slot — over a store
@@ -240,7 +233,7 @@ fn bench_primitives(c: &mut Criterion) {
 /// one hinted just before it — and then executes the same GET stream.
 /// Read against `verbs/read_512_into`, the same copy with everything
 /// resident.
-fn bench_chain_cold(c: &mut Criterion) {
+fn bench_chain_cold(run: &mut Runner) {
     use std::cell::LazyCell;
 
     const SLOTS: u64 = 1 << 17;
@@ -272,8 +265,7 @@ fn bench_chain_cold(c: &mut Criterion) {
         [ops::read_indirect_bounded(slot, ENTRY as u32, rkey)]
     };
 
-    let mut g = c.benchmark_group("chain");
-    g.bench_function("get_indirect_cold/unhinted", |b| {
+    run.bench("chain/get_indirect_cold/unhinted", |b| {
         let (server, table, rkey) = &*store;
         let mut rng = SimRng::new(7);
         let mut results = Vec::new();
@@ -283,7 +275,7 @@ fn bench_chain_cold(c: &mut Criterion) {
             assert_eq!(results[0].data.len(), ENTRY as usize);
         });
     });
-    g.bench_function("get_indirect_cold/hinted", |b| {
+    run.bench("chain/get_indirect_cold/hinted", |b| {
         let (server, table, rkey) = &*store;
         let engine = server.engine();
         let mut rng = SimRng::new(7);
@@ -304,7 +296,6 @@ fn bench_chain_cold(c: &mut Criterion) {
             assert_eq!(results[0].data.len(), ENTRY as usize);
         });
     });
-    g.finish();
 }
 
 /// Holds a constant population of pending timers (seeded in `on_start`)
@@ -360,28 +351,25 @@ fn run_deep_churn() -> SimTime {
 
 /// Event-queue throughput at open-loop depth: 64 k events dispatched
 /// through a standing population of 16 k pending timers.
-fn bench_deep_queue(c: &mut Criterion) {
-    let mut g = c.benchmark_group("des");
-    g.bench_function("64k_events_16k_timers_wheel", |b| {
+fn bench_deep_queue(run: &mut Runner) {
+    run.bench("des/64k_events_16k_timers_wheel", |b| {
         b.iter(run_deep_churn);
     });
-    g.finish();
 }
 
 /// Borrowed-frame encode: `encode_into` appending to a reused buffer vs
 /// the owned `encode` allocating per call, over a 4-op chain (the
 /// per-message work of every simulated send).
-fn bench_wire(c: &mut Criterion) {
-    let mut g = c.benchmark_group("wire");
+fn bench_wire(run: &mut Runner) {
     let req = Request::Chain(
         (0..4u64)
             .map(|i| ops::read(0x1000 + i * 512, 512, 7))
             .collect(),
     );
-    g.bench_function("chain4_encode_owned", |b| {
+    run.bench("wire/chain4_encode_owned", |b| {
         b.iter(|| req.encode().unwrap());
     });
-    g.bench_function("chain4_encode_into_reused", |b| {
+    run.bench("wire/chain4_encode_into_reused", |b| {
         let mut buf = Vec::with_capacity(4096);
         b.iter(|| {
             buf.clear();
@@ -390,7 +378,7 @@ fn bench_wire(c: &mut Criterion) {
         });
     });
     let bytes = req.encode().unwrap();
-    g.bench_function("chain4_decode", |b| {
+    run.bench("wire/chain4_decode", |b| {
         b.iter(|| Request::decode(&bytes).unwrap());
     });
     // The two frames that carry a value in PRISM-KV: a PUT's install
@@ -418,14 +406,14 @@ fn bench_wire(c: &mut Criterion) {
         .conditional(),
         ops::read(scratch.addr, 8, 11),
     ]);
-    g.bench_function("encode_epoch_put_530", |b| {
+    run.bench("wire/encode_epoch_put_530", |b| {
         b.iter(|| std::hint::black_box(&put).encode_epoch(7).unwrap());
     });
     let get_reply = Reply::Chain(vec![OpResult {
         status: OpStatus::Ok,
         data: vec![0xA5; 530],
     }]);
-    g.bench_function("reply_encode_get_530", |b| {
+    run.bench("wire/reply_encode_get_530", |b| {
         b.iter(|| std::hint::black_box(&get_reply).encode().unwrap());
     });
     // A mixed chain body: bounded indirect READ, redirected ALLOCATE,
@@ -448,10 +436,9 @@ fn bench_wire(c: &mut Criterion) {
         ),
     ];
     let bytes = wire::encode_chain(&chain).unwrap();
-    g.bench_function("decode_3op_chain", |b| {
+    run.bench("wire/decode_3op_chain", |b| {
         b.iter(|| wire::decode_chain(std::hint::black_box(&bytes)).unwrap());
     });
-    g.finish();
 }
 
 /// `prism_core::crc`'s source compiled into this binary, so that its
@@ -467,32 +454,31 @@ mod crc_paths;
 /// one lane the kernel rows are the dispatch check plus the table's
 /// word steps), an RS block (64 B), a KV entry (530 B), a page (4 KiB).
 /// On a CPU without PCLMULQDQ only the table rows appear.
-fn bench_crc(c: &mut Criterion) {
+fn bench_crc(run: &mut Runner) {
     const INIT: u32 = 0xFFFF_FFFF;
-    let mut g = c.benchmark_group("crc32");
     for len in [4usize, 8, 12, 15, 64, 530, 4096] {
         let payload: Vec<u8> = (0..len).map(|i| (i * 131 + 7) as u8).collect();
         #[cfg(target_arch = "x86_64")]
         if crc_paths::crc32_clmul(INIT, &payload).is_some() {
-            g.bench_function(&format!("{len}/kernel"), |b| {
+            run.bench(&format!("crc32/{len}/kernel"), |b| {
                 b.iter(|| crc_paths::crc32_clmul(INIT, std::hint::black_box(&payload)))
             });
         }
-        g.bench_function(&format!("{len}/table"), |b| {
+        run.bench(&format!("crc32/{len}/table"), |b| {
             b.iter(|| crc_paths::crc32_table(INIT, std::hint::black_box(&payload)))
         });
     }
-    g.finish();
 }
 
-fn bench_workload(c: &mut Criterion) {
-    let mut g = c.benchmark_group("workload");
-    let zipf = ZipfGen::new(8_000_000, 0.99);
+fn bench_workload(run: &mut Runner) {
     let mut rng = SimRng::new(7);
-    g.bench_function("zipf_sample_8M", |b| b.iter(|| zipf.sample(&mut rng)));
-    g.bench_function("splitmix_next", |b| b.iter(|| rng.next_u64()));
-    let mut poisson = PoissonGen::new(1_000_000.0, 11);
-    g.bench_function("poisson_next_arrival", |b| {
+    run.bench("workload/zipf_sample_8M", |b| {
+        let zipf = ZipfGen::new(8_000_000, 0.99);
+        b.iter(|| zipf.sample(&mut rng))
+    });
+    run.bench("workload/splitmix_next", |b| b.iter(|| rng.next_u64()));
+    run.bench("workload/poisson_next_arrival", |b| {
+        let mut poisson = PoissonGen::new(1_000_000.0, 11);
         b.iter(|| poisson.next_arrival())
     });
     // Building a generator over `sim_tx_closed`'s pair: a miss sums
@@ -501,17 +487,16 @@ fn bench_workload(c: &mut Criterion) {
     // every construction a pair the table has never held (and its bound
     // keeps the walk from growing it).
     let mut theta = 0.8f64;
-    g.bench_function("zipf_new_262144/miss", |b| {
+    run.bench("workload/zipf_new_262144/miss", |b| {
         b.iter(|| {
             theta = f64::from_bits(theta.to_bits() + 1);
             ZipfGen::new(262_144, theta)
         })
     });
-    ZipfGen::new(262_144, 0.8);
-    g.bench_function("zipf_new_262144/hit", |b| {
+    run.bench("workload/zipf_new_262144/hit", |b| {
+        ZipfGen::new(262_144, 0.8);
         b.iter(|| ZipfGen::new(262_144, std::hint::black_box(0.8)))
     });
-    g.finish();
 }
 
 /// The PRISM-TX client path with no simulator around it: one single-key
@@ -519,12 +504,11 @@ fn bench_workload(c: &mut Criterion) {
 /// one-shard cluster (execute, prepare, commit: three chains). The
 /// per-transaction cost `sim_tx_closed` pays in its adapters, plus the
 /// server side of the three chains.
-fn bench_tx(c: &mut Criterion) {
-    let mut g = c.benchmark_group("tx");
-    let cluster = TxCluster::new(1, &TxConfig::paper(1024, 512));
-    let mut client = cluster.open_client();
-    let mut key = 0u64;
-    g.bench_function("rmw_txn_local", |b| {
+fn bench_tx(run: &mut Runner) {
+    run.bench("tx/rmw_txn_local", |b| {
+        let cluster = TxCluster::new(1, &TxConfig::paper(1024, 512));
+        let mut client = cluster.open_client();
+        let mut key = 0u64;
         b.iter(|| {
             key = (key + 7) % 1024;
             let (op, step) = client.begin(vec![key], vec![(key, vec![1u8; 512])]);
@@ -535,27 +519,25 @@ fn bench_tx(c: &mut Criterion) {
     });
     // The same transaction on FaRM: two execution READs, then lock and
     // update RPCs that the server CPU runs.
-    let farm = FarmCluster::new(
-        1,
-        &FarmConfig {
-            keys_per_shard: 1024,
-            value_len: 512,
-        },
-    );
-    g.bench_function("farm_rmw_commit", |b| {
+    run.bench("tx/farm_rmw_commit", |b| {
+        let farm = FarmCluster::new(
+            1,
+            &FarmConfig {
+                keys_per_shard: 1024,
+                value_len: 512,
+            },
+        );
         let mut client = farm.open_client();
         b.iter(|| {
             let (op, step) = client.begin(vec![7], vec![(7, vec![1u8; 512])]);
             drive(&farm, &mut client, op, step)
         });
     });
-    g.finish();
 }
 
 /// Whole KV operations executed directly against the server: PRISM-KV's
 /// one-chain GET and PUT, and Pilaf's two-READ GET and its PUT RPC.
-fn bench_kv(c: &mut Criterion) {
-    let mut g = c.benchmark_group("kv");
+fn bench_kv(run: &mut Runner) {
     let prism = PrismKvServer::new(&PrismKvConfig::paper(1024, 512));
     let pc = prism.open_client();
     let val = vec![9u8; 512];
@@ -565,19 +547,19 @@ fn bench_kv(c: &mut Criterion) {
     };
     put(&val);
 
-    g.bench_function("prism_kv_get_512", |b| {
+    run.bench("kv/prism_kv_get_512", |b| {
         b.iter(|| {
             let (mut op, req) = pc.get(&key_bytes(7));
             let reply = execute_local(prism.server(), &req);
             op.on_reply(&pc, reply)
         });
     });
-    g.bench_function("prism_kv_put_512", |b| b.iter(|| put(&val)));
+    run.bench("kv/prism_kv_put_512", |b| b.iter(|| put(&val)));
 
     let pilaf = PilafServer::new(&PilafConfig::paper(1024, 512));
     let lc = pilaf.open_client();
     execute_local(pilaf.server(), &lc.put_request(&key_bytes(7), &val));
-    g.bench_function("pilaf_get_512", |b| {
+    run.bench("kv/pilaf_get_512", |b| {
         b.iter(|| {
             let (mut op, req) = lc.get(&key_bytes(7));
             let mut reply = execute_local(pilaf.server(), &req);
@@ -586,75 +568,69 @@ fn bench_kv(c: &mut Criterion) {
             }
         });
     });
-    g.bench_function("pilaf_put_rpc_512", |b| {
+    run.bench("kv/pilaf_put_rpc_512", |b| {
         let req = lc.put_request(&key_bytes(7), &val);
         b.iter(|| execute_local(pilaf.server(), &req));
     });
-    g.finish();
 }
 
 /// A PRISM-RS write and read of one 512-byte block over three replicas,
 /// every replica answering.
-fn bench_rs(c: &mut Criterion) {
+fn bench_rs(run: &mut Runner) {
     use prism_rs::prism_rs::{drive, RsCluster, RsConfig};
 
-    let mut g = c.benchmark_group("rs");
     let cluster = RsCluster::new(3, &RsConfig::paper(64, 512));
     let client = cluster.open_client();
-    g.bench_function("prism_rs_put_512_3replicas", |b| {
+    run.bench("rs/prism_rs_put_512_3replicas", |b| {
         b.iter(|| {
             let (op, step) = client.put(3, vec![5u8; 512]);
             drive(&cluster, &client, op, step, &[false; 3])
         });
     });
-    g.bench_function("prism_rs_get_512_3replicas", |b| {
+    run.bench("rs/prism_rs_get_512_3replicas", |b| {
         b.iter(|| {
             let (op, step) = client.get(3);
             drive(&cluster, &client, op, step, &[false; 3])
         });
     });
-    g.finish();
 }
 
-fn bench_memory(c: &mut Criterion) {
-    let mut g = c.benchmark_group("memory");
+fn bench_memory(run: &mut Runner) {
     let arena = MemoryArena::new(1 << 20);
     let base = MemoryArena::BASE;
     arena.write(base, &[1u8; 4096]).unwrap();
-    g.bench_function("arena_read_64", |b| {
+    run.bench("memory/arena_read_64", |b| {
         let mut buf = [0u8; 64];
         b.iter(|| arena.read_into(base, &mut buf).unwrap());
     });
-    g.bench_function("arena_read_512", |b| {
+    run.bench("memory/arena_read_512", |b| {
         let mut buf = [0u8; 512];
         b.iter(|| arena.read_into(base, &mut buf).unwrap());
     });
-    g.bench_function("arena_read_4k", |b| {
+    run.bench("memory/arena_read_4k", |b| {
         let mut buf = vec![0u8; 4096];
         b.iter(|| arena.read_into(base, &mut buf).unwrap());
     });
-    g.bench_function("arena_write_512", |b| {
+    run.bench("memory/arena_write_512", |b| {
         let data = [7u8; 512];
         b.iter(|| arena.write(base + 8192, &data).unwrap());
     });
-    g.bench_function("arena_write_4k", |b| {
+    run.bench("memory/arena_write_4k", |b| {
         let data = vec![7u8; 4096];
         b.iter(|| arena.write(base + 16384, &data).unwrap());
     });
-    g.bench_function("arena_atomic_16", |b| {
+    run.bench("memory/arena_atomic_16", |b| {
         b.iter(|| {
             arena
                 .atomic(base + 4096, 16, |bytes| bytes[0] = bytes[0].wrapping_add(1))
                 .unwrap()
         });
     });
-    g.finish();
 
     // The set-up fault path: a fresh arena of a store's order of size,
     // one word written per 4 KiB page, then freed — what building a
     // KV/TX store pays before its first op.
-    let mut g = c.benchmark_group("arena");
-    g.bench_function("first_touch_64MiB", |b| {
+    run.bench("arena/first_touch_64MiB", |b| {
         const LEN: u64 = 64 << 20;
         b.iter(|| {
             let arena = MemoryArena::new(LEN);
@@ -664,37 +640,33 @@ fn bench_memory(c: &mut Criterion) {
             arena.len()
         });
     });
-    g.finish();
 }
 
-fn bench_verbs(c: &mut Criterion) {
+fn bench_verbs(run: &mut Runner) {
     use prism_rdma::RdmaNic;
 
-    let mut g = c.benchmark_group("verbs");
     let nic = RdmaNic::new(1 << 20);
     let rkey = nic.register(MemoryArena::BASE, 1 << 20, AccessFlags::FULL);
     let base = MemoryArena::BASE;
     nic.arena().write(base, &[5u8; 16384]).unwrap();
 
-    g.bench_function("read_512_alloc", |b| {
+    run.bench("verbs/read_512_alloc", |b| {
         b.iter(|| nic.read(rkey, base, 512).unwrap());
     });
-    g.bench_function("read_512_into", |b| {
+    run.bench("verbs/read_512_into", |b| {
         // Zero-alloc verb path: caller-provided buffer.
         let mut buf = vec![0u8; 512];
         b.iter(|| nic.read_into(rkey, base, &mut buf).unwrap());
     });
-    g.finish();
 }
 
-fn bench_recovery(c: &mut Criterion) {
+fn bench_recovery(run: &mut Runner) {
     use prism_rs::prism_rs::{drive, RsCluster, RsConfig};
     use prism_rs::RsOutcome;
 
     const BLOCKS: u64 = 64;
     const VALUE: usize = 64;
 
-    let mut g = c.benchmark_group("recovery");
     let config = RsConfig::paper(BLOCKS, VALUE as u64);
     let cluster = RsCluster::new(3, &config);
     let client = cluster.open_client();
@@ -709,7 +681,7 @@ fn bench_recovery(c: &mut Criterion) {
         );
     }
 
-    g.bench_function("replay_vs_resync_intact_log", |b| {
+    run.bench("recovery/replay_vs_resync_intact_log", |b| {
         // The new recovery path: an amnesia restart replays the local
         // segment log and the delta probe fetches nothing — the whole
         // block set comes back without touching a peer buffer.
@@ -717,7 +689,7 @@ fn bench_recovery(c: &mut Criterion) {
             std::hint::black_box(cluster.amnesia_restart(1));
         });
     });
-    g.bench_function("replay_vs_resync_wiped_disk", |b| {
+    run.bench("recovery/replay_vs_resync_wiped_disk", |b| {
         // The pre-durability baseline: every restart was this — no
         // local log, every block fetched from a peer quorum. The wipe
         // inside the loop keeps each iteration a cold, full resync
@@ -728,14 +700,13 @@ fn bench_recovery(c: &mut Criterion) {
             std::hint::black_box(cluster.amnesia_restart(1));
         });
     });
-    g.finish();
 }
 
 /// The durable tier's write path. Its cost must not depend on how long
 /// the log already is: the two `append_barrier` benches differ only in
 /// the number of sealed segments behind them (and so in manifest and
 /// file-table size) and must read the same.
-fn bench_store(c: &mut Criterion) {
+fn bench_store(run: &mut Runner) {
     use prism_core::crc::crc32_combine;
     use prism_store::{Record, SegmentStore, SimDisk};
     use std::sync::Arc;
@@ -759,10 +730,9 @@ fn bench_store(c: &mut Criterion) {
         store
     };
 
-    let mut g = c.benchmark_group("store");
     for segments in [256usize, 32768] {
-        let store = grown(LIMIT, segments);
-        g.bench_function(&format!("append_barrier@{segments}seg"), |b| {
+        run.bench(&format!("store/append_barrier@{segments}seg"), |b| {
+            let store = grown(LIMIT, segments);
             b.iter(|| {
                 store.append(std::hint::black_box(&rec));
                 store.barrier();
@@ -771,11 +741,11 @@ fn bench_store(c: &mut Criterion) {
     }
     // Every append passes this limit, so each iteration is one seal:
     // segment sync, manifest entry, next segment's header.
-    let store = grown(64, 32768);
-    g.bench_function("manifest_seal", |b| {
+    run.bench("store/manifest_seal", |b| {
+        let store = grown(64, 32768);
         b.iter(|| store.append(std::hint::black_box(&rec)));
     });
-    g.bench_function("crc32_combine_1MiB", |b| {
+    run.bench("store/crc32_combine_1MiB", |b| {
         b.iter(|| {
             std::hint::black_box(crc32_combine(
                 std::hint::black_box(0xDEAD_BEEF),
@@ -784,24 +754,22 @@ fn bench_store(c: &mut Criterion) {
             ))
         });
     });
-    g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_primitives,
-    bench_des,
-    bench_deep_queue,
-    bench_chain_cold,
-    bench_wire,
-    bench_crc,
-    bench_workload,
-    bench_kv,
-    bench_rs,
-    bench_tx,
-    bench_memory,
-    bench_verbs,
-    bench_recovery,
-    bench_store
-);
-criterion_main!(benches);
+fn main() {
+    let mut run = Runner::from_args();
+    bench_primitives(&mut run);
+    bench_des(&mut run);
+    bench_deep_queue(&mut run);
+    bench_chain_cold(&mut run);
+    bench_wire(&mut run);
+    bench_crc(&mut run);
+    bench_workload(&mut run);
+    bench_kv(&mut run);
+    bench_rs(&mut run);
+    bench_tx(&mut run);
+    bench_memory(&mut run);
+    bench_verbs(&mut run);
+    bench_recovery(&mut run);
+    bench_store(&mut run);
+}

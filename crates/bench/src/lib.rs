@@ -1,7 +1,7 @@
 //! Benchmark crate for the PRISM reproduction (see the `benches/`
-//! directory), running on the in-repo [`runner`] — a minimal
-//! `std::time::Instant` harness with a Criterion-compatible surface, so
-//! the workspace builds with zero registry dependencies.
+//! directory), running on the in-repo [`runner`]: a plain
+//! `std::time::Instant` harness in which each row is one
+//! `Runner::bench` call under its full name (`wire/chain4_decode`).
 //!
 //! One binary, `substrate`, holds every row: per-op CPU cost of the
 //! PRISM software data plane (`primitive/*`), the wire codec, CRC, whole

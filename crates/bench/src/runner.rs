@@ -1,12 +1,5 @@
 //! Minimal `std::time::Instant` benchmark runner.
 //!
-//! Replaces Criterion (a registry dependency this hermetic workspace
-//! cannot pull) with a deliberately small runner exposing the same
-//! surface the bench files use — `Criterion::benchmark_group`,
-//! `bench_function`, `Bencher::iter` / `iter_batched`, and the
-//! `criterion_group!` / `criterion_main!` macros — so the scenario code
-//! is unchanged from the Criterion originals.
-//!
 //! Methodology: each benchmark is calibrated (iteration count doubled
 //! until a batch takes ≥ ~10 ms), then measured over several samples of
 //! that batch size; the reported figure is the *minimum* mean ns/iter
@@ -50,77 +43,42 @@ fn append_json_line(name: &str, ns: f64) {
     }
 }
 
-/// Batch-size hint, kept for Criterion API compatibility. The runner
-/// re-runs setup per batch regardless of the hint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchSize {
-    /// Setup output is small; large batches are fine.
-    SmallInput,
-    /// Setup output is large; keep batches small.
-    LargeInput,
-}
-
-/// Top-level runner handle, analogous to `criterion::Criterion`.
-pub struct Criterion {
+/// Runs the benchmarks a command line selects.
+pub struct Runner {
     filter: Option<String>,
 }
 
-impl Criterion {
+impl Runner {
     /// Builds a runner from CLI args: the first non-flag argument is a
     /// substring filter on benchmark names.
     pub fn from_args() -> Self {
         let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
-        Criterion { filter }
+        Runner { filter }
     }
 
-    /// Opens a named group; benchmark names are printed as
-    /// `group/name`.
-    pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
-        BenchmarkGroup::new(name.to_string(), self.filter.clone())
-    }
-}
-
-/// A named group of benchmarks.
-pub struct BenchmarkGroup<'a> {
-    prefix: String,
-    filter: Option<String>,
-    // Tie the group to the Criterion borrow like the real API does.
-    _marker: std::marker::PhantomData<&'a ()>,
-}
-
-// Separate literal construction from the struct definition so the
-// PhantomData field stays private.
-impl BenchmarkGroup<'_> {
-    fn new(prefix: String, filter: Option<String>) -> Self {
-        BenchmarkGroup {
-            prefix,
-            filter,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Runs one benchmark if it passes the filter, printing its result.
-    pub fn bench_function(&mut self, name: &str, mut f: impl FnMut(&mut Bencher)) {
-        let full = format!("{}/{}", self.prefix, name);
-        if let Some(filter) = &self.filter {
-            if !full.contains(filter.as_str()) {
-                return;
-            }
+    /// Runs benchmark `name` (its full row name, e.g. `wire/chain4_decode`)
+    /// and prints its result, if it passes the filter. `f` is not called
+    /// otherwise, so set-up written inside it costs a filtered-out row
+    /// nothing.
+    pub fn bench(&mut self, name: &str, f: impl FnOnce(&mut Bencher)) {
+        if self
+            .filter
+            .as_ref()
+            .is_some_and(|s| !name.contains(s.as_str()))
+        {
+            return;
         }
         let mut b = Bencher {
             ns_per_iter: f64::NAN,
         };
         f(&mut b);
         if b.ns_per_iter.is_nan() {
-            println!("{full:<44} (no measurement)");
+            println!("{name:<44} (no measurement)");
         } else {
-            println!("{full:<44} {:>12.1} ns/iter", b.ns_per_iter);
-            append_json_line(&full, b.ns_per_iter);
+            println!("{name:<44} {:>12.1} ns/iter", b.ns_per_iter);
+            append_json_line(name, b.ns_per_iter);
         }
     }
-
-    /// Ends the group (kept for API compatibility; nothing to flush).
-    pub fn finish(self) {}
 }
 
 /// Passed to each benchmark closure; runs and times the hot loop.
@@ -167,14 +125,13 @@ impl Bencher {
         self.record(best);
     }
 
-    /// Criterion's batched form: `setup` runs outside the timed region,
+    /// The batched form: `setup` runs outside the timed region,
     /// `routine` inside. Used when the routine consumes its input or
     /// must not accumulate state effects into later iterations.
     pub fn iter_batched<S, R>(
         &mut self,
         mut setup: impl FnMut() -> S,
         mut routine: impl FnMut(S) -> R,
-        _size: BatchSize,
     ) {
         let budget = Duration::from_millis(budget_ms());
         let mut best = f64::INFINITY;
@@ -206,29 +163,6 @@ impl Bencher {
     }
 }
 
-/// Groups benchmark functions under one name, mirroring
-/// `criterion::criterion_group!`.
-#[macro_export]
-macro_rules! criterion_group {
-    ($group:ident, $($target:path),+ $(,)?) => {
-        fn $group(c: &mut $crate::runner::Criterion) {
-            $($target(c);)+
-        }
-    };
-}
-
-/// Entry point running the named groups, mirroring
-/// `criterion::criterion_main!`.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            let mut c = $crate::runner::Criterion::from_args();
-            $($group(&mut c);)+
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,15 +180,10 @@ mod tests {
     }
 
     #[test]
-    fn group_filter_skips_nonmatching() {
-        let mut c = Criterion {
+    fn filter_skips_nonmatching() {
+        let mut r = Runner {
             filter: Some("zzz-no-such-bench".into()),
         };
-        let mut g = c.benchmark_group("t");
-        // Would hang for a long time if not filtered out.
-        g.bench_function("slow", |b| {
-            b.iter(|| std::thread::sleep(Duration::from_secs(1)))
-        });
-        g.finish();
+        r.bench("t/slow", |_| unreachable!("a filtered-out row never runs"));
     }
 }

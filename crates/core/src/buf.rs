@@ -1,11 +1,11 @@
-//! Minimal little-endian buffer codec traits.
+//! Little-endian buffer codec: [`BufMut`] appends to a `Vec<u8>`, and
+//! [`Reader`] is the one checked cursor every decoder reads through.
 //!
-//! Drop-in replacement for the subset of the `bytes` crate the wire
-//! codec used, keeping the workspace free of registry dependencies:
-//! [`BufMut`] appends to a `Vec<u8>`, [`Buf`] consumes from a `&[u8]` by
-//! advancing the slice in place. Reads panic when the buffer is too
-//! short — callers check [`Buf::remaining`] first, exactly as they did
-//! against the `bytes` API.
+//! A decoder holds no byte counts of its own: each read either returns
+//! the bytes it asked for or a [`WireError`], so a decode is total over
+//! whatever bytes arrive by construction.
+
+use crate::wire::WireError;
 
 /// Append-side primitives, implemented for `Vec<u8>`.
 pub trait BufMut {
@@ -43,70 +43,65 @@ impl BufMut for Vec<u8> {
     }
 }
 
-/// Consume-side primitives, implemented for `&[u8]`: each read advances
-/// the slice past the consumed bytes.
-pub trait Buf {
-    /// Bytes left to consume.
-    fn remaining(&self) -> usize;
-    /// Consumes one byte.
-    fn get_u8(&mut self) -> u8;
-    /// Consumes a little-endian `u16`.
-    fn get_u16_le(&mut self) -> u16;
-    /// Consumes a little-endian `u32`.
-    fn get_u32_le(&mut self) -> u32;
-    /// Consumes a little-endian `u64`.
-    fn get_u64_le(&mut self) -> u64;
-    /// Consumes `dst.len()` bytes into `dst`.
-    fn copy_to_slice(&mut self, dst: &mut [u8]);
-}
+/// The error of every read that runs off the end of the buffer.
+const TRUNCATED: WireError = WireError("truncated message");
 
-impl Buf for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
+/// A cursor over received bytes. Every read returns the bytes it names
+/// or [`TRUNCATED`], and consumes nothing when it fails; borrowed reads
+/// ([`Reader::take`]) hand out sub-slices of the input without copying.
+pub(crate) struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
+        Reader(buf)
     }
 
-    fn get_u8(&mut self) -> u8 {
-        let (head, rest) = self.split_at(1);
-        *self = rest;
-        head[0]
+    /// Borrows the next `n` bytes.
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        let (head, rest) = self.0.split_at_checked(n).ok_or(TRUNCATED)?;
+        self.0 = rest;
+        Ok(head)
     }
 
-    fn get_u16_le(&mut self) -> u16 {
-        let (head, rest) = self.split_at(2);
-        *self = rest;
-        u16::from_le_bytes(head.try_into().expect("sized"))
+    /// Copies out the next `N` bytes.
+    pub(crate) fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let (head, rest) = self.0.split_first_chunk::<N>().ok_or(TRUNCATED)?;
+        self.0 = rest;
+        Ok(*head)
     }
 
-    fn get_u32_le(&mut self) -> u32 {
-        let (head, rest) = self.split_at(4);
-        *self = rest;
-        u32::from_le_bytes(head.try_into().expect("sized"))
+    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
+        Ok(self.array::<1>()?[0])
     }
 
-    fn get_u64_le(&mut self) -> u64 {
-        let (head, rest) = self.split_at(8);
-        *self = rest;
-        u64::from_le_bytes(head.try_into().expect("sized"))
+    pub(crate) fn u16(&mut self) -> Result<u16, WireError> {
+        self.array().map(u16::from_le_bytes)
     }
 
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        let (head, rest) = self.split_at(dst.len());
-        *self = rest;
-        dst.copy_from_slice(head);
+    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
+        self.array().map(u32::from_le_bytes)
     }
-}
 
-/// Borrows the next `n` bytes without copying, advancing the slice past
-/// them, or `None` when fewer than `n` remain. The borrowed-frame
-/// decode path uses this to hand length-prefixed sub-slices straight to
-/// the body parsers instead of materializing intermediate `Vec`s.
-pub fn take<'a>(buf: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-    if buf.len() < n {
-        return None;
+    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
+        self.array().map(u64::from_le_bytes)
     }
-    let (head, rest) = buf.split_at(n);
-    *buf = rest;
-    Some(head)
+
+    /// Borrows a `u32`-length-prefixed section.
+    pub(crate) fn prefixed(&mut self) -> Result<&'a [u8], WireError> {
+        let mut r = Reader(self.0);
+        let len = r.u32()? as usize;
+        let section = r.take(len)?;
+        *self = r;
+        Ok(section)
+    }
+
+    /// Succeeds if every byte has been read.
+    pub(crate) fn end(self) -> Result<(), WireError> {
+        match self.0 {
+            [] => Ok(()),
+            _ => Err(WireError("trailing bytes after message")),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -121,42 +116,47 @@ mod tests {
         buf.put_u32_le(0xDEAD_BEEF);
         buf.put_u64_le(0x0123_4567_89AB_CDEF);
         buf.put_slice(b"tail");
-        let mut r: &[u8] = &buf;
-        assert_eq!(r.get_u8(), 0xAB);
-        assert_eq!(r.get_u16_le(), 0x1234);
-        assert_eq!(r.get_u32_le(), 0xDEAD_BEEF);
-        assert_eq!(r.get_u64_le(), 0x0123_4567_89AB_CDEF);
-        let mut tail = [0u8; 4];
-        r.copy_to_slice(&mut tail);
-        assert_eq!(&tail, b"tail");
-        assert_eq!(r.remaining(), 0);
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.u8(), Ok(0xAB));
+        assert_eq!(r.u16(), Ok(0x1234));
+        assert_eq!(r.u32(), Ok(0xDEAD_BEEF));
+        assert_eq!(r.u64(), Ok(0x0123_4567_89AB_CDEF));
+        assert_eq!(r.array(), Ok(*b"tail"));
+        assert_eq!(r.end(), Ok(()));
     }
 
     #[test]
     fn reads_advance_the_slice() {
         let data = [1u8, 0, 2, 0];
-        let mut r: &[u8] = &data;
-        assert_eq!(r.get_u16_le(), 1);
-        assert_eq!(r.remaining(), 2);
-        assert_eq!(r.get_u16_le(), 2);
+        let mut r = Reader::new(&data);
+        assert_eq!(r.u16(), Ok(1));
+        assert_eq!(r.0.len(), 2);
+        assert_eq!(r.u16(), Ok(2));
     }
 
     #[test]
-    #[should_panic]
-    fn short_read_panics() {
-        let mut r: &[u8] = &[1u8];
-        let _ = r.get_u32_le();
+    fn short_read_is_a_typed_error() {
+        let mut r = Reader::new(&[1u8, 0, 0]);
+        assert_eq!(r.u32(), Err(TRUNCATED));
+        assert_eq!(r.u64(), Err(TRUNCATED));
+        assert_eq!(r.0.len(), 3, "failed read must not consume");
+        assert_eq!(r.u16(), Ok(1));
+        assert_eq!(r.end(), Err(WireError("trailing bytes after message")));
+        // A prefix longer than what follows fails whole.
+        let mut r = Reader::new(&[9u8, 0, 0, 0, 1]);
+        assert_eq!(r.prefixed(), Err(TRUNCATED));
+        assert_eq!(r.0.len(), 5);
     }
 
     #[test]
     fn take_borrows_and_advances() {
         let data = [1u8, 2, 3, 4, 5];
-        let mut r: &[u8] = &data;
-        assert_eq!(take(&mut r, 2), Some(&data[..2]));
-        assert_eq!(r.remaining(), 3);
-        assert_eq!(take(&mut r, 4), None);
-        assert_eq!(r.remaining(), 3, "failed take must not consume");
-        assert_eq!(take(&mut r, 3), Some(&data[2..]));
-        assert_eq!(take(&mut r, 0), Some(&[][..]));
+        let mut r = Reader::new(&data);
+        assert_eq!(r.take(2), Ok(&data[..2]));
+        assert_eq!(r.0.len(), 3);
+        assert_eq!(r.take(4), Err(TRUNCATED));
+        assert_eq!(r.0.len(), 3, "failed take must not consume");
+        assert_eq!(r.take(3), Ok(&data[2..]));
+        assert_eq!(r.take(0), Ok(&[][..]));
     }
 }

@@ -211,7 +211,7 @@ const VERB_CAS64: u8 = 2;
 const REPLY_ERR: u8 = 0;
 const REPLY_OK: u8 = 1;
 
-use crate::buf::{Buf, BufMut};
+use crate::buf::{BufMut, Reader};
 use crate::crc::Crc32;
 use crate::wire::WireError;
 
@@ -262,17 +262,16 @@ fn put_frame(
     Ok(())
 }
 
-fn open_frame(buf: &[u8]) -> Result<&[u8], WireError> {
-    if buf.len() < FRAME_TRAILER {
-        return Err(WireError("truncated frame trailer"));
-    }
-    let (body, trailer) = buf.split_at(buf.len() - FRAME_TRAILER);
-    let hdr = u32::from_le_bytes(trailer[0..4].try_into().expect("4-byte slice"));
-    let whole = u32::from_le_bytes(trailer[4..8].try_into().expect("4-byte slice"));
-    if (hdr, whole) != frame_crcs(body) {
+/// Checks the CRC trailer and hands back a reader over the body.
+fn open_frame(buf: &[u8]) -> Result<Reader<'_>, WireError> {
+    let (body, trailer) = buf
+        .split_last_chunk::<FRAME_TRAILER>()
+        .ok_or(WireError("truncated frame trailer"))?;
+    let mut t = Reader::new(trailer);
+    if (t.u32()?, t.u32()?) != frame_crcs(body) {
         return Err(WireError::CORRUPT);
     }
-    Ok(body)
+    Ok(Reader::new(body))
 }
 
 /// Encoded size of a length-prefixed byte section (see [`put_bytes`]).
@@ -300,17 +299,6 @@ fn put_len_prefixed(
     let len = wire::u32_len(buf.len() - start)?;
     buf[start - 4..start].copy_from_slice(&len.to_le_bytes());
     Ok(())
-}
-
-/// Borrows the next length-prefixed section out of the frame without
-/// copying it — the decode-side twin of [`put_len_prefixed`]. Body
-/// parsers consume the returned sub-slice directly.
-fn get_slice<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8], WireError> {
-    if buf.remaining() < 4 {
-        return Err(WireError("truncated length prefix"));
-    }
-    let len = buf.get_u32_le() as usize;
-    crate::buf::take(buf, len).ok_or(WireError("truncated payload"))
 }
 
 impl Request {
@@ -391,11 +379,9 @@ impl Request {
     /// never a panic or a silently truncated parse — then the body is
     /// parsed, rejecting trailing bytes.
     pub fn decode(buf: &[u8]) -> Result<Request, WireError> {
-        let mut buf = open_frame(buf)?;
-        let req = Request::decode_from(&mut buf)?;
-        if buf.remaining() > 0 {
-            return Err(WireError("trailing bytes after request"));
-        }
+        let mut r = open_frame(buf)?;
+        let req = Request::read(&mut r)?;
+        r.end()?;
         Ok(req)
     }
 
@@ -420,66 +406,38 @@ impl Request {
     /// verifies the frame checksums, then returns the routing epoch and
     /// the request, rejecting trailing bytes.
     pub fn decode_epoch(buf: &[u8]) -> Result<(u64, Request), WireError> {
-        let mut buf = open_frame(buf)?;
-        if buf.remaining() < 8 {
-            return Err(WireError("truncated epoch word"));
-        }
-        let epoch = buf.get_u64_le();
-        let req = Request::decode_from(&mut buf)?;
-        if buf.remaining() > 0 {
-            return Err(WireError("trailing bytes after request"));
-        }
+        let mut r = open_frame(buf)?;
+        let epoch = r.u64()?;
+        let req = Request::read(&mut r)?;
+        r.end()?;
         Ok((epoch, req))
     }
 
-    fn decode_from(buf: &mut &[u8]) -> Result<Request, WireError> {
-        if buf.remaining() < 1 {
-            return Err(WireError("truncated request marker"));
-        }
-        match buf.get_u8() {
-            MSG_CHAIN => Ok(Request::Chain(wire::decode_chain(get_slice(buf)?)?)),
-            MSG_VERB => {
-                if buf.remaining() < 1 {
-                    return Err(WireError("truncated verb kind"));
-                }
-                let kind = buf.get_u8();
-                match kind {
-                    VERB_READ => {
-                        if buf.remaining() < 16 {
-                            return Err(WireError("truncated READ verb"));
-                        }
-                        Ok(Request::Verb(Verb::Read {
-                            addr: buf.get_u64_le(),
-                            len: buf.get_u32_le(),
-                            rkey: buf.get_u32_le(),
-                        }))
-                    }
-                    VERB_WRITE => {
-                        if buf.remaining() < 12 {
-                            return Err(WireError("truncated WRITE verb"));
-                        }
-                        let addr = buf.get_u64_le();
-                        let rkey = buf.get_u32_le();
-                        let data = get_slice(buf)?.to_vec();
-                        Ok(Request::Verb(Verb::Write { addr, data, rkey }))
-                    }
-                    VERB_CAS64 => {
-                        if buf.remaining() < 28 {
-                            return Err(WireError("truncated CAS verb"));
-                        }
-                        Ok(Request::Verb(Verb::Cas64 {
-                            addr: buf.get_u64_le(),
-                            compare: buf.get_u64_le(),
-                            swap: buf.get_u64_le(),
-                            rkey: buf.get_u32_le(),
-                        }))
-                    }
-                    _ => Err(WireError("unknown verb kind")),
-                }
-            }
-            MSG_RPC => Ok(Request::Rpc(get_slice(buf)?.to_vec())),
-            _ => Err(WireError("unknown request marker")),
-        }
+    fn read(r: &mut Reader) -> Result<Request, WireError> {
+        Ok(match r.u8()? {
+            MSG_CHAIN => Request::Chain(wire::decode_chain(r.prefixed()?)?),
+            MSG_VERB => Request::Verb(match r.u8()? {
+                VERB_READ => Verb::Read {
+                    addr: r.u64()?,
+                    len: r.u32()?,
+                    rkey: r.u32()?,
+                },
+                VERB_WRITE => Verb::Write {
+                    addr: r.u64()?,
+                    rkey: r.u32()?,
+                    data: r.prefixed()?.to_vec(),
+                },
+                VERB_CAS64 => Verb::Cas64 {
+                    addr: r.u64()?,
+                    compare: r.u64()?,
+                    swap: r.u64()?,
+                    rkey: r.u32()?,
+                },
+                _ => return Err(WireError("unknown verb kind")),
+            }),
+            MSG_RPC => Request::Rpc(r.prefixed()?.to_vec()),
+            _ => return Err(WireError("unknown request marker")),
+        })
     }
 }
 
@@ -540,42 +498,24 @@ impl Reply {
     /// checksums first (see [`Request::decode`]) and rejecting
     /// trailing bytes.
     pub fn decode(buf: &[u8]) -> Result<Reply, WireError> {
-        let mut buf = open_frame(buf)?;
-        let reply = Reply::decode_from(&mut buf)?;
-        if buf.remaining() > 0 {
-            return Err(WireError("trailing bytes after reply"));
-        }
+        let mut r = open_frame(buf)?;
+        let reply = Reply::read(&mut r)?;
+        r.end()?;
         Ok(reply)
     }
 
-    fn decode_from(buf: &mut &[u8]) -> Result<Reply, WireError> {
-        if buf.remaining() < 1 {
-            return Err(WireError("truncated reply marker"));
-        }
-        match buf.get_u8() {
-            MSG_CHAIN => Ok(Reply::Chain(wire::decode_response(get_slice(buf)?)?)),
-            MSG_VERB => {
-                if buf.remaining() < 1 {
-                    return Err(WireError("truncated verb outcome flag"));
-                }
-                match buf.get_u8() {
-                    REPLY_OK => Ok(Reply::Verb(Ok(get_slice(buf)?.to_vec()))),
-                    REPLY_ERR => {
-                        if buf.remaining() < prism_rdma::error::ERROR_WIRE_LEN {
-                            return Err(WireError("truncated verb error"));
-                        }
-                        let mut bytes = [0u8; prism_rdma::error::ERROR_WIRE_LEN];
-                        buf.copy_to_slice(&mut bytes);
-                        let e = RdmaError::from_wire(&bytes)
-                            .ok_or(WireError("unknown verb error code"))?;
-                        Ok(Reply::Verb(Err(e)))
-                    }
-                    _ => Err(WireError("bad verb outcome flag")),
-                }
-            }
-            MSG_RPC => Ok(Reply::Rpc(get_slice(buf)?.to_vec())),
-            _ => Err(WireError("unknown reply marker")),
-        }
+    fn read(r: &mut Reader) -> Result<Reply, WireError> {
+        Ok(match r.u8()? {
+            MSG_CHAIN => Reply::Chain(wire::decode_response(r.prefixed()?)?),
+            MSG_VERB => Reply::Verb(match r.u8()? {
+                REPLY_OK => Ok(r.prefixed()?.to_vec()),
+                REPLY_ERR => Err(RdmaError::from_wire(&r.array()?)
+                    .ok_or(WireError("unknown verb error code"))?),
+                _ => return Err(WireError("bad verb outcome flag")),
+            }),
+            MSG_RPC => Reply::Rpc(r.prefixed()?.to_vec()),
+            _ => return Err(WireError("unknown reply marker")),
+        })
     }
 }
 

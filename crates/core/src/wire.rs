@@ -8,7 +8,7 @@
 //! between client and server, the encoders give the experiment harness
 //! exact request/response byte counts for link-bandwidth accounting.
 
-use crate::buf::{Buf, BufMut};
+use crate::buf::{BufMut, Reader};
 
 use crate::engine::{OpResult, OpStatus};
 use crate::op::{DataArg, FreeListId, PrismOp, Redirect, MAX_CAS_LEN};
@@ -90,31 +90,15 @@ fn put_data_arg(buf: &mut Vec<u8>, arg: &DataArg) -> Result<(), WireError> {
     Ok(())
 }
 
-fn get_inline(buf: &mut &[u8]) -> Result<Vec<u8>, WireError> {
-    if buf.remaining() < 4 {
-        return Err(WireError("truncated inline length"));
-    }
-    let len = buf.get_u32_le() as usize;
-    // `take` + `to_vec` is one memcpy into an uninitialized allocation;
-    // the previous `vec![0u8; len]` + `copy_to_slice` zero-filled the
-    // buffer first, paying for every payload byte twice.
-    match crate::buf::take(buf, len) {
-        Some(bytes) => Ok(bytes.to_vec()),
-        None => Err(WireError("truncated inline data")),
-    }
-}
-
-fn get_data_arg(buf: &mut &[u8], remote: bool) -> Result<DataArg, WireError> {
-    if remote {
-        if buf.remaining() < 12 {
-            return Err(WireError("truncated remote data arg"));
+fn get_data_arg(r: &mut Reader, remote: bool) -> Result<DataArg, WireError> {
+    Ok(if remote {
+        DataArg::Remote {
+            addr: r.u64()?,
+            rkey: r.u32()?,
         }
-        let addr = buf.get_u64_le();
-        let rkey = buf.get_u32_le();
-        Ok(DataArg::Remote { addr, rkey })
     } else {
-        Ok(DataArg::Inline(get_inline(buf)?))
-    }
+        DataArg::Inline(r.prefixed()?.to_vec())
+    })
 }
 
 fn put_redirect(buf: &mut Vec<u8>, r: &Redirect) {
@@ -122,13 +106,15 @@ fn put_redirect(buf: &mut Vec<u8>, r: &Redirect) {
     buf.put_u32_le(r.rkey);
 }
 
-fn get_redirect(buf: &mut &[u8]) -> Result<Redirect, WireError> {
-    if buf.remaining() < 12 {
-        return Err(WireError("truncated redirect"));
+/// The redirect an op carries when its flags say it has one.
+fn get_redirect(r: &mut Reader, flags: u8) -> Result<Option<Redirect>, WireError> {
+    if flags & F_REDIRECT == 0 {
+        return Ok(None);
     }
-    let addr = buf.get_u64_le();
-    let rkey = buf.get_u32_le();
-    Ok(Redirect { addr, rkey })
+    Ok(Some(Redirect {
+        addr: r.u64()?,
+        rkey: r.u32()?,
+    }))
 }
 
 /// Encodes a chain into a request message.
@@ -273,112 +259,53 @@ pub fn encode_chain_into(chain: &[PrismOp], buf: &mut Vec<u8>) -> Result<(), Wir
 }
 
 /// Decodes a request message back into a chain.
-pub fn decode_chain(mut buf: &[u8]) -> Result<Vec<PrismOp>, WireError> {
-    if buf.remaining() < 2 {
-        return Err(WireError("truncated chain header"));
-    }
-    let count = buf.get_u16_le() as usize;
+pub fn decode_chain(buf: &[u8]) -> Result<Vec<PrismOp>, WireError> {
+    let mut r = Reader::new(buf);
+    let count = r.u16()? as usize;
     let mut chain = Vec::with_capacity(count);
     for _ in 0..count {
-        if buf.remaining() < 2 {
-            return Err(WireError("truncated op header"));
-        }
-        let opcode = buf.get_u8();
-        let flags = buf.get_u8();
-        let conditional = flags & F_CONDITIONAL != 0;
+        let opcode = r.u8()?;
+        let flags = r.u8()?;
+        let flag = |bit: u8| flags & bit != 0;
+        // Struct fields are read in the order they are written here,
+        // which is their wire order.
         let op = match opcode {
-            OP_READ => {
-                if buf.remaining() < 16 {
-                    return Err(WireError("truncated READ"));
-                }
-                let addr = buf.get_u64_le();
-                let len = buf.get_u32_le();
-                let rkey = buf.get_u32_le();
-                let redirect = if flags & F_REDIRECT != 0 {
-                    Some(get_redirect(&mut buf)?)
-                } else {
-                    None
-                };
-                PrismOp::Read {
-                    addr,
-                    len,
-                    rkey,
-                    indirect: flags & F_INDIRECT != 0,
-                    bounded: flags & F_BOUNDED != 0,
-                    conditional,
-                    redirect,
-                }
-            }
-            OP_WRITE => {
-                if buf.remaining() < 16 {
-                    return Err(WireError("truncated WRITE"));
-                }
-                let addr = buf.get_u64_le();
-                let len = buf.get_u32_le();
-                let rkey = buf.get_u32_le();
-                let data = get_data_arg(&mut buf, flags & F_SWAP_REMOTE != 0)?;
-                PrismOp::Write {
-                    addr,
-                    rkey,
-                    data,
-                    len,
-                    addr_indirect: flags & F_INDIRECT != 0,
-                    addr_bounded: flags & F_BOUNDED != 0,
-                    conditional,
-                }
-            }
-            OP_ALLOCATE => {
-                if buf.remaining() < 4 {
-                    return Err(WireError("truncated ALLOCATE"));
-                }
-                let freelist = FreeListId(buf.get_u32_le());
-                let data = get_inline(&mut buf)?;
-                let redirect = if flags & F_REDIRECT != 0 {
-                    Some(get_redirect(&mut buf)?)
-                } else {
-                    None
-                };
-                PrismOp::Allocate {
-                    freelist,
-                    data,
-                    conditional,
-                    redirect,
-                }
-            }
-            OP_CAS => {
-                if buf.remaining() < 17 {
-                    return Err(WireError("truncated CAS"));
-                }
-                let mode = CasMode::from_code(buf.get_u8()).ok_or(WireError("bad CAS mode"))?;
-                let target = buf.get_u64_le();
-                let len = buf.get_u32_le();
-                let rkey = buf.get_u32_le();
-                let compare = get_data_arg(&mut buf, flags & F_COMPARE_REMOTE != 0)?;
-                let swap = get_data_arg(&mut buf, flags & F_SWAP_REMOTE != 0)?;
-                if buf.remaining() < 2 * MAX_CAS_LEN {
-                    return Err(WireError("truncated CAS masks"));
-                }
-                let compare_mask: [u8; MAX_CAS_LEN] = crate::buf::take(&mut buf, MAX_CAS_LEN)
-                    .expect("length checked")
-                    .try_into()
-                    .expect("exact length");
-                let swap_mask: [u8; MAX_CAS_LEN] = crate::buf::take(&mut buf, MAX_CAS_LEN)
-                    .expect("length checked")
-                    .try_into()
-                    .expect("exact length");
-                PrismOp::Cas {
-                    mode,
-                    target,
-                    rkey,
-                    compare,
-                    swap,
-                    len,
-                    compare_mask,
-                    swap_mask,
-                    target_indirect: flags & F_INDIRECT != 0,
-                    conditional,
-                }
-            }
+            OP_READ => PrismOp::Read {
+                addr: r.u64()?,
+                len: r.u32()?,
+                rkey: r.u32()?,
+                redirect: get_redirect(&mut r, flags)?,
+                indirect: flag(F_INDIRECT),
+                bounded: flag(F_BOUNDED),
+                conditional: flag(F_CONDITIONAL),
+            },
+            OP_WRITE => PrismOp::Write {
+                addr: r.u64()?,
+                len: r.u32()?,
+                rkey: r.u32()?,
+                data: get_data_arg(&mut r, flag(F_SWAP_REMOTE))?,
+                addr_indirect: flag(F_INDIRECT),
+                addr_bounded: flag(F_BOUNDED),
+                conditional: flag(F_CONDITIONAL),
+            },
+            OP_ALLOCATE => PrismOp::Allocate {
+                freelist: FreeListId(r.u32()?),
+                data: r.prefixed()?.to_vec(),
+                redirect: get_redirect(&mut r, flags)?,
+                conditional: flag(F_CONDITIONAL),
+            },
+            OP_CAS => PrismOp::Cas {
+                mode: CasMode::from_code(r.u8()?).ok_or(WireError("bad CAS mode"))?,
+                target: r.u64()?,
+                len: r.u32()?,
+                rkey: r.u32()?,
+                compare: get_data_arg(&mut r, flag(F_COMPARE_REMOTE))?,
+                swap: get_data_arg(&mut r, flag(F_SWAP_REMOTE))?,
+                compare_mask: r.array::<MAX_CAS_LEN>()?,
+                swap_mask: r.array::<MAX_CAS_LEN>()?,
+                target_indirect: flag(F_INDIRECT),
+                conditional: flag(F_CONDITIONAL),
+            },
             _ => return Err(WireError("unknown opcode")),
         };
         chain.push(op);
@@ -422,22 +349,13 @@ pub fn encode_response_into(results: &[OpResult], buf: &mut Vec<u8>) -> Result<(
 /// Decodes a response message. Error detail is collapsed to
 /// [`RdmaError::ChainAborted`] — real NACKs carry only a syndrome byte,
 /// and clients only branch on success/failure class.
-pub fn decode_response(mut buf: &[u8]) -> Result<Vec<OpResult>, WireError> {
-    if buf.remaining() < 2 {
-        return Err(WireError("truncated response header"));
-    }
-    let count = buf.get_u16_le() as usize;
+pub fn decode_response(buf: &[u8]) -> Result<Vec<OpResult>, WireError> {
+    let mut r = Reader::new(buf);
+    let count = r.u16()? as usize;
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
-        if buf.remaining() < 5 {
-            return Err(WireError("truncated result"));
-        }
-        let status = buf.get_u8();
-        let len = buf.get_u32_le() as usize;
-        let data = match crate::buf::take(&mut buf, len) {
-            Some(bytes) => bytes.to_vec(),
-            None => return Err(WireError("truncated result data")),
-        };
+        let status = r.u8()?;
+        let data = r.prefixed()?.to_vec();
         let status = match status {
             ST_OK => OpStatus::Ok,
             ST_CAS_FAILED => OpStatus::CasFailed,
@@ -561,11 +479,8 @@ mod tests {
     fn truncation_is_detected_everywhere() {
         let bytes = encode_chain(&sample_chain()).expect("encode");
         for cut in 0..bytes.len() {
-            // Every prefix must either fail cleanly or decode to a valid
-            // (shorter) chain — never panic.
-            let _ = decode_chain(&bytes[..cut]);
+            assert!(decode_chain(&bytes[..cut]).is_err(), "cut at {cut}");
         }
-        assert!(decode_chain(&bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]

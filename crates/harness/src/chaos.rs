@@ -795,6 +795,12 @@ mod tests {
             op(1, 40, Some(50), 1, HistKind::Get { nonce: 7 }),
         ];
         assert!(check_history(&h).is_err());
+        // A read of a value no one ever wrote has no place at all.
+        let h = vec![
+            op(0, 0, Some(10), 1, HistKind::Put { nonce: 7 }),
+            op(1, 20, Some(30), 1, HistKind::Get { nonce: 8 }),
+        ];
+        assert!(check_history(&h).is_err());
     }
 
     #[test]
@@ -833,6 +839,14 @@ mod tests {
             op(0, 0, Some(100), 1, HistKind::Put { nonce: 7 }),
             op(1, 0, Some(100), 1, HistKind::Put { nonce: 9 }),
             op(2, 110, Some(120), 1, HistKind::Get { nonce: 9 }),
+        ];
+        assert!(check_history(&h).is_ok());
+        // A read during a write may see the old value, and a later one
+        // during the same write the new value.
+        let h = vec![
+            op(0, 0, Some(100), 1, HistKind::Put { nonce: 7 }),
+            op(1, 10, Some(20), 1, HistKind::Get { nonce: 0 }),
+            op(1, 30, Some(40), 1, HistKind::Get { nonce: 7 }),
         ];
         assert!(check_history(&h).is_ok());
     }

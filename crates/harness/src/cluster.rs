@@ -711,14 +711,11 @@ mod tests {
     use prism_simnet::rng::SimRng;
     use std::collections::HashMap;
 
-    /// CI seed override, as in the fault matrix and chaos gate: the
-    /// routing properties must hold at *every* seed, so the gate runs
-    /// them at two.
+    /// The routing seed, moved by `PRISM_TEST_SEED` as in the fault
+    /// matrix and chaos gate: the routing properties must hold at
+    /// *every* seed, so the gate runs them at two.
     fn seed() -> u64 {
-        std::env::var("PRISM_TEST_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(42)
+        prism_testkit::seed_or(42)
     }
 
     #[test]

@@ -16,17 +16,23 @@
 //!
 //! Case seeds are derived from the property name, so a test binary is a
 //! pure function of the source tree: the same inputs are generated on
-//! every run and on every machine. When a property fails, the harness
-//! shrinks the failing input and prints the case seed:
+//! every run and on every machine. `PRISM_TEST_SEED=<n>` (decimal or
+//! `0x` hex) XORs `n` into every property's case stream and, through
+//! [`seed_or`], into every seeded gate: the same number of cases run, at
+//! another point; unset or `0` moves nothing. When a property fails, the
+//! harness shrinks the failing input and prints the case index and the
+//! value in force:
 //!
 //! ```text
 //! [prism-testkit] property 'wire_round_trips' FAILED
-//!   seed: 1234567890123 (replay: PRISM_TEST_SEED=1234567890123 cargo test wire_round_trips)
+//!   case 17 (case seed 1234567890123)
+//!   replay: PRISM_TEST_SEED=1806242025 cargo test wire_round_trips
 //! ```
 //!
-//! Setting `PRISM_TEST_SEED` re-runs exactly that case: the identical
-//! failing input is regenerated (byte for byte) and re-shrunk, so a CI
-//! failure is reproducible locally with one environment variable.
+//! Re-running with that value reaches the same case, regenerates the
+//! identical failing input (byte for byte) and re-shrinks it to the same
+//! minimum, so a CI failure is reproducible locally with one environment
+//! variable.
 //!
 //! # Entry points
 //!
@@ -55,7 +61,7 @@ pub mod runner;
 pub mod source;
 
 pub use gen::{gens, Gen};
-pub use runner::{for_all, for_all_result, Config, Failure};
+pub use runner::{for_all, for_all_result, seed_or, Config, Failure};
 pub use source::Source;
 
 /// Defines a `#[test]` function running a property through [`for_all`].

@@ -11,8 +11,33 @@ use prism_simnet::rng::SimRng;
 use crate::gen::Gen;
 use crate::source::{GiveUp, Source};
 
-/// Environment variable replaying one exact case seed.
+/// Environment variable moving every seeded test to another point: its
+/// value (decimal or `0x` hex) is XORed into each base seed, so unset or
+/// `0` leaves every test where it is.
 pub const SEED_ENV: &str = "PRISM_TEST_SEED";
+
+/// `base` XORed with the value of [`SEED_ENV`] in force, or `base`
+/// itself when the variable is unset or unparseable. Seeded gates take
+/// their seeds from this and each property's case stream is moved the
+/// same way; `seed_or(0)` is the value in force.
+pub fn seed_or(base: u64) -> u64 {
+    mix(base, std::env::var(SEED_ENV).ok().as_deref())
+}
+
+fn mix(base: u64, env: Option<&str>) -> u64 {
+    let parse = |s: &str| {
+        s.strip_prefix("0x")
+            .map_or_else(|| s.parse().ok(), |hex| u64::from_str_radix(hex, 16).ok())
+    };
+    base ^ env.and_then(|s| parse(s.trim())).unwrap_or(0)
+}
+
+/// The case seeds of property `name` under the [`SEED_ENV`] value `env`:
+/// `cases` draws from a stream seeded by the name's hash, moved by `env`.
+fn case_seeds(name: &str, env: Option<&str>, cases: u32) -> Vec<u64> {
+    let mut r = SimRng::new(mix(fnv1a(name.as_bytes()), env));
+    (0..cases).map(|_| r.next_u64()).collect()
+}
 
 /// Runner configuration.
 #[derive(Debug, Clone)]
@@ -22,8 +47,8 @@ pub struct Config {
     /// Upper bound on property re-executions spent shrinking a failure.
     pub max_shrink_iters: u32,
     /// Fixed case seed: run exactly one case with this seed. `None`
-    /// derives seeds from the property name (or from [`SEED_ENV`] if
-    /// set).
+    /// derives `cases` seeds from the property name, moved by
+    /// [`SEED_ENV`].
     pub seed: Option<u64>,
 }
 
@@ -50,8 +75,8 @@ impl Config {
 /// A property failure, fully described and replayable.
 #[derive(Debug, Clone)]
 pub struct Failure<T> {
-    /// The case seed; `PRISM_TEST_SEED=<seed>` regenerates the identical
-    /// original input.
+    /// The case seed: `Source::new(seed)` regenerates the identical
+    /// original input, and [`Config::seed`] replays it as one case.
     pub seed: u64,
     /// Zero-based index of the failing case.
     pub case: u32,
@@ -185,19 +210,9 @@ pub fn for_all_result<T: Debug + 'static>(
     prop: impl Fn(&T),
 ) -> Option<Failure<T>> {
     install_quiet_hook();
-    let env_seed = cfg.seed.or_else(|| {
-        std::env::var(SEED_ENV).ok().and_then(|s| {
-            let s = s.trim();
-            s.strip_prefix("0x")
-                .map_or_else(|| s.parse().ok(), |hex| u64::from_str_radix(hex, 16).ok())
-        })
-    });
-    let seeds: Vec<u64> = match env_seed {
+    let seeds = match cfg.seed {
         Some(s) => vec![s],
-        None => {
-            let mut r = SimRng::new(fnv1a(name.as_bytes()));
-            (0..cfg.cases).map(|_| r.next_u64()).collect()
-        }
+        None => case_seeds(name, std::env::var(SEED_ENV).ok().as_deref(), cfg.cases),
     };
 
     for (case, &seed) in seeds.iter().enumerate() {
@@ -263,14 +278,15 @@ pub fn for_all<T: Debug + 'static>(name: &str, cfg: &Config, gen: &Gen<T>, prop:
     if let Some(f) = for_all_result(name, cfg, gen, prop) {
         panic!(
             "\n[prism-testkit] property '{name}' FAILED\n  \
-             case {case} (seed {seed})\n  \
-             replay: {env}={seed} cargo test {name}\n  \
+             case {case} (case seed {seed})\n  \
+             replay: {env}={value} cargo test {name}\n  \
              original: {original:?}\n  \
              minimal ({iters} shrink iterations): {minimal:?}\n  \
              assertion: {message}\n",
             case = f.case,
             seed = f.seed,
             env = SEED_ENV,
+            value = seed_or(0),
             original = f.original,
             iters = f.shrink_iters,
             minimal = f.minimal,
@@ -330,6 +346,29 @@ mod tests {
             runs.set(runs.get() + 1);
         });
         assert_eq!(runs.get(), 1);
+    }
+
+    #[test]
+    fn case_seeds_move_with_the_env_value_and_keep_their_count() {
+        // The first seeds of a stream, as the runner has always drawn
+        // them with the variable unset.
+        let unmoved = [
+            0x1287_35fb_110d_1128,
+            0xa59f_9002_d2c7_c4c1,
+            0x908e_7ceb_f90e_e6b3,
+        ];
+        for env in [None, Some("0"), Some("junk")] {
+            assert_eq!(case_seeds("wire_round_trips", env, 3), unmoved);
+        }
+        for env in ["1806242025", "0x6BA910E9"] {
+            let moved = case_seeds("wire_round_trips", Some(env), 512);
+            assert_eq!(moved.len(), 512, "every case runs under {env}");
+            assert_ne!(moved[..3], unmoved);
+        }
+        assert_eq!(
+            case_seeds("p", Some("1806242025"), 4),
+            case_seeds("p", Some("0x6BA910E9"), 4),
+        );
     }
 
     #[test]

@@ -1,54 +1,47 @@
-//! PRISM_TEST_SEED end-to-end: setting the env var makes the runner
-//! execute exactly one case whose input is the seed's. Kept as its own
-//! integration binary because the env var is process-global — this file
-//! must stay a single `#[test]` so no parallel test races the variable.
+//! PRISM_TEST_SEED end-to-end: the env var moves every property's case
+//! stream without shortening it, and re-running under the value a
+//! failure ran at reproduces it exactly. Kept as its own integration
+//! binary because the env var is process-global — this file must stay a
+//! single `#[test]` so no parallel test races the variable.
 
-use prism_testkit::{for_all_result, gens, runner::SEED_ENV, Config, Source};
+use std::cell::Cell;
+
+use prism_testkit::{for_all_result, gens, runner::SEED_ENV, seed_or, Config, Source};
 
 #[test]
 fn env_seed_reproduces_identical_input() {
     let gen = gens::vec(gens::range_u64(0..100_000), 1..32);
+    let cfg = Config::with_cases(64);
+    let prop = |v: &Vec<u64>| assert!(v.iter().sum::<u64>() < 50_000);
 
-    // First run, no env var: find a genuine failure and note its seed.
+    // Unset and `0` are the same point.
     std::env::remove_var(SEED_ENV);
-    let f = for_all_result("seed_env_first_run", &Config::with_cases(64), &gen, |v| {
-        assert!(v.iter().sum::<u64>() < 50_000)
-    })
-    .expect("property must fail");
+    let unset = for_all_result("seed_env", &cfg, &gen, prop).expect("property must fail");
+    std::env::set_var(SEED_ENV, "0");
+    let zero = for_all_result("seed_env", &cfg, &gen, prop).expect("property must fail");
+    assert_eq!((zero.case, zero.seed), (unset.case, unset.seed));
 
-    // Replay through the env var, decimal form, as the failure report
-    // instructs. The runner must run exactly one case, with the same
-    // original input and the same shrunk minimum.
-    std::env::set_var(SEED_ENV, f.seed.to_string());
-    let replay = for_all_result(
-        "seed_env_replay_decimal",
-        &Config::with_cases(64),
-        &gen,
-        |v| assert!(v.iter().sum::<u64>() < 50_000),
-    )
-    .expect("replay must fail");
-    assert_eq!(replay.case, 0, "env seed runs a single case");
-    assert_eq!(replay.seed, f.seed);
-    assert_eq!(replay.original, f.original, "identical input bytes");
-    assert_eq!(replay.minimal, f.minimal, "identical shrink result");
+    // A value moves the stream; re-running under it, decimal or hex,
+    // reaches the same case, input and shrink.
+    std::env::set_var(SEED_ENV, "1806242025");
+    assert_eq!(seed_or(0), 1_806_242_025);
+    let moved = for_all_result("seed_env", &cfg, &gen, prop).expect("property must fail");
+    assert_ne!(moved.seed, unset.seed);
+    std::env::set_var(SEED_ENV, "0x6BA910E9");
+    let replay = for_all_result("seed_env", &cfg, &gen, prop).expect("replay must fail");
+    assert_eq!((replay.case, replay.seed), (moved.case, moved.seed));
+    assert_eq!(replay.original, moved.original, "identical input bytes");
+    assert_eq!(replay.minimal, moved.minimal, "identical shrink result");
 
-    // Hex form is accepted too.
-    std::env::set_var(SEED_ENV, format!("{:#x}", f.seed));
-    let hex = for_all_result("seed_env_replay_hex", &Config::with_cases(64), &gen, |v| {
-        assert!(v.iter().sum::<u64>() < 50_000)
-    })
-    .expect("hex replay must fail");
-    assert_eq!(hex.original, f.original);
-
-    // A passing property under the env seed runs once and reports
-    // nothing.
-    std::env::set_var(SEED_ENV, f.seed.to_string());
-    let pass = for_all_result("seed_env_passing", &Config::with_cases(64), &gen, |_| {});
+    // Every configured case runs under the value.
+    let runs = Cell::new(0u32);
+    let pass = for_all_result("seed_env_passing", &cfg, &gen, |_| runs.set(runs.get() + 1));
     assert!(pass.is_none());
+    assert_eq!(runs.get(), cfg.cases);
 
     std::env::remove_var(SEED_ENV);
 
-    // Sanity: the seed alone regenerates the input without the runner.
-    let direct = gen.generate(&mut Source::new(f.seed));
-    assert_eq!(direct, f.original);
+    // Sanity: the case seed alone regenerates the input without the runner.
+    let direct = gen.generate(&mut Source::new(moved.seed));
+    assert_eq!(direct, moved.original);
 }

@@ -68,12 +68,17 @@
 #                           bit-identity) build it against this tree
 #   6. second-seed pass   — the gate suites, the transaction replay
 #                           (PRISM-TX and FaRM, pristine and lossy
-#                           fabrics) and the wire-format properties
-#                           (round trips, mutated frames, decode
-#                           totality), then both migration gates, again
-#                           under a different PRISM_TEST_SEED, so the
-#                           gates don't ossify around one lucky
-#                           schedule. One background process that runs
+#                           fabrics), the store properties and the
+#                           wire-format properties (round trips, mutated
+#                           and truncated frames, decode totality), then
+#                           both migration gates, again under
+#                           PRISM_TEST_SEED=1806242025, so the gates don't
+#                           ossify around one lucky schedule. The value
+#                           is XORed into every gate's base seed and
+#                           every property's case stream
+#                           (prism_testkit::seed_or): each property runs
+#                           its full case count at another point. One
+#                           background process that runs
 #                           alongside step 7 (the test binaries exist
 #                           by now and the benches build into another
 #                           profile); its output and wall seconds are
@@ -100,8 +105,9 @@
 #                           claims to shrink something quotes a
 #                           command's output
 #
-# The property suites print a PRISM_TEST_SEED on failure; re-run the
-# named test with that env var to reproduce the exact failing input.
+# The property suites print the PRISM_TEST_SEED value a failure ran
+# under and its case index; re-run the named test under that value to
+# reach the same case and reproduce the exact failing input.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -5,7 +5,7 @@
 
 use prism_core::builder::ops;
 use prism_core::msg::{self, Request, Verb};
-use prism_core::op::{DataArg, FreeListId, PrismOp, Redirect, MAX_CAS_LEN};
+use prism_core::op::{FreeListId, PrismOp};
 use prism_core::server::PrismServer;
 use prism_core::value::{cas_compare, cas_swap, CasMode};
 use prism_core::wire;
@@ -13,115 +13,8 @@ use prism_core::OpStatus;
 use prism_rdma::region::AccessFlags;
 use prism_testkit::{for_all, gens, Config, Gen};
 
-fn arb_mode() -> Gen<CasMode> {
-    gens::choice(vec![
-        CasMode::Eq,
-        CasMode::Ne,
-        CasMode::Lt,
-        CasMode::Le,
-        CasMode::Gt,
-        CasMode::Ge,
-    ])
-}
-
-fn arb_redirect() -> Gen<Option<Redirect>> {
-    gens::one_of(vec![
-        gens::constant(None),
-        gens::t2(gens::u64s(), gens::u32s()).map(|(addr, rkey)| Some(Redirect { addr, rkey })),
-    ])
-}
-
-fn arb_data_arg() -> Gen<DataArg> {
-    gens::one_of(vec![
-        gens::vec(gens::u8s(), 0..64).map(DataArg::Inline),
-        gens::t2(gens::u64s(), gens::u32s()).map(|(addr, rkey)| DataArg::Remote { addr, rkey }),
-    ])
-}
-
-fn arb_op() -> Gen<PrismOp> {
-    gens::one_of(vec![
-        gens::t7(
-            gens::u64s(),
-            gens::u32s(),
-            gens::u32s(),
-            gens::bools(),
-            gens::bools(),
-            gens::bools(),
-            arb_redirect(),
-        )
-        .map(
-            |(addr, len, rkey, indirect, bounded, conditional, redirect)| PrismOp::Read {
-                addr,
-                len,
-                rkey,
-                indirect,
-                bounded,
-                conditional,
-                redirect,
-            },
-        ),
-        gens::t7(
-            gens::u64s(),
-            gens::u32s(),
-            arb_data_arg(),
-            gens::u32s(),
-            gens::bools(),
-            gens::bools(),
-            gens::bools(),
-        )
-        .map(
-            |(addr, rkey, data, len, addr_indirect, addr_bounded, conditional)| PrismOp::Write {
-                addr,
-                rkey,
-                data,
-                len,
-                addr_indirect,
-                addr_bounded,
-                conditional,
-            },
-        ),
-        gens::t4(
-            gens::u32s(),
-            gens::vec(gens::u8s(), 0..128),
-            gens::bools(),
-            arb_redirect(),
-        )
-        .map(|(fl, data, conditional, redirect)| PrismOp::Allocate {
-            freelist: FreeListId(fl),
-            data,
-            conditional,
-            redirect,
-        }),
-        gens::t10(
-            arb_mode(),
-            gens::u64s(),
-            gens::u32s(),
-            arb_data_arg(),
-            arb_data_arg(),
-            gens::range_u32(0..33),
-            gens::vec_exact(gens::u8s(), MAX_CAS_LEN),
-            gens::vec_exact(gens::u8s(), MAX_CAS_LEN),
-            gens::bools(),
-            gens::bools(),
-        )
-        .map(
-            |(mode, target, rkey, compare, swap, len, cm, sm, target_indirect, conditional)| {
-                PrismOp::Cas {
-                    mode,
-                    target,
-                    rkey,
-                    compare,
-                    swap,
-                    len,
-                    compare_mask: cm.try_into().expect("sized"),
-                    swap_mask: sm.try_into().expect("sized"),
-                    target_indirect,
-                    conditional,
-                }
-            },
-        ),
-    ])
-}
+mod support;
+use support::{arb_mode, arb_op};
 
 /// Any chain survives encode/decode unchanged.
 #[test]

@@ -21,11 +21,12 @@ use prism_simnet::fault::ChaosSpec;
 use prism_simnet::latency::CostModel;
 use prism_simnet::rng::SimRng;
 use prism_simnet::time::{SimDuration, SimTime};
+use prism_testkit::seed_or;
 use prism_tx::prism_tx::{TxCluster, TxConfig};
 use prism_workload::{KeyDist, TxnGen};
 
 mod support;
-use support::{assert_golden, fault_line, history_key, metrics_key, run_key, seed_or};
+use support::{assert_golden, fault_line, history_key, metrics_key, run_key};
 
 const WARMUP: SimDuration = SimDuration::from_nanos(400_000);
 const MEASURE: SimDuration = SimDuration::from_nanos(2_400_000);

@@ -15,9 +15,10 @@ use prism_kv::KvOutcome;
 use prism_rs::prism_rs::{drive, RsCluster, RsConfig};
 use prism_rs::RsOutcome;
 use prism_simnet::rng::SimRng;
+use prism_testkit::seed_or;
 
 mod support;
-use support::{replay_records, seed_or};
+use support::replay_records;
 
 /// 12 blocks with the default barrier cadence of 8 leaves a 4-record
 /// unsynced tail on every replica — enough sealed history to replay and

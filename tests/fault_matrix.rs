@@ -19,23 +19,17 @@ use prism_simnet::fault::FaultPlan;
 use prism_simnet::latency::CostModel;
 use prism_simnet::rng::SimRng;
 use prism_simnet::time::{SimDuration, SimTime};
+use prism_testkit::seed_or;
 use prism_tx::prism_tx::{TxCluster, TxConfig};
 use prism_workload::{KeyDist, TxnGen, YcsbConfig};
 
 mod support;
 use support::{assert_golden, run_key};
 
-/// Default matrix seed; `PRISM_TEST_SEED=<n>` overrides it so CI can
-/// check the determinism claims at more than one point. The golden rows
-/// hold at the default only.
+/// Default matrix seed; `PRISM_TEST_SEED=<n>` moves it so CI can check
+/// the determinism claims at more than one point. The golden rows hold
+/// at the default only.
 const DEFAULT_SEED: u64 = 0x5A0_7E57;
-
-fn seed() -> u64 {
-    std::env::var("PRISM_TEST_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SEED)
-}
 const KEYS: u64 = 256;
 const VALUE: usize = 64;
 const WARMUP: SimDuration = SimDuration::from_nanos(200_000);
@@ -142,7 +136,7 @@ fn check(system: &str, mix: Mix, r: &RunResult) {
 
 #[test]
 fn kv_survives_the_fault_matrix() {
-    let seed = seed();
+    let seed = seed_or(DEFAULT_SEED);
     let mut rows = Vec::new();
     for mix in MATRIX {
         let mut config = PrismKvConfig::paper(KEYS, VALUE);
@@ -197,7 +191,7 @@ fn kv_survives_the_fault_matrix() {
 
 #[test]
 fn rs_survives_the_fault_matrix() {
-    let seed = seed();
+    let seed = seed_or(DEFAULT_SEED);
     let mut rows = Vec::new();
     for mix in MATRIX {
         let mut config = RsConfig::paper(8, VALUE as u64);
@@ -250,7 +244,7 @@ fn rs_survives_the_fault_matrix() {
 /// the protocol as failed/given-up operations while the run completes.
 #[test]
 fn rs_pool_exhaustion_fails_clean_under_heavy_loss() {
-    let seed = seed();
+    let seed = seed_or(DEFAULT_SEED);
     let mut config = RsConfig::paper(8, VALUE as u64);
     config.spare_buffers = 48;
     let cluster = RsCluster::new(3, &config);
@@ -304,7 +298,7 @@ fn rs_pool_exhaustion_fails_clean_under_heavy_loss() {
 /// `count − live`.
 #[test]
 fn kv_long_loss_leak_is_bounded_and_gc_sweep_restores_the_pool() {
-    let seed = seed();
+    let seed = seed_or(DEFAULT_SEED);
     let config = PrismKvConfig::paper(KEYS, VALUE);
     let server = PrismKvServer::new(&config);
     kv_exp::preload_prism(&server, KEYS, VALUE);
@@ -376,7 +370,7 @@ fn kv_long_loss_leak_is_bounded_and_gc_sweep_restores_the_pool() {
 
 #[test]
 fn tx_survives_the_fault_matrix() {
-    let seed = seed();
+    let seed = seed_or(DEFAULT_SEED);
     let mut rows = Vec::new();
     for mix in MATRIX {
         let mut config = TxConfig::paper(KEYS, VALUE as u64);

@@ -26,12 +26,12 @@ use prism_rdma::region::AccessFlags;
 use prism_simnet::fault::{ChaosSpec, FaultPlan, TailPolicy};
 use prism_simnet::latency::CostModel;
 use prism_simnet::time::SimDuration;
+use prism_testkit::seed_or;
 use prism_workload::ArrivalSpec;
 
 mod support;
 use support::{
-    assert_golden, fault_line, history_key, metrics_key, open_loop_key, run_key, seed_or,
-    RetryingRead,
+    assert_golden, fault_line, history_key, metrics_key, open_loop_key, run_key, RetryingRead,
 };
 
 const WARMUP: SimDuration = SimDuration::from_nanos(400_000);

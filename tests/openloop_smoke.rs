@@ -23,17 +23,16 @@ use prism_rdma::region::AccessFlags;
 use prism_simnet::fault::{CrashMode, CrashWindow, FaultPlan};
 use prism_simnet::latency::CostModel;
 use prism_simnet::time::{SimDuration, SimTime};
+use prism_testkit::seed_or;
 use prism_workload::ArrivalSpec;
 
 mod support;
 use support::{open_loop_key, RetryingRead};
 
-/// CI seed override, as in the fault matrix and chaos gate.
+/// The smoke seed, moved by `PRISM_TEST_SEED` as in the fault matrix and
+/// chaos gate.
 fn seed() -> u64 {
-    std::env::var("PRISM_TEST_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
+    seed_or(42)
 }
 
 fn stall_server() -> (Arc<PrismServer>, u64, u32) {

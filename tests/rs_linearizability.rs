@@ -1,144 +1,19 @@
 //! Linearizability checking for PRISM-RS.
 //!
 //! Concurrent clients run tagged operations against one register while a
-//! recorder collects `(invocation, response, value)` intervals; a
-//! Wing-Gong style checker then searches for a legal linearization of
-//! the history against a sequential register specification. Also checks
-//! crash/recovery schedules and quorum-intersection invariants.
+//! recorder collects `(invocation, response, value)` intervals, which
+//! `chaos::check_history` (the chaos gates' Wing–Gong checker) searches
+//! for a legal linearization. Also checks crash/recovery schedules and
+//! quorum-intersection invariants.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use prism_harness::chaos::{check_history, HistKind, HistOp};
 use prism_rs::prism_rs::{drive, RsCluster, RsConfig, RsOutcome};
+use prism_simnet::time::SimTime;
 
 const BLOCK: u64 = 64;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OpKind {
-    Read(u8),
-    Write(u8),
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Event {
-    start: u64,
-    end: u64,
-    kind: OpKind,
-}
-
-/// Wing-Gong linearizability check for a single register with u8
-/// values, initial value 0. Exponential in the worst case; histories
-/// here are small (tens of events per register).
-fn is_linearizable(history: &[Event]) -> bool {
-    fn search(state: u8, done: &mut Vec<bool>, history: &[Event]) -> bool {
-        if done.iter().all(|&d| d) {
-            return true;
-        }
-        // An op is a candidate to linearize next if no other un-done op
-        // *ended* before it started (i.e. it is minimal in the
-        // happens-before order among pending ops).
-        let min_end = history
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !done[*i])
-            .map(|(_, e)| e.end)
-            .min()
-            .expect("pending op exists");
-        for i in 0..history.len() {
-            if done[i] || history[i].start > min_end {
-                continue;
-            }
-            let e = history[i];
-            let next_state = match e.kind {
-                OpKind::Read(v) => {
-                    if v != state {
-                        continue;
-                    }
-                    state
-                }
-                OpKind::Write(v) => v,
-            };
-            done[i] = true;
-            if search(next_state, done, history) {
-                return true;
-            }
-            done[i] = false;
-        }
-        false
-    }
-    let mut done = vec![false; history.len()];
-    search(0, &mut done, history)
-}
-
-#[test]
-fn checker_accepts_and_rejects_known_histories() {
-    // Sequential write(1); read(1): linearizable.
-    let ok = vec![
-        Event {
-            start: 0,
-            end: 1,
-            kind: OpKind::Write(1),
-        },
-        Event {
-            start: 2,
-            end: 3,
-            kind: OpKind::Read(1),
-        },
-    ];
-    assert!(is_linearizable(&ok));
-    // read(2) with no write(2) anywhere: not linearizable.
-    let bad = vec![
-        Event {
-            start: 0,
-            end: 1,
-            kind: OpKind::Write(1),
-        },
-        Event {
-            start: 2,
-            end: 3,
-            kind: OpKind::Read(2),
-        },
-    ];
-    assert!(!is_linearizable(&bad));
-    // Stale read after a completed write: not linearizable.
-    let stale = vec![
-        Event {
-            start: 0,
-            end: 1,
-            kind: OpKind::Write(1),
-        },
-        Event {
-            start: 2,
-            end: 3,
-            kind: OpKind::Write(2),
-        },
-        Event {
-            start: 4,
-            end: 5,
-            kind: OpKind::Read(1),
-        },
-    ];
-    assert!(!is_linearizable(&stale));
-    // Concurrent write and read may order either way.
-    let conc = vec![
-        Event {
-            start: 0,
-            end: 10,
-            kind: OpKind::Write(1),
-        },
-        Event {
-            start: 1,
-            end: 2,
-            kind: OpKind::Read(0),
-        },
-        Event {
-            start: 3,
-            end: 4,
-            kind: OpKind::Read(1),
-        },
-    ];
-    assert!(is_linearizable(&conc));
-}
 
 /// Runs concurrent clients against one PRISM-RS register and verifies
 /// the collected history linearizes.
@@ -165,16 +40,22 @@ fn concurrent_history_is_linearizable() {
                                 drive(&cluster, &client, op, step, &[false; 3]),
                                 RsOutcome::Written
                             );
-                            OpKind::Write(v)
+                            HistKind::Put { nonce: v.into() }
                         } else {
                             let (op, step) = client.get(0);
                             match drive(&cluster, &client, op, step, &[false; 3]) {
-                                RsOutcome::Value(v) => OpKind::Read(v[0]),
+                                RsOutcome::Value(v) => HistKind::Get { nonce: v[0].into() },
                                 o => panic!("{o:?}"),
                             }
                         };
                         let end = clock.fetch_add(1, Ordering::SeqCst);
-                        history.lock().unwrap().push(Event { start, end, kind });
+                        history.lock().unwrap().push(HistOp {
+                            client: t.into(),
+                            key: 0,
+                            invoke: SimTime::from_nanos(start),
+                            complete: Some(SimTime::from_nanos(end)),
+                            kind,
+                        });
                     }
                 })
             })
@@ -183,10 +64,7 @@ fn concurrent_history_is_linearizable() {
             t.join().unwrap();
         }
         let history = history.lock().unwrap().clone();
-        assert!(
-            is_linearizable(&history),
-            "seed {seed}: history not linearizable: {history:?}"
-        );
+        check_history(&history).unwrap_or_else(|e| panic!("seed {seed}: {e}: {history:?}"));
     }
 }
 
@@ -262,10 +140,7 @@ fn faulted_rs_runs_complete_and_metrics_are_deterministic() {
     use prism_simnet::time::{SimDuration, SimTime};
     use prism_workload::KeyDist;
 
-    let seed = std::env::var("PRISM_TEST_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(9u64);
+    let seed = prism_testkit::seed_or(9);
     let plan = FaultPlan::seeded(seed ^ 0xFA_B71C)
         .with_loss(0.02, 0.01)
         .with_timeout(SimDuration::micros(60))

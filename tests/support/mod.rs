@@ -1,15 +1,17 @@
 //! Helpers shared by the gate suites (`chaos_gate`, `gray_gate`,
 //! `fault_matrix`, `corruption_matrix`, `durability_gate`,
-//! `openloop_smoke`, `store_properties`, `golden_recovery`) and
-//! `figures_smoke`: the seed override, the replay fingerprints and their
-//! one-word folds for golden rows (a figure table's included), the
-//! one-line counter dump, the minimal retrying read adapter,
-//! and the durable tier's record collector and disk fingerprint. Each
-//! suite is its own crate and uses a subset.
+//! `openloop_smoke`, `store_properties`, `golden_recovery`),
+//! `figures_smoke` and the codec properties: the replay fingerprints and
+//! their one-word folds for golden rows (a figure table's included), the
+//! one-line counter dump, the minimal retrying read adapter, the durable
+//! tier's record collector and disk fingerprint, and the PRISM op
+//! generators. Each suite is its own crate and uses a subset.
 #![allow(dead_code)]
 
 use prism_core::builder::ops;
 use prism_core::msg::{Reply, Request};
+use prism_core::op::{DataArg, FreeListId, PrismOp, Redirect, MAX_CAS_LEN};
+use prism_core::value::CasMode;
 use prism_harness::chaos::{HistKind, HistOp};
 use prism_harness::netsim::{AdapterStep, Outbound, ProtoAdapter, RunResult};
 use prism_harness::openloop::OpenLoopResult;
@@ -17,17 +19,7 @@ use prism_harness::table::Table;
 use prism_simnet::rng::SimRng;
 use prism_simnet::time::{SimDuration, SimTime};
 use prism_store::{Record, Replay, SegmentStore, SimDisk};
-
-/// Per-test seed; `PRISM_TEST_SEED=<n>` perturbs every scenario (each
-/// keeps a distinct XOR base) so CI exercises the gates — including
-/// their bit-exact-replay assertions — at more than one point.
-pub fn seed_or(base: u64) -> u64 {
-    std::env::var("PRISM_TEST_SEED")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .map(|s| s ^ base)
-        .unwrap_or(base)
-}
+use prism_testkit::{gens, Gen};
 
 /// Replays `store` and copies out every record it yields, in order —
 /// for tests that check what a log holds. (The servers fold the records
@@ -249,4 +241,116 @@ impl ProtoAdapter for RetryingRead {
             },
         }
     }
+}
+
+// Generators of PRISM ops, every shape and flag the wire format carries.
+
+pub fn arb_mode() -> Gen<CasMode> {
+    gens::choice(vec![
+        CasMode::Eq,
+        CasMode::Ne,
+        CasMode::Lt,
+        CasMode::Le,
+        CasMode::Gt,
+        CasMode::Ge,
+    ])
+}
+
+pub fn arb_redirect() -> Gen<Option<Redirect>> {
+    gens::one_of(vec![
+        gens::constant(None),
+        gens::t2(gens::u64s(), gens::u32s()).map(|(addr, rkey)| Some(Redirect { addr, rkey })),
+    ])
+}
+
+pub fn arb_data_arg() -> Gen<DataArg> {
+    gens::one_of(vec![
+        gens::vec(gens::u8s(), 0..64).map(DataArg::Inline),
+        gens::t2(gens::u64s(), gens::u32s()).map(|(addr, rkey)| DataArg::Remote { addr, rkey }),
+    ])
+}
+
+pub fn arb_op() -> Gen<PrismOp> {
+    gens::one_of(vec![
+        gens::t7(
+            gens::u64s(),
+            gens::u32s(),
+            gens::u32s(),
+            gens::bools(),
+            gens::bools(),
+            gens::bools(),
+            arb_redirect(),
+        )
+        .map(
+            |(addr, len, rkey, indirect, bounded, conditional, redirect)| PrismOp::Read {
+                addr,
+                len,
+                rkey,
+                indirect,
+                bounded,
+                conditional,
+                redirect,
+            },
+        ),
+        gens::t7(
+            gens::u64s(),
+            gens::u32s(),
+            arb_data_arg(),
+            gens::u32s(),
+            gens::bools(),
+            gens::bools(),
+            gens::bools(),
+        )
+        .map(
+            |(addr, rkey, data, len, addr_indirect, addr_bounded, conditional)| PrismOp::Write {
+                addr,
+                rkey,
+                data,
+                len,
+                addr_indirect,
+                addr_bounded,
+                conditional,
+            },
+        ),
+        gens::t4(
+            gens::u32s(),
+            gens::vec(gens::u8s(), 0..128),
+            gens::bools(),
+            arb_redirect(),
+        )
+        .map(|(fl, data, conditional, redirect)| PrismOp::Allocate {
+            freelist: FreeListId(fl),
+            data,
+            conditional,
+            redirect,
+        }),
+        gens::t10(
+            arb_mode(),
+            gens::u64s(),
+            gens::u32s(),
+            arb_data_arg(),
+            arb_data_arg(),
+            gens::range_u32(0..33),
+            gens::vec_exact(gens::u8s(), MAX_CAS_LEN),
+            gens::vec_exact(gens::u8s(), MAX_CAS_LEN),
+            gens::bools(),
+            gens::bools(),
+        )
+        .map(
+            |(mode, target, rkey, compare, swap, len, cm, sm, target_indirect, conditional)| {
+                PrismOp::Cas {
+                    mode,
+                    target,
+                    rkey,
+                    compare,
+                    swap,
+                    len,
+                    compare_mask: cm.try_into().expect("sized"),
+                    swap_mask: sm.try_into().expect("sized"),
+                    target_indirect,
+                    conditional,
+                }
+            },
+        ),
+    ])
 }

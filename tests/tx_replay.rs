@@ -20,12 +20,13 @@ use prism_simnet::fault::FaultPlan;
 use prism_simnet::latency::CostModel;
 use prism_simnet::rng::SimRng;
 use prism_simnet::time::SimDuration;
+use prism_testkit::seed_or;
 use prism_tx::farm::{FarmCluster, FarmConfig};
 use prism_tx::prism_tx::{TxCluster, TxConfig};
 use prism_workload::{KeyDist, TxnGen};
 
 mod support;
-use support::{assert_golden, metrics_key, run_key, seed_or};
+use support::{assert_golden, metrics_key, run_key};
 
 const SHARDS: usize = 4;
 const KEYS: u64 = 4_096;

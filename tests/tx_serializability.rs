@@ -232,10 +232,7 @@ fn faulted_tx_runs_complete_and_metrics_are_deterministic() {
     use prism_tx::prism_tx::TxConfig;
     use prism_workload::{KeyDist, TxnGen};
 
-    let seed = std::env::var("PRISM_TEST_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(13u64);
+    let seed = prism_testkit::seed_or(13);
     let plan = FaultPlan::seeded(seed ^ 0x7A_B71C)
         .with_loss(0.02, 0.01)
         .with_timeout(SimDuration::micros(60))

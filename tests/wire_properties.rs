@@ -1,16 +1,19 @@
 //! Property-based tests for the message wire format: every request and
 //! reply kind (chain, verb, RPC) survives encode/decode unchanged, on
 //! the plain framing and on the routing-epoch framing; a frame with
-//! 1–3 bytes mutated is rejected, never misread; and decoding arbitrary
-//! bytes never panics. Runs on the in-repo `prism-testkit` harness;
+//! 1–3 bytes mutated is rejected, never misread; every strict prefix of
+//! a valid body is an error; and decoding arbitrary bytes never panics. Runs on the in-repo `prism-testkit` harness;
 //! failures print a `PRISM_TEST_SEED` for exact replay.
 
 use prism_core::builder::ops;
 use prism_core::crc::crc32;
 use prism_core::msg::{Reply, Request, Verb, FRAME_TRAILER};
-use prism_core::{OpResult, OpStatus};
+use prism_core::{wire, OpResult, OpStatus};
 use prism_rdma::RdmaError;
 use prism_testkit::{for_all, gens, Config, Gen};
+
+mod support;
+use support::arb_op;
 
 /// A verb or an RPC request, biased toward small payloads (including
 /// empty ones).
@@ -54,13 +57,18 @@ fn arb_request() -> Gen<Request> {
     gens::one_of(vec![arb_verb_or_rpc(), arb_chain_request()])
 }
 
-/// Any reply, including chain responses and verb errors.
-fn arb_reply() -> Gen<Reply> {
+/// The results of a chain.
+fn arb_results() -> Gen<Vec<OpResult>> {
     let result = gens::t2(
         gens::choice(vec![OpStatus::Ok, OpStatus::CasFailed]),
         gens::vec(gens::u8s(), 0..32),
     )
     .map(|(status, data)| OpResult { status, data });
+    gens::vec(result, 0..4)
+}
+
+/// Any reply, including chain responses and verb errors.
+fn arb_reply() -> Gen<Reply> {
     gens::one_of(vec![
         gens::vec(gens::u8s(), 0..32).map(Reply::Rpc),
         gens::vec(gens::u8s(), 0..32).map(|d| Reply::Verb(Ok(d))),
@@ -77,7 +85,7 @@ fn arb_reply() -> Gen<Reply> {
             },
         ])
         .map(|e| Reply::Verb(Err(e))),
-        gens::vec(result, 0..4).map(Reply::Chain),
+        arb_results().map(Reply::Chain),
     ])
 }
 
@@ -267,6 +275,55 @@ fn decode_is_total() {
             let mut epoch_body = 7u64.to_le_bytes().to_vec();
             epoch_body.extend_from_slice(&body);
             let _ = Request::decode_epoch(&seal(&epoch_body));
+        },
+    );
+}
+
+/// Every strict prefix of a valid body decodes to an error — never to a
+/// message, never a panic: raw through the chain and result decoders,
+/// and sealed under a valid trailer through the message decoders, so
+/// each cut lands in a field the body parsers must find short.
+#[test]
+fn truncated_bodies_decode_to_errors() {
+    let gen = gens::t4(
+        gens::vec(arb_op(), 0..6),
+        arb_results(),
+        arb_request(),
+        arb_reply(),
+    );
+    for_all(
+        "truncated_bodies_decode_to_errors",
+        &Config::with_cases(256),
+        &gen,
+        |(chain, results, req, reply)| {
+            let body = |frame: Vec<u8>| frame[..frame.len() - FRAME_TRAILER].to_vec();
+            let chain_body = wire::encode_chain(chain).expect("encode");
+            let result_body = wire::encode_response(results).expect("encode");
+            let req_body = body(req.encode().expect("encode"));
+            let epoch_body = body(req.encode_epoch(7).expect("encode_epoch"));
+            let reply_body = body(reply.encode().expect("encode"));
+            for cut in 0..chain_body.len() {
+                assert!(
+                    wire::decode_chain(&chain_body[..cut]).is_err(),
+                    "chain cut at {cut}"
+                );
+            }
+            for cut in 0..result_body.len() {
+                let results = wire::decode_response(&result_body[..cut]);
+                assert!(results.is_err(), "results cut at {cut}");
+            }
+            for cut in 0..req_body.len() {
+                let req = Request::decode(&seal(&req_body[..cut]));
+                assert!(req.is_err(), "request cut at {cut}");
+            }
+            for cut in 0..epoch_body.len() {
+                let req = Request::decode_epoch(&seal(&epoch_body[..cut]));
+                assert!(req.is_err(), "epoch request cut at {cut}");
+            }
+            for cut in 0..reply_body.len() {
+                let reply = Reply::decode(&seal(&reply_body[..cut]));
+                assert!(reply.is_err(), "reply cut at {cut}");
+            }
         },
     );
 }
