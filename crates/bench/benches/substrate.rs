@@ -577,20 +577,21 @@ fn bench_kv(run: &mut Runner) {
 /// A PRISM-RS write and read of one 512-byte block over three replicas,
 /// every replica answering.
 fn bench_rs(run: &mut Runner) {
-    use prism_rs::prism_rs::{drive, RsCluster, RsConfig};
+    use prism_rs::prism_rs::{RsCluster, RsConfig};
+    use prism_rs::{drive, RsProtocol};
 
     let cluster = RsCluster::new(3, &RsConfig::paper(64, 512));
-    let client = cluster.open_client();
+    let mut client = cluster.open_client();
     run.bench("rs/prism_rs_put_512_3replicas", |b| {
         b.iter(|| {
             let (op, step) = client.put(3, vec![5u8; 512]);
-            drive(&cluster, &client, op, step, &[false; 3])
+            drive(&cluster, &mut client, op, step, &[false; 3])
         });
     });
     run.bench("rs/prism_rs_get_512_3replicas", |b| {
         b.iter(|| {
             let (op, step) = client.get(3);
-            drive(&cluster, &client, op, step, &[false; 3])
+            drive(&cluster, &mut client, op, step, &[false; 3])
         });
     });
 }
@@ -661,22 +662,22 @@ fn bench_verbs(run: &mut Runner) {
 }
 
 fn bench_recovery(run: &mut Runner) {
-    use prism_rs::prism_rs::{drive, RsCluster, RsConfig};
-    use prism_rs::RsOutcome;
+    use prism_rs::prism_rs::{RsCluster, RsConfig};
+    use prism_rs::{drive, RsOutcome, RsProtocol};
 
     const BLOCKS: u64 = 64;
     const VALUE: usize = 64;
 
     let config = RsConfig::paper(BLOCKS, VALUE as u64);
     let cluster = RsCluster::new(3, &config);
-    let client = cluster.open_client();
+    let mut client = cluster.open_client();
     for b in 0..BLOCKS {
         let v: Vec<u8> = (0..VALUE)
             .map(|i| (b as u8).wrapping_add(i as u8))
             .collect();
         let (op, step) = client.put(b, v);
         assert_eq!(
-            drive(&cluster, &client, op, step, &[false; 3]),
+            drive(&cluster, &mut client, op, step, &[false; 3]),
             RsOutcome::Written
         );
     }

@@ -1,5 +1,5 @@
 //! Little-endian buffer codec: [`BufMut`] appends to a `Vec<u8>`, and
-//! [`Reader`] is the one checked cursor every decoder reads through.
+//! `Reader` is the one checked cursor every decoder reads through.
 //!
 //! A decoder holds no byte counts of its own: each read either returns
 //! the bytes it asked for or a [`WireError`], so a decode is total over

@@ -238,7 +238,7 @@ impl FreeLists {
     /// The allocator half of an amnesia restart: forgets every extent
     /// registered after the first `keep` (carves whose memory the
     /// restarted server takes back, such as refills from headroom it
-    /// rewinds), then [`FreeLists::reset`]s each list that still has
+    /// rewinds), then `FreeLists::reset`s each list that still has
     /// extents to exactly their buffers that `in_use` does not claim, in
     /// registration order. A pre-crash client's free into a forgotten
     /// extent is refused from here on, so a later carve of the same range

@@ -216,7 +216,7 @@ use crate::crc::Crc32;
 use crate::wire::WireError;
 
 /// Bytes of the CRC frame trailer every encoded message carries:
-/// a header checksum (first [`FRAME_HDR`] body bytes, cheap to verify
+/// a header checksum (first `FRAME_HDR` body bytes, cheap to verify
 /// before parsing) and a whole-body checksum. The trailer is part of
 /// the *encoded* form only; [`Request::wire_len`]/[`Reply::wire_len`]
 /// model the payload the cost accounting has always charged for, so

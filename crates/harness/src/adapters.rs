@@ -34,9 +34,9 @@ use prism_kv::pilaf::{PilafClient, PilafGetOp};
 use prism_kv::prism_kv::{GetOp, PrismKvClient, PutOp};
 use prism_kv::{hash::key_bytes, KvOutcome, KvStep};
 use prism_rdma::hash::IntMap;
-use prism_rs::abdlock::{AbdLockClient, AbdLockOp, AbdStep};
-use prism_rs::prism_rs::{RsClient, RsOp, RsStep};
-use prism_rs::RsOutcome;
+use prism_rs::abdlock::AbdLockClient;
+use prism_rs::prism_rs::RsClient;
+use prism_rs::{RsOutcome, RsProtocol, RsStep};
 use prism_simnet::rng::SimRng;
 use prism_simnet::time::{SimDuration, SimTime};
 use prism_tx::farm::FarmClient;
@@ -148,7 +148,7 @@ impl FreeBatcher {
 }
 
 /// An adapter with its reclamation traffic coalesced: every background
-/// send the inner adapter emits passes through a [`FreeBatcher`] in
+/// send the inner adapter emits passes through a `FreeBatcher` in
 /// order (foreground sends and their order are untouched, and a flush
 /// takes the place of the free that filled the batch). Frees harvested
 /// from stale replies stay unbatched: they are rare, and the pool-level
@@ -646,8 +646,9 @@ impl ProtoAdapter for PilafAdapter {
 // PRISM-RS (Figures 6-7)
 // ---------------------------------------------------------------------
 
-/// Closed-loop block-store client over PRISM-RS, optionally sharded
-/// across replica groups: the one PRISM-RS reply-handling state machine.
+/// Closed-loop block-store client over a replicated-register protocol,
+/// optionally sharded across replica groups: the one reply-handling
+/// state machine for every [`RsProtocol`] (PRISM-RS and ABDLOCK).
 ///
 /// With one client and [`ShardMap::single`] this is the 3-replica
 /// adapter. With S clients, each block routes to its home *group* and
@@ -655,9 +656,11 @@ impl ProtoAdapter for PilafAdapter {
 /// indices are group-major (`group * replicas + replica`, the
 /// [`crate::cluster::RsShards`] layout) and reply tags carry the flat
 /// index, so a straggler of a completed op still resolves its group
-/// after the client has moved on to a block elsewhere.
-pub struct RsDriver<W, O> {
-    clients: Vec<RsClient>,
+/// after the client has moved on to a block elsewhere. Every attempt
+/// runs under a fresh `seq`: a reissue after a failure, a fence or a
+/// lock backoff alike.
+pub struct RsDriver<P: RsProtocol, W, O> {
+    clients: Vec<P>,
     /// The map blocks are routed by, and the cell a stale-epoch fence
     /// refetches it from.
     map: ShardMap,
@@ -669,11 +672,11 @@ pub struct RsDriver<W, O> {
     source: W,
     observer: O,
     seq: u64,
-    current: Option<RsOp>,
+    current: Option<P::Op>,
     /// Completed-but-outstanding machines by seq, each with the replies
     /// it is still owed; the reply tag's flat index names their group,
     /// so no group needs to be stored here.
-    lingering: IntMap<u64, (RsOp, usize)>,
+    lingering: IntMap<u64, (P::Op, usize)>,
     outstanding: usize,
     /// The in-flight logical op, kept so a quorum failure can retry the
     /// whole operation under a fresh sequence number.
@@ -681,7 +684,7 @@ pub struct RsDriver<W, O> {
     retries: u32,
 }
 
-impl<W: OpSource, O: OpObserver> RsDriver<W, O> {
+impl<P: RsProtocol, W: OpSource, O: OpObserver> RsDriver<P, W, O> {
     /// Creates a driver over one client per replica group, in group
     /// order. `route` is a fixed [`ShardMap`], or the cluster's
     /// [`MapHandle`] when the map can change under the run: then an
@@ -694,12 +697,7 @@ impl<W: OpSource, O: OpObserver> RsDriver<W, O> {
     ///
     /// Panics if the map routes to more groups than there are clients,
     /// or the groups disagree on replica count.
-    pub fn routed(
-        clients: Vec<RsClient>,
-        route: impl Into<MapHandle>,
-        source: W,
-        observer: O,
-    ) -> Self {
+    pub fn routed(clients: Vec<P>, route: impl Into<MapHandle>, source: W, observer: O) -> Self {
         let handle = route.into();
         let map = handle.snapshot();
         assert!(
@@ -734,9 +732,10 @@ impl<W: OpSource, O: OpObserver> RsDriver<W, O> {
         self.outstanding = 0;
         let (block, value) = self.op.clone().expect("op set");
         self.group = self.map.shard_of_id(block);
+        let client = &mut self.clients[self.group];
         let (op, step) = match value {
-            Some(v) => self.clients[self.group].put(block, v),
-            None => self.clients[self.group].get(block),
+            Some(v) => client.put(block, v),
+            None => client.get(block),
         };
         self.current = Some(op);
         self.absorb(step).0
@@ -744,14 +743,14 @@ impl<W: OpSource, O: OpObserver> RsDriver<W, O> {
 
     /// Reissues `op` — same block and (for PUTs) same value, fresh
     /// sequence number, but the *same* machine: a PUT whose write phase
-    /// already chose its tag must retry under that tag (see
-    /// [`RsOp::reissue`]), or the retry could resurrect its value over
-    /// a later write readers already observed. Stragglers of the
+    /// already chose its tag must retry under that tag (see PRISM-RS's
+    /// [`RsProtocol::reissue`]), or the retry could resurrect its value
+    /// over a later write readers already observed. Stragglers of the
     /// abandoned attempt are parked under the old seq so their
     /// reclamation still lands. The block is routed afresh: a no-op
     /// unless a stale-epoch fence refreshed the map since the attempt
     /// started.
-    fn reissue(&mut self, mut op: RsOp) -> Vec<Outbound> {
+    fn reissue(&mut self, mut op: P::Op) -> Vec<Outbound> {
         if self.outstanding > 0 {
             self.lingering
                 .insert(self.seq, (op.clone(), self.outstanding));
@@ -760,14 +759,14 @@ impl<W: OpSource, O: OpObserver> RsDriver<W, O> {
         self.outstanding = 0;
         let block = self.op.as_ref().expect("op set").0;
         self.group = self.map.shard_of_id(block);
-        let step = op.reissue(&self.clients[self.group]);
+        let step = self.clients[self.group].reissue(&mut op);
         self.current = Some(op);
         self.absorb(step).0
     }
 
     /// Parks a machine the client is done with while replies to it are
     /// still owed: they resolve against it and their reclamation lands.
-    fn park(&mut self, op: RsOp) {
+    fn park(&mut self, op: P::Op) {
         if self.outstanding > 0 {
             self.lingering.insert(self.seq, (op, self.outstanding));
         }
@@ -777,7 +776,7 @@ impl<W: OpSource, O: OpObserver> RsDriver<W, O> {
     /// fetch): within the budget the machine is kept for the reissue
     /// and meanwhile absorbs this attempt's stragglers; past it the
     /// operation is given up.
-    fn retry(&mut self, op: RsOp, sends: Vec<Outbound>) -> AdapterStep {
+    fn retry(&mut self, op: P::Op, sends: Vec<Outbound>) -> AdapterStep {
         let step = retry_or_give_up(&mut self.retries, sends);
         if matches!(step, AdapterStep::GiveUp { .. }) {
             self.park(op);
@@ -808,7 +807,7 @@ impl<W: OpSource, O: OpObserver> RsDriver<W, O> {
     }
 }
 
-impl<W: OpSource, O: OpObserver> ProtoAdapter for RsDriver<W, O> {
+impl<P: RsProtocol, W: OpSource, O: OpObserver> ProtoAdapter for RsDriver<P, W, O> {
     fn start(&mut self, rng: &mut SimRng) -> Vec<Outbound> {
         let op = self.source.draw(rng);
         self.observer.invoked(&op);
@@ -818,7 +817,8 @@ impl<W: OpSource, O: OpObserver> ProtoAdapter for RsDriver<W, O> {
     }
 
     fn resume(&mut self) -> Vec<Outbound> {
-        // Operation-level retry, on the machine the failed attempt left.
+        // Operation-level retry or the end of a lock backoff, on the
+        // machine the attempt left.
         match self.current.take() {
             Some(op) => self.reissue(op),
             None => self.issue(),
@@ -849,7 +849,7 @@ impl<W: OpSource, O: OpObserver> ProtoAdapter for RsDriver<W, O> {
             let mut sends = Vec::new();
             let mut finished = false;
             if let Some((op, remaining)) = self.lingering.get_mut(&seq) {
-                let step = op.on_reply(&self.clients[group], phase, replica, reply);
+                let step = self.clients[group].on_reply(op, phase, replica, reply);
                 let base = group * self.replicas;
                 for (r, req) in step.background {
                     sends.push(Outbound::new(base + r, 0, req, true));
@@ -879,12 +879,21 @@ impl<W: OpSource, O: OpObserver> ProtoAdapter for RsDriver<W, O> {
             }
             return self.retry(op, Vec::new());
         }
-        let step = op.on_reply(&self.clients[self.group], phase, replica, reply);
+        let step = self.clients[self.group].on_reply(&mut op, phase, replica, reply);
+        let backoff = step.backoff_ns;
         let (sends, done) = self.absorb(step);
         match done {
             None => {
                 self.current = Some(op);
-                AdapterStep::Wait(sends)
+                match backoff {
+                    // A lock backoff keeps the machine and spends none of
+                    // the transport retry budget.
+                    Some(ns) => AdapterStep::Backoff {
+                        sends,
+                        wait: SimDuration::from_nanos(ns),
+                    },
+                    None => AdapterStep::Wait(sends),
+                }
             }
             Some(RsOutcome::Failed(_)) => self.retry(op, sends),
             Some(outcome) => {
@@ -907,13 +916,15 @@ impl<W: OpSource, O: OpObserver> ProtoAdapter for RsDriver<W, O> {
     }
 
     fn hedge_eligible(&self, t: u64) -> bool {
-        // Quorum-read legs hedge: a GET's phases are all reads, so the
-        // loser of the race is just one more straggler for the machine
-        // (read chains allocate nothing, so the harvest is a no-op).
-        // PUT legs allocate and CAS; only the leg's own reissue path
-        // may duplicate them. The tag gate keeps a straggler-epoch tag
+        // Every leg of a GET hedges where the protocol allows it
+        // ([`RsProtocol::HEDGE_GETS`] says why PRISM-RS's write-back
+        // may run twice). PUT legs allocate and CAS; only the reissue
+        // path may duplicate them. The tag gate keeps a straggler's tag
         // from hedging after the op has moved on.
-        untag(t).0 == self.seq && self.current.is_some() && matches!(self.op, Some((_, None)))
+        P::HEDGE_GETS
+            && untag(t).0 == self.seq
+            && self.current.is_some()
+            && matches!(self.op, Some((_, None)))
     }
 
     fn abandon(&mut self) -> Vec<Outbound> {
@@ -956,7 +967,7 @@ impl OpSource for BlockMix {
 /// Closed-loop block-store client over PRISM-RS (Figures 6–7): 50 %
 /// reads / 50 % writes in the paper's runs, reclamation coalesced per
 /// replica.
-pub type PrismRsAdapter = Coalesced<RsDriver<BlockMix, ()>>;
+pub type PrismRsAdapter = Coalesced<RsDriver<RsClient, BlockMix, ()>>;
 
 impl PrismRsAdapter {
     /// Creates the single-group adapter.
@@ -992,10 +1003,11 @@ impl PrismRsAdapter {
 /// Reclamation for a PRISM-RS write-phase reply that raced its own
 /// timeout. The chain is `[write, allocate, CAS_GT, read-back]` and the
 /// machine never saw this reply, so the free it would have emitted
-/// ([`RsOp::on_reply`]'s write path) is produced here instead: a lost
-/// CAS orphans the freshly allocated buffer; a won CAS displaces the
-/// buffer previously installed in the metadata entry. Read-phase chains
-/// allocate nothing.
+/// (the write path of PRISM-RS's [`RsProtocol::on_reply`]) is produced
+/// here instead: a lost CAS orphans the freshly allocated buffer; a won
+/// CAS displaces the buffer previously installed in the metadata entry.
+/// Read-phase chains allocate nothing, and ABDLOCK's verbs replies are
+/// not chains.
 fn rs_harvest(server: usize, reply: Reply) -> Vec<Outbound> {
     let Ok(results) = reply.into_chain() else {
         return Vec::new();
@@ -1020,132 +1032,25 @@ fn rs_harvest(server: usize, reply: Reply) -> Vec<Outbound> {
 // ABDLOCK (Figures 6-7 baseline)
 // ---------------------------------------------------------------------
 
-/// Closed-loop block-store client over the lock-based ABD baseline.
-pub struct AbdLockAdapter {
-    client: AbdLockClient,
-    mix: BlockMix,
-    seq: u64,
-    current: Option<AbdLockOp>,
-    lingering: IntMap<u64, AbdLockOp>,
-}
+/// Closed-loop block-store client over the lock-based ABD baseline
+/// (Figures 6–7): the same driver and workload as [`PrismRsAdapter`];
+/// ABDLOCK sends no frees, so nothing is coalesced.
+pub type AbdLockAdapter = RsDriver<AbdLockClient, BlockMix, ()>;
 
 impl AbdLockAdapter {
-    /// Creates the adapter.
+    /// Creates the single-group adapter.
     pub fn new(
         client: AbdLockClient,
         dist: KeyDist,
         block_size: usize,
         write_fraction: f64,
     ) -> Self {
-        AbdLockAdapter {
-            client,
-            mix: BlockMix {
-                dist,
-                block_size,
-                write_fraction,
-            },
-            seq: 0,
-            current: None,
-            lingering: IntMap::default(),
-        }
-    }
-
-    fn absorb(&mut self, step: AbdStep) -> (Vec<Outbound>, Option<bool>, Option<SimDuration>) {
-        let sends = step
-            .send
-            .into_iter()
-            .map(|(replica, phase, req)| Outbound {
-                server: replica,
-                tag: tag(self.seq, phase, replica as u32),
-                req,
-                background: false,
-                epoch: 0,
-            })
-            .collect();
-        let done = step
-            .done
-            .map(|o| matches!(o, prism_rs::RsOutcome::Failed(_)));
-        let backoff = step.backoff_ns.map(SimDuration::from_nanos);
-        (sends, done, backoff)
-    }
-
-    fn emit_step(
-        &mut self,
-        sends: Vec<Outbound>,
-        done: Option<bool>,
-        backoff: Option<SimDuration>,
-    ) -> AdapterStep {
-        if let Some(failed) = done {
-            if let Some(op) = self.current.take() {
-                // Keep completed machines around briefly for stale lock
-                // rollbacks; bounded by replacing on reuse of the map
-                // slot.
-                self.lingering.insert(self.seq, op);
-                if self.lingering.len() > 64 {
-                    let oldest = *self.lingering.keys().min().expect("nonempty");
-                    self.lingering.remove(&oldest);
-                }
-            }
-            return AdapterStep::Done {
-                sends,
-                client_compute: SimDuration::ZERO,
-                failed,
-            };
-        }
-        if let Some(wait) = backoff {
-            return AdapterStep::Backoff {
-                sends: Vec::new(),
-                wait,
-            };
-        }
-        AdapterStep::Wait(sends)
-    }
-}
-
-impl ProtoAdapter for AbdLockAdapter {
-    fn start(&mut self, rng: &mut SimRng) -> Vec<Outbound> {
-        self.seq += 1;
-        let (op, step) = match self.mix.draw(rng) {
-            (block, Some(value)) => self.client.put(block, value),
-            (block, None) => self.client.get(block),
+        let mix = BlockMix {
+            dist,
+            block_size,
+            write_fraction,
         };
-        self.current = Some(op);
-        let (sends, _, _) = self.absorb(step);
-        sends
-    }
-
-    fn resume(&mut self) -> Vec<Outbound> {
-        let mut op = self.current.take().expect("op backing off");
-        let step = op.resume(&mut self.client);
-        self.current = Some(op);
-        let (sends, _, _) = self.absorb(step);
-        sends
-    }
-
-    fn on_reply(&mut self, t: u64, reply: Reply) -> AdapterStep {
-        let (seq, phase, replica) = untag(t);
-        if seq != self.seq {
-            // Straggler (e.g. a stale lock success needing rollback).
-            let mut sends = Vec::new();
-            if let Some(op) = self.lingering.get_mut(&seq) {
-                let step = op.on_reply(&mut self.client, phase, replica as usize, reply);
-                for (r, p, req) in step.send {
-                    sends.push(Outbound {
-                        server: r,
-                        tag: tag(seq, p, r as u32),
-                        req,
-                        background: true,
-                        epoch: 0,
-                    });
-                }
-            }
-            return AdapterStep::Wait(sends);
-        }
-        let mut op = self.current.take().expect("op in flight");
-        let step = op.on_reply(&mut self.client, phase, replica as usize, reply);
-        self.current = Some(op);
-        let (sends, done, backoff) = self.absorb(step);
-        self.emit_step(sends, done, backoff)
+        RsDriver::routed(vec![client], ShardMap::single(), mix, ())
     }
 }
 
@@ -1369,6 +1274,7 @@ mod tests {
     use prism_kv::entry;
     use prism_kv::prism_kv::{PrismKvConfig, PrismKvServer};
     use prism_rdma::RdmaError;
+    use prism_rs::abdlock::{AbdLockCluster, AbdLockConfig};
     use prism_rs::prism_rs::RsConfig;
     use prism_tx::farm::{FarmCluster, FarmConfig};
     use prism_tx::prism_tx::{TxCluster, TxConfig};
@@ -1823,7 +1729,7 @@ mod tests {
     struct Rs {
         shards: RsShards,
         servers: Vec<Arc<PrismServer>>,
-        driver: RsDriver<Script, Recorder>,
+        driver: RsDriver<RsClient, Script, Recorder>,
         history: History,
         clock: u64,
     }
@@ -1987,7 +1893,7 @@ mod tests {
     }
 
     /// Branch: a PUT fenced in its write phase keeps its tag across the
-    /// reissue (`RsOp::reissue` re-pushes, it does not re-read), which
+    /// reissue (`RsProtocol::reissue` re-pushes, it does not re-read), which
     /// is what keeps a rerouted retry from resurrecting its value over a
     /// later write.
     #[test]
@@ -2118,6 +2024,101 @@ mod tests {
             second.iter().all(|o| !rs.driver.hedge_eligible(o.tag)),
             "nothing in flight"
         );
+    }
+
+    /// `RsProtocol::HEDGE_GETS` for PRISM-RS: a GET's write-back leg run
+    /// twice on a replica that is behind — the hedge's winner fed to
+    /// `on_reply`, its loser to `on_stale_reply` — leaves the replica's
+    /// free list where it was before the GET, with no buffer freed
+    /// twice.
+    #[test]
+    fn rs_duplicated_write_back_leg_frees_what_it_allocates() {
+        let mut rs = Rs::new(vec![(5, Some(value(7))), (5, None)]);
+        // The PUT lands on two replicas; the third stays behind.
+        let reads = rs.start();
+        let mut steps = rs.legs(&reads[..2]);
+        let writes = wait_sends("read quorum", steps.pop().expect("two steps"));
+        assert_done("PUT", &rs.legs(&writes[..2])[1], false);
+        let behind = writes[2].server;
+        let (group, replica) = (rs.shards.group(behind / 3), behind % 3);
+        let lists = Arc::clone(group.replica(replica).server());
+        let free_list = group.replica(replica).view().freelist;
+        let before = lists.freelists().available(free_list);
+        // The GET's read quorum comes from the two that hold the value.
+        let reads = rs.start();
+        let mut steps = rs.legs(&reads[..2]);
+        let write_back = wait_sends("read quorum", steps.pop().expect("two steps"));
+        let leg = write_back
+            .iter()
+            .find(|o| o.server == behind)
+            .expect("a write-back leg to the replica behind");
+        assert!(rs.driver.hedge_eligible(leg.tag));
+        let (first, second) = (serve(&rs.servers, leg), serve(&rs.servers, leg));
+        let mut frees = wait_sends("the winner", rs.reply(leg.tag, first));
+        frees.extend(rs.driver.on_stale_reply(leg.tag, behind, second));
+        assert_eq!(frees.len(), 2, "the displaced buffer and the loser's");
+        assert!(frees
+            .iter()
+            .all(|o| is_single_free(o) && o.server == behind));
+        let mut freed: Vec<u64> = frees.iter().filter_map(|o| single_free(&o.req)).collect();
+        for out in &frees {
+            assert_eq!(serve(&rs.servers, out), Reply::Rpc(vec![0]), "accepted");
+        }
+        freed.dedup();
+        assert_eq!(freed.len(), 2, "no buffer freed twice");
+        assert_eq!(lists.freelists().available(free_list), before);
+    }
+
+    /// ABDLOCK on `RsDriver`: a held lock backs off (`Backoff`, never a
+    /// transport `Retry`), so seven backoffs in a row spend none of the
+    /// retry budget and never give up; no leg is ever hedge-eligible.
+    #[test]
+    fn abdlock_backs_off_on_a_held_lock_and_never_hedges() {
+        let cluster = AbdLockCluster::new(
+            3,
+            &AbdLockConfig {
+                n_blocks: KEYS,
+                block_size: VALUE as u64,
+            },
+        );
+        let servers: Vec<Arc<PrismServer>> = (0..3)
+            .map(|r| Arc::clone(cluster.replica(r).server()))
+            .collect();
+        let lock = |r: usize, holder: u64| {
+            let replica = cluster.replica(r);
+            let word = replica.view().block(0);
+            replica.server().arena().write_u64(word, holder).unwrap();
+        };
+        // One block, no writes: every operation is a GET of block 0.
+        let mut driver =
+            AbdLockAdapter::new(cluster.open_client(9), KeyDist::uniform(1), VALUE, 0.0);
+        // Serves every leg in send order until the driver stops waiting.
+        let settle = |driver: &mut AbdLockAdapter, mut sends: Vec<Outbound>| loop {
+            let out = sends.remove(0);
+            if out.background {
+                serve(&servers, &out);
+                continue;
+            }
+            assert!(!driver.hedge_eligible(out.tag), "an ABDLOCK leg");
+            match driver.on_reply(out.tag, serve(&servers, &out)) {
+                AdapterStep::Wait(more) => sends.extend(more),
+                step => return step,
+            }
+        };
+        // Another client holds the block at two replicas of three.
+        lock(0, 0xDEAD);
+        lock(1, 0xDEAD);
+        let mut sends = driver.start(&mut SimRng::new(1));
+        for round in 0..7 {
+            match settle(&mut driver, sends) {
+                AdapterStep::Backoff { sends, .. } => assert!(sends.is_empty(), "{round}"),
+                other => panic!("round {round}: expected a backoff, got {other:?}"),
+            }
+            sends = driver.resume();
+        }
+        lock(0, 0);
+        lock(1, 0);
+        assert_done("GET", &settle(&mut driver, sends), false);
     }
 
     // -----------------------------------------------------------------

@@ -206,7 +206,7 @@ impl OpObserver for Recorder {
 /// the figures' [`RsDriver`] fed by [`NonceOps`] and heard by a
 /// [`Recorder`], reclamation sent raw. [`Scenario::run`] builds the
 /// routed form ([`RsDriver::routed`]).
-pub type ChaosRsAdapter = RsDriver<NonceOps, Recorder>;
+pub type ChaosRsAdapter = RsDriver<RsClient, NonceOps, Recorder>;
 
 impl ChaosRsAdapter {
     /// Creates the single-group adapter for client `id`.

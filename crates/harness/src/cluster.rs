@@ -40,12 +40,12 @@ use std::sync::Arc;
 
 use prism_core::integrity::IntegrityStats;
 use prism_core::PrismServer;
-use prism_kv::hash::key_bytes;
+use prism_kv::hash::{fnv1a, key_bytes};
 use prism_kv::prism_kv::{drive as kv_drive, PrismKvClient, PrismKvConfig, PrismKvServer};
 use prism_kv::KvOutcome;
 use prism_rdma::sync::Mutex;
-use prism_rs::prism_rs::{drive as rs_drive, RsClient, RsCluster, RsConfig, RsOutcome};
-use prism_rs::tag::Tag;
+use prism_rs::prism_rs::{RsClient, RsCluster, RsConfig};
+use prism_rs::{drive as rs_drive, RsOutcome, RsProtocol};
 use prism_store::{DurableStats, SimDisk};
 use prism_workload::ycsb::value_bytes;
 
@@ -58,16 +58,6 @@ fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-/// FNV-1a over the key bytes — the same cheap, seedable hash family the
-/// buffer-address sets use; the finalizer above does the avalanching.
-fn key_hash(key: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in key {
-        h = (h ^ b as u64).wrapping_mul(0x0100_0000_01B3);
-    }
-    h
 }
 
 /// Seeded rendezvous shard map with an epoch field.
@@ -117,9 +107,10 @@ impl ShardMap {
         self.seed
     }
 
-    /// Home shard of `key`: rendezvous argmax over the salted hashes.
+    /// Home shard of `key`: rendezvous argmax over the salted hashes of
+    /// its FNV-1a (`mix64` does the avalanching).
     pub fn shard_of(&self, key: &[u8]) -> usize {
-        let h = key_hash(key);
+        let h = fnv1a(key);
         let mut best = 0usize;
         let mut best_w = mix64(h ^ self.salts[0]);
         for (s, &salt) in self.salts.iter().enumerate().skip(1) {
@@ -614,26 +605,17 @@ impl System for RsShards {
     /// moved_blocks)`, or the first step that failed — see
     /// [`MigrateError`] for what a stopped migration leaves behind.
     ///
-    /// The per-block fence writes `[Tag::MAX | null addr]` into each
-    /// old-group replica's metadata entry: a straggling writer's
-    /// tag-ordered CAS can never beat `Tag::MAX`, and a straggling
-    /// reader's indirect READ through the null address is a
-    /// [`prism_rdma::RdmaError::BadIndirectTarget`] NACK instead of a
-    /// stale value — defense in depth behind the epoch fence. The
-    /// displaced buffers become unreachable and are reclaimed by each
-    /// old replica's [`prism_rs::prism_rs::PrismRsServer::gc_sweep`].
+    /// Each old-group replica fences every moved block
+    /// ([`prism_rs::prism_rs::PrismRsServer::fence`]) — defense in depth
+    /// behind the epoch fence. The displaced buffers become unreachable
+    /// and are reclaimed by each old replica's
+    /// [`prism_rs::prism_rs::PrismRsServer::gc_sweep`].
     fn migrate_grow(&self, to: usize, n_blocks: u64) -> Result<(ShardMap, u64), MigrateError> {
         assert!(to <= self.groups.len(), "grow beyond provisioned groups");
         let old = self.map();
         let new = old.grow(to);
-        let clients: Vec<RsClient> = self.open_clients();
+        let mut clients: Vec<RsClient> = self.open_clients();
         let healthy = vec![false; self.replicas];
-        let fence = {
-            let mut m = Vec::with_capacity(16);
-            m.extend_from_slice(&Tag::MAX.to_bytes());
-            m.extend_from_slice(&0u64.to_le_bytes());
-            m
-        };
         let mut moved = 0u64;
         let mut fenced_groups: Vec<usize> = Vec::new();
         for b in 0..n_blocks {
@@ -643,31 +625,25 @@ impl System for RsShards {
             }
             // Quorum read from the old group (chained indirect READs).
             let (op, step) = clients[from].get(b);
-            let value = match rs_drive(&self.groups[from], &clients[from], op, step, &healthy) {
+            let value = match rs_drive(&self.groups[from], &mut clients[from], op, step, &healthy) {
                 RsOutcome::Value(v) => v,
                 other => return Err(MigrateError::new(b, MigrateStep::Read, other)),
             };
             // CAS install into every replica of the new group. Only a
             // block that landed there may be fenced at the old one.
             let (op, step) = clients[dest].put(b, value);
-            match rs_drive(&self.groups[dest], &clients[dest], op, step, &healthy) {
+            match rs_drive(&self.groups[dest], &mut clients[dest], op, step, &healthy) {
                 RsOutcome::Written => {}
                 other => return Err(MigrateError::new(b, MigrateStep::Install, other)),
             }
-            // Fence the old owners — in memory and in the log. The
-            // arena write is a direct control-plane poke the chain
-            // observer never sees, so the durable fence record is
-            // logged explicitly: without it, an old owner's amnesia
-            // replay would resurrect the moved block from its pre-fence
-            // install records.
+            // Fence the old owners — in memory and in the log: without
+            // the log record, an old owner's amnesia replay would
+            // resurrect the moved block from its pre-fence installs.
             for r in 0..self.replicas {
-                let replica = self.groups[from].replica(r);
-                replica
-                    .server()
-                    .arena()
-                    .write(replica.view().meta(b), &fence)
+                self.groups[from]
+                    .replica(r)
+                    .fence(b, new.epoch())
                     .map_err(|e| MigrateError::new(b, MigrateStep::Fence, e))?;
-                replica.log_fence(b, new.epoch());
             }
             if !fenced_groups.contains(&from) {
                 fenced_groups.push(from);
@@ -690,10 +666,10 @@ impl System for RsShards {
     }
 
     fn read_direct(&self, home: usize, register: u64) -> Result<Option<Vec<u8>>, String> {
-        let client = self.groups[home].open_client();
+        let mut client = self.groups[home].open_client();
         let (op, step) = client.get(register);
         let healthy = vec![false; self.replicas];
-        match rs_drive(&self.groups[home], &client, op, step, &healthy) {
+        match rs_drive(&self.groups[home], &mut client, op, step, &healthy) {
             RsOutcome::Value(v) => Ok(Some(v)),
             other => Err(format!("{other:?}")),
         }
@@ -1091,13 +1067,19 @@ mod tests {
         );
 
         // Write a distinct value into every block at its initial home.
-        let clients = shards.open_clients();
+        let mut clients = shards.open_clients();
         let old = shards.map();
         for b in 0..n_blocks {
             let home = old.shard_of_id(b);
             let (op, step) = clients[home].put(b, vec![b as u8 + 1; 64]);
             assert_eq!(
-                rs_drive(shards.group(home), &clients[home], op, step, &[false; 3]),
+                rs_drive(
+                    shards.group(home),
+                    &mut clients[home],
+                    op,
+                    step,
+                    &[false; 3]
+                ),
                 RsOutcome::Written
             );
         }
@@ -1120,7 +1102,13 @@ mod tests {
             let home = new.shard_of_id(b);
             let (op, step) = clients[home].get(b);
             assert_eq!(
-                rs_drive(shards.group(home), &clients[home], op, step, &[false; 3]),
+                rs_drive(
+                    shards.group(home),
+                    &mut clients[home],
+                    op,
+                    step,
+                    &[false; 3]
+                ),
                 RsOutcome::Value(vec![b as u8 + 1; 64]),
                 "block {b} must survive the migration at its new home"
             );
@@ -1131,7 +1119,7 @@ mod tests {
                 let (op, step) = clients[old_home].get(b);
                 let out = rs_drive(
                     shards.group(old_home),
-                    &clients[old_home],
+                    &mut clients[old_home],
                     op,
                     step,
                     &[false; 3],

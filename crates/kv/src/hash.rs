@@ -2,7 +2,7 @@
 //!
 //! Both stores index keys into a fixed-capacity slot array with linear
 //! probing on collision (Pilaf's paper also supports cuckoo hashing; the
-//! PRISM evaluation "use[s] a collisionless hash function", §6.2, so the
+//! PRISM evaluation "use\[s\] a collisionless hash function", §6.2, so the
 //! figure runs use [`HashScheme::Collisionless`] and the general path is
 //! FNV-1a with linear probing).
 

@@ -1,4 +1,4 @@
-//! PRISM-KV (§6 of the PRISM paper) and the Pilaf baseline (§6, [31]).
+//! PRISM-KV (§6 of the PRISM paper) and the Pilaf baseline (§6, \[31\]).
 //!
 //! Both stores share the same general design: a hash-table index in
 //! registered memory pointing at out-of-line entries. They differ in how

@@ -1059,7 +1059,7 @@ impl PutOp {
     ///
     /// Probe legs are read-only and simply re-sent. An unanswered
     /// install (or resolve re-install) flags the op in-doubt and routes
-    /// through [`PutState::Resolve`] instead of re-running the chain.
+    /// through `PutState::Resolve` instead of re-running the chain.
     pub fn reissue(&mut self, c: &PrismKvClient) -> Request {
         match self.state.clone() {
             PutState::Probe => self.probe_request(c),

@@ -6,7 +6,7 @@
 //!
 //! * accesses that fit within one 64-byte cache line are single-copy
 //!   atomic — an indirect read of a hash-table slot "is guaranteed to read
-//!   a well-formed address [because] addresses fit within a cache line";
+//!   a well-formed address \[because\] addresses fit within a cache line";
 //! * larger transfers are performed line by line, so a reader concurrent
 //!   with a writer may observe a *torn* value across lines — exactly why
 //!   the protocols use write-once out-of-place buffers;

@@ -1,5 +1,5 @@
 //! ABDLOCK: the lock-based ABD baseline built from standard RDMA verbs
-//! (§7.2 of the paper, following the DrTM [44] locking pattern).
+//! (§7.2 of the paper, following the DrTM \[44\] locking pattern).
 //!
 //! Each replica stores each block in place:
 //! `[lock u64 | tag u64 (big-endian) | value]`. A client CASes its id
@@ -19,7 +19,7 @@ use prism_core::PrismServer;
 use prism_rdma::region::AccessFlags;
 use prism_simnet::rng::SimRng;
 
-use crate::prism_rs::RsOutcome;
+use crate::driver::{RsOutcome, RsProtocol, RsStep};
 use crate::tag::Tag;
 
 /// Per-block header: lock word + tag.
@@ -214,17 +214,6 @@ pub struct AbdLockClient {
     rng: SimRng,
 }
 
-/// What the driver should do next.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AbdStep {
-    /// Requests to send, tagged with the phase counter they belong to.
-    pub send: Vec<(usize, u32, Request)>,
-    /// Wait this long, then call [`AbdLockOp::resume`] (lock backoff).
-    pub backoff_ns: Option<u64>,
-    /// Set when the operation completes.
-    pub done: Option<RsOutcome>,
-}
-
 #[derive(Debug, Clone)]
 enum Kind {
     Get,
@@ -241,9 +230,6 @@ enum Phase {
     Backoff,
     Done,
 }
-
-/// Phase tag on stale-lock-cleanup unlocks; never matches a live round.
-const STALE_UNLOCK: u32 = u32::MAX;
 
 /// A lock-based ABD operation in flight.
 ///
@@ -295,30 +281,82 @@ impl AbdLockClient {
     pub fn quorum(&self) -> usize {
         self.f + 1
     }
+}
 
-    /// Replica count.
-    pub fn n(&self) -> usize {
+impl RsProtocol for AbdLockClient {
+    type Cluster = AbdLockCluster;
+    type Op = AbdLockOp;
+
+    /// No leg of a GET may run twice: its write-back is an in-place
+    /// WRITE under the block's locks, and a late duplicate of it could
+    /// land after the unlock — over a newer writer's value.
+    const HEDGE_GETS: bool = false;
+
+    fn server(cluster: &AbdLockCluster, replica: usize) -> &PrismServer {
+        cluster.replica(replica).server()
+    }
+
+    fn n(&self) -> usize {
         self.views.len()
     }
 
-    /// Starts a GET.
-    pub fn get(&mut self, block: u64) -> (AbdLockOp, AbdStep) {
+    fn get(&mut self, block: u64) -> (AbdLockOp, RsStep) {
         let mut op = AbdLockOp::new(Kind::Get, block, self.n());
         let step = op.lock_sends(self);
         (op, step)
     }
 
-    /// Starts a PUT.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a wrong-sized value.
-    pub fn put(&mut self, block: u64, value: Vec<u8>) -> (AbdLockOp, AbdStep) {
+    fn put(&mut self, block: u64, value: Vec<u8>) -> (AbdLockOp, RsStep) {
         assert_eq!(value.len() as u64, self.views[0].block_size);
         let mut op = AbdLockOp::new(Kind::Put(value), block, self.n());
         let step = op.lock_sends(self);
         (op, step)
     }
+
+    fn on_reply(&mut self, op: &mut AbdLockOp, phase: u32, replica: usize, reply: Reply) -> RsStep {
+        if phase != op.phase_no {
+            // Stale reply from a superseded round. The only stale reply
+            // that needs action is a *successful lock CAS*: the client
+            // has moved on, so the lock must be rolled back or the block
+            // would be wedged for every other client.
+            if op.lock_rounds.contains(&phase) {
+                if let Reply::Verb(Ok(old)) = &reply {
+                    if old.len() == 8
+                        && u64::from_le_bytes(old.as_slice().try_into().expect("8 bytes")) == 0
+                    {
+                        let v = &self.views[replica];
+                        let unlock = Request::Verb(Verb::Cas64 {
+                            addr: v.block(op.block),
+                            compare: self.client_id as u64,
+                            swap: 0,
+                            rkey: v.rkey,
+                        });
+                        return RsStep {
+                            background: vec![(replica, unlock)],
+                            ..Default::default()
+                        };
+                    }
+                }
+            }
+            return RsStep::default();
+        }
+        match op.phase {
+            Phase::Locking => op.on_lock_reply(self, replica, reply),
+            Phase::Aborting => op.on_abort_reply(self),
+            Phase::Reading => op.on_read_reply(self, reply),
+            Phase::Writing => op.on_write_reply(self, reply),
+            Phase::Unlocking => op.on_unlock_reply(),
+            Phase::Backoff | Phase::Done => RsStep::default(),
+        }
+    }
+
+    /// Restarts the lock round: after a backoff, or after a failure.
+    fn reissue(&mut self, op: &mut AbdLockOp) -> RsStep {
+        op.lock_sends(self)
+    }
+
+    /// ABDLOCK replicas are never amnesia-restarted: nothing to adopt.
+    fn refence(&mut self, _replica: usize, _inc: u64) {}
 }
 
 impl AbdLockOp {
@@ -347,7 +385,7 @@ impl AbdLockOp {
         }
     }
 
-    fn lock_sends(&mut self, c: &AbdLockClient) -> AbdStep {
+    fn lock_sends(&mut self, c: &AbdLockClient) -> RsStep {
         self.phase = Phase::Locking;
         self.locked.iter_mut().for_each(|l| *l = false);
         self.lock_replies = 0;
@@ -363,9 +401,8 @@ impl AbdLockOp {
         self.max_value = None;
         self.phase_no += 1;
         self.lock_rounds.insert(self.phase_no);
-        AbdStep {
-            send: c
-                .views
+        RsStep::sends(
+            c.views
                 .iter()
                 .enumerate()
                 .map(|(r, v)| {
@@ -381,8 +418,7 @@ impl AbdLockOp {
                     )
                 })
                 .collect(),
-            ..Default::default()
-        }
+        )
     }
 
     fn sends_to_locked(
@@ -398,60 +434,7 @@ impl AbdLockOp {
             .collect()
     }
 
-    /// Resumes after a backoff wait.
-    pub fn resume(&mut self, c: &mut AbdLockClient) -> AbdStep {
-        assert_eq!(self.phase, Phase::Backoff, "resume outside backoff");
-        self.lock_sends(c)
-    }
-
-    /// Feeds one replica's reply for the given phase.
-    pub fn on_reply(
-        &mut self,
-        c: &mut AbdLockClient,
-        phase: u32,
-        replica: usize,
-        reply: Reply,
-    ) -> AbdStep {
-        if phase != self.phase_no {
-            // Stale reply from a superseded round. The only stale reply
-            // that needs action is a *successful lock CAS*: the client
-            // has moved on, so the lock must be rolled back or the block
-            // would be wedged for every other client.
-            if self.lock_rounds.contains(&phase) {
-                if let Reply::Verb(Ok(old)) = &reply {
-                    if old.len() == 8
-                        && u64::from_le_bytes(old.as_slice().try_into().expect("8 bytes")) == 0
-                    {
-                        let v = &c.views[replica];
-                        return AbdStep {
-                            send: vec![(
-                                replica,
-                                STALE_UNLOCK,
-                                Request::Verb(Verb::Cas64 {
-                                    addr: v.block(self.block),
-                                    compare: c.client_id as u64,
-                                    swap: 0,
-                                    rkey: v.rkey,
-                                }),
-                            )],
-                            ..Default::default()
-                        };
-                    }
-                }
-            }
-            return AbdStep::default();
-        }
-        match self.phase {
-            Phase::Locking => self.on_lock_reply(c, replica, reply),
-            Phase::Aborting => self.on_abort_reply(c, replica, reply),
-            Phase::Reading => self.on_read_reply(c, replica, reply),
-            Phase::Writing => self.on_write_reply(c, replica, reply),
-            Phase::Unlocking => self.on_unlock_reply(c, replica, reply),
-            Phase::Backoff | Phase::Done => AbdStep::default(),
-        }
-    }
-
-    fn on_lock_reply(&mut self, c: &mut AbdLockClient, replica: usize, reply: Reply) -> AbdStep {
+    fn on_lock_reply(&mut self, c: &mut AbdLockClient, replica: usize, reply: Reply) -> RsStep {
         self.lock_replies += 1;
         match reply.into_verb() {
             Ok(old) if old.len() == 8 => {
@@ -466,7 +449,7 @@ impl AbdLockOp {
             _ => self.lock_fail += 1,
         }
         if self.lock_replies < c.n() || self.phase != Phase::Locking {
-            return AbdStep::default();
+            return RsStep::default();
         }
         if self.lock_ok >= c.quorum() {
             // Locked wherever possible: read tag+value from the whole
@@ -474,29 +457,23 @@ impl AbdLockOp {
             self.phase = Phase::Reading;
             self.phase_no += 1;
             let block = self.block;
-            return AbdStep {
-                send: self.sends_to_locked(c, |_, v| {
-                    Request::Verb(Verb::Read {
-                        addr: v.block(block) + 8,
-                        len: (8 + v.block_size) as u32,
-                        rkey: v.rkey,
-                    })
-                }),
-                ..Default::default()
-            };
+            return RsStep::sends(self.sends_to_locked(c, |_, v| {
+                Request::Verb(Verb::Read {
+                    addr: v.block(block) + 8,
+                    len: (8 + v.block_size) as u32,
+                    rkey: v.rkey,
+                })
+            }));
         }
         self.abort_locks(c)
     }
 
     /// Releases every lock acquired this round, then backs off.
-    fn abort_locks(&mut self, c: &mut AbdLockClient) -> AbdStep {
+    fn abort_locks(&mut self, c: &mut AbdLockClient) -> RsStep {
         self.retries += 1;
         if self.retries > MAX_LOCK_RETRIES {
             self.phase = Phase::Done;
-            return AbdStep {
-                done: Some(RsOutcome::Failed("lock retries exhausted")),
-                ..Default::default()
-            };
+            return RsStep::finished(RsOutcome::Failed("lock retries exhausted"));
         }
         if self.lock_ok == 0 {
             return self.backoff(c);
@@ -506,39 +483,36 @@ impl AbdLockOp {
         self.abort_acks = 0;
         let id = c.client_id as u64;
         let block = self.block;
-        AbdStep {
-            send: self.sends_to_locked(c, |_, v| {
-                Request::Verb(Verb::Cas64 {
-                    addr: v.block(block),
-                    compare: id,
-                    swap: 0,
-                    rkey: v.rkey,
-                })
-            }),
-            ..Default::default()
-        }
+        RsStep::sends(self.sends_to_locked(c, |_, v| {
+            Request::Verb(Verb::Cas64 {
+                addr: v.block(block),
+                compare: id,
+                swap: 0,
+                rkey: v.rkey,
+            })
+        }))
     }
 
-    fn on_abort_reply(&mut self, c: &mut AbdLockClient, _replica: usize, _reply: Reply) -> AbdStep {
+    fn on_abort_reply(&mut self, c: &mut AbdLockClient) -> RsStep {
         self.abort_acks += 1;
         if self.abort_acks >= self.lock_ok {
             return self.backoff(c);
         }
-        AbdStep::default()
+        RsStep::default()
     }
 
-    fn backoff(&mut self, c: &mut AbdLockClient) -> AbdStep {
+    fn backoff(&mut self, c: &mut AbdLockClient) -> RsStep {
         self.phase = Phase::Backoff;
         let exp = self.retries.min(9);
         let base = (BACKOFF_BASE_NS << exp).min(BACKOFF_CAP_NS);
         let jitter = c.rng.gen_range(base);
-        AbdStep {
+        RsStep {
             backoff_ns: Some(base + jitter),
             ..Default::default()
         }
     }
 
-    fn on_read_reply(&mut self, c: &mut AbdLockClient, _replica: usize, reply: Reply) -> AbdStep {
+    fn on_read_reply(&mut self, c: &mut AbdLockClient, reply: Reply) -> RsStep {
         match reply.into_verb() {
             Ok(data) if data.len() >= 8 => {
                 let tag = Tag::from_bytes(&data[..8]);
@@ -554,7 +528,7 @@ impl AbdLockOp {
             _ => self.read_errs += 1,
         }
         if self.phase != Phase::Reading {
-            return AbdStep::default();
+            return RsStep::default();
         }
         let threshold = self.lock_ok.min(c.quorum());
         if self.read_replies < threshold {
@@ -563,7 +537,7 @@ impl AbdLockOp {
                 // release the locks and retry the whole round.
                 return self.abort_locks(c);
             }
-            return AbdStep::default();
+            return RsStep::default();
         }
         // Decide locally, then propagate.
         let (tag, value) = match &self.kind {
@@ -585,19 +559,16 @@ impl AbdLockOp {
         let mut payload = Vec::with_capacity(8 + value.len());
         payload.extend_from_slice(&tag.to_bytes());
         payload.extend_from_slice(&value);
-        AbdStep {
-            send: self.sends_to_locked(c, |_, v| {
-                Request::Verb(Verb::Write {
-                    addr: v.block(block) + 8,
-                    data: payload.clone(),
-                    rkey: v.rkey,
-                })
-            }),
-            ..Default::default()
-        }
+        RsStep::sends(self.sends_to_locked(c, |_, v| {
+            Request::Verb(Verb::Write {
+                addr: v.block(block) + 8,
+                data: payload.clone(),
+                rkey: v.rkey,
+            })
+        }))
     }
 
-    fn on_write_reply(&mut self, c: &mut AbdLockClient, _replica: usize, reply: Reply) -> AbdStep {
+    fn on_write_reply(&mut self, c: &mut AbdLockClient, reply: Reply) -> RsStep {
         if reply.into_verb().is_ok() {
             self.write_acks += 1;
         } else {
@@ -618,92 +589,36 @@ impl AbdLockOp {
             self.phase_no += 1;
             let id = c.client_id as u64;
             let block = self.block;
-            return AbdStep {
-                send: self.sends_to_locked(c, |_, v| {
-                    Request::Verb(Verb::Cas64 {
-                        addr: v.block(block),
-                        compare: id,
-                        swap: 0,
-                        rkey: v.rkey,
-                    })
-                }),
-                ..Default::default()
-            };
+            return RsStep::sends(self.sends_to_locked(c, |_, v| {
+                Request::Verb(Verb::Cas64 {
+                    addr: v.block(block),
+                    compare: id,
+                    swap: 0,
+                    rkey: v.rkey,
+                })
+            }));
         }
-        AbdStep::default()
+        RsStep::default()
     }
 
-    fn on_unlock_reply(
-        &mut self,
-        _c: &mut AbdLockClient,
-        _replica: usize,
-        reply: Reply,
-    ) -> AbdStep {
-        let _ = reply;
+    fn on_unlock_reply(&mut self) -> RsStep {
         self.unlock_acks += 1;
         if self.unlock_acks >= self.lock_ok && self.phase == Phase::Unlocking {
             self.phase = Phase::Done;
-            return AbdStep {
-                done: Some(match (&self.kind, self.result_value.clone()) {
-                    (Kind::Get, Some(v)) => RsOutcome::Value(v),
-                    (Kind::Get, None) => RsOutcome::Failed("get lost its value"),
-                    (Kind::Put(_), _) => RsOutcome::Written,
-                }),
-                ..Default::default()
-            };
+            return RsStep::finished(match (&self.kind, self.result_value.clone()) {
+                (Kind::Get, Some(v)) => RsOutcome::Value(v),
+                (Kind::Get, None) => RsOutcome::Failed("get lost its value"),
+                (Kind::Put(_), _) => RsOutcome::Written,
+            });
         }
-        AbdStep::default()
-    }
-}
-
-/// Drives an operation to completion against local replicas, spinning
-/// through backoffs (live mode / tests). `crashed[r]` drops traffic to
-/// replica `r`.
-pub fn drive(
-    cluster: &AbdLockCluster,
-    client: &mut AbdLockClient,
-    mut op: AbdLockOp,
-    first: AbdStep,
-    crashed: &[bool],
-) -> RsOutcome {
-    use prism_core::msg::execute_local;
-    let mut step = first;
-    loop {
-        if let Some(o) = step.done {
-            return o;
-        }
-        if step.backoff_ns.is_some() {
-            // Live mode: yield instead of sleeping for nanoseconds.
-            std::thread::yield_now();
-            step = op.resume(client);
-            continue;
-        }
-        let sends = std::mem::take(&mut step.send);
-        let mut next = AbdStep::default();
-        for (r, phase, req) in sends {
-            // A crashed replica surfaces as an error reply — the
-            // sequential driver's stand-in for a client-side timeout.
-            let reply = if crashed.get(r).copied().unwrap_or(false) {
-                Reply::Verb(Err(prism_rdma::RdmaError::ReceiverNotReady))
-            } else {
-                execute_local(cluster.replica(r).server(), &req)
-            };
-            let s = op.on_reply(client, phase, r, reply);
-            if s.done.is_some() || s.backoff_ns.is_some() || !s.send.is_empty() {
-                next = s;
-                // Later sends of the superseded phase are simply not
-                // delivered in this sequential driver; the phase counter
-                // makes their replies harmless anyway.
-                break;
-            }
-        }
-        step = next;
+        RsStep::default()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::drive;
 
     fn cluster() -> AbdLockCluster {
         AbdLockCluster::new(
@@ -837,18 +752,18 @@ mod tests {
                     break o;
                 }
                 if step.backoff_ns.is_some() {
-                    step = op.resume(&mut c);
+                    step = c.reissue(&mut op);
                     continue;
                 }
                 let sends = std::mem::take(&mut step.send);
-                let mut next = AbdStep::default();
+                let mut next = RsStep::default();
                 for (r, phase, req) in sends {
                     let reply = if rng.gen_bool(0.25) {
                         Reply::Verb(Err(prism_rdma::RdmaError::ReceiverNotReady))
                     } else {
                         prism_core::msg::execute_local(cl.replica(r).server(), &req)
                     };
-                    let s = op.on_reply(&mut c, phase, r, reply);
+                    let s = c.on_reply(&mut op, phase, r, reply);
                     if s.done.is_some() || s.backoff_ns.is_some() || !s.send.is_empty() {
                         next = s;
                         break;
@@ -931,10 +846,10 @@ mod tests {
                 break;
             }
             let sends = std::mem::take(&mut step.send);
-            let mut next = AbdStep::default();
+            let mut next = RsStep::default();
             for (r, phase, req) in sends {
                 let reply = prism_core::msg::execute_local(cl.replica(r).server(), &req);
-                let s = op.on_reply(&mut c, phase, r, reply);
+                let s = c.on_reply(&mut op, phase, r, reply);
                 if s.backoff_ns.is_some() || !s.send.is_empty() || s.done.is_some() {
                     next = s;
                     break;

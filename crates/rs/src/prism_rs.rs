@@ -43,12 +43,23 @@ use prism_core::server::ChainObserver;
 use prism_core::value::CasMode;
 use prism_core::{OpResult, OpStatus, PrismOp, PrismServer};
 use prism_rdma::region::AccessFlags;
+use prism_rdma::RdmaError;
 use prism_store::{DurableStats, PayloadRef, Record, SegmentStore, SimDisk};
 
+use crate::driver::{RsOutcome, RsProtocol, RsStep};
 use crate::tag::Tag;
 
 /// Metadata entry size: tag + buffer address.
 pub const META: u64 = 16;
+
+/// Block `i`'s metadata entry, `[tag_i (big-endian) | addr_i]`. A null
+/// `addr` with [`Tag::MAX`] is a migration fence.
+pub fn meta_word(tag: Tag, addr: u64) -> [u8; META as usize] {
+    let mut word = [0u8; META as usize];
+    word[..8].copy_from_slice(&tag.to_bytes());
+    word[8..].copy_from_slice(&addr.to_le_bytes());
+    word
+}
 
 /// Buffer header preceding the value: `[tag 8 B | crc u32 | pad u32]`.
 /// The checksum covers `tag || value`, binding the tag to the bytes it
@@ -242,12 +253,9 @@ impl PrismRsServer {
                 .arena()
                 .write(buf, &seed_image)
                 .expect("buffer in arena");
-            let mut meta = Vec::with_capacity(16);
-            meta.extend_from_slice(&Tag::ZERO.to_bytes());
-            meta.extend_from_slice(&buf.to_le_bytes());
             server
                 .arena()
-                .write(meta_addr + b * META, &meta)
+                .write(meta_addr + b * META, &meta_word(Tag::ZERO, buf))
                 .expect("metadata in arena");
         }
 
@@ -322,6 +330,23 @@ impl PrismRsServer {
     /// The replica's durable segment log.
     pub fn store(&self) -> &Arc<SegmentStore> {
         &self.store
+    }
+
+    /// Fences `block` after its home moved at `epoch`: writes
+    /// `[Tag::MAX | null addr]` into its metadata entry, then logs the
+    /// fence ([`log_fence`](Self::log_fence)). A straggling writer's
+    /// tag-ordered CAS can never beat `Tag::MAX`, and a straggling
+    /// reader's indirect READ through the null address is a
+    /// [`RdmaError::BadIndirectTarget`] NACK instead of a stale value.
+    /// The arena write is a control-plane poke the chain observer never
+    /// sees, hence the explicit log record. The displaced buffer is
+    /// left for [`gc_sweep`](Self::gc_sweep).
+    pub fn fence(&self, block: u64, epoch: u64) -> Result<(), RdmaError> {
+        self.server
+            .arena()
+            .write(self.view.meta(block), &meta_word(Tag::MAX, 0))?;
+        self.log_fence(block, epoch);
+        Ok(())
     }
 
     /// Logs a migration fence for `block` durably: an empty-payload
@@ -527,22 +552,20 @@ impl RsCluster {
                     from_peer = true;
                 }
             }
-            let mut meta = Vec::with_capacity(META as usize);
-            meta.extend_from_slice(&best_tag.to_bytes());
-            match &best_val {
+            let addr = match &best_val {
                 Some(val) => {
                     let buf = r.pool_base + b * r.stride;
                     r.server
                         .arena()
                         .write(buf, &encode_block(best_tag, val))
                         .expect("buffer in arena");
-                    meta.extend_from_slice(&buf.to_le_bytes());
+                    buf
                 }
-                None => meta.extend_from_slice(&0u64.to_le_bytes()),
-            }
+                None => 0,
+            };
             r.server
                 .arena()
-                .write(r.view.meta(b), &meta)
+                .write(r.view.meta(b), &meta_word(best_tag, addr))
                 .expect("metadata in arena");
             if from_peer {
                 self.durable.add_delta_resynced(1);
@@ -644,12 +667,9 @@ impl RsCluster {
                 .arena()
                 .write(addr, &encode_block(tag, &value))
                 .expect("buffer in arena");
-            let mut new_meta = Vec::with_capacity(META as usize);
-            new_meta.extend_from_slice(&tag.to_bytes());
-            new_meta.extend_from_slice(&addr.to_le_bytes());
             r.server
                 .arena()
-                .write(v.meta(b), &new_meta)
+                .write(v.meta(b), &meta_word(tag, addr))
                 .expect("metadata in arena");
             repaired += 1;
             self.scrub_repairs.fetch_add(1, Relaxed);
@@ -734,42 +754,6 @@ pub struct RsClient {
     integrity: Arc<IntegrityStats>,
 }
 
-/// Final outcome of a replicated operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RsOutcome {
-    /// GET result: the block's value (registers always hold a value;
-    /// fresh blocks read as zeroes).
-    Value(Vec<u8>),
-    /// PUT completed.
-    Written,
-    /// Too many replicas failed to answer usefully.
-    Failed(&'static str),
-}
-
-/// What the driver should do after feeding the machine.
-///
-/// `done` is set exactly once, when the quorum condition is met; the
-/// machine keeps accepting late replies afterwards (emitting only
-/// `background` reclamation traffic).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RsStep {
-    /// Requests to send, tagged with the phase they belong to.
-    pub send: Vec<(usize, u32, Request)>,
-    /// Fire-and-forget reclamation requests.
-    pub background: Vec<(usize, Request)>,
-    /// Set when the operation completes.
-    pub done: Option<RsOutcome>,
-}
-
-impl RsStep {
-    fn sends(send: Vec<(usize, u32, Request)>) -> Self {
-        RsStep {
-            send,
-            ..Default::default()
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 enum OpKind {
     Get,
@@ -811,26 +795,6 @@ impl RsClient {
         self.client_id
     }
 
-    /// Adopts a replica's new incarnation after an amnesia rejoin: the
-    /// client's cached rkeys for that replica are restamped in place
-    /// ([`prism_rdma::region::Rkey::restamped`]). This is the
-    /// re-handshake of a real deployment minus the network — addresses
-    /// are unchanged because the rejoin rebuilds the original layout,
-    /// only the incarnation stamp differs. Called by the driver when a
-    /// reply carries [`prism_rdma::RdmaError::StaleIncarnation`].
-    pub fn refence(&mut self, replica: usize, inc: u64) {
-        use prism_rdma::region::Rkey;
-        let v = &mut self.views[replica];
-        v.data_rkey = Rkey(v.data_rkey).restamped(inc).0;
-        let (_, rk) = &mut self.scratch[replica];
-        *rk = Rkey(*rk).restamped(inc).0;
-    }
-
-    /// Replica count.
-    pub fn n(&self) -> usize {
-        self.views.len()
-    }
-
     /// Quorum size `f + 1`.
     pub fn quorum(&self) -> usize {
         self.f + 1
@@ -848,20 +812,37 @@ impl RsClient {
     pub fn integrity(&self) -> &Arc<IntegrityStats> {
         &self.integrity
     }
+}
 
-    /// Starts a GET of `block`.
-    pub fn get(&self, block: u64) -> (RsOp, RsStep) {
+impl RsProtocol for RsClient {
+    type Cluster = RsCluster;
+    type Op = RsOp;
+
+    /// A GET's legs may run twice. Its read phase allocates nothing, and
+    /// its write-back (ALLOCATE + CAS) is safe to duplicate for two
+    /// reasons: the CAS is tag-ordered ([`CasMode::Lt`]), so the second
+    /// copy of an install cannot replace the first, only fail against
+    /// it; and the losing copy's reply names its freshly allocated
+    /// buffer (the chain's read-back of scratch+8), so whichever reply
+    /// reaches the client second — through [`RsProtocol::on_reply`] or
+    /// a driver's stale-reply harvest — frees it.
+    const HEDGE_GETS: bool = true;
+
+    fn server(cluster: &RsCluster, replica: usize) -> &PrismServer {
+        cluster.replica(replica).server()
+    }
+
+    fn n(&self) -> usize {
+        self.views.len()
+    }
+
+    fn get(&mut self, block: u64) -> (RsOp, RsStep) {
         let op = RsOp::new(OpKind::Get, block);
         let step = op.read_phase_sends(self);
         (op, step)
     }
 
-    /// Starts a PUT of `value` (must be exactly `block_size` bytes).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a wrong-sized value — blocks are fixed-size (§7.2).
-    pub fn put(&self, block: u64, value: Vec<u8>) -> (RsOp, RsStep) {
+    fn put(&mut self, block: u64, value: Vec<u8>) -> (RsOp, RsStep) {
         assert_eq!(
             value.len() as u64,
             self.views[0].block_size,
@@ -870,6 +851,62 @@ impl RsClient {
         let op = RsOp::new(OpKind::Put(value), block);
         let step = op.read_phase_sends(self);
         (op, step)
+    }
+
+    fn on_reply(&mut self, op: &mut RsOp, phase: u32, replica: usize, reply: Reply) -> RsStep {
+        match (phase, &op.phase) {
+            (0, Phase::Read) => op.on_read_reply(self, reply),
+            (1, Phase::Write) | (1, Phase::Done) => op.on_write_reply(self, replica, reply),
+            // A read-phase reply arriving after the phase moved on: the
+            // read phase allocates nothing, so there is nothing to do.
+            _ => RsStep::default(),
+        }
+    }
+
+    /// Re-arms the op for a full retry after a transport or quorum
+    /// failure, applying its effect at most once per timestamp.
+    ///
+    /// A PUT whose write phase already chose its tag keeps it:
+    /// re-pushing the same `(tag, value)` is idempotent under the
+    /// CAS_GT install (replicas at or above the tag simply ack),
+    /// whereas re-running the read phase would mint a fresh higher tag
+    /// and could re-apply the value *over* a later write that readers
+    /// already observed — a stale-value resurrection. GETs and PUTs
+    /// that never reached the write phase restart from a clean read
+    /// phase; nothing of theirs was applied.
+    fn reissue(&mut self, op: &mut RsOp) -> RsStep {
+        op.read_replies = 0;
+        op.read_failures = 0;
+        op.acks = 0;
+        op.write_failures = 0;
+        if let OpKind::Put(v) = &op.kind {
+            if op.write_tag != Tag::ZERO {
+                let v = v.clone();
+                op.phase = Phase::Write;
+                op.phase_no = 1;
+                return RsStep::sends(op.write_phase_sends(self, &v));
+            }
+        }
+        op.phase = Phase::Read;
+        op.phase_no = 0;
+        op.max_tag = Tag::ZERO;
+        op.max_value = None;
+        op.result_value = None;
+        op.read_phase_sends(self)
+    }
+
+    /// Restamps the client's cached rkeys for `replica` in place
+    /// ([`prism_rdma::region::Rkey::restamped`]). This is the
+    /// re-handshake of a real deployment minus the network — addresses
+    /// are unchanged because the rejoin rebuilds the original layout,
+    /// only the incarnation stamp differs. Called by the driver when a
+    /// reply carries [`RdmaError::StaleIncarnation`].
+    fn refence(&mut self, replica: usize, inc: u64) {
+        use prism_rdma::region::Rkey;
+        let v = &mut self.views[replica];
+        v.data_rkey = Rkey(v.data_rkey).restamped(inc).0;
+        let (_, rk) = &mut self.scratch[replica];
+        *rk = Rkey(*rk).restamped(inc).0;
     }
 }
 
@@ -978,50 +1015,6 @@ impl RsOp {
             .collect()
     }
 
-    /// Re-arms the op for a full retry after a transport or quorum
-    /// failure, applying its effect at most once per timestamp.
-    ///
-    /// A PUT whose write phase already chose its tag keeps it:
-    /// re-pushing the same `(tag, value)` is idempotent under the
-    /// CAS_GT install (replicas at or above the tag simply ack),
-    /// whereas re-running the read phase would mint a fresh higher tag
-    /// and could re-apply the value *over* a later write that readers
-    /// already observed — a stale-value resurrection. GETs and PUTs
-    /// that never reached the write phase restart from a clean read
-    /// phase; nothing of theirs was applied.
-    pub fn reissue(&mut self, c: &RsClient) -> RsStep {
-        self.read_replies = 0;
-        self.read_failures = 0;
-        self.acks = 0;
-        self.write_failures = 0;
-        if let OpKind::Put(v) = &self.kind {
-            if self.write_tag != Tag::ZERO {
-                let v = v.clone();
-                self.phase = Phase::Write;
-                self.phase_no = 1;
-                return RsStep::sends(self.write_phase_sends(c, &v));
-            }
-        }
-        self.phase = Phase::Read;
-        self.phase_no = 0;
-        self.max_tag = Tag::ZERO;
-        self.max_value = None;
-        self.result_value = None;
-        self.read_phase_sends(c)
-    }
-
-    /// Feeds one replica's reply for the given phase.
-    pub fn on_reply(&mut self, c: &RsClient, phase: u32, replica: usize, reply: Reply) -> RsStep {
-        match (phase, &self.phase) {
-            (0, Phase::Read) => self.on_read_reply(c, reply),
-            (1, Phase::Write) | (1, Phase::Done) => self.on_write_reply(c, replica, reply),
-            // A read-phase reply arriving after the phase moved on: the
-            // read phase allocates nothing, so there is nothing to do.
-            (0, _) => RsStep::default(),
-            _ => RsStep::default(),
-        }
-    }
-
     fn on_read_reply(&mut self, c: &RsClient, reply: Reply) -> RsStep {
         // A non-chain reply (e.g. the fault layer's synthesized timeout
         // error) or an empty chain counts as a failed replica, never a
@@ -1065,10 +1058,7 @@ impl RsOp {
             self.phase = Phase::Done;
             let outcome = RsOutcome::Failed("read phase lost quorum");
             self.account(c, &outcome);
-            return RsStep {
-                done: Some(outcome),
-                ..Default::default()
-            };
+            return RsStep::finished(outcome);
         }
         if self.read_replies < c.quorum() || self.phase != Phase::Read {
             return RsStep::default();
@@ -1085,10 +1075,7 @@ impl RsOp {
                     self.phase = Phase::Done;
                     let outcome = RsOutcome::Failed("read quorum carried no value");
                     self.account(c, &outcome);
-                    return RsStep {
-                        done: Some(outcome),
-                        ..Default::default()
-                    };
+                    return RsStep::finished(outcome);
                 };
                 self.result_value = Some(v.clone());
                 (self.max_tag, v)
@@ -1153,71 +1140,34 @@ impl RsOp {
             }
         }
         RsStep {
-            send: Vec::new(),
             background,
             done,
+            ..Default::default()
         }
     }
-}
-
-/// Drives an operation to completion against local replicas (live mode /
-/// tests). `crashed[r]` drops all traffic to replica `r`.
-pub fn drive(
-    cluster: &RsCluster,
-    client: &RsClient,
-    mut op: RsOp,
-    first: RsStep,
-    crashed: &[bool],
-) -> RsOutcome {
-    use prism_core::msg::execute_local;
-    let mut queue: Vec<(usize, u32, Request)> = Vec::new();
-    let mut bg: Vec<(usize, Request)> = Vec::new();
-    let mut outcome = None;
-    let absorb = |step: RsStep, queue: &mut Vec<_>, bg: &mut Vec<_>| {
-        queue.extend(step.send);
-        bg.extend(step.background);
-        step.done
-    };
-    if let Some(o) = absorb(first, &mut queue, &mut bg) {
-        outcome = Some(o);
-    }
-    while let Some((r, phase, req)) = queue.pop() {
-        for (replica, breq) in bg.drain(..) {
-            if !crashed.get(replica).copied().unwrap_or(false) {
-                execute_local(cluster.replica(replica).server(), &breq);
-            }
-        }
-        if crashed.get(r).copied().unwrap_or(false) {
-            continue;
-        }
-        let reply = execute_local(cluster.replica(r).server(), &req);
-        let step = op.on_reply(client, phase, r, reply);
-        if let Some(o) = absorb(step, &mut queue, &mut bg) {
-            outcome.get_or_insert(o);
-        }
-    }
-    for (replica, breq) in bg.drain(..) {
-        if !crashed.get(replica).copied().unwrap_or(false) {
-            execute_local(cluster.replica(replica).server(), &breq);
-        }
-    }
-    outcome.unwrap_or(RsOutcome::Failed("no quorum reachable"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::drive;
 
     fn cluster() -> RsCluster {
         RsCluster::new(3, &RsConfig::paper(16, 64))
     }
 
-    fn get(cl: &RsCluster, c: &RsClient, block: u64, crashed: &[bool]) -> RsOutcome {
+    fn get(cl: &RsCluster, c: &mut RsClient, block: u64, crashed: &[bool]) -> RsOutcome {
         let (op, step) = c.get(block);
         drive(cl, c, op, step, crashed)
     }
 
-    fn put(cl: &RsCluster, c: &RsClient, block: u64, val: Vec<u8>, crashed: &[bool]) -> RsOutcome {
+    fn put(
+        cl: &RsCluster,
+        c: &mut RsClient,
+        block: u64,
+        val: Vec<u8>,
+        crashed: &[bool],
+    ) -> RsOutcome {
         let (op, step) = c.put(block, val);
         drive(cl, c, op, step, crashed)
     }
@@ -1225,9 +1175,9 @@ mod tests {
     #[test]
     fn fresh_block_reads_zeroes() {
         let cl = cluster();
-        let c = cl.open_client();
+        let mut c = cl.open_client();
         assert_eq!(
-            get(&cl, &c, 0, &[false; 3]),
+            get(&cl, &mut c, 0, &[false; 3]),
             RsOutcome::Value(vec![0u8; 64])
         );
     }
@@ -1235,27 +1185,27 @@ mod tests {
     #[test]
     fn put_then_get() {
         let cl = cluster();
-        let c = cl.open_client();
+        let mut c = cl.open_client();
         let val = vec![7u8; 64];
         assert_eq!(
-            put(&cl, &c, 3, val.clone(), &[false; 3]),
+            put(&cl, &mut c, 3, val.clone(), &[false; 3]),
             RsOutcome::Written
         );
-        assert_eq!(get(&cl, &c, 3, &[false; 3]), RsOutcome::Value(val));
+        assert_eq!(get(&cl, &mut c, 3, &[false; 3]), RsOutcome::Value(val));
     }
 
     #[test]
     fn blocks_are_independent() {
         let cl = cluster();
-        let c = cl.open_client();
-        put(&cl, &c, 1, vec![1u8; 64], &[false; 3]);
-        put(&cl, &c, 2, vec![2u8; 64], &[false; 3]);
+        let mut c = cl.open_client();
+        put(&cl, &mut c, 1, vec![1u8; 64], &[false; 3]);
+        put(&cl, &mut c, 2, vec![2u8; 64], &[false; 3]);
         assert_eq!(
-            get(&cl, &c, 1, &[false; 3]),
+            get(&cl, &mut c, 1, &[false; 3]),
             RsOutcome::Value(vec![1u8; 64])
         );
         assert_eq!(
-            get(&cl, &c, 2, &[false; 3]),
+            get(&cl, &mut c, 2, &[false; 3]),
             RsOutcome::Value(vec![2u8; 64])
         );
     }
@@ -1263,26 +1213,29 @@ mod tests {
     #[test]
     fn survives_one_replica_crash() {
         let cl = cluster();
-        let c = cl.open_client();
+        let mut c = cl.open_client();
         let crashed = [false, true, false];
         let val = vec![9u8; 64];
-        assert_eq!(put(&cl, &c, 0, val.clone(), &crashed), RsOutcome::Written);
-        assert_eq!(get(&cl, &c, 0, &crashed), RsOutcome::Value(val.clone()));
+        assert_eq!(
+            put(&cl, &mut c, 0, val.clone(), &crashed),
+            RsOutcome::Written
+        );
+        assert_eq!(get(&cl, &mut c, 0, &crashed), RsOutcome::Value(val.clone()));
         // A different client reading through a different quorum (replica 1
         // back, replica 2 down) must still see the value: quorum
         // intersection.
-        let c2 = cl.open_client();
+        let mut c2 = cl.open_client();
         let crashed2 = [false, false, true];
-        assert_eq!(get(&cl, &c2, 0, &crashed2), RsOutcome::Value(val));
+        assert_eq!(get(&cl, &mut c2, 0, &crashed2), RsOutcome::Value(val));
     }
 
     #[test]
     fn two_crashes_lose_quorum() {
         let cl = cluster();
-        let c = cl.open_client();
+        let mut c = cl.open_client();
         let crashed = [true, true, false];
         assert!(matches!(
-            put(&cl, &c, 0, vec![1u8; 64], &crashed),
+            put(&cl, &mut c, 0, vec![1u8; 64], &crashed),
             RsOutcome::Failed(_)
         ));
     }
@@ -1294,11 +1247,16 @@ mod tests {
         // error reply; the quorum machine must absorb it as a replica
         // failure, not panic on a missing chain.
         let cl = cluster();
-        let c = cl.open_client();
+        let mut c = cl.open_client();
         let (mut op, step) = c.put(0, vec![1u8; 64]);
         let mut outcome = None;
         for (r, phase, _req) in step.send {
-            let s = op.on_reply(&c, phase, r, Reply::Verb(Err(RdmaError::ReceiverNotReady)));
+            let s = c.on_reply(
+                &mut op,
+                phase,
+                r,
+                Reply::Verb(Err(RdmaError::ReceiverNotReady)),
+            );
             if let Some(d) = s.done {
                 outcome = Some(d);
                 break;
@@ -1317,11 +1275,16 @@ mod tests {
                 continue;
             }
             let reply = prism_core::msg::execute_local(cl.replica(r).server(), &req);
-            queue.extend(op.on_reply(&c, phase, r, reply).send);
+            queue.extend(c.on_reply(&mut op, phase, r, reply).send);
         }
         let mut outcome = None;
         for (r, phase, _req) in writes {
-            let s = op.on_reply(&c, phase, r, Reply::Verb(Err(RdmaError::ReceiverNotReady)));
+            let s = c.on_reply(
+                &mut op,
+                phase,
+                r,
+                Reply::Verb(Err(RdmaError::ReceiverNotReady)),
+            );
             if let Some(d) = s.done {
                 outcome = Some(d);
                 break;
@@ -1333,12 +1296,12 @@ mod tests {
     #[test]
     fn later_writer_wins() {
         let cl = cluster();
-        let c1 = cl.open_client();
-        let c2 = cl.open_client();
-        put(&cl, &c1, 0, vec![1u8; 64], &[false; 3]);
-        put(&cl, &c2, 0, vec![2u8; 64], &[false; 3]);
+        let mut c1 = cl.open_client();
+        let mut c2 = cl.open_client();
+        put(&cl, &mut c1, 0, vec![1u8; 64], &[false; 3]);
+        put(&cl, &mut c2, 0, vec![2u8; 64], &[false; 3]);
         assert_eq!(
-            get(&cl, &c1, 0, &[false; 3]),
+            get(&cl, &mut c1, 0, &[false; 3]),
             RsOutcome::Value(vec![2u8; 64])
         );
     }
@@ -1346,13 +1309,13 @@ mod tests {
     #[test]
     fn get_write_back_repairs_stale_replica() {
         let cl = cluster();
-        let c = cl.open_client();
+        let mut c = cl.open_client();
         // Write while replica 2 is down.
-        put(&cl, &c, 0, vec![5u8; 64], &[false, false, true]);
+        put(&cl, &mut c, 0, vec![5u8; 64], &[false, false, true]);
         // Read with replica 2 back up; the write-back phase pushes the
         // value to it.
         assert_eq!(
-            get(&cl, &c, 0, &[false; 3]),
+            get(&cl, &mut c, 0, &[false; 3]),
             RsOutcome::Value(vec![5u8; 64])
         );
         // Now replica 2 alone with replica 0 must serve the value, even
@@ -1375,18 +1338,18 @@ mod tests {
                 spare_buffers: 4,
             },
         );
-        let c = cl.open_client();
+        let mut c = cl.open_client();
         // Far more writes than spare buffers: only sustainable if frees
         // happen.
         for i in 0..100u8 {
             assert_eq!(
-                put(&cl, &c, 0, vec![i; 64], &[false; 3]),
+                put(&cl, &mut c, 0, vec![i; 64], &[false; 3]),
                 RsOutcome::Written,
                 "write {i} ran out of buffers"
             );
         }
         assert_eq!(
-            get(&cl, &c, 0, &[false; 3]),
+            get(&cl, &mut c, 0, &[false; 3]),
             RsOutcome::Value(vec![99u8; 64])
         );
     }
@@ -1394,9 +1357,9 @@ mod tests {
     #[test]
     fn tags_strictly_increase_per_writer() {
         let cl = cluster();
-        let c = cl.open_client();
+        let mut c = cl.open_client();
         for i in 0..5u8 {
-            put(&cl, &c, 0, vec![i; 64], &[false; 3]);
+            put(&cl, &mut c, 0, vec![i; 64], &[false; 3]);
         }
         let v = cl.replica(0).view().clone();
         let meta = cl.replica(0).server().arena().read(v.meta(0), 16).unwrap();
@@ -1415,7 +1378,7 @@ mod tests {
                 spare_buffers: 8,
             },
         );
-        let c = cl.open_client();
+        let mut c = cl.open_client();
         // Simulate crashing clients: drive writes but drop every
         // background free notification, leaking one buffer per replica
         // per write.
@@ -1424,7 +1387,7 @@ mod tests {
             let mut queue = step.send;
             while let Some((r, phase, req)) = queue.pop() {
                 let reply = prism_core::msg::execute_local(cl.replica(r).server(), &req);
-                let s = op.on_reply(&c, phase, r, reply);
+                let s = c.on_reply(&mut op, phase, r, reply);
                 queue.extend(s.send);
                 // s.background (the frees) deliberately dropped.
             }
@@ -1445,7 +1408,7 @@ mod tests {
         // The store still works and GC never touched live data.
         let (op, step) = c.get(0);
         assert_eq!(
-            drive(&cl, &c, op, step, &[false; 3]),
+            drive(&cl, &mut c, op, step, &[false; 3]),
             RsOutcome::Value(vec![5u8; 64])
         );
         // A second sweep finds nothing.
@@ -1462,14 +1425,14 @@ mod tests {
                 spare_buffers: 4,
             },
         );
-        let c = cl.open_client();
+        let mut c = cl.open_client();
         // One write whose free notifications we capture but delay.
         let (mut op, step) = c.put(0, vec![9u8; 64]);
         let mut queue = step.send;
         let mut delayed = Vec::new();
         while let Some((r, phase, req)) = queue.pop() {
             let reply = prism_core::msg::execute_local(cl.replica(r).server(), &req);
-            let s = op.on_reply(&c, phase, r, reply);
+            let s = c.on_reply(&mut op, phase, r, reply);
             queue.extend(s.send);
             delayed.extend(s.background);
         }
@@ -1508,10 +1471,10 @@ mod tests {
     #[test]
     fn amnesia_rejoin_resyncs_from_peer_quorum() {
         let cl = cluster();
-        let c = cl.open_client();
+        let mut c = cl.open_client();
         let val = vec![7u8; 64];
         assert_eq!(
-            put(&cl, &c, 3, val.clone(), &[false; 3]),
+            put(&cl, &mut c, 3, val.clone(), &[false; 3]),
             RsOutcome::Written
         );
         // Replica 1 loses its memory and rejoins. Its segment log
@@ -1536,9 +1499,9 @@ mod tests {
         // A fresh client (handshaking the new incarnation) reading
         // through a quorum that *excludes* replica 0 still sees the
         // value: the rejoin restored quorum intersection.
-        let c2 = cl.open_client();
+        let mut c2 = cl.open_client();
         assert_eq!(
-            get(&cl, &c2, 3, &[true, false, false]),
+            get(&cl, &mut c2, 3, &[true, false, false]),
             RsOutcome::Value(val)
         );
         // The pre-restart client is fenced at replica 1 until it
@@ -1557,7 +1520,7 @@ mod tests {
         c3.refence(1, inc);
         let (op, step) = c3.get(3);
         assert_eq!(
-            drive(&cl, &c3, op, step, &[false; 3]),
+            drive(&cl, &mut c3, op, step, &[false; 3]),
             RsOutcome::Value(vec![7u8; 64])
         );
         // A wiped disk (fresh replacement replica) falls back to the
@@ -1583,9 +1546,9 @@ mod tests {
             (RsConfig::paper(16, 64).spare_buffers) as usize,
             "free list rebuilt with exactly the spares"
         );
-        let c = cl.open_client();
+        let mut c = cl.open_client();
         assert_eq!(
-            get(&cl, &c, 0, &[false; 3]),
+            get(&cl, &mut c, 0, &[false; 3]),
             RsOutcome::Value(vec![0u8; 64])
         );
     }
@@ -1593,10 +1556,10 @@ mod tests {
     #[test]
     fn rotted_copy_is_excluded_masked_by_quorum_and_scrub_healed() {
         let cl = cluster();
-        let c = cl.open_client();
+        let mut c = cl.open_client();
         let val = vec![7u8; 64];
         assert_eq!(
-            put(&cl, &c, 2, val.clone(), &[false; 3]),
+            put(&cl, &mut c, 2, val.clone(), &[false; 3]),
             RsOutcome::Written
         );
         // Rot one bit of replica 1's buffer for block 2, behind its back.
@@ -1614,8 +1577,11 @@ mod tests {
             .unwrap();
         // A GET detects + excludes the rotted copy and answers from the
         // valid quorum — a masked (repaired) read, never the bad bytes.
-        let c2 = cl.open_client();
-        assert_eq!(get(&cl, &c2, 2, &[false; 3]), RsOutcome::Value(val.clone()));
+        let mut c2 = cl.open_client();
+        assert_eq!(
+            get(&cl, &mut c2, 2, &[false; 3]),
+            RsOutcome::Value(val.clone())
+        );
         assert_eq!(c2.integrity().detected(), 1);
         assert_eq!(c2.integrity().repaired(), 1);
         assert_eq!(c2.integrity().aborted(), 0);
@@ -1628,7 +1594,7 @@ mod tests {
         // The healed replica now serves the value even in a quorum that
         // excludes the original writer majority.
         assert_eq!(
-            get(&cl, &c2, 2, &[true, false, false]),
+            get(&cl, &mut c2, 2, &[true, false, false]),
             RsOutcome::Value(val)
         );
     }
@@ -1636,9 +1602,9 @@ mod tests {
     #[test]
     fn majority_rot_aborts_instead_of_answering_wrong() {
         let cl = cluster();
-        let c = cl.open_client();
+        let mut c = cl.open_client();
         assert_eq!(
-            put(&cl, &c, 0, vec![3u8; 64], &[false; 3]),
+            put(&cl, &mut c, 0, vec![3u8; 64], &[false; 3]),
             RsOutcome::Written
         );
         // Rot the block's buffer on two of three replicas: no read
@@ -1657,9 +1623,9 @@ mod tests {
                 .flip_bit(addr + BUF_HDR, 0)
                 .unwrap();
         }
-        let c2 = cl.open_client();
+        let mut c2 = cl.open_client();
         assert!(matches!(
-            get(&cl, &c2, 0, &[false; 3]),
+            get(&cl, &mut c2, 0, &[false; 3]),
             RsOutcome::Failed(_)
         ));
         assert_eq!(c2.integrity().detected(), 2);
@@ -1668,7 +1634,7 @@ mod tests {
         assert_eq!(cl.scrub(0).1, 1);
         assert_eq!(cl.scrub(1).1, 1);
         assert_eq!(
-            get(&cl, &c2, 0, &[false; 3]),
+            get(&cl, &mut c2, 0, &[false; 3]),
             RsOutcome::Value(vec![3u8; 64])
         );
     }
@@ -1676,9 +1642,9 @@ mod tests {
     #[test]
     fn resync_never_adopts_invalid_copies() {
         let cl = cluster();
-        let c = cl.open_client();
+        let mut c = cl.open_client();
         assert_eq!(
-            put(&cl, &c, 1, vec![9u8; 64], &[false; 3]),
+            put(&cl, &mut c, 1, vec![9u8; 64], &[false; 3]),
             RsOutcome::Written
         );
         // Rot replica 0's copy, then amnesia-restart replica 2: the
@@ -1740,10 +1706,10 @@ mod tests {
             .map(|t| {
                 let cl = Arc::clone(&cl);
                 std::thread::spawn(move || {
-                    let c = cl.open_client();
+                    let mut c = cl.open_client();
                     for i in 0..30u8 {
                         let val = vec![t as u8 * 40 + i; 64];
-                        assert_eq!(put(&cl, &c, 0, val, &[false; 3]), RsOutcome::Written);
+                        assert_eq!(put(&cl, &mut c, 0, val, &[false; 3]), RsOutcome::Written);
                     }
                 })
             })
@@ -1754,9 +1720,9 @@ mod tests {
         // All replicas must agree on tag and value after quiescence...
         // at least a quorum must. Read and compare across two disjoint
         // quorums to confirm a single linearization point.
-        let c = cl.open_client();
-        let a = get(&cl, &c, 0, &[false, false, true]);
-        let b = get(&cl, &c, 0, &[true, false, false]);
+        let mut c = cl.open_client();
+        let a = get(&cl, &mut c, 0, &[false, false, true]);
+        let b = get(&cl, &mut c, 0, &[true, false, false]);
         assert_eq!(a, b, "disjoint quorums must agree after write-back");
     }
 }

@@ -5,7 +5,7 @@
 //! jitter, scheduled server crash/restart windows, and client↔server
 //! partition windows. The plan itself is pure data — the harness's
 //! actors consult it at message-delivery time and draw all fault
-//! randomness from dedicated [`SimRng`](crate::rng::SimRng) streams
+//! randomness from dedicated [`SimRng`] streams
 //! forked off [`FaultPlan::seed`], so:
 //!
 //! * a run with the default (no-op) plan consumes exactly the same

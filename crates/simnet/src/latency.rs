@@ -7,7 +7,7 @@
 //! * one-sided RDMA op, 512 B, direct 25 GbE link: **2.5 µs** (§4.3);
 //! * PRISM software primitives add **2.5–2.8 µs** on top (§4.3);
 //! * one extra PCIe round trip: **~0.9 µs** (§4.3, citing Neugebauer et
-//!   al. [35]) — the marginal cost of indirection on a hardware NIC;
+//!   al. \[35\]) — the marginal cost of indirection on a hardware NIC;
 //! * BlueField smart NIC: slower ARM dispatch plus **~3 µs** host-memory
 //!   access (§4.3, footnote 1);
 //! * two-sided eRPC, 512 B, 40 GbE: **5.6 µs**; one-sided READ there:
@@ -34,7 +34,7 @@ pub enum Deployment {
     Rack,
     /// Three-tier cluster network: +3 µs per round trip (Figure 2).
     Cluster,
-    /// Reported Microsoft datacenter RDMA latency: +24 µs (Figure 2, [12]).
+    /// Reported Microsoft datacenter RDMA latency: +24 µs (Figure 2, \[12\]).
     Datacenter,
 }
 

@@ -47,7 +47,7 @@ impl<T: 'static> Gen<T> {
     }
 
     /// Keeps only values satisfying `pred`, redrawing on rejection. After
-    /// [`FILTER_RETRIES`] consecutive rejections the case is abandoned
+    /// `FILTER_RETRIES` consecutive rejections the case is abandoned
     /// (skipped, not failed). Prefer `map`-based constructions where
     /// possible — filters slow generation and fight the shrinker.
     pub fn filter(self, pred: impl Fn(&T) -> bool + 'static) -> Gen<T> {

@@ -1,6 +1,6 @@
 //! Transaction timestamps: `(clock_time, client id)` pairs from loosely
-//! synchronized logical clocks (§8.2, following Meerkat [38] and
-//! TAPIR-style timestamp ordering [1, 40, 46]).
+//! synchronized logical clocks (§8.2, following Meerkat \[38\] and
+//! TAPIR-style timestamp ordering \[1, 40, 46\]).
 //!
 //! Like PRISM-RS tags, timestamps pack into a u64 (48-bit clock, 16-bit
 //! client id) stored **big-endian**, so the enhanced CAS's arithmetic

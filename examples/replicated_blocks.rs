@@ -8,14 +8,14 @@
 //!
 //! Run with: `cargo run -p prism-harness --example replicated_blocks`
 
-use prism_rs::prism_rs::{drive, RsCluster, RsConfig, RsOutcome};
-use prism_rs::Tag;
+use prism_rs::prism_rs::{RsClient, RsCluster, RsConfig};
+use prism_rs::{drive, RsOutcome, RsProtocol, Tag};
 
 const BLOCK: usize = 512;
 
 fn put(
     cl: &RsCluster,
-    c: &prism_rs::RsClient,
+    c: &mut RsClient,
     block: u64,
     value: Vec<u8>,
     crashed: &[bool],
@@ -24,7 +24,7 @@ fn put(
     drive(cl, c, op, step, crashed)
 }
 
-fn get(cl: &RsCluster, c: &prism_rs::RsClient, block: u64, crashed: &[bool]) -> RsOutcome {
+fn get(cl: &RsCluster, c: &mut RsClient, block: u64, crashed: &[bool]) -> RsOutcome {
     let (op, step) = c.get(block);
     drive(cl, c, op, step, crashed)
 }
@@ -47,7 +47,7 @@ fn tag_at(cl: &RsCluster, replica: usize, block: u64) -> Tag {
 fn main() {
     // n = 3 replicas tolerate f = 1 failure.
     let cluster = RsCluster::new(3, &RsConfig::paper(1024, BLOCK as u64));
-    let client = cluster.open_client();
+    let mut client = cluster.open_client();
     let all_up = [false; 3];
     println!(
         "cluster: {} replicas, {} blocks x {} B, quorum {}",
@@ -59,10 +59,10 @@ fn main() {
 
     // Normal operation.
     assert_eq!(
-        put(&cluster, &client, 7, block_of(0xAA), &all_up),
+        put(&cluster, &mut client, 7, block_of(0xAA), &all_up),
         RsOutcome::Written
     );
-    match get(&cluster, &client, 7, &all_up) {
+    match get(&cluster, &mut client, 7, &all_up) {
         RsOutcome::Value(v) => println!("block 7 = 0x{:02X}.. (len {})", v[0], v.len()),
         o => panic!("{o:?}"),
     }
@@ -72,10 +72,10 @@ fn main() {
     let r2_down = [false, false, true];
     println!("\n-- replica 2 crashes --");
     assert_eq!(
-        put(&cluster, &client, 7, block_of(0xBB), &r2_down),
+        put(&cluster, &mut client, 7, block_of(0xBB), &r2_down),
         RsOutcome::Written
     );
-    match get(&cluster, &client, 7, &r2_down) {
+    match get(&cluster, &mut client, 7, &r2_down) {
         RsOutcome::Value(v) => println!("block 7 = 0x{:02X}.. (served by majority)", v[0]),
         o => panic!("{o:?}"),
     }
@@ -89,7 +89,7 @@ fn main() {
     // Replica 2 comes back. A GET's write-back phase (the second round
     // of ABD) repairs it without any dedicated recovery machinery.
     println!("\n-- replica 2 rejoins --");
-    match get(&cluster, &client, 7, &all_up) {
+    match get(&cluster, &mut client, 7, &all_up) {
         RsOutcome::Value(v) => println!("block 7 = 0x{:02X}.. (read with all replicas)", v[0]),
         o => panic!("{o:?}"),
     }
@@ -103,7 +103,7 @@ fn main() {
     // Now even the *other* quorum {1, 2} must serve the latest value:
     // quorum intersection is what makes ABD linearizable.
     let r0_down = [true, false, false];
-    match get(&cluster, &client, 7, &r0_down) {
+    match get(&cluster, &mut client, 7, &r0_down) {
         RsOutcome::Value(v) => {
             assert_eq!(v[0], 0xBB);
             println!("block 7 = 0x{:02X}.. via the disjoint quorum {{1,2}}", v[0]);
@@ -114,7 +114,7 @@ fn main() {
     // Two failures exceed f: the client cannot make progress — and says
     // so rather than returning stale data.
     let two_down = [true, true, false];
-    match put(&cluster, &client, 7, block_of(0xCC), &two_down) {
+    match put(&cluster, &mut client, 7, block_of(0xCC), &two_down) {
         RsOutcome::Failed(why) => println!("\nwith 2 replicas down: PUT fails safe ({why})"),
         o => panic!("must not succeed: {o:?}"),
     }
@@ -126,10 +126,10 @@ fn main() {
         .map(|t| {
             let cl = std::sync::Arc::clone(&cluster);
             std::thread::spawn(move || {
-                let c = cl.open_client();
+                let mut c = cl.open_client();
                 for i in 0..50u8 {
                     assert_eq!(
-                        put(&cl, &c, 9, block_of(t * 50 + i), &[false; 3]),
+                        put(&cl, &mut c, 9, block_of(t * 50 + i), &[false; 3]),
                         RsOutcome::Written
                     );
                 }
@@ -139,9 +139,9 @@ fn main() {
     for t in threads {
         t.join().unwrap();
     }
-    let c = cluster.open_client();
-    let a = get(&cluster, &c, 9, &[false, false, true]);
-    let b = get(&cluster, &c, 9, &[true, false, false]);
+    let mut c = cluster.open_client();
+    let a = get(&cluster, &mut c, 9, &[false, false, true]);
+    let b = get(&cluster, &mut c, 9, &[true, false, false]);
     assert_eq!(a, b, "disjoint quorums agree");
     println!("disjoint quorums agree on block 9 after the race: linearizable.");
     println!("done.");

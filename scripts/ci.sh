@@ -99,7 +99,12 @@
 #   8. cargo fmt --check  — skipped with a notice if rustfmt is absent
 #   9. cargo clippy       — -D warnings; skipped with a notice if
 #                           clippy is not installed
-#  10. size ledger        — informational, never fails: lines of code
+#  10. rustdoc            — cargo doc over the workspace with
+#                           RUSTDOCFLAGS="-D warnings": a doc link that
+#                           a move or rename broke, a link to a private
+#                           item, or an unescaped citation like [44]
+#                           fails CI instead of rendering wrong
+#  11. size ledger        — informational, never fails: lines of code
 #                           and of test per file of crates/, tests/ and
 #                           examples/ (scripts/loc.sh), so a PR that
 #                           claims to shrink something quotes a
@@ -225,6 +230,9 @@ if command -v cargo-clippy >/dev/null 2>&1; then
 else
     echo "== clippy skipped (clippy not installed) =="
 fi
+
+step "rustdoc (-D warnings)" \
+    env RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace --offline
 
 step "size ledger (crates tests examples; informational)" \
     ./scripts/loc.sh crates tests examples || true

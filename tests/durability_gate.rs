@@ -12,8 +12,8 @@ use std::sync::Arc;
 use prism_kv::hash::key_bytes;
 use prism_kv::prism_kv::{drive as kv_drive, PrismKvConfig, PrismKvServer};
 use prism_kv::KvOutcome;
-use prism_rs::prism_rs::{drive, RsCluster, RsConfig};
-use prism_rs::RsOutcome;
+use prism_rs::prism_rs::{RsCluster, RsConfig};
+use prism_rs::{drive, RsOutcome, RsProtocol};
 use prism_simnet::rng::SimRng;
 use prism_testkit::seed_or;
 
@@ -34,11 +34,11 @@ fn seeded_values(seed: u64) -> Vec<Vec<u8>> {
 }
 
 fn write_all(cl: &RsCluster, vals: &[Vec<u8>]) {
-    let c = cl.open_client();
+    let mut c = cl.open_client();
     for (b, v) in vals.iter().enumerate() {
         let (op, step) = c.put(b as u64, v.clone());
         assert_eq!(
-            drive(cl, &c, op, step, &[false; 3]),
+            drive(cl, &mut c, op, step, &[false; 3]),
             RsOutcome::Written,
             "seed write for block {b} must land"
         );
@@ -53,7 +53,7 @@ fn check_values(cl: &RsCluster, vals: &[Vec<u8>], inc: u64) {
     for (b, v) in vals.iter().enumerate() {
         let (op, step) = c.get(b as u64);
         assert_eq!(
-            drive(cl, &c, op, step, &[true, false, false]),
+            drive(cl, &mut c, op, step, &[true, false, false]),
             RsOutcome::Value(v.clone()),
             "block {b} must read back intact after recovery"
         );

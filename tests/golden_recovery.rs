@@ -30,8 +30,8 @@ use prism_harness::kv_exp::preload_prism;
 use prism_kv::hash::key_bytes;
 use prism_kv::prism_kv::{PrismKvClient, PrismKvConfig, PrismKvServer};
 use prism_kv::{entry, KvStep};
-use prism_rs::prism_rs::{drive, RsCluster, RsConfig};
-use prism_rs::RsOutcome;
+use prism_rs::prism_rs::{RsCluster, RsConfig};
+use prism_rs::{drive, RsOutcome, RsProtocol};
 use prism_simnet::rng::SimRng;
 use prism_store::Record;
 use prism_tx::{TxCluster, TxConfig, TxProtocol};
@@ -285,7 +285,7 @@ const VICTIM: usize = 1;
 /// Every pinned observable of one RS replica recovery, in table order.
 fn rs_image(seed: u64) -> [u64; 9] {
     let cl = RsCluster::new(3, &RsConfig::paper(BLOCKS, BLOCK as u64));
-    let c = cl.open_client();
+    let mut c = cl.open_client();
     let mut rng = SimRng::new(seed);
     for i in 0..WRITES {
         // Every seventh write misses the victim, so its peers hold
@@ -293,13 +293,16 @@ fn rs_image(seed: u64) -> [u64; 9] {
         let mut down = [false; 3];
         down[VICTIM] = i % 7 == 3;
         let (op, step) = c.put(rng.gen_range(BLOCKS), seeded_bytes(&mut rng, BLOCK));
-        assert_eq!(drive(&cl, &c, op, step, &down), RsOutcome::Written);
+        assert_eq!(drive(&cl, &mut c, op, step, &down), RsOutcome::Written);
     }
     let victim = cl.replica(VICTIM);
     // A migration fence in the log: the block must not resurrect.
     victim.log_fence(5, 2);
     let (op, step) = c.put(9, seeded_bytes(&mut rng, BLOCK));
-    assert_eq!(drive(&cl, &c, op, step, &[false; 3]), RsOutcome::Written);
+    assert_eq!(
+        drive(&cl, &mut c, op, step, &[false; 3]),
+        RsOutcome::Written
+    );
     // A record for a block the replica does not have, and one whose
     // image fails its own checksum: neither may be installed.
     for key in [BLOCKS + 1, 6] {
@@ -427,14 +430,19 @@ fn kv_reclaim(seed: u64) -> Vec<u64> {
 /// with a repeat, an out-of-range and a misaligned free after them.
 fn rs_reclaim(seed: u64) -> Vec<u64> {
     let cl = RsCluster::new(3, &RsConfig::paper(BLOCKS, BLOCK as u64));
-    let c = cl.open_client();
+    let mut c = cl.open_client();
     let mut rng = SimRng::new(seed);
     let mut frees = Vec::new();
     for _ in 0..48 {
         let (mut op, step) = c.put(rng.gen_range(BLOCKS), seeded_bytes(&mut rng, BLOCK));
         let (mut queue, mut bg) = (step.send, step.background);
         while let Some((r, phase, req)) = queue.pop() {
-            let s = op.on_reply(&c, phase, r, execute_local(cl.replica(r).server(), &req));
+            let s = c.on_reply(
+                &mut op,
+                phase,
+                r,
+                execute_local(cl.replica(r).server(), &req),
+            );
             queue.extend(s.send);
             bg.extend(s.background);
         }

@@ -10,7 +10,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use prism_harness::chaos::{check_history, HistKind, HistOp};
-use prism_rs::prism_rs::{drive, RsCluster, RsConfig, RsOutcome};
+use prism_rs::prism_rs::{RsCluster, RsConfig};
+use prism_rs::{drive, RsOutcome, RsProtocol};
 use prism_simnet::time::SimTime;
 
 const BLOCK: u64 = 64;
@@ -29,7 +30,7 @@ fn concurrent_history_is_linearizable() {
                 let clock = Arc::clone(&clock);
                 let history = Arc::clone(&history);
                 std::thread::spawn(move || {
-                    let client = cluster.open_client();
+                    let mut client = cluster.open_client();
                     for i in 0..8u8 {
                         let write = (t + i + seed as u8).is_multiple_of(2);
                         let start = clock.fetch_add(1, Ordering::SeqCst);
@@ -37,13 +38,13 @@ fn concurrent_history_is_linearizable() {
                             let v = t * 10 + i + 1;
                             let (op, step) = client.put(0, vec![v; BLOCK as usize]);
                             assert_eq!(
-                                drive(&cluster, &client, op, step, &[false; 3]),
+                                drive(&*cluster, &mut client, op, step, &[false; 3]),
                                 RsOutcome::Written
                             );
                             HistKind::Put { nonce: v.into() }
                         } else {
                             let (op, step) = client.get(0);
-                            match drive(&cluster, &client, op, step, &[false; 3]) {
+                            match drive(&*cluster, &mut client, op, step, &[false; 3]) {
                                 RsOutcome::Value(v) => HistKind::Get { nonce: v[0].into() },
                                 o => panic!("{o:?}"),
                             }
@@ -73,7 +74,7 @@ fn concurrent_history_is_linearizable() {
 #[test]
 fn values_survive_rolling_single_failures() {
     let cluster = RsCluster::new(3, &RsConfig::paper(4, BLOCK));
-    let client = cluster.open_client();
+    let mut client = cluster.open_client();
     let mut crashed;
     let mut last = vec![0u8; BLOCK as usize];
     for round in 0..12u8 {
@@ -82,7 +83,7 @@ fn values_survive_rolling_single_failures() {
         crashed[(round % 3) as usize] = true;
         // Read must return the last completed write.
         let (op, step) = client.get(1);
-        match drive(&cluster, &client, op, step, &crashed) {
+        match drive(&cluster, &mut client, op, step, &crashed) {
             RsOutcome::Value(v) => assert_eq!(v, last, "round {round}"),
             o => panic!("round {round}: {o:?}"),
         }
@@ -90,7 +91,7 @@ fn values_survive_rolling_single_failures() {
         last = vec![round + 1; BLOCK as usize];
         let (op, step) = client.put(1, last.clone());
         assert_eq!(
-            drive(&cluster, &client, op, step, &crashed),
+            drive(&cluster, &mut client, op, step, &crashed),
             RsOutcome::Written,
             "round {round}"
         );
@@ -102,11 +103,11 @@ fn values_survive_rolling_single_failures() {
 #[test]
 fn completed_writes_reach_a_majority() {
     let cluster = RsCluster::new(5, &RsConfig::paper(2, BLOCK));
-    let client = cluster.open_client();
+    let mut client = cluster.open_client();
     for i in 1..=10u64 {
         let (op, step) = client.put(0, vec![i as u8; BLOCK as usize]);
         assert_eq!(
-            drive(&cluster, &client, op, step, &[false; 5]),
+            drive(&cluster, &mut client, op, step, &[false; 5]),
             RsOutcome::Written
         );
         let with_tag = (0..5)
