@@ -471,10 +471,6 @@ impl AbdLockOp {
     /// Releases every lock acquired this round, then backs off.
     fn abort_locks(&mut self, c: &mut AbdLockClient) -> RsStep {
         self.retries += 1;
-        if self.retries > MAX_LOCK_RETRIES {
-            self.phase = Phase::Done;
-            return RsStep::finished(RsOutcome::Failed("lock retries exhausted"));
-        }
         if self.lock_ok == 0 {
             return self.backoff(c);
         }
@@ -501,7 +497,14 @@ impl AbdLockOp {
         RsStep::default()
     }
 
+    /// Backs off once the round holds no lock; past the retry budget,
+    /// fails instead and starts a fresh budget for a reissued attempt.
     fn backoff(&mut self, c: &mut AbdLockClient) -> RsStep {
+        if self.retries > MAX_LOCK_RETRIES {
+            self.phase = Phase::Done;
+            self.retries = 0;
+            return RsStep::finished(RsOutcome::Failed("lock retries exhausted"));
+        }
         self.phase = Phase::Backoff;
         let exp = self.retries.min(9);
         let base = (BACKOFF_BASE_NS << exp).min(BACKOFF_CAP_NS);
@@ -728,6 +731,153 @@ mod tests {
                 cl.replica(r).server().arena().read_u64(v.block(0)).unwrap(),
                 0
             );
+        }
+    }
+
+    /// ABDLOCK with a second client that PUTs the same block the moment
+    /// the first client's operation completes, and a check after every
+    /// reply that no replica's tag went down.
+    struct Interleaved<'a> {
+        cl: &'a AbdLockCluster,
+        inner: AbdLockClient,
+        other: AbdLockClient,
+        block: u64,
+        tags: Vec<Tag>,
+        interfered: bool,
+    }
+
+    impl Interleaved<'_> {
+        fn check_tags(&mut self) {
+            for (r, seen) in self.tags.iter_mut().enumerate() {
+                let v = self.cl.replica(r).view();
+                let raw = self.cl.replica(r).server().arena();
+                let tag = Tag::from_bytes(&raw.read(v.block(self.block) + 8, 8).unwrap());
+                assert!(
+                    tag >= *seen,
+                    "replica {r}'s tag went down: {seen:?} -> {tag:?}"
+                );
+                *seen = tag;
+            }
+        }
+    }
+
+    impl RsProtocol for Interleaved<'_> {
+        type Cluster = AbdLockCluster;
+        type Op = AbdLockOp;
+        const HEDGE_GETS: bool = false;
+
+        fn server(cluster: &AbdLockCluster, replica: usize) -> &PrismServer {
+            AbdLockClient::server(cluster, replica)
+        }
+
+        fn n(&self) -> usize {
+            self.inner.n()
+        }
+
+        fn get(&mut self, block: u64) -> (AbdLockOp, RsStep) {
+            self.inner.get(block)
+        }
+
+        fn put(&mut self, block: u64, value: Vec<u8>) -> (AbdLockOp, RsStep) {
+            self.inner.put(block, value)
+        }
+
+        fn on_reply(&mut self, op: &mut AbdLockOp, phase: u32, r: usize, reply: Reply) -> RsStep {
+            let step = self.inner.on_reply(op, phase, r, reply);
+            self.check_tags();
+            if step.done.is_some() && !self.interfered {
+                self.interfered = true;
+                let (op, first) = self.other.put(self.block, vec![2u8; 64]);
+                let n = self.n();
+                assert_eq!(
+                    drive(self.cl, &mut self.other, op, first, &vec![false; n]),
+                    RsOutcome::Written
+                );
+                self.check_tags();
+            }
+            step
+        }
+
+        fn reissue(&mut self, op: &mut AbdLockOp) -> RsStep {
+            self.inner.reissue(op)
+        }
+
+        fn refence(&mut self, _replica: usize, _inc: u64) {}
+    }
+
+    #[test]
+    fn superseded_writes_land_before_the_unlock() {
+        // The write quorum is two replicas, so the third replica's WRITE
+        // is superseded by the unlock phase. Delivered after its unlock,
+        // it would overwrite the second client's newer tag there.
+        let cl = cluster();
+        for put_first in [true, false] {
+            let mut c = Interleaved {
+                cl: &cl,
+                inner: cl.open_client(11),
+                other: cl.open_client(12),
+                block: 3,
+                tags: vec![Tag::ZERO; 3],
+                interfered: false,
+            };
+            let (op, first) = if put_first {
+                c.put(3, vec![1u8; 64])
+            } else {
+                c.get(3)
+            };
+            let outcome = drive(&cl, &mut c, op, first, &[false; 3]);
+            assert!(matches!(outcome, RsOutcome::Written | RsOutcome::Value(_)));
+            assert!(c.interfered);
+            c.check_tags();
+        }
+    }
+
+    #[test]
+    fn exhausted_retries_release_the_round_locks_and_reset_the_budget() {
+        let cl = cluster();
+        // A phantom holds block 0 on replicas 0 and 1: every round locks
+        // replica 2 alone, releases it, and backs off.
+        for r in 0..2 {
+            let v = cl.replica(r).view().clone();
+            cl.replica(r)
+                .server()
+                .arena()
+                .write_u64(v.block(0), 0xDEAD)
+                .unwrap();
+        }
+        let mut c = cl.open_client(6);
+        let (mut op, mut step) = c.put(0, vec![1u8; 64]);
+        for attempt in 0..2 {
+            let mut backoffs = 0;
+            let outcome = loop {
+                if let Some(o) = step.done.take() {
+                    break o;
+                }
+                if step.backoff_ns.is_some() {
+                    backoffs += 1;
+                    step = c.reissue(&mut op);
+                    continue;
+                }
+                let mut next = RsStep::default();
+                for (r, phase, req) in std::mem::take(&mut step.send) {
+                    let reply = prism_core::msg::execute_local(cl.replica(r).server(), &req);
+                    let s = c.on_reply(&mut op, phase, r, reply);
+                    if s.done.is_some() || s.backoff_ns.is_some() || !s.send.is_empty() {
+                        next = s;
+                    }
+                }
+                step = next;
+            };
+            assert_eq!(outcome, RsOutcome::Failed("lock retries exhausted"));
+            // The reissued attempt gets the whole budget again.
+            assert_eq!(backoffs, MAX_LOCK_RETRIES, "attempt {attempt}");
+            let v = cl.replica(2).view().clone();
+            let lock = cl.replica(2).server().arena().read_u64(v.block(0)).unwrap();
+            assert_eq!(
+                lock, 0,
+                "attempt {attempt}: replica 2's lock must be released"
+            );
+            step = c.reissue(&mut op);
         }
     }
 

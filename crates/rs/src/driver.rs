@@ -110,12 +110,16 @@ pub trait RsProtocol {
 }
 
 /// Drives an operation to completion against local replicas (live mode
-/// / tests). The last request sent is delivered first, and background
-/// requests are delivered before each reply; replies that arrive after
-/// completion are still fed (their reclamation lands). `crashed[r]`
-/// makes replica `r` answer every request with
-/// [`RdmaError::ReceiverNotReady`] (the stand-in for a timeout) and
-/// drop background traffic. A backoff yields the thread, then reissues.
+/// / tests). Requests to one replica are delivered in the order they
+/// were sent, as a queue pair delivers them: the next delivery is the
+/// oldest request queued to the replica sent to last, so a superseded
+/// phase's request (ABDLOCK's in-place WRITE) lands before a later one
+/// (its unlock) to the same replica. Background requests are delivered
+/// before each reply; replies that arrive after completion are still
+/// fed (their reclamation lands). `crashed[r]` makes replica `r` answer
+/// every request with [`RdmaError::ReceiverNotReady`] (the stand-in for
+/// a timeout) and drop background traffic. A backoff yields the thread,
+/// then reissues.
 pub fn drive<P: RsProtocol>(
     cluster: &P::Cluster,
     client: &mut P,
@@ -139,9 +143,11 @@ pub fn drive<P: RsProtocol>(
             step = client.reissue(&mut op);
             continue;
         }
-        let Some((r, phase, req)) = queue.pop() else {
+        let Some(&(last, ..)) = queue.last() else {
             break;
         };
+        let next = queue.iter().position(|&(r, ..)| r == last);
+        let (r, phase, req) = queue.remove(next.expect("`last` is queued"));
         for (replica, breq) in bg.drain(..).filter(|(replica, _)| up(*replica)) {
             execute_local(P::server(cluster, replica), &breq);
         }
