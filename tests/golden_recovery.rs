@@ -21,7 +21,9 @@
 //! withheld frees delivered over the wire (singly, batched, and in a
 //! batch a bad address cuts short; on RS and TX also a repeat, an
 //! out-of-range and a misaligned free), then a GC sweep, each folded as
-//! the free lists it leaves.
+//! the free lists it leaves; then the order ALLOCATE hands KV buffers
+//! out in, what an amnesia restart leaves on the KV and RS lists, and
+//! the TX list a write run leaves.
 
 use prism_core::msg::{execute_local, Request};
 use prism_core::op::FreeListId;
@@ -377,11 +379,16 @@ fn freed(req: &Request) -> Option<u64> {
 /// Free buffers and the snapshot fold of free list 0, the one list each
 /// system here has.
 fn list_image(server: &PrismServer) -> [u64; 2] {
+    list_image_of(server, FreeListId(0))
+}
+
+/// Free buffers and the snapshot fold of free list `id`.
+fn list_image_of(server: &PrismServer, id: FreeListId) -> [u64; 2] {
     let (lists, mut fold) = (server.freelists(), Fnv::new());
-    for a in lists.snapshot(FreeListId(0)) {
+    for a in lists.snapshot(id) {
         fold.eat_u64(a);
     }
-    [lists.available(FreeListId(0)) as u64, fold.0]
+    [lists.available(id) as u64, fold.0]
 }
 
 /// Delivers withheld `frees` to `server` over the wire — the first third
@@ -423,7 +430,31 @@ fn kv_reclaim(seed: u64) -> Vec<u64> {
     }
     let delivered = deliver(s.server(), &frees, &[frees[0] + 8]);
     let gc = s.gc_sweep() as u64;
-    [&[refilled][..], &delivered, &[gc], &list_image(s.server())].concat()
+    let swept = list_image(s.server());
+    let mut popped = Fnv::new();
+    for _ in 0..64 {
+        popped.eat_u64(
+            s.server()
+                .freelists()
+                .pop(FreeListId(0))
+                .expect("free buffers")
+                .0,
+        );
+    }
+    s.amnesia_restart();
+    let mut restarted = Vec::new();
+    for &(id, _) in &s.view().classes {
+        restarted.extend(list_image_of(s.server(), id));
+    }
+    [
+        &[refilled][..],
+        &delivered,
+        &[gc],
+        &swept,
+        &[popped.0],
+        &restarted,
+    ]
+    .concat()
 }
 
 /// One RS replica that misses the frees of 48 writes, then gets them back
@@ -457,7 +488,9 @@ fn rs_reclaim(seed: u64) -> Vec<u64> {
     let odd = [pool + len, frees[0], victim.view().meta(0), frees[1] + 8];
     let delivered = deliver(victim.server(), &frees, &odd);
     let gc = victim.gc_sweep() as u64;
-    [&delivered[..], &[gc], &list_image(victim.server())].concat()
+    let swept = list_image(victim.server());
+    cl.amnesia_restart(VICTIM);
+    [&delivered[..], &[gc], &swept, &list_image(victim.server())].concat()
 }
 
 /// One TX shard whose 48 blind writes have their frees withheld, then
@@ -478,22 +511,26 @@ fn tx_reclaim(seed: u64) -> Vec<u64> {
         }
         frees.extend(bg.iter().filter_map(|(_, req)| freed(req)));
     }
+    let written = list_image(shard.server());
     let (pool, len) = shard.pool_range();
     let odd = [pool + len, frees[0], shard.view().slot(0), frees[1] + 8];
-    deliver(shard.server(), &frees, &odd).to_vec()
+    [&written[..], &deliver(shard.server(), &frees, &odd)].concat()
 }
 
-/// `(system, seed, [buffers refilled (KV only), free buffers after
-/// delivery, their fold, buffers the GC sweep reposted (KV and RS), free
-/// buffers after it, their fold])`.
+/// `(system, seed, [buffers refilled (KV only), free buffers after the
+/// write run and their fold (TX only), free buffers after delivery, their
+/// fold, buffers the GC sweep reposted (KV and RS), free buffers after it,
+/// their fold, the fold of the first 64 addresses ALLOCATE then pops (KV
+/// only), free buffers after an amnesia restart and their fold (KV and
+/// RS; each KV class in turn)])`.
 #[rustfmt::skip]
 const RECLAIM_GOLDEN: [(&str, u64, &[u64]); 6] = [
-    ("KV", 0x4B56_0001, &[0x80, 0xA5, 0x71A3EF85A7EC0947, 0x1B, 0xC0, 0x16650088059BE8CB]),
-    ("KV", 0x4B56_0002, &[0x80, 0xA5, 0x85B5A4249590CA, 0x1B, 0xC0, 0x4F8FE8CC6B76E99C]),
-    ("RS", 0x5253_0001, &[0x38, 0xECE89898B1AF2535, 0x8, 0x40, 0x7C777424A52AA887]),
-    ("RS", 0x5253_0002, &[0x38, 0x3AF45C8C03F58765, 0x8, 0x40, 0xCC6AD0D8CCF40E59]),
-    ("TX", 0x5458_0001, &[0x38, 0x321CC8FF449B4B6]),
-    ("TX", 0x5458_0002, &[0x38, 0x2A7F996474636B08]),
+    ("KV", 0x4B56_0001, &[0x80, 0xA5, 0x71A3EF85A7EC0947, 0x1B, 0xC0, 0x16650088059BE8CB, 0x6DFF22EBC155F69F, 0x50, 0xC4A8C10040F55DC5]),
+    ("KV", 0x4B56_0002, &[0x80, 0xA5, 0x85B5A4249590CA, 0x1B, 0xC0, 0x4F8FE8CC6B76E99C, 0xD4E64314D40D82AD, 0x50, 0xC4A8C10040F55DC5]),
+    ("RS", 0x5253_0001, &[0x38, 0xECE89898B1AF2535, 0x8, 0x40, 0x7C777424A52AA887, 0x40, 0x429B36D50E8550F5]),
+    ("RS", 0x5253_0002, &[0x38, 0x3AF45C8C03F58765, 0x8, 0x40, 0xCC6AD0D8CCF40E59, 0x40, 0x429B36D50E8550F5]),
+    ("TX", 0x5458_0001, &[0x10, 0x1B9756CAD8F95DD5, 0x38, 0x321CC8FF449B4B6]),
+    ("TX", 0x5458_0002, &[0x10, 0x1B9756CAD8F95DD5, 0x38, 0x2A7F996474636B08]),
 ];
 
 #[test]
