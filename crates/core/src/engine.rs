@@ -475,7 +475,7 @@ impl PrismEngine {
             // Put the buffer back: the allocation never happened. The
             // caller still holds the read gate, so a direct queue push is
             // safe here (this is the engine, not the CPU repost path).
-            self.freelists_repush(id, addr);
+            self.freelists.repush_internal(id, addr);
             return Err(RdmaError::BufferTooSmall {
                 need: data.len() as u64,
                 have: buf_len,
@@ -485,12 +485,6 @@ impl PrismEngine {
         out.extend_from_slice(&addr.to_le_bytes());
         self.emit_into(out, redirect)?;
         Ok(OpStatus::Ok)
-    }
-
-    fn freelists_repush(&self, id: crate::op::FreeListId, addr: u64) {
-        // Engine-internal undo path; bypasses the write gate on purpose
-        // (we are the in-flight NIC operation).
-        self.freelists.repush_internal(id, addr);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -588,10 +582,7 @@ mod tests {
         let data_rkey = regions.register(base, 8192, AccessFlags::FULL);
         let scratch_rkey = regions.register(base + 8192, 1024, AccessFlags::FULL);
         // Free list of 128-byte buffers carved above the scratch region.
-        freelists.register(FreeListId(0), 128);
-        freelists
-            .post(FreeListId(0), (0..8).map(|i| base + 16384 + i * 128))
-            .unwrap();
+        freelists.register_pool(FreeListId(0), 128, base + 16384, 8, 0);
         // Register the buffer pool under the data rkey's address space?
         // Buffers live outside the data region on purpose: indirect reads
         // into them must use a region that covers them.

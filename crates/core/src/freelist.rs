@@ -18,22 +18,21 @@
 //! or the bytes are no reclaim RPC at all. Frees that never arrive are
 //! picked up by [`FreeLists::gc_sweep`].
 
-use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use prism_rdma::hash::IntSet;
-use prism_rdma::sync::{RwLock, RwLockReadGuard};
+use prism_rdma::sync::{Mutex, RwLock, RwLockReadGuard};
 use prism_rdma::{BufferQueue, RdmaError};
 
 use crate::msg::Request;
 use crate::op::FreeListId;
 use crate::server::RpcHandler;
 
-/// Ids below this resolve through a lock-free dense table on the pop
-/// fast path; higher ids fall back to the locked map. Size classes are
-/// registered once at server setup with small consecutive ids, so in
-/// practice everything is dense.
-const DENSE_IDS: usize = 64;
+/// Free-list ids run below this. Size classes are registered once at
+/// server setup with small consecutive ids, so the registry is a table
+/// the data plane indexes with no lock and no hash.
+const MAX_LISTS: usize = 64;
 
 /// Reclaim RPC opcode: return one buffer.
 const RPC_FREE: u8 = 0x01;
@@ -77,12 +76,13 @@ fn le_u64(bytes: &[u8]) -> Option<u64> {
     bytes.try_into().ok().map(u64::from_le_bytes)
 }
 
-/// A refused [`FreeLists::free`]: a client returned an address it cannot
-/// have held. The lists are left untouched.
+/// A refused [`FreeLists::free`] (a client returned an address it cannot
+/// have held, and the lists are left untouched) or [`FreeLists::post`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FreeError {
-    /// No registered pool extent admits the address: it is outside every
-    /// extent, or not on a buffer boundary.
+    /// No registered pool extent admits the address (no extent of the
+    /// named list, for a post): it is outside every extent, or not on a
+    /// buffer boundary.
     OutOfRange(u64),
     /// The address is already on its free list.
     AlreadyFree(u64),
@@ -99,53 +99,28 @@ impl std::fmt::Display for FreeError {
 
 impl std::error::Error for FreeError {}
 
-/// One carve backing a free list: `count` buffers of `stride` bytes
-/// starting at `base`.
-#[derive(Debug, Clone)]
-struct PoolExtent {
-    id: FreeListId,
-    queue: Arc<BufferQueue>,
-    base: u64,
-    stride: u64,
-    count: u64,
-}
-
-impl PoolExtent {
-    fn admits(&self, addr: u64) -> bool {
-        addr >= self.base
-            && addr < self.base + self.stride * self.count
-            && (addr - self.base).is_multiple_of(self.stride)
-    }
-
-    fn buffers(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.count).map(|j| self.base + j * self.stride)
-    }
-}
-
 /// All free lists of one server, plus the posting gate.
+///
+/// Each list is one [`BufferQueue`]: its FIFO of free addresses and the
+/// extents it was carved from, each with a free bit per buffer, under
+/// one lock. Every address on a list lies in one of its extents.
 #[derive(Debug)]
 pub struct FreeLists {
     gate: RwLock<()>,
-    /// Source of truth for every registered list.
-    queues: RwLock<HashMap<FreeListId, Arc<BufferQueue>>>,
-    /// Lock-free mirror of `queues` for ids below [`DENSE_IDS`]: the
-    /// data plane resolves a size class with one atomic load and an
-    /// index instead of a read lock and a hash probe. Registration is
-    /// append-only and each `Arc` is stable for the server's lifetime
-    /// (amnesia recovery resets queue *contents* in place), so a
-    /// published entry never goes stale.
-    dense: Box<[OnceLock<Arc<BufferQueue>>]>,
-    /// Every list's extents, in registration order.
-    extents: RwLock<Vec<PoolExtent>>,
+    /// Free list `i` at index `i`, published once at registration: the
+    /// data plane resolves a size class with one atomic load and an index.
+    lists: Box<[OnceLock<Mutex<BufferQueue>>]>,
+    /// Extents registered so far, over every list: the next one's stamp.
+    /// Read and written only under the gate's write side, which orders it.
+    extents: AtomicUsize,
 }
 
 impl Default for FreeLists {
     fn default() -> Self {
         FreeLists {
             gate: RwLock::new(()),
-            queues: RwLock::new(HashMap::new()),
-            dense: (0..DENSE_IDS).map(|_| OnceLock::new()).collect(),
-            extents: RwLock::new(Vec::new()),
+            lists: (0..MAX_LISTS).map(|_| OnceLock::new()).collect(),
+            extents: AtomicUsize::new(0),
         }
     }
 }
@@ -156,40 +131,13 @@ impl FreeLists {
         FreeLists::default()
     }
 
-    /// Fast-path lookup: dense table first, locked map for ids past
-    /// the dense range.
-    #[inline]
-    fn dense_get(&self, id: FreeListId) -> Option<&Arc<BufferQueue>> {
-        self.dense.get(id.0 as usize).and_then(OnceLock::get)
+    fn list(&self, id: FreeListId) -> Option<&Mutex<BufferQueue>> {
+        self.lists.get(id.0 as usize).and_then(OnceLock::get)
     }
 
-    /// Slow-path lookup returning a clone for ids outside the dense
-    /// range (or not yet registered → `None`).
-    fn spill_get(&self, id: FreeListId) -> Option<Arc<BufferQueue>> {
-        self.queues.read().get(&id).cloned()
-    }
-
-    fn lookup(&self, id: FreeListId) -> Option<Arc<BufferQueue>> {
-        match self.dense_get(id) {
-            Some(q) => Some(Arc::clone(q)),
-            None => self.spill_get(id),
-        }
-    }
-
-    /// Registers a free list whose buffers are `buf_len` bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is already registered — size classes are fixed at
-    /// server setup.
-    pub fn register(&self, id: FreeListId, buf_len: u64) {
-        let mut queues = self.queues.write();
-        let q = Arc::new(BufferQueue::new(buf_len));
-        let prev = queues.insert(id, Arc::clone(&q));
-        assert!(prev.is_none(), "free list {id:?} registered twice");
-        if let Some(slot) = self.dense.get(id.0 as usize) {
-            slot.set(q).expect("dense slot already published");
-        }
+    /// Every registered list, in id order.
+    fn registered(&self) -> impl Iterator<Item = &Mutex<BufferQueue>> {
+        self.lists.iter().filter_map(OnceLock::get)
     }
 
     /// Registers free list `id` over a pool carved at `base`: `count`
@@ -201,7 +149,8 @@ impl FreeLists {
     ///
     /// # Panics
     ///
-    /// As [`FreeLists::register`] and [`FreeLists::register_extent`].
+    /// Panics if the id is already registered (size classes are fixed at
+    /// server setup) or not below 64, or as [`FreeLists::extend`].
     pub fn register_pool(
         &self,
         id: FreeListId,
@@ -210,52 +159,54 @@ impl FreeLists {
         count: u64,
         in_use: u64,
     ) -> u64 {
-        let stride = buf_len.next_multiple_of(64);
-        self.register(id, buf_len);
-        self.register_extent(id, base, stride, count);
-        self.post(id, (in_use..count).map(|j| base + j * stride))
-            .expect("fresh free list accepts posts");
+        let fresh = Mutex::new(BufferQueue::new(buf_len));
+        let stride = fresh.lock().stride();
+        let registered = self.lists[id.0 as usize].set(fresh).is_ok();
+        assert!(registered, "free list {id:?} registered twice");
+        self.extend(id, base, count, in_use);
         stride
     }
 
-    /// Rebuilds a free list from scratch after an amnesia restart: the
-    /// queue's contents (which described pre-crash ownership) are
-    /// replaced in place by exactly `addrs`, restarting its posted
-    /// counter. Takes the exclusive side of the posting gate so no
-    /// in-flight chain can pop from the queue being reset. Unlike
-    /// [`FreeLists::register`], the id must already exist — recovery
-    /// re-initializes, it does not invent size classes.
+    /// Adds an extent to free list `id`, `count` buffers on the list's
+    /// stride from `base`, and posts the ones from index `held` on, in one
+    /// step under the posting gate: checked frees and sweeps see a refill
+    /// carve from the moment its buffers can be allocated.
     ///
     /// # Panics
     ///
-    /// Panics if `id` was never registered.
-    fn reset(&self, id: FreeListId, addrs: impl IntoIterator<Item = u64>) {
+    /// Panics if `id` is not registered, `count` is zero, or the extent
+    /// overlaps one already registered.
+    pub fn extend(&self, id: FreeListId, base: u64, count: u64, held: u64) {
         let _excl = self.gate.write();
-        let q = self.lookup(id).expect("reset of unregistered free list");
-        q.reset_in_place(addrs);
+        let list = self
+            .list(id)
+            .unwrap_or_else(|| panic!("extent for unregistered free list {id:?}"));
+        let stride = list.lock().stride();
+        assert!(
+            self.registered()
+                .all(|l| !l.lock().overlaps(base, stride * count)),
+            "pool extent at {base:#x} overlaps another"
+        );
+        let stamp = self.extents.fetch_add(1, Ordering::Relaxed);
+        list.lock().add_extent(base, count, held, stamp);
     }
 
     /// The allocator half of an amnesia restart: forgets every extent
     /// registered after the first `keep` (carves whose memory the
     /// restarted server takes back, such as refills from headroom it
-    /// rewinds), then `FreeLists::reset`s each list that still has
-    /// extents to exactly their buffers that `in_use` does not claim, in
-    /// registration order. A pre-crash client's free into a forgotten
-    /// extent is refused from here on, so a later carve of the same range
-    /// cannot hand a buffer out twice.
+    /// rewinds), then rebuilds each list as exactly its remaining
+    /// extents' buffers that `in_use` does not claim, extents in
+    /// registration order (a list left without extents is left empty).
+    /// Takes the exclusive side of the posting gate so no in-flight chain
+    /// can pop from a list being reset. A pre-crash client's free into a
+    /// forgotten extent is refused from here on, so a later carve of the
+    /// same range cannot hand a buffer out twice.
     pub fn reset_to_extents(&self, keep: usize, in_use: impl Fn(u64) -> bool) {
-        let kept = {
-            let mut extents = self.extents.write();
-            extents.truncate(keep);
-            extents.clone()
-        };
-        for (i, e) in kept.iter().enumerate() {
-            if kept[..i].iter().all(|earlier| earlier.id != e.id) {
-                let mine = kept[i..].iter().filter(|later| later.id == e.id);
-                let free = mine.flat_map(PoolExtent::buffers).filter(|&a| !in_use(a));
-                self.reset(e.id, free);
-            }
+        let _excl = self.gate.write();
+        for list in self.registered() {
+            list.lock().reset_in_place(|stamp| stamp < keep, &in_use);
         }
+        self.extents.fetch_min(keep, Ordering::Relaxed);
     }
 
     /// Acquires the data-plane side of the posting gate. The PRISM engine
@@ -269,51 +220,31 @@ impl FreeLists {
     ///
     /// Caller must hold the read gate (the engine does).
     pub fn pop(&self, id: FreeListId) -> Result<(u64, u64), RdmaError> {
-        // Hot path: one atomic load, an index, and the queue's own
-        // lock — no registry lock, no hash.
-        if let Some(q) = self.dense_get(id) {
-            let addr = q.pop()?;
-            return Ok((addr, q.buf_len()));
-        }
-        let q = self.spill_get(id).ok_or(RdmaError::UnknownFreeList(id.0))?;
-        let addr = q.pop()?;
-        Ok((addr, q.buf_len()))
+        let mut q = self
+            .list(id)
+            .ok_or(RdmaError::UnknownFreeList(id.0))?
+            .lock();
+        Ok((q.pop()?, q.buf_len()))
     }
 
     /// CPU-side repost: blocks until all in-flight chains finish, then
-    /// returns the buffers to the queue.
+    /// returns `addrs` to list `id` in order, skipping any already free.
+    /// It stops at the first address no extent of the list holds (any
+    /// address, if `id` is not registered), which is refused with
+    /// [`FreeError::OutOfRange`]; the ones before it stay posted.
     pub fn post(
         &self,
         id: FreeListId,
         addrs: impl IntoIterator<Item = u64>,
-    ) -> Result<(), RdmaError> {
+    ) -> Result<(), FreeError> {
         let _excl = self.gate.write();
-        let q = self.lookup(id).ok_or(RdmaError::UnknownFreeList(id.0))?;
-        q.post_many(addrs);
+        let mut q = self.list(id).map(Mutex::lock);
+        for a in addrs {
+            q.as_mut()
+                .and_then(|q| q.post(a))
+                .ok_or(FreeError::OutOfRange(a))?;
+        }
         Ok(())
-    }
-
-    /// Records a pool extent backing `id`: `count` buffers of `stride`
-    /// bytes from `base`. Servers call this where they carve a pool, and
-    /// again for each refill carve — a list may be backed by several
-    /// disjoint extents. Only extent members can be freed
-    /// ([`FreeLists::free`]) or swept ([`FreeLists::gc_sweep`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not registered or `stride`/`count` is zero.
-    pub fn register_extent(&self, id: FreeListId, base: u64, stride: u64, count: u64) {
-        assert!(stride > 0 && count > 0, "empty pool extent for {id:?}");
-        let queue = self
-            .lookup(id)
-            .unwrap_or_else(|| panic!("extent for unregistered free list {id:?}"));
-        self.extents.write().push(PoolExtent {
-            id,
-            queue,
-            base,
-            stride,
-            count,
-        });
     }
 
     /// Checked client-driven free: returns `addr` to the list whose
@@ -326,16 +257,14 @@ impl FreeLists {
     /// side of the posting gate, like [`FreeLists::post`].
     pub fn free(&self, addr: u64) -> Result<(), FreeError> {
         let _excl = self.gate.write();
-        let extents = self.extents.read();
-        let extent = extents
-            .iter()
-            .find(|e| e.admits(addr))
-            .ok_or(FreeError::OutOfRange(addr))?;
-        if extent.queue.contains(addr) {
-            return Err(FreeError::AlreadyFree(addr));
+        for list in self.registered() {
+            match list.lock().post(addr) {
+                Some(true) => return Ok(()),
+                Some(false) => return Err(FreeError::AlreadyFree(addr)),
+                None => {}
+            }
         }
-        extent.queue.post(addr);
-        Ok(())
+        Err(FreeError::OutOfRange(addr))
     }
 
     /// Server-side garbage collection (§3.2's alternative to
@@ -353,19 +282,9 @@ impl FreeLists {
     pub fn gc_sweep(&self, reachable: impl FnOnce() -> IntSet<u64>) -> usize {
         let _excl = self.gate.write();
         let reachable = reachable();
-        let extents = self.extents.read();
-        let mut order: Vec<&PoolExtent> = extents.iter().collect();
-        order.sort_by_key(|e| e.id);
-        let mut reclaimed = 0;
-        for e in order {
-            for buf in e.buffers() {
-                if !reachable.contains(&buf) && !e.queue.contains(buf) {
-                    e.queue.post(buf);
-                    reclaimed += 1;
-                }
-            }
-        }
-        reclaimed
+        self.registered()
+            .map(|list| list.lock().sweep(&reachable))
+            .sum()
     }
 
     /// Engine-internal undo: returns a just-popped buffer without taking
@@ -373,24 +292,26 @@ impl FreeLists {
     /// the read side as the in-flight operation whose pop it is undoing,
     /// so taking the write gate here would deadlock.
     pub(crate) fn repush_internal(&self, id: FreeListId, addr: u64) {
-        if let Some(q) = self.lookup(id) {
-            q.post(addr);
+        if let Some(list) = self.list(id) {
+            list.lock().post(addr);
         }
     }
 
     /// Buffers currently available in `id`.
     pub fn available(&self, id: FreeListId) -> usize {
-        self.lookup(id).map(|q| q.available()).unwrap_or(0)
+        self.list(id).map_or(0, |q| q.lock().available())
     }
 
     /// Size class of `id`, if registered.
     pub fn buf_len(&self, id: FreeListId) -> Option<u64> {
-        self.lookup(id).map(|q| q.buf_len())
+        self.list(id).map(|q| q.lock().buf_len())
     }
 
     /// Snapshot of `id`'s free addresses, in the order ALLOCATE pops them.
     pub fn snapshot(&self, id: FreeListId) -> Vec<u64> {
-        self.lookup(id).map(|q| q.snapshot()).unwrap_or_default()
+        self.list(id)
+            .map(|q| q.lock().snapshot())
+            .unwrap_or_default()
     }
 }
 
@@ -422,12 +343,18 @@ mod tests {
     fn register_pop_post_cycle() {
         let fl = FreeLists::new();
         let id = FreeListId(1);
-        fl.register(id, 128);
-        fl.post(id, [0x1000, 0x2000]).unwrap();
-        assert_eq!(fl.available(id), 2);
+        assert_eq!(fl.register_pool(id, 100, 0x1000, 4, 2), 128);
+        assert_eq!(fl.snapshot(id), [0x1100, 0x1180]);
         let _g = fl.gate_read();
-        assert_eq!(fl.pop(id).unwrap(), (0x1000, 128));
+        assert_eq!(fl.pop(id).unwrap(), (0x1100, 100));
         assert_eq!(fl.available(id), 1);
+        drop(_g);
+        fl.post(id, [0x1000, 0x1180]).unwrap();
+        assert_eq!(
+            fl.snapshot(id),
+            [0x1180, 0x1000],
+            "a repeat post is skipped"
+        );
     }
 
     #[test]
@@ -445,15 +372,19 @@ mod tests {
         }
         assert_eq!(
             fl.post(FreeListId(9), [1]).unwrap_err(),
-            RdmaError::UnknownFreeList(9)
+            FreeError::OutOfRange(1)
         );
         assert_eq!(fl.buf_len(FreeListId(9)), None);
+        assert_eq!(
+            fl.pop(FreeListId(u32::MAX)).unwrap_err(),
+            RdmaError::UnknownFreeList(u32::MAX)
+        );
     }
 
     #[test]
     fn empty_queue_is_receiver_not_ready() {
         let fl = FreeLists::new();
-        fl.register(FreeListId(1), 64);
+        fl.register_pool(FreeListId(1), 64, 0x1000, 2, 2);
         let _g = fl.gate_read();
         assert_eq!(
             fl.pop(FreeListId(1)).unwrap_err(),
@@ -465,34 +396,42 @@ mod tests {
     #[should_panic(expected = "registered twice")]
     fn duplicate_registration_panics() {
         let fl = FreeLists::new();
-        fl.register(FreeListId(1), 64);
-        fl.register(FreeListId(1), 128);
+        fl.register_pool(FreeListId(1), 64, 0x1000, 2, 0);
+        fl.register_pool(FreeListId(1), 128, 0x2000, 2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps another")]
+    fn overlapping_extents_panic() {
+        let fl = FreeLists::new();
+        fl.register_pool(FreeListId(1), 64, 0x1000, 2, 0);
+        fl.register_pool(FreeListId(2), 128, 0x1040, 2, 0);
     }
 
     #[test]
     fn reset_replaces_queue_contents() {
         let fl = FreeLists::new();
         let id = FreeListId(1);
-        fl.register(id, 128);
-        fl.post(id, [0x1000, 0x2000]).unwrap();
-        fl.reset(id, [0x9000]);
-        assert_eq!(fl.available(id), 1);
+        fl.register_pool(id, 128, 0x1000, 4, 0);
+        fl.pop(id).unwrap();
+        fl.pop(id).unwrap();
+        fl.reset_to_extents(1, |a| a == 0x1080);
+        assert_eq!(fl.snapshot(id), [0x1000, 0x1100, 0x1180]);
         assert_eq!(fl.buf_len(id), Some(128));
         let _g = fl.gate_read();
-        assert_eq!(fl.pop(id).unwrap(), (0x9000, 128));
+        assert_eq!(fl.pop(id).unwrap(), (0x1000, 128));
     }
 
     #[test]
-    #[should_panic(expected = "reset of unregistered")]
-    fn reset_requires_registration() {
-        FreeLists::new().reset(FreeListId(9), [0x1000]);
+    #[should_panic(expected = "extent for unregistered")]
+    fn extend_requires_registration() {
+        FreeLists::new().extend(FreeListId(9), 0x1000, 4, 0);
     }
 
     fn guarded() -> FreeLists {
         let fl = FreeLists::new();
-        let id = FreeListId(1);
-        fl.register(id, 64);
-        fl.register_extent(id, 0x1000, 64, 4); // 0x1000..0x1100, stride 64
+        // 0x1000..0x1100, stride 64, all held.
+        fl.register_pool(FreeListId(1), 64, 0x1000, 4, 4);
         fl.free(0x1040).unwrap();
         fl
     }
@@ -510,12 +449,29 @@ mod tests {
 
     #[test]
     fn checked_free_requires_registration() {
-        let fl = FreeLists::new();
-        fl.register(FreeListId(9), 64);
-        fl.post(FreeListId(9), [0x1000]).unwrap();
-        fl.pop(FreeListId(9)).unwrap();
-        // A list with no extent admits nothing back.
-        assert_eq!(fl.free(0x1000).unwrap_err(), FreeError::OutOfRange(0x1000));
+        let fl = guarded();
+        fl.register_pool(FreeListId(2), 64, 0x2000, 1, 1);
+        // Only a registered extent admits a buffer back.
+        assert_eq!(fl.free(0x2040).unwrap_err(), FreeError::OutOfRange(0x2040));
+        fl.free(0x2000).unwrap();
+        assert_eq!(fl.snapshot(FreeListId(2)), [0x2000]);
+    }
+
+    /// A post may repeat a free buffer, but not name one outside the
+    /// list's own extents: it stops there, keeping what it posted before.
+    #[test]
+    fn post_outside_the_lists_extents_is_a_typed_error() {
+        let fl = guarded();
+        fl.register_pool(FreeListId(2), 64, 0x2000, 2, 2);
+        let id = FreeListId(1);
+        let refused = fl.post(id, [0x1040, 0x1080, 0x2000, 0x10C0]);
+        assert_eq!(refused.unwrap_err(), FreeError::OutOfRange(0x2000));
+        assert_eq!(
+            fl.post(id, [0x1100]).unwrap_err(),
+            FreeError::OutOfRange(0x1100)
+        );
+        assert_eq!(fl.snapshot(id), [0x1040, 0x1080]);
+        assert_eq!(fl.snapshot(FreeListId(2)), []);
     }
 
     /// One enforcement level in every build: a repeat free is a typed
@@ -539,12 +495,9 @@ mod tests {
     #[test]
     fn gc_sweep_reposts_unreachable_members_lists_in_id_order() {
         let fl = FreeLists::new();
-        for id in [FreeListId(2), FreeListId(1)] {
-            fl.register(id, 64);
-        }
-        fl.register_extent(FreeListId(2), 0x4000, 64, 2);
-        fl.register_extent(FreeListId(1), 0x3000, 64, 2);
-        fl.register_extent(FreeListId(1), 0x1000, 64, 2);
+        fl.register_pool(FreeListId(2), 64, 0x4000, 2, 2);
+        fl.register_pool(FreeListId(1), 64, 0x3000, 2, 2);
+        fl.extend(FreeListId(1), 0x1000, 2, 2);
         fl.free(0x1040).unwrap();
         let reachable = || [0x3000, 0x4040].into_iter().collect();
         assert_eq!(fl.gc_sweep(reachable), 3);
@@ -556,11 +509,38 @@ mod tests {
     #[test]
     fn reset_to_extents_forgets_later_carves() {
         let fl = guarded();
-        fl.register_extent(FreeListId(1), 0x8000, 64, 2);
-        fl.free(0x8000).unwrap();
+        fl.extend(FreeListId(1), 0x8000, 2, 0);
+        assert_eq!(fl.snapshot(FreeListId(1)), [0x1040, 0x8000, 0x8040]);
         fl.reset_to_extents(1, |a| a == 0x1000);
         assert_eq!(fl.snapshot(FreeListId(1)), [0x1040, 0x1080, 0x10C0]);
         assert_eq!(fl.free(0x8040).unwrap_err(), FreeError::OutOfRange(0x8040));
+    }
+
+    #[test]
+    fn concurrent_pops_never_double_allocate() {
+        use std::collections::HashSet;
+        use std::sync::Arc;
+        let fl = Arc::new(FreeLists::new());
+        fl.register_pool(FreeListId(0), 64, 0x1_0000, 10_000, 0);
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let fl = Arc::clone(&fl);
+                std::thread::spawn(move || {
+                    let mut got = Vec::new();
+                    while let Ok((a, _)) = fl.pop(FreeListId(0)) {
+                        got.push(a);
+                    }
+                    got
+                })
+            })
+            .collect();
+        let mut all = HashSet::new();
+        for h in handles {
+            for a in h.join().unwrap() {
+                assert!(all.insert(a), "buffer {a:#x} allocated twice");
+            }
+        }
+        assert_eq!(all.len(), 10_000);
     }
 
     fn rpc_bytes(req: Request) -> Vec<u8> {
@@ -594,10 +574,10 @@ mod tests {
 
     fn reclaim_lists() -> FreeLists {
         let fl = FreeLists::new();
-        fl.register(FreeListId(0), 64);
-        fl.register(FreeListId(1), 100);
+        fl.register_pool(FreeListId(0), 64, 0x1000, 4, 4);
+        fl.register_pool(FreeListId(1), 100, 0x2000, 3, 3);
+        fl.extend(FreeListId(0), 0x3000, 2, 2);
         for (id, base, stride, count) in EXTENTS {
-            fl.register_extent(FreeListId(id), base, stride, count);
             let every_other = (0..count).step_by(2).map(|j| base + j * stride);
             fl.post(FreeListId(id), every_other).unwrap();
         }
@@ -684,7 +664,7 @@ mod tests {
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
         let fl = Arc::new(FreeLists::new());
-        fl.register(FreeListId(1), 64);
+        fl.register_pool(FreeListId(1), 64, 0x1000, 1, 1);
         let posted = Arc::new(AtomicBool::new(false));
         let guard = fl.gate_read();
         let t = {

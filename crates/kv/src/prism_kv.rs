@@ -353,15 +353,9 @@ impl PrismKvServer {
             let Some(base) = self.carve_headroom(r.stride * r.batch) else {
                 continue;
             };
-            self.server
-                .freelists()
-                .post(r.id, (0..r.batch).map(|j| base + j * r.stride))
-                .expect("class registered");
-            // Refilled buffers are pool members like any other: record
-            // the extent so checked frees of them resolve.
-            self.server
-                .freelists()
-                .register_extent(r.id, base, r.stride, r.batch);
+            // Refilled buffers are pool members like any other: the one
+            // call records the extent and posts its buffers together.
+            self.server.freelists().extend(r.id, base, r.batch, 0);
             added += r.batch;
         }
         added
@@ -1176,6 +1170,7 @@ pub fn drive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prism_core::freelist::FreeError;
     use prism_core::msg::execute_local;
 
     fn drive_get(server: &PrismKvServer, c: &PrismKvClient, key: &[u8]) -> (KvOutcome, u32) {
@@ -1562,6 +1557,36 @@ mod tests {
         handed_out.sort_unstable();
         handed_out.dedup();
         assert_eq!(handed_out.len(), n, "a buffer handed out twice");
+    }
+
+    /// A refill records its extent and posts its buffers in one step: a
+    /// refilled buffer popped and freed at once comes back, and a free
+    /// one stride past the new extent is refused.
+    #[test]
+    fn refilled_buffers_are_pool_members_from_their_first_pop() {
+        let s = PrismKvServer::new(&PrismKvConfig {
+            capacity: 64,
+            scheme: HashScheme::Fnv,
+            max_entry_len: 64,
+            classes: vec![SizeClass {
+                buf_len: 64,
+                count: 8,
+            }],
+        });
+        let (id, lists) = (FreeListId(0), s.server().freelists());
+        assert_eq!(s.maybe_refill(), 64);
+        let last = *lists.snapshot(id).last().unwrap();
+        for _ in 0..8 {
+            lists.pop(id).unwrap();
+        }
+        let (first, _) = lists.pop(id).unwrap();
+        assert_eq!(last - first, 63 * 64, "one extent of 64 buffers");
+        lists.free(first).unwrap();
+        assert_eq!(lists.snapshot(id).last(), Some(&first));
+        assert_eq!(
+            lists.free(last + 64).unwrap_err(),
+            FreeError::OutOfRange(last + 64)
+        );
     }
 
     #[test]

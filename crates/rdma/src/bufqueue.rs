@@ -7,62 +7,63 @@
 //! applications register several queues for different size classes (§3.2,
 //! "using buffers sized as powers of two guarantees a maximum space
 //! overhead of 2x").
+//!
+//! A queue owns the extents its buffers are carved from, `count` buffers
+//! one stride apart from `base`, and each extent holds a free bit per
+//! buffer, set exactly while the buffer is on the FIFO. A pop, post or
+//! membership test finds the extent by binary search over the extents
+//! sorted by base and touches one word of bits, not a hash table.
 
 use std::collections::VecDeque;
 
 use crate::error::RdmaError;
 use crate::hash::IntSet;
-use crate::sync::Mutex;
 
-#[derive(Debug, Default)]
-struct Inner {
-    fifo: VecDeque<u64>,
-    /// The addresses in `fifo`, for the idempotence check. Its table
-    /// follows the set's size down as well as up (see [`Inner::take`]).
-    members: IntSet<u64>,
-    posted_total: u64,
+/// `count` buffers from `base`, and which of them are free.
+#[derive(Debug)]
+struct Extent {
+    base: u64,
+    count: u64,
+    /// The caller's registration stamp, the order sweeps and resets walk.
+    stamp: usize,
+    /// Bit `j` is set while buffer `j` is on the FIFO.
+    free: Vec<u64>,
 }
 
-impl Inner {
-    fn put(&mut self, addr: u64) {
-        if self.members.insert(addr) {
-            self.fifo.push_back(addr);
-            self.posted_total += 1;
-        }
-    }
-
-    /// Pops the first free buffer. A pool posts every buffer it owns at
-    /// set-up and then runs with a fraction of them free, so a table
-    /// that only ever grows stays sized for the whole pool — megabytes,
-    /// probed at random on every pop, post and `contains`, a cache miss
-    /// each. Once the set is under an eighth of what its table holds,
-    /// the table is rebuilt for twice the set: the set must halve again
-    /// before the next rebuild, so a rehash is paid once per that many
-    /// pops.
-    fn take(&mut self) -> Option<u64> {
-        let addr = self.fifo.pop_front()?;
-        self.members.remove(&addr);
-        if self.members.capacity() > 8 * self.members.len().max(8) {
-            self.members.shrink_to(2 * self.members.len());
-        }
-        Some(addr)
+impl Extent {
+    /// Sets buffer `j`'s free bit; false if it was already set.
+    fn set(&mut self, j: u64) -> bool {
+        let (word, bit) = (&mut self.free[(j / 64) as usize], 1 << (j % 64));
+        let was_clear = *word & bit == 0;
+        *word |= bit;
+        was_clear
     }
 }
 
-/// A FIFO of equally-sized free buffers registered for ALLOCATE.
+/// A FIFO of equally-sized free buffers registered for ALLOCATE, and the
+/// extents they come from.
 ///
 /// Posting is idempotent: an address already on the queue is not added
 /// again. This makes client-driven reclamation and server-side GC
 /// sweeps (§3.2's two alternatives) safe to combine — a duplicate free
-/// notification cannot cause double allocation.
+/// notification cannot cause double allocation. An address no extent of
+/// the queue holds is refused.
+///
+/// The queue takes no lock of its own: its owner serialises access and
+/// holds the posting gate (§3.2).
 #[derive(Debug)]
 pub struct BufferQueue {
-    bufs: Mutex<Inner>,
     buf_len: u64,
+    stride: u64,
+    fifo: VecDeque<u64>,
+    /// Disjoint, sorted by base.
+    extents: Vec<Extent>,
 }
 
 impl BufferQueue {
-    /// Creates an empty queue whose buffers are `buf_len` bytes each.
+    /// Creates an empty queue, with no extents, whose buffers are
+    /// `buf_len` bytes each, on a 64-byte stride so buffers start on line
+    /// boundaries.
     ///
     /// # Panics
     ///
@@ -70,8 +71,10 @@ impl BufferQueue {
     pub fn new(buf_len: u64) -> Self {
         assert!(buf_len > 0, "BufferQueue::new: zero buffer length");
         BufferQueue {
-            bufs: Mutex::new(Inner::default()),
             buf_len,
+            stride: buf_len.next_multiple_of(64),
+            fifo: VecDeque::new(),
+            extents: Vec::new(),
         }
     }
 
@@ -80,76 +83,150 @@ impl BufferQueue {
         self.buf_len
     }
 
-    /// Posts one free buffer at `addr`.
-    ///
-    /// The caller (the PRISM engine) is responsible for holding the
-    /// posting gate so that buffers are only recycled once concurrent NIC
-    /// operations have completed (§3.2).
-    pub fn post(&self, addr: u64) {
-        self.bufs.lock().put(addr);
+    /// Distance between consecutive buffers of an extent.
+    pub fn stride(&self) -> u64 {
+        self.stride
     }
 
-    /// Posts many buffers at once (duplicates skipped).
-    pub fn post_many(&self, addrs: impl IntoIterator<Item = u64>) {
-        let mut q = self.bufs.lock();
-        for a in addrs {
-            q.put(a);
+    /// Adds an extent of `count` buffers from `base` and posts the ones
+    /// from index `held` on; those before it stay with the caller.
+    /// `stamp` places the extent among the queue's extents for
+    /// [`BufferQueue::sweep`] and [`BufferQueue::reset_in_place`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` is zero or the extent overlaps one the queue
+    /// already holds.
+    pub fn add_extent(&mut self, base: u64, count: u64, held: u64, stamp: usize) {
+        assert!(count > 0, "empty extent at {base:#x}");
+        assert!(
+            !self.overlaps(base, self.stride * count),
+            "extent at {base:#x} overlaps another"
+        );
+        let mut e = Extent {
+            base,
+            count,
+            stamp,
+            free: vec![0; count.div_ceil(64) as usize],
+        };
+        (held..count).for_each(|j| _ = e.set(j));
+        let stride = self.stride;
+        self.fifo.extend((held..count).map(|j| base + j * stride));
+        let at = self.extents.partition_point(|e| e.base < base);
+        self.extents.insert(at, e);
+    }
+
+    /// Whether `[base, base + len)` shares a byte with one of the
+    /// queue's extents.
+    pub fn overlaps(&self, base: u64, len: u64) -> bool {
+        let stride = self.stride;
+        self.extents
+            .iter()
+            .any(|e| base < e.base + stride * e.count && e.base < base + len)
+    }
+
+    /// The extent holding buffer `addr` and the buffer's index in it.
+    fn locate(&self, addr: u64) -> Option<(usize, u64)> {
+        let i = self
+            .extents
+            .partition_point(|e| e.base <= addr)
+            .checked_sub(1)?;
+        let off = addr - self.extents[i].base;
+        let j = off / self.stride;
+        (off.is_multiple_of(self.stride) && j < self.extents[i].count).then_some((i, j))
+    }
+
+    /// Posts one free buffer at `addr`: `None` if no extent of the queue
+    /// holds it, else whether it went on the FIFO (`false`: it was
+    /// already free, and the post is skipped).
+    pub fn post(&mut self, addr: u64) -> Option<bool> {
+        let (i, j) = self.locate(addr)?;
+        let posted = self.extents[i].set(j);
+        if posted {
+            self.fifo.push_back(addr);
         }
+        Some(posted)
     }
 
     /// Pops the first free buffer, or fails with Receiver-Not-Ready if the
     /// queue is empty (the NIC's standard flow-control answer, §4.2).
-    pub fn pop(&self) -> Result<u64, RdmaError> {
-        self.bufs.lock().take().ok_or(RdmaError::ReceiverNotReady)
+    pub fn pop(&mut self) -> Result<u64, RdmaError> {
+        let addr = self.fifo.pop_front().ok_or(RdmaError::ReceiverNotReady)?;
+        let (i, j) = self
+            .locate(addr)
+            .expect("a queued buffer lies in an extent");
+        self.extents[i].free[(j / 64) as usize] &= !(1 << (j % 64));
+        Ok(addr)
     }
 
-    /// Replaces the queue's contents with exactly `addrs`, restarting
-    /// the posted-total counter — the amnesia-recovery path
-    /// (`FreeLists::reset`) rebuilding a free list whose pre-crash
-    /// contents described ownership that no longer exists. The caller
-    /// must hold the posting gate exclusively so no pop is in flight.
-    pub fn reset_in_place(&self, addrs: impl IntoIterator<Item = u64>) {
-        let mut q = self.bufs.lock();
-        q.fifo.clear();
-        q.members = IntSet::default();
-        q.posted_total = 0;
-        for a in addrs {
-            q.put(a);
+    /// Forgets every extent whose stamp `keep` refuses, then makes the
+    /// FIFO exactly the remaining extents' buffers that `in_use` does not
+    /// claim, extents in stamp order — the amnesia-recovery path
+    /// rebuilding a free list whose pre-crash contents described
+    /// ownership that no longer exists.
+    pub fn reset_in_place(&mut self, keep: impl Fn(usize) -> bool, in_use: impl Fn(u64) -> bool) {
+        self.extents.retain(|e| keep(e.stamp));
+        self.extents.iter_mut().for_each(|e| e.free.fill(0));
+        self.fifo.clear();
+        self.post_where(|a| !in_use(a));
+    }
+
+    /// Posts every extent buffer that is neither free nor in `reachable`,
+    /// extents in stamp order, and returns how many.
+    pub fn sweep(&mut self, reachable: &IntSet<u64>) -> usize {
+        self.post_where(|a| !reachable.contains(&a))
+    }
+
+    /// Posts every extent buffer `pick` selects that is not free yet,
+    /// extents in stamp order, and returns how many.
+    fn post_where(&mut self, pick: impl Fn(u64) -> bool) -> usize {
+        let mut order: Vec<usize> = (0..self.extents.len()).collect();
+        order.sort_by_key(|&i| self.extents[i].stamp);
+        let mut posted = 0;
+        for i in order {
+            let e = &mut self.extents[i];
+            for j in 0..e.count {
+                let a = e.base + j * self.stride;
+                if pick(a) && e.set(j) {
+                    self.fifo.push_back(a);
+                    posted += 1;
+                }
+            }
         }
+        posted
     }
 
     /// Number of buffers currently available.
     pub fn available(&self) -> usize {
-        self.bufs.lock().fifo.len()
+        self.fifo.len()
     }
 
-    /// Snapshot of the free addresses (for GC sweeps and diagnostics).
+    /// Snapshot of the free addresses, in the order ALLOCATE pops them.
     pub fn snapshot(&self) -> Vec<u64> {
-        self.bufs.lock().fifo.iter().copied().collect()
-    }
-
-    /// Whether `addr` is currently free.
-    pub fn contains(&self, addr: u64) -> bool {
-        self.bufs.lock().members.contains(&addr)
-    }
-
-    /// Total buffers ever posted (for the server's refill heuristic:
-    /// PRISM-KV's server "periodically checks if more buffers are
-    /// needed", §6.1).
-    pub fn posted_total(&self) -> u64 {
-        self.bufs.lock().posted_total
+        self.fifo.iter().copied().collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
-    use std::sync::Arc;
+
+    /// Whether `addr`'s free bit is set.
+    fn is_free(q: &BufferQueue, addr: u64) -> bool {
+        q.locate(addr)
+            .is_some_and(|(i, j)| q.extents[i].free[(j / 64) as usize] & 1 << (j % 64) != 0)
+    }
+
+    /// A queue of 64-byte buffers over one extent, `0x1000..0x11000`.
+    fn queue() -> BufferQueue {
+        let mut q = BufferQueue::new(64);
+        q.add_extent(0x1000, 1024, 1024, 0);
+        q
+    }
 
     #[test]
     fn fifo_order() {
-        let q = BufferQueue::new(64);
+        let mut q = queue();
         q.post(0x1000);
         q.post(0x2000);
         assert_eq!(q.pop().unwrap(), 0x1000);
@@ -158,9 +235,9 @@ mod tests {
 
     #[test]
     fn double_post_is_idempotent() {
-        let q = BufferQueue::new(64);
-        q.post(0x1000);
-        q.post(0x1000);
+        let mut q = queue();
+        assert_eq!(q.post(0x1000), Some(true));
+        assert_eq!(q.post(0x1000), Some(false));
         assert_eq!(q.available(), 1, "duplicate post must be ignored");
         assert_eq!(q.pop().unwrap(), 0x1000);
         assert!(q.pop().is_err());
@@ -171,90 +248,90 @@ mod tests {
 
     #[test]
     fn snapshot_and_contains() {
-        let q = BufferQueue::new(64);
-        q.post_many([1, 2, 3]);
-        assert_eq!(q.snapshot(), vec![1, 2, 3]);
-        assert!(q.contains(2));
+        let mut q = queue();
+        for a in [0x1040, 0x1080, 0x10C0] {
+            q.post(a);
+        }
+        assert_eq!(q.snapshot(), vec![0x1040, 0x1080, 0x10C0]);
+        assert!(is_free(&q, 0x1080));
         q.pop().unwrap();
-        assert!(!q.contains(1));
+        assert!(!is_free(&q, 0x1040));
     }
 
     #[test]
     fn empty_queue_is_rnr() {
-        let q = BufferQueue::new(64);
+        let mut q = queue();
         assert_eq!(q.pop().unwrap_err(), RdmaError::ReceiverNotReady);
     }
 
     #[test]
     fn post_many_and_counters() {
-        let q = BufferQueue::new(64);
-        q.post_many([1, 2, 3]);
+        let mut q = queue();
+        for a in [0x1000, 0x1040, 0x1080] {
+            q.post(a);
+        }
         assert_eq!(q.available(), 3);
-        assert_eq!(q.posted_total(), 3);
         q.pop().unwrap();
         assert_eq!(q.available(), 2);
-        assert_eq!(q.posted_total(), 3, "posted_total counts posts, not pops");
     }
 
     #[test]
     fn reset_in_place_replaces_contents_and_counter() {
-        let q = BufferQueue::new(64);
-        q.post_many([1, 2, 3]);
+        let mut q = queue();
+        q.add_extent(0x2_0000, 2, 2, 1);
+        q.add_extent(0x400, 2, 2, 2);
+        for a in [0x1000, 0x1040, 0x2_0000] {
+            q.post(a);
+        }
         q.pop().unwrap();
-        q.reset_in_place([0x9000, 0x9040]);
-        assert_eq!(q.available(), 2);
-        assert_eq!(q.posted_total(), 2, "reset restarts the posted counter");
-        assert!(!q.contains(2), "pre-reset members are gone");
-        assert_eq!(q.pop().unwrap(), 0x9000);
+        q.reset_in_place(|stamp| stamp != 0, |a| a == 0x400);
+        assert_eq!(q.snapshot(), [0x2_0000, 0x2_0040, 0x440]);
+        assert_eq!(q.available(), 3);
+        assert!(!is_free(&q, 0x1040), "pre-reset members are gone");
+        assert_eq!(q.post(0x1040), None, "and so is their extent");
+        assert_eq!(q.pop().unwrap(), 0x2_0000);
     }
 
     #[test]
-    fn membership_table_follows_the_set_down() {
-        let q = BufferQueue::new(64);
+    fn posts_outside_every_extent_are_refused() {
+        let mut q = queue();
+        for a in [0xFC0, 0x1020, 0x11000] {
+            assert_eq!(q.post(a), None, "{a:#x}");
+            assert!(!is_free(&q, a));
+        }
+        assert_eq!(q.available(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps another")]
+    fn overlapping_extents_panic() {
+        queue().add_extent(0x10FC0, 2, 2, 1);
+    }
+
+    #[test]
+    fn sweep_posts_unreachable_buffers_extents_in_stamp_order() {
+        let mut q = BufferQueue::new(64);
+        q.add_extent(0x9000, 2, 2, 0);
+        q.add_extent(0x400, 2, 2, 1);
+        q.post(0x440);
+        let reachable: IntSet<u64> = [0x9000].into_iter().collect();
+        assert_eq!(q.sweep(&reachable), 2);
+        assert_eq!(q.snapshot(), [0x440, 0x9040, 0x400]);
+        assert_eq!(q.sweep(&reachable), 0, "a second sweep finds nothing");
+    }
+
+    #[test]
+    fn free_bits_stay_exact_across_a_drain() {
+        let mut q = BufferQueue::new(540);
         let addr = |i: u64| 0x1_0000 + i * 576;
-        q.post_many((0..100_000).map(addr));
-        let grown = q.bufs.lock().members.capacity();
+        q.add_extent(addr(0), 100_000, 0, 0);
         for i in 0..99_000 {
-            assert_eq!(q.pop().unwrap(), addr(i), "FIFO order across rebuilds");
+            assert_eq!(q.pop().unwrap(), addr(i), "FIFO order");
         }
-        let shrunk = q.bufs.lock().members.capacity();
-        assert!(
-            grown >= 100_000 && shrunk <= 8 * 1_000,
-            "{grown} -> {shrunk}"
-        );
-        // The rebuilt table answers as the grown one did.
-        assert!(q.contains(addr(99_000)) && !q.contains(addr(98_999)));
-        q.post(addr(99_000));
-        assert_eq!(q.available(), 1_000, "duplicate post still ignored");
-        q.post(addr(5));
+        assert!(is_free(&q, addr(99_000)) && !is_free(&q, addr(98_999)));
+        assert_eq!(q.post(addr(99_000)), Some(false), "duplicate post ignored");
+        assert_eq!(q.available(), 1_000);
+        assert_eq!(q.post(addr(5)), Some(true));
         assert_eq!(q.available(), 1_001);
-        assert_eq!(q.posted_total(), 100_001);
-    }
-
-    #[test]
-    fn concurrent_pops_never_double_allocate() {
-        let q = Arc::new(BufferQueue::new(64));
-        q.post_many((0..10_000).map(|i| 0x1_0000 + i * 64));
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let q = Arc::clone(&q);
-                std::thread::spawn(move || {
-                    let mut got = Vec::new();
-                    while let Ok(a) = q.pop() {
-                        got.push(a);
-                    }
-                    got
-                })
-            })
-            .collect();
-        let mut all = HashSet::new();
-        let mut total = 0;
-        for h in handles {
-            for a in h.join().unwrap() {
-                total += 1;
-                assert!(all.insert(a), "buffer {a:#x} allocated twice");
-            }
-        }
-        assert_eq!(total, 10_000);
     }
 }

@@ -4,9 +4,9 @@
 //! indices are values this program mints itself, never attacker-chosen
 //! input, so the collision-flooding resistance the default SipHash buys
 //! is wasted on them — and the maps they key sit on per-message paths
-//! (the ALLOCATE free list's membership probe, the client transport's
-//! tag tables). [`IntHasher`] is a 64-bit avalanche instead. Keep the
-//! default hasher for any key that arrives from outside the program.
+//! (the client transport's tag tables). [`IntHasher`] is a 64-bit
+//! avalanche instead. Keep the default hasher for any key that arrives
+//! from outside the program.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -15,7 +15,7 @@
 //! * [`region`] — memory registration and rkey validation.
 //! * [`verbs`] — the classic one-sided verb set ([`verbs::RdmaNic`]).
 //! * [`bufqueue`] — registered buffer queues (the paper's free lists,
-//!   "represented as a RDMA queue pair", §3.2).
+//!   "represented as a RDMA queue pair", §3.2) and their free bits.
 //! * [`error`] — NACK-style error codes.
 //! * [`hash`] — the hasher for program-generated integer keys (buffer
 //!   addresses, request tags) shared by every crate in the workspace.

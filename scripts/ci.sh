@@ -70,7 +70,8 @@
 #                           (PRISM-TX and FaRM, pristine and lossy
 #                           fabrics), the store properties and the
 #                           wire-format properties (round trips, mutated
-#                           and truncated frames, decode totality), then
+#                           and truncated frames, decode totality), the
+#                           free-list oracle, then
 #                           both migration gates, again under
 #                           PRISM_TEST_SEED=1806242025, so the gates don't
 #                           ossify around one lucky schedule. The value
@@ -168,7 +169,7 @@ MIGRATION_GATE=(rs_migration_chaos_stays_linearizable_through_live_reshard
 GATES=(--test fault_matrix --test chaos_gate --test corruption_matrix
     --test durability_gate --test store_properties
     --test openloop_smoke --test gray_gate --test tx_replay
-    --test wire_properties)
+    --test wire_properties --test freelist_oracle)
 SECOND_SEED=1806242025
 
 # Both reshard gates, by exact name; fails unless exactly those ran.
