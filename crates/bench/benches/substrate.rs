@@ -18,8 +18,8 @@ use prism_core::value::CasMode;
 use prism_core::{wire, OpResult, OpStatus, PrismServer};
 use prism_kv::hash::key_bytes;
 use prism_kv::pilaf::{PilafConfig, PilafServer};
-use prism_kv::prism_kv::{drive as kv_drive, PrismKvConfig, PrismKvServer};
-use prism_kv::KvStep;
+use prism_kv::prism_kv::{PrismKvConfig, PrismKvServer};
+use prism_kv::{drive as kv_drive, KvProtocol};
 use prism_rdma::arena::MemoryArena;
 use prism_rdma::region::AccessFlags;
 use prism_simnet::engine::{Actor, Context, Simulation};
@@ -576,19 +576,16 @@ fn bench_kv(run: &mut Runner) {
 
     let pilaf = PilafServer::new(&PilafConfig::paper(1024, 512));
     let lc = pilaf.open_client();
-    execute_local(pilaf.server(), &lc.put_request(&key_bytes(7), &val));
+    let (_, put_rpc) = lc.start(&key_bytes(7), Some(&val));
+    execute_local(pilaf.server(), &put_rpc);
     run.bench("kv/pilaf_get_512", |b| {
         b.iter(|| {
             let (mut op, req) = lc.get(&key_bytes(7));
-            let mut reply = execute_local(pilaf.server(), &req);
-            while let KvStep::Send { request, .. } = op.on_reply(&lc, reply) {
-                reply = execute_local(pilaf.server(), &request);
-            }
+            kv_drive(pilaf.server(), req, |r| op.on_reply(&lc, r))
         });
     });
     run.bench("kv/pilaf_put_rpc_512", |b| {
-        let req = lc.put_request(&key_bytes(7), &val);
-        b.iter(|| execute_local(pilaf.server(), &req));
+        b.iter(|| execute_local(pilaf.server(), &put_rpc));
     });
 }
 

@@ -228,7 +228,7 @@ impl ChaosRsAdapter {
 /// the figures' [`KvDriver`] fed by [`NonceOps`] and heard by a
 /// [`Recorder`], reclamation sent raw. [`Scenario::run`] builds the
 /// routed form ([`KvDriver::routed`]).
-pub type ChaosKvAdapter = KvDriver<NonceOps, Recorder>;
+pub type ChaosKvAdapter = KvDriver<PrismKvClient, NonceOps, Recorder>;
 
 impl ChaosKvAdapter {
     /// Creates the single-server adapter for client `id`.
@@ -724,7 +724,7 @@ mod tests {
     #[test]
     fn owner_audit_rejects_a_second_owner_and_a_failed_migration() {
         use crate::cluster::MigrateStep;
-        use prism_kv::prism_kv::drive;
+        use prism_kv::drive;
         let kv = Arc::new(KvCluster::with_active(
             4,
             2,

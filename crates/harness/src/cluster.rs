@@ -41,8 +41,8 @@ use std::sync::Arc;
 use prism_core::integrity::IntegrityStats;
 use prism_core::PrismServer;
 use prism_kv::hash::{fnv1a, key_bytes};
-use prism_kv::prism_kv::{drive as kv_drive, PrismKvClient, PrismKvConfig, PrismKvServer};
-use prism_kv::KvOutcome;
+use prism_kv::prism_kv::{PrismKvClient, PrismKvConfig, PrismKvServer};
+use prism_kv::{drive as kv_drive, KvOutcome};
 use prism_rdma::sync::Mutex;
 use prism_rs::prism_rs::{RsClient, RsCluster, RsConfig};
 use prism_rs::{drive as rs_drive, RsOutcome, RsProtocol};

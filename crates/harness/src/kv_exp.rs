@@ -9,10 +9,10 @@
 
 use std::sync::Arc;
 
-use prism_core::msg::execute_local;
 use prism_kv::hash::key_bytes;
 use prism_kv::pilaf::{PilafConfig, PilafServer};
-use prism_kv::prism_kv::{drive, PrismKvConfig, PrismKvServer};
+use prism_kv::prism_kv::{PrismKvConfig, PrismKvServer};
+use prism_kv::{drive, KvProtocol};
 use prism_simnet::rng::SimRng;
 use prism_simnet::time::SimDuration;
 use prism_workload::ycsb::{value_bytes, YcsbConfig};
@@ -96,8 +96,8 @@ pub fn preload_prism(server: &PrismKvServer, n_keys: u64, value_len: usize) {
 pub fn preload_pilaf(server: &PilafServer, n_keys: u64, value_len: usize) {
     let client = server.open_client();
     for k in 0..n_keys {
-        let req = client.put_request(&key_bytes(k), &value_bytes(k, 0, value_len));
-        execute_local(server.server(), &req);
+        let (mut op, req) = client.start(&key_bytes(k), Some(&value_bytes(k, 0, value_len)));
+        drive(server.server(), req, |r| client.on_reply(&mut op, r));
     }
 }
 

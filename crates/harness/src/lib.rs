@@ -15,11 +15,11 @@
 //!   lifecycle) that both arrival policies drive; one
 //!   [`netsim::ClientActor`] per closed-loop client; and the runner.
 //! * [`adapters`] — per-system adapters turning each protocol client
-//!   into the common [`netsim::ProtoAdapter`] interface. PRISM-KV and
-//!   PRISM-RS have one driver each ([`adapters::KvDriver`],
-//!   [`adapters::RsDriver`]); workload, reclamation coalescing and
-//!   observers are supplied from outside it, so the figures and the
-//!   gates run the same reply handling.
+//!   into the common [`netsim::ProtoAdapter`] interface. Each system has
+//!   one driver over its two protocols ([`adapters::KvDriver`],
+//!   [`adapters::RsDriver`], [`adapters::TxDriver`]); workload,
+//!   reclamation coalescing and observers are supplied from outside it,
+//!   so the figures and the gates run the same reply handling.
 //! * [`cluster`] — the scale-out layer: seeded rendezvous shard maps
 //!   (with epochs in the incarnation-fencing shape), the N-server
 //!   KV/RS topologies the sharded sweeps run against, and

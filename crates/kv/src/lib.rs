@@ -16,44 +16,53 @@
 //! Client protocols are sans-I/O state machines ([`KvStep`]): they emit
 //! [`prism_core::msg::Request`]s and consume replies, so the same code
 //! runs against a local server (tests, examples) and under the
-//! discrete-event simulator (figure regeneration).
+//! discrete-event simulator (figure regeneration). Both stores implement
+//! one client contract, [`KvProtocol`] ([`driver`]), and [`drive`] runs
+//! either against a local server.
 //!
 //! # Examples
 //!
 //! ```
-//! use prism_core::msg::execute_local;
-//! use prism_kv::prism_kv::{drive, PrismKvConfig, PrismKvServer};
-//! use prism_kv::{KvOutcome, KvStep};
+//! use prism_core::PrismServer;
+//! use prism_kv::hash::key_bytes;
+//! use prism_kv::pilaf::{PilafConfig, PilafServer};
+//! use prism_kv::prism_kv::{PrismKvConfig, PrismKvServer};
+//! use prism_kv::{drive, KvOutcome, KvProtocol};
 //!
-//! let server = PrismKvServer::new(&PrismKvConfig::paper(64, 32));
-//! let client = server.open_client();
-//!
-//! // PUT: probe round trip, then the chained install round trip —
-//! // `drive` feeds each reply back until the machine is done.
-//! let (mut op, request) = client.put(&prism_kv::hash::key_bytes(5), &[9u8; 32]);
-//! let (outcome, round_trips) = drive(server.server(), request, |r| op.on_reply(&client, r));
-//! assert_eq!((outcome, round_trips), (KvOutcome::Written, 2));
-//!
-//! // GET: a single bounded indirect READ.
-//! let (mut op, request) = client.get(&prism_kv::hash::key_bytes(5));
-//! let reply = execute_local(server.server(), &request);
-//! match op.on_reply(&client, reply) {
-//!     KvStep::Done { outcome, .. } => {
-//!         assert_eq!(outcome, KvOutcome::Value(Some(vec![9u8; 32])));
-//!     }
-//!     _ => unreachable!("hit on the first probe"),
+//! /// PUTs key 5, reads it back, and returns each op's round trips.
+//! fn put_then_get<P: KvProtocol>(server: &PrismServer, client: &P) -> (u32, u32) {
+//!     // `drive` feeds each reply back until the machine is done.
+//!     let (mut op, request) = client.start(&key_bytes(5), Some(&[9u8; 32]));
+//!     let (outcome, put) = drive(server, request, |r| client.on_reply(&mut op, r));
+//!     assert_eq!(outcome, KvOutcome::Written);
+//!     let (mut op, request) = client.start(&key_bytes(5), None);
+//!     let (outcome, get) = drive(server, request, |r| client.on_reply(&mut op, r));
+//!     assert_eq!(outcome, KvOutcome::Value(Some(vec![9u8; 32])));
+//!     (put, get)
 //! }
+//!
+//! // PRISM-KV: a PUT is a probe, then the chained install; a GET is a
+//! // single bounded indirect READ.
+//! let prism = PrismKvServer::new(&PrismKvConfig::paper(64, 32));
+//! assert_eq!(put_then_get(prism.server(), &prism.open_client()), (2, 1));
+//!
+//! // Pilaf: a PUT is one RPC; a GET reads the index, then the data.
+//! let pilaf = PilafServer::new(&PilafConfig::paper(64, 32));
+//! assert_eq!(put_then_get(pilaf.server(), &pilaf.open_client()), (1, 2));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod driver;
 pub mod entry;
 pub mod hash;
 pub mod pilaf;
 pub mod prism_kv;
 
 use prism_core::msg::Request;
+
+pub use driver::{drive, KvProtocol};
 
 /// Outcome of a completed key-value operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,14 +114,6 @@ impl KvStep {
         KvStep::Done {
             outcome,
             background: None,
-        }
-    }
-
-    /// The round-trip request, if this step sends one.
-    pub fn request(&self) -> Option<&Request> {
-        match self {
-            KvStep::Send { request, .. } => Some(request),
-            KvStep::Done { .. } => None,
         }
     }
 }

@@ -20,12 +20,12 @@ use prism_core::crc::crc32;
 use prism_core::integrity::IntegrityStats;
 use prism_core::msg::{Reply, Request, Verb};
 use prism_core::PrismServer;
-use prism_rdma::region::AccessFlags;
+use prism_rdma::region::{AccessFlags, Rkey};
 use prism_rdma::sync::Mutex;
 
 use crate::entry;
 use crate::hash::HashScheme;
-use crate::{KvOutcome, KvStep};
+use crate::{KvOutcome, KvProtocol, KvStep};
 
 /// Index entry size.
 pub const ENTRY: u64 = 32;
@@ -110,8 +110,6 @@ impl Extents {
 pub struct PilafServer {
     server: Arc<PrismServer>,
     view: PilafView,
-    /// Extents region `(base, len)` — the bytes at-rest rot can hit.
-    extents_range: (u64, u64),
 }
 
 impl PilafServer {
@@ -155,21 +153,12 @@ impl PilafServer {
             handle_rpc(&handler_server, &handler_view, &extents, req)
         }));
 
-        PilafServer {
-            server,
-            view,
-            extents_range: (data_base + table_len, pools_len),
-        }
+        PilafServer { server, view }
     }
 
     /// The underlying host.
     pub fn server(&self) -> &Arc<PrismServer> {
         &self.server
-    }
-
-    /// The extents region `(base, len)` — where at-rest bit rot lands.
-    pub fn extents_range(&self) -> (u64, u64) {
-        self.extents_range
     }
 
     /// Walks the index verifying both checksum layers; returns
@@ -401,28 +390,6 @@ impl PilafClient {
         (op, req)
     }
 
-    /// Builds a PUT RPC (single round trip; the server CPU does the
-    /// work).
-    pub fn put_request(&self, key: &[u8], value: &[u8]) -> Request {
-        let mut msg = Vec::with_capacity(1 + entry::encoded_len(key.len(), value.len()));
-        msg.push(RPC_PUT);
-        msg.extend_from_slice(&entry::encode(key, value));
-        Request::Rpc(msg)
-    }
-
-    /// Interprets a PUT RPC reply.
-    pub fn put_outcome(&self, reply: Reply) -> KvOutcome {
-        let Ok(bytes) = reply.into_rpc() else {
-            return KvOutcome::Failed("PUT reply lost");
-        };
-        match bytes.first() {
-            Some(0) => KvOutcome::Written,
-            Some(0xFE) => KvOutcome::Failed("hash table full along probe path"),
-            Some(0xFD) => KvOutcome::Failed("out of extents"),
-            _ => KvOutcome::Failed("PUT rejected"),
-        }
-    }
-
     /// Builds a DELETE RPC.
     pub fn delete_request(&self, key: &[u8]) -> Request {
         let mut msg = Vec::with_capacity(1 + key.len());
@@ -457,6 +424,15 @@ impl PilafGetOp {
             len: ENTRY as u32,
             rkey: c.view.rkey,
         })
+    }
+
+    /// Re-arms the op after a lost round trip: a fresh GET of the same
+    /// key, from the first index READ with no CRC retry spent.
+    fn reissue(&mut self, c: &PilafClient) -> Request {
+        self.attempt = 0;
+        self.crc_retries = 0;
+        self.state = GetState::Index;
+        self.index_request(c)
     }
 
     /// Feeds a reply; returns the next step.
@@ -548,31 +524,85 @@ impl PilafGetOp {
     }
 }
 
+/// A Pilaf operation in flight, as [`KvProtocol`] drives it.
+#[derive(Debug, Clone)]
+pub enum PilafOp {
+    /// A GET.
+    Get(PilafGetOp),
+    /// A PUT: one RPC the server CPU executes, kept as invoked so that a
+    /// reissue resends the same bytes.
+    Put(Request),
+}
+
+impl KvProtocol for PilafClient {
+    type Op = PilafOp;
+
+    /// The client's CRC checks of the index entry and the extent: the
+    /// paper measures ~2 µs of Pilaf's read latency as CRC work (§6.2).
+    const GET_COMPUTE_NS: u64 = 2_000;
+
+    fn start(&self, key: &[u8], value: Option<&[u8]>) -> (PilafOp, Request) {
+        let Some(value) = value else {
+            let (op, req) = self.get(key);
+            return (PilafOp::Get(op), req);
+        };
+        let mut msg = Vec::with_capacity(1 + entry::encoded_len(key.len(), value.len()));
+        msg.push(RPC_PUT);
+        msg.extend_from_slice(&entry::encode(key, value));
+        let req = Request::Rpc(msg);
+        (PilafOp::Put(req.clone()), req)
+    }
+
+    fn on_reply(&self, op: &mut PilafOp, reply: Reply) -> KvStep {
+        let PilafOp::Get(get) = op else {
+            return KvStep::done(match reply.into_rpc().as_deref() {
+                Ok([0, ..]) => KvOutcome::Written,
+                Ok([0xFE, ..]) => KvOutcome::Failed("hash table full along probe path"),
+                Ok([0xFD, ..]) => KvOutcome::Failed("out of extents"),
+                Ok(_) => KvOutcome::Failed("PUT rejected"),
+                Err(_) => KvOutcome::Failed("PUT reply lost"),
+            });
+        };
+        get.on_reply(self, reply)
+    }
+
+    /// A GET starts afresh. A PUT resends its RPC: the server applies a
+    /// PUT whole, so a resent one that already ran rewrites its value.
+    fn reissue(&self, op: &mut PilafOp) -> Request {
+        match op {
+            PilafOp::Get(get) => get.reissue(self),
+            PilafOp::Put(req) => req.clone(),
+        }
+    }
+
+    /// Restamps the cached rkey with the server's new incarnation.
+    fn refence(&mut self, inc: u64) {
+        self.view.rkey = Rkey(self.view.rkey).restamped(inc).0;
+    }
+
+    /// A Pilaf reply orphans nothing: the server CPU allocates and frees
+    /// every extent.
+    fn harvest(_reply: Reply) -> Option<u64> {
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drive;
     use crate::hash::key_bytes;
     use prism_core::msg::execute_local;
     use prism_testkit::{for_all, gens, Config, Gen};
 
     fn drive_get(s: &PilafServer, c: &PilafClient, key: &[u8]) -> (KvOutcome, u32) {
         let (mut op, req) = c.get(key);
-        let mut rtts = 1;
-        let mut reply = execute_local(s.server(), &req);
-        loop {
-            match op.on_reply(c, reply) {
-                KvStep::Send { request, .. } => {
-                    rtts += 1;
-                    reply = execute_local(s.server(), &request);
-                }
-                KvStep::Done { outcome, .. } => return (outcome, rtts),
-            }
-        }
+        drive(s.server(), req, |r| op.on_reply(c, r))
     }
 
     fn put(s: &PilafServer, c: &PilafClient, key: &[u8], value: &[u8]) -> KvOutcome {
-        let reply = execute_local(s.server(), &c.put_request(key, value));
-        c.put_outcome(reply)
+        let (mut op, req) = c.start(key, Some(value));
+        drive(s.server(), req, |r| c.on_reply(&mut op, r)).0
     }
 
     fn store() -> (PilafServer, PilafClient) {

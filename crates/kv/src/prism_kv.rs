@@ -41,7 +41,7 @@ use prism_store::{DurableStats, PayloadRef, SegmentStore, SimDisk};
 
 use crate::entry;
 use crate::hash::HashScheme;
-use crate::{KvOutcome, KvStep};
+use crate::{KvOutcome, KvProtocol, KvStep};
 
 /// Slot size: `(ptr u64 LE, bound u64 LE)`.
 pub const SLOT: u64 = 16;
@@ -607,17 +607,6 @@ impl PrismKvClient {
         &self.integrity
     }
 
-    /// Adopts the shard's new incarnation after an amnesia rejoin: the
-    /// client's cached rkeys are restamped in place
-    /// ([`prism_rdma::region::Rkey::restamped`]). This is the
-    /// control-plane re-handshake — no data moves; only the incarnation
-    /// stamp differs. Called by the driver when a reply carries a
-    /// stale-incarnation fence.
-    pub fn refence(&mut self, inc: u64) {
-        self.view.data_rkey = Rkey(self.view.data_rkey).restamped(inc).0;
-        self.scratch_rkey = Rkey(self.scratch_rkey).restamped(inc).0;
-    }
-
     /// Starts a GET; returns the machine and its first request.
     pub fn get(&self, key: &[u8]) -> (GetOp, Request) {
         let op = GetOp {
@@ -970,8 +959,11 @@ impl PutOp {
                         // Lost the race: reclaim our orphaned buffer,
                         // then resume from the probe (or, with a lost
                         // install still in doubt, from the resolve read).
-                        let step = self.after_cas_failed(c, slot, old);
-                        attach_background(step, free_request(new_ptr))
+                        let mut step = self.after_cas_failed(c, slot, old);
+                        let (KvStep::Send { background, .. } | KvStep::Done { background, .. }) =
+                            &mut step;
+                        *background = Some(free_request(new_ptr));
+                        step
                     }
                     _ => KvStep::done(KvOutcome::Failed("install CAS error")),
                 }
@@ -1109,67 +1101,82 @@ impl PutOp {
     }
 }
 
-fn attach_background(step: KvStep, extra: Request) -> KvStep {
-    match step {
-        KvStep::Send {
-            request,
-            background: None,
-        } => KvStep::Send {
-            request,
-            background: Some(extra),
-        },
-        KvStep::Done {
-            outcome,
-            background: None,
-        } => KvStep::Done {
-            outcome,
-            background: Some(extra),
-        },
-        other => other, // never stacks two backgrounds in practice
-    }
+/// A PRISM-KV operation in flight, as [`KvProtocol`] drives it.
+#[derive(Debug, Clone)]
+pub enum PrismKvOp {
+    /// A GET.
+    Get(GetOp),
+    /// A PUT.
+    Put(PutOp),
 }
 
-/// Drives a GET, PUT or DELETE machine to completion against a local
-/// server (control plane, live mode, tests): `first` is the machine's
-/// opening request and `on_reply` its reply handler. Background frees are
-/// executed as they surface, fire-and-forget. Returns the outcome and the
-/// number of round trips.
-pub fn drive(
-    server: &PrismServer,
-    first: Request,
-    mut on_reply: impl FnMut(Reply) -> KvStep,
-) -> (KvOutcome, u32) {
-    use prism_core::msg::execute_local;
-    let mut round_trips = 1;
-    let mut reply = execute_local(server, &first);
-    loop {
-        match on_reply(reply) {
-            KvStep::Send {
-                request,
-                background,
-            } => {
-                if let Some(free) = background {
-                    execute_local(server, &free);
-                }
-                round_trips += 1;
-                reply = execute_local(server, &request);
+impl KvProtocol for PrismKvClient {
+    type Op = PrismKvOp;
+
+    /// No client compute is charged: a GET is its one bounded READ.
+    const GET_COMPUTE_NS: u64 = 0;
+
+    fn start(&self, key: &[u8], value: Option<&[u8]>) -> (PrismKvOp, Request) {
+        match value {
+            None => {
+                let (op, req) = self.get(key);
+                (PrismKvOp::Get(op), req)
             }
-            KvStep::Done {
-                outcome,
-                background,
-            } => {
-                if let Some(free) = background {
-                    execute_local(server, &free);
-                }
-                return (outcome, round_trips);
+            Some(value) => {
+                let (op, req) = self.put(key, value);
+                (PrismKvOp::Put(op), req)
             }
         }
+    }
+
+    fn on_reply(&self, op: &mut PrismKvOp, reply: Reply) -> KvStep {
+        match op {
+            PrismKvOp::Get(m) => m.on_reply(self, reply),
+            PrismKvOp::Put(m) => m.on_reply(self, reply),
+        }
+    }
+
+    /// Re-arms the *same* machine rather than starting a fresh one: a
+    /// PUT whose install chain went unanswered may already have
+    /// published, and blindly re-running it could resurrect its value
+    /// over a newer racing write, so [`PutOp::reissue`] re-reads the
+    /// slot and decides.
+    fn reissue(&self, op: &mut PrismKvOp) -> Request {
+        match op {
+            PrismKvOp::Get(m) => m.reissue(self),
+            PrismKvOp::Put(m) => m.reissue(self),
+        }
+    }
+
+    /// Restamps the client's cached rkeys in place
+    /// ([`prism_rdma::region::Rkey::restamped`]). This is the
+    /// control-plane re-handshake — no data moves; only the incarnation
+    /// stamp differs.
+    fn refence(&mut self, inc: u64) {
+        self.view.data_rkey = Rkey(self.view.data_rkey).restamped(inc).0;
+        self.scratch_rkey = Rkey(self.scratch_rkey).restamped(inc).0;
+    }
+
+    /// An install chain is `[write, allocate, CAS, read-back]`. When its
+    /// CAS lost, the read-back names the freshly allocated entry whose
+    /// only reference died with this reply: the machine reissued
+    /// through its resolve path and can never learn the address. A won
+    /// CAS leaves the buffer live in the slot, and probe and resolve
+    /// chains allocate nothing.
+    fn harvest(reply: Reply) -> Option<u64> {
+        let results = reply.into_chain().ok()?;
+        if results.len() != 4 || !matches!(results[2].status, OpStatus::CasFailed) {
+            return None;
+        }
+        let addr = u64::from_le_bytes(results[3].expect_data().ok()?.try_into().ok()?);
+        (addr != 0).then_some(addr)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drive;
     use prism_core::freelist::FreeError;
     use prism_core::msg::execute_local;
 
@@ -1651,32 +1658,45 @@ mod tests {
         );
     }
 
+    /// Eight threads PUT one key 50 times each. A PUT that loses its CAS
+    /// more than [`MAX_RETRIES`] times fails with the typed outcome
+    /// [`KvOutcome::Failed`] names for that (how often depends on how
+    /// the threads interleave), so it is the one failure accepted. Every
+    /// thread still lands a write, and the key ends up holding a value
+    /// some PUT wrote.
     #[test]
     fn concurrent_puts_same_key_converge() {
         use std::thread;
         let cfg = PrismKvConfig::paper(16, 32);
         let s = Arc::new(PrismKvServer::new(&cfg));
         let key = crate::hash::key_bytes(3);
-        let threads: Vec<_> = (0..8)
+        let threads: Vec<_> = (0..8u8)
             .map(|i| {
                 let s = Arc::clone(&s);
                 thread::spawn(move || {
                     let c = s.open_client();
+                    let mut written = Vec::new();
                     for j in 0..50u8 {
-                        let val: Vec<u8> = [i as u8, j].repeat(16);
-                        let (o, _) = drive_put(&s, &c, &crate::hash::key_bytes(3), &val);
-                        assert_eq!(o, KvOutcome::Written);
+                        let val: Vec<u8> = [i, j].repeat(16);
+                        match drive_put(&s, &c, &crate::hash::key_bytes(3), &val).0 {
+                            KvOutcome::Written => written.push(val),
+                            KvOutcome::Failed("retry budget exhausted") => {}
+                            other => panic!("thread {i} PUT {j}: {other:?}"),
+                        }
                     }
+                    written
                 })
             })
             .collect();
-        for t in threads {
-            t.join().unwrap();
+        let mut written = Vec::new();
+        for (i, t) in threads.into_iter().enumerate() {
+            let mine = t.join().unwrap();
+            assert!(!mine.is_empty(), "thread {i} landed no write");
+            written.extend(mine);
         }
         let c = s.open_client();
-        let (o, _) = drive_get(&s, &c, &key);
-        match o {
-            KvOutcome::Value(Some(v)) => assert_eq!(v.len(), 32),
+        match drive_get(&s, &c, &key).0 {
+            KvOutcome::Value(Some(v)) => assert!(written.contains(&v), "never written: {v:?}"),
             other => panic!("unexpected outcome {other:?}"),
         }
     }

@@ -357,6 +357,11 @@ impl RsProtocol for AbdLockClient {
 
     /// ABDLOCK replicas are never amnesia-restarted: nothing to adopt.
     fn refence(&mut self, _replica: usize, _inc: u64) {}
+
+    /// ABDLOCK writes in place: no reply orphans a buffer.
+    fn harvest(_reply: Reply) -> Option<u64> {
+        None
+    }
 }
 
 impl AbdLockOp {
@@ -803,6 +808,10 @@ mod tests {
         }
 
         fn refence(&mut self, _replica: usize, _inc: u64) {}
+
+        fn harvest(_reply: Reply) -> Option<u64> {
+            None
+        }
     }
 
     #[test]

@@ -107,6 +107,12 @@ pub trait RsProtocol {
     /// Adopts replica `replica`'s new incarnation `inc` after an
     /// amnesia rejoin.
     fn refence(&mut self, replica: usize, inc: u64);
+
+    /// The buffer a reply orphaned when it reached no machine (it raced
+    /// its own timeout, or lost a hedge): the free the machine would
+    /// have emitted for it, which the driver sends instead. `None` when
+    /// the reply leaves nothing behind.
+    fn harvest(reply: Reply) -> Option<u64>;
 }
 
 /// Drives an operation to completion against local replicas (live mode

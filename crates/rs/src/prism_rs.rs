@@ -908,6 +908,25 @@ impl RsProtocol for RsClient {
         let (_, rk) = &mut self.scratch[replica];
         *rk = Rkey(*rk).restamped(inc).0;
     }
+
+    /// A write phase's chain is `[write, allocate, CAS_GT, read-back]`,
+    /// and its reply names the buffer [`RsProtocol::on_reply`] would
+    /// have freed: a lost CAS orphans the freshly allocated buffer; a
+    /// won CAS displaces the one previously installed in the metadata
+    /// entry. Read-phase chains allocate nothing.
+    fn harvest(reply: Reply) -> Option<u64> {
+        let results = reply.into_chain().ok()?;
+        if results.len() != 4 {
+            return None;
+        }
+        let word = match &results[2].status {
+            OpStatus::Ok if results[2].data.len() == META as usize => &results[2].data[8..16],
+            OpStatus::CasFailed => results[3].expect_data().ok()?,
+            _ => return None,
+        };
+        let addr = u64::from_le_bytes(word.try_into().ok()?);
+        (addr != 0).then_some(addr)
+    }
 }
 
 impl RsOp {

@@ -10,8 +10,8 @@
 use std::sync::Arc;
 
 use prism_kv::hash::HashScheme;
-use prism_kv::prism_kv::{drive, PrismKvClient, PrismKvConfig, PrismKvServer, SizeClass};
-use prism_kv::KvOutcome;
+use prism_kv::prism_kv::{PrismKvClient, PrismKvConfig, PrismKvServer, SizeClass};
+use prism_kv::{drive, KvOutcome};
 
 fn get(server: &PrismKvServer, client: &PrismKvClient, key: &[u8]) -> (KvOutcome, u32) {
     let (mut op, req) = client.get(key);

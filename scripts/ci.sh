@@ -71,7 +71,9 @@
 #                           fabrics), the store properties and the
 #                           wire-format properties (round trips, mutated
 #                           and truncated frames, decode totality), the
-#                           free-list oracle, then
+#                           free-list oracle, the key-value model test
+#                           (PRISM-KV and Pilaf through one client
+#                           contract; a gate added, none removed), then
 #                           both migration gates, again under
 #                           PRISM_TEST_SEED=1806242025, so the gates don't
 #                           ossify around one lucky schedule. The value
@@ -169,7 +171,7 @@ MIGRATION_GATE=(rs_migration_chaos_stays_linearizable_through_live_reshard
 GATES=(--test fault_matrix --test chaos_gate --test corruption_matrix
     --test durability_gate --test store_properties
     --test openloop_smoke --test gray_gate --test tx_replay
-    --test wire_properties --test freelist_oracle)
+    --test wire_properties --test freelist_oracle --test kv_integration)
 SECOND_SEED=1806242025
 
 # Both reshard gates, by exact name; fails unless exactly those ran.

@@ -10,8 +10,8 @@
 use std::sync::Arc;
 
 use prism_kv::hash::key_bytes;
-use prism_kv::prism_kv::{drive as kv_drive, PrismKvConfig, PrismKvServer};
-use prism_kv::KvOutcome;
+use prism_kv::prism_kv::{PrismKvConfig, PrismKvServer};
+use prism_kv::{drive as kv_drive, KvOutcome, KvProtocol};
 use prism_rs::prism_rs::{RsCluster, RsConfig};
 use prism_rs::{drive, RsOutcome, RsProtocol};
 use prism_simnet::rng::SimRng;

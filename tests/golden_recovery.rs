@@ -80,7 +80,7 @@ const LEAKED: u64 = 500;
 /// background reclaim requests reach the server, and the ones that do
 /// not are returned. Withholding them is the point (the leaked buffers
 /// force a refill), which is why this loop is not
-/// `prism_kv::prism_kv::drive`: that one always delivers them.
+/// `prism_kv::drive`: that one always delivers them.
 fn kv_write(
     s: &PrismKvServer,
     c: &PrismKvClient,

@@ -4,12 +4,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use prism_core::msg::execute_local;
+use prism_core::PrismServer;
 use prism_kv::hash::{key_bytes, HashScheme};
-use prism_kv::pilaf::{PilafClient, PilafConfig, PilafServer};
-use prism_kv::prism_kv::{drive, PrismKvClient, PrismKvConfig, PrismKvServer, SizeClass};
-use prism_kv::KvOutcome;
+use prism_kv::pilaf::{PilafConfig, PilafServer};
+use prism_kv::prism_kv::{PrismKvConfig, PrismKvServer, SizeClass};
+use prism_kv::{drive, KvOutcome, KvProtocol};
 use prism_simnet::rng::SimRng;
+use prism_testkit::seed_or;
 use prism_workload::ycsb::value_bytes;
 
 /// Asserts a value produced by `value_bytes(key, nonce, ..)` is whole:
@@ -30,50 +31,40 @@ fn assert_untorn(key: u64, v: &[u8]) {
     }
 }
 
-fn prism_get(s: &PrismKvServer, c: &PrismKvClient, key: &[u8]) -> KvOutcome {
-    let (mut op, req) = c.get(key);
-    drive(s.server(), req, |r| op.on_reply(c, r)).0
+/// A GET of `key` (no `value`) or a PUT, driven to its outcome.
+fn kv<P: KvProtocol>(s: &PrismServer, c: &P, key: &[u8], value: Option<&[u8]>) -> KvOutcome {
+    let (mut op, req) = c.start(key, value);
+    drive(s, req, |r| c.on_reply(&mut op, r)).0
 }
 
-fn prism_put(s: &PrismKvServer, c: &PrismKvClient, key: &[u8], val: &[u8]) -> KvOutcome {
-    let (mut op, req) = c.put(key, val);
-    drive(s.server(), req, |r| op.on_reply(c, r)).0
-}
+const MODEL_KEYS: u64 = 256;
 
-fn pilaf_get(s: &PilafServer, c: &PilafClient, key: &[u8]) -> KvOutcome {
-    let (mut op, req) = c.get(key);
-    drive(s.server(), req, |r| op.on_reply(c, r)).0
-}
-
-fn pilaf_put(s: &PilafServer, c: &PilafClient, key: &[u8], val: &[u8]) -> KvOutcome {
-    let reply = execute_local(s.server(), &c.put_request(key, val));
-    c.put_outcome(reply)
+/// A random operation sequence over `MODEL_KEYS` keys, checked against
+/// an in-memory model.
+fn matches_model<P: KvProtocol>(store: &str, s: &PrismServer, c: &P) {
+    let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
+    let mut rng = SimRng::new(seed_or(99));
+    for i in 0..3_000u64 {
+        let k = rng.gen_range(MODEL_KEYS);
+        let (value, want) = if rng.gen_bool(0.5) {
+            let value = value_bytes(k, i, 64);
+            model.insert(k, value.clone());
+            (Some(value), KvOutcome::Written)
+        } else {
+            (None, KvOutcome::Value(model.get(&k).cloned()))
+        };
+        let got = kv(s, c, &key_bytes(k), value.as_deref());
+        assert_eq!(got, want, "{store} key {k}");
+    }
 }
 
 /// Both stores, same random operation sequence, checked against a model.
 #[test]
 fn random_workload_matches_model_on_both_stores() {
-    let n_keys = 256u64;
-    let prism = PrismKvServer::new(&PrismKvConfig::paper(n_keys, 64));
-    let pilaf = PilafServer::new(&PilafConfig::paper(n_keys, 64));
-    let pc = prism.open_client();
-    let lc = pilaf.open_client();
-    let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
-    let mut rng = SimRng::new(99);
-    for i in 0..3_000u64 {
-        let k = rng.gen_range(n_keys);
-        let key = key_bytes(k);
-        if rng.gen_bool(0.5) {
-            let val = value_bytes(k, i, 64);
-            assert_eq!(prism_put(&prism, &pc, &key, &val), KvOutcome::Written);
-            assert_eq!(pilaf_put(&pilaf, &lc, &key, &val), KvOutcome::Written);
-            model.insert(k, val);
-        } else {
-            let expected = KvOutcome::Value(model.get(&k).cloned());
-            assert_eq!(prism_get(&prism, &pc, &key), expected, "PRISM-KV key {k}");
-            assert_eq!(pilaf_get(&pilaf, &lc, &key), expected, "Pilaf key {k}");
-        }
-    }
+    let prism = PrismKvServer::new(&PrismKvConfig::paper(MODEL_KEYS, 64));
+    matches_model("PRISM-KV", prism.server(), &prism.open_client());
+    let pilaf = PilafServer::new(&PilafConfig::paper(MODEL_KEYS, 64));
+    matches_model("Pilaf", pilaf.server(), &pilaf.open_client());
 }
 
 /// Buffer accounting across heavy churn: the free-list population must
@@ -95,7 +86,10 @@ fn prism_kv_reclaims_every_buffer() {
     for round in 0..5 {
         for k in 0..32u64 {
             let v = value_bytes(k, round, 50);
-            assert_eq!(prism_put(&s, &c, &key_bytes(k), &v), KvOutcome::Written);
+            assert_eq!(
+                kv(s.server(), &c, &key_bytes(k), Some(&v)),
+                KvOutcome::Written
+            );
         }
     }
     for k in 0..32u64 {
@@ -123,7 +117,10 @@ fn prism_kv_concurrent_mixed_workload_is_atomic() {
                 for i in 0..200u64 {
                     let k = (t * 7 + i) % 32;
                     let v = value_bytes(k, t << 32 | i, 64);
-                    assert_eq!(prism_put(&s, &c, &key_bytes(k), &v), KvOutcome::Written);
+                    assert_eq!(
+                        kv(s.server(), &c, &key_bytes(k), Some(&v)),
+                        KvOutcome::Written
+                    );
                 }
             })
         })
@@ -136,7 +133,7 @@ fn prism_kv_concurrent_mixed_workload_is_atomic() {
                 let mut rng = SimRng::new(t);
                 for _ in 0..500 {
                     let k = rng.gen_range(32);
-                    match prism_get(&s, &c, &key_bytes(k)) {
+                    match kv(s.server(), &c, &key_bytes(k), None) {
                         KvOutcome::Value(Some(v)) => {
                             assert_eq!(v.len(), 64);
                             assert_untorn(k, &v);
@@ -169,7 +166,7 @@ fn pilaf_concurrent_reads_see_complete_values() {
             let mut i = 0u64;
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                 let k = i % 16;
-                pilaf_put(&s, &c, &key_bytes(k), &value_bytes(k, i, 64));
+                kv(s.server(), &c, &key_bytes(k), Some(&value_bytes(k, i, 64)));
                 i += 1;
                 puts.store(i, std::sync::atomic::Ordering::Release);
                 // Pace the writer: an unthrottled in-process loop churns
@@ -191,7 +188,7 @@ fn pilaf_concurrent_reads_see_complete_values() {
     let mut hits = 0;
     for _ in 0..3_000 {
         let k = rng.gen_range(16);
-        match pilaf_get(&s, &c, &key_bytes(k)) {
+        match kv(s.server(), &c, &key_bytes(k), None) {
             KvOutcome::Value(Some(v)) => {
                 assert_untorn(k, &v);
                 hits += 1;
