@@ -12,8 +12,9 @@ use prism_bench::runner::Runner;
 
 use prism_core::builder::ops;
 use prism_core::freelist::FreeLists;
+use prism_core::install::{self, Guard, Installed, Word};
 use prism_core::msg::{execute_local, Reply, Request};
-use prism_core::op::{field_mask, full_mask, DataArg, FreeListId, Redirect};
+use prism_core::op::{field_mask, full_mask, FreeListId, Redirect};
 use prism_core::value::CasMode;
 use prism_core::{wire, OpResult, OpStatus, PrismServer};
 use prism_kv::hash::key_bytes;
@@ -204,38 +205,23 @@ fn bench_primitives(run: &mut Runner) {
     run.bench("primitive/out_of_place_update_chain", |b| {
         // The §3.5 composite: WRITE + ALLOCATE(redirect) + CAS + READ.
         let slot = r.data + 32768;
+        let stage = Redirect {
+            addr: r.scratch,
+            rkey: r.scratch_rkey,
+        };
         b.iter(|| {
-            let old = r.server.arena().read(slot, 16).unwrap();
-            let chain = vec![
-                ops::write(r.scratch + 8, 576u64.to_le_bytes().to_vec(), r.scratch_rkey),
-                ops::allocate(FreeListId(0), vec![3u8; 512]).redirect(Redirect {
-                    addr: r.scratch,
-                    rkey: r.scratch_rkey,
-                }),
-                ops::cas_args(
-                    CasMode::Eq,
-                    slot,
-                    r.rkey,
-                    DataArg::Inline(old),
-                    DataArg::Remote {
-                        addr: r.scratch,
-                        rkey: r.scratch_rkey,
-                    },
-                    16,
-                    full_mask(16),
-                    full_mask(16),
-                )
-                .conditional(),
-                ops::read(r.scratch, 8, r.scratch_rkey),
-            ];
+            let old = r.server.arena().read(slot, 16).unwrap().try_into().unwrap();
+            let guard = Guard::Unchanged { old, bound: 576 };
+            let chain = install::chain(slot, r.rkey, stage, FreeListId(0), vec![3u8; 512], guard);
             let res = r.server.execute_chain(&chain);
-            // Reclaim the previous buffer to keep the pool stable.
-            if let Ok(d) = res[2].expect_data() {
-                let old_ptr = u64::from_le_bytes(d[..8].try_into().unwrap());
-                if old_ptr != 0 {
-                    r.server.freelists().post(FreeListId(0), [old_ptr]).unwrap();
-                }
-            }
+            // Repost exactly the buffer the install displaced, to keep
+            // the pool stable.
+            let installed = install::read(&res, Word::PtrBound);
+            assert!(matches!(installed, Installed::Won { .. }), "{installed:?}");
+            r.server
+                .freelists()
+                .post(FreeListId(0), installed.garbage())
+                .unwrap();
             res
         });
     });
@@ -401,29 +387,14 @@ fn bench_wire(run: &mut Runner) {
     });
     // The two frames that carry a value in PRISM-KV: a PUT's install
     // chain with the 530 B entry inline, and a GET's reply returning it.
-    let scratch = Redirect {
+    let stage = Redirect {
         addr: 0x7000_0040,
         rkey: 11,
     };
-    let put = Request::Chain(vec![
-        ops::write(scratch.addr + 8, 530u64.to_le_bytes().to_vec(), 11),
-        ops::allocate(FreeListId(2), vec![0xA5; 530]).redirect(scratch),
-        ops::cas_args(
-            CasMode::Eq,
-            0x1_0000,
-            5,
-            DataArg::Inline(vec![7; 16]),
-            DataArg::Remote {
-                addr: scratch.addr,
-                rkey: scratch.rkey,
-            },
-            16,
-            full_mask(16),
-            full_mask(16),
-        )
-        .conditional(),
-        ops::read(scratch.addr, 8, 11),
-    ]);
+    let old = [7; 16];
+    let guard = Guard::Unchanged { old, bound: 530 };
+    let put = install::chain(0x1_0000, 5, stage, FreeListId(2), vec![0xA5; 530], guard);
+    let put = Request::Chain(put.into());
     run.bench("wire/encode_epoch_put_530", |b| {
         b.iter(|| std::hint::black_box(&put).encode_epoch(7).unwrap());
     });

@@ -1,64 +1,22 @@
-//! Ergonomic construction of PRISM operations and chains.
+//! Ergonomic construction of PRISM operations.
 //!
 //! The [`ops`] module provides one constructor per Table-1 primitive with
-//! the common flag combinations; [`ChainBuilder`] strings them together.
-//! The canonical out-of-place-update chain (§3.5: "ALLOCATE a new buffer,
+//! the common flag combinations; a chain is a `Vec` of them. The
+//! canonical out-of-place-update chain (§3.5: "ALLOCATE a new buffer,
 //! write data into it, and install a pointer to it into another structure
-//! using CAS, all within a single round trip") looks like:
+//! using CAS, all within a single round trip") is built once, by
+//! [`crate::install::chain`].
 //!
 //! ```
-//! use prism_core::builder::{ops, ChainBuilder};
-//! use prism_core::op::{full_mask, DataArg, FreeListId, Redirect};
-//! use prism_core::value::CasMode;
+//! use prism_core::builder::ops;
 //!
-//! let scratch = Redirect { addr: 0x2_0000, rkey: 2 };
-//! let old_ptr = 0x5_0000u64; // learned during the GET probe
-//! let chain = ChainBuilder::new()
-//!     .then(ops::allocate(FreeListId(0), b"new value".to_vec()).redirect(scratch))
-//!     .then(
-//!         ops::cas_args(
-//!             CasMode::Eq,
-//!             0x1_0000, // hash-table slot
-//!             1,        // table rkey
-//!             DataArg::Inline(old_ptr.to_le_bytes().to_vec()),
-//!             DataArg::Remote { addr: scratch.addr, rkey: scratch.rkey },
-//!             8,
-//!             full_mask(8),
-//!             full_mask(8),
-//!         )
-//!         .conditional(),
-//!     )
-//!     .build();
-//! assert_eq!(chain.len(), 2);
+//! // Read a slot; write 8 bytes only if the read succeeded (§3.4).
+//! let chain = [ops::read(0x1_0000, 16, 1), ops::write(0x2_0000, vec![0; 8], 1).conditional()];
+//! assert!(!chain[0].is_conditional() && chain[1].is_conditional());
 //! ```
 
 use crate::op::{DataArg, FreeListId, PrismOp, Redirect, MAX_CAS_LEN};
 use crate::value::CasMode;
-
-/// Accumulates a chain of ops.
-#[derive(Debug, Default)]
-pub struct ChainBuilder {
-    ops: Vec<PrismOp>,
-}
-
-impl ChainBuilder {
-    /// Creates an empty chain.
-    pub fn new() -> Self {
-        ChainBuilder::default()
-    }
-
-    /// Appends an op.
-    #[must_use]
-    pub fn then(mut self, op: PrismOp) -> Self {
-        self.ops.push(op);
-        self
-    }
-
-    /// Finishes the chain.
-    pub fn build(self) -> Vec<PrismOp> {
-        self.ops
-    }
-}
 
 /// Flag-setting helpers on [`PrismOp`].
 impl PrismOp {
@@ -255,12 +213,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_accumulates_in_order() {
-        let chain = ChainBuilder::new()
-            .then(ops::read(0x10, 8, 1))
-            .then(ops::write(0x20, vec![1, 2], 1).conditional())
-            .build();
-        assert_eq!(chain.len(), 2);
+    fn conditional_sets_the_flag() {
+        let chain = [
+            ops::read(0x10, 8, 1),
+            ops::write(0x20, vec![1, 2], 1).conditional(),
+        ];
         assert!(!chain[0].is_conditional());
         assert!(chain[1].is_conditional());
     }

@@ -22,41 +22,36 @@
 //!
 //! # Examples
 //!
-//! One-round-trip out-of-place update (the §3.5 pattern):
+//! One-round-trip out-of-place update (the §3.5 pattern, built by
+//! [`install::chain`]):
 //!
 //! ```
-//! use prism_core::builder::{ops, ChainBuilder};
-//! use prism_core::op::{full_mask, DataArg, FreeListId, Redirect};
+//! use prism_core::install::{self, Guard, Installed, Word};
+//! use prism_core::op::{FreeListId, Redirect};
 //! use prism_core::server::PrismServer;
-//! use prism_core::value::CasMode;
 //! use prism_rdma::region::AccessFlags;
 //!
 //! let server = PrismServer::new(1 << 20);
-//! let (slot, table_rkey) = server.carve_region(8, 8, AccessFlags::FULL);
+//! let (slot, rkey) = server.carve_region(16, 16, AccessFlags::FULL);
 //! server.setup_freelist(FreeListId(0), 64, 16);
 //! let conn = server.open_connection();
+//! let stage = Redirect { addr: conn.scratch_addr, rkey: conn.scratch_rkey.0 };
 //!
-//! let scratch = Redirect { addr: conn.scratch_addr, rkey: conn.scratch_rkey.0 };
-//! let chain = ChainBuilder::new()
-//!     .then(ops::allocate(FreeListId(0), b"value-v1".to_vec()).redirect(scratch))
-//!     .then(ops::cas_args(
-//!         CasMode::Eq,
-//!         slot,
-//!         table_rkey.0,
-//!         DataArg::Inline(0u64.to_le_bytes().to_vec()), // expect empty slot
-//!         DataArg::Remote { addr: scratch.addr, rkey: scratch.rkey },
-//!         8,
-//!         full_mask(8),
-//!         full_mask(8),
-//!     ).conditional())
-//!     .build();
-//!
+//! // The slot is `[ptr | bound]`, empty: install if it still is.
+//! let guard = Guard::Unchanged { old: [0; 16], bound: 8 };
+//! let chain = install::chain(slot, rkey.0, stage, FreeListId(0), b"value-v1".to_vec(), guard);
 //! let results = server.execute_chain(&chain);
-//! assert!(results.iter().all(|r| r.succeeded()));
-//!
-//! // The slot now points at the allocated buffer holding the value.
+//! assert_eq!(install::read(&results, Word::PtrBound), Installed::Won { displaced: 0 });
 //! let ptr = server.arena().read_u64(slot).unwrap();
 //! assert_eq!(server.arena().read(ptr, 8).unwrap(), b"value-v1");
+//!
+//! // The same chain again: the slot changed, so the CAS loses and the
+//! // second buffer is the caller's to free.
+//! let chain = install::chain(slot, rkey.0, stage, FreeListId(0), b"value-v2".to_vec(), guard);
+//! let lost = install::read(&server.execute_chain(&chain), Word::PtrBound);
+//! let Installed::Lost { orphan } = lost else { panic!("{lost:?}") };
+//! assert_eq!(lost.garbage(), Some(orphan));
+//! assert!(server.freelists().free(orphan).is_ok());
 //! ```
 
 #![deny(unsafe_code)]
@@ -68,6 +63,7 @@ pub mod conn;
 pub mod crc;
 pub mod engine;
 pub mod freelist;
+pub mod install;
 pub mod integrity;
 pub mod layout;
 pub mod msg;
@@ -76,7 +72,6 @@ pub mod server;
 pub mod value;
 pub mod wire;
 
-pub use builder::ChainBuilder;
 pub use engine::{OpResult, OpStatus, PrismEngine};
 pub use op::{DataArg, FreeListId, PrismOp, Redirect};
 pub use server::{ChainObserver, PrismServer};

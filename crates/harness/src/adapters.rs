@@ -907,10 +907,9 @@ fn background(reqs: Vec<(usize, Request)>) -> impl Iterator<Item = Outbound> {
 /// it commits or fails (§8.3) — the one reply-handling loop for every
 /// [`TxProtocol`].
 ///
-/// An attempt that ends while replies to it are still owed (an abort or
-/// a failure after a lost round trip) is parked under its `seq` until
-/// those stragglers have arrived; a finished attempt of either protocol
-/// answers them with nothing. Background traffic (PRISM-TX's buffer
+/// A reply to an attempt that already ended (an abort or a failure after
+/// a lost round trip) is dropped: a finished attempt of either protocol
+/// answers it with nothing. Background traffic (PRISM-TX's buffer
 /// frees and abort `C`-bumps; FaRM sends none) is emitted as is:
 /// [`PrismTxAdapter`] coalesces it through [`Coalesced`].
 pub struct TxDriver<P: TxProtocol> {
@@ -919,8 +918,6 @@ pub struct TxDriver<P: TxProtocol> {
     seq: u64,
     keys: Vec<u64>,
     current: Option<P::Op>,
-    lingering: IntMap<u64, (P::Op, usize)>,
-    outstanding: usize,
     aborts: u64,
     consecutive_aborts: u32,
     rng: SimRng,
@@ -935,8 +932,6 @@ impl<P: TxProtocol> TxDriver<P> {
             seq: 0,
             keys: Vec::new(),
             current: None,
-            lingering: IntMap::default(),
-            outstanding: 0,
             aborts: 0,
             consecutive_aborts: 0,
             rng: SimRng::new(backoff_seed),
@@ -952,7 +947,6 @@ impl<P: TxProtocol> TxDriver<P> {
     /// while it runs; an abort takes it back for the retry.
     fn begin_attempt(&mut self) -> Vec<Outbound> {
         self.seq += 1;
-        self.outstanding = 0;
         let keys = std::mem::take(&mut self.keys);
         let writes: Vec<(u64, Vec<u8>)> =
             keys.iter().map(|&k| (k, self.gen.value_for(k))).collect();
@@ -961,24 +955,14 @@ impl<P: TxProtocol> TxDriver<P> {
         self.absorb(step).0
     }
 
-    /// Tags and counts the step's requests, then appends its background
-    /// traffic.
+    /// Tags the step's requests, then appends its background traffic.
     fn absorb(&mut self, step: TxStep) -> (Vec<Outbound>, Option<TxOutcome>) {
         let mut sends = Vec::with_capacity(step.send.len() + step.background.len());
         for (shard, phase, idx, req) in step.send {
-            self.outstanding += 1;
             sends.push(Outbound::new(shard, tag(self.seq, phase, idx), req, false));
         }
         sends.extend(background(step.background));
         (sends, step.done)
-    }
-
-    /// Parks an attempt the client is done with while replies to it are
-    /// still owed.
-    fn park(&mut self, op: P::Op) {
-        if self.outstanding > 0 {
-            self.lingering.insert(self.seq, (op, self.outstanding));
-        }
     }
 }
 
@@ -997,19 +981,9 @@ impl<P: TxProtocol> ProtoAdapter for TxDriver<P> {
     fn on_reply(&mut self, t: u64, reply: Reply) -> AdapterStep {
         let (seq, phase, idx) = untag(t);
         if seq != self.seq || self.current.is_none() {
-            let mut sends = Vec::new();
-            if let Some((op, remaining)) = self.lingering.get_mut(&seq) {
-                let step = self.client.on_reply(op, phase, idx, reply);
-                *remaining -= 1;
-                if *remaining == 0 {
-                    self.lingering.remove(&seq);
-                }
-                sends.extend(background(step.background));
-            }
-            return AdapterStep::Wait(sends);
+            return AdapterStep::Wait(Vec::new());
         }
         let mut op = self.current.take().expect("txn in flight");
-        self.outstanding -= 1;
         let step = self.client.on_reply(&mut op, phase, idx, reply);
         let (sends, done) = self.absorb(step);
         let failed = match done {
@@ -1021,7 +995,6 @@ impl<P: TxProtocol> ProtoAdapter for TxDriver<P> {
                 self.aborts += 1;
                 self.consecutive_aborts += 1;
                 self.keys = P::take_read_keys(&mut op);
-                self.park(op);
                 // Flush reclamation traffic, back off, then retry the
                 // same transaction with fresh reads; latency keeps
                 // accumulating on the same closed-loop op.
@@ -1034,24 +1007,11 @@ impl<P: TxProtocol> ProtoAdapter for TxDriver<P> {
             Some(TxOutcome::Committed(_)) => false,
             Some(TxOutcome::Failed(_)) => true,
         };
-        self.park(op);
         AdapterStep::Done {
             sends,
             client_compute: SimDuration::ZERO,
             failed,
         }
-    }
-
-    fn abandon(&mut self) -> Vec<Outbound> {
-        // Aborts retry through Backoff (never Retry), so the deadline
-        // shed cannot fire today; parking keeps the straggler
-        // bookkeeping exact if that ever changes.
-        if let Some(op) = self.current.take() {
-            self.park(op);
-        }
-        self.outstanding = 0;
-        self.consecutive_aborts = 0;
-        Vec::new()
     }
 }
 
@@ -2085,8 +2045,7 @@ mod tests {
     const PH_FARM_LOCK: u32 = 2;
     const PH_FARM_UPDATE: u32 = 4;
 
-    /// Branch: `Committed` — the operation completes, nothing lingers,
-    /// and PRISM-TX's free of the displaced version is held back by the
+    /// Branch: `Committed` — the operation completes, and PRISM-TX's free of the displaced version is held back by the
     /// batcher rather than sent.
     #[test]
     fn tx_commit_completes_the_operation() {
@@ -2099,7 +2058,7 @@ mod tests {
                     }
                     other => panic!("{what}: expected completion, got {other:?}"),
                 }
-                assert!(tx.driver().current.is_none() && tx.driver().lingering.is_empty());
+                assert!(tx.driver().current.is_none(), "{what}");
                 assert_eq!(tx.driver().seq, round + 1, "{what}: one attempt each");
             }
             assert_eq!(tx.driver().aborts(), 0, "{what}");
@@ -2156,8 +2115,8 @@ mod tests {
     }
 
     /// Branch: `Failed` — a lost commit (PRISM-TX) or update (FaRM)
-    /// reply is indeterminate: the operation ends failed, nothing
-    /// lingers, and the next operation starts clean.
+    /// reply is indeterminate: the operation ends failed, and the next
+    /// operation starts clean.
     #[test]
     fn tx_lost_commit_reply_ends_the_operation_failed() {
         fn check<P: TxProtocol>(what: &str, mut tx: Tx<P>, last_phase: u32) {
@@ -2166,7 +2125,7 @@ mod tests {
             serve(&tx.servers, &last[0]);
             let step = tx.adapter.on_reply(last[0].tag, timeout_reply());
             assert_done(what, &step, true);
-            assert!(tx.driver().current.is_none() && tx.driver().lingering.is_empty());
+            assert!(tx.driver().current.is_none(), "{what}");
             let sends = tx.start();
             assert_done(what, &tx.finish(sends), false);
         }
@@ -2174,14 +2133,13 @@ mod tests {
         check("FaRM", farm(1, 1).1, PH_FARM_UPDATE);
     }
 
-    /// Branches: an attempt that ends while replies are owed is parked
-    /// under its seq, and the late replies drain it without emitting
-    /// anything. A three-shard transaction's last phase: the first reply
-    /// lands (PRISM-TX's free of the displaced version goes to the
-    /// batcher, not the wire), the second is lost (the attempt fails),
-    /// the third straggles in.
+    /// Branch: a reply to an attempt that already ended emits nothing.
+    /// A three-shard transaction's last phase: the first reply lands
+    /// (PRISM-TX's free of the displaced version goes to the batcher,
+    /// not the wire), the second is lost (the attempt fails), the third
+    /// straggles in.
     #[test]
-    fn tx_parked_attempt_is_drained_by_its_late_replies() {
+    fn tx_late_replies_to_a_finished_attempt_emit_nothing() {
         fn check<P: TxProtocol>(what: &str, mut tx: Tx<P>, last_phase: u32) -> Tx<P> {
             let sends = tx.start();
             let last = tx.run_to(sends, last_phase);
@@ -2189,12 +2147,7 @@ mod tests {
             assert!(wait_sends(what, tx.leg(&last[0])).is_empty(), "{what}");
             let step = tx.adapter.on_reply(last[1].tag, timeout_reply());
             assert_done(what, &step, true);
-            assert_eq!(
-                tx.driver().lingering.get(&1).map(|(_, owed)| *owed),
-                Some(1)
-            );
             assert!(wait_sends(what, tx.leg(&last[2])).is_empty(), "{what}");
-            assert!(tx.driver().lingering.is_empty(), "{what}");
             tx
         }
         let tx = check("PRISM-TX", prism_tx(3, 3), PH_TX_COMMIT);

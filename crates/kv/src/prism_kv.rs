@@ -11,12 +11,9 @@
 //!   verifies the key and linearly probes on a mismatch. An empty slot
 //!   NACKs (null pointer), which the client interprets as absence.
 //! * **PUT** — one probe round trip (slot word + entry key, chained),
-//!   then one install round trip: WRITE the bound into connection
-//!   scratch, ALLOCATE the new entry with its address redirected into
-//!   scratch, then a conditional 16-byte CAS that installs
-//!   `(new_ptr, bound)` if the slot still holds what the probe saw. A
-//!   final unconditional READ of scratch returns the new pointer so the
-//!   client can reclaim the buffer if the CAS lost a race.
+//!   then one install round trip ([`prism_core::install`]) that swaps
+//!   in `(new_ptr, bound)` if the slot still holds what the probe saw;
+//!   its reply names the new buffer if the CAS lost a race.
 //! * **DELETE** — probe, then CAS the slot to null (footnote 2 of the
 //!   paper discusses slot reuse; we use the same heavy-handed
 //!   compare-the-pointer approach).
@@ -30,6 +27,7 @@ use std::sync::Arc;
 
 use prism_core::builder::ops;
 use prism_core::freelist::free_request;
+use prism_core::install::{self, Failure, Guard, Installed, Word};
 use prism_core::integrity::IntegrityStats;
 use prism_core::msg::{Reply, Request};
 use prism_core::op::{full_mask, DataArg, FreeListId, Redirect};
@@ -691,9 +689,8 @@ impl GetOp {
         let Ok(results) = reply.into_chain() else {
             return KvStep::done(KvOutcome::Failed("GET reply lost"));
         };
-        let r = &results[0];
-        match &r.status {
-            OpStatus::Ok => match entry::decode_verified(&r.data) {
+        match results.first().map(|r| (&r.status, &r.data)) {
+            Some((OpStatus::Ok, data)) => match entry::decode_verified(data) {
                 Ok((k, v, _)) if k == self.key => {
                     self.resolve(c, KvOutcome::Value(Some(v.to_vec())))
                 }
@@ -717,7 +714,7 @@ impl GetOp {
             },
             // Null pointer: the slot is empty. Under linear probing an
             // empty slot terminates the probe sequence.
-            OpStatus::Error(RdmaError::BadIndirectTarget(0)) => {
+            Some((OpStatus::Error(RdmaError::BadIndirectTarget(0)), _)) => {
                 self.resolve(c, KvOutcome::Value(None))
             }
             _ => {
@@ -794,6 +791,11 @@ pub struct PutOp {
     in_doubt: bool,
 }
 
+/// The raw 16-byte slot word a probe or resolve chain reads first.
+fn slot_word(results: &[OpResult]) -> Option<[u8; 16]> {
+    results.first()?.expect_data().ok()?.try_into().ok()
+}
+
 impl PutOp {
     fn probe_request(&self, c: &PrismKvClient) -> Request {
         let slot = c.view.scheme.slot(&self.key, self.attempt, c.view.capacity);
@@ -827,37 +829,13 @@ impl PutOp {
         let e = entry::encode_versioned(&self.key, &self.value, self.version);
         let bound = e.len() as u64;
         let class = c.view.class_for(bound)?;
-        let scratch = Redirect {
+        let stage = Redirect {
             addr: c.scratch_addr,
             rkey: c.scratch_rkey,
         };
-        Some(Request::Chain(vec![
-            // Stage the bound at scratch+8 (the slot's second word).
-            ops::write(
-                c.scratch_addr + 8,
-                bound.to_le_bytes().to_vec(),
-                c.scratch_rkey,
-            ),
-            // Allocate the entry; its address lands at scratch+0.
-            ops::allocate(class, e).redirect(scratch),
-            // Install (new_ptr, bound) if the slot is unchanged.
-            ops::cas_args(
-                CasMode::Eq,
-                slot_addr,
-                c.view.data_rkey,
-                DataArg::Inline(old.to_vec()),
-                DataArg::Remote {
-                    addr: c.scratch_addr,
-                    rkey: c.scratch_rkey,
-                },
-                16,
-                full_mask(16),
-                full_mask(16),
-            )
-            .conditional(),
-            // Recover the new pointer so a losing client can reclaim it.
-            ops::read(c.scratch_addr, 8, c.scratch_rkey),
-        ]))
+        let guard = Guard::Unchanged { old, bound };
+        let chain = install::chain(slot_addr, c.view.data_rkey, stage, class, e, guard);
+        Some(Request::Chain(chain.into()))
     }
 
     /// Feeds a reply; returns the next step.
@@ -885,24 +863,19 @@ impl PutOp {
         };
         match self.state.clone() {
             PutState::Probe => {
-                let slot_word = match results[0].expect_data() {
-                    Ok(d) if d.len() == 16 => {
-                        let mut w = [0u8; 16];
-                        w.copy_from_slice(d);
-                        w
-                    }
-                    _ => return KvStep::done(KvOutcome::Failed("PUT probe error")),
+                let (Some(slot_word), [_, owner]) = (slot_word(&results), results.as_slice())
+                else {
+                    return KvStep::done(KvOutcome::Failed("PUT probe error"));
                 };
-                let ptr = u64::from_le_bytes(slot_word[0..8].try_into().expect("8 bytes"));
                 let slot = c.view.scheme.slot(&self.key, self.attempt, c.view.capacity);
-                if ptr == 0 {
+                if Word::PtrBound.ptr(&slot_word) == 0 {
                     // Empty slot: claim it (compare against the observed
                     // empty word).
                     return self.enter_install(c, slot, slot_word);
                 }
                 // Occupied: does it hold our key?
-                match &results[1].status {
-                    OpStatus::Ok => match entry::decode_key(&results[1].data) {
+                match &owner.status {
+                    OpStatus::Ok => match entry::decode_key(&owner.data) {
                         Some(k) if k == self.key => self.enter_install(c, slot, slot_word),
                         // In collisionless mode slot ownership is
                         // deterministic, so a key mismatch (or an
@@ -924,48 +897,30 @@ impl PutOp {
             }
             PutState::Install { slot, old } => {
                 if self.delete {
-                    let cas = &results[0];
-                    return match &cas.status {
-                        OpStatus::Ok => {
-                            let old_ptr =
-                                u64::from_le_bytes(old[0..8].try_into().expect("8 bytes"));
-                            KvStep::Done {
-                                outcome: KvOutcome::Written,
-                                background: (old_ptr != 0).then(|| free_request(old_ptr)),
-                            }
-                        }
-                        OpStatus::CasFailed => self.after_cas_failed(c, slot, old),
+                    return match results.first().map(|r| &r.status) {
+                        Some(OpStatus::Ok) => self.replaced(old),
+                        Some(OpStatus::CasFailed) => self.after_cas_failed(c, slot, old),
                         _ => KvStep::done(KvOutcome::Failed("DELETE CAS error")),
                     };
                 }
-                // [write, allocate, cas, read-back]
-                if let OpStatus::Error(e) = &results[1].status {
-                    let _ = e;
-                    return KvStep::done(KvOutcome::Failed("allocation failed"));
-                }
-                let new_ptr = match results[3].expect_data() {
-                    Ok(d) if d.len() == 8 => u64::from_le_bytes(d.try_into().expect("8 bytes")),
-                    _ => return KvStep::done(KvOutcome::Failed("scratch read error")),
-                };
-                match &results[2].status {
-                    OpStatus::Ok => {
-                        let old_ptr = u64::from_le_bytes(old[0..8].try_into().expect("8 bytes"));
-                        KvStep::Done {
-                            outcome: KvOutcome::Written,
-                            background: (old_ptr != 0).then(|| free_request(old_ptr)),
-                        }
-                    }
-                    OpStatus::CasFailed => {
+                match install::read(&results, Word::PtrBound) {
+                    Installed::Won { .. } => self.replaced(old),
+                    lost @ Installed::Lost { .. } => {
                         // Lost the race: reclaim our orphaned buffer,
                         // then resume from the probe (or, with a lost
                         // install still in doubt, from the resolve read).
                         let mut step = self.after_cas_failed(c, slot, old);
-                        let (KvStep::Send { background, .. } | KvStep::Done { background, .. }) =
-                            &mut step;
-                        *background = Some(free_request(new_ptr));
+                        let (KvStep::Send { background: bg, .. }
+                        | KvStep::Done { background: bg, .. }) = &mut step;
+                        *bg = lost.garbage().map(free_request);
                         step
                     }
-                    _ => KvStep::done(KvOutcome::Failed("install CAS error")),
+                    Installed::Failed(f) => KvStep::done(KvOutcome::Failed(match f {
+                        Failure::Short => "install reply short",
+                        Failure::Allocate => "allocation failed",
+                        Failure::ReadBack => "scratch read error",
+                        Failure::Cas => "install CAS error",
+                    })),
                 }
             }
             PutState::Resolve { slot, old } => self.resolve(c, slot, old, &results),
@@ -995,22 +950,11 @@ impl PutOp {
         old: [u8; 16],
         results: &[OpResult],
     ) -> KvStep {
-        let word = match results[0].expect_data() {
-            Ok(d) if d.len() == 16 => {
-                let mut w = [0u8; 16];
-                w.copy_from_slice(d);
-                w
-            }
-            _ => return KvStep::done(KvOutcome::Failed("resolve read error")),
+        let (Some(word), [_, entry]) = (slot_word(results), results) else {
+            return KvStep::done(KvOutcome::Failed("resolve read error"));
         };
         if word == old {
-            return match self.install_request(c, slot, old) {
-                Some(req) => {
-                    self.state = PutState::Install { slot, old };
-                    KvStep::send(req)
-                }
-                None => KvStep::done(KvOutcome::Failed("entry exceeds all size classes")),
-            };
+            return self.enter_install(c, slot, old);
         }
         if self.delete {
             // Ours-or-equivalent if now null, overwritten otherwise;
@@ -1019,15 +963,20 @@ impl PutOp {
             return KvStep::done(KvOutcome::Written);
         }
         let ours = entry::encode_versioned(&self.key, &self.value, self.version);
-        let landed = matches!(results[1].expect_data(), Ok(d) if d == &ours[..]);
-        if landed {
-            let old_ptr = u64::from_le_bytes(old[0..8].try_into().expect("8 bytes"));
-            return KvStep::Done {
-                outcome: KvOutcome::Written,
-                background: (old_ptr != 0).then(|| free_request(old_ptr)),
-            };
+        if matches!(entry.expect_data(), Ok(d) if d == &ours[..]) {
+            return self.replaced(old);
         }
         KvStep::done(KvOutcome::Written)
+    }
+
+    /// A completed write that replaced `old`: frees the entry it pointed
+    /// at.
+    fn replaced(&self, old: [u8; 16]) -> KvStep {
+        let old_ptr = Word::PtrBound.ptr(&old);
+        KvStep::Done {
+            outcome: KvOutcome::Written,
+            background: (old_ptr != 0).then(|| free_request(old_ptr)),
+        }
     }
 
     /// A definitive CAS failure: with no lost install in doubt the op
@@ -1157,19 +1106,17 @@ impl KvProtocol for PrismKvClient {
         self.scratch_rkey = Rkey(self.scratch_rkey).restamped(inc).0;
     }
 
-    /// An install chain is `[write, allocate, CAS, read-back]`. When its
-    /// CAS lost, the read-back names the freshly allocated entry whose
-    /// only reference died with this reply: the machine reissued
-    /// through its resolve path and can never learn the address. A won
-    /// CAS leaves the buffer live in the slot, and probe and resolve
+    /// When an install chain's CAS lost, its reply names the freshly
+    /// allocated entry whose only reference died with this reply: the
+    /// machine reissued through its resolve path and can never learn
+    /// the address. A won CAS leaves the buffer live in the slot (the
+    /// resolve path frees what it displaced), and probe and resolve
     /// chains allocate nothing.
     fn harvest(reply: Reply) -> Option<u64> {
-        let results = reply.into_chain().ok()?;
-        if results.len() != 4 || !matches!(results[2].status, OpStatus::CasFailed) {
-            return None;
+        match install::read(&reply.into_chain().ok()?, Word::PtrBound) {
+            lost @ Installed::Lost { .. } => lost.garbage(),
+            _ => None,
         }
-        let addr = u64::from_le_bytes(results[3].expect_data().ok()?.try_into().ok()?);
-        (addr != 0).then_some(addr)
     }
 }
 
@@ -1234,6 +1181,49 @@ mod tests {
         match op.on_reply(c, reply) {
             KvStep::Send { request, .. } => request,
             step => panic!("expected the install send, got {step:?}"),
+        }
+    }
+
+    /// A chain reply with fewer results than its request had ops decodes
+    /// from a valid frame. It ends a GET, and a PUT in each of its three
+    /// states, with a typed failure rather than a panic.
+    #[test]
+    fn short_chain_replies_fail_without_panicking() {
+        let (s, c) = small_store();
+        drive_put(&s, &c, b"k", b"v0");
+        let result = |status, data: &[u8]| OpResult {
+            status,
+            data: data.to_vec(),
+        };
+        // A nack for the GET's one READ; a non-null slot word for the
+        // PUT's chains, whose second result is then missing.
+        let nack = result(OpStatus::Error(RdmaError::ChainAborted), &[]);
+        let word = result(OpStatus::Ok, &[7; 16]);
+        let (get, _) = c.get(b"k");
+        let (probe, req) = c.put(b"k", b"v1");
+        let mut install = probe.clone();
+        probe_to_install(&s, &c, &mut install, req);
+        let mut resolve = install.clone();
+        resolve.reissue(&c);
+        let failed = |step: KvStep| {
+            assert!(
+                matches!(
+                    &step,
+                    KvStep::Done {
+                        outcome: KvOutcome::Failed(_),
+                        ..
+                    }
+                ),
+                "{step:?}"
+            );
+        };
+        for results in [vec![], vec![nack]] {
+            failed(get.clone().on_reply(&c, Reply::Chain(results)));
+        }
+        for op in [probe, install, resolve] {
+            for results in [vec![], vec![word.clone()]] {
+                failed(op.clone().on_reply(&c, Reply::Chain(results)));
+            }
         }
     }
 

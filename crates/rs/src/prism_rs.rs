@@ -18,13 +18,10 @@
 //! * **Read phase** — GETs: one indirect READ through `addr_i` per
 //!   replica, returning `[tag | value]`. PUTs only need tags: one plain
 //!   16-byte READ of the metadata entry.
-//! * **Write phase** — the three-op chain of §7.3: WRITE the new tag
-//!   into connection scratch, ALLOCATE `[tag | value]` redirecting the
-//!   buffer address to scratch+8, then CAS_GT (expressed as mode `Lt`:
-//!   *target < operand*) with the comparand *and* swap value loaded from
-//!   scratch, compare mask over the tag field, swap mask over the whole
-//!   entry. A trailing READ of scratch+8 recovers the allocated address
-//!   so a losing client can reclaim its orphan.
+//! * **Write phase** — the install chain of §7.3
+//!   ([`prism_core::install`]): ALLOCATE `[tag | value]` and CAS_GT the
+//!   entry to `[t' | addr]` if its tag is below `t'`; the reply names
+//!   the new buffer so a losing client can reclaim its orphan.
 //!
 //! A replica acknowledging with `CasFailed` already stores a tag at
 //! least as large — which satisfies the ABD write-phase obligation just
@@ -36,9 +33,10 @@ use std::sync::Arc;
 use prism_core::builder::ops;
 use prism_core::crc::Crc32;
 use prism_core::freelist::free_request;
+use prism_core::install::{self, Guard, Installed, Word};
 use prism_core::integrity::IntegrityStats;
 use prism_core::msg::{Reply, Request};
-use prism_core::op::{field_mask, full_mask, DataArg, FreeListId, Redirect};
+use prism_core::op::{FreeListId, Redirect};
 use prism_core::server::ChainObserver;
 use prism_core::value::CasMode;
 use prism_core::{OpResult, OpStatus, PrismOp, PrismServer};
@@ -823,9 +821,9 @@ impl RsProtocol for RsClient {
     /// reasons: the CAS is tag-ordered ([`CasMode::Lt`]), so the second
     /// copy of an install cannot replace the first, only fail against
     /// it; and the losing copy's reply names its freshly allocated
-    /// buffer (the chain's read-back of scratch+8), so whichever reply
-    /// reaches the client second — through [`RsProtocol::on_reply`] or
-    /// a driver's stale-reply harvest — frees it.
+    /// buffer, so whichever reply reaches the client second — through
+    /// [`RsProtocol::on_reply`] or a driver's stale-reply harvest —
+    /// frees it.
     const HEDGE_GETS: bool = true;
 
     fn server(cluster: &RsCluster, replica: usize) -> &PrismServer {
@@ -909,23 +907,13 @@ impl RsProtocol for RsClient {
         *rk = Rkey(*rk).restamped(inc).0;
     }
 
-    /// A write phase's chain is `[write, allocate, CAS_GT, read-back]`,
-    /// and its reply names the buffer [`RsProtocol::on_reply`] would
-    /// have freed: a lost CAS orphans the freshly allocated buffer; a
-    /// won CAS displaces the one previously installed in the metadata
-    /// entry. Read-phase chains allocate nothing.
+    /// A write phase's reply names the buffer [`RsProtocol::on_reply`]
+    /// would have freed ([`Installed::garbage`]): a lost CAS orphans the
+    /// freshly allocated buffer; a won CAS displaces the one previously
+    /// installed in the metadata entry. Read-phase chains allocate
+    /// nothing.
     fn harvest(reply: Reply) -> Option<u64> {
-        let results = reply.into_chain().ok()?;
-        if results.len() != 4 {
-            return None;
-        }
-        let word = match &results[2].status {
-            OpStatus::Ok if results[2].data.len() == META as usize => &results[2].data[8..16],
-            OpStatus::CasFailed => results[3].expect_data().ok()?,
-            _ => return None,
-        };
-        let addr = u64::from_le_bytes(word.try_into().ok()?);
-        (addr != 0).then_some(addr)
+        install::read(&reply.into_chain().ok()?, Word::TagPtr).garbage()
     }
 }
 
@@ -989,47 +977,22 @@ impl RsOp {
     }
 
     fn write_phase_sends(&self, c: &RsClient, value: &[u8]) -> Vec<(usize, u32, Request)> {
+        let tag = self.write_tag.to_bytes();
         c.views
             .iter()
             .enumerate()
             .map(|(r, v)| {
-                let (scratch_addr, scratch_rkey) = c.scratch[r];
-                let payload = encode_block(self.write_tag, value);
-                let chain = vec![
-                    // 1. Stage the new tag at scratch+0.
-                    ops::write(
-                        scratch_addr,
-                        self.write_tag.to_bytes().to_vec(),
-                        scratch_rkey,
-                    ),
-                    // 2. Allocate [tag | value]; address lands at scratch+8.
-                    ops::allocate(v.freelist, payload).redirect(Redirect {
-                        addr: scratch_addr + 8,
-                        rkey: scratch_rkey,
-                    }),
-                    // 3. Install if tag_i < t' (CAS_GT of §7.3, expressed
-                    //    as mode Lt: *target < operand).
-                    ops::cas_args(
-                        CasMode::Lt,
-                        v.meta(self.block),
-                        v.data_rkey,
-                        DataArg::Remote {
-                            addr: scratch_addr,
-                            rkey: scratch_rkey,
-                        },
-                        DataArg::Remote {
-                            addr: scratch_addr,
-                            rkey: scratch_rkey,
-                        },
-                        META as u32,
-                        field_mask(0, 8),
-                        full_mask(META as usize),
-                    )
-                    .conditional(),
-                    // 4. Recover the allocated address for reclamation.
-                    ops::read(scratch_addr + 8, 8, scratch_rkey),
-                ];
-                (r, 1u32, Request::Chain(chain))
+                let (addr, rkey) = c.scratch[r];
+                // Install iff tag_i < t' (CAS_GT of §7.3).
+                let chain = install::chain(
+                    v.meta(self.block),
+                    v.data_rkey,
+                    Redirect { addr, rkey },
+                    v.freelist,
+                    encode_block(self.write_tag, value),
+                    Guard::TagBelow { tag },
+                );
+                (r, 1u32, Request::Chain(chain.into()))
             })
             .collect()
     }
@@ -1108,34 +1071,12 @@ impl RsOp {
     fn on_write_reply(&mut self, c: &RsClient, replica: usize, reply: Reply) -> RsStep {
         // Same defence as the read phase: a synthesized error reply or a
         // short chain is a failed replica, not a panic.
-        let results = reply.into_chain().unwrap_or_default();
-        let mut background = Vec::new();
-        // [write, allocate, cas, read-back]
-        let acked = match results.get(2).map(|r| r.status.clone()) {
-            Some(OpStatus::Ok) => {
-                // Installed: the replaced buffer is garbage.
-                let old = &results[2].data;
-                if old.len() == META as usize {
-                    let old_addr = u64::from_le_bytes(old[8..16].try_into().expect("8 bytes"));
-                    if old_addr != 0 {
-                        background.push((replica, free_request(old_addr)));
-                    }
-                }
-                true
-            }
-            Some(OpStatus::CasFailed) => {
-                // Replica already has tag >= t': counts as an ack, and our
-                // freshly allocated buffer is garbage.
-                if let Some(Ok(d)) = results.get(3).map(|r| r.expect_data()) {
-                    if d.len() == 8 {
-                        let new_addr = u64::from_le_bytes(d.try_into().expect("8 bytes"));
-                        background.push((replica, free_request(new_addr)));
-                    }
-                }
-                true
-            }
-            _ => false,
-        };
+        let installed = install::read(&reply.into_chain().unwrap_or_default(), Word::TagPtr);
+        // Installed, the replaced buffer is garbage; refused (the
+        // replica already has tag >= t'), ours is — and it counts as an
+        // ack.
+        let background = Vec::from_iter(installed.garbage().map(|a| (replica, free_request(a))));
+        let acked = !matches!(installed, Installed::Failed(_));
         if acked {
             self.acks += 1;
         } else {

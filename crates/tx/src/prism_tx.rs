@@ -50,9 +50,10 @@ use std::sync::Arc;
 use prism_core::builder::ops;
 use prism_core::crc::Crc32;
 use prism_core::freelist::free_request;
+use prism_core::install::{self, Failure, Guard, Installed, Word};
 use prism_core::integrity::IntegrityStats;
 use prism_core::msg::{Reply, Request};
-use prism_core::op::{field_mask, full_mask, DataArg, FreeListId, Redirect};
+use prism_core::op::{field_mask, full_mask, FreeListId, Redirect};
 use prism_core::value::CasMode;
 use prism_core::{OpStatus, PrismServer};
 use prism_rdma::hash::IntMap;
@@ -708,36 +709,20 @@ impl TxOp {
             let v = &c.views[shard];
             let (scratch_addr, scratch_rkey) = c.scratch[shard];
             for (n, chunk) in writes[start..end].chunks(KEYS_PER_COMMIT_CHAIN).enumerate() {
-                let mut chain = Vec::with_capacity(chunk.len() * 4);
+                let mut chain = Vec::with_capacity(chunk.len() * install::OPS);
                 for (j, (k, val)) in chunk.iter().enumerate() {
-                    let stage = scratch_addr + (j as u64) * 16;
-                    let payload = encode_version(self.ts, *k, val);
-                    chain.push(ops::write(stage, ts.to_vec(), scratch_rkey));
-                    chain.push(ops::allocate(v.freelist, payload).redirect(Redirect {
-                        addr: stage + 8,
-                        rkey: scratch_rkey,
-                    }));
-                    chain.push(
-                        ops::cas_args(
-                            // Install iff C < TS (Thomas write rule).
-                            CasMode::Lt,
-                            v.slot(c.index_of(*k)) + 16,
-                            v.data_rkey,
-                            DataArg::Remote {
-                                addr: stage,
-                                rkey: scratch_rkey,
-                            },
-                            DataArg::Remote {
-                                addr: stage,
-                                rkey: scratch_rkey,
-                            },
-                            16,
-                            field_mask(0, 8),
-                            full_mask(16),
-                        )
-                        .conditional(),
-                    );
-                    chain.push(ops::read(stage + 8, 8, scratch_rkey));
+                    // Install iff C < TS (Thomas write rule).
+                    chain.extend(install::chain(
+                        v.slot(c.index_of(*k)) + 16,
+                        v.data_rkey,
+                        Redirect {
+                            addr: scratch_addr + (j as u64) * 16,
+                            rkey: scratch_rkey,
+                        },
+                        v.freelist,
+                        encode_version(self.ts, *k, val),
+                        Guard::TagBelow { tag: ts },
+                    ));
                 }
                 let at = start + n * KEYS_PER_COMMIT_CHAIN;
                 let idx = self.work.reqs.len() as u32;
@@ -1000,39 +985,21 @@ impl TxProtocol for TxClient {
             }
             Phase::Commit => {
                 let mut background = Vec::with_capacity(req.end - req.start);
-                for j in 0..req.end - req.start {
-                    let (Some(cas), Some(readback)) =
-                        (results.get(j * 4 + 2), results.get(j * 4 + 3))
-                    else {
-                        return op.lost_reply(c);
-                    };
-                    match &cas.status {
-                        OpStatus::Ok => {
-                            let old = &cas.data;
-                            if old.len() >= 16 {
-                                let old_addr =
-                                    u64::from_le_bytes(old[8..16].try_into().expect("8 bytes"));
-                                if old_addr != 0 {
-                                    background.push((req.shard, free_request(old_addr)));
-                                }
-                            }
-                        }
-                        OpStatus::CasFailed => {
-                            // A newer committed writer got there first:
-                            // Thomas write rule, our buffer is garbage.
-                            if let Ok(d) = readback.expect_data() {
-                                if d.len() == 8 {
-                                    let new_addr = u64::from_le_bytes(d.try_into().expect("8B"));
-                                    background.push((req.shard, free_request(new_addr)));
-                                }
-                            }
-                        }
-                        _ => {
+                let mut installs = install::read_each(&results, Word::TagPtr);
+                for _ in req.start..req.end {
+                    // Won, the displaced version is garbage; refused (a
+                    // newer committed writer got there first: Thomas
+                    // write rule), ours is.
+                    match installs.next().unwrap_or(Installed::Failed(Failure::Short)) {
+                        Installed::Failed(Failure::Short) => return op.lost_reply(c),
+                        Installed::Failed(_) => {
                             return TxStep {
                                 background,
                                 ..op.finish(c, TxOutcome::Failed("commit install error"))
                             };
                         }
+                        installed => background
+                            .extend(installed.garbage().map(|a| (req.shard, free_request(a)))),
                     }
                 }
                 op.outstanding -= 1;

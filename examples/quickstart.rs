@@ -7,11 +7,11 @@
 //!
 //! Run with: `cargo run -p prism-harness --example quickstart`
 
-use prism_core::builder::{ops, ChainBuilder};
-use prism_core::op::{field_mask, full_mask, DataArg, FreeListId, Redirect};
+use prism_core::builder::ops;
+use prism_core::install::{self, Guard, Installed, Word};
+use prism_core::op::{field_mask, full_mask, FreeListId, Redirect};
 use prism_core::server::PrismServer;
 use prism_core::value::CasMode;
-use prism_core::OpStatus;
 use prism_rdma::region::AccessFlags;
 
 fn main() {
@@ -82,49 +82,35 @@ fn main() {
     );
 
     // --- 4. Chaining (§3.4 / §3.5) --------------------------------------
-    // The one-round-trip out-of-place update: ALLOCATE a new version,
-    // redirect its address into connection scratch, then conditionally
-    // CAS the pointer slot if it still holds what we last saw.
-    let slot = data + 3072;
-    let old_ptr = 0u64; // slot starts empty
-    let scratch = Redirect {
+    // The one-round-trip out-of-place update: stage the new bound in
+    // connection scratch, ALLOCATE the new version with its address
+    // redirected beside it, conditionally CAS the `[ptr | bound]` slot if
+    // it still holds what we last saw, and read the new address back.
+    let slot = data + 3072; // starts empty
+    let stage = Redirect {
         addr: conn.scratch_addr,
         rkey: conn.scratch_rkey.0,
     };
-    let chain = ChainBuilder::new()
-        .then(ops::allocate(freelist, b"version-1 data".to_vec()).redirect(scratch))
-        .then(
-            ops::cas_args(
-                CasMode::Eq,
-                slot,
-                rkey.0,
-                DataArg::Inline(old_ptr.to_le_bytes().to_vec()),
-                DataArg::Remote {
-                    addr: scratch.addr,
-                    rkey: scratch.rkey,
-                },
-                8,
-                full_mask(8),
-                full_mask(8),
-            )
-            .conditional(),
-        )
-        .build();
-    let results = server.execute_chain(&chain);
-    assert!(results.iter().all(|r| r.status == OpStatus::Ok));
+    let old = [0; 16];
+    let guard = Guard::Unchanged { old, bound: 14 };
+    let update = |value: &[u8]| {
+        let chain = install::chain(slot, rkey.0, stage, freelist, value.to_vec(), guard);
+        install::read(&server.execute_chain(&chain), Word::PtrBound)
+    };
+    assert_eq!(update(b"version-1 data"), Installed::Won { displaced: 0 });
     let installed = server.arena().read_u64(slot).unwrap();
     println!(
         "chained update -> slot now points at {installed:#x}: {:?}",
         String::from_utf8_lossy(&server.arena().read(installed, 14).unwrap())
     );
 
-    // A losing race: the same chain with a stale expected pointer gets
-    // its CAS skipped/failed and the slot is untouched.
-    let results = server.execute_chain(&chain);
-    println!(
-        "racing update  -> CAS status {:?}, slot unchanged at {installed:#x}",
-        results[1].status
-    );
+    // A losing race: the same guard is stale now, so the CAS fails, the
+    // slot is untouched, and the freshly allocated buffer is ours to free.
+    let Installed::Lost { orphan } = update(b"version-2 data") else {
+        panic!("a stale install won");
+    };
+    println!("racing update  -> lost; slot unchanged at {installed:#x}, orphan {orphan:#x} freed");
     assert_eq!(server.arena().read_u64(slot).unwrap(), installed);
+    server.freelists().free(orphan).unwrap();
     println!("done.");
 }

@@ -73,7 +73,10 @@
 #                           and truncated frames, decode totality), the
 #                           free-list oracle, the key-value model test
 #                           (PRISM-KV and Pilaf through one client
-#                           contract; a gate added, none removed), then
+#                           contract; a gate added, none removed), the
+#                           core chain properties (the §3.5 install's
+#                           verdict and the buffer it frees; a gate
+#                           added, none removed), then
 #                           both migration gates, again under
 #                           PRISM_TEST_SEED=1806242025, so the gates don't
 #                           ossify around one lucky schedule. The value
@@ -171,7 +174,8 @@ MIGRATION_GATE=(rs_migration_chaos_stays_linearizable_through_live_reshard
 GATES=(--test fault_matrix --test chaos_gate --test corruption_matrix
     --test durability_gate --test store_properties
     --test openloop_smoke --test gray_gate --test tx_replay
-    --test wire_properties --test freelist_oracle --test kv_integration)
+    --test wire_properties --test freelist_oracle --test kv_integration
+    --test chain_properties)
 SECOND_SEED=1806242025
 
 # Both reshard gates, by exact name; fails unless exactly those ran.

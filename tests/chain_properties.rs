@@ -1,15 +1,17 @@
 //! Property-based tests over the PRISM core: wire-format round trips,
 //! enhanced-CAS algebra against a reference model, free-list integrity,
-//! and conditional-chain semantics. Runs on the in-repo `prism-testkit`
-//! harness; failures print a `PRISM_TEST_SEED` for exact replay.
+//! conditional-chain semantics, and the §3.5 install's verdict. Runs on
+//! the in-repo `prism-testkit` harness; failures print a
+//! `PRISM_TEST_SEED` for exact replay.
 
 use prism_core::builder::ops;
+use prism_core::install::{self, Failure, Guard, Installed, Word};
 use prism_core::msg::{self, Request, Verb};
-use prism_core::op::{FreeListId, PrismOp};
+use prism_core::op::{FreeListId, PrismOp, Redirect};
 use prism_core::server::PrismServer;
 use prism_core::value::{cas_compare, cas_swap, CasMode};
 use prism_core::wire;
-use prism_core::OpStatus;
+use prism_core::{OpResult, OpStatus};
 use prism_rdma::region::AccessFlags;
 use prism_testkit::{for_all, gens, Config, Gen};
 
@@ -216,6 +218,103 @@ fn allocator_integrity() {
                     }
                 } else if let Some(addr) = live.pop() {
                     server.freelists().free(addr).unwrap();
+                }
+            }
+        },
+    );
+}
+
+/// An install run on a server either wins — the word holds the new
+/// pointer, and the garbage is the buffer it displaced — or loses — the
+/// word is unchanged, and the garbage is the orphan. Either buffer is
+/// live, so `FreeLists::free` takes it back. The word holds a buffer or
+/// null beside a tag or bound `have`; the guard wants `want`.
+#[test]
+fn installs_free_the_buffer_they_displace_or_orphan() {
+    let small = || gens::range_u64(0..4);
+    let gen = gens::t4(gens::bools(), gens::bools(), small(), small());
+    for_all(
+        "installs_free_the_buffer_they_displace_or_orphan",
+        &Config::with_cases(256),
+        &gen,
+        |&(tagged, occupied, have, want)| {
+            let server = PrismServer::new(1 << 16);
+            let (at, rkey) = server.carve_region(16, 16, AccessFlags::FULL);
+            let fl = FreeListId(0);
+            server.setup_freelist(fl, 64, 4);
+            let conn = server.open_connection();
+            let stage = Redirect {
+                addr: conn.scratch_addr,
+                rkey: conn.scratch_rkey.0,
+            };
+            let prior = match occupied {
+                true => {
+                    let r = server.execute_chain(&[ops::allocate(fl, vec![1])]);
+                    u64::from_le_bytes(r[0].data[..].try_into().unwrap())
+                }
+                false => 0,
+            };
+            // `[tag (big-endian) | ptr]` or `[ptr | bound]`.
+            let word = |p: u64, x: u64| match tagged {
+                true => [x.to_be_bytes(), p.to_le_bytes()].concat(),
+                false => [p.to_le_bytes(), x.to_le_bytes()].concat(),
+            };
+            let (tag, old) = (want.to_be_bytes(), word(prior, want).try_into().unwrap());
+            let wins = if tagged { have < want } else { have == want };
+            let (layout, guard) = match tagged {
+                true => (Word::TagPtr, Guard::TagBelow { tag }),
+                false => (Word::PtrBound, Guard::Unchanged { old, bound: want }),
+            };
+            server.arena().write(at, &word(prior, have)).unwrap();
+            let chain = install::chain(at, rkey.0, stage, fl, b"fresh".to_vec(), guard);
+            let installed = install::read(&server.execute_chain(&chain), layout);
+            let after = server.arena().read(at, 16).unwrap();
+            match installed {
+                Installed::Won { displaced } => {
+                    assert!(wins && displaced == prior, "{installed:?}");
+                    let new = layout.ptr(&after);
+                    assert_eq!(after, word(new, want));
+                    assert_eq!(server.arena().read(new, 5).unwrap(), b"fresh");
+                }
+                Installed::Lost { orphan } => {
+                    assert!(!wins && installed.garbage() == Some(orphan));
+                    assert_eq!(after, word(prior, have), "a lost install moved the word");
+                }
+                Installed::Failed(f) => panic!("install failed: {f:?}"),
+            }
+            if let Some(buf) = installed.garbage() {
+                assert_eq!(server.freelists().free(buf), Ok(()), "{installed:?}");
+            }
+        },
+    );
+}
+
+/// The reader takes any result vector: short ones read as `Short`, and
+/// it never names a null buffer.
+#[test]
+fn install_reader_is_total() {
+    let abort = OpStatus::Error(prism_rdma::RdmaError::ChainAborted);
+    let status = gens::choice(vec![
+        OpStatus::Ok,
+        OpStatus::CasFailed,
+        OpStatus::Skipped,
+        abort,
+    ]);
+    let data =
+        gens::t2(gens::choice(vec![0, 8, 16, 23]), gens::u8s()).map(|(len, fill)| vec![fill; len]);
+    let result = gens::t2(status, data).map(|(status, data)| OpResult { status, data });
+    for_all(
+        "install_reader_is_total",
+        &Config::with_cases(512),
+        &gens::vec(result, 0..10),
+        |results| {
+            for word in [Word::PtrBound, Word::TagPtr] {
+                let first = install::read(results, word);
+                if results.len() < install::OPS {
+                    assert_eq!(first, Installed::Failed(Failure::Short));
+                }
+                for installed in std::iter::once(first).chain(install::read_each(results, word)) {
+                    assert_ne!(installed.garbage(), Some(0));
                 }
             }
         },
