@@ -500,8 +500,10 @@ fn bench_tx(run: &mut Runner) {
         let mut key = 0u64;
         b.iter(|| {
             key = (key + 7) % 1024;
-            let (op, step) = client.begin(vec![key], vec![(key, vec![1u8; 512])]);
-            let outcome = drive(&cluster, &mut client, op, step);
+            let (op, step) = client.begin(vec![key]);
+            let outcome = drive(&cluster, &mut client, op, step, |_| {
+                vec![(key, vec![1u8; 512])]
+            });
             assert!(matches!(outcome, TxOutcome::Committed(_)));
             outcome
         })
@@ -518,8 +520,8 @@ fn bench_tx(run: &mut Runner) {
         );
         let mut client = farm.open_client();
         b.iter(|| {
-            let (op, step) = client.begin(vec![7], vec![(7, vec![1u8; 512])]);
-            drive(&farm, &mut client, op, step)
+            let (op, step) = client.begin(vec![7]);
+            drive(&farm, &mut client, op, step, |_| vec![(7, vec![1u8; 512])])
         });
     });
 }

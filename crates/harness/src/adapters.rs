@@ -907,6 +907,11 @@ fn background(reqs: Vec<(usize, Request)>) -> impl Iterator<Item = Outbound> {
 /// it commits or fails (§8.3) — the one reply-handling loop for every
 /// [`TxProtocol`].
 ///
+/// Each attempt draws its write values from the [`TxnGen`] when it
+/// begins and holds them until its step pauses for them
+/// ([`TxStep::awaiting_writes`]); it supplies them within the same
+/// `begin` or `on_reply` call, so the pause adds no send and no event.
+///
 /// A reply to an attempt that already ended (an abort or a failure after
 /// a lost round trip) is dropped: a finished attempt of either protocol
 /// answers it with nothing. Background traffic (PRISM-TX's buffer
@@ -917,8 +922,8 @@ pub struct TxDriver<P: TxProtocol> {
     gen: TxnGen,
     seq: u64,
     keys: Vec<u64>,
+    writes: Vec<(u64, Vec<u8>)>,
     current: Option<P::Op>,
-    aborts: u64,
     consecutive_aborts: u32,
     rng: SimRng,
 }
@@ -931,16 +936,11 @@ impl<P: TxProtocol> TxDriver<P> {
             gen,
             seq: 0,
             keys: Vec::new(),
+            writes: Vec::new(),
             current: None,
-            aborts: 0,
             consecutive_aborts: 0,
             rng: SimRng::new(backoff_seed),
         }
-    }
-
-    /// Total aborted attempts (diagnostics).
-    pub fn aborts(&self) -> u64 {
-        self.aborts
     }
 
     /// Begins an attempt over `self.keys`. The attempt owns the key list
@@ -948,11 +948,21 @@ impl<P: TxProtocol> TxDriver<P> {
     fn begin_attempt(&mut self) -> Vec<Outbound> {
         self.seq += 1;
         let keys = std::mem::take(&mut self.keys);
-        let writes: Vec<(u64, Vec<u8>)> =
-            keys.iter().map(|&k| (k, self.gen.value_for(k))).collect();
-        let (op, step) = self.client.begin(keys, writes);
+        self.writes = keys.iter().map(|&k| (k, self.gen.value_for(k))).collect();
+        let (mut op, step) = self.client.begin(keys);
+        let step = self.supply_if_paused(&mut op, step);
         self.current = Some(op);
         self.absorb(step).0
+    }
+
+    /// The step that follows `step`: if it paused the attempt for its
+    /// writes, the one that hands them over.
+    fn supply_if_paused(&mut self, op: &mut P::Op, step: TxStep) -> TxStep {
+        if !step.awaiting_writes {
+            return step;
+        }
+        let writes = std::mem::take(&mut self.writes);
+        self.client.supply_writes(op, writes)
     }
 
     /// Tags the step's requests, then appends its background traffic.
@@ -985,6 +995,7 @@ impl<P: TxProtocol> ProtoAdapter for TxDriver<P> {
         }
         let mut op = self.current.take().expect("txn in flight");
         let step = self.client.on_reply(&mut op, phase, idx, reply);
+        let step = self.supply_if_paused(&mut op, step);
         let (sends, done) = self.absorb(step);
         let failed = match done {
             None => {
@@ -992,7 +1003,6 @@ impl<P: TxProtocol> ProtoAdapter for TxDriver<P> {
                 return AdapterStep::Wait(sends);
             }
             Some(TxOutcome::Aborted) => {
-                self.aborts += 1;
                 self.consecutive_aborts += 1;
                 self.keys = P::take_read_keys(&mut op);
                 // Flush reclamation traffic, back off, then retry the
@@ -2061,7 +2071,7 @@ mod tests {
                 assert!(tx.driver().current.is_none(), "{what}");
                 assert_eq!(tx.driver().seq, round + 1, "{what}: one attempt each");
             }
-            assert_eq!(tx.driver().aborts(), 0, "{what}");
+            assert_eq!(tx.driver().consecutive_aborts, 0, "{what}");
         }
         check("PRISM-TX", prism_tx(1, 1));
         check("FaRM", farm(1, 1).1);
@@ -2094,7 +2104,7 @@ mod tests {
         assert_backoff("PRISM-TX", &step, want);
         assert_eq!(tx.driver().keys, keys);
         assert_eq!(requests(&tx.adapter.resume()), requests(&first));
-        assert_eq!((tx.driver().aborts(), tx.driver().seq), (1, 2));
+        assert_eq!((tx.driver().consecutive_aborts, tx.driver().seq), (1, 2));
 
         let (cluster, mut tx) = farm(1, 1);
         let first = tx.start();
@@ -2111,7 +2121,7 @@ mod tests {
         assert_eq!(cluster.held_locks(), 0, "the abort released it");
         assert_eq!(tx.driver().keys, keys);
         assert_eq!(requests(&tx.adapter.resume()), requests(&first));
-        assert_eq!((tx.driver().aborts(), tx.driver().seq), (1, 2));
+        assert_eq!((tx.driver().consecutive_aborts, tx.driver().seq), (1, 2));
     }
 
     /// Branch: `Failed` — a lost commit (PRISM-TX) or update (FaRM)

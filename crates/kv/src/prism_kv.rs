@@ -180,7 +180,7 @@ impl ChainObserver for KvDurableTap {
             if arena.read_into(*target, &mut slot).is_err() {
                 continue;
             }
-            let ptr = u64::from_le_bytes(slot[..8].try_into().expect("8 bytes"));
+            let ptr = Word::PtrBound.ptr(&slot);
             let bound = u64::from_le_bytes(slot[8..16].try_into().expect("8 bytes"));
             let payload_len = if ptr == 0 {
                 0
@@ -214,8 +214,7 @@ impl ChainObserver for KvDurableTap {
 /// The payload must be longer than a slot word.
 fn split_install(payload: &[u8]) -> (u64, &[u8], &[u8]) {
     let (word, image) = payload.split_at(SLOT as usize);
-    let ptr = u64::from_le_bytes(word[..8].try_into().expect("8 bytes"));
-    (ptr, word, image)
+    (Word::PtrBound.ptr(word), word, image)
 }
 
 /// The PRISM-KV server: a [`PrismServer`] with the store's layout and

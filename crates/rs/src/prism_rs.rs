@@ -186,7 +186,7 @@ impl ChainObserver for RsDurableTap {
             if arena.read_into(*target, &mut meta).is_err() {
                 continue;
             }
-            let addr = u64::from_le_bytes(meta[8..16].try_into().expect("8 bytes"));
+            let addr = Word::TagPtr.ptr(&meta);
             if addr == 0 {
                 continue; // fences are logged explicitly by the migrator
             }
@@ -527,7 +527,7 @@ impl RsCluster {
                     .expect("peer metadata in arena");
                 let tag = Tag::from_bytes(&meta[..8]);
                 if tag > best_tag {
-                    let addr = u64::from_le_bytes(meta[8..16].try_into().expect("8 bytes"));
+                    let addr = Word::TagPtr.ptr(&meta);
                     if addr == 0 {
                         best_tag = tag;
                         best_val = None;
@@ -611,7 +611,7 @@ impl RsCluster {
                 .arena()
                 .read(v.meta(b), META)
                 .expect("metadata in arena");
-            let addr = u64::from_le_bytes(meta[8..16].try_into().expect("8 bytes"));
+            let addr = Word::TagPtr.ptr(&meta);
             if addr == 0 {
                 // Migration fence: the block moved groups; there is no
                 // buffer here to verify or repair.
@@ -642,7 +642,7 @@ impl RsCluster {
                 if best.as_ref().is_some_and(|(t, _)| *t >= ptag) {
                     continue;
                 }
-                let paddr = u64::from_le_bytes(pmeta[8..16].try_into().expect("8 bytes"));
+                let paddr = Word::TagPtr.ptr(&pmeta);
                 if paddr == 0 {
                     continue;
                 }

@@ -2,14 +2,17 @@
 //! local driver over it.
 //!
 //! PRISM-TX and FaRM differ in every request they send but not in how a
-//! caller drives them: [`TxProtocol::begin`] (or
-//! [`TxProtocol::begin_rmw`]) returns an attempt and its first
-//! [`TxStep`]; each request is tagged `(shard, phase, index)`, and each
-//! reply fed back through [`TxProtocol::on_reply`] yields the next step,
-//! until one carries the attempt's [`TxOutcome`]. [`drive`] and
-//! [`run_rmw`] run that loop against local shards; the simulator's
-//! closed-loop adapter (`prism_harness::adapters::TxDriver`) runs it
-//! over the simulated fabric.
+//! caller drives them. Every attempt has one shape: [`TxProtocol::begin`]
+//! starts it over its read keys; each request is tagged
+//! `(shard, phase, index)`, and each reply fed back through
+//! [`TxProtocol::on_reply`] yields the next [`TxStep`]; once the reads
+//! are in, a step pauses ([`TxStep::awaiting_writes`]) and
+//! [`TxProtocol::supply_writes`] hands the attempt its write set, which
+//! starts validation and commit; steps follow until one carries the
+//! attempt's [`TxOutcome`]. [`drive`] and [`run_rmw`] run that loop
+//! against local shards; the simulator's closed-loop adapter
+//! (`prism_harness::adapters::TxDriver`) runs it over the simulated
+//! fabric.
 
 use std::collections::HashMap;
 
@@ -37,12 +40,17 @@ pub struct TxStep {
     /// Fire-and-forget requests (PRISM-TX's buffer frees and abort
     /// `C`-bumps; FaRM sends none).
     pub background: Vec<(usize, Request)>,
-    /// A deferred-write transaction finished its execution phase: the
-    /// caller must compute its writes from [`TxProtocol::values`] and
-    /// call [`TxProtocol::supply_writes`] to continue (the
-    /// read-modify-write shape — computing writes from a *separate*
-    /// earlier transaction's reads would reintroduce the lost-update
-    /// window OCC exists to prevent).
+    /// The attempt's reads are in (at once, for an attempt with none):
+    /// the caller computes its writes from [`TxProtocol::values`] and
+    /// calls [`TxProtocol::supply_writes`] to continue. Every attempt
+    /// that is not cut short in execution pauses here exactly once, and
+    /// the pausing step carries nothing else. Computing the writes from
+    /// the same attempt's reads is what makes a read-modify-write
+    /// serializable: taking them from a *separate* earlier
+    /// transaction's reads would reintroduce the lost-update window OCC
+    /// exists to prevent. This pause and `supply_writes` are the one
+    /// place an attempt's values read and values written are both in
+    /// hand.
     pub awaiting_writes: bool,
     /// Set when the transaction attempt completes.
     pub done: Option<TxOutcome>,
@@ -57,7 +65,7 @@ impl TxStep {
         }
     }
 
-    /// A step that pauses a deferred attempt for its writes.
+    /// A step that pauses the attempt for its writes.
     pub(crate) fn paused() -> Self {
         TxStep {
             awaiting_writes: true,
@@ -76,32 +84,30 @@ pub trait TxProtocol {
     /// Shard `shard`'s host, for a local driver to execute requests on.
     fn server(cluster: &Self::Cluster, shard: usize) -> &PrismServer;
 
-    /// Starts a transaction that reads `read_keys` and then writes
-    /// `writes` (write keys need not be read first).
+    /// Starts an attempt that reads `read_keys`, then pauses
+    /// ([`TxStep::awaiting_writes`]) for its write set; with no read
+    /// keys, the first step is the pause.
     ///
     /// # Panics
     ///
-    /// Panics if a write value has the wrong length or a key is out of
-    /// range.
-    fn begin(&mut self, read_keys: Vec<u64>, writes: Vec<(u64, Vec<u8>)>) -> (Self::Op, TxStep);
-
-    /// Starts a read-modify-write transaction: executes the reads, then
-    /// pauses ([`TxStep::awaiting_writes`]) so the caller can compute the
-    /// write set from the values actually read.
-    fn begin_rmw(&mut self, read_keys: Vec<u64>) -> (Self::Op, TxStep);
+    /// Panics if a key is out of range.
+    fn begin(&mut self, read_keys: Vec<u64>) -> (Self::Op, TxStep);
 
     /// Feeds one reply. A reply of the wrong kind — the fault layer's
-    /// synthesized timeout among them — is a lost round trip, never a
-    /// panic.
+    /// synthesized timeout among them — is a lost round trip, and a
+    /// reply that matches no pending request (another phase's, or an
+    /// index past the phase's requests) is a lost round trip or a no-op;
+    /// neither ever panics.
     fn on_reply(&mut self, op: &mut Self::Op, phase: u32, req_idx: u32, reply: Reply) -> TxStep;
 
-    /// Continues a [`TxProtocol::begin_rmw`] transaction into its commit
-    /// protocol with the supplied write set.
+    /// Continues a paused attempt into validation and commit with the
+    /// write set `writes` (write keys need not have been read: those are
+    /// blind writes). Empty `writes` makes the attempt read-only.
     ///
     /// # Panics
     ///
-    /// Panics if the transaction is not a deferred one paused after its
-    /// execution phase.
+    /// Panics if the attempt is not paused for its writes, if a write
+    /// value has the wrong length or if a key is out of range.
     fn supply_writes(&mut self, op: &mut Self::Op, writes: Vec<(u64, Vec<u8>)>) -> TxStep;
 
     /// Values read during execution (keyed by global key). A commit
@@ -116,55 +122,50 @@ pub trait TxProtocol {
     fn take_read_keys(op: &mut Self::Op) -> Vec<u64>;
 }
 
-/// Executes `first`'s requests against the local shards and feeds every
-/// reply back until nothing is left to send — background requests go
-/// out before the next reply is fed. Returns the attempt's outcome, or
-/// `None` with `true` if it paused for its writes instead.
-fn serve<P: TxProtocol>(
-    cluster: &P::Cluster,
-    client: &mut P,
-    op: &mut P::Op,
-    first: TxStep,
-) -> (Option<TxOutcome>, bool) {
-    let exec = |shard, req: &Request| execute_local(P::server(cluster, shard), req);
-    let mut queue = first.send;
-    let mut bg = first.background;
-    let (mut outcome, mut awaiting) = (first.done, first.awaiting_writes);
-    while let Some((shard, phase, idx, req)) = queue.pop() {
-        for (s, breq) in bg.drain(..) {
-            exec(s, &breq);
-        }
-        let step = client.on_reply(op, phase, idx, exec(shard, &req));
-        queue.extend(step.send);
-        bg.extend(step.background);
-        awaiting |= step.awaiting_writes;
-        if outcome.is_none() {
-            outcome = step.done;
-        }
-    }
-    for (s, breq) in bg {
-        exec(s, &breq);
-    }
-    (outcome, awaiting)
-}
-
 /// Drives a transaction attempt to completion against local shards
-/// (live mode / tests).
+/// (live mode / tests): executes `first`'s requests and feeds every
+/// reply back — background requests go out before the next reply is
+/// fed — and, at the pause, supplies `writes(values read)`. Returns the
+/// attempt's outcome.
+///
+/// # Panics
+///
+/// Panics if the attempt pauses a second time.
 pub fn drive<P: TxProtocol>(
     cluster: &P::Cluster,
     client: &mut P,
     mut op: P::Op,
     first: TxStep,
+    writes: impl FnOnce(&HashMap<u64, Vec<u8>>) -> Vec<(u64, Vec<u8>)>,
 ) -> TxOutcome {
-    serve(cluster, client, &mut op, first)
-        .0
-        .unwrap_or(TxOutcome::Failed("drive finished without outcome"))
+    let exec = |shard, req: &Request| execute_local(P::server(cluster, shard), req);
+    let mut writes = Some(writes);
+    let (mut queue, mut bg, mut outcome) = (Vec::new(), Vec::new(), None);
+    let mut step = first;
+    loop {
+        queue.extend(step.send);
+        bg.extend(step.background);
+        outcome = outcome.or(step.done);
+        if step.awaiting_writes {
+            let writes = writes.take().expect("an attempt pauses once")(P::values(&op));
+            step = client.supply_writes(&mut op, writes);
+            continue;
+        }
+        for (s, breq) in bg.drain(..) {
+            exec(s, &breq);
+        }
+        let Some((shard, phase, idx, req)) = queue.pop() else {
+            break;
+        };
+        step = client.on_reply(&mut op, phase, idx, exec(shard, &req));
+    }
+    outcome.unwrap_or(TxOutcome::Failed("drive finished without outcome"))
 }
 
 /// Read-modify-write with retries until it commits or the budget is
-/// spent: one deferred transaction whose writes are computed from the
-/// same execution reads it then validates (not read-then-write-again).
-/// An abort in either phase — a conflict, or a version that failed its
+/// spent: each attempt's writes are computed from the values that same
+/// attempt read and then validates (not read-then-write-again). An
+/// abort in either phase — a conflict, or a version that failed its
 /// checksum — retries with fresh reads. Returns `(outcome, attempts)`.
 pub fn run_rmw<P: TxProtocol>(
     cluster: &P::Cluster,
@@ -174,18 +175,11 @@ pub fn run_rmw<P: TxProtocol>(
     max_attempts: u32,
 ) -> (TxOutcome, u32) {
     for attempt in 1..=max_attempts {
-        let (mut op, step) = client.begin_rmw(keys.to_vec());
-        let outcome = match serve(cluster, client, &mut op, step) {
-            (None, true) => {
-                let writes = keys
-                    .iter()
-                    .map(|&k| (k, mk_value(k, P::values(&op))))
-                    .collect();
-                let step = client.supply_writes(&mut op, writes);
-                drive(cluster, client, op, step)
-            }
-            (done, _) => done.unwrap_or(TxOutcome::Failed("execution stalled")),
+        let (op, step) = client.begin(keys.to_vec());
+        let writes = |values: &HashMap<u64, Vec<u8>>| {
+            keys.iter().map(|&k| (k, mk_value(k, values))).collect()
         };
+        let outcome = drive(cluster, client, op, step, writes);
         if outcome != TxOutcome::Aborted {
             return (outcome, attempt);
         }
@@ -194,9 +188,68 @@ pub fn run_rmw<P: TxProtocol>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::farm::{FarmCluster, FarmConfig};
     use crate::prism_tx::{TxCluster, TxConfig, VER_HDR};
+    use prism_testkit::{for_all, gens, Config, Gen};
+
+    /// Executes the sends of `step` and feeds the replies back until
+    /// `stop` accepts a step the machine returns (which is handed back
+    /// undriven) or nothing is left to send.
+    pub(crate) fn drive_until<P: TxProtocol>(
+        cluster: &P::Cluster,
+        client: &mut P,
+        op: &mut P::Op,
+        step: TxStep,
+        stop: impl Fn(&TxStep) -> bool,
+    ) -> Option<TxStep> {
+        let mut queue = step.send;
+        while let Some((shard, phase, idx, req)) = queue.pop() {
+            let reply = execute_local(P::server(cluster, shard), &req);
+            let s = client.on_reply(op, phase, idx, reply);
+            if stop(&s) {
+                return Some(s);
+            }
+            queue.extend(s.send);
+        }
+        None
+    }
+
+    /// Whether `step` sends a request of `phase`.
+    pub(crate) fn sends_phase(phase: u32) -> impl Fn(&TxStep) -> bool {
+        move |s| s.send.iter().any(|(_, p, _, _)| *p == phase)
+    }
+
+    /// Begins an attempt over `reads`, executes it to its pause and
+    /// supplies `writes`: returns the attempt and the step that starts
+    /// its validation.
+    pub(crate) fn supplied<P: TxProtocol>(
+        cluster: &P::Cluster,
+        client: &mut P,
+        reads: Vec<u64>,
+        writes: Vec<(u64, Vec<u8>)>,
+    ) -> (P::Op, TxStep) {
+        let (mut op, step) = client.begin(reads);
+        if !step.awaiting_writes {
+            drive_until(cluster, client, &mut op, step, |s| s.awaiting_writes)
+                .expect("execution never paused for the writes");
+        }
+        let step = client.supply_writes(&mut op, writes);
+        (op, step)
+    }
+
+    /// Drives an attempt that already took its writes on to its end.
+    pub(crate) fn drive_rest<P: TxProtocol>(
+        cluster: &P::Cluster,
+        client: &mut P,
+        op: P::Op,
+        step: TxStep,
+    ) -> TxOutcome {
+        drive(cluster, client, op, step, |_| {
+            panic!("the attempt paused twice")
+        })
+    }
 
     /// An execution-phase abort retries like a validation abort: with
     /// the key's committed version failing its checksum, every attempt's
@@ -216,5 +269,126 @@ mod tests {
             5,
             "one detection per attempt"
         );
+    }
+
+    const KEYS_PER_SHARD: u64 = 8;
+    const VALUE_LEN: usize = 16;
+
+    /// What one generated transaction does with its keys.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Kind {
+        /// Reads every key, writes none.
+        ReadOnly,
+        /// Reads every key and writes each one a value computed from
+        /// the values read.
+        Rmw,
+        /// Writes every key (filled with the byte) without reading it.
+        Blind(u8),
+    }
+
+    /// A shard count (2 or 3) and a sequence of transactions, each over
+    /// 1–4 distinct keys of the cluster.
+    type Script = (u64, Vec<(Kind, Vec<u64>)>);
+
+    fn script_gen() -> Gen<Script> {
+        let kind = gens::one_of(vec![
+            gens::constant(Kind::ReadOnly),
+            gens::constant(Kind::Rmw),
+            gens::u8s().map(Kind::Blind),
+        ]);
+        let txn = gens::t2(
+            kind,
+            gens::vec(gens::range_u64(0..3 * KEYS_PER_SHARD), 1..5),
+        );
+        gens::t2(gens::range_u64(2..4), gens::vec(txn, 1..12)).map(|(shards, txns)| {
+            let txns = txns
+                .into_iter()
+                .map(|(kind, keys)| {
+                    let mut distinct = Vec::new();
+                    for k in keys.into_iter().map(|k| k % (shards * KEYS_PER_SHARD)) {
+                        if !distinct.contains(&k) {
+                            distinct.push(k);
+                        }
+                    }
+                    (kind, distinct)
+                })
+                .collect();
+            (shards, txns)
+        })
+    }
+
+    /// The value an RMW writes to `key` over the value it read.
+    fn bumped(key: u64, read: &[u8]) -> Vec<u8> {
+        read.iter().map(|b| b.wrapping_add(key as u8 + 1)).collect()
+    }
+
+    /// One client runs the script through [`drive`]: with nothing to
+    /// conflict with, every transaction commits, and every value read —
+    /// at the pause and in the outcome — equals a `HashMap` model that
+    /// holds zeroes for keys never written.
+    fn matches_the_model<P: TxProtocol>(name: &str, open: fn(u64) -> (P::Cluster, P)) {
+        for_all(name, &Config::default(), &script_gen(), |(shards, txns)| {
+            let (cluster, mut client) = open(*shards);
+            let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
+            let value = |model: &HashMap<u64, Vec<u8>>, k| {
+                model.get(&k).cloned().unwrap_or(vec![0; VALUE_LEN])
+            };
+            for (kind, keys) in txns {
+                let reads = if matches!(kind, Kind::Blind(_)) {
+                    vec![]
+                } else {
+                    keys.clone()
+                };
+                let want: HashMap<u64, Vec<u8>> =
+                    reads.iter().map(|&k| (k, value(&model, k))).collect();
+                let writes: Vec<(u64, Vec<u8>)> = match kind {
+                    Kind::ReadOnly => vec![],
+                    Kind::Rmw => keys.iter().map(|&k| (k, bumped(k, &want[&k]))).collect(),
+                    Kind::Blind(b) => keys.iter().map(|&k| (k, vec![*b; VALUE_LEN])).collect(),
+                };
+                let (op, step) = client.begin(reads);
+                let outcome = drive(&cluster, &mut client, op, step, |values| {
+                    assert_eq!(values, &want, "values at the pause");
+                    writes.clone()
+                });
+                assert_eq!(outcome, TxOutcome::Committed(want), "{kind:?} {keys:?}");
+                model.extend(writes);
+            }
+            // An attempt over no keys commits at once; one over every
+            // key reads the whole model.
+            let (op, step) = client.begin(vec![]);
+            let outcome = drive(&cluster, &mut client, op, step, |_| vec![]);
+            assert_eq!(outcome, TxOutcome::Committed(HashMap::new()));
+            let every: Vec<u64> = (0..shards * KEYS_PER_SHARD).collect();
+            let (op, step) = client.begin(every.clone());
+            let want = every.iter().map(|&k| (k, value(&model, k))).collect();
+            let outcome = drive(&cluster, &mut client, op, step, |_| vec![]);
+            assert_eq!(outcome, TxOutcome::Committed(want));
+        });
+    }
+
+    #[test]
+    fn prism_tx_matches_a_hash_map_model() {
+        matches_the_model("prism_tx_matches_a_hash_map_model", |shards| {
+            let cluster = TxCluster::new(
+                shards as usize,
+                &TxConfig::paper(KEYS_PER_SHARD, VALUE_LEN as u64),
+            );
+            let client = cluster.open_client();
+            (cluster, client)
+        });
+    }
+
+    #[test]
+    fn farm_matches_a_hash_map_model() {
+        matches_the_model("farm_matches_a_hash_map_model", |shards| {
+            let config = FarmConfig {
+                keys_per_shard: KEYS_PER_SHARD,
+                value_len: VALUE_LEN as u64,
+            };
+            let cluster = FarmCluster::new(shards as usize, &config);
+            let client = cluster.open_client();
+            (cluster, client)
+        });
     }
 }

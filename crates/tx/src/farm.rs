@@ -450,7 +450,6 @@ pub struct FarmOp {
     lock_failed: bool,
     valid: bool,
     pending_outcome: Option<TxOutcome>,
-    deferred: bool,
 }
 
 impl FarmClient {
@@ -464,11 +463,13 @@ impl FarmClient {
         k / self.views.len() as u64
     }
 
-    /// Panics unless every write's key is in range and its value
+    /// Panics unless every key is in range and every value
     /// `value_len` bytes long.
-    fn check_writes(&self, writes: &[(u64, Vec<u8>)]) {
-        for (k, v) in writes {
-            assert_eq!(v.len() as u64, self.views[0].value_len);
+    fn check(&self, keys: &[u64], writes: &[(u64, Vec<u8>)]) {
+        for (_, v) in writes {
+            assert_eq!(v.len() as u64, self.views[0].value_len, "bad value len");
+        }
+        for k in keys.iter().chain(writes.iter().map(|(k, _)| k)) {
             assert!(
                 self.index_of(*k) < self.views[0].capacity,
                 "key {k} out of range"
@@ -517,7 +518,7 @@ impl FarmOp {
 
     fn index_sends(&mut self, c: &FarmClient) -> TxStep {
         if self.read_keys.is_empty() {
-            return self.lock_sends(c);
+            return TxStep::paused();
         }
         self.phase = Phase::IndexReads;
         self.read_sends(c, PH_IDX, |_| 8, |_, v, k| v.index_slot(c.index_of(k)))
@@ -657,13 +658,13 @@ impl TxProtocol for FarmClient {
         cluster.shard(shard).server()
     }
 
-    fn begin(&mut self, read_keys: Vec<u64>, writes: Vec<(u64, Vec<u8>)>) -> (FarmOp, TxStep) {
-        self.check_writes(&writes);
+    fn begin(&mut self, read_keys: Vec<u64>) -> (FarmOp, TxStep) {
+        self.check(&read_keys, &[]);
         self.seq += 1;
         let token = (self.client_id << 24) | (self.seq & 0xFF_FFFF);
         let mut op = FarmOp {
             read_keys,
-            writes,
+            writes: Vec::new(),
             token,
             phase: Phase::IndexReads,
             reqs: Vec::new(),
@@ -676,20 +677,8 @@ impl TxProtocol for FarmClient {
             lock_failed: false,
             valid: true,
             pending_outcome: None,
-            deferred: false,
         };
         let step = op.index_sends(self);
-        (op, step)
-    }
-
-    /// The write set is computed from the values actually read (see
-    /// [`TxProtocol::supply_writes`]).
-    fn begin_rmw(&mut self, read_keys: Vec<u64>) -> (FarmOp, TxStep) {
-        let (mut op, step) = self.begin(read_keys, vec![]);
-        op.deferred = true;
-        if step.send.is_empty() {
-            return (op, TxStep::paused());
-        }
         (op, step)
     }
 
@@ -707,7 +696,11 @@ impl TxProtocol for FarmClient {
         if phase != current {
             return TxStep::default();
         }
-        let req = op.reqs[req_idx as usize];
+        // A reply that matches no pending request is dropped, like one
+        // for another phase.
+        let Some(&req) = op.reqs.get(req_idx as usize) else {
+            return TxStep::default();
+        };
         match op.phase {
             Phase::IndexReads => {
                 match reply.into_verb() {
@@ -766,10 +759,7 @@ impl TxProtocol for FarmClient {
                 }
                 op.outstanding -= 1;
                 if op.outstanding == 0 {
-                    if op.deferred {
-                        return TxStep::paused();
-                    }
-                    return op.lock_sends(c);
+                    return TxStep::paused();
                 }
                 TxStep::default()
             }
@@ -843,12 +833,11 @@ impl TxProtocol for FarmClient {
     }
 
     fn supply_writes(&mut self, op: &mut FarmOp, writes: Vec<(u64, Vec<u8>)>) -> TxStep {
-        assert!(op.deferred, "supply_writes on a non-deferred transaction");
         assert!(
-            matches!(op.phase, Phase::ObjectReads | Phase::IndexReads),
-            "writes already supplied"
+            matches!(op.phase, Phase::ObjectReads | Phase::IndexReads) && op.outstanding == 0,
+            "supply_writes outside the pause"
         );
-        self.check_writes(&writes);
+        self.check(&[], &writes);
         op.writes = writes;
         op.lock_sends(self)
     }
@@ -866,6 +855,7 @@ impl TxProtocol for FarmClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::tests::{drive_rest, drive_until, sends_phase, supplied};
     use crate::driver::{drive, run_rmw};
     use prism_testkit::{for_all, gens, Config, Gen};
 
@@ -880,34 +870,16 @@ mod tests {
     }
 
     fn read_all(cl: &FarmCluster, c: &mut FarmClient, keys: &[u64]) -> HashMap<u64, Vec<u8>> {
-        let (op, step) = c.begin(keys.to_vec(), vec![]);
-        match drive(cl, c, op, step) {
+        let (op, step) = c.begin(keys.to_vec());
+        match drive(cl, c, op, step, |_| vec![]) {
             TxOutcome::Committed(v) => v,
             o => panic!("read-only txn must commit: {o:?}"),
         }
     }
 
     fn write_one(cl: &FarmCluster, c: &mut FarmClient, k: u64, v: Vec<u8>) -> TxOutcome {
-        let (op, step) = c.begin(vec![k], vec![(k, v)]);
-        drive(cl, c, op, step)
-    }
-
-    #[test]
-    fn fresh_keys_read_zeroes() {
-        let cl = cluster(1, 8);
-        let mut c = cl.open_client();
-        assert_eq!(read_all(&cl, &mut c, &[0, 5])[&5], vec![0u8; 32]);
-    }
-
-    #[test]
-    fn write_then_read() {
-        let cl = cluster(2, 8);
-        let mut c = cl.open_client();
-        assert!(matches!(
-            write_one(&cl, &mut c, 3, vec![7u8; 32]),
-            TxOutcome::Committed(_)
-        ));
-        assert_eq!(read_all(&cl, &mut c, &[3])[&3], vec![7u8; 32]);
+        let (op, step) = c.begin(vec![k]);
+        drive(cl, c, op, step, |_| vec![(k, v)])
     }
 
     #[test]
@@ -931,27 +903,83 @@ mod tests {
         let mut c1 = cl.open_client();
         let mut c2 = cl.open_client();
         // c1 executes reads, pausing before lock.
-        let (mut op, step) = c1.begin(vec![0], vec![(0, vec![9u8; 32])]);
-        let mut queue = step.send;
-        let mut lock_step = None;
-        while let Some((shard, phase, idx, req)) = queue.pop() {
-            let reply = prism_core::msg::execute_local(cl.shard(shard).server(), &req);
-            let s = c1.on_reply(&mut op, phase, idx, reply);
-            if s.send.iter().any(|(_, p, _, _)| *p == PH_LOCK) {
-                lock_step = Some(s);
-                break;
-            }
-            queue.extend(s.send);
-        }
-        let lock_step = lock_step.expect("reached lock phase");
+        let (op, lock_step) = supplied(&cl, &mut c1, vec![0], vec![(0, vec![9u8; 32])]);
+        assert!(sends_phase(PH_LOCK)(&lock_step), "reached lock phase");
         // c2 commits a conflicting write (bumping the version).
         assert!(matches!(
             write_one(&cl, &mut c2, 0, vec![5u8; 32]),
             TxOutcome::Committed(_)
         ));
         // c1's validation must now fail.
-        assert_eq!(drive(&cl, &mut c1, op, lock_step), TxOutcome::Aborted);
+        assert_eq!(drive_rest(&cl, &mut c1, op, lock_step), TxOutcome::Aborted);
         assert_eq!(read_all(&cl, &mut c2, &[0])[&0], vec![5u8; 32]);
+    }
+
+    /// Runs one attempt over `reads`, supplying `writes` at the pause;
+    /// with `strays`, every phase it reaches is first fed a reply whose
+    /// request index matches no pending request, which must be dropped.
+    /// Returns the outcome and the phases in the order reached.
+    fn run_feeding_strays(
+        cl: &FarmCluster,
+        c: &mut FarmClient,
+        reads: Vec<u64>,
+        writes: Vec<(u64, Vec<u8>)>,
+        strays: bool,
+    ) -> (TxOutcome, Vec<u32>) {
+        let (mut op, mut step) = c.begin(reads);
+        let (mut writes, mut queue, mut phases) = (Some(writes), Vec::new(), Vec::new());
+        loop {
+            if step.awaiting_writes {
+                step = c.supply_writes(&mut op, writes.take().expect("one pause"));
+            }
+            if let Some(outcome) = step.done {
+                return (outcome, phases);
+            }
+            if let Some(&(_, phase, _, _)) = step.send.first() {
+                if phases.last() != Some(&phase) {
+                    phases.push(phase);
+                    if strays {
+                        let timeout = Reply::Verb(Err(prism_rdma::RdmaError::ReceiverNotReady));
+                        let s = c.on_reply(&mut op, phase, u32::MAX, timeout);
+                        assert!(s.send.is_empty() && s.done.is_none() && !s.awaiting_writes);
+                    }
+                }
+            }
+            queue.extend(step.send);
+            let (shard, phase, idx, req) = queue.pop().expect("attempt stalled");
+            let reply = prism_core::msg::execute_local(cl.shard(shard).server(), &req);
+            step = c.on_reply(&mut op, phase, idx, reply);
+        }
+    }
+
+    /// A reply that matches no pending request is dropped in every
+    /// phase, and the attempt ends as it would have without it: a
+    /// commit (index, object, lock, validate, update) and an abort whose
+    /// one won lock is released (index, object, lock, unlock).
+    #[test]
+    fn stray_request_indices_are_dropped_in_every_phase() {
+        for strays in [false, true] {
+            let cl = cluster(1, 4);
+            let mut c = cl.open_client();
+            let got = run_feeding_strays(&cl, &mut c, vec![0], vec![(0, vec![3; 32])], strays);
+            let phases = vec![PH_IDX, PH_OBJ, PH_LOCK, PH_VAL, PH_UPD];
+            assert_eq!(
+                got,
+                (TxOutcome::Committed([(0, vec![0; 32])].into()), phases)
+            );
+            assert_eq!(read_all(&cl, &mut c, &[0])[&0], vec![3; 32]);
+
+            // Another client holds key 0's lock, so the lock of shard 0
+            // fails and shard 1's is released.
+            let cl = cluster(2, 4);
+            let (_held, _) = park_after_lock(&cl, &mut cl.open_client(), 0, 1);
+            let mut c = cl.open_client();
+            let writes = vec![(0, vec![4; 32]), (1, vec![4; 32])];
+            let got = run_feeding_strays(&cl, &mut c, vec![1], writes, strays);
+            let phases = vec![PH_IDX, PH_OBJ, PH_LOCK, PH_UNLOCK];
+            assert_eq!(got, (TxOutcome::Aborted, phases), "strays: {strays}");
+            assert_eq!(cl.held_locks(), 1, "only the other client's lock is left");
+        }
     }
 
     #[test]
@@ -960,48 +988,29 @@ mod tests {
         let mut c1 = cl.open_client();
         let mut c2 = cl.open_client();
         // c1 locks key 0 (pause after lock phase).
-        let (mut op, step) = c1.begin(vec![0], vec![(0, vec![1u8; 32])]);
-        let mut queue = step.send;
-        let mut val_step = None;
-        while let Some((shard, phase, idx, req)) = queue.pop() {
-            let reply = prism_core::msg::execute_local(cl.shard(shard).server(), &req);
-            let s = c1.on_reply(&mut op, phase, idx, reply);
-            if s.send.iter().any(|(_, p, _, _)| *p == PH_VAL) {
-                val_step = Some(s);
-                break;
-            }
-            queue.extend(s.send);
-        }
-        let val_step = val_step.expect("locked");
+        let (op, val_step) = park_after_lock(&cl, &mut c1, 0, 1);
         // c2 now conflicts on the lock and aborts. (A blind write — a
         // reading transaction would already stall at the execution read,
         // which retries while the object is locked.)
-        let (op2, step2) = c2.begin(vec![], vec![(0, vec![2u8; 32])]);
-        assert_eq!(drive(&cl, &mut c2, op2, step2), TxOutcome::Aborted);
+        let (op2, step2) = c2.begin(vec![]);
+        let outcome = drive(&cl, &mut c2, op2, step2, |_| vec![(0, vec![2u8; 32])]);
+        assert_eq!(outcome, TxOutcome::Aborted);
         // c1 proceeds to commit.
         assert!(matches!(
-            drive(&cl, &mut c1, op, val_step),
+            drive_rest(&cl, &mut c1, op, val_step),
             TxOutcome::Committed(_)
         ));
         let mut c3 = cl.open_client();
         assert_eq!(read_all(&cl, &mut c3, &[0])[&0], vec![1u8; 32]);
     }
 
-    /// Drives a write transaction to just past its lock phase, leaving
-    /// the key's lock word held, and returns the op plus the withheld
-    /// validate step.
-    fn park_after_lock(cl: &FarmCluster, c: &mut FarmClient, k: u64) -> (FarmOp, TxStep) {
-        let (mut op, step) = c.begin(vec![k], vec![(k, vec![0xCD; 32])]);
-        let mut queue = step.send;
-        while let Some((shard, phase, idx, req)) = queue.pop() {
-            let reply = prism_core::msg::execute_local(cl.shard(shard).server(), &req);
-            let s = c.on_reply(&mut op, phase, idx, reply);
-            if s.send.iter().any(|(_, p, _, _)| *p == PH_VAL) {
-                return (op, s);
-            }
-            queue.extend(s.send);
-        }
-        panic!("transaction never locked");
+    /// Drives a transaction writing `fill` to key `k` to just past its
+    /// lock phase, leaving the key's lock word held, and returns the op
+    /// plus the withheld validate step.
+    fn park_after_lock(cl: &FarmCluster, c: &mut FarmClient, k: u64, fill: u8) -> (FarmOp, TxStep) {
+        let (mut op, lock) = supplied(cl, c, vec![k], vec![(k, vec![fill; 32])]);
+        let validate = drive_until(cl, c, &mut op, lock, sends_phase(PH_VAL));
+        (op, validate.expect("transaction never locked"))
     }
 
     #[test]
@@ -1009,7 +1018,7 @@ mod tests {
         let cl = cluster(1, 4);
         let mut c = cl.open_client();
         // A "crashed" client: locked key 2, never unlocks.
-        let (_op, _val) = park_after_lock(&cl, &mut c, 2);
+        let (_op, _val) = park_after_lock(&cl, &mut c, 2, 0xCD);
         assert_eq!(cl.held_locks(), 1);
 
         assert_eq!(cl.sweep_shard(0), 0, "first sighting only leases");
@@ -1032,13 +1041,13 @@ mod tests {
     fn sweep_spares_live_lock_holder_for_one_interval() {
         let cl = cluster(1, 4);
         let mut c = cl.open_client();
-        let (op, val) = park_after_lock(&cl, &mut c, 1);
+        let (op, val) = park_after_lock(&cl, &mut c, 1, 0xCD);
         // One sweep lands mid-commit: lease only, lock stays held.
         assert_eq!(cl.sweep_shard(0), 0);
         assert_eq!(cl.held_locks(), 1);
         // The slow-but-live client finishes and unlocks on its own.
         assert!(matches!(
-            drive(&cl, &mut c, op, val),
+            drive_rest(&cl, &mut c, op, val),
             TxOutcome::Committed(_)
         ));
         assert_eq!(cl.held_locks(), 0);
@@ -1084,22 +1093,6 @@ mod tests {
         let mut c = cl.open_client();
         let v = &read_all(&cl, &mut c, &[3])[&3];
         assert_eq!(u32::from_le_bytes(v[0..4].try_into().unwrap()), 100);
-    }
-
-    #[test]
-    fn multi_shard_transaction() {
-        let cl = cluster(3, 8);
-        let mut c = cl.open_client();
-        let (op, step) = c.begin(
-            vec![0, 1, 2],
-            vec![(0, vec![1; 32]), (1, vec![2; 32]), (2, vec![3; 32])],
-        );
-        assert!(matches!(
-            drive(&cl, &mut c, op, step),
-            TxOutcome::Committed(_)
-        ));
-        let vals = read_all(&cl, &mut c, &[0, 1, 2]);
-        assert_eq!(vals[&1], vec![2; 32]);
     }
 
     const TOKEN: u64 = 0xABCD;

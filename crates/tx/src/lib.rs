@@ -4,7 +4,8 @@
 //! it is evaluated against.
 //!
 //! * [`driver`] — the client contract both protocols implement
-//!   ([`TxProtocol`]: begin, feed replies, supply deferred writes), the
+//!   ([`TxProtocol`]: begin over the read keys, feed replies, supply the
+//!   writes at the pause every attempt makes once its reads are in), the
 //!   one [`TxOutcome`] and [`TxStep`] they share, and the local
 //!   [`drive`] / [`run_rmw`] over any of them.
 //! * [`prism_tx`] — Meerkat-style timestamp OCC with per-key `PW/PR/C`
@@ -25,7 +26,8 @@
 //! let cluster = TxCluster::new(2, &TxConfig::paper(32, 16));
 //! let mut client = cluster.open_client();
 //!
-//! // A serializable read-modify-write across two shards.
+//! // A serializable read-modify-write across two shards: each attempt
+//! // reads, pauses, then takes the writes computed from what it read.
 //! let bump = |key, values: &std::collections::HashMap<u64, Vec<u8>>| {
 //!     let mut v: Vec<u8> = values[&key].clone();
 //!     v[0] += 1;
@@ -35,15 +37,14 @@
 //! assert!(matches!(outcome, TxOutcome::Committed(_)));
 //! assert_eq!(attempts, 1);
 //!
-//! // Read back within a fresh transaction.
-//! let (op, step) = client.begin(vec![1, 2], vec![]);
-//! match drive(&cluster, &mut client, op, step) {
-//!     TxOutcome::Committed(values) => {
-//!         assert_eq!(values[&1][0], 1);
-//!         assert_eq!(values[&2][0], 1);
-//!     }
-//!     other => panic!("{other:?}"),
-//! }
+//! // One attempt by hand: at the pause, `drive` hands the values read
+//! // to the closure, whose writes (none: read-only) start validation.
+//! let (op, step) = client.begin(vec![1, 2]);
+//! let outcome = drive(&cluster, &mut client, op, step, |values| {
+//!     assert_eq!((values[&1][0], values[&2][0]), (1, 1));
+//!     vec![]
+//! });
+//! assert!(matches!(outcome, TxOutcome::Committed(_)));
 //!
 //! // The same driver runs the FaRM baseline.
 //! let farm = FarmCluster::new(2, &FarmConfig { keys_per_shard: 32, value_len: 16 });

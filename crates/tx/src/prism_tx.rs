@@ -516,7 +516,6 @@ pub struct TxOp {
     ts: Ts,
     values: HashMap<u64, Vec<u8>>,
     valid: bool,
-    deferred: bool,
 }
 
 impl TxClient {
@@ -564,8 +563,7 @@ impl TxClient {
 impl TxOp {
     fn exec_sends(&mut self, c: &mut TxClient) -> TxStep {
         if self.read_keys.is_empty() {
-            // Blind-write transaction: go straight to prepare.
-            return self.prepare_sends(c);
+            return TxStep::paused();
         }
         let read_key = |&key: &u64| ReadKey {
             shard: c.shard_of(key),
@@ -638,6 +636,10 @@ impl TxOp {
             }
         }
         self.work.prep.sort_by_key(|&(shard, _)| shard);
+        if self.work.prep.is_empty() {
+            // Nothing read, nothing written.
+            return self.commit(c);
+        }
 
         let ts = self.ts.to_bytes();
         let mut step = TxStep::default();
@@ -825,32 +827,19 @@ impl TxProtocol for TxClient {
         cluster.shard(shard).server()
     }
 
-    /// Blind writes (write keys not read first) are validated against
-    /// `PR`/`PW` only.
-    fn begin(&mut self, read_keys: Vec<u64>, writes: Vec<(u64, Vec<u8>)>) -> (TxOp, TxStep) {
-        self.check(&read_keys, &writes);
+    fn begin(&mut self, read_keys: Vec<u64>) -> (TxOp, TxStep) {
+        self.check(&read_keys, &[]);
         let mut op = TxOp {
             read_keys,
-            writes,
+            writes: Vec::new(),
             phase: Phase::Execute,
             work: std::mem::take(&mut self.spare),
             outstanding: 0,
             ts: Ts::ZERO,
             values: HashMap::new(),
             valid: true,
-            deferred: false,
         };
         let step = op.exec_sends(self);
-        (op, step)
-    }
-
-    fn begin_rmw(&mut self, read_keys: Vec<u64>) -> (TxOp, TxStep) {
-        let (mut op, step) = self.begin(read_keys, vec![]);
-        op.deferred = true;
-        if step.send.is_empty() {
-            // No reads at all: hand control back immediately.
-            return (op, TxStep::paused());
-        }
         (op, step)
     }
 
@@ -910,10 +899,7 @@ impl TxProtocol for TxClient {
                 }
                 op.outstanding -= 1;
                 if op.outstanding == 0 {
-                    if op.deferred {
-                        return TxStep::paused();
-                    }
-                    return op.prepare_sends(c);
+                    return TxStep::paused();
                 }
                 TxStep::default()
             }
@@ -1018,10 +1004,13 @@ impl TxProtocol for TxClient {
         }
     }
 
-    /// Installs the write set and starts the prepare phase.
+    /// Installs the write set and starts the prepare phase. Blind writes
+    /// (write keys not read first) are validated against `PR`/`PW` only.
     fn supply_writes(&mut self, op: &mut TxOp, writes: Vec<(u64, Vec<u8>)>) -> TxStep {
-        assert!(op.deferred, "supply_writes on a non-deferred transaction");
-        assert_eq!(op.phase, Phase::Execute, "writes already supplied");
+        assert!(
+            op.phase == Phase::Execute && op.outstanding == 0,
+            "supply_writes outside the pause"
+        );
         self.check(&[], &writes);
         op.writes = writes;
         op.prepare_sends(self)
@@ -1040,6 +1029,7 @@ impl TxProtocol for TxClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::tests::{drive_rest, drive_until, sends_phase, supplied};
     use crate::driver::{drive, run_rmw};
 
     fn cluster(shards: usize, keys_per_shard: u64) -> TxCluster {
@@ -1047,36 +1037,16 @@ mod tests {
     }
 
     fn commit_write(cl: &TxCluster, c: &mut TxClient, k: u64, val: Vec<u8>) -> TxOutcome {
-        let (op, step) = c.begin(vec![k], vec![(k, val)]);
-        drive(cl, c, op, step)
+        let (op, step) = c.begin(vec![k]);
+        drive(cl, c, op, step, |_| vec![(k, val)])
     }
 
     fn read_keys(cl: &TxCluster, c: &mut TxClient, keys: &[u64]) -> HashMap<u64, Vec<u8>> {
-        let (op, step) = c.begin(keys.to_vec(), vec![]);
-        match drive(cl, c, op, step) {
+        let (op, step) = c.begin(keys.to_vec());
+        match drive(cl, c, op, step, |_| vec![]) {
             TxOutcome::Committed(v) => v,
             o => panic!("read-only txn must commit, got {o:?}"),
         }
-    }
-
-    #[test]
-    fn fresh_keys_read_zeroes() {
-        let cl = cluster(1, 8);
-        let mut c = cl.open_client();
-        let vals = read_keys(&cl, &mut c, &[0, 3, 7]);
-        assert_eq!(vals[&3], vec![0u8; 32]);
-    }
-
-    #[test]
-    fn rmw_commits_and_is_visible() {
-        let cl = cluster(1, 8);
-        let mut c = cl.open_client();
-        assert!(matches!(
-            commit_write(&cl, &mut c, 2, vec![9u8; 32]),
-            TxOutcome::Committed(_)
-        ));
-        let vals = read_keys(&cl, &mut c, &[2]);
-        assert_eq!(vals[&2], vec![9u8; 32]);
     }
 
     #[test]
@@ -1087,69 +1057,26 @@ mod tests {
         // Execution-phase loss: retryable abort.
         let cl = cluster(1, 8);
         let mut c = cl.open_client();
-        let (mut op, step) = c.begin(vec![0], vec![(0, vec![1u8; 32])]);
-        let (shard, phase, idx, _req) = step.send[0].clone();
+        let (mut op, step) = c.begin(vec![0]);
+        let (_, phase, idx, _) = step.send[0];
         let s = c.on_reply(&mut op, phase, idx, timeout_reply());
         assert_eq!(s.done, Some(TxOutcome::Aborted));
-        let _ = shard;
 
         // Prepare-phase loss: retryable abort, and a garbled request
         // index is treated the same way.
         let mut c = cl.open_client();
-        let (mut op, step) = c.begin(vec![1], vec![(1, vec![2u8; 32])]);
-        let mut prepare = None;
-        let mut queue = step.send;
-        while let Some((shard, phase, idx, req)) = queue.pop() {
-            if phase == PH_PREPARE {
-                prepare = Some((shard, phase, idx));
-                continue;
-            }
-            let reply = prism_core::msg::execute_local(cl.shard(shard).server(), &req);
-            queue.extend(c.on_reply(&mut op, phase, idx, reply).send);
-        }
-        let (_, phase, idx) = prepare.expect("reached prepare");
-        let s = c.on_reply(&mut op, phase, u32::MAX, timeout_reply());
+        let (mut op, prepare) = supplied(&cl, &mut c, vec![1], vec![(1, vec![2u8; 32])]);
+        assert_eq!(prepare.send[0].1, PH_PREPARE);
+        let s = c.on_reply(&mut op, PH_PREPARE, u32::MAX, timeout_reply());
         assert_eq!(s.done, Some(TxOutcome::Aborted));
-        let _ = idx;
 
         // Commit-phase loss: indeterminate, surfaces as Failed.
         let mut c = cl.open_client();
-        let (mut op, step) = c.begin(vec![2], vec![(2, vec![3u8; 32])]);
-        let mut commit = None;
-        let mut queue = step.send;
-        while let Some((shard, phase, idx, req)) = queue.pop() {
-            if phase == PH_COMMIT {
-                commit = Some((shard, phase, idx));
-                continue;
-            }
-            let reply = prism_core::msg::execute_local(cl.shard(shard).server(), &req);
-            queue.extend(c.on_reply(&mut op, phase, idx, reply).send);
-        }
-        let (_, phase, idx) = commit.expect("reached commit");
+        let (mut op, prepare) = supplied(&cl, &mut c, vec![2], vec![(2, vec![3u8; 32])]);
+        let commit = drive_until(&cl, &mut c, &mut op, prepare, sends_phase(PH_COMMIT));
+        let (_, phase, idx, _) = commit.expect("reached commit").send[0];
         let s = c.on_reply(&mut op, phase, idx, timeout_reply());
         assert!(matches!(s.done, Some(TxOutcome::Failed(_))));
-    }
-
-    #[test]
-    fn multi_key_multi_shard_transaction() {
-        let cl = cluster(3, 8);
-        let mut c = cl.open_client();
-        let (op, step) = c.begin(
-            vec![0, 1, 2, 10],
-            vec![
-                (0, vec![1; 32]),
-                (1, vec![2; 32]),
-                (2, vec![3; 32]),
-                (10, vec![4; 32]),
-            ],
-        );
-        assert!(matches!(
-            drive(&cl, &mut c, op, step),
-            TxOutcome::Committed(_)
-        ));
-        let vals = read_keys(&cl, &mut c, &[0, 1, 2, 10]);
-        assert_eq!(vals[&0], vec![1; 32]);
-        assert_eq!(vals[&10], vec![4; 32]);
     }
 
     #[test]
@@ -1158,40 +1085,23 @@ mod tests {
         let mut c1 = cl.open_client();
         let mut c2 = cl.open_client();
         // c1 reads key 0...
-        let (op1, step1) = c1.begin(vec![0], vec![]);
-        let v = match drive(&cl, &mut c1, op1, step1) {
-            TxOutcome::Committed(v) => v,
-            o => panic!("{o:?}"),
-        };
+        read_keys(&cl, &mut c1, &[0]);
         // ...c2 commits a write to key 0...
         assert!(matches!(
             commit_write(&cl, &mut c2, 0, vec![5u8; 32]),
             TxOutcome::Committed(_)
         ));
-        let _ = v;
         // ...then c1 interleaves: it executes its reads, c2 commits a
         // conflicting write, and c1's prepare must fail read validation.
-        let (mut op, step) = c1.begin(vec![0], vec![(0, vec![7u8; 32])]);
-        // Drive only the execution phase manually.
-        let mut queue = step.send;
-        let mut prepare_step = None;
-        while let Some((shard, phase, idx, req)) = queue.pop() {
-            let reply = prism_core::msg::execute_local(cl.shard(shard).server(), &req);
-            let s = c1.on_reply(&mut op, phase, idx, reply);
-            if s.send.iter().any(|(_, p, _, _)| *p == PH_PREPARE) {
-                prepare_step = Some(s);
-                break;
-            }
-            queue.extend(s.send);
-        }
-        let prepare_step = prepare_step.expect("reached prepare");
+        let (op, prepare_step) = supplied(&cl, &mut c1, vec![0], vec![(0, vec![7u8; 32])]);
+        assert!(sends_phase(PH_PREPARE)(&prepare_step), "reached prepare");
         // Now c2 commits a conflicting write.
         assert!(matches!(
             commit_write(&cl, &mut c2, 0, vec![6u8; 32]),
             TxOutcome::Committed(_)
         ));
         // c1's prepare must now fail read validation.
-        let outcome = drive(&cl, &mut c1, op, prepare_step);
+        let outcome = drive_rest(&cl, &mut c1, op, prepare_step);
         assert_eq!(outcome, TxOutcome::Aborted);
         // And the key holds c2's value.
         let mut c3 = cl.open_client();
@@ -1206,19 +1116,9 @@ mod tests {
         commit_write(&cl, &mut c1, 1, vec![1u8; 32]);
         // c2 executes + prepares, then c1 sneaks a newer commit in, so
         // c2's commit-phase CAS (TS > C) must not install.
-        let (mut op, step) = c2.begin(vec![1], vec![(1, vec![2u8; 32])]);
-        let mut queue = step.send;
-        let mut commit_step = None;
-        while let Some((shard, phase, idx, req)) = queue.pop() {
-            let reply = prism_core::msg::execute_local(cl.shard(shard).server(), &req);
-            let s = c2.on_reply(&mut op, phase, idx, reply);
-            if s.send.iter().any(|(_, p, _, _)| *p == PH_COMMIT) {
-                commit_step = Some(s);
-                break;
-            }
-            queue.extend(s.send);
-        }
-        let commit_step = commit_step.expect("validated");
+        let (mut op, prepare) = supplied(&cl, &mut c2, vec![1], vec![(1, vec![2u8; 32])]);
+        let commit_step =
+            drive_until(&cl, &mut c2, &mut op, prepare, sends_phase(PH_COMMIT)).expect("validated");
         // c1 commits a *blind* write with a later timestamp than c2's
         // TS. (A read-validating write would block behind c2's prepared
         // PW until some commit advances C — the documented conservative
@@ -1227,8 +1127,8 @@ mod tests {
         let mut attempts = 0;
         loop {
             attempts += 1;
-            let (op, step) = c1.begin(vec![], vec![(1, vec![3u8; 32])]);
-            match drive(&cl, &mut c1, op, step) {
+            let (op, step) = c1.begin(vec![]);
+            match drive(&cl, &mut c1, op, step, |_| vec![(1, vec![3u8; 32])]) {
                 TxOutcome::Committed(_) => break,
                 TxOutcome::Aborted if attempts < 5 => continue,
                 o => panic!("{o:?}"),
@@ -1236,7 +1136,7 @@ mod tests {
         }
         // Now c2's install CAS fails (C advanced past its TS), but the
         // transaction still reports committed per the Thomas write rule.
-        let outcome = drive(&cl, &mut c2, op, commit_step);
+        let outcome = drive_rest(&cl, &mut c2, op, commit_step);
         assert!(matches!(outcome, TxOutcome::Committed(_)));
         let mut c3 = cl.open_client();
         assert_eq!(read_keys(&cl, &mut c3, &[1])[&1], vec![3u8; 32]);
@@ -1366,38 +1266,12 @@ mod tests {
         assert_eq!(a + b, 200, "money was created or destroyed");
     }
 
-    /// Executes the sends of `step` and feeds the replies back until
-    /// `stop` accepts a step the machine returns (which is handed back
-    /// undriven) or nothing is left to send.
-    fn drive_until(
-        cl: &TxCluster,
-        c: &mut TxClient,
-        op: &mut TxOp,
-        step: TxStep,
-        stop: impl Fn(&TxStep) -> bool,
-    ) -> Option<TxStep> {
-        let mut queue = step.send;
-        while let Some((shard, phase, idx, req)) = queue.pop() {
-            let reply = prism_core::msg::execute_local(cl.shard(shard).server(), &req);
-            let s = c.on_reply(op, phase, idx, reply);
-            if stop(&s) {
-                return Some(s);
-            }
-            queue.extend(s.send);
-        }
-        None
-    }
-
-    fn sends_phase(phase: u32) -> impl Fn(&TxStep) -> bool {
-        move |s| s.send.iter().any(|(_, p, _, _)| *p == phase)
-    }
-
     /// Drives a write transaction up to (not including) its commit
     /// phase, leaving `PW > C` planted on the key's shard, and returns
     /// the op plus the withheld commit step.
     fn park_before_commit(cl: &TxCluster, c: &mut TxClient, k: u64) -> (TxOp, TxStep) {
-        let (mut op, step) = c.begin(vec![k], vec![(k, vec![0xAB; 32])]);
-        let commit = drive_until(cl, c, &mut op, step, sends_phase(PH_COMMIT))
+        let (mut op, prepare) = supplied(cl, c, vec![k], vec![(k, vec![0xAB; 32])]);
+        let commit = drive_until(cl, c, &mut op, prepare, sends_phase(PH_COMMIT))
             .expect("transaction never reached commit");
         (op, commit)
     }
@@ -1438,7 +1312,7 @@ mod tests {
         assert_eq!(cl.sweep_shard(0), 0);
         // The slow-but-live client now finishes; its install must win.
         assert!(matches!(
-            drive(&cl, &mut c, op, commit),
+            drive_rest(&cl, &mut c, op, commit),
             TxOutcome::Committed(_)
         ));
         assert_eq!(read_keys(&cl, &mut c, &[1])[&1], vec![0xAB; 32]);
@@ -1489,16 +1363,16 @@ mod tests {
 
         // A reading transaction detects the mismatch and aborts cleanly
         // instead of returning the damaged value.
-        let (op, step) = c.begin(vec![0], vec![]);
-        assert_eq!(drive(&cl, &mut c, op, step), TxOutcome::Aborted);
+        let (op, step) = c.begin(vec![0]);
+        assert_eq!(drive(&cl, &mut c, op, step, |_| vec![]), TxOutcome::Aborted);
         assert_eq!(c.integrity().detected(), 1);
         assert_eq!(c.integrity().aborted(), 1);
 
         // A blind write never reads the damaged buffer; its commit
         // installs a fresh self-verifying version, healing the key.
-        let (op, step) = c.begin(vec![], vec![(0, vec![4u8; 32])]);
+        let (op, step) = c.begin(vec![]);
         assert!(matches!(
-            drive(&cl, &mut c, op, step),
+            drive(&cl, &mut c, op, step, |_| vec![(0, vec![4u8; 32])]),
             TxOutcome::Committed(_)
         ));
         assert_eq!(cl.scrub(0), (4, 0), "overwrite must heal the rot");
@@ -1538,19 +1412,18 @@ mod tests {
         // Reads 0, 1, 2, 10; rewrites 0 and 2; blind-writes 5. The
         // outcome holds the four values *read* — no header bytes, not
         // the new values, not the blind-written key.
-        let (op, step) = c.begin(
-            vec![0, 1, 2, 10],
-            vec![
-                (0, vec![0xA0; 32]),
-                (2, vec![0xA2; 32]),
-                (5, vec![0xA5; 32]),
-            ],
-        );
+        let (op, step) = c.begin(vec![0, 1, 2, 10]);
+        let writes = vec![
+            (0, vec![0xA0; 32]),
+            (2, vec![0xA2; 32]),
+            (5, vec![0xA5; 32]),
+        ];
         let want: HashMap<u64, Vec<u8>> = [0u64, 1, 2, 10]
             .into_iter()
             .map(|k| (k, vec![k as u8 + 1; 32]))
             .collect();
-        assert_eq!(drive(&cl, &mut c, op, step), TxOutcome::Committed(want));
+        let outcome = drive(&cl, &mut c, op, step, |_| writes);
+        assert_eq!(outcome, TxOutcome::Committed(want));
         let now = read_keys(&cl, &mut c, &[0, 1, 2, 5, 10]);
         assert_eq!(now[&0], vec![0xA0; 32]);
         assert_eq!(now[&1], vec![2; 32]);
@@ -1569,7 +1442,7 @@ mod tests {
             .into_iter()
             .collect();
 
-        let (mut op, step) = c.begin_rmw(vec![3, 4]);
+        let (mut op, step) = c.begin(vec![3, 4]);
         let paused = drive_until(&cl, &mut c, &mut op, step, |s| s.awaiting_writes);
         assert!(paused.is_some(), "execution must pause for the writes");
         assert_eq!(TxClient::values(&op), &want, "after execution");
@@ -1603,7 +1476,7 @@ mod tests {
         let mut writes: Vec<(u64, Vec<u8>)> = reads.iter().map(|&k| (k, vec![1; 32])).collect();
         writes.push((3, vec![1; 32]));
         writes.push((8, vec![1; 32]));
-        let (mut op, step) = c.begin(reads, writes);
+        let (mut op, step) = c.begin(reads);
 
         let slots = |chain: &[prism_core::op::PrismOp], shard: usize| -> Vec<u64> {
             let v = cl.shard(shard).view();
@@ -1638,7 +1511,8 @@ mod tests {
             vec![(0, vec![4]), (1, vec![1, 9]), (2, vec![2, 6]), (3, vec![7])],
             "execute"
         );
-        let prepare = drive_until(&cl, &mut c, &mut op, step, sends_phase(PH_PREPARE)).unwrap();
+        drive_until(&cl, &mut c, &mut op, step, |s| s.awaiting_writes).unwrap();
+        let prepare = c.supply_writes(&mut op, writes);
         assert_eq!(
             layout(&prepare),
             vec![
@@ -1681,7 +1555,7 @@ mod tests {
         // attempt carries on; an unknown request index is a lost round
         // trip (retryable abort); once done, every reply is a no-op.
         let mut c = cl.open_client();
-        let (mut op, step) = c.begin(vec![0, 1], vec![(0, vec![1; 32])]);
+        let (mut op, step) = c.begin(vec![0, 1]);
         assert_eq!(step.send.len(), 2);
         for phase in [PH_PREPARE, PH_COMMIT, 9] {
             let s = c.on_reply(&mut op, phase, 0, chain_of(2));
@@ -1704,23 +1578,23 @@ mod tests {
         }
 
         // Execute: a chain reply missing its results is a failure.
-        let (mut op, step) = c.begin(vec![2], vec![]);
+        let (mut op, step) = c.begin(vec![2]);
         let s = c.on_reply(&mut op, PH_EXEC, step.send[0].2, chain_of(0));
         assert_eq!(s.done, Some(TxOutcome::Failed("execution slot read error")));
 
         // Prepare: a truncated chain reply aborts with the cleanup of
         // whatever was already validated; commit: an unknown index and a
         // truncated reply are both indeterminate.
-        let (mut op, step) = c.begin(vec![3], vec![(3, vec![2; 32])]);
-        let prepare = drive_until(&cl, &mut c, &mut op, step, sends_phase(PH_PREPARE)).unwrap();
+        let (mut op, prepare) = supplied(&cl, &mut c, vec![3], vec![(3, vec![2; 32])]);
         let s = c.on_reply(&mut op, PH_PREPARE, prepare.send[0].2, chain_of(1));
         assert_eq!(s.done, Some(TxOutcome::Aborted));
 
         // (Each case on its own key: the attempt it abandons leaves that
         // key's prepare dangling.)
         for (garbled_index, key) in [(true, 4), (false, 6)] {
-            let (mut op, step) = c.begin(vec![key], vec![(key, vec![3; 32])]);
-            let commit = drive_until(&cl, &mut c, &mut op, step, sends_phase(PH_COMMIT)).unwrap();
+            let (mut op, prepare) = supplied(&cl, &mut c, vec![key], vec![(key, vec![3; 32])]);
+            let commit =
+                drive_until(&cl, &mut c, &mut op, prepare, sends_phase(PH_COMMIT)).unwrap();
             let s = if garbled_index {
                 c.on_reply(&mut op, PH_COMMIT, u32::MAX, chain_of(4))
             } else {
@@ -1753,7 +1627,7 @@ mod tests {
 
         // The next attempt runs on that storage, and an abort (here a
         // lost execution reply) hands it back like a commit does.
-        let (mut op, step) = c.begin(vec![0, 1], vec![(1, vec![2; 32])]);
+        let (mut op, step) = c.begin(vec![0, 1]);
         assert_eq!(lists(&c.spare), (0, [0; 4]), "taken by the attempt");
         assert_eq!(lists(&op.work).1[1..], caps[1..]);
         let timeout = Reply::Verb(Err(prism_rdma::RdmaError::ReceiverNotReady));

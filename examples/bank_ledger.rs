@@ -29,8 +29,8 @@ fn encode_balance(b: u64) -> Vec<u8> {
 
 fn read_balances(cluster: &TxCluster, keys: &[u64]) -> HashMap<u64, u64> {
     let mut client = cluster.open_client();
-    let (op, step) = client.begin(keys.to_vec(), vec![]);
-    match drive(cluster, &mut client, op, step) {
+    let (op, step) = client.begin(keys.to_vec());
+    match drive(cluster, &mut client, op, step, |_| vec![]) {
         TxOutcome::Committed(vals) => vals.into_iter().map(|(k, v)| (k, balance_of(&v))).collect(),
         o => panic!("read-only txn must commit: {o:?}"),
     }
@@ -49,11 +49,10 @@ fn main() {
     {
         let mut client = cluster.open_client();
         for k in 0..ACCOUNTS {
-            let (op, step) = client.begin(vec![], vec![(k, encode_balance(1000))]);
-            assert!(matches!(
-                drive(&*cluster, &mut client, op, step),
-                TxOutcome::Committed(_)
-            ));
+            let blind = vec![(k, encode_balance(1000))];
+            let (op, step) = client.begin(vec![]);
+            let outcome = drive(&*cluster, &mut client, op, step, |_| blind);
+            assert!(matches!(outcome, TxOutcome::Committed(_)));
         }
     }
     let initial: u64 = read_balances(&cluster, &(0..ACCOUNTS).collect::<Vec<_>>())

@@ -76,7 +76,10 @@
 #                           contract; a gate added, none removed), the
 #                           core chain properties (the §3.5 install's
 #                           verdict and the buffer it frees; a gate
-#                           added, none removed), then
+#                           added, none removed), the prism-tx suite
+#                           (its transaction model property runs both
+#                           protocols through the one attempt shape; a
+#                           gate added, none removed), then
 #                           both migration gates, again under
 #                           PRISM_TEST_SEED=1806242025, so the gates don't
 #                           ossify around one lucky schedule. The value
@@ -196,6 +199,7 @@ migration_gates() {
 second_seed() {
     export PRISM_TEST_SEED=$SECOND_SEED
     cargo test -q --offline -p prism-harness "${GATES[@]}"
+    cargo test -q --offline -p prism-tx
     migration_gates
 }
 

@@ -502,7 +502,9 @@ fn tx_reclaim(seed: u64) -> Vec<u64> {
     let mut frees = Vec::new();
     for _ in 0..48 {
         let write = (rng.gen_range(32), seeded_bytes(&mut rng, 64));
-        let (mut op, step) = c.begin(Vec::new(), vec![write]);
+        let (mut op, pause) = c.begin(Vec::new());
+        assert!(pause.awaiting_writes, "a blind write pauses at once");
+        let step = c.supply_writes(&mut op, vec![write]);
         let (mut queue, mut bg) = (step.send, step.background);
         while let Some((_, phase, idx, req)) = queue.pop() {
             let s = c.on_reply(&mut op, phase, idx, execute_local(shard.server(), &req));

@@ -70,8 +70,8 @@ where
     assert_eq!(obs, expected, "increment chain has gaps or duplicates");
     // And the final value is 200.
     let mut client = open(&cluster);
-    let (op, step) = client.begin(vec![5], vec![]);
-    match drive(&*cluster, &mut client, op, step) {
+    let (op, step) = client.begin(vec![5]);
+    match drive(&*cluster, &mut client, op, step, |_| vec![]) {
         TxOutcome::Committed(vals) => assert_eq!(dec(&vals[&5]), 200),
         o => panic!("{o:?}"),
     }
@@ -106,9 +106,9 @@ fn prism_tx_readers_see_consistent_snapshots() {
     {
         let mut c = cluster.open_client();
         for (k, v) in [(0u64, 500u64), (1, 500)] {
-            let (op, step) = c.begin(vec![], vec![(k, enc(v))]);
+            let (op, step) = c.begin(vec![]);
             assert!(matches!(
-                drive(&*cluster, &mut c, op, step),
+                drive(&*cluster, &mut c, op, step, |_| vec![(k, enc(v))]),
                 TxOutcome::Committed(_)
             ));
         }
@@ -147,8 +147,8 @@ fn prism_tx_readers_see_consistent_snapshots() {
     let mut client = cluster.open_client();
     let mut checked = 0;
     while checked < 300 {
-        let (op, step) = client.begin(vec![0, 1], vec![]);
-        match drive(&*cluster, &mut client, op, step) {
+        let (op, step) = client.begin(vec![0, 1]);
+        match drive(&*cluster, &mut client, op, step, |_| vec![]) {
             TxOutcome::Committed(vals) => {
                 let total = dec(&vals[&0]) + dec(&vals[&1]);
                 assert_eq!(total, 1000, "reader saw a torn snapshot");
@@ -205,8 +205,8 @@ fn prism_tx_prevents_write_skew() {
         t.join().unwrap();
     }
     let mut client = cluster.open_client();
-    let (op, step) = client.begin(vec![0, 1], vec![]);
-    match drive(&*cluster, &mut client, op, step) {
+    let (op, step) = client.begin(vec![0, 1]);
+    match drive(&*cluster, &mut client, op, step, |_| vec![]) {
         TxOutcome::Committed(vals) => {
             let total = dec(&vals[&0]) + dec(&vals[&1]);
             assert!(total <= 10, "write skew: a + b = {total}");
