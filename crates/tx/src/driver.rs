@@ -74,6 +74,74 @@ impl TxStep {
     }
 }
 
+/// The current phase's requests, by request index: the one place either
+/// protocol counts a phase's replies. A request is answered at most
+/// once, so a reply that matches no pending request of the current
+/// phase — another phase's, an index never sent, or a second copy of
+/// one already counted — is found here and dropped.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Round<P, M> {
+    phase: P,
+    /// Each request's metadata until its reply is taken.
+    pending: Vec<Option<M>>,
+    outstanding: usize,
+}
+
+impl<P: Copy + Into<u32>, M> Round<P, M> {
+    /// The current phase.
+    pub(crate) fn phase(&self) -> P {
+        self.phase
+    }
+
+    /// Starts `phase` with no requests, keeping the storage.
+    pub(crate) fn start(&mut self, phase: P) {
+        self.phase = phase;
+        self.pending.clear();
+        self.outstanding = 0;
+    }
+
+    /// Adds `req` to `step`, tagged with the current phase and the next
+    /// index, and records `meta` as pending.
+    pub(crate) fn send(&mut self, step: &mut TxStep, shard: usize, meta: M, req: Request) {
+        let idx = self.pending.len() as u32;
+        self.pending.push(None);
+        self.resend(step, shard, idx, meta, req);
+    }
+
+    /// Re-arms index `idx`, which has no pending request (its reply was
+    /// just taken): records `meta` as pending again and adds `req` to
+    /// `step` under the same tag.
+    pub(crate) fn resend(
+        &mut self,
+        step: &mut TxStep,
+        shard: usize,
+        idx: u32,
+        meta: M,
+        req: Request,
+    ) {
+        self.pending[idx as usize] = Some(meta);
+        self.outstanding += 1;
+        step.send.push((shard, self.phase.into(), idx, req));
+    }
+
+    /// The metadata of request `idx` of `phase`, the first time it is
+    /// answered; `None` for another phase, an index never sent, or a
+    /// request already answered.
+    pub(crate) fn take(&mut self, phase: u32, idx: u32) -> Option<M> {
+        if phase != self.phase.into() {
+            return None;
+        }
+        let meta = self.pending.get_mut(idx as usize)?.take()?;
+        self.outstanding -= 1;
+        Some(meta)
+    }
+
+    /// Whether every request of the phase is answered.
+    pub(crate) fn settled(&self) -> bool {
+        self.outstanding == 0
+    }
+}
+
 /// A transaction client as a driver sees it.
 pub trait TxProtocol {
     /// The deployment whose shards the client's requests address.
@@ -93,11 +161,12 @@ pub trait TxProtocol {
     /// Panics if a key is out of range.
     fn begin(&mut self, read_keys: Vec<u64>) -> (Self::Op, TxStep);
 
-    /// Feeds one reply. A reply of the wrong kind — the fault layer's
-    /// synthesized timeout among them — is a lost round trip, and a
-    /// reply that matches no pending request (another phase's, or an
-    /// index past the phase's requests) is a lost round trip or a no-op;
-    /// neither ever panics.
+    /// Feeds one reply. A reply that matches no pending request of the
+    /// current phase — another phase's, an index the phase never sent,
+    /// or a second copy of a reply already counted — is a no-op. A reply
+    /// of the wrong kind to a pending request — the fault layer's
+    /// synthesized timeout among them — is a lost round trip. Neither
+    /// ever panics.
     fn on_reply(&mut self, op: &mut Self::Op, phase: u32, req_idx: u32, reply: Reply) -> TxStep;
 
     /// Continues a paused attempt into validation and commit with the
@@ -194,6 +263,18 @@ pub(crate) mod tests {
     use crate::prism_tx::{TxCluster, TxConfig, VER_HDR};
     use prism_testkit::{for_all, gens, Config, Gen};
 
+    impl<P, M> Round<P, M> {
+        /// How many requests the phase has sent.
+        pub(crate) fn len(&self) -> usize {
+            self.pending.len()
+        }
+
+        /// The capacity of the request list.
+        pub(crate) fn capacity(&self) -> usize {
+            self.pending.capacity()
+        }
+    }
+
     /// Executes the sends of `step` and feeds the replies back until
     /// `stop` accepts a step the machine returns (which is handed back
     /// undriven) or nothing is left to send.
@@ -217,8 +298,18 @@ pub(crate) mod tests {
     }
 
     /// Whether `step` sends a request of `phase`.
-    pub(crate) fn sends_phase(phase: u32) -> impl Fn(&TxStep) -> bool {
+    pub(crate) fn sends_phase(phase: impl Into<u32>) -> impl Fn(&TxStep) -> bool {
+        let phase = phase.into();
         move |s| s.send.iter().any(|(_, p, _, _)| *p == phase)
+    }
+
+    /// Whether `step` asks for nothing: no send, no background request,
+    /// no pause and no outcome.
+    pub(crate) fn is_noop(step: &TxStep) -> bool {
+        step.send.is_empty()
+            && step.background.is_empty()
+            && !step.awaiting_writes
+            && step.done.is_none()
     }
 
     /// Begins an attempt over `reads`, executes it to its pause and
@@ -322,49 +413,100 @@ pub(crate) mod tests {
         read.iter().map(|b| b.wrapping_add(key as u8 + 1)).collect()
     }
 
+    /// `P` with every reply fed twice, after a reply of the same phase
+    /// under an index never sent: the stray and the second copy must
+    /// both be no-ops.
+    struct Twice<P>(P);
+
+    impl<P: TxProtocol> TxProtocol for Twice<P> {
+        type Cluster = P::Cluster;
+        type Op = P::Op;
+
+        fn server(cluster: &P::Cluster, shard: usize) -> &PrismServer {
+            P::server(cluster, shard)
+        }
+
+        fn begin(&mut self, read_keys: Vec<u64>) -> (P::Op, TxStep) {
+            self.0.begin(read_keys)
+        }
+
+        fn on_reply(&mut self, op: &mut P::Op, phase: u32, req_idx: u32, reply: Reply) -> TxStep {
+            let stray = self.0.on_reply(op, phase, u32::MAX, reply.clone());
+            assert!(is_noop(&stray), "a stray index: {stray:?}");
+            let step = self.0.on_reply(op, phase, req_idx, reply.clone());
+            let again = self.0.on_reply(op, phase, req_idx, reply);
+            assert!(is_noop(&again), "a second copy: {again:?}");
+            step
+        }
+
+        fn supply_writes(&mut self, op: &mut P::Op, writes: Vec<(u64, Vec<u8>)>) -> TxStep {
+            self.0.supply_writes(op, writes)
+        }
+
+        fn values(op: &P::Op) -> &HashMap<u64, Vec<u8>> {
+            P::values(op)
+        }
+
+        fn take_read_keys(op: &mut P::Op) -> Vec<u64> {
+            P::take_read_keys(op)
+        }
+    }
+
     /// One client runs the script through [`drive`]: with nothing to
     /// conflict with, every transaction commits, and every value read —
     /// at the pause and in the outcome — equals a `HashMap` model that
-    /// holds zeroes for keys never written.
+    /// holds zeroes for keys never written. A fresh cluster then runs
+    /// the script again with every reply fed twice ([`Twice`]), which
+    /// must change nothing.
     fn matches_the_model<P: TxProtocol>(name: &str, open: fn(u64) -> (P::Cluster, P)) {
         for_all(name, &Config::default(), &script_gen(), |(shards, txns)| {
-            let (cluster, mut client) = open(*shards);
-            let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
-            let value = |model: &HashMap<u64, Vec<u8>>, k| {
-                model.get(&k).cloned().unwrap_or(vec![0; VALUE_LEN])
-            };
-            for (kind, keys) in txns {
-                let reads = if matches!(kind, Kind::Blind(_)) {
-                    vec![]
-                } else {
-                    keys.clone()
-                };
-                let want: HashMap<u64, Vec<u8>> =
-                    reads.iter().map(|&k| (k, value(&model, k))).collect();
-                let writes: Vec<(u64, Vec<u8>)> = match kind {
-                    Kind::ReadOnly => vec![],
-                    Kind::Rmw => keys.iter().map(|&k| (k, bumped(k, &want[&k]))).collect(),
-                    Kind::Blind(b) => keys.iter().map(|&k| (k, vec![*b; VALUE_LEN])).collect(),
-                };
-                let (op, step) = client.begin(reads);
-                let outcome = drive(&cluster, &mut client, op, step, |values| {
-                    assert_eq!(values, &want, "values at the pause");
-                    writes.clone()
-                });
-                assert_eq!(outcome, TxOutcome::Committed(want), "{kind:?} {keys:?}");
-                model.extend(writes);
-            }
-            // An attempt over no keys commits at once; one over every
-            // key reads the whole model.
-            let (op, step) = client.begin(vec![]);
-            let outcome = drive(&cluster, &mut client, op, step, |_| vec![]);
-            assert_eq!(outcome, TxOutcome::Committed(HashMap::new()));
-            let every: Vec<u64> = (0..shards * KEYS_PER_SHARD).collect();
-            let (op, step) = client.begin(every.clone());
-            let want = every.iter().map(|&k| (k, value(&model, k))).collect();
-            let outcome = drive(&cluster, &mut client, op, step, |_| vec![]);
-            assert_eq!(outcome, TxOutcome::Committed(want));
+            let (cluster, client) = open(*shards);
+            runs_as_modelled(&cluster, client, *shards, txns);
+            let (cluster, client) = open(*shards);
+            runs_as_modelled(&cluster, Twice(client), *shards, txns);
         });
+    }
+
+    fn runs_as_modelled<P: TxProtocol>(
+        cluster: &P::Cluster,
+        mut client: P,
+        shards: u64,
+        txns: &[(Kind, Vec<u64>)],
+    ) {
+        let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
+        let value =
+            |model: &HashMap<u64, Vec<u8>>, k| model.get(&k).cloned().unwrap_or(vec![0; VALUE_LEN]);
+        for (kind, keys) in txns {
+            let reads = if matches!(kind, Kind::Blind(_)) {
+                vec![]
+            } else {
+                keys.clone()
+            };
+            let want: HashMap<u64, Vec<u8>> =
+                reads.iter().map(|&k| (k, value(&model, k))).collect();
+            let writes: Vec<(u64, Vec<u8>)> = match kind {
+                Kind::ReadOnly => vec![],
+                Kind::Rmw => keys.iter().map(|&k| (k, bumped(k, &want[&k]))).collect(),
+                Kind::Blind(b) => keys.iter().map(|&k| (k, vec![*b; VALUE_LEN])).collect(),
+            };
+            let (op, step) = client.begin(reads);
+            let outcome = drive(cluster, &mut client, op, step, |values| {
+                assert_eq!(values, &want, "values at the pause");
+                writes.clone()
+            });
+            assert_eq!(outcome, TxOutcome::Committed(want), "{kind:?} {keys:?}");
+            model.extend(writes);
+        }
+        // An attempt over no keys commits at once; one over every key
+        // reads the whole model.
+        let (op, step) = client.begin(vec![]);
+        let outcome = drive(cluster, &mut client, op, step, |_| vec![]);
+        assert_eq!(outcome, TxOutcome::Committed(HashMap::new()));
+        let every: Vec<u64> = (0..shards * KEYS_PER_SHARD).collect();
+        let (op, step) = client.begin(every.clone());
+        let want = every.iter().map(|&k| (k, value(&model, k))).collect();
+        let outcome = drive(cluster, &mut client, op, step, |_| vec![]);
+        assert_eq!(outcome, TxOutcome::Committed(want));
     }
 
     #[test]

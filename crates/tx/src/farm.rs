@@ -30,7 +30,8 @@ use prism_core::PrismServer;
 use prism_rdma::hash::IntMap;
 use prism_rdma::region::AccessFlags;
 
-use crate::driver::{TxOutcome, TxProtocol, TxStep};
+use crate::driver::{Round, TxOutcome, TxProtocol, TxStep};
+use crate::shard::{Lease, Placement};
 
 /// Object header: version + lock.
 pub const OBJ_HEADER: u64 = 16;
@@ -84,9 +85,8 @@ impl FarmView {
 pub struct FarmServer {
     server: Arc<PrismServer>,
     view: FarmView,
-    /// Lease state for [`FarmServer::sweep_locks`]: local key index →
-    /// the lock token seen held at the last sweep.
-    lease: std::sync::Mutex<IntMap<u64, u64>>,
+    /// Lease over held lock tokens. See [`FarmServer::sweep_locks`].
+    lease: Lease,
 }
 
 impl FarmServer {
@@ -99,9 +99,10 @@ impl FarmServer {
         let (base, rkey) = server.carve_region(index_len + obj_len, 64, AccessFlags::FULL);
         let index_addr = base;
         let obj_addr = base + index_len;
+        let place = Placement::new(n_shards, config.keys_per_shard, config.value_len);
         for i in 0..config.keys_per_shard {
             let obj = obj_addr + i * obj_stride;
-            let global_key = i * n_shards + shard;
+            let global_key = place.key(shard, i);
             // version 0, lock 0 (already zero), key, zero value.
             server
                 .arena()
@@ -131,7 +132,7 @@ impl FarmServer {
         FarmServer {
             server,
             view,
-            lease: std::sync::Mutex::new(IntMap::default()),
+            lease: Lease::default(),
         }
     }
 
@@ -154,46 +155,22 @@ impl FarmServer {
     /// the lease. The release re-checks the token atomically, so an
     /// unlock racing the sweep is harmless. Returns locks released.
     pub fn sweep_locks(&self) -> u64 {
-        let mut lease = self.lease.lock().expect("lease lock");
-        let mut released = 0;
-        for i in 0..self.view.capacity {
-            let obj = obj_of(&self.view, i);
-            let token = self.server.arena().read_u64(obj + 8).expect("in arena");
-            if token == 0 {
-                lease.remove(&i);
-                continue;
-            }
-            match lease.get(&i) {
-                Some(&seen) if seen == token => {
-                    self.server
-                        .arena()
-                        .atomic(obj + 8, 8, |b| {
-                            if u64::from_le_bytes(b.as_ref().try_into().expect("8B")) == token {
-                                b.copy_from_slice(&0u64.to_le_bytes());
-                            }
-                        })
-                        .expect("object in arena");
-                    lease.remove(&i);
-                    released += 1;
-                }
-                _ => {
-                    lease.insert(i, token);
-                }
-            }
-        }
-        released
+        let held = |i| Some(self.lock_word(i)).filter(|&token| token != 0);
+        self.lease.sweep(self.view.capacity, held, |i, token| {
+            unlock(&self.server, obj_of(&self.view, i), token);
+        })
+    }
+
+    /// Local key `i`'s lock word: the holder's token, 0 when free.
+    fn lock_word(&self, i: u64) -> u64 {
+        let obj = obj_of(&self.view, i);
+        self.server.arena().read_u64(obj + 8).expect("in arena")
     }
 
     /// Number of objects whose lock word is currently held.
     pub fn held_locks(&self) -> u64 {
         (0..self.view.capacity)
-            .filter(|&i| {
-                self.server
-                    .arena()
-                    .read_u64(obj_of(&self.view, i) + 8)
-                    .expect("in arena")
-                    != 0
-            })
+            .filter(|&i| self.lock_word(i) != 0)
             .count() as u64
     }
 }
@@ -208,6 +185,18 @@ impl std::fmt::Debug for FarmServer {
 
 fn obj_of(view: &FarmView, local: u64) -> u64 {
     view.obj_addr + local * view.obj_stride
+}
+
+/// Clears `obj`'s lock word if `token` still holds it.
+fn unlock(server: &PrismServer, obj: u64, token: u64) {
+    server
+        .arena()
+        .atomic(obj + 8, 8, |b| {
+            if u64::from_le_bytes(b.as_ref().try_into().expect("8B")) == token {
+                b.copy_from_slice(&0u64.to_le_bytes());
+            }
+        })
+        .expect("object in arena");
 }
 
 /// Server-side commit phases. Lock/unlock/update all run on the server
@@ -270,15 +259,7 @@ fn handle_rpc(server: &PrismServer, view: &FarmView, req: &[u8]) -> Vec<u8> {
         }
         RPC_UNLOCK => {
             for (local, _) in records {
-                let obj = obj_of(view, local);
-                server
-                    .arena()
-                    .atomic(obj + 8, 8, |b| {
-                        if u64::from_le_bytes(b.as_ref().try_into().expect("8B")) == token {
-                            b.copy_from_slice(&0u64.to_le_bytes());
-                        }
-                    })
-                    .expect("object in arena");
+                unlock(server, obj_of(view, local), token);
             }
             vec![0]
         }
@@ -314,7 +295,8 @@ pub struct FarmCluster {
 }
 
 impl FarmCluster {
-    /// Builds `n_shards` shards; key placement matches `TxCluster`.
+    /// Builds `n_shards` shards, keys placed as the [crate
+    /// docs](crate#placement) say.
     pub fn new(n_shards: usize, config: &FarmConfig) -> Self {
         assert!(n_shards > 0);
         FarmCluster {
@@ -378,7 +360,9 @@ impl FarmCluster {
         let id = self
             .next_client
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let v = &self.shards[0].view;
         FarmClient {
+            place: Placement::new(self.shards.len() as u64, v.capacity, v.value_len),
             views: self.shards.iter().map(|s| s.view.clone()).collect(),
             client_id: id,
             seq: 0,
@@ -389,36 +373,31 @@ impl FarmCluster {
 /// A FaRM client.
 #[derive(Debug, Clone)]
 pub struct FarmClient {
+    place: Placement,
     views: Vec<FarmView>,
     client_id: u64,
     seq: u64,
 }
 
-const PH_IDX: u32 = 0;
-const PH_OBJ: u32 = 1;
-const PH_LOCK: u32 = 2;
-const PH_VAL: u32 = 3;
-const PH_UPD: u32 = 4;
-const PH_UNLOCK: u32 = 5;
-
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// An attempt's phase; its number is the phase tag of the phase's
+/// requests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[repr(u32)]
 enum Phase {
-    IndexReads,
-    ObjectReads,
-    Lock,
-    Validate,
-    Update,
-    Unlock,
-    Done,
+    #[default]
+    IndexReads = 0,
+    ObjectReads = 1,
+    Lock = 2,
+    Validate = 3,
+    Update = 4,
+    Unlock = 5,
+    Done = 6,
 }
 
-/// One outstanding request: its shard and, for the per-key READ phases
-/// (index, object, validate), the key it reads. The per-shard RPC
-/// phases leave `key` unread.
-#[derive(Debug, Clone, Copy)]
-struct PendingReq {
-    shard: usize,
-    key: u64,
+impl From<Phase> for u32 {
+    fn from(phase: Phase) -> u32 {
+        phase as u32
+    }
 }
 
 /// A lock or unlock RPC: `[op | token | n | local index × n]`.
@@ -439,9 +418,10 @@ pub struct FarmOp {
     read_keys: Vec<u64>,
     writes: Vec<(u64, Vec<u8>)>,
     token: u64,
-    phase: Phase,
-    reqs: Vec<PendingReq>,
-    outstanding: usize,
+    /// The current phase and its requests, each with the key it reads
+    /// (index, object, validate) or a key of its shard (lock, update,
+    /// unlock).
+    round: Round<Phase, u64>,
     ptrs: IntMap<u64, u64>,
     versions: IntMap<u64, u64>,
     values: HashMap<u64, Vec<u8>>,
@@ -452,66 +432,37 @@ pub struct FarmOp {
     pending_outcome: Option<TxOutcome>,
 }
 
-impl FarmClient {
-    /// Shard holding global key `k`.
-    pub fn shard_of(&self, k: u64) -> usize {
-        (k % self.views.len() as u64) as usize
-    }
-
-    /// Local index of global key `k`.
-    pub fn index_of(&self, k: u64) -> u64 {
-        k / self.views.len() as u64
-    }
-
-    /// Panics unless every key is in range and every value
-    /// `value_len` bytes long.
-    fn check(&self, keys: &[u64], writes: &[(u64, Vec<u8>)]) {
-        for (_, v) in writes {
-            assert_eq!(v.len() as u64, self.views[0].value_len, "bad value len");
-        }
-        for k in keys.iter().chain(writes.iter().map(|(k, _)| k)) {
-            assert!(
-                self.index_of(*k) < self.views[0].capacity,
-                "key {k} out of range"
-            );
-        }
-    }
-}
-
 impl FarmOp {
-    /// One one-sided READ per read key, `len` bytes at the address
-    /// `addr_of` names — the shape of the index, object and validate
-    /// phases.
-    fn read_sends(
-        &mut self,
-        c: &FarmClient,
-        phase: u32,
-        len: impl Fn(&FarmView) -> u32,
-        addr_of: impl Fn(&Self, &FarmView, u64) -> u64,
-    ) -> TxStep {
-        self.reqs.clear();
-        self.outstanding = 0;
+    /// The one-sided READ of `key` that a read phase sends, and its
+    /// shard: the key's index slot, its whole object, or the object's
+    /// header (validate).
+    fn read(&self, c: &FarmClient, phase: Phase, key: u64) -> (usize, Request) {
+        let shard = c.place.shard_of(key);
+        let v = &c.views[shard];
+        let (addr, len) = match phase {
+            Phase::IndexReads => (v.index_slot(c.place.index_of(key)), 8),
+            Phase::ObjectReads => (self.ptrs[&key], v.obj_len()),
+            _ => (self.ptrs[&key], OBJ_HEADER),
+        };
+        let read = Verb::Read {
+            addr,
+            len: len as u32,
+            rkey: v.rkey,
+        };
+        (shard, Request::Verb(read))
+    }
+
+    /// One [`FarmOp::read`] per read key: the index, object and
+    /// validate phases.
+    fn read_sends(&mut self, c: &FarmClient, phase: Phase) -> TxStep {
+        self.round.start(phase);
         let mut step = TxStep {
             send: Vec::with_capacity(self.read_keys.len()),
             ..Default::default()
         };
-        for i in 0..self.read_keys.len() {
-            let key = self.read_keys[i];
-            let shard = c.shard_of(key);
-            let v = &c.views[shard];
-            let idx = self.reqs.len() as u32;
-            self.reqs.push(PendingReq { shard, key });
-            self.outstanding += 1;
-            step.send.push((
-                shard,
-                phase,
-                idx,
-                Request::Verb(Verb::Read {
-                    addr: addr_of(self, v, key),
-                    len: len(v),
-                    rkey: v.rkey,
-                }),
-            ));
+        for &key in &self.read_keys {
+            let (shard, req) = self.read(c, phase, key);
+            self.round.send(&mut step, shard, key, req);
         }
         step
     }
@@ -520,22 +471,14 @@ impl FarmOp {
         if self.read_keys.is_empty() {
             return TxStep::paused();
         }
-        self.phase = Phase::IndexReads;
-        self.read_sends(c, PH_IDX, |_| 8, |_, v, k| v.index_slot(c.index_of(k)))
-    }
-
-    fn object_sends(&mut self, c: &FarmClient) -> TxStep {
-        self.phase = Phase::ObjectReads;
-        self.read_sends(c, PH_OBJ, |v| v.obj_len() as u32, |op, _, k| op.ptrs[&k])
+        self.read_sends(c, Phase::IndexReads)
     }
 
     fn lock_sends(&mut self, c: &FarmClient) -> TxStep {
         if self.writes.is_empty() {
             return self.validate_sends(c);
         }
-        self.phase = Phase::Lock;
-        self.reqs.clear();
-        self.outstanding = 0;
+        self.round.start(Phase::Lock);
         self.locked_shards.clear();
         self.lock_failed = false;
         // Sorted by (shard, key): one request per shard in ascending
@@ -543,21 +486,15 @@ impl FarmOp {
         let mut keys: Vec<(usize, u64)> = self
             .writes
             .iter()
-            .map(|(k, _)| (c.shard_of(*k), *k))
+            .map(|(k, _)| (c.place.shard_of(*k), *k))
             .collect();
         keys.sort_unstable();
         let mut step = TxStep::default();
         for run in keys.chunk_by(|a, b| a.0 == b.0) {
             let (shard, key) = run[0];
-            let msg = key_list_rpc(
-                RPC_LOCK,
-                self.token,
-                run.iter().map(|&(_, k)| c.index_of(k)),
-            );
-            let idx = self.reqs.len() as u32;
-            self.reqs.push(PendingReq { shard, key });
-            self.outstanding += 1;
-            step.send.push((shard, PH_LOCK, idx, Request::Rpc(msg)));
+            let locals = run.iter().map(|&(_, k)| c.place.index_of(k));
+            let req = Request::Rpc(key_list_rpc(RPC_LOCK, self.token, locals));
+            self.round.send(&mut step, shard, key, req);
         }
         step
     }
@@ -566,14 +503,13 @@ impl FarmOp {
         if self.read_keys.is_empty() {
             return self.update_sends(c);
         }
-        self.phase = Phase::Validate;
         self.valid = true;
-        self.read_sends(c, PH_VAL, |_| OBJ_HEADER as u32, |op, _, k| op.ptrs[&k])
+        self.read_sends(c, Phase::Validate)
     }
 
     /// Ends the attempt with `outcome`.
     fn finish(&mut self, outcome: TxOutcome) -> TxStep {
-        self.phase = Phase::Done;
+        self.round.start(Phase::Done);
         TxStep::finished(outcome)
     }
 
@@ -588,33 +524,28 @@ impl FarmOp {
         if self.writes.is_empty() {
             return self.commit();
         }
-        self.phase = Phase::Update;
-        self.reqs.clear();
-        self.outstanding = 0;
+        self.round.start(Phase::Update);
         // Nothing after this phase reads the write set (unlock runs
         // only on the abort paths before it), so its values leave the
         // attempt here: grouped by shard in place (stably, so keys on
         // one shard keep the caller's order), copied into the RPCs,
         // dropped.
         let mut writes = std::mem::take(&mut self.writes);
-        writes.sort_by_key(|(k, _)| c.shard_of(*k));
+        writes.sort_by_key(|(k, _)| c.place.shard_of(*k));
         let mut step = TxStep::default();
-        for run in writes.chunk_by(|a, b| c.shard_of(a.0) == c.shard_of(b.0)) {
+        for run in writes.chunk_by(|a, b| c.place.shard_of(a.0) == c.place.shard_of(b.0)) {
             let key = run[0].0;
-            let shard = c.shard_of(key);
+            let shard = c.place.shard_of(key);
             let value_len = c.views[shard].value_len as usize;
             let mut msg = Vec::with_capacity(10 + run.len() * (8 + value_len));
             msg.push(RPC_UPDATE);
             msg.extend_from_slice(&self.token.to_le_bytes());
             msg.push(run.len() as u8);
             for (k, val) in run {
-                msg.extend_from_slice(&c.index_of(*k).to_le_bytes());
+                msg.extend_from_slice(&c.place.index_of(*k).to_le_bytes());
                 msg.extend_from_slice(val);
             }
-            let idx = self.reqs.len() as u32;
-            self.reqs.push(PendingReq { shard, key });
-            self.outstanding += 1;
-            step.send.push((shard, PH_UPD, idx, Request::Rpc(msg)));
+            self.round.send(&mut step, shard, key, Request::Rpc(msg));
         }
         step
     }
@@ -623,9 +554,7 @@ impl FarmOp {
         if self.locked_shards.is_empty() {
             return self.finish(then);
         }
-        self.phase = Phase::Unlock;
-        self.reqs.clear();
-        self.outstanding = 0;
+        self.round.start(Phase::Unlock);
         let mut step = TxStep::default();
         let shards = std::mem::take(&mut self.locked_shards);
         for shard in shards {
@@ -633,16 +562,11 @@ impl FarmOp {
                 .writes
                 .iter()
                 .map(|(k, _)| *k)
-                .filter(|&k| c.shard_of(k) == shard)
+                .filter(|&k| c.place.shard_of(k) == shard)
                 .collect();
-            let msg = key_list_rpc(RPC_UNLOCK, self.token, keys.iter().map(|&k| c.index_of(k)));
-            let idx = self.reqs.len() as u32;
-            self.reqs.push(PendingReq {
-                shard,
-                key: keys[0],
-            });
-            self.outstanding += 1;
-            step.send.push((shard, PH_UNLOCK, idx, Request::Rpc(msg)));
+            let locals = keys.iter().map(|&k| c.place.index_of(k));
+            let req = Request::Rpc(key_list_rpc(RPC_UNLOCK, self.token, locals));
+            self.round.send(&mut step, shard, keys[0], req);
         }
         // The final outcome is deferred until unlocks complete.
         self.pending_outcome = Some(then);
@@ -659,16 +583,14 @@ impl TxProtocol for FarmClient {
     }
 
     fn begin(&mut self, read_keys: Vec<u64>) -> (FarmOp, TxStep) {
-        self.check(&read_keys, &[]);
+        self.place.check(&read_keys, &[]);
         self.seq += 1;
         let token = (self.client_id << 24) | (self.seq & 0xFF_FFFF);
         let mut op = FarmOp {
             read_keys,
             writes: Vec::new(),
             token,
-            phase: Phase::IndexReads,
-            reqs: Vec::new(),
-            outstanding: 0,
+            round: Round::default(),
             ptrs: IntMap::default(),
             versions: IntMap::default(),
             values: HashMap::new(),
@@ -684,40 +606,24 @@ impl TxProtocol for FarmClient {
 
     fn on_reply(&mut self, op: &mut FarmOp, phase: u32, req_idx: u32, reply: Reply) -> TxStep {
         let c = &*self;
-        let current = match op.phase {
-            Phase::IndexReads => PH_IDX,
-            Phase::ObjectReads => PH_OBJ,
-            Phase::Lock => PH_LOCK,
-            Phase::Validate => PH_VAL,
-            Phase::Update => PH_UPD,
-            Phase::Unlock => PH_UNLOCK,
-            Phase::Done => return TxStep::default(),
-        };
-        if phase != current {
-            return TxStep::default();
-        }
-        // A reply that matches no pending request is dropped, like one
-        // for another phase.
-        let Some(&req) = op.reqs.get(req_idx as usize) else {
+        let Some(k) = op.round.take(phase, req_idx) else {
             return TxStep::default();
         };
-        match op.phase {
+        match op.round.phase() {
             Phase::IndexReads => {
                 match reply.into_verb() {
                     Ok(d) if d.len() == 8 => {
                         op.ptrs
-                            .insert(req.key, u64::from_le_bytes(d.try_into().expect("8B")));
+                            .insert(k, u64::from_le_bytes(d.try_into().expect("8B")));
                     }
                     _ => return op.finish(TxOutcome::Failed("index read error")),
                 }
-                op.outstanding -= 1;
-                if op.outstanding == 0 {
-                    return op.object_sends(c);
+                if op.round.settled() {
+                    return op.read_sends(c, Phase::ObjectReads);
                 }
                 TxStep::default()
             }
             Phase::ObjectReads => {
-                let k = req.key;
                 match reply.into_verb() {
                     Ok(mut d) if d.len() >= OBJ_HEADER as usize + 8 => {
                         let version = u64::from_le_bytes(d[0..8].try_into().expect("8B"));
@@ -732,21 +638,10 @@ impl TxProtocol for FarmClient {
                                 // abandon the transaction).
                                 return op.finish(TxOutcome::Aborted);
                             }
-                            let shard = c.shard_of(k);
-                            let v = &c.views[shard];
-                            return TxStep {
-                                send: vec![(
-                                    shard,
-                                    PH_OBJ,
-                                    req_idx,
-                                    Request::Verb(Verb::Read {
-                                        addr: op.ptrs[&k],
-                                        len: v.obj_len() as u32,
-                                        rkey: v.rkey,
-                                    }),
-                                )],
-                                ..Default::default()
-                            };
+                            let (shard, req) = op.read(c, Phase::ObjectReads, k);
+                            let mut step = TxStep::default();
+                            op.round.resend(&mut step, shard, req_idx, k, req);
+                            return step;
                         }
                         op.versions.insert(k, version);
                         // The reply's buffer becomes the value: header
@@ -757,26 +652,25 @@ impl TxProtocol for FarmClient {
                     }
                     _ => return op.finish(TxOutcome::Failed("object read error")),
                 }
-                op.outstanding -= 1;
-                if op.outstanding == 0 {
+                if op.round.settled() {
                     return TxStep::paused();
                 }
                 TxStep::default()
             }
             Phase::Lock => {
+                let shard = c.place.shard_of(k);
                 match reply.into_rpc() {
-                    Ok(b) if b.first() == Some(&0) => op.locked_shards.push(req.shard),
+                    Ok(b) if b.first() == Some(&0) => op.locked_shards.push(shard),
                     Ok(_) => op.lock_failed = true,
                     // A lost reply leaves the lock in doubt: the attempt
                     // aborts, and its unlock (token-checked, so harmless
                     // if the lock never landed) covers this shard too.
                     Err(_) => {
-                        op.locked_shards.push(req.shard);
+                        op.locked_shards.push(shard);
                         op.lock_failed = true;
                     }
                 }
-                op.outstanding -= 1;
-                if op.outstanding == 0 {
+                if op.round.settled() {
                     if op.lock_failed {
                         return op.unlock_sends(c, TxOutcome::Aborted);
                     }
@@ -785,7 +679,6 @@ impl TxProtocol for FarmClient {
                 TxStep::default()
             }
             Phase::Validate => {
-                let k = req.key;
                 match reply.into_verb() {
                     Ok(d) if d.len() == OBJ_HEADER as usize => {
                         let version = u64::from_le_bytes(d[0..8].try_into().expect("8B"));
@@ -797,8 +690,7 @@ impl TxProtocol for FarmClient {
                     }
                     _ => return op.finish(TxOutcome::Failed("validation read error")),
                 }
-                op.outstanding -= 1;
-                if op.outstanding == 0 {
+                if op.round.settled() {
                     if !op.valid {
                         return op.unlock_sends(c, TxOutcome::Aborted);
                     }
@@ -814,15 +706,13 @@ impl TxProtocol for FarmClient {
                     // indeterminate as PRISM-TX's lost commit.
                     Err(_) => return op.finish(TxOutcome::Failed("update reply lost")),
                 }
-                op.outstanding -= 1;
-                if op.outstanding == 0 {
+                if op.round.settled() {
                     return op.commit();
                 }
                 TxStep::default()
             }
             Phase::Unlock => {
-                op.outstanding -= 1;
-                if op.outstanding == 0 {
+                if op.round.settled() {
                     let outcome = op.pending_outcome.take().unwrap_or(TxOutcome::Aborted);
                     return op.finish(outcome);
                 }
@@ -833,11 +723,12 @@ impl TxProtocol for FarmClient {
     }
 
     fn supply_writes(&mut self, op: &mut FarmOp, writes: Vec<(u64, Vec<u8>)>) -> TxStep {
+        let round = &op.round;
         assert!(
-            matches!(op.phase, Phase::ObjectReads | Phase::IndexReads) && op.outstanding == 0,
+            matches!(round.phase(), Phase::ObjectReads | Phase::IndexReads) && round.settled(),
             "supply_writes outside the pause"
         );
-        self.check(&[], &writes);
+        self.place.check(&[], &writes);
         op.writes = writes;
         op.lock_sends(self)
     }
@@ -847,7 +738,7 @@ impl TxProtocol for FarmClient {
     }
 
     fn take_read_keys(op: &mut FarmOp) -> Vec<u64> {
-        debug_assert_eq!(op.phase, Phase::Done, "attempt still in flight");
+        debug_assert_eq!(op.round.phase(), Phase::Done, "attempt still in flight");
         std::mem::take(&mut op.read_keys)
     }
 }
@@ -855,7 +746,7 @@ impl TxProtocol for FarmClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::tests::{drive_rest, drive_until, sends_phase, supplied};
+    use crate::driver::tests::{drive_rest, drive_until, is_noop, sends_phase, supplied};
     use crate::driver::{drive, run_rmw};
     use prism_testkit::{for_all, gens, Config, Gen};
 
@@ -904,7 +795,7 @@ mod tests {
         let mut c2 = cl.open_client();
         // c1 executes reads, pausing before lock.
         let (op, lock_step) = supplied(&cl, &mut c1, vec![0], vec![(0, vec![9u8; 32])]);
-        assert!(sends_phase(PH_LOCK)(&lock_step), "reached lock phase");
+        assert!(sends_phase(Phase::Lock)(&lock_step), "reached lock phase");
         // c2 commits a conflicting write (bumping the version).
         assert!(matches!(
             write_one(&cl, &mut c2, 0, vec![5u8; 32]),
@@ -940,8 +831,7 @@ mod tests {
                     phases.push(phase);
                     if strays {
                         let timeout = Reply::Verb(Err(prism_rdma::RdmaError::ReceiverNotReady));
-                        let s = c.on_reply(&mut op, phase, u32::MAX, timeout);
-                        assert!(s.send.is_empty() && s.done.is_none() && !s.awaiting_writes);
+                        assert!(is_noop(&c.on_reply(&mut op, phase, u32::MAX, timeout)));
                     }
                 }
             }
@@ -958,14 +848,18 @@ mod tests {
     /// one won lock is released (index, object, lock, unlock).
     #[test]
     fn stray_request_indices_are_dropped_in_every_phase() {
+        use Phase::*;
         for strays in [false, true] {
             let cl = cluster(1, 4);
             let mut c = cl.open_client();
             let got = run_feeding_strays(&cl, &mut c, vec![0], vec![(0, vec![3; 32])], strays);
-            let phases = vec![PH_IDX, PH_OBJ, PH_LOCK, PH_VAL, PH_UPD];
+            let phases = [IndexReads, ObjectReads, Lock, Validate, Update].map(u32::from);
             assert_eq!(
                 got,
-                (TxOutcome::Committed([(0, vec![0; 32])].into()), phases)
+                (
+                    TxOutcome::Committed([(0, vec![0; 32])].into()),
+                    phases.to_vec()
+                )
             );
             assert_eq!(read_all(&cl, &mut c, &[0])[&0], vec![3; 32]);
 
@@ -976,8 +870,12 @@ mod tests {
             let mut c = cl.open_client();
             let writes = vec![(0, vec![4; 32]), (1, vec![4; 32])];
             let got = run_feeding_strays(&cl, &mut c, vec![1], writes, strays);
-            let phases = vec![PH_IDX, PH_OBJ, PH_LOCK, PH_UNLOCK];
-            assert_eq!(got, (TxOutcome::Aborted, phases), "strays: {strays}");
+            let phases = [IndexReads, ObjectReads, Lock, Unlock].map(u32::from);
+            assert_eq!(
+                got,
+                (TxOutcome::Aborted, phases.to_vec()),
+                "strays: {strays}"
+            );
             assert_eq!(cl.held_locks(), 1, "only the other client's lock is left");
         }
     }
@@ -1009,7 +907,7 @@ mod tests {
     /// plus the withheld validate step.
     fn park_after_lock(cl: &FarmCluster, c: &mut FarmClient, k: u64, fill: u8) -> (FarmOp, TxStep) {
         let (mut op, lock) = supplied(cl, c, vec![k], vec![(k, vec![fill; 32])]);
-        let validate = drive_until(cl, c, &mut op, lock, sends_phase(PH_VAL));
+        let validate = drive_until(cl, c, &mut op, lock, sends_phase(Phase::Validate));
         (op, validate.expect("transaction never locked"))
     }
 

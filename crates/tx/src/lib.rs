@@ -16,6 +16,11 @@
 //!   validation reads, update+unlock RPC) requiring server CPU.
 //! * [`ts`] — loosely synchronized logical timestamps.
 //!
+//! # Placement
+//!
+//! Both protocols place keys alike: in a cluster of `n` shards, global
+//! key `k` lives on shard `k % n` at local index `k / n`.
+//!
 //! # Examples
 //!
 //! ```
@@ -59,6 +64,7 @@
 pub mod driver;
 pub mod farm;
 pub mod prism_tx;
+mod shard;
 pub mod ts;
 
 pub use driver::{drive, run_rmw, TxOutcome, TxProtocol, TxStep};

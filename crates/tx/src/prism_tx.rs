@@ -56,10 +56,10 @@ use prism_core::msg::{Reply, Request};
 use prism_core::op::{field_mask, full_mask, FreeListId, Redirect};
 use prism_core::value::CasMode;
 use prism_core::{OpStatus, PrismServer};
-use prism_rdma::hash::IntMap;
 use prism_rdma::region::AccessFlags;
 
-use crate::driver::{TxOutcome, TxProtocol, TxStep};
+use crate::driver::{Round, TxOutcome, TxProtocol, TxStep};
+use crate::shard::{Lease, Placement};
 use crate::ts::{Ts, TxClock};
 
 /// Per-key slot size.
@@ -180,10 +180,9 @@ pub struct TxServer {
     view: TxView,
     pool_base: u64,
     pool_len: u64,
-    /// Cooperative-termination lease state: local key index → the
-    /// prepared-writer timestamp seen dangling (`PW > C`) at the last
-    /// sweep. See [`TxServer::sweep_prepares`].
-    lease: std::sync::Mutex<IntMap<u64, Ts>>,
+    /// Cooperative-termination lease over dangling prepared-writer
+    /// timestamps. See [`TxServer::sweep_prepares`].
+    lease: Lease,
 }
 
 impl TxServer {
@@ -207,9 +206,10 @@ impl TxServer {
         server
             .freelists()
             .register_pool(freelist, buf_len, pool_base, count, seeds);
+        let place = Placement::new(n_shards, config.keys_per_shard, config.value_len);
         for i in 0..config.keys_per_shard {
             let buf = pool_base + i * stride;
-            let global_key = i * n_shards + shard;
+            let global_key = place.key(shard, i);
             let init = encode_version(Ts::ZERO, global_key, &vec![0u8; config.value_len as usize]);
             server.arena().write(buf, &init).expect("buffer in arena");
             // Slot: PW = PR = C = 0, addr = buf.
@@ -233,7 +233,7 @@ impl TxServer {
             },
             pool_base,
             pool_len,
-            lease: std::sync::Mutex::new(IntMap::default()),
+            lease: Lease::default(),
         }
     }
 
@@ -269,66 +269,47 @@ impl TxServer {
     /// Cooperative termination (§8.2) for transactions whose client
     /// crashed between prepare and commit: a dangling `PW > C` blocks
     /// every later writer of that key (their `TS > PW` check fails until
-    /// `C` catches up). The server cannot tell a crashed client from a
-    /// slow one, so it leases: a prepared-writer timestamp that survives
-    /// two consecutive sweeps *unchanged* is declared orphaned, and the
-    /// sweep completes the crashed client's own abort path by bumping
-    /// `C := PW` with the same guarded CAS the client would have sent —
-    /// so a commit racing the sweep still wins, and a fresh prepare
-    /// (raising `PW`) resets the lease. `PR` entries need no
+    /// `C` catches up). The lease declares a prepared-writer timestamp
+    /// seen unchanged on two consecutive sweeps orphaned, and the sweep
+    /// completes the crashed client's own abort path, `C := PW` under the
+    /// same guarded CAS the client would have sent — so a commit racing
+    /// the sweep still wins, and a fresh prepare (raising `PW`) resets
+    /// the lease. `PR` entries need no
     /// reclamation: a stale prepared reader only forces later writers'
     /// timestamps upward, it never blocks them. Returns the number of
     /// entries reclaimed this pass.
     pub fn sweep_prepares(&self) -> u64 {
-        use prism_core::msg::execute_local;
-        let mut lease = self.lease.lock().expect("lease lock");
-        let mut reclaimed = 0;
-        for i in 0..self.view.capacity {
-            let slot = self.view.slot(i);
-            let words = self.server.arena().read(slot, 24).expect("slot in arena");
-            let pw = Ts::from_bytes(&words[0..8]);
-            let c = Ts::from_bytes(&words[16..24]);
-            if pw <= c {
-                lease.remove(&i);
-                continue;
-            }
-            match lease.get(&i) {
-                Some(&seen) if seen == pw => {
-                    let cmp = operand(pw.to_bytes(), [0; 8]);
-                    let req = Request::Chain(vec![ops::cas(
-                        CasMode::Lt, // C < PW, as in the abort path
-                        slot + 16,
-                        self.view.data_rkey,
-                        cmp.clone(),
-                        cmp,
-                        16,
-                        field_mask(0, 8),
-                        field_mask(0, 8),
-                    )]);
-                    execute_local(&self.server, &req);
-                    lease.remove(&i);
-                    reclaimed += 1;
-                }
-                _ => {
-                    lease.insert(i, pw);
-                }
-            }
-        }
-        reclaimed
+        let dangling = |i| self.dangling(i).map(Ts::pack);
+        self.lease.sweep(self.view.capacity, dangling, |i, pw| {
+            let cmp = operand(Ts::unpack(pw).to_bytes(), [0; 8]);
+            let req = Request::Chain(vec![ops::cas(
+                CasMode::Lt, // C < PW, as in the abort path
+                self.view.slot(i) + 16,
+                self.view.data_rkey,
+                cmp.clone(),
+                cmp,
+                16,
+                field_mask(0, 8),
+                field_mask(0, 8),
+            )]);
+            prism_core::msg::execute_local(&self.server, &req);
+        })
+    }
+
+    /// Key `i`'s prepared-writer timestamp while its slot shows
+    /// `PW > C`.
+    fn dangling(&self, i: u64) -> Option<Ts> {
+        let slot = self.view.slot(i);
+        let words = self.server.arena().read(slot, 24).expect("slot in arena");
+        let pw = Ts::from_bytes(&words[0..8]);
+        (pw > Ts::from_bytes(&words[16..24])).then_some(pw)
     }
 
     /// Number of keys whose slot still shows `PW > C` — a dangling
     /// prepare that blocks future writers until reclaimed.
     pub fn stuck_keys(&self) -> u64 {
         (0..self.view.capacity)
-            .filter(|&i| {
-                let words = self
-                    .server
-                    .arena()
-                    .read(self.view.slot(i), 24)
-                    .expect("slot in arena");
-                Ts::from_bytes(&words[0..8]) > Ts::from_bytes(&words[16..24])
-            })
+            .filter(|&i| self.dangling(i).is_some())
             .count() as u64
     }
 
@@ -360,8 +341,7 @@ pub struct TxCluster {
 
 impl TxCluster {
     /// Builds `n_shards` shards, each holding `config.keys_per_shard`
-    /// keys; global key `k` lives on shard `k % n_shards` at local index
-    /// `k / n_shards`.
+    /// keys, placed as the [crate docs](crate#placement) say.
     pub fn new(n_shards: usize, config: &TxConfig) -> Self {
         assert!(n_shards > 0);
         TxCluster {
@@ -413,7 +393,9 @@ impl TxCluster {
         let id = self
             .next_client
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let v = &self.shards[0].view;
         TxClient {
+            place: Placement::new(self.shards.len() as u64, v.capacity, v.value_len),
             views: self.shards.iter().map(|s| s.view.clone()).collect(),
             scratch: self
                 .shards
@@ -433,6 +415,7 @@ impl TxCluster {
 /// A PRISM-TX client.
 #[derive(Debug, Clone)]
 pub struct TxClient {
+    place: Placement,
     views: Vec<TxView>,
     scratch: Vec<(u64, u32)>,
     clock: TxClock,
@@ -444,16 +427,23 @@ pub struct TxClient {
     spare: WorkLists,
 }
 
-const PH_EXEC: u32 = 0;
-const PH_PREPARE: u32 = 1;
-const PH_COMMIT: u32 = 2;
-
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// An attempt's phase; its number is the phase tag of the phase's
+/// requests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[repr(u32)]
 enum Phase {
-    Execute,
-    Prepare,
-    Commit,
-    Done,
+    Execute = 0,
+    Prepare = 1,
+    Commit = 2,
+    /// Finished, or not yet begun: nothing is pending.
+    #[default]
+    Done = 3,
+}
+
+impl From<Phase> for u32 {
+    fn from(phase: Phase) -> u32 {
+        phase as u32
+    }
 }
 
 /// One key read in execution: its shard and, once the read's reply has
@@ -477,15 +467,10 @@ enum PrepOp {
     Wv(u64),
 }
 
-/// One outstanding request: its shard and the run `start..end` it covers
-/// of the phase's shard-grouped list — [`WorkLists::reads`] in execution,
+/// A request's shard and the run `start..end` it covers of the phase's
+/// shard-grouped list — [`WorkLists::reads`] in execution,
 /// [`WorkLists::prep`] in prepare, the grouped write set in commit.
-#[derive(Debug, Clone, Copy)]
-struct PendingReq {
-    shard: usize,
-    start: usize,
-    end: usize,
-}
+type Run = (usize, usize, usize);
 
 /// An attempt's working lists. Each phase groups its keys by shard by
 /// sorting a flat list (stably, so keys on one shard keep the caller's
@@ -498,8 +483,8 @@ struct WorkLists {
     reads: Vec<ReadKey>,
     /// The prepare chains' ops with their shards, grouped by shard.
     prep: Vec<(usize, PrepOp)>,
-    /// The current phase's requests, indexed by request index.
-    reqs: Vec<PendingReq>,
+    /// The current phase and its requests.
+    round: Round<Phase, Run>,
     /// Keys whose conditional write validation succeeded: the abort
     /// path's `C`-bump set.
     write_checked: Vec<u64>,
@@ -510,9 +495,7 @@ struct WorkLists {
 pub struct TxOp {
     read_keys: Vec<u64>,
     writes: Vec<(u64, Vec<u8>)>,
-    phase: Phase,
     work: WorkLists,
-    outstanding: usize,
     ts: Ts,
     values: HashMap<u64, Vec<u8>>,
     valid: bool,
@@ -534,46 +517,23 @@ impl TxClient {
     pub fn integrity(&self) -> &Arc<IntegrityStats> {
         &self.integrity
     }
-
-    /// Shard holding global key `k`.
-    pub fn shard_of(&self, k: u64) -> usize {
-        (k % self.views.len() as u64) as usize
-    }
-
-    /// Local slot index of global key `k` on its shard.
-    pub fn index_of(&self, k: u64) -> u64 {
-        k / self.views.len() as u64
-    }
-
-    /// Panics unless every key is in range and every value
-    /// `value_len` bytes long.
-    fn check(&self, keys: &[u64], writes: &[(u64, Vec<u8>)]) {
-        for (_, v) in writes {
-            assert_eq!(v.len() as u64, self.views[0].value_len, "bad value len");
-        }
-        for k in keys.iter().chain(writes.iter().map(|(k, _)| k)) {
-            assert!(
-                self.index_of(*k) < self.views[0].capacity,
-                "key {k} out of range"
-            );
-        }
-    }
 }
 
 impl TxOp {
     fn exec_sends(&mut self, c: &mut TxClient) -> TxStep {
+        self.work.round.start(Phase::Execute);
         if self.read_keys.is_empty() {
             return TxStep::paused();
         }
         let read_key = |&key: &u64| ReadKey {
-            shard: c.shard_of(key),
+            shard: c.place.shard_of(key),
             key,
             rc: Ts::ZERO,
         };
         self.work.reads.extend(self.read_keys.iter().map(read_key));
         self.work.reads.sort_by_key(|r| r.shard);
         let mut step = TxStep::default();
-        for (shard, start, end) in shard_runs(&self.work.reads, |r| r.shard) {
+        for run @ (shard, start, end) in shard_runs(&self.work.reads, |r| r.shard) {
             let v = &c.views[shard];
             let mut chain = Vec::with_capacity((end - start) * 2);
             for r in &self.work.reads[start..end] {
@@ -584,7 +544,7 @@ impl TxOp {
                 // between the two reads the buffer's C is higher — in
                 // which case the value *is* exactly that version, so
                 // claiming it as RC is consistent either way.
-                let slot = v.slot(c.index_of(r.key));
+                let slot = v.slot(c.place.index_of(r.key));
                 chain.push(ops::read(slot + 16, 16, v.data_rkey));
                 chain.push(ops::read_indirect(
                     slot + 24,
@@ -592,18 +552,14 @@ impl TxOp {
                     v.data_rkey,
                 ));
             }
-            let idx = self.work.reqs.len() as u32;
-            self.work.reqs.push(PendingReq { shard, start, end });
-            self.outstanding += 1;
-            step.send.push((shard, PH_EXEC, idx, Request::Chain(chain)));
+            let req = Request::Chain(chain);
+            self.work.round.send(&mut step, shard, run, req);
         }
         step
     }
 
     fn prepare_sends(&mut self, c: &mut TxClient) -> TxStep {
-        self.phase = Phase::Prepare;
-        self.work.reqs.clear();
-        self.outstanding = 0;
+        self.work.round.start(Phase::Prepare);
         let max_rc = self
             .work
             .reads
@@ -632,7 +588,7 @@ impl TxOp {
         }
         for (k, _) in &self.writes {
             if !self.read_keys.contains(k) {
-                self.work.prep.push((c.shard_of(*k), PrepOp::Wv(*k)));
+                self.work.prep.push((c.place.shard_of(*k), PrepOp::Wv(*k)));
             }
         }
         self.work.prep.sort_by_key(|&(shard, _)| shard);
@@ -643,7 +599,7 @@ impl TxOp {
 
         let ts = self.ts.to_bytes();
         let mut step = TxStep::default();
-        for (shard, start, end) in shard_runs(&self.work.prep, |&(shard, _)| shard) {
+        for run @ (shard, start, end) in shard_runs(&self.work.prep, |&(shard, _)| shard) {
             let v = &c.views[shard];
             let mut chain = Vec::with_capacity(end - start);
             for &(_, op) in &self.work.prep[start..end] {
@@ -654,7 +610,7 @@ impl TxOp {
                         chain.push(ops::cas(
                             // Success iff (PW|PR) <= (RC|TS).
                             CasMode::Le,
-                            v.slot(c.index_of(key)),
+                            v.slot(c.place.index_of(key)),
                             v.data_rkey,
                             operand(rc.to_bytes(), ts),
                             operand([0; 8], ts),
@@ -670,7 +626,7 @@ impl TxOp {
                         let mut cas = ops::cas(
                             // Success iff PW < TS.
                             CasMode::Lt,
-                            v.slot(c.index_of(k)),
+                            v.slot(c.place.index_of(k)),
                             v.data_rkey,
                             operand(ts, [0; 8]),
                             operand(ts, [0; 8]),
@@ -685,29 +641,24 @@ impl TxOp {
                     }
                 }
             }
-            let idx = self.work.reqs.len() as u32;
-            self.work.reqs.push(PendingReq { shard, start, end });
-            self.outstanding += 1;
-            step.send
-                .push((shard, PH_PREPARE, idx, Request::Chain(chain)));
+            let req = Request::Chain(chain);
+            self.work.round.send(&mut step, shard, run, req);
         }
         step
     }
 
     fn commit_sends(&mut self, c: &mut TxClient) -> TxStep {
-        self.phase = Phase::Commit;
-        self.work.reqs.clear();
-        self.outstanding = 0;
+        self.work.round.start(Phase::Commit);
         if self.writes.is_empty() {
             return self.commit(c);
         }
         // Nothing after this phase reads the write set, so its values
         // leave the attempt here: grouped in place, encoded, dropped.
         let mut writes = std::mem::take(&mut self.writes);
-        writes.sort_by_key(|(k, _)| c.shard_of(*k));
+        writes.sort_by_key(|(k, _)| c.place.shard_of(*k));
         let ts = self.ts.to_bytes();
         let mut step = TxStep::default();
-        for (shard, start, end) in shard_runs(&writes, |(k, _)| c.shard_of(*k)) {
+        for (shard, start, end) in shard_runs(&writes, |(k, _)| c.place.shard_of(*k)) {
             let v = &c.views[shard];
             let (scratch_addr, scratch_rkey) = c.scratch[shard];
             for (n, chunk) in writes[start..end].chunks(KEYS_PER_COMMIT_CHAIN).enumerate() {
@@ -715,7 +666,7 @@ impl TxOp {
                 for (j, (k, val)) in chunk.iter().enumerate() {
                     // Install iff C < TS (Thomas write rule).
                     chain.extend(install::chain(
-                        v.slot(c.index_of(*k)) + 16,
+                        v.slot(c.place.index_of(*k)) + 16,
                         v.data_rkey,
                         Redirect {
                             addr: scratch_addr + (j as u64) * 16,
@@ -727,15 +678,8 @@ impl TxOp {
                     ));
                 }
                 let at = start + n * KEYS_PER_COMMIT_CHAIN;
-                let idx = self.work.reqs.len() as u32;
-                self.work.reqs.push(PendingReq {
-                    shard,
-                    start: at,
-                    end: at + chunk.len(),
-                });
-                self.outstanding += 1;
-                step.send
-                    .push((shard, PH_COMMIT, idx, Request::Chain(chain)));
+                let (run, req) = ((shard, at, at + chunk.len()), Request::Chain(chain));
+                self.work.round.send(&mut step, shard, run, req);
             }
         }
         step
@@ -745,9 +689,9 @@ impl TxOp {
     /// whose write check succeeded (§8.2).
     fn abort_cleanup(&mut self, c: &TxClient) -> Vec<(usize, Request)> {
         let checked = &mut self.work.write_checked;
-        checked.sort_by_key(|&k| c.shard_of(k));
+        checked.sort_by_key(|&k| c.place.shard_of(k));
         let ts = self.ts.to_bytes();
-        shard_runs(checked, |&k| c.shard_of(k))
+        shard_runs(checked, |&k| c.place.shard_of(k))
             .map(|(shard, start, end)| {
                 let v = &c.views[shard];
                 let chain = checked[start..end]
@@ -755,7 +699,7 @@ impl TxOp {
                     .map(|&k| {
                         ops::cas(
                             CasMode::Lt, // C < TS
-                            v.slot(c.index_of(k)) + 16,
+                            v.slot(c.place.index_of(k)) + 16,
                             v.data_rkey,
                             operand(ts, [0; 8]),
                             operand(ts, [0; 8]),
@@ -773,11 +717,10 @@ impl TxOp {
     /// Ends the attempt with `outcome`. The working lists go back to the
     /// client, emptied, for its next attempt to reuse.
     fn finish(&mut self, c: &mut TxClient, outcome: TxOutcome) -> TxStep {
-        self.phase = Phase::Done;
         let mut work = std::mem::take(&mut self.work);
         work.reads.clear();
         work.prep.clear();
-        work.reqs.clear();
+        work.round.start(Phase::Done);
         work.write_checked.clear();
         c.spare = work;
         TxStep::finished(outcome)
@@ -810,7 +753,7 @@ impl TxOp {
     /// may not have installed — so it is reported as a failure rather
     /// than a retryable abort.
     fn lost_reply(&mut self, c: &mut TxClient) -> TxStep {
-        match self.phase {
+        match self.work.round.phase() {
             Phase::Execute => self.finish(c, TxOutcome::Aborted),
             Phase::Prepare => self.abort_prepared(c),
             Phase::Commit => self.finish(c, TxOutcome::Failed("commit reply lost")),
@@ -828,13 +771,11 @@ impl TxProtocol for TxClient {
     }
 
     fn begin(&mut self, read_keys: Vec<u64>) -> (TxOp, TxStep) {
-        self.check(&read_keys, &[]);
+        self.place.check(&read_keys, &[]);
         let mut op = TxOp {
             read_keys,
             writes: Vec::new(),
-            phase: Phase::Execute,
             work: std::mem::take(&mut self.spare),
-            outstanding: 0,
             ts: Ts::ZERO,
             values: HashMap::new(),
             valid: true,
@@ -845,28 +786,19 @@ impl TxProtocol for TxClient {
 
     fn on_reply(&mut self, op: &mut TxOp, phase: u32, req_idx: u32, reply: Reply) -> TxStep {
         let c = self;
-        let current = match op.phase {
-            Phase::Execute => PH_EXEC,
-            Phase::Prepare => PH_PREPARE,
-            Phase::Commit => PH_COMMIT,
-            Phase::Done => return TxStep::default(),
-        };
-        if phase != current {
+        let Some((shard, start, end)) = op.work.round.take(phase, req_idx) else {
             return TxStep::default();
-        }
-        // A garbled request index or a non-chain reply (the fault
-        // layer's timeout stand-in) is a lost round trip, never a
-        // panic: execute/prepare losses abort and retry; a commit loss
-        // is genuinely indeterminate and surfaces as a counted failure.
-        let Some(&req) = op.work.reqs.get(req_idx as usize) else {
-            return op.lost_reply(c);
         };
+        // A non-chain reply (the fault layer's timeout stand-in) is a
+        // lost round trip, never a panic: execute/prepare losses abort
+        // and retry; a commit loss is genuinely indeterminate and
+        // surfaces as a counted failure.
         let Ok(mut results) = reply.into_chain() else {
             return op.lost_reply(c);
         };
-        match op.phase {
+        match op.work.round.phase() {
             Phase::Execute => {
-                for (i, at) in (req.start..req.end).enumerate() {
+                for (i, at) in (start..end).enumerate() {
                     let k = op.work.reads[at].key;
                     let slot_c = match results.get(2 * i).map(|r| r.expect_data()) {
                         Some(Ok(d)) if d.len() == 16 => Ts::from_bytes(&d[..8]),
@@ -897,14 +829,13 @@ impl TxProtocol for TxClient {
                     value.drain(..VER_HDR as usize);
                     op.values.insert(k, value);
                 }
-                op.outstanding -= 1;
-                if op.outstanding == 0 {
+                if op.work.round.settled() {
                     return TxStep::paused();
                 }
                 TxStep::default()
             }
             Phase::Prepare => {
-                for (i, at) in (req.start..req.end).enumerate() {
+                for (i, at) in (start..end).enumerate() {
                     let Some(result) = results.get(i) else {
                         return op.lost_reply(c);
                     };
@@ -960,8 +891,7 @@ impl TxProtocol for TxClient {
                         },
                     }
                 }
-                op.outstanding -= 1;
-                if op.outstanding == 0 {
+                if op.work.round.settled() {
                     if !op.valid {
                         return op.abort_prepared(c);
                     }
@@ -970,9 +900,9 @@ impl TxProtocol for TxClient {
                 TxStep::default()
             }
             Phase::Commit => {
-                let mut background = Vec::with_capacity(req.end - req.start);
+                let mut background = Vec::with_capacity(end - start);
                 let mut installs = install::read_each(&results, Word::TagPtr);
-                for _ in req.start..req.end {
+                for _ in start..end {
                     // Won, the displaced version is garbage; refused (a
                     // newer committed writer got there first: Thomas
                     // write rule), ours is.
@@ -984,12 +914,12 @@ impl TxProtocol for TxClient {
                                 ..op.finish(c, TxOutcome::Failed("commit install error"))
                             };
                         }
-                        installed => background
-                            .extend(installed.garbage().map(|a| (req.shard, free_request(a)))),
+                        installed => {
+                            background.extend(installed.garbage().map(|a| (shard, free_request(a))))
+                        }
                     }
                 }
-                op.outstanding -= 1;
-                if op.outstanding == 0 {
+                if op.work.round.settled() {
                     return TxStep {
                         background,
                         ..op.commit(c)
@@ -1007,11 +937,12 @@ impl TxProtocol for TxClient {
     /// Installs the write set and starts the prepare phase. Blind writes
     /// (write keys not read first) are validated against `PR`/`PW` only.
     fn supply_writes(&mut self, op: &mut TxOp, writes: Vec<(u64, Vec<u8>)>) -> TxStep {
+        let round = &op.work.round;
         assert!(
-            op.phase == Phase::Execute && op.outstanding == 0,
+            round.phase() == Phase::Execute && round.settled(),
             "supply_writes outside the pause"
         );
-        self.check(&[], &writes);
+        self.place.check(&[], &writes);
         op.writes = writes;
         op.prepare_sends(self)
     }
@@ -1021,7 +952,8 @@ impl TxProtocol for TxClient {
     }
 
     fn take_read_keys(op: &mut TxOp) -> Vec<u64> {
-        debug_assert_eq!(op.phase, Phase::Done, "attempt still in flight");
+        let phase = op.work.round.phase();
+        debug_assert_eq!(phase, Phase::Done, "attempt still in flight");
         std::mem::take(&mut op.read_keys)
     }
 }
@@ -1029,7 +961,7 @@ impl TxProtocol for TxClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::tests::{drive_rest, drive_until, sends_phase, supplied};
+    use crate::driver::tests::{drive_rest, drive_until, is_noop, sends_phase, supplied};
     use crate::driver::{drive, run_rmw};
 
     fn cluster(shards: usize, keys_per_shard: u64) -> TxCluster {
@@ -1062,18 +994,18 @@ mod tests {
         let s = c.on_reply(&mut op, phase, idx, timeout_reply());
         assert_eq!(s.done, Some(TxOutcome::Aborted));
 
-        // Prepare-phase loss: retryable abort, and a garbled request
-        // index is treated the same way.
+        // Prepare-phase loss: retryable abort.
         let mut c = cl.open_client();
         let (mut op, prepare) = supplied(&cl, &mut c, vec![1], vec![(1, vec![2u8; 32])]);
-        assert_eq!(prepare.send[0].1, PH_PREPARE);
-        let s = c.on_reply(&mut op, PH_PREPARE, u32::MAX, timeout_reply());
+        let (_, phase, idx, _) = prepare.send[0];
+        assert_eq!(phase, Phase::Prepare as u32);
+        let s = c.on_reply(&mut op, phase, idx, timeout_reply());
         assert_eq!(s.done, Some(TxOutcome::Aborted));
 
         // Commit-phase loss: indeterminate, surfaces as Failed.
         let mut c = cl.open_client();
         let (mut op, prepare) = supplied(&cl, &mut c, vec![2], vec![(2, vec![3u8; 32])]);
-        let commit = drive_until(&cl, &mut c, &mut op, prepare, sends_phase(PH_COMMIT));
+        let commit = drive_until(&cl, &mut c, &mut op, prepare, sends_phase(Phase::Commit));
         let (_, phase, idx, _) = commit.expect("reached commit").send[0];
         let s = c.on_reply(&mut op, phase, idx, timeout_reply());
         assert!(matches!(s.done, Some(TxOutcome::Failed(_))));
@@ -1094,7 +1026,10 @@ mod tests {
         // ...then c1 interleaves: it executes its reads, c2 commits a
         // conflicting write, and c1's prepare must fail read validation.
         let (op, prepare_step) = supplied(&cl, &mut c1, vec![0], vec![(0, vec![7u8; 32])]);
-        assert!(sends_phase(PH_PREPARE)(&prepare_step), "reached prepare");
+        assert!(
+            sends_phase(Phase::Prepare)(&prepare_step),
+            "reached prepare"
+        );
         // Now c2 commits a conflicting write.
         assert!(matches!(
             commit_write(&cl, &mut c2, 0, vec![6u8; 32]),
@@ -1117,8 +1052,8 @@ mod tests {
         // c2 executes + prepares, then c1 sneaks a newer commit in, so
         // c2's commit-phase CAS (TS > C) must not install.
         let (mut op, prepare) = supplied(&cl, &mut c2, vec![1], vec![(1, vec![2u8; 32])]);
-        let commit_step =
-            drive_until(&cl, &mut c2, &mut op, prepare, sends_phase(PH_COMMIT)).expect("validated");
+        let commit_step = drive_until(&cl, &mut c2, &mut op, prepare, sends_phase(Phase::Commit))
+            .expect("validated");
         // c1 commits a *blind* write with a later timestamp than c2's
         // TS. (A read-validating write would block behind c2's prepared
         // PW until some commit advances C — the documented conservative
@@ -1271,7 +1206,7 @@ mod tests {
     /// the op plus the withheld commit step.
     fn park_before_commit(cl: &TxCluster, c: &mut TxClient, k: u64) -> (TxOp, TxStep) {
         let (mut op, prepare) = supplied(cl, c, vec![k], vec![(k, vec![0xAB; 32])]);
-        let commit = drive_until(cl, c, &mut op, prepare, sends_phase(PH_COMMIT))
+        let commit = drive_until(cl, c, &mut op, prepare, sends_phase(Phase::Commit))
             .expect("transaction never reached commit");
         (op, commit)
     }
@@ -1449,11 +1384,11 @@ mod tests {
 
         let writes = vec![(3, vec![0x33; 32]), (4, vec![0x44; 32])];
         let prepare = c.supply_writes(&mut op, writes);
-        assert!(sends_phase(PH_PREPARE)(&prepare));
+        assert!(sends_phase(Phase::Prepare)(&prepare));
         assert_eq!(TxClient::values(&op), &want, "prepare sent");
 
-        let commit =
-            drive_until(&cl, &mut c, &mut op, prepare, sends_phase(PH_COMMIT)).expect("validated");
+        let commit = drive_until(&cl, &mut c, &mut op, prepare, sends_phase(Phase::Commit))
+            .expect("validated");
         assert_eq!(TxClient::values(&op), &want, "commit sent");
 
         let done =
@@ -1523,7 +1458,8 @@ mod tests {
             ],
             "prepare: a shard's read keys, then its blind writes"
         );
-        let commit = drive_until(&cl, &mut c, &mut op, prepare, sends_phase(PH_COMMIT)).unwrap();
+        let commit =
+            drive_until(&cl, &mut c, &mut op, prepare, sends_phase(Phase::Commit)).unwrap();
         assert_eq!(
             layout(&commit),
             vec![
@@ -1539,7 +1475,7 @@ mod tests {
     }
 
     #[test]
-    fn stray_replies_are_lost_round_trips_or_no_ops_never_panics() {
+    fn stray_replies_are_no_ops_and_truncated_ones_end_the_attempt() {
         use prism_core::msg::execute_local;
         let cl = cluster(2, 8);
         // A chain reply of `n` successful, empty results.
@@ -1550,73 +1486,101 @@ mod tests {
             };
             Reply::Chain((0..n).map(|_| ok()).collect())
         };
+        let reply_to = |(shard, _, _, req): &(usize, u32, u32, Request)| {
+            execute_local(cl.shard(*shard).server(), req)
+        };
 
-        // Execute: a reply tagged with another phase is ignored, and the
-        // attempt carries on; an unknown request index is a lost round
-        // trip (retryable abort); once done, every reply is a no-op.
+        // Execute: a reply tagged with another phase, an index past the
+        // requests and a second copy of a counted reply are no-ops, so
+        // the attempt pauses only once both keys are read; once done,
+        // every reply is a no-op.
         let mut c = cl.open_client();
         let (mut op, step) = c.begin(vec![0, 1]);
         assert_eq!(step.send.len(), 2);
-        for phase in [PH_PREPARE, PH_COMMIT, 9] {
-            let s = c.on_reply(&mut op, phase, 0, chain_of(2));
-            assert!(s.done.is_none() && s.send.is_empty() && s.background.is_empty());
+        for phase in [Phase::Prepare as u32, Phase::Commit as u32, 9] {
+            assert!(is_noop(&c.on_reply(&mut op, phase, 0, chain_of(2))));
         }
-        let (shard, phase, idx, req) = step.send[0].clone();
-        let s = c.on_reply(
-            &mut op,
-            phase,
-            idx,
-            execute_local(cl.shard(shard).server(), &req),
-        );
-        assert!(s.done.is_none(), "first of two execution replies");
+        let (_, phase, idx, _) = step.send[0];
+        let first = reply_to(&step.send[0]);
+        let s = c.on_reply(&mut op, phase, idx, first.clone());
+        assert!(is_noop(&s), "first of two execution replies");
         assert_eq!(TxClient::values(&op).len(), 1);
-        let s = c.on_reply(&mut op, PH_EXEC, 2, chain_of(2));
-        assert_eq!(s.done, Some(TxOutcome::Aborted), "index past the requests");
-        for (phase, idx) in [(PH_EXEC, 0), (PH_EXEC, 1), (PH_PREPARE, 0), (PH_COMMIT, 7)] {
-            let s = c.on_reply(&mut op, phase, idx, chain_of(2));
-            assert!(s.done.is_none() && s.send.is_empty() && s.background.is_empty());
+        let s = c.on_reply(&mut op, phase, 2, chain_of(2));
+        assert!(is_noop(&s), "index past the requests");
+        assert!(
+            is_noop(&c.on_reply(&mut op, phase, idx, first)),
+            "second copy"
+        );
+        let (_, phase, idx, _) = step.send[1];
+        let s = c.on_reply(&mut op, phase, idx, reply_to(&step.send[1]));
+        assert!(s.awaiting_writes, "both keys read");
+        let s = c.supply_writes(&mut op, vec![]);
+        let done = drive_until(&cl, &mut c, &mut op, s, |s| s.done.is_some()).unwrap();
+        let zeroes = [(0, vec![0; 32]), (1, vec![0; 32])].into();
+        assert_eq!(done.done, Some(TxOutcome::Committed(zeroes)));
+        for phase in [Phase::Execute, Phase::Prepare, Phase::Commit] {
+            for idx in [0, 1, 7] {
+                assert!(is_noop(&c.on_reply(
+                    &mut op,
+                    phase as u32,
+                    idx,
+                    chain_of(2)
+                )));
+            }
         }
 
         // Execute: a chain reply missing its results is a failure.
         let (mut op, step) = c.begin(vec![2]);
-        let s = c.on_reply(&mut op, PH_EXEC, step.send[0].2, chain_of(0));
+        let s = c.on_reply(&mut op, Phase::Execute as u32, step.send[0].2, chain_of(0));
         assert_eq!(s.done, Some(TxOutcome::Failed("execution slot read error")));
 
         // Prepare: a truncated chain reply aborts with the cleanup of
-        // whatever was already validated; commit: an unknown index and a
-        // truncated reply are both indeterminate.
+        // whatever was already validated.
         let (mut op, prepare) = supplied(&cl, &mut c, vec![3], vec![(3, vec![2; 32])]);
-        let s = c.on_reply(&mut op, PH_PREPARE, prepare.send[0].2, chain_of(1));
+        let s = c.on_reply(
+            &mut op,
+            Phase::Prepare as u32,
+            prepare.send[0].2,
+            chain_of(1),
+        );
         assert_eq!(s.done, Some(TxOutcome::Aborted));
 
-        // (Each case on its own key: the attempt it abandons leaves that
-        // key's prepare dangling.)
-        for (garbled_index, key) in [(true, 4), (false, 6)] {
-            let (mut op, prepare) = supplied(&cl, &mut c, vec![key], vec![(key, vec![3; 32])]);
-            let commit =
-                drive_until(&cl, &mut c, &mut op, prepare, sends_phase(PH_COMMIT)).unwrap();
-            let s = if garbled_index {
-                c.on_reply(&mut op, PH_COMMIT, u32::MAX, chain_of(4))
-            } else {
-                c.on_reply(&mut op, PH_COMMIT, commit.send[0].2, chain_of(2))
-            };
-            assert_eq!(s.done, Some(TxOutcome::Failed("commit reply lost")));
-        }
+        // Commit: an index past the requests is a no-op, and the commit
+        // commits; a truncated reply is indeterminate (on its own key:
+        // the attempt it abandons leaves that key's prepare dangling).
+        let (mut op, prepare) = supplied(&cl, &mut c, vec![4], vec![(4, vec![3; 32])]);
+        let commit =
+            drive_until(&cl, &mut c, &mut op, prepare, sends_phase(Phase::Commit)).unwrap();
+        assert!(is_noop(&c.on_reply(
+            &mut op,
+            Phase::Commit as u32,
+            u32::MAX,
+            chain_of(4)
+        )));
+        let outcome = drive_rest(&cl, &mut c, op, commit);
+        assert!(matches!(outcome, TxOutcome::Committed(_)), "{outcome:?}");
+        assert_eq!(read_keys(&cl, &mut c, &[4])[&4], vec![3; 32]);
+
+        let (mut op, prepare) = supplied(&cl, &mut c, vec![6], vec![(6, vec![3; 32])]);
+        let commit =
+            drive_until(&cl, &mut c, &mut op, prepare, sends_phase(Phase::Commit)).unwrap();
+        let s = c.on_reply(&mut op, Phase::Commit as u32, commit.send[0].2, chain_of(2));
+        assert_eq!(s.done, Some(TxOutcome::Failed("commit reply lost")));
     }
 
     #[test]
     fn finished_attempts_hand_their_lists_back_to_the_client() {
         let cl = cluster(2, 8);
         let mut c = cl.open_client();
-        assert_eq!(c.spare.reqs.capacity(), 0);
+        assert_eq!(c.spare.round.capacity(), 0);
         commit_write(&cl, &mut c, 1, vec![1; 32]);
         let lists = |w: &WorkLists| {
             (
-                w.reads.len() + w.prep.len() + w.reqs.len() + w.write_checked.len(),
+                w.reads.len() + w.prep.len() + w.round.len() + w.write_checked.len(),
                 [
                     w.reads.capacity(),
                     w.prep.capacity(),
-                    w.reqs.capacity(),
+                    w.round.capacity(),
                     w.write_checked.capacity(),
                 ],
             )
@@ -1631,7 +1595,7 @@ mod tests {
         assert_eq!(lists(&c.spare), (0, [0; 4]), "taken by the attempt");
         assert_eq!(lists(&op.work).1[1..], caps[1..]);
         let timeout = Reply::Verb(Err(prism_rdma::RdmaError::ReceiverNotReady));
-        let s = c.on_reply(&mut op, PH_EXEC, step.send[0].2, timeout);
+        let s = c.on_reply(&mut op, Phase::Execute as u32, step.send[0].2, timeout);
         assert_eq!(s.done, Some(TxOutcome::Aborted));
         assert_eq!(lists(&c.spare).0, 0);
         assert!(c.spare.reads.capacity() >= 2);

@@ -78,8 +78,10 @@
 #                           verdict and the buffer it frees; a gate
 #                           added, none removed), the prism-tx suite
 #                           (its transaction model property runs both
-#                           protocols through the one attempt shape; a
-#                           gate added, none removed), then
+#                           protocols through the one attempt shape,
+#                           then again with every reply delivered twice
+#                           after a stray-index reply; a gate added,
+#                           none removed), then
 #                           both migration gates, again under
 #                           PRISM_TEST_SEED=1806242025, so the gates don't
 #                           ossify around one lucky schedule. The value
