@@ -17,6 +17,7 @@ use prism_core::msg::{execute_local, Reply, Request};
 use prism_core::op::{field_mask, full_mask, FreeListId, Redirect};
 use prism_core::value::CasMode;
 use prism_core::{wire, OpResult, OpStatus, PrismServer};
+use prism_harness::kv_exp::preload_prism;
 use prism_kv::hash::key_bytes;
 use prism_kv::pilaf::{PilafConfig, PilafServer};
 use prism_kv::prism_kv::{PrismKvConfig, PrismKvServer};
@@ -527,8 +528,18 @@ fn bench_tx(run: &mut Runner) {
 }
 
 /// Whole KV operations executed directly against the server: PRISM-KV's
-/// one-chain GET and PUT, and Pilaf's two-READ GET and its PUT RPC.
+/// one-chain GET and PUT, and Pilaf's two-READ GET and its PUT RPC; and
+/// the YCSB load phase of a fresh 4 096-key store (construction
+/// included).
 fn bench_kv(run: &mut Runner) {
+    run.bench("kv/preload_prism_4096", |b| {
+        b.iter(|| {
+            let store = PrismKvServer::new(&PrismKvConfig::paper(4096, 512));
+            preload_prism(&store, 4096, 512);
+            store
+        });
+    });
+
     let prism = PrismKvServer::new(&PrismKvConfig::paper(1024, 512));
     let pc = prism.open_client();
     let val = vec![9u8; 512];

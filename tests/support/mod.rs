@@ -1,8 +1,9 @@
 //! Helpers shared by the gate suites (`chaos_gate`, `gray_gate`,
 //! `fault_matrix`, `corruption_matrix`, `durability_gate`,
 //! `openloop_smoke`, `store_properties`, `golden_recovery`),
-//! `figures_smoke` and the codec properties: the replay fingerprints and
-//! their one-word folds for golden rows (a figure table's included), the
+//! `figures_smoke`, `kv_integration` and the codec properties: the
+//! replay fingerprints and their one-word folds for golden rows (a
+//! figure table's included, and plain FNV-1a over bytes or words), the
 //! one-line counter dump, the minimal retrying read adapter, the durable
 //! tier's record collector and disk fingerprint, and the PRISM op
 //! generators. Each suite is its own crate and uses a subset.
@@ -43,6 +44,16 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 /// FNV-1a over the little-endian bytes of `words`, continuing from `h`.
 fn fold_words(h: u64, words: &[u64]) -> u64 {
     words.iter().fold(h, |h, w| fnv1a(h, &w.to_le_bytes()))
+}
+
+/// FNV-1a over `bytes`, for golden rows.
+pub fn bytes_key(bytes: &[u8]) -> u64 {
+    fnv1a(FNV_BASIS, bytes)
+}
+
+/// FNV-1a over the little-endian bytes of `words`, for golden rows.
+pub fn words_key(words: &[u64]) -> u64 {
+    fold_words(FNV_BASIS, words)
 }
 
 /// FNV-1a over every file's name, length, synced watermark and bytes,
