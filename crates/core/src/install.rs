@@ -28,12 +28,31 @@ impl Word {
     /// The little-endian pointer inside `word`; 0 unless `word` is 16
     /// bytes.
     pub fn ptr(self, word: &[u8]) -> u64 {
-        let Ok(word) = <[u8; 16]>::try_from(word) else {
-            return 0;
-        };
-        let at = if self == Word::TagPtr { 8 } else { 0 };
-        u64::from_le_bytes(word[at..at + 8].try_into().expect("8 bytes"))
+        half(word, if self == Word::TagPtr { 8 } else { 0 })
     }
+
+    /// The little-endian bound beside the pointer of a `[ptr | bound]`
+    /// word; 0 for a `[tag | ptr]` word (its tag is compared as
+    /// big-endian bytes, never read as a length) or unless `word` is 16
+    /// bytes.
+    pub fn bound(self, word: &[u8]) -> u64 {
+        if self == Word::PtrBound {
+            half(word, 8)
+        } else {
+            0
+        }
+    }
+}
+
+/// The little-endian half of a 16-byte `word` at byte `at` (0 or 8); 0
+/// unless `word` is 16 bytes.
+fn half(word: &[u8], at: usize) -> u64 {
+    if word.len() != 16 {
+        return 0;
+    }
+    word[at..]
+        .first_chunk()
+        .map_or(0, |half| u64::from_le_bytes(*half))
 }
 
 /// When the CAS may swap the new pointer in.

@@ -9,6 +9,7 @@
 
 use std::sync::Arc;
 
+use prism_core::install::{self, Installed, Word};
 use prism_kv::hash::key_bytes;
 use prism_kv::pilaf::{PilafConfig, PilafServer};
 use prism_kv::prism_kv::{PrismKvConfig, PrismKvServer};
@@ -81,14 +82,37 @@ impl KvExpConfig {
     }
 }
 
-/// Preloads every key so GETs always hit (the YCSB load phase).
+/// Preloads keys `0..n_keys` with `value_len`-byte values so GETs
+/// always hit (the YCSB load phase): one install chain per key
+/// ([`PrismKvClient::insert_chain`]), run through the server's engine.
+///
+/// A PUT's probe round trip only learns the slot word its CAS compares
+/// against, and in an empty collisionless table that word is zero. The
+/// chain built against it is the one the PUT would send next, with the
+/// version the PUT would draw, so the store comes out byte-identical to
+/// one loaded by a PUT per key: arena, free lists and disk log.
+///
+/// # Panics
+///
+/// Panics unless every key's slot is empty: `server` must be fresh,
+/// under the collisionless layout of [`PrismKvConfig::paper`] with room
+/// for `n_keys` keys. An occupied slot is a caller error, not a
+/// fallback.
+///
+/// [`PrismKvClient::insert_chain`]: prism_kv::prism_kv::PrismKvClient::insert_chain
 pub fn preload_prism(server: &PrismKvServer, n_keys: u64, value_len: usize) {
     let client = server.open_client();
+    let mut results = Vec::with_capacity(install::OPS);
     for k in 0..n_keys {
-        let key = key_bytes(k);
-        let value = value_bytes(k, 0, value_len);
-        let (mut op, req) = client.put(&key, &value);
-        drive(server.server(), req, |r| op.on_reply(&client, r));
+        let chain = client
+            .insert_chain(&key_bytes(k), &value_bytes(k, 0, value_len))
+            .expect("preload_prism: the entry fits no size class");
+        server.server().execute_chain_into(&chain, &mut results);
+        assert_eq!(
+            install::read(&results, Word::PtrBound),
+            Installed::Won { displaced: 0 },
+            "preload_prism: key {k}'s slot was not empty"
+        );
     }
 }
 

@@ -17,6 +17,9 @@
 //! * **DELETE** — probe, then CAS the slot to null (footnote 2 of the
 //!   paper discusses slot reuse; we use the same heavy-handed
 //!   compare-the-pointer approach).
+//! * **Load** — into a slot known to be empty, the install chain alone
+//!   ([`PrismKvClient::insert_chain`]): the probe would only have read
+//!   the zero word the CAS compares against.
 //!
 //! Reclamation is client-driven (§3.2): the winner frees the replaced
 //! buffer, a loser frees its own orphan, via the fire-and-forget reclaim
@@ -180,8 +183,7 @@ impl ChainObserver for KvDurableTap {
             if arena.read_into(*target, &mut slot).is_err() {
                 continue;
             }
-            let ptr = Word::PtrBound.ptr(&slot);
-            let bound = u64::from_le_bytes(slot[8..16].try_into().expect("8 bytes"));
+            let (ptr, bound) = (Word::PtrBound.ptr(&slot), Word::PtrBound.bound(&slot));
             let payload_len = if ptr == 0 {
                 0
             } else {
@@ -621,10 +623,7 @@ impl PrismKvClient {
         let op = PutOp {
             key: key.to_vec(),
             value: value.to_vec(),
-            version: self
-                .next_version
-                .fetch_add(1, Ordering::Relaxed)
-                .wrapping_add(1),
+            version: self.next_version(),
             attempt: 0,
             retries: 0,
             state: PutState::Probe,
@@ -634,6 +633,52 @@ impl PrismKvClient {
         };
         let req = op.probe_request(self);
         (op, req)
+    }
+
+    /// The one-chain insert of the YCSB load phase: `key`'s install
+    /// chain ([`prism_core::install::chain`]) against the empty slot
+    /// word, `Guard::Unchanged { old: [0; 16], .. }`, so no probe round
+    /// trip precedes it. The chain and the entry version are the ones a
+    /// [`PrismKvClient::put`] of `value` would install into a slot its
+    /// probe found empty. `None` when the entry fits no size class.
+    ///
+    /// Sound only where the key's first slot is known to be empty, as
+    /// in a fresh collisionless table: on an occupied slot the CAS
+    /// loses and the new buffer is an orphan the caller must free
+    /// ([`Installed::garbage`]).
+    pub fn insert_chain(&self, key: &[u8], value: &[u8]) -> Option<[PrismOp; install::OPS]> {
+        let slot = self.view.scheme.slot(key, 0, self.view.capacity);
+        self.install_chain(slot, [0; 16], key, value, self.next_version())
+    }
+
+    /// The entry version the next PUT or insert stamps.
+    fn next_version(&self) -> u32 {
+        self.next_version
+            .fetch_add(1, Ordering::Relaxed)
+            .wrapping_add(1)
+    }
+
+    /// The install chain of `key`'s entry (`value` at `version`) into
+    /// `slot`, if the slot still holds `old`; `None` when the entry fits
+    /// no size class.
+    fn install_chain(
+        &self,
+        slot: u64,
+        old: [u8; 16],
+        key: &[u8],
+        value: &[u8],
+        version: u32,
+    ) -> Option<[PrismOp; install::OPS]> {
+        let e = entry::encode_versioned(key, value, version);
+        let bound = e.len() as u64;
+        let class = self.view.class_for(bound)?;
+        let stage = Redirect {
+            addr: self.scratch_addr,
+            rkey: self.scratch_rkey,
+        };
+        let guard = Guard::Unchanged { old, bound };
+        let (target, rkey) = (self.view.slot_addr(slot), self.view.data_rkey);
+        Some(install::chain(target, rkey, stage, class, e, guard))
     }
 
     /// Starts a DELETE (a PUT machine that installs null).
@@ -812,11 +857,10 @@ impl PutOp {
     }
 
     fn install_request(&self, c: &PrismKvClient, slot: u64, old: [u8; 16]) -> Option<Request> {
-        let slot_addr = c.view.slot_addr(slot);
         if self.delete {
             return Some(Request::Chain(vec![ops::cas_args(
                 CasMode::Eq,
-                slot_addr,
+                c.view.slot_addr(slot),
                 c.view.data_rkey,
                 DataArg::Inline(old.to_vec()),
                 DataArg::Inline(vec![0u8; 16]),
@@ -825,15 +869,7 @@ impl PutOp {
                 full_mask(16),
             )]));
         }
-        let e = entry::encode_versioned(&self.key, &self.value, self.version);
-        let bound = e.len() as u64;
-        let class = c.view.class_for(bound)?;
-        let stage = Redirect {
-            addr: c.scratch_addr,
-            rkey: c.scratch_rkey,
-        };
-        let guard = Guard::Unchanged { old, bound };
-        let chain = install::chain(slot_addr, c.view.data_rkey, stage, class, e, guard);
+        let chain = c.install_chain(slot, old, &self.key, &self.value, self.version)?;
         Some(Request::Chain(chain.into()))
     }
 

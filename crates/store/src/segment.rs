@@ -177,6 +177,21 @@ pub struct Manifest {
     pub checkpoint: u32,
 }
 
+/// The `N` bytes at `bytes[at..]`, or `short` where `bytes` ends first:
+/// the one fixed-width read the decoders below make. Each checks its
+/// lengths up front, so `short` is the error that check already gives.
+fn field<const N: usize>(
+    bytes: &[u8],
+    at: usize,
+    short: StoreError,
+) -> Result<[u8; N], StoreError> {
+    bytes
+        .get(at..)
+        .and_then(<[u8]>::first_chunk)
+        .copied()
+        .ok_or(short)
+}
+
 /// Encodes a file header for the given magic tag.
 pub fn encode_header(magic: &[u8; 8]) -> [u8; HEADER_LEN] {
     let mut h = [0u8; HEADER_LEN];
@@ -190,22 +205,23 @@ pub fn encode_header(magic: &[u8; 8]) -> [u8; HEADER_LEN] {
 
 /// Validates a file header against the expected magic tag.
 pub fn decode_header(bytes: &[u8], magic: &[u8; 8]) -> Result<(), StoreError> {
+    let short = StoreError::HeaderTruncated;
     if bytes.len() < HEADER_LEN {
-        return Err(StoreError::HeaderTruncated);
+        return Err(short);
     }
     let want = crc32(&bytes[..16]);
-    let seen = u32::from_le_bytes(bytes[16..20].try_into().unwrap());
+    let seen = u32::from_le_bytes(field(bytes, 16, short)?);
     if seen != want {
         return Err(StoreError::HeaderCorrupt { seen, want });
     }
     if &bytes[..8] != magic {
         return Err(StoreError::BadMagic);
     }
-    let version = u16::from_le_bytes(bytes[8..10].try_into().unwrap());
+    let version = u16::from_le_bytes(field(bytes, 8, short)?);
     if version != VERSION {
         return Err(StoreError::BadVersion { seen: version });
     }
-    let flags = u16::from_le_bytes(bytes[10..12].try_into().unwrap());
+    let flags = u16::from_le_bytes(field(bytes, 10, short)?);
     if flags != 0 {
         return Err(StoreError::BadFlags { seen: flags });
     }
@@ -254,28 +270,29 @@ pub fn encode_record_into(rec: &Record, out: &mut Vec<u8>) {
 /// frame occupies. The single definition of "a valid frame": replay and
 /// [`decode_record`] both accept exactly what this accepts.
 pub fn view_record(bytes: &[u8]) -> Result<(RecordView<'_>, usize), StoreError> {
+    let short = StoreError::RecordTruncated;
     if bytes.len() < FRAME_OVERHEAD {
-        return Err(StoreError::RecordTruncated);
+        return Err(short);
     }
-    let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
+    let len = u32::from_le_bytes(field(bytes, 0, short)?);
     if len > MAX_PAYLOAD {
         return Err(StoreError::RecordOverrun { len });
     }
     let total = FRAME_OVERHEAD + len as usize;
     if bytes.len() < total {
-        return Err(StoreError::RecordTruncated);
+        return Err(short);
     }
     let body = total - 4;
     let want = crc32(&bytes[..body]);
-    let seen = u32::from_le_bytes(bytes[body..total].try_into().unwrap());
+    let seen = u32::from_le_bytes(field(bytes, body, short)?);
     if seen != want {
         return Err(StoreError::RecordCorrupt { seen, want });
     }
     Ok((
         RecordView {
-            epoch: u64::from_le_bytes(bytes[4..12].try_into().unwrap()),
-            inc: u64::from_le_bytes(bytes[12..20].try_into().unwrap()),
-            key: u64::from_le_bytes(bytes[20..28].try_into().unwrap()),
+            epoch: u64::from_le_bytes(field(bytes, 4, short)?),
+            inc: u64::from_le_bytes(field(bytes, 12, short)?),
+            key: u64::from_le_bytes(field(bytes, 20, short)?),
             payload: &bytes[PAYLOAD_OFFSET..body],
         },
         total,
@@ -365,31 +382,32 @@ pub fn manifest_push(
 pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StoreError> {
     decode_header(bytes, MANIFEST_MAGIC)?;
     let rest = &bytes[HEADER_LEN..];
+    let short = StoreError::ManifestTruncated;
     if rest.len() < 8 {
-        return Err(StoreError::ManifestTruncated);
+        return Err(short);
     }
-    let count = u32::from_le_bytes(rest[0..4].try_into().unwrap()) as usize;
+    let count = u32::from_le_bytes(field(rest, 0, short)?) as usize;
     let table = 4 + count * 16;
     // The checkpoint word rides inside the CRC.
     let body = table + 4;
     if rest.len() != body + 4 {
-        return Err(StoreError::ManifestTruncated);
+        return Err(short);
     }
     let want = crc32(&rest[..body]);
-    let seen = u32::from_le_bytes(rest[body..body + 4].try_into().unwrap());
+    let seen = u32::from_le_bytes(field(rest, body, short)?);
     if seen != want {
         return Err(StoreError::ManifestCorrupt { seen, want });
     }
     let mut sealed = Vec::with_capacity(count);
     for i in 0..count {
-        let e = &rest[4 + i * 16..4 + (i + 1) * 16];
+        let e = 4 + i * 16;
         sealed.push(SealedSeg {
-            seq: u32::from_le_bytes(e[0..4].try_into().unwrap()),
-            len: u64::from_le_bytes(e[4..12].try_into().unwrap()),
-            records: u32::from_le_bytes(e[12..16].try_into().unwrap()),
+            seq: u32::from_le_bytes(field(rest, e, short)?),
+            len: u64::from_le_bytes(field(rest, e + 4, short)?),
+            records: u32::from_le_bytes(field(rest, e + 12, short)?),
         });
     }
-    let checkpoint = u32::from_le_bytes(rest[table..body].try_into().unwrap());
+    let checkpoint = u32::from_le_bytes(field(rest, table, short)?);
     Ok(Manifest { sealed, checkpoint })
 }
 

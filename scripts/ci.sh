@@ -73,7 +73,9 @@
 #                           and truncated frames, decode totality), the
 #                           free-list oracle, the key-value model test
 #                           (PRISM-KV and Pilaf through one client
-#                           contract; a gate added, none removed), the
+#                           contract; a gate added, none removed) with
+#                           the load phase's golden store and its
+#                           generated check against a PUT per key, the
 #                           core chain properties (the §3.5 install's
 #                           verdict and the buffer it frees; a gate
 #                           added, none removed), the prism-tx suite
@@ -101,6 +103,7 @@
 #                           primitive/* rows, crc32/{4,8,12,15,64,530,4096}/{kernel,table},
 #                           the wire/*_530 frame encoders and
 #                           wire/decode_3op_chain, kv/{prism_kv,pilaf}_*,
+#                           kv/preload_prism_4096 (the YCSB load phase),
 #                           rs/prism_rs_*_3replicas,
 #                           tx/{rmw_txn_local,farm_rmw_commit},
 #                           workload/zipf_new_262144/{miss,hit},

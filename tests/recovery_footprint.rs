@@ -22,7 +22,10 @@
 //! scenario's and nothing else's.
 
 use prism_harness::kv_exp::preload_prism;
+use prism_kv::hash::key_bytes;
 use prism_kv::prism_kv::{PrismKvConfig, PrismKvServer};
+use prism_kv::{drive, KvOutcome};
+use prism_workload::ycsb::value_bytes;
 
 const KEYS: u64 = 32_768;
 const VALUE: usize = 512;
@@ -45,10 +48,16 @@ fn amnesia_restart_grows_the_peak_by_a_fraction_of_the_log() {
         class.count += 3 * KEYS;
     }
     let s = PrismKvServer::new(&config);
-    // The load, then every key overwritten twice: two thirds of the log
-    // is history the fold discards.
-    for _ in 0..3 {
-        preload_prism(&s, KEYS, VALUE);
+    // The load, then every key overwritten twice by a PUT: two thirds
+    // of the log is history the fold discards.
+    preload_prism(&s, KEYS, VALUE);
+    for _ in 0..2 {
+        let c = s.open_client();
+        for k in 0..KEYS {
+            let (mut op, req) = c.put(&key_bytes(k), &value_bytes(k, 0, VALUE));
+            let (outcome, _) = drive(s.server(), req, |r| op.on_reply(&c, r));
+            assert_eq!(outcome, KvOutcome::Written, "overwrite of key {k}");
+        }
     }
     let disk = s.disk();
     let log_bytes: usize = disk
