@@ -69,10 +69,12 @@ pub mod layout;
 pub mod msg;
 pub mod op;
 pub mod server;
+pub mod step;
 pub mod value;
 pub mod wire;
 
 pub use engine::{OpResult, OpStatus, PrismEngine};
 pub use op::{DataArg, FreeListId, PrismOp, Redirect};
 pub use server::{ChainObserver, PrismServer};
+pub use step::Step;
 pub use value::CasMode;

@@ -24,15 +24,16 @@
 //! [`crate::chaos::ChaosRsAdapter`]) are aliases over the same drivers,
 //! so a gate verdict is a verdict on the code that draws the figures.
 //!
-//! Tags route replies back to the right state machine:
-//! `tag = seq << 32 | phase << 16 | index`, where `seq` identifies the
-//! operation (machines with quorum semantics outlive their completion
-//! point to process stragglers and emit reclamation traffic).
+//! One conversion turns a protocol's [`prism_core::Step`] into sends,
+//! each driver keeping its own tags: `seq << 32 | phase << 16 | index`,
+//! `seq` naming the attempt (quorum machines outlive their completion to
+//! absorb stragglers), the index RS's flat server index; KV tags nothing.
 
 use std::collections::HashMap;
 
 use prism_core::freelist::{free_batch_request, free_request, single_free};
 use prism_core::msg::{Reply, Request};
+use prism_core::Step;
 use prism_kv::pilaf::PilafClient;
 use prism_kv::prism_kv::PrismKvClient;
 use prism_kv::{hash::key_bytes, KvOutcome, KvProtocol, KvStep};
@@ -55,6 +56,30 @@ fn tag(seq: u64, phase: u32, idx: u32) -> u64 {
 
 fn untag(t: u64) -> (u64, u32, u32) {
     (t >> 32, ((t >> 16) & 0xFFFF) as u32, (t & 0xFFFF) as u32)
+}
+
+/// A protocol step as sends, and its outcome: each request to `dest` goes
+/// to server `base + dest`, the foreground ones tagged
+/// `tag(dest, phase, index)` in shard-map epoch `epoch`, then the
+/// background ones (tag 0, epoch 0), in the step's order.
+fn outbound<O>(
+    step: Step<O>,
+    base: usize,
+    epoch: u64,
+    tag: impl Fn(usize, u32, u32) -> u64,
+) -> (Vec<Outbound>, Option<O>) {
+    let mut sends = Vec::with_capacity(step.send.len() + step.background.len());
+    for (dest, phase, index, req) in step.send {
+        sends.push(Outbound {
+            tag: tag(dest, phase, index),
+            epoch,
+            ..Outbound::new(base + dest, 0, req, false)
+        });
+    }
+    for (dest, req) in step.background {
+        sends.push(Outbound::new(base + dest, 0, req, true));
+    }
+    (sends, step.done)
 }
 
 /// Transport-retry policy shared by the KV and RS adapters: a lost
@@ -285,14 +310,9 @@ impl<P: KvProtocol, W: OpSource, O: OpObserver> KvDriver<P, W, O> {
         }
     }
 
-    fn foreground(&self, req: Request) -> Outbound {
-        Outbound {
-            server: self.shard,
-            tag: 0,
-            req,
-            background: false,
-            epoch: self.map.epoch(),
-        }
+    /// The machine's step as untagged sends to the op's home shard.
+    fn absorb(&self, step: KvStep) -> (Vec<Outbound>, Option<KvOutcome>) {
+        outbound(step.into(), self.shard, self.map.epoch(), |_, _, _| 0)
     }
 
     fn is_get(&self) -> bool {
@@ -307,7 +327,7 @@ impl<P: KvProtocol, W: OpSource, O: OpObserver> KvDriver<P, W, O> {
         self.shard = self.map.shard_of(&key);
         let (machine, req) = self.clients[self.shard].start(&key, value.as_deref());
         self.current = Some(machine);
-        vec![self.foreground(req)]
+        self.absorb(KvStep::send(req)).0
     }
 
     /// A lost or fenced round trip: retry within the budget, else drop
@@ -339,7 +359,7 @@ impl<P: KvProtocol, W: OpSource, O: OpObserver> ProtoAdapter for KvDriver<P, W, 
             return self.issue();
         };
         let req = self.clients[self.shard].reissue(machine);
-        vec![self.foreground(req)]
+        self.absorb(KvStep::send(req)).0
     }
 
     fn note_time(&mut self, now: SimTime) {
@@ -379,38 +399,24 @@ impl<P: KvProtocol, W: OpSource, O: OpObserver> ProtoAdapter for KvDriver<P, W, 
             return self.retry();
         }
         let machine = self.current.as_mut().expect("op in flight");
-        match self.clients[self.shard].on_reply(machine, reply) {
-            KvStep::Send {
-                request,
-                background,
-            } => {
-                let mut sends = vec![self.foreground(request)];
-                sends.extend(background.map(|b| Outbound::new(self.shard, 0, b, true)));
-                AdapterStep::Wait(sends)
-            }
-            KvStep::Done {
-                outcome,
-                background,
-            } => {
-                self.current = None;
-                match &outcome {
-                    KvOutcome::Value(v) => {
-                        self.observer.completed(Some(v.as_deref().unwrap_or(&[])))
-                    }
-                    KvOutcome::Written => self.observer.completed(None),
-                    // Pool exhausted, retry budget spent: a failed
-                    // PUT may have partially executed.
-                    KvOutcome::Failed(_) => self.observer.unresolved(),
-                }
-                let compute_ns = if self.is_get() { P::GET_COMPUTE_NS } else { 0 };
-                AdapterStep::Done {
-                    sends: background
-                        .map(|b| vec![Outbound::new(self.shard, 0, b, true)])
-                        .unwrap_or_default(),
-                    client_compute: SimDuration::from_nanos(compute_ns),
-                    failed: matches!(outcome, KvOutcome::Failed(_)),
-                }
-            }
+        let step = self.clients[self.shard].on_reply(machine, reply);
+        let (sends, done) = self.absorb(step);
+        let Some(outcome) = done else {
+            return AdapterStep::Wait(sends);
+        };
+        self.current = None;
+        match &outcome {
+            KvOutcome::Value(v) => self.observer.completed(Some(v.as_deref().unwrap_or(&[]))),
+            KvOutcome::Written => self.observer.completed(None),
+            // Pool exhausted, retry budget spent: a failed PUT may have
+            // partially executed.
+            KvOutcome::Failed(_) => self.observer.unresolved(),
+        }
+        let compute_ns = if self.is_get() { P::GET_COMPUTE_NS } else { 0 };
+        AdapterStep::Done {
+            sends,
+            client_compute: SimDuration::from_nanos(compute_ns),
+            failed: matches!(outcome, KvOutcome::Failed(_)),
         }
     }
 
@@ -637,21 +643,10 @@ impl<P: RsProtocol, W: OpSource, O: OpObserver> RsDriver<P, W, O> {
 
     fn absorb(&mut self, step: RsStep) -> (Vec<Outbound>, Option<RsOutcome>) {
         let base = self.group * self.replicas;
-        let mut sends = Vec::new();
-        for (replica, phase, req) in step.send {
-            self.outstanding += 1;
-            sends.push(Outbound {
-                server: base + replica,
-                tag: tag(self.seq, phase, (base + replica) as u32),
-                req,
-                background: false,
-                epoch: self.map.epoch(),
-            });
-        }
-        for (replica, req) in step.background {
-            sends.push(Outbound::new(base + replica, 0, req, true));
-        }
-        (sends, step.done)
+        self.outstanding += step.send.len();
+        outbound(step, base, self.map.epoch(), |r, p, _| {
+            tag(self.seq, p, (base + r) as u32)
+        })
     }
 }
 
@@ -694,21 +689,18 @@ impl<P: RsProtocol, W: OpSource, O: OpObserver> ProtoAdapter for RsDriver<P, W, 
             // A reply to an attempt the client has moved on from (a
             // fence NACK among them: the machine counts it as a failed
             // leg): feed its parked machine for reclamation.
-            let mut sends = Vec::new();
-            let mut finished = false;
-            if let Some((op, remaining)) = self.lingering.get_mut(&seq) {
-                let step = self.clients[group].on_reply(op, phase, replica, reply);
-                let base = group * self.replicas;
-                for (r, req) in step.background {
-                    sends.push(Outbound::new(base + r, 0, req, true));
-                }
-                *remaining -= 1;
-                finished = *remaining == 0;
-            }
-            if finished {
+            let Some((op, remaining)) = self.lingering.get_mut(&seq) else {
+                return AdapterStep::Wait(Vec::new());
+            };
+            // Only its reclamation goes out: its sends would belong to
+            // an attempt nobody waits for.
+            let mut step = self.clients[group].on_reply(op, phase, replica, reply);
+            step.send.clear();
+            *remaining -= 1;
+            if *remaining == 0 {
                 self.lingering.remove(&seq);
             }
-            return AdapterStep::Wait(sends);
+            return AdapterStep::Wait(outbound(step, group * self.replicas, 0, |_, _, _| 0).0);
         }
         let mut op = self.current.take().expect("op in flight");
         self.outstanding -= 1;
@@ -896,12 +888,6 @@ fn tx_backoff(consecutive_aborts: u32, rng: &mut SimRng) -> SimDuration {
     SimDuration::from_nanos(base + rng.gen_range(base))
 }
 
-/// A transaction step's background requests, as sends owed no reply.
-fn background(reqs: Vec<(usize, Request)>) -> impl Iterator<Item = Outbound> {
-    reqs.into_iter()
-        .map(|(shard, req)| Outbound::new(shard, 0, req, true))
-}
-
 /// Closed-loop YCSB-T client over a transaction protocol: each operation
 /// is a short read-modify-write transaction retried (with backoff) until
 /// it commits or fails (§8.3) — the one reply-handling loop for every
@@ -965,14 +951,9 @@ impl<P: TxProtocol> TxDriver<P> {
         self.client.supply_writes(op, writes)
     }
 
-    /// Tags the step's requests, then appends its background traffic.
+    /// The step's sends, tagged with the attempt's `seq`, unsharded.
     fn absorb(&mut self, step: TxStep) -> (Vec<Outbound>, Option<TxOutcome>) {
-        let mut sends = Vec::with_capacity(step.send.len() + step.background.len());
-        for (shard, phase, idx, req) in step.send {
-            sends.push(Outbound::new(shard, tag(self.seq, phase, idx), req, false));
-        }
-        sends.extend(background(step.background));
-        (sends, step.done)
+        outbound(step, 0, 0, |_, phase, idx| tag(self.seq, phase, idx))
     }
 }
 

@@ -615,7 +615,7 @@ impl System for RsShards {
         let old = self.map();
         let new = old.grow(to);
         let mut clients: Vec<RsClient> = self.open_clients();
-        let healthy = vec![false; self.replicas];
+        let all_up = vec![false; self.replicas];
         let mut moved = 0u64;
         let mut fenced_groups: Vec<usize> = Vec::new();
         for b in 0..n_blocks {
@@ -625,14 +625,14 @@ impl System for RsShards {
             }
             // Quorum read from the old group (chained indirect READs).
             let (op, step) = clients[from].get(b);
-            let value = match rs_drive(&self.groups[from], &mut clients[from], op, step, &healthy) {
+            let value = match rs_drive(&self.groups[from], &mut clients[from], op, step, &all_up) {
                 RsOutcome::Value(v) => v,
                 other => return Err(MigrateError::new(b, MigrateStep::Read, other)),
             };
             // CAS install into every replica of the new group. Only a
             // block that landed there may be fenced at the old one.
             let (op, step) = clients[dest].put(b, value);
-            match rs_drive(&self.groups[dest], &mut clients[dest], op, step, &healthy) {
+            match rs_drive(&self.groups[dest], &mut clients[dest], op, step, &all_up) {
                 RsOutcome::Written => {}
                 other => return Err(MigrateError::new(b, MigrateStep::Install, other)),
             }
@@ -668,8 +668,8 @@ impl System for RsShards {
     fn read_direct(&self, home: usize, register: u64) -> Result<Option<Vec<u8>>, String> {
         let mut client = self.groups[home].open_client();
         let (op, step) = client.get(register);
-        let healthy = vec![false; self.replicas];
-        match rs_drive(&self.groups[home], &mut client, op, step, &healthy) {
+        let all_up = vec![false; self.replicas];
+        match rs_drive(&self.groups[home], &mut client, op, step, &all_up) {
             RsOutcome::Value(v) => Ok(Some(v)),
             other => Err(format!("{other:?}")),
         }

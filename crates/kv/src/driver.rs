@@ -7,12 +7,15 @@
 //! [`KvProtocol::on_reply`] yields the next [`KvStep`], until one is
 //! [`KvStep::Done`]. A round trip whose reply was lost is answered with
 //! [`KvProtocol::reissue`] on the same operation. [`drive`] runs that
-//! loop against a local server; the simulator's closed-loop adapter
+//! loop against a local server through `prism_core`'s one delivery loop
+//! ([`drive_local`]; a [`KvStep`] converts into its [`Step`]); the
+//! simulator's closed-loop adapter
 //! (`prism_harness::adapters::KvDriver`) runs it over the simulated
 //! fabric.
 
-use prism_core::msg::{execute_local, Reply, Request};
-use prism_core::PrismServer;
+use prism_core::msg::{Reply, Request};
+use prism_core::step::{drive_local, Input};
+use prism_core::{PrismServer, Step};
 
 use crate::{KvOutcome, KvStep};
 
@@ -51,38 +54,20 @@ pub trait KvProtocol {
 }
 
 /// Drives a GET, PUT or DELETE machine to completion against a local
-/// server (control plane, live mode, tests): `first` is the machine's
-/// opening request and `on_reply` its reply handler. Background frees are
-/// executed as they surface, fire-and-forget. Returns the outcome and the
-/// number of round trips.
+/// server (control plane, live mode, tests) through [`drive_local`]:
+/// `first` is the machine's opening request and `on_reply` its reply
+/// handler. Background frees are executed before the next request,
+/// fire-and-forget. Returns the outcome and the number of round trips.
 pub fn drive(
     server: &PrismServer,
     first: Request,
     mut on_reply: impl FnMut(Reply) -> KvStep,
 ) -> (KvOutcome, u32) {
-    let mut round_trips = 1;
-    let mut reply = execute_local(server, &first);
-    loop {
-        match on_reply(reply) {
-            KvStep::Send {
-                request,
-                background,
-            } => {
-                if let Some(free) = background {
-                    execute_local(server, &free);
-                }
-                round_trips += 1;
-                reply = execute_local(server, &request);
-            }
-            KvStep::Done {
-                outcome,
-                background,
-            } => {
-                if let Some(free) = background {
-                    execute_local(server, &free);
-                }
-                return (outcome, round_trips);
-            }
-        }
-    }
+    let feed = |input| match input {
+        Input::Reply(.., reply) => on_reply(reply).into(),
+        Input::Resume => Step::default(), // a key-value machine never waits
+    };
+    let (outcome, round_trips) = drive_local(KvStep::send(first).into(), |_| Some(server), feed);
+    let outcome = outcome.unwrap_or(KvOutcome::Failed("drive finished without outcome"));
+    (outcome, round_trips)
 }

@@ -61,6 +61,7 @@ pub mod pilaf;
 pub mod prism_kv;
 
 use prism_core::msg::Request;
+use prism_core::Step;
 
 pub use driver::{drive, KvProtocol};
 
@@ -115,5 +116,23 @@ impl KvStep {
             outcome,
             background: None,
         }
+    }
+}
+
+/// A key-value step's requests go to destination 0, its one server.
+impl From<KvStep> for Step<KvOutcome> {
+    fn from(step: KvStep) -> Self {
+        let (mut step, background) = match step {
+            KvStep::Send {
+                request,
+                background,
+            } => (Step::sends(vec![(0, 0, 0, request)]), background),
+            KvStep::Done {
+                outcome,
+                background,
+            } => (Step::finished(outcome), background),
+        };
+        step.background.extend(background.map(|b| (0, b)));
+        step
     }
 }

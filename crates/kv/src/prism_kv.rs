@@ -1411,33 +1411,14 @@ mod tests {
         drive_put(&s, &c, b"gone", b"soon");
         let before = s.server().freelists().available(FreeListId(0));
         let (mut op, req) = c.delete(b"gone");
-        let mut reply = execute_local(s.server(), &req);
         let mut bg_sent = 0;
-        loop {
-            match op.on_reply(&c, reply) {
-                KvStep::Send {
-                    request,
-                    background,
-                } => {
-                    if let Some(b) = background {
-                        execute_local(s.server(), &b);
-                        bg_sent += 1;
-                    }
-                    reply = execute_local(s.server(), &request);
-                }
-                KvStep::Done {
-                    outcome,
-                    background,
-                } => {
-                    if let Some(b) = background {
-                        execute_local(s.server(), &b);
-                        bg_sent += 1;
-                    }
-                    assert_eq!(outcome, KvOutcome::Written);
-                    break;
-                }
-            }
-        }
+        let (outcome, _) = drive(s.server(), req, |reply| {
+            let step = op.on_reply(&c, reply);
+            let (KvStep::Send { background, .. } | KvStep::Done { background, .. }) = &step;
+            bg_sent += u32::from(background.is_some());
+            step
+        });
+        assert_eq!(outcome, KvOutcome::Written);
         assert_eq!(bg_sent, 1, "delete frees the old buffer");
         assert_eq!(s.server().freelists().available(FreeListId(0)), before + 1);
         let (o, _) = drive_get(&s, &c, b"gone");

@@ -414,6 +414,7 @@ impl AbdLockOp {
                     (
                         r,
                         self.phase_no,
+                        0,
                         Request::Verb(Verb::Cas64 {
                             addr: v.block(self.block),
                             compare: 0,
@@ -430,12 +431,12 @@ impl AbdLockOp {
         &self,
         c: &AbdLockClient,
         mk: impl Fn(usize, &AbdLockView) -> Request,
-    ) -> Vec<(usize, u32, Request)> {
+    ) -> Vec<(usize, u32, u32, Request)> {
         self.locked
             .iter()
             .enumerate()
             .filter(|(_, &l)| l)
-            .map(|(r, _)| (r, self.phase_no, mk(r, &c.views[r])))
+            .map(|(r, _)| (r, self.phase_no, 0, mk(r, &c.views[r])))
             .collect()
     }
 
@@ -868,7 +869,7 @@ mod tests {
                     continue;
                 }
                 let mut next = RsStep::default();
-                for (r, phase, req) in std::mem::take(&mut step.send) {
+                for (r, phase, _, req) in std::mem::take(&mut step.send) {
                     let reply = prism_core::msg::execute_local(cl.replica(r).server(), &req);
                     let s = c.on_reply(&mut op, phase, r, reply);
                     if s.done.is_some() || s.backoff_ns.is_some() || !s.send.is_empty() {
@@ -916,7 +917,7 @@ mod tests {
                 }
                 let sends = std::mem::take(&mut step.send);
                 let mut next = RsStep::default();
-                for (r, phase, req) in sends {
+                for (r, phase, _, req) in sends {
                     let reply = if rng.gen_bool(0.25) {
                         Reply::Verb(Err(prism_rdma::RdmaError::ReceiverNotReady))
                     } else {
@@ -1006,7 +1007,7 @@ mod tests {
             }
             let sends = std::mem::take(&mut step.send);
             let mut next = RsStep::default();
-            for (r, phase, req) in sends {
+            for (r, phase, _, req) in sends {
                 let reply = prism_core::msg::execute_local(cl.replica(r).server(), &req);
                 let s = c.on_reply(&mut op, phase, r, reply);
                 if s.backoff_ns.is_some() || !s.send.is_empty() || s.done.is_some() {

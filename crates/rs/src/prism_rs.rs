@@ -970,13 +970,13 @@ impl RsOp {
                         v.data_rkey,
                     )]),
                 };
-                (r, 0u32, req)
+                (r, 0, 0, req)
             })
             .collect();
         RsStep::sends(send)
     }
 
-    fn write_phase_sends(&self, c: &RsClient, value: &[u8]) -> Vec<(usize, u32, Request)> {
+    fn write_phase_sends(&self, c: &RsClient, value: &[u8]) -> Vec<(usize, u32, u32, Request)> {
         let tag = self.write_tag.to_bytes();
         c.views
             .iter()
@@ -992,7 +992,7 @@ impl RsOp {
                     encode_block(self.write_tag, value),
                     Guard::TagBelow { tag },
                 );
-                (r, 1u32, Request::Chain(chain.into()))
+                (r, 1, 0, Request::Chain(chain.into()))
             })
             .collect()
     }
@@ -1111,6 +1111,22 @@ impl RsOp {
 mod tests {
     use super::*;
     use crate::driver::drive;
+    use prism_core::step::{drive_local, Input};
+
+    /// Delivers `first`'s requests and the ones that follow through the
+    /// one local loop, handing each reply to `feed` as
+    /// `(replica, phase, reply)`.
+    fn drive_steps(
+        cl: &RsCluster,
+        first: RsStep,
+        mut feed: impl FnMut(usize, u32, Reply) -> RsStep,
+    ) {
+        let server = |r| Some(&**cl.replica(r).server());
+        drive_local(first, server, |input| match input {
+            Input::Reply(dest, phase, _, reply) => feed(dest, phase, reply),
+            Input::Resume => RsStep::default(),
+        });
+    }
 
     fn cluster() -> RsCluster {
         RsCluster::new(3, &RsConfig::paper(16, 64))
@@ -1210,7 +1226,7 @@ mod tests {
         let mut c = cl.open_client();
         let (mut op, step) = c.put(0, vec![1u8; 64]);
         let mut outcome = None;
-        for (r, phase, _req) in step.send {
+        for (r, phase, _, _) in step.send {
             let s = c.on_reply(
                 &mut op,
                 phase,
@@ -1228,17 +1244,13 @@ mod tests {
         // clean read quorum and the op fails instead of panicking.
         let (mut op, step) = c.get(0);
         let mut writes = Vec::new();
-        let mut queue = step.send;
-        while let Some((r, phase, req)) = queue.pop() {
-            if phase == 1 {
-                writes.push((r, phase, req));
-                continue;
-            }
-            let reply = prism_core::msg::execute_local(cl.replica(r).server(), &req);
-            queue.extend(c.on_reply(&mut op, phase, r, reply).send);
-        }
+        drive_steps(&cl, step, |r, phase, reply| {
+            let mut s = c.on_reply(&mut op, phase, r, reply);
+            writes.append(&mut s.send);
+            s
+        });
         let mut outcome = None;
-        for (r, phase, _req) in writes {
+        for (r, phase, _, _) in writes {
             let s = c.on_reply(
                 &mut op,
                 phase,
@@ -1344,13 +1356,11 @@ mod tests {
         // per write.
         for i in 0..6u8 {
             let (mut op, step) = c.put(0, vec![i; 64]);
-            let mut queue = step.send;
-            while let Some((r, phase, req)) = queue.pop() {
-                let reply = prism_core::msg::execute_local(cl.replica(r).server(), &req);
-                let s = c.on_reply(&mut op, phase, r, reply);
-                queue.extend(s.send);
-                // s.background (the frees) deliberately dropped.
-            }
+            drive_steps(&cl, step, |r, phase, reply| {
+                let mut s = c.on_reply(&mut op, phase, r, reply);
+                s.background.clear(); // the frees, deliberately dropped
+                s
+            });
         }
         let replica = cl.replica(0);
         let before = replica
@@ -1388,14 +1398,12 @@ mod tests {
         let mut c = cl.open_client();
         // One write whose free notifications we capture but delay.
         let (mut op, step) = c.put(0, vec![9u8; 64]);
-        let mut queue = step.send;
         let mut delayed = Vec::new();
-        while let Some((r, phase, req)) = queue.pop() {
-            let reply = prism_core::msg::execute_local(cl.replica(r).server(), &req);
-            let s = c.on_reply(&mut op, phase, r, reply);
-            queue.extend(s.send);
-            delayed.extend(s.background);
-        }
+        drive_steps(&cl, step, |r, phase, reply| {
+            let mut s = c.on_reply(&mut op, phase, r, reply);
+            delayed.append(&mut s.background);
+            s
+        });
         // GC reclaims the replaced buffers first...
         for r in 0..3 {
             cl.replica(r).gc_sweep();
@@ -1468,7 +1476,7 @@ mod tests {
         // refences, then works again.
         let (op, step) = c.get(3);
         let mut fenced = false;
-        for (r, _phase, req) in &step.send {
+        for (r, _, _, req) in &step.send {
             if *r == 1 {
                 let reply = prism_core::msg::execute_local(cl.replica(1).server(), req);
                 fenced = reply.stale_incarnation() == Some(1);

@@ -6,17 +6,19 @@
 //! starts it over its read keys; each request is tagged
 //! `(shard, phase, index)`, and each reply fed back through
 //! [`TxProtocol::on_reply`] yields the next [`TxStep`]; once the reads
-//! are in, a step pauses ([`TxStep::awaiting_writes`]) and
+//! are in, a step pauses ([`Step::awaiting_writes`]) and
 //! [`TxProtocol::supply_writes`] hands the attempt its write set, which
 //! starts validation and commit; steps follow until one carries the
 //! attempt's [`TxOutcome`]. [`drive`] and [`run_rmw`] run that loop
-//! against local shards; the simulator's closed-loop adapter
+//! against local shards through `prism_core`'s one delivery loop
+//! ([`drive_local`]); the simulator's closed-loop adapter
 //! (`prism_harness::adapters::TxDriver`) runs it over the simulated
 //! fabric.
 
 use std::collections::HashMap;
 
-use prism_core::msg::{execute_local, Reply, Request};
+use prism_core::msg::{Reply, Request};
+use prism_core::step::{drive_local, Input, Step};
 use prism_core::PrismServer;
 
 /// Outcome of a transaction attempt.
@@ -32,47 +34,12 @@ pub enum TxOutcome {
     Failed(&'static str),
 }
 
-/// What the driver should do next. `done` is set exactly once.
-#[derive(Debug, Clone, Default)]
-pub struct TxStep {
-    /// `(shard, phase, request-index, request)` to send.
-    pub send: Vec<(usize, u32, u32, Request)>,
-    /// Fire-and-forget requests (PRISM-TX's buffer frees and abort
-    /// `C`-bumps; FaRM sends none).
-    pub background: Vec<(usize, Request)>,
-    /// The attempt's reads are in (at once, for an attempt with none):
-    /// the caller computes its writes from [`TxProtocol::values`] and
-    /// calls [`TxProtocol::supply_writes`] to continue. Every attempt
-    /// that is not cut short in execution pauses here exactly once, and
-    /// the pausing step carries nothing else. Computing the writes from
-    /// the same attempt's reads is what makes a read-modify-write
-    /// serializable: taking them from a *separate* earlier
-    /// transaction's reads would reintroduce the lost-update window OCC
-    /// exists to prevent. This pause and `supply_writes` are the one
-    /// place an attempt's values read and values written are both in
-    /// hand.
-    pub awaiting_writes: bool,
-    /// Set when the transaction attempt completes.
-    pub done: Option<TxOutcome>,
-}
-
-impl TxStep {
-    /// A step that ends the attempt with `outcome`.
-    pub(crate) fn finished(outcome: TxOutcome) -> Self {
-        TxStep {
-            done: Some(outcome),
-            ..Default::default()
-        }
-    }
-
-    /// A step that pauses the attempt for its writes.
-    pub(crate) fn paused() -> Self {
-        TxStep {
-            awaiting_writes: true,
-            ..Default::default()
-        }
-    }
-}
+/// What the driver should do next. An attempt not cut short in execution
+/// pauses once ([`Step::awaiting_writes`]), so its writes are computed
+/// from the values that same attempt read. That makes a read-modify-write
+/// serializable; writes from an earlier transaction's reads would reopen
+/// the lost-update window OCC closes.
+pub type TxStep = Step<TxOutcome>;
 
 /// The current phase's requests, by request index: the one place either
 /// protocol counts a phase's replies. A request is answered at most
@@ -153,7 +120,7 @@ pub trait TxProtocol {
     fn server(cluster: &Self::Cluster, shard: usize) -> &PrismServer;
 
     /// Starts an attempt that reads `read_keys`, then pauses
-    /// ([`TxStep::awaiting_writes`]) for its write set; with no read
+    /// ([`Step::awaiting_writes`]) for its write set; with no read
     /// keys, the first step is the pause.
     ///
     /// # Panics
@@ -187,15 +154,13 @@ pub trait TxProtocol {
     /// Takes the read-key list back out of an attempt that is done, so
     /// that a retry can begin over the same keys without copying them.
     /// An attempt still in flight needs its keys: call this only after
-    /// [`TxStep::done`] was set.
+    /// [`Step::done`] was set.
     fn take_read_keys(op: &mut Self::Op) -> Vec<u64>;
 }
 
-/// Drives a transaction attempt to completion against local shards
-/// (live mode / tests): executes `first`'s requests and feeds every
-/// reply back — background requests go out before the next reply is
-/// fed — and, at the pause, supplies `writes(values read)`. Returns the
-/// attempt's outcome.
+/// Drives a transaction attempt to completion against local shards (live
+/// mode / tests) through [`drive_local`], supplying `writes(values read)`
+/// at the pause. Returns the attempt's outcome.
 ///
 /// # Panics
 ///
@@ -207,27 +172,15 @@ pub fn drive<P: TxProtocol>(
     first: TxStep,
     writes: impl FnOnce(&HashMap<u64, Vec<u8>>) -> Vec<(u64, Vec<u8>)>,
 ) -> TxOutcome {
-    let exec = |shard, req: &Request| execute_local(P::server(cluster, shard), req);
     let mut writes = Some(writes);
-    let (mut queue, mut bg, mut outcome) = (Vec::new(), Vec::new(), None);
-    let mut step = first;
-    loop {
-        queue.extend(step.send);
-        bg.extend(step.background);
-        outcome = outcome.or(step.done);
-        if step.awaiting_writes {
+    let feed = |input| match input {
+        Input::Reply(_, phase, index, reply) => client.on_reply(&mut op, phase, index, reply),
+        Input::Resume => {
             let writes = writes.take().expect("an attempt pauses once")(P::values(&op));
-            step = client.supply_writes(&mut op, writes);
-            continue;
+            client.supply_writes(&mut op, writes)
         }
-        for (s, breq) in bg.drain(..) {
-            exec(s, &breq);
-        }
-        let Some((shard, phase, idx, req)) = queue.pop() else {
-            break;
-        };
-        step = client.on_reply(&mut op, phase, idx, exec(shard, &req));
-    }
+    };
+    let (outcome, _) = drive_local(first, |s| Some(P::server(cluster, s)), feed);
     outcome.unwrap_or(TxOutcome::Failed("drive finished without outcome"))
 }
 
@@ -258,9 +211,11 @@ pub fn run_rmw<P: TxProtocol>(
 
 #[cfg(test)]
 pub(crate) mod tests {
+    use std::cell::RefCell;
+
     use super::*;
     use crate::farm::{FarmCluster, FarmConfig};
-    use crate::prism_tx::{TxCluster, TxConfig, VER_HDR};
+    use crate::prism_tx::{Phase, TxCluster, TxConfig, KEYS_PER_COMMIT_CHAIN, VER_HDR};
     use prism_testkit::{for_all, gens, Config, Gen};
 
     impl<P, M> Round<P, M> {
@@ -275,9 +230,11 @@ pub(crate) mod tests {
         }
     }
 
-    /// Executes the sends of `step` and feeds the replies back until
-    /// `stop` accepts a step the machine returns (which is handed back
-    /// undriven) or nothing is left to send.
+    /// Delivers the sends of `step` through the one local loop (their
+    /// background requests too) and feeds the replies back until `stop`
+    /// accepts a step the machine returns (which is handed back
+    /// undriven: from then on no request executes, and no reply is fed)
+    /// or nothing is left to send.
     pub(crate) fn drive_until<P: TxProtocol>(
         cluster: &P::Cluster,
         client: &mut P,
@@ -285,16 +242,20 @@ pub(crate) mod tests {
         step: TxStep,
         stop: impl Fn(&TxStep) -> bool,
     ) -> Option<TxStep> {
-        let mut queue = step.send;
-        while let Some((shard, phase, idx, req)) = queue.pop() {
-            let reply = execute_local(P::server(cluster, shard), &req);
-            let s = client.on_reply(op, phase, idx, reply);
-            if stop(&s) {
-                return Some(s);
+        let stopped = RefCell::new(None);
+        let server = |s| stopped.borrow().is_none().then(|| P::server(cluster, s));
+        drive_local(step, server, |input| match input {
+            Input::Reply(_, phase, index, reply) if stopped.borrow().is_none() => {
+                let s = client.on_reply(op, phase, index, reply);
+                if !stop(&s) {
+                    return s;
+                }
+                *stopped.borrow_mut() = Some(s);
+                TxStep::default()
             }
-            queue.extend(s.send);
-        }
-        None
+            _ => TxStep::default(),
+        });
+        stopped.into_inner()
     }
 
     /// Whether `step` sends a request of `phase`.
@@ -450,6 +411,83 @@ pub(crate) mod tests {
         fn take_read_keys(op: &mut P::Op) -> Vec<u64> {
             P::take_read_keys(op)
         }
+    }
+
+    /// `P` with the tag of every request it sends and of every reply it
+    /// is fed recorded, in order.
+    struct Recorded<P> {
+        inner: P,
+        sent: Vec<(usize, u32, u32)>,
+        fed: Vec<(u32, u32)>,
+    }
+
+    impl<P> Recorded<P> {
+        fn note(&mut self, step: TxStep) -> TxStep {
+            self.sent
+                .extend(step.send.iter().map(|&(s, p, i, _)| (s, p, i)));
+            step
+        }
+    }
+
+    impl<P: TxProtocol> TxProtocol for Recorded<P> {
+        type Cluster = P::Cluster;
+        type Op = P::Op;
+
+        fn server(cluster: &P::Cluster, shard: usize) -> &PrismServer {
+            P::server(cluster, shard)
+        }
+
+        fn begin(&mut self, read_keys: Vec<u64>) -> (P::Op, TxStep) {
+            let (op, step) = self.inner.begin(read_keys);
+            (op, self.note(step))
+        }
+
+        fn on_reply(&mut self, op: &mut P::Op, phase: u32, req_idx: u32, reply: Reply) -> TxStep {
+            self.fed.push((phase, req_idx));
+            let step = self.inner.on_reply(op, phase, req_idx, reply);
+            self.note(step)
+        }
+
+        fn supply_writes(&mut self, op: &mut P::Op, writes: Vec<(u64, Vec<u8>)>) -> TxStep {
+            let step = self.inner.supply_writes(op, writes);
+            self.note(step)
+        }
+
+        fn values(op: &P::Op) -> &HashMap<u64, Vec<u8>> {
+            P::values(op)
+        }
+
+        fn take_read_keys(op: &mut P::Op) -> Vec<u64> {
+            P::take_read_keys(op)
+        }
+    }
+
+    /// A PRISM-TX attempt that writes more keys to one shard than one
+    /// commit chain carries sends that shard two commit chains, and
+    /// [`drive`] delivers them as a queue pair would: in the order they
+    /// were sent. With one shard, every reply is fed in send order.
+    #[test]
+    fn drive_delivers_one_shards_commit_chains_in_send_order() {
+        let cluster = TxCluster::new(1, &TxConfig::paper(KEYS_PER_SHARD, VALUE_LEN as u64));
+        let mut client = Recorded {
+            inner: cluster.open_client(),
+            sent: Vec::new(),
+            fed: Vec::new(),
+        };
+        let keys: Vec<u64> = (0..KEYS_PER_COMMIT_CHAIN as u64 + 2).collect();
+        let writes: Vec<_> = keys
+            .iter()
+            .map(|&k| (k, vec![k as u8; VALUE_LEN]))
+            .collect();
+        let (op, step) = client.begin(keys);
+        let outcome = drive(&cluster, &mut client, op, step, |_| writes);
+        assert!(matches!(outcome, TxOutcome::Committed(_)), "{outcome:?}");
+        let commit =
+            |&(_, phase, idx): &(usize, u32, u32)| (phase == Phase::Commit as u32).then_some(idx);
+        let chains: Vec<u32> = client.sent.iter().filter_map(commit).collect();
+        assert_eq!(chains, [0, 1], "two commit chains to the one shard");
+        let sent: Vec<(u32, u32)> = client.sent.iter().map(|&(_, p, i)| (p, i)).collect();
+        assert_eq!(client.fed, sent);
     }
 
     /// One client runs the script through [`drive`]: with nothing to

@@ -748,6 +748,7 @@ mod tests {
     use super::*;
     use crate::driver::tests::{drive_rest, drive_until, is_noop, sends_phase, supplied};
     use crate::driver::{drive, run_rmw};
+    use prism_core::step::{drive_local, Input};
     use prism_testkit::{for_all, gens, Config, Gen};
 
     fn cluster(shards: usize, keys: u64) -> FarmCluster {
@@ -817,29 +818,31 @@ mod tests {
         writes: Vec<(u64, Vec<u8>)>,
         strays: bool,
     ) -> (TxOutcome, Vec<u32>) {
-        let (mut op, mut step) = c.begin(reads);
-        let (mut writes, mut queue, mut phases) = (Some(writes), Vec::new(), Vec::new());
-        loop {
-            if step.awaiting_writes {
-                step = c.supply_writes(&mut op, writes.take().expect("one pause"));
-            }
-            if let Some(outcome) = step.done {
-                return (outcome, phases);
-            }
+        let mut phases = Vec::new();
+        let mut opened = |c: &mut FarmClient, op: &mut FarmOp, step: TxStep| {
             if let Some(&(_, phase, _, _)) = step.send.first() {
                 if phases.last() != Some(&phase) {
                     phases.push(phase);
                     if strays {
                         let timeout = Reply::Verb(Err(prism_rdma::RdmaError::ReceiverNotReady));
-                        assert!(is_noop(&c.on_reply(&mut op, phase, u32::MAX, timeout)));
+                        assert!(is_noop(&c.on_reply(op, phase, u32::MAX, timeout)));
                     }
                 }
             }
-            queue.extend(step.send);
-            let (shard, phase, idx, req) = queue.pop().expect("attempt stalled");
-            let reply = prism_core::msg::execute_local(cl.shard(shard).server(), &req);
-            step = c.on_reply(&mut op, phase, idx, reply);
-        }
+            step
+        };
+        let (mut op, step) = c.begin(reads);
+        let step = opened(c, &mut op, step);
+        let mut writes = Some(writes);
+        let server = |s| Some(&**cl.shard(s).server());
+        let (outcome, _) = drive_local(step, server, |input| {
+            let step = match input {
+                Input::Reply(_, phase, index, reply) => c.on_reply(&mut op, phase, index, reply),
+                Input::Resume => c.supply_writes(&mut op, writes.take().expect("one pause")),
+            };
+            opened(c, &mut op, step)
+        });
+        (outcome.expect("attempt stalled"), phases)
     }
 
     /// A reply that matches no pending request is dropped in every

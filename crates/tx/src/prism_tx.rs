@@ -431,7 +431,7 @@ pub struct TxClient {
 /// requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[repr(u32)]
-enum Phase {
+pub(crate) enum Phase {
     Execute = 0,
     Prepare = 1,
     Commit = 2,

@@ -83,7 +83,13 @@
 #                           protocols through the one attempt shape,
 #                           then again with every reply delivered twice
 #                           after a stray-index reply; a gate added,
-#                           none removed), then
+#                           none removed), the one local delivery
+#                           loop's property (prism_core::step: queue-pair
+#                           order per destination, background before the
+#                           next delivery and never on a down
+#                           destination, the first outcome kept, late
+#                           replies still fed; a gate added, none
+#                           removed), then
 #                           both migration gates, again under
 #                           PRISM_TEST_SEED=1806242025, so the gates don't
 #                           ossify around one lucky schedule. The value
@@ -205,6 +211,8 @@ second_seed() {
     export PRISM_TEST_SEED=$SECOND_SEED
     cargo test -q --offline -p prism-harness "${GATES[@]}"
     cargo test -q --offline -p prism-tx
+    cargo test -q --offline -p prism-core --lib -- --exact \
+        step::tests::delivers_in_queue_pair_order
     migration_gates
 }
 

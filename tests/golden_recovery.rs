@@ -467,7 +467,7 @@ fn rs_reclaim(seed: u64) -> Vec<u64> {
     for _ in 0..48 {
         let (mut op, step) = c.put(rng.gen_range(BLOCKS), seeded_bytes(&mut rng, BLOCK));
         let (mut queue, mut bg) = (step.send, step.background);
-        while let Some((r, phase, req)) = queue.pop() {
+        while let Some((r, phase, _, req)) = queue.pop() {
             let s = c.on_reply(
                 &mut op,
                 phase,
