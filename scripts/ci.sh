@@ -66,7 +66,10 @@
 #                           benchmark pipeline; its tests (smoke scale,
 #                           including traced-equals-untraced
 #                           bit-identity) build it against this tree
-#   6. second-seed pass   — the gate suites, the transaction replay
+#   6. second-seed pass   — the gate suites (the fault matrix's
+#                           Pilaf and ABDLOCK cells among them: the same
+#                           five mixes and check as PRISM's; a gate
+#                           added, none removed), the transaction replay
 #                           (PRISM-TX and FaRM, pristine and lossy
 #                           fabrics), the store properties and the
 #                           wire-format properties (round trips, mutated
