@@ -1,33 +1,18 @@
 //! Per-system adapters: each wraps a protocol client behind the
 //! closed-loop [`ProtoAdapter`] interface.
 //!
-//! Each system has one *driver* holding the whole reply-handling state
-//! machine — fence handling, the retry budget, rerouting, straggler
-//! parking — over the client contract both of its protocols implement:
-//! [`KvDriver`] over [`KvProtocol`] (PRISM-KV, Pilaf), [`RsDriver`] over
-//! [`RsProtocol`] (PRISM-RS, ABDLOCK) and [`TxDriver`] over
-//! [`TxProtocol`] (PRISM-TX, FaRM). No driver reads a protocol's
-//! replies: a stale reply's orphaned buffer comes from the protocol's
-//! `harvest`. What varies between the runs that use a KV or RS driver
-//! is supplied from outside it:
-//!
-//! * where the next logical operation comes from — an [`OpSource`];
-//! * who hears how each operation ended — an [`OpObserver`] (`()` hears
-//!   nothing; [`crate::chaos::Recorder`] writes a history);
-//! * whether reclamation traffic is coalesced — [`Coalesced`] wraps any
-//!   adapter and batches the frees it emits (PRISM-TX's too: it is the
-//!   one reclamation batcher).
-//!
-//! The figure adapters ([`PrismKvAdapter`], [`PilafAdapter`],
-//! [`PrismRsAdapter`], [`AbdLockAdapter`]) and the gates'
-//! history-recording ones ([`crate::chaos::ChaosKvAdapter`],
-//! [`crate::chaos::ChaosRsAdapter`]) are aliases over the same drivers,
-//! so a gate verdict is a verdict on the code that draws the figures.
-//!
-//! One conversion turns a protocol's [`prism_core::Step`] into sends,
-//! each driver keeping its own tags: `seq << 32 | phase << 16 | index`,
-//! `seq` naming the attempt (quorum machines outlive their completion to
-//! absorb stragglers), the index RS's flat server index; KV tags nothing.
+//! One [`Driver`] holds the whole reply-handling state machine for every
+//! system — the attempt `seq`, the retry verdict, the incarnation and
+//! epoch fences, straggler parking, harvest, `abandon` and hedge
+//! eligibility — and never asks which system it drives: each difference
+//! is a glue method or an associated const of a [`Family`] (the clients
+//! of a [`KvProtocol`], [`RsFamily`] over [`RsProtocol`], [`TxFamily`]
+//! over [`TxProtocol`]; DESIGN.md §18 tabulates them). Where operations
+//! come from ([`OpSource`]), who hears how they end ([`OpObserver`]) and
+//! whether frees are batched ([`Coalesced`]) are supplied from outside.
+//! The figure adapters and the gates' history-recording ones
+//! ([`crate::chaos`]) are aliases over the one driver, so a gate verdict
+//! is a verdict on the code that draws the figures.
 
 use std::collections::HashMap;
 
@@ -45,7 +30,7 @@ use prism_simnet::rng::SimRng;
 use prism_simnet::time::{SimDuration, SimTime};
 use prism_tx::farm::FarmClient;
 use prism_tx::{TxClient, TxOutcome, TxProtocol, TxStep};
-use prism_workload::{KeyDist, KvOp, TxnGen, YcsbConfig, YcsbGen};
+use prism_workload::{KeyDist, KvOp, TxnGen, TxnSpec, YcsbConfig, YcsbGen};
 
 use crate::cluster::{MapHandle, ShardMap};
 use crate::netsim::{AdapterStep, Outbound, ProtoAdapter};
@@ -58,20 +43,20 @@ fn untag(t: u64) -> (u64, u32, u32) {
     (t >> 32, ((t >> 16) & 0xFFFF) as u32, (t & 0xFFFF) as u32)
 }
 
-/// A protocol step as sends, and its outcome: each request to `dest` goes
-/// to server `base + dest`, the foreground ones tagged
-/// `tag(dest, phase, index)` in shard-map epoch `epoch`, then the
-/// background ones (tag 0, epoch 0), in the step's order.
+/// A protocol step's requests as sends: each request to `dest` goes to
+/// server `base + dest`, the foreground ones tagged `tag(base + dest,
+/// phase, index)` in shard-map epoch `epoch`, then the background ones
+/// (tag 0, epoch 0), in the step's order.
 fn outbound<O>(
     step: Step<O>,
     base: usize,
     epoch: u64,
     tag: impl Fn(usize, u32, u32) -> u64,
-) -> (Vec<Outbound>, Option<O>) {
+) -> Vec<Outbound> {
     let mut sends = Vec::with_capacity(step.send.len() + step.background.len());
     for (dest, phase, index, req) in step.send {
         sends.push(Outbound {
-            tag: tag(dest, phase, index),
+            tag: tag(base + dest, phase, index),
             epoch,
             ..Outbound::new(base + dest, 0, req, false)
         });
@@ -79,54 +64,38 @@ fn outbound<O>(
     for (dest, req) in step.background {
         sends.push(Outbound::new(base + dest, 0, req, true));
     }
-    (sends, step.done)
+    sends
 }
 
-/// Transport-retry policy shared by the KV and RS adapters: a lost
-/// round trip (a synthesized timeout reply, [`Reply::Verb`]`(Err(..))`
-/// from the fault layer; for RS, a failed quorum) reissues the
-/// operation after a deterministic capped exponential backoff, up to
-/// this many attempts, then gives it up. The transaction systems fold
-/// transport loss into their existing abort paths.
+/// Transport-retry policy: a lost round trip (a synthesized timeout
+/// reply, [`Reply::Verb`]`(Err(..))` from the fault layer; for RS, a
+/// failed quorum) reissues the operation after a deterministic capped
+/// exponential backoff, up to this many attempts, then gives it up.
 const TRANSPORT_RETRY_BUDGET: u32 = 6;
 const TRANSPORT_RETRY_BASE_NS: u64 = 8_000;
 const TRANSPORT_RETRY_CAP_NS: u64 = 64_000;
 
-/// The retry-budget verdict: one more attempt after a backoff, or — the
-/// budget spent — the operation given up. `sends` rides either way.
-fn retry_or_give_up(retries: &mut u32, sends: Vec<Outbound>) -> AdapterStep {
-    if *retries >= TRANSPORT_RETRY_BUDGET {
-        return AdapterStep::GiveUp { sends };
-    }
-    *retries += 1;
-    let exp = (*retries - 1).min(6);
-    let wait = (TRANSPORT_RETRY_BASE_NS << exp).min(TRANSPORT_RETRY_CAP_NS);
-    AdapterStep::Retry {
-        sends,
-        wait: SimDuration::from_nanos(wait),
-    }
-}
-
-/// One logical operation: the key (or block) and, for a write, the
-/// value. A driver owns it from `start` until the operation ends, so
-/// every reissue and reroute of a write carries the same bytes.
+/// One key-value or block operation: the key (or block) and, for a
+/// write, the value. A driver owns it from `start` until the operation
+/// ends, so every reissue and reroute of a write carries the same bytes.
 pub type LogicalOp = (u64, Option<Vec<u8>>);
 
-/// Where a driver's next logical operation comes from.
-pub trait OpSource {
+/// Where a driver's next logical operation comes from: a [`LogicalOp`]
+/// for KV and RS, a [`TxnSpec`] for TX.
+pub trait OpSource<Op = LogicalOp> {
     /// Draws the next operation. `rng` is the client actor's stream; a
     /// source with a stream of its own ignores it.
-    fn draw(&mut self, rng: &mut SimRng) -> LogicalOp;
+    fn draw(&mut self, rng: &mut SimRng) -> Op;
 }
 
 /// Who hears how a driver's operations end. Every method defaults to
 /// nothing, and `()` is the observer that hears nothing.
-pub trait OpObserver {
+pub trait OpObserver<Op = LogicalOp> {
     /// The virtual clock, just before the call that reports an event.
     fn note_time(&mut self, _now: SimTime) {}
     /// `op` was invoked. An operation still open at this point was cut
     /// short by a client crash.
-    fn invoked(&mut self, _op: &LogicalOp) {}
+    fn invoked(&mut self, _op: &Op) {}
     /// The open operation completed; `read` is what a read returned
     /// (empty for an absent key), `None` for a write.
     fn completed(&mut self, _read: Option<&[u8]>) {}
@@ -136,7 +105,7 @@ pub trait OpObserver {
     fn unresolved(&mut self) {}
 }
 
-impl OpObserver for () {}
+impl<Op> OpObserver<Op> for () {}
 
 /// Client-side reclamation batching (§3.2: "batching can be employed at
 /// both client and server sides to minimize overhead"): single-buffer
@@ -250,198 +219,389 @@ fn harvested_free(server: usize, addr: Option<u64>) -> Vec<Outbound> {
 }
 
 // ---------------------------------------------------------------------
-// PRISM-KV and Pilaf (Figures 3-4)
+// The driver
 // ---------------------------------------------------------------------
 
-/// Closed-loop key-value client, optionally sharded: the one
-/// reply-handling state machine for every [`KvProtocol`] (PRISM-KV and
-/// Pilaf).
-///
-/// With one client and [`ShardMap::single`] this is the single-server
-/// adapter. With N clients, every operation is routed to its key's home
-/// shard before the state machine starts; the machine itself is
-/// untouched (sharding is pure client-side routing).
-pub struct KvDriver<P: KvProtocol, W, O> {
-    clients: Vec<P>,
-    /// The map operations are routed by, and the cell a stale-epoch
-    /// fence refetches it from.
+/// What a finished machine's outcome means to the [`Driver`].
+pub enum Verdict<Op> {
+    /// The operation completed; `Some` holds what a read returned.
+    Completed(Option<Vec<u8>>),
+    /// The attempt failed: the retry budget decides (kept machine).
+    Retry,
+    /// The attempt aborted: back off, then begin the op handed back.
+    Aborted(SimDuration, Op),
+    /// The operation ended failed.
+    Failed,
+}
+
+/// One family's client contract as the [`Driver`] runs it: a machine
+/// starts for a logical operation at its home (a shard, a replica group)
+/// and is fed, reissued and refenced there. `W` is the driver's
+/// [`OpSource`], which a transaction draws its write values from.
+pub trait Family<W> {
+    /// A logical operation.
+    type Op;
+    /// One attempt in flight (a protocol machine).
+    type Machine: Clone;
+    /// How a machine ends.
+    type Outcome;
+    /// Whether a GET's legs may be hedged (sent twice, first reply wins).
+    const HEDGE_GETS: bool;
+    /// Client compute, in nanoseconds, each finished GET costs.
+    const GET_COMPUTE_NS: u64 = 0;
+    /// Whether a machine left while owed replies parks to absorb them.
+    const PARKS: bool = false;
+    /// Whether an epoch fence reissues the attempt's machine (a PUT keeps
+    /// its tag) rather than starting a fresh one.
+    const REROUTES_MACHINE: bool = false;
+    /// `op`'s home under `map`; a family with one home needs no map.
+    fn home(_map: &ShardMap, _op: &Self::Op) -> usize {
+        0
+    }
+    /// Whether `op` is a read.
+    fn is_get(_op: &Self::Op) -> bool {
+        false
+    }
+    /// Attempt `seq`'s `step` at `home` as sends, under map `epoch`.
+    fn sends(&self, step: Step<Self::Outcome>, seq: u64, home: usize, epoch: u64) -> Vec<Outbound>;
+    /// Starts a machine for `op` at `home`.
+    fn start(
+        &mut self,
+        home: usize,
+        op: &mut Self::Op,
+        source: &mut W,
+    ) -> (Self::Machine, Step<Self::Outcome>);
+    /// Re-arms `machine` at `home` for another attempt.
+    fn reissue(&mut self, home: usize, machine: &mut Self::Machine) -> Step<Self::Outcome>;
+    /// Feeds `machine`, at `home`, the reply tagged `(phase, index)`.
+    fn feed(
+        &mut self,
+        home: usize,
+        machine: &mut Self::Machine,
+        at: (u32, u32),
+        reply: Reply,
+    ) -> Step<Self::Outcome>;
+    /// Whether `reply` is a lost round trip to retry, not feed.
+    fn lost(_reply: &Reply) -> bool {
+        false
+    }
+    /// Adopts the new incarnation of the server that answered `index`.
+    fn refence(&mut self, _home: usize, _index: u32, _inc: u64) {}
+    /// The buffer a reply that reached no machine orphaned.
+    fn harvest(_reply: Reply) -> Option<u64> {
+        None
+    }
+    /// What `outcome` means to attempt number `attempt` (from 1).
+    fn verdict(
+        &mut self,
+        outcome: Self::Outcome,
+        machine: &mut Self::Machine,
+        attempt: u32,
+    ) -> Verdict<Self::Op>;
+}
+
+/// The closed-loop client of every system: draws a logical operation,
+/// starts a machine for it at its home, feeds it replies and does what
+/// its [`Family`] says each outcome means. Each attempt runs under a
+/// fresh `seq`.
+pub struct Driver<F: Family<W>, W, O> {
+    family: F,
+    /// The routing map, and the cell a stale-epoch fence refetches.
     map: ShardMap,
     handle: MapHandle,
-    /// Home shard of the in-flight op (routing is per-operation; a
-    /// key-value op's every round trip stays on one shard).
-    shard: usize,
+    home: usize,
     source: W,
     observer: O,
-    current: Option<P::Op>,
-    /// The in-flight logical op, kept so a reroute can restart it from
-    /// scratch with the value it was invoked with.
-    op: Option<LogicalOp>,
+    seq: u64,
+    current: Option<F::Machine>,
+    /// Parked machines by seq: the replies each is owed, and its home.
+    lingering: IntMap<u64, (F::Machine, usize, usize)>,
+    outstanding: usize,
+    /// The open op: a retry or reroute restarts it with the same value.
+    op: Option<F::Op>,
     retries: u32,
 }
 
-impl<P: KvProtocol, W: OpSource, O: OpObserver> KvDriver<P, W, O> {
-    /// Creates a driver over one client per shard, in flat shard order.
-    /// `route` is a fixed [`ShardMap`], or the cluster's [`MapHandle`]
-    /// when the map can change under the run: then a request fenced with
-    /// [`prism_rdma::RdmaError::StaleEpoch`] refetches the map and
-    /// restarts at the key's new home, and `clients` must cover every
-    /// shard the map can grow into (standby shards included).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the map routes to more shards than there are clients.
-    pub fn routed(clients: Vec<P>, route: impl Into<MapHandle>, source: W, observer: O) -> Self {
-        let handle = route.into();
-        let map = handle.snapshot();
-        assert!(
-            clients.len() >= map.shards(),
-            "one client per shard the map can route to, in shard order"
-        );
-        KvDriver {
-            clients,
-            map,
+impl<F: Family<W>, W: OpSource<F::Op>, O: OpObserver<F::Op>> Driver<F, W, O> {
+    fn over(family: F, handle: MapHandle, source: W, observer: O) -> Self {
+        Driver {
+            family,
+            map: handle.snapshot(),
             handle,
-            shard: 0,
+            home: 0,
             source,
             observer,
+            seq: 0,
             current: None,
+            lingering: IntMap::default(),
+            outstanding: 0,
             op: None,
             retries: 0,
         }
     }
 
-    /// The machine's step as untagged sends to the op's home shard.
-    fn absorb(&self, step: KvStep) -> (Vec<Outbound>, Option<KvOutcome>) {
-        outbound(step.into(), self.shard, self.map.epoch(), |_, _, _| 0)
+    /// Creates a driver over one client per home, in home order. `route`
+    /// is a fixed [`ShardMap`], or the cluster's [`MapHandle`] when the
+    /// map can change under the run; `clients` then cover every home it
+    /// can grow into.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the map routes to more homes than there are clients,
+    /// or (RS) the groups disagree on replica count.
+    pub fn routed<C>(clients: Vec<C>, route: impl Into<MapHandle>, source: W, observer: O) -> Self
+    where
+        F: From<Vec<C>>,
+    {
+        let route = route.into();
+        assert!(
+            clients.len() >= route.snapshot().shards(),
+            "one client per home the map can route to, in home order"
+        );
+        Self::over(clients.into(), route, source, observer)
     }
 
-    fn is_get(&self) -> bool {
-        matches!(self.op, Some((_, None)))
+    /// Whether tag `t` names the attempt in flight. Tag 0 names none: a
+    /// family's one request in flight, which the transport matches.
+    fn live(&self, t: u64) -> bool {
+        t == 0 || untag(t).0 == self.seq
     }
 
-    /// Routes the logical op through the current map and starts a fresh
-    /// machine for it at its home shard.
-    fn issue(&mut self) -> Vec<Outbound> {
-        let (key, value) = self.op.as_ref().expect("op set");
-        let key = key_bytes(*key);
-        self.shard = self.map.shard_of(&key);
-        let (machine, req) = self.clients[self.shard].start(&key, value.as_deref());
-        self.current = Some(machine);
-        self.absorb(KvStep::send(req)).0
+    fn absorb(&mut self, mut step: Step<F::Outcome>) -> (Vec<Outbound>, Option<F::Outcome>) {
+        self.outstanding += step.send.len();
+        let done = step.done.take();
+        let sends = self
+            .family
+            .sends(step, self.seq, self.home, self.map.epoch());
+        (sends, done)
     }
 
-    /// A lost or fenced round trip: retry within the budget, else drop
-    /// the operation.
-    fn retry(&mut self) -> AdapterStep {
-        let step = retry_or_give_up(&mut self.retries, Vec::new());
-        if matches!(step, AdapterStep::GiveUp { .. }) {
-            self.current = None;
-            self.op = None;
-            self.observer.unresolved();
+    /// Runs the open op's next attempt at its home, routed afresh: on a
+    /// fresh machine, or on `machine` re-armed (a PUT that chose its tag
+    /// keeps it, [`RsProtocol::reissue`]), parking the attempt it leaves.
+    fn attempt(&mut self, machine: Option<F::Machine>) -> Vec<Outbound> {
+        if let Some(machine) = machine.as_ref().filter(|_| self.owed()) {
+            self.park(machine.clone());
         }
-        step
+        self.seq += 1;
+        self.outstanding = 0;
+        let op = self.op.as_mut().expect("an operation is open");
+        self.home = F::home(&self.map, op);
+        let (machine, step) = match machine {
+            Some(mut machine) => {
+                let step = self.family.reissue(self.home, &mut machine);
+                (machine, step)
+            }
+            None => self.family.start(self.home, op, &mut self.source),
+        };
+        self.current = Some(machine);
+        self.absorb(step).0
+    }
+
+    /// Whether the machine being left is owed replies and parks for them.
+    fn owed(&self) -> bool {
+        F::PARKS && self.outstanding > 0
+    }
+
+    fn park(&mut self, machine: F::Machine) {
+        if self.owed() {
+            let parked = (machine, self.outstanding, self.home);
+            self.lingering.insert(self.seq, parked);
+        }
+    }
+
+    /// The retry verdict on a failed attempt: another, on `machine` (if
+    /// any), after a backoff; or, the budget spent, the op given up.
+    fn retry(&mut self, machine: Option<F::Machine>, sends: Vec<Outbound>) -> AdapterStep {
+        if self.retries < TRANSPORT_RETRY_BUDGET {
+            self.retries += 1;
+            self.current = machine;
+            let wait = TRANSPORT_RETRY_BASE_NS << (self.retries - 1).min(6);
+            let wait = SimDuration::from_nanos(wait.min(TRANSPORT_RETRY_CAP_NS));
+            return AdapterStep::Retry { sends, wait };
+        }
+        if let Some(machine) = machine {
+            self.park(machine);
+        }
+        self.op = None;
+        self.observer.unresolved();
+        AdapterStep::GiveUp { sends }
+    }
+
+    /// A reply to no attempt in flight: fed to its parked machine, if any,
+    /// for its reclamation only.
+    fn straggler(&mut self, seq: u64, at: (u32, u32), reply: Reply) -> Vec<Outbound> {
+        let Some((machine, owed, home)) = self.lingering.get_mut(&seq) else {
+            return Vec::new();
+        };
+        let (home, mut step) = (*home, self.family.feed(*home, machine, at, reply));
+        step.send.clear();
+        *owed -= 1;
+        if *owed == 0 {
+            self.lingering.remove(&seq);
+        }
+        self.family.sends(step, seq, home, 0)
     }
 }
 
-impl<P: KvProtocol, W: OpSource, O: OpObserver> ProtoAdapter for KvDriver<P, W, O> {
+impl<F: Family<W>, W: OpSource<F::Op>, O: OpObserver<F::Op>> ProtoAdapter for Driver<F, W, O> {
     fn start(&mut self, rng: &mut SimRng) -> Vec<Outbound> {
         let op = self.source.draw(rng);
         self.observer.invoked(&op);
         self.op = Some(op);
         self.retries = 0;
-        self.issue()
+        self.attempt(None)
     }
 
     fn resume(&mut self) -> Vec<Outbound> {
-        // Transport retry: re-arm the *same* machine rather than
-        // starting a fresh one ([`KvProtocol::reissue`]).
-        let Some(machine) = self.current.as_mut() else {
-            return self.issue();
-        };
-        let req = self.clients[self.shard].reissue(machine);
-        self.absorb(KvStep::send(req)).0
+        let machine = self.current.take();
+        self.attempt(machine)
     }
 
     fn note_time(&mut self, now: SimTime) {
         self.observer.note_time(now);
     }
 
-    fn on_reply(&mut self, _tag: u64, reply: Reply) -> AdapterStep {
+    fn on_reply(&mut self, t: u64, reply: Reply) -> AdapterStep {
+        let (seq, phase, index) = untag(t);
         if let Some(inc) = reply.stale_incarnation() {
-            // An amnesia-restarted shard fenced our pre-crash rkeys:
-            // restamp them with its new incarnation (the rejoin replay
-            // is server-side; the client only needs fresh capabilities)
-            // and re-arm the same machine — the fenced request never
-            // executed.
-            self.clients[self.shard].refence(inc);
-            return self.retry();
+            // An amnesia-restarted server fenced our pre-crash rkeys:
+            // restamp them (the rejoin replay is server-side).
+            self.family.refence(self.home, index, inc);
         }
+        let live = self.live(t);
+        let Some(mut machine) = self.current.take_if(|_| live) else {
+            return AdapterStep::Wait(self.straggler(seq, (phase, index), reply));
+        };
+        self.outstanding -= 1;
         if let Some(epoch) = reply.stale_epoch() {
-            // The server fenced our request under a newer shard-map
-            // epoch, so it never executed: refetch the map, reroute the
-            // key, and restart from a clean probe at the key's
-            // (possibly new) home shard — the same logical operation,
-            // the same value. If the fencing epoch is ahead of anything
-            // we can fetch (a fixed map, or the publish has not landed
-            // yet), treat it as a transport failure instead.
+            // Never executed: go again at the op's new home, or back off
+            // if the fence is ahead of any map we can fetch.
             self.handle.refresh(&mut self.map);
-            self.current = None;
+            let machine = F::REROUTES_MACHINE.then_some(machine);
             if self.map.epoch() >= epoch {
-                return AdapterStep::Wait(self.issue());
+                return AdapterStep::Wait(self.attempt(machine));
             }
-            return self.retry();
+            return self.retry(machine, Vec::new());
         }
-        if matches!(reply, Reply::Verb(Err(_))) {
-            // Synthesized timeout from the fault layer (PRISM-KV chains
-            // never produce bare verb errors; a Pilaf READ the server
-            // refused counts as lost too). The machine is kept: resume()
-            // re-arms it in place.
-            return self.retry();
+        if F::lost(&reply) {
+            return self.retry(Some(machine), Vec::new());
         }
-        let machine = self.current.as_mut().expect("op in flight");
-        let step = self.clients[self.shard].on_reply(machine, reply);
+        let step = self
+            .family
+            .feed(self.home, &mut machine, (phase, index), reply);
+        let backoff = step.backoff_ns.map(SimDuration::from_nanos);
         let (sends, done) = self.absorb(step);
         let Some(outcome) = done else {
-            return AdapterStep::Wait(sends);
+            // A lock backoff keeps the machine and spends no retry budget.
+            self.current = Some(machine);
+            return match backoff {
+                Some(wait) => AdapterStep::Backoff { sends, wait },
+                None => AdapterStep::Wait(sends),
+            };
         };
-        self.current = None;
-        match &outcome {
-            KvOutcome::Value(v) => self.observer.completed(Some(v.as_deref().unwrap_or(&[]))),
-            KvOutcome::Written => self.observer.completed(None),
-            // Pool exhausted, retry budget spent: a failed PUT may have
-            // partially executed.
-            KvOutcome::Failed(_) => self.observer.unresolved(),
-        }
-        let compute_ns = if self.is_get() { P::GET_COMPUTE_NS } else { 0 };
+        let get = self.op.as_ref().is_some_and(F::is_get);
+        let compute_ns = if get { F::GET_COMPUTE_NS } else { 0 };
+        let failed = match self.family.verdict(outcome, &mut machine, self.retries + 1) {
+            Verdict::Retry => return self.retry(Some(machine), sends),
+            Verdict::Aborted(wait, op) => {
+                self.retries += 1;
+                self.op = Some(op);
+                return AdapterStep::Backoff { sends, wait };
+            }
+            Verdict::Completed(read) => {
+                self.observer.completed(read.as_deref());
+                false
+            }
+            Verdict::Failed => {
+                self.observer.unresolved();
+                true
+            }
+        };
+        self.park(machine);
+        let client_compute = SimDuration::from_nanos(compute_ns);
         AdapterStep::Done {
             sends,
-            client_compute: SimDuration::from_nanos(compute_ns),
-            failed: matches!(outcome, KvOutcome::Failed(_)),
+            client_compute,
+            failed,
         }
     }
 
     fn on_stale_reply(&mut self, _tag: u64, server: usize, reply: Reply) -> Vec<Outbound> {
-        harvested_free(server, P::harvest(reply))
+        harvested_free(server, F::harvest(reply))
     }
 
-    fn hedge_eligible(&self, _tag: u64) -> bool {
-        // Only GETs hedge: every leg of a GET machine is an idempotent
-        // read, so racing two copies is safe. A PUT allocates and CASes
-        // (PRISM-KV) or runs on the server CPU (Pilaf) — duplicating it
-        // would double-publish.
-        self.current.is_some() && self.is_get()
+    fn hedge_eligible(&self, t: u64) -> bool {
+        // A PUT's copy would double-publish; a straggler has moved on.
+        let get = self.op.as_ref().is_some_and(F::is_get);
+        F::HEDGE_GETS && self.live(t) && self.current.is_some() && get
     }
 
     fn abandon(&mut self) -> Vec<Outbound> {
-        // Deadline shed: drop the op on the floor. KV machines hold at
-        // most one request in flight and harvesting of raced replies is
-        // stateless ([`KvProtocol::harvest`]), so there is nothing to
-        // park. A shed PUT may have executed.
-        self.current = None;
+        // Deadline shed: park as a reissue would. A shed PUT may have run.
+        if let Some(machine) = self.current.take() {
+            self.park(machine);
+        }
+        self.outstanding = 0;
         self.op = None;
         self.retries = 0;
         self.observer.unresolved();
         Vec::new()
+    }
+}
+
+// ---------------------------------------------------------------------
+// PRISM-KV and Pilaf (Figures 3-4)
+// ---------------------------------------------------------------------
+
+/// [`KvProtocol`] as a [`Family`]: the clients, one per shard. Tag 0
+/// (one request in flight) under the map epoch; a lost round trip or a
+/// stale incarnation retried on the kept machine; an epoch fence starts a
+/// fresh one; nothing parks (harvesting a raced reply is stateless); GETs
+/// hedge and add the protocol's client compute.
+impl<P: KvProtocol, W> Family<W> for Vec<P> {
+    type Op = LogicalOp;
+    type Machine = P::Op;
+    type Outcome = KvOutcome;
+    const HEDGE_GETS: bool = true;
+    const GET_COMPUTE_NS: u64 = P::GET_COMPUTE_NS;
+    fn home(map: &ShardMap, (key, _): &LogicalOp) -> usize {
+        map.shard_of(&key_bytes(*key))
+    }
+    fn is_get((_, value): &LogicalOp) -> bool {
+        value.is_none()
+    }
+    fn sends(&self, step: Step<KvOutcome>, _: u64, shard: usize, epoch: u64) -> Vec<Outbound> {
+        outbound(step, shard, epoch, |_, _, _| 0)
+    }
+    fn start(&mut self, shard: usize, op: &mut LogicalOp, _: &mut W) -> (P::Op, Step<KvOutcome>) {
+        let (machine, req) = self[shard].start(&key_bytes(op.0), op.1.as_deref());
+        (machine, KvStep::send(req).into())
+    }
+    fn reissue(&mut self, shard: usize, machine: &mut P::Op) -> Step<KvOutcome> {
+        KvStep::send(self[shard].reissue(machine)).into()
+    }
+    fn feed(&mut self, shard: usize, m: &mut P::Op, _: (u32, u32), r: Reply) -> Step<KvOutcome> {
+        self[shard].on_reply(m, r).into()
+    }
+    fn lost(reply: &Reply) -> bool {
+        // A fenced request never executed; a synthesized timeout (or a
+        // Pilaf READ the server refused) may have: the machine decides.
+        reply.stale_incarnation().is_some() || matches!(reply, Reply::Verb(Err(_)))
+    }
+    fn refence(&mut self, shard: usize, _: u32, inc: u64) {
+        self[shard].refence(inc);
+    }
+    fn harvest(reply: Reply) -> Option<u64> {
+        P::harvest(reply)
+    }
+    fn verdict(&mut self, outcome: KvOutcome, _: &mut P::Op, _: u32) -> Verdict<LogicalOp> {
+        match outcome {
+            KvOutcome::Value(v) => Verdict::Completed(Some(v.unwrap_or_default())),
+            KvOutcome::Written => Verdict::Completed(None),
+            // Pool exhausted, budget spent: a failed PUT may have landed.
+            KvOutcome::Failed(_) => Verdict::Failed,
+        }
     }
 }
 
@@ -458,7 +618,7 @@ impl OpSource for YcsbGen {
 
 /// Closed-loop YCSB client over PRISM-KV (Figures 3–4), reclamation
 /// coalesced per shard.
-pub type PrismKvAdapter = Coalesced<KvDriver<PrismKvClient, YcsbGen, ()>>;
+pub type PrismKvAdapter = Coalesced<Driver<Vec<PrismKvClient>, YcsbGen, ()>>;
 
 impl PrismKvAdapter {
     /// Creates the single-server adapter.
@@ -467,7 +627,7 @@ impl PrismKvAdapter {
     }
 
     /// Creates a routed adapter over one client per shard; `route` is a
-    /// fixed map or a live handle (see [`KvDriver::routed`]).
+    /// fixed map or a live handle (see [`Driver::routed`]).
     pub fn sharded(
         clients: Vec<PrismKvClient>,
         route: impl Into<MapHandle>,
@@ -475,328 +635,110 @@ impl PrismKvAdapter {
         rng: SimRng,
     ) -> Self {
         let gen = YcsbGen::new(config, rng);
-        Coalesced::wrap(KvDriver::routed(clients, route, gen, ()))
+        Coalesced::wrap(Driver::routed(clients, route, gen, ()))
     }
 }
 
 /// Closed-loop YCSB client over Pilaf (the Figures 3–4 baseline): the
 /// same driver and workload as [`PrismKvAdapter`]; Pilaf sends no frees,
 /// so nothing is coalesced.
-pub type PilafAdapter = KvDriver<PilafClient, YcsbGen, ()>;
+pub type PilafAdapter = Driver<Vec<PilafClient>, YcsbGen, ()>;
 
 impl PilafAdapter {
     /// Creates the adapter.
     pub fn new(client: PilafClient, config: YcsbConfig, rng: SimRng) -> Self {
-        KvDriver::routed(
-            vec![client],
-            ShardMap::single(),
-            YcsbGen::new(config, rng),
-            (),
-        )
+        let gen = YcsbGen::new(config, rng);
+        Driver::routed(vec![client], ShardMap::single(), gen, ())
     }
 }
 
 // ---------------------------------------------------------------------
-// PRISM-RS (Figures 6-7)
+// PRISM-RS and ABDLOCK (Figures 6-7)
 // ---------------------------------------------------------------------
 
-/// Closed-loop block-store client over a replicated-register protocol,
-/// optionally sharded across replica groups: the one reply-handling
-/// state machine for every [`RsProtocol`] (PRISM-RS and ABDLOCK).
-///
-/// With one client and [`ShardMap::single`] this is the 3-replica
-/// adapter. With S clients, each block routes to its home *group* and
-/// the quorum protocol runs inside that group unchanged. Flat server
-/// indices are group-major (`group * replicas + replica`, the
-/// [`crate::cluster::RsShards`] layout) and reply tags carry the flat
-/// index, so a straggler of a completed op still resolves its group
-/// after the client has moved on to a block elsewhere. Every attempt
-/// runs under a fresh `seq`: a reissue after a failure, a fence or a
-/// lock backoff alike.
-pub struct RsDriver<P: RsProtocol, W, O> {
+/// [`RsProtocol`] as a [`Family`], one client per replica group. Flat
+/// server indices are group-major (`group * replicas + replica`, the
+/// [`crate::cluster::RsShards`] layout) and tags `seq | phase | flat
+/// index` under the map epoch, so a straggler still finds its group after
+/// the client has moved on. A lost round trip is a failed leg, a failed
+/// quorum goes to the retry verdict, a stale incarnation is refenced and
+/// still fed, an epoch fence reissues the same machine, machines still
+/// owed replies park, and GETs hedge where [`RsProtocol::HEDGE_GETS`]
+/// allows.
+pub struct RsFamily<P> {
     clients: Vec<P>,
-    /// The map blocks are routed by, and the cell a stale-epoch fence
-    /// refetches it from.
-    map: ShardMap,
-    handle: MapHandle,
-    /// Replicas per group (flat index stride).
     replicas: usize,
-    /// Home group of the in-flight op.
-    group: usize,
-    source: W,
-    observer: O,
-    seq: u64,
-    current: Option<P::Op>,
-    /// Completed-but-outstanding machines by seq, each with the replies
-    /// it is still owed; the reply tag's flat index names their group,
-    /// so no group needs to be stored here.
-    lingering: IntMap<u64, (P::Op, usize)>,
-    outstanding: usize,
-    /// The in-flight logical op, kept so a quorum failure can retry the
-    /// whole operation under a fresh sequence number.
-    op: Option<LogicalOp>,
-    retries: u32,
 }
 
-impl<P: RsProtocol, W: OpSource, O: OpObserver> RsDriver<P, W, O> {
-    /// Creates a driver over one client per replica group, in group
-    /// order. `route` is a fixed [`ShardMap`], or the cluster's
-    /// [`MapHandle`] when the map can change under the run: then an
-    /// attempt fenced with [`prism_rdma::RdmaError::StaleEpoch`]
-    /// refetches the map and is reissued against the block's new home
-    /// group, and `clients` must cover every group the map can grow
-    /// into (standby groups included).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the map routes to more groups than there are clients,
-    /// or the groups disagree on replica count.
-    pub fn routed(clients: Vec<P>, route: impl Into<MapHandle>, source: W, observer: O) -> Self {
-        let handle = route.into();
-        let map = handle.snapshot();
-        assert!(
-            clients.len() >= map.shards(),
-            "one client per replica group the map can route to, in group order"
-        );
+impl<P: RsProtocol> From<Vec<P>> for RsFamily<P> {
+    fn from(clients: Vec<P>) -> Self {
         let replicas = clients[0].n();
         assert!(
             clients.iter().all(|c| c.n() == replicas),
             "uniform replica count across groups"
         );
-        RsDriver {
-            clients,
-            map,
-            handle,
-            replicas,
-            group: 0,
-            source,
-            observer,
-            seq: 0,
-            current: None,
-            lingering: IntMap::default(),
-            outstanding: 0,
-            op: None,
-            retries: 0,
-        }
-    }
-
-    /// Starts a fresh machine for the logical op at its home group.
-    fn issue(&mut self) -> Vec<Outbound> {
-        self.seq += 1;
-        self.outstanding = 0;
-        let (block, value) = self.op.clone().expect("op set");
-        self.group = self.map.shard_of_id(block);
-        let client = &mut self.clients[self.group];
-        let (op, step) = match value {
-            Some(v) => client.put(block, v),
-            None => client.get(block),
-        };
-        self.current = Some(op);
-        self.absorb(step).0
-    }
-
-    /// Reissues `op` — same block and (for PUTs) same value, fresh
-    /// sequence number, but the *same* machine: a PUT whose write phase
-    /// already chose its tag must retry under that tag (see PRISM-RS's
-    /// [`RsProtocol::reissue`]), or the retry could resurrect its value
-    /// over a later write readers already observed. Stragglers of the
-    /// abandoned attempt are parked under the old seq so their
-    /// reclamation still lands. The block is routed afresh: a no-op
-    /// unless a stale-epoch fence refreshed the map since the attempt
-    /// started.
-    fn reissue(&mut self, mut op: P::Op) -> Vec<Outbound> {
-        if self.outstanding > 0 {
-            self.lingering
-                .insert(self.seq, (op.clone(), self.outstanding));
-        }
-        self.seq += 1;
-        self.outstanding = 0;
-        let block = self.op.as_ref().expect("op set").0;
-        self.group = self.map.shard_of_id(block);
-        let step = self.clients[self.group].reissue(&mut op);
-        self.current = Some(op);
-        self.absorb(step).0
-    }
-
-    /// Parks a machine the client is done with while replies to it are
-    /// still owed: they resolve against it and their reclamation lands.
-    fn park(&mut self, op: P::Op) {
-        if self.outstanding > 0 {
-            self.lingering.insert(self.seq, (op, self.outstanding));
-        }
-    }
-
-    /// A failed attempt (quorum lost, or fenced past any map we can
-    /// fetch): within the budget the machine is kept for the reissue
-    /// and meanwhile absorbs this attempt's stragglers; past it the
-    /// operation is given up.
-    fn retry(&mut self, op: P::Op, sends: Vec<Outbound>) -> AdapterStep {
-        let step = retry_or_give_up(&mut self.retries, sends);
-        if matches!(step, AdapterStep::GiveUp { .. }) {
-            self.park(op);
-            self.observer.unresolved();
-        } else {
-            self.current = Some(op);
-        }
-        step
-    }
-
-    fn absorb(&mut self, step: RsStep) -> (Vec<Outbound>, Option<RsOutcome>) {
-        let base = self.group * self.replicas;
-        self.outstanding += step.send.len();
-        outbound(step, base, self.map.epoch(), |r, p, _| {
-            tag(self.seq, p, (base + r) as u32)
-        })
+        RsFamily { clients, replicas }
     }
 }
 
-impl<P: RsProtocol, W: OpSource, O: OpObserver> ProtoAdapter for RsDriver<P, W, O> {
-    fn start(&mut self, rng: &mut SimRng) -> Vec<Outbound> {
-        let op = self.source.draw(rng);
-        self.observer.invoked(&op);
-        self.op = Some(op);
-        self.retries = 0;
-        self.issue()
+impl<P: RsProtocol, W> Family<W> for RsFamily<P> {
+    type Op = LogicalOp;
+    type Machine = P::Op;
+    type Outcome = RsOutcome;
+    const HEDGE_GETS: bool = P::HEDGE_GETS;
+    const PARKS: bool = true;
+    const REROUTES_MACHINE: bool = true;
+    fn home(map: &ShardMap, (block, _): &LogicalOp) -> usize {
+        map.shard_of_id(*block)
     }
-
-    fn resume(&mut self) -> Vec<Outbound> {
-        // Operation-level retry or the end of a lock backoff, on the
-        // machine the attempt left.
-        match self.current.take() {
-            Some(op) => self.reissue(op),
-            None => self.issue(),
+    fn is_get((_, value): &LogicalOp) -> bool {
+        value.is_none()
+    }
+    fn sends(&self, step: RsStep, seq: u64, group: usize, epoch: u64) -> Vec<Outbound> {
+        let tag = |server: usize, phase, _| tag(seq, phase, server as u32);
+        outbound(step, group * self.replicas, epoch, tag)
+    }
+    fn start(&mut self, group: usize, op: &mut LogicalOp, _: &mut W) -> (P::Op, RsStep) {
+        match &op.1 {
+            Some(value) => self.clients[group].put(op.0, value.clone()),
+            None => self.clients[group].get(op.0),
         }
     }
-
-    fn note_time(&mut self, now: SimTime) {
-        self.observer.note_time(now);
+    fn reissue(&mut self, group: usize, machine: &mut P::Op) -> RsStep {
+        self.clients[group].reissue(machine)
     }
-
-    fn on_reply(&mut self, t: u64, reply: Reply) -> AdapterStep {
-        let (seq, phase, idx) = untag(t);
-        // The tag carries the flat server index; decompose it so a
-        // straggler from a previous op still lands in its own group.
-        let group = idx as usize / self.replicas;
-        let replica = idx as usize % self.replicas;
-        if let Some(inc) = reply.stale_incarnation() {
-            // An amnesia-restarted replica fenced our pre-crash rkeys:
-            // restamp them with its new incarnation so the operation-
-            // level retry reaches it again (§7.2 rejoin is server-side;
-            // the client only needs fresh capabilities).
-            self.clients[group].refence(replica, inc);
-        }
-        if seq != self.seq || self.current.is_none() {
-            // A reply to an attempt the client has moved on from (a
-            // fence NACK among them: the machine counts it as a failed
-            // leg): feed its parked machine for reclamation.
-            let Some((op, remaining)) = self.lingering.get_mut(&seq) else {
-                return AdapterStep::Wait(Vec::new());
-            };
-            // Only its reclamation goes out: its sends would belong to
-            // an attempt nobody waits for.
-            let mut step = self.clients[group].on_reply(op, phase, replica, reply);
-            step.send.clear();
-            *remaining -= 1;
-            if *remaining == 0 {
-                self.lingering.remove(&seq);
-            }
-            return AdapterStep::Wait(outbound(step, group * self.replicas, 0, |_, _, _| 0).0);
-        }
-        let mut op = self.current.take().expect("op in flight");
-        self.outstanding -= 1;
-        if let Some(epoch) = reply.stale_epoch() {
-            // A replica fenced this attempt under a newer shard-map
-            // epoch: the fenced leg never executed. Refetch the map and
-            // reissue the same machine against the block's new home
-            // group; a PUT that already chose its tag keeps it, so the
-            // cross-group retry cannot resurrect its value over a later
-            // write the new group accepted. If the fencing epoch is
-            // ahead of anything we can fetch, fall back to an op-level
-            // retry with backoff.
-            self.handle.refresh(&mut self.map);
-            if self.map.epoch() >= epoch {
-                return AdapterStep::Wait(self.reissue(op));
-            }
-            return self.retry(op, Vec::new());
-        }
-        let step = self.clients[self.group].on_reply(&mut op, phase, replica, reply);
-        let backoff = step.backoff_ns;
-        let (sends, done) = self.absorb(step);
-        match done {
-            None => {
-                self.current = Some(op);
-                match backoff {
-                    // A lock backoff keeps the machine and spends none of
-                    // the transport retry budget.
-                    Some(ns) => AdapterStep::Backoff {
-                        sends,
-                        wait: SimDuration::from_nanos(ns),
-                    },
-                    None => AdapterStep::Wait(sends),
-                }
-            }
-            Some(RsOutcome::Failed(_)) => self.retry(op, sends),
-            Some(outcome) => {
-                self.park(op);
-                self.observer.completed(match &outcome {
-                    RsOutcome::Value(v) => Some(v.as_slice()),
-                    _ => None,
-                });
-                AdapterStep::Done {
-                    sends,
-                    client_compute: SimDuration::ZERO,
-                    failed: false,
-                }
-            }
-        }
+    fn feed(&mut self, group: usize, machine: &mut P::Op, at: (u32, u32), reply: Reply) -> RsStep {
+        let replica = at.1 as usize % self.replicas;
+        self.clients[group].on_reply(machine, at.0, replica, reply)
     }
-
-    fn on_stale_reply(&mut self, _tag: u64, server: usize, reply: Reply) -> Vec<Outbound> {
-        harvested_free(server, P::harvest(reply))
+    fn refence(&mut self, _: usize, server: u32, inc: u64) {
+        let server = server as usize;
+        self.clients[server / self.replicas].refence(server % self.replicas, inc);
     }
-
-    fn hedge_eligible(&self, t: u64) -> bool {
-        // Every leg of a GET hedges where the protocol allows it
-        // ([`RsProtocol::HEDGE_GETS`] says why PRISM-RS's write-back
-        // may run twice). PUT legs allocate and CAS; only the reissue
-        // path may duplicate them. The tag gate keeps a straggler's tag
-        // from hedging after the op has moved on.
-        P::HEDGE_GETS
-            && untag(t).0 == self.seq
-            && self.current.is_some()
-            && matches!(self.op, Some((_, None)))
+    fn harvest(reply: Reply) -> Option<u64> {
+        P::harvest(reply)
     }
-
-    fn abandon(&mut self) -> Vec<Outbound> {
-        // Deadline shed mid-quorum: park the machine exactly as a
-        // reissue would, so stragglers of the abandoned attempt still
-        // resolve against it and their reclamation traffic lands. A
-        // shed PUT may have partially executed.
-        if let Some(op) = self.current.take() {
-            self.park(op);
+    fn verdict(&mut self, outcome: RsOutcome, _: &mut P::Op, _: u32) -> Verdict<LogicalOp> {
+        match outcome {
+            RsOutcome::Value(v) => Verdict::Completed(Some(v)),
+            RsOutcome::Written => Verdict::Completed(None),
+            RsOutcome::Failed(_) => Verdict::Retry,
         }
-        self.outstanding = 0;
-        self.op = None;
-        self.retries = 0;
-        self.observer.unresolved();
-        Vec::new()
     }
 }
 
-/// The PRISM-RS and ABDLOCK figure workload (§7.4): a block from `dist`,
-/// a write with probability `write_fraction`, its value stamped with a
-/// fresh 64-bit nonce — three draws on the client actor's stream.
-pub struct BlockMix {
-    dist: KeyDist,
-    block_size: usize,
-    write_fraction: f64,
-}
+/// The PRISM-RS and ABDLOCK figure workload (§7.4), over `(dist,
+/// block_size, write_fraction)`: a block from `dist`, a write with
+/// probability `write_fraction`, its value stamped with a fresh 64-bit
+/// nonce — three draws on the client actor's stream.
+pub struct BlockMix(KeyDist, usize, f64);
 
 impl OpSource for BlockMix {
     fn draw(&mut self, rng: &mut SimRng) -> LogicalOp {
-        let block = self.dist.sample(rng);
-        let value = rng.gen_bool(self.write_fraction).then(|| {
-            let mut value = vec![0u8; self.block_size];
+        let BlockMix(dist, block_size, write_fraction) = self;
+        let block = dist.sample(rng);
+        let value = rng.gen_bool(*write_fraction).then(|| {
+            let mut value = vec![0u8; *block_size];
             value[..8].copy_from_slice(&rng.next_u64().to_le_bytes());
             value
         });
@@ -807,23 +749,17 @@ impl OpSource for BlockMix {
 /// Closed-loop block-store client over PRISM-RS (Figures 6–7): 50 %
 /// reads / 50 % writes in the paper's runs, reclamation coalesced per
 /// replica.
-pub type PrismRsAdapter = Coalesced<RsDriver<RsClient, BlockMix, ()>>;
+pub type PrismRsAdapter = Coalesced<Driver<RsFamily<RsClient>, BlockMix, ()>>;
 
 impl PrismRsAdapter {
     /// Creates the single-group adapter.
     pub fn new(client: RsClient, dist: KeyDist, block_size: usize, write_fraction: f64) -> Self {
-        Self::sharded(
-            vec![client],
-            ShardMap::single(),
-            dist,
-            block_size,
-            write_fraction,
-        )
+        let single = ShardMap::single();
+        Self::sharded(vec![client], single, dist, block_size, write_fraction)
     }
 
     /// Creates a routed adapter over one client per replica group;
-    /// `route` is a fixed map or a live handle (see
-    /// [`RsDriver::routed`]).
+    /// `route` is a fixed map or a live handle (see [`Driver::routed`]).
     pub fn sharded(
         clients: Vec<RsClient>,
         route: impl Into<MapHandle>,
@@ -831,23 +767,15 @@ impl PrismRsAdapter {
         block_size: usize,
         write_fraction: f64,
     ) -> Self {
-        let mix = BlockMix {
-            dist,
-            block_size,
-            write_fraction,
-        };
-        Coalesced::wrap(RsDriver::routed(clients, route, mix, ()))
+        let mix = BlockMix(dist, block_size, write_fraction);
+        Coalesced::wrap(Driver::routed(clients, route, mix, ()))
     }
 }
-
-// ---------------------------------------------------------------------
-// ABDLOCK (Figures 6-7 baseline)
-// ---------------------------------------------------------------------
 
 /// Closed-loop block-store client over the lock-based ABD baseline
 /// (Figures 6–7): the same driver and workload as [`PrismRsAdapter`];
 /// ABDLOCK sends no frees, so nothing is coalesced.
-pub type AbdLockAdapter = RsDriver<AbdLockClient, BlockMix, ()>;
+pub type AbdLockAdapter = Driver<RsFamily<AbdLockClient>, BlockMix, ()>;
 
 impl AbdLockAdapter {
     /// Creates the single-group adapter.
@@ -857,12 +785,8 @@ impl AbdLockAdapter {
         block_size: usize,
         write_fraction: f64,
     ) -> Self {
-        let mix = BlockMix {
-            dist,
-            block_size,
-            write_fraction,
-        };
-        RsDriver::routed(vec![client], ShardMap::single(), mix, ())
+        let mix = BlockMix(dist, block_size, write_fraction);
+        Driver::routed(vec![client], ShardMap::single(), mix, ())
     }
 }
 
@@ -888,139 +812,109 @@ fn tx_backoff(consecutive_aborts: u32, rng: &mut SimRng) -> SimDuration {
     SimDuration::from_nanos(base + rng.gen_range(base))
 }
 
-/// Closed-loop YCSB-T client over a transaction protocol: each operation
-/// is a short read-modify-write transaction retried (with backoff) until
-/// it commits or fails (§8.3) — the one reply-handling loop for every
-/// [`TxProtocol`].
+/// [`TxProtocol`] as a [`Family`]: each operation a YCSB-T
+/// read-modify-write transaction retried until it commits or fails
+/// (§8.3). Its one client addresses every shard itself (one home); tags
+/// are `seq | phase | request index` under epoch 0. A reply to an older
+/// `seq` is dropped (a finished attempt of either protocol answers it
+/// with nothing), a lost round trip is the protocol's to abort or fail,
+/// and an abort backs off with per-client jitter.
 ///
 /// Each attempt draws its write values from the [`TxnGen`] when it
 /// begins and holds them until its step pauses for them
 /// ([`TxStep::awaiting_writes`]); it supplies them within the same
 /// `begin` or `on_reply` call, so the pause adds no send and no event.
-///
-/// A reply to an attempt that already ended (an abort or a failure after
-/// a lost round trip) is dropped: a finished attempt of either protocol
-/// answers it with nothing. Background traffic (PRISM-TX's buffer
-/// frees and abort `C`-bumps; FaRM sends none) is emitted as is:
-/// [`PrismTxAdapter`] coalesces it through [`Coalesced`].
-pub struct TxDriver<P: TxProtocol> {
+pub struct TxFamily<P> {
     client: P,
-    gen: TxnGen,
-    seq: u64,
-    keys: Vec<u64>,
     writes: Vec<(u64, Vec<u8>)>,
-    current: Option<P::Op>,
-    consecutive_aborts: u32,
+    /// The abort backoff's jitter.
     rng: SimRng,
 }
 
-impl<P: TxProtocol> TxDriver<P> {
-    /// A driver whose abort backoff draws its jitter from `backoff_seed`.
-    fn with_backoff_seed(client: P, gen: TxnGen, backoff_seed: u64) -> Self {
-        TxDriver {
-            client,
-            gen,
-            seq: 0,
-            keys: Vec::new(),
-            writes: Vec::new(),
-            current: None,
-            consecutive_aborts: 0,
-            rng: SimRng::new(backoff_seed),
-        }
-    }
-
-    /// Begins an attempt over `self.keys`. The attempt owns the key list
-    /// while it runs; an abort takes it back for the retry.
-    fn begin_attempt(&mut self) -> Vec<Outbound> {
-        self.seq += 1;
-        let keys = std::mem::take(&mut self.keys);
-        self.writes = keys.iter().map(|&k| (k, self.gen.value_for(k))).collect();
-        let (mut op, step) = self.client.begin(keys);
-        let step = self.supply_if_paused(&mut op, step);
-        self.current = Some(op);
-        self.absorb(step).0
-    }
-
+impl<P: TxProtocol> TxFamily<P> {
     /// The step that follows `step`: if it paused the attempt for its
     /// writes, the one that hands them over.
-    fn supply_if_paused(&mut self, op: &mut P::Op, step: TxStep) -> TxStep {
+    fn supply_if_paused(&mut self, machine: &mut P::Op, step: TxStep) -> TxStep {
         if !step.awaiting_writes {
             return step;
         }
         let writes = std::mem::take(&mut self.writes);
-        self.client.supply_writes(op, writes)
-    }
-
-    /// The step's sends, tagged with the attempt's `seq`, unsharded.
-    fn absorb(&mut self, step: TxStep) -> (Vec<Outbound>, Option<TxOutcome>) {
-        outbound(step, 0, 0, |_, phase, idx| tag(self.seq, phase, idx))
+        self.client.supply_writes(machine, writes)
     }
 }
 
-impl<P: TxProtocol> ProtoAdapter for TxDriver<P> {
-    fn start(&mut self, _rng: &mut SimRng) -> Vec<Outbound> {
-        self.keys = self.gen.next_txn().keys;
-        self.consecutive_aborts = 0;
-        self.begin_attempt()
+impl<P: TxProtocol> Family<TxnGen> for TxFamily<P> {
+    type Op = TxnSpec;
+    type Machine = P::Op;
+    type Outcome = TxOutcome;
+    const HEDGE_GETS: bool = false;
+    fn sends(&self, step: TxStep, seq: u64, _: usize, _: u64) -> Vec<Outbound> {
+        outbound(step, 0, 0, |_, phase, index| tag(seq, phase, index))
     }
-
-    fn resume(&mut self) -> Vec<Outbound> {
-        // Retry the same transaction after an abort backoff.
-        self.begin_attempt()
+    /// Begins an attempt over the op's keys; the attempt owns them while
+    /// it runs and an abort hands them back.
+    fn start(&mut self, _: usize, op: &mut TxnSpec, gen: &mut TxnGen) -> (P::Op, TxStep) {
+        let keys = std::mem::take(&mut op.keys);
+        self.writes = keys.iter().map(|&k| (k, gen.value_for(k))).collect();
+        let (mut machine, step) = self.client.begin(keys);
+        let step = self.supply_if_paused(&mut machine, step);
+        (machine, step)
     }
-
-    fn on_reply(&mut self, t: u64, reply: Reply) -> AdapterStep {
-        let (seq, phase, idx) = untag(t);
-        if seq != self.seq || self.current.is_none() {
-            return AdapterStep::Wait(Vec::new());
+    fn reissue(&mut self, _: usize, _: &mut P::Op) -> TxStep {
+        unreachable!("an ended transaction attempt is never re-armed: an abort begins afresh")
+    }
+    fn feed(&mut self, _: usize, machine: &mut P::Op, at: (u32, u32), reply: Reply) -> TxStep {
+        let step = self.client.on_reply(machine, at.0, at.1, reply);
+        self.supply_if_paused(machine, step)
+    }
+    fn verdict(&mut self, outcome: TxOutcome, m: &mut P::Op, attempt: u32) -> Verdict<TxnSpec> {
+        match outcome {
+            TxOutcome::Committed(_) => Verdict::Completed(None),
+            TxOutcome::Aborted => {
+                let keys = P::take_read_keys(m);
+                Verdict::Aborted(tx_backoff(attempt, &mut self.rng), TxnSpec { keys })
+            }
+            TxOutcome::Failed(_) => Verdict::Failed,
         }
-        let mut op = self.current.take().expect("txn in flight");
-        let step = self.client.on_reply(&mut op, phase, idx, reply);
-        let step = self.supply_if_paused(&mut op, step);
-        let (sends, done) = self.absorb(step);
-        let failed = match done {
-            None => {
-                self.current = Some(op);
-                return AdapterStep::Wait(sends);
-            }
-            Some(TxOutcome::Aborted) => {
-                self.consecutive_aborts += 1;
-                self.keys = P::take_read_keys(&mut op);
-                // Flush reclamation traffic, back off, then retry the
-                // same transaction with fresh reads; latency keeps
-                // accumulating on the same closed-loop op.
-                debug_assert!(sends.iter().all(|o| o.background));
-                return AdapterStep::Backoff {
-                    sends,
-                    wait: tx_backoff(self.consecutive_aborts, &mut self.rng),
-                };
-            }
-            Some(TxOutcome::Committed(_)) => false,
-            Some(TxOutcome::Failed(_)) => true,
+    }
+}
+
+impl OpSource<TxnSpec> for TxnGen {
+    /// The generator's own stream, which also draws each attempt's write
+    /// values.
+    fn draw(&mut self, _rng: &mut SimRng) -> TxnSpec {
+        self.next_txn()
+    }
+}
+
+impl<P: TxProtocol> Driver<TxFamily<P>, TxnGen, ()> {
+    /// A driver whose abort backoff draws its jitter from `backoff_seed`.
+    fn with_backoff_seed(client: P, gen: TxnGen, backoff_seed: u64) -> Self {
+        let (writes, rng) = (Vec::new(), SimRng::new(backoff_seed));
+        let family = TxFamily {
+            client,
+            writes,
+            rng,
         };
-        AdapterStep::Done {
-            sends,
-            client_compute: SimDuration::ZERO,
-            failed,
-        }
+        Driver::over(family, ShardMap::single().into(), gen, ())
     }
 }
 
 /// Closed-loop YCSB-T client over PRISM-TX (Figures 9–10), its buffer
-/// frees coalesced.
-pub type PrismTxAdapter = Coalesced<TxDriver<TxClient>>;
+/// frees and abort `C`-bumps coalesced.
+pub type PrismTxAdapter = Coalesced<Driver<TxFamily<TxClient>, TxnGen, ()>>;
 
 impl PrismTxAdapter {
     /// Creates the adapter; its backoff jitter is seeded by client id.
     pub fn new(client: TxClient, gen: TxnGen) -> Self {
         let seed = (client.cid() as u64) << 17 | 0x5A5A;
-        Coalesced::wrap(TxDriver::with_backoff_seed(client, gen, seed))
+        Coalesced::wrap(Driver::with_backoff_seed(client, gen, seed))
     }
 }
 
 /// Closed-loop YCSB-T client over the FaRM baseline (Figures 9–10). FaRM
 /// sends no frees, so nothing is coalesced.
-pub type FarmAdapter = TxDriver<FarmClient>;
+pub type FarmAdapter = Driver<TxFamily<FarmClient>, TxnGen, ()>;
 
 impl FarmAdapter {
     /// Creates the adapter. Every FaRM client draws its backoff jitter
@@ -1133,7 +1027,7 @@ mod tests {
     struct Kv {
         cluster: KvCluster,
         servers: Vec<Arc<PrismServer>>,
-        driver: KvDriver<PrismKvClient, Script, Recorder>,
+        driver: Driver<Vec<PrismKvClient>, Script, Recorder>,
         history: History,
         clock: u64,
     }
@@ -1154,7 +1048,7 @@ mod tests {
     impl Kv {
         fn new(cluster: KvCluster, route: MapHandle, script: Vec<LogicalOp>) -> Self {
             let history: History = Arc::new(Mutex::new(Vec::new()));
-            let driver = KvDriver::routed(
+            let driver = Driver::routed(
                 cluster.open_clients(),
                 route,
                 Script(script.into()),
@@ -1314,7 +1208,7 @@ mod tests {
         reply
     }
 
-    /// Branches: the three lost-round-trip arms of `KvDriver::on_reply`
+    /// Branches: the three lost-round-trip arms of KV's `Driver::on_reply`
     /// and the give-up at the end of each; whether the machine survives
     /// (a fence past any fetchable map drops it, the others re-arm it).
     #[test]
@@ -1385,7 +1279,7 @@ mod tests {
         assert_done("re-armed GET", &kv.finish(rearmed), false);
     }
 
-    /// Branches: the stale-epoch arm of `KvDriver::on_reply` with a live
+    /// Branches: the stale-epoch arm of KV's `Driver::on_reply` with a live
     /// handle — behind the fence it backs off, caught up it restarts the
     /// same logical op at the key's new home under the new epoch.
     #[test]
@@ -1523,7 +1417,7 @@ mod tests {
     struct Rs {
         shards: RsShards,
         servers: Vec<Arc<PrismServer>>,
-        driver: RsDriver<RsClient, Script, Recorder>,
+        driver: Driver<RsFamily<RsClient>, Script, Recorder>,
         history: History,
         clock: u64,
     }
@@ -1533,7 +1427,7 @@ mod tests {
             let shards =
                 RsShards::with_active(4, 2, 3, &RsConfig::paper(KEYS, VALUE as u64), MAP_SEED);
             let history: History = Arc::new(Mutex::new(Vec::new()));
-            let driver = RsDriver::routed(
+            let driver = Driver::routed(
                 shards.open_clients(),
                 shards.map_handle(),
                 Script(script.into()),
@@ -1581,7 +1475,7 @@ mod tests {
         }
 
         fn owed(&self, seq: u64) -> Option<usize> {
-            self.driver.lingering.get(&seq).map(|(_, owed)| *owed)
+            self.driver.lingering.get(&seq).map(|(_, owed, _)| *owed)
         }
 
         fn records(&self) -> Vec<HistOp> {
@@ -1594,7 +1488,7 @@ mod tests {
         (seq, phase)
     }
 
-    /// Branches: a failed quorum under `RsDriver::on_reply` retries the
+    /// Branches: a failed quorum under RS's `Driver::on_reply` retries the
     /// whole operation six times, then gives it up; the legs that trail
     /// each verdict are absorbed (live machine) or drained (parked one),
     /// so nothing lingers.
@@ -1627,7 +1521,7 @@ mod tests {
         assert_eq!(records[0].complete, None, "a given-up op stays uncertain");
     }
 
-    /// Branches: the stale-epoch arm of `RsDriver::on_reply` — behind
+    /// Branches: the stale-epoch arm of RS's `Driver::on_reply` — behind
     /// the fence the attempt backs off on its machine; caught up it is
     /// reissued at the block's new home group under `seq + 1`, with the
     /// fenced attempt parked; fence NACKs trailing a parked attempt take
@@ -1863,7 +1757,7 @@ mod tests {
         assert_eq!(lists.freelists().available(free_list), before);
     }
 
-    /// ABDLOCK on `RsDriver`: a held lock backs off (`Backoff`, never a
+    /// ABDLOCK on the one driver: a held lock backs off (`Backoff`, never a
     /// transport `Retry`), so seven backoffs in a row spend none of the
     /// retry budget and never give up; no leg is ever hedge-eligible.
     #[test]
@@ -1926,7 +1820,7 @@ mod tests {
     /// protocols' drivers run coalesced, as PRISM-TX's adapter does;
     /// FaRM's has nothing to coalesce.
     struct Tx<P: TxProtocol> {
-        adapter: Coalesced<TxDriver<P>>,
+        adapter: Coalesced<Driver<TxFamily<P>, TxnGen, ()>>,
         servers: Vec<Arc<PrismServer>>,
     }
 
@@ -1974,7 +1868,7 @@ mod tests {
     }
 
     impl<P: TxProtocol> Tx<P> {
-        fn driver(&self) -> &TxDriver<P> {
+        fn driver(&self) -> &Driver<TxFamily<P>, TxnGen, ()> {
             &self.adapter.inner
         }
 
@@ -2052,7 +1946,7 @@ mod tests {
                 assert!(tx.driver().current.is_none(), "{what}");
                 assert_eq!(tx.driver().seq, round + 1, "{what}: one attempt each");
             }
-            assert_eq!(tx.driver().consecutive_aborts, 0, "{what}");
+            assert_eq!(tx.driver().retries, 0, "{what}");
         }
         check("PRISM-TX", prism_tx(1, 1));
         check("FaRM", farm(1, 1).1);
@@ -2078,14 +1972,14 @@ mod tests {
         let keys = txn_gen(1).next_txn().keys;
 
         let mut tx = prism_tx(1, 1);
-        let seed = (tx.driver().client.cid() as u64) << 17 | 0x5A5A;
+        let seed = (tx.driver().family.client.cid() as u64) << 17 | 0x5A5A;
         let first = tx.start();
         let step = tx.adapter.on_reply(first[0].tag, timeout_reply());
         let want = tx_backoff(1, &mut SimRng::new(seed));
         assert_backoff("PRISM-TX", &step, want);
-        assert_eq!(tx.driver().keys, keys);
+        assert_eq!(tx.driver().op, Some(TxnSpec { keys: keys.clone() }));
         assert_eq!(requests(&tx.adapter.resume()), requests(&first));
-        assert_eq!((tx.driver().consecutive_aborts, tx.driver().seq), (1, 2));
+        assert_eq!((tx.driver().retries, tx.driver().seq), (1, 2));
 
         let (cluster, mut tx) = farm(1, 1);
         let first = tx.start();
@@ -2100,9 +1994,9 @@ mod tests {
         let step = tx.leg(&unlock[0]);
         assert_backoff("FaRM", &step, tx_backoff(1, &mut SimRng::new(0xFA12)));
         assert_eq!(cluster.held_locks(), 0, "the abort released it");
-        assert_eq!(tx.driver().keys, keys);
+        assert_eq!(tx.driver().op, Some(TxnSpec { keys: keys.clone() }));
         assert_eq!(requests(&tx.adapter.resume()), requests(&first));
-        assert_eq!((tx.driver().consecutive_aborts, tx.driver().seq), (1, 2));
+        assert_eq!((tx.driver().retries, tx.driver().seq), (1, 2));
     }
 
     /// Branch: `Failed` — a lost commit (PRISM-TX) or update (FaRM)
@@ -2128,7 +2022,9 @@ mod tests {
     /// A three-shard transaction's last phase: the first reply lands
     /// (PRISM-TX's free of the displaced version goes to the batcher,
     /// not the wire), the second is lost (the attempt fails), the third
-    /// straggles in.
+    /// straggles in. And the driver's one "no attempt in flight" arm
+    /// for KV, whose replies carry no attempt: a reply after `Done` or
+    /// `abandon` emits at most its harvested free.
     #[test]
     fn tx_late_replies_to_a_finished_attempt_emit_nothing() {
         fn check<P: TxProtocol>(what: &str, mut tx: Tx<P>, last_phase: u32) -> Tx<P> {
@@ -2146,6 +2042,27 @@ mod tests {
         assert_eq!(held, 1, "the first commit reply's free, coalesced");
         let tx = check("FaRM", farm(3, 3).1, PH_FARM_UPDATE);
         assert!(tx.adapter.frees.pending.is_empty(), "FaRM frees nothing");
+
+        let at_most_a_free = |what: &str, step: AdapterStep| {
+            let sends = wait_sends(what, step);
+            assert!(
+                sends.len() <= 1 && sends.iter().all(is_single_free),
+                "{what}"
+            );
+        };
+        let mut kv = Kv::fixed(vec![(1, Some(value(1))), (1, Some(value(2)))]);
+        let probe = kv.start();
+        let install = wait_sends("probe answered", kv.round_trip(&probe));
+        let reply = serve(&kv.servers, &install[0]);
+        assert_done("KV PUT", &kv.reply(reply.clone()), false);
+        let late = kv.reply(reply);
+        at_most_a_free("KV reply after Done", late);
+        let probe = kv.start();
+        let install = wait_sends("probe answered", kv.round_trip(&probe));
+        kv.tick();
+        assert!(kv.driver.abandon().is_empty());
+        let late = kv.reply(serve(&kv.servers, &install[0]));
+        at_most_a_free("KV reply after abandon", late);
     }
 
     // -----------------------------------------------------------------

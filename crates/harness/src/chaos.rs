@@ -7,8 +7,8 @@
 //! [`prism_simnet::fault::FaultPlan::chaos`]), a window, and optionally
 //! a live reshard. [`Scenario::run`] stands the system up, takes its
 //! recovery hooks from it ([`RecoveryHooks::over`]), and drives the real
-//! protocol stacks through the DES — the same [`KvDriver`] and
-//! [`RsDriver`] the figures run — while a [`Recorder`] appends every
+//! protocol stacks through the DES — the same [`Driver`] the figures
+//! run — while a [`Recorder`] appends every
 //! operation's invocation time, completion time, and observed/written
 //! value to a shared history. The [`Outcome`] hands back the counters,
 //! the history and the system; [`check_history`] verifies the history is
@@ -36,7 +36,7 @@ use prism_simnet::latency::CostModel;
 use prism_simnet::rng::SimRng;
 use prism_simnet::time::{SimDuration, SimTime};
 
-use crate::adapters::{KvDriver, LogicalOp, OpObserver, OpSource, RsDriver};
+use crate::adapters::{Driver, Family, LogicalOp, OpObserver, OpSource, RsFamily};
 use crate::cluster::{KvCluster, MigrateError, RsShards, ShardMap, System};
 use crate::netsim::{run_closed_loop_with, ProtoAdapter, RecoveryHooks, RunResult, VerbPath};
 
@@ -203,46 +203,32 @@ impl OpObserver for Recorder {
 }
 
 /// Closed-loop PRISM-RS client that records a linearizability history:
-/// the figures' [`RsDriver`] fed by [`NonceOps`] and heard by a
+/// the figures' [`Driver`] fed by [`NonceOps`] and heard by a
 /// [`Recorder`], reclamation sent raw. [`Scenario::run`] builds the
-/// routed form ([`RsDriver::routed`]).
-pub type ChaosRsAdapter = RsDriver<RsClient, NonceOps, Recorder>;
+/// routed form ([`Driver::routed`]).
+pub type ChaosRsAdapter = Driver<RsFamily<RsClient>, NonceOps, Recorder>;
 
-impl ChaosRsAdapter {
-    /// Creates the single-group adapter for client `id`.
-    pub fn new(
-        client: RsClient,
+/// Closed-loop PRISM-KV client that records a linearizability history,
+/// as [`ChaosRsAdapter`] does for PRISM-RS.
+pub type ChaosKvAdapter = Driver<Vec<PrismKvClient>, NonceOps, Recorder>;
+
+impl<F: Family<NonceOps, Op = LogicalOp>> Driver<F, NonceOps, Recorder> {
+    /// Creates the single-server (or single-group) adapter for client
+    /// `id` over `registers` keys or blocks of `value_len` bytes.
+    pub fn new<C>(
+        client: C,
         id: usize,
-        n_blocks: u64,
-        block_size: usize,
-        write_fraction: f64,
-        history: History,
-    ) -> Self {
-        let ops = NonceOps::new(id, n_blocks, block_size, write_fraction);
-        let recorder = Recorder::new(id, history);
-        RsDriver::routed(vec![client], ShardMap::single(), ops, recorder)
-    }
-}
-
-/// Closed-loop PRISM-KV client that records a linearizability history:
-/// the figures' [`KvDriver`] fed by [`NonceOps`] and heard by a
-/// [`Recorder`], reclamation sent raw. [`Scenario::run`] builds the
-/// routed form ([`KvDriver::routed`]).
-pub type ChaosKvAdapter = KvDriver<PrismKvClient, NonceOps, Recorder>;
-
-impl ChaosKvAdapter {
-    /// Creates the single-server adapter for client `id`.
-    pub fn new(
-        client: PrismKvClient,
-        id: usize,
-        n_keys: u64,
+        registers: u64,
         value_len: usize,
         write_fraction: f64,
         history: History,
-    ) -> Self {
-        let ops = NonceOps::new(id, n_keys, value_len, write_fraction);
+    ) -> Self
+    where
+        F: From<Vec<C>>,
+    {
+        let ops = NonceOps::new(id, registers, value_len, write_fraction);
         let recorder = Recorder::new(id, history);
-        KvDriver::routed(vec![client], ShardMap::single(), ops, recorder)
+        Driver::routed(vec![client], ShardMap::single(), ops, recorder)
     }
 }
 

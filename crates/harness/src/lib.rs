@@ -15,9 +15,9 @@
 //!   lifecycle) that both arrival policies drive; one
 //!   [`netsim::ClientActor`] per closed-loop client; and the runner.
 //! * [`adapters`] — per-system adapters turning each protocol client
-//!   into the common [`netsim::ProtoAdapter`] interface. Each system has
-//!   one driver over its two protocols ([`adapters::KvDriver`],
-//!   [`adapters::RsDriver`], [`adapters::TxDriver`]); workload,
+//!   into the common [`netsim::ProtoAdapter`] interface: one driver for
+//!   every system ([`adapters::Driver`]), each family's contract mapped
+//!   onto it by a small glue impl ([`adapters::Family`]); workload,
 //!   reclamation coalescing and observers are supplied from outside it,
 //!   so the figures and the gates run the same reply handling.
 //! * [`cluster`] — the scale-out layer: seeded rendezvous shard maps

@@ -10,7 +10,7 @@
 //! loop against a local server through `prism_core`'s one delivery loop
 //! ([`drive_local`]; a [`KvStep`] converts into its [`Step`]); the
 //! simulator's closed-loop adapter
-//! (`prism_harness::adapters::KvDriver`) runs it over the simulated
+//! (`prism_harness::adapters::Driver`) runs it over the simulated
 //! fabric.
 
 use prism_core::msg::{Reply, Request};
@@ -22,7 +22,7 @@ use crate::{KvOutcome, KvStep};
 /// A key-value client as a driver sees it.
 pub trait KvProtocol {
     /// One operation in flight.
-    type Op;
+    type Op: Clone;
 
     /// Client compute, in nanoseconds, that each finished GET costs on
     /// top of its round trips.

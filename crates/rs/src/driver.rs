@@ -11,7 +11,7 @@
 //! wait, with [`RsProtocol::reissue`]. [`drive`] runs that loop against
 //! local replicas through `prism_core`'s one delivery loop
 //! ([`drive_local`]); the simulator's closed-loop adapter
-//! (`prism_harness::adapters::RsDriver`) runs it over the simulated
+//! (`prism_harness::adapters::Driver`) runs it over the simulated
 //! fabric.
 
 use prism_core::msg::Reply;

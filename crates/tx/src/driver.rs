@@ -12,7 +12,7 @@
 //! attempt's [`TxOutcome`]. [`drive`] and [`run_rmw`] run that loop
 //! against local shards through `prism_core`'s one delivery loop
 //! ([`drive_local`]); the simulator's closed-loop adapter
-//! (`prism_harness::adapters::TxDriver`) runs it over the simulated
+//! (`prism_harness::adapters::Driver`) runs it over the simulated
 //! fabric.
 
 use std::collections::HashMap;
@@ -114,7 +114,7 @@ pub trait TxProtocol {
     /// The deployment whose shards the client's requests address.
     type Cluster;
     /// One transaction attempt in flight.
-    type Op;
+    type Op: Clone;
 
     /// Shard `shard`'s host, for a local driver to execute requests on.
     fn server(cluster: &Self::Cluster, shard: usize) -> &PrismServer;

@@ -27,6 +27,7 @@
 
 use prism_core::msg::{execute_local, Request};
 use prism_core::op::FreeListId;
+use prism_core::step::{drive_local, Input};
 use prism_core::PrismServer;
 use prism_harness::kv_exp::preload_prism;
 use prism_kv::hash::key_bytes;
@@ -465,18 +466,22 @@ fn rs_reclaim(seed: u64) -> Vec<u64> {
     let mut rng = SimRng::new(seed);
     let mut frees = Vec::new();
     for _ in 0..48 {
-        let (mut op, step) = c.put(rng.gen_range(BLOCKS), seeded_bytes(&mut rng, BLOCK));
-        let (mut queue, mut bg) = (step.send, step.background);
-        while let Some((r, phase, _, req)) = queue.pop() {
-            let s = c.on_reply(
-                &mut op,
-                phase,
-                r,
-                execute_local(cl.replica(r).server(), &req),
-            );
-            queue.extend(s.send);
-            bg.extend(s.background);
-        }
+        let (mut op, mut step) = c.put(rng.gen_range(BLOCKS), seeded_bytes(&mut rng, BLOCK));
+        // Every step's background is taken out of the loop's hands and
+        // run after it, the victim's frees withheld.
+        let mut bg = std::mem::take(&mut step.background);
+        drive_local(
+            step,
+            |r| Some(&**cl.replica(r).server()),
+            |input| {
+                let mut step = match input {
+                    Input::Reply(r, phase, _, reply) => c.on_reply(&mut op, phase, r, reply),
+                    Input::Resume => c.reissue(&mut op),
+                };
+                bg.append(&mut step.background);
+                step
+            },
+        );
         for (r, req) in bg {
             match freed(&req) {
                 Some(a) if r == VICTIM => frees.push(a),
@@ -504,13 +509,20 @@ fn tx_reclaim(seed: u64) -> Vec<u64> {
         let write = (rng.gen_range(32), seeded_bytes(&mut rng, 64));
         let (mut op, pause) = c.begin(Vec::new());
         assert!(pause.awaiting_writes, "a blind write pauses at once");
-        let step = c.supply_writes(&mut op, vec![write]);
-        let (mut queue, mut bg) = (step.send, step.background);
-        while let Some((_, phase, idx, req)) = queue.pop() {
-            let s = c.on_reply(&mut op, phase, idx, execute_local(shard.server(), &req));
-            queue.extend(s.send);
-            bg.extend(s.background);
-        }
+        let mut step = c.supply_writes(&mut op, vec![write]);
+        let mut bg = std::mem::take(&mut step.background);
+        drive_local(
+            step,
+            |_| Some(&**shard.server()),
+            |input| {
+                let Input::Reply(_, phase, idx, reply) = input else {
+                    panic!("a blind write pauses only before its first send");
+                };
+                let mut step = c.on_reply(&mut op, phase, idx, reply);
+                bg.append(&mut step.background);
+                step
+            },
+        );
         frees.extend(bg.iter().filter_map(|(_, req)| freed(req)));
     }
     let written = list_image(shard.server());
