@@ -947,7 +947,7 @@ mod tests {
 
     use super::*;
     use crate::chaos::{stamp, HistKind, HistOp, History, Recorder};
-    use crate::cluster::{KvCluster, RsShards, System};
+    use crate::cluster::{KvCluster, RsShards, ShardedStore, System};
     use crate::netsim::transport::timeout_reply;
 
     const KEYS: u64 = 8;
@@ -1769,9 +1769,7 @@ mod tests {
                 block_size: VALUE as u64,
             },
         );
-        let servers: Vec<Arc<PrismServer>> = (0..3)
-            .map(|r| Arc::clone(cluster.replica(r).server()))
-            .collect();
+        let servers = cluster.servers();
         let lock = |r: usize, holder: u64| {
             let replica = cluster.replica(r);
             let word = replica.view().block(0);
@@ -1837,9 +1835,7 @@ mod tests {
         let cluster = TxCluster::new(shards, &TxConfig::paper(KEYS, VALUE as u64));
         Tx {
             adapter: PrismTxAdapter::new(cluster.open_client(), txn_gen(keys_per_txn)),
-            servers: (0..shards)
-                .map(|s| Arc::clone(cluster.shard(s).server()))
-                .collect(),
+            servers: cluster.servers(),
         }
     }
 
@@ -1856,9 +1852,7 @@ mod tests {
                 cluster.open_client(),
                 txn_gen(keys_per_txn),
             )),
-            servers: (0..shards)
-                .map(|s| Arc::clone(cluster.shard(s).server()))
-                .collect(),
+            servers: cluster.servers(),
         };
         (cluster, tx)
     }

@@ -22,9 +22,11 @@
 //!   so the figures and the gates run the same reply handling.
 //! * [`cluster`] — the scale-out layer: seeded rendezvous shard maps
 //!   (with epochs in the incarnation-fencing shape), the N-server
-//!   KV/RS topologies the sharded sweeps run against, and
-//!   [`cluster::System`], what a run needs of either (its recovery
-//!   hooks come from it).
+//!   KV/RS topologies the sharded sweeps run against,
+//!   [`cluster::System`], what a run needs of any deployment (its
+//!   servers, its lease pass, and `settle` between runs), and
+//!   [`cluster::ShardedStore`], what the two topologies add (the
+//!   recovery hooks come from it).
 //! * [`micro`] — Figures 1 and 2 plus the §2.1 numbers (closed-form
 //!   from the cost model).
 //! * [`figure`] — the one figure driver: a figure is a table of rows

@@ -16,6 +16,7 @@ use std::sync::Arc;
 use prism_core::integrity::IntegrityStats;
 use prism_harness::adapters::PrismTxAdapter;
 use prism_harness::chaos::{chaos_plan, check_history, Outcome, Scenario, Topology, REGISTERS};
+use prism_harness::cluster::System;
 use prism_harness::netsim::{run_closed_loop_with, RecoveryHooks, RunResult, VerbPath};
 use prism_simnet::fault::ChaosSpec;
 use prism_simnet::latency::CostModel;
@@ -524,17 +525,10 @@ fn tx_chaos(seed: u64) -> (RunResult, u64, u64) {
     // until the cooperative-termination sweep reclaims it, not a leak.
     config.spare_buffers += 8_192;
     let cluster = Arc::new(TxCluster::new(1, &config));
-    let servers = vec![Arc::clone(cluster.shard(0).server())];
     let integrity = Arc::new(IntegrityStats::new());
     let hooks = RecoveryHooks {
-        sweep: Some((SimDuration::micros(150), {
-            let cluster = Arc::clone(&cluster);
-            Arc::new(move |i| {
-                cluster.sweep_shard(i);
-            })
-        })),
         integrity: Some(Arc::clone(&integrity)),
-        ..RecoveryHooks::default()
+        ..RecoveryHooks::sweeping(Arc::clone(&cluster) as Arc<dyn System>)
     };
     // No server crash windows, so torn writes cannot be scheduled here;
     // both frame legs still see flips. TX keeps no durable tier yet, so
@@ -550,7 +544,7 @@ fn tx_chaos(seed: u64) -> (RunResult, u64, u64) {
     };
     let plan = chaos_plan(seed, &spec);
     let r = run_closed_loop_with(
-        &servers,
+        &cluster.servers(),
         &CostModel::testbed(),
         VerbPath::Nic,
         spec.clients,
@@ -571,12 +565,11 @@ fn tx_chaos(seed: u64) -> (RunResult, u64, u64) {
         &plan,
         &hooks,
     );
-    // The run freezes with closed-loop operations mid-flight; two more
-    // lease intervals of sweeping reclaim whatever they left prepared,
+    // The run freezes with closed-loop operations mid-flight; settling
+    // (two more lease passes) reclaims whatever they left prepared,
     // exactly as a live deployment's periodic sweep would.
-    cluster.sweep_shard(0);
-    cluster.sweep_shard(0);
-    (r, cluster.reclaims(), cluster.stuck_keys())
+    cluster.settle();
+    (r, cluster.reclaims(), cluster.held())
 }
 
 #[test]

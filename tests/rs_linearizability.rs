@@ -135,6 +135,7 @@ fn completed_writes_reach_a_majority() {
 #[test]
 fn faulted_rs_runs_complete_and_metrics_are_deterministic() {
     use prism_harness::adapters::PrismRsAdapter;
+    use prism_harness::cluster::System;
     use prism_harness::netsim::{run_closed_loop, VerbPath};
     use prism_simnet::fault::FaultPlan;
     use prism_simnet::latency::CostModel;
@@ -157,11 +158,8 @@ fn faulted_rs_runs_complete_and_metrics_are_deterministic() {
         let mut config = RsConfig::paper(8, BLOCK);
         config.spare_buffers += 4_096;
         let cluster = RsCluster::new(3, &config);
-        let servers: Vec<_> = (0..3)
-            .map(|r| Arc::clone(cluster.replica(r).server()))
-            .collect();
         run_closed_loop(
-            &servers,
+            &cluster.servers(),
             &CostModel::testbed(),
             VerbPath::Nic,
             4,

@@ -13,6 +13,7 @@
 use std::sync::Arc;
 
 use prism_harness::adapters::{FarmAdapter, PrismTxAdapter};
+use prism_harness::cluster::System;
 use prism_harness::netsim::{
     run_closed_loop_with, ProtoAdapter, RecoveryHooks, RunResult, VerbPath,
 };
@@ -84,11 +85,8 @@ fn prism_tx_run(seed: u64, faults: &FaultPlan) -> RunResult {
     let mut config = TxConfig::paper(KEYS / SHARDS as u64, VALUE as u64);
     config.spare_buffers += 4_096;
     let cluster = TxCluster::new(SHARDS, &config);
-    let servers: Vec<_> = (0..SHARDS)
-        .map(|s| Arc::clone(cluster.shard(s).server()))
-        .collect();
     run(
-        &servers,
+        &cluster.servers(),
         seed,
         faults,
         &RecoveryHooks::default(),
@@ -107,19 +105,8 @@ fn farm_run(seed: u64, faults: &FaultPlan) -> RunResult {
             value_len: VALUE as u64,
         },
     ));
-    let servers: Vec<_> = (0..SHARDS)
-        .map(|s| Arc::clone(cluster.shard(s).server()))
-        .collect();
-    let hooks = RecoveryHooks {
-        sweep: Some((SimDuration::micros(150), {
-            let cluster = Arc::clone(&cluster);
-            Arc::new(move |i| {
-                cluster.sweep_shard(i);
-            })
-        })),
-        ..RecoveryHooks::default()
-    };
-    run(&servers, seed, faults, &hooks, &mut |i| {
+    let hooks = RecoveryHooks::sweeping(Arc::clone(&cluster) as Arc<dyn System>);
+    run(&cluster.servers(), seed, faults, &hooks, &mut |i| {
         Box::new(FarmAdapter::new(cluster.open_client(), txn_gen(seed, i)))
     })
 }

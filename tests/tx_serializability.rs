@@ -224,6 +224,7 @@ fn prism_tx_prevents_write_skew() {
 #[test]
 fn faulted_tx_runs_complete_and_metrics_are_deterministic() {
     use prism_harness::adapters::PrismTxAdapter;
+    use prism_harness::cluster::System;
     use prism_harness::netsim::{run_closed_loop, VerbPath};
     use prism_simnet::fault::FaultPlan;
     use prism_simnet::latency::CostModel;
@@ -248,9 +249,8 @@ fn faulted_tx_runs_complete_and_metrics_are_deterministic() {
         let mut config = TxConfig::paper(64, VALUE);
         config.spare_buffers += 4_096;
         let cluster = Arc::new(TxCluster::new(1, &config));
-        let servers = vec![Arc::clone(cluster.shard(0).server())];
         run_closed_loop(
-            &servers,
+            &cluster.servers(),
             &CostModel::testbed(),
             VerbPath::Nic,
             4,
