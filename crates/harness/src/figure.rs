@@ -2,11 +2,13 @@
 //! sweep.
 //!
 //! A `Row` is one system as a figure runs it: a label, where its
-//! classic verbs execute, its servers, a set-up step before each point
-//! (ABDLOCK and FaRM clear the locks the last window froze held), client
-//! `i`'s adapter at a point, and the point's run seed from its client
-//! count and Zipf coefficient. `sweep` runs rows × points through the
-//! one closed-loop call; `curves` prints a sweep as the
+//! classic verbs execute, the deployment ([`System`]), client `i`'s
+//! adapter at a point, and the point's run seed from its client count
+//! and Zipf coefficient. `sweep` runs rows × points through the one
+//! closed-loop call, each point on a settled system: a window's end
+//! abandons the operations in flight, and what they held (a PRISM-TX
+//! prepare, a FaRM or ABDLOCK lock) is released before the next point
+//! ([`System::settle`]). `curves` prints a sweep as the
 //! throughput-latency table with each row's peak. `open_loop` is the
 //! open-loop counterpart: one rate sweep, then its latency-under-load
 //! table. The `fig_*` binaries read their command line through
@@ -15,13 +17,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::str::FromStr;
-use std::sync::Arc;
 
-use prism_core::PrismServer;
 use prism_simnet::fault::FaultPlan;
 use prism_simnet::latency::CostModel;
 use prism_simnet::time::SimDuration;
 
+use crate::cluster::System;
 use crate::netsim::{run_closed_loop, ProtoAdapter, RunResult, VerbPath};
 use crate::openloop::{sweep_rates, OpenLoopKnobs, OpenLoopResult};
 use crate::table::{f2, mops, Table};
@@ -34,36 +35,28 @@ pub(crate) type Point = (usize, f64);
 pub(crate) struct Row<'a> {
     label: &'static str,
     path: VerbPath,
-    servers: Vec<Arc<PrismServer>>,
-    setup: Box<dyn Fn() + 'a>,
+    system: &'a dyn System,
     adapter: Box<dyn Fn(usize, f64, u64) -> Box<dyn ProtoAdapter> + 'a>,
     seed: Box<dyn Fn(usize, f64) -> u64 + 'a>,
 }
 
 impl<'a> Row<'a> {
-    /// A row with nothing to set up: each point `(n, z)` runs under
-    /// `seed(n, z)`, and client `i` gets `adapter(i, z, seed(n, z))`.
+    /// A row over `system`: each point `(n, z)` runs under `seed(n, z)`,
+    /// and client `i` gets `adapter(i, z, seed(n, z))`.
     pub(crate) fn new(
         label: &'static str,
         path: VerbPath,
-        servers: Vec<Arc<PrismServer>>,
+        system: &'a dyn System,
         seed: impl Fn(usize, f64) -> u64 + 'a,
         adapter: impl Fn(usize, f64, u64) -> Box<dyn ProtoAdapter> + 'a,
     ) -> Self {
         Row {
             label,
             path,
-            servers,
-            setup: Box::new(|| {}),
+            system,
             adapter: Box::new(adapter),
             seed: Box::new(seed),
         }
-    }
-
-    /// Runs `setup` before each of the row's points.
-    pub(crate) fn with_setup(mut self, setup: impl Fn() + 'a) -> Self {
-        self.setup = Box::new(setup);
-        self
     }
 
     /// The row's label, its `system` column.
@@ -72,10 +65,19 @@ impl<'a> Row<'a> {
     }
 }
 
+/// Releases what the last run left held on `system`
+/// ([`System::settle`]) and panics unless nothing stays held: how every
+/// point of a figure starts.
+pub(crate) fn settle(system: &dyn System) {
+    system.settle();
+    assert_eq!(system.held(), 0, "a settled system holds nothing");
+}
+
 /// Runs every row at every point on the testbed model and a pristine
 /// fabric; one result per point, grouped by row. Rows run in order and
-/// each row's points in order: a row's points share its servers, so the
-/// order is part of every result.
+/// each row's points in order, each on its settled system ([`settle`]):
+/// a row's points share its store, so the order is part of every
+/// result.
 pub(crate) fn sweep(
     rows: &[Row],
     points: &[Point],
@@ -84,11 +86,11 @@ pub(crate) fn sweep(
 ) -> Vec<Vec<RunResult>> {
     let model = CostModel::testbed();
     let run = |row: &Row, (n, z): Point| {
-        (row.setup)();
+        settle(row.system);
         let seed = (row.seed)(n, z);
         let mut adapter = |i| (row.adapter)(i, z, seed);
         run_closed_loop(
-            &row.servers,
+            &row.system.servers(),
             &model,
             row.path,
             n,
@@ -150,18 +152,19 @@ pub(crate) fn curves(
     (t, peaks)
 }
 
-/// An open-loop figure: [`sweep_rates`] over `servers`, client slot `i`
-/// getting `adapter(i)`, then its latency-under-load table (rates and
-/// throughput in millions of `unit` per second).
+/// An open-loop figure: [`sweep_rates`] over `system` (which settles it
+/// before every rate), client slot `i` getting `adapter(i)`, then its
+/// latency-under-load table (rates and throughput in millions of `unit`
+/// per second).
 pub(crate) fn open_loop(
     title: &str,
     unit: &str,
-    servers: &[Arc<PrismServer>],
+    system: &dyn System,
     knobs: &OpenLoopKnobs,
     seed: u64,
     adapter: impl FnMut(usize) -> Box<dyn ProtoAdapter> + 'static,
 ) -> (Table, Vec<(f64, OpenLoopResult)>) {
-    let results = sweep_rates(servers, knobs, seed, Rc::new(RefCell::new(adapter)));
+    let results = sweep_rates(system, knobs, seed, Rc::new(RefCell::new(adapter)));
     (rate_table(title, unit, &results), results)
 }
 

@@ -60,6 +60,8 @@ use prism_simnet::rng::SimRng;
 use prism_simnet::time::{SimDuration, SimTime};
 use prism_workload::openloop::{ArrivalSpec, Arrivals};
 
+use crate::cluster::System;
+use crate::figure::settle;
 use crate::netsim::run::{boxed, spawn_servers, warm_then_measure, BoxServer};
 use crate::netsim::transport::{
     timeout_reply, OpState, ReplyVerdict, Settled, TimerVerdict, Transport,
@@ -620,9 +622,11 @@ impl OpenLoopKnobs {
 }
 
 /// Sweeps `run_open_loop` over the knobs' arrival rates against ONE
-/// server set, on the testbed model and a pristine fabric: one
+/// system, on the testbed model and a pristine fabric: one
 /// [`OpenLoopResult`] per rate, reseeding each point from the base seed
-/// and the rate index.
+/// and the rate index. Each point starts on the settled system: what
+/// the last window froze held is released ([`System::settle`]), and
+/// nothing may stay held.
 ///
 /// The whole sweep reuses the caller's system: each point can lazily
 /// open up to the in-flight cap's worth of connections, and the on-NIC
@@ -635,12 +639,13 @@ impl OpenLoopKnobs {
 /// system per point — a six-point sweep at the 3 500-connection cap
 /// would otherwise exhaust the 4096-slot scratch region mid-sweep.
 pub fn sweep_rates(
-    servers: &[Arc<PrismServer>],
+    system: &dyn System,
     knobs: &OpenLoopKnobs,
     seed: u64,
     factory: AdapterFactory,
 ) -> Vec<(f64, OpenLoopResult)> {
     let model = CostModel::testbed();
+    let servers = system.servers();
     knobs
         .rates_per_sec
         .iter()
@@ -656,15 +661,16 @@ pub fn sweep_rates(
                 seed: seed ^ ((k as u64 + 1) << 40),
                 faults: FaultPlan::default(),
             };
+            settle(system);
             let point = run_open_loop(
-                servers,
+                &servers,
                 &model,
                 VerbPath::Nic,
                 &cfg,
                 Rc::clone(&factory),
                 &RecoveryHooks::default(),
             );
-            for s in servers {
+            for s in &servers {
                 s.close_all_connections();
             }
             (rate, point)

@@ -7,7 +7,6 @@
 
 use std::sync::Arc;
 
-use prism_core::PrismServer;
 use prism_rs::abdlock::{AbdLockCluster, AbdLockConfig};
 use prism_rs::prism_rs::{RsCluster, RsConfig};
 use prism_simnet::time::SimDuration;
@@ -88,11 +87,6 @@ fn build(cfg: &RsExpConfig) -> (RsCluster, AbdLockCluster) {
     (RsCluster::new(3, &rs_config), AbdLockCluster::new(3, &abd))
 }
 
-/// The three replicas' hosts.
-fn replicas<'a>(server: impl Fn(usize) -> &'a Arc<PrismServer>) -> Vec<Arc<PrismServer>> {
-    (0..3).map(|i| Arc::clone(server(i))).collect()
-}
-
 /// PRISM-RS's row over `n_blocks` blocks, Zipf-distributed at each
 /// point's coefficient.
 fn prism_row<'a>(
@@ -100,8 +94,7 @@ fn prism_row<'a>(
     n_blocks: u64,
     seed: impl Fn(usize, f64) -> u64 + 'a,
 ) -> Row<'a> {
-    let servers = replicas(|i| prism.replica(i).server());
-    Row::new("PRISM-RS", VerbPath::Nic, servers, seed, move |_, z, _| {
+    Row::new("PRISM-RS", VerbPath::Nic, prism, seed, move |_, z, _| {
         Box::new(PrismRsAdapter::new(
             prism.open_client(),
             KeyDist::zipf(n_blocks, z),
@@ -112,17 +105,16 @@ fn prism_row<'a>(
 }
 
 /// An ABDLOCK row: client `i` is seeded `seed ^ i` from its point's run
-/// seed, and a measurement window's end abandons in-flight operations,
-/// so their leaked locks are cleared before the next point (lock-lease
-/// recovery, §7.2).
+/// seed. A measurement window's end abandons in-flight operations, and
+/// settling the cluster before the next point clears the locks they
+/// held (the force-release §7.2 calls for).
 fn abd_row<'a>(
     abd: &'a AbdLockCluster,
     n_blocks: u64,
     (label, path): (&'static str, VerbPath),
     seed: impl Fn(usize, f64) -> u64 + 'a,
 ) -> Row<'a> {
-    let servers = replicas(|i| abd.replica(i).server());
-    Row::new(label, path, servers, seed, move |i, z, seed| {
+    Row::new(label, path, abd, seed, move |i, z, seed| {
         Box::new(AbdLockAdapter::new(
             abd.open_client(seed ^ i as u64),
             KeyDist::zipf(n_blocks, z),
@@ -130,7 +122,6 @@ fn abd_row<'a>(
             WRITE_FRACTION,
         ))
     })
-    .with_setup(|| abd.reset_locks())
 }
 
 /// Figure 6: throughput-latency sweep, uniform keys.
@@ -185,18 +176,17 @@ pub fn open_loop(cfg: &RsExpConfig, knobs: &OpenLoopKnobs) -> (Table, Vec<(f64, 
     // One 3-replica cluster for the whole sweep: each point's adapters
     // reopen connections from the recycled slot pool (see
     // `sweep_rates`).
-    let cluster = RsCluster::new(3, &rs_config);
-    let servers = replicas(|i| cluster.replica(i).server());
-    let n_blocks = cfg.n_blocks;
+    let cluster = Arc::new(RsCluster::new(3, &rs_config));
+    let (group, n_blocks) = (Arc::clone(&cluster), cfg.n_blocks);
     let title = format!(
         "Open-loop PRISM-RS latency under load ({} logical clients on {} aggregates, {:.0}% writes, 3 replicas)",
         knobs.logical_clients,
         knobs.actors,
         WRITE_FRACTION * 100.0
     );
-    figure::open_loop(&title, "ops", &servers, knobs, cfg.seed, move |_| {
+    figure::open_loop(&title, "ops", &*cluster, knobs, cfg.seed, move |_| {
         Box::new(PrismRsAdapter::new(
-            cluster.open_client(),
+            group.open_client(),
             KeyDist::uniform(n_blocks),
             BLOCK_SIZE as usize,
             WRITE_FRACTION,

@@ -102,27 +102,23 @@ fn prism_row<'a>(
     cfg: &'a TxExpConfig,
     seed: impl Fn(usize, f64) -> u64 + 'a,
 ) -> Row<'a> {
-    let servers = vec![Arc::clone(prism.shard(0).server())];
-    Row::new("PRISM-TX", VerbPath::Nic, servers, seed, move |i, z, _| {
+    Row::new("PRISM-TX", VerbPath::Nic, prism, seed, move |i, z, _| {
         let gen = txn_gen(cfg.n_keys, z, cfg.seed ^ ((i as u64 + 1) * 31));
         Box::new(PrismTxAdapter::new(prism.open_client(), gen))
     })
 }
 
-/// A FaRM row; client `i` draws its transactions from `seed ^ (i+1)*37`,
-/// and each point starts by clearing the locks a frozen run left held.
+/// A FaRM row; client `i` draws its transactions from `seed ^ (i+1)*37`.
 fn farm_row<'a>(
     farm: &'a FarmCluster,
     cfg: &'a TxExpConfig,
     (label, path): (&'static str, VerbPath),
     seed: impl Fn(usize, f64) -> u64 + 'a,
 ) -> Row<'a> {
-    let servers = vec![Arc::clone(farm.shard(0).server())];
-    Row::new(label, path, servers, seed, move |i, z, _| {
+    Row::new(label, path, farm, seed, move |i, z, _| {
         let gen = txn_gen(cfg.n_keys, z, cfg.seed ^ ((i as u64 + 1) * 37));
         Box::new(FarmAdapter::new(farm.open_client(), gen))
     })
-    .with_setup(|| farm.reset_locks())
 }
 
 /// Figure 9: throughput-latency sweep, uniform access. Returns the
@@ -219,16 +215,15 @@ pub fn open_loop(cfg: &TxExpConfig, knobs: &OpenLoopKnobs) -> (Table, Vec<(f64, 
     tx_config.spare_buffers += 32 * (knobs.live_slots() as u64 + 16);
     // One cluster for the whole sweep: each point's adapters reopen
     // connections from the recycled slot pool (see `sweep_rates`).
-    let cluster = TxCluster::new(1, &tx_config);
-    let servers = vec![Arc::clone(cluster.shard(0).server())];
-    let (n_keys, seed) = (cfg.n_keys, cfg.seed);
+    let cluster = Arc::new(TxCluster::new(1, &tx_config));
+    let (shards, n_keys, seed) = (Arc::clone(&cluster), cfg.n_keys, cfg.seed);
     let title = format!(
         "Open-loop PRISM-TX latency under load ({} logical clients on {} aggregates, 1 keys/txn)",
         knobs.logical_clients, knobs.actors
     );
-    figure::open_loop(&title, "txn", &servers, knobs, seed, move |i| {
+    figure::open_loop(&title, "txn", &*cluster, knobs, seed, move |i| {
         let gen = txn_gen(n_keys, 0.0, seed ^ ((i as u64 + 1) * 31));
-        Box::new(PrismTxAdapter::new(cluster.open_client(), gen))
+        Box::new(PrismTxAdapter::new(shards.open_client(), gen))
     })
 }
 
@@ -292,14 +287,11 @@ mod tests {
             farm[0].1
         );
         // Under skew both collapse toward the hot key's serialization
-        // ceiling; PRISM-TX must stay at least competitive. (At extreme
-        // skew our FaRM baseline can edge ahead because its contention
-        // waiting polls locked objects through the NIC, while software
-        // PRISM validation retries occupy dispatch cores — see
-        // EXPERIMENTS.md's Figure 10 discussion.)
+        // ceiling; PRISM-TX, each point on a settled cluster, must keep
+        // at least FaRM's throughput.
         for (p, f) in prism.iter().zip(farm.iter()) {
             assert!(
-                p.1 >= 0.75 * f.1,
+                p.1 >= f.1,
                 "PRISM-TX fell behind FaRM at zipf {} ({} vs {})",
                 p.0,
                 p.1,

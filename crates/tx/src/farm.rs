@@ -339,22 +339,6 @@ impl FarmCluster {
         &self.shards[i]
     }
 
-    /// Clears every object's lock word on every shard — FaRM's lease-
-    /// based recovery for clients that die while holding write locks.
-    /// The experiment harness calls this between measurement windows.
-    pub fn reset_locks(&self) {
-        for shard in &self.shards {
-            let v = shard.view().clone();
-            for i in 0..v.capacity {
-                shard
-                    .server()
-                    .arena()
-                    .write_u64(obj_of(&v, i) + 8, 0)
-                    .expect("in arena");
-            }
-        }
-    }
-
     /// Opens a client.
     pub fn open_client(&self) -> FarmClient {
         let id = self

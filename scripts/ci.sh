@@ -66,10 +66,13 @@
 #                           benchmark pipeline; its tests (smoke scale,
 #                           including traced-equals-untraced
 #                           bit-identity) build it against this tree
-#   6. second-seed pass   — the gate suites (the fault matrix's
-#                           Pilaf and ABDLOCK cells among them: the same
-#                           five mixes and check as PRISM's; a gate
-#                           added, none removed), the transaction replay
+#   6. second-seed pass   — the gate suites (the fault matrix is one
+#                           table of six deployments — PRISM-KV, Pilaf,
+#                           PRISM-RS, ABDLOCK, PRISM-TX, FaRM — through
+#                           the same five mixes and check, each cell
+#                           settled to nothing held afterwards, plus a
+#                           skewed pristine run of each that must settle
+#                           the same way), the transaction replay
 #                           (PRISM-TX and FaRM, pristine and lossy
 #                           fabrics), the store properties and the
 #                           wire-format properties (round trips, mutated

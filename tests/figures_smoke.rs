@@ -142,9 +142,8 @@ fn figure10_headline_advantage_survives_skew() {
     let t = tx_exp::figure10(&cfg);
     let prism = col(&t, "PRISM-TX", 2);
     let farm = col(&t, "FaRM", 2);
-    // Uncontended: strict ordering. Under skew: at least competitive —
-    // see EXPERIMENTS.md's Figure 10 discussion of the software-PRISM
-    // dispatch-core asymmetry under extreme contention.
+    // Uncontended: strict ordering. Under skew: at least FaRM's
+    // throughput, each point on a settled cluster.
     assert!(
         prism[0] > farm[0],
         "uncontended: PRISM {} vs FaRM {}",
@@ -152,7 +151,7 @@ fn figure10_headline_advantage_survives_skew() {
         farm[0]
     );
     for (i, (p, f)) in prism.iter().zip(farm.iter()).enumerate() {
-        assert!(*p >= 0.75 * f, "zipf point {i}: PRISM {p} vs FaRM {f}");
+        assert!(p >= f, "zipf point {i}: PRISM {p} vs FaRM {f}");
     }
     pin("figure 10", &t, &[], 0x8066_0cf4_dd36_f2e0);
 }

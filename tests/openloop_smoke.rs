@@ -260,7 +260,15 @@ fn trace_replay_completes_every_arrival() {
 /// recycling this forced a cold-started system per point.
 #[test]
 fn rate_sweep_reuses_one_system_through_recycled_connections() {
+    use prism_harness::cluster::System;
     use prism_harness::openloop::sweep_rates;
+    /// The bare server as a deployment: it holds nothing between points.
+    struct Bare(Arc<PrismServer>);
+    impl System for Bare {
+        fn servers(&self) -> Vec<Arc<PrismServer>> {
+            vec![Arc::clone(&self.0)]
+        }
+    }
     let (s, addr, rkey) = stall_server();
     let knobs = OpenLoopKnobs {
         rates_per_sec: vec![1e5, 2e5, 3e5],
@@ -277,7 +285,7 @@ fn rate_sweep_reuses_one_system_through_recycled_connections() {
         let _conn = server.open_connection();
         Box::new(RetryingRead { addr, rkey }) as Box<dyn ProtoAdapter>
     }));
-    let results = sweep_rates(&[Arc::clone(&s)], &knobs, seed(), factory);
+    let results = sweep_rates(&Bare(Arc::clone(&s)), &knobs, seed(), factory);
     assert_eq!(results.len(), 3, "every swept rate must produce a point");
     for (rate, r) in &results {
         assert!(r.completed > 0, "no completions at {rate} ops/s");
