@@ -9,7 +9,6 @@
 
 use std::sync::Arc;
 
-use prism_core::install::{self, Installed, Word};
 use prism_kv::hash::key_bytes;
 use prism_kv::pilaf::{PilafConfig, PilafServer};
 use prism_kv::prism_kv::{PrismKvConfig, PrismKvServer};
@@ -83,36 +82,27 @@ impl KvExpConfig {
 }
 
 /// Preloads keys `0..n_keys` with `value_len`-byte values so GETs
-/// always hit (the YCSB load phase): one install chain per key
-/// ([`PrismKvClient::insert_chain`]), run through the server's engine.
+/// always hit (the YCSB load phase), server-side through
+/// [`PrismKvServer::load`].
 ///
-/// A PUT's probe round trip only learns the slot word its CAS compares
-/// against, and in an empty collisionless table that word is zero. The
-/// chain built against it is the one the PUT would send next, with the
-/// version the PUT would draw, so the store comes out byte-identical to
-/// one loaded by a PUT per key: arena, free lists and disk log.
+/// The load shares with a PUT the entry encoding, the version counter
+/// of the client it opens, and the install-record writer the durable
+/// tap uses; with replay it shares the install step. It no longer runs
+/// the engine or the chain observer. The store comes out byte-identical
+/// to one loaded by a PUT per key — arena, free lists and disk log — as
+/// the golden load image and the PUT-per-key oracle property in
+/// `tests/kv_integration.rs` check.
 ///
 /// # Panics
 ///
-/// Panics unless every key's slot is empty: `server` must be fresh,
-/// under the collisionless layout of [`PrismKvConfig::paper`] with room
-/// for `n_keys` keys. An occupied slot is a caller error, not a
-/// fallback.
-///
-/// [`PrismKvClient::insert_chain`]: prism_kv::prism_kv::PrismKvClient::insert_chain
+/// Panics unless every key's slot is empty and every entry fits a size
+/// class with a buffer to spare: `server` must be fresh, under the
+/// collisionless layout of [`PrismKvConfig::paper`] with room for
+/// `n_keys` keys. A refused key is a caller error, not a fallback.
 pub fn preload_prism(server: &PrismKvServer, n_keys: u64, value_len: usize) {
-    let client = server.open_client();
-    let mut results = Vec::with_capacity(install::OPS);
-    for k in 0..n_keys {
-        let chain = client
-            .insert_chain(&key_bytes(k), &value_bytes(k, 0, value_len))
-            .expect("preload_prism: the entry fits no size class");
-        server.server().execute_chain_into(&chain, &mut results);
-        assert_eq!(
-            install::read(&results, Word::PtrBound),
-            Installed::Won { displaced: 0 },
-            "preload_prism: key {k}'s slot was not empty"
-        );
+    let entries = (0..n_keys).map(|k| (key_bytes(k), value_bytes(k, 0, value_len)));
+    if let Err(e) = server.load(entries) {
+        panic!("preload_prism: {e}");
     }
 }
 

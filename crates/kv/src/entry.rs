@@ -48,6 +48,14 @@ fn entry_crc(header: &[u8], key: &[u8], value: &[u8]) -> u32 {
 /// Encodes an entry with an explicit version stamp.
 pub fn encode_versioned(key: &[u8], value: &[u8], version: u32) -> Vec<u8> {
     let mut v = Vec::with_capacity(HEADER + key.len() + value.len());
+    encode_versioned_into(&mut v, key, value, version);
+    v
+}
+
+/// [`encode_versioned`] into `v`, replacing what it held: a caller that
+/// encodes many entries reuses one buffer.
+pub fn encode_versioned_into(v: &mut Vec<u8>, key: &[u8], value: &[u8], version: u32) {
+    v.clear();
     v.extend_from_slice(&(key.len() as u32).to_le_bytes());
     v.extend_from_slice(&(value.len() as u32).to_le_bytes());
     v.extend_from_slice(&version.to_le_bytes());
@@ -56,7 +64,6 @@ pub fn encode_versioned(key: &[u8], value: &[u8], version: u32) -> Vec<u8> {
     v.extend_from_slice(value);
     let crc = entry_crc(&v[..HEADER], key, value);
     v[CRC_COVER..HEADER].copy_from_slice(&crc.to_le_bytes());
-    v
 }
 
 /// Encodes an entry (version 0 — callers that don't track install

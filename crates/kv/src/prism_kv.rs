@@ -17,9 +17,14 @@
 //! * **DELETE** — probe, then CAS the slot to null (footnote 2 of the
 //!   paper discusses slot reuse; we use the same heavy-handed
 //!   compare-the-pointer approach).
-//! * **Load** — into a slot known to be empty, the install chain alone
-//!   ([`PrismKvClient::insert_chain`]): the probe would only have read
-//!   the zero word the CAS compares against.
+//! * **Load** — server-side, one pass per key ([`PrismKvServer::load`]):
+//!   it shares with a PUT the entry encoding, the client's version
+//!   counter and the install-record writer the durable tap uses, and
+//!   with replay the install step (image at its address, then a
+//!   16-byte CAS of the slot from the zero word). It runs neither the
+//!   engine nor the chain observer. The golden load image and the
+//!   PUT-per-key oracle property in `tests/kv_integration.rs` hold it
+//!   to a PUT per key byte for byte.
 //!
 //! Reclamation is client-driven (§3.2): the winner frees the replaced
 //! buffer, a loser frees its own orphan, via the fire-and-forget reclaim
@@ -36,6 +41,7 @@ use prism_core::msg::{Reply, Request};
 use prism_core::op::{full_mask, DataArg, FreeListId, Redirect};
 use prism_core::value::CasMode;
 use prism_core::{ChainObserver, OpResult, OpStatus, PrismOp, PrismServer};
+use prism_rdma::arena::MemoryArena;
 use prism_rdma::region::{AccessFlags, Rkey};
 use prism_rdma::RdmaError;
 use prism_store::{DurableStats, PayloadRef, SegmentStore, SimDisk};
@@ -136,16 +142,12 @@ impl KvView {
 
 /// Chain observer installed on every KV server: watches for the
 /// slot-install CAS (the linearization point of a PUT or DELETE landing
-/// in the table) and appends the installed entry image to the server's
-/// segment log. KV shards are single-copy — there is no peer quorum to
-/// heal a lost tail from — so every record is followed by an fsync
-/// barrier: the log is a write-ahead journal, and a crash can never take
-/// an acknowledged update with it.
+/// in the table) and logs what it installed through the shard's
+/// [`InstallLog`].
 struct KvDurableTap {
-    store: Arc<SegmentStore>,
+    log: InstallLog,
     table_addr: u64,
     capacity: u64,
-    max_entry_len: u64,
 }
 
 impl ChainObserver for KvDurableTap {
@@ -164,60 +166,163 @@ impl ChainObserver for KvDurableTap {
             if *target < self.table_addr || *target >= table_end || res.status != OpStatus::Ok {
                 continue;
             }
-            // The CAS succeeded: the slot now holds the new (ptr, bound).
-            // A null pointer is a DELETE (logged as an empty payload); an
-            // install is logged as the raw slot word followed by the full
-            // entry image. The image carries its own checksum so replay
-            // can re-verify it independently of the segment framing; the
-            // slot word makes replay *address-preserving*, which is what
-            // keeps in-flight client CAS machines sound across a restart
-            // (a relocated entry would change the slot word with no
-            // writer, and a resolving PUT would misread that as a racing
-            // write that displaced it).
-            //
-            // The frame is built in the segment's own tail: the slot word
-            // goes through the stack and the entry image is read from the
-            // arena straight into the log, one copy and no allocation.
+            // The CAS succeeded: the slot now holds the new (ptr, bound),
+            // and the entry image is read from the arena straight into
+            // the log.
             let arena = server.arena();
-            let mut slot = [0u8; SLOT as usize];
-            if arena.read_into(*target, &mut slot).is_err() {
+            let mut word = [0u8; SLOT as usize];
+            if arena.read_into(*target, &mut word).is_err() {
                 continue;
             }
-            let (ptr, bound) = (Word::PtrBound.ptr(&slot), Word::PtrBound.bound(&slot));
-            let payload_len = if ptr == 0 {
-                0
-            } else {
-                slot.len() + bound.min(self.max_entry_len) as usize
-            };
-            let logged = self.store.append_with(
-                server.current_epoch(),
-                server.regions().current_incarnation(),
-                (*target - self.table_addr) / SLOT,
-                payload_len,
-                |payload| {
-                    if payload.is_empty() {
-                        return true;
-                    }
-                    let (word, image) = payload.split_at_mut(slot.len());
-                    word.copy_from_slice(&slot);
-                    arena.read_into(ptr, image).is_ok()
-                },
-            );
-            if !logged {
-                continue;
-            }
+            let ptr = Word::PtrBound.ptr(&word);
+            let slot = (*target - self.table_addr) / SLOT;
+            self.log.append(server, slot, &word, |image| {
+                arena.read_into(ptr, image).is_ok()
+            });
+        }
+    }
+}
+
+/// The shard's write-ahead segment log, and the one writer of its
+/// install records: the chain tap after a PUT's or DELETE's CAS, and
+/// [`PrismKvServer::load`] after its own; [`split_install`] reads them
+/// back at replay. KV shards are single-copy — there is no peer quorum
+/// to heal a lost tail from — so every record is followed by an fsync
+/// barrier: a crash can never take an acknowledged update with it.
+///
+/// A record's key is the slot index. A null pointer is a DELETE, logged
+/// as an empty payload; an install is logged as the raw slot word
+/// followed by the entry image, at most `max_entry_len` bytes of it.
+/// The image carries its own checksum, so replay can re-verify it
+/// independently of the segment framing; the slot word makes replay
+/// *address-preserving*, which is what keeps in-flight client CAS
+/// machines sound across a restart (a relocated entry would change the
+/// slot word with no writer, and a resolving PUT would misread that as
+/// a racing write that displaced it).
+#[derive(Clone)]
+struct InstallLog {
+    store: Arc<SegmentStore>,
+    max_entry_len: u64,
+}
+
+impl InstallLog {
+    /// Logs that slot `slot` now holds `word`, then barriers. The frame
+    /// is built in the segment's own tail: `image` writes the entry
+    /// image into it (from the arena or from the encoded entry), one
+    /// copy and no allocation. `image` returning `false` abandons the
+    /// record — nothing is logged.
+    fn append(
+        &self,
+        server: &PrismServer,
+        slot: u64,
+        word: &[u8; SLOT as usize],
+        image: impl FnOnce(&mut [u8]) -> bool,
+    ) {
+        let (ptr, bound) = (Word::PtrBound.ptr(word), Word::PtrBound.bound(word));
+        let payload_len = if ptr == 0 {
+            0
+        } else {
+            word.len() + bound.min(self.max_entry_len) as usize
+        };
+        let logged = self.store.append_with(
+            server.current_epoch(),
+            server.regions().current_incarnation(),
+            slot,
+            payload_len,
+            |payload| {
+                if payload.is_empty() {
+                    return true;
+                }
+                let (head, tail) = payload.split_at_mut(word.len());
+                head.copy_from_slice(word);
+                image(tail)
+            },
+        );
+        if logged {
             self.store.barrier();
         }
     }
 }
 
-/// Reads an install record's payload as [`KvDurableTap`] wrote it: the
-/// buffer address, the raw slot word it leads, and the entry image.
-/// The payload must be longer than a slot word.
-fn split_install(payload: &[u8]) -> (u64, &[u8], &[u8]) {
-    let (word, image) = payload.split_at(SLOT as usize);
-    (Word::PtrBound.ptr(word), word, image)
+/// Reads an install record's payload as [`InstallLog::append`] wrote
+/// it: the raw slot word it leads and the entry image, or `None` for a
+/// payload no longer than a slot word (a DELETE, or malformed).
+fn split_install(payload: &[u8]) -> Option<(&[u8; SLOT as usize], &[u8])> {
+    payload
+        .split_first_chunk()
+        .filter(|(_, image)| !image.is_empty())
 }
+
+/// Writes `image` at the buffer `word` points to, then swaps `word` into
+/// the slot at `slot_addr` with a 16-byte CAS from the zero word: the
+/// one install that bypasses the engine, made by the bulk load of each
+/// key and by replay of each survivor. Returns whether the slot now
+/// holds `word`; `false` when the image or the slot lies outside the
+/// arena, or the slot was not empty (the image may then have been
+/// written, but nothing points at it).
+fn install_at(
+    arena: &MemoryArena,
+    slot_addr: u64,
+    word: &[u8; SLOT as usize],
+    image: &[u8],
+) -> bool {
+    arena.write(Word::PtrBound.ptr(word), image).is_ok()
+        && arena
+            .atomic(slot_addr, SLOT, |slot| {
+                let empty = slot.iter().all(|&b| b == 0);
+                if empty {
+                    slot.copy_from_slice(word);
+                }
+                empty
+            })
+            .unwrap_or(false)
+}
+
+/// Why [`PrismKvServer::load`] refused a key. `at` is the key's
+/// position in the stream: every key before it is loaded, and nothing
+/// of it is logged or left in its slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LoadError {
+    /// The key's slot is not empty. The buffer taken for it went back
+    /// on its free list's tail, as a PUT that lost its CAS frees its
+    /// orphan.
+    Occupied {
+        /// Position in the stream.
+        at: u64,
+        /// The slot index.
+        slot: u64,
+    },
+    /// The encoded entry fits no size class.
+    TooLarge {
+        /// Position in the stream.
+        at: u64,
+        /// The encoded entry's length.
+        len: u64,
+    },
+    /// The size class's free list has no buffer left.
+    Exhausted {
+        /// Position in the stream.
+        at: u64,
+        /// The exhausted class.
+        class: FreeListId,
+    },
+}
+
+impl std::fmt::Display for LoadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            LoadError::Occupied { at, slot } => write!(f, "key {at}: slot {slot} is not empty"),
+            LoadError::TooLarge { at, len } => {
+                write!(f, "key {at}: a {len}-byte entry fits no size class")
+            }
+            LoadError::Exhausted { at, class } => {
+                write!(f, "key {at}: free list {} is empty", class.0)
+            }
+        }
+    }
+}
+
+impl std::error::Error for LoadError {}
 
 /// The PRISM-KV server: a [`PrismServer`] with the store's layout and
 /// free lists.
@@ -232,7 +337,7 @@ pub struct PrismKvServer {
     /// headroom to their end.
     pools: (u64, u64),
     disk: Arc<SimDisk>,
-    store: Arc<SegmentStore>,
+    log: InstallLog,
     durable: Arc<DurableStats>,
 }
 
@@ -297,12 +402,14 @@ impl PrismKvServer {
         // write-ahead segment log, fed by a chain observer at the
         // slot-install CAS.
         let disk = Arc::new(SimDisk::new());
-        let store = Arc::new(SegmentStore::new(Arc::clone(&disk), "kv"));
+        let log = InstallLog {
+            store: Arc::new(SegmentStore::new(Arc::clone(&disk), "kv")),
+            max_entry_len: config.max_entry_len as u64,
+        };
         server.set_chain_observer(Arc::new(KvDurableTap {
-            store: Arc::clone(&store),
+            log: log.clone(),
             table_addr,
             capacity: config.capacity,
-            max_entry_len: config.max_entry_len as u64,
         }));
 
         PrismKvServer {
@@ -319,7 +426,7 @@ impl PrismKvServer {
                 classes,
             },
             disk,
-            store,
+            log,
             durable: Arc::new(DurableStats::new()),
         }
     }
@@ -378,7 +485,7 @@ impl PrismKvServer {
 
     /// The shard's durable segment log.
     pub fn store(&self) -> &Arc<SegmentStore> {
-        &self.store
+        &self.log.store
     }
 
     /// This shard's durable-recovery counters.
@@ -422,11 +529,12 @@ impl PrismKvServer {
         // from resurrecting), one too short to hold a slot word is
         // malformed, and an install record is the slot word plus the
         // entry image.
+        let store = &self.log.store;
         let mut last: Vec<Option<PayloadRef>> = vec![None; self.view.capacity as usize];
-        let replay = self.store.replay(|rec, at| {
+        let replay = store.replay(|rec, at| {
             let slot = usize::try_from(rec.key).ok().and_then(|k| last.get_mut(k));
             if let Some(slot) = slot {
-                *slot = (rec.payload.len() > SLOT as usize).then_some(at);
+                *slot = split_install(rec.payload).and(Some(at));
             }
         });
         self.durable
@@ -443,8 +551,9 @@ impl PrismKvServer {
         let mut carved: Vec<(u64, u64)> = Vec::new();
         for slot in last.iter_mut() {
             let Some(at) = *slot else { continue };
-            let valid = self.store.with_payload(at, |payload| {
-                let (ptr, _, image) = split_install(payload);
+            let valid = store.with_payload(at, |payload| {
+                let (word, image) = split_install(payload)?;
+                let ptr = Word::PtrBound.ptr(word);
                 (ptr != 0 && entry::decode_verified(image).is_ok())
                     .then_some((ptr, image.len() as u64))
             });
@@ -484,26 +593,22 @@ impl PrismKvServer {
         }
 
         // Install the survivors in slot order, straight from the log's
-        // bytes to the address each was acknowledged at.
+        // bytes to the address each was acknowledged at (a pointer
+        // outside the arena is damage, not data).
         let mut replayed = 0u64;
         let arena = self.server.arena();
         for (slot, at) in last.iter().enumerate() {
             let Some(at) = *at else { continue };
-            let installed = self.store.with_payload(at, |payload| {
-                let (ptr, word, image) = split_install(payload);
-                if arena.write(ptr, image).is_err() {
-                    return false; // pointer outside the arena: damage, not data
-                }
-                arena
-                    .write(self.view.slot_addr(slot as u64), word)
-                    .expect("slot in arena");
-                true
+            let installed = store.with_payload(at, |payload| {
+                split_install(payload).is_some_and(|(word, image)| {
+                    install_at(arena, self.view.slot_addr(slot as u64), word, image)
+                })
             });
             replayed += u64::from(installed == Some(true));
         }
         self.durable.add_replayed(replayed);
         // Recovery is control-plane: everything it rewrote is synced.
-        self.store.barrier();
+        store.barrier();
         inc
     }
 
@@ -566,6 +671,73 @@ impl PrismKvServer {
             integrity: Arc::new(IntegrityStats::new()),
             next_version: Arc::new(AtomicU32::new(0)),
         }
+    }
+
+    /// The YCSB load phase, server-side: installs each `(key, value)` of
+    /// `entries` into its first slot, which must be empty, and returns
+    /// how many it loaded. The stream is consumed one key at a time;
+    /// nothing is staged.
+    ///
+    /// Each key leaves what a [`PrismKvClient::put`] into an empty slot
+    /// leaves, made by the same parts, without the engine or the chain
+    /// observer. It opens a connection as a client does. Per key, it
+    /// encodes the entry once, at the version that client's next PUT
+    /// would draw; pops the smallest fitting size class's free list, as
+    /// ALLOCATE does; stages `(ptr, bound)` in the connection's scratch,
+    /// as the install chain's WRITE and redirect do; writes the image
+    /// and swaps the word in from the zero word (the install step
+    /// replay uses); and logs the install record straight from the
+    /// encoded entry through the tap's writer, then barriers. The
+    /// arena, every disk file and its synced length, and the free
+    /// lists' order come out byte-identical to a PUT per key.
+    ///
+    /// # Errors
+    ///
+    /// Stops at the first key it refuses ([`LoadError`]): its slot is
+    /// not empty, its entry fits no size class, or its class's free
+    /// list is empty.
+    pub fn load<K, V>(&self, entries: impl IntoIterator<Item = (K, V)>) -> Result<u64, LoadError>
+    where
+        K: AsRef<[u8]>,
+        V: AsRef<[u8]>,
+    {
+        let client = self.open_client();
+        let (arena, freelists) = (self.server.arena(), self.server.freelists());
+        let mut e = Vec::new();
+        let mut at = 0;
+        for (key, value) in entries {
+            let key = key.as_ref();
+            entry::encode_versioned_into(&mut e, key, value.as_ref(), client.next_version());
+            let len = e.len() as u64;
+            let class = self
+                .view
+                .class_for(len)
+                .ok_or(LoadError::TooLarge { at, len })?;
+            let slot = self.view.scheme.slot(key, 0, self.view.capacity);
+            let gate = freelists.gate_read();
+            let (ptr, _) = freelists
+                .pop(class)
+                .map_err(|_| LoadError::Exhausted { at, class })?;
+            let mut word = [0u8; SLOT as usize];
+            word[..8].copy_from_slice(&ptr.to_le_bytes());
+            word[8..].copy_from_slice(&len.to_le_bytes());
+            // The table, the pools and the scratch lie in the arena, so a
+            // refusal here is an occupied slot.
+            let installed = arena.write(client.scratch_addr, &word).is_ok()
+                && install_at(arena, self.view.slot_addr(slot), &word, &e);
+            drop(gate);
+            if !installed {
+                // §3.2: a loser frees its own orphan.
+                let _ = freelists.free(ptr);
+                return Err(LoadError::Occupied { at, slot });
+            }
+            self.log.append(&self.server, slot, &word, |image| {
+                image.copy_from_slice(&e[..image.len()]);
+                true
+            });
+            at += 1;
+        }
+        Ok(at)
     }
 }
 
@@ -635,50 +807,11 @@ impl PrismKvClient {
         (op, req)
     }
 
-    /// The one-chain insert of the YCSB load phase: `key`'s install
-    /// chain ([`prism_core::install::chain`]) against the empty slot
-    /// word, `Guard::Unchanged { old: [0; 16], .. }`, so no probe round
-    /// trip precedes it. The chain and the entry version are the ones a
-    /// [`PrismKvClient::put`] of `value` would install into a slot its
-    /// probe found empty. `None` when the entry fits no size class.
-    ///
-    /// Sound only where the key's first slot is known to be empty, as
-    /// in a fresh collisionless table: on an occupied slot the CAS
-    /// loses and the new buffer is an orphan the caller must free
-    /// ([`Installed::garbage`]).
-    pub fn insert_chain(&self, key: &[u8], value: &[u8]) -> Option<[PrismOp; install::OPS]> {
-        let slot = self.view.scheme.slot(key, 0, self.view.capacity);
-        self.install_chain(slot, [0; 16], key, value, self.next_version())
-    }
-
-    /// The entry version the next PUT or insert stamps.
+    /// The entry version the next PUT or load stamps.
     fn next_version(&self) -> u32 {
         self.next_version
             .fetch_add(1, Ordering::Relaxed)
             .wrapping_add(1)
-    }
-
-    /// The install chain of `key`'s entry (`value` at `version`) into
-    /// `slot`, if the slot still holds `old`; `None` when the entry fits
-    /// no size class.
-    fn install_chain(
-        &self,
-        slot: u64,
-        old: [u8; 16],
-        key: &[u8],
-        value: &[u8],
-        version: u32,
-    ) -> Option<[PrismOp; install::OPS]> {
-        let e = entry::encode_versioned(key, value, version);
-        let bound = e.len() as u64;
-        let class = self.view.class_for(bound)?;
-        let stage = Redirect {
-            addr: self.scratch_addr,
-            rkey: self.scratch_rkey,
-        };
-        let guard = Guard::Unchanged { old, bound };
-        let (target, rkey) = (self.view.slot_addr(slot), self.view.data_rkey);
-        Some(install::chain(target, rkey, stage, class, e, guard))
     }
 
     /// Starts a DELETE (a PUT machine that installs null).
@@ -869,7 +1002,16 @@ impl PutOp {
                 full_mask(16),
             )]));
         }
-        let chain = c.install_chain(slot, old, &self.key, &self.value, self.version)?;
+        let e = entry::encode_versioned(&self.key, &self.value, self.version);
+        let bound = e.len() as u64;
+        let class = c.view.class_for(bound)?;
+        let stage = Redirect {
+            addr: c.scratch_addr,
+            rkey: c.scratch_rkey,
+        };
+        let guard = Guard::Unchanged { old, bound };
+        let (target, rkey) = (c.view.slot_addr(slot), c.view.data_rkey);
+        let chain = install::chain(target, rkey, stage, class, e, guard);
         Some(Request::Chain(chain.into()))
     }
 

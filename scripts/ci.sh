@@ -80,8 +80,14 @@
 #                           free-list oracle, the key-value model test
 #                           (PRISM-KV and Pilaf through one client
 #                           contract; a gate added, none removed) with
-#                           the load phase's golden store and its
-#                           generated check against a PUT per key, the
+#                           the server-side load's golden store
+#                           (preload_prism_store_is_the_golden_image),
+#                           its oracle property against a PUT per key
+#                           (preload_prism_equals_a_put_per_key, one
+#                           case over several size classes) and its
+#                           typed refusals (load_refuses_*: an occupied
+#                           slot, no size class, an empty free list,
+#                           each logging nothing), the
 #                           core chain properties (the §3.5 install's
 #                           verdict and the buffer it frees; a gate
 #                           added, none removed), the prism-tx suite
@@ -115,7 +121,8 @@
 #                           primitive/* rows, crc32/{4,8,12,15,64,530,4096}/{kernel,table},
 #                           the wire/*_530 frame encoders and
 #                           wire/decode_3op_chain, kv/{prism_kv,pilaf}_*,
-#                           kv/preload_prism_4096 (the YCSB load phase),
+#                           kv/preload_prism_4096 (the YCSB load phase,
+#                           server-side, on a fresh 4 096-key store),
 #                           rs/prism_rs_*_3replicas,
 #                           tx/{rmw_txn_local,farm_rmw_commit},
 #                           workload/zipf_new_262144/{miss,hit},

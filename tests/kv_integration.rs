@@ -4,11 +4,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use prism_core::PrismServer;
+use prism_core::{FreeListId, PrismServer};
 use prism_harness::kv_exp::preload_prism;
+use prism_kv::entry;
 use prism_kv::hash::{key_bytes, HashScheme};
 use prism_kv::pilaf::{PilafConfig, PilafServer};
-use prism_kv::prism_kv::{PrismKvConfig, PrismKvServer, SizeClass};
+use prism_kv::prism_kv::{LoadError, PrismKvConfig, PrismKvServer, SizeClass};
 use prism_kv::{drive, KvOutcome, KvProtocol};
 use prism_rdma::arena::MemoryArena;
 use prism_simnet::rng::SimRng;
@@ -261,17 +262,13 @@ fn preload_prism_store_is_the_golden_image() {
 }
 
 /// The YCSB load phase as it was first written, one PUT machine per key
-/// driven to completion: the oracle `preload_prism`'s one-chain insert
-/// is held to.
-fn preload_by_puts(s: &PrismKvServer, n_keys: u64, value_len: usize) {
+/// driven to completion: the oracle the server-side load is held to.
+/// Key `k` gets `value_bytes(k, 0, len)` for the `len` that `lens`
+/// yields `k`th.
+fn preload_by_puts(s: &PrismKvServer, lens: impl IntoIterator<Item = usize>) {
     let c = s.open_client();
-    for k in 0..n_keys {
-        let put = kv(
-            s.server(),
-            &c,
-            &key_bytes(k),
-            Some(&value_bytes(k, 0, value_len)),
-        );
+    for (k, len) in (0..).zip(lens) {
+        let put = kv(s.server(), &c, &key_bytes(k), Some(&value_bytes(k, 0, len)));
         assert_eq!(put, KvOutcome::Written, "oracle load of key {k}");
     }
 }
@@ -279,38 +276,89 @@ fn preload_by_puts(s: &PrismKvServer, n_keys: u64, value_len: usize) {
 /// A disk file as [`store_image`] sees it: name, synced length, bytes.
 type DiskFile = (String, usize, Vec<u8>);
 
-/// Every byte a store holds: the whole arena, then every disk file's
-/// name, synced length and bytes.
-fn store_image(s: &PrismKvServer) -> (Vec<u8>, Vec<DiskFile>) {
+/// Every disk file of `s`: name, synced length and bytes.
+fn disk_files(s: &PrismKvServer) -> Vec<DiskFile> {
     let disk = s.disk();
-    let files = disk
-        .list("")
+    disk.list("")
         .into_iter()
         .map(|name| {
             let synced = disk.synced(&name).expect("listed file has a watermark");
             let bytes = disk.read(&name).expect("listed file reads");
             (name, synced, bytes)
         })
-        .collect();
-    (arena_image(s), files)
+        .collect()
+}
+
+/// Every byte a store holds: the whole arena, then every disk file's
+/// name, synced length and bytes.
+fn store_image(s: &PrismKvServer) -> (Vec<u8>, Vec<DiskFile>) {
+    (arena_image(s), disk_files(s))
+}
+
+/// A collisionless config of `keys` slots over the size classes whose
+/// largest values are `caps` (ascending), `keys + 64` buffers each.
+fn classes_config(keys: u64, caps: &[usize]) -> PrismKvConfig {
+    let buf_len = |cap: usize| entry::encoded_len(8, cap) as u64;
+    PrismKvConfig {
+        capacity: keys,
+        scheme: HashScheme::Collisionless,
+        max_entry_len: buf_len(caps[caps.len() - 1]) as u32,
+        classes: caps
+            .iter()
+            .map(|&cap| SizeClass {
+                buf_len: buf_len(cap),
+                count: keys + 64,
+            })
+            .collect(),
+    }
 }
 
 /// The loader against its oracle at generated scales: a store loaded by
 /// `preload_prism` equals one loaded by a PUT per key byte for byte,
 /// arena and disk, and stays equal through the same PUTs (fresh value
 /// nonces) and DELETEs applied to both. Key counts, value lengths, the
-/// operations and their nonces come from `seed_or`.
+/// operations and their nonces come from `seed_or`. The last case
+/// spreads its keys' value lengths over two or three size classes and
+/// loads through [`PrismKvServer::load`], so the loader's class choice
+/// meets the PUT's.
 #[test]
 fn preload_prism_equals_a_put_per_key() {
     let mut rng = SimRng::new(seed_or(0x10AD));
-    for case in 0..6 {
+    for case in 0..7 {
         let keys = 1 + rng.gen_range(600);
-        let value_len = 1 + rng.gen_range(1_024) as usize;
-        let config = PrismKvConfig::paper(keys, value_len);
+        let mixed = case == 6;
+        // `top`: the longest value; a mixed case draws each length in 1..=top.
+        let (config, lens, top) = if mixed {
+            let classes = 2 + rng.gen_range(2) as usize;
+            let mut caps = Vec::new();
+            while caps.len() < classes {
+                let cap = 1 + rng.gen_range(1_024) as usize;
+                if !caps.contains(&cap) {
+                    caps.push(cap);
+                }
+            }
+            caps.sort_unstable();
+            let top = caps[classes - 1];
+            let lens = (0..keys).map(|_| 1 + rng.gen_range(top as u64) as usize);
+            (classes_config(keys, &caps), lens.collect(), top)
+        } else {
+            let top = 1 + rng.gen_range(1_024) as usize;
+            (
+                PrismKvConfig::paper(keys, top),
+                vec![top; keys as usize],
+                top,
+            )
+        };
         let (loaded, oracle) = (PrismKvServer::new(&config), PrismKvServer::new(&config));
-        preload_prism(&loaded, keys, value_len);
-        preload_by_puts(&oracle, keys, value_len);
-        let at = format!("case {case}: {keys} keys x {value_len} B");
+        if mixed {
+            let entries = (0..).zip(&lens);
+            let entries = entries.map(|(k, &len)| (key_bytes(k), value_bytes(k, 0, len)));
+            assert_eq!(loaded.load(entries), Ok(keys));
+        } else {
+            preload_prism(&loaded, keys, top);
+        }
+        preload_by_puts(&oracle, lens);
+        let at = format!("case {case}: {keys} keys x {top} B (mixed {mixed})");
         assert!(
             store_image(&loaded) == store_image(&oracle),
             "{at}: after the load"
@@ -321,11 +369,16 @@ fn preload_prism_equals_a_put_per_key() {
             let key = key_bytes(k);
             let nonce = rng.next_u64();
             let delete = rng.gen_bool(0.25);
+            let len = if mixed {
+                1 + rng.gen_range(top as u64) as usize
+            } else {
+                top
+            };
             for (s, c) in [(&loaded, &clients.0), (&oracle, &clients.1)] {
                 let (mut op, req) = if delete {
                     c.delete(&key)
                 } else {
-                    c.put(&key, &value_bytes(k, nonce, value_len))
+                    c.put(&key, &value_bytes(k, nonce, len))
                 };
                 let outcome = drive(s.server(), req, |r| op.on_reply(c, r)).0;
                 assert_eq!(outcome, KvOutcome::Written, "{at}: op {i} on key {k}");
@@ -334,4 +387,66 @@ fn preload_prism_equals_a_put_per_key() {
             assert!(same, "{at}: after op {i} (key {k}, delete {delete})");
         }
     }
+}
+
+/// `load`'s stream of keys `keys` with `len`-byte values.
+fn load_keys(s: &PrismKvServer, keys: std::ops::Range<u64>, len: usize) -> Result<u64, LoadError> {
+    s.load(keys.map(|k| (key_bytes(k), value_bytes(k, 0, len))))
+}
+
+/// An occupied slot is refused with a typed error, and nothing of the
+/// refused key is logged or installed: the disk, the slot and the free
+/// list's population are as they were.
+#[test]
+fn load_refuses_an_occupied_slot() {
+    let s = PrismKvServer::new(&PrismKvConfig::paper(8, 64));
+    assert_eq!(load_keys(&s, 0..4, 64), Ok(4));
+    let view = s.view();
+    let slot = view.scheme.slot(&key_bytes(2), 0, view.capacity);
+    let word = |s: &PrismKvServer| s.server().arena().read(view.slot_addr(slot), 16);
+    let free = |s: &PrismKvServer| s.server().freelists().available(FreeListId(0));
+    let before = (disk_files(&s), word(&s), free(&s));
+    assert_eq!(
+        load_keys(&s, 2..4, 64),
+        Err(LoadError::Occupied { at: 0, slot })
+    );
+    assert!((disk_files(&s), word(&s), free(&s)) == before);
+}
+
+/// An entry no size class fits is refused with a typed error before
+/// anything is touched: the store equals one that never saw the key.
+#[test]
+fn load_refuses_an_entry_that_fits_no_size_class() {
+    let config = PrismKvConfig::paper(8, 64);
+    let (refused, prefix) = (PrismKvServer::new(&config), PrismKvServer::new(&config));
+    let too_long = (key_bytes(1), value_bytes(1, 0, 65));
+    let entries = [(key_bytes(0), value_bytes(0, 0, 64)), too_long];
+    let len = entry::encoded_len(8, 65) as u64;
+    assert_eq!(
+        refused.load(entries),
+        Err(LoadError::TooLarge { at: 1, len })
+    );
+    assert_eq!(load_keys(&prefix, 0..1, 64), Ok(1));
+    assert!(store_image(&refused) == store_image(&prefix));
+}
+
+/// A size class whose free list runs dry refuses the next key with a
+/// typed error: the store equals one loaded with the keys before it.
+#[test]
+fn load_refuses_a_key_once_its_free_list_is_empty() {
+    let config = PrismKvConfig {
+        classes: vec![SizeClass {
+            buf_len: entry::encoded_len(8, 64) as u64,
+            count: 4,
+        }],
+        ..PrismKvConfig::paper(8, 64)
+    };
+    let (refused, prefix) = (PrismKvServer::new(&config), PrismKvServer::new(&config));
+    let class = FreeListId(0);
+    assert_eq!(
+        load_keys(&refused, 0..8, 64),
+        Err(LoadError::Exhausted { at: 4, class })
+    );
+    assert_eq!(load_keys(&prefix, 0..4, 64), Ok(4));
+    assert!(store_image(&refused) == store_image(&prefix));
 }
