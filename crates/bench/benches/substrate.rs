@@ -28,7 +28,7 @@ use prism_simnet::engine::{Actor, Context, Simulation};
 use prism_simnet::rng::SimRng;
 use prism_simnet::time::{SimDuration, SimTime};
 use prism_tx::farm::{FarmCluster, FarmConfig};
-use prism_tx::prism_tx::{TxCluster, TxConfig};
+use prism_tx::prism_tx::{TxCluster, TxConfig, TxServer};
 use prism_tx::{drive, TxOutcome, TxProtocol};
 use prism_workload::dist::ZipfGen;
 use prism_workload::PoissonGen;
@@ -493,8 +493,13 @@ fn bench_workload(run: &mut Runner) {
 /// read-modify-write, begun and driven to commit against a local
 /// one-shard cluster (execute, prepare, commit: three chains). The
 /// per-transaction cost `sim_tx_closed` pays in its adapters, plus the
-/// server side of the three chains.
+/// server side of the three chains. And the construction of a fresh
+/// 65 536-key shard alone (arena, slots, pool, every key's seed).
 fn bench_tx(run: &mut Runner) {
+    run.bench("tx/new_shard_65536", |b| {
+        let config = TxConfig::paper(65_536, 512);
+        b.iter(|| TxServer::new(&config, 0, 1));
+    });
     run.bench("tx/rmw_txn_local", |b| {
         let cluster = TxCluster::new(1, &TxConfig::paper(1024, 512));
         let mut client = cluster.open_client();
@@ -574,11 +579,16 @@ fn bench_kv(run: &mut Runner) {
 }
 
 /// A PRISM-RS write and read of one 512-byte block over three replicas,
-/// every replica answering.
+/// every replica answering; and the construction of a fresh 65 536-block
+/// replica alone (arena, metadata, pool, every block's seed).
 fn bench_rs(run: &mut Runner) {
-    use prism_rs::prism_rs::{RsCluster, RsConfig};
+    use prism_rs::prism_rs::{PrismRsServer, RsCluster, RsConfig};
     use prism_rs::{drive, RsProtocol};
 
+    run.bench("rs/new_replica_65536", |b| {
+        let config = RsConfig::paper(65_536, 512);
+        b.iter(|| PrismRsServer::new(&config));
+    });
     let cluster = RsCluster::new(3, &RsConfig::paper(64, 512));
     let mut client = cluster.open_client();
     run.bench("rs/prism_rs_put_512_3replicas", |b| {

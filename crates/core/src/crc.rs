@@ -221,11 +221,37 @@ const fn x2nmodp(mut n: u64, mut k: usize) -> u32 {
 
 /// CRC-32 of `a || b` from `crc32(a)`, `crc32(b)` and `b.len()`, without
 /// touching the bytes again: `crc(a||b) = crc(a) · x^(8·len_b) ⊕ crc(b)`
-/// (zlib's `crc32_combine`), O(log len_b). This is what lets a
-/// checksummed table grow, or have its prefix rewritten, at constant
-/// cost.
+/// (zlib's `crc32_combine`), O(log len_b) to build the shift. A
+/// checksum that is combined again and again over a suffix growing by
+/// fixed steps carries its [`CrcShift`] instead.
 pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
-    multmodp(x2nmodp(len_b, 3), crc_a) ^ crc_b // 2^3 bits per byte
+    CrcShift::bytes(len_b).combine(crc_a, crc_b)
+}
+
+/// The operator `x^(8·n) mod P` that moves a CRC past `n` appended
+/// bytes. Built directly in O(log n); extended by another operator in
+/// one carry-less multiply, so a checksummed table that grows by
+/// fixed-size entries keeps its combine cost constant at any length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CrcShift(u32);
+
+impl CrcShift {
+    /// The operator for `n` bytes.
+    pub const fn bytes(n: u64) -> Self {
+        CrcShift(x2nmodp(n, 3)) // 2^3 bits per byte
+    }
+
+    /// The operator for this one's length plus `step`'s:
+    /// `bytes(a).then(bytes(b)) == bytes(a + b)`.
+    pub const fn then(self, step: CrcShift) -> Self {
+        CrcShift(multmodp(self.0, step.0))
+    }
+
+    /// `crc32(a || b)` from `crc32(a)` and `crc32(b)`, where `b` is this
+    /// operator's length.
+    pub const fn combine(self, crc_a: u32, crc_b: u32) -> u32 {
+        multmodp(self.0, crc_a) ^ crc_b
+    }
 }
 
 /// The PCLMULQDQ folding kernel.
@@ -646,6 +672,31 @@ mod tests {
         let halves = crc32_combine(crc32_combine(a, z, len), z, len);
         let z29 = crc32_combine(z, z, len);
         assert_eq!(crc32_combine(a, z29, 2 * len), halves);
+    }
+
+    #[test]
+    fn stepped_shift_equals_the_one_built_directly() {
+        // A manifest's count word is combined over `4 + 16·count` bytes.
+        let entry = CrcShift::bytes(16);
+        let mut shift = CrcShift::bytes(4);
+        for count in 0..20_000u64 {
+            assert_eq!(shift, CrcShift::bytes(4 + 16 * count), "count {count}");
+            shift = shift.then(entry);
+        }
+        // Uneven steps from uneven starts, and the stepped operator
+        // combines as `crc32_combine` does at the summed length.
+        let mut s = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..256 {
+            let (mut len, step) = (splitmix(&mut s) % 100_000, 1 + splitmix(&mut s) % 4096);
+            let mut shift = CrcShift::bytes(len);
+            for _ in 0..64 {
+                shift = shift.then(CrcShift::bytes(step));
+                len += step;
+            }
+            assert_eq!(shift, CrcShift::bytes(len), "len {len} step {step}");
+            let (a, b) = (splitmix(&mut s) as u32, splitmix(&mut s) as u32);
+            assert_eq!(shift.combine(a, b), crc32_combine(a, b, len));
+        }
     }
 
     #[test]

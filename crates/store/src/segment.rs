@@ -32,7 +32,7 @@
 //! the patched file equals `encode_manifest` of the grown table byte
 //! for byte.
 
-use prism_core::crc::{crc32, crc32_combine, Crc32};
+use prism_core::crc::{crc32, Crc32, CrcShift};
 
 /// Magic tag opening every segment file.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"PRSMSEG1";
@@ -321,12 +321,14 @@ pub fn encode_manifest(sealed: &[SealedSeg], checkpoint: u32) -> Vec<u8> {
     out
 }
 
-/// Running CRC over the entry table of an encoded manifest: the state
-/// [`manifest_push`] continues from.
-pub fn manifest_table_crc(manifest: &[u8]) -> Crc32 {
+/// Running CRC over the entry table of an encoded manifest, and the
+/// shift over the bytes that follow its count word (entries and
+/// checkpoint): the state [`manifest_push`] continues from.
+pub fn manifest_table_crc(manifest: &[u8]) -> (Crc32, CrcShift) {
+    let table = &manifest[HEADER_LEN + 4..manifest.len() - 8];
     let mut crc = Crc32::new();
-    crc.update(&manifest[HEADER_LEN + 4..manifest.len() - 8]);
-    crc
+    crc.update(table);
+    (crc, CrcShift::bytes(table.len() as u64 + 4))
 }
 
 /// The in-place edit that appends one entry to an encoded manifest.
@@ -348,26 +350,32 @@ impl ManifestPatch {
 /// Computes the patch that turns `encode_manifest(sealed, checkpoint)`
 /// into `encode_manifest(sealed + [entry], checkpoint)` at a cost
 /// independent of the table's length. `count` is the entry count
-/// *after* the push and `table_crc` the running CRC of the entries
-/// before it (advanced here). The manifest CRC covers
-/// `count | entries | checkpoint` and the count word leads, so the
-/// checksum is reassembled with [`crc32_combine`] rather than re-read.
+/// *after* the push; `table_crc` is the running CRC of the entries
+/// before it and `table_shift` the shift over those entries and the
+/// checkpoint (both as [`manifest_table_crc`] returns them, and both
+/// advanced here, the shift by one entry's constant step). The
+/// manifest CRC covers `count | entries | checkpoint` and the count
+/// word leads, so the checksum is reassembled with
+/// [`CrcShift::combine`] rather than re-read.
 pub fn manifest_push(
     table_crc: &mut Crc32,
+    table_shift: &mut CrcShift,
     count: u32,
     entry: &SealedSeg,
     checkpoint: u32,
 ) -> ManifestPatch {
     const E: usize = MANIFEST_ENTRY_LEN;
+    const ENTRY_SHIFT: CrcShift = CrcShift::bytes(E as u64);
     let table_len = count as usize * E;
     let mut tail = [0u8; E + 8];
     tail[..E].copy_from_slice(&entry.encode());
     tail[E..E + 4].copy_from_slice(&checkpoint.to_le_bytes());
     table_crc.update(&tail[..E]);
+    *table_shift = table_shift.then(ENTRY_SHIFT);
     let mut rest = *table_crc;
     rest.update(&tail[E..E + 4]);
     let count = count.to_le_bytes();
-    let crc = crc32_combine(crc32(&count), rest.finish(), table_len as u64 + 4);
+    let crc = table_shift.combine(crc32(&count), rest.finish());
     tail[E + 4..].copy_from_slice(&crc.to_le_bytes());
     ManifestPatch {
         count,

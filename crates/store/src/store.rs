@@ -4,7 +4,7 @@ use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use prism_core::crc::Crc32;
+use prism_core::crc::{Crc32, CrcShift};
 
 use crate::disk::{FileId, SimDisk};
 use crate::segment::{
@@ -105,6 +105,10 @@ struct Inner {
     /// Running CRC of the manifest's entry table as it stands on disk;
     /// a seal continues from it instead of re-reading the table.
     table_crc: Crc32,
+    /// Shift over the table and checkpoint after the count word
+    /// (`4 + 16·count` bytes); a seal steps it by one entry instead of
+    /// rebuilding it.
+    table_shift: CrcShift,
     /// Segments below this sequence are covered by a checkpoint fold
     /// (see [`SegmentStore::checkpoint`]); replay skips decoding them.
     checkpoint: u32,
@@ -127,14 +131,17 @@ fn create_segment(disk: &SimDisk, prefix: &str, seq: u32) -> FileId {
 impl Inner {
     /// An empty store on `disk`: segment 0 and an empty manifest.
     fn open_empty(disk: &SimDisk, prefix: &str) -> Inner {
+        let manifest = encode_manifest(&[], 0);
+        let (table_crc, table_shift) = manifest_table_crc(&manifest);
         Inner {
             active_seq: 0,
             active: create_segment(disk, prefix, 0),
             active_len: HEADER_LEN,
             active_records: 0,
             sealed: Vec::new(),
-            manifest: disk.write_sync(&manifest_name(prefix), &encode_manifest(&[], 0)),
-            table_crc: Crc32::new(),
+            manifest: disk.write_sync(&manifest_name(prefix), &manifest),
+            table_crc,
+            table_shift,
             checkpoint: 0,
         }
     }
@@ -144,7 +151,7 @@ impl Inner {
     fn write_manifest(&mut self, disk: &SimDisk, prefix: &str) {
         let bytes = encode_manifest(&self.sealed, self.checkpoint);
         self.manifest = disk.write_sync(&manifest_name(prefix), &bytes);
-        self.table_crc = manifest_table_crc(&bytes);
+        (self.table_crc, self.table_shift) = manifest_table_crc(&bytes);
     }
 }
 
@@ -236,6 +243,7 @@ impl SegmentStore {
         inner.sealed.push(entry);
         let patch = manifest_push(
             &mut inner.table_crc,
+            &mut inner.table_shift,
             inner.sealed.len() as u32,
             &entry,
             inner.checkpoint,

@@ -124,6 +124,8 @@
 #                           kv/preload_prism_4096 (the YCSB load phase,
 #                           server-side, on a fresh 4 096-key store),
 #                           rs/prism_rs_*_3replicas,
+#                           rs/new_replica_65536 and tx/new_shard_65536
+#                           (a fresh store's construction alone),
 #                           tx/{rmw_txn_local,farm_rmw_commit},
 #                           workload/zipf_new_262144/{miss,hit},
 #                           chain/get_indirect_cold/{unhinted,hinted},
