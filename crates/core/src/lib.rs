@@ -66,6 +66,7 @@ pub mod freelist;
 pub mod install;
 pub mod integrity;
 pub mod layout;
+pub mod lease;
 pub mod msg;
 pub mod op;
 pub mod server;

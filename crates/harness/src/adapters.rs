@@ -1979,7 +1979,7 @@ mod tests {
         let first = tx.start();
         let lock = tx.run_to(first.clone(), PH_FARM_LOCK);
         serve(&tx.servers, &lock[0]);
-        assert_eq!(cluster.held_locks(), 1, "the lock landed");
+        assert_eq!(cluster.held(), 1, "the lock landed");
         let unlock = wait_sends(
             "lock in doubt",
             tx.adapter.on_reply(lock[0].tag, timeout_reply()),
@@ -1987,7 +1987,7 @@ mod tests {
         assert_eq!(unlock.len(), 1);
         let step = tx.leg(&unlock[0]);
         assert_backoff("FaRM", &step, tx_backoff(1, &mut SimRng::new(0xFA12)));
-        assert_eq!(cluster.held_locks(), 0, "the abort released it");
+        assert_eq!(cluster.held(), 0, "the abort released it");
         assert_eq!(tx.driver().op, Some(TxnSpec { keys: keys.clone() }));
         assert_eq!(requests(&tx.adapter.resume()), requests(&first));
         assert_eq!((tx.driver().retries, tx.driver().seq), (1, 2));

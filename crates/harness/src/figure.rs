@@ -8,7 +8,8 @@
 //! closed-loop call, each point on a settled system: a window's end
 //! abandons the operations in flight, and what they held (a PRISM-TX
 //! prepare, a FaRM or ABDLOCK lock) is released before the next point
-//! ([`System::settle`]). `curves` prints a sweep as the
+//! by two passes of its servers' one lease ([`System::settle`]).
+//! `curves` prints a sweep as the
 //! throughput-latency table with each row's peak. `open_loop` is the
 //! open-loop counterpart: one rate sweep, then its latency-under-load
 //! table. The `fig_*` binaries read their command line through

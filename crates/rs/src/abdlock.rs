@@ -14,6 +14,7 @@
 
 use std::sync::Arc;
 
+use prism_core::lease::{clear_if_held, Lease, Leased};
 use prism_core::msg::{Reply, Request, Verb};
 use prism_core::PrismServer;
 use prism_rdma::region::AccessFlags;
@@ -67,10 +68,13 @@ impl AbdLockView {
 }
 
 /// One ABDLOCK replica: plain registered memory, no server-side logic at
-/// all (the whole protocol is client-driven).
+/// all (the whole protocol is client-driven) beyond the lease over its
+/// lock words.
 pub struct AbdLockServer {
     server: Arc<PrismServer>,
     view: AbdLockView,
+    /// Lease over held lock words (see its [`Leased`] impl).
+    lease: Lease,
 }
 
 impl AbdLockServer {
@@ -90,6 +94,7 @@ impl AbdLockServer {
                 block_size: config.block_size,
                 stride,
             },
+            lease: Lease::default(),
         }
     }
 
@@ -104,11 +109,40 @@ impl AbdLockServer {
     }
 }
 
+/// The force-release a lost unlock needs (§7.2). A block's stamp is its
+/// lock word, the holder's client id; the release CASes the word back to
+/// 0 if it still holds that id. A client id is not a per-acquisition
+/// token: the same client can release a lock and take it again between
+/// two sightings, so the lease is sound only while no client runs
+/// (between runs, as `System::settle` calls it in the harness), not as
+/// an in-run sweep.
+impl Leased for AbdLockServer {
+    fn lease(&self) -> &Lease {
+        &self.lease
+    }
+
+    fn words(&self) -> u64 {
+        self.view.n_blocks
+    }
+
+    fn stamp(&self, i: u64) -> Option<u64> {
+        let id = self
+            .server
+            .arena()
+            .read_u64(self.view.block(i))
+            .expect("in arena");
+        (id != 0).then_some(id)
+    }
+
+    fn release(&self, i: u64, id: u64) {
+        clear_if_held(&self.server, self.view.block(i), id);
+    }
+}
+
 /// An `n = 2f + 1` ABDLOCK replica group.
 pub struct AbdLockCluster {
     replicas: Vec<AbdLockServer>,
     next_client: std::sync::atomic::AtomicU16,
-    epoch: std::sync::atomic::AtomicU64,
 }
 
 impl AbdLockCluster {
@@ -122,7 +156,6 @@ impl AbdLockCluster {
         AbdLockCluster {
             replicas: (0..n).map(|_| AbdLockServer::new(config)).collect(),
             next_client: std::sync::atomic::AtomicU16::new(1),
-            epoch: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -139,69 +172,6 @@ impl AbdLockCluster {
     /// Replica `i`.
     pub fn replica(&self, i: usize) -> &AbdLockServer {
         &self.replicas[i]
-    }
-
-    /// Clears every block's lock word on every replica — the recovery a
-    /// real deployment performs with lock leases when clients die mid-
-    /// operation (§7.2 notes the need for a force-release protocol).
-    /// The harness's `settle` calls this between measurement windows,
-    /// since a window boundary abandons in-flight operations. Routed
-    /// through the epoch guard, so a concurrent caller cannot double-
-    /// sweep the same recovery.
-    pub fn reset_locks(&self) {
-        let e = self.epoch.load(std::sync::atomic::Ordering::SeqCst);
-        self.reset_locks_epoch(e);
-    }
-
-    /// The current recovery epoch (how many force-release sweeps have
-    /// run).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(std::sync::atomic::Ordering::SeqCst)
-    }
-
-    /// Epoch-guarded force-release: a dead lock-holder's words are
-    /// reclaimed **exactly once** per recovery epoch. Callers name the
-    /// epoch they observed; the guard CAS advances it and only the
-    /// winner sweeps — a concurrent or repeated caller with the same
-    /// stale epoch is a no-op, so recovery cannot release a lock that a
-    /// *new* (post-recovery) holder legitimately acquired after the
-    /// first sweep. Returns the number of lock words actually cleared
-    /// (0 for guard losers).
-    pub fn reset_locks_epoch(&self, observed: u64) -> u64 {
-        use std::sync::atomic::Ordering::SeqCst;
-        if self
-            .epoch
-            .compare_exchange(observed, observed + 1, SeqCst, SeqCst)
-            .is_err()
-        {
-            return 0;
-        }
-        let mut cleared = 0;
-        self.each_held_lock(|r, addr| {
-            r.server().arena().write_u64(addr, 0).expect("in arena");
-            cleared += 1;
-        });
-        cleared
-    }
-
-    /// Number of lock words currently held, across every replica.
-    pub fn held_locks(&self) -> u64 {
-        let mut held = 0;
-        self.each_held_lock(|_, _| held += 1);
-        held
-    }
-
-    /// Calls `f(replica, address)` for every non-zero lock word, replica
-    /// by replica, block by block.
-    fn each_held_lock(&self, mut f: impl FnMut(&AbdLockServer, u64)) {
-        for r in &self.replicas {
-            for b in 0..r.view.n_blocks {
-                let addr = r.view.block(b);
-                if r.server().arena().read_u64(addr).expect("in arena") != 0 {
-                    f(r, addr);
-                }
-            }
-        }
     }
 
     /// Opens a client with a fresh nonzero id.
@@ -905,98 +875,49 @@ mod tests {
     }
 
     #[test]
-    fn lossy_replies_never_panic_and_always_terminate() {
-        // A miniature fault plan: every reply is independently replaced
-        // by the timeout stand-in with 25% probability. Ops must always
-        // terminate in a definite outcome — never panic, never wedge
-        // with a lock held forever.
+    fn sweep_releases_orphaned_lock_after_two_sightings() {
         let cl = cluster();
-        let mut rng = SimRng::new(0xFA_17);
-        let mut c = cl.open_client(7);
-        let mut completed = 0;
-        for i in 0..40u8 {
-            let (mut op, mut step) = if i % 2 == 0 {
-                c.put(u64::from(i % 4), vec![i; 64])
-            } else {
-                c.get(u64::from(i % 4))
-            };
-            let outcome = loop {
-                if let Some(o) = step.done {
-                    break o;
-                }
-                if step.backoff_ns.is_some() {
-                    step = c.reissue(&mut op);
-                    continue;
-                }
-                let sends = std::mem::take(&mut step.send);
-                let mut next = RsStep::default();
-                for (r, phase, _, req) in sends {
-                    let reply = if rng.gen_bool(0.25) {
-                        Reply::Verb(Err(prism_rdma::RdmaError::ReceiverNotReady))
-                    } else {
-                        prism_core::msg::execute_local(cl.replica(r).server(), &req)
-                    };
-                    let s = c.on_reply(&mut op, phase, r, reply);
-                    if s.done.is_some() || s.backoff_ns.is_some() || !s.send.is_empty() {
-                        next = s;
-                        break;
-                    }
-                }
-                step = next;
-            };
-            match outcome {
-                RsOutcome::Value(_) | RsOutcome::Written => completed += 1,
-                RsOutcome::Failed(_) => {}
-            }
+        let lock = |r: usize| (cl.replica(r), cl.replica(r).view().block(0));
+        let held = || (0..3).map(|r| cl.replica(r).held()).sum::<u64>();
+        let sweep = || (0..3).map(|r| cl.replica(r).sweep()).sum::<u64>();
+        // A client dies holding block 0's lock on two replicas.
+        for r in 0..2 {
+            let (replica, addr) = lock(r);
+            replica.server().arena().write_u64(addr, 0xDEAD).unwrap();
         }
-        assert!(completed > 0, "some operations must succeed at 25% loss");
-        // A lost *unlock* request legitimately leaks that replica's lock
-        // (the force-release problem §7.2 notes); the lease-style
-        // recovery is `reset_locks`, after which the store must be fully
-        // functional again.
-        cl.reset_locks();
-        let mut c2 = cl.open_client(8);
+        assert_eq!(held(), 2);
+
+        assert_eq!(sweep(), 0, "first sighting only leases");
+        assert_eq!(held(), 2);
+        // Replica 0's word changes hands between the two passes.
+        let (replica, addr) = lock(0);
+        replica.server().arena().write_u64(addr, 77).unwrap();
+        assert_eq!(sweep(), 1, "second sighting releases");
+        assert_eq!(replica.server().arena().read_u64(addr).unwrap(), 77);
+        // The release is guarded: a stale stamp leaves the new holder's
+        // word alone.
+        replica.release(0, 0xDEAD);
         assert_eq!(
-            put(&cl, &mut c2, 0, vec![0xAAu8; 64], &[false; 3]),
+            replica.server().arena().read_u64(addr).unwrap(),
+            77,
+            "the new holder's lock must survive a release of the old stamp"
+        );
+        assert_eq!(sweep(), 1, "the new holder's own second sighting");
+        assert_eq!(held(), 0);
+        assert_eq!(sweep(), 0);
+        let reclaims = (0..3).map(|r| cl.replica(r).lease().reclaims());
+        assert_eq!(reclaims.sum::<u64>(), 2);
+
+        // The block is usable again.
+        let mut c = cl.open_client(9);
+        assert_eq!(
+            put(&cl, &mut c, 0, vec![5u8; 64], &[false; 3]),
             RsOutcome::Written
         );
         assert_eq!(
-            get(&cl, &mut c2, 0, &[false; 3]),
-            RsOutcome::Value(vec![0xAAu8; 64])
+            get(&cl, &mut c, 0, &[false; 3]),
+            RsOutcome::Value(vec![5u8; 64])
         );
-    }
-
-    #[test]
-    fn epoch_guard_reclaims_dead_locks_exactly_once() {
-        let cl = cluster();
-        // A client dies holding block 0's lock on two replicas.
-        for r in 0..2 {
-            let v = cl.replica(r).view().clone();
-            cl.replica(r)
-                .server()
-                .arena()
-                .write_u64(v.block(0), 0xDEAD)
-                .unwrap();
-        }
-        assert_eq!(cl.held_locks(), 2);
-        let e = cl.epoch();
-        assert_eq!(cl.reset_locks_epoch(e), 2, "both dead locks reclaimed");
-        assert_eq!(cl.held_locks(), 0);
-        // A second recovery racing on the *same* observed epoch loses
-        // the guard and must not sweep: a new holder's lock survives.
-        let v = cl.replica(0).view().clone();
-        cl.replica(0)
-            .server()
-            .arena()
-            .write_u64(v.block(0), 77)
-            .unwrap();
-        assert_eq!(cl.reset_locks_epoch(e), 0, "stale-epoch sweep is a no-op");
-        assert_eq!(
-            cl.replica(0).server().arena().read_u64(v.block(0)).unwrap(),
-            77,
-            "the new holder's lock must survive the duplicate recovery"
-        );
-        assert_eq!(cl.epoch(), e + 1);
     }
 
     #[test]

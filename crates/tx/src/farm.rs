@@ -25,13 +25,14 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use prism_core::lease::{clear_if_held, Lease, Leased};
 use prism_core::msg::{Reply, Request, Verb};
 use prism_core::PrismServer;
 use prism_rdma::hash::IntMap;
 use prism_rdma::region::AccessFlags;
 
 use crate::driver::{Round, TxOutcome, TxProtocol, TxStep};
-use crate::shard::{Lease, Placement};
+use crate::shard::Placement;
 
 /// Object header: version + lock.
 pub const OBJ_HEADER: u64 = 16;
@@ -85,7 +86,7 @@ impl FarmView {
 pub struct FarmServer {
     server: Arc<PrismServer>,
     view: FarmView,
-    /// Lease over held lock tokens. See [`FarmServer::sweep_locks`].
+    /// Lease over held lock tokens (see its [`Leased`] impl).
     lease: Lease,
 }
 
@@ -145,33 +146,32 @@ impl FarmServer {
     pub fn view(&self) -> &FarmView {
         &self.view
     }
+}
 
-    /// Lease-based recovery for write locks whose owner crashed between
-    /// lock and unlock (§8.1's lease expiry, scoped to one shard): a
-    /// lock word holding the *same* token across two consecutive sweeps
-    /// is declared orphaned and released. A live transaction either
-    /// unlocks before the second sweep or — having re-locked with a
-    /// fresh token (tokens embed a per-client sequence number) — resets
-    /// the lease. The release re-checks the token atomically, so an
-    /// unlock racing the sweep is harmless. Returns locks released.
-    pub fn sweep_locks(&self) -> u64 {
-        let held = |i| Some(self.lock_word(i)).filter(|&token| token != 0);
-        self.lease.sweep(self.view.capacity, held, |i, token| {
-            unlock(&self.server, obj_of(&self.view, i), token);
-        })
+/// Lease-based recovery for write locks whose owner crashed between lock
+/// and unlock (§8.1's lease expiry, scoped to one shard). A key's stamp
+/// is its lock word, the holder's token; a live transaction either
+/// unlocks before the second sighting or, having re-locked with a fresh
+/// token (tokens embed a per-client sequence number), restarts the
+/// lease. The release is the token-checked unlock, so an unlock racing
+/// the sweep is harmless.
+impl Leased for FarmServer {
+    fn lease(&self) -> &Lease {
+        &self.lease
     }
 
-    /// Local key `i`'s lock word: the holder's token, 0 when free.
-    fn lock_word(&self, i: u64) -> u64 {
+    fn words(&self) -> u64 {
+        self.view.capacity
+    }
+
+    fn stamp(&self, i: u64) -> Option<u64> {
         let obj = obj_of(&self.view, i);
-        self.server.arena().read_u64(obj + 8).expect("in arena")
+        let token = self.server.arena().read_u64(obj + 8).expect("in arena");
+        (token != 0).then_some(token)
     }
 
-    /// Number of objects whose lock word is currently held.
-    pub fn held_locks(&self) -> u64 {
-        (0..self.view.capacity)
-            .filter(|&i| self.lock_word(i) != 0)
-            .count() as u64
+    fn release(&self, i: u64, token: u64) {
+        clear_if_held(&self.server, obj_of(&self.view, i) + 8, token);
     }
 }
 
@@ -185,18 +185,6 @@ impl std::fmt::Debug for FarmServer {
 
 fn obj_of(view: &FarmView, local: u64) -> u64 {
     view.obj_addr + local * view.obj_stride
-}
-
-/// Clears `obj`'s lock word if `token` still holds it.
-fn unlock(server: &PrismServer, obj: u64, token: u64) {
-    server
-        .arena()
-        .atomic(obj + 8, 8, |b| {
-            if u64::from_le_bytes(b.as_ref().try_into().expect("8B")) == token {
-                b.copy_from_slice(&0u64.to_le_bytes());
-            }
-        })
-        .expect("object in arena");
 }
 
 /// Server-side commit phases. Lock/unlock/update all run on the server
@@ -259,7 +247,7 @@ fn handle_rpc(server: &PrismServer, view: &FarmView, req: &[u8]) -> Vec<u8> {
         }
         RPC_UNLOCK => {
             for (local, _) in records {
-                unlock(server, obj_of(view, local), token);
+                clear_if_held(server, obj_of(view, local) + 8, token);
             }
             vec![0]
         }
@@ -291,7 +279,6 @@ fn handle_rpc(server: &PrismServer, view: &FarmView, req: &[u8]) -> Vec<u8> {
 pub struct FarmCluster {
     shards: Vec<FarmServer>,
     next_client: std::sync::atomic::AtomicU64,
-    lock_reclaims: std::sync::atomic::AtomicU64,
 }
 
 impl FarmCluster {
@@ -304,29 +291,7 @@ impl FarmCluster {
                 .map(|s| FarmServer::new(config, s as u64, n_shards as u64))
                 .collect(),
             next_client: std::sync::atomic::AtomicU64::new(1),
-            lock_reclaims: std::sync::atomic::AtomicU64::new(0),
         }
-    }
-
-    /// Runs one lock-lease sweep on shard `i` (see
-    /// [`FarmServer::sweep_locks`]) and folds the count into
-    /// [`FarmCluster::lock_reclaims`].
-    pub fn sweep_shard(&self, i: usize) -> u64 {
-        let n = self.shards[i].sweep_locks();
-        self.lock_reclaims
-            .fetch_add(n, std::sync::atomic::Ordering::Relaxed);
-        n
-    }
-
-    /// Total orphaned locks released by sweeps across all shards.
-    pub fn lock_reclaims(&self) -> u64 {
-        self.lock_reclaims
-            .load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Currently held lock words across all shards.
-    pub fn held_locks(&self) -> u64 {
-        self.shards.iter().map(|s| s.held_locks()).sum()
     }
 
     /// Number of shards.
@@ -863,7 +828,11 @@ mod tests {
                 (TxOutcome::Aborted, phases.to_vec()),
                 "strays: {strays}"
             );
-            assert_eq!(cl.held_locks(), 1, "only the other client's lock is left");
+            assert_eq!(
+                cl.shard(0).held() + cl.shard(1).held(),
+                1,
+                "only the other client's lock is left"
+            );
         }
     }
 
@@ -904,14 +873,14 @@ mod tests {
         let mut c = cl.open_client();
         // A "crashed" client: locked key 2, never unlocks.
         let (_op, _val) = park_after_lock(&cl, &mut c, 2, 0xCD);
-        assert_eq!(cl.held_locks(), 1);
+        assert_eq!(cl.shard(0).held(), 1);
 
-        assert_eq!(cl.sweep_shard(0), 0, "first sighting only leases");
-        assert_eq!(cl.held_locks(), 1);
-        assert_eq!(cl.sweep_shard(0), 1, "second sighting releases");
-        assert_eq!(cl.held_locks(), 0);
-        assert_eq!(cl.sweep_shard(0), 0);
-        assert_eq!(cl.lock_reclaims(), 1);
+        assert_eq!(cl.shard(0).sweep(), 0, "first sighting only leases");
+        assert_eq!(cl.shard(0).held(), 1);
+        assert_eq!(cl.shard(0).sweep(), 1, "second sighting releases");
+        assert_eq!(cl.shard(0).held(), 0);
+        assert_eq!(cl.shard(0).sweep(), 0);
+        assert_eq!(cl.shard(0).lease().reclaims(), 1);
 
         // The key is writable again.
         let mut c2 = cl.open_client();
@@ -928,16 +897,16 @@ mod tests {
         let mut c = cl.open_client();
         let (op, val) = park_after_lock(&cl, &mut c, 1, 0xCD);
         // One sweep lands mid-commit: lease only, lock stays held.
-        assert_eq!(cl.sweep_shard(0), 0);
-        assert_eq!(cl.held_locks(), 1);
+        assert_eq!(cl.shard(0).sweep(), 0);
+        assert_eq!(cl.shard(0).held(), 1);
         // The slow-but-live client finishes and unlocks on its own.
         assert!(matches!(
             drive_rest(&cl, &mut c, op, val),
             TxOutcome::Committed(_)
         ));
-        assert_eq!(cl.held_locks(), 0);
-        assert_eq!(cl.sweep_shard(0), 0, "lease entry just expires");
-        assert_eq!(cl.lock_reclaims(), 0);
+        assert_eq!(cl.shard(0).held(), 0);
+        assert_eq!(cl.shard(0).sweep(), 0, "lease entry just expires");
+        assert_eq!(cl.shard(0).lease().reclaims(), 0);
         let mut c2 = cl.open_client();
         assert_eq!(read_all(&cl, &mut c2, &[1])[&1], vec![0xCD; 32]);
     }
@@ -946,14 +915,21 @@ mod tests {
     fn concurrent_counter_is_serializable() {
         use std::sync::Arc;
         let cl = Arc::new(cluster(2, 8));
+        // Each thread's attempts are capped, so a protocol under which
+        // nothing commits fails the test instead of spinning forever.
+        let (per_thread, budget) = (25, 2_500);
         let threads: Vec<_> = (0..4)
             .map(|_| {
                 let cl = Arc::clone(&cl);
                 std::thread::spawn(move || {
                     let mut c = cl.open_client();
-                    let mut committed = 0;
-                    while committed < 25 {
-                        let (o, _) = run_rmw(
+                    let (mut committed, mut spent) = (0, 0);
+                    while committed < per_thread {
+                        assert!(
+                            spent < budget,
+                            "{budget} attempts spent on {committed} of {per_thread} commits"
+                        );
+                        let (o, attempts) = run_rmw(
                             &*cl,
                             &mut c,
                             &[3],
@@ -963,8 +939,9 @@ mod tests {
                                 v[0..4].copy_from_slice(&(n + 1).to_le_bytes());
                                 v
                             },
-                            10_000,
+                            budget - spent,
                         );
+                        spent += attempts;
                         if matches!(o, TxOutcome::Committed(_)) {
                             committed += 1;
                         }

@@ -52,6 +52,7 @@ use prism_core::crc::Crc32;
 use prism_core::freelist::free_request;
 use prism_core::install::{self, Failure, Guard, Installed, Word};
 use prism_core::integrity::IntegrityStats;
+use prism_core::lease::{Lease, Leased};
 use prism_core::msg::{Reply, Request};
 use prism_core::op::{field_mask, full_mask, FreeListId, Redirect};
 use prism_core::value::CasMode;
@@ -59,7 +60,7 @@ use prism_core::{OpStatus, PrismServer};
 use prism_rdma::region::AccessFlags;
 
 use crate::driver::{Round, TxOutcome, TxProtocol, TxStep};
-use crate::shard::{Lease, Placement};
+use crate::shard::Placement;
 use crate::ts::{Ts, TxClock};
 
 /// Per-key slot size.
@@ -181,7 +182,7 @@ pub struct TxServer {
     pool_base: u64,
     pool_len: u64,
     /// Cooperative-termination lease over dangling prepared-writer
-    /// timestamps. See [`TxServer::sweep_prepares`].
+    /// timestamps (see its [`Leased`] impl).
     lease: Lease,
 }
 
@@ -275,53 +276,6 @@ impl TxServer {
         (ok, corrupt)
     }
 
-    /// Cooperative termination (§8.2) for transactions whose client
-    /// crashed between prepare and commit: a dangling `PW > C` blocks
-    /// every later writer of that key (their `TS > PW` check fails until
-    /// `C` catches up). The lease declares a prepared-writer timestamp
-    /// seen unchanged on two consecutive sweeps orphaned, and the sweep
-    /// completes the crashed client's own abort path, `C := PW` under the
-    /// same guarded CAS the client would have sent — so a commit racing
-    /// the sweep still wins, and a fresh prepare (raising `PW`) resets
-    /// the lease. `PR` entries need no
-    /// reclamation: a stale prepared reader only forces later writers'
-    /// timestamps upward, it never blocks them. Returns the number of
-    /// entries reclaimed this pass.
-    pub fn sweep_prepares(&self) -> u64 {
-        let dangling = |i| self.dangling(i).map(Ts::pack);
-        self.lease.sweep(self.view.capacity, dangling, |i, pw| {
-            let cmp = operand(Ts::unpack(pw).to_bytes(), [0; 8]);
-            let req = Request::Chain(vec![ops::cas(
-                CasMode::Lt, // C < PW, as in the abort path
-                self.view.slot(i) + 16,
-                self.view.data_rkey,
-                cmp.clone(),
-                cmp,
-                16,
-                field_mask(0, 8),
-                field_mask(0, 8),
-            )]);
-            prism_core::msg::execute_local(&self.server, &req);
-        })
-    }
-
-    /// Key `i`'s prepared-writer timestamp while its slot shows
-    /// `PW > C`.
-    fn dangling(&self, i: u64) -> Option<Ts> {
-        let slot = self.view.slot(i);
-        let words = self.server.arena().read(slot, 24).expect("slot in arena");
-        let pw = Ts::from_bytes(&words[0..8]);
-        (pw > Ts::from_bytes(&words[16..24])).then_some(pw)
-    }
-
-    /// Number of keys whose slot still shows `PW > C` — a dangling
-    /// prepare that blocks future writers until reclaimed.
-    pub fn stuck_keys(&self) -> u64 {
-        (0..self.view.capacity)
-            .filter(|&i| self.dangling(i).is_some())
-            .count() as u64
-    }
-
     /// The underlying host.
     pub fn server(&self) -> &Arc<PrismServer> {
         &self.server
@@ -330,6 +284,48 @@ impl TxServer {
     /// The client-visible layout.
     pub fn view(&self) -> &TxView {
         &self.view
+    }
+}
+
+/// Cooperative termination (§8.2) for transactions whose client crashed
+/// between prepare and commit: a dangling `PW > C` blocks every later
+/// writer of that key (their `TS > PW` check fails until `C` catches
+/// up). A key's stamp is its prepared-writer timestamp while its slot
+/// shows `PW > C`; the release completes the crashed client's own abort
+/// path, `C := PW` under the same guarded CAS (`C < PW`) the client
+/// would have sent, so a commit racing the sweep still wins, and a
+/// fresh prepare (raising `PW`) restarts the lease. `PR` entries need no
+/// reclamation: a stale prepared reader only forces later writers'
+/// timestamps upward, it never blocks them.
+impl Leased for TxServer {
+    fn lease(&self) -> &Lease {
+        &self.lease
+    }
+
+    fn words(&self) -> u64 {
+        self.view.capacity
+    }
+
+    fn stamp(&self, i: u64) -> Option<u64> {
+        let slot = self.view.slot(i);
+        let words = self.server.arena().read(slot, 24).expect("slot in arena");
+        let pw = Ts::from_bytes(&words[0..8]);
+        (pw > Ts::from_bytes(&words[16..24])).then(|| pw.pack())
+    }
+
+    fn release(&self, i: u64, pw: u64) {
+        let cmp = operand(Ts::unpack(pw).to_bytes(), [0; 8]);
+        let req = Request::Chain(vec![ops::cas(
+            CasMode::Lt, // C < PW, as in the abort path
+            self.view.slot(i) + 16,
+            self.view.data_rkey,
+            cmp.clone(),
+            cmp,
+            16,
+            field_mask(0, 8),
+            field_mask(0, 8),
+        )]);
+        prism_core::msg::execute_local(&self.server, &req);
     }
 }
 
@@ -345,7 +341,6 @@ impl std::fmt::Debug for TxServer {
 pub struct TxCluster {
     shards: Vec<TxServer>,
     next_client: std::sync::atomic::AtomicU16,
-    reclaims: std::sync::atomic::AtomicU64,
 }
 
 impl TxCluster {
@@ -358,7 +353,6 @@ impl TxCluster {
                 .map(|s| TxServer::new(config, s as u64, n_shards as u64))
                 .collect(),
             next_client: std::sync::atomic::AtomicU16::new(1),
-            reclaims: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -367,24 +361,9 @@ impl TxCluster {
         self.shards[i].scrub()
     }
 
-    /// Runs one cooperative-termination sweep on shard `i` (see
-    /// [`TxServer::sweep_prepares`]) and folds the count into
-    /// [`TxCluster::reclaims`].
-    pub fn sweep_shard(&self, i: usize) -> u64 {
-        let n = self.shards[i].sweep_prepares();
-        self.reclaims
-            .fetch_add(n, std::sync::atomic::Ordering::Relaxed);
-        n
-    }
-
-    /// Total dangling prepares reclaimed by sweeps across all shards.
+    /// Total dangling prepares reclaimed by the shards' leases.
     pub fn reclaims(&self) -> u64 {
-        self.reclaims.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Keys with a dangling prepare (`PW > C`) across all shards.
-    pub fn stuck_keys(&self) -> u64 {
-        self.shards.iter().map(|s| s.stuck_keys()).sum()
+        self.shards.iter().map(|s| s.lease.reclaims()).sum()
     }
 
     /// Number of shards.
@@ -1111,15 +1090,21 @@ mod tests {
     fn concurrent_counter_increments_are_serializable() {
         use std::sync::Arc;
         let cl = Arc::new(cluster(2, 8));
-        let per_thread = 25;
+        // Each thread's attempts are capped, so a protocol under which
+        // nothing commits fails the test instead of spinning forever.
+        let (per_thread, budget) = (25, 2_500);
         let threads: Vec<_> = (0..4)
             .map(|_| {
                 let cl = Arc::clone(&cl);
                 std::thread::spawn(move || {
                     let mut c = cl.open_client();
-                    let mut committed = 0;
+                    let (mut committed, mut spent) = (0, 0);
                     while committed < per_thread {
-                        let (o, _) = run_rmw(
+                        assert!(
+                            spent < budget,
+                            "{budget} attempts spent on {committed} of {per_thread} commits"
+                        );
+                        let (o, attempts) = run_rmw(
                             &*cl,
                             &mut c,
                             &[3],
@@ -1129,8 +1114,9 @@ mod tests {
                                 v[0..4].copy_from_slice(&(n + 1).to_le_bytes());
                                 v
                             },
-                            1_000,
+                            budget - spent,
                         );
+                        spent += attempts;
                         if matches!(o, TxOutcome::Committed(_)) {
                             committed += 1;
                         }
@@ -1226,14 +1212,14 @@ mod tests {
         let mut c = cl.open_client();
         // A "crashed" client: prepared a write on key 2, never commits.
         let (_op, _commit) = park_before_commit(&cl, &mut c, 2);
-        assert_eq!(cl.stuck_keys(), 1, "prepare must leave PW > C");
+        assert_eq!(cl.shard(0).held(), 1, "prepare must leave PW > C");
 
         // First sweep only records the lease; second reclaims.
-        assert_eq!(cl.sweep_shard(0), 0);
-        assert_eq!(cl.stuck_keys(), 1);
-        assert_eq!(cl.sweep_shard(0), 1);
-        assert_eq!(cl.stuck_keys(), 0, "C := PW must unblock the key");
-        assert_eq!(cl.sweep_shard(0), 0, "reclaim happens exactly once");
+        assert_eq!(cl.shard(0).sweep(), 0);
+        assert_eq!(cl.shard(0).held(), 1);
+        assert_eq!(cl.shard(0).sweep(), 1);
+        assert_eq!(cl.shard(0).held(), 0, "C := PW must unblock the key");
+        assert_eq!(cl.shard(0).sweep(), 0, "reclaim happens exactly once");
         assert_eq!(cl.reclaims(), 1);
 
         // The key is writable again: a fresh client's RMW commits.
@@ -1253,7 +1239,7 @@ mod tests {
         let (op, commit) = park_before_commit(&cl, &mut c, 1);
         // One sweep lands while the transaction is between prepare and
         // commit: it must only record the lease, not bump C.
-        assert_eq!(cl.sweep_shard(0), 0);
+        assert_eq!(cl.shard(0).sweep(), 0);
         // The slow-but-live client now finishes; its install must win.
         assert!(matches!(
             drive_rest(&cl, &mut c, op, commit),
@@ -1261,8 +1247,8 @@ mod tests {
         ));
         assert_eq!(read_keys(&cl, &mut c, &[1])[&1], vec![0xAB; 32]);
         // The commit raised C to PW, so the lease entry just expires.
-        assert_eq!(cl.sweep_shard(0), 0);
-        assert_eq!(cl.stuck_keys(), 0);
+        assert_eq!(cl.shard(0).sweep(), 0);
+        assert_eq!(cl.shard(0).held(), 0);
         assert_eq!(cl.reclaims(), 0);
     }
 

@@ -1,9 +1,5 @@
-//! What the shards of both commit protocols share: where a key lives,
-//! and the lease that reclaims what a crashed client left behind.
-
-use std::sync::Mutex;
-
-use prism_rdma::hash::IntMap;
+//! Where a key lives, for the shards of both commit protocols. What a
+//! crashed client left held is taken back by `prism_core::lease`.
 
 /// Where global keys live (the crate docs' placement rule): key `k` on
 /// shard `k % shards`, at local index `k / shards`; and which keys and
@@ -51,39 +47,5 @@ impl Placement {
                 "key {k} out of range"
             );
         }
-    }
-}
-
-/// A two-sighting lease over a shard's words, for state whose owner may
-/// have crashed: the server cannot tell a crashed client from a slow
-/// one, so a stamp seen unchanged on two consecutive sweeps is declared
-/// orphaned and reclaimed, and a changed stamp restarts the lease.
-#[derive(Debug, Default)]
-pub(crate) struct Lease(Mutex<IntMap<u64, u64>>);
-
-impl Lease {
-    /// One sweep over local indices `0..n`, in order: `stamp(i)` is the
-    /// word's current stamp, `None` while it is idle (which forgets it);
-    /// a stamp equal to the last sweep's is handed to `reclaim(i,
-    /// stamp)`, otherwise it is remembered. Returns the number reclaimed.
-    pub(crate) fn sweep(
-        &self,
-        n: u64,
-        mut stamp: impl FnMut(u64) -> Option<u64>,
-        mut reclaim: impl FnMut(u64, u64),
-    ) -> u64 {
-        let mut seen = self.0.lock().expect("lease lock");
-        let mut reclaimed = 0;
-        for i in 0..n {
-            let last = seen.remove(&i);
-            let Some(now) = stamp(i) else { continue };
-            if last == Some(now) {
-                reclaim(i, now);
-                reclaimed += 1;
-            } else {
-                seen.insert(i, now);
-            }
-        }
-        reclaimed
     }
 }

@@ -37,7 +37,9 @@
 #                           least once, and beat the unhedged p99 at the
 #                           4x straggler severity
 #   3. offline test run   — every unit, integration, and property suite
-#                           at the default seed. That includes the gate
+#                           at the default seed, under a wall-clock bound
+#                           (TEST_BOUND), as is step 6 (SECOND_SEED_BOUND):
+#                           a test that spins forever fails the step. That includes the gate
 #                           suites: fault matrix (loss / crash / both),
 #                           chaos gate (linearizable histories under
 #                           amnesia, partitions, loss; replay bit-exact),
@@ -206,6 +208,11 @@ GATES=(--test fault_matrix --test chaos_gate --test corruption_matrix
     --test wire_properties --test freelist_oracle --test kv_integration
     --test chain_properties)
 SECOND_SEED=1806242025
+# Wall-clock bounds, in seconds, on the two steps that run every test
+# suite, so a test that spins forever fails its step instead of hanging
+# CI. Each is at least 3x the step's measured wall time.
+TEST_BOUND=1200
+SECOND_SEED_BOUND=600
 
 # Both reshard gates, by exact name; fails unless exactly those ran.
 migration_gates() {
@@ -239,14 +246,23 @@ step "recovery footprint (release)" \
 step "huge pages (release)" \
     cargo test --release --offline -p prism-rdma --test huge_pages -- --nocapture
 step "hedging smoke (fig_hedge --quick: hedged p99 < unhedged at 4x)" hedging_smoke
-step "test (offline, default seed, all suites)" cargo test -q --offline
+step "test (offline, default seed, all suites; bound ${TEST_BOUND} s)" \
+    timeout --kill-after=30 "$TEST_BOUND" cargo test -q --offline
 step "migration gates (live 2->4 reshard under chaos, RS and KV)" migration_gates
 step "perf/ tests (the benchmark's view of the harness)" \
     cargo test -q --offline --manifest-path perf/Cargo.toml
 
 second_seed_log=target/ci-second-seed.log
-(step "second-seed pass (gate suites, then both migration gates)" second_seed) \
-    >"$second_seed_log" 2>&1 &
+# timeout runs a command, not a shell function: hand a child bash the
+# pass and what it reads.
+bounded_second_seed() {
+    timeout --kill-after=30 "$SECOND_SEED_BOUND" bash -c "set -euo pipefail
+        $(declare -p SECOND_SEED GATES MIGRATION_GATE)
+        $(declare -f second_seed migration_gates)
+        second_seed"
+}
+(step "second-seed pass (gate suites, then both migration gates; bound ${SECOND_SEED_BOUND} s)" \
+    bounded_second_seed) >"$second_seed_log" 2>&1 &
 second_seed_pid=$!
 trap 'kill "$second_seed_pid" 2>/dev/null || true' EXIT
 step "bench smoke (substrate, 50 ms/bench)" \

@@ -465,6 +465,8 @@ fn tx_run(plan: &FaultPlan) -> (RunResult, Arc<TxCluster>) {
             gen,
         ))
     });
+    cluster.settle();
+    assert_eq!(cluster.held(), 0, "tx: a settled cluster holds nothing");
     (r, cluster)
 }
 

@@ -57,15 +57,17 @@ fn fabrics(seed: u64) -> [FaultPlan; 2] {
     ]
 }
 
+/// Runs `system` closed-loop, then settles it: whatever the run left
+/// held, the lease takes back.
 fn run(
-    servers: &[Arc<prism_core::PrismServer>],
+    system: &dyn System,
     seed: u64,
     faults: &FaultPlan,
     hooks: &RecoveryHooks,
     mk_adapter: &mut dyn FnMut(usize) -> Box<dyn ProtoAdapter>,
 ) -> RunResult {
     let r = run_closed_loop_with(
-        servers,
+        &system.servers(),
         &CostModel::testbed(),
         VerbPath::Nic,
         CLIENTS,
@@ -78,6 +80,8 @@ fn run(
     );
     assert!(r.tput_ops > 0.0, "run made no progress: {r:?}");
     assert!(r.backoffs > 0, "skew must make attempts abort: {r:?}");
+    system.settle();
+    assert_eq!(system.held(), 0, "a settled system holds nothing");
     r
 }
 
@@ -86,7 +90,7 @@ fn prism_tx_run(seed: u64, faults: &FaultPlan) -> RunResult {
     config.spare_buffers += 4_096;
     let cluster = TxCluster::new(SHARDS, &config);
     run(
-        &cluster.servers(),
+        &cluster,
         seed,
         faults,
         &RecoveryHooks::default(),
@@ -106,7 +110,7 @@ fn farm_run(seed: u64, faults: &FaultPlan) -> RunResult {
         },
     ));
     let hooks = RecoveryHooks::sweeping(Arc::clone(&cluster) as Arc<dyn System>);
-    run(&cluster.servers(), seed, faults, &hooks, &mut |i| {
+    run(&*cluster, seed, faults, &hooks, &mut |i| {
         Box::new(FarmAdapter::new(cluster.open_client(), txn_gen(seed, i)))
     })
 }

@@ -220,7 +220,8 @@ fn prism_tx_prevents_write_skew() {
 /// simulation never panics a PRISM-TX client. Lost exec/prepare replies
 /// surface as aborts (retried with backoff), lost commit replies as
 /// counted indeterminate failures, and two runs under the same seed
-/// produce identical metrics.
+/// produce identical metrics. Each run ends settled: whatever prepares
+/// the faults left dangling, the lease takes back.
 #[test]
 fn faulted_tx_runs_complete_and_metrics_are_deterministic() {
     use prism_harness::adapters::PrismTxAdapter;
@@ -249,7 +250,7 @@ fn faulted_tx_runs_complete_and_metrics_are_deterministic() {
         let mut config = TxConfig::paper(64, VALUE);
         config.spare_buffers += 4_096;
         let cluster = Arc::new(TxCluster::new(1, &config));
-        run_closed_loop(
+        let r = run_closed_loop(
             &cluster.servers(),
             &CostModel::testbed(),
             VerbPath::Nic,
@@ -269,7 +270,10 @@ fn faulted_tx_runs_complete_and_metrics_are_deterministic() {
             SimDuration::millis(4),
             seed,
             &plan,
-        )
+        );
+        cluster.settle();
+        assert_eq!(cluster.held(), 0, "a settled cluster holds nothing");
+        r
     };
     let a = run();
     let b = run();
