@@ -261,6 +261,43 @@ fn preload_prism_store_is_the_golden_image() {
     );
 }
 
+/// The PUT path's durable image, pinned: after the 4 096-key x 512 B
+/// load, 1 536 generated PUTs and DELETEs (fixed seed, a quarter of them
+/// DELETEs, fresh value nonces) run through the engine, each logged and
+/// synced by the chain observer. The row is the whole arena and every
+/// disk file with its synced length, so an allocator, log or sync change
+/// that moved any byte, any watermark or the free list's order changes
+/// it.
+#[test]
+fn put_path_durable_image_is_the_golden_image() {
+    const KEYS: u64 = 4_096;
+    const VALUE: usize = 512;
+    let s = PrismKvServer::new(&PrismKvConfig::paper(KEYS, VALUE));
+    preload_prism(&s, KEYS, VALUE);
+    let c = s.open_client();
+    let mut rng = SimRng::new(0x0D15_C0DE);
+    for i in 0..1_536 {
+        let k = rng.gen_range(KEYS);
+        let key = key_bytes(k);
+        let (mut op, req) = if rng.gen_bool(0.25) {
+            c.delete(&key)
+        } else {
+            c.put(&key, &value_bytes(k, rng.next_u64(), VALUE))
+        };
+        let outcome = drive(s.server(), req, |r| op.on_reply(&c, r)).0;
+        assert_eq!(outcome, KvOutcome::Written, "op {i} on key {k}");
+    }
+    let row = [
+        bytes_key(&arena_image(&s)),
+        disk_image_fingerprint(s.disk()),
+    ];
+    assert_golden(
+        "4096 x 512 B load + 1536 PUTs/DELETEs: arena, disk",
+        &row,
+        &[0x3080_0954_7fcc_9306, 0x636f_bc9d_fb0c_6bfc],
+    );
+}
+
 /// The YCSB load phase as it was first written, one PUT machine per key
 /// driven to completion: the oracle the server-side load is held to.
 /// Key `k` gets `value_bytes(k, 0, len)` for the `len` that `lens`
