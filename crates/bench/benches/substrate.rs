@@ -137,6 +137,31 @@ fn bench_freelist(run: &mut Runner) {
     });
 }
 
+/// ALLOCATE of 512 B from a cold buffer: one 576-byte free list of
+/// 262 144 buffers (`live_kv_ycsb_a`'s key count), each buffer posted
+/// back as soon as it is popped, so the FIFO cycles the whole 151 MiB
+/// pool and every pop takes a buffer last touched a pool ago, as a PUT
+/// on that workload does. The pool is written once before timing, so
+/// no iteration takes a first-touch page fault.
+fn bench_allocate_cold(run: &mut Runner) {
+    const POOL: u64 = 262_144;
+    const STRIDE: u64 = 576;
+    run.bench("primitive/allocate_cold_512", |b| {
+        let server = PrismServer::new(POOL * STRIDE + (1 << 20));
+        let base = server.setup_freelist(FreeListId(0), STRIDE, POOL);
+        for page in (0..POOL * STRIDE).step_by(4096) {
+            server.arena().write_u64(base + page, 0).unwrap();
+        }
+        let chain = [ops::allocate(FreeListId(0), vec![9u8; 512])];
+        let mut results = Vec::new();
+        b.iter(|| {
+            server.execute_chain_into(&chain, &mut results);
+            let addr = u64::from_le_bytes(results[0].data.as_slice().try_into().unwrap());
+            server.freelists().post(FreeListId(0), [addr]).unwrap();
+        });
+    });
+}
+
 /// Each PRISM primitive executed as a one-op chain, and the §3.5
 /// out-of-place update as one four-op chain.
 fn bench_primitives(run: &mut Runner) {
@@ -769,6 +794,7 @@ fn bench_store(run: &mut Runner) {
 fn main() {
     let mut run = Runner::from_args();
     bench_primitives(&mut run);
+    bench_allocate_cold(&mut run);
     bench_freelist(&mut run);
     bench_des(&mut run);
     bench_deep_queue(&mut run);

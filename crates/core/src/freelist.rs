@@ -29,6 +29,19 @@ use crate::msg::Request;
 use crate::op::FreeListId;
 use crate::server::RpcHandler;
 
+/// How far behind the new head a pop reads the buffer to warm
+/// ([`FreeLists::pop_warm`]): 1, the buffer the pop after next takes.
+/// The FIFO cycles every buffer through the whole pool, so the buffer a
+/// pop takes was last touched a pool's worth of pops ago and is cold.
+/// Pop `n` warms the buffer pop `n + 2` takes, so one whole request (pop
+/// `n + 1`'s) lies between the prefetch and the write it serves, however
+/// close together requests come; at distance 0 only the gap between two
+/// pops would, which a tight loop of ALLOCATEs makes about as short as
+/// one DRAM access. Further ahead only holds the lines in cache longer.
+/// Each buffer passes this place in the FIFO once, so each is warmed
+/// once.
+const WARM_AHEAD: usize = 1;
+
 /// Free-list ids run below this. Size classes are registered once at
 /// server setup with small consecutive ids, so the registry is a table
 /// the data plane indexes with no lock and no hash.
@@ -220,11 +233,23 @@ impl FreeLists {
     ///
     /// Caller must hold the read gate (the engine does).
     pub fn pop(&self, id: FreeListId) -> Result<(u64, u64), RdmaError> {
+        self.pop_warm(id).map(|(addr, buf_len, _)| (addr, buf_len))
+    }
+
+    /// [`FreeLists::pop`], and, read under the same list lock, the
+    /// buffer [`WARM_AHEAD`] places behind the new head: the one the
+    /// pop after next takes (`None` while the list is shorter), which
+    /// ALLOCATE prefetches. No other pop can take that buffer before the
+    /// next one has.
+    ///
+    /// Caller must hold the read gate (the engine does).
+    pub(crate) fn pop_warm(&self, id: FreeListId) -> Result<(u64, u64, Option<u64>), RdmaError> {
         let mut q = self
             .list(id)
             .ok_or(RdmaError::UnknownFreeList(id.0))?
             .lock();
-        Ok((q.pop()?, q.buf_len()))
+        let addr = q.pop()?;
+        Ok((addr, q.buf_len(), q.queued(WARM_AHEAD)))
     }
 
     /// CPU-side repost: blocks until all in-flight chains finish, then
@@ -354,6 +379,26 @@ mod tests {
             fl.snapshot(id),
             [0x1180, 0x1000],
             "a repeat post is skipped"
+        );
+    }
+
+    #[test]
+    fn a_pop_names_the_buffer_the_pop_after_next_takes() {
+        let fl = FreeLists::new();
+        let id = FreeListId(0);
+        fl.register_pool(id, 64, 0x1000, 4, 0);
+        let _g = fl.gate_read();
+        assert_eq!(fl.pop_warm(id).unwrap(), (0x1000, 64, Some(0x1080)));
+        assert_eq!(fl.pop_warm(id).unwrap(), (0x1040, 64, Some(0x10C0)));
+        assert_eq!(
+            fl.pop(id).unwrap(),
+            (0x1080, 64),
+            "the first pop's warm buffer"
+        );
+        assert_eq!(
+            fl.pop_warm(id).unwrap(),
+            (0x10C0, 64, None),
+            "nothing left to warm"
         );
     }
 

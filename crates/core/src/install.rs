@@ -134,6 +134,11 @@ pub enum Installed {
     Lost {
         /// The new buffer, which nothing references.
         orphan: u64,
+        /// The word as the failed CAS found it (the engine returns the
+        /// old value on a failed compare): who holds the word instead.
+        /// Zero-padded past a shorter CAS result, which the engine never
+        /// returns for the 16-byte word.
+        found: [u8; 16],
     },
     /// No verdict.
     Failed(Failure),
@@ -144,7 +149,9 @@ impl Installed {
     /// orphan after a loss; none after a failure or for a null pointer.
     pub fn garbage(&self) -> Option<u64> {
         match *self {
-            Installed::Won { displaced: a } | Installed::Lost { orphan: a } if a != 0 => Some(a),
+            Installed::Won { displaced: a } | Installed::Lost { orphan: a, .. } if a != 0 => {
+                Some(a)
+            }
             _ => None,
         }
     }
@@ -162,9 +169,15 @@ pub fn read(results: &[OpResult], word: Word) -> Installed {
         (OpStatus::Ok, _) => Installed::Won {
             displaced: word.ptr(&cas.data),
         },
-        (OpStatus::CasFailed, OpStatus::Ok) if back.data.len() == 8 => Installed::Lost {
-            orphan: u64::from_le_bytes(back.data[..].try_into().expect("8 bytes")),
-        },
+        (OpStatus::CasFailed, OpStatus::Ok) if back.data.len() == 8 => {
+            let mut found = [0; 16];
+            let n = cas.data.len().min(16);
+            found[..n].copy_from_slice(&cas.data[..n]);
+            Installed::Lost {
+                orphan: u64::from_le_bytes(back.data[..].try_into().expect("8 bytes")),
+                found,
+            }
+        }
         (OpStatus::CasFailed, _) => Installed::Failed(Failure::ReadBack),
         _ => Installed::Failed(Failure::Cas),
     }

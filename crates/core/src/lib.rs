@@ -49,7 +49,8 @@
 //! // second buffer is the caller's to free.
 //! let chain = install::chain(slot, rkey.0, stage, FreeListId(0), b"value-v2".to_vec(), guard);
 //! let lost = install::read(&server.execute_chain(&chain), Word::PtrBound);
-//! let Installed::Lost { orphan } = lost else { panic!("{lost:?}") };
+//! let Installed::Lost { orphan, found } = lost else { panic!("{lost:?}") };
+//! assert_eq!(found[..8], ptr.to_le_bytes(), "the failed CAS names the winner");
 //! assert_eq!(lost.garbage(), Some(orphan));
 //! assert!(server.freelists().free(orphan).is_ok());
 //! ```
@@ -76,6 +77,6 @@ pub mod wire;
 
 pub use engine::{OpResult, OpStatus, PrismEngine};
 pub use op::{DataArg, FreeListId, PrismOp, Redirect};
-pub use server::{ChainObserver, PrismServer};
+pub use server::{AlreadyInstalled, ChainObserver, PrismServer};
 pub use step::Step;
 pub use value::CasMode;

@@ -606,7 +606,8 @@ mod tests {
     fn local_execution_of_all_request_kinds() {
         let s = PrismServer::new(1 << 20);
         let (addr, rkey) = s.carve_region(64, 64, AccessFlags::FULL);
-        s.set_rpc_handler(std::sync::Arc::new(|req: &[u8]| req.to_vec()));
+        s.set_rpc_handler(std::sync::Arc::new(|req: &[u8]| req.to_vec()))
+            .unwrap();
 
         // Verb write then chain read.
         let w = execute_local(

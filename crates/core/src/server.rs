@@ -7,12 +7,17 @@
 //! PRISM CAS are atomic with respect to each other, exactly as they would
 //! be on one NIC. The RPC hook serves the reclaim RPC that returns
 //! ALLOCATE's buffers (§3.2; [`crate::freelist`] owns its format, its
-//! checks and the GC sweep) until an application installs a handler of
+//! checks and the GC sweep) unless an application installs a handler of
 //! its own, as the baselines do for their two-sided traffic (Pilaf PUTs,
 //! FaRM commit phases).
+//!
+//! The RPC handler and the chain observer are installed once, when the
+//! application builds its server, and never replaced: each lives in a
+//! [`OnceLock`], so dispatching a chain or an RPC to them is one load,
+//! with no lock and no reference count touched.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use prism_rdma::arena::MemoryArena;
 use prism_rdma::region::{AccessFlags, RegionTable, Rkey};
@@ -54,6 +59,28 @@ pub trait ChainObserver: Send + Sync {
     fn on_chain(&self, server: &PrismServer, chain: &[PrismOp], results: &[OpResult]);
 }
 
+/// A second install of a hook a [`PrismServer`] takes once, refused:
+/// the hook installed first stays in place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AlreadyInstalled {
+    /// [`PrismServer::set_chain_observer`] was called before.
+    ChainObserver,
+    /// [`PrismServer::set_rpc_handler`] was called before.
+    RpcHandler,
+}
+
+impl std::fmt::Display for AlreadyInstalled {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let hook = match self {
+            AlreadyInstalled::ChainObserver => "chain observer",
+            AlreadyInstalled::RpcHandler => "RPC handler",
+        };
+        write!(f, "the server's {hook} is already installed")
+    }
+}
+
+impl std::error::Error for AlreadyInstalled {}
+
 /// On-NIC scratch region size (§4.2: 256 KB on ConnectX-5).
 const ONNIC_SCRATCH: u64 = 256 * 1024;
 
@@ -66,8 +93,9 @@ pub struct PrismServer {
     nic: RdmaNic,
     carver: Mutex<Carver>,
     conns: ConnectionTable,
-    rpc: Mutex<Arc<dyn RpcHandler>>,
-    observer: Mutex<Option<Arc<dyn ChainObserver>>>,
+    /// The application's RPC handler; the reclaim RPC while unset.
+    rpc: OnceLock<Arc<dyn RpcHandler>>,
+    observer: OnceLock<Arc<dyn ChainObserver>>,
     /// Shard-map epoch this server believes is current. 0 = unsharded
     /// (no map installed); requests stamped 0 are never epoch-fenced.
     epoch: AtomicU64,
@@ -92,7 +120,6 @@ impl PrismServer {
         let scratch_base = carver.carve(ONNIC_SCRATCH, 64);
         let scratch_rkey = regions.register(scratch_base, ONNIC_SCRATCH, AccessFlags::FULL);
         let conns = ConnectionTable::new(scratch_base, ONNIC_SCRATCH, scratch_rkey);
-        let reclaim: Arc<dyn RpcHandler> = Arc::clone(&freelists) as _;
         PrismServer {
             arena,
             regions,
@@ -101,8 +128,8 @@ impl PrismServer {
             nic,
             carver: Mutex::new(carver),
             conns,
-            rpc: Mutex::new(reclaim),
-            observer: Mutex::new(None),
+            rpc: OnceLock::new(),
+            observer: OnceLock::new(),
             epoch: AtomicU64::new(0),
         }
     }
@@ -217,16 +244,21 @@ impl PrismServer {
     }
 
     fn notify_observer(&self, chain: &[PrismOp], results: &[OpResult]) {
-        let observer = self.observer.lock().clone();
-        if let Some(obs) = observer {
+        if let Some(obs) = self.observer.get() {
             obs.on_chain(self, chain, results);
         }
     }
 
-    /// Installs the chain observer (the durable-store tap). One observer
-    /// per server; installing again replaces it.
-    pub fn set_chain_observer(&self, observer: Arc<dyn ChainObserver>) {
-        *self.observer.lock() = Some(observer);
+    /// Installs the chain observer (the durable-store tap), once: a
+    /// second install is refused with
+    /// [`AlreadyInstalled::ChainObserver`] and the first observer stays.
+    pub fn set_chain_observer(
+        &self,
+        observer: Arc<dyn ChainObserver>,
+    ) -> Result<(), AlreadyInstalled> {
+        self.observer
+            .set(observer)
+            .map_err(|_| AlreadyInstalled::ChainObserver)
     }
 
     /// Models a **fail-stop-amnesia** restart: the host loses all of its
@@ -247,15 +279,21 @@ impl PrismServer {
     }
 
     /// Installs the application's RPC handler in place of the reclaim
-    /// RPC every server starts with.
-    pub fn set_rpc_handler(&self, handler: Arc<dyn RpcHandler>) {
-        *self.rpc.lock() = handler;
+    /// RPC every server starts with, once: a second install is refused
+    /// with [`AlreadyInstalled::RpcHandler`] and the first handler stays.
+    pub fn set_rpc_handler(&self, handler: Arc<dyn RpcHandler>) -> Result<(), AlreadyInstalled> {
+        self.rpc
+            .set(handler)
+            .map_err(|_| AlreadyInstalled::RpcHandler)
     }
 
-    /// Dispatches a two-sided RPC to the installed handler.
+    /// Dispatches a two-sided RPC to the installed handler, or to the
+    /// reclaim RPC if the application installed none.
     pub fn handle_rpc(&self, request: &[u8]) -> Vec<u8> {
-        let handler = Arc::clone(&self.rpc.lock());
-        handler.handle(request)
+        match self.rpc.get() {
+            Some(handler) => handler.handle(request),
+            None => self.freelists.handle(request),
+        }
     }
 }
 
@@ -367,8 +405,51 @@ mod tests {
             let mut v = req.to_vec();
             v.reverse();
             v
-        }));
+        }))
+        .unwrap();
         assert_eq!(s.handle_rpc(b"abc"), b"cba");
+    }
+
+    /// A server's hooks are installed once: a second install of either
+    /// is refused with its typed error, and the first stays in place.
+    #[test]
+    fn hooks_install_once_and_the_first_stays() {
+        use std::sync::atomic::AtomicUsize;
+        struct Count(AtomicUsize);
+        impl ChainObserver for Count {
+            fn on_chain(&self, _: &PrismServer, _: &[PrismOp], _: &[OpResult]) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let s = PrismServer::new(1 << 20);
+        let (first, second) = (
+            Arc::new(Count(AtomicUsize::new(0))),
+            Arc::new(Count(AtomicUsize::new(0))),
+        );
+        assert_eq!(s.set_chain_observer(Arc::clone(&first) as _), Ok(()));
+        assert_eq!(
+            s.set_chain_observer(Arc::clone(&second) as _),
+            Err(AlreadyInstalled::ChainObserver)
+        );
+        let (addr, rkey) = s.carve_region(64, 64, AccessFlags::FULL);
+        s.execute_chain(&[ops::read(addr, 8, rkey.0)]);
+        assert_eq!(
+            first.0.load(Ordering::Relaxed),
+            1,
+            "the first observer sees the chain"
+        );
+        assert_eq!(
+            second.0.load(Ordering::Relaxed),
+            0,
+            "the refused one does not"
+        );
+
+        assert_eq!(s.set_rpc_handler(Arc::new(|_: &[u8]| vec![1])), Ok(()));
+        assert_eq!(
+            s.set_rpc_handler(Arc::new(|_: &[u8]| vec![2])),
+            Err(AlreadyInstalled::RpcHandler)
+        );
+        assert_eq!(s.handle_rpc(b"x"), [1], "the first handler answers");
     }
 
     /// With no application handler, a server serves the reclaim RPC and

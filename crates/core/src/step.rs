@@ -236,17 +236,19 @@ mod tests {
                     .map(|dest| {
                         let server = PrismServer::new(1 << 12);
                         let (log, fg) = (Arc::clone(&log), Arc::clone(&fg));
-                        server.set_rpc_handler(Arc::new(move |req: &[u8]| {
-                            let id = u32::from_le_bytes(req.try_into().unwrap());
-                            let background = !fg.contains(&id);
-                            let exec = Event::Exec {
-                                dest,
-                                id,
-                                background,
-                            };
-                            log.lock().unwrap().push(exec);
-                            req.to_vec()
-                        }));
+                        server
+                            .set_rpc_handler(Arc::new(move |req: &[u8]| {
+                                let id = u32::from_le_bytes(req.try_into().unwrap());
+                                let background = !fg.contains(&id);
+                                let exec = Event::Exec {
+                                    dest,
+                                    id,
+                                    background,
+                                };
+                                log.lock().unwrap().push(exec);
+                                req.to_vec()
+                            }))
+                            .unwrap();
                         server
                     })
                     .collect();

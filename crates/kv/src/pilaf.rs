@@ -149,9 +149,11 @@ impl PilafServer {
         let extents = Arc::new(Mutex::new(Extents { free, class_lens }));
         let handler_server = Arc::clone(&server);
         let handler_view = view.clone();
-        server.set_rpc_handler(Arc::new(move |req: &[u8]| {
-            handle_rpc(&handler_server, &handler_view, &extents, req)
-        }));
+        server
+            .set_rpc_handler(Arc::new(move |req: &[u8]| {
+                handle_rpc(&handler_server, &handler_view, &extents, req)
+            }))
+            .expect("a fresh server has no RPC handler");
 
         PilafServer { server, view }
     }

@@ -206,11 +206,13 @@ struct InstallLog {
 }
 
 impl InstallLog {
-    /// Logs that slot `slot` now holds `word`, then barriers. The frame
-    /// is built in the segment's own tail: `image` writes the entry
-    /// image into it (from the arena or from the encoded entry), one
-    /// copy and no allocation. `image` returning `false` abandons the
-    /// record — nothing is logged.
+    /// Logs that slot `slot` now holds `word` and syncs it, in one
+    /// critical section of the store
+    /// ([`SegmentStore::append_durable_with`]). The frame is built in
+    /// the segment's own tail: `image` writes the entry image into it
+    /// (from the arena or from the encoded entry), one copy and no
+    /// allocation. `image` returning `false` abandons the record —
+    /// nothing is logged.
     fn append(
         &self,
         server: &PrismServer,
@@ -224,7 +226,7 @@ impl InstallLog {
         } else {
             word.len() + bound.min(self.max_entry_len) as usize
         };
-        let logged = self.store.append_with(
+        self.store.append_durable_with(
             server.current_epoch(),
             server.regions().current_incarnation(),
             slot,
@@ -238,9 +240,6 @@ impl InstallLog {
                 image(tail)
             },
         );
-        if logged {
-            self.store.barrier();
-        }
     }
 }
 
@@ -406,11 +405,13 @@ impl PrismKvServer {
             store: Arc::new(SegmentStore::new(Arc::clone(&disk), "kv")),
             max_entry_len: config.max_entry_len as u64,
         };
-        server.set_chain_observer(Arc::new(KvDurableTap {
-            log: log.clone(),
-            table_addr,
-            capacity: config.capacity,
-        }));
+        server
+            .set_chain_observer(Arc::new(KvDurableTap {
+                log: log.clone(),
+                table_addr,
+                capacity: config.capacity,
+            }))
+            .expect("a fresh server has no chain observer");
 
         PrismKvServer {
             server,

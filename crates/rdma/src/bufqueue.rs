@@ -196,6 +196,12 @@ impl BufferQueue {
         posted
     }
 
+    /// The buffer the pop after `k` more pops would take (0: the next
+    /// pop's), without taking it; `None` if fewer than `k + 1` are free.
+    pub fn queued(&self, k: usize) -> Option<u64> {
+        self.fifo.get(k).copied()
+    }
+
     /// Number of buffers currently available.
     pub fn available(&self) -> usize {
         self.fifo.len()

@@ -278,13 +278,15 @@ impl PrismRsServer {
         // segment log, fed by a chain observer at the install CAS.
         let disk = Arc::new(SimDisk::new());
         let store = Arc::new(SegmentStore::new(Arc::clone(&disk), "rs"));
-        server.set_chain_observer(Arc::new(RsDurableTap {
-            store: Arc::clone(&store),
-            meta_addr,
-            n_blocks: config.n_blocks,
-            buf_len,
-            appended: AtomicU64::new(0),
-        }));
+        server
+            .set_chain_observer(Arc::new(RsDurableTap {
+                store: Arc::clone(&store),
+                meta_addr,
+                n_blocks: config.n_blocks,
+                buf_len,
+                appended: AtomicU64::new(0),
+            }))
+            .expect("a fresh server has no chain observer");
 
         PrismRsServer {
             server,

@@ -129,6 +129,28 @@ impl SimDisk {
         len: usize,
         fill: impl FnOnce(&mut [u8]) -> bool,
     ) -> bool {
+        self.append_in(id, len, false, fill)
+    }
+
+    /// [`append_with`](SimDisk::append_with), then a
+    /// [`sync_file`](SimDisk::sync_file) of the same file, under one
+    /// lock: the durable append. An abandoned append syncs nothing.
+    pub fn append_durable_with(
+        &self,
+        id: FileId,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]) -> bool,
+    ) -> bool {
+        self.append_in(id, len, true, fill)
+    }
+
+    fn append_in(
+        &self,
+        id: FileId,
+        len: usize,
+        sync: bool,
+        fill: impl FnOnce(&mut [u8]) -> bool,
+    ) -> bool {
         let mut files = self.lock();
         let Some(f) = files.at(id) else {
             return false;
@@ -138,6 +160,9 @@ impl SimDisk {
         if !fill(&mut f.bytes[old..]) {
             f.bytes.truncate(old);
             return false;
+        }
+        if sync {
+            f.sync();
         }
         files.bytes_written += len as u64;
         true
@@ -173,10 +198,20 @@ impl SimDisk {
     /// write-temp-then-rename idiom collapsed to one step. Returns the
     /// file's handle (unchanged if the name already existed).
     pub fn write_sync(&self, name: &str, data: &[u8]) -> FileId {
+        self.write_sync_reserving(name, data, 0)
+    }
+
+    /// [`write_sync`](SimDisk::write_sync) of a file that is about to
+    /// grow: its body is allocated with room for at least `capacity`
+    /// bytes, so appends up to that length never move it.
+    pub fn write_sync_reserving(&self, name: &str, data: &[u8], capacity: usize) -> FileId {
         let mut files = self.lock();
         let id = files.open(name);
         let f = files.at(id).expect("just opened");
         f.bytes.clear();
+        if capacity > f.bytes.capacity() {
+            f.bytes.reserve_exact(capacity);
+        }
         f.bytes.extend_from_slice(data);
         f.sync();
         files.bytes_written += data.len() as u64;

@@ -112,6 +112,9 @@ struct Inner {
     /// Segments below this sequence are covered by a checkpoint fold
     /// (see [`SegmentStore::checkpoint`]); replay skips decoding them.
     checkpoint: u32,
+    /// The longest frame appended so far: a new segment is allocated
+    /// with room for the limit plus one such frame, all it can reach.
+    max_frame: usize,
 }
 
 fn segment_name(prefix: &str, seq: u32) -> String {
@@ -122,20 +125,27 @@ fn manifest_name(prefix: &str) -> String {
     format!("{prefix}/manifest")
 }
 
-fn create_segment(disk: &SimDisk, prefix: &str, seq: u32) -> FileId {
+/// Creates segment `seq` holding only its header, with room for
+/// `capacity` bytes. A segment is sealed by the append that takes it to
+/// `limit` bytes or past, so it never exceeds the limit plus one frame:
+/// reserved that, it is allocated once, and sealing trims it to its
+/// length.
+fn create_segment(disk: &SimDisk, prefix: &str, seq: u32, capacity: usize) -> FileId {
     // The header is written and synced up front, so a tear can only
     // cost record frames, never the file's identity.
-    disk.write_sync(&segment_name(prefix, seq), &encode_header(SEGMENT_MAGIC))
+    let header = encode_header(SEGMENT_MAGIC);
+    disk.write_sync_reserving(&segment_name(prefix, seq), &header, capacity)
 }
 
 impl Inner {
     /// An empty store on `disk`: segment 0 and an empty manifest.
-    fn open_empty(disk: &SimDisk, prefix: &str) -> Inner {
+    /// `max_frame` carries over from the store this one replaces.
+    fn open_empty(disk: &SimDisk, prefix: &str, limit: usize, max_frame: usize) -> Inner {
         let manifest = encode_manifest(&[], 0);
         let (table_crc, table_shift) = manifest_table_crc(&manifest);
         Inner {
             active_seq: 0,
-            active: create_segment(disk, prefix, 0),
+            active: create_segment(disk, prefix, 0, limit + max_frame),
             active_len: HEADER_LEN,
             active_records: 0,
             sealed: Vec::new(),
@@ -143,6 +153,7 @@ impl Inner {
             table_crc,
             table_shift,
             checkpoint: 0,
+            max_frame,
         }
     }
 
@@ -173,7 +184,7 @@ impl SegmentStore {
     }
 
     pub fn with_limit(disk: Arc<SimDisk>, prefix: &str, limit: usize) -> Self {
-        let inner = Inner::open_empty(&disk, prefix);
+        let inner = Inner::open_empty(&disk, prefix, limit, 0);
         SegmentStore {
             disk,
             prefix: prefix.to_string(),
@@ -209,16 +220,49 @@ impl SegmentStore {
         payload_len: usize,
         fill: impl FnOnce(&mut [u8]) -> bool,
     ) -> bool {
+        self.append_frame(epoch, inc, key, payload_len, false, fill)
+    }
+
+    /// [`append_with`](SegmentStore::append_with) followed by a
+    /// [`barrier`](SegmentStore::barrier), in one critical section: one
+    /// store lock and one disk lock for the record and its sync. The
+    /// files and their synced lengths come out exactly as the two calls
+    /// leave them. An abandoned record syncs nothing.
+    pub fn append_durable_with(
+        &self,
+        epoch: u64,
+        inc: u64,
+        key: u64,
+        payload_len: usize,
+        fill: impl FnOnce(&mut [u8]) -> bool,
+    ) -> bool {
+        self.append_frame(epoch, inc, key, payload_len, true, fill)
+    }
+
+    fn append_frame(
+        &self,
+        epoch: u64,
+        inc: u64,
+        key: u64,
+        payload_len: usize,
+        durable: bool,
+        fill: impl FnOnce(&mut [u8]) -> bool,
+    ) -> bool {
         let mut inner = self.inner.lock().unwrap();
         let frame_len = FRAME_OVERHEAD + payload_len;
-        let logged = self.disk.append_with(inner.active, frame_len, |frame| {
-            encode_record_in(frame, epoch, inc, key, fill)
-        });
+        let encode = |frame: &mut [u8]| encode_record_in(frame, epoch, inc, key, fill);
+        let logged = if durable {
+            self.disk
+                .append_durable_with(inner.active, frame_len, encode)
+        } else {
+            self.disk.append_with(inner.active, frame_len, encode)
+        };
         if !logged {
             return false;
         }
         inner.active_len += frame_len;
         inner.active_records += 1;
+        inner.max_frame = inner.max_frame.max(frame_len);
         if inner.active_len >= self.limit {
             self.seal(&mut inner);
         }
@@ -254,7 +298,12 @@ impl SegmentStore {
         inner.active_seq += 1;
         inner.active_len = HEADER_LEN;
         inner.active_records = 0;
-        inner.active = create_segment(&self.disk, &self.prefix, inner.active_seq);
+        inner.active = self.create_segment(inner.active_seq, inner.max_frame);
+    }
+
+    /// A new, empty segment `seq`, sized for this store's limit.
+    fn create_segment(&self, seq: u32, max_frame: usize) -> FileId {
+        create_segment(&self.disk, &self.prefix, seq, self.limit + max_frame)
     }
 
     /// Fsync barrier: every record appended so far survives crash tears.
@@ -354,7 +403,7 @@ impl SegmentStore {
                 // trusted. Reset it to an empty, well-formed segment.
                 out.segments_truncated += 1;
                 out.corrupt_frames += 1;
-                create_segment(&self.disk, &self.prefix, seq);
+                self.create_segment(seq, inner.max_frame);
                 survivors.push(SealedSeg {
                     seq,
                     len: HEADER_LEN as u64,
@@ -392,7 +441,7 @@ impl SegmentStore {
         });
         inner.active = match segments.last() {
             Some(&(_, id)) => id,
-            None => create_segment(&self.disk, &self.prefix, active.seq),
+            None => self.create_segment(active.seq, inner.max_frame),
         };
         inner.active_seq = active.seq;
         inner.active_len = active.len as usize;
@@ -462,7 +511,7 @@ impl SegmentStore {
         for name in self.disk.list(&format!("{}/", self.prefix)) {
             self.disk.remove(&name);
         }
-        *inner = Inner::open_empty(&self.disk, &self.prefix);
+        *inner = Inner::open_empty(&self.disk, &self.prefix, self.limit, inner.max_frame);
     }
 
     /// Sealed-segment manifest as currently tracked (for tests).
@@ -511,6 +560,59 @@ mod tests {
         for (i, r) in records.iter().enumerate() {
             assert_eq!(r.key, i as u64);
         }
+    }
+
+    /// Every file of `disk`: name, synced length and bytes.
+    fn files(disk: &SimDisk) -> Vec<(String, usize, Vec<u8>)> {
+        let file = |name: String| {
+            let synced = disk.synced(&name).unwrap();
+            let bytes = disk.read(&name).unwrap();
+            (name, synced, bytes)
+        };
+        disk.list("").into_iter().map(file).collect()
+    }
+
+    /// The one-lock durable append leaves every file, and every file's
+    /// synced length, exactly as `append_with` then `barrier` does, over
+    /// a seeded stream of durable, plain and abandoned records that
+    /// crosses several seals, with crash tears and replays along the way.
+    #[test]
+    fn durable_append_equals_append_then_barrier() {
+        let (one, two) = (store(), store());
+        let (mut rng, mut torn) = (SimRng::new(0xD0AB), 0);
+        for i in 0..160u64 {
+            if i % 40 == 39 {
+                // A plain record last, so there is likely a tail to tear.
+                one.append(&rec(i, 0));
+                two.append(&rec(i, 0));
+                let (mut a, mut b) = (SimRng::new(i), SimRng::new(i));
+                let dropped = one.disk().tear_tail(&mut a);
+                assert_eq!(two.disk().tear_tail(&mut b), dropped);
+                assert_eq!(collect(&one).1, collect(&two).1);
+                torn += dropped;
+            }
+            let payload = vec![i as u8; rng.gen_range(100) as usize];
+            let kind = rng.gen_range(4);
+            let fill = |p: &mut [u8]| {
+                p.copy_from_slice(&payload);
+                kind != 3
+            };
+            let len = payload.len();
+            if kind < 2 {
+                let logged = one.append_durable_with(1, 2, i, len, fill);
+                if two.append_with(1, 2, i, len, fill) {
+                    two.barrier();
+                }
+                assert_eq!(logged, kind != 3);
+            } else {
+                // Plain (unsynced) and abandoned records, alike on both.
+                one.append_with(1, 2, i, len, fill);
+                two.append_with(1, 2, i, len, fill);
+            }
+            assert!(files(one.disk()) == files(two.disk()), "record {i}");
+        }
+        assert!(torn > 0, "a tear cut a tail");
+        assert!(one.sealed().len() >= 8, "the stream crosses seals");
     }
 
     #[test]

@@ -126,9 +126,11 @@ impl FarmServer {
 
         let h_server = Arc::clone(&server);
         let h_view = view.clone();
-        server.set_rpc_handler(Arc::new(move |req: &[u8]| {
-            handle_rpc(&h_server, &h_view, req)
-        }));
+        server
+            .set_rpc_handler(Arc::new(move |req: &[u8]| {
+                handle_rpc(&h_server, &h_view, req)
+            }))
+            .expect("a fresh server has no RPC handler");
 
         FarmServer {
             server,

@@ -104,11 +104,13 @@ fn main() {
         String::from_utf8_lossy(&server.arena().read(installed, 14).unwrap())
     );
 
-    // A losing race: the same guard is stale now, so the CAS fails, the
-    // slot is untouched, and the freshly allocated buffer is ours to free.
-    let Installed::Lost { orphan } = update(b"version-2 data") else {
+    // A losing race: the same guard is stale now, so the CAS fails and
+    // reports the word it found, the slot is untouched, and the freshly
+    // allocated buffer is ours to free.
+    let Installed::Lost { orphan, found } = update(b"version-2 data") else {
         panic!("a stale install won");
     };
+    assert_eq!(found[..8], installed.to_le_bytes());
     println!("racing update  -> lost; slot unchanged at {installed:#x}, orphan {orphan:#x} freed");
     assert_eq!(server.arena().read_u64(slot).unwrap(), installed);
     server.freelists().free(orphan).unwrap();

@@ -276,9 +276,10 @@ fn installs_free_the_buffer_they_displace_or_orphan() {
                     assert_eq!(after, word(new, want));
                     assert_eq!(server.arena().read(new, 5).unwrap(), b"fresh");
                 }
-                Installed::Lost { orphan } => {
+                Installed::Lost { orphan, found } => {
                     assert!(!wins && installed.garbage() == Some(orphan));
                     assert_eq!(after, word(prior, have), "a lost install moved the word");
+                    assert_eq!(found[..], after, "a loss reports the word it found");
                 }
                 Installed::Failed(f) => panic!("install failed: {f:?}"),
             }
