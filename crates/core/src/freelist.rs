@@ -17,6 +17,12 @@
 //! address, and the reply is `[0]`, or `[0xFF]` if anything was refused
 //! or the bytes are no reclaim RPC at all. Frees that never arrive are
 //! picked up by [`FreeLists::gc_sweep`].
+//!
+//! A server states what its pool's buffers hang from through [`Pooled`]:
+//! its free lists and the scan of its index. [`Pooled::gc_sweep`] and
+//! the read-only [`Pooled::audit`] are written once, on that. The audit
+//! is the pool's conservation law: at a quiescent point every member is
+//! reached by the index or free, never both ([`Audit::deficit`] is 0).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -312,6 +318,28 @@ impl FreeLists {
             .sum()
     }
 
+    /// The conservation audit of every extent buffer, lists in id order,
+    /// against the set `reachable` returns (the application's scan of
+    /// its index; addresses that are no member, such as a null pointer,
+    /// are ignored). Read-only; the scan and the count run under the
+    /// exclusive side of the posting gate, as [`FreeLists::gc_sweep`]'s
+    /// do, so no chain is between its pop and its install.
+    pub fn audit(&self, reachable: impl FnOnce() -> IntSet<u64>) -> Audit {
+        let _excl = self.gate.write();
+        let reachable = reachable();
+        let mut audit = Audit::default();
+        for list in self.registered() {
+            for (addr, free) in list.lock().members() {
+                let reached = reachable.contains(&addr);
+                audit.members += 1;
+                audit.reached += u64::from(reached);
+                audit.free += u64::from(free);
+                audit.both += u64::from(reached && free);
+            }
+        }
+        audit
+    }
+
     /// Engine-internal undo: returns a just-popped buffer without taking
     /// the posting gate. Only the engine may call this — it already holds
     /// the read side as the in-flight operation whose pop it is undoing,
@@ -337,6 +365,62 @@ impl FreeLists {
         self.list(id)
             .map(|q| q.lock().snapshot())
             .unwrap_or_default()
+    }
+}
+
+/// One pool's buffers counted by where they are: what
+/// [`FreeLists::audit`] returns. A member is every buffer of every
+/// registered extent.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Audit {
+    /// Buffers in the pool.
+    pub members: u64,
+    /// Members the index reaches: live.
+    pub reached: u64,
+    /// Members on a free list.
+    pub free: u64,
+    /// Members both reached and free: a live buffer that ALLOCATE can
+    /// hand out again.
+    pub both: u64,
+}
+
+impl Audit {
+    /// Members neither reached nor free: a popped buffer never
+    /// installed, or a displaced one whose free never arrived: what a
+    /// [`FreeLists::gc_sweep`] run now would return.
+    pub fn leaked(&self) -> u64 {
+        self.members + self.both - self.reached - self.free
+    }
+
+    /// The members that break the law `members == reached + free` with
+    /// none both: the leaked ones plus the aliased ones. A sweep cures
+    /// the first kind only.
+    pub fn deficit(&self) -> u64 {
+        self.leaked() + self.both
+    }
+}
+
+/// What a server states for its buffer pool to be reclaimed and
+/// audited: its free lists and the scan of its index. Object-safe, so a
+/// deployment can hand out each server's as `&dyn Pooled`.
+pub trait Pooled {
+    /// The free lists the pool's buffers are allocated from.
+    fn freelists(&self) -> &FreeLists;
+    /// Every buffer address the index holds now. A member in the set is
+    /// live; anything else in it (a null pointer) is ignored.
+    fn reachable(&self) -> IntSet<u64>;
+
+    /// Server-side garbage collection ([`FreeLists::gc_sweep`] over
+    /// [`Pooled::reachable`]): reposts every member neither reached nor
+    /// free and returns how many. Run it at a quiescent point.
+    fn gc_sweep(&self) -> usize {
+        self.freelists().gc_sweep(|| self.reachable())
+    }
+
+    /// The pool's [`Audit`] against [`Pooled::reachable`]; changes
+    /// nothing.
+    fn audit(&self) -> Audit {
+        self.freelists().audit(|| self.reachable())
     }
 }
 
@@ -549,6 +633,63 @@ mod tests {
         assert_eq!(fl.snapshot(FreeListId(1)), [0x1040, 0x3040, 0x1000]);
         assert_eq!(fl.snapshot(FreeListId(2)), [0x4000]);
         assert_eq!(fl.gc_sweep(reachable), 0, "a second sweep finds nothing");
+    }
+
+    /// The smallest server that states a pool: one list of four
+    /// buffers and an index of the addresses installed.
+    struct Toy {
+        fl: FreeLists,
+        index: Vec<u64>,
+    }
+
+    impl Pooled for Toy {
+        fn freelists(&self) -> &FreeLists {
+            &self.fl
+        }
+
+        fn reachable(&self) -> IntSet<u64> {
+            self.index.iter().copied().collect()
+        }
+    }
+
+    /// 0x1000 and 0x1040 installed behind a null slot, 0x1080 and
+    /// 0x10C0 free: the law holds.
+    fn toy() -> Toy {
+        let fl = FreeLists::new();
+        fl.register_pool(FreeListId(0), 64, 0x1000, 4, 2);
+        let toy = Toy {
+            fl,
+            index: vec![0, 0x1000, 0x1040],
+        };
+        let settled = Audit {
+            members: 4,
+            reached: 2,
+            free: 2,
+            both: 0,
+        };
+        assert_eq!((toy.audit(), toy.audit().deficit()), (settled, 0));
+        toy
+    }
+
+    #[test]
+    fn the_audit_flags_a_popped_buffer_never_installed_and_the_sweep_cures_it() {
+        let toy = toy();
+        let popped = toy.fl.pop(FreeListId(0)).unwrap().0;
+        let audit = toy.audit();
+        assert_eq!((audit.leaked(), audit.both, audit.deficit()), (1, 0, 1));
+        assert_eq!(toy.gc_sweep(), 1);
+        assert_eq!(toy.audit().deficit(), 0);
+        assert_eq!(toy.fl.snapshot(FreeListId(0)), [0x10C0, popped]);
+    }
+
+    #[test]
+    fn the_audit_flags_a_reached_buffer_posted_free_and_the_sweep_leaves_it() {
+        let toy = toy();
+        toy.fl.free(0x1040).unwrap();
+        let audit = toy.audit();
+        assert_eq!((audit.leaked(), audit.both, audit.deficit()), (0, 1, 1));
+        assert_eq!(toy.gc_sweep(), 0, "nothing leaked");
+        assert_eq!(toy.audit(), audit, "a sweep cannot take a live buffer back");
     }
 
     #[test]

@@ -144,6 +144,20 @@ impl FreeBatcher {
     }
 }
 
+/// The spare buffers each server's pool needs beyond its live set when
+/// `clients` closed-loop clients (or live open-loop slots) run through
+/// [`Coalesced`]: the one provisioning rule of every harness run. A
+/// client's batcher holds back up to 15 frees per server (one short of
+/// a batch), and a window's end strands them, as it strands the buffers
+/// of the operations it froze in flight. Two batches per client cover
+/// both; sixteen clients' worth on top is slack. On a store kept across
+/// runs, [`crate::cluster::System::reclaim`] takes the stranded buffers
+/// back before the next.
+pub fn batching_spares(clients: usize) -> u64 {
+    let clients = clients as u64;
+    32 * (clients + 16)
+}
+
 /// An adapter with its reclamation traffic coalesced: every background
 /// send the inner adapter emits passes through a `FreeBatcher` in
 /// order (foreground sends and their order are untouched, and a flush

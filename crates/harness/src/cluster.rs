@@ -38,7 +38,12 @@
 //! ([`System::leased`], a [`prism_core::lease::Leased`]). The lease pass
 //! per server ([`System::sweep`]), the count of what a finished run
 //! left held ([`System::held`]) and [`System::settle`], which releases
-//! it between runs, are written once, on that.
+//! it between runs, are written once, on that. So are the buffer-pool
+//! counterparts: for the three whose servers allocate from a pool
+//! (PRISM-KV, PRISM-RS, PRISM-TX), each server's [`System::pooled`] (a
+//! [`prism_core::freelist::Pooled`]); [`System::reclaim`] returns what
+//! a finished run stranded, and [`System::free_deficit`] is the pools'
+//! conservation law.
 //! [`RecoveryHooks::sweeping`] runs the lease pass as a run's periodic
 //! server-side hook. The two topologies are also a [`ShardedStore`] —
 //! N stores behind a shard map, each with a disk and a restart
@@ -49,6 +54,7 @@
 
 use std::sync::Arc;
 
+use prism_core::freelist::Pooled;
 use prism_core::integrity::IntegrityStats;
 use prism_core::lease::Leased;
 use prism_core::PrismServer;
@@ -273,8 +279,14 @@ impl std::error::Error for MigrateError {}
 /// lock word can outlive its holder. A deployment that can leave a word
 /// held names each server's lease ([`System::leased`]); the one lease
 /// ([`prism_core::lease`]) finds, counts and releases the words, and
-/// [`System::settle`] takes back what a run left. All eight deployments
-/// implement it; the two topologies also implement [`ShardedStore`].
+/// [`System::settle`] takes back what a run left. Likewise its buffers:
+/// a window's end strands the frees still batched in its clients and
+/// the buffers of the operations in flight, and a lost reply strands
+/// its free. A deployment that allocates from a pool names each
+/// server's ([`System::pooled`]); [`System::reclaim`] takes back what a
+/// run stranded, and [`System::free_deficit`] checks the law. All eight
+/// deployments implement it; the two topologies also implement
+/// [`ShardedStore`].
 pub trait System: Send + Sync {
     /// Every provisioned server, in flat order: shard order, or
     /// group-major (`group * replicas + replica`) — what the
@@ -311,6 +323,34 @@ pub trait System: Send + Sync {
                 self.sweep(i);
             }
         }
+    }
+    /// Server `i`'s buffer pool and the scan of its index; `None` for a
+    /// server that allocates from no pool.
+    fn pooled(&self, _i: usize) -> Option<&dyn Pooled> {
+        None
+    }
+    /// Gives the pools back what a finished run stranded: one GC sweep
+    /// over every server ([`Pooled::gc_sweep`]). Returns how many
+    /// buffers came back. Call it only while no client runs, after
+    /// [`System::settle`].
+    fn reclaim(&self) -> usize {
+        let n = self.servers().len();
+        (0..n)
+            .filter_map(|i| self.pooled(i))
+            .map(|p| p.gc_sweep())
+            .sum()
+    }
+    /// The pools' conservation law, summed over every server: the
+    /// members neither reached nor free, plus those both
+    /// ([`prism_core::freelist::Audit::deficit`]). After
+    /// [`System::settle`] and [`System::reclaim`] it is 0: every
+    /// buffer is live in the index or free, and none is both.
+    fn free_deficit(&self) -> u64 {
+        let n = self.servers().len();
+        (0..n)
+            .filter_map(|i| self.pooled(i))
+            .map(|p| p.audit().deficit())
+            .sum()
     }
 }
 
@@ -494,6 +534,10 @@ impl System for KvCluster {
     fn servers(&self) -> Vec<Arc<PrismServer>> {
         self.shards.iter().map(|s| Arc::clone(s.server())).collect()
     }
+
+    fn pooled(&self, i: usize) -> Option<&dyn Pooled> {
+        Some(&self.shards[i])
+    }
 }
 
 impl ShardedStore for KvCluster {
@@ -654,6 +698,10 @@ impl System for RsShards {
     fn servers(&self) -> Vec<Arc<PrismServer>> {
         self.groups.iter().flat_map(|g| g.servers()).collect()
     }
+
+    fn pooled(&self, i: usize) -> Option<&dyn Pooled> {
+        Some(self.groups[i / self.replicas].replica(i % self.replicas))
+    }
 }
 
 impl ShardedStore for RsShards {
@@ -687,8 +735,8 @@ impl ShardedStore for RsShards {
     /// Each old-group replica fences every moved block
     /// ([`prism_rs::prism_rs::PrismRsServer::fence`]) — defense in depth
     /// behind the epoch fence. The displaced buffers become unreachable
-    /// and are reclaimed by each old replica's
-    /// [`prism_rs::prism_rs::PrismRsServer::gc_sweep`].
+    /// and are reclaimed by each old replica's GC sweep
+    /// ([`Pooled::gc_sweep`]).
     fn migrate_grow(&self, to: usize, n_blocks: u64) -> Result<(ShardMap, u64), MigrateError> {
         assert!(to <= self.groups.len(), "grow beyond provisioned groups");
         let old = self.map();
@@ -767,6 +815,10 @@ impl System for PrismKvServer {
     fn servers(&self) -> Vec<Arc<PrismServer>> {
         vec![Arc::clone(self.server())]
     }
+
+    fn pooled(&self, _i: usize) -> Option<&dyn Pooled> {
+        Some(self)
+    }
 }
 
 /// One Pilaf server: its PUTs are RPCs that finish on the server.
@@ -783,6 +835,10 @@ impl System for RsCluster {
         (0..self.n())
             .map(|r| Arc::clone(self.replica(r).server()))
             .collect()
+    }
+
+    fn pooled(&self, i: usize) -> Option<&dyn Pooled> {
+        Some(self.replica(i))
     }
 }
 
@@ -812,6 +868,10 @@ impl System for TxCluster {
     }
 
     fn leased(&self, i: usize) -> Option<&dyn Leased> {
+        Some(self.shard(i))
+    }
+
+    fn pooled(&self, i: usize) -> Option<&dyn Pooled> {
         Some(self.shard(i))
     }
 }

@@ -8,7 +8,9 @@
 //! closed-loop call, each point on a settled system: a window's end
 //! abandons the operations in flight, and what they held (a PRISM-TX
 //! prepare, a FaRM or ABDLOCK lock) is released before the next point
-//! by two passes of its servers' one lease ([`System::settle`]).
+//! by two passes of its servers' one lease ([`System::settle`]), and
+//! the buffers the last point stranded go back to the pools
+//! ([`System::reclaim`]).
 //! `curves` prints a sweep as the
 //! throughput-latency table with each row's peak. `open_loop` is the
 //! open-loop counterpart: one rate sweep, then its latency-under-load
@@ -67,11 +69,14 @@ impl<'a> Row<'a> {
 }
 
 /// Releases what the last run left held on `system`
-/// ([`System::settle`]) and panics unless nothing stays held: how every
-/// point of a figure starts.
+/// ([`System::settle`]) and returns what it stranded to the pools
+/// ([`System::reclaim`]), and panics unless nothing stays held and the
+/// pools keep their law: how every point of a figure starts.
 pub(crate) fn settle(system: &dyn System) {
     system.settle();
     assert_eq!(system.held(), 0, "a settled system holds nothing");
+    system.reclaim();
+    assert_eq!(system.free_deficit(), 0, "a reclaimed pool keeps its law");
 }
 
 /// Runs every row at every point on the testbed model and a pristine

@@ -18,7 +18,7 @@ use prism_simnet::time::SimDuration;
 use prism_workload::ycsb::{value_bytes, YcsbConfig};
 use prism_workload::KeyDist;
 
-use crate::adapters::{PilafAdapter, PrismKvAdapter};
+use crate::adapters::{batching_spares, PilafAdapter, PrismKvAdapter};
 use crate::cluster::{KvCluster, ShardedStore};
 use crate::figure::{self, Axis, Row};
 use crate::netsim::VerbPath;
@@ -153,12 +153,11 @@ pub fn run(cfg: &KvExpConfig) -> (Table, Vec<f64>) {
         cfg.read_fraction * 100.0,
         cfg.n_keys,
     );
-    // PRISM-KV. Spares must cover client-side free batching (each
-    // client may hold a batch of reclaimed buffers before flushing).
-    let max_clients = cfg.clients.iter().copied().max().unwrap_or(0) as u64;
+    // PRISM-KV.
+    let max_clients = cfg.clients.iter().copied().max().unwrap_or(0);
     let mut prism_cfg = PrismKvConfig::paper(cfg.n_keys, VALUE_LEN);
     for class in &mut prism_cfg.classes {
-        class.count += 32 * (max_clients + 16);
+        class.count += batching_spares(max_clients);
     }
     let prism = PrismKvServer::new(&prism_cfg);
     preload_prism(&prism, cfg.n_keys, VALUE_LEN);
@@ -198,13 +197,13 @@ pub fn open_loop_sharded(
     shards: usize,
 ) -> (Table, Vec<(f64, OpenLoopResult)>) {
     let mut prism_cfg = PrismKvConfig::paper(cfg.n_keys, VALUE_LEN);
-    // Spares cover client-side free batching for the slots that can be
-    // concurrently live — bounded by the in-flight cap, not the logical
-    // population, so a 10⁵-logical-client run does not preallocate for
-    // clients that are only ever backlogged. Free batching is per (live
-    // slot, shard), so each shard provisions for every slot.
+    // Provision for the slots that can be live at once — bounded by the
+    // in-flight cap, not the logical population, so a 10⁵-logical-client
+    // run does not preallocate for clients that are only ever
+    // backlogged. Free batching is per (live slot, shard), so each shard
+    // provisions for every slot.
     for class in &mut prism_cfg.classes {
-        class.count += 32 * (knobs.live_slots() as u64 + 16);
+        class.count += batching_spares(knobs.live_slots());
     }
     // One cluster for the whole sweep, preloaded with each key on its
     // home shard only; points reopen recycled connection slots (see

@@ -625,8 +625,9 @@ impl OpenLoopKnobs {
 /// system, on the testbed model and a pristine fabric: one
 /// [`OpenLoopResult`] per rate, reseeding each point from the base seed
 /// and the rate index. Each point starts on the settled system: what
-/// the last window froze held is released ([`System::settle`]), and
-/// nothing may stay held.
+/// the last window froze held is released ([`System::settle`]), what it
+/// stranded goes back to the pools ([`System::reclaim`]), and nothing
+/// may stay held or break the pools' law.
 ///
 /// The whole sweep reuses the caller's system: each point can lazily
 /// open up to the in-flight cap's worth of connections, and the on-NIC
@@ -709,7 +710,7 @@ mod tests {
         // of uniform PRISM-KV GETs and PUTs past the knee, so arrivals
         // backlog, run with the server actor as it is and with the hook
         // withheld.
-        use crate::adapters::PrismKvAdapter;
+        use crate::adapters::{batching_spares, PrismKvAdapter};
         use crate::kv_exp::preload_prism;
         use crate::netsim::test_support::unhinted;
         use prism_kv::prism_kv::{PrismKvConfig, PrismKvServer};
@@ -721,7 +722,7 @@ mod tests {
         let run = |box_server: BoxServer| {
             let mut kv_cfg = PrismKvConfig::paper(KEYS, VALUE);
             for class in &mut kv_cfg.classes {
-                class.count += 32 * (cfg.logical_clients as u64 + 16);
+                class.count += batching_spares(cfg.logical_clients);
             }
             let kv = Rc::new(PrismKvServer::new(&kv_cfg));
             preload_prism(&kv, KEYS, VALUE);

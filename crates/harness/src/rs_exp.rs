@@ -12,7 +12,7 @@ use prism_rs::prism_rs::{RsCluster, RsConfig};
 use prism_simnet::time::SimDuration;
 use prism_workload::KeyDist;
 
-use crate::adapters::{AbdLockAdapter, PrismRsAdapter};
+use crate::adapters::{batching_spares, AbdLockAdapter, PrismRsAdapter};
 use crate::figure::{self, Axis, Row};
 use crate::netsim::VerbPath;
 use crate::openloop::{OpenLoopKnobs, OpenLoopResult};
@@ -74,12 +74,9 @@ impl RsExpConfig {
 
 /// The two systems' 3-replica clusters.
 fn build(cfg: &RsExpConfig) -> (RsCluster, AbdLockCluster) {
-    // Spare buffers must cover client-side free batching: every client
-    // may hold up to a batch of reclaimed buffers per replica before
-    // flushing.
-    let max_clients = cfg.clients.iter().fold(cfg.zipf_clients, |m, &n| m.max(n)) as u64;
+    let max_clients = cfg.clients.iter().fold(cfg.zipf_clients, |m, &n| m.max(n));
     let mut rs_config = RsConfig::paper(cfg.n_blocks, BLOCK_SIZE);
-    rs_config.spare_buffers += 32 * (max_clients + 16);
+    rs_config.spare_buffers += batching_spares(max_clients);
     let abd = AbdLockConfig {
         n_blocks: cfg.n_blocks,
         block_size: BLOCK_SIZE,
@@ -170,9 +167,8 @@ pub fn figure7(cfg: &RsExpConfig) -> Table {
 /// counterpart of [`crate::kv_exp::open_loop_sharded`].
 pub fn open_loop(cfg: &RsExpConfig, knobs: &OpenLoopKnobs) -> (Table, Vec<(f64, OpenLoopResult)>) {
     let mut rs_config = RsConfig::paper(cfg.n_blocks, BLOCK_SIZE);
-    // Same spare sizing rationale as the KV open-loop sweep: provision
-    // for the live slots, not the logical population.
-    rs_config.spare_buffers += 32 * (knobs.live_slots() as u64 + 16);
+    // Provision for the live slots, not the logical population.
+    rs_config.spare_buffers += batching_spares(knobs.live_slots());
     // One 3-replica cluster for the whole sweep: each point's adapters
     // reopen connections from the recycled slot pool (see
     // `sweep_rates`).

@@ -14,7 +14,7 @@ use prism_tx::farm::{FarmCluster, FarmConfig};
 use prism_tx::prism_tx::{TxCluster, TxConfig};
 use prism_workload::{KeyDist, TxnGen};
 
-use crate::adapters::{FarmAdapter, PrismTxAdapter};
+use crate::adapters::{batching_spares, FarmAdapter, PrismTxAdapter};
 use crate::figure::{self, Axis, Row};
 use crate::netsim::VerbPath;
 use crate::openloop::{OpenLoopKnobs, OpenLoopResult};
@@ -79,10 +79,9 @@ impl TxExpConfig {
 
 /// The two systems' stores, one shard each.
 fn build(cfg: &TxExpConfig) -> (TxCluster, FarmCluster) {
-    // Spares must cover client-side free batching.
-    let max_clients = cfg.clients.iter().fold(cfg.zipf_clients, |m, &n| m.max(n)) as u64;
+    let max_clients = cfg.clients.iter().fold(cfg.zipf_clients, |m, &n| m.max(n));
     let mut tx_config = TxConfig::paper(cfg.n_keys, VALUE_LEN);
-    tx_config.spare_buffers += 32 * (max_clients + 16);
+    tx_config.spare_buffers += batching_spares(max_clients);
     let farm = FarmConfig {
         keys_per_shard: cfg.n_keys,
         value_len: VALUE_LEN,
@@ -210,9 +209,8 @@ pub fn figure10(cfg: &TxExpConfig) -> Table {
 /// [`crate::kv_exp::open_loop_sharded`].
 pub fn open_loop(cfg: &TxExpConfig, knobs: &OpenLoopKnobs) -> (Table, Vec<(f64, OpenLoopResult)>) {
     let mut tx_config = TxConfig::paper(cfg.n_keys, VALUE_LEN);
-    // Same spare sizing rationale as the KV open-loop sweep: provision
-    // for the live slots, not the logical population.
-    tx_config.spare_buffers += 32 * (knobs.live_slots() as u64 + 16);
+    // Provision for the live slots, not the logical population.
+    tx_config.spare_buffers += batching_spares(knobs.live_slots());
     // One cluster for the whole sweep: each point's adapters reopen
     // connections from the recycled slot pool (see `sweep_rates`).
     let cluster = Arc::new(TxCluster::new(1, &tx_config));

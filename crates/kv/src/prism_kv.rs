@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use prism_core::builder::ops;
-use prism_core::freelist::free_request;
+use prism_core::freelist::{free_request, FreeLists, Pooled};
 use prism_core::install::{self, Failure, Guard, Installed, Word};
 use prism_core::integrity::IntegrityStats;
 use prism_core::msg::{Reply, Request};
@@ -42,6 +42,7 @@ use prism_core::op::{full_mask, DataArg, FreeListId, Redirect};
 use prism_core::value::CasMode;
 use prism_core::{ChainObserver, OpResult, OpStatus, PrismOp, PrismServer};
 use prism_rdma::arena::MemoryArena;
+use prism_rdma::hash::IntSet;
 use prism_rdma::region::{AccessFlags, Rkey};
 use prism_rdma::RdmaError;
 use prism_store::{DurableStats, PayloadRef, SegmentStore, SimDisk};
@@ -641,21 +642,6 @@ impl PrismKvServer {
         (live, corrupt)
     }
 
-    /// Server-side garbage collection
-    /// ([`prism_core::freelist::FreeLists::gc_sweep`]): every pool buffer
-    /// no slot points at and not already free is reposted — a lost CAS
-    /// whose orphan notification died with its client, or a displaced
-    /// entry whose free never arrived. Returns the number of buffers
-    /// reclaimed.
-    pub fn gc_sweep(&self) -> usize {
-        let arena = self.server.arena();
-        self.server.freelists().gc_sweep(|| {
-            (0..self.view.capacity)
-                .filter_map(|i| arena.read_u64(self.view.slot_addr(i)).ok())
-                .collect()
-        })
-    }
-
     /// Opens a client with its own connection scratch slot. Rkeys are
     /// stamped with the server's *current* incarnation (the handshake a
     /// real deployment performs at connection setup), so clients opened
@@ -739,6 +725,22 @@ impl PrismKvServer {
             at += 1;
         }
         Ok(at)
+    }
+}
+
+/// A pool buffer is live while a slot points at it. Every other one
+/// that is not free is a lost CAS whose orphan notification died with
+/// its client, or a displaced entry whose free never arrived.
+impl Pooled for PrismKvServer {
+    fn freelists(&self) -> &FreeLists {
+        self.server.freelists()
+    }
+
+    fn reachable(&self) -> IntSet<u64> {
+        let arena = self.server.arena();
+        (0..self.view.capacity)
+            .filter_map(|i| arena.read_u64(self.view.slot_addr(i)).ok())
+            .collect()
     }
 }
 

@@ -38,6 +38,11 @@ impl Extent {
         *word |= bit;
         was_clear
     }
+
+    /// Whether buffer `j`'s free bit is set.
+    fn is_set(&self, j: u64) -> bool {
+        self.free[(j / 64) as usize] & 1 << (j % 64) != 0
+    }
 }
 
 /// A FIFO of equally-sized free buffers registered for ALLOCATE, and the
@@ -196,6 +201,14 @@ impl BufferQueue {
         posted
     }
 
+    /// Every extent buffer and whether it is free, extents by base.
+    pub fn members(&self) -> impl Iterator<Item = (u64, bool)> + '_ {
+        let stride = self.stride;
+        self.extents
+            .iter()
+            .flat_map(move |e| (0..e.count).map(move |j| (e.base + j * stride, e.is_set(j))))
+    }
+
     /// The buffer the pop after `k` more pops would take (0: the next
     /// pop's), without taking it; `None` if fewer than `k + 1` are free.
     pub fn queued(&self, k: usize) -> Option<u64> {
@@ -219,8 +232,7 @@ mod tests {
 
     /// Whether `addr`'s free bit is set.
     fn is_free(q: &BufferQueue, addr: u64) -> bool {
-        q.locate(addr)
-            .is_some_and(|(i, j)| q.extents[i].free[(j / 64) as usize] & 1 << (j % 64) != 0)
+        q.locate(addr).is_some_and(|(i, j)| q.extents[i].is_set(j))
     }
 
     /// A queue of 64-byte buffers over one extent, `0x1000..0x11000`.
@@ -324,6 +336,24 @@ mod tests {
         assert_eq!(q.sweep(&reachable), 2);
         assert_eq!(q.snapshot(), [0x440, 0x9040, 0x400]);
         assert_eq!(q.sweep(&reachable), 0, "a second sweep finds nothing");
+    }
+
+    #[test]
+    fn members_walk_every_extent_buffer_with_its_free_bit() {
+        let mut q = BufferQueue::new(64);
+        q.add_extent(0x9000, 2, 1, 0);
+        q.add_extent(0x400, 2, 2, 1);
+        q.post(0x440);
+        let members: Vec<_> = q.members().collect();
+        assert_eq!(
+            members,
+            [
+                (0x400, false),
+                (0x440, true),
+                (0x9000, false),
+                (0x9040, true)
+            ]
+        );
     }
 
     #[test]

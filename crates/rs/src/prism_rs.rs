@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use prism_core::builder::ops;
 use prism_core::crc::Crc32;
-use prism_core::freelist::free_request;
+use prism_core::freelist::{free_request, FreeLists, Pooled};
 use prism_core::install::{self, Guard, Installed, Word};
 use prism_core::integrity::IntegrityStats;
 use prism_core::msg::{Reply, Request};
@@ -40,6 +40,7 @@ use prism_core::op::{FreeListId, Redirect};
 use prism_core::server::ChainObserver;
 use prism_core::value::CasMode;
 use prism_core::{OpResult, OpStatus, PrismOp, PrismServer};
+use prism_rdma::hash::IntSet;
 use prism_rdma::region::AccessFlags;
 use prism_rdma::RdmaError;
 use prism_store::{DurableStats, Record, SegmentStore, SimDisk};
@@ -305,24 +306,6 @@ impl PrismRsServer {
         }
     }
 
-    /// Server-side garbage collection
-    /// ([`prism_core::freelist::FreeLists::gc_sweep`]): every pool buffer
-    /// no metadata entry points at and not already free is reposted (e.g.
-    /// its client died before sending the free notification). Returns the
-    /// number of buffers reclaimed.
-    pub fn gc_sweep(&self) -> usize {
-        let arena = self.server.arena();
-        self.server.freelists().gc_sweep(|| {
-            (0..self.view.n_blocks)
-                .map(|b| {
-                    arena
-                        .read_u64(self.view.meta(b) + 8)
-                        .expect("metadata in arena")
-                })
-                .collect()
-        })
-    }
-
     /// The underlying host.
     pub fn server(&self) -> &Arc<PrismServer> {
         &self.server
@@ -357,7 +340,7 @@ impl PrismRsServer {
     /// [`RdmaError::BadIndirectTarget`] NACK instead of a stale value.
     /// The arena write is a control-plane poke the chain observer never
     /// sees, hence the explicit log record. The displaced buffer is
-    /// left for [`gc_sweep`](Self::gc_sweep).
+    /// left for [`Pooled::gc_sweep`].
     pub fn fence(&self, block: u64, epoch: u64) -> Result<(), RdmaError> {
         self.server
             .arena()
@@ -379,6 +362,27 @@ impl PrismRsServer {
             payload: Vec::new(),
         });
         self.store.barrier();
+    }
+}
+
+/// A pool buffer is live while a block's metadata entry points at it;
+/// a fenced block's entry points at 0. Every other one that is not
+/// free was orphaned or displaced by a client that died before sending
+/// its free, or displaced by a migration's fence.
+impl Pooled for PrismRsServer {
+    fn freelists(&self) -> &FreeLists {
+        self.server.freelists()
+    }
+
+    fn reachable(&self) -> IntSet<u64> {
+        let arena = self.server.arena();
+        (0..self.view.n_blocks)
+            .map(|b| {
+                arena
+                    .read_u64(self.view.meta(b) + 8)
+                    .expect("metadata in arena")
+            })
+            .collect()
     }
 }
 

@@ -49,7 +49,7 @@ use std::sync::Arc;
 
 use prism_core::builder::ops;
 use prism_core::crc::Crc32;
-use prism_core::freelist::free_request;
+use prism_core::freelist::{free_request, FreeLists, Pooled};
 use prism_core::install::{self, Failure, Guard, Installed, Word};
 use prism_core::integrity::IntegrityStats;
 use prism_core::lease::{Lease, Leased};
@@ -57,6 +57,7 @@ use prism_core::msg::{Reply, Request};
 use prism_core::op::{field_mask, full_mask, FreeListId, Redirect};
 use prism_core::value::CasMode;
 use prism_core::{OpStatus, PrismServer};
+use prism_rdma::hash::IntSet;
 use prism_rdma::region::AccessFlags;
 
 use crate::driver::{Round, TxOutcome, TxProtocol, TxStep};
@@ -326,6 +327,27 @@ impl Leased for TxServer {
             field_mask(0, 8),
         )]);
         prism_core::msg::execute_local(&self.server, &req);
+    }
+}
+
+/// A version buffer is live while a key's slot address word points at
+/// it. Every other one that is not free is an orphan or a displaced
+/// version whose free never arrived: a commit reply lost, or a commit
+/// attempt that ended before its later replies came.
+impl Pooled for TxServer {
+    fn freelists(&self) -> &FreeLists {
+        self.server.freelists()
+    }
+
+    fn reachable(&self) -> IntSet<u64> {
+        let arena = self.server.arena();
+        (0..self.view.capacity)
+            .map(|i| {
+                arena
+                    .read_u64(self.view.slot(i) + 24)
+                    .expect("slot in arena")
+            })
+            .collect()
     }
 }
 
@@ -1291,6 +1313,39 @@ mod tests {
         assert_eq!(now[&k1], vec![0xCD; 32], "shard 1's install won");
         assert_eq!(free_buffers(&cl), free, "every buffer went back");
         assert_eq!((cl.shard(0).held(), cl.shard(1).held()), (0, 0));
+    }
+
+    /// A commit that installs but whose reply is lost ends
+    /// indeterminate, so its client never frees the version the install
+    /// displaced: that buffer is neither reached nor free until the
+    /// shard's GC returns it.
+    #[test]
+    fn a_lost_commit_reply_leaks_the_displaced_version_until_gc_sweep() {
+        use prism_rdma::RdmaError;
+        let cl = cluster(1, 4);
+        let mut c = cl.open_client();
+        let shard = cl.shard(0);
+        let before = shard.reachable();
+        let (mut op, commit) = park_before_commit(&cl, &mut c, 1);
+        let (_, phase, idx, req) = &commit.send[0];
+        prism_core::msg::execute_local(shard.server(), req);
+        let lost = Reply::Verb(Err(RdmaError::ReceiverNotReady));
+        let step = c.on_reply(&mut op, *phase, *idx, lost);
+        assert!(matches!(step.done, Some(TxOutcome::Failed(_))), "{step:?}");
+        assert!(step.background.is_empty(), "no free is sent");
+        assert_eq!(read_keys(&cl, &mut c, &[1])[&1], vec![0xAB; 32]);
+        let leaked = shard.audit();
+        assert_eq!((leaked.leaked(), leaked.both), (1, 0), "{leaked:?}");
+        assert_eq!(shard.gc_sweep(), 1);
+        assert_eq!(shard.audit().deficit(), 0);
+        let now = shard.reachable();
+        let displaced: Vec<u64> = before.difference(&now).copied().collect();
+        let free = shard.server().freelists().snapshot(shard.view().freelist);
+        assert_eq!(
+            free.last(),
+            displaced.first(),
+            "the displaced version came back"
+        );
     }
 
     #[test]

@@ -8,13 +8,14 @@
 //! be linearizable, the recovery protocols must visibly fire (local
 //! segment replay, delta quorum resyncs, cooperative-termination
 //! reclaims), corruption must be caught by the CRC layers rather than
-//! surface as wrong answers, nothing may stay stuck, and the same seed
-//! must reproduce bit-identical results.
+//! surface as wrong answers, nothing may stay stuck, every pool buffer
+//! must end live or free once reclaimed, and the same seed must
+//! reproduce bit-identical results.
 
 use std::sync::Arc;
 
 use prism_core::integrity::IntegrityStats;
-use prism_harness::adapters::PrismTxAdapter;
+use prism_harness::adapters::{batching_spares, PrismTxAdapter};
 use prism_harness::chaos::{chaos_plan, check_history, Outcome, Scenario, Topology, REGISTERS};
 use prism_harness::cluster::System;
 use prism_harness::netsim::{run_closed_loop_with, RecoveryHooks, RunResult, VerbPath};
@@ -27,14 +28,15 @@ use prism_tx::prism_tx::{TxCluster, TxConfig};
 use prism_workload::{KeyDist, TxnGen};
 
 mod support;
-use support::{assert_golden, fault_line, history_key, metrics_key, run_key};
+use support::{assert_golden, assert_replayed, assert_settled, fault_line, history_key, run_key};
 
 const WARMUP: SimDuration = SimDuration::from_nanos(400_000);
 const MEASURE: SimDuration = SimDuration::from_nanos(2_400_000);
 const HORIZON: SimDuration = SimDuration::from_nanos(2_800_000);
 const VALUE: usize = 64;
 
-/// The KV/RS gates' scenario over `topology`: amnesia crashes, a client
+/// Runs the KV/RS gates' scenario over `topology` at `seed`, with the
+/// live grow `grow` if any: amnesia crashes, a client
 /// crash, a partition, loss, duplication, jitter, flips on both legs,
 /// torn writes into crash windows and disk tears at the restarts, half
 /// the operations writes. No pool carries extra headroom: a reply lost
@@ -51,8 +53,10 @@ const VALUE: usize = 64;
 /// execute path, before the ack), so a wiped shard replays its own log,
 /// and clients observe the bumped rkey incarnation, refence, and retry.
 /// Disk tears are provably harmless there — nothing unsynced exists to
-/// tear — which the KV gates assert via `segments_truncated == 0`.
-fn chaos_scenario(seed: u64, topology: Topology) -> Scenario {
+/// tear — which the KV gates assert via `segments_truncated == 0`. The
+/// system the run leaves settles, and its pools keep their law once
+/// reclaimed ([`assert_settled`]).
+fn chaos_run(seed: u64, topology: Topology, grow: Option<(SimTime, usize)>) -> Outcome {
     let (clients, server_crashes, disk_rot_events) = match topology {
         Topology::Kv { .. } => (4, 1, 0),
         Topology::Rs { .. } => (6, 2, 2),
@@ -72,28 +76,27 @@ fn chaos_scenario(seed: u64, topology: Topology) -> Scenario {
         disk_rot_events,
         ..ChaosSpec::quiet(topology.servers(), clients, HORIZON)
     };
-    Scenario {
+    let out = Scenario {
         topology,
         clients,
         write_fraction: 0.5,
         plan: chaos_plan(seed, &spec),
         warmup: WARMUP,
         measure: MEASURE,
-        grow: None,
+        grow,
     }
+    .run(seed);
+    assert_settled(&*out.system, "chaos");
+    out
 }
 
-/// `chaos_scenario` with a live grow to four homes fired
+/// `chaos_run` with a live grow to four homes fired
 /// mid-measurement — stream the moved registers, fence the old owners,
 /// flip the epoch, publish the map, atomically at one instant, while
 /// amnesia crashes and loss keep firing around it — then the owner
 /// audit, whose final reads join the history.
 fn reshard_chaos(seed: u64, topology: Topology) -> Outcome {
-    let mut out = Scenario {
-        grow: Some((SimTime::from_nanos(1_600_000), 4)),
-        ..chaos_scenario(seed, topology)
-    }
-    .run(seed);
+    let mut out = chaos_run(seed, topology, Some((SimTime::from_nanos(1_600_000), 4)));
     out.audit_owners()
         .expect("no register lost, none with two owners");
     out
@@ -109,7 +112,7 @@ fn rs_chaos(seed: u64) -> Outcome {
         active: 1,
         replicas: 3,
     };
-    chaos_scenario(seed, one_group).run(seed)
+    chaos_run(seed, one_group, None)
 }
 
 #[test]
@@ -155,11 +158,7 @@ fn rs_amnesia_chaos_stays_linearizable_and_rejoins() {
 
     // Same seed, fresh cluster: bit-exact replay, history included.
     let again = rs_chaos(seed);
-    assert_eq!(
-        metrics_key(&r),
-        metrics_key(&again.result),
-        "replay must be bit-exact"
-    );
+    assert_replayed(&r, &again.result);
     assert_eq!(
         history, again.history,
         "recorded histories must be bit-exact"
@@ -178,7 +177,7 @@ fn rs_sharded_chaos(seed: u64) -> Outcome {
         active: 2,
         replicas: 3,
     };
-    chaos_scenario(seed, two_groups).run(seed)
+    chaos_run(seed, two_groups, None)
 }
 
 /// The sharded-topology amnesia gate: a 2-group PRISM-RS cluster takes
@@ -217,11 +216,7 @@ fn rs_sharded_amnesia_chaos_stays_linearizable_and_rejoins() {
     }
 
     let again = rs_sharded_chaos(seed);
-    assert_eq!(
-        metrics_key(&r),
-        metrics_key(&again.result),
-        "replay must be bit-exact"
-    );
+    assert_replayed(&r, &again.result);
     assert_eq!(
         history, again.history,
         "recorded histories must be bit-exact"
@@ -304,11 +299,7 @@ fn rs_migration_chaos_stays_linearizable_through_live_reshard() {
     }
 
     let again = rs_migration_chaos(seed);
-    assert_eq!(
-        metrics_key(&r),
-        metrics_key(&again.result),
-        "replay must be bit-exact"
-    );
+    assert_replayed(&r, &again.result);
     assert_eq!(
         history, again.history,
         "recorded histories must be bit-exact"
@@ -326,7 +317,7 @@ fn kv_chaos(seed: u64) -> Outcome {
         provisioned: 1,
         active: 1,
     };
-    chaos_scenario(seed, one_shard).run(seed)
+    chaos_run(seed, one_shard, None)
 }
 
 #[test]
@@ -368,11 +359,7 @@ fn kv_chaos_stays_linearizable_per_key() {
     }
 
     let again = kv_chaos(seed);
-    assert_eq!(
-        metrics_key(&r),
-        metrics_key(&again.result),
-        "replay must be bit-exact"
-    );
+    assert_replayed(&r, &again.result);
     assert_eq!(
         history, again.history,
         "recorded histories must be bit-exact"
@@ -390,7 +377,7 @@ fn kv_sharded_chaos(seed: u64) -> Outcome {
         provisioned: 2,
         active: 2,
     };
-    chaos_scenario(seed, two_shards).run(seed)
+    chaos_run(seed, two_shards, None)
 }
 
 /// Per-key linearizability must survive sharding: operations route to
@@ -428,11 +415,7 @@ fn kv_sharded_chaos_stays_linearizable_per_key() {
     }
 
     let again = kv_sharded_chaos(seed);
-    assert_eq!(
-        metrics_key(&r),
-        metrics_key(&again.result),
-        "replay must be bit-exact"
-    );
+    assert_replayed(&r, &again.result);
     assert_eq!(
         history, again.history,
         "recorded histories must be bit-exact"
@@ -501,11 +484,7 @@ fn kv_migration_chaos_stays_linearizable_through_live_reshard() {
     }
 
     let again = kv_migration_chaos(seed);
-    assert_eq!(
-        metrics_key(&r),
-        metrics_key(&again.result),
-        "replay must be bit-exact"
-    );
+    assert_replayed(&r, &again.result);
     assert_eq!(
         history, again.history,
         "recorded histories must be bit-exact"
@@ -517,19 +496,7 @@ fn kv_migration_chaos_stays_linearizable_through_live_reshard() {
 // PRISM-TX: client crashes with cooperative-termination reclamation
 // ---------------------------------------------------------------------
 
-fn tx_chaos(seed: u64) -> (RunResult, u64, u64) {
-    let mut config = TxConfig::paper(64, VALUE as u64);
-    // Unlike the KV/RS gates (whose lost-reply leaks are now harvested
-    // via `on_stale_reply`), TX headroom here covers buffers held by
-    // *dangling prepares* of crashed clients — live protocol state
-    // until the cooperative-termination sweep reclaims it, not a leak.
-    config.spare_buffers += 8_192;
-    let cluster = Arc::new(TxCluster::new(1, &config));
-    let integrity = Arc::new(IntegrityStats::new());
-    let hooks = RecoveryHooks {
-        integrity: Some(Arc::clone(&integrity)),
-        ..RecoveryHooks::sweeping(Arc::clone(&cluster) as Arc<dyn System>)
-    };
+fn tx_chaos(seed: u64) -> (RunResult, u64) {
     // No server crash windows, so torn writes cannot be scheduled here;
     // both frame legs still see flips. TX keeps no durable tier yet, so
     // both disk fault classes stay off.
@@ -541,6 +508,14 @@ fn tx_chaos(seed: u64) -> (RunResult, u64, u64) {
         flip_req_prob: 0.01,
         flip_reply_prob: 0.01,
         ..ChaosSpec::quiet(1, 6, HORIZON)
+    };
+    let mut config = TxConfig::paper(64, VALUE as u64);
+    config.spare_buffers += batching_spares(spec.clients);
+    let cluster = Arc::new(TxCluster::new(1, &config));
+    let integrity = Arc::new(IntegrityStats::new());
+    let hooks = RecoveryHooks {
+        integrity: Some(Arc::clone(&integrity)),
+        ..RecoveryHooks::sweeping(Arc::clone(&cluster) as Arc<dyn System>)
     };
     let plan = chaos_plan(seed, &spec);
     let r = run_closed_loop_with(
@@ -567,15 +542,16 @@ fn tx_chaos(seed: u64) -> (RunResult, u64, u64) {
     );
     // The run freezes with closed-loop operations mid-flight; settling
     // (two more lease passes) reclaims whatever they left prepared,
-    // exactly as a live deployment's periodic sweep would.
-    cluster.settle();
-    (r, cluster.reclaims(), cluster.held())
+    // exactly as a live deployment's periodic sweep would, and no key
+    // may stay stuck.
+    assert_settled(&*cluster, "tx-chaos");
+    (r, cluster.reclaims())
 }
 
 #[test]
 fn tx_client_crash_chaos_reclaims_every_dangling_prepare() {
     let seed = seed_or(0xC4A0_0003);
-    let (r, reclaims, stuck) = tx_chaos(seed);
+    let (r, reclaims) = tx_chaos(seed);
     fault_line("tx-chaos", &r);
     assert!(r.tput_ops > 0.0, "no progress under chaos: {r:?}");
     assert!(r.client_restarts > 0, "no client crash fired: {r:?}");
@@ -587,7 +563,6 @@ fn tx_client_crash_chaos_reclaims_every_dangling_prepare() {
         r.corruptions_injected > 0 && r.corruptions_detected > 0,
         "corruption modes were enabled but never fired or went undetected: {r:?}"
     );
-    assert_eq!(stuck, 0, "no key may stay stuck after the final sweeps");
     // Golden row (default seed only), captured on the commit before the
     // PRISM-TX and FaRM adapters were folded into one driver: every
     // counter, and how many prepares the sweeps reclaimed.
@@ -599,11 +574,6 @@ fn tx_client_crash_chaos_reclaims_every_dangling_prepare() {
         );
     }
 
-    let (r2, _, stuck2) = tx_chaos(seed);
-    assert_eq!(
-        metrics_key(&r),
-        metrics_key(&r2),
-        "replay must be bit-exact"
-    );
-    assert_eq!(stuck2, 0);
+    let (r2, _) = tx_chaos(seed);
+    assert_replayed(&r, &r2);
 }

@@ -7,13 +7,16 @@
 //! aborted) or provably neutralized — a torn write's buffer is
 //! orphaned by the out-of-place update discipline, and at-rest damage
 //! that nobody overwrote is still visible to a post-run scrub. Nothing
-//! injected may ever surface as a silently wrong answer, and the same
-//! seed must replay bit-exactly.
+//! injected may ever surface as a silently wrong answer, every run ends
+//! settled with its pools' law kept, and the same seed must replay
+//! bit-exactly.
 
 use std::sync::Arc;
 
 use prism_core::integrity::IntegrityStats;
-use prism_harness::adapters::{PilafAdapter, PrismKvAdapter, PrismRsAdapter, PrismTxAdapter};
+use prism_harness::adapters::{
+    batching_spares, PilafAdapter, PrismKvAdapter, PrismRsAdapter, PrismTxAdapter,
+};
 use prism_harness::cluster::System;
 use prism_harness::kv_exp;
 use prism_harness::netsim::{
@@ -30,11 +33,12 @@ use prism_tx::prism_tx::{TxCluster, TxConfig};
 use prism_workload::{KeyDist, TxnGen, YcsbConfig};
 
 mod support;
-use support::{assert_golden, metrics_key, run_key};
+use support::{assert_golden, assert_replayed, assert_settled, metrics_key, run_key};
 
 const SEED: u64 = 0xC0_880B;
 const KEYS: u64 = 32;
 const VALUE: usize = 64;
+const CLIENTS: usize = 4;
 const WARMUP: SimDuration = SimDuration::from_nanos(200_000);
 const MEASURE: SimDuration = SimDuration::from_nanos(1_200_000);
 
@@ -84,9 +88,11 @@ fn assert_flip_conservation(system: &str, r: &RunResult) {
     );
 }
 
-/// Runs four closed-loop clients over `system` under `plan` and
+/// Runs [`CLIENTS`] closed-loop clients over `system` under `plan` and
 /// `hooks`; client `i` is `mk(i, sink)`, every client reporting into one
-/// integrity sink that the run folds into its corruption counters.
+/// integrity sink that the run folds into its corruption counters. The
+/// system then settles and reclaims, and both laws must hold
+/// ([`assert_settled`]).
 fn run(
     system: &dyn System,
     plan: &FaultPlan,
@@ -100,18 +106,20 @@ fn run(
     };
     let mut mk = |i| mk(i, Arc::clone(&integrity));
     let (model, path) = (CostModel::testbed(), VerbPath::Nic);
-    run_closed_loop_with(
+    let r = run_closed_loop_with(
         &system.servers(),
         &model,
         path,
-        4,
+        CLIENTS,
         &mut mk,
         WARMUP,
         MEASURE,
         SEED,
         plan,
         &hooks,
-    )
+    );
+    assert_settled(system, "corruption cell");
+    r
 }
 
 /// The KV cells' YCSB mix over all the keys.
@@ -129,7 +137,7 @@ fn ycsb(read_fraction: f64) -> YcsbConfig {
 
 fn kv_run(plan: &FaultPlan, read_fraction: f64, rot_live_entry: bool) -> (RunResult, (u64, u64)) {
     let mut config = PrismKvConfig::paper(KEYS, VALUE);
-    config.classes[0].count += 4_096;
+    config.classes[0].count += batching_spares(CLIENTS);
     let server = PrismKvServer::new(&config);
     kv_exp::preload_prism(&server, KEYS, VALUE);
     let mut plan = plan.clone();
@@ -169,11 +177,7 @@ fn kv_flip_cell_detects_and_settles_every_flip() {
     assert_golden("kv/flip", &[run_key(&r)], &[0x27ea_1dc6_6428_103a]);
 
     let (r2, _) = kv_run(&plan, 0.5, false);
-    assert_eq!(
-        metrics_key(&r),
-        metrics_key(&r2),
-        "same-seed replay must be bit-exact"
-    );
+    assert_replayed(&r, &r2);
 }
 
 #[test]
@@ -222,11 +226,7 @@ fn kv_rot_cell_rot_is_detected_and_aborts_cleanly() {
     assert_golden("kv/rot", &[run_key(&r)], &[0xa5a3_13ca_15d6_8603]);
 
     let (r2, _) = kv_run(&plan, 1.0, true);
-    assert_eq!(
-        metrics_key(&r),
-        metrics_key(&r2),
-        "same-seed replay must be bit-exact"
-    );
+    assert_replayed(&r, &r2);
 }
 
 // ---------------------------------------------------------------------
@@ -281,11 +281,7 @@ fn pilaf_flip_cell_detects_and_settles_every_flip() {
     assert_golden("pilaf/flip", &[run_key(&r)], &[0xf30d_9562_b756_b289]);
 
     let (r2, _) = pilaf_run(&plan, 1.0, false);
-    assert_eq!(
-        metrics_key(&r),
-        metrics_key(&r2),
-        "same-seed replay must be bit-exact"
-    );
+    assert_replayed(&r, &r2);
 }
 
 #[test]
@@ -331,11 +327,7 @@ fn pilaf_rot_cell_rot_is_detected_and_aborts_cleanly() {
     assert_golden("pilaf/rot", &[run_key(&r)], &[0x15e9_04b1_c444_4594]);
 
     let (r2, _) = pilaf_run(&plan, 1.0, true);
-    assert_eq!(
-        metrics_key(&r),
-        metrics_key(&r2),
-        "same-seed replay must be bit-exact"
-    );
+    assert_replayed(&r, &r2);
 }
 
 // ---------------------------------------------------------------------
@@ -344,10 +336,15 @@ fn pilaf_rot_cell_rot_is_detected_and_aborts_cleanly() {
 
 const BLOCKS: u64 = 8;
 
-fn rs_run(plan: &FaultPlan, write_fraction: f64) -> (RunResult, Arc<RsCluster>) {
+/// Three replicas of the RS cells' blocks.
+fn rs_cluster() -> RsCluster {
     let mut config = RsConfig::paper(BLOCKS, VALUE as u64);
-    config.spare_buffers += 4_096;
-    let cluster = Arc::new(RsCluster::new(3, &config));
+    config.spare_buffers += batching_spares(CLIENTS);
+    RsCluster::new(3, &config)
+}
+
+fn rs_run(plan: &FaultPlan, write_fraction: f64) -> (RunResult, Arc<RsCluster>) {
+    let cluster = Arc::new(rs_cluster());
     let r = run(&*cluster, plan, RecoveryHooks::default(), |_, sink| {
         let client = cluster.open_client().with_integrity(sink);
         let blocks = KeyDist::uniform(BLOCKS);
@@ -365,11 +362,7 @@ fn rs_flip_cell_detects_and_settles_every_flip() {
     assert_golden("rs/flip", &[run_key(&r)], &[0xf09a_f4d7_6022_2840]);
 
     let (r2, _) = rs_run(&plan, 0.5);
-    assert_eq!(
-        metrics_key(&r),
-        metrics_key(&r2),
-        "same-seed replay must be bit-exact"
-    );
+    assert_replayed(&r, &r2);
 }
 
 #[test]
@@ -404,9 +397,7 @@ fn rs_rot_cell_masks_then_heals_by_quorum_read_repair() {
     // its crash window. Read-only clients then detect the bad copy,
     // mask it, and complete from the healthy quorum; the post-run scrub
     // heals the replica from its peers.
-    let mut config = RsConfig::paper(BLOCKS, VALUE as u64);
-    config.spare_buffers += 4_096;
-    let probe = RsCluster::new(3, &config);
+    let probe = rs_cluster();
     let (pool_base, _) = probe.replica(1).pool_range();
     let plan = base_plan(SEED ^ 9)
         .with_crash(1, CRASH_FROM, CRASH_UNTIL)
@@ -437,21 +428,22 @@ fn rs_rot_cell_masks_then_heals_by_quorum_read_repair() {
     assert_golden("rs/rot", &[run_key(&r)], &[0x13ff_43a8_9ff8_80e1]);
 
     let (r2, _) = rs_run(&plan, 0.0);
-    assert_eq!(
-        metrics_key(&r),
-        metrics_key(&r2),
-        "same-seed replay must be bit-exact"
-    );
+    assert_replayed(&r, &r2);
 }
 
 // ---------------------------------------------------------------------
 // PRISM-TX
 // ---------------------------------------------------------------------
 
-fn tx_run(plan: &FaultPlan) -> (RunResult, Arc<TxCluster>) {
+/// One shard of the TX cells' keys.
+fn tx_cluster() -> TxCluster {
     let mut config = TxConfig::paper(KEYS, VALUE as u64);
-    config.spare_buffers += 4_096;
-    let cluster = Arc::new(TxCluster::new(1, &config));
+    config.spare_buffers += batching_spares(CLIENTS);
+    TxCluster::new(1, &config)
+}
+
+fn tx_run(plan: &FaultPlan) -> (RunResult, Arc<TxCluster>) {
+    let cluster = Arc::new(tx_cluster());
     // The periodic cooperative-termination sweep matters here: a
     // reply-leg flip can corrupt the ack of an executed lock CAS, so
     // the client holds a prepare it does not know about. The sweep
@@ -465,8 +457,6 @@ fn tx_run(plan: &FaultPlan) -> (RunResult, Arc<TxCluster>) {
             gen,
         ))
     });
-    cluster.settle();
-    assert_eq!(cluster.held(), 0, "tx: a settled cluster holds nothing");
     (r, cluster)
 }
 
@@ -480,11 +470,7 @@ fn tx_flip_cell_detects_and_settles_every_flip() {
     assert_golden("tx/flip", &[run_key(&r)], &[0xec98_6777_1c4e_e2ba]);
 
     let (r2, _) = tx_run(&plan);
-    assert_eq!(
-        metrics_key(&r),
-        metrics_key(&r2),
-        "same-seed replay must be bit-exact"
-    );
+    assert_replayed(&r, &r2);
 }
 
 #[test]
@@ -514,11 +500,7 @@ fn tx_rot_cell_rot_aborts_transactions_cleanly() {
     // Every transaction touching key 0 reads before it writes, so the
     // first access detects the bad CRC and aborts — the damage can
     // never be laundered into a commit.
-    // The probe must match tx_run's config exactly — the spare-buffer
-    // count shifts the pool layout, and with it the probed address.
-    let mut config = TxConfig::paper(KEYS, VALUE as u64);
-    config.spare_buffers += 4_096;
-    let probe = TxCluster::new(1, &config);
+    let probe = tx_cluster();
     let arena_probe = probe.shard(0).server().arena();
     let buf = arena_probe
         .read_u64(probe.shard(0).view().slot(0) + 24)
@@ -550,11 +532,7 @@ fn tx_rot_cell_rot_aborts_transactions_cleanly() {
     assert_golden("tx/rot", &[run_key(&r)], &[0x1f94_1182_9c9f_c0ce]);
 
     let (r2, _) = tx_run(&plan);
-    assert_eq!(
-        metrics_key(&r),
-        metrics_key(&r2),
-        "same-seed replay must be bit-exact"
-    );
+    assert_replayed(&r, &r2);
 }
 
 // ---------------------------------------------------------------------

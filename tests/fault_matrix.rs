@@ -3,17 +3,19 @@
 //! loss-only, crash-only, loss-plus-crash, a gray straggler window, and
 //! the full loss+crash+straggler stack — making progress without panics
 //! while the injected faults visibly bite, and settles afterwards with
-//! nothing held. The six deployments are one table
-//! ([`DEPLOYMENTS`]) run through one cell loop. The straggler column
-//! runs with every tail-tolerance policy disabled: a 4x-slowed server
-//! must be survivable on correctness alone, hedging is an optimization
-//! (see `gray_gate`), never a crutch. Windows are short fixed spans: the
-//! matrix is a gate, not a benchmark.
+//! nothing held and every pool buffer live or free. The six deployments
+//! are one table ([`DEPLOYMENTS`]) run through one cell loop. The
+//! straggler column runs with every tail-tolerance policy disabled: a
+//! 4x-slowed server must be survivable on correctness alone, hedging is
+//! an optimization (see `gray_gate`), never a crutch. Windows are short
+//! fixed spans: the matrix is a gate, not a benchmark.
 
 use std::sync::Arc;
 
+use prism_core::freelist::Pooled;
 use prism_harness::adapters::{
-    AbdLockAdapter, FarmAdapter, PilafAdapter, PrismKvAdapter, PrismRsAdapter, PrismTxAdapter,
+    batching_spares, AbdLockAdapter, FarmAdapter, PilafAdapter, PrismKvAdapter, PrismRsAdapter,
+    PrismTxAdapter,
 };
 use prism_harness::cluster::System;
 use prism_harness::kv_exp;
@@ -32,7 +34,7 @@ use prism_tx::prism_tx::{TxCluster, TxConfig};
 use prism_workload::{KeyDist, TxnGen, YcsbConfig};
 
 mod support;
-use support::{assert_golden, fault_line, run_key};
+use support::{assert_golden, assert_settled, fault_line, run_key};
 
 /// Default matrix seed; `PRISM_TEST_SEED=<n>` moves it so CI can check
 /// the determinism claims at more than one point. The golden rows hold
@@ -114,12 +116,13 @@ type Stood = (
     Box<dyn FnMut(usize) -> Box<dyn ProtoAdapter>>,
 );
 
-/// One deployment under the matrix: its name, its stand-up (run seed and
-/// Zipf coefficient of its keys), the crash victim, the straggler host, and its golden
-/// rows at the default seed, one per cell in matrix order.
+/// One deployment under the matrix: its name, its stand-up (run seed,
+/// Zipf coefficient of its keys and client count), the crash victim,
+/// the straggler host, and its golden rows at the default seed, one per
+/// cell in matrix order.
 struct Deployment {
     name: &'static str,
-    stand: fn(u64, f64) -> Stood,
+    stand: fn(u64, f64, usize) -> Stood,
     crash: usize,
     slow: usize,
     golden: [u64; 5],
@@ -134,11 +137,10 @@ fn ycsb(zipf: f64) -> YcsbConfig {
     }
 }
 
-/// PRISM-KV on one preloaded server. Lost replies leak buffers until
-/// their frees are resent; the faulted store gets headroom.
-fn prism_kv(seed: u64, zipf: f64) -> Stood {
+/// PRISM-KV on one preloaded server.
+fn prism_kv(seed: u64, zipf: f64, clients: usize) -> Stood {
     let mut config = PrismKvConfig::paper(KEYS, VALUE);
-    config.classes[0].count += 4_096;
+    config.classes[0].count += batching_spares(clients);
     let server = Arc::new(PrismKvServer::new(&config));
     kv_exp::preload_prism(&server, KEYS, VALUE);
     let (store, ycsb) = (Arc::clone(&server), ycsb(zipf));
@@ -150,7 +152,7 @@ fn prism_kv(seed: u64, zipf: f64) -> Stood {
 }
 
 /// Pilaf under the KV cells' workload, on one preloaded server.
-fn pilaf(seed: u64, zipf: f64) -> Stood {
+fn pilaf(seed: u64, zipf: f64, _clients: usize) -> Stood {
     let server = Arc::new(PilafServer::new(&PilafConfig::paper(KEYS, VALUE)));
     kv_exp::preload_pilaf(&server, KEYS, VALUE);
     let (store, ycsb) = (Arc::clone(&server), ycsb(zipf));
@@ -162,9 +164,9 @@ fn pilaf(seed: u64, zipf: f64) -> Stood {
 }
 
 /// PRISM-RS on three replicas of eight blocks, half writes.
-fn prism_rs(_seed: u64, zipf: f64) -> Stood {
+fn prism_rs(_seed: u64, zipf: f64, clients: usize) -> Stood {
     let mut config = RsConfig::paper(BLOCKS, VALUE as u64);
-    config.spare_buffers += 4_096;
+    config.spare_buffers += batching_spares(clients);
     let cluster = Arc::new(RsCluster::new(3, &config));
     let (group, dist) = (Arc::clone(&cluster), KeyDist::zipf(BLOCKS, zipf));
     let mk = move |_| -> Box<dyn ProtoAdapter> {
@@ -175,7 +177,7 @@ fn prism_rs(_seed: u64, zipf: f64) -> Stood {
 }
 
 /// ABDLOCK under the RS cells' workload, on three replicas.
-fn abdlock(seed: u64, zipf: f64) -> Stood {
+fn abdlock(seed: u64, zipf: f64, _clients: usize) -> Stood {
     let config = AbdLockConfig {
         n_blocks: BLOCKS,
         block_size: VALUE as u64,
@@ -190,9 +192,9 @@ fn abdlock(seed: u64, zipf: f64) -> Stood {
 }
 
 /// PRISM-TX on one shard, one key per transaction.
-fn prism_tx(seed: u64, zipf: f64) -> Stood {
+fn prism_tx(seed: u64, zipf: f64, clients: usize) -> Stood {
     let mut config = TxConfig::paper(KEYS, VALUE as u64);
-    config.spare_buffers += 4_096;
+    config.spare_buffers += batching_spares(clients);
     let cluster = Arc::new(TxCluster::new(1, &config));
     let (shards, dist) = (Arc::clone(&cluster), KeyDist::zipf(KEYS, zipf));
     let mk = move |i: usize| -> Box<dyn ProtoAdapter> {
@@ -204,7 +206,7 @@ fn prism_tx(seed: u64, zipf: f64) -> Stood {
 }
 
 /// FaRM under the TX cells' workload, on one shard.
-fn farm(seed: u64, zipf: f64) -> Stood {
+fn farm(seed: u64, zipf: f64, _clients: usize) -> Stood {
     let config = FarmConfig {
         keys_per_shard: KEYS,
         value_len: VALUE as u64,
@@ -233,15 +235,16 @@ const DEPLOYMENTS: [Deployment; 6] = [
 ];
 
 /// Stands `d` up over Zipf-`zipf` keys and runs `clients` closed-loop
-/// clients under `plan`; then the system settles, and nothing may stay
-/// held. Returns the run and the count held before it settled.
+/// clients under `plan`; then the system settles and reclaims, and both
+/// laws must hold ([`assert_settled`]). Returns the run and the count
+/// held before it settled.
 fn settled_run(
     d: &Deployment,
     (seed, zipf): (u64, f64),
     clients: usize,
     plan: &FaultPlan,
 ) -> (RunResult, u64) {
-    let (system, mut mk) = (d.stand)(seed, zipf);
+    let (system, mut mk) = (d.stand)(seed, zipf, clients);
     let (servers, model) = (system.servers(), CostModel::testbed());
     let r = run_closed_loop(
         &servers,
@@ -254,10 +257,7 @@ fn settled_run(
         seed,
         plan,
     );
-    let held = system.held();
-    system.settle();
-    assert_eq!(system.held(), 0, "{}: {held} held, then settled", d.name);
-    (r, held)
+    (r, assert_settled(&*system, d.name))
 }
 
 /// Runs the five cells of each named deployment on a fresh store per
@@ -374,9 +374,9 @@ fn rs_pool_exhaustion_fails_clean_under_heavy_loss() {
 /// — every missing buffer is either live in a slot, leaked by one lost
 /// reply, or held by a frozen in-flight op — rather than spiraling with
 /// run length as the old "provision more spares" workaround assumed.
-/// And the leak is recoverable: one server-side [`PrismKvServer::
-/// gc_sweep`] walks slots vs pools and restores the level to exactly
-/// `count − live`.
+/// And the leak is recoverable: the pool's audit ([`Pooled::audit`])
+/// counts it, and one server-side [`Pooled::gc_sweep`] walks slots vs
+/// pools and returns exactly it.
 #[test]
 fn kv_long_loss_leak_is_bounded_and_gc_sweep_restores_the_pool() {
     let seed = seed_or(DEFAULT_SEED);
@@ -409,11 +409,8 @@ fn kv_long_loss_leak_is_bounded_and_gc_sweep_restores_the_pool() {
     assert!(r.drops > 0, "loss never bit: {r:?}");
     assert!(r.tput_ops > 0.0, "no progress under long loss: {r:?}");
 
-    let (id, _) = server.view().classes[0];
-    let count = config.classes[0].count;
-    let (live, _) = server.scrub();
-    let available = server.server().freelists().available(id) as u64;
-    let leaked = count - live - available;
+    let audit = server.audit();
+    let (live, leaked) = (audit.reached, audit.leaked());
     // Bounded: at most one buffer per dropped/timed-out reply plus one
     // per client frozen mid-op at the horizon — never "per operation".
     assert!(
@@ -429,8 +426,8 @@ fn kv_long_loss_leak_is_bounded_and_gc_sweep_restores_the_pool() {
     let reclaimed = server.gc_sweep() as u64;
     assert_eq!(reclaimed, leaked, "gc must reclaim exactly the leak");
     assert_eq!(
-        server.server().freelists().available(id) as u64,
-        count - live,
+        server.audit().deficit(),
+        0,
         "after gc every buffer is either live in a slot or free"
     );
     // Golden row (default seed only), as for the matrix cells, plus

@@ -25,6 +25,7 @@
 //! out in, what an amnesia restart leaves on the KV and RS lists, and
 //! the TX list a write run leaves.
 
+use prism_core::freelist::Pooled;
 use prism_core::msg::{execute_local, Request};
 use prism_core::op::FreeListId;
 use prism_core::step::{drive_local, Input};

@@ -131,10 +131,11 @@ fn completed_writes_reach_a_majority() {
 /// simulation never panics a PRISM-RS client. Every operation either
 /// completes through quorum retries or is surfaced as a counted
 /// failure, and the run is bit-deterministic: two runs under the same
-/// seed produce identical metrics.
+/// seed produce identical metrics. Each run's pools keep their law once
+/// reclaimed.
 #[test]
 fn faulted_rs_runs_complete_and_metrics_are_deterministic() {
-    use prism_harness::adapters::PrismRsAdapter;
+    use prism_harness::adapters::{batching_spares, PrismRsAdapter};
     use prism_harness::cluster::System;
     use prism_harness::netsim::{run_closed_loop, VerbPath};
     use prism_simnet::fault::FaultPlan;
@@ -151,18 +152,16 @@ fn faulted_rs_runs_complete_and_metrics_are_deterministic() {
             SimTime::from_nanos(1_500_000),
             SimTime::from_nanos(2_200_000),
         );
+    let clients = 4;
     let run = || {
-        // Message loss leaks allocated spare buffers (the chain's free
-        // notifications ride the replies), so a faulted run needs the
-        // same over-provisioned arena the experiment harness uses.
         let mut config = RsConfig::paper(8, BLOCK);
-        config.spare_buffers += 4_096;
+        config.spare_buffers += batching_spares(clients);
         let cluster = RsCluster::new(3, &config);
-        run_closed_loop(
+        let r = run_closed_loop(
             &cluster.servers(),
             &CostModel::testbed(),
             VerbPath::Nic,
-            4,
+            clients,
             &mut |_| {
                 Box::new(PrismRsAdapter::new(
                     cluster.open_client(),
@@ -175,7 +174,10 @@ fn faulted_rs_runs_complete_and_metrics_are_deterministic() {
             SimDuration::millis(4),
             seed,
             &plan,
-        )
+        );
+        cluster.reclaim();
+        assert_eq!(cluster.free_deficit(), 0, "a reclaimed pool keeps its law");
+        r
     };
     let a = run();
     let b = run();

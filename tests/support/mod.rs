@@ -4,9 +4,10 @@
 //! `figures_smoke`, `kv_integration` and the codec properties: the
 //! replay fingerprints and their one-word folds for golden rows (a
 //! figure table's included, and plain FNV-1a over bytes or words), the
-//! one-line counter dump, the minimal retrying read adapter, the durable
-//! tier's record collector and disk fingerprint, and the PRISM op
-//! generators. Each suite is its own crate and uses a subset.
+//! same-seed replay check, the end-of-run settle with its two laws, the
+//! one-line counter dump, the minimal retrying read adapter, the
+//! durable tier's record collector and disk fingerprint, and the PRISM
+//! op generators. Each suite is its own crate and uses a subset.
 #![allow(dead_code)]
 
 use prism_core::builder::ops;
@@ -14,6 +15,7 @@ use prism_core::msg::{Reply, Request};
 use prism_core::op::{DataArg, FreeListId, PrismOp, Redirect, MAX_CAS_LEN};
 use prism_core::value::CasMode;
 use prism_harness::chaos::{HistKind, HistOp};
+use prism_harness::cluster::System;
 use prism_harness::netsim::{AdapterStep, Outbound, ProtoAdapter, RunResult};
 use prism_harness::openloop::OpenLoopResult;
 use prism_harness::table::Table;
@@ -153,6 +155,28 @@ pub fn assert_golden(what: &str, got: &[u64], want: &[u64]) {
         got, want,
         "{what}: not the golden row; this build produces {got:#x?}"
     );
+}
+
+/// Settles `system` after a run and requires both of its laws: nothing
+/// stays held ([`System::held`]), and once what the run stranded is
+/// reclaimed every pool buffer is live or free, never both
+/// ([`System::free_deficit`]). Returns the count held before settling.
+#[track_caller]
+pub fn assert_settled<S: System + ?Sized>(system: &S, what: &str) -> u64 {
+    let held = system.held();
+    system.settle();
+    assert_eq!(system.held(), 0, "{what}: {held} held, then settled");
+    system.reclaim();
+    assert_eq!(system.free_deficit(), 0, "{what}: pools broke their law");
+    held
+}
+
+/// Requires a second run of the same seed to equal `r` in every field
+/// ([`metrics_key`]).
+#[track_caller]
+pub fn assert_replayed(r: &RunResult, again: &RunResult) {
+    let (r, again) = (metrics_key(r), metrics_key(again));
+    assert_eq!(r, again, "same-seed replay must be bit-exact");
 }
 
 /// The open-loop replay fingerprint: every field of [`OpenLoopResult`],

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use prism_harness::adapters::{FarmAdapter, PrismTxAdapter};
+use prism_harness::adapters::{batching_spares, FarmAdapter, PrismTxAdapter};
 use prism_harness::cluster::System;
 use prism_harness::netsim::{
     run_closed_loop_with, ProtoAdapter, RecoveryHooks, RunResult, VerbPath,
@@ -27,7 +27,7 @@ use prism_tx::prism_tx::{TxCluster, TxConfig};
 use prism_workload::{KeyDist, TxnGen};
 
 mod support;
-use support::{assert_golden, metrics_key, run_key};
+use support::{assert_golden, assert_settled, metrics_key, run_key};
 
 const SHARDS: usize = 4;
 const KEYS: u64 = 4_096;
@@ -57,8 +57,9 @@ fn fabrics(seed: u64) -> [FaultPlan; 2] {
     ]
 }
 
-/// Runs `system` closed-loop, then settles it: whatever the run left
-/// held, the lease takes back.
+/// Runs `system` closed-loop, then settles and reclaims it: whatever the
+/// run left held, the lease takes back, and the pools keep their law
+/// ([`assert_settled`]).
 fn run(
     system: &dyn System,
     seed: u64,
@@ -80,14 +81,13 @@ fn run(
     );
     assert!(r.tput_ops > 0.0, "run made no progress: {r:?}");
     assert!(r.backoffs > 0, "skew must make attempts abort: {r:?}");
-    system.settle();
-    assert_eq!(system.held(), 0, "a settled system holds nothing");
+    assert_settled(system, "replay");
     r
 }
 
 fn prism_tx_run(seed: u64, faults: &FaultPlan) -> RunResult {
     let mut config = TxConfig::paper(KEYS / SHARDS as u64, VALUE as u64);
-    config.spare_buffers += 4_096;
+    config.spare_buffers += batching_spares(CLIENTS);
     let cluster = TxCluster::new(SHARDS, &config);
     run(
         &cluster,

@@ -221,10 +221,11 @@ fn prism_tx_prevents_write_skew() {
 /// surface as aborts (retried with backoff), lost commit replies as
 /// counted indeterminate failures, and two runs under the same seed
 /// produce identical metrics. Each run ends settled: whatever prepares
-/// the faults left dangling, the lease takes back.
+/// the faults left dangling, the lease takes back, and the pool keeps
+/// its law once reclaimed.
 #[test]
 fn faulted_tx_runs_complete_and_metrics_are_deterministic() {
-    use prism_harness::adapters::PrismTxAdapter;
+    use prism_harness::adapters::{batching_spares, PrismTxAdapter};
     use prism_harness::cluster::System;
     use prism_harness::netsim::{run_closed_loop, VerbPath};
     use prism_simnet::fault::FaultPlan;
@@ -243,18 +244,16 @@ fn faulted_tx_runs_complete_and_metrics_are_deterministic() {
             SimTime::from_nanos(1_500_000),
             SimTime::from_nanos(2_200_000),
         );
+    let clients = 4;
     let run = || {
-        // Lost replies leak spare buffers (free notifications ride the
-        // replies), so the faulted run gets an over-provisioned arena,
-        // as the experiment harness does.
         let mut config = TxConfig::paper(64, VALUE);
-        config.spare_buffers += 4_096;
+        config.spare_buffers += batching_spares(clients);
         let cluster = Arc::new(TxCluster::new(1, &config));
         let r = run_closed_loop(
             &cluster.servers(),
             &CostModel::testbed(),
             VerbPath::Nic,
-            4,
+            clients,
             &mut |i| {
                 Box::new(PrismTxAdapter::new(
                     cluster.open_client(),
@@ -271,8 +270,7 @@ fn faulted_tx_runs_complete_and_metrics_are_deterministic() {
             seed,
             &plan,
         );
-        cluster.settle();
-        assert_eq!(cluster.held(), 0, "a settled cluster holds nothing");
+        support::assert_settled(&*cluster, "faulted tx");
         r
     };
     let a = run();
