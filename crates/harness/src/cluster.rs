@@ -495,16 +495,27 @@ impl KvCluster {
         self.shards.iter().map(|s| s.open_client()).collect()
     }
 
-    /// YCSB load phase, routed: each key is preloaded on its home
-    /// shard only (the cluster holds one copy of every key, not N).
+    /// YCSB load phase, routed: each key is loaded on its home shard
+    /// only (the cluster holds one copy of every key, not N), by that
+    /// shard's server-side [`PrismKvServer::load`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a shard refuses a key: the cluster must be fresh, with
+    /// room on each shard for the keys it is home to.
     pub fn preload(&self, n_keys: u64, value_len: usize) {
-        let clients = self.open_clients();
         let map = self.map();
+        let mut homes = vec![Vec::new(); self.shards.len()];
         for k in 0..n_keys {
-            let key = key_bytes(k);
-            let home = map.shard_of(&key);
-            let value = value_bytes(k, 0, value_len);
-            self.write_at(home, &clients[home], &key, Some(&value));
+            homes[map.shard_of(&key_bytes(k))].push(k);
+        }
+        for (s, keys) in homes.into_iter().enumerate() {
+            let entries = keys
+                .into_iter()
+                .map(|k| (key_bytes(k), value_bytes(k, 0, value_len)));
+            if let Err(e) = self.shards[s].load(entries) {
+                panic!("preload on shard {s}: {e}");
+            }
         }
     }
 

@@ -43,7 +43,7 @@ use prism_core::{OpResult, OpStatus, PrismOp, PrismServer};
 use prism_rdma::hash::IntSet;
 use prism_rdma::region::AccessFlags;
 use prism_rdma::RdmaError;
-use prism_store::{DurableStats, Record, SegmentStore, SimDisk};
+use prism_store::{DurableStats, PayloadRef, Record, SegmentStore, SimDisk};
 
 use crate::driver::{RsOutcome, RsProtocol, RsStep};
 use crate::tag::Tag;
@@ -102,15 +102,30 @@ fn seed_header(block_size: u64) -> [u8; BUF_HDR as usize] {
     header
 }
 
-/// Seeds a never-written block over zeroed memory: writes only the seed
-/// image's non-zero words, `header` at buffer `buf` (the value is the
-/// arena's own zeros) and the metadata word at `meta` pointing at it.
-fn write_seed(server: &PrismServer, meta: u64, buf: u64, header: &[u8; BUF_HDR as usize]) {
-    let arena = server.arena();
-    arena.write(buf, header).expect("buffer in arena");
-    arena
-        .write(meta, &meta_word(Tag::ZERO, buf))
-        .expect("metadata in arena");
+/// A replica's copy of one block, as [`PrismRsServer::read_block`] finds
+/// it in the replica's own memory.
+enum BlockCopy {
+    /// A migration fence, `[Tag::MAX | null]`.
+    Fence,
+    /// An image that verifies under its metadata word's tag: that tag
+    /// and the value.
+    Valid(Tag, Vec<u8>),
+    /// Detected damage. `Some(buf)` when the metadata word names a
+    /// buffer of the pool and only the image at it failed: the address
+    /// a repair may rewrite. `None` when the word itself failed.
+    Damaged(Option<u64>),
+}
+
+impl BlockCopy {
+    /// The tag and image this copy is written and logged as, an empty
+    /// image for a fence; `None` for damage, which is never written.
+    fn image(&self) -> Option<(Tag, Vec<u8>)> {
+        match self {
+            BlockCopy::Fence => Some((Tag::MAX, Vec::new())),
+            BlockCopy::Valid(tag, value) => Some((*tag, encode_block(*tag, value))),
+            BlockCopy::Damaged(_) => None,
+        }
+    }
 }
 
 /// Per-replica store configuration.
@@ -269,11 +284,6 @@ impl PrismRsServer {
         server
             .freelists()
             .register_pool(freelist, buf_len, pool_base, count, config.n_blocks);
-        let header = seed_header(config.block_size);
-        for b in 0..config.n_blocks {
-            let (meta, buf) = (meta_addr + b * META, pool_base + b * stride);
-            write_seed(&server, meta, buf, &header);
-        }
 
         // Durable tier: a private simulated disk holding the replica's
         // segment log, fed by a chain observer at the install CAS.
@@ -289,7 +299,7 @@ impl PrismRsServer {
             }))
             .expect("a fresh server has no chain observer");
 
-        PrismRsServer {
+        let replica = PrismRsServer {
             server,
             pool_base,
             stride,
@@ -303,7 +313,68 @@ impl PrismRsServer {
             },
             disk,
             store,
+        };
+        let header = seed_header(config.block_size);
+        for b in 0..config.n_blocks {
+            replica.write_block(b, Tag::ZERO, pool_base + b * stride, &header);
         }
+        replica
+    }
+
+    /// Reads this replica's copy of block `b` if its metadata tag is
+    /// above `floor` (`None` is below every tag); `None` when it is not,
+    /// without reading the image. The metadata word must name a buffer of
+    /// this replica's pool (in the pool, on a buffer stride), or be a
+    /// fence, and the image there must pass [`block_crc_ok`] under the
+    /// word's tag. Anything else is [`BlockCopy::Damaged`].
+    fn read_block(&self, b: u64, floor: Option<Tag>) -> Option<BlockCopy> {
+        let arena = self.server.arena();
+        let mut word = [0u8; META as usize];
+        if arena.read_into(self.view.meta(b), &mut word).is_err() {
+            return Some(BlockCopy::Damaged(None));
+        }
+        let tag = Tag::from_bytes(&word[..8]);
+        if Some(tag) <= floor {
+            return None;
+        }
+        let addr = Word::TagPtr.ptr(&word);
+        if addr == 0 && tag == Tag::MAX {
+            return Some(BlockCopy::Fence);
+        }
+        let offset = addr.wrapping_sub(self.pool_base);
+        if addr < self.pool_base
+            || !offset.is_multiple_of(self.stride)
+            || offset / self.stride >= self.count
+        {
+            return Some(BlockCopy::Damaged(None));
+        }
+        let mut image = vec![0u8; self.view.buf_len() as usize];
+        if arena.read_into(addr, &mut image).is_err()
+            || !block_crc_ok(&image)
+            || image[..8] != word[..8]
+        {
+            return Some(BlockCopy::Damaged(Some(addr)));
+        }
+        image.drain(..BUF_HDR as usize);
+        Some(BlockCopy::Valid(tag, image))
+    }
+
+    /// The one block writer: writes `image` at pool buffer `buf`, then
+    /// block `b`'s metadata word `[tag | buf]` naming it. An empty image
+    /// is a migration fence: its word `[tag | null]` alone. Callers pass
+    /// only their layout's own addresses or one [`read_block`] checked.
+    ///
+    /// [`read_block`]: Self::read_block
+    fn write_block(&self, b: u64, tag: Tag, buf: u64, image: &[u8]) {
+        let arena = self.server.arena();
+        let (buf, written) = if image.is_empty() {
+            (0, Ok(()))
+        } else {
+            (buf, arena.write(buf, image))
+        };
+        written
+            .and_then(|()| arena.write(self.view.meta(b), &meta_word(tag, buf)))
+            .expect("the replica's layout lies in its arena");
     }
 
     /// The underlying host.
@@ -471,13 +542,12 @@ impl RsCluster {
         // the disk, and keeps per block the highest tag seen and where
         // its image lies: `Seed` for the fresh-boot version, `Fence` for
         // a migration fence (empty-payload record: the block's home
-        // moved, nothing may resurrect it). Phase 2 holds the image's
-        // value itself.
+        // moved, nothing may resurrect it).
         #[derive(Clone, Copy)]
-        enum Won<I> {
+        enum Won {
             Seed,
             Fence,
-            Image(I),
+            Image(PayloadRef),
         }
         let nb = r.view.n_blocks as usize;
         let mut fold = vec![(Tag::ZERO, Won::Seed); nb];
@@ -513,106 +583,56 @@ impl RsCluster {
             .add_segments_truncated(replay.segments_truncated);
         self.durable.add_replayed(replayed);
         // Only each block's winning image is copied out of the log —
-        // all of them before phase 2 appends to it.
-        let local: Vec<(Tag, Won<Vec<u8>>)> = fold
+        // all of them before phase 2 appends to it. A seed is `None`.
+        let local: Vec<(Tag, Option<BlockCopy>)> = fold
             .into_iter()
             .map(|(tag, won)| {
-                let best = match won {
-                    Won::Seed => Won::Seed,
-                    Won::Fence => Won::Fence,
-                    Won::Image(at) => Won::Image(
+                let copy = match won {
+                    Won::Seed => None,
+                    Won::Fence => Some(BlockCopy::Fence),
+                    Won::Image(at) => Some(BlockCopy::Valid(
+                        tag,
                         r.store
                             .with_payload(at, |image| image[BUF_HDR as usize..].to_vec())
                             .expect("the log is untouched since replay lent this record"),
-                    ),
+                    )),
                 };
-                (tag, best)
+                (tag, copy)
             })
             .collect();
 
-        // Phase 2 — delta resync. Probe every peer's 16-byte metadata
-        // entry (cheap tag traffic), but fetch the full buffer only for
-        // blocks where a peer is *ahead* of the replayed high-water
+        // Phase 2 — delta resync: the read-repair scan with the replayed
+        // tag as its floor, so a peer's buffer is fetched only for
+        // blocks where that peer is *ahead* of the local high-water
         // mark. With an intact log this is the handful of writes that
-        // landed after the last barrier — orders of magnitude less
-        // traffic than the old full resync, which fetched every block.
+        // landed after the last barrier.
         let header = seed_header(r.view.block_size);
-        for (b, (mut best_tag, mut best)) in local.into_iter().enumerate() {
+        for (b, (floor, local)) in local.into_iter().enumerate() {
             let b = b as u64;
-            let mut from_peer = false;
-            for (j, peer) in self.replicas.iter().enumerate() {
-                if j == i {
-                    continue;
-                }
-                let pv = &peer.view;
-                let meta = peer
-                    .server
-                    .arena()
-                    .read(pv.meta(b), META)
-                    .expect("peer metadata in arena");
-                let tag = Tag::from_bytes(&meta[..8]);
-                if tag > best_tag {
-                    let addr = Word::TagPtr.ptr(&meta);
-                    if addr == 0 {
-                        best_tag = tag;
-                        best = Won::Fence;
-                        from_peer = true;
-                        continue;
-                    }
-                    // Copies that fail their own checksum are never
-                    // adopted: a rotted peer buffer cannot poison the
-                    // rejoiner.
-                    let buf = peer
-                        .server
-                        .arena()
-                        .read(addr, pv.buf_len())
-                        .expect("peer buffer in arena");
-                    if !block_crc_ok(&buf) {
-                        continue;
-                    }
-                    best_tag = tag;
-                    best = Won::Image(buf[BUF_HDR as usize..].to_vec());
-                    from_peer = true;
-                }
-            }
-            let (meta, buf) = (r.view.meta(b), r.pool_base + b * r.stride);
-            let addr = match &best {
+            let slot = r.pool_base + b * r.stride;
+            let adopted = self.best_peer_copy(i, b, Some(floor));
+            let from_peer = adopted.is_some();
+            let Some((tag, image)) = adopted.or_else(|| local.as_ref().and_then(BlockCopy::image))
+            else {
                 // Header-only over the wiped arena's zeros; never adopted
                 // (a peer is only ever ahead of a seed), so nothing to log.
-                Won::Seed => {
-                    write_seed(&r.server, meta, buf, &header);
-                    continue;
-                }
-                Won::Fence => 0,
-                Won::Image(val) => {
-                    r.server
-                        .arena()
-                        .write(buf, &encode_block(best_tag, val))
-                        .expect("buffer in arena");
-                    buf
-                }
+                r.write_block(b, Tag::ZERO, slot, &header);
+                continue;
             };
-            r.server
-                .arena()
-                .write(meta, &meta_word(best_tag, addr))
-                .expect("metadata in arena");
+            r.write_block(b, tag, slot, &image);
             if from_peer {
                 self.durable.add_delta_resynced(1);
+                if !image.is_empty() {
+                    self.resyncs.fetch_add(1, Relaxed);
+                }
                 // Log what was adopted so the *next* replay starts from
                 // here instead of refetching it.
-                let payload = match &best {
-                    Won::Image(val) => encode_block(best_tag, val),
-                    _ => Vec::new(), // fence adopted from peers
-                };
                 r.store.append(&Record {
                     epoch: r.server.current_epoch(),
                     inc,
                     key: b,
-                    payload,
+                    payload: image,
                 });
-                if best_tag > Tag::ZERO && matches!(best, Won::Image(_)) {
-                    self.resyncs.fetch_add(1, Relaxed);
-                }
             }
         }
         // Recovery is control-plane: everything it wrote is synced.
@@ -621,85 +641,53 @@ impl RsCluster {
         inc
     }
 
-    /// Scrubs replica `i`: verifies every block's buffer checksum and
-    /// heals persistent damage by quorum read-repair — the same
-    /// discipline as the amnesia resync, but targeted at the blocks
-    /// whose bytes rotted in place. For each damaged block the scrub
-    /// adopts the highest-tagged *valid* copy among the peers (any
-    /// completed write has one on at least `f` survivors, so the repair
-    /// is at least as fresh as every linearized value), rewrites the
-    /// buffer image in place, and re-points the metadata at it. Returns
-    /// `(blocks_ok, blocks_repaired)`.
+    /// PRISM-RS read-repair's one peer scan (§7.2): the highest-tagged
+    /// valid copy of block `b` among replica `i`'s peers whose tag is
+    /// above `floor`, as the tag and image to write and log. A fence
+    /// ranks as `Tag::MAX`, damaged copies are passed over, and a tie
+    /// goes to the lower-numbered peer. Any completed write has a copy
+    /// on at least `f` peers, so what it finds is at least as fresh as
+    /// every linearized value.
+    fn best_peer_copy(&self, i: usize, b: u64, mut floor: Option<Tag>) -> Option<(Tag, Vec<u8>)> {
+        let mut best = None;
+        for (j, peer) in self.replicas.iter().enumerate() {
+            if j == i {
+                continue;
+            }
+            let copy = peer.read_block(b, floor);
+            let tag = match &copy {
+                Some(BlockCopy::Fence) => Tag::MAX,
+                Some(BlockCopy::Valid(tag, _)) => *tag,
+                _ => continue,
+            };
+            (floor, best) = (Some(tag), copy);
+        }
+        best.as_ref().and_then(BlockCopy::image)
+    }
+
+    /// Scrubs replica `i`: verifies every block's copy and heals damage
+    /// by the rejoin's read-repair, targeted at the blocks whose bytes
+    /// rotted in place: the peer scan with no floor, its image rewritten
+    /// at the damaged buffer's own address and the metadata re-pointed
+    /// at it (or the block fenced, if a peer holds the fence). A block
+    /// whose metadata word itself failed has no address to trust, and
+    /// one with no valid copy anywhere stays detectably corrupt: neither
+    /// is counted. Returns `(blocks_ok, blocks_repaired)`.
     pub fn scrub(&self, i: usize) -> (u64, u64) {
         use std::sync::atomic::Ordering::Relaxed;
         let r = &self.replicas[i];
-        let v = &r.view;
         let mut ok = 0u64;
         let mut repaired = 0u64;
-        for b in 0..v.n_blocks {
-            let meta = r
-                .server
-                .arena()
-                .read(v.meta(b), META)
-                .expect("metadata in arena");
-            let addr = Word::TagPtr.ptr(&meta);
-            if addr == 0 {
-                // Migration fence: the block moved groups; there is no
-                // buffer here to verify or repair.
+        for b in 0..r.view.n_blocks {
+            let Some(BlockCopy::Damaged(damaged)) = r.read_block(b, None) else {
                 ok += 1;
-                continue;
-            }
-            let buf = r
-                .server
-                .arena()
-                .read(addr, v.buf_len())
-                .expect("buffer in arena");
-            if block_crc_ok(&buf) {
-                ok += 1;
-                continue;
-            }
-            let mut best: Option<(Tag, Vec<u8>)> = None;
-            for (j, peer) in self.replicas.iter().enumerate() {
-                if j == i {
-                    continue;
-                }
-                let pv = &peer.view;
-                let pmeta = peer
-                    .server
-                    .arena()
-                    .read(pv.meta(b), META)
-                    .expect("peer metadata in arena");
-                let ptag = Tag::from_bytes(&pmeta[..8]);
-                if best.as_ref().is_some_and(|(t, _)| *t >= ptag) {
-                    continue;
-                }
-                let paddr = Word::TagPtr.ptr(&pmeta);
-                if paddr == 0 {
-                    continue;
-                }
-                let pbuf = peer
-                    .server
-                    .arena()
-                    .read(paddr, pv.buf_len())
-                    .expect("peer buffer in arena");
-                // Invalid copies are never adopted, even for repair.
-                if block_crc_ok(&pbuf) {
-                    best = Some((ptag, pbuf[BUF_HDR as usize..].to_vec()));
-                }
-            }
-            let Some((tag, value)) = best else {
-                // No valid copy anywhere — leave the block detectably
-                // corrupt rather than forge one.
                 continue;
             };
-            r.server
-                .arena()
-                .write(addr, &encode_block(tag, &value))
-                .expect("buffer in arena");
-            r.server
-                .arena()
-                .write(v.meta(b), &meta_word(tag, addr))
-                .expect("metadata in arena");
+            let Some(buf) = damaged else { continue };
+            let Some((tag, image)) = self.best_peer_copy(i, b, None) else {
+                continue;
+            };
+            r.write_block(b, tag, buf, &image);
             repaired += 1;
             self.scrub_repairs.fetch_add(1, Relaxed);
         }
@@ -1731,6 +1719,79 @@ mod tests {
             .unwrap();
         assert!(block_crc_ok(&buf), "rejoined copy must verify");
         assert_eq!(&buf[BUF_HDR as usize..], &vec![9u8; 64][..]);
+    }
+
+    /// A metadata word whose address rotted out of the pool is detected
+    /// damage to both read-repairs: the scrub leaves it uncounted and
+    /// writes nothing through it, and a rejoin passes over it to the
+    /// next peer's valid copy.
+    #[test]
+    fn rotted_metadata_is_damage_not_a_panic() {
+        let cl = cluster();
+        let mut c = cl.open_client();
+        let (two, three) = (vec![2u8; 64], vec![3u8; 64]);
+        assert_eq!(
+            put(&cl, &mut c, 2, two.clone(), &[false; 3]),
+            RsOutcome::Written
+        );
+        assert_eq!(
+            put(&cl, &mut c, 3, three.clone(), &[true, false, false]),
+            RsOutcome::Written
+        );
+        let r1 = cl.replica(1);
+        for b in [2, 3] {
+            r1.server()
+                .arena()
+                .flip_bit(r1.view().meta(b) + 15, 6)
+                .unwrap();
+        }
+        assert_eq!(cl.scrub(1), (14, 0));
+        assert_eq!(cl.scrub_repairs(), 0);
+
+        // Replica 0 replays block 2 and never saw block 3: the scan
+        // passes over replica 1's rotted word and adopts replica 2's.
+        cl.amnesia_restart(0);
+        assert_eq!(cl.durable_stats().delta_resynced(), 1);
+        assert_eq!(cl.resyncs(), 1);
+        let copy = |r: usize| {
+            let (arena, view) = (cl.replica(r).server().arena(), cl.replica(r).view());
+            let meta = arena.read(view.meta(3), META).unwrap();
+            let image = arena.read(Word::TagPtr.ptr(&meta), view.buf_len()).unwrap();
+            (meta[..8].to_vec(), image)
+        };
+        let (tag, image) = copy(0);
+        assert_eq!(tag, copy(2).0);
+        assert!(block_crc_ok(&image));
+        assert_eq!(image[BUF_HDR as usize..], three[..]);
+
+        let mut c2 = cl.open_client();
+        for (b, val) in [(2, two), (3, three)] {
+            assert_eq!(get(&cl, &mut c2, b, &[false; 3]), RsOutcome::Value(val));
+        }
+    }
+
+    /// The scrub adopts a peer's migration fence as the rejoin does: a
+    /// block fenced on the peers and rotted here is repaired to the
+    /// fence, and the rotted buffer is the sweep's to reclaim.
+    #[test]
+    fn scrub_adopts_a_peer_fence() {
+        let cl = cluster();
+        let b = 4;
+        for r in [0, 2] {
+            cl.replica(r).fence(b, 1).unwrap();
+        }
+        let r1 = cl.replica(1);
+        let addr = r1.server().arena().read_u64(r1.view().meta(b) + 8).unwrap();
+        r1.server().arena().flip_bit(addr + BUF_HDR + 3, 1).unwrap();
+        assert_eq!(cl.scrub(1), (15, 1));
+        assert_eq!(
+            r1.server().arena().read(r1.view().meta(b), META).unwrap(),
+            meta_word(Tag::MAX, 0)
+        );
+        for r in 0..3 {
+            cl.replica(r).gc_sweep();
+            assert_eq!(cl.replica(r).audit().deficit(), 0, "replica {r}");
+        }
     }
 
     #[test]

@@ -17,6 +17,14 @@
 #                           the huge-page madvise) (DESIGN.md §5.6); a
 #                           fourth block anywhere, in those files too,
 #                           is a design decision, not a drive-by
+#      panic-site audit   — per file of prism-kv, prism-rs, prism-tx and
+#                           prism-store src and of the harness's
+#                           adapters.rs, the `.unwrap()`, `.expect(`,
+#                           `panic!(` and `unreachable!(` sites before
+#                           the first `#[cfg(test)]` (scripts/loc.sh's
+#                           split) must equal the table in the script: a
+#                           removal lowers its entry in the same change,
+#                           an addition fails
 #   2. offline release build — fat LTO, one codegen unit
 #                           (.cargo/config.toml; the bench smoke of step
 #                           7 builds the same way)
@@ -183,6 +191,33 @@ unsafe_audit() {
     echo "$hits"
 }
 
+# The panic sites outside tests in the protocol and store crates and the
+# harness's adapters, per file, as a ratchet: a site reachable from a
+# stored or received byte becomes a typed outcome, and the table only
+# goes down. Counted before the first `#[cfg(test)]`, as scripts/loc.sh
+# splits a file.
+PANIC_SITES="crates/harness/src/adapters.rs:2 crates/kv/src/entry.rs:4
+    crates/kv/src/hash.rs:1 crates/kv/src/pilaf.rs:14 crates/kv/src/prism_kv.rs:1
+    crates/rs/src/abdlock.rs:3 crates/rs/src/prism_rs.rs:5 crates/rs/src/tag.rs:1
+    crates/store/src/disk.rs:6 crates/store/src/store.rs:7 crates/tx/src/driver.rs:1
+    crates/tx/src/farm.rs:19 crates/tx/src/prism_tx.rs:8 crates/tx/src/ts.rs:1"
+panic_audit() {
+    local want found f n
+    want=$(xargs -n1 <<<"$PANIC_SITES" | LC_ALL=C sort | xargs)
+    found=$(for f in $(find crates/kv/src crates/rs/src crates/tx/src crates/store/src \
+        -name '*.rs') crates/harness/src/adapters.rs; do
+        n=$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print }' "$f" \
+            | grep -o '\.unwrap()\|\.expect(\|panic!(\|unreachable!(' | wc -l)
+        if ((n > 0)); then echo "$f:$n"; fi
+    done | LC_ALL=C sort | xargs)
+    if [[ $found != "$want" ]]; then
+        echo "panic-site audit: want, per file: $want"
+        echo "found: $found"
+        return 1
+    fi
+    echo "panic-site audit: ok ($found)"
+}
+
 # fig_hedge --quick's 4x straggler pair: the hedged p99 must beat the
 # unhedged one, with at least one hedge fired.
 hedging_smoke() {
@@ -240,6 +275,7 @@ second_seed() {
 
 step "hermeticity" ./scripts/check_hermetic.sh
 step "unsafe audit" unsafe_audit
+step "panic-site audit" panic_audit
 step "build (release, offline)" cargo build --release --offline
 step "recovery footprint (release)" \
     cargo test --release --offline -p prism-harness --test recovery_footprint

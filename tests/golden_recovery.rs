@@ -41,25 +41,7 @@ use prism_store::Record;
 use prism_tx::{TxCluster, TxConfig, TxProtocol};
 
 mod support;
-use support::{assert_golden, disk_image_fingerprint, replay_records};
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xCBF2_9CE4_8422_2325)
-    }
-
-    fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn eat_u64(&mut self, v: u64) {
-        self.eat(&v.to_le_bytes());
-    }
-}
+use support::{assert_golden, disk_image_fingerprint, replay_records, words_key, Fnv};
 
 fn seeded_bytes(rng: &mut SimRng, len: usize) -> Vec<u8> {
     (0..len).map(|_| rng.next_u64() as u8).collect()
@@ -189,11 +171,9 @@ fn kv_image(seed: u64) -> [u64; 12] {
     let (replay, records) = replay_records(twin.store());
     let mut rec_fold = Fnv::new();
     for r in &records {
-        rec_fold.eat_u64(r.epoch);
-        rec_fold.eat_u64(r.inc);
-        rec_fold.eat_u64(r.key);
-        rec_fold.eat_u64(r.payload.len() as u64);
-        rec_fold.eat(&r.payload);
+        rec_fold
+            .eat_words(&[r.epoch, r.inc, r.key, r.payload.len() as u64])
+            .eat(&r.payload);
     }
 
     let s = kv_before_crash(seed);
@@ -227,30 +207,24 @@ fn kv_image(seed: u64) -> [u64; 12] {
     let id = FreeListId(0);
     let lists = s.server().freelists();
     let available = lists.available(id) as u64;
-    let mut free = Fnv::new();
-    for a in lists.snapshot(id) {
-        free.eat_u64(a);
-    }
+    let free = words_key(&lists.snapshot(id));
     while lists.available(id) >= 16 {
         lists.pop(id).expect("non-empty class pops");
     }
     assert!(s.maybe_refill() > 0, "a drained class refills");
-    let mut refilled = Fnv::new();
-    for a in lists.snapshot(id) {
-        refilled.eat_u64(a);
-    }
+    let refilled = words_key(&lists.snapshot(id));
 
     let d = s.durable_stats();
     [
         live,
-        mem.0,
+        mem.finish(),
         available,
-        free.0,
-        refilled.0,
+        free,
+        refilled,
         d.replayed(),
         d.segments_truncated(),
         records.len() as u64,
-        rec_fold.0,
+        rec_fold.finish(),
         replay.corrupt_frames << 32 | replay.segments_skipped << 1 | replay.manifest_ok as u64,
         replay.segments_truncated,
         disk_image_fingerprint(s.disk()),
@@ -333,10 +307,7 @@ fn rs_image(seed: u64) -> [u64; 9] {
             mem.eat(&arena.read(addr, view.buf_len()).expect("buffer in arena"));
         }
     }
-    let mut free = Fnv::new();
-    for a in victim.server().freelists().snapshot(view.freelist) {
-        free.eat_u64(a);
-    }
+    let free = words_key(&victim.server().freelists().snapshot(view.freelist));
     let d = cl.durable_stats();
     [
         d.replayed(),
@@ -344,9 +315,9 @@ fn rs_image(seed: u64) -> [u64; 9] {
         d.segments_truncated(),
         cl.rejoins(),
         cl.resyncs(),
-        mem.0,
+        mem.finish(),
         victim.server().freelists().available(view.freelist) as u64,
-        free.0,
+        free,
         disk_image_fingerprint(victim.disk()),
     ]
 }
@@ -386,11 +357,8 @@ fn list_image(server: &PrismServer) -> [u64; 2] {
 
 /// Free buffers and the snapshot fold of free list `id`.
 fn list_image_of(server: &PrismServer, id: FreeListId) -> [u64; 2] {
-    let (lists, mut fold) = (server.freelists(), Fnv::new());
-    for a in lists.snapshot(id) {
-        fold.eat_u64(a);
-    }
-    [lists.available(id) as u64, fold.0]
+    let lists = server.freelists();
+    [lists.available(id) as u64, words_key(&lists.snapshot(id))]
 }
 
 /// Delivers withheld `frees` to `server` over the wire — the first third
@@ -433,16 +401,12 @@ fn kv_reclaim(seed: u64) -> Vec<u64> {
     let delivered = deliver(s.server(), &frees, &[frees[0] + 8]);
     let gc = s.gc_sweep() as u64;
     let swept = list_image(s.server());
-    let mut popped = Fnv::new();
-    for _ in 0..64 {
-        popped.eat_u64(
-            s.server()
-                .freelists()
-                .pop(FreeListId(0))
-                .expect("free buffers")
-                .0,
-        );
-    }
+    let popped: Vec<u64> = (0..64)
+        .map(|_| {
+            let list = s.server().freelists();
+            list.pop(FreeListId(0)).expect("free buffers").0
+        })
+        .collect();
     s.amnesia_restart();
     let mut restarted = Vec::new();
     for &(id, _) in &s.view().classes {
@@ -453,7 +417,7 @@ fn kv_reclaim(seed: u64) -> Vec<u64> {
         &delivered,
         &[gc],
         &swept,
-        &[popped.0],
+        &[words_key(&popped)],
         &restarted,
     ]
     .concat()

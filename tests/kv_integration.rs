@@ -1,7 +1,7 @@
 //! End-to-end key-value integration: PRISM-KV and Pilaf side by side on
 //! the same workloads, checked against an in-memory model.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use prism_core::{FreeListId, PrismServer};
@@ -354,16 +354,24 @@ fn classes_config(keys: u64, caps: &[usize]) -> PrismKvConfig {
 /// `preload_prism` equals one loaded by a PUT per key byte for byte,
 /// arena and disk, and stays equal through the same PUTs (fresh value
 /// nonces) and DELETEs applied to both. Key counts, value lengths, the
-/// operations and their nonces come from `seed_or`. The last case
-/// spreads its keys' value lengths over two or three size classes and
-/// loads through [`PrismKvServer::load`], so the loader's class choice
-/// meets the PUT's.
+/// operations and their nonces come from `seed_or`. The last two cases
+/// load through [`PrismKvServer::load`]: one spreads its keys' value
+/// lengths over two or three size classes, so the loader's class choice
+/// meets the PUT's; one hashes by FNV into a 1 021-slot table, so keys
+/// share home slots and the loader's probe path meets the PUT's. (FNV-1a
+/// over sequential keys clusters: at these counts that prime table has
+/// collisions and no path longer than 8 slots, where a table sized from
+/// the key count can fill a key's whole path, which fails the PUT too.)
 #[test]
 fn preload_prism_equals_a_put_per_key() {
     let mut rng = SimRng::new(seed_or(0x10AD));
-    for case in 0..7 {
-        let keys = 1 + rng.gen_range(600);
-        let mixed = case == 6;
+    for case in 0..8 {
+        let (mixed, fnv) = (case == 6, case == 7);
+        let keys = if fnv {
+            66 + rng.gen_range(535)
+        } else {
+            1 + rng.gen_range(600)
+        };
         // `top`: the longest value; a mixed case draws each length in 1..=top.
         let (config, lens, top) = if mixed {
             let classes = 2 + rng.gen_range(2) as usize;
@@ -380,14 +388,21 @@ fn preload_prism_equals_a_put_per_key() {
             (classes_config(keys, &caps), lens.collect(), top)
         } else {
             let top = 1 + rng.gen_range(1_024) as usize;
-            (
-                PrismKvConfig::paper(keys, top),
-                vec![top; keys as usize],
-                top,
-            )
+            let mut config = PrismKvConfig::paper(keys, top);
+            if fnv {
+                config.scheme = HashScheme::Fnv;
+                config.capacity = 1_021;
+            }
+            (config, vec![top; keys as usize], top)
         };
+        let at = format!("case {case}: {keys} keys x {top} B (mixed {mixed}, fnv {fnv})");
+        if fnv {
+            let home = |k| config.scheme.slot(&key_bytes(k), 0, config.capacity);
+            let homes: HashSet<u64> = (0..keys).map(home).collect();
+            assert!(homes.len() < keys as usize, "{at}: no key probes");
+        }
         let (loaded, oracle) = (PrismKvServer::new(&config), PrismKvServer::new(&config));
-        if mixed {
+        if mixed || fnv {
             let entries = (0..).zip(&lens);
             let entries = entries.map(|(k, &len)| (key_bytes(k), value_bytes(k, 0, len)));
             assert_eq!(loaded.load(entries), Ok(keys));
@@ -395,7 +410,6 @@ fn preload_prism_equals_a_put_per_key() {
             preload_prism(&loaded, keys, top);
         }
         preload_by_puts(&oracle, lens);
-        let at = format!("case {case}: {keys} keys x {top} B (mixed {mixed})");
         assert!(
             store_image(&loaded) == store_image(&oracle),
             "{at}: after the load"

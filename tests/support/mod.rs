@@ -3,7 +3,8 @@
 //! `openloop_smoke`, `store_properties`, `golden_recovery`),
 //! `figures_smoke`, `kv_integration` and the codec properties: the
 //! replay fingerprints and their one-word folds for golden rows (a
-//! figure table's included, and plain FNV-1a over bytes or words), the
+//! figure table's included, and FNV-1a over bytes or words, whole or as a
+//! running fold), the
 //! same-seed replay check, the end-of-run settle with its two laws, the
 //! one-line counter dump, the minimal retrying read adapter, the
 //! durable tier's record collector and disk fingerprint, and the PRISM
@@ -33,45 +34,59 @@ pub fn replay_records(store: &SegmentStore) -> (Replay, Vec<Record>) {
     (replay, records)
 }
 
-/// The FNV-1a offset basis.
-const FNV_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
+/// A running FNV-1a fold, for golden rows built a piece at a time.
+pub struct Fnv(u64);
 
-/// FNV-1a over `bytes`, continuing from `h`.
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(h, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
-    })
-}
+impl Fnv {
+    /// A fold at the FNV-1a offset basis.
+    pub fn new() -> Self {
+        Fnv(0xCBF2_9CE4_8422_2325)
+    }
 
-/// FNV-1a over the little-endian bytes of `words`, continuing from `h`.
-fn fold_words(h: u64, words: &[u64]) -> u64 {
-    words.iter().fold(h, |h, w| fnv1a(h, &w.to_le_bytes()))
+    /// Folds in `bytes`.
+    pub fn eat(&mut self, bytes: &[u8]) -> &mut Self {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        self
+    }
+
+    /// Folds in the little-endian bytes of `words`.
+    pub fn eat_words(&mut self, words: &[u64]) -> &mut Self {
+        for w in words {
+            self.eat(&w.to_le_bytes());
+        }
+        self
+    }
+
+    /// The fold so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// FNV-1a over `bytes`, for golden rows.
 pub fn bytes_key(bytes: &[u8]) -> u64 {
-    fnv1a(FNV_BASIS, bytes)
+    Fnv::new().eat(bytes).finish()
 }
 
 /// FNV-1a over the little-endian bytes of `words`, for golden rows.
 pub fn words_key(words: &[u64]) -> u64 {
-    fold_words(FNV_BASIS, words)
+    Fnv::new().eat_words(words).finish()
 }
 
 /// FNV-1a over every file's name, length, synced watermark and bytes,
 /// in name order: the whole observable state of a [`SimDisk`].
 pub fn disk_image_fingerprint(disk: &SimDisk) -> u64 {
-    let mut h = FNV_BASIS;
-    let mut eat = |bytes: &[u8]| h = fnv1a(h, bytes);
+    let mut h = Fnv::new();
     for name in disk.list("") {
         let bytes = disk.read(&name).expect("listed file reads");
         let synced = disk.synced(&name).expect("listed file has a watermark");
-        eat(name.as_bytes());
-        eat(&(bytes.len() as u64).to_le_bytes());
-        eat(&(synced as u64).to_le_bytes());
-        eat(&bytes);
+        h.eat(name.as_bytes())
+            .eat_words(&[bytes.len() as u64, synced as u64])
+            .eat(&bytes);
     }
-    h
+    h.finish()
 }
 
 /// The closed-loop replay fingerprint: every field of [`RunResult`],
@@ -113,37 +128,39 @@ pub fn metrics_key(r: &RunResult) -> [u64; 30] {
 
 /// [`metrics_key`] folded to one word, for golden rows.
 pub fn run_key(r: &RunResult) -> u64 {
-    fold_words(FNV_BASIS, &metrics_key(r))
+    words_key(&metrics_key(r))
 }
 
 /// A figure table's CSV and its peaks' bit patterns folded to one word,
 /// for golden rows.
 pub fn table_key(t: &Table, peaks: &[f64]) -> u64 {
     let bits: Vec<u64> = peaks.iter().map(|p| p.to_bits()).collect();
-    fold_words(fnv1a(FNV_BASIS, t.to_csv().as_bytes()), &bits)
+    Fnv::new()
+        .eat(t.to_csv().as_bytes())
+        .eat_words(&bits)
+        .finish()
 }
 
 /// Every field of every recorded operation folded to one word (the fold
 /// `perf/src/calls.rs::fold_history` feeds the benchmark's
 /// `sim.fingerprint`), for golden rows.
 pub fn history_key(history: &[HistOp]) -> u64 {
-    history.iter().fold(FNV_BASIS, |h, op| {
+    let mut h = Fnv::new();
+    for op in history {
         let (kind, nonce) = match op.kind {
             HistKind::Get { nonce } => (0, nonce),
             HistKind::Put { nonce } => (1, nonce),
         };
-        fold_words(
-            h,
-            &[
-                op.client as u64,
-                op.key,
-                op.invoke.as_nanos(),
-                op.complete.map_or(u64::MAX, SimTime::as_nanos),
-                kind,
-                nonce,
-            ],
-        )
-    })
+        h.eat_words(&[
+            op.client as u64,
+            op.key,
+            op.invoke.as_nanos(),
+            op.complete.map_or(u64::MAX, SimTime::as_nanos),
+            kind,
+            nonce,
+        ]);
+    }
+    h.finish()
 }
 
 /// Checks a golden row. A mismatch prints the row this build produces
